@@ -5,15 +5,13 @@
 // runs everything at the default (CI-scale) sizes; "sched" runs the
 // scheduling sweep (BENCH_sched.json), "hybridmix" the mask-density
 // mixed-binding sweep (BENCH_hybridmix.json), "bitmap" the MaskedBit
-// accumulator experiment (BENCH_bitmap.json), "calibrate" the
-// static-vs-calibrated cost-model experiment (BENCH_calibrate.json)
-// for the perf trajectory, and "cancel" the cancel-token polling
-// overhead experiment (BENCH_cancel.json) behind the fault-containment
-// CI gate.
+// accumulator experiment (BENCH_bitmap.json), and "cancel" the
+// cancel-token polling overhead experiment (BENCH_cancel.json) behind
+// the fault-containment CI gate.
 //
 // Usage:
 //
-//	mspgemm-bench [flags] fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|sched|hybridmix|bitmap|calibrate|cancel|all
+//	mspgemm-bench [flags] fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|sched|hybridmix|bitmap|cancel|all
 //
 // Flags:
 //
@@ -26,7 +24,6 @@
 //	-sched-out F      where "sched" writes its JSON (default BENCH_sched.json)
 //	-hybridmix-out F  where "hybridmix" writes its JSON (default BENCH_hybridmix.json)
 //	-bitmap-out F     where "bitmap" writes its JSON (default BENCH_bitmap.json)
-//	-calibrate-out F  where "calibrate" writes its JSON (default BENCH_calibrate.json)
 //	-cancel-out F     where "cancel" writes its JSON (default BENCH_cancel.json)
 //	-selftest         cross-check all schemes before benchmarking
 package main
@@ -52,13 +49,12 @@ func main() {
 		schedOut = flag.String("sched-out", "BENCH_sched.json", "output path for the sched subcommand's JSON")
 		mixOut   = flag.String("hybridmix-out", "BENCH_hybridmix.json", "output path for the hybridmix subcommand's JSON")
 		bitOut   = flag.String("bitmap-out", "BENCH_bitmap.json", "output path for the bitmap subcommand's JSON")
-		calOut   = flag.String("calibrate-out", "BENCH_calibrate.json", "output path for the calibrate subcommand's JSON")
 		cancOut  = flag.String("cancel-out", "BENCH_cancel.json", "output path for the cancel subcommand's JSON")
 		selftest = flag.Bool("selftest", false, "run the cross-scheme self-test first")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: mspgemm-bench [flags] fig7|...|fig16|sched|hybridmix|bitmap|calibrate|cancel|all")
+		fmt.Fprintln(os.Stderr, "usage: mspgemm-bench [flags] fig7|...|fig16|sched|hybridmix|bitmap|cancel|all")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
@@ -79,7 +75,6 @@ func main() {
 		schedOut: *schedOut,
 		mixOut:   *mixOut,
 		bitOut:   *bitOut,
-		calOut:   *calOut,
 		cancOut:  *cancOut,
 	}
 	figure := flag.Arg(0)
@@ -102,7 +97,7 @@ func main() {
 
 type runner struct {
 	threads, reps, scaleMax, batch, dimExp, ktrussK int
-	schedOut, mixOut, bitOut, calOut, cancOut       string
+	schedOut, mixOut, bitOut, cancOut               string
 }
 
 // scales returns the R-MAT sweep 8..scaleMax (paper: 8..20).
@@ -304,30 +299,6 @@ func (r runner) run(figure string) error {
 			return err
 		}
 		fmt.Fprintf(w, "wrote %s\n", r.bitOut)
-	case "calibrate":
-		cfg := bench.DefaultCalibrateBenchConfig()
-		if r.scaleMax < cfg.Scale {
-			cfg.Scale = r.scaleMax
-		}
-		cfg.Reps = r.reps
-		cfg.Threads = r.threads
-		pts, coeffs, err := bench.RunCalibrate(cfg)
-		if err != nil {
-			return err
-		}
-		bench.WriteCalibrate(w, cfg, coeffs, pts)
-		f, err := os.Create(r.calOut)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteCalibrateJSON(f, cfg, coeffs, pts); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", r.calOut)
 	case "cancel":
 		cfg := bench.DefaultCancelOverheadConfig()
 		if r.scaleMax < cfg.Scale {

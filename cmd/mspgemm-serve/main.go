@@ -50,21 +50,12 @@ func main() {
 		cacheEntries = flag.Int("cache-entries", 0, "plan-cache entry bound (0 = default 128)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "plan-cache byte bound (0 = unbounded)")
 		memBudget    = flag.Int64("memory-budget", 0, "shared byte budget over cached plans and stored operands (0 = default 1GiB)")
-		calibrateStr = flag.String("calibrate", "off", "cost-model calibration: off, startup (fit once, bind calibrated), or online (fit + re-bind misbehaving cached plans in the background)")
 		panicEvery   = flag.Duration("panic-log-every", time.Minute, "rate limit on kernel-panic log entries: the first contained panic of a kind logs its full stack and request fingerprints, repeats within the interval are counted instead of logged")
 		drainWait    = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight work")
 	)
 	flag.Parse()
 
-	calMode, err := maskedspgemm.ParseCalibrationMode(*calibrateStr)
-	if err != nil {
-		log.Fatalf("-calibrate: %v", err)
-	}
-
 	var sopts []maskedspgemm.SessionOption
-	if calMode != maskedspgemm.CalibrateOff {
-		sopts = append(sopts, maskedspgemm.WithCalibration(maskedspgemm.CalibrationConfig{Mode: calMode}))
-	}
 	if *cacheEntries > 0 {
 		sopts = append(sopts, maskedspgemm.WithPlanCacheEntries(*cacheEntries))
 	}

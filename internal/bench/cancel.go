@@ -72,13 +72,14 @@ func RunCancelOverhead(cfg CancelOverheadConfig) (CancelOverheadResult, error) {
 		return res, err
 	}
 	exec := core.NewExecutor[float64](sr)
-	token := &parallel.CancelToken{}
+	withToken := opt.ExecOnly()
+	withToken.Cancel = &parallel.CancelToken{}
 	arms := []struct {
 		eo   core.ExecOptions
 		best *float64
 	}{
-		{core.ExecOptions{ReuseOutput: true}, &res.BaselineSeconds},
-		{core.ExecOptions{ReuseOutput: true, Cancel: token}, &res.TokenSeconds},
+		{opt.ExecOnly(), &res.BaselineSeconds},
+		{withToken, &res.TokenSeconds},
 	}
 	reps := cfg.Reps
 	if reps < 1 {

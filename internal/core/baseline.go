@@ -2,6 +2,7 @@ package core
 
 import (
 	"maskedspgemm/internal/accum"
+	"maskedspgemm/internal/parallel"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 )
@@ -57,6 +58,7 @@ func SpGEMM[T any, S semiring.Semiring[T]](sr S, a, b *sparse.CSR[T], opt Option
 		return nil, errInnerDim(a, b)
 	}
 	opt.normalize()
+	opt.Threads = parallel.Threads(opt.Threads)
 	slots := newLazySlots(opt.Threads, func() *accum.HashC[T, S] {
 		return accum.NewHashC[T](sr, 16, opt.HashLoadFactor)
 	})
@@ -101,8 +103,10 @@ func (e *dimError) Error() string {
 // executor: full SpGEMM, then mask. It does not decompose into masked
 // row kernels — the mask only enters after the whole product exists,
 // which is precisely the waste being measured.
-func directSaxpyThenMask[T any, S semiring.Semiring[T]](p *Plan[T, S], a, b *sparse.CSR[T]) (*sparse.CSR[T], error) {
-	full, err := SpGEMM(p.sr, a, b, p.opt)
+func directSaxpyThenMask[T any, S semiring.Semiring[T]](p *Plan[T, S], a, b *sparse.CSR[T], threads int) (*sparse.CSR[T], error) {
+	opt := p.opt
+	opt.Threads = threads
+	full, err := SpGEMM(p.sr, a, b, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -14,14 +14,16 @@ import (
 // exactly the structures that determine per-row cost — A's rows and
 // B's row pointers (complementBounds, planHybrid) — so the plan
 // computes a masked-flops-flavored cost per output row, resolves the
-// scheduling strategy from the measured skew, and lays out equal-cost
-// partition boundaries that cached plans then ship to every execution
-// for free. This is the flops-balanced scheduling of the
-// Buluç–Gilbert SpGEMM lineage applied to the masked engine.
+// scheduling strategy from the measured skew, and retains the costs
+// as a prefix sum. Every execution then cuts that prefix into
+// equal-cost partitions for its own width by binary search, so one
+// cached plan serves any thread count. This is the flops-balanced
+// scheduling of the Buluç–Gilbert SpGEMM lineage applied to the
+// masked engine.
 
 const (
-	// costPartsPerWorker is the scheduling-slack factor: the plan lays
-	// out up to threads×this partitions so that dynamic claiming can
+	// costPartsPerWorker is the scheduling-slack factor: an execution
+	// cuts up to threads×this partitions so that dynamic claiming can
 	// still correct for cost-model error within a partitioned pass.
 	costPartsPerWorker = 4
 	// autoSkewFactor is the SchedAuto switch point: cost partitions are
@@ -29,29 +31,7 @@ const (
 	// mean row cost. Below it, fixed-grain blocks already balance well
 	// and their lower bookkeeping wins.
 	autoSkewFactor = 8
-	// profileMinRows is the row count beyond which even a serial
-	// (Threads == 1) plan measures and retains its cost profile: a
-	// serial sweep cannot use it, but the replanner can — a structure
-	// warmed serially and later re-bound to more threads needs the
-	// profile to cost-partition (DESIGN.md §14). Below it the profile
-	// would be planning overhead on products too small to ever matter.
-	profileMinRows = 256
 )
-
-// costProfile is the compact structural picture a plan retains so the
-// replanner can re-partition or fully re-bind it later without
-// touching the caller-owned A and B — which may be mutated, or gone,
-// by then (plans only ever retain the mask; §8 ownership). rowCost
-// and total alone re-split partition bounds; rowFlops, rowANNZ, and
-// avgBCol — captured only by Hybrid plans — are the RowCostContext
-// inputs a full per-row re-selection needs.
-type costProfile struct {
-	rowCost  []int64
-	total    int64
-	rowFlops []int64
-	rowANNZ  []int32
-	avgBCol  float64
-}
 
 // rowSched is the resolved descriptor the engine drivers schedule row
 // passes with: a mode that is never SchedAuto, the partition bounds
@@ -102,7 +82,7 @@ func (s rowSched) passCanceled(p faultinject.Pass) error {
 // unprofiledSched resolves a schedule for row passes that have no
 // plan-time cost profile (plain SpGEMM, the saxpy baseline's unmasked
 // half): Auto degrades to fixed grain and CostPartition to work
-// stealing, its profile-free substitute.
+// stealing, its profile-free substitute. opt.Threads must be resolved.
 func unprofiledSched(opt Options) rowSched {
 	mode := opt.Schedule
 	switch mode {
@@ -115,15 +95,16 @@ func unprofiledSched(opt Options) rowSched {
 }
 
 // planSchedule measures the plan's per-row cost profile, resolves the
-// SchedAuto policy from its skew, and — when cost partitioning is
-// chosen — lays out the equal-cost partition boundaries stored in the
-// immutable plan. Runs once per structure; cached plans replay the
-// result on every hit. rowCost, when non-nil, is a precomputed
-// profile (the poly selector's per-row chosen costs); nil measures
-// one here.
+// SchedAuto policy from its skew — a property of the structure, not of
+// any width — and, when cost partitioning is chosen, retains the
+// profile as the prefix sum executions cut partitions from. Runs once
+// per structure; cached plans replay the result on every hit. cost,
+// when non-nil, is a precomputed profile (the poly selector's per-row
+// chosen costs) in the first rows slots of a rows+1 slice; nil
+// measures one here.
 //
 //mspgemm:planwrite
-func (p *Plan[T, S]) planSchedule(a, b *sparse.CSR[T], rowCost []int64) {
+func (p *Plan[T, S]) planSchedule(a, b *sparse.CSR[T], cost []int64) {
 	switch p.opt.Schedule {
 	case SchedFixedGrain, SchedWorkSteal:
 		// Explicitly cost-blind: skip the profile entirely.
@@ -131,48 +112,29 @@ func (p *Plan[T, S]) planSchedule(a, b *sparse.CSR[T], rowCost []int64) {
 		return
 	}
 	rows := p.mask.Rows
-	if rows == 0 || (p.opt.Threads == 1 && rows < profileMinRows && rowCost == nil) {
-		// Serial execution (Threads is normalized, so 1 means truly
-		// one worker) of a small structure: every strategy degenerates
-		// to the same in-order sweep and the product is too small for
-		// a later re-bind to matter, so measuring a cost profile would
-		// be pure planning overhead.
+	if rows == 0 {
 		p.sched = SchedFixedGrain
 		return
 	}
-	cost := rowCost
 	if cost == nil {
 		cost = p.rowCosts(a, b)
 	}
-	var total, max int64
-	for _, c := range cost {
-		total += c
+	var max int64
+	for _, c := range cost[:rows] {
 		if c > max {
 			max = c
 		}
 	}
-	if p.profile == nil {
-		p.profile = &costProfile{}
-	}
-	p.profile.rowCost, p.profile.total = cost, total
+	total := parallel.PrefixSum(cost)
 	if total > 0 {
 		p.costSkew = float64(max) * float64(rows) / float64(total)
-	}
-	if p.opt.Threads == 1 {
-		// One worker schedules as one in-order sweep regardless of
-		// strategy — but the profile above is retained, so a later
-		// re-bind to more threads (warm serially, serve wide) lays out
-		// cost partitions without re-analyzing A and B. Resolves to
-		// FixedGrain even under an explicit SchedCostPartition request.
-		p.sched = SchedFixedGrain
-		return
 	}
 	if p.opt.Schedule == SchedAuto && (total == 0 || p.costSkew < autoSkewFactor) {
 		p.sched = SchedFixedGrain
 		return
 	}
 	p.sched = SchedCostPartition
-	p.partBounds = costPartitions(cost, total, p.opt.Threads*costPartsPerWorker)
+	p.costPrefix = cost
 }
 
 // rowCosts estimates every output row's execution cost in multiply-add
@@ -190,10 +152,11 @@ func (p *Plan[T, S]) planSchedule(a, b *sparse.CSR[T], rowCost []int64) {
 // scheduling share one cost picture.
 //
 // Absolute scale does not matter — only proportions do, since the
-// partitioner divides rows by cumulative share.
+// partitioner divides rows by cumulative share. The returned slice has
+// one spare trailing slot so planSchedule can prefix-sum it in place.
 func (p *Plan[T, S]) rowCosts(a, b *sparse.CSR[T]) []int64 {
 	rows := p.mask.Rows
-	cost := make([]int64, rows)
+	cost := make([]int64, rows+1)
 	pullAll := p.opt.Algorithm == AlgoInner || p.opt.Algorithm == AlgoDotTranspose
 	var avgBCol float64
 	if b.Cols > 0 {
@@ -201,7 +164,7 @@ func (p *Plan[T, S]) rowCosts(a, b *sparse.CSR[T]) []int64 {
 	}
 	complement := p.opt.Complement
 	cols := int64(p.mask.Cols)
-	parallel.ForEachBlock(rows, p.opt.Threads, p.opt.Grain, func(lo, hi, _ int) {
+	parallel.ForEachBlock(rows, parallel.Threads(0), p.opt.Grain, func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
 			m := int64(p.mask.RowNNZ(i))
 			aRow := a.Row(i)
@@ -230,33 +193,52 @@ func (p *Plan[T, S]) rowCosts(a, b *sparse.CSR[T]) []int64 {
 	return cost
 }
 
-// costPartitions cuts rows into at most nparts contiguous partitions of
-// near-equal cumulative cost: partition j ends at the first row where
-// the running cost passes j/nparts of the total. A single row costlier
-// than the ideal share gets a partition to itself (row formation is
-// never split — §3); targets it overshoots are skipped rather than
-// emitted as empty partitions. The returned bounds slice (first 0,
-// last len(cost)) is what ForEachPartition consumes.
-func costPartitions(cost []int64, total int64, nparts int) []int {
-	rows := len(cost)
+// partitions cuts the plan's rows into at most threads×costPartsPerWorker
+// contiguous partitions of near-equal cumulative cost, reusing buf's
+// storage: partition j ends at the first row whose prefix cost reaches
+// j/nparts of the total, found by binary search over costPrefix. A
+// single row costlier than the ideal share gets a partition to itself
+// (row formation is never split — §3); targets it overshoots are
+// skipped rather than emitted as empty partitions. The returned bounds
+// (first 0, last rows) are what ForEachPartition consumes. O(P·log
+// rows) per execution, and allocation-free once buf has grown to the
+// widest execution seen.
+func (p *Plan[T, S]) partitions(threads int, buf []int) []int {
+	prefix := p.costPrefix
+	rows := len(prefix) - 1
+	total := prefix[rows]
+	nparts := threads * costPartsPerWorker
 	if nparts > rows {
 		nparts = rows
 	}
 	if nparts < 1 {
 		nparts = 1
 	}
-	bounds := make([]int, 1, nparts+1)
-	var run int64
-	j := 1
-	for i := 0; i < rows && j < nparts; i++ {
-		run += cost[i]
-		if float64(run) >= float64(total)*float64(j)/float64(nparts) {
-			bounds = append(bounds, i+1)
-			j++
-			for j < nparts && float64(run) >= float64(total)*float64(j)/float64(nparts) {
-				j++
+	if cap(buf) < nparts+1 {
+		buf = make([]int, 0, nparts+1)
+	}
+	bounds := append(buf[:0], 0)
+	lo := 1
+	for j := 1; j < nparts; j++ {
+		target := float64(total) * float64(j) / float64(nparts)
+		// First r in [lo, rows] with prefix[r] ≥ target; targets only
+		// grow with j, so each search starts at the previous cut.
+		l, h := lo, rows+1
+		for l < h {
+			m := int(uint(l+h) >> 1)
+			if float64(prefix[m]) >= target {
+				h = m
+			} else {
+				l = m + 1
 			}
 		}
+		if l > rows {
+			break
+		}
+		if l > bounds[len(bounds)-1] {
+			bounds = append(bounds, l)
+		}
+		lo = l
 	}
 	if bounds[len(bounds)-1] != rows {
 		bounds = append(bounds, rows)

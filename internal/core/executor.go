@@ -48,6 +48,9 @@ type Executor[T any, S semiring.Semiring[T]] struct {
 	// Options.CollectSchedStats; reset at the start of each such
 	// execution, accumulated across its row passes.
 	schedStats parallel.SchedStats
+	// partBounds is the grow-only buffer a cost-partitioned execution
+	// cuts its plan's partition bounds into (Plan.partitions).
+	partBounds []int
 }
 
 // SchedStats returns a copy of the per-worker scheduler telemetry

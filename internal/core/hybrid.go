@@ -118,21 +118,6 @@ func FamilyAlgorithm(f Family) (Algorithm, bool) {
 	return famAlgo[f], true
 }
 
-// CostCoeffs scales each family's RowCost model by a measured
-// per-host coefficient, indexed by Family. The zero value means
-// uncalibrated: a non-positive entry reads as 1.0, and multiplying by
-// 1.0 is bit-for-bit identity, so uncalibrated sessions reproduce the
-// DESIGN.md §10 literals exactly. Calibrated arrays come from
-// internal/calibrate's startup micro-benchmark, normalized so FamMSA
-// stays 1.0 — selection and partitioning only compare costs, so only
-// relative scale matters. CostCoeffs is a comparable array: it rides
-// inside Options and therefore inside plan-cache keys, making a
-// calibrated binding a distinct cached analysis from a literal one.
-type CostCoeffs [NumFamilies]float64
-
-// IsZero reports the uncalibrated zero value.
-func (c CostCoeffs) IsZero() bool { return c == CostCoeffs{} }
-
 // famAny marks a row with no work under any family (empty mask row,
 // empty A row, or no admitted positions): the run encoder folds such
 // rows into the surrounding run instead of fragmenting dispatch.
@@ -163,22 +148,6 @@ type RowCostContext struct {
 	// must price what would actually execute, including the
 	// Options.HeapNInspect override.
 	HeapNInspect int
-	// Coeffs, when non-nil, scales each family's model by its
-	// calibrated per-host coefficient (CostCoeffs); nil — or a
-	// non-positive entry — means the DESIGN.md §10 literal.
-	Coeffs *CostCoeffs
-}
-
-// coeff resolves the calibrated scale for family f: 1.0 when no
-// coefficients ride on the context or the family was never fitted.
-func (c RowCostContext) coeff(f Family) float64 {
-	if c.Coeffs == nil {
-		return 1
-	}
-	if v := c.Coeffs[f]; v > 0 {
-		return v
-	}
-	return 1
 }
 
 // admitted returns the number of admitted mask positions.
@@ -219,7 +188,7 @@ const (
 	// heapMaskNear scales the probability that a streamed candidate
 	// finds a mask element at or past its column during the NInspect=1
 	// inspection and therefore takes a full heap round trip instead of
-	// a cheap skip: ≈ min(1, heapMaskNear·m/n). Calibrated on the
+	// a cheap skip: ≈ min(1, heapMaskNear·m/n). Fitted by hand on the
 	// hybridmix sweep — at 8·m/n the model reproduces the measured
 	// order-of-magnitude gap between Heap on dense masks (every
 	// candidate round-trips) and tiny masks (iterators die at insert).
@@ -262,9 +231,9 @@ func msaRowCost(c RowCostContext) float64 {
 	if c.Complement {
 		// MSAC tracks inserted keys and sorts them at gather.
 		out := c.outBound()
-		return c.coeff(FamMSA) * (1 + (m+f)*touch + 0.5*out*math.Log2(out+2))
+		return 1 + (m+f)*touch + 0.5*out*math.Log2(out+2)
 	}
-	return c.coeff(FamMSA) * (1 + (2*m+f+c.outBound())*touch)
+	return 1 + (2*m+f+c.outBound())*touch
 }
 
 // maskedBitRowCost models MaskedBit (DESIGN.md §12): MSA's row shape
@@ -288,9 +257,9 @@ func maskedBitRowCost(c RowCostContext) float64 {
 		// MaskedBitC tracks inserted keys and sorts them at gather,
 		// like MSAC; only the banned-bit fill and cleanup are word-wide.
 		out := c.outBound()
-		return c.coeff(FamMaskedBit) * (1 + (maskedBitWalkFactor*m+f)*touch + 0.5*out*math.Log2(out+2))
+		return 1 + (maskedBitWalkFactor*m+f)*touch + 0.5*out*math.Log2(out+2)
 	}
-	return c.coeff(FamMaskedBit) * (1 + (maskedBitWalkFactor*m+words+maskedBitInsertFactor*f+c.outBound())*touch)
+	return 1 + (maskedBitWalkFactor*m+words+maskedBitInsertFactor*f+c.outBound())*touch
 }
 
 // hashRowCost models Hash (§5.3): the same row shape as MSA but every
@@ -300,9 +269,9 @@ func hashRowCost(c RowCostContext) float64 {
 	m, f := float64(c.MaskNNZ), float64(c.Flops)
 	if c.Complement {
 		out := c.outBound()
-		return c.coeff(FamHash) * (1 + hashOpFactor*(m+f) + 0.5*out*math.Log2(out+2))
+		return 1 + hashOpFactor*(m+f) + 0.5*out*math.Log2(out+2)
 	}
-	return c.coeff(FamHash) * (1 + hashOpFactor*(2*m+f) + c.outBound())
+	return 1 + hashOpFactor*(2*m+f) + c.outBound()
 }
 
 // mcaRowCost models MCA (§5.4): each selected B row is two-pointer
@@ -311,7 +280,7 @@ func hashRowCost(c RowCostContext) float64 {
 // inadmissible there (famAdmissible).
 func mcaRowCost(c RowCostContext) float64 {
 	m, a, f := float64(c.MaskNNZ), float64(c.ARowNNZ), float64(c.Flops)
-	return c.coeff(FamMCA) * (1 + f + 0.5*a*m + m + c.outBound())
+	return 1 + f + 0.5*a*m + m + c.outBound()
 }
 
 // heapRowCost models Heap (§5.5, NInspect=1): a·log a heap setup plus
@@ -329,13 +298,13 @@ func heapRowCost(c RowCostContext) float64 {
 		// No inspection (complemented heaps always, plain heaps under
 		// the HeapInspectNone override): every candidate takes a full
 		// heap round trip.
-		return c.coeff(FamHeap) * (1 + heapPushCost*(a+f)*lg + m)
+		return 1 + heapPushCost*(a+f)*lg + m
 	}
 	near := heapMaskNear * m / float64(c.Cols)
 	if near > 1 {
 		near = 1
 	}
-	return c.coeff(FamHeap) * (1 + heapPushCost*a*lg + f*(heapWalk+heapPushCost*lg*near) + 0.5*m)
+	return 1 + heapPushCost*a*lg + f*(heapWalk+heapPushCost*lg*near) + 0.5*m
 }
 
 // pullRowCost models the pull-based inner products (§4.1): one
@@ -343,7 +312,7 @@ func heapRowCost(c RowCostContext) float64 {
 // Under a complemented mask that is Θ(n) dots, which is why pull
 // practically never wins there (§8.4) but stays admissible.
 func pullRowCost(c RowCostContext) float64 {
-	return c.coeff(FamPull) * (1 + c.admitted()*(float64(c.ARowNNZ)+c.AvgBCol))
+	return 1 + c.admitted()*(float64(c.ARowNNZ)+c.AvgBCol)
 }
 
 // famAdmissible reports whether a family may be bound under the given
@@ -380,13 +349,10 @@ func polyCandidates(opt Options) []Family {
 // polyScan evaluates the candidate cost models on every row and
 // writes each row's cheapest admissible family into fam (famAny for
 // rows with no work under any family) and, when cost is non-nil, the
-// chosen cost — the scheduling profile planSchedule reuses. prof,
-// when non-nil, additionally captures the structural model inputs
-// (per-row flops and A-row populations, d̄_B) the replanner needs to
-// re-run this selection later without touching A or B (DESIGN.md
-// §14); its rowFlops/rowANNZ slices must be pre-sized to mask.Rows.
-// opt must be normalized.
-func polyScan[T any](mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options, fam []uint8, cost []int64, prof *costProfile) {
+// chosen cost — the scheduling profile planSchedule reuses. opt must
+// be normalized. The scan runs at the host's full width: plan-time
+// analysis is independent of the width the plan later executes at.
+func polyScan[T any](mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options, fam []uint8, cost []int64) {
 	fams := polyCandidates(opt)
 	models := make([]func(RowCostContext) float64, len(fams))
 	for i, f := range fams {
@@ -397,23 +363,15 @@ func polyScan[T any](mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options, fam
 	if b.Cols > 0 {
 		avgBCol = float64(b.NNZ()) / float64(b.Cols)
 	}
-	coeffs := opt.coeffs()
 	cols, complement := mask.Cols, opt.Complement
 	nInspect := resolveHeapNInspect(opt)
-	if prof != nil {
-		prof.avgBCol = avgBCol
-	}
-	parallel.ForEachBlock(mask.Rows, opt.Threads, opt.Grain, func(lo, hi, _ int) {
+	parallel.ForEachBlock(mask.Rows, parallel.Threads(0), opt.Grain, func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
 			maskRow := mask.Row(i)
 			aRow := a.Row(i)
 			var flops int64
 			for _, k := range aRow {
 				flops += b.RowPtr[k+1] - b.RowPtr[k]
-			}
-			if prof != nil {
-				prof.rowFlops[i] = flops
-				prof.rowANNZ[i] = int32(len(aRow))
 			}
 			admitted := len(maskRow)
 			if complement {
@@ -429,7 +387,7 @@ func polyScan[T any](mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options, fam
 			ctx := RowCostContext{
 				MaskNNZ: len(maskRow), ARowNNZ: len(aRow), Flops: flops,
 				AvgBCol: avgBCol, Cols: cols, Complement: complement,
-				HeapNInspect: nInspect, Coeffs: coeffs,
+				HeapNInspect: nInspect,
 			}
 			best, bestCost := fams[0], models[0](ctx)
 			for j := 1; j < len(models); j++ {
@@ -443,50 +401,6 @@ func polyScan[T any](mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options, fam
 			}
 		}
 	})
-}
-
-// PredictedRowCost sums family f's RowCost model over every output
-// row of M ⊙ (A·B), priced exactly as plan analysis would (trivial
-// rows cost 1) — the model-side x that internal/calibrate regresses
-// measured execution times against. Coefficients ride in via
-// opt.CostCoeffs; the zero value prices with the DESIGN.md §10
-// literals.
-func PredictedRowCost[T any](mask *sparse.Pattern, a, b *sparse.CSR[T], f Family, opt Options) float64 {
-	opt.normalize()
-	s, ok := LookupScheme(famAlgo[f])
-	if !ok || s.RowCost == nil {
-		return 0
-	}
-	var avgBCol float64
-	if b.Cols > 0 {
-		avgBCol = float64(b.NNZ()) / float64(b.Cols)
-	}
-	coeffs := opt.coeffs()
-	cols, complement := mask.Cols, opt.Complement
-	nInspect := resolveHeapNInspect(opt)
-	var total float64
-	for i := 0; i < mask.Rows; i++ {
-		maskRow := mask.Row(i)
-		aRow := a.Row(i)
-		var flops int64
-		for _, k := range aRow {
-			flops += b.RowPtr[k+1] - b.RowPtr[k]
-		}
-		admitted := len(maskRow)
-		if complement {
-			admitted = cols - len(maskRow)
-		}
-		if admitted == 0 || flops == 0 {
-			total++
-			continue
-		}
-		total += s.RowCost(RowCostContext{
-			MaskNNZ: len(maskRow), ARowNNZ: len(aRow), Flops: flops,
-			AvgBCol: avgBCol, Cols: cols, Complement: complement,
-			HeapNInspect: nInspect, Coeffs: coeffs,
-		})
-	}
-	return total
 }
 
 // resolveTrivial rewrites famAny rows in place so every row carries a
@@ -513,28 +427,20 @@ func resolveTrivial(fam []uint8) {
 
 // planHybrid runs the per-row selector and stores the decisions in
 // the immutable plan as runs. With needCost it also returns the
-// per-row chosen costs, which planSchedule uses as its scheduling
+// per-row chosen costs (with the spare trailing slot planSchedule
+// prefix-sums into), which planSchedule uses as its scheduling
 // profile — selection and scheduling read one shared cost picture;
-// plans whose schedule ignores the profile (explicitly cost-blind,
-// or serial on a small structure) skip the O(rows) vector entirely.
-// Profiled plans additionally retain the selector's structural
-// inputs (p.profile) so the replanner can re-bind them later without
-// re-reading A or B.
+// plans whose schedule is explicitly cost-blind skip the O(rows)
+// vector entirely.
 //
 //mspgemm:planwrite
 func (p *Plan[T, S]) planHybrid(a, b *sparse.CSR[T], needCost bool) []int64 {
 	rowFam := make([]uint8, p.mask.Rows)
 	var cost []int64
-	var prof *costProfile
 	if needCost {
-		cost = make([]int64, p.mask.Rows)
-		prof = &costProfile{
-			rowFlops: make([]int64, p.mask.Rows),
-			rowANNZ:  make([]int32, p.mask.Rows),
-		}
-		p.profile = prof
+		cost = make([]int64, p.mask.Rows+1)
 	}
-	polyScan(p.mask, a, b, p.opt, rowFam, cost, prof)
+	polyScan(p.mask, a, b, p.opt, rowFam, cost)
 	p.encodeRuns(rowFam)
 	return cost
 }
@@ -665,7 +571,7 @@ func HybridFamilyRows[T any](mask *sparse.Pattern, a, b *sparse.CSR[T], opt Opti
 	opt.Algorithm = AlgoHybrid
 	opt.normalize()
 	fam := make([]uint8, mask.Rows)
-	polyScan(mask, a, b, opt, fam, nil, nil)
+	polyScan(mask, a, b, opt, fam, nil)
 	resolveTrivial(fam)
 	var out [NumFamilies]int
 	for _, f := range fam {

@@ -125,9 +125,9 @@ const (
 	// blind to row cost.
 	SchedFixedGrain
 	// SchedCostPartition drives workers over variable-width row
-	// partitions of near-equal estimated cost, laid out at plan time
-	// from the masked-flops profile; the partitions ship with cached
-	// plans for free.
+	// partitions of near-equal estimated cost. The plan retains its
+	// masked-flops profile as a prefix sum, and each execution cuts it
+	// into partitions for its own width by binary search.
 	SchedCostPartition
 	// SchedWorkSteal gives each worker a contiguous deque of rows and
 	// lets idle workers steal the back half of a loaded victim's
@@ -157,12 +157,14 @@ type Options struct {
 	Phases Phases
 	// Complement computes C = ¬M ⊙ (A·B) instead of C = M ⊙ (A·B).
 	Complement bool
-	// Threads is the worker count; < 1 means GOMAXPROCS.
+	// Threads is the worker count; < 1 means GOMAXPROCS, resolved at
+	// each execution. Execution-only: plans never depend on the width
+	// they will run at, so one cached plan serves every Threads value.
 	Threads int
 	// Grain is the scheduler row-block size; < 1 means
 	// parallel.DefaultGrain. Used by SchedFixedGrain and SchedWorkSteal;
 	// SchedCostPartition derives its variable-width blocks from the
-	// plan's cost profile instead.
+	// plan's cost prefix instead.
 	Grain int
 	// Schedule picks the row-scheduling strategy; the default SchedAuto
 	// chooses per plan from the measured row-cost skew (DESIGN.md §9).
@@ -189,14 +191,6 @@ type Options struct {
 	// regardless, and if nothing admissible remains the selector falls
 	// back to MSA, the universal family.
 	HybridFamilies FamilySet
-	// CostCoeffs scales the per-family RowCost models by measured
-	// per-host coefficients (internal/calibrate's startup fit); the
-	// zero value prices with the DESIGN.md §10 literals, bit for bit.
-	// Plan-affecting: coefficients move the Hybrid per-row crossovers
-	// and the §9 partition bounds, so they are part of plan identity —
-	// a calibrated session's plans never alias an uncalibrated
-	// client's.
-	CostCoeffs CostCoeffs
 	// InnerGallop switches AlgoInner's dot products from two-pointer
 	// merges to galloping (exponential + binary search) — profitable
 	// when A rows and B columns have very different lengths. Ablation:
@@ -218,12 +212,16 @@ func (o Options) SchemeName() string {
 }
 
 // ExecOptions are the execution-only knobs of Options: they change
-// what one execution does (telemetry collection, output ownership) but
-// never the per-structure analysis, so two requests differing only
-// here can share a cached plan. Plan.ExecuteOnOpts takes them per
-// call; plans built directly via NewPlan default to the values frozen
-// in at plan time.
+// what one execution does (worker count, telemetry collection, output
+// ownership) but never the per-structure analysis, so two requests
+// differing only here can share a cached plan. Plan.ExecuteOnOpts
+// takes them per call; plans built directly via NewPlan default to the
+// values frozen in at plan time.
 type ExecOptions struct {
+	// Threads is this execution's worker count; < 1 means GOMAXPROCS
+	// (see Options.Threads). Cost-partitioned plans derive their
+	// partition bounds for this width per execution (DESIGN.md §9).
+	Threads int
 	// CollectSchedStats records per-worker scheduler telemetry for this
 	// execution (see Options.CollectSchedStats).
 	CollectSchedStats bool
@@ -244,35 +242,26 @@ type ExecOptions struct {
 // Plan.ExecuteOn applies when the caller does not override them per
 // execution.
 func (o Options) ExecOnly() ExecOptions {
-	return ExecOptions{CollectSchedStats: o.CollectSchedStats, ReuseOutput: o.ReuseOutput}
+	return ExecOptions{Threads: o.Threads, CollectSchedStats: o.CollectSchedStats, ReuseOutput: o.ReuseOutput}
 }
 
 // planIdentity returns o with the execution-only fields zeroed: the
 // canonical form under which a PlanCache keys and builds plans, so
-// requests differing only in telemetry or output ownership converge on
-// one cached analysis.
+// requests differing only in width, telemetry, or output ownership
+// converge on one cached analysis.
 func (o Options) planIdentity() Options {
+	o.Threads = 0
 	o.CollectSchedStats = false
 	o.ReuseOutput = false
 	return o
 }
 
+// normalize resolves the plan-affecting defaults. Threads is left as
+// given: the width is resolved per execution, never frozen into a plan.
 func (o *Options) normalize() {
-	o.Threads = parallel.Threads(o.Threads)
 	if o.Grain < 1 {
 		o.Grain = parallel.DefaultGrain
 	}
-}
-
-// coeffs returns the calibrated coefficient array for RowCostContext
-// threading, or nil when uncalibrated — the nil fast path keeps the
-// uncalibrated cost evaluation identical to pre-calibration builds.
-func (o Options) coeffs() *CostCoeffs {
-	if o.CostCoeffs.IsZero() {
-		return nil
-	}
-	c := o.CostCoeffs
-	return &c
 }
 
 // validate checks operand shapes: mask is m×n, A is m×k, B is k×n.

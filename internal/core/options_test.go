@@ -102,8 +102,8 @@ func TestComplementBounds(t *testing.T) {
 func TestNormalizeDefaults(t *testing.T) {
 	var o Options
 	o.normalize()
-	if o.Threads < 1 {
-		t.Error("normalize must set positive threads")
+	if o.Threads != 0 {
+		t.Error("normalize must leave Threads to execution time")
 	}
 	if o.Grain < 1 {
 		t.Error("normalize must set positive grain")
@@ -112,5 +112,11 @@ func TestNormalizeDefaults(t *testing.T) {
 	o2.normalize()
 	if o2.Threads != 3 || o2.Grain != 10 {
 		t.Error("normalize must keep explicit values")
+	}
+	if id := o2.planIdentity(); id.Threads != 0 {
+		t.Error("planIdentity must zero Threads")
+	}
+	if eo := o2.ExecOnly(); eo.Threads != 3 {
+		t.Error("ExecOnly must carry Threads")
 	}
 }

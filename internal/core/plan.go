@@ -66,18 +66,17 @@ type Plan[T any, S semiring.Semiring[T]] struct {
 	runEnds  []int32
 	runFam   []uint8
 	polyFams FamilySet
-	// sched is the resolved scheduling strategy (never SchedAuto) and
-	// partBounds the equal-cost partition boundaries it uses under
-	// SchedCostPartition; costSkew is the measured max/mean row-cost
-	// ratio that drove the SchedAuto policy (DESIGN.md §9).
-	sched      Schedule
-	partBounds []int
-	costSkew   float64
-	// profile is the retained per-row cost picture the replanner
-	// re-splits or re-binds from (DESIGN.md §14); nil when scheduling
-	// analysis was skipped (cost-blind schedules, small serial plans,
-	// direct schemes).
-	profile *costProfile
+	// sched is the resolved scheduling strategy (never SchedAuto);
+	// costSkew is the measured max/mean row-cost ratio that drove the
+	// SchedAuto policy (DESIGN.md §9). Neither depends on the width
+	// the plan executes at.
+	sched    Schedule
+	costSkew float64
+	// costPrefix is the exclusive prefix sum of the per-row costs
+	// (len rows+1, last = total) that SchedCostPartition executions
+	// cut into partitions for their own width; nil under any other
+	// schedule.
+	costPrefix []int64
 	// heapNInspect is the resolved NInspect for the heap schemes.
 	heapNInspect int
 	// maxMaskRow / maxARow size the hash/MCA and heap accumulators.
@@ -97,7 +96,9 @@ type Plan[T any, S semiring.Semiring[T]] struct {
 
 // NewPlan validates and analyzes one masked product and returns a
 // reusable execution plan. exec supplies the pooled workspaces; nil
-// creates a private one. opt is normalized and frozen into the plan.
+// creates a private one. opt is normalized and frozen into the plan;
+// its execution-only fields (Threads included) are the defaults
+// Execute and ExecuteOn run with.
 //
 //mspgemm:planwrite
 func NewPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options, exec *Executor[T, S]) (*Plan[T, S], error) {
@@ -108,7 +109,6 @@ func NewPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, a, b *sp
 	if exec == nil {
 		exec = NewExecutor[T](sr)
 	}
-	exec.ensureWorkers(p.opt.Threads)
 	p.exec = exec
 	return p, nil
 }
@@ -138,7 +138,7 @@ func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, 
 	if p.reg.direct == nil {
 		if opt.Phases == OnePhase {
 			if opt.Complement {
-				p.offsets = complementBounds(mask, a, b, opt.Threads, opt.Grain)
+				p.offsets = complementBounds(mask, a, b, parallel.Threads(0), opt.Grain)
 			} else {
 				p.offsets = mask.RowPtr
 			}
@@ -152,11 +152,8 @@ func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, 
 			p.heapNInspect = resolveHeapNInspect(opt)
 		case AlgoHybrid:
 			// The chosen costs feed planSchedule; skip the vector when
-			// its early returns would discard it (mirrors its policy:
-			// serial plans still profile once the structure is big
-			// enough for a later re-bind to matter).
-			needCost := opt.Schedule != SchedFixedGrain && opt.Schedule != SchedWorkSteal &&
-				(opt.Threads > 1 || mask.Rows >= profileMinRows)
+			// the schedule is explicitly cost-blind.
+			needCost := opt.Schedule != SchedFixedGrain && opt.Schedule != SchedWorkSteal
 			polyCost = p.planHybrid(a, b, needCost)
 			// Sizing hints only for the families some run actually
 			// bound — unused families must stay costless. Only the
@@ -241,11 +238,7 @@ func (p *Plan[T, S]) footprintBytes() int64 {
 	}
 	bytes += int64(len(p.btPtr))*8 + int64(len(p.btIdx))*4 + int64(len(p.btPerm))*8
 	bytes += int64(len(p.runEnds))*4 + int64(len(p.runFam))
-	bytes += int64(len(p.partBounds)) * 8
-	if p.profile != nil {
-		bytes += int64(len(p.profile.rowCost))*8 + int64(len(p.profile.rowFlops))*8 +
-			int64(len(p.profile.rowANNZ))*4
-	}
+	bytes += int64(len(p.costPrefix)) * 8
 	return bytes
 }
 
@@ -295,18 +288,20 @@ func (p *Plan[T, S]) Execute(a, b *sparse.CSR[T]) (*sparse.CSR[T], error) {
 //
 // ExecuteOn applies the execution-only options frozen into the plan;
 // cache-shared plans are built with those zeroed (plan identity never
-// includes them), so serving layers that honor per-request telemetry
-// or output-ownership choices use ExecuteOnOpts.
+// includes them), so serving layers that honor per-request width,
+// telemetry, or output-ownership choices use ExecuteOnOpts.
 func (p *Plan[T, S]) ExecuteOn(exec *Executor[T, S], a, b *sparse.CSR[T]) (*sparse.CSR[T], error) {
 	return p.ExecuteOnOpts(exec, a, b, p.opt.ExecOnly())
 }
 
 // ExecuteOnOpts is ExecuteOn with the execution-only options supplied
 // per call instead of read from the plan. This is what lets one cached
-// plan serve requests that differ only in telemetry (CollectSchedStats)
-// or output ownership (ReuseOutput): those knobs never affect the
-// analysis, so they are not part of plan identity — they are decided
-// here, at execution time.
+// plan serve requests that differ only in width (Threads), telemetry
+// (CollectSchedStats), or output ownership (ReuseOutput): those knobs
+// never affect the analysis, so they are not part of plan identity —
+// they are decided here, at execution time. A cost-partitioned plan
+// cuts its partition bounds for eo.Threads into an executor-owned
+// buffer, so executions stay allocation-free.
 //
 // Fault containment (DESIGN.md §15): a latched eo.Cancel token stops
 // the execution at the next block claim or pass checkpoint and returns
@@ -319,12 +314,13 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 	if exec == nil {
 		return nil, errors.New("core: ExecuteOn requires an executor")
 	}
+	threads := parallel.Threads(eo.Threads)
 	if eo.CollectSchedStats {
 		// Reset before argument validation and the direct-scheme branch:
 		// an execution that errors early or collects no telemetry (direct
 		// schemes have no row passes) must read as empty, not replay the
 		// previous execution's record.
-		exec.schedStats.Reset(p.opt.Threads)
+		exec.schedStats.Reset(threads)
 	}
 	if err := p.checkArgs(a, b); err != nil {
 		return nil, err
@@ -342,15 +338,18 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 		cancel = new(parallel.CancelToken)
 	}
 	if p.reg.direct != nil {
-		return p.reg.direct(p, a, b)
+		return p.reg.direct(p, a, b, threads)
 	}
-	exec.ensureWorkers(p.opt.Threads)
+	exec.ensureWorkers(threads)
 	exec.prepareCSC(p, b)
 	k := exec.kernelsFor(p, a, b)
 	es := &exec.scratch
 	es.reuseOut = eo.ReuseOutput
-	sch := rowSched{threads: p.opt.Threads, grain: p.opt.Grain, mode: p.sched, bounds: p.partBounds,
-		cancel: cancel, fi: fi}
+	sch := rowSched{threads: threads, grain: p.opt.Grain, mode: p.sched, cancel: cancel, fi: fi}
+	if p.sched == SchedCostPartition {
+		exec.partBounds = p.partitions(threads, exec.partBounds)
+		sch.bounds = exec.partBounds
+	}
 	if eo.CollectSchedStats {
 		sch.stats = &exec.schedStats
 	}

@@ -27,13 +27,14 @@ var errPlanningPanicked = errors.New("core: concurrent plan analysis panicked; r
 // Keys combine the structural fingerprints of mask, A, and B
 // (sparse.Pattern.Fingerprint — values never enter, so matrices whose
 // numbers change in place keep hitting) with the normalized
-// *plan-affecting* Options. Execution-only options (CollectSchedStats,
-// ReuseOutput) never enter the key — they change what one execution
-// does, not the analysis — so warming a structure and later requesting
-// it with telemetry on still hits; supply them per execution via
-// Plan.ExecuteOnOpts. Cached plans are likewise built with those
-// fields zeroed, making the stored plan canonical regardless of which
-// request planted it.
+// *plan-affecting* Options. Execution-only options (Threads,
+// CollectSchedStats, ReuseOutput) never enter the key — they change
+// what one execution does, not the analysis — so warming a structure
+// and later requesting it at another width or with telemetry on still
+// hits, and a GOMAXPROCS change orphans nothing; supply them per
+// execution via Plan.ExecuteOnOpts. Cached plans are likewise built
+// with those fields zeroed, making the stored plan canonical
+// regardless of which request planted it.
 //
 // Fingerprints are recomputed on every lookup: the cache never trusts
 // pointer identity, so mutating a matrix's structure in place simply
@@ -61,19 +62,6 @@ type PlanCache[T any, S semiring.Semiring[T]] struct {
 	misses    uint64
 	coalesced uint64
 	evicted   uint64
-	replans   uint64
-
-	// index maps each cached plan pointer to its entry, so
-	// ObserveExecution resolves a plan a caller executed back to the
-	// entry that handed it out in O(1) — and, because re-binding
-	// removes the replaced pointer, observations of a swapped-out or
-	// evicted plan fall through harmlessly.
-	index map[*Plan[T, S]]*list.Element
-	// replan, when non-nil, is the online feedback policy installed by
-	// EnableReplan; launch overrides how background re-binds start
-	// (nil = one goroutine per job).
-	replan *ReplanPolicy
-	launch func(func())
 
 	// budget, when attached, is the shared byte budget this cache
 	// accounts its footprint against; entries then carry stamps from
@@ -107,9 +95,6 @@ type planEntry[T any, S semiring.Semiring[T]] struct {
 	// stamp is the shared-budget LRU tick of the entry's last touch;
 	// meaningful only while a MemBudget is attached.
 	stamp uint64
-	// fb is the replanner's measured record for the entry's current
-	// plan (DESIGN.md §14); zero until observations flow.
-	fb planFeedback
 }
 
 // DefaultPlanCacheEntries is the entry bound used when NewPlanCache is
@@ -131,7 +116,6 @@ func NewPlanCache[T any, S semiring.Semiring[T]](sr S, maxEntries int, maxBytes 
 		lru:        list.New(),
 		table:      make(map[planKey]*list.Element),
 		inflight:   make(map[planKey]*planCall[T, S]),
-		index:      make(map[*Plan[T, S]]*list.Element),
 	}
 }
 
@@ -181,7 +165,6 @@ func (c *PlanCache[T, S]) BudgetEvict() int64 {
 func (c *PlanCache[T, S]) removeLocked(el *list.Element, entry *planEntry[T, S]) {
 	c.lru.Remove(el)
 	delete(c.table, entry.key)
-	delete(c.index, entry.plan)
 	c.bytes -= entry.bytes
 	c.evicted++
 	if c.budget != nil {
@@ -226,8 +209,8 @@ func (c *PlanCache[T, S]) keyFor(mask *sparse.Pattern, a, b *sparse.CSR[T], opt 
 //
 // Execution-only options are stripped from both the key and the built
 // plan (see planIdentity): the cached plan is canonical, and callers
-// wanting per-request telemetry or pooled output pass ExecOptions to
-// Plan.ExecuteOnOpts.
+// wanting a per-request width, telemetry, or pooled output pass
+// ExecOptions to Plan.ExecuteOnOpts.
 func (c *PlanCache[T, S]) GetOrPlan(mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options) (*Plan[T, S], error) {
 	plan, _, err := c.GetOrPlanObserved(mask, a, b, opt)
 	return plan, err
@@ -320,7 +303,6 @@ func (c *PlanCache[T, S]) GetOrPlanObserved(mask *sparse.Pattern, a, b *sparse.C
 		}
 		el := c.lru.PushFront(entry)
 		c.table[key] = el
-		c.index[entry.plan] = el
 		c.bytes += entry.bytes
 		c.evictLocked()
 		c.mu.Unlock()
@@ -362,7 +344,6 @@ func (c *PlanCache[T, S]) Clear() {
 	}
 	c.lru.Init()
 	clear(c.table)
-	clear(c.index)
 	c.bytes = 0
 }
 
@@ -389,14 +370,6 @@ type PlanCacheStats struct {
 	// view of per-family adoption. Nil when no cached plan carries a
 	// per-row binding.
 	HybridFamilyRows map[string]int64
-	// Replans counts background re-binds that swapped a cached plan
-	// (DESIGN.md §14); zero until EnableReplan.
-	Replans uint64
-	// Drift lists the measured record of every cached plan the
-	// replanner has observed — EWMA imbalance and wall time, sample
-	// count, and how often the entry's plan was re-bound. Nil when no
-	// observations have flowed.
-	Drift []PlanDrift
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -404,21 +377,8 @@ func (c *PlanCache[T, S]) Stats() PlanCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var famRows map[string]int64
-	var drift []PlanDrift
 	for el := c.lru.Front(); el != nil; el = el.Next() {
-		entry := el.Value.(*planEntry[T, S])
-		p := entry.plan
-		if entry.fb.samples > 0 || entry.fb.replans > 0 {
-			drift = append(drift, PlanDrift{
-				Scheme:        p.opt.SchemeName(),
-				Rows:          p.mask.Rows,
-				Schedule:      p.sched.String(),
-				EwmaImbalance: entry.fb.ewmaImbalance,
-				EwmaWallNanos: int64(entry.fb.ewmaWall),
-				Samples:       entry.fb.samples,
-				Replans:       entry.fb.replans,
-			})
-		}
+		p := el.Value.(*planEntry[T, S]).plan
 		if p.polyFams == 0 {
 			continue
 		}
@@ -443,7 +403,5 @@ func (c *PlanCache[T, S]) Stats() PlanCacheStats {
 		Entries:          c.lru.Len(),
 		Bytes:            c.bytes,
 		HybridFamilyRows: famRows,
-		Replans:          c.replans,
-		Drift:            drift,
 	}
 }

@@ -305,6 +305,67 @@ func TestPlanCacheSharedPlanConcurrent(t *testing.T) {
 	}
 }
 
+// TestPlanCacheConcurrentWidths hammers one cached cost-partitioned
+// Hybrid plan from goroutines that each request a different width:
+// every lookup must hit the single entry, every execution must cut its
+// own bounds in its own executor (the plan is never written — run with
+// -race), and every product must be exact.
+func TestPlanCacheConcurrentWidths(t *testing.T) {
+	mask, a, b := buildCase(caseSpec{"", 512, 512, 512, 8, 8, 8, 5})
+	cache := NewPlanCache(ptSR, 8, 0)
+	base := Options{Algorithm: AlgoHybrid, Schedule: SchedCostPartition}
+	first, err := cache.GetOrPlan(mask, a, b, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := first.ExecuteOn(NewExecutor[float64](ptSR), a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const iters = 30
+	widths := []int{1, 2, 3, 4}
+	var wg sync.WaitGroup
+	errs := make(chan error, len(widths))
+	for _, threads := range widths {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			exec := NewExecutor[float64](ptSR)
+			opt := base
+			opt.Threads = threads
+			for i := 0; i < iters; i++ {
+				p, err := cache.GetOrPlan(mask, a, b, opt)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if p != first {
+					errs <- fmt.Errorf("threads=%d: lookup returned a second plan", threads)
+					return
+				}
+				got, err := p.ExecuteOnOpts(exec, a, b, opt.ExecOnly())
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !sparse.Equal(want, got) {
+					errs <- fmt.Errorf("threads=%d iteration %d: wrong product", threads, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := cache.Len(); n != 1 {
+		t.Errorf("cache holds %d entries across %d widths, want 1", n, len(widths))
+	}
+}
+
 // TestSharedPlanHasNoDefaultExecutor pins the ownership rule: a cached
 // plan cannot be executed without the caller supplying an executor.
 func TestSharedPlanHasNoDefaultExecutor(t *testing.T) {

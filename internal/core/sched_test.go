@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"maskedspgemm/internal/gen"
+	"maskedspgemm/internal/parallel"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 )
@@ -52,7 +53,7 @@ func TestScheduleAutoResolution(t *testing.T) {
 		t.Errorf("skewed case measured skew %.2f, expected ≥ %d", p.CostSkew(), autoSkewFactor)
 	}
 	// Partition bounds must tile [0, rows] monotonically.
-	bounds := p.partBounds
+	bounds := p.partitions(4, nil)
 	if len(bounds) < 2 || bounds[0] != 0 || bounds[len(bounds)-1] != mask.Rows {
 		t.Fatalf("bounds do not tile rows: %v", bounds)
 	}
@@ -96,12 +97,13 @@ func TestSchedulePartitionBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost := p.rowCosts(a, b)
+	cost := p.rowCosts(a, b)[:mask.Rows]
 	var total int64
 	for _, c := range cost {
 		total += c
 	}
-	nparts := len(p.partBounds) - 1
+	bounds := p.partitions(4, nil)
+	nparts := len(bounds) - 1
 	ideal := float64(total) / float64(nparts)
 	var maxRow int64
 	for _, c := range cost {
@@ -111,7 +113,7 @@ func TestSchedulePartitionBalance(t *testing.T) {
 	}
 	for j := 0; j < nparts; j++ {
 		var part int64
-		for i := p.partBounds[j]; i < p.partBounds[j+1]; i++ {
+		for i := bounds[j]; i < bounds[j+1]; i++ {
 			part += cost[i]
 		}
 		// A partition may exceed the ideal share by at most one row
@@ -326,5 +328,226 @@ func TestExecuteErroredPassResetsSchedStats(t *testing.T) {
 	}
 	if got := exec.SchedStats(); got.Claimed() != 0 {
 		t.Fatalf("errored pass replayed stale telemetry: %d blocks claimed", got.Claimed())
+	}
+}
+
+// costPartitions is the linear reference for Plan.partitions: walk the
+// rows once, cutting partition j at the first row where the running
+// cost reaches j/nparts of the total. The binary search over the
+// plan's cost prefix must reproduce these bounds exactly.
+func costPartitions(cost []int64, total int64, nparts int) []int {
+	rows := len(cost)
+	if nparts > rows {
+		nparts = rows
+	}
+	if nparts < 1 {
+		nparts = 1
+	}
+	bounds := make([]int, 1, nparts+1)
+	var run int64
+	j := 1
+	for i := 0; i < rows && j < nparts; i++ {
+		run += cost[i]
+		if float64(run) >= float64(total)*float64(j)/float64(nparts) {
+			bounds = append(bounds, i+1)
+			j++
+			for j < nparts && float64(run) >= float64(total)*float64(j)/float64(nparts) {
+				j++
+			}
+		}
+	}
+	if bounds[len(bounds)-1] != rows {
+		bounds = append(bounds, rows)
+	}
+	return bounds
+}
+
+// referenceBounds recovers the per-row costs from a plan's retained
+// prefix and runs the linear reference at the given width.
+func referenceBounds[T any, S semiring.Semiring[T]](p *Plan[T, S], threads int) []int {
+	prefix := p.costPrefix
+	rows := len(prefix) - 1
+	cost := make([]int64, rows)
+	for i := range cost {
+		cost[i] = prefix[i+1] - prefix[i]
+	}
+	return costPartitions(cost, prefix[rows], threads*costPartsPerWorker)
+}
+
+// TestPartitionsMatchLinearReference drives the binary-search
+// partitioner over adversarial cost shapes — hub rows costlier than a
+// whole share, zero-cost stretches, fewer rows than partitions — and
+// checks it against the linear reference at every width.
+func TestPartitionsMatchLinearReference(t *testing.T) {
+	shapes := map[string][]int64{
+		"uniform":    {3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3},
+		"front-hub":  {1000, 1, 1, 1, 1, 1, 1, 1, 1, 1},
+		"tail-hub":   {1, 1, 1, 1, 1, 1, 1, 1, 1, 1000},
+		"two-hubs":   {1, 500, 1, 1, 1, 1, 500, 1, 1, 1, 1, 1},
+		"zero-runs":  {0, 0, 5, 0, 0, 0, 7, 0, 1, 0},
+		"single-row": {42},
+	}
+	rng := gen.NewRNG(7)
+	ramp := make([]int64, 1000)
+	for i := range ramp {
+		ramp[i] = int64(1 + rng.Intn(1+i))
+	}
+	shapes["random-ramp"] = ramp
+	for name, cost := range shapes {
+		prefix := make([]int64, len(cost)+1)
+		copy(prefix, cost)
+		total := parallel.PrefixSum(prefix)
+		p := &Plan[float64, semiring.PlusTimes[float64]]{costPrefix: prefix}
+		for _, threads := range []int{1, 2, 3, 4, 8, 64} {
+			got := p.partitions(threads, nil)
+			want := costPartitions(cost, total, threads*costPartsPerWorker)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s threads=%d: bounds %v, linear reference %v", name, threads, got, want)
+			}
+		}
+	}
+}
+
+// TestWarmThenWide pins warm-at-one-width, serve-at-another: a plan
+// built at Threads 1 resolves its schedule from the width-independent
+// cost skew, and executing it at Threads 4 derives the CostPartition
+// bounds for four workers from the retained prefix — exactly the
+// linear reference's — and computes the same product. Through a cache
+// the two widths share one entry.
+func TestWarmThenWide(t *testing.T) {
+	mask, a, b := skewedCase(512, 512, 4)
+	serial, err := NewPlan(ptSR, mask, a, b, Options{Algorithm: AlgoMSA, Threads: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial.ResolvedSchedule() != SchedCostPartition || serial.costPrefix == nil {
+		t.Fatalf("serial plan resolved %v (prefix retained: %v), want CostPartition with a prefix",
+			serial.ResolvedSchedule(), serial.costPrefix != nil)
+	}
+	want, err := serial.Execute(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	exec := NewExecutor[float64](ptSR)
+	got, err := serial.ExecuteOnOpts(exec, a, b, ExecOptions{Threads: 4, CollectSchedStats: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sparse.Equal(want, got) {
+		t.Error("wide execution computes a different product")
+	}
+	if ref := referenceBounds(serial, 4); fmt.Sprint(exec.partBounds) != fmt.Sprint(ref) {
+		t.Errorf("wide execution cut bounds %v, linear reference %v", exec.partBounds, ref)
+	}
+	if n := len(exec.partBounds) - 1; n < 2 || n > 4*costPartsPerWorker {
+		t.Errorf("wide execution cut %d partitions, want in (1, %d]", n, 4*costPartsPerWorker)
+	}
+	if w := len(exec.SchedStats().Workers); w != 4 {
+		t.Errorf("wide execution ran %d workers, want 4", w)
+	}
+
+	cache := NewPlanCache(ptSR, 0, 0)
+	warm, err := cache.GetOrPlan(mask, a, b, Options{Algorithm: AlgoMSA, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, hit, err := cache.GetOrPlanObserved(mask, a, b, Options{Algorithm: AlgoMSA, Threads: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit || wide != warm || cache.Len() != 1 {
+		t.Fatalf("Threads fragmented the cache: hit=%v same=%v entries=%d", hit, wide == warm, cache.Len())
+	}
+}
+
+// TestPartitionsAllocFree pins the cost of per-execution bounds: once
+// the executor's buffer has grown to a width, cutting bounds again —
+// and executing a cost-partitioned plan — allocates no more than the
+// fixed-grain path does.
+func TestPartitionsAllocFree(t *testing.T) {
+	mask, a, b := skewedCase(512, 512, 4)
+	p, err := NewPlan(ptSR, mask, a, b, Options{Algorithm: AlgoMSA, Schedule: SchedCostPartition, Threads: 1, ReuseOutput: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := p.partitions(8, nil)
+	if got := testing.AllocsPerRun(20, func() { buf = p.partitions(8, buf) }); got != 0 {
+		t.Errorf("partitions allocates %v objects per call on a grown buffer, want 0", got)
+	}
+	fixed, err := NewPlan(ptSR, mask, a, b, Options{Algorithm: AlgoMSA, Schedule: SchedFixedGrain, Threads: 1, ReuseOutput: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(q *Plan[float64, semiring.PlusTimes[float64]]) float64 {
+		if _, err := q.Execute(a, b); err != nil { // warm-up
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := q.Execute(a, b); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if cp, fg := allocs(p), allocs(fixed); cp > fg {
+		t.Errorf("cost-partitioned execution allocates %v objects, fixed grain %v", cp, fg)
+	}
+}
+
+// TestPlanWidthInvariance is the width-invariance metamorphic test:
+// work is split strictly by row and row formation is never split
+// (§3), so one cached plan of any family must produce bit-identical
+// output at every width, schedule, and grain — and widths never add
+// cache entries. CostPartition executions additionally cut exactly
+// the linear reference's bounds.
+func TestPlanWidthInvariance(t *testing.T) {
+	algos := []Algorithm{AlgoMSA, AlgoHash, AlgoMCA, AlgoHeap, AlgoInner, AlgoMaskedBit, AlgoHybrid}
+	schedules := []Schedule{SchedAuto, SchedFixedGrain, SchedCostPartition, SchedWorkSteal}
+	same := func(x, y float64) bool { return x == y }
+	exec := NewExecutor[float64](ptSR)
+	for _, inst := range gen.Suite(8) {
+		g := inst.Build()
+		if g.Rows > 1024 {
+			continue // the fixed-size grids and BA graphs: too slow under -race
+		}
+		// The triangle-counting shape L ⊙ (L·L) keeps every family's
+		// work small enough for the full width × schedule × grain grid.
+		g = sparse.Tril(g)
+		mask := g.PatternView()
+		cache := NewPlanCache(ptSR, 1024, 0)
+		keys := 0
+		for _, algo := range algos {
+			for _, mode := range schedules {
+				for _, grain := range []int{1, 64} {
+					keys++
+					var base *sparse.CSR[float64]
+					for _, threads := range []int{1, 2, 4, 8} {
+						opt := Options{Algorithm: algo, Schedule: mode, Grain: grain, Threads: threads}
+						name := fmt.Sprintf("%s/%s/%v/grain%d/t%d", inst.Name, algo, mode, grain, threads)
+						p, err := cache.GetOrPlan(mask, g, g, opt)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						got, err := p.ExecuteOnOpts(exec, g, g, opt.ExecOnly())
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if p.ResolvedSchedule() == SchedCostPartition {
+							if ref := referenceBounds(p, threads); fmt.Sprint(exec.partBounds) != fmt.Sprint(ref) {
+								t.Fatalf("%s: bounds %v, linear reference %v", name, exec.partBounds, ref)
+							}
+						}
+						if base == nil {
+							base = got
+						} else if !sparse.EqualFunc(base, got, same) {
+							t.Fatalf("%s: output differs from the Threads=1 execution", name)
+						}
+					}
+				}
+			}
+		}
+		if n := cache.Len(); n != keys {
+			t.Errorf("%s: cache holds %d entries for %d plan keys; widths must not add entries", inst.Name, n, keys)
+		}
 	}
 }

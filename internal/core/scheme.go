@@ -150,11 +150,12 @@ type kernelBinder[T any, S semiring.Semiring[T]] func(p *Plan[T, S], e *Executor
 // schemeKernels is the generic half of a registry entry: how to build
 // the scheme's kernels for plain and complemented masks, or — for
 // schemes that do not decompose into row kernels (SaxpyThenMask runs a
-// full unmasked SpGEMM first) — a direct whole-product executor.
+// full unmasked SpGEMM first) — a direct whole-product executor run at
+// the execution's resolved width.
 type schemeKernels[T any, S semiring.Semiring[T]] struct {
 	plain      kernelBinder[T, S]
 	complement kernelBinder[T, S]
-	direct     func(p *Plan[T, S], a, b *sparse.CSR[T]) (*sparse.CSR[T], error)
+	direct     func(p *Plan[T, S], a, b *sparse.CSR[T], threads int) (*sparse.CSR[T], error)
 }
 
 // kernelsForAlgo returns one scheme's kernel binders for a (T, S)

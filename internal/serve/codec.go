@@ -148,9 +148,10 @@ func parseOptions(r *http.Request) ([]maskedspgemm.Option, error) {
 			return nil, fmt.Errorf("serve: threads must be a positive integer, got %q", t)
 		}
 		// Clamp hard: worker counts size per-thread scratch allocations
-		// (scheduler state, telemetry), so an unauthenticated
-		// ?threads=1e9 would be a one-request OOM — and every distinct
-		// count is a distinct plan-cache key.
+		// (scheduler state, telemetry, partition bounds), so an
+		// unauthenticated ?threads=1e9 would be a one-request OOM. The
+		// width is execution-only, so distinct counts share one cached
+		// plan.
 		if max := runtime.GOMAXPROCS(0); n > max {
 			return nil, fmt.Errorf("serve: threads=%d exceeds this server's parallelism (max %d)", n, max)
 		}

@@ -420,8 +420,6 @@ type sessionStatsJSON struct {
 	Sched schedStatsJSON `json:"sched"`
 	// Faults is the fault-containment block (DESIGN.md §15).
 	Faults faultStatsJSON `json:"faults"`
-	// Calibration is the cost-model calibration block (DESIGN.md §14).
-	Calibration calibrationStatsJSON `json:"calibration"`
 }
 
 // storeStatsJSON is the wire form of StoreStats.
@@ -527,62 +525,6 @@ type schedStatsJSON struct {
 	WorstImbalance float64 `json:"worst_imbalance"`
 }
 
-// calibrationStatsJSON is the wire form of CalibrationStats.
-type calibrationStatsJSON struct {
-	// Mode is the configured calibration mode: off, startup, online.
-	Mode string `json:"mode"`
-	// Coefficients maps family name → fitted cost coefficient (MSA is
-	// the 1.0 anchor); omitted when uncalibrated.
-	Coefficients map[string]float64 `json:"coefficients,omitempty"`
-	// FitNanos is the startup fit's wall time; zero when no fit ran.
-	FitNanos int64 `json:"fit_nanos"`
-	// Replans counts background plan re-binds since server start.
-	Replans uint64 `json:"replans"`
-	// Drift lists per-plan feedback records, worst-EWMA plans included.
-	Drift []planDriftJSON `json:"drift,omitempty"`
-}
-
-// planDriftJSON is the wire form of one core.PlanDrift record.
-type planDriftJSON struct {
-	// Scheme is the plan's scheme name ("MSA-2P" style).
-	Scheme string `json:"scheme"`
-	// Rows is the plan's mask row count.
-	Rows int `json:"rows"`
-	// Schedule is the plan's current resolved schedule.
-	Schedule string `json:"schedule"`
-	// EwmaImbalance is the plan's measured-imbalance EWMA.
-	EwmaImbalance float64 `json:"ewma_imbalance"`
-	// EwmaWallNanos is the plan's measured wall-time EWMA.
-	EwmaWallNanos int64 `json:"ewma_wall_nanos"`
-	// Samples counts the observations folded into the EWMAs since the
-	// last re-bind.
-	Samples uint64 `json:"samples"`
-	// Replans counts how many times this entry has been re-bound.
-	Replans int `json:"replans"`
-}
-
-// calibrationStatsWire converts CalibrationStats to its wire form.
-func calibrationStatsWire(st maskedspgemm.CalibrationStats) calibrationStatsJSON {
-	out := calibrationStatsJSON{
-		Mode:         st.Mode,
-		Coefficients: st.Coefficients,
-		FitNanos:     st.FitNanos,
-		Replans:      st.Replans,
-	}
-	for _, d := range st.Drift {
-		out.Drift = append(out.Drift, planDriftJSON{
-			Scheme:        d.Scheme,
-			Rows:          d.Rows,
-			Schedule:      d.Schedule,
-			EwmaImbalance: d.EwmaImbalance,
-			EwmaWallNanos: d.EwmaWallNanos,
-			Samples:       d.Samples,
-			Replans:       d.Replans,
-		})
-	}
-	return out
-}
-
 // handleStats reports the counters a dashboard or autoscaler reads.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.session.Stats()
@@ -620,7 +562,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				KernelPanics:       st.Faults.KernelPanics,
 				ExecutorsDiscarded: st.Faults.ExecutorsDiscarded,
 			},
-			Calibration: calibrationStatsWire(st.Calibration),
 		},
 		Admission:    s.adm.stats(),
 		RecentMisses: s.misses.recent(),

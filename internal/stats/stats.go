@@ -125,8 +125,8 @@ func DegreeHistogram[T any](a *sparse.CSR[T]) []int64 {
 // The share column decomposes the imbalance factor: each worker's
 // fraction of total busy time, where every participant at 1/P reads
 // imbalance 1.00 and one worker hoarding the row mass shows up
-// directly. This is the same max-busy / mean-busy signal the online
-// calibration loop feeds back per plan (DESIGN.md §14).
+// directly. This is the same max-busy / mean-busy signal the
+// trajectory benchmark reports as parallel.imbalance (DESIGN.md §9).
 func WriteSchedStats(w io.Writer, st parallel.SchedStats) {
 	fmt.Fprintf(w, "  %-8s %12s %7s %10s %8s\n", "worker", "busy", "share", "claimed", "stolen")
 	total := st.Busy()

@@ -127,7 +127,9 @@ func WithHybridFamilies(fams ...Family) Option {
 	return func(o *core.Options) { o.HybridFamilies = core.Families(fams...) }
 }
 
-// WithThreads pins the worker count (default GOMAXPROCS).
+// WithThreads pins the worker count (default GOMAXPROCS, read at each
+// execution). The width is an execution choice, not part of a plan: a
+// Session serves every width of one structure from one cached plan.
 func WithThreads(threads int) Option {
 	return func(o *core.Options) { o.Threads = threads }
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/parallel"
@@ -54,9 +53,6 @@ type Session struct {
 	// onMiss holds the observers installed via WithMissObserver, each
 	// called after every plan-cache miss that planned successfully.
 	onMiss []func(PlanMiss)
-	// calib is the calibration state (WithCalibration): mode, fitted
-	// coefficients, and fit timing. Immutable after NewSession.
-	calib calibration
 
 	schedMu sync.Mutex
 	sched   parallel.SchedSummary
@@ -78,7 +74,6 @@ type sessionConfig struct {
 	budgetBytes  int64
 	maxIdle      int
 	onMiss       []func(PlanMiss)
-	calib        CalibrationConfig
 }
 
 // PlanMiss describes one plan-cache miss a session observed: a request
@@ -164,7 +159,6 @@ func NewSession(opts ...SessionOption) *Session {
 		onMiss:   cfg.onMiss,
 	}
 	s.cache.AttachBudget(budget)
-	s.setupCalibration(cfg.calib)
 	return s
 }
 
@@ -203,9 +197,10 @@ func (s *Session) observeMiss(mask *Pattern, a, b *Matrix, o core.Options, warm 
 // through the session's plan cache and executor pool: a product whose
 // operand structure (and plan-affecting options) recur pays only the
 // numeric work. Execution-only options never fragment the cache:
-// WithSchedStats is honored per execution against the shared plan, so
-// a structure warmed without telemetry still hits when requested with
-// it. Safe for concurrent use.
+// WithThreads and WithSchedStats are honored per execution against the
+// shared plan, so a structure warmed at one width without telemetry
+// still hits when requested at another width with it. Safe for
+// concurrent use.
 //
 // WithReuseOutput is ignored here — the result must outlive the pooled
 // executor that produced it, so outputs are always freshly allocated.
@@ -223,13 +218,6 @@ func (s *Session) Multiply(mask *Pattern, a, b *Matrix, opts ...Option) (*Matrix
 // a *KernelPanicError.
 func (s *Session) MultiplyCtx(ctx context.Context, mask *Pattern, a, b *Matrix, opts ...Option) (*Matrix, error) {
 	o := buildOptions(opts)
-	// Startup calibration binds every plan under the fitted
-	// coefficients; online calibration keeps keys literal and feeds
-	// measurements back instead (see CalibrationMode).
-	if s.calib.mode == CalibrateStartup {
-		o.CostCoeffs = s.calib.coeffs
-	}
-	online := s.calib.mode == CalibrateOnline
 	plan, hit, err := s.cache.GetOrPlanObserved(mask, a, b, o)
 	if err != nil {
 		return nil, err
@@ -249,13 +237,10 @@ func (s *Session) MultiplyCtx(ctx context.Context, mask *Pattern, a, b *Matrix, 
 			s.pool.Discard(exec)
 		}
 	}()
-	// ReuseOutput stays off: the result must outlive the pooled executor.
-	// Online calibration needs the scheduler telemetry every pass — the
-	// imbalance feedback is what drives re-binding.
-	eo := core.ExecOptions{CollectSchedStats: o.CollectSchedStats || online}
-	start := time.Now()
+	// The request's width rides in ExecOptions. ReuseOutput stays off:
+	// the result must outlive the pooled executor.
+	eo := core.ExecOptions{Threads: o.Threads, CollectSchedStats: o.CollectSchedStats}
 	out, err := plan.ExecuteOnCtx(ctx, exec, a, b, eo)
-	elapsed := time.Since(start)
 	if eo.CollectSchedStats {
 		// Record telemetry even when the execution errored: dashboards
 		// must see the passes that misbehaved, not only the clean ones.
@@ -263,14 +248,9 @@ func (s *Session) MultiplyCtx(ctx context.Context, mask *Pattern, a, b *Matrix, 
 		// errored pass reads as empty rather than replaying the previous
 		// execution's record.
 		st := exec.SchedStats()
-		if o.CollectSchedStats {
-			s.schedMu.Lock()
-			s.sched.Record(st)
-			s.schedMu.Unlock()
-		}
-		if online && err == nil {
-			s.cache.ObserveExecution(plan, st.Imbalance(), elapsed)
-		}
+		s.schedMu.Lock()
+		s.sched.Record(st)
+		s.schedMu.Unlock()
 	}
 	s.retire(exec, err)
 	retired = true
@@ -302,14 +282,10 @@ func (s *Session) retire(exec *core.Executor[float64, arith], err error) {
 // without executing, so a server can pre-populate its cache at startup
 // and keep first-request latency flat. Warming is keyed like serving:
 // execution-only options are normalized out, so a warmed structure hits
-// for any telemetry or output-ownership choice a later request makes.
+// for any width, telemetry, or output-ownership choice a later request
+// makes.
 func (s *Session) Warm(mask *Pattern, a, b *Matrix, opts ...Option) error {
 	o := buildOptions(opts)
-	// Warming must key like serving, so startup calibration injects
-	// the same coefficients here.
-	if s.calib.mode == CalibrateStartup {
-		o.CostCoeffs = s.calib.coeffs
-	}
 	_, hit, err := s.cache.GetOrPlanObserved(mask, a, b, o)
 	if err != nil {
 		return err
@@ -506,10 +482,6 @@ type SessionStats struct {
 	// Sched accumulates scheduler telemetry over every Multiply issued
 	// with WithSchedStats; zero when the option is never used.
 	Sched SchedSummary
-	// Calibration reports the cost-model calibration state: mode,
-	// fitted coefficients, fit timing, and — online mode — re-bind
-	// counts and per-plan drift.
-	Calibration CalibrationStats
 	// Faults counts fault-containment events: canceled executions,
 	// recovered kernel panics, and the executors poisoned by either.
 	Faults FaultStats
@@ -520,15 +492,13 @@ func (s *Session) Stats() SessionStats {
 	s.schedMu.Lock()
 	sched := s.sched
 	s.schedMu.Unlock()
-	cache := s.cache.Stats()
 	pool := s.pool.Stats()
 	return SessionStats{
-		Cache:       cache,
-		Pool:        pool,
-		Store:       s.operands.StatsSnapshot(),
-		Budget:      BudgetStats{UsedBytes: s.budget.Used(), MaxBytes: s.budget.Max()},
-		Sched:       sched,
-		Calibration: s.calibrationStats(cache),
+		Cache:  s.cache.Stats(),
+		Pool:   pool,
+		Store:  s.operands.StatsSnapshot(),
+		Budget: BudgetStats{UsedBytes: s.budget.Used(), MaxBytes: s.budget.Max()},
+		Sched:  sched,
 		Faults: FaultStats{
 			ExecCanceled:       s.execCanceled.Load(),
 			KernelPanics:       s.kernelPanics.Load(),

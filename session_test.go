@@ -288,6 +288,62 @@ func TestSessionWarmThenSchedStatsHits(t *testing.T) {
 	}
 }
 
+// TestSessionRefsConcurrentWidths hammers MultiplyRefs from goroutines
+// that each request a different WithThreads width: every request must
+// compute the exact product and the structure must occupy exactly one
+// plan-cache entry. A direct NewPlan keeps the width it was built with.
+// Run under -race in CI.
+func TestSessionRefsConcurrentWidths(t *testing.T) {
+	s := NewSession()
+	g := ErdosRenyi(512, 8, 11)
+	ref, _ := s.PutOperand(g)
+	want, err := Multiply(g.PatternView(), g, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eq := func(x, y float64) bool { return x == y }
+
+	const iters = 25
+	widths := []int{1, 2, 3, 4}
+	var wg sync.WaitGroup
+	errs := make(chan error, len(widths))
+	for _, threads := range widths {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				got, err := s.MultiplyRefs(ref.Pattern, ref, ref, WithThreads(threads))
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !sparse.EqualFunc(want, got, eq) {
+					errs <- fmt.Errorf("threads=%d iteration %d: wrong product", threads, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if st := s.Stats().Cache; st.Entries != 1 || st.Misses < 1 || st.Hits+st.Misses != iters*uint64(len(widths)) {
+		t.Errorf("cache = %+v, want one entry serving all %d widths", st, len(widths))
+	}
+	plan, err := NewPlan(g.PatternView(), g, g, WithThreads(3), WithSchedStats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.Execute(g, g); err != nil {
+		t.Fatal(err)
+	}
+	if w := len(plan.SchedStats().Workers); w != 3 {
+		t.Errorf("a direct plan frozen at 3 threads ran %d workers", w)
+	}
+}
+
 // TestSessionMissObserver checks the warm-by-prediction hook: the
 // observer sees every structure that planned fresh, tagged with its
 // origin (warm vs serve), and hits stay silent.

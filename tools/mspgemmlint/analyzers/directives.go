@@ -20,7 +20,7 @@ const (
 	// closures, interface conversions, or map iteration.
 	DirHotpath = "hotpath"
 	// DirPlanwrite marks a function allowed to assign fields of
-	// //mspgemm:immutable types (constructors and the rebind clone).
+	// //mspgemm:immutable types (constructors and their analysis helpers).
 	DirPlanwrite = "planwrite"
 	// DirImmutable marks a type whose fields may only be written inside
 	// //mspgemm:planwrite functions.

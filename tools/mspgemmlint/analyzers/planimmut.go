@@ -11,8 +11,8 @@ import (
 // it owns are immutable once published. Types opt in with
 // //mspgemm:immutable; the only functions allowed to assign their
 // fields (directly or through an owned slice element) are the ones
-// annotated //mspgemm:planwrite — the constructors and the rebind
-// clone, which mutate a detached copy before publication.
+// annotated //mspgemm:planwrite — the constructors and their analysis
+// helpers, which mutate a detached plan before publication.
 var Planimmut = &analysis.Analyzer{
 	Name: "planimmut",
 	Doc: "flag writes to fields of //mspgemm:immutable types outside " +
