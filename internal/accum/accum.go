@@ -73,8 +73,10 @@ type Symbolic interface {
 
 // ComplementNumeric is the numeric protocol for complemented masks
 // (C = ¬M ⊙ AB): Begin marks the mask keys as NOTALLOWED, every other
-// key is admitted, and gathering must sort because insertions arrive in
-// arbitrary column order (§5.2, "Gustavson's strategy").
+// key is admitted, and gathering must order the output itself because
+// insertions arrive in arbitrary column order (§5.2, "Gustavson's
+// strategy"): by sorting the tracked keys, or, for MaskedBitC, by
+// walking its set bitset.
 type ComplementNumeric[T any] interface {
 	// Begin prepares for a new output row; keys in maskRow are excluded.
 	Begin(maskRow []int32)

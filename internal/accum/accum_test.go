@@ -181,49 +181,177 @@ func TestPlainAccumulatorsQuick(t *testing.T) {
 	}
 }
 
-// TestComplementAccumulatorsQuick property-tests MSAC and HashC.
-func TestComplementAccumulatorsQuick(t *testing.T) {
-	type cAcc interface {
-		BeginSized(maskRow []int32, bound int)
-		Insert(key int32, a, b float64)
-		Gather(outIdx []int32, outVal []float64) int
-		BeginSymbolicSized(maskRow []int32, bound int)
-		InsertPattern(key int32)
-		EndSymbolic() int
-	}
-	accs := map[string]cAcc{
-		"MSAC":       NewMSAC[float64](pt, 64),
+// complementAcc is the test-side view of the complement protocol.
+type complementAcc interface {
+	BeginSized(maskRow []int32, bound int)
+	Insert(key int32, a, b float64)
+	Gather(outIdx []int32, outVal []float64) int
+	BeginSymbolicSized(maskRow []int32, bound int)
+	InsertPattern(key int32)
+	EndSymbolic() int
+}
+
+// wideCols is the widest complemented row the tests build: 1024 bitset
+// words, wide enough for two far-apart keys to exceed MaskedBitC's walk
+// ratio and take the sort path.
+const wideCols = 1 << 16
+
+func complementAccumulators(ncols int) map[string]complementAcc {
+	return map[string]complementAcc{
+		"MSAC":       NewMSAC[float64](pt, ncols),
 		"HashC":      NewHashC[float64](pt, 16, 0),
-		"MaskedBitC": NewMaskedBitC[float64](pt, 64),
+		"MaskedBitC": NewMaskedBitC[float64](pt, ncols),
 	}
-	for name, acc := range accs {
-		name, acc := name, acc
-		t.Run(name, func(t *testing.T) {
-			f := func(s rowScenario) bool {
-				if s.ncols > 64 {
-					return true
-				}
-				wantIdx, wantVal := refComplementRow(s.ncols, s.mask, s.ops)
-				outIdx := make([]int32, s.ncols)
-				outVal := make([]float64, s.ncols)
-				acc.BeginSized(s.mask, len(s.ops))
-				for _, op := range s.ops {
-					acc.Insert(op.key, op.a, op.b)
-				}
-				n := acc.Gather(outIdx, outVal)
-				if n != len(wantIdx) || !eqI(outIdx[:n], wantIdx) || !eqF(outVal[:n], wantVal) {
-					return false
-				}
-				acc.BeginSymbolicSized(s.mask, len(s.ops))
-				for _, op := range s.ops {
-					acc.InsertPattern(op.key)
-				}
-				return acc.EndSymbolic() == n
+}
+
+// complementScenario is a complemented row drawn from one of four
+// shapes: narrow (at most one bitset word, as for the plain
+// accumulators), clustered (keys packed into a window of a row a few
+// thousand columns wide, so MaskedBitC walks its set words), uniform
+// (few keys anywhere in such a row, which takes either MaskedBitC path),
+// and far-apart (keys in two distant clusters of a 2¹⁶-wide row, so
+// MaskedBitC sorts). Products are small integers of either sign, so some
+// keys sum to an exact zero and must still be emitted.
+type complementScenario struct{ rowScenario }
+
+func (complementScenario) Generate(r *rand.Rand, size int) reflect.Value {
+	var s rowScenario
+	switch r.Intn(4) {
+	case 0:
+		s = rowScenario{}.Generate(r, size).Interface().(rowScenario)
+	case 1:
+		ncols := 65 + r.Intn(4000)
+		width := 1 + r.Intn(min(ncols, 512))
+		lo := int32(r.Intn(ncols - width + 1))
+		window := func() int32 { return lo + int32(r.Intn(width)) }
+		s = randomComplementRow(r, ncols, window, r.Intn(width+1), 1+r.Intn(400))
+	case 2:
+		ncols := 65 + r.Intn(4000)
+		anywhere := func() int32 { return int32(r.Intn(ncols)) }
+		s = randomComplementRow(r, ncols, anywhere, r.Intn(64), 1+r.Intn(40))
+	default:
+		farApart := func() int32 {
+			if r.Intn(2) == 0 {
+				return int32(r.Intn(8))
 			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			return wideCols - 1 - int32(r.Intn(8))
+		}
+		s = randomComplementRow(r, wideCols, farApart, r.Intn(4), 1+r.Intn(16))
+	}
+	return reflect.ValueOf(complementScenario{s})
+}
+
+// randomComplementRow draws nMask distinct mask keys and nOps inserts
+// from key, with small-integer products of either sign.
+func randomComplementRow(r *rand.Rand, ncols int, key func() int32, nMask, nOps int) rowScenario {
+	maskSet := map[int32]bool{}
+	for i := 0; i < nMask; i++ {
+		maskSet[key()] = true
+	}
+	mask := make([]int32, 0, len(maskSet))
+	for j := range maskSet {
+		mask = append(mask, j)
+	}
+	sort.Slice(mask, func(i, j int) bool { return mask[i] < mask[j] })
+	ops := make([]insertOp, nOps)
+	for i := range ops {
+		ops[i] = insertOp{key(), float64(r.Intn(5) - 2), float64(1 + r.Intn(3))}
+	}
+	return rowScenario{ncols, mask, ops}
+}
+
+// runComplementRow runs s through acc's numeric pass and then its
+// symbolic pass, returning the gathered row and the symbolic count.
+func runComplementRow(acc complementAcc, s rowScenario, outIdx []int32, outVal []float64) (n, symbolic int) {
+	acc.BeginSized(s.mask, len(s.ops))
+	for _, op := range s.ops {
+		acc.Insert(op.key, op.a, op.b)
+	}
+	n = acc.Gather(outIdx, outVal)
+	acc.BeginSymbolicSized(s.mask, len(s.ops))
+	for _, op := range s.ops {
+		acc.InsertPattern(op.key)
+	}
+	return n, acc.EndSymbolic()
+}
+
+// checkComplementRow runs s through acc and compares the gathered row,
+// and the symbolic count, against the dense oracle.
+func checkComplementRow(acc complementAcc, s rowScenario) bool {
+	wantIdx, wantVal := refComplementRow(s.ncols, s.mask, s.ops)
+	outIdx := make([]int32, len(s.ops))
+	outVal := make([]float64, len(s.ops))
+	n, symbolic := runComplementRow(acc, s, outIdx, outVal)
+	return n == len(wantIdx) && eqI(outIdx[:n], wantIdx) && eqF(outVal[:n], wantVal) && symbolic == n
+}
+
+// TestComplementAccumulatorsQuick property-tests MSAC, HashC and
+// MaskedBitC against the dense oracle on narrow, clustered, uniform and
+// far-apart rows, reusing each accumulator across every scenario, so
+// every row also checks that the previous one left it clean.
+func TestComplementAccumulatorsQuick(t *testing.T) {
+	for name, acc := range complementAccumulators(wideCols) {
+		t.Run(name, func(t *testing.T) {
+			f := func(s complementScenario) bool { return checkComplementRow(acc, s.rowScenario) }
+			if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// walkRow is a complemented row whose 101 inserted keys lie in four
+// adjacent bitset words, so MaskedBitC gathers by walking them; sortRow
+// puts its two keys 1023 words apart, so MaskedBitC sorts. Each bans
+// keys the other one inserts, and each sums one key to an exact zero.
+var (
+	walkRow = func() rowScenario {
+		s := rowScenario{ncols: wideCols, mask: []int32{5, 130, 65500}}
+		for i := 0; i < 100; i++ {
+			s.ops = append(s.ops, insertOp{int32(130 - i), float64(i%3 - 1), 2})
+		}
+		s.ops = append(s.ops, insertOp{200, 2, 3}, insertOp{200, -2, 3})
+		return s
+	}()
+	sortRow = rowScenario{ncols: wideCols, mask: []int32{64, 100}, ops: []insertOp{
+		{65500, 1, 4}, {5, 2, 3}, {5, -2, 3}, {65500, 1, 1}, {130, 7, 7}, {64, 9, 9},
+	}}
+)
+
+// TestComplementAccumulatorsConsecutiveRows alternates rows that take
+// MaskedBitC's walk and sort paths, with and without a mask, on one
+// accumulator per family. Each row inserts keys the previous row banned
+// or set, so leftover banned bits, set bits or values would show as
+// dropped or inflated entries. The oracle emits every inserted key, so
+// a gather that dropped the exact-zero sums would fail too.
+func TestComplementAccumulatorsConsecutiveRows(t *testing.T) {
+	unmasked := sortRow
+	unmasked.mask = nil
+	rows := []rowScenario{walkRow, sortRow, walkRow, unmasked, walkRow, sortRow, sortRow}
+	for name, acc := range complementAccumulators(wideCols) {
+		for i, s := range rows {
+			if !checkComplementRow(acc, s) {
+				t.Errorf("%s: row %d disagrees with the oracle", name, i)
+			}
+		}
+	}
+}
+
+// TestComplementAccumulatorsZeroAlloc pins the steady state: once an
+// accumulator has seen its widest row, a numeric and a symbolic pass
+// over walk-path and sort-path rows allocate nothing.
+func TestComplementAccumulatorsZeroAlloc(t *testing.T) {
+	outIdx := make([]int32, len(walkRow.ops))
+	outVal := make([]float64, len(walkRow.ops))
+	for name, acc := range complementAccumulators(wideCols) {
+		rows := func() {
+			runComplementRow(acc, walkRow, outIdx, outVal)
+			runComplementRow(acc, sortRow, outIdx, outVal)
+		}
+		rows() // warm-up: grows the inserted lists and HashC's table
+		if allocs := testing.AllocsPerRun(20, rows); allocs != 0 {
+			t.Errorf("%s: %.1f allocs per row pair after warm-up, want 0", name, allocs)
+		}
 	}
 }
 

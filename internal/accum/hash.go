@@ -1,7 +1,7 @@
 package accum
 
 import (
-	"sort"
+	"slices"
 
 	"maskedspgemm/internal/semiring"
 )
@@ -324,8 +324,10 @@ func (h *HashC[T, S]) Insert(key int32, a, b T) {
 
 // Gather sorts and emits the inserted keys. The next BeginSized clears
 // the table.
+//
+//mspgemm:hotpath
 func (h *HashC[T, S]) Gather(outIdx []int32, outVal []T) int {
-	sort.Sort(int32Slice(h.inserted))
+	slices.Sort(h.inserted)
 	keys := h.keys[:h.cap]
 	values := h.values[:len(keys)]
 	n := 0

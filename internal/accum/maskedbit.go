@@ -2,7 +2,7 @@ package accum
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 
 	"maskedspgemm/internal/semiring"
 )
@@ -205,9 +205,12 @@ func (m *MaskedBit[T, S]) EndSymbolic(maskRow []int32) int {
 // MaskedBitC is the complemented-mask MaskedBit: Begin marks the mask's
 // keys banned in a bitset and every other key is admitted on first
 // touch. Admitted keys cannot be enumerated from the mask, so inserted
-// keys are tracked in a list (as in MSAC/HashC) and sorted at gather
-// time. Values stay at the semiring zero between rows, so Insert is the
-// same fused add as the plain variant plus a first-touch append.
+// keys are tracked in a list (as in MSAC/HashC). Gather emits them in
+// ascending order by walking the set bitset over the inserted keys'
+// word span, and sorts the list only when that span is too sparse to
+// walk (maskedBitCWalkRatio). Values stay at the semiring zero between
+// rows, so Insert is the same fused add as the plain variant plus a
+// first-touch append.
 type MaskedBitC[T any, S semiring.Semiring[T]] struct {
 	sr S
 	// values is indexed by column and holds sr.Zero() everywhere except
@@ -216,10 +219,11 @@ type MaskedBitC[T any, S semiring.Semiring[T]] struct {
 	// banned holds one bit per column excluded by the current row's mask.
 	banned []uint64
 	// set holds one bit per column inserted this row; it deduplicates
-	// the inserted list.
+	// the inserted list and is what Gather walks.
 	set []uint64
-	// inserted lists the keys accumulated this row, in first-touch order
-	// until Gather sorts them.
+	// inserted lists the keys accumulated this row in first-touch order:
+	// Gather reads their span from it, and sorts it when the span is too
+	// sparse to walk.
 	inserted []int32
 	// maskRow is the row passed to BeginSized, kept to clear the banned
 	// words during Gather/EndSymbolic.
@@ -288,24 +292,64 @@ func (m *MaskedBitC[T, S]) Insert(key int32, a, b T) {
 	}
 }
 
-// Gather sorts the inserted keys, emits them, and restores all touched
-// state — emitted values back to the semiring zero, set words, and the
-// banned words marked in BeginSized — so the accumulator is clean for
-// the next row.
+// maskedBitCWalkRatio bounds MaskedBitC's sort-free gather: the set
+// bitset is walked when the inserted keys span at most this many words
+// per inserted key, so the walk costs O(out) word visits. Wider, sparser
+// spans sort the inserted list instead.
+const maskedBitCWalkRatio = 4
+
+// Gather emits the inserted entries in ascending column order and
+// restores all touched state — emitted values back to the semiring
+// zero, set words, and the banned words marked in BeginSized — so the
+// accumulator is clean for the next row. One pass over the inserted
+// list finds the smallest and largest key. When their word span is at
+// most maskedBitCWalkRatio words per key, Gather pops set bits word by
+// word with TrailingZeros64, exactly as MaskedBit.Gather does, and
+// needs no sort. Otherwise it sorts the inserted list, so very wide,
+// very sparse rows keep O(out·log out) cost rather than O(ncols/64).
+// Both paths test the set bit, not the value, so entries whose products
+// cancel to zero are still emitted.
+//
+//mspgemm:hotpath
 func (m *MaskedBitC[T, S]) Gather(outIdx []int32, outVal []T) int {
-	sort.Sort(int32Slice(m.inserted))
+	inserted := m.inserted
+	if len(inserted) == 0 {
+		m.clearBanned()
+		return 0
+	}
+	lo, hi := inserted[0], inserted[0]
+	for _, j := range inserted {
+		lo = min(lo, j)
+		hi = max(hi, j)
+	}
+	w0 := uint(uint32(lo)) >> 6
+	w1 := uint(uint32(hi)) >> 6
 	zero := m.sr.Zero()
 	values, set := m.values, m.set
 	n := 0
-	for _, j := range m.inserted {
-		k := uint(uint32(j))
-		outIdx[n] = j
-		outVal[n] = values[k]
-		values[k] = zero
-		set[k>>6] = 0
-		n++
+	if w1-w0 < maskedBitCWalkRatio*uint(len(inserted)) {
+		for w := w0; w <= w1; w++ {
+			for b := set[w]; b != 0; b &= b - 1 {
+				k := w<<6 + uint(bits.TrailingZeros64(b))
+				outIdx[n] = int32(k)
+				outVal[n] = values[k]
+				values[k] = zero
+				n++
+			}
+			set[w] = 0
+		}
+	} else {
+		slices.Sort(inserted)
+		for _, j := range inserted {
+			k := uint(uint32(j))
+			outIdx[n] = j
+			outVal[n] = values[k]
+			values[k] = zero
+			set[k>>6] = 0
+			n++
+		}
 	}
-	m.inserted = m.inserted[:0]
+	m.inserted = inserted[:0]
 	m.clearBanned()
 	return n
 }

@@ -1,7 +1,7 @@
 package accum
 
 import (
-	"sort"
+	"slices"
 
 	"maskedspgemm/internal/semiring"
 )
@@ -198,9 +198,13 @@ func (m *MSAC[T, S]) Insert(key int32, a, b T) {
 
 // Gather sorts the inserted keys, emits them, and resets all touched
 // state — both the inserted keys and the mask keys marked in Begin — so
-// the accumulator is clean for the next row.
+// the accumulator is clean for the next row. slices.Sort is the generic
+// pdqsort, so the per-row sort compares int32s inline rather than
+// through sort.Interface.
+//
+//mspgemm:hotpath
 func (m *MSAC[T, S]) Gather(outIdx []int32, outVal []T) int {
-	sort.Sort(int32Slice(m.inserted))
+	slices.Sort(m.inserted)
 	states := m.states
 	values := m.values[:len(states)]
 	n := 0
@@ -250,16 +254,3 @@ func (m *MSAC[T, S]) EndSymbolic() int {
 	m.maskRow = nil
 	return n
 }
-
-// int32Slice implements sort.Interface; avoids the allocation of
-// sort.Slice's closure in the per-row gather path.
-type int32Slice []int32
-
-// Len implements sort.Interface.
-func (s int32Slice) Len() int { return len(s) }
-
-// Less implements sort.Interface.
-func (s int32Slice) Less(i, j int) bool { return s[i] < s[j] }
-
-// Swap implements sort.Interface.
-func (s int32Slice) Swap(i, j int) { s[i], s[j] = s[j], s[i] }

@@ -9,11 +9,14 @@ import (
 // Complemented-mask push drivers (§5.2): C = ¬M ⊙ (A·B). The default
 // accumulator state flips to ALLOWED, mask keys are excluded, and
 // because the admitted key set is not enumerable the accumulators track
-// inserted keys and sort them at gather. One-phase output slabs are
-// sized by the per-row bound min(cols − nnz(m_i), Σ nnz(B_k*)).
+// inserted keys and emit them in ascending order at gather: MSAC and
+// HashC sort the tracked list, MaskedBitC walks its set bitset over the
+// keys' word span and sorts only when that span is too sparse. One-phase
+// output slabs are sized by the per-row bound
+// min(cols − nnz(m_i), Σ nnz(B_k*)).
 
-// pushAccC is the complement accumulator protocol shared by MSAC and
-// HashC.
+// pushAccC is the complement accumulator protocol shared by MSAC, HashC
+// and MaskedBitC.
 type pushAccC[T any] interface {
 	BeginSized(maskRow []int32, bound int)
 	Insert(key int32, a, b T)

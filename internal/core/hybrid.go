@@ -167,6 +167,18 @@ func (c RowCostContext) outBound() float64 {
 	return c.admitted()
 }
 
+// touchSpacing returns the mean column spacing of the keys a dense-array
+// accumulator touches in this row. On a plain mask those are the mask
+// row's entries; under a complement they are the row's outputs, bounded
+// by outBound, so a sparse mask row with a dense output stays hot.
+func (c RowCostContext) touchSpacing() float64 {
+	touched := float64(c.MaskNNZ)
+	if c.Complement {
+		touched = c.outBound()
+	}
+	return float64(c.Cols) / (touched + 1)
+}
+
 // Cost-model constants (DESIGN.md §10). Units are one multiply-add on
 // cache-resident data.
 const (
@@ -225,7 +237,7 @@ const (
 func msaRowCost(c RowCostContext) float64 {
 	m, f := float64(c.MaskNNZ), float64(c.Flops)
 	touch := 1.0
-	if spacing := float64(c.Cols) / (m + 1); spacing > 8 {
+	if c.touchSpacing() > 8 {
 		touch += math.Min(msaColdMax, float64(c.Cols)/msaCacheCols)
 	}
 	if c.Complement {
@@ -250,14 +262,16 @@ func maskedBitRowCost(c RowCostContext) float64 {
 	m, f := float64(c.MaskNNZ), float64(c.Flops)
 	words := maskedBitGatherWord * (float64(c.Cols)/64 + 1)
 	touch := 1.0
-	if spacing := float64(c.Cols) / (m + 1); spacing > 8 {
+	if c.touchSpacing() > 8 {
 		touch += maskedBitColdScale * math.Min(msaColdMax, float64(c.Cols)/msaCacheCols)
 	}
 	if c.Complement {
-		// MaskedBitC tracks inserted keys and sorts them at gather,
-		// like MSAC; only the banned-bit fill and cleanup are word-wide.
+		// MaskedBitC gathers by walking its set bitset when the inserted
+		// keys are dense enough in their word span, and sorts them
+		// otherwise: the cheaper of a full-width word walk and MSAC's
+		// sort, plus one emit per output.
 		out := c.outBound()
-		return 1 + (maskedBitWalkFactor*m+f)*touch + 0.5*out*math.Log2(out+2)
+		return 1 + (maskedBitWalkFactor*m+f)*touch + math.Min(words, 0.5*out*math.Log2(out+2)) + out
 	}
 	return 1 + (maskedBitWalkFactor*m+words+maskedBitInsertFactor*f+c.outBound())*touch
 }

@@ -164,3 +164,27 @@ func TestMaskedBitRowCostCrossover(t *testing.T) {
 		t.Errorf("flops-heavy row: MaskedBit %.1f not dearer than MSA %.1f", mb, msa)
 	}
 }
+
+// TestMaskedBitRowCostComplementCrossover pins the complemented models
+// on a row wider than msaCacheCols, where the cold-line penalty is
+// decided by the spacing of the touched keys, which under a complement
+// are the outputs, not the mask entries. A sparse mask row with a dense
+// output keeps the dense arrays hot, so MSA and MaskedBit must price
+// below Hash, and MaskedBit's word walk below MSA's sort. A sparse
+// output pays cold lines, so Hash's compact table must win.
+func TestMaskedBitRowCostComplementCrossover(t *testing.T) {
+	const cols = 1 << 17
+	denseOut := RowCostContext{MaskNNZ: 4, ARowNNZ: 64, Flops: 1 << 18, AvgBCol: 4, Cols: cols, Complement: true}
+	mb, msa, hash := maskedBitRowCost(denseOut), msaRowCost(denseOut), hashRowCost(denseOut)
+	if msa >= hash {
+		t.Errorf("dense-output row: MSA %.1f not cheaper than Hash %.1f", msa, hash)
+	}
+	if mb >= msa {
+		t.Errorf("dense-output row: MaskedBit %.1f not cheaper than MSA %.1f", mb, msa)
+	}
+	sparseOut := RowCostContext{MaskNNZ: 4, ARowNNZ: 8, Flops: 64, AvgBCol: 4, Cols: cols, Complement: true}
+	mb, msa, hash = maskedBitRowCost(sparseOut), msaRowCost(sparseOut), hashRowCost(sparseOut)
+	if hash >= msa || hash >= mb {
+		t.Errorf("sparse-output row: Hash %.1f not cheaper than MSA %.1f and MaskedBit %.1f", hash, msa, mb)
+	}
+}
