@@ -192,8 +192,8 @@ type complementAcc interface {
 }
 
 // wideCols is the widest complemented row the tests build: 1024 bitset
-// words, wide enough for two far-apart keys to exceed MaskedBitC's walk
-// ratio and take the sort path.
+// words, wide enough for a few far-apart keys to span too many words
+// for MaskedBitC to walk, so it takes the sort path.
 const wideCols = 1 << 16
 
 func complementAccumulators(ncols int) map[string]complementAcc {

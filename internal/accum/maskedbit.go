@@ -208,7 +208,7 @@ func (m *MaskedBit[T, S]) EndSymbolic(maskRow []int32) int {
 // keys are tracked in a list (as in MSAC/HashC). Gather emits them in
 // ascending order by walking the set bitset over the inserted keys'
 // word span, and sorts the list only when that span is too sparse to
-// walk (maskedBitCWalkRatio). Values stay at the semiring zero between
+// walk. Values stay at the semiring zero between
 // rows, so Insert is the same fused add as the plain variant plus a
 // first-touch append.
 type MaskedBitC[T any, S semiring.Semiring[T]] struct {
@@ -292,23 +292,21 @@ func (m *MaskedBitC[T, S]) Insert(key int32, a, b T) {
 	}
 }
 
-// maskedBitCWalkRatio bounds MaskedBitC's sort-free gather: the set
-// bitset is walked when the inserted keys span at most this many words
-// per inserted key, so the walk costs O(out) word visits. Wider, sparser
-// spans sort the inserted list instead.
-const maskedBitCWalkRatio = 4
-
 // Gather emits the inserted entries in ascending column order and
 // restores all touched state — emitted values back to the semiring
 // zero, set words, and the banned words marked in BeginSized — so the
 // accumulator is clean for the next row. One pass over the inserted
-// list finds the smallest and largest key. When their word span is at
-// most maskedBitCWalkRatio words per key, Gather pops set bits word by
-// word with TrailingZeros64, exactly as MaskedBit.Gather does, and
-// needs no sort. Otherwise it sorts the inserted list, so very wide,
-// very sparse rows keep O(out·log out) cost rather than O(ncols/64).
-// Both paths test the set bit, not the value, so entries whose products
-// cancel to zero are still emitted.
+// list finds the smallest and largest key. When their word span is
+// below out·bits.Len(out) words, the scale of a sort's comparison count,
+// Gather pops set bits word by word with TrailingZeros64, exactly as
+// MaskedBit.Gather does, and needs no sort. Otherwise it sorts the
+// inserted list, so very wide, very sparse rows keep O(out·log out)
+// cost rather than O(ncols/64). BenchmarkMaskedBitCGather puts the
+// measured crossover at 2–4, 8–16 and just below 16 words per key for
+// 4, 32 and 256 keys; this rule switches at 3, 6 and 9 and stays close
+// to the faster path on every row it measures (DESIGN §12). Both paths
+// test the set bit, not the value, so entries whose products cancel to
+// zero are still emitted.
 //
 //mspgemm:hotpath
 func (m *MaskedBitC[T, S]) Gather(outIdx []int32, outVal []T) int {
@@ -327,7 +325,8 @@ func (m *MaskedBitC[T, S]) Gather(outIdx []int32, outVal []T) int {
 	zero := m.sr.Zero()
 	values, set := m.values, m.set
 	n := 0
-	if w1-w0 < maskedBitCWalkRatio*uint(len(inserted)) {
+	out := uint(len(inserted))
+	if w1-w0 < out*uint(bits.Len(out)) {
 		for w := w0; w <= w1; w++ {
 			for b := set[w]; b != 0; b &= b - 1 {
 				k := w<<6 + uint(bits.TrailingZeros64(b))

@@ -268,8 +268,9 @@ func maskedBitRowCost(c RowCostContext) float64 {
 	if c.Complement {
 		// MaskedBitC gathers by walking its set bitset when the inserted
 		// keys are dense enough in their word span, and sorts them
-		// otherwise: the cheaper of a full-width word walk and MSAC's
-		// sort, plus one emit per output.
+		// otherwise, whichever measures faster (DESIGN §12): the cheaper
+		// of a full-width word walk and MSAC's sort, plus one emit per
+		// output.
 		out := c.outBound()
 		return 1 + (maskedBitWalkFactor*m+f)*touch + math.Min(words, 0.5*out*math.Log2(out+2)) + out
 	}
