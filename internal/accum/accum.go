@@ -11,9 +11,16 @@
 //	setAllowed(key) / insert(key, λ) / remove(key)
 //
 // with three states per key: NOTALLOWED → ALLOWED → SET. Here the
-// insert lambda is realised without closure allocation by passing both
-// multiplicands: Insert(key, a, b) multiplies only once the key is known
-// to be allowed, preserving the lazy-evaluation semantics of §5.1.
+// insert lambda is realised without closure allocation by passing the
+// multiplicands, and the unit of work is one scaled B row rather than one
+// key: Scatter(a, bCols, bVals) runs the insert for every (j, b) of B_k*,
+// multiplying only once column j is known to be allowed, preserving the
+// lazy-evaluation semantics of §5.1. Taking the whole row is what keeps
+// the state test cheap: the push drivers are generic over the
+// accumulator, and Go compiles generic code once per GC shape, so a
+// method call on the accumulator from inside a driver is an indirect
+// call through the instantiation's dictionary. One such call per A entry
+// is noise; one per product was most of the numeric pass.
 //
 // One accumulator instance is owned by one worker goroutine and reused
 // across all rows that worker processes; Begin/Gather (or the symbolic
@@ -38,22 +45,24 @@ func nextPow2(n int) int {
 	return p
 }
 
-// Numeric is the per-row numeric protocol shared by the MSA and hash
-// accumulators; the push kernels in internal/core are generic over it so
-// each instantiation monomorphizes.
+// Numeric is the per-row numeric protocol shared by the plain push
+// accumulators (MSA, MSAEpoch, MaskedBit, Hash); the push kernels in
+// internal/core are generic over it. Each method is one dictionary call
+// from the driver, so the per-product work lives inside Scatter.
 //
 // Usage per output row i:
 //
 //	acc.Begin(maskRow)
-//	for each A(i,k): for each B(k,j): acc.Insert(j, a, b)
+//	for each A(i,k): acc.Scatter(a, B_k*.cols, B_k*.vals)
 //	n := acc.Gather(maskRow, outIdx, outVal)
 type Numeric[T any] interface {
 	// Begin prepares the accumulator for a new output row whose admitted
 	// keys are the sorted column indices in maskRow.
 	Begin(maskRow []int32)
-	// Insert lazily accumulates Mul(a, b) into key, discarding the
-	// product without computing it when key is not allowed.
-	Insert(key int32, a, b T)
+	// Scatter lazily accumulates Mul(a, b) into column j for every entry
+	// (j, b) of one B row, discarding without computing the products
+	// whose column is not allowed.
+	Scatter(a T, bCols []int32, bVals []T)
 	// Gather writes the SET entries in mask order into outIdx/outVal,
 	// returns how many were written, and resets the accumulator.
 	Gather(maskRow []int32, outIdx []int32, outVal []T) int
@@ -65,24 +74,27 @@ type Numeric[T any] interface {
 type Symbolic interface {
 	// BeginSymbolic prepares for a new row (pattern-only).
 	BeginSymbolic(maskRow []int32)
-	// InsertPattern marks key as SET if it is allowed.
-	InsertPattern(key int32)
+	// ScatterPattern marks every allowed column of one B row as SET.
+	ScatterPattern(bCols []int32)
 	// EndSymbolic returns the number of SET keys and resets.
 	EndSymbolic(maskRow []int32) int
 }
 
 // ComplementNumeric is the numeric protocol for complemented masks
-// (C = ¬M ⊙ AB): Begin marks the mask keys as NOTALLOWED, every other
-// key is admitted, and gathering must order the output itself because
-// insertions arrive in arbitrary column order (§5.2, "Gustavson's
-// strategy"): by sorting the tracked keys, or, for MaskedBitC, by
-// walking its set bitset.
+// (C = ¬M ⊙ AB), shared by MSAC, HashC and MaskedBitC: BeginSized marks
+// the mask keys as NOTALLOWED, every other key is admitted, and
+// gathering must order the output itself because insertions arrive in
+// arbitrary column order (§5.2, "Gustavson's strategy"): by sorting the
+// tracked keys, or, for MaskedBitC, by walking its set bitset.
 type ComplementNumeric[T any] interface {
-	// Begin prepares for a new output row; keys in maskRow are excluded.
-	Begin(maskRow []int32)
-	// Insert lazily accumulates Mul(a, b) into key unless it is masked
-	// out.
-	Insert(key int32, a, b T)
+	// BeginSized prepares for a new output row; keys in maskRow are
+	// excluded, and bound caps the row's output population (the §5.2
+	// bound min(n − nnz(m_i), Σ nnz(B_k*))), which HashC sizes its table
+	// by.
+	BeginSized(maskRow []int32, bound int)
+	// Scatter lazily accumulates Mul(a, b) into column j for every entry
+	// (j, b) of one B row unless j is masked out.
+	Scatter(a T, bCols []int32, bVals []T)
 	// Gather writes all SET entries in ascending key order, returns the
 	// count, and resets. outIdx/outVal must have room for every inserted
 	// key.
@@ -91,10 +103,11 @@ type ComplementNumeric[T any] interface {
 
 // ComplementSymbolic is the symbolic counterpart of ComplementNumeric.
 type ComplementSymbolic interface {
-	// BeginSymbolic prepares for a new row (pattern-only).
-	BeginSymbolic(maskRow []int32)
-	// InsertPattern marks key as SET unless masked out.
-	InsertPattern(key int32)
+	// BeginSymbolicSized prepares for a new row (pattern-only).
+	BeginSymbolicSized(maskRow []int32, bound int)
+	// ScatterPattern marks every column of one B row as SET unless it is
+	// masked out.
+	ScatterPattern(bCols []int32)
 	// EndSymbolic returns the number of SET keys and resets.
 	EndSymbolic() int
 }

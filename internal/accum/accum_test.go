@@ -15,10 +15,10 @@ var pt = semiring.PlusTimes[float64]{}
 // numericAcc is the test-side view of the shared numeric protocol.
 type numericAcc interface {
 	Begin(maskRow []int32)
-	Insert(key int32, a, b float64)
+	Scatter(a float64, bCols []int32, bVals []float64)
 	Gather(maskRow []int32, outIdx []int32, outVal []float64) int
 	BeginSymbolic(maskRow []int32)
-	InsertPattern(key int32)
+	ScatterPattern(bCols []int32)
 	EndSymbolic(maskRow []int32) int
 }
 
@@ -32,12 +32,47 @@ func plainAccumulators(ncols, maxMask int) map[string]numericAcc {
 	}
 }
 
-// refMaskedRow is the oracle: dense accumulation then mask filter.
+// insertOp is one product a·b destined for column key: the per-key
+// insert stream the paper's interface is written in.
 type insertOp struct {
 	key  int32
 	a, b float64
 }
 
+// batch is one scaled B row, the unit Scatter consumes:
+// Scatter(av, cols, vals).
+type batch struct {
+	av   float64
+	cols []int32
+	vals []float64
+}
+
+// oneEntryBatches turns a per-key insert stream into one-entry B rows,
+// so the per-key tests drive Scatter in the same order they used to
+// insert. The batches share two backing arrays, so replaying them
+// allocates nothing.
+func oneEntryBatches(ops []insertOp) []batch {
+	cols := make([]int32, len(ops))
+	vals := make([]float64, len(ops))
+	out := make([]batch, len(ops))
+	for i, op := range ops {
+		cols[i], vals[i] = op.key, op.b
+		out[i] = batch{op.a, cols[i : i+1], vals[i : i+1]}
+	}
+	return out
+}
+
+// scatterer is the numeric entry point every push accumulator shares.
+type scatterer interface {
+	Scatter(a float64, bCols []int32, bVals []float64)
+}
+
+// insert scatters the single product a·b into key.
+func insert(acc scatterer, key int32, a, b float64) {
+	acc.Scatter(a, []int32{key}, []float64{b})
+}
+
+// refMaskedRow is the oracle: dense accumulation then mask filter.
 func refMaskedRow(ncols int, mask []int32, ops []insertOp) (idx []int32, val []float64) {
 	acc := make([]float64, ncols)
 	hit := make([]bool, ncols)
@@ -149,7 +184,9 @@ func TestPlainAccumulatorsQuick(t *testing.T) {
 	for name := range plainAccumulators(1, 1) {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			acc := plainAccumulators(64, 64)[name]
+			// Reusing one accumulator across quick iterations checks the
+			// reset path.
+			run := plainCase(plainAccumulators(64, 64)[name]).run
 			f := func(s rowScenario) bool {
 				if s.ncols > 64 {
 					return true
@@ -157,22 +194,8 @@ func TestPlainAccumulatorsQuick(t *testing.T) {
 				wantIdx, wantVal := refMaskedRow(s.ncols, s.mask, s.ops)
 				outIdx := make([]int32, len(s.mask))
 				outVal := make([]float64, len(s.mask))
-				// Numeric pass (reusing acc across quick iterations
-				// checks the reset path).
-				acc.Begin(s.mask)
-				for _, op := range s.ops {
-					acc.Insert(op.key, op.a, op.b)
-				}
-				n := acc.Gather(s.mask, outIdx, outVal)
-				if n != len(wantIdx) || !eqI(outIdx[:n], wantIdx) || !eqF(outVal[:n], wantVal) {
-					return false
-				}
-				// Symbolic pass must agree on the count.
-				acc.BeginSymbolic(s.mask)
-				for _, op := range s.ops {
-					acc.InsertPattern(op.key)
-				}
-				return acc.EndSymbolic(s.mask) == n
+				n, symbolic := run(scatterRow{mask: s.mask, batches: oneEntryBatches(s.ops)}, outIdx, outVal)
+				return n == len(wantIdx) && eqI(outIdx[:n], wantIdx) && eqF(outVal[:n], wantVal) && symbolic == n
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 				t.Error(err)
@@ -184,10 +207,10 @@ func TestPlainAccumulatorsQuick(t *testing.T) {
 // complementAcc is the test-side view of the complement protocol.
 type complementAcc interface {
 	BeginSized(maskRow []int32, bound int)
-	Insert(key int32, a, b float64)
+	Scatter(a float64, bCols []int32, bVals []float64)
 	Gather(outIdx []int32, outVal []float64) int
 	BeginSymbolicSized(maskRow []int32, bound int)
-	InsertPattern(key int32)
+	ScatterPattern(bCols []int32)
 	EndSymbolic() int
 }
 
@@ -260,17 +283,18 @@ func randomComplementRow(r *rand.Rand, ncols int, key func() int32, nMask, nOps 
 	return rowScenario{ncols, mask, ops}
 }
 
-// runComplementRow runs s through acc's numeric pass and then its
-// symbolic pass, returning the gathered row and the symbolic count.
-func runComplementRow(acc complementAcc, s rowScenario, outIdx []int32, outVal []float64) (n, symbolic int) {
-	acc.BeginSized(s.mask, len(s.ops))
-	for _, op := range s.ops {
-		acc.Insert(op.key, op.a, op.b)
+// runComplementRow runs one row of batches under mask through acc's
+// numeric pass and then its symbolic pass, returning the gathered row
+// and the symbolic count. bound caps the row's output population.
+func runComplementRow(acc complementAcc, mask []int32, bound int, batches []batch, outIdx []int32, outVal []float64) (n, symbolic int) {
+	acc.BeginSized(mask, bound)
+	for _, bt := range batches {
+		acc.Scatter(bt.av, bt.cols, bt.vals)
 	}
 	n = acc.Gather(outIdx, outVal)
-	acc.BeginSymbolicSized(s.mask, len(s.ops))
-	for _, op := range s.ops {
-		acc.InsertPattern(op.key)
+	acc.BeginSymbolicSized(mask, bound)
+	for _, bt := range batches {
+		acc.ScatterPattern(bt.cols)
 	}
 	return n, acc.EndSymbolic()
 }
@@ -281,7 +305,7 @@ func checkComplementRow(acc complementAcc, s rowScenario) bool {
 	wantIdx, wantVal := refComplementRow(s.ncols, s.mask, s.ops)
 	outIdx := make([]int32, len(s.ops))
 	outVal := make([]float64, len(s.ops))
-	n, symbolic := runComplementRow(acc, s, outIdx, outVal)
+	n, symbolic := runComplementRow(acc, s.mask, len(s.ops), oneEntryBatches(s.ops), outIdx, outVal)
 	return n == len(wantIdx) && eqI(outIdx[:n], wantIdx) && eqF(outVal[:n], wantVal) && symbolic == n
 }
 
@@ -343,10 +367,11 @@ func TestComplementAccumulatorsConsecutiveRows(t *testing.T) {
 func TestComplementAccumulatorsZeroAlloc(t *testing.T) {
 	outIdx := make([]int32, len(walkRow.ops))
 	outVal := make([]float64, len(walkRow.ops))
+	walk, sort := oneEntryBatches(walkRow.ops), oneEntryBatches(sortRow.ops)
 	for name, acc := range complementAccumulators(wideCols) {
 		rows := func() {
-			runComplementRow(acc, walkRow, outIdx, outVal)
-			runComplementRow(acc, sortRow, outIdx, outVal)
+			runComplementRow(acc, walkRow.mask, len(walkRow.ops), walk, outIdx, outVal)
+			runComplementRow(acc, sortRow.mask, len(sortRow.ops), sort, outIdx, outVal)
 		}
 		rows() // warm-up: grows the inserted lists and HashC's table
 		if allocs := testing.AllocsPerRun(20, rows); allocs != 0 {
@@ -360,9 +385,9 @@ func TestMSAStateTransitions(t *testing.T) {
 	m := NewMSA[float64](pt, 8)
 	mask := []int32{2, 5}
 	m.Begin(mask)
-	m.Insert(3, 10, 10) // NOTALLOWED: discarded
-	m.Insert(2, 2, 3)   // ALLOWED → SET with 6
-	m.Insert(2, 1, 4)   // SET: accumulate 10
+	insert(m, 3, 10, 10) // NOTALLOWED: discarded
+	insert(m, 2, 2, 3)   // ALLOWED → SET with 6
+	insert(m, 2, 1, 4)   // SET: accumulate 10
 	idx := make([]int32, 2)
 	val := make([]float64, 2)
 	n := m.Gather(mask, idx, val)
@@ -372,7 +397,7 @@ func TestMSAStateTransitions(t *testing.T) {
 	// After gather, everything is reset: inserting on key 2 without
 	// Begin must be discarded (NOTALLOWED again).
 	m.Begin(nil)
-	m.Insert(2, 1, 1)
+	insert(m, 2, 1, 1)
 	if n := m.Gather(nil, idx, val); n != 0 {
 		t.Fatalf("post-reset gather = %d, want 0", n)
 	}
@@ -452,7 +477,7 @@ func TestHashGrowth(t *testing.T) {
 	}
 	h.Begin(mask)
 	for i := range mask {
-		h.Insert(int32(i), 1, float64(i))
+		insert(h, int32(i), 1, float64(i))
 	}
 	idx := make([]int32, 100)
 	val := make([]float64, 100)
@@ -472,11 +497,11 @@ func TestMaskedBitStateWalk(t *testing.T) {
 	m := NewMaskedBit[float64](pt, 130) // spans three bitset words
 	mask := []int32{2, 65, 129}
 	m.Begin(mask)
-	m.Insert(3, 10, 10) // not allowed: discarded
-	m.Insert(2, 2, 3)   // first touch: 6
-	m.Insert(2, 1, 4)   // accumulate: 10
-	m.Insert(129, 5, 5) // last word: 25
-	m.Insert(128, 9, 9) // same word, not allowed: discarded
+	insert(m, 3, 10, 10) // not allowed: discarded
+	insert(m, 2, 2, 3)   // first touch: 6
+	insert(m, 2, 1, 4)   // accumulate: 10
+	insert(m, 129, 5, 5) // last word: 25
+	insert(m, 128, 9, 9) // same word, not allowed: discarded
 	idx := make([]int32, 3)
 	val := make([]float64, 3)
 	n := m.Gather(mask, idx, val)
@@ -486,7 +511,7 @@ func TestMaskedBitStateWalk(t *testing.T) {
 	// After gather, everything is reset: inserting on key 2 without it
 	// being in the new mask must be discarded.
 	m.Begin([]int32{65})
-	m.Insert(2, 1, 1)
+	insert(m, 2, 1, 1)
 	if n := m.Gather([]int32{65}, idx, val); n != 0 {
 		t.Fatalf("post-reset gather = %d, want 0", n)
 	}
@@ -499,8 +524,8 @@ func TestMaskedBitZeroSum(t *testing.T) {
 	m := NewMaskedBit[float64](pt, 8)
 	mask := []int32{4}
 	m.Begin(mask)
-	m.Insert(4, 2, 3)  // +6
-	m.Insert(4, -2, 3) // −6: sums to 0.0
+	insert(m, 4, 2, 3)  // +6
+	insert(m, 4, -2, 3) // −6: sums to 0.0
 	idx := make([]int32, 1)
 	val := make([]float64, 1)
 	if n := m.Gather(mask, idx, val); n != 1 || val[0] != 0 {
@@ -520,7 +545,7 @@ func TestMaskedBitEnsureColsGrowth(t *testing.T) {
 	m := NewMaskedBit[float64](pt, 8)
 	mask := []int32{1, 3}
 	m.Begin(mask)
-	m.Insert(1, 2, 2)
+	insert(m, 1, 2, 2)
 	idx := make([]int32, 4)
 	val := make([]float64, 4)
 	if n := m.Gather(mask, idx, val); n != 1 || idx[0] != 1 || val[0] != 4 {
@@ -529,23 +554,23 @@ func TestMaskedBitEnsureColsGrowth(t *testing.T) {
 	m.EnsureCols(200) // new words must come up clean
 	wide := []int32{1, 70, 199}
 	m.Begin(wide)
-	m.Insert(199, 3, 3)
-	m.Insert(70, 1, 1)
-	m.Insert(100, 1, 1) // not in mask
+	insert(m, 199, 3, 3)
+	insert(m, 70, 1, 1)
+	insert(m, 100, 1, 1) // not in mask
 	if n := m.Gather(wide, idx, val); n != 2 || idx[0] != 70 || idx[1] != 199 || val[1] != 9 {
 		t.Fatalf("post-growth gather = %d %v %v", n, idx[:n], val[:n])
 	}
 
 	c := NewMaskedBitC[float64](pt, 8)
 	c.BeginSized(mask, 4)
-	c.Insert(0, 2, 3)
+	insert(c, 0, 2, 3)
 	if n := c.Gather(idx, val); n != 1 || idx[0] != 0 || val[0] != 6 {
 		t.Fatalf("complement pre-growth gather = %d %v %v", n, idx[:n], val[:n])
 	}
 	c.EnsureCols(200)
 	c.BeginSized(wide, 4)
-	c.Insert(199, 1, 1) // banned
-	c.Insert(150, 2, 2)
+	insert(c, 199, 1, 1) // banned
+	insert(c, 150, 2, 2)
 	if n := c.Gather(idx, val); n != 1 || idx[0] != 150 || val[0] != 4 {
 		t.Fatalf("complement post-growth gather = %d %v %v", n, idx[:n], val[:n])
 	}

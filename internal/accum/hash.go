@@ -154,26 +154,31 @@ func (h *Hash[T, S]) Begin(maskRow []int32) {
 	}
 }
 
-// Insert accumulates Mul(a, b) into key if it is present in the table
-// (i.e. admitted by the mask). Probing that lands on an empty slot means
-// the key is NOTALLOWED and the product is never computed.
+// Scatter accumulates Mul(av, b) into column j for every entry (j, b)
+// of one B row whose column is present in the table (i.e. admitted by
+// the mask). Probing that lands on an empty slot means the column is
+// NOTALLOWED and the product is never computed.
 //
 //mspgemm:hotpath
-func (h *Hash[T, S]) Insert(key int32, a, b T) {
+func (h *Hash[T, S]) Scatter(av T, bCols []int32, bVals []T) {
 	// states and values share keys' length, so after the keys[p] check
 	// the remaining accesses are provably in bounds.
+	sr := h.sr
 	keys := h.keys[:h.cap]
-	p := probe(keys, key)
-	if keys[p] == -1 {
-		return // not in mask: discard without computing the product
-	}
 	states := h.states[:len(keys)]
 	values := h.values[:len(keys)]
-	if states[p] == stateAllowed {
-		values[p] = h.sr.Mul(a, b)
-		states[p] = stateSet
-	} else {
-		values[p] = h.sr.Add(values[p], h.sr.Mul(a, b))
+	bVals = bVals[:len(bCols)]
+	for t, j := range bCols {
+		p := probe(keys, j)
+		if keys[p] == -1 {
+			continue // not in mask: discard without computing the product
+		}
+		if states[p] == stateAllowed {
+			values[p] = sr.Mul(av, bVals[t])
+			states[p] = stateSet
+		} else {
+			values[p] = sr.Add(values[p], sr.Mul(av, bVals[t]))
+		}
 	}
 }
 
@@ -201,18 +206,17 @@ func (h *Hash[T, S]) Gather(maskRow []int32, outIdx []int32, outVal []T) int {
 // BeginSymbolic prepares a pattern-only row.
 func (h *Hash[T, S]) BeginSymbolic(maskRow []int32) { h.Begin(maskRow) }
 
-// InsertPattern marks key SET if admitted.
+// ScatterPattern marks every admitted column of one B row SET.
 //
 //mspgemm:hotpath
-func (h *Hash[T, S]) InsertPattern(key int32) {
+func (h *Hash[T, S]) ScatterPattern(bCols []int32) {
 	keys := h.keys[:h.cap]
-	p := probe(keys, key)
-	if keys[p] == -1 {
-		return
-	}
 	states := h.states[:len(keys)]
-	if states[p] == stateAllowed {
-		states[p] = stateSet
+	for _, j := range bCols {
+		p := probe(keys, j)
+		if keys[p] != -1 && states[p] == stateAllowed {
+			states[p] = stateSet
+		}
 	}
 }
 
@@ -302,24 +306,31 @@ func (h *HashC[T, S]) BeginSized(maskRow []int32, bound int) {
 	h.inserted = h.inserted[:0]
 }
 
-// Insert accumulates Mul(a, b) into key unless it is a mask sentinel.
+// Scatter accumulates Mul(av, b) into column j for every entry (j, b)
+// of one B row unless j is a mask sentinel, listing first touches.
 //
 //mspgemm:hotpath
-func (h *HashC[T, S]) Insert(key int32, a, b T) {
+func (h *HashC[T, S]) Scatter(av T, bCols []int32, bVals []T) {
+	sr := h.sr
 	keys := h.keys[:h.cap]
-	p := probe(keys, key)
 	states := h.states[:len(keys)]
 	values := h.values[:len(keys)]
-	switch {
-	case keys[p] == -1:
-		keys[p] = key
-		states[p] = stateSet
-		values[p] = h.sr.Mul(a, b)
-		h.inserted = append(h.inserted, key)
-	case states[p] == stateSet:
-		values[p] = h.sr.Add(values[p], h.sr.Mul(a, b))
+	inserted := h.inserted
+	bVals = bVals[:len(bCols)]
+	for t, j := range bCols {
+		p := probe(keys, j)
+		switch {
+		case keys[p] == -1:
+			keys[p] = j
+			states[p] = stateSet
+			values[p] = sr.Mul(av, bVals[t])
+			inserted = append(inserted, j)
+		case states[p] == stateSet:
+			values[p] = sr.Add(values[p], sr.Mul(av, bVals[t]))
+		}
+		// stateNotAllowed: masked out; discard.
 	}
-	// stateNotAllowed: masked out; discard.
+	h.inserted = inserted
 }
 
 // Gather sorts and emits the inserted keys. The next BeginSized clears
@@ -346,18 +357,23 @@ func (h *HashC[T, S]) BeginSymbolicSized(maskRow []int32, bound int) {
 	h.BeginSized(maskRow, bound)
 }
 
-// InsertPattern marks key SET unless it is a sentinel.
+// ScatterPattern marks every column of one B row SET unless it is a
+// sentinel.
 //
 //mspgemm:hotpath
-func (h *HashC[T, S]) InsertPattern(key int32) {
+func (h *HashC[T, S]) ScatterPattern(bCols []int32) {
 	keys := h.keys[:h.cap]
-	p := probe(keys, key)
-	if keys[p] == -1 {
-		keys[p] = key
-		states := h.states[:len(keys)]
-		states[p] = stateSet
-		h.inserted = append(h.inserted, key)
+	states := h.states[:len(keys)]
+	inserted := h.inserted
+	for _, j := range bCols {
+		p := probe(keys, j)
+		if keys[p] == -1 {
+			keys[p] = j
+			states[p] = stateSet
+			inserted = append(inserted, j)
+		}
 	}
+	h.inserted = inserted
 }
 
 // EndSymbolic counts inserted keys.

@@ -21,7 +21,7 @@ func bitWords(ncols int) int { return (ncols + 63) >> 6 }
 // from one byte to two bits (one allowed bit, one set bit), so on
 // dense-mask rows the per-row walks (Begin's fill, Gather's cleanup)
 // move an eighth of the memory the MSA does and the discard path of
-// Insert touches only the bitset.
+// Scatter touches only the bitset.
 //
 // The set bitset exists solely for pattern fidelity: an entry whose
 // products cancel to the numeric zero is still present in the output,
@@ -102,26 +102,31 @@ func (m *MaskedBit[T, S]) Begin(maskRow []int32) {
 	}
 }
 
-// Insert accumulates Mul(a, b) into key if the mask admits it; the
-// product is not computed for masked-out keys. There is no three-way
-// state dispatch: allowed and set-but-not-yet-inserted keys take the
-// identical fused-add path because values start at the semiring zero.
+// Scatter accumulates Mul(av, b) into column j for every entry (j, b)
+// of one B row that the mask admits; the product is not computed for
+// masked-out columns. There is no three-way state dispatch: allowed and
+// set-but-not-yet-inserted columns take the identical fused-add path
+// because values start at the semiring zero.
 //
 //mspgemm:hotpath
-func (m *MaskedBit[T, S]) Insert(key int32, a, b T) {
-	k := uint(uint32(key))
-	w := k >> 6
-	bit := uint64(1) << (k & 63)
-	allowed := m.allowed
-	if allowed[w]&bit == 0 {
-		return // not in mask: discard without computing the product
-	}
+func (m *MaskedBit[T, S]) Scatter(av T, bCols []int32, bVals []T) {
 	// set shares allowed's length, so after the allowed[w] check the
 	// set[w] store is provably in bounds.
+	sr := m.sr
+	allowed := m.allowed
 	set := m.set[:len(allowed)]
 	values := m.values
-	values[k] = m.sr.Add(values[k], m.sr.Mul(a, b))
-	set[w] |= bit
+	bVals = bVals[:len(bCols)]
+	for t, j := range bCols {
+		k := uint(uint32(j))
+		w := k >> 6
+		bit := uint64(1) << (k & 63)
+		if allowed[w]&bit == 0 {
+			continue // not in mask: discard without computing the product
+		}
+		values[k] = sr.Add(values[k], sr.Mul(av, bVals[t]))
+		set[w] |= bit
+	}
 }
 
 // Gather emits the inserted entries in ascending column order —
@@ -166,17 +171,20 @@ func (m *MaskedBit[T, S]) Gather(maskRow []int32, outIdx []int32, outVal []T) in
 // BeginSymbolic prepares a pattern-only row.
 func (m *MaskedBit[T, S]) BeginSymbolic(maskRow []int32) { m.Begin(maskRow) }
 
-// InsertPattern marks key set if allowed, without touching values.
+// ScatterPattern marks every allowed column of one B row set, without
+// touching values.
 //
 //mspgemm:hotpath
-func (m *MaskedBit[T, S]) InsertPattern(key int32) {
-	k := uint(uint32(key))
-	w := k >> 6
-	bit := uint64(1) << (k & 63)
+func (m *MaskedBit[T, S]) ScatterPattern(bCols []int32) {
 	allowed := m.allowed
-	if allowed[w]&bit != 0 {
-		set := m.set[:len(allowed)]
-		set[w] |= bit
+	set := m.set[:len(allowed)]
+	for _, j := range bCols {
+		k := uint(uint32(j))
+		w := k >> 6
+		bit := uint64(1) << (k & 63)
+		if allowed[w]&bit != 0 {
+			set[w] |= bit
+		}
 	}
 }
 
@@ -209,7 +217,7 @@ func (m *MaskedBit[T, S]) EndSymbolic(maskRow []int32) int {
 // ascending order by walking the set bitset over the inserted keys'
 // word span, and sorts the list only when that span is too sparse to
 // walk. Values stay at the semiring zero between
-// rows, so Insert is the same fused add as the plain variant plus a
+// rows, so Scatter is the same fused add as the plain variant plus a
 // first-touch append.
 type MaskedBitC[T any, S semiring.Semiring[T]] struct {
 	sr S
@@ -272,24 +280,31 @@ func (m *MaskedBitC[T, S]) BeginSized(maskRow []int32, _ int) {
 	m.maskRow = maskRow
 }
 
-// Insert accumulates Mul(a, b) into key unless the mask excludes it.
+// Scatter accumulates Mul(av, b) into column j for every entry (j, b)
+// of one B row unless the mask excludes j, listing first touches.
 //
 //mspgemm:hotpath
-func (m *MaskedBitC[T, S]) Insert(key int32, a, b T) {
-	k := uint(uint32(key))
-	w := k >> 6
-	bit := uint64(1) << (k & 63)
+func (m *MaskedBitC[T, S]) Scatter(av T, bCols []int32, bVals []T) {
+	sr := m.sr
 	banned := m.banned
-	if banned[w]&bit != 0 {
-		return // masked out: discard without computing the product
-	}
 	set := m.set[:len(banned)]
 	values := m.values
-	values[k] = m.sr.Add(values[k], m.sr.Mul(a, b))
-	if set[w]&bit == 0 {
-		set[w] |= bit
-		m.inserted = append(m.inserted, key)
+	inserted := m.inserted
+	bVals = bVals[:len(bCols)]
+	for t, j := range bCols {
+		k := uint(uint32(j))
+		w := k >> 6
+		bit := uint64(1) << (k & 63)
+		if banned[w]&bit != 0 {
+			continue // masked out: discard without computing the product
+		}
+		values[k] = sr.Add(values[k], sr.Mul(av, bVals[t]))
+		if set[w]&bit == 0 {
+			set[w] |= bit
+			inserted = append(inserted, j)
+		}
 	}
+	m.inserted = inserted
 }
 
 // Gather emits the inserted entries in ascending column order and
@@ -376,22 +391,24 @@ func (m *MaskedBitC[T, S]) BeginSymbolicSized(maskRow []int32, bound int) {
 	m.BeginSized(maskRow, bound)
 }
 
-// InsertPattern marks key set unless excluded, without touching values.
+// ScatterPattern marks every column of one B row set unless excluded,
+// without touching values.
 //
 //mspgemm:hotpath
-func (m *MaskedBitC[T, S]) InsertPattern(key int32) {
-	k := uint(uint32(key))
-	w := k >> 6
-	bit := uint64(1) << (k & 63)
+func (m *MaskedBitC[T, S]) ScatterPattern(bCols []int32) {
 	banned := m.banned
-	if banned[w]&bit != 0 {
-		return
-	}
 	set := m.set[:len(banned)]
-	if set[w]&bit == 0 {
-		set[w] |= bit
-		m.inserted = append(m.inserted, key)
+	inserted := m.inserted
+	for _, j := range bCols {
+		k := uint(uint32(j))
+		w := k >> 6
+		bit := uint64(1) << (k & 63)
+		if banned[w]&bit == 0 && set[w]&bit == 0 {
+			set[w] |= bit
+			inserted = append(inserted, j)
+		}
 	}
+	m.inserted = inserted
 }
 
 // EndSymbolic counts inserted keys and resets all touched state.

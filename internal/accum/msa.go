@@ -54,22 +54,30 @@ func (m *MSA[T, S]) Begin(maskRow []int32) {
 	}
 }
 
-// Insert accumulates Mul(a, b) into key if the mask admits it. The
-// product is not computed for NOTALLOWED keys (lazy evaluation, §5.1).
+// Scatter accumulates Mul(av, b) into column j for every entry (j, b)
+// of one B row, skipping the columns the mask rules out without forming
+// their products (lazy evaluation, §5.1). The state test sits inline in
+// the loop: the push drivers are generic over the accumulator, so any
+// per-column method call from them is a dictionary call per flop.
 //
 //mspgemm:hotpath
-func (m *MSA[T, S]) Insert(key int32, a, b T) {
+func (m *MSA[T, S]) Scatter(av T, bCols []int32, bVals []T) {
 	// values shares states' length, so after the states[k] check every
-	// values[k] access is provably in bounds (len-hint reslicing).
+	// values[k] access is provably in bounds (len-hint reslicing); bVals
+	// walks in lockstep with bCols.
+	sr := m.sr
 	states := m.states
 	values := m.values[:len(states)]
-	k := uint32(key)
-	switch states[k] {
-	case stateAllowed:
-		values[k] = m.sr.Mul(a, b)
-		states[k] = stateSet
-	case stateSet:
-		values[k] = m.sr.Add(values[k], m.sr.Mul(a, b))
+	bVals = bVals[:len(bCols)]
+	for t, j := range bCols {
+		k := uint32(j)
+		switch states[k] {
+		case stateAllowed:
+			values[k] = sr.Mul(av, bVals[t])
+			states[k] = stateSet
+		case stateSet:
+			values[k] = sr.Add(values[k], sr.Mul(av, bVals[t]))
+		}
 	}
 }
 
@@ -96,14 +104,17 @@ func (m *MSA[T, S]) Gather(maskRow []int32, outIdx []int32, outVal []T) int {
 // BeginSymbolic prepares a pattern-only row.
 func (m *MSA[T, S]) BeginSymbolic(maskRow []int32) { m.Begin(maskRow) }
 
-// InsertPattern marks key SET if allowed, without touching values.
+// ScatterPattern marks every allowed column of one B row SET, without
+// touching values.
 //
 //mspgemm:hotpath
-func (m *MSA[T, S]) InsertPattern(key int32) {
+func (m *MSA[T, S]) ScatterPattern(bCols []int32) {
 	states := m.states
-	k := uint32(key)
-	if states[k] == stateAllowed {
-		states[k] = stateSet
+	for _, j := range bCols {
+		k := uint32(j)
+		if states[k] == stateAllowed {
+			states[k] = stateSet
+		}
 	}
 }
 
@@ -179,21 +190,29 @@ func (m *MSAC[T, S]) Begin(maskRow []int32) {
 // protocol.
 func (m *MSAC[T, S]) BeginSized(maskRow []int32, _ int) { m.Begin(maskRow) }
 
-// Insert accumulates Mul(a, b) into key unless the mask excludes it.
+// Scatter accumulates Mul(av, b) into column j for every entry (j, b)
+// of one B row unless the mask excludes j, appending first touches to
+// the inserted list.
 //
 //mspgemm:hotpath
-func (m *MSAC[T, S]) Insert(key int32, a, b T) {
+func (m *MSAC[T, S]) Scatter(av T, bCols []int32, bVals []T) {
+	sr := m.sr
 	states := m.states
 	values := m.values[:len(states)]
-	k := uint32(key)
-	switch states[k] {
-	case msacAllowed:
-		values[k] = m.sr.Mul(a, b)
-		states[k] = msacSet
-		m.inserted = append(m.inserted, key)
-	case msacSet:
-		values[k] = m.sr.Add(values[k], m.sr.Mul(a, b))
+	inserted := m.inserted
+	bVals = bVals[:len(bCols)]
+	for t, j := range bCols {
+		k := uint32(j)
+		switch states[k] {
+		case msacAllowed:
+			values[k] = sr.Mul(av, bVals[t])
+			states[k] = msacSet
+			inserted = append(inserted, j)
+		case msacSet:
+			values[k] = sr.Add(values[k], sr.Mul(av, bVals[t]))
+		}
 	}
+	m.inserted = inserted
 }
 
 // Gather sorts the inserted keys, emits them, and resets all touched
@@ -226,16 +245,20 @@ func (m *MSAC[T, S]) Gather(outIdx []int32, outVal []T) int {
 // BeginSymbolicSized prepares a pattern-only row.
 func (m *MSAC[T, S]) BeginSymbolicSized(maskRow []int32, _ int) { m.Begin(maskRow) }
 
-// InsertPattern marks key SET unless excluded.
+// ScatterPattern marks every column of one B row SET unless excluded.
 //
 //mspgemm:hotpath
-func (m *MSAC[T, S]) InsertPattern(key int32) {
+func (m *MSAC[T, S]) ScatterPattern(bCols []int32) {
 	states := m.states
-	k := uint32(key)
-	if states[k] == msacAllowed {
-		states[k] = msacSet
-		m.inserted = append(m.inserted, key)
+	inserted := m.inserted
+	for _, j := range bCols {
+		k := uint32(j)
+		if states[k] == msacAllowed {
+			states[k] = msacSet
+			inserted = append(inserted, j)
+		}
 	}
+	m.inserted = inserted
 }
 
 // EndSymbolic counts inserted keys and resets all touched state.

@@ -43,16 +43,25 @@ func (m *MSAEpoch[T, S]) Begin(maskRow []int32) {
 	}
 }
 
-// Insert accumulates Mul(a, b) into key if the current epoch admits it.
+// Scatter accumulates Mul(av, b) into column j for every entry (j, b)
+// of one B row that the current epoch admits.
 //
 //mspgemm:hotpath
-func (m *MSAEpoch[T, S]) Insert(key int32, a, b T) {
-	switch m.stamps[key] {
-	case 2 * m.epoch: // allowed
-		m.values[key] = m.sr.Mul(a, b)
-		m.stamps[key] = 2*m.epoch + 1
-	case 2*m.epoch + 1: // set
-		m.values[key] = m.sr.Add(m.values[key], m.sr.Mul(a, b))
+func (m *MSAEpoch[T, S]) Scatter(av T, bCols []int32, bVals []T) {
+	sr := m.sr
+	stamps := m.stamps
+	values := m.values[:len(stamps)]
+	allowed, set := 2*m.epoch, 2*m.epoch+1
+	bVals = bVals[:len(bCols)]
+	for t, j := range bCols {
+		k := uint32(j)
+		switch stamps[k] {
+		case allowed:
+			values[k] = sr.Mul(av, bVals[t])
+			stamps[k] = set
+		case set:
+			values[k] = sr.Add(values[k], sr.Mul(av, bVals[t]))
+		}
 	}
 }
 
@@ -75,12 +84,17 @@ func (m *MSAEpoch[T, S]) Gather(maskRow []int32, outIdx []int32, outVal []T) int
 // BeginSymbolic starts a pattern-only row.
 func (m *MSAEpoch[T, S]) BeginSymbolic(maskRow []int32) { m.Begin(maskRow) }
 
-// InsertPattern marks key SET if allowed.
+// ScatterPattern marks every allowed column of one B row SET.
 //
 //mspgemm:hotpath
-func (m *MSAEpoch[T, S]) InsertPattern(key int32) {
-	if m.stamps[key] == 2*m.epoch {
-		m.stamps[key] = 2*m.epoch + 1
+func (m *MSAEpoch[T, S]) ScatterPattern(bCols []int32) {
+	stamps := m.stamps
+	allowed, set := 2*m.epoch, 2*m.epoch+1
+	for _, j := range bCols {
+		k := uint32(j)
+		if stamps[k] == allowed {
+			stamps[k] = set
+		}
 	}
 }
 

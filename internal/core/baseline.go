@@ -27,12 +27,7 @@ func unmaskedRowNumeric[T any, S semiring.Semiring[T]](acc *accum.HashC[T, S], a
 	acc.BeginSized(nil, rowGenBound(aCols, b))
 	for k, col := range aCols {
 		lo, hi := b.RowPtr[col], b.RowPtr[col+1]
-		bCols := b.ColIdx[lo:hi]
-		bVals := b.Val[lo:hi]
-		av := aVals[k]
-		for t, j := range bCols {
-			acc.Insert(j, av, bVals[t])
-		}
+		acc.Scatter(aVals[k], b.ColIdx[lo:hi], b.Val[lo:hi])
 	}
 	return acc.Gather(outIdx, outVal)
 }
@@ -42,9 +37,7 @@ func unmaskedRowSymbolic[T any, S semiring.Semiring[T]](acc *accum.HashC[T, S], 
 	acc.BeginSymbolicSized(nil, rowGenBound(aCols, b))
 	for _, col := range aCols {
 		lo, hi := b.RowPtr[col], b.RowPtr[col+1]
-		for _, j := range b.ColIdx[lo:hi] {
-			acc.InsertPattern(j)
-		}
+		acc.ScatterPattern(b.ColIdx[lo:hi])
 	}
 	return acc.EndSymbolic()
 }

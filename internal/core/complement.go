@@ -18,12 +18,8 @@ import (
 // pushAccC is the complement accumulator protocol shared by MSAC, HashC
 // and MaskedBitC.
 type pushAccC[T any] interface {
-	BeginSized(maskRow []int32, bound int)
-	Insert(key int32, a, b T)
-	Gather(outIdx []int32, outVal []T) int
-	BeginSymbolicSized(maskRow []int32, bound int)
-	InsertPattern(key int32)
-	EndSymbolic() int
+	accum.ComplementNumeric[T]
+	accum.ComplementSymbolic
 }
 
 // rowGenBound returns Σ_{k : A_ik ≠ 0} nnz(B_k*), the population bound
@@ -39,8 +35,11 @@ func rowGenBound[T any](aCols []int32, b *sparse.CSR[T]) int {
 	return int(gen)
 }
 
-// pushRowNumericC computes one complemented output row. The body uses
-// the same bounds-check-elimination hints as pushRowNumeric.
+// pushRowNumericC computes one complemented output row, one Scatter per
+// A entry as in pushRowNumeric, with the same bounds-check-elimination
+// hints.
+//
+//mspgemm:hotpath
 func pushRowNumericC[T any, A pushAccC[T]](acc A, maskRow []int32, aCols []int32, aVals []T, b *sparse.CSR[T], outIdx []int32, outVal []T) int {
 	acc.BeginSized(maskRow, rowGenBound(aCols, b))
 	aVals = aVals[:len(aCols)]
@@ -51,17 +50,14 @@ func pushRowNumericC[T any, A pushAccC[T]](acc A, maskRow []int32, aCols []int32
 		c := int(uint32(col))
 		rp := rowPtr[c : c+2]
 		lo, hi := rp[0], rp[1]
-		bCols := colIdx[lo:hi]
-		bVals := vals[lo:hi]
-		av := aVals[k]
-		for t, j := range bCols {
-			acc.Insert(j, av, bVals[t])
-		}
+		acc.Scatter(aVals[k], colIdx[lo:hi], vals[lo:hi])
 	}
 	return acc.Gather(outIdx, outVal)
 }
 
 // pushRowSymbolicC counts one complemented output row.
+//
+//mspgemm:hotpath
 func pushRowSymbolicC[T any, A pushAccC[T]](acc A, maskRow []int32, aCols []int32, b *sparse.CSR[T]) int {
 	acc.BeginSymbolicSized(maskRow, rowGenBound(aCols, b))
 	rowPtr := b.RowPtr
@@ -69,10 +65,7 @@ func pushRowSymbolicC[T any, A pushAccC[T]](acc A, maskRow []int32, aCols []int3
 	for _, col := range aCols {
 		c := int(uint32(col))
 		rp := rowPtr[c : c+2]
-		lo, hi := rp[0], rp[1]
-		for _, j := range colIdx[lo:hi] {
-			acc.InsertPattern(j)
-		}
+		acc.ScatterPattern(colIdx[rp[0]:rp[1]])
 	}
 	return acc.EndSymbolic()
 }

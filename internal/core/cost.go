@@ -145,7 +145,8 @@ func (p *Plan[T, S]) planSchedule(a, b *sparse.CSR[T], cost []int64) {
 //     capped by the §5.2 complement bound when the mask is
 //     complemented — the same quantities complementBounds walks.
 //   - pull rows (Inner, SS:DOT): one merge-dot per admitted mask
-//     entry, nnz(m_i)·(nnz(A_i*) + d̄_B), the §4.3 cost model.
+//     entry j of cost nnz(A_i*) + nnz(B_*j), the §4.3 cost model —
+//     pullRowCost, the same formula the poly selector prices pull by.
 //
 // Poly plans (AlgoHybrid) never reach here — their selector's chosen
 // per-row costs are handed to planSchedule directly, so selection and
@@ -158,22 +159,22 @@ func (p *Plan[T, S]) rowCosts(a, b *sparse.CSR[T]) []int64 {
 	rows := p.mask.Rows
 	cost := make([]int64, rows+1)
 	pullAll := p.opt.Algorithm == AlgoInner || p.opt.Algorithm == AlgoDotTranspose
-	var avgBCol float64
-	if b.Cols > 0 {
-		avgBCol = float64(b.NNZ()) / float64(b.Cols)
+	var colCounts bColCounts
+	if pullAll {
+		colCounts = newBColCounts(b)
 	}
 	complement := p.opt.Complement
 	cols := int64(p.mask.Cols)
 	parallel.ForEachBlock(rows, parallel.Threads(0), p.opt.Grain, func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
-			m := int64(p.mask.RowNNZ(i))
+			maskRow := p.mask.Row(i)
+			m := int64(len(maskRow))
 			aRow := a.Row(i)
 			if pullAll {
-				adm := m
-				if complement {
-					adm = cols - m
-				}
-				cost[i] = 1 + adm*(int64(len(aRow))+int64(avgBCol))
+				cost[i] = int64(pullRowCost(RowCostContext{
+					MaskNNZ: len(maskRow), ARowNNZ: len(aRow), Cols: p.mask.Cols,
+					Complement: complement, BColSum: colCounts.admitted(maskRow, complement),
+				}))
 				continue
 			}
 			var gen int64

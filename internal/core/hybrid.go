@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"maskedspgemm/internal/parallel"
 	"maskedspgemm/internal/semiring"
@@ -135,9 +136,12 @@ type RowCostContext struct {
 	ARowNNZ int
 	// Flops is Σ_{k∈A_i*} nnz(B_k*), the row's push-generation work.
 	Flops int64
-	// AvgBCol is B's mean column population d̄_B, the §4.3 dot-cost
-	// term.
-	AvgBCol float64
+	// BColSum is Σ nnz(B_*j) over the row's admitted columns j: the
+	// total length of the B columns a pull row merges A_i* against.
+	// It is summed exactly rather than estimated from B's mean column
+	// population: on skewed inputs the mask entries land on hub columns,
+	// and the mean underprices those dots by orders of magnitude.
+	BColSum int64
 	// Cols is the output width n.
 	Cols int
 	// Complement marks a complemented mask, which flips the admitted
@@ -179,8 +183,11 @@ func (c RowCostContext) touchSpacing() float64 {
 	return float64(c.Cols) / (touched + 1)
 }
 
-// Cost-model constants (DESIGN.md §10). Units are one multiply-add on
-// cache-resident data.
+// Cost-model constants (DESIGN.md §10). The unit is one step of an MSA
+// Scatter: a state test on cache-resident data, plus the multiply-add
+// when the column is admitted. The families whose kernels do not run
+// through Scatter (MCA, Heap, Pull) carry per-step constants measured
+// against it by hand.
 const (
 	// hashOpFactor prices a hash-table probe against an MSA
 	// direct-address insert.
@@ -192,11 +199,18 @@ const (
 	// msaColdMax caps the cold-line factor.
 	msaColdMax = 3.0
 	// heapPushCost prices one heap push/pop round trip against a
-	// direct insert.
-	heapPushCost = 2.5
+	// Scatter step.
+	heapPushCost = 7.5
 	// heapWalk prices the inspect-skip walk per streamed B candidate —
-	// a pointer bump and compare, cheaper than any accumulator touch.
-	heapWalk = 0.6
+	// a pointer bump, a compare and a heap-top reload per candidate.
+	heapWalk = 1.8
+	// mcaMergeStep prices one step of MCA's per-A-entry two-pointer
+	// merge of a B row against the mask row: a data-dependent branch,
+	// where a Scatter step is a predictable state test.
+	mcaMergeStep = 1.75
+	// pullMergeStep prices one step of a pull dot's merge of A_i*
+	// against B_*j, with the per-dot set-up spread over its steps.
+	pullMergeStep = 3.5
 	// heapMaskNear scales the probability that a streamed candidate
 	// finds a mask element at or past its column during the NInspect=1
 	// inspection and therefore takes a full heap round trip instead of
@@ -290,12 +304,12 @@ func hashRowCost(c RowCostContext) float64 {
 }
 
 // mcaRowCost models MCA (§5.4): each selected B row is two-pointer
-// merged against the mask row (F + a·m steps) into arrays compressed
-// to nnz(m_i). Never called for complemented rows — MCA is
+// merged against the mask row (F + a·m/2 merge steps) into arrays
+// compressed to nnz(m_i). Never called for complemented rows — MCA is
 // inadmissible there (famAdmissible).
 func mcaRowCost(c RowCostContext) float64 {
 	m, a, f := float64(c.MaskNNZ), float64(c.ARowNNZ), float64(c.Flops)
-	return 1 + f + 0.5*a*m + m + c.outBound()
+	return 1 + mcaMergeStep*(f+0.5*a*m) + m + c.outBound()
 }
 
 // heapRowCost models Heap (§5.5, NInspect=1): a·log a heap setup plus
@@ -323,11 +337,41 @@ func heapRowCost(c RowCostContext) float64 {
 }
 
 // pullRowCost models the pull-based inner products (§4.1): one
-// merge-dot of cost a + d̄_B per admitted position — the §4.3 model.
-// Under a complemented mask that is Θ(n) dots, which is why pull
-// practically never wins there (§8.4) but stays admissible.
+// merge-dot of a + nnz(B_*j) steps per admitted position j, the §4.3
+// model summed exactly over the row's admitted columns. Under a
+// complemented mask that is Θ(n) dots, which is why pull practically
+// never wins there (§8.4) but stays admissible.
 func pullRowCost(c RowCostContext) float64 {
-	return 1 + c.admitted()*(float64(c.ARowNNZ)+c.AvgBCol)
+	return 1 + pullMergeStep*(c.admitted()*float64(c.ARowNNZ)+float64(c.BColSum))
+}
+
+// bColCounts is the B-column side of the pull cost: nnz(B_*j) for every
+// column j, from one O(nnz(B)) pass per plan.
+type bColCounts struct {
+	nnz   []int32
+	total int64
+}
+
+// newBColCounts histograms B's column indices.
+func newBColCounts[T any](b *sparse.CSR[T]) bColCounts {
+	c := bColCounts{nnz: make([]int32, b.Cols), total: int64(b.NNZ())}
+	for _, j := range b.ColIdx {
+		c.nnz[j]++
+	}
+	return c
+}
+
+// admitted returns Σ nnz(B_*j) over the columns a mask row admits: its
+// own entries on a plain mask, every other column under a complement.
+func (c bColCounts) admitted(maskRow []int32, complement bool) int64 {
+	var sum int64
+	for _, j := range maskRow {
+		sum += int64(c.nnz[j])
+	}
+	if complement {
+		return c.total - sum
+	}
+	return sum
 }
 
 // famAdmissible reports whether a family may be bound under the given
@@ -374,10 +418,8 @@ func polyScan[T any](mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options, fam
 		s, _ := LookupScheme(famAlgo[f])
 		models[i] = s.RowCost
 	}
-	var avgBCol float64
-	if b.Cols > 0 {
-		avgBCol = float64(b.NNZ()) / float64(b.Cols)
-	}
+	pullAt := slices.Index(fams, FamPull)
+	colCounts := newBColCounts(b)
 	cols, complement := mask.Cols, opt.Complement
 	nInspect := resolveHeapNInspect(opt)
 	parallel.ForEachBlock(mask.Rows, parallel.Threads(0), opt.Grain, func(lo, hi, _ int) {
@@ -401,13 +443,24 @@ func polyScan[T any](mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options, fam
 			}
 			ctx := RowCostContext{
 				MaskNNZ: len(maskRow), ARowNNZ: len(aRow), Flops: flops,
-				AvgBCol: avgBCol, Cols: cols, Complement: complement,
-				HeapNInspect: nInspect,
+				Cols: cols, Complement: complement, HeapNInspect: nInspect,
 			}
-			best, bestCost := fams[0], models[0](ctx)
-			for j := 1; j < len(models); j++ {
-				if c := models[j](ctx); c < bestCost {
+			best, bestCost := fams[0], math.Inf(1)
+			for j, model := range models {
+				if j == pullAt {
+					continue
+				}
+				if c := model(ctx); c < bestCost {
 					best, bestCost = fams[j], c
+				}
+			}
+			// Pull's cost grows with BColSum, so its value at zero bounds
+			// it below: the mask-row walk for the exact sum runs only on
+			// rows where pull can still win.
+			if pullAt >= 0 && models[pullAt](ctx) < bestCost {
+				ctx.BColSum = colCounts.admitted(maskRow, complement)
+				if c := models[pullAt](ctx); c < bestCost {
+					best, bestCost = FamPull, c
 				}
 			}
 			fam[i] = uint8(best)

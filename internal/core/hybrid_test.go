@@ -243,12 +243,63 @@ func TestHybridFamilyRows(t *testing.T) {
 // round-trips the heap, so the model must price NInspect=0 strictly
 // above the NInspect=1 inspect-skip regime it would otherwise assume.
 func TestHeapRowCostHonorsNInspect(t *testing.T) {
-	ctx := RowCostContext{MaskNNZ: 4, ARowNNZ: 4, Flops: 4096, AvgBCol: 16, Cols: 4096, HeapNInspect: 1}
+	ctx := RowCostContext{MaskNNZ: 4, ARowNNZ: 4, Flops: 4096, BColSum: 4 * 16, Cols: 4096, HeapNInspect: 1}
 	withInspect := heapRowCost(ctx)
 	ctx.HeapNInspect = 0
 	withoutInspect := heapRowCost(ctx)
 	if withoutInspect <= withInspect {
 		t.Errorf("heapRowCost: NInspect=0 (%f) priced no higher than NInspect=1 (%f)", withoutInspect, withInspect)
+	}
+}
+
+// TestPullRowCostHeavyColumns pins exact pull pricing. Row 0 has a = 2
+// entries, selecting two 256-entry B rows, and its mask admits the 8 hub
+// columns of B, each holding 512 entries, while B's mean column
+// population is 8. Priced at a + d̄_B per dot, its 8 dots look like 80
+// merge steps against 512 push products; their merges really walk the
+// 4096 entries of the hub columns, so the row must not bind Pull.
+func TestPullRowCostHeavyColumns(t *testing.T) {
+	const n = 1024
+	build := func(fill func(coo *sparse.COO[float64])) *sparse.CSR[float64] {
+		coo := sparse.NewCOO[float64](n, n, 0)
+		fill(coo)
+		m, err := coo.ToCSR(func(x, y float64) float64 { return x + y })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	b := build(func(coo *sparse.COO[float64]) {
+		for i := 0; i < 512; i++ {
+			for j := 0; j < 8; j++ {
+				coo.Append(int32(i), int32(j), 1) // the hub columns
+			}
+		}
+		for _, i := range []int32{1000, 1001} {
+			for j := 8; j < 264; j++ {
+				coo.Append(i, int32(j), 1) // the rows A_0* selects
+			}
+		}
+		for i := 512; i < 960; i++ {
+			for k := 0; k < 8; k++ {
+				coo.Append(int32(i), int32(264+(8*i+k)%760), 1) // light filler
+			}
+		}
+	})
+	if mean := float64(b.NNZ()) / n; mean != 8 {
+		t.Fatalf("B's mean column population is %g, want 8", mean)
+	}
+	a := build(func(coo *sparse.COO[float64]) {
+		coo.Append(0, 1000, 1)
+		coo.Append(0, 1001, 1)
+	})
+	mask := build(func(coo *sparse.COO[float64]) {
+		for j := 0; j < 8; j++ {
+			coo.Append(0, int32(j), 1)
+		}
+	}).PatternView()
+	if rows := HybridFamilyRows(mask, a, b, Options{}); rows[FamPull] != 0 {
+		t.Errorf("hub-column row bound Pull: family rows %v", rows)
 	}
 }
 

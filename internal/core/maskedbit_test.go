@@ -155,11 +155,11 @@ func TestMaskedBitSingleFamilyAllocs(t *testing.T) {
 // heavy generation) MSA must stay cheaper, so the bitmap family never
 // simply shadows it.
 func TestMaskedBitRowCostCrossover(t *testing.T) {
-	dense := RowCostContext{MaskNNZ: 512, ARowNNZ: 8, Flops: 64, AvgBCol: 8, Cols: 4096}
+	dense := RowCostContext{MaskNNZ: 512, ARowNNZ: 8, Flops: 64, BColSum: 512 * 8, Cols: 4096}
 	if mb, msa := maskedBitRowCost(dense), msaRowCost(dense); mb >= msa {
 		t.Errorf("dense-mask row: MaskedBit %.1f not cheaper than MSA %.1f", mb, msa)
 	}
-	flopsHeavy := RowCostContext{MaskNNZ: 4, ARowNNZ: 64, Flops: 8192, AvgBCol: 128, Cols: 4096}
+	flopsHeavy := RowCostContext{MaskNNZ: 4, ARowNNZ: 64, Flops: 8192, BColSum: 4 * 128, Cols: 4096}
 	if mb, msa := maskedBitRowCost(flopsHeavy), msaRowCost(flopsHeavy); mb <= msa {
 		t.Errorf("flops-heavy row: MaskedBit %.1f not dearer than MSA %.1f", mb, msa)
 	}
@@ -174,7 +174,7 @@ func TestMaskedBitRowCostCrossover(t *testing.T) {
 // output pays cold lines, so Hash's compact table must win.
 func TestMaskedBitRowCostComplementCrossover(t *testing.T) {
 	const cols = 1 << 17
-	denseOut := RowCostContext{MaskNNZ: 4, ARowNNZ: 64, Flops: 1 << 18, AvgBCol: 4, Cols: cols, Complement: true}
+	denseOut := RowCostContext{MaskNNZ: 4, ARowNNZ: 64, Flops: 1 << 18, BColSum: (cols - 4) * 4, Cols: cols, Complement: true}
 	mb, msa, hash := maskedBitRowCost(denseOut), msaRowCost(denseOut), hashRowCost(denseOut)
 	if msa >= hash {
 		t.Errorf("dense-output row: MSA %.1f not cheaper than Hash %.1f", msa, hash)
@@ -182,7 +182,7 @@ func TestMaskedBitRowCostComplementCrossover(t *testing.T) {
 	if mb >= msa {
 		t.Errorf("dense-output row: MaskedBit %.1f not cheaper than MSA %.1f", mb, msa)
 	}
-	sparseOut := RowCostContext{MaskNNZ: 4, ARowNNZ: 8, Flops: 64, AvgBCol: 4, Cols: cols, Complement: true}
+	sparseOut := RowCostContext{MaskNNZ: 4, ARowNNZ: 8, Flops: 64, BColSum: (cols - 4) * 4, Cols: cols, Complement: true}
 	mb, msa, hash = maskedBitRowCost(sparseOut), msaRowCost(sparseOut), hashRowCost(sparseOut)
 	if hash >= msa || hash >= mb {
 		t.Errorf("sparse-output row: Hash %.1f not cheaper than MSA %.1f and MaskedBit %.1f", hash, msa, mb)

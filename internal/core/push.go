@@ -7,7 +7,8 @@ import (
 )
 
 // pushAcc is the combined numeric+symbolic accumulator protocol the
-// generic push drivers need; MSA, MSAEpoch, and Hash all satisfy it.
+// generic push drivers need; MSA, MSAEpoch, MaskedBit and Hash all
+// satisfy it.
 type pushAcc[T any] interface {
 	accum.Numeric[T]
 	accum.Symbolic
@@ -15,11 +16,18 @@ type pushAcc[T any] interface {
 
 // pushRowNumeric is Algorithm 2 generalized over the accumulator: scale
 // and merge the rows B_k* selected by A_i*, filtered through the mask
-// row, into one output row. The Insert call is where masked-out products
-// are discarded before the multiplication happens (§5.1).
+// row, into one output row. Each selected B row is handed to the
+// accumulator whole: acc is a type parameter of pointer shape, so every
+// method call on it is a dictionary call, and Scatter is where the
+// masked-out products are discarded before the multiplication happens
+// (§5.1), once per A entry rather than once per product.
 //
 //mspgemm:hotpath
 func pushRowNumeric[T any, A pushAcc[T]](acc A, maskRow []int32, aCols []int32, aVals []T, b *sparse.CSR[T], outIdx []int32, outVal []T) int {
+	if len(maskRow) == 0 {
+		// Nothing is admitted, so every product would be discarded.
+		return 0
+	}
 	acc.Begin(maskRow)
 	// Bounds-check elimination hints: aVals walks in lockstep with
 	// aCols, and b.Val in lockstep with b.ColIdx, so reslicing each to
@@ -33,12 +41,7 @@ func pushRowNumeric[T any, A pushAcc[T]](acc A, maskRow []int32, aCols []int32, 
 		c := int(uint32(col))
 		rp := rowPtr[c : c+2]
 		lo, hi := rp[0], rp[1]
-		bCols := colIdx[lo:hi]
-		bVals := vals[lo:hi]
-		av := aVals[k]
-		for t, j := range bCols {
-			acc.Insert(j, av, bVals[t])
-		}
+		acc.Scatter(aVals[k], colIdx[lo:hi], vals[lo:hi])
 	}
 	return acc.Gather(maskRow, outIdx, outVal)
 }
@@ -48,16 +51,16 @@ func pushRowNumeric[T any, A pushAcc[T]](acc A, maskRow []int32, aCols []int32, 
 //
 //mspgemm:hotpath
 func pushRowSymbolic[T any, A pushAcc[T]](acc A, maskRow []int32, aCols []int32, b *sparse.CSR[T]) int {
+	if len(maskRow) == 0 {
+		return 0
+	}
 	acc.BeginSymbolic(maskRow)
 	rowPtr := b.RowPtr
 	colIdx := b.ColIdx
 	for _, col := range aCols {
 		c := int(uint32(col))
 		rp := rowPtr[c : c+2]
-		lo, hi := rp[0], rp[1]
-		for _, j := range colIdx[lo:hi] {
-			acc.InsertPattern(j)
-		}
+		acc.ScatterPattern(colIdx[rp[0]:rp[1]])
 	}
 	return acc.EndSymbolic(maskRow)
 }

@@ -7,8 +7,12 @@
 // §8).
 //
 // Semirings are zero-size structs implementing a tiny generic interface,
-// so kernels instantiated with a concrete semiring monomorphize and the
-// Add/Mul calls inline — there is no interface dispatch in the hot loops.
+// so kernels take them as a type parameter and never box them in an
+// interface value. That does not make Add/Mul free: Go compiles generic
+// code once per GC shape, and every zero-size semiring shares one shape,
+// so inside a generic kernel Add and Mul are indirect calls through the
+// instantiation's dictionary and are not inlined. The accumulators pay
+// them only on products the mask admits.
 package semiring
 
 import "math"

@@ -14,16 +14,21 @@ import (
 // analyzer bans the constructs that defeat that: defer (function-exit
 // bookkeeping), closures (potential escapes), goroutine and select
 // statements, map iteration (random order, hash walking), type
-// asserts, interface method calls, and any conversion of a concrete
-// value to an interface (hidden allocation + dynamic dispatch).
+// asserts, interface method calls, any conversion of a concrete value
+// to an interface (hidden allocation + dynamic dispatch), and a method
+// call through a type-parameter receiver two or more loops deep. Go
+// compiles generic code once per GC shape, so such a call is an indirect
+// call through the instantiation's dictionary; in an inner loop that is
+// one per product (a per-flop call), where moving the loop into the
+// method makes it one per row.
 //
 // It also owns the annotation vocabulary: any //mspgemm: comment whose
 // directive is not in the known set is flagged as a likely typo, so a
 // misspelled annotation cannot silently disable a contract.
 var Hotpath = &analysis.Analyzer{
 	Name: "hotpath",
-	Doc: "forbid defer, closures, map iteration, and interface " +
-		"conversions inside //mspgemm:hotpath functions (flat-loop contract, PR 6)",
+	Doc: "forbid defer, closures, map iteration, interface conversions, " +
+		"and inner-loop type-parameter method calls inside //mspgemm:hotpath functions (flat-loop contract)",
 	Run: runHotpath,
 }
 
@@ -60,9 +65,36 @@ func checkDirectiveSpelling(pass *analysis.Pass) {
 // checkHotBody walks one annotated function body and reports every
 // banned construct.
 func checkHotBody(pass *analysis.Pass, fd *ast.FuncDecl) {
-	name := fd.Name.Name
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	checkHotNode(pass, fd.Name.Name, fd.Body, 0)
+}
+
+// checkHotNode reports the banned constructs under n, which runs inside
+// depth enclosing loops. The parts of a loop that run once (a for
+// statement's init, a range expression) stay at the loop's own depth;
+// the parts that run per iteration are one level deeper.
+func checkHotNode(pass *analysis.Pass, name string, n ast.Node, depth int) {
+	within := func(depth int, nodes ...ast.Node) {
+		for _, n := range nodes {
+			if n != nil {
+				checkHotNode(pass, name, n, depth)
+			}
+		}
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.ForStmt:
+			within(depth, n.Init)
+			within(depth+1, n.Cond, n.Post, n.Body)
+			return false
+		case *ast.RangeStmt:
+			if tv, ok := pass.TypesInfo.Types[n.X]; ok {
+				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+					pass.Reportf(n.Pos(), "map iteration in //mspgemm:hotpath function %s; hash-order walks do not belong in hot loops", name)
+				}
+			}
+			within(depth, n.X)
+			within(depth+1, n.Body)
+			return false
 		case *ast.DeferStmt:
 			pass.Reportf(n.Pos(), "defer in //mspgemm:hotpath function %s; hot loops must stay free of function-exit bookkeeping", name)
 		case *ast.GoStmt:
@@ -74,14 +106,11 @@ func checkHotBody(pass *analysis.Pass, fd *ast.FuncDecl) {
 			return false
 		case *ast.TypeAssertExpr:
 			pass.Reportf(n.Pos(), "type assertion in //mspgemm:hotpath function %s; dynamic type checks do not belong in hot loops", name)
-		case *ast.RangeStmt:
-			if tv, ok := pass.TypesInfo.Types[n.X]; ok {
-				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-					pass.Reportf(n.Pos(), "map iteration in //mspgemm:hotpath function %s; hash-order walks do not belong in hot loops", name)
-				}
-			}
 		case *ast.CallExpr:
 			checkHotCall(pass, name, n)
+			if depth >= 2 {
+				checkTypeParamCall(pass, name, n)
+			}
 		case *ast.AssignStmt:
 			if len(n.Lhs) == len(n.Rhs) {
 				for i := range n.Lhs {
@@ -91,6 +120,28 @@ func checkHotBody(pass *analysis.Pass, fd *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// checkTypeParamCall reports a method call whose receiver is a value of
+// type-parameter type. Generic code is compiled once per GC shape, so
+// the call goes through the instantiation's dictionary: an indirect,
+// never-inlined call. The caller invokes this only two or more loops
+// deep, where such a call runs once per inner iteration — in a push
+// driver, once per product.
+func checkTypeParamCall(pass *analysis.Pass, fn string, call *ast.CallExpr) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	xt, ok := pass.TypesInfo.Types[sel.X]
+	if !ok || !xt.IsValue() {
+		return
+	}
+	if tp, ok := types.Unalias(xt.Type).(*types.TypeParam); ok {
+		pass.Reportf(call.Pos(),
+			"method call %s.%s through type parameter %s two loops deep in //mspgemm:hotpath function %s; generic code is compiled per GC shape, so this is a dictionary call per inner iteration — move the inner loop into the method",
+			types.ExprString(sel.X), sel.Sel.Name, tp.Obj().Name(), fn)
+	}
 }
 
 // checkHotCall reports interface conversions hidden in a call: an
@@ -165,9 +216,11 @@ func checkInterfaceConversion(pass *analysis.Pass, fn string, lhs, rhs ast.Expr)
 
 // isInterface reports whether t is a true interface type. Type
 // parameters are excluded even though their underlying type is the
-// constraint interface: a call or assignment through a type parameter
-// is stenciled statically by the compiler, which is exactly how the
-// accumulator kernels get their semiring operations inlined.
+// constraint interface: a value of type-parameter type is not boxed, so
+// passing or assigning it converts nothing. Method calls through one are
+// not free, though — generic code is compiled per GC shape, so they are
+// dictionary calls — and checkTypeParamCall reports those in inner
+// loops.
 func isInterface(t types.Type) bool {
 	t = types.Unalias(t)
 	if _, ok := t.(*types.TypeParam); ok {
