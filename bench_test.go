@@ -326,25 +326,6 @@ func BenchmarkHashLoadFactor(b *testing.B) {
 	}
 }
 
-// BenchmarkMSAReset — mask-walk reset (paper §5.2) vs epoch stamps.
-func BenchmarkMSAReset(b *testing.B) {
-	sr := semiring.PlusTimes[float64]{}
-	const dim = 1 << 13
-	a := gen.ErdosRenyi(dim, 16, 30)
-	bb := gen.ErdosRenyi(dim, 16, 31)
-	mask := gen.ErdosRenyiPattern(dim, 16, 32)
-	for _, algo := range []core.Algorithm{core.AlgoMSA, core.AlgoMSAEpoch} {
-		opt := core.Options{Algorithm: algo}
-		b.Run(algo.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.MaskedSpGEMM(sr, mask, a, bb, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkGrain — scheduler chunk-size sensitivity on a skewed
 // (R-MAT) workload.
 func BenchmarkGrain(b *testing.B) {

@@ -46,7 +46,7 @@ func nextPow2(n int) int {
 }
 
 // Numeric is the per-row numeric protocol shared by the plain push
-// accumulators (MSA, MSAEpoch, MaskedBit, Hash); the push kernels in
+// accumulators (MSA, MaskedBit, Hash); the push kernels in
 // internal/core are generic over it. Each method is one dictionary call
 // from the driver, so the per-product work lives inside Scatter.
 //

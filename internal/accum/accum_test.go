@@ -25,7 +25,6 @@ type numericAcc interface {
 func plainAccumulators(ncols, maxMask int) map[string]numericAcc {
 	return map[string]numericAcc{
 		"MSA":       NewMSA[float64](pt, ncols),
-		"MSAEpoch":  NewMSAEpoch[float64](pt, ncols),
 		"Hash":      NewHash[float64](pt, maxMask, 0),
 		"Hash-lf1":  NewHash[float64](pt, maxMask, 1.0),
 		"MaskedBit": NewMaskedBit[float64](pt, ncols),
@@ -176,7 +175,7 @@ func eqI(a, b []int32) bool {
 	return true
 }
 
-// TestPlainAccumulatorsQuick property-tests MSA, MSAEpoch, and Hash
+// TestPlainAccumulatorsQuick property-tests MSA, Hash, and MaskedBit
 // against the dense oracle across random insert streams, including
 // reuse of the same accumulator across consecutive rows (reset
 // correctness).

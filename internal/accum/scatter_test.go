@@ -153,7 +153,7 @@ func TestScatterMatchesPerKeyReference(t *testing.T) {
 			}
 		})
 	}
-	if len(cases) != 8 { // 7 accumulators; Hash runs at two load factors
-		t.Fatalf("covered %d accumulator configurations, want 8", len(cases))
+	if len(cases) != 7 { // 6 accumulators; Hash runs at two load factors
+		t.Fatalf("covered %d accumulator configurations, want 7", len(cases))
 	}
 }

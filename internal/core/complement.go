@@ -83,9 +83,7 @@ func pushKernelsC[T any, A pushAccC[T]](mask *sparse.Pattern, a, b *sparse.CSR[T
 	}
 }
 
-// bindMSAC registers complemented MSA (§5.2). It also serves as the
-// MSAEpoch complement fallback — the epoch variant has no complement
-// form of its own.
+// bindMSAC registers complemented MSA (§5.2).
 func bindMSAC[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T]) kernels[T] {
 	exec, ncols := e, b.Cols
 	return pushKernelsC(p.mask, a, b, func(tid int) *accum.MSAC[T, S] {

@@ -148,14 +148,13 @@ func (e *Executor[T, S]) releaseBindings() {
 // family is constructed on first use by a scheme that needs it and
 // grown in place when a later product is wider.
 type workspace[T any, S semiring.Semiring[T]] struct {
-	sr       S
-	msa      *accum.MSA[T, S]
-	msaEpoch *accum.MSAEpoch[T, S]
-	hash     *accum.Hash[T, S]
-	mca      *accum.MCA[T, S]
-	heap     *accum.IterHeap
-	msac     *accum.MSAC[T, S]
-	hashC    *accum.HashC[T, S]
+	sr    S
+	msa   *accum.MSA[T, S]
+	hash  *accum.Hash[T, S]
+	mca   *accum.MCA[T, S]
+	heap  *accum.IterHeap
+	msac  *accum.MSAC[T, S]
+	hashC *accum.HashC[T, S]
 
 	maskedBit  *accum.MaskedBit[T, S]
 	maskedBitC *accum.MaskedBitC[T, S]
@@ -169,16 +168,6 @@ func (w *workspace[T, S]) MSA(ncols int) *accum.MSA[T, S] {
 		w.msa.EnsureCols(ncols)
 	}
 	return w.msa
-}
-
-// MSAEpoch returns the worker's epoch-stamped MSA.
-func (w *workspace[T, S]) MSAEpoch(ncols int) *accum.MSAEpoch[T, S] {
-	if w.msaEpoch == nil {
-		w.msaEpoch = accum.NewMSAEpoch[T](w.sr, ncols)
-	} else {
-		w.msaEpoch.EnsureCols(ncols)
-	}
-	return w.msaEpoch
 }
 
 // Hash returns the worker's hash accumulator configured for the given

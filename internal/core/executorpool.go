@@ -118,17 +118,18 @@ func (p *ExecutorPool[T, S]) Discard(e *Executor[T, S]) {
 // ExecutorPoolStats is a point-in-time snapshot of pool behaviour.
 type ExecutorPoolStats struct {
 	// Created counts executors constructed because the pool was empty.
-	Created uint64
+	Created uint64 `json:"created"`
 	// Reused counts checkouts served by an idle executor.
-	Reused uint64
+	Reused uint64 `json:"reused"`
 	// Discarded counts returns dropped because maxIdle was reached.
-	Discarded uint64
+	Discarded uint64 `json:"discarded"`
 	// Poisoned counts executors dropped via Discard after an
 	// interrupted execution (kernel panic or cancellation) left their
-	// scratch unsafe to reuse.
-	Poisoned uint64
+	// scratch unsafe to reuse. Off the wire: the session's
+	// faults.executors_discarded reports the same count.
+	Poisoned uint64 `json:"-"`
 	// Idle is the current number of retained executors.
-	Idle int
+	Idle int `json:"idle"`
 }
 
 // Stats returns a snapshot of the pool counters.

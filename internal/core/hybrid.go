@@ -647,18 +647,3 @@ func HybridFamilyRows[T any](mask *sparse.Pattern, a, b *sparse.CSR[T], opt Opti
 	}
 	return out
 }
-
-// HybridRowStats reports the pull/push split of the per-row selector
-// (pull = rows bound to FamPull, push = everything else), for
-// diagnostics and the ablation bench.
-func HybridRowStats[T any](mask *sparse.Pattern, a, b *sparse.CSR[T]) (pullRows, pushRows int) {
-	counts := HybridFamilyRows(mask, a, b, Options{})
-	for f, c := range counts {
-		if Family(f) == FamPull {
-			pullRows += c
-		} else {
-			pushRows += c
-		}
-	}
-	return pullRows, pushRows
-}

@@ -174,7 +174,7 @@ func TestHybridSingleFamilyAllocs(t *testing.T) {
 		if w.msa == nil {
 			t.Errorf("%v: bound family's accumulator not materialized", ph)
 		}
-		if w.hash != nil || w.mca != nil || w.heap != nil || w.msaEpoch != nil || w.msac != nil || w.hashC != nil || w.maskedBit != nil || w.maskedBitC != nil {
+		if w.hash != nil || w.mca != nil || w.heap != nil || w.msac != nil || w.hashC != nil || w.maskedBit != nil || w.maskedBitC != nil {
 			t.Errorf("%v: unbound families materialized accumulators", ph)
 		}
 		allocs := testing.AllocsPerRun(10, func() {

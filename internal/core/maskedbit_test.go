@@ -135,7 +135,7 @@ func TestMaskedBitSingleFamilyAllocs(t *testing.T) {
 		if w.maskedBit == nil {
 			t.Errorf("%v: bound family's accumulator not materialized", ph)
 		}
-		if w.msa != nil || w.hash != nil || w.mca != nil || w.heap != nil || w.msaEpoch != nil || w.msac != nil || w.hashC != nil || w.maskedBitC != nil {
+		if w.msa != nil || w.hash != nil || w.mca != nil || w.heap != nil || w.msac != nil || w.hashC != nil || w.maskedBitC != nil {
 			t.Errorf("%v: unbound families materialized accumulators", ph)
 		}
 		allocs := testing.AllocsPerRun(10, func() {

@@ -22,9 +22,10 @@ const (
 	// AlgoMSA is the push algorithm over the Masked Sparse Accumulator
 	// (§5.2).
 	AlgoMSA Algorithm = iota
-	// AlgoMSAEpoch is MSA with epoch-stamped O(1)-reset states; the
-	// reset-strategy ablation (DESIGN.md §6), not a paper scheme.
-	AlgoMSAEpoch
+	// Reserved: the retired epoch-reset MSA ablation (DESIGN.md §6).
+	// The blank keeps every later Algorithm value — part of plan-cache
+	// keys — at its old number.
+	_
 	// AlgoHash is the push algorithm over the open-addressing hash
 	// accumulator with load factor 0.25 (§5.3).
 	AlgoHash

@@ -10,7 +10,6 @@ import (
 func TestAlgorithmStrings(t *testing.T) {
 	want := map[Algorithm]string{
 		AlgoMSA:           "MSA",
-		AlgoMSAEpoch:      "MSA-Epoch",
 		AlgoHash:          "Hash",
 		AlgoMCA:           "MCA",
 		AlgoHeap:          "Heap",
@@ -19,6 +18,7 @@ func TestAlgorithmStrings(t *testing.T) {
 		AlgoSaxpyThenMask: "SS:SAXPY*",
 		AlgoDotTranspose:  "SS:DOT*",
 		AlgoHybrid:        "Hybrid",
+		AlgoMaskedBit:     "MaskedBit",
 	}
 	for algo, name := range want {
 		if algo.String() != name {
@@ -27,6 +27,14 @@ func TestAlgorithmStrings(t *testing.T) {
 	}
 	if !strings.HasPrefix(Algorithm(200).String(), "Algorithm(") {
 		t.Error("unknown algorithm should format numerically")
+	}
+	// Slot 1 is the retired epoch-reset MSA: unregistered, and every
+	// later value keeps the number plan-cache keys were built with.
+	if Algorithm(1).String() != "Algorithm(1)" {
+		t.Errorf("reserved slot 1 resolves to %q", Algorithm(1).String())
+	}
+	if AlgoHash != 2 || AlgoHybrid != 9 || AlgoMaskedBit != 10 {
+		t.Error("Algorithm values renumbered")
 	}
 	if OnePhase.String() != "1P" || TwoPhase.String() != "2P" {
 		t.Error("phase strings wrong")
@@ -39,7 +47,7 @@ func TestAlgorithmStrings(t *testing.T) {
 
 func TestAlgorithmEnumerations(t *testing.T) {
 	all := Algorithms()
-	if len(all) != 11 {
+	if len(all) != 10 {
 		t.Errorf("Algorithms() has %d entries", len(all))
 	}
 	seen := map[Algorithm]bool{}
@@ -54,7 +62,7 @@ func TestAlgorithmEnumerations(t *testing.T) {
 		t.Errorf("PaperAlgorithms() has %d entries, want 6", len(paper))
 	}
 	for _, a := range paper {
-		if a == AlgoMSAEpoch || a == AlgoSaxpyThenMask || a == AlgoDotTranspose || a == AlgoHybrid {
+		if a == AlgoMaskedBit || a == AlgoSaxpyThenMask || a == AlgoDotTranspose || a == AlgoHybrid {
 			t.Errorf("%v is not a paper scheme", a)
 		}
 	}

@@ -350,26 +350,26 @@ func (c *PlanCache[T, S]) Clear() {
 // PlanCacheStats is a point-in-time snapshot of cache effectiveness.
 type PlanCacheStats struct {
 	// Hits counts lookups answered from the cache.
-	Hits uint64
+	Hits uint64 `json:"hits"`
 	// Misses counts lookups not answered from the cache, including
 	// those that coalesced onto another goroutine's in-flight planning.
-	Misses uint64
+	Misses uint64 `json:"misses"`
 	// CoalescedMisses counts misses that waited on an in-flight planner
 	// instead of planning themselves (singleflight): of a burst of N
 	// concurrent first requests for one structure, N−1 coalesce.
-	CoalescedMisses uint64
+	CoalescedMisses uint64 `json:"coalesced_misses"`
 	// Evictions counts entries dropped by the entry or byte bound.
-	Evictions uint64
+	Evictions uint64 `json:"evictions"`
 	// Entries is the current number of cached plans.
-	Entries int
+	Entries int `json:"entries"`
 	// Bytes is the estimated retained analysis memory of all entries.
-	Bytes int64
+	Bytes int64 `json:"bytes"`
 	// HybridFamilyRows sums, across the currently cached hybrid plans,
 	// how many output rows each accumulator family is bound to execute,
 	// keyed by Family name ("MSA", "MaskedBit", ...) — the operator's
 	// view of per-family adoption. Nil when no cached plan carries a
 	// per-row binding.
-	HybridFamilyRows map[string]int64
+	HybridFamilyRows map[string]int64 `json:"hybrid_family_rows,omitempty"`
 }
 
 // Stats returns a snapshot of the cache counters.

@@ -7,8 +7,7 @@ import (
 )
 
 // pushAcc is the combined numeric+symbolic accumulator protocol the
-// generic push drivers need; MSA, MSAEpoch, MaskedBit and Hash all
-// satisfy it.
+// generic push drivers need; MSA, MaskedBit and Hash all satisfy it.
 type pushAcc[T any] interface {
 	accum.Numeric[T]
 	accum.Symbolic
@@ -84,14 +83,6 @@ func bindMSA[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a,
 	exec, ncols := e, b.Cols
 	return pushKernels(p.mask, a, b, func(tid int) *accum.MSA[T, S] {
 		return exec.worker(tid).MSA(ncols)
-	})
-}
-
-// bindMSAEpoch registers the epoch-reset MSA ablation variant.
-func bindMSAEpoch[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T]) kernels[T] {
-	exec, ncols := e, b.Cols
-	return pushKernels(p.mask, a, b, func(tid int) *accum.MSAEpoch[T, S] {
-		return exec.worker(tid).MSAEpoch(ncols)
 	})
 }
 

@@ -50,9 +50,6 @@ type SchemeInfo struct {
 // order is observable through Algorithms()/PaperAlgorithms().
 var schemeTable = []SchemeInfo{
 	{Algo: AlgoMSA, Name: "MSA", Paper: true, Complement: true, RowCost: msaRowCost},
-	// The epoch variant has no complement form of its own; its
-	// complement kernel registration falls back to MSAC.
-	{Algo: AlgoMSAEpoch, Name: "MSA-Epoch", Complement: true},
 	// The bitmap-state MSA variant (DESIGN.md §12); not a paper scheme.
 	{Algo: AlgoMaskedBit, Name: "MaskedBit", Complement: true, RowCost: maskedBitRowCost},
 	{Algo: AlgoHash, Name: "Hash", Paper: true, Complement: true, RowCost: hashRowCost},
@@ -170,8 +167,6 @@ func kernelsForAlgo[T any, S semiring.Semiring[T]](a Algorithm) schemeKernels[T,
 	switch a {
 	case AlgoMSA:
 		return schemeKernels[T, S]{plain: bindMSA[T, S], complement: bindMSAC[T, S]}
-	case AlgoMSAEpoch:
-		return schemeKernels[T, S]{plain: bindMSAEpoch[T, S], complement: bindMSAC[T, S]}
 	case AlgoMaskedBit:
 		return schemeKernels[T, S]{plain: bindMaskedBit[T, S], complement: bindMaskedBitC[T, S]}
 	case AlgoHash:

@@ -34,36 +34,48 @@ func vecEqual(a, b *sparse.Vector[float64]) bool {
 	return true
 }
 
+// TestMaskedSpVMAgainstOracle runs MaskedSpVM over the whole scheme
+// registry × {plain, complement} × {1P, 2P}: every combination either
+// matches the dense oracle or fails with exactly the registry's
+// documented complement error. One executor serves the whole sweep, as
+// in a BFS loop, and the first result must survive every later call —
+// results never alias executor scratch.
 func TestMaskedSpVMAgainstOracle(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
 	b := gen.Random(60, 60, 8, 51)
-	uRow := gen.Random(1, 60, 12, 52)
-	u := sparse.RowVector(uRow, 0)
-	maskRow := gen.Random(1, 60, 10, 53)
-	mask := maskRow.Row(0)
-
-	plainAlgos := []Algorithm{AlgoMSA, AlgoHash, AlgoMCA, AlgoHeap, AlgoHeapDot}
-	want := spvmOracle(mask, u, b, false)
-	for _, algo := range plainAlgos {
-		got, err := MaskedSpVM(sr, mask, u, b, Options{Algorithm: algo})
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		if !vecEqual(want, got) {
-			t.Errorf("%v: mismatch (got %v/%v, want %v/%v)", algo, got.Idx, got.Val, want.Idx, want.Val)
+	u := sparse.RowVector(gen.Random(1, 60, 12, 52), 0)
+	mask := gen.Random(1, 60, 10, 53).Row(0)
+	exec := NewExecutor[float64](sr)
+	var first, firstWant *sparse.Vector[float64]
+	for _, info := range Schemes() {
+		for _, complement := range []bool{false, true} {
+			want := spvmOracle(mask, u, b, complement)
+			for _, ph := range []Phases{OnePhase, TwoPhase} {
+				opt := Options{Algorithm: info.Algo, Phases: ph, Complement: complement}
+				name := opt.SchemeName()
+				got, err := MaskedSpVMWith(exec, mask, u, b, opt)
+				if complement && !info.Complement {
+					if err == nil || err.Error() != info.ComplementNote {
+						t.Errorf("%s complement: error %v, want documented %q", name, err, info.ComplementNote)
+					}
+					continue
+				}
+				if err != nil {
+					t.Errorf("%s complement=%v: %v", name, complement, err)
+					continue
+				}
+				if !vecEqual(want, got) {
+					t.Errorf("%s complement=%v: mismatch (got %v/%v, want %v/%v)",
+						name, complement, got.Idx, got.Val, want.Idx, want.Val)
+				}
+				if first == nil {
+					first, firstWant = got, want
+				}
+			}
 		}
 	}
-
-	compAlgos := []Algorithm{AlgoMSA, AlgoHash, AlgoHeap}
-	wantC := spvmOracle(mask, u, b, true)
-	for _, algo := range compAlgos {
-		got, err := MaskedSpVM(sr, mask, u, b, Options{Algorithm: algo, Complement: true})
-		if err != nil {
-			t.Fatalf("%v complement: %v", algo, err)
-		}
-		if !vecEqual(wantC, got) {
-			t.Errorf("%v complement: mismatch", algo)
-		}
+	if first != nil && !vecEqual(firstWant, first) {
+		t.Error("an earlier result changed under later calls on the same executor")
 	}
 }
 
@@ -75,8 +87,8 @@ func TestMaskedSpVMErrors(t *testing.T) {
 		t.Error("want dimension error")
 	}
 	u2 := sparse.NewVector[float64](10)
-	if _, err := MaskedSpVM(sr, nil, u2, b, Options{Algorithm: AlgoInner}); err == nil {
-		t.Error("want unsupported-algorithm error for Inner")
+	if _, err := MaskedSpVM(sr, nil, u2, b, Options{Algorithm: Algorithm(200)}); err == nil {
+		t.Error("want unknown-algorithm error")
 	}
 	if _, err := MaskedSpVM(sr, nil, u2, b, Options{Algorithm: AlgoMCA, Complement: true}); err == nil {
 		t.Error("want unsupported-algorithm error for complemented MCA")
@@ -107,7 +119,7 @@ func TestHybridRowStats(t *testing.T) {
 	// Dense inputs + sparse mask → mostly pull rows.
 	aD := gen.Random(64, 64, 32, 61)
 	mSparse := gen.Random(64, 64, 1, 62).PatternView()
-	pull, push := HybridRowStats(mSparse, aD, aD)
+	pull, push := pullPushRows(HybridFamilyRows(mSparse, aD, aD, Options{}))
 	if pull+push != 64 {
 		t.Fatalf("rows don't add up: %d+%d", pull, push)
 	}
@@ -117,11 +129,23 @@ func TestHybridRowStats(t *testing.T) {
 	// Sparse inputs + dense mask → mostly push rows.
 	aS := gen.Random(64, 64, 2, 63)
 	mDense := gen.Random(64, 64, 48, 64).PatternView()
-	pull2, push2 := HybridRowStats(mDense, aS, aS)
+	_, push2 := pullPushRows(HybridFamilyRows(mDense, aS, aS, Options{}))
 	if push2 == 0 {
 		t.Error("sparse inputs + dense mask should produce push rows")
 	}
-	_ = pull2
+}
+
+// pullPushRows splits HybridFamilyRows into the rows bound to FamPull
+// and the rows bound to any push family.
+func pullPushRows(rows [NumFamilies]int) (pull, push int) {
+	for f, n := range rows {
+		if Family(f) == FamPull {
+			pull += n
+		} else {
+			push += n
+		}
+	}
+	return pull, push
 }
 
 // TestHybridMixedRegime builds a matrix whose rows straddle the
@@ -159,7 +183,7 @@ func TestHybridMixedRegime(t *testing.T) {
 			t.Fatalf("hybrid %v: %s", ph, d)
 		}
 	}
-	pull, push := HybridRowStats(mask, a, b)
+	pull, push := pullPushRows(HybridFamilyRows(mask, a, b, Options{}))
 	if pull == 0 || push == 0 {
 		t.Errorf("mixed regime should use both paths (pull=%d push=%d)", pull, push)
 	}

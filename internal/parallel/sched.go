@@ -130,15 +130,16 @@ func (s SchedStats) Clone() SchedStats {
 // concurrency-safe; callers aggregate under their own lock.
 type SchedSummary struct {
 	// Passes counts the recorded executions.
-	Passes uint64
-	// Busy is the summed worker busy time over all recorded executions.
-	Busy time.Duration
+	Passes uint64 `json:"passes"`
+	// Busy is the summed worker busy time over all recorded executions,
+	// encoded as integer nanoseconds.
+	Busy time.Duration `json:"busy_nanos"`
 	// BlocksClaimed is the total number of executed blocks.
-	BlocksClaimed uint64
+	BlocksClaimed uint64 `json:"blocks_claimed"`
 	// BlocksStolen is the total number of steal events.
-	BlocksStolen uint64
+	BlocksStolen uint64 `json:"blocks_stolen"`
 	// WorstImbalance is the highest per-execution Imbalance observed.
-	WorstImbalance float64
+	WorstImbalance float64 `json:"worst_imbalance"`
 }
 
 // Record folds one execution's stats into the summary.

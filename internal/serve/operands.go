@@ -243,7 +243,7 @@ func (s *Server) handleOperands(w http.ResponseWriter, r *http.Request) {
 			receipts = append(receipts, s.receiptFor(up.name, up.m))
 		}
 	}
-	writeJSON(w, operandsResponse{Operands: receipts, Store: storeStatsWire(s.session.Stats().Store)})
+	writeJSON(w, operandsResponse{Operands: receipts, Store: s.session.Stats().Store})
 }
 
 // operandsResponse is the PUT /v1/operands payload.
@@ -251,7 +251,7 @@ type operandsResponse struct {
 	// Operands describes each stored upload, in body order.
 	Operands []operandReceipt `json:"operands"`
 	// Store is the post-upload store snapshot.
-	Store storeStatsJSON `json:"store"`
+	Store maskedspgemm.StoreStats `json:"store"`
 }
 
 // missingOperandJSON names one unresolved operand in a 404.

@@ -393,11 +393,13 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"warmed": true, "cache": s.session.Stats().Cache})
 }
 
-// statsResponse is the /stats payload.
+// statsResponse is the /stats payload. Every block is a stats type
+// encoded through its own JSON tags, so /stats, /v1/warm, and the Go
+// API share one vocabulary.
 type statsResponse struct {
-	// Session carries the plan-cache, executor-pool, and scheduler
-	// counters (SessionStats).
-	Session sessionStatsJSON `json:"session"`
+	// Session carries the plan-cache, store, budget, executor-pool,
+	// scheduler, and fault counters.
+	Session maskedspgemm.SessionStats `json:"session"`
 	// Admission carries the front door's counters.
 	Admission AdmissionStats `json:"admission"`
 	// RecentMisses is the tail of the plan-miss log, newest last — the
@@ -405,164 +407,10 @@ type statsResponse struct {
 	RecentMisses []missRecord `json:"recent_misses"`
 }
 
-// sessionStatsJSON mirrors maskedspgemm.SessionStats with stable
-// lowercase JSON names for external consumers.
-type sessionStatsJSON struct {
-	// Cache is the plan-cache snapshot.
-	Cache cacheStatsJSON `json:"cache"`
-	// Store is the operand-store snapshot.
-	Store storeStatsJSON `json:"store"`
-	// Budget is the shared memory budget the cache and store draw from.
-	Budget budgetStatsJSON `json:"budget"`
-	// Pool is the executor-pool snapshot.
-	Pool poolStatsJSON `json:"pool"`
-	// Sched is the cumulative scheduler telemetry.
-	Sched schedStatsJSON `json:"sched"`
-	// Faults is the fault-containment block (DESIGN.md §15).
-	Faults faultStatsJSON `json:"faults"`
-}
-
-// storeStatsJSON is the wire form of StoreStats.
-type storeStatsJSON struct {
-	// Hits counts reference resolutions answered by a resident operand.
-	Hits uint64 `json:"hits"`
-	// Misses counts resolutions of absent content — the dangling refs.
-	Misses uint64 `json:"misses"`
-	// Puts counts uploads that created a resident operand.
-	Puts uint64 `json:"puts"`
-	// Reputs counts idempotent re-uploads of resident content.
-	Reputs uint64 `json:"reputs"`
-	// Evictions counts operands dropped under budget pressure.
-	Evictions uint64 `json:"evictions"`
-	// Operands is the current number of resident matrices.
-	Operands int `json:"operands"`
-	// Patterns is the current number of resident structures (shared
-	// across value sets, so Patterns ≤ Operands).
-	Patterns int `json:"patterns"`
-	// Bytes is the store's share of the memory budget.
-	Bytes int64 `json:"bytes"`
-}
-
-// storeStatsWire converts a StoreStats snapshot to its wire form.
-func storeStatsWire(st maskedspgemm.StoreStats) storeStatsJSON {
-	return storeStatsJSON{
-		Hits:      st.Hits,
-		Misses:    st.Misses,
-		Puts:      st.Puts,
-		Reputs:    st.Reputs,
-		Evictions: st.Evictions,
-		Operands:  st.Operands,
-		Patterns:  st.Patterns,
-		Bytes:     st.Bytes,
-	}
-}
-
-// budgetStatsJSON is the wire form of BudgetStats.
-type budgetStatsJSON struct {
-	// UsedBytes is the budget's current charge (plan cache + store).
-	UsedBytes int64 `json:"used_bytes"`
-	// MaxBytes is the configured ceiling.
-	MaxBytes int64 `json:"max_bytes"`
-}
-
-// cacheStatsJSON is the wire form of CacheStats.
-type cacheStatsJSON struct {
-	// Hits counts lookups answered from the cache.
-	Hits uint64 `json:"hits"`
-	// Misses counts lookups that planned (or waited on planning).
-	Misses uint64 `json:"misses"`
-	// CoalescedMisses counts misses absorbed by singleflight.
-	CoalescedMisses uint64 `json:"coalesced_misses"`
-	// Evictions counts entries dropped by the cache bounds.
-	Evictions uint64 `json:"evictions"`
-	// Entries is the current number of cached plans.
-	Entries int `json:"entries"`
-	// Bytes is the estimated retained analysis memory.
-	Bytes int64 `json:"bytes"`
-	// HybridFamilyRows sums per-family bound row counts across the
-	// cached hybrid plans, keyed by family name ("MSA", "MaskedBit",
-	// ...); omitted when no cached plan carries a per-row binding.
-	HybridFamilyRows map[string]int64 `json:"hybrid_family_rows,omitempty"`
-}
-
-// poolStatsJSON is the wire form of PoolStats.
-type poolStatsJSON struct {
-	// Created counts executors constructed on an empty pool.
-	Created uint64 `json:"created"`
-	// Reused counts checkouts served by an idle executor.
-	Reused uint64 `json:"reused"`
-	// Discarded counts returns dropped at the idle bound.
-	Discarded uint64 `json:"discarded"`
-	// Idle is the current number of retained executors.
-	Idle int `json:"idle"`
-}
-
-// faultStatsJSON is the wire form of FaultStats: the counters an
-// operator alerts on — a rising kernel_panics means a kernel bug is
-// being contained, not absent.
-type faultStatsJSON struct {
-	// ExecCanceled counts executions stopped cooperatively (client
-	// disconnect or X-Exec-Deadline-Ms).
-	ExecCanceled uint64 `json:"exec_canceled"`
-	// KernelPanics counts panics recovered inside parallel kernels.
-	KernelPanics uint64 `json:"kernel_panics"`
-	// ExecutorsDiscarded counts executors poisoned by either and
-	// dropped un-pooled.
-	ExecutorsDiscarded uint64 `json:"executors_discarded"`
-}
-
-// schedStatsJSON is the wire form of SchedSummary.
-type schedStatsJSON struct {
-	// Passes counts executions that recorded telemetry.
-	Passes uint64 `json:"passes"`
-	// BusyNanos is total worker busy time across recorded passes.
-	BusyNanos int64 `json:"busy_nanos"`
-	// BlocksClaimed counts scheduler blocks claimed normally.
-	BlocksClaimed uint64 `json:"blocks_claimed"`
-	// BlocksStolen counts blocks obtained by work stealing.
-	BlocksStolen uint64 `json:"blocks_stolen"`
-	// WorstImbalance is the worst per-pass busy-time imbalance.
-	WorstImbalance float64 `json:"worst_imbalance"`
-}
-
 // handleStats reports the counters a dashboard or autoscaler reads.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.session.Stats()
 	writeJSON(w, statsResponse{
-		Session: sessionStatsJSON{
-			Cache: cacheStatsJSON{
-				Hits:             st.Cache.Hits,
-				Misses:           st.Cache.Misses,
-				CoalescedMisses:  st.Cache.CoalescedMisses,
-				Evictions:        st.Cache.Evictions,
-				Entries:          st.Cache.Entries,
-				Bytes:            st.Cache.Bytes,
-				HybridFamilyRows: st.Cache.HybridFamilyRows,
-			},
-			Store: storeStatsWire(st.Store),
-			Budget: budgetStatsJSON{
-				UsedBytes: st.Budget.UsedBytes,
-				MaxBytes:  st.Budget.MaxBytes,
-			},
-			Pool: poolStatsJSON{
-				Created:   st.Pool.Created,
-				Reused:    st.Pool.Reused,
-				Discarded: st.Pool.Discarded,
-				Idle:      st.Pool.Idle,
-			},
-			Sched: schedStatsJSON{
-				Passes:         st.Sched.Passes,
-				BusyNanos:      int64(st.Sched.Busy),
-				BlocksClaimed:  st.Sched.BlocksClaimed,
-				BlocksStolen:   st.Sched.BlocksStolen,
-				WorstImbalance: st.Sched.WorstImbalance,
-			},
-			Faults: faultStatsJSON{
-				ExecCanceled:       st.Faults.ExecCanceled,
-				KernelPanics:       st.Faults.KernelPanics,
-				ExecutorsDiscarded: st.Faults.ExecutorsDiscarded,
-			},
-		},
+		Session:      s.session.Stats(),
 		Admission:    s.adm.stats(),
 		RecentMisses: s.misses.recent(),
 	})

@@ -466,6 +466,26 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
+// TestServeRetiredAlgorithm checks that the deleted MSA-Epoch ablation
+// is an unknown scheme on the wire: 400, naming every registered
+// scheme and not the retired one.
+func TestServeRetiredAlgorithm(t *testing.T) {
+	h := servetest.Start(t, New(Config{}))
+	resp := h.Post("/v1/multiply?algorithm=MSA-Epoch", servetest.EncodeSerial(t, maskedspgemm.ErdosRenyi(16, 4, 73)), nil)
+	if resp.Status != http.StatusBadRequest {
+		t.Fatalf("MSA-Epoch: status %d: %s", resp.Status, resp.Body)
+	}
+	msg := string(resp.Body)
+	if !strings.Contains(msg, "want one of "+algorithmNames()) || strings.Contains(algorithmNames(), "Epoch") {
+		t.Errorf("MSA-Epoch rejection does not list the remaining schemes: %s", msg)
+	}
+	for _, name := range []string{"MSA", "MaskedBit", "Hash", "Hybrid"} {
+		if !strings.Contains(msg, name) {
+			t.Errorf("rejection omits %s: %s", name, msg)
+		}
+	}
+}
+
 // TestServeBodyTooLarge pins the size-cap status: a body over
 // MaxBodyBytes is 413 Content Too Large on all body-reading endpoints,
 // not a generic 400 that hides the cap from clients.

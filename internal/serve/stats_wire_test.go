@@ -79,3 +79,34 @@ func TestServeStatsWireGolden(t *testing.T) {
 		t.Errorf("sched.passes = %s, want the telemetry multiply recorded", doc.Session["sched"]["passes"])
 	}
 }
+
+// TestServeWarmCacheWireKeys checks that /v1/warm reports its cache
+// block in the /stats vocabulary: the same snake_case keys as
+// session.cache, not Go field names.
+func TestServeWarmCacheWireKeys(t *testing.T) {
+	h := servetest.Start(t, New(Config{}))
+	body := servetest.EncodeSerial(t, maskedspgemm.ErdosRenyi(48, 4, 72))
+	resp := h.Post("/v1/warm?algorithm=msa", body, nil)
+	if resp.Status != http.StatusOK {
+		t.Fatalf("warm: status %d: %s", resp.Status, resp.Body)
+	}
+	var warm struct {
+		Warmed bool                       `json:"warmed"`
+		Cache  map[string]json.RawMessage `json:"cache"`
+	}
+	if err := json.Unmarshal(resp.Body, &warm); err != nil {
+		t.Fatal(err)
+	}
+	var stats struct {
+		Session struct {
+			Cache map[string]json.RawMessage `json:"cache"`
+		} `json:"session"`
+	}
+	if err := json.Unmarshal(h.Get("/stats").Body, &stats); err != nil {
+		t.Fatal(err)
+	}
+	got, want := jsonKeys(warm.Cache), jsonKeys(stats.Session.Cache)
+	if !warm.Warmed || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("warm response: warmed=%v cache keys %v, want /stats session.cache keys %v", warm.Warmed, got, want)
+	}
+}

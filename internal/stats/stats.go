@@ -12,7 +12,6 @@ import (
 	"math"
 	"sort"
 
-	maskedspgemm "maskedspgemm"
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/parallel"
 	"maskedspgemm/internal/sparse"
@@ -139,17 +138,6 @@ func WriteSchedStats(w io.Writer, st parallel.SchedStats) {
 	}
 	fmt.Fprintf(w, "  total busy %s over %d blocks (%d stolen), imbalance %.2f\n",
 		total, st.Claimed(), st.Stolen(), st.Imbalance())
-}
-
-// WriteFaultStats renders a session's fault-containment counters
-// (maskedspgemm.FaultStats, DESIGN.md §15) as an aligned key-value
-// block. The keys are the same wire names the /stats endpoint exposes
-// (exec_canceled, kernel_panics, executors_discarded), so text
-// dashboards and JSON consumers grep for one vocabulary.
-func WriteFaultStats(w io.Writer, fs maskedspgemm.FaultStats) {
-	fmt.Fprintf(w, "  %-20s %d\n", "exec_canceled", fs.ExecCanceled)
-	fmt.Fprintf(w, "  %-20s %d\n", "kernel_panics", fs.KernelPanics)
-	fmt.Fprintf(w, "  %-20s %d\n", "executors_discarded", fs.ExecutorsDiscarded)
 }
 
 // MaskedWork summarizes Figure 1's argument for one masked product:

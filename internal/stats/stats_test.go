@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	maskedspgemm "maskedspgemm"
 	"maskedspgemm/internal/gen"
 	"maskedspgemm/internal/parallel"
 	"maskedspgemm/internal/sparse"
@@ -139,30 +138,6 @@ func TestWriteSchedStatsGolden(t *testing.T) {
 		"  total busy 4ms over 14 blocks (1 stolen), imbalance 1.50\n"
 	if got := buf.String(); got != want {
 		t.Errorf("WriteSchedStats rendering drifted.\ngot:\n%swant:\n%s", got, want)
-	}
-}
-
-// TestWriteFaultStatsGolden pins the fault-counter rendering byte for
-// byte: the keys must stay the /stats wire names, since operators grep
-// the same vocabulary across the text and JSON surfaces.
-func TestWriteFaultStatsGolden(t *testing.T) {
-	var buf bytes.Buffer
-	WriteFaultStats(&buf, maskedspgemm.FaultStats{ExecCanceled: 3, KernelPanics: 1, ExecutorsDiscarded: 4})
-	want := "" +
-		"  exec_canceled        3\n" +
-		"  kernel_panics        1\n" +
-		"  executors_discarded  4\n"
-	if got := buf.String(); got != want {
-		t.Errorf("WriteFaultStats rendering drifted.\ngot:\n%swant:\n%s", got, want)
-	}
-	buf.Reset()
-	WriteFaultStats(&buf, maskedspgemm.FaultStats{})
-	want = "" +
-		"  exec_canceled        0\n" +
-		"  kernel_panics        0\n" +
-		"  executors_discarded  0\n"
-	if got := buf.String(); got != want {
-		t.Errorf("WriteFaultStats zero rendering drifted.\ngot:\n%swant:\n%s", got, want)
 	}
 }
 

@@ -332,23 +332,23 @@ func (s *Store) BudgetEvict() int64 {
 // Stats is a point-in-time snapshot of store effectiveness.
 type Stats struct {
 	// Hits counts reference resolutions answered by a resident entry.
-	Hits uint64
+	Hits uint64 `json:"hits"`
 	// Misses counts resolutions of refs (or pattern fingerprints) not
 	// resident — the 404s of the reference form.
-	Misses uint64
+	Misses uint64 `json:"misses"`
 	// Puts counts entries inserted (full uploads and values deltas).
-	Puts uint64
+	Puts uint64 `json:"puts"`
 	// Reputs counts idempotent re-uploads of already-resident content.
-	Reputs uint64
+	Reputs uint64 `json:"reputs"`
 	// Evictions counts entries dropped by budget pressure.
-	Evictions uint64
+	Evictions uint64 `json:"evictions"`
 	// Operands is the current number of resident value sets.
-	Operands int
+	Operands int `json:"operands"`
 	// Patterns is the current number of distinct resident structures.
-	Patterns int
+	Patterns int `json:"patterns"`
 	// Bytes is the accounted resident memory (values, shared patterns,
 	// fixed overheads).
-	Bytes int64
+	Bytes int64 `json:"bytes"`
 }
 
 // StatsSnapshot returns the current counters.

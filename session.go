@@ -444,9 +444,9 @@ type StoreStats = store.Stats
 // resident operands draw from.
 type BudgetStats struct {
 	// UsedBytes is the accounted total across cache and store.
-	UsedBytes int64
+	UsedBytes int64 `json:"used_bytes"`
 	// MaxBytes is the configured budget (WithMemoryBudget).
-	MaxBytes int64
+	MaxBytes int64 `json:"max_bytes"`
 }
 
 // FaultStats counts the session's fault-containment events: executions
@@ -455,36 +455,37 @@ type FaultStats struct {
 	// ExecCanceled counts executions stopped by cooperative
 	// cancellation — a canceled MultiplyCtx context or a latched token —
 	// before completing.
-	ExecCanceled uint64
+	ExecCanceled uint64 `json:"exec_canceled"`
 	// KernelPanics counts executions that ended in a recovered kernel
 	// panic (*KernelPanicError).
-	KernelPanics uint64
+	KernelPanics uint64 `json:"kernel_panics"`
 	// ExecutorsDiscarded counts executors dropped un-pooled because an
 	// interrupted execution left their scratch unsafe to reuse; tracks
 	// the pool's Poisoned counter.
-	ExecutorsDiscarded uint64
+	ExecutorsDiscarded uint64 `json:"executors_discarded"`
 }
 
 // SessionStats is a point-in-time snapshot of a session's cache, pool,
 // store, and scheduler behaviour, for dashboards and capacity tuning.
+// Its JSON encoding is the session block of mspgemm-serve's /stats.
 type SessionStats struct {
 	// Cache reports plan-cache hits, misses (including coalesced
 	// misses), evictions, and footprint.
-	Cache CacheStats
-	// Pool reports executor creations, reuses, discards, and idle count.
-	Pool PoolStats
+	Cache CacheStats `json:"cache"`
 	// Store reports operand-store hits, misses, puts, evictions, and
 	// residency.
-	Store StoreStats
+	Store StoreStats `json:"store"`
 	// Budget reports the shared byte budget cache and store evict
 	// against.
-	Budget BudgetStats
+	Budget BudgetStats `json:"budget"`
+	// Pool reports executor creations, reuses, discards, and idle count.
+	Pool PoolStats `json:"pool"`
 	// Sched accumulates scheduler telemetry over every Multiply issued
 	// with WithSchedStats; zero when the option is never used.
-	Sched SchedSummary
+	Sched SchedSummary `json:"sched"`
 	// Faults counts fault-containment events: canceled executions,
 	// recovered kernel panics, and the executors poisoned by either.
-	Faults FaultStats
+	Faults FaultStats `json:"faults"`
 }
 
 // Stats returns a snapshot of the session's counters.
