@@ -179,44 +179,66 @@ func ReadFile(path string) (*sparse.CSR[float64], *Header, error) {
 	return Read(f)
 }
 
-// Write emits a CSR matrix in coordinate/real/general form.
+// Write emits a CSR matrix in coordinate/real/general form. Values are
+// printed with 17 significant digits (%.17g), so they read back
+// bit-exactly.
 func Write(w io.Writer, m *sparse.CSR[float64]) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := fmt.Fprintf(bw, "%%%%MatrixMarket matrix coordinate real general\n"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(bw, "%d %d %d\n", m.Rows, m.Cols, m.NNZ()); err != nil {
-		return err
-	}
-	for i := 0; i < m.Rows; i++ {
-		vals := m.RowVals(i)
-		for k, j := range m.Row(i) {
-			if _, err := fmt.Fprintf(bw, "%d %d %.17g\n", i+1, j+1, vals[k]); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
+	return writeCoordinate(w, "real", &m.Pattern, m.Val)
 }
 
 // WritePattern emits only the structure in coordinate/pattern/general
 // form.
 func WritePattern(w io.Writer, p *sparse.Pattern) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := fmt.Fprintf(bw, "%%%%MatrixMarket matrix coordinate pattern general\n"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(bw, "%d %d %d\n", p.Rows, p.Cols, p.NNZ()); err != nil {
-		return err
-	}
+	return writeCoordinate(w, "pattern", p, nil)
+}
+
+const (
+	// chunkBytes is the one output buffer: lines are formatted into it
+	// and it is handed to w whenever fewer than maxLine bytes are free.
+	chunkBytes = 1 << 16
+	// maxLine bounds one formatted line: two 20-character integers, a
+	// 24-character value ("-4.9406564584124654e-324"), two spaces and a
+	// newline.
+	maxLine = 96
+)
+
+// writeCoordinate formats the banner, size line and one line per entry
+// (with a value when vals is non-nil) into one chunkBytes buffer. The
+// output is byte-identical to printing each line with fmt: strconv's
+// 'g' format at precision 17 is what %.17g prints, ±Inf, NaN and -0
+// included. After the first failed write nothing more is written.
+func writeCoordinate(w io.Writer, field string, p *sparse.Pattern, vals []float64) error {
+	buf := make([]byte, 0, chunkBytes)
+	buf = append(buf, "%%MatrixMarket matrix coordinate "...)
+	buf = append(buf, field...)
+	buf = append(buf, " general\n"...)
+	buf = strconv.AppendInt(buf, int64(p.Rows), 10)
+	buf = append(buf, ' ')
+	buf = strconv.AppendInt(buf, int64(p.Cols), 10)
+	buf = append(buf, ' ')
+	buf = strconv.AppendInt(buf, p.NNZ(), 10)
+	buf = append(buf, '\n')
 	for i := 0; i < p.Rows; i++ {
-		for _, j := range p.Row(i) {
-			if _, err := fmt.Fprintf(bw, "%d %d\n", i+1, j+1); err != nil {
-				return err
+		lo := p.RowPtr[i]
+		for k, j := range p.Row(i) {
+			if len(buf) > chunkBytes-maxLine {
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
 			}
+			buf = strconv.AppendInt(buf, int64(i+1), 10)
+			buf = append(buf, ' ')
+			buf = strconv.AppendInt(buf, int64(j)+1, 10)
+			if vals != nil {
+				buf = append(buf, ' ')
+				buf = strconv.AppendFloat(buf, vals[lo+int64(k)], 'g', 17, 64)
+			}
+			buf = append(buf, '\n')
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
 // WriteFile writes a matrix to disk in Matrix Market form.

@@ -21,49 +21,107 @@ import (
 const (
 	magic   = "MSPG"
 	version = 1
+	// headerBytes is magic, version, rows, cols and nnz.
+	headerBytes = 4 + 4 + 8 + 8 + 8
 )
 
-// Write encodes a float64 CSR matrix.
+// chunkBytes is the encoder's one buffer. A server response streams
+// through it in chunks this size: large enough that a multi-megabyte
+// product costs only ~16 writes per MiB, small enough that even a tiny
+// reply does not pay for zeroing a big buffer.
+const chunkBytes = 1 << 16
+
+// Write encodes a float64 CSR matrix. Sections are encoded in bulk into
+// one chunkBytes buffer that is handed to w each time it fills, so w
+// sees writes of at most chunkBytes and the bytes are identical to a
+// word-at-a-time encoding. A matrix whose arrays disagree with the
+// header it would produce (RowPtr not Rows+1 long, or ColIdx/Val not
+// NNZ() long) is rejected before any byte is written.
 func Write(w io.Writer, m *sparse.CSR[float64]) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
+	if len(m.RowPtr) != m.Rows+1 {
+		return fmt.Errorf("serial: RowPtr has %d entries, want rows+1 = %d", len(m.RowPtr), m.Rows+1)
 	}
-	hdr := make([]byte, 4+8+8+8)
-	binary.LittleEndian.PutUint32(hdr[0:], version)
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(m.Rows))
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(m.Cols))
-	binary.LittleEndian.PutUint64(hdr[20:], uint64(m.NNZ()))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
+	nnz := m.NNZ()
+	if int64(len(m.ColIdx)) != nnz || int64(len(m.Val)) != nnz {
+		return fmt.Errorf("serial: nnz %d but %d column indices and %d values", nnz, len(m.ColIdx), len(m.Val))
 	}
-	var buf [8]byte
-	for _, p := range m.RowPtr {
-		binary.LittleEndian.PutUint64(buf[:], uint64(p))
-		if _, err := bw.Write(buf[:8]); err != nil {
-			return err
+	// A destination that can reserve room (a bytes.Buffer) is grown once
+	// to the exact encoded size: grown chunk by chunk it would double
+	// past it, and a caller keeping the bytes would keep the slack.
+	if g, ok := w.(interface{ Grow(n int) }); ok {
+		g.Grow(headerBytes + 8*len(m.RowPtr) + 12*int(nnz))
+	}
+	e := encoder{w: w, buf: make([]byte, chunkBytes)}
+	copy(e.buf, magic)
+	binary.LittleEndian.PutUint32(e.buf[4:], version)
+	binary.LittleEndian.PutUint64(e.buf[8:], uint64(m.Rows))
+	binary.LittleEndian.PutUint64(e.buf[16:], uint64(m.Cols))
+	binary.LittleEndian.PutUint64(e.buf[24:], uint64(nnz))
+	e.n = headerBytes
+	for rest := m.RowPtr; len(rest) > 0 && e.err == nil; {
+		dst := e.room(8, len(rest))
+		k := len(dst) / 8
+		for i, p := range rest[:k] {
+			binary.LittleEndian.PutUint64(dst[8*i:], uint64(p))
 		}
+		rest = rest[k:]
 	}
-	for _, j := range m.ColIdx {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(j))
-		if _, err := bw.Write(buf[:4]); err != nil {
-			return err
+	for rest := m.ColIdx; len(rest) > 0 && e.err == nil; {
+		dst := e.room(4, len(rest))
+		k := len(dst) / 4
+		for i, j := range rest[:k] {
+			binary.LittleEndian.PutUint32(dst[4*i:], uint32(j))
 		}
+		rest = rest[k:]
 	}
-	for _, v := range m.Val {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		if _, err := bw.Write(buf[:8]); err != nil {
-			return err
+	for rest := m.Val; len(rest) > 0 && e.err == nil; {
+		dst := e.room(8, len(rest))
+		k := len(dst) / 8
+		for i, v := range rest[:k] {
+			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
 		}
+		rest = rest[k:]
 	}
-	return bw.Flush()
+	e.flush()
+	return e.err
+}
+
+// encoder is Write's chunk buffer: buf[:n] is encoded and not yet
+// written. After the first failed write err is set and nothing more is
+// written.
+type encoder struct {
+	w   io.Writer
+	buf []byte
+	n   int
+	err error
+}
+
+// room reserves the free tail of the buffer for up to want words of the
+// given width and returns it, flushing first when not one word fits.
+// The caller fills the whole returned slice.
+func (e *encoder) room(width, want int) []byte {
+	if len(e.buf)-e.n < width {
+		e.flush()
+	}
+	k := min((len(e.buf)-e.n)/width, want)
+	dst := e.buf[e.n : e.n+k*width]
+	e.n += k * width
+	return dst
+}
+
+// flush hands the encoded bytes to w.
+func (e *encoder) flush() {
+	if e.err == nil && e.n > 0 {
+		_, e.err = e.w.Write(e.buf[:e.n])
+	}
+	e.n = 0
 }
 
 // Read decodes a matrix written by Write, validating structure before
 // returning.
 func Read(r io.Reader) (*sparse.CSR[float64], error) {
 	br := bufio.NewReaderSize(r, 1<<20)
-	head := make([]byte, 4+4+8+8+8)
+	head := make([]byte, headerBytes)
 	if _, err := io.ReadFull(br, head); err != nil {
 		return nil, fmt.Errorf("serial: short header: %w", err)
 	}
