@@ -474,7 +474,7 @@ func BenchmarkBitmapMix(b *testing.B) {
 		{"Hybrid", core.Options{Algorithm: core.AlgoHybrid, ReuseOutput: true}},
 		{"Hybrid-noMaskedBit", core.Options{
 			Algorithm:      core.AlgoHybrid,
-			HybridFamilies: core.Families(core.FamMSA, core.FamHash, core.FamMCA, core.FamHeap, core.FamPull),
+			HybridFamilies: core.Families(core.FamMSA, core.FamHash, core.FamHeap, core.FamPull),
 			ReuseOutput:    true,
 		}},
 	}

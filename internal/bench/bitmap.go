@@ -25,7 +25,7 @@ import (
 // point staying at least at MSA parity.
 
 // HybridNoMaskedBitScheme names the ablation scheme: the Hybrid
-// selector restricted to the five pre-MaskedBit families.
+// selector restricted to its menu without MaskedBit.
 const HybridNoMaskedBitScheme = "Hybrid-noMaskedBit"
 
 // BitmapMixConfig configures RunBitmapMix.
@@ -109,7 +109,7 @@ func bitmapSchemes(threads int) []bitmapScheme {
 		bitmapScheme{core.AlgoHybrid.String(), core.Options{Algorithm: core.AlgoHybrid, Threads: threads, ReuseOutput: true}},
 		bitmapScheme{HybridNoMaskedBitScheme, core.Options{
 			Algorithm:      core.AlgoHybrid,
-			HybridFamilies: core.Families(core.FamMSA, core.FamHash, core.FamMCA, core.FamHeap, core.FamPull),
+			HybridFamilies: core.Families(core.FamMSA, core.FamHash, core.FamHeap, core.FamPull),
 			Threads:        threads,
 			ReuseOutput:    true,
 		}},

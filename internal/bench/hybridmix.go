@@ -75,7 +75,7 @@ func BandedMask(n int, densities []float64, seed uint64) *sparse.Pattern {
 // HybridMixPoint is one (workload, scheme) measurement.
 type HybridMixPoint struct {
 	// Workload names the input class ("er-sweep", "rmat-sweep",
-	// "er-uniform-dense", "er-uniform-sparse").
+	// "er-uniform-dense", "er-uniform-sparse", "wide-sparse").
 	Workload string `json:"workload"`
 	// Scheme is the algorithm ("MSA", ..., "Hybrid").
 	Scheme string `json:"scheme"`
@@ -105,19 +105,27 @@ type mixWorkload struct {
 }
 
 // hybridMixWorkloads builds the experiment inputs: two banded
-// density sweeps over the suite's input shapes and two uniform
-// controls bracketing the density range.
+// density sweeps over the suite's input shapes, two uniform controls
+// bracketing the density range, and a wide product whose output has
+// 256× more columns than rows (2²⁰ at the default scale) at input
+// degree 2 and mask degree 256. There the width-n arrays of MSA and
+// MaskedBit leave cache, which is the regime Heap, touching no
+// accumulator, wins; it is why Heap stays on the Hybrid menu
+// (DESIGN.md §10).
 func hybridMixWorkloads(cfg HybridMixConfig) []mixWorkload {
 	n := 1 << cfg.Scale
 	er := gen.Symmetrize(gen.ErdosRenyi(n, cfg.EdgeFactor, cfg.Seed))
 	rmat := gen.RMATSymmetric(gen.RMATConfig{Scale: cfg.Scale, EdgeFactor: cfg.EdgeFactor, Seed: cfg.Seed + 1})
 	uniformDense := gen.ErdosRenyiPattern(n, n/16, cfg.Seed+4)
 	uniformSparse := gen.ErdosRenyiPattern(n, 2, cfg.Seed+5)
+	wideCols := n << 8
 	return []mixWorkload{
 		{"er-sweep", BandedMask(n, SweepDensities, cfg.Seed+2), er, er},
 		{"rmat-sweep", BandedMask(n, SweepDensities, cfg.Seed+3), rmat, rmat},
 		{"er-uniform-dense", uniformDense, er, er},
 		{"er-uniform-sparse", uniformSparse, er, er},
+		{"wide-sparse", gen.Random(n, wideCols, 256, cfg.Seed+8).PatternView(),
+			gen.Random(n, n, 2, cfg.Seed+6), gen.Random(n, wideCols, 2, cfg.Seed+7)},
 	}
 }
 

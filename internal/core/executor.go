@@ -124,11 +124,7 @@ func (e *Executor[T, S]) kernelsFor(p *Plan[T, S], a, b *sparse.CSR[T]) kernels[
 	if e.haveBound && e.lastPlan == p && e.lastA == a && e.lastB == b {
 		return e.bound
 	}
-	bind := p.reg.plain
-	if p.opt.Complement {
-		bind = p.reg.complement
-	}
-	e.bound = bind(p, e, a, b)
+	e.bound = p.reg.binder(p.opt.Complement)(p, e, a, b)
 	e.lastPlan, e.lastA, e.lastB = p, a, b
 	e.haveBound = true
 	return e.bound

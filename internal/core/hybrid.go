@@ -14,29 +14,30 @@ import (
 // algorithms that can use different accumulators in the same Masked
 // SpGEMM depending on the density of the mask and parts of matrices
 // being processed"), generalized from the original pull-vs-push
-// choice to the full accumulator menu. During plan analysis every
+// choice to a menu of accumulator families. During plan analysis every
 // output row is scored under the registry's per-family cost models
 // (SchemeInfo.RowCost) on the same structural inputs the scheduler's
-// masked-flops profile uses, and bound to the cheapest admissible
-// family. The decisions are stored in the immutable plan as *runs* —
+// masked-flops profile uses, and bound to the cheapest family on the
+// menu. The decisions are stored in the immutable plan as *runs* —
 // maximal stretches of consecutive rows sharing one binding — so the
 // engine drivers dispatch once per run, not once per row, and cached
 // plans replay their mixed bindings for free (DESIGN.md §10).
 
-// Family identifies one accumulator family the per-row selector can
-// bind (DESIGN.md §10). FamPull is the pull-based inner-product
-// algorithm; the others are the push families of §5.
+// Family identifies one accumulator family (DESIGN.md §10). FamPull is
+// the pull-based inner-product algorithm; the others are the push
+// families of §5. The per-row selector binds the families on the Hybrid
+// menu (hybridMenu); the others run only as standalone schemes.
 type Family uint8
 
 const (
 	// FamMSA is the masked sparse accumulator family (§5.2) — the
-	// universal fallback: admissible for every mask mode.
+	// fallback when a restricted menu leaves no candidate.
 	FamMSA Family = iota
 	// FamHash is the open-addressing hash family (§5.3).
 	FamHash
-	// FamMCA is the mask-compressed accumulator family (§5.4). MCA has
-	// no complemented form, so it is inadmissible for complemented
-	// rows — enforced at selection time, never by a kernel crash.
+	// FamMCA is the mask-compressed accumulator family (§5.4). It is
+	// off the Hybrid menu: it won no measured workload (DESIGN.md §10).
+	// Its value stays pinned with the others.
 	FamMCA
 	// FamHeap is the multi-way merge family (§5.5), NInspect resolved
 	// exactly as for AlgoHeap.
@@ -56,7 +57,7 @@ const (
 	NumFamilies
 )
 
-// String names the family as in DESIGN.md §10's admissibility table.
+// String names the family as in DESIGN.md §10.
 func (f Family) String() string {
 	switch f {
 	case FamMSA:
@@ -81,9 +82,6 @@ func (f Family) String() string {
 // FamilySet is a bitmask of accumulator families, used by
 // Options.HybridFamilies to restrict the per-row selector.
 type FamilySet uint8
-
-// famAll admits every family.
-const famAll FamilySet = 1<<NumFamilies - 1
 
 // Families builds a FamilySet from individual families. Out-of-range
 // values panic: a typo'd family silently vanishing from the set would
@@ -186,7 +184,7 @@ func (c RowCostContext) touchSpacing() float64 {
 // Cost-model constants (DESIGN.md §10). The unit is one step of an MSA
 // Scatter: a state test on cache-resident data, plus the multiply-add
 // when the column is admitted. The families whose kernels do not run
-// through Scatter (MCA, Heap, Pull) carry per-step constants measured
+// through Scatter (Heap, Pull) carry per-step constants measured
 // against it by hand.
 const (
 	// hashOpFactor prices a hash-table probe against an MSA
@@ -204,10 +202,6 @@ const (
 	// heapWalk prices the inspect-skip walk per streamed B candidate —
 	// a pointer bump, a compare and a heap-top reload per candidate.
 	heapWalk = 1.8
-	// mcaMergeStep prices one step of MCA's per-A-entry two-pointer
-	// merge of a B row against the mask row: a data-dependent branch,
-	// where a Scatter step is a predictable state test.
-	mcaMergeStep = 1.75
 	// pullMergeStep prices one step of a pull dot's merge of A_i*
 	// against B_*j, with the per-dot set-up spread over its steps.
 	pullMergeStep = 3.5
@@ -303,15 +297,6 @@ func hashRowCost(c RowCostContext) float64 {
 	return 1 + hashOpFactor*(2*m+f) + c.outBound()
 }
 
-// mcaRowCost models MCA (§5.4): each selected B row is two-pointer
-// merged against the mask row (F + a·m/2 merge steps) into arrays
-// compressed to nnz(m_i). Never called for complemented rows — MCA is
-// inadmissible there (famAdmissible).
-func mcaRowCost(c RowCostContext) float64 {
-	m, a, f := float64(c.MaskNNZ), float64(c.ARowNNZ), float64(c.Flops)
-	return 1 + mcaMergeStep*(f+0.5*a*m) + m + c.outBound()
-}
-
 // heapRowCost models Heap (§5.5, NInspect=1): a·log a heap setup plus
 // one of two fates per streamed B candidate — a cheap inspect-skip
 // (the candidate's column is below the mask cursor, or the iterator
@@ -374,50 +359,34 @@ func (c bColCounts) admitted(maskRow []int32, complement bool) int64 {
 	return sum
 }
 
-// famAdmissible reports whether a family may be bound under the given
-// mask mode. The one hard rule: MCA has no complemented form
-// (DESIGN.md §4) — enforced here, at selection time.
-func famAdmissible(f Family, complement bool) bool {
-	return !(complement && f == FamMCA)
-}
-
-// polyCandidates resolves Options.HybridFamilies against
-// admissibility: zero means every admissible family; an explicit set
-// is filtered, and if nothing admissible remains the selector falls
-// back to MSA, the universal family.
-func polyCandidates(opt Options) []Family {
-	req := opt.HybridFamilies
-	if req == 0 {
-		req = famAll
-	}
-	var out []Family
+// hybridMenu resolves Options.HybridFamilies against the Hybrid menu:
+// the families whose registry scheme carries a RowCost model. Zero
+// requests the whole menu; an explicit set is intersected with it, and
+// if nothing remains the selector falls back to MSA. A family joins the
+// menu through its registry entry, so its scheme must support
+// complemented masks (menu families bind under either mask mode,
+// TestHybridMenu), and newDetachedPlan must set any sizing hint its
+// binder reads.
+func hybridMenu(req FamilySet) (fams []Family, models []func(RowCostContext) float64) {
 	for f := Family(0); f < NumFamilies; f++ {
-		if !req.Has(f) || !famAdmissible(f, opt.Complement) {
-			continue
-		}
-		if s, ok := LookupScheme(famAlgo[f]); ok && s.RowCost != nil {
-			out = append(out, f)
+		if s, _ := LookupScheme(famAlgo[f]); s.RowCost != nil && (req == 0 || req.Has(f)) {
+			fams, models = append(fams, f), append(models, s.RowCost)
 		}
 	}
-	if len(out) == 0 {
-		out = []Family{FamMSA}
+	if len(fams) == 0 {
+		return hybridMenu(Families(FamMSA))
 	}
-	return out
+	return fams, models
 }
 
-// polyScan evaluates the candidate cost models on every row and
-// writes each row's cheapest admissible family into fam (famAny for
-// rows with no work under any family) and, when cost is non-nil, the
-// chosen cost — the scheduling profile planSchedule reuses. opt must
-// be normalized. The scan runs at the host's full width: plan-time
-// analysis is independent of the width the plan later executes at.
+// polyScan evaluates the menu's cost models on every row and writes
+// each row's cheapest family into fam (famAny for rows with no work
+// under any family) and, when cost is non-nil, the chosen cost — the
+// scheduling profile planSchedule reuses. opt must be normalized. The
+// scan runs at the host's full width: plan-time analysis is independent
+// of the width the plan later executes at.
 func polyScan[T any](mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options, fam []uint8, cost []int64) {
-	fams := polyCandidates(opt)
-	models := make([]func(RowCostContext) float64, len(fams))
-	for i, f := range fams {
-		s, _ := LookupScheme(famAlgo[f])
-		models[i] = s.RowCost
-	}
+	fams, models := hybridMenu(opt.HybridFamilies)
 	pullAt := slices.Index(fams, FamPull)
 	colCounts := newBColCounts(b)
 	cols, complement := mask.Cols, opt.Complement
@@ -546,75 +515,24 @@ func (p *Plan[T, S]) encodeRuns(rowFam []uint8) {
 	p.polyFams = set
 }
 
-// bindPoly builds the poly plan's kernel tables: one kernel pair per
-// family the run encoding actually uses, each delegated to that
-// family's own scheme binder so poly rows execute exactly the
-// registered kernels. Families without a run get no kernels — and,
-// downstream, no accumulators: the per-worker workspaces construct
-// lazily on first row, so a single-family poly plan allocates exactly
-// what the plain scheme would.
-func bindPoly[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], complement bool) kernels[T] {
+// bindHybrid builds the poly plan's kernel tables under either mask
+// mode: one kernel pair per family the run encoding actually uses, each
+// bound by that family's own registry entry, so poly rows execute
+// exactly the registered kernels. Families without a run get no
+// kernels — and, downstream, no accumulators: the per-worker workspaces
+// construct lazily on first row, so a single-family poly plan allocates
+// exactly what the plain scheme would.
+func bindHybrid[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T]) kernels[T] {
 	numFam := make([]rowNumericFn[T], NumFamilies)
 	symFam := make([]rowSymbolicFn, NumFamilies)
 	for f := Family(0); f < NumFamilies; f++ {
 		if !p.polyFams.Has(f) {
 			continue
 		}
-		fk := bindFamily(f, p, e, a, b, complement)
+		fk := kernelsForAlgo[T, S](famAlgo[f]).binder(p.opt.Complement)(p, e, a, b)
 		numFam[f], symFam[f] = fk.numeric, fk.symbolic
 	}
 	return kernels[T]{runEnds: p.runEnds, runFam: p.runFam, numFam: numFam, symFam: symFam}
-}
-
-// bindFamily maps a family to its scheme binder for the given mask
-// mode.
-func bindFamily[T any, S semiring.Semiring[T]](f Family, p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], complement bool) kernels[T] {
-	switch f {
-	case FamMSA:
-		if complement {
-			return bindMSAC(p, e, a, b)
-		}
-		return bindMSA(p, e, a, b)
-	case FamHash:
-		if complement {
-			return bindHashC(p, e, a, b)
-		}
-		return bindHash(p, e, a, b)
-	case FamHeap:
-		if complement {
-			return bindHeapComplement(p, e, a, b)
-		}
-		return bindHeap(p, e, a, b)
-	case FamPull:
-		if complement {
-			return bindInnerComplement(p, e, a, b)
-		}
-		return bindInner(p, e, a, b)
-	case FamMaskedBit:
-		if complement {
-			return bindMaskedBitC(p, e, a, b)
-		}
-		return bindMaskedBit(p, e, a, b)
-	case FamMCA:
-		if complement {
-			// famAdmissible keeps MCA out of complemented run
-			// encodings; reaching this is a selector bug.
-			panic("core: MCA bound under a complemented mask")
-		}
-		return bindMCA(p, e, a, b)
-	}
-	panic("core: unknown accumulator family")
-}
-
-// bindHybrid registers the poly scheme's plain-mask kernels.
-func bindHybrid[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T]) kernels[T] {
-	return bindPoly(p, e, a, b, false)
-}
-
-// bindHybridComplement registers the complemented-mask kernels; MCA
-// never appears in the runs (selection-time admissibility).
-func bindHybridComplement[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T]) kernels[T] {
-	return bindPoly(p, e, a, b, true)
 }
 
 // FamilyRows reports the per-family row counts of the plan's run

@@ -112,45 +112,48 @@ func TestHybridMixedRunsParity(t *testing.T) {
 	}
 }
 
-// TestHybridComplementNeverBindsMCA is the selection-time
-// admissibility guard: complemented plans must never carry an MCA
-// run — including when the caller explicitly restricts the selector
-// to MCA, which must fall back to MSA instead of crashing in a
-// kernel.
-func TestHybridComplementNeverBindsMCA(t *testing.T) {
+// TestHybridMenu pins the menu and its registry contract: the default
+// menu is the families that won a measured workload (DESIGN.md §10),
+// every menu family's scheme has a complemented form (the selector binds
+// the same menu under either mask mode), no plan binds a family off the
+// menu, and a restriction to an off-menu family (MCA) falls back to MSA
+// and stays correct, plain and complemented.
+func TestHybridMenu(t *testing.T) {
+	fams, models := hybridMenu(0)
+	if got, want := fmt.Sprint(fams), fmt.Sprint([]Family{FamMSA, FamHash, FamHeap, FamPull, FamMaskedBit}); got != want {
+		t.Fatalf("menu %s, want %s", got, want)
+	}
+	if len(models) != len(fams) {
+		t.Fatalf("%d models for %d families", len(models), len(fams))
+	}
+	for _, f := range fams {
+		if !SupportsComplement(famAlgo[f]) {
+			t.Errorf("menu family %v has no complemented form", f)
+		}
+	}
 	sr := semiring.PlusTimes[float64]{}
 	for _, c := range testCases() {
 		mask, a, b := buildCase(c)
-		p := polyTestPlan(t, mask, a, b, Options{Complement: true})
-		for _, f := range p.runFam {
-			if Family(f) == FamMCA {
-				t.Fatalf("%s: complemented plan bound MCA (runs %v)", c.name, p.runFam)
+		for _, complement := range []bool{false, true} {
+			if p := polyTestPlan(t, mask, a, b, Options{Complement: complement}); p.polyFams.Has(FamMCA) {
+				t.Fatalf("%s complement=%v: plan bound MCA (runs %v)", c.name, complement, p.runFam)
 			}
 		}
-		if p.polyFams.Has(FamMCA) {
-			t.Fatalf("%s: polyFams includes MCA under complement", c.name)
-		}
 	}
-	// Explicit MCA-only request under complement: admissibility empties
-	// the candidate set, which falls back to MSA and stays correct.
 	mask, a, b := buildCase(caseSpec{"", 64, 64, 64, 8, 8, 8, 310})
-	opt := Options{Complement: true, HybridFamilies: Families(FamMCA)}
-	p := polyTestPlan(t, mask, a, b, opt)
-	if got := p.polyFams; got != Families(FamMSA) {
-		t.Fatalf("MCA-only complement plan bound %v, want MSA fallback", got)
-	}
-	opt.Algorithm = AlgoHybrid
-	got, err := MaskedSpGEMM(sr, mask, a, b, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := sparse.Diff(oracle(mask, a, b, true), got, floatEq); d != "" {
-		t.Fatalf("fallback execution: %s", d)
-	}
-	// And the same restriction on a plain mask genuinely binds MCA.
-	plain := polyTestPlan(t, mask, a, b, Options{HybridFamilies: Families(FamMCA)})
-	if got := plain.polyFams; got != Families(FamMCA) {
-		t.Fatalf("MCA-only plain plan bound %v, want MCA", got)
+	for _, complement := range []bool{false, true} {
+		opt := Options{Complement: complement, HybridFamilies: Families(FamMCA)}
+		if got := polyTestPlan(t, mask, a, b, opt).polyFams; got != Families(FamMSA) {
+			t.Fatalf("complement=%v: MCA-only plan bound %v, want the MSA fallback", complement, got)
+		}
+		opt.Algorithm = AlgoHybrid
+		got, err := MaskedSpGEMM(sr, mask, a, b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := sparse.Diff(oracle(mask, a, b, complement), got, floatEq); d != "" {
+			t.Fatalf("complement=%v: fallback execution: %s", complement, d)
+		}
 	}
 }
 

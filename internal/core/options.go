@@ -54,11 +54,10 @@ const (
 	AlgoDotTranspose
 	// AlgoHybrid is the per-row poly-algorithm — the scheme §9 lists
 	// as future work, in full: every output row is bound at plan time
-	// to the cheapest admissible accumulator family (MSA, Hash, MCA,
-	// Heap, pull-based Inner, or MaskedBit) under the registry's
-	// per-family cost models, and consecutive rows sharing a binding
-	// execute as one run (DESIGN.md §10). Complemented masks bind
-	// among the complement-capable families (never MCA).
+	// to the cheapest family on its menu (MSA, Hash, Heap, pull-based
+	// Inner, or MaskedBit) under the registry's per-family cost
+	// models, and consecutive rows sharing a binding execute as one run
+	// (DESIGN.md §10), under plain and complemented masks alike.
 	AlgoHybrid
 	// AlgoMaskedBit is the push algorithm over the bitmap-state masked
 	// accumulator: the MSA's state byte per column collapsed into
@@ -187,10 +186,8 @@ type Options struct {
 	HeapNInspect int
 	// HybridFamilies restricts AlgoHybrid's per-row selector to the
 	// given accumulator families (build the set with Families); the
-	// zero value means every admissible family. Families inadmissible
-	// for the request — MCA under a complemented mask — are dropped
-	// regardless, and if nothing admissible remains the selector falls
-	// back to MSA, the universal family.
+	// zero value means the whole menu. Families off the menu (MCA) are
+	// dropped, and if nothing remains the selector falls back to MSA.
 	HybridFamilies FamilySet
 	// InnerGallop switches AlgoInner's dot products from two-pointer
 	// merges to galloping (exponential + binary search) — profitable

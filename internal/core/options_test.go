@@ -70,8 +70,8 @@ func TestAlgorithmEnumerations(t *testing.T) {
 
 func TestSupportsComplement(t *testing.T) {
 	// MCA is the only scheme without a complement form (§5.4); Hybrid
-	// gained one with per-row poly selection (it binds among the
-	// complement-capable families, never MCA — DESIGN.md §10).
+	// gained one with per-row poly selection (MCA is off its menu —
+	// DESIGN.md §10).
 	for _, a := range Algorithms() {
 		want := a != AlgoMCA
 		if SupportsComplement(a) != want {

@@ -157,9 +157,9 @@ func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, 
 			polyCost = p.planHybrid(a, b, needCost)
 			// Sizing hints only for the families some run actually
 			// bound — unused families must stay costless. Only the
-			// plain-mask Hash/MCA binders read maxMaskRow (the
-			// complement hash sizes per row by the generation bound).
-			if !opt.Complement && (p.polyFams.Has(FamHash) || p.polyFams.Has(FamMCA)) {
+			// plain-mask Hash binder reads maxMaskRow (the complement
+			// hash sizes per row by the generation bound).
+			if !opt.Complement && p.polyFams.Has(FamHash) {
 				p.maxMaskRow = mask.MaxRowNNZ()
 			}
 			if p.polyFams.Has(FamHeap) {

@@ -39,10 +39,9 @@ type SchemeInfo struct {
 	// baseline's defining per-call overhead (§8.4).
 	TransposePerExecute bool
 	// RowCost estimates one output row's execution cost for this
-	// scheme in multiply-add-flavored units (DESIGN.md §10). It is how
-	// a scheme family enters AlgoHybrid's per-row poly-algorithm
-	// selection; nil means the scheme has no per-row model and cannot
-	// be bound per row.
+	// scheme in multiply-add-flavored units (DESIGN.md §10). A non-nil
+	// model puts the scheme's family on AlgoHybrid's per-row menu
+	// (hybridMenu); nil keeps it a standalone scheme.
 	RowCost func(ctx RowCostContext) float64
 }
 
@@ -53,7 +52,7 @@ var schemeTable = []SchemeInfo{
 	// The bitmap-state MSA variant (DESIGN.md §12); not a paper scheme.
 	{Algo: AlgoMaskedBit, Name: "MaskedBit", Complement: true, RowCost: maskedBitRowCost},
 	{Algo: AlgoHash, Name: "Hash", Paper: true, Complement: true, RowCost: hashRowCost},
-	{Algo: AlgoMCA, Name: "MCA", Paper: true, RowCost: mcaRowCost,
+	{Algo: AlgoMCA, Name: "MCA", Paper: true,
 		ComplementNote: "core: MCA does not support complemented masks (§5.4)"},
 	{Algo: AlgoHeap, Name: "Heap", Paper: true, Complement: true, RowCost: heapRowCost},
 	{Algo: AlgoHeapDot, Name: "HeapDot", Paper: true, Complement: true},
@@ -182,7 +181,15 @@ func kernelsForAlgo[T any, S semiring.Semiring[T]](a Algorithm) schemeKernels[T,
 	case AlgoSaxpyThenMask:
 		return schemeKernels[T, S]{direct: directSaxpyThenMask[T, S]}
 	case AlgoHybrid:
-		return schemeKernels[T, S]{plain: bindHybrid[T, S], complement: bindHybridComplement[T, S]}
+		return schemeKernels[T, S]{plain: bindHybrid[T, S], complement: bindHybrid[T, S]}
 	}
 	return schemeKernels[T, S]{}
+}
+
+// binder returns the scheme's kernel binder for the given mask mode.
+func (k schemeKernels[T, S]) binder(complement bool) kernelBinder[T, S] {
+	if complement {
+		return k.complement
+	}
+	return k.plain
 }

@@ -64,11 +64,11 @@ const (
 	DotTranspose = core.AlgoDotTranspose
 	// Hybrid is the per-row poly-algorithm (the paper's §9 future-work
 	// scheme, in full): every output row is bound at plan time to the
-	// cheapest admissible accumulator family — MSA, Hash, MCA, Heap,
-	// or pull-based Inner — under per-family cost models, and
-	// consecutive rows sharing a binding execute as one run.
-	// Complemented masks bind among the complement-capable families
-	// (never MCA). Restrict the menu with WithHybridFamilies.
+	// cheapest family on its menu — MSA, MaskedBit, Hash, Heap, or
+	// pull-based Inner — under per-family cost models, and consecutive
+	// rows sharing a binding execute as one run, under plain and
+	// complemented masks alike. Restrict the menu with
+	// WithHybridFamilies.
 	Hybrid = core.AlgoHybrid
 	// MaskedBit is the bitmap-state MSA variant (DESIGN.md §12): the
 	// state byte per column collapsed into allowed/set bits over a
@@ -87,8 +87,8 @@ const (
 	FamilyMSA = core.FamMSA
 	// FamilyHash is the hash accumulator family (§5.3).
 	FamilyHash = core.FamHash
-	// FamilyMCA is the mask compressed accumulator family (§5.4);
-	// inadmissible under complemented masks.
+	// FamilyMCA is the mask compressed accumulator family (§5.4); it is
+	// off the Hybrid menu, so restricting to it alone binds FamilyMSA.
 	FamilyMCA = core.FamMCA
 	// FamilyHeap is the multi-way merge family (§5.5).
 	FamilyHeap = core.FamHeap
@@ -120,9 +120,9 @@ func WithComplement() Option {
 }
 
 // WithHybridFamilies restricts the Hybrid per-row selector to the
-// given accumulator families; the default is every admissible family.
-// Inadmissible families (FamilyMCA under WithComplement) are dropped
-// regardless, and an empty admissible set falls back to FamilyMSA.
+// given accumulator families; the default is the whole menu. Families
+// off the menu (FamilyMCA) are dropped, and an empty result falls back
+// to FamilyMSA.
 func WithHybridFamilies(fams ...Family) Option {
 	return func(o *core.Options) { o.HybridFamilies = core.Families(fams...) }
 }
