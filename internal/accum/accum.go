@@ -20,7 +20,12 @@
 // accumulator, and Go compiles generic code once per GC shape, so a
 // method call on the accumulator from inside a driver is an indirect
 // call through the instantiation's dictionary. One such call per A entry
-// is noise; one per product was most of the numeric pass.
+// is noise; one per product was most of the numeric pass. The same holds
+// for the semiring inside the generic Scatter loops: sr.Mul and sr.Add
+// are two dictionary calls per admitted product. For
+// semiring.PlusTimes[float64] the binders of MSA, MaskedBit and
+// MaskedBitC instead bind the wrappers in plustimes.go, whose Scatter is
+// float64 code over the same arrays.
 //
 // One accumulator instance is owned by one worker goroutine and reused
 // across all rows that worker processes; Begin/Gather (or the symbolic

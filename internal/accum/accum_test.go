@@ -22,12 +22,17 @@ type numericAcc interface {
 	EndSymbolic(maskRow []int32) int
 }
 
+// plainAccumulators returns one fresh instance of every plain push
+// accumulator. MSA and MaskedBit appear twice: generic, and wrapped in
+// the float64 plus-times Scatter their binders use for PlusTimes64.
 func plainAccumulators(ncols, maxMask int) map[string]numericAcc {
 	return map[string]numericAcc{
-		"MSA":       NewMSA[float64](pt, ncols),
-		"Hash":      NewHash[float64](pt, maxMask, 0),
-		"Hash-lf1":  NewHash[float64](pt, maxMask, 1.0),
-		"MaskedBit": NewMaskedBit[float64](pt, ncols),
+		"MSA":                 NewMSA[float64](pt, ncols),
+		"MSA-PlusTimes":       MSAPlusTimes{NewMSA[float64](pt, ncols)},
+		"Hash":                NewHash[float64](pt, maxMask, 0),
+		"Hash-lf1":            NewHash[float64](pt, maxMask, 1.0),
+		"MaskedBit":           NewMaskedBit[float64](pt, ncols),
+		"MaskedBit-PlusTimes": MaskedBitPlusTimes{NewMaskedBit[float64](pt, ncols)},
 	}
 }
 
@@ -176,7 +181,7 @@ func eqI(a, b []int32) bool {
 }
 
 // TestPlainAccumulatorsQuick property-tests MSA, Hash, and MaskedBit
-// against the dense oracle across random insert streams, including
+// (MSA and MaskedBit generic and plus-times) against the dense oracle across random insert streams, including
 // reuse of the same accumulator across consecutive rows (reset
 // correctness).
 func TestPlainAccumulatorsQuick(t *testing.T) {
@@ -218,11 +223,14 @@ type complementAcc interface {
 // for MaskedBitC to walk, so it takes the sort path.
 const wideCols = 1 << 16
 
+// complementAccumulators returns one fresh instance of every
+// complement accumulator, MaskedBitC also in its plus-times form.
 func complementAccumulators(ncols int) map[string]complementAcc {
 	return map[string]complementAcc{
-		"MSAC":       NewMSAC[float64](pt, ncols),
-		"HashC":      NewHashC[float64](pt, 16, 0),
-		"MaskedBitC": NewMaskedBitC[float64](pt, ncols),
+		"MSAC":                 NewMSAC[float64](pt, ncols),
+		"HashC":                NewHashC[float64](pt, 16, 0),
+		"MaskedBitC":           NewMaskedBitC[float64](pt, ncols),
+		"MaskedBitC-PlusTimes": MaskedBitCPlusTimes{NewMaskedBitC[float64](pt, ncols)},
 	}
 }
 
@@ -309,7 +317,7 @@ func checkComplementRow(acc complementAcc, s rowScenario) bool {
 }
 
 // TestComplementAccumulatorsQuick property-tests MSAC, HashC and
-// MaskedBitC against the dense oracle on narrow, clustered, uniform and
+// MaskedBitC (generic and plus-times) against the dense oracle on narrow, clustered, uniform and
 // far-apart rows, reusing each accumulator across every scenario, so
 // every row also checks that the previous one left it clean.
 func TestComplementAccumulatorsQuick(t *testing.T) {

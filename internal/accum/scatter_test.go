@@ -115,10 +115,12 @@ func complementCase(acc complementAcc) scatterCase {
 }
 
 // TestScatterMatchesPerKeyReference drives random B-row batches through
-// Scatter and ScatterPattern of all seven push accumulators, plain and
+// Scatter and ScatterPattern of every push accumulator, plain and
 // complement, reusing one accumulator across every row, and compares
-// each row against the per-key reference. Once the accumulators have
-// seen every row, a second pass must allocate nothing.
+// each row against the per-key reference. MSA, MaskedBit and MaskedBitC
+// run both their generic Scatter and the float64 plus-times one. Once
+// the accumulators have seen every row, a second pass must allocate
+// nothing.
 func TestScatterMatchesPerKeyReference(t *testing.T) {
 	const ncols = 4096
 	rows := randomScatterRows(rand.New(rand.NewSource(1)), 400, ncols)
@@ -153,7 +155,9 @@ func TestScatterMatchesPerKeyReference(t *testing.T) {
 			}
 		})
 	}
-	if len(cases) != 7 { // 6 accumulators; Hash runs at two load factors
-		t.Fatalf("covered %d accumulator configurations, want 7", len(cases))
+	// 6 accumulators, Hash at two load factors, and the three plus-times
+	// Scatters.
+	if len(cases) != 10 {
+		t.Fatalf("covered %d accumulator configurations, want 10", len(cases))
 	}
 }

@@ -96,8 +96,18 @@ func bindMSAC[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a
 // per-row bound only feeds the shared protocol, never a resize.
 func bindMaskedBitC[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T]) kernels[T] {
 	exec, ncols := e, b.Cols
-	return pushKernelsC(p.mask, a, b, func(tid int) *accum.MaskedBitC[T, S] {
-		return exec.worker(tid).MaskedBitC(ncols)
+	getAcc := func(tid int) *accum.MaskedBitC[T, S] { return exec.worker(tid).MaskedBitC(ncols) }
+	if k, ok := servedKernels(p, a, b, getAcc, maskedBitCPlusTimesKernels); ok {
+		return k
+	}
+	return pushKernelsC(p.mask, a, b, getAcc)
+}
+
+// maskedBitCPlusTimesKernels is MaskedBitC's row kernels over the served
+// semiring.
+func maskedBitCPlusTimesKernels(mask *sparse.Pattern, a, b *sparse.CSR[float64], getAcc func(tid int) *accum.MaskedBitC[float64, accum.PlusTimes64]) kernels[float64] {
+	return pushKernelsC(mask, a, b, func(tid int) accum.MaskedBitCPlusTimes {
+		return accum.MaskedBitCPlusTimes{MaskedBitC: getAcc(tid)}
 	})
 }
 

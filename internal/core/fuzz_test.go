@@ -13,7 +13,10 @@ import (
 // operands, the input draws the execution configuration: cfg picks the
 // thread count (1..4, bits 0-1), the schedule (bits 2-3) and the grain
 // (bits 4-7, 0 meaning the default), and fams restricts the Hybrid
-// selector's families (0 meaning all). Output widths reach 1024 columns,
+// selector's families (bits 0-5, 0 meaning all) and picks the semiring
+// (bit 7): semiring.PlusTimes[float64], which MSA, MaskedBit and
+// MaskedBitC bind float64 kernels for, or plusTimesTwin, the same
+// algebra under another type, which takes the generic kernels. Output widths reach 1024 columns,
 // so complemented rows span many bitset words. The seed corpus runs as a
 // normal test; `go test -fuzz=FuzzMaskedSpGEMM ./internal/core` explores
 // further.
@@ -29,6 +32,9 @@ func FuzzMaskedSpGEMM(f *testing.F) {
 	// One output row with keys at columns 1 and 990, fifteen bitset words
 	// apart: MaskedBitC sorts instead of walking.
 	f.Add([]byte{96, 69, 69, 69, 69, 69, 69, 40}, uint8(0), uint8(0), uint16(999), uint8(0x07), uint8(1<<FamMaskedBit))
+	// The generic kernels, through plusTimesTwin.
+	f.Add([]byte{3, 141, 59, 26, 53, 58, 97, 93, 23, 84, 62, 64, 33, 83, 27, 95}, uint8(6), uint8(4), uint16(100), uint8(0x1e), uint8(twinBit))
+	f.Add([]byte{96, 69, 69, 69, 69, 69, 69, 40}, uint8(0), uint8(0), uint16(999), uint8(0x07), uint8(twinBit|1<<FamMaskedBit))
 	f.Fuzz(func(t *testing.T, data []byte, mRaw, kRaw uint8, nRaw uint16, cfg, fams uint8) {
 		m := int(mRaw%24) + 1
 		k := int(kRaw%24) + 1
@@ -36,38 +42,52 @@ func FuzzMaskedSpGEMM(f *testing.F) {
 		a := matrixFromBytes(m, k, data, 0)
 		b := matrixFromBytes(k, n, data, 1)
 		mask := matrixFromBytes(m, n, data, 2).PatternView()
-		sr := semiring.PlusTimes[float64]{}
 		base := Options{
 			Threads:        int(cfg&3) + 1,
 			Schedule:       Schedule(cfg >> 2 & 3),
 			Grain:          int(cfg >> 4),
 			HybridFamilies: FamilySet(fams) & (1<<NumFamilies - 1),
 		}
-		for _, complement := range []bool{false, true} {
-			want := sparse.DenseMaskedMultiply(mask, a, b, complement, sr.Add, sr.Mul, sr.Zero())
-			for _, algo := range Algorithms() {
-				if complement && !SupportsComplement(algo) {
-					continue
+		if fams&twinBit != 0 {
+			fuzzAllSchemes(t, plusTimesTwin{}, mask, a, b, base)
+		} else {
+			fuzzAllSchemes(t, semiring.PlusTimes[float64]{}, mask, a, b, base)
+		}
+	})
+}
+
+// twinBit is the bit of FuzzMaskedSpGEMM's fams input that selects
+// plusTimesTwin.
+const twinBit = 0x80
+
+// fuzzAllSchemes checks every algorithm, plain and complemented,
+// one-phase and two-phase, under base's execution configuration against
+// the dense oracle over sr.
+func fuzzAllSchemes[S semiring.Semiring[float64]](t *testing.T, sr S, mask *sparse.Pattern, a, b *sparse.CSR[float64], base Options) {
+	for _, complement := range []bool{false, true} {
+		want := sparse.DenseMaskedMultiply(mask, a, b, complement, sr.Add, sr.Mul, sr.Zero())
+		for _, algo := range Algorithms() {
+			if complement && !SupportsComplement(algo) {
+				continue
+			}
+			for _, ph := range []Phases{OnePhase, TwoPhase} {
+				opt := base
+				opt.Algorithm, opt.Phases, opt.Complement = algo, ph, complement
+				name := fmt.Sprintf("%T %v-%v complement=%v threads=%d %v grain=%d families=%#x",
+					sr, algo, ph, complement, opt.Threads, opt.Schedule, opt.Grain, opt.HybridFamilies)
+				got, err := MaskedSpGEMM(sr, mask, a, b, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
-				for _, ph := range []Phases{OnePhase, TwoPhase} {
-					opt := base
-					opt.Algorithm, opt.Phases, opt.Complement = algo, ph, complement
-					name := fmt.Sprintf("%v-%v complement=%v threads=%d %v grain=%d families=%#x",
-						algo, ph, complement, opt.Threads, opt.Schedule, opt.Grain, opt.HybridFamilies)
-					got, err := MaskedSpGEMM(sr, mask, a, b, opt)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if err := got.Validate(); err != nil {
-						t.Fatalf("%s: invalid output: %v", name, err)
-					}
-					if d := sparse.Diff(want, got, sparse.FloatEq(1e-9)); d != "" {
-						t.Fatalf("%s: %s", name, d)
-					}
+				if err := got.Validate(); err != nil {
+					t.Fatalf("%s: invalid output: %v", name, err)
+				}
+				if d := sparse.Diff(want, got, sparse.FloatEq(1e-9)); d != "" {
+					t.Fatalf("%s: %s", name, d)
 				}
 			}
 		}
-	})
+	}
 }
 
 // matrixFromBytes deterministically derives an m×n sparse matrix from

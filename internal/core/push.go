@@ -78,11 +78,37 @@ func pushKernels[T any, A pushAcc[T]](mask *sparse.Pattern, a, b *sparse.CSR[T],
 	}
 }
 
+// servedKernels binds the float64 kernels of served when the plan's
+// semiring is semiring.PlusTimes[float64], the one the server runs
+// (DESIGN.md §12, "The served semiring, specialised"). That type check is
+// the only one: it runs once per binding, and the bound kernels carry no
+// branch on the semiring. getAcc is the generic binder's accumulator
+// getter; under PlusTimes[float64] its type is GF, the getter served
+// wraps. ok is false for every other semiring, whose binder then builds
+// its generic kernels.
+func servedKernels[T any, S semiring.Semiring[T], G, GF any](p *Plan[T, S], a, b *sparse.CSR[T], getAcc G, served func(mask *sparse.Pattern, a, b *sparse.CSR[float64], getAcc GF) kernels[float64]) (k kernels[T], ok bool) {
+	if _, ok := any(p.sr).(accum.PlusTimes64); !ok {
+		return k, false
+	}
+	// S is PlusTimes[float64], so T is float64 and these assertions hold.
+	kf := served(p.mask, any(a).(*sparse.CSR[float64]), any(b).(*sparse.CSR[float64]), any(getAcc).(GF))
+	return any(kf).(kernels[T]), true
+}
+
 // bindMSA registers the MSA scheme (§5.2).
 func bindMSA[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T]) kernels[T] {
 	exec, ncols := e, b.Cols
-	return pushKernels(p.mask, a, b, func(tid int) *accum.MSA[T, S] {
-		return exec.worker(tid).MSA(ncols)
+	getAcc := func(tid int) *accum.MSA[T, S] { return exec.worker(tid).MSA(ncols) }
+	if k, ok := servedKernels(p, a, b, getAcc, msaPlusTimesKernels); ok {
+		return k
+	}
+	return pushKernels(p.mask, a, b, getAcc)
+}
+
+// msaPlusTimesKernels is MSA's row kernels over the served semiring.
+func msaPlusTimesKernels(mask *sparse.Pattern, a, b *sparse.CSR[float64], getAcc func(tid int) *accum.MSA[float64, accum.PlusTimes64]) kernels[float64] {
+	return pushKernels(mask, a, b, func(tid int) accum.MSAPlusTimes {
+		return accum.MSAPlusTimes{MSA: getAcc(tid)}
 	})
 }
 
@@ -90,8 +116,18 @@ func bindMSA[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a,
 // §12).
 func bindMaskedBit[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T]) kernels[T] {
 	exec, ncols := e, b.Cols
-	return pushKernels(p.mask, a, b, func(tid int) *accum.MaskedBit[T, S] {
-		return exec.worker(tid).MaskedBit(ncols)
+	getAcc := func(tid int) *accum.MaskedBit[T, S] { return exec.worker(tid).MaskedBit(ncols) }
+	if k, ok := servedKernels(p, a, b, getAcc, maskedBitPlusTimesKernels); ok {
+		return k
+	}
+	return pushKernels(p.mask, a, b, getAcc)
+}
+
+// maskedBitPlusTimesKernels is MaskedBit's row kernels over the served
+// semiring.
+func maskedBitPlusTimesKernels(mask *sparse.Pattern, a, b *sparse.CSR[float64], getAcc func(tid int) *accum.MaskedBit[float64, accum.PlusTimes64]) kernels[float64] {
+	return pushKernels(mask, a, b, func(tid int) accum.MaskedBitPlusTimes {
+		return accum.MaskedBitPlusTimes{MaskedBit: getAcc(tid)}
 	})
 }
 

@@ -12,7 +12,11 @@
 // code once per GC shape, and every zero-size semiring shares one shape,
 // so inside a generic kernel Add and Mul are indirect calls through the
 // instantiation's dictionary and are not inlined. The accumulators pay
-// them only on products the mask admits.
+// them only on products the mask admits. PlusTimes[float64], the one
+// semiring the facade and the server run, is the exception in the
+// kernels that bind most served rows: MSA, MaskedBit and MaskedBitC bind
+// float64 Scatter loops for it at bind time, which multiply and add
+// inline (internal/accum, plustimes.go).
 package semiring
 
 import "math"

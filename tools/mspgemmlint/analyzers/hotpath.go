@@ -15,7 +15,10 @@ import (
 // bookkeeping), closures (potential escapes), goroutine and select
 // statements, map iteration (random order, hash walking), type
 // asserts, interface method calls, any conversion of a concrete value
-// to an interface (hidden allocation + dynamic dispatch), and a method
+// to an interface (hidden allocation + dynamic dispatch), any
+// conversion to or from unsafe.Pointer (a kernel specialised for one
+// element type is bound at bind time, never reached by reinterpreting
+// generic memory), and a method
 // call through a type-parameter receiver two or more loops deep. Go
 // compiles generic code once per GC shape, so such a call is an indirect
 // call through the instantiation's dictionary; in an inner loop that is
@@ -27,7 +30,7 @@ import (
 // misspelled annotation cannot silently disable a contract.
 var Hotpath = &analysis.Analyzer{
 	Name: "hotpath",
-	Doc: "forbid defer, closures, map iteration, interface conversions, " +
+	Doc: "forbid defer, closures, map iteration, interface conversions, unsafe.Pointer conversions, " +
 		"and inner-loop type-parameter method calls inside //mspgemm:hotpath functions (flat-loop contract)",
 	Run: runHotpath,
 }
@@ -154,6 +157,11 @@ func checkHotCall(pass *analysis.Pass, fn string, call *ast.CallExpr) {
 	}
 	if tv.IsType() {
 		// Explicit conversion T(x).
+		if len(call.Args) == 1 && (isUnsafePointer(tv.Type) || isUnsafePointer(pass.TypesInfo.TypeOf(call.Args[0]))) {
+			pass.Reportf(call.Pos(),
+				"unsafe.Pointer conversion in //mspgemm:hotpath function %s; hot loops stay memory-safe: bind a kernel typed for the data instead of reinterpreting it",
+				fn)
+		}
 		if isInterface(tv.Type) && len(call.Args) == 1 && isConcrete(pass, call.Args[0]) {
 			pass.Reportf(call.Pos(),
 				"conversion to interface type %s in //mspgemm:hotpath function %s; interface conversions allocate and add dynamic dispatch",
@@ -196,6 +204,12 @@ func checkHotCall(pass *analysis.Pass, fn string, call *ast.CallExpr) {
 				pt, fn)
 		}
 	}
+}
+
+// isUnsafePointer reports whether t is unsafe.Pointer.
+func isUnsafePointer(t types.Type) bool {
+	b, ok := types.Unalias(t).(*types.Basic)
+	return ok && b.Kind() == types.UnsafePointer
 }
 
 // checkInterfaceConversion reports a concrete value assigned to an

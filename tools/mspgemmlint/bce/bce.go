@@ -113,9 +113,12 @@ func compileFindings(moduleDir string, packages []string) ([]finding, error) {
 		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "<autogenerated>") {
 			continue
 		}
-		f, err := parseFinding(line, locator)
+		f, skip, err := parseFinding(line, locator)
 		if err != nil {
 			return nil, err
+		}
+		if skip {
+			continue
 		}
 		findings = append(findings, f)
 	}
@@ -123,31 +126,42 @@ func compileFindings(moduleDir string, packages []string) ([]finding, error) {
 }
 
 // parseFinding decodes one "path:line:col: Found Kind" compiler line.
-func parseFinding(line string, locator *funcLocator) (finding, error) {
+// skip reports a finding the audit leaves out: one inside a generic
+// function's body, or in a file outside the module (the standard
+// library's generic sorts). The compiler reports a generic body only in
+// the audited packages that instantiate it with concrete types, once per
+// instantiation, so its count would follow where the code is used rather
+// than the code itself. The gate therefore audits non-generic functions.
+func parseFinding(line string, locator *funcLocator) (f finding, skip bool, err error) {
 	posEnd := strings.Index(line, ": ")
 	if posEnd < 0 {
-		return finding{}, fmt.Errorf("unexpected check_bce line %q", line)
+		return finding{}, false, fmt.Errorf("unexpected check_bce line %q", line)
 	}
 	pos, msg := line[:posEnd], line[posEnd+2:]
 	kind := strings.TrimPrefix(msg, "Found ")
 	parts := strings.Split(pos, ":")
 	if len(parts) < 2 {
-		return finding{}, fmt.Errorf("unexpected check_bce position %q", pos)
+		return finding{}, false, fmt.Errorf("unexpected check_bce position %q", pos)
 	}
 	file := parts[0]
 	lineNo, err := strconv.Atoi(parts[1])
 	if err != nil {
-		return finding{}, fmt.Errorf("unexpected check_bce position %q", pos)
+		return finding{}, false, fmt.Errorf("unexpected check_bce position %q", pos)
 	}
-	fn, hot, err := locator.enclosing(file, lineNo)
+	if filepath.IsAbs(file) {
+		if rel, err := filepath.Rel(locator.moduleDir, file); err != nil || !filepath.IsLocal(rel) {
+			return finding{}, true, nil
+		}
+	}
+	fe, err := locator.enclosing(file, lineNo)
 	if err != nil {
-		return finding{}, err
+		return finding{}, false, err
 	}
 	return finding{
-		check: check{File: filepath.ToSlash(file), Func: fn, Kind: kind},
+		check: check{File: filepath.ToSlash(file), Func: fe.name, Kind: kind},
 		Pos:   pos,
-		Hot:   hot,
-	}, nil
+		Hot:   fe.hot,
+	}, fe.generic, nil
 }
 
 // funcLocator maps file:line positions to enclosing top-level
@@ -174,6 +188,8 @@ type funcExtent struct {
 	start, end int
 	// hot records a //mspgemm:hotpath annotation.
 	hot bool
+	// generic records type parameters on the function or its receiver.
+	generic bool
 }
 
 // newFuncLocator returns a locator rooted at the module directory.
@@ -181,9 +197,9 @@ func newFuncLocator(moduleDir string) *funcLocator {
 	return &funcLocator{moduleDir: moduleDir, files: make(map[string]*locatedFile)}
 }
 
-// enclosing returns the name and hot-path state of the top-level
-// function containing the line, or "<file>" when outside any function.
-func (l *funcLocator) enclosing(file string, line int) (string, bool, error) {
+// enclosing returns the extent of the top-level function containing
+// the line, named "<file>" when outside any function.
+func (l *funcLocator) enclosing(file string, line int) (funcExtent, error) {
 	lf, ok := l.files[file]
 	if !ok {
 		path := file
@@ -193,7 +209,7 @@ func (l *funcLocator) enclosing(file string, line int) (string, bool, error) {
 		fset := token.NewFileSet()
 		parsed, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			return "", false, fmt.Errorf("locating %s:%d: %v", file, line, err)
+			return funcExtent{}, fmt.Errorf("locating %s:%d: %v", file, line, err)
 		}
 		lf = &locatedFile{}
 		for _, decl := range parsed.Decls {
@@ -210,20 +226,41 @@ func (l *funcLocator) enclosing(file string, line int) (string, bool, error) {
 				}
 			}
 			lf.funcs = append(lf.funcs, funcExtent{
-				name:  fd.Name.Name,
-				start: fset.Position(fd.Pos()).Line,
-				end:   fset.Position(fd.End()).Line,
-				hot:   hot,
+				name:    fd.Name.Name,
+				start:   fset.Position(fd.Pos()).Line,
+				end:     fset.Position(fd.End()).Line,
+				hot:     hot,
+				generic: isGeneric(fd),
 			})
 		}
 		l.files[file] = lf
 	}
 	for _, fe := range lf.funcs {
 		if line >= fe.start && line <= fe.end {
-			return fe.name, fe.hot, nil
+			return fe, nil
 		}
 	}
-	return "<file>", false, nil
+	return funcExtent{name: "<file>"}, nil
+}
+
+// isGeneric reports whether fd declares type parameters or is a method
+// of a generic type (its receiver type is instantiated, T[P] or T[P, Q]).
+func isGeneric(fd *ast.FuncDecl) bool {
+	if fd.Type.TypeParams != nil {
+		return true
+	}
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return false
+	}
+	recv := fd.Recv.List[0].Type
+	if star, ok := recv.(*ast.StarExpr); ok {
+		recv = star.X
+	}
+	switch recv.(type) {
+	case *ast.IndexExpr, *ast.IndexListExpr:
+		return true
+	}
+	return false
 }
 
 // countChecks folds raw findings into per-(file, func, kind) counts.

@@ -128,3 +128,51 @@ func TestManifestMissing(t *testing.T) {
 		t.Fatal("expected an error for a missing manifest")
 	}
 }
+
+// TestGenericBodiesNotAudited instantiates a generic gather and the
+// standard library's generic sort with concrete types: their bodies are
+// compiled into the package, but the gate audits only non-generic
+// functions of the module, so the manifest of the flat build still
+// holds.
+func TestGenericBodiesNotAudited(t *testing.T) {
+	dir := fixtureMod(t, flatBody)
+	manifest := filepath.Join(dir, "bce.manifest")
+	if _, _, err := Run(dir, []string{"."}, manifest, true); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	dir2 := fixtureMod(t, flatBody)
+	generic := `package bcefixture
+
+import "slices"
+
+type table[T any] struct{ vals []T }
+
+// at is a generic-receiver method with an unprovable index. Both are
+// kept out of line: inlined into use, their checks would be use's own.
+//
+//go:noinline
+func (t *table[T]) at(perm []int, i int) T { return t.vals[perm[i]] }
+
+// pick is a generic function with an unprovable index.
+//
+//go:noinline
+func pick[T any](vals []T, perm []int, i int) T { return vals[perm[i]] }
+
+// use instantiates both, and slices.Sort, with concrete types.
+func use(perm []int, keys []int32) float64 {
+	slices.Sort(keys)
+	t := &table[float64]{vals: []float64{1}}
+	return t.at(perm, 0) + pick([]float64{2}, perm, 0)
+}
+`
+	if err := os.WriteFile(filepath.Join(dir2, "generic.go"), []byte(generic), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	report, ok, err := Run(dir2, []string{"."}, manifest, false)
+	if err != nil {
+		t.Fatalf("check: %v", err)
+	}
+	if !ok {
+		t.Fatalf("generic instantiations reported as drift:\n%s", report)
+	}
+}

@@ -5,6 +5,8 @@
 // per-row shapes of a generic push driver.
 package hotpath
 
+import "unsafe"
+
 // logger is a real interface, unlike the type parameters the live
 // kernels dispatch through.
 type logger interface {
@@ -110,11 +112,21 @@ func perStep[T any, S semiring[T]](sr S, xs [][]T) T {
 	return z
 }
 
+// reinterpret is the shortcut a specialised kernel must not take:
+// viewing generic values as float64 through unsafe.Pointer.
+//
+//mspgemm:hotpath
+func reinterpret[T any](vals []T) float64 {
+	p := unsafe.Pointer(&vals[0]) // want `unsafe.Pointer conversion in //mspgemm:hotpath function reinterpret`
+	return *(*float64)(p)         // want `unsafe.Pointer conversion in //mspgemm:hotpath function reinterpret`
+}
+
 //mspgemm:hotpaht // want `unknown directive //mspgemm:hotpaht`
 
 // cold is unannotated: the same constructs are legal here.
-func cold(m map[int]int, v any) {
+func cold(m map[int]int, v any, xs []int) {
 	defer func() {}()
+	_ = *(*int)(unsafe.Pointer(&xs[0]))
 	for k := range m {
 		sink(k)
 	}
