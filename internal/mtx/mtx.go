@@ -42,9 +42,14 @@ type Header struct {
 
 // Read parses a Matrix Market stream into CSR. Symmetric inputs are
 // expanded (both triangles populated); pattern inputs get unit values;
-// duplicate coordinates are summed.
+// duplicate coordinates are summed. A *bufio.Reader is read as is, so a
+// caller that already buffers (the server's sniffing decoder) pays for
+// one buffer; any other reader gets a 1 MiB one.
 func Read(r io.Reader) (*sparse.CSR[float64], *Header, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		br = bufio.NewReaderSize(r, 1<<20)
+	}
 	line, err := br.ReadString('\n')
 	if err != nil && line == "" {
 		return nil, nil, fmt.Errorf("mtx: empty input: %w", err)

@@ -8,7 +8,6 @@
 package serial
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -118,11 +117,22 @@ func (e *encoder) flush() {
 }
 
 // Read decodes a matrix written by Write, validating structure before
-// returning.
+// returning. Each section (RowPtr, ColIdx, Val) is read from r into one
+// chunkBytes buffer and decoded by index into its array, so r sees
+// reads of at most chunkBytes and nothing else is buffered.
+//
+// A header's declared size reserves nothing by itself: a hostile (or
+// fuzzed) header promising 2^39 rows against a 48-byte body must fail
+// with a short read, not attempt a terabyte allocation. An array is
+// reserved whole only when r reports how many bytes it still holds (a
+// bytes.Reader's Len), and then no larger than those bytes allow.
+// Otherwise it grows as chunks arrive, to at most twice the words
+// delivered and never past the declared count, so a complete body
+// leaves no slack behind in the arrays it returns.
 func Read(r io.Reader) (*sparse.CSR[float64], error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	head := make([]byte, headerBytes)
-	if _, err := io.ReadFull(br, head); err != nil {
+	buf := make([]byte, chunkBytes)
+	head := buf[:headerBytes]
+	if _, err := io.ReadFull(r, head); err != nil {
 		return nil, fmt.Errorf("serial: short header: %w", err)
 	}
 	if string(head[:4]) != magic {
@@ -138,42 +148,21 @@ func Read(r io.Reader) (*sparse.CSR[float64], error) {
 	if rows > sanity || cols > sanity || nnz > sanity {
 		return nil, fmt.Errorf("serial: implausible header rows=%d cols=%d nnz=%d", rows, cols, nnz)
 	}
-	// The arrays are grown as bytes actually arrive, never allocated to
-	// the header's declared size up front: a hostile (or fuzzed) header
-	// promising 2^39 rows against a 40-byte body must fail with a short
-	// read, not attempt a terabyte allocation.
+	rowPtr, err := readSection(r, buf, rows+1, 8, "rowptr", decodeInt64s)
+	if err != nil {
+		return nil, err
+	}
+	colIdx, err := readSection(r, buf, nnz, 4, "colidx", decodeInt32s)
+	if err != nil {
+		return nil, err
+	}
+	val, err := readSection(r, buf, nnz, 8, "values", decodeFloat64s)
+	if err != nil {
+		return nil, err
+	}
 	m := &sparse.CSR[float64]{
-		Pattern: sparse.Pattern{
-			Rows:   int(rows),
-			Cols:   int(cols),
-			RowPtr: make([]int64, 0, prealloc(rows+1)),
-			ColIdx: make([]int32, 0, prealloc(nnz)),
-		},
-		Val: make([]float64, 0, prealloc(nnz)),
-	}
-	err := readChunked(br, rows+1, 8, "rowptr", func(chunk []byte) {
-		for off := 0; off < len(chunk); off += 8 {
-			m.RowPtr = append(m.RowPtr, int64(binary.LittleEndian.Uint64(chunk[off:])))
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	err = readChunked(br, nnz, 4, "colidx", func(chunk []byte) {
-		for off := 0; off < len(chunk); off += 4 {
-			m.ColIdx = append(m.ColIdx, int32(binary.LittleEndian.Uint32(chunk[off:])))
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	err = readChunked(br, nnz, 8, "values", func(chunk []byte) {
-		for off := 0; off < len(chunk); off += 8 {
-			m.Val = append(m.Val, math.Float64frombits(binary.LittleEndian.Uint64(chunk[off:])))
-		}
-	})
-	if err != nil {
-		return nil, err
+		Pattern: sparse.Pattern{Rows: int(rows), Cols: int(cols), RowPtr: rowPtr, ColIdx: colIdx},
+		Val:     val,
 	}
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("serial: corrupt matrix: %w", err)
@@ -181,37 +170,111 @@ func Read(r io.Reader) (*sparse.CSR[float64], error) {
 	return m, nil
 }
 
-// preallocWords caps how much array capacity a header's declared size
-// may reserve before any payload bytes have been read (1 Mi words;
-// larger matrices grow by append as their bytes arrive).
-const preallocWords = 1 << 20
-
-// prealloc clamps a declared element count to the pre-read capacity cap.
-func prealloc(n uint64) int {
-	if n > preallocWords {
-		return preallocWords
+// ReadValues decodes a bare run of little-endian float64 words (the
+// body of a values-only delta), reading r to EOF through one chunkBytes
+// buffer and the word decoder Read uses. size is the byte count r
+// declares (an HTTP Content-Length), or negative when unknown. Like a
+// header's counts it reserves nothing by itself: it only stops the
+// array's doubling at the declared length, so a complete body leaves
+// no slack in an array the caller keeps. An r that ends inside a word
+// is an error; an empty r yields no values.
+func ReadValues(r io.Reader, size int64) ([]float64, error) {
+	limit := uint64(math.MaxUint64)
+	if size >= 0 {
+		limit = uint64(size) / 8
 	}
-	return int(n)
+	buf := make([]byte, chunkBytes)
+	out := make([]float64, 0, reserve(r, limit, 8))
+	total := 0
+	for {
+		n, err := io.ReadFull(r, buf)
+		total += n
+		k := n / 8
+		out = grow(out, k, limit)
+		decodeFloat64s(out[len(out)-k:], buf[:8*k])
+		switch {
+		case err == io.EOF || err == io.ErrUnexpectedEOF:
+			if n%8 != 0 {
+				return nil, fmt.Errorf("serial: %d bytes of values end inside a word (want a multiple of 8)", total)
+			}
+			return out, nil
+		case err != nil:
+			return nil, fmt.Errorf("serial: reading values: %w", err)
+		}
+	}
 }
 
-// readChunked streams count fixed-width words through emit in bounded
-// chunks, so decode memory tracks delivered bytes rather than declared
-// counts. The chunk size is a multiple of every word width used here.
-func readChunked(br io.Reader, count uint64, width int, what string, emit func(chunk []byte)) error {
-	buf := make([]byte, 1<<16)
-	remaining := count * uint64(width)
-	for remaining > 0 {
-		n := uint64(len(buf))
-		if n > remaining {
-			n = remaining
+// readSection reads count words of the given width from r through buf
+// (whose length is a multiple of every width used here) and decodes
+// them into a new array, chunk by chunk.
+func readSection[T any](r io.Reader, buf []byte, count uint64, width int, what string, decode func(dst []T, src []byte)) ([]T, error) {
+	out := make([]T, 0, reserve(r, count, width))
+	per := uint64(len(buf) / width)
+	for left := count; left > 0; {
+		k := min(left, per)
+		src := buf[:k*uint64(width)]
+		if _, err := io.ReadFull(r, src); err != nil {
+			return nil, fmt.Errorf("serial: short %s: %w", what, err)
 		}
-		if _, err := io.ReadFull(br, buf[:n]); err != nil {
-			return fmt.Errorf("serial: short %s: %w", what, err)
-		}
-		emit(buf[:n])
-		remaining -= n
+		out = grow(out, int(k), count)
+		decode(out[len(out)-int(k):], src)
+		left -= k
 	}
-	return nil
+	return out, nil
+}
+
+// reserve is the capacity to allocate for up to count words of the
+// given width before any of them is read: none, unless r reports the
+// bytes it still holds, and then no more words than those bytes carry.
+func reserve(r io.Reader, count uint64, width int) int {
+	if s, ok := r.(interface{ Len() int }); ok {
+		if n := s.Len(); n > 0 {
+			return int(min(count, uint64(n/width)))
+		}
+	}
+	return 0
+}
+
+// grow extends out by k words that have just been read. The capacity
+// doubles with the words delivered, so each word is copied O(1) times
+// amortised, and stops at limit, the count the source declared, so a
+// complete section's array ends exactly full.
+func grow[T any](out []T, k int, limit uint64) []T {
+	n := len(out)
+	if cap(out)-n >= k {
+		return out[:n+k]
+	}
+	c := max(2*n, n+k)
+	if uint64(c) > limit {
+		c = max(n+k, int(limit))
+	}
+	g := make([]T, n+k, c)
+	copy(g, out)
+	return g
+}
+
+// decodeInt64s, decodeInt32s and decodeFloat64s are the word decoders:
+// each fills dst by index from the little-endian words in src, which
+// holds exactly len(dst) of them.
+func decodeInt64s(dst []int64, src []byte) {
+	src = src[:8*len(dst)]
+	for i := range dst {
+		dst[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+}
+
+func decodeInt32s(dst []int32, src []byte) {
+	src = src[:4*len(dst)]
+	for i := range dst {
+		dst[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+}
+
+func decodeFloat64s(dst []float64, src []byte) {
+	src = src[:8*len(dst)]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
 }
 
 // WriteFile writes a matrix to disk.

@@ -5,11 +5,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/gen"
@@ -78,7 +82,11 @@ func multiChunk() *sparse.CSR[float64] {
 	return m
 }
 
-func TestWriteMatchesReference(t *testing.T) {
+// codecCases are the fixtures both directions of the codec are checked
+// on: the degenerate shapes, empty rows at the edges and in the middle,
+// special float bit patterns, and a body whose every section crosses
+// several chunk boundaries.
+func codecCases(tb testing.TB) map[string]*sparse.CSR[float64] {
 	emptyRows := gen.ErdosRenyi(40, 3, 7)
 	for _, i := range []int{0, 17, 39} { // first, middle and last row emptied
 		lo, hi := emptyRows.RowPtr[i], emptyRows.RowPtr[i+1]
@@ -91,22 +99,38 @@ func TestWriteMatchesReference(t *testing.T) {
 	}
 	specials := gen.Random(3, 4, 2, 5)
 	copy(specials.Val, []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1), 5e-324, 1e308})
+	nanBits := gen.Random(3, 4, 2, 6)
+	copy(nanBits.Val, []float64{
+		math.Float64frombits(0x7ff8000000000001), // quiet NaN with a payload
+		math.Float64frombits(0xfff0000000000001), // signalling, negative NaN
+		math.Float64frombits(0x000fffffffffffff), // largest subnormal
+		math.Float64frombits(0x8000000000000001), // smallest negative subnormal
+		math.Float64frombits(1 << 63),            // -0
+		math.Float64frombits(0x7fefffffffffffff), // largest finite
+	})
 	big := multiChunk()
 	if cb, vb := 4*len(big.ColIdx), 8*len(big.Val); cb < 3*chunkBytes || vb < 3*chunkBytes {
-		t.Fatalf("multi-chunk fixture too small: colidx %d B, val %d B", cb, vb)
+		tb.Fatalf("multi-chunk fixture too small: colidx %d B, val %d B", cb, vb)
 	}
 	cases := map[string]*sparse.CSR[float64]{
-		"0x0":            sparse.NewCSR[float64](0, 0),
-		"all rows empty": sparse.NewCSR[float64](5, 7),
-		"some rows nnz0": emptyRows,
-		"special values": specials,
-		"multi-chunk":    big,
-		"1x1":            gen.Random(1, 1, 1, 3),
+		"0x0":                    sparse.NewCSR[float64](0, 0),
+		"all rows empty":         sparse.NewCSR[float64](5, 7),
+		"some rows nnz0":         emptyRows,
+		"special values":         specials,
+		"nan and subnormal bits": nanBits,
+		"multi-chunk":            big,
+		"1x1":                    gen.Random(1, 1, 1, 3),
 	}
 	for name, m := range cases {
 		if err := m.Validate(); err != nil {
-			t.Fatalf("%s: fixture invalid: %v", name, err)
+			tb.Fatalf("%s: fixture invalid: %v", name, err)
 		}
+	}
+	return cases
+}
+
+func TestWriteMatchesReference(t *testing.T) {
+	for name, m := range codecCases(t) {
 		var want bytes.Buffer
 		if err := referenceWrite(&want, m); err != nil {
 			t.Fatal(err)
@@ -253,6 +277,356 @@ func BenchmarkWrite(b *testing.B) {
 		if err := Write(io.Discard, c); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// referenceRead is the decoder Read replaced: a 1 MiB bufio.Reader per
+// call, arrays reserved up to 1 Mi words from the header alone, three
+// more 64 KiB buffers, and one append per element. Read must accept
+// exactly the bodies it accepts and decode them to the same bits.
+func referenceRead(r io.Reader) (*sparse.CSR[float64], error) {
+	br := bufio.NewReaderSize(r, 1<<20)
+	head := make([]byte, headerBytes)
+	if _, err := io.ReadFull(br, head); err != nil {
+		return nil, fmt.Errorf("serial: short header: %w", err)
+	}
+	if string(head[:4]) != magic {
+		return nil, fmt.Errorf("serial: bad magic %q", head[:4])
+	}
+	if v := binary.LittleEndian.Uint32(head[4:]); v != version {
+		return nil, fmt.Errorf("serial: unsupported version %d", v)
+	}
+	rows := binary.LittleEndian.Uint64(head[8:])
+	cols := binary.LittleEndian.Uint64(head[16:])
+	nnz := binary.LittleEndian.Uint64(head[24:])
+	const sanity = 1 << 40
+	if rows > sanity || cols > sanity || nnz > sanity {
+		return nil, fmt.Errorf("serial: implausible header rows=%d cols=%d nnz=%d", rows, cols, nnz)
+	}
+	prealloc := func(n uint64) int { return int(min(n, 1<<20)) }
+	m := &sparse.CSR[float64]{
+		Pattern: sparse.Pattern{
+			Rows:   int(rows),
+			Cols:   int(cols),
+			RowPtr: make([]int64, 0, prealloc(rows+1)),
+			ColIdx: make([]int32, 0, prealloc(nnz)),
+		},
+		Val: make([]float64, 0, prealloc(nnz)),
+	}
+	err := referenceReadChunked(br, rows+1, 8, "rowptr", func(chunk []byte) {
+		for off := 0; off < len(chunk); off += 8 {
+			m.RowPtr = append(m.RowPtr, int64(binary.LittleEndian.Uint64(chunk[off:])))
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	err = referenceReadChunked(br, nnz, 4, "colidx", func(chunk []byte) {
+		for off := 0; off < len(chunk); off += 4 {
+			m.ColIdx = append(m.ColIdx, int32(binary.LittleEndian.Uint32(chunk[off:])))
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	err = referenceReadChunked(br, nnz, 8, "values", func(chunk []byte) {
+		for off := 0; off < len(chunk); off += 8 {
+			m.Val = append(m.Val, math.Float64frombits(binary.LittleEndian.Uint64(chunk[off:])))
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := m.Validate(); err != nil {
+		return nil, fmt.Errorf("serial: corrupt matrix: %w", err)
+	}
+	return m, nil
+}
+
+// referenceReadChunked streams count words through emit in 64 KiB
+// chunks, each read into a fresh buffer.
+func referenceReadChunked(br io.Reader, count uint64, width int, what string, emit func(chunk []byte)) error {
+	buf := make([]byte, 1<<16)
+	for remaining := count * uint64(width); remaining > 0; {
+		n := min(uint64(len(buf)), remaining)
+		if _, err := io.ReadFull(br, buf[:n]); err != nil {
+			return fmt.Errorf("serial: short %s: %w", what, err)
+		}
+		emit(buf[:n])
+		remaining -= n
+	}
+	return nil
+}
+
+// unsized hides a source's Len, as a network body or a bufio.Reader
+// does: Read must then grow its arrays as the bytes arrive.
+type unsized struct{ r io.Reader }
+
+func (u unsized) Read(p []byte) (int, error) { return u.r.Read(p) }
+
+// sameBits reports whether two matrices have the same shape, structure
+// and value bit patterns (NaN payloads and the sign of zero included).
+func sameBits(a, b *sparse.CSR[float64]) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols || !slices.Equal(a.RowPtr, b.RowPtr) || !slices.Equal(a.ColIdx, b.ColIdx) || len(a.Val) != len(b.Val) {
+		return false
+	}
+	for i, v := range a.Val {
+		if math.Float64bits(v) != math.Float64bits(b.Val[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// encoded returns Write's bytes for m.
+func encoded(tb testing.TB, m *sparse.CSR[float64]) []byte {
+	var buf bytes.Buffer
+	if err := Write(&buf, m); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// sources are the reader shapes Read is driven through: a source that
+// reports its length, one that does not, and one that delivers a few
+// bytes per call.
+var sources = map[string]func([]byte) io.Reader{
+	"sized":   func(b []byte) io.Reader { return bytes.NewReader(b) },
+	"unsized": func(b []byte) io.Reader { return unsized{bytes.NewReader(b)} },
+	"trickle": func(b []byte) io.Reader { return iotest.HalfReader(unsized{bytes.NewReader(b)}) },
+}
+
+func TestReadMatchesReference(t *testing.T) {
+	for name, m := range codecCases(t) {
+		body := encoded(t, m)
+		want, err := referenceRead(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		if !sameBits(want, m) {
+			t.Fatalf("%s: reference decode differs from the encoded matrix", name)
+		}
+		for src, open := range sources {
+			got, err := Read(open(body))
+			if err != nil {
+				t.Fatalf("%s, %s source: %v", name, src, err)
+			}
+			if !sameBits(got, want) {
+				t.Errorf("%s, %s source: decode differs from the reference", name, src)
+			}
+			// A complete body leaves no slack: the store keeps these
+			// arrays for as long as the operand is resident.
+			if cap(got.RowPtr) != len(got.RowPtr) || cap(got.ColIdx) != len(got.ColIdx) || cap(got.Val) != len(got.Val) {
+				t.Errorf("%s, %s source: capacities %d/%d/%d for lengths %d/%d/%d", name, src,
+					cap(got.RowPtr), cap(got.ColIdx), cap(got.Val), len(got.RowPtr), len(got.ColIdx), len(got.Val))
+			}
+		}
+	}
+}
+
+func TestReadTruncations(t *testing.T) {
+	// Every prefix of a small body: each header field, every word of
+	// every section, and the cut inside each word.
+	small := encoded(t, codecCases(t)["some rows nnz0"])
+	for cut := 0; cut < len(small); cut++ {
+		for src, open := range sources {
+			if m, err := Read(open(small[:cut])); err == nil {
+				t.Fatalf("small body cut at %d of %d, %s source: decoded %dx%d", cut, len(small), src, m.Rows, m.Cols)
+			}
+		}
+	}
+	// The multi-chunk body at its section boundaries, its chunk
+	// boundaries, and one byte either side of each.
+	m := multiChunk()
+	body := encoded(t, m)
+	rowEnd := headerBytes + 8*len(m.RowPtr)
+	colEnd := rowEnd + 4*len(m.ColIdx)
+	var cuts []int
+	for _, at := range []int{headerBytes, rowEnd, colEnd, len(body)} {
+		cuts = append(cuts, at-1, at, at+1, at+3, at+5)
+	}
+	for at := chunkBytes; at < len(body); at += chunkBytes {
+		cuts = append(cuts, at-1, at, at+1)
+	}
+	for _, sec := range []int{headerBytes, rowEnd, colEnd} {
+		for at := sec + chunkBytes; at < len(body); at += chunkBytes {
+			cuts = append(cuts, at-1, at, at+1)
+		}
+	}
+	for _, cut := range cuts {
+		if cut < 0 || cut >= len(body) {
+			continue
+		}
+		for src, open := range sources {
+			if _, err := Read(open(body[:cut])); err == nil {
+				t.Errorf("multi-chunk body cut at %d of %d, %s source: want an error", cut, len(body), src)
+			}
+		}
+	}
+}
+
+// hostileHeader is a 48-byte body whose header declares 2^39 rows,
+// columns and entries: within the sanity bound, so only the payload's
+// absence stops it.
+func hostileHeader() []byte {
+	body := []byte(magic + "\x01\x00\x00\x00")
+	for range 3 {
+		body = binary.LittleEndian.AppendUint64(body, 1<<39)
+	}
+	return append(body, make([]byte, 16)...)
+}
+
+func TestReadHostileHeaderAllocatesLittle(t *testing.T) {
+	body := hostileHeader()
+	for src, open := range sources {
+		var err error
+		got := allocBytesPerCall(func() { _, err = Read(open(body)) })
+		if err == nil || !strings.Contains(err.Error(), "short rowptr") || !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s source: err = %v, want a short rowptr read", src, err)
+		}
+		if limit := uint64(256 << 10); got > limit {
+			t.Errorf("%s source: %d bytes allocated per call, want < %d", src, got, limit)
+		}
+	}
+}
+
+// sink keeps an allocation a test measures from being optimised away.
+var sink *sparse.CSR[float64]
+
+func TestReadAllocatesOneChunk(t *testing.T) {
+	m := multiChunk()
+	body := encoded(t, m)
+	// The arrays' own cost, the allocator's size-class rounding included.
+	arrays := allocBytesPerCall(func() {
+		sink = &sparse.CSR[float64]{
+			Pattern: sparse.Pattern{RowPtr: make([]int64, len(m.RowPtr)), ColIdx: make([]int32, len(m.ColIdx))},
+			Val:     make([]float64, len(m.Val)),
+		}
+	})
+	r := bytes.NewReader(body)
+	got := allocBytesPerCall(func() {
+		r.Reset(body)
+		if _, err := Read(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := arrays + chunkBytes + 1024; got > limit {
+		t.Errorf("Read allocates %d bytes per call for %d bytes of arrays, want ≤ %d", got, arrays, limit)
+	}
+	// Without a length the arrays double as words arrive: every earlier
+	// copy of an array is smaller than its final size, together at most
+	// that size again.
+	got = allocBytesPerCall(func() {
+		r.Reset(body)
+		if _, err := Read(unsized{r}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := 2*arrays + chunkBytes + 1024; got > limit {
+		t.Errorf("Read from an unsized source allocates %d bytes per call for %d bytes of arrays, want ≤ %d", got, arrays, limit)
+	}
+}
+
+func TestReadValues(t *testing.T) {
+	vals := multiChunk().Val
+	body := make([]byte, 0, 8*len(vals))
+	for _, v := range vals {
+		body = binary.LittleEndian.AppendUint64(body, math.Float64bits(v))
+	}
+	for src, open := range sources {
+		for _, size := range []int64{int64(len(body)), -1} {
+			got, err := ReadValues(open(body), size)
+			if err != nil {
+				t.Fatalf("%s source, size %d: %v", src, size, err)
+			}
+			if !slices.Equal(got, vals) {
+				t.Fatalf("%s source, size %d: values differ", src, size)
+			}
+			if size >= 0 && cap(got) != len(got) {
+				t.Errorf("%s source, declared size: capacity %d for %d values", src, cap(got), len(got))
+			}
+		}
+		if got, err := ReadValues(open(nil), 0); err != nil || len(got) != 0 {
+			t.Errorf("%s source, empty: %d values, err %v; want none and no error", src, len(got), err)
+		}
+		for _, n := range []int{3, 8*5 + 3, chunkBytes + 1, len(body) - 1} {
+			if _, err := ReadValues(open(body[:n]), int64(n)); err == nil {
+				t.Errorf("%s source, %d bytes: want an error for a partial word", src, n)
+			}
+		}
+	}
+	// A declared size the body never delivers reserves nothing.
+	got := allocBytesPerCall(func() {
+		if _, err := ReadValues(unsized{bytes.NewReader(body[:16])}, 1<<40); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := uint64(chunkBytes + 1024); got > limit {
+		t.Errorf("ReadValues of 16 bytes declared as 1 TiB allocates %d bytes, want ≤ %d", got, limit)
+	}
+}
+
+// FuzzRead is differential: on any body Read and referenceRead both
+// fail, or both return the same matrix bit for bit, whether or not the
+// source reports its length.
+func FuzzRead(f *testing.F) {
+	for name, m := range codecCases(f) {
+		if name == "multi-chunk" {
+			continue // too large for a mutation corpus; TestReadMatchesReference covers it
+		}
+		body := encoded(f, m)
+		f.Add(body)
+		f.Add(body[:len(body)/2])
+	}
+	f.Add(hostileHeader())
+	f.Add([]byte(magic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantErr := referenceRead(bytes.NewReader(data))
+		for src, open := range sources {
+			got, err := Read(open(data))
+			switch {
+			case (err == nil) != (wantErr == nil):
+				t.Fatalf("%s source: err = %v, reference err = %v", src, err, wantErr)
+			case err == nil && !sameBits(got, want):
+				t.Fatalf("%s source: decode differs from the reference", src)
+			}
+		}
+	})
+}
+
+// BenchmarkRead decodes the two bodies the trajectory workloads spend
+// decode time on: er-warm-inline's inline request operand (a
+// symmetrized Erdős–Rényi graph, 2^11 vertices, degree 8, about 408 KB),
+// read as the server reads it, behind a 64 KiB bufio.Reader with no
+// length; and the delta-compl-ref product (see complProduct), read as a
+// client reads a reply it holds in memory.
+func BenchmarkRead(b *testing.B) {
+	bodies := []struct {
+		name string
+		m    *sparse.CSR[float64]
+		open func(*bytes.Reader) io.Reader
+	}{
+		{"er-warm-inline", gen.Symmetrize(gen.ErdosRenyi(1<<11, 8, 1)), func(r *bytes.Reader) io.Reader { return bufio.NewReaderSize(r, 1<<16) }},
+		{"delta-compl-ref", complProduct(b), func(r *bytes.Reader) io.Reader { return r }},
+	}
+	for _, c := range bodies {
+		b.Run(c.name, func(b *testing.B) {
+			body := encoded(b, c.m)
+			r := bytes.NewReader(body)
+			src := c.open(r)
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.Reset(body)
+				if br, ok := src.(*bufio.Reader); ok {
+					br.Reset(r)
+				}
+				if _, err := Read(src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

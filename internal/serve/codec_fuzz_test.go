@@ -2,8 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"mime/multipart"
 	"net/http"
+	"runtime"
+	"strings"
 	"testing"
 
 	maskedspgemm "maskedspgemm"
@@ -170,17 +173,82 @@ func TestDecodeMatrixTruncations(t *testing.T) {
 
 // TestDecodeMatrixOversizedHeader pins the decoder against a header
 // that promises absurd sizes: the serial reader must refuse declared
-// dimensions it cannot hold rather than attempt the allocation.
+// dimensions it cannot hold rather than attempt the allocation, and a
+// plausible-looking one the body cannot back must fail as the short
+// read it is after allocating only what arrived.
 func TestDecodeMatrixOversizedHeader(t *testing.T) {
-	// MSPG | version 1 | rows 2^60 | cols 2^60 | nnz 2^60.
-	body := []byte("MSPG\x01\x00\x00\x00")
-	huge := bytes.Repeat([]byte{0, 0, 0, 0, 0, 0, 0, 0x10}, 3)
-	body = append(body, huge...)
-	m, err := decodeMatrix(bytes.NewReader(body))
-	if err == nil {
-		t.Fatalf("oversized header decoded into %v", m)
+	header := func(dim uint64, payload int) []byte {
+		body := []byte("MSPG\x01\x00\x00\x00")
+		for range 3 {
+			body = binary.LittleEndian.AppendUint64(body, dim)
+		}
+		return append(body, make([]byte, payload)...)
 	}
-	if status := operandStatus(err, nil); status != http.StatusBadRequest {
-		t.Fatalf("oversized header: status %d, want 400", status)
+	for _, c := range []struct {
+		name string
+		body []byte
+		want string
+	}{
+		// Past the 2^40 sanity bound: rejected from the header alone.
+		{"2^60 header", header(1<<60, 0), "implausible header"},
+		// Within the bound, 48 bytes in all: fails on the missing
+		// row pointers.
+		{"2^39 header", header(1<<39, 16), "short rowptr"},
+	} {
+		var m *maskedspgemm.Matrix
+		var err error
+		alloc := allocBytesPerCall(func() { m, err = decodeMatrix(bytes.NewReader(c.body)) })
+		if err == nil {
+			t.Fatalf("%s: decoded into %v", c.name, m)
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+		if status := operandStatus(err, nil); status != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", c.name, status)
+		}
+		if limit := uint64(256 << 10); alloc > limit {
+			t.Errorf("%s: %d bytes allocated per decode, want < %d", c.name, alloc, limit)
+		}
+	}
+}
+
+// allocBytesPerCall reports the heap bytes one call of f allocates,
+// averaged over several calls after a warm-up call.
+func allocBytesPerCall(f func()) uint64 {
+	const runs = 20
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// TestDecodeMatrixAllocatesOneBuffer bounds what one small operand
+// costs to decode in each wire format: the sniffing decoder's 64 KiB
+// bufio.Reader is the only buffer the Matrix Market parser reads
+// through, and the serial reader adds just its one 64 KiB chunk. Each
+// format's own arrays and parsed lines fit in the remaining slack.
+func TestDecodeMatrixAllocatesOneBuffer(t *testing.T) {
+	g := maskedspgemm.ErdosRenyi(24, 4, 5)
+	for _, c := range []struct {
+		name  string
+		body  []byte
+		limit uint64
+	}{
+		{"serial", servetest.EncodeSerial(t, g), 2<<16 + 8<<10},
+		{"mtx", servetest.EncodeMTX(t, g), 1<<16 + 32<<10},
+	} {
+		alloc := allocBytesPerCall(func() {
+			if _, err := decodeMatrix(bytes.NewReader(c.body)); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		})
+		if alloc > c.limit {
+			t.Errorf("%s: %d bytes allocated per decode of a %d-byte body, want ≤ %d", c.name, alloc, len(c.body), c.limit)
+		}
 	}
 }

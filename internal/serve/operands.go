@@ -9,11 +9,9 @@
 package serve
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"mime"
 	"mime/multipart"
 	"net/http"
@@ -21,6 +19,7 @@ import (
 	"strings"
 
 	maskedspgemm "maskedspgemm"
+	"maskedspgemm/internal/serial"
 	"maskedspgemm/internal/store"
 )
 
@@ -113,18 +112,16 @@ func decodeUploads(r *http.Request) ([]namedUpload, error) {
 
 // decodeValuesBody parses a values-only delta: raw little-endian
 // float64 words, nothing else — the minimal wire form for refreshing
-// the numbers of a resident structure.
+// the numbers of a resident structure. The words are decoded chunk by
+// chunk straight into the array the store keeps; the Content-Length
+// only caps its growth, so a short body costs what it delivered.
 func decodeValuesBody(r *http.Request) ([]float64, error) {
-	data, err := io.ReadAll(r.Body)
+	vals, err := serial.ReadValues(r.Body, r.ContentLength)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("serve: values body: %w", err)
 	}
-	if len(data) == 0 || len(data)%8 != 0 {
-		return nil, fmt.Errorf("serve: values body must be a non-empty multiple of 8 bytes (little-endian float64 words), got %d", len(data))
-	}
-	vals := make([]float64, len(data)/8)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+	if len(vals) == 0 {
+		return nil, errors.New("serve: values body is empty (want little-endian float64 words)")
 	}
 	return vals, nil
 }

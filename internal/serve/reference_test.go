@@ -224,6 +224,32 @@ func TestServeValuesDelta(t *testing.T) {
 	}
 }
 
+// TestServeValuesBodyFraming pins the values-only delta's framing: a
+// body that is empty or ends inside a float64 word is a 400, even
+// against a resident structure, and nothing is stored for it.
+func TestServeValuesBodyFraming(t *testing.T) {
+	h := servetest.Start(t, New(Config{}))
+	g := maskedspgemm.ErdosRenyi(64, 4, 63)
+	pattern := h.Put("/v1/operands", servetest.EncodeSerial(t, g), nil).JSON(t).Str("operands.0.pattern")
+	whole := encodeValues(g.Val)
+	for name, body := range map[string][]byte{
+		"empty":        nil,
+		"8k+3 bytes":   whole[:8*5+3],
+		"one byte off": whole[:len(whole)-1],
+	} {
+		resp := h.Put("/v1/operands?values_for="+pattern, body, nil)
+		if resp.Status != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", name, resp.Status, resp.Body)
+		}
+	}
+	if puts := h.Get("/stats").JSON(t).Int("session.store.puts"); puts != 1 {
+		t.Errorf("store puts = %d after rejected deltas, want 1 (the full upload)", puts)
+	}
+	if resp := h.Put("/v1/operands?values_for="+pattern, whole, nil); resp.Status != http.StatusOK {
+		t.Fatalf("whole delta: status %d: %s", resp.Status, resp.Body)
+	}
+}
+
 // TestServeReferenceWireBytes is the transfer-size acceptance pin: on
 // the triangle-counting workload shape (the k-truss example's inner
 // loop — self-masked A·A over a fixed graph), a by-reference multiply
