@@ -23,12 +23,14 @@ type numericAcc interface {
 }
 
 // plainAccumulators returns one fresh instance of every plain push
-// accumulator. MSA and MaskedBit appear twice: generic, and wrapped in
-// the float64 plus-times Scatter their binders use for PlusTimes64.
+// accumulator. MSA and MaskedBit appear again wrapped in the float64
+// plus-times Scatter their binders use for PlusTimes64, MSA once per
+// scatter loop.
 func plainAccumulators(ncols, maxMask int) map[string]numericAcc {
 	return map[string]numericAcc{
 		"MSA":                 NewMSA[float64](pt, ncols),
-		"MSA-PlusTimes":       MSAPlusTimes{NewMSA[float64](pt, ncols)},
+		"MSA-PlusTimes":       MSAPlusTimes{MSA: NewMSA[float64](pt, ncols)},
+		"MSA-PlusTimes-dense": MSAPlusTimes{MSA: NewMSA[float64](pt, ncols), Dense: true},
 		"Hash":                NewHash[float64](pt, maxMask, 0),
 		"Hash-lf1":            NewHash[float64](pt, maxMask, 1.0),
 		"MaskedBit":           NewMaskedBit[float64](pt, ncols),
@@ -588,6 +590,43 @@ func TestNextPow2(t *testing.T) {
 	for in, want := range cases {
 		if got := nextPow2(in); got != want {
 			t.Errorf("nextPow2(%d) = %d, want %d", in, got, want)
+		}
+	}
+}
+
+// TestMSAPlusTimesDenseRowsReset runs dense and sparse rows through one
+// MSAPlusTimes as its product narrows and widens again, and checks that
+// every Gather leaves it clean: all slots point past the arrays'
+// columns, into the sinks, and every column's state is NOTALLOWED.
+func TestMSAPlusTimesDenseRowsReset(t *testing.T) {
+	const wide, narrow = 4096, 256
+	msa := NewMSA[float64](pt, narrow)
+	outIdx := make([]int32, wide)
+	outVal := make([]float64, wide)
+	for _, ncols := range []int{narrow, wide, narrow, wide} {
+		msa.EnsureCols(ncols)
+		for _, dense := range []bool{true, false} {
+			m := MSAPlusTimes{MSA: msa, Dense: dense}
+			row := make([]int32, ncols/8)
+			for i := range row {
+				row[i] = int32(3 * i)
+			}
+			m.Begin(row)
+			m.Scatter(1, row, make([]float64, len(row)))
+			m.Scatter(1, []int32{1, 2, int32(ncols - 1)}, []float64{1, 2, 3})
+			if n := m.Gather(row, outIdx, outVal); n != len(row) {
+				t.Fatalf("ncols %d, dense %v: gathered %d of %d", ncols, dense, n, len(row))
+			}
+			for k, s := range m.slot {
+				if int(s) < len(m.slot) {
+					t.Fatalf("ncols %d, dense %v: slot[%d] = %d after Gather, want a sink ≥ %d", ncols, dense, k, s, len(m.slot))
+				}
+			}
+			for k, s := range m.states[:len(m.states)-msaSinks] {
+				if s != stateNotAllowed {
+					t.Fatalf("ncols %d, dense %v: state[%d] = %d after Gather", ncols, dense, k, s)
+				}
+			}
 		}
 	}
 }

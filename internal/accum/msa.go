@@ -12,15 +12,28 @@ import (
 // ALLOWED; inserts only land on ALLOWED/SET keys; the gather walks the
 // mask in order (making output stable/sorted) and resets the touched
 // states, so cleanup costs O(nnz(mask row)) rather than O(ncols).
+//
+// Both arrays run msaSinks entries past the widest column they cover.
+// No column ever lands there: the tail is the sink block the float64
+// plus-times accumulator's branch-free dense rows send masked-out
+// products to (MSAPlusTimes, plustimes.go), which also owns slot.
 type MSA[T any, S semiring.Semiring[T]] struct {
 	sr     S
 	states []uint8
 	values []T
+	// slot maps each column to itself while a dense row admits it and
+	// to a sink otherwise; nil until the first dense row.
+	slot []int32
 }
+
+// msaSinks is the number of sink entries past the columns. Masked-out
+// products of a dense row are spread over them by column, so that
+// their stores do not form one store-to-load chain.
+const msaSinks = 64
 
 // NewMSA returns an MSA accumulator for output rows of width ncols.
 func NewMSA[T any, S semiring.Semiring[T]](sr S, ncols int) *MSA[T, S] {
-	return &MSA[T, S]{sr: sr, states: make([]uint8, ncols), values: make([]T, ncols)}
+	return &MSA[T, S]{sr: sr, states: make([]uint8, ncols+msaSinks), values: make([]T, ncols+msaSinks)}
 }
 
 // EnsureCols grows the dense arrays to cover output rows of width
@@ -28,9 +41,9 @@ func NewMSA[T any, S semiring.Semiring[T]](sr S, ncols int) *MSA[T, S] {
 // between rows is always safe. Used by executor workspaces that keep
 // one MSA per worker across products of different widths.
 func (m *MSA[T, S]) EnsureCols(ncols int) {
-	if ncols > len(m.states) {
-		m.states = make([]uint8, ncols)
-		m.values = make([]T, ncols)
+	if ncols+msaSinks > len(m.states) {
+		m.states = make([]uint8, ncols+msaSinks)
+		m.values = make([]T, ncols+msaSinks)
 	}
 }
 

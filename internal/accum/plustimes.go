@@ -1,6 +1,10 @@
 package accum
 
-import "maskedspgemm/internal/semiring"
+import (
+	"math"
+
+	"maskedspgemm/internal/semiring"
+)
 
 // The served semiring, specialised. Generic code is compiled once per GC
 // shape and every zero-size semiring shares one, so inside the generic
@@ -22,18 +26,90 @@ import "maskedspgemm/internal/semiring"
 type PlusTimes64 = semiring.PlusTimes[float64]
 
 // MSAPlusTimes is an MSA over PlusTimes64 whose Scatter is float64 code.
-type MSAPlusTimes struct{ *MSA[float64, PlusTimes64] }
+// It has two scatter loops, and Dense picks one per row. The sparse
+// loop tests each scanned entry against the mask first. The dense loop
+// has no branch per entry: every scanned entry is multiplied and
+// added, and slot sends the products of masked-out columns to the sink
+// block past the columns, where nothing reads them. It pays where the
+// mask admits a fair share of many scanned entries, so the sparse
+// loop's test mispredicts; the push kernel decides per row (DESIGN.md
+// §12, "Dense-mask rows without the branch").
+type MSAPlusTimes struct {
+	*MSA[float64, PlusTimes64]
+	// Dense selects the dense loop for the row; Begin, Scatter and
+	// Gather of one row must see the same value.
+	Dense bool
+}
 
-// Scatter is MSA.Scatter with Mul and Add written out. The discard case
-// is tested first: on masked products most scanned entries are
-// discarded, and a leading not-allowed test measured faster than the
-// generic loop's three-way switch.
+// negZero is −0, the exact additive identity of IEEE 754 addition:
+// −0 + p is p bit for bit for every p, including +0, −0 and NaN, where
+// +0 + (−0) would be +0.
+var negZero = math.Copysign(0, -1)
+
+// Begin prepares a row. A dense row maps each mask column to itself in
+// slot and starts its value at −0, so the first product added is
+// stored exactly as the generic ALLOWED case assigns it; its states
+// stay NOTALLOWED until a product lands. A sparse row is the generic
+// Begin.
+//
+//mspgemm:hotpath
+func (m MSAPlusTimes) Begin(maskRow []int32) {
+	a := m.MSA
+	if !m.Dense {
+		a.Begin(maskRow)
+		return
+	}
+	if len(a.slot)+msaSinks != len(a.states) {
+		m.resetSlots()
+	}
+	slot := a.slot
+	values := a.values[:len(slot)]
+	zero := negZero
+	for _, j := range maskRow {
+		k := uint32(j)
+		slot[k] = j
+		values[k] = zero
+	}
+}
+
+// resetSlots (re)builds slot for the arrays' current width w: column k
+// maps to sink w + k&63. It runs on the first dense row and after the
+// arrays grow.
+func (m MSAPlusTimes) resetSlots() {
+	w := len(m.states) - msaSinks
+	slot := make([]int32, w)
+	for k := range slot {
+		slot[k] = int32(w + k&(msaSinks-1))
+	}
+	m.slot = slot
+}
+
+// Scatter is MSA.Scatter with Mul and Add written out, in the current
+// row's loop.
+//
+// A dense row's loop has no branch per entry. An admitted column's
+// slot is itself, so its product is added to its value (−0 after
+// Begin) and its state becomes SET; any other column's slot is a sink,
+// which takes the product and the state store instead.
+//
+// A sparse row's loop tests the discard case first: most scanned
+// entries are discarded, and a leading not-allowed test measured
+// faster than the generic loop's three-way switch.
 //
 //mspgemm:hotpath
 func (m MSAPlusTimes) Scatter(av float64, bCols []int32, bVals []float64) {
 	states := m.states
 	values := m.values[:len(states)]
 	bVals = bVals[:len(bCols)]
+	if m.Dense {
+		slot := m.slot
+		for t, j := range bCols {
+			s := uint32(slot[uint32(j)])
+			states[s] = stateSet
+			values[s] += float64(av * bVals[t])
+		}
+		return
+	}
 	for t, j := range bCols {
 		k := uint32(j)
 		s := states[k]
@@ -48,6 +124,33 @@ func (m MSAPlusTimes) Scatter(av float64, bCols []int32, bVals []float64) {
 			values[k] += p
 		}
 	}
+}
+
+// Gather emits the SET entries in mask order, as MSA.Gather does. A
+// dense row also returns its mask columns' slots to their sinks.
+//
+//mspgemm:hotpath
+func (m MSAPlusTimes) Gather(maskRow []int32, outIdx []int32, outVal []float64) int {
+	a := m.MSA
+	if !m.Dense {
+		return a.Gather(maskRow, outIdx, outVal)
+	}
+	slot := a.slot
+	states := a.states[:len(slot)]
+	values := a.values[:len(slot)]
+	sink := int32(len(slot))
+	n := 0
+	for _, j := range maskRow {
+		k := uint32(j)
+		if states[k] == stateSet {
+			outIdx[n] = j
+			outVal[n] = values[k]
+			n++
+		}
+		states[k] = stateNotAllowed
+		slot[k] = sink + j&(msaSinks-1)
+	}
+	return n
 }
 
 // MaskedBitPlusTimes is a MaskedBit over PlusTimes64 whose Scatter is

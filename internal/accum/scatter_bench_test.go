@@ -1,6 +1,7 @@
 package accum_test
 
 import (
+	"fmt"
 	"testing"
 
 	"maskedspgemm/internal/accum"
@@ -24,22 +25,65 @@ type complRowAcc interface {
 	Gather(outIdx []int32, outVal []float64) int
 }
 
-// plainProduct runs every row of the self-masked C = A ⊙ (A·A)
-// serially: Begin, one Scatter per A entry over its B row, Gather. It
-// returns the output nnz.
-func plainProduct[A plainRowAcc](acc A, a *sparse.CSR[float64], outIdx []int32, outVal []float64) int {
+// plainProduct runs every row of C = M ⊙ (A·A) serially: Begin, one
+// Scatter per A entry over its B row, Gather. It returns the output
+// nnz.
+func plainProduct[A plainRowAcc](acc A, mask *sparse.Pattern, a *sparse.CSR[float64], outIdx []int32, outVal []float64) int {
 	nnz := 0
 	for i := 0; i < a.Rows; i++ {
-		maskRow := a.Row(i)
-		if len(maskRow) == 0 {
-			continue
-		}
-		acc.Begin(maskRow)
-		vals := a.RowVals(i)
-		for t, k := range a.Row(i) {
-			acc.Scatter(vals[t], a.Row(int(k)), a.RowVals(int(k)))
-		}
-		nnz += acc.Gather(maskRow, outIdx, outVal)
+		nnz += plainRow(acc, mask.Row(i), a, i, outIdx, outVal)
+	}
+	return nnz
+}
+
+// plainRow runs row i of plainProduct.
+func plainRow[A plainRowAcc](acc A, maskRow []int32, a *sparse.CSR[float64], i int, outIdx []int32, outVal []float64) int {
+	if len(maskRow) == 0 {
+		return 0
+	}
+	acc.Begin(maskRow)
+	vals := a.RowVals(i)
+	for t, k := range a.Row(i) {
+		acc.Scatter(vals[t], a.Row(int(k)), a.RowVals(int(k)))
+	}
+	return acc.Gather(maskRow, outIdx, outVal)
+}
+
+// msaRule is a dense-row rule of the shape of internal/core's
+// msaDenseRow: a row runs MSAPlusTimes' dense loop when its mask holds
+// at least ncols/ratio entries and it scans at least scan B entries per
+// mask entry. A ratio of 0 keeps every row on the sparse loop.
+type msaRule struct{ ratio, scan int }
+
+func (r msaRule) String() string {
+	switch {
+	case r.ratio == 0:
+		return "rule=none"
+	case r.scan == 0:
+		return fmt.Sprintf("rule=n/%d,noscan", r.ratio)
+	}
+	return fmt.Sprintf("rule=n/%d,scan%d", r.ratio, r.scan)
+}
+
+func (r msaRule) dense(maskRow []int32, a *sparse.CSR[float64], i int) bool {
+	if r.ratio == 0 || len(maskRow)*r.ratio < a.Cols {
+		return false
+	}
+	scan := 0
+	for _, k := range a.Row(i) {
+		scan += a.RowNNZ(int(k))
+	}
+	return scan >= r.scan*len(maskRow)
+}
+
+// msaProduct is plainProduct for MSAPlusTimes, each row on the loop
+// rule picks.
+func msaProduct(msa *accum.MSA[float64, accum.PlusTimes64], rule msaRule, mask *sparse.Pattern, a *sparse.CSR[float64], outIdx []int32, outVal []float64) int {
+	nnz := 0
+	for i := 0; i < a.Rows; i++ {
+		maskRow := mask.Row(i)
+		acc := accum.MSAPlusTimes{MSA: msa, Dense: rule.dense(maskRow, a, i)}
+		nnz += plainRow(acc, maskRow, a, i, outIdx, outVal)
 	}
 	return nnz
 }
@@ -64,47 +108,70 @@ func complProduct[A complRowAcc](acc A, a *sparse.CSR[float64], outIdx []int32, 
 
 // BenchmarkScatterPlusTimes is the go/no-go measurement for the float64
 // plus-times Scatter loops (DESIGN.md §12, "The served semiring,
-// specialised"). It times the whole serial row loop of the products the
-// two kernel-bound benchmark workloads serve: tc-skew-ref's self-masked
-// C = A ⊙ (A·A) on bench.SkewedGraph(12, 8, 1), and delta-compl-ref's
-// complemented C = ¬A ⊙ (A·A) on a symmetric ER(2¹¹, degree 8) graph.
-// Each accumulator runs generic (the semiring's Add and Mul are
-// dictionary calls) and specialised, on the same arrays; both must
-// produce the same output nnz.
+// specialised" and "Dense-mask rows without the branch"). It times the
+// whole serial row loop of the products three benchmark workloads
+// serve: tc-skew-ref's self-masked C = A ⊙ (A·A) on
+// bench.SkewedGraph(12, 8, 1), er-warm-inline's self-masked product on
+// a symmetric ER(2¹¹, degree 8) graph, and delta-compl-ref's
+// complemented C = ¬A ⊙ (A·A) on the same ER graph. Each accumulator
+// runs generic (the semiring's Add and Mul are dictionary calls) and
+// specialised, on the same arrays.
+//
+// MSA's specialised runs sweep its dense-row rule (msaRule): the
+// crossover from ncols/16 to ncols/256 mask entries at the
+// production scan ratio 4, the production crossover ncols/64 without
+// the scan term, and every row sparse. They also run on the bitmap
+// experiment's banded density sweep over ER(2¹², degree 8), whose mask
+// rows outnumber their scanned entries, the rows the scan term keeps
+// sparse. Every run must produce the same output nnz.
 func BenchmarkScatterPlusTimes(b *testing.B) {
 	var sr accum.PlusTimes64
 	skew := bench.SkewedGraph(12, 8, 1)
 	er := gen.Symmetrize(gen.ErdosRenyi(1<<11, 8, 1))
-	outIdx := make([]int32, max(skew.Cols, er.Cols))
+	er12 := gen.Symmetrize(gen.ErdosRenyi(1<<12, 8, 1))
+	sweep := bench.BandedMask(1<<12, bench.SweepDensities, 3)
+	outIdx := make([]int32, max(skew.Cols, er12.Cols))
 	outVal := make([]float64, len(outIdx))
-	msa := accum.NewMSA[float64](sr, skew.Cols)
+	type run struct {
+		name string
+		fn   func() int
+	}
+	msaRuns := func(mask *sparse.Pattern, a *sparse.CSR[float64]) []run {
+		msa := accum.NewMSA[float64](sr, a.Cols)
+		runs := []run{{"generic", func() int { return plainProduct(msa, mask, a, outIdx, outVal) }}}
+		for _, r := range []msaRule{{0, 0}, {16, 4}, {32, 4}, {64, 4}, {128, 4}, {256, 4}, {64, 0}} {
+			runs = append(runs, run{r.String(), func() int { return msaProduct(msa, r, mask, a, outIdx, outVal) }})
+		}
+		return runs
+	}
 	bit := accum.NewMaskedBit[float64](sr, skew.Cols)
 	bitC := accum.NewMaskedBitC[float64](sr, er.Cols)
-	type pair struct {
-		name              string
-		generic, specific func() int
-	}
-	for _, p := range []pair{
-		{"tc-skew-ref/MSA",
-			func() int { return plainProduct(msa, skew, outIdx, outVal) },
-			func() int { return plainProduct(accum.MSAPlusTimes{MSA: msa}, skew, outIdx, outVal) }},
-		{"tc-skew-ref/MaskedBit",
-			func() int { return plainProduct(bit, skew, outIdx, outVal) },
-			func() int { return plainProduct(accum.MaskedBitPlusTimes{MaskedBit: bit}, skew, outIdx, outVal) }},
-		{"delta-compl-ref/MaskedBitC",
-			func() int { return complProduct(bitC, er, outIdx, outVal) },
-			func() int { return complProduct(accum.MaskedBitCPlusTimes{MaskedBitC: bitC}, er, outIdx, outVal) }},
+	for _, p := range []struct {
+		name string
+		runs []run
+	}{
+		{"tc-skew-ref/MSA", msaRuns(skew.PatternView(), skew)},
+		{"er-warm-inline/MSA", msaRuns(er.PatternView(), er)},
+		{"bitmap-er-sweep/MSA", msaRuns(sweep, er12)},
+		{"tc-skew-ref/MaskedBit", []run{
+			{"generic", func() int { return plainProduct(bit, skew.PatternView(), skew, outIdx, outVal) }},
+			{"plustimes", func() int {
+				return plainProduct(accum.MaskedBitPlusTimes{MaskedBit: bit}, skew.PatternView(), skew, outIdx, outVal)
+			}}}},
+		{"delta-compl-ref/MaskedBitC", []run{
+			{"generic", func() int { return complProduct(bitC, er, outIdx, outVal) }},
+			{"plustimes", func() int { return complProduct(accum.MaskedBitCPlusTimes{MaskedBitC: bitC}, er, outIdx, outVal) }}}},
 	} {
-		if g, s := p.generic(), p.specific(); g != s {
-			b.Fatalf("%s: generic output nnz %d, specialised %d", p.name, g, s)
+		want := p.runs[0].fn()
+		for _, r := range p.runs[1:] {
+			if got := r.fn(); got != want {
+				b.Fatalf("%s: generic output nnz %d, %s %d", p.name, want, r.name, got)
+			}
 		}
-		for _, run := range []struct {
-			kind string
-			fn   func() int
-		}{{"generic", p.generic}, {"plustimes", p.specific}} {
-			b.Run(p.name+"/"+run.kind, func(b *testing.B) {
+		for _, r := range p.runs {
+			b.Run(p.name+"/"+r.name, func(b *testing.B) {
 				for b.Loop() {
-					run.fn()
+					r.fn()
 				}
 			})
 		}

@@ -118,7 +118,8 @@ func complementCase(acc complementAcc) scatterCase {
 // Scatter and ScatterPattern of every push accumulator, plain and
 // complement, reusing one accumulator across every row, and compares
 // each row against the per-key reference. MSA, MaskedBit and MaskedBitC
-// run both their generic Scatter and the float64 plus-times one. Once
+// run both their generic Scatter and the float64 plus-times one, MSA's
+// with its sparse loop and with its dense loop on every row. Once
 // the accumulators have seen every row, a second pass must allocate
 // nothing.
 func TestScatterMatchesPerKeyReference(t *testing.T) {
@@ -156,8 +157,8 @@ func TestScatterMatchesPerKeyReference(t *testing.T) {
 		})
 	}
 	// 6 accumulators, Hash at two load factors, and the three plus-times
-	// Scatters.
-	if len(cases) != 10 {
-		t.Fatalf("covered %d accumulator configurations, want 10", len(cases))
+	// Scatters, MSA's with each of its loops.
+	if len(cases) != 11 {
+		t.Fatalf("covered %d accumulator configurations, want 11", len(cases))
 	}
 }

@@ -32,6 +32,14 @@ func FuzzMaskedSpGEMM(f *testing.F) {
 	// One output row with keys at columns 1 and 990, fifteen bitset words
 	// apart: MaskedBitC sorts instead of walking.
 	f.Add([]byte{96, 69, 69, 69, 69, 69, 69, 40}, uint8(0), uint8(0), uint16(999), uint8(0x07), uint8(1<<FamMaskedBit))
+	// Rows on each side of both terms of msaDenseRow: dense rows,
+	// rows whose mask holds too few entries, and rows whose mask is
+	// dense enough but which scan too few B entries. 256 columns
+	// (masks of 5, 3, 8, 3 and 7 entries, each row scanning 28) with
+	// Hybrid binding MSA on every row, and 384 columns (masks of 6, 6,
+	// 11 and 4 entries, scanning 32) under the default menu.
+	f.Add([]byte{203, 153, 100, 222, 30, 255, 26, 110, 200, 34, 173, 186, 244, 128, 131, 208, 80, 12, 69, 166, 11, 140, 175, 253, 167, 85, 253, 249, 148, 215, 74, 50, 24, 235, 236, 225, 11, 148, 180, 221, 26, 38, 4, 153}, uint8(4), uint8(1), uint16(255), uint8(0x01), uint8(1<<FamMSA))
+	f.Add([]byte{208, 68, 108, 243, 51, 81, 214, 209, 241, 140, 26, 109, 249, 206, 96, 253, 248, 154, 98, 81, 41, 21, 173, 141, 8, 193, 232, 11, 46, 70, 22, 118, 183, 94, 227, 35, 128, 174, 178, 228, 47, 53, 172, 155, 3, 0, 173, 184, 62, 49, 69, 19, 125, 193, 96, 210}, uint8(3), uint8(2), uint16(383), uint8(0), uint8(0))
 	// The generic kernels, through plusTimesTwin.
 	f.Add([]byte{3, 141, 59, 26, 53, 58, 97, 93, 23, 84, 62, 64, 33, 83, 27, 95}, uint8(6), uint8(4), uint16(100), uint8(0x1e), uint8(twinBit))
 	f.Add([]byte{96, 69, 69, 69, 69, 69, 69, 40}, uint8(0), uint8(0), uint16(999), uint8(0x07), uint8(twinBit|1<<FamMaskedBit))

@@ -84,8 +84,19 @@ type planCall[T any, S semiring.Semiring[T]] struct {
 // only fields zeroed (Options is a comparable all-scalar struct, so
 // the key works as a map key without allocation).
 type planKey struct {
-	maskFP, aFP, bFP uint64
-	opt              Options
+	fp  Fingerprints
+	opt Options
+}
+
+// Fingerprints are the structural fingerprints of a product's operands
+// (sparse.Pattern.Fingerprint), the identities a plan-cache key holds.
+type Fingerprints struct {
+	// Mask is the mask's fingerprint.
+	Mask uint64
+	// A is the left operand's fingerprint.
+	A uint64
+	// B is the right operand's fingerprint.
+	B uint64
 }
 
 type planEntry[T any, S semiring.Semiring[T]] struct {
@@ -178,20 +189,20 @@ func (c *PlanCache[T, S]) removeLocked(el *list.Element, entry *planEntry[T, S])
 // form (normalized, execution-only fields zeroed).
 func (c *PlanCache[T, S]) keyFor(mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options) planKey {
 	k := planKey{opt: opt}
-	k.maskFP = mask.Fingerprint()
+	k.fp.Mask = mask.Fingerprint()
 	switch {
 	case &a.Pattern == mask:
-		k.aFP = k.maskFP
+		k.fp.A = k.fp.Mask
 	default:
-		k.aFP = a.Pattern.Fingerprint()
+		k.fp.A = a.Pattern.Fingerprint()
 	}
 	switch {
 	case &b.Pattern == mask:
-		k.bFP = k.maskFP
+		k.fp.B = k.fp.Mask
 	case &b.Pattern == &a.Pattern:
-		k.bFP = k.aFP
+		k.fp.B = k.fp.A
 	default:
-		k.bFP = b.Pattern.Fingerprint()
+		k.fp.B = b.Pattern.Fingerprint()
 	}
 	return k
 }
@@ -212,16 +223,18 @@ func (c *PlanCache[T, S]) keyFor(mask *sparse.Pattern, a, b *sparse.CSR[T], opt 
 // wanting a per-request width, telemetry, or pooled output pass
 // ExecOptions to Plan.ExecuteOnOpts.
 func (c *PlanCache[T, S]) GetOrPlan(mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options) (*Plan[T, S], error) {
-	plan, _, err := c.GetOrPlanObserved(mask, a, b, opt)
+	plan, _, _, err := c.GetOrPlanObserved(mask, a, b, opt)
 	return plan, err
 }
 
 // GetOrPlanObserved is GetOrPlan, additionally reporting whether the
 // lookup was answered from the cache — the signal a serving layer's
-// warm-by-prediction hooks observe. A lookup that coalesced onto
-// another goroutine's in-flight planning reports hit = false: the
-// structure was not yet cached when the request arrived.
-func (c *PlanCache[T, S]) GetOrPlanObserved(mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options) (*Plan[T, S], bool, error) {
+// warm-by-prediction hooks observe — and the operand fingerprints the
+// lookup keyed on, so an observer of a miss need not hash the operands
+// again. A lookup that coalesced onto another goroutine's in-flight
+// planning reports hit = false: the structure was not yet cached when
+// the request arrived.
+func (c *PlanCache[T, S]) GetOrPlanObserved(mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options) (*Plan[T, S], Fingerprints, bool, error) {
 	opt.normalize()
 	opt = opt.planIdentity()
 	key := c.keyFor(mask, a, b, opt)
@@ -236,7 +249,7 @@ func (c *PlanCache[T, S]) GetOrPlanObserved(mask *sparse.Pattern, a, b *sparse.C
 		}
 		plan := entry.plan
 		c.mu.Unlock()
-		return plan, true, nil
+		return plan, key.fp, true, nil
 	}
 	c.misses++
 	if call, ok := c.inflight[key]; ok {
@@ -245,7 +258,7 @@ func (c *PlanCache[T, S]) GetOrPlanObserved(mask *sparse.Pattern, a, b *sparse.C
 		c.coalesced++
 		c.mu.Unlock()
 		<-call.done
-		return call.plan, false, call.err
+		return call.plan, key.fp, false, call.err
 	}
 	call := &planCall[T, S]{done: make(chan struct{})}
 	c.inflight[key] = call
@@ -282,7 +295,7 @@ func (c *PlanCache[T, S]) GetOrPlanObserved(mask *sparse.Pattern, a, b *sparse.C
 		c.mu.Unlock()
 		call.err = err
 		close(call.done)
-		return nil, false, err
+		return nil, key.fp, false, err
 	}
 	entry := &planEntry[T, S]{key: key, plan: plan, bytes: plan.footprintBytes()}
 
@@ -314,7 +327,7 @@ func (c *PlanCache[T, S]) GetOrPlanObserved(mask *sparse.Pattern, a, b *sparse.C
 	}
 	call.plan = plan
 	close(call.done)
-	return plan, false, nil
+	return plan, key.fp, false, nil
 }
 
 // evictLocked drops least-recently-used entries until both bounds

@@ -689,7 +689,7 @@ func TestPlanCacheExecOnlyOptionsShareKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Serve: same structure, telemetry and pooled output requested.
-	served, hit, err := cache.GetOrPlanObserved(mask, a, b, Options{
+	served, _, hit, err := cache.GetOrPlanObserved(mask, a, b, Options{
 		Algorithm: AlgoMSA, CollectSchedStats: true, ReuseOutput: true,
 	})
 	if err != nil {
@@ -722,10 +722,10 @@ func TestPlanCacheExecOnlyOptionsShareKey(t *testing.T) {
 func TestPlanCacheObservedReportsMiss(t *testing.T) {
 	mask, a, b := buildCase(caseSpec{"", 32, 32, 32, 4, 4, 6, 22})
 	cache := NewPlanCache(ptSR, 0, 0)
-	if _, hit, err := cache.GetOrPlanObserved(mask, a, b, Options{}); err != nil || hit {
+	if _, _, hit, err := cache.GetOrPlanObserved(mask, a, b, Options{}); err != nil || hit {
 		t.Fatalf("first lookup: hit=%v err=%v, want miss", hit, err)
 	}
-	if _, hit, err := cache.GetOrPlanObserved(mask, a, b, Options{}); err != nil || !hit {
+	if _, _, hit, err := cache.GetOrPlanObserved(mask, a, b, Options{}); err != nil || !hit {
 		t.Fatalf("second lookup: hit=%v err=%v, want hit", hit, err)
 	}
 }

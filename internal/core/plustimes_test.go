@@ -171,6 +171,183 @@ func TestPlusTimesBitIdentical(t *testing.T) {
 	}
 }
 
+// denseRowsProduct builds an n-column C = M ⊙ (A·B) whose rows
+// straddle both terms of msaDenseRow, and reports for each row whether
+// MSAPlusTimes runs it on its dense loop. The mask rows of rows 0, 2,
+// 3, 5, 6, 7 and 8 hold exactly ⌈n/msaDenseRatio⌉ entries, and rows 1
+// and 4 one fewer. Every row but 1, 4 and 8 also scans B row 4, whose
+// msaScanRatio·⌈n/msaDenseRatio⌉ entries from column n/2 up no mask
+// admits, so all of them are dense; row 8 is mask-dense but scans too
+// little. Mask rows are padded to length with the columns from n/16 up,
+// which no product reaches except through B row 3; for n = 4096 they
+// are the columns just past a 256-wide product, where its sinks would
+// sit if they followed the product's width rather than the arrays'.
+//
+//   - Rows 0, 1 and 8 have one admitted product, 1 · −0 at column 5,
+//     which must be emitted as −0.
+//   - Row 2 scatters +Inf, −Inf and NaN into columns 20–22, which its
+//     mask rules out; row 3 admits those columns and must read exactly
+//     the 1, 2, 3 B row 2 puts there.
+//   - Row 4 admits the same columns on the sparse loop, and row 5
+//     scatters B row 3 (every third column) over a dense mask, so most
+//     of its products go to the sinks.
+//   - Row 5 admits column 6, row 6 scatters a product into it without
+//     admitting it, and row 7 admits it without a product: row 7 must
+//     come out empty, which it does only if each dense row returns its
+//     columns to the sinks.
+func denseRowsProduct(n int) (mask *sparse.Pattern, a, b *sparse.CSR[float64], dense []bool) {
+	d := (n + msaDenseRatio - 1) / msaDenseRatio
+	pad := func(cols []int32, length int) []int32 {
+		for j := n / 16; len(cols) < length; j++ {
+			cols = append(cols, int32(j))
+		}
+		slices.Sort(cols)
+		return cols
+	}
+	negZero := math.Copysign(0, -1)
+	var b3Cols, b4Cols []int32
+	var b3Vals, b4Vals []float64
+	for j := 0; j < n; j += 3 {
+		b3Cols = append(b3Cols, int32(j))
+		b3Vals = append(b3Vals, float64(j%7-3))
+	}
+	for j := range msaScanRatio * d {
+		b4Cols = append(b4Cols, int32(n/2+j))
+		b4Vals = append(b4Vals, float64(j%5+1))
+	}
+	b = csrFromRows(5, n,
+		[][]int32{{5}, {6, 20, 21, 22}, {20, 21, 22}, b3Cols, b4Cols},
+		[][]float64{{negZero}, {2, math.Inf(1), math.Inf(-1), math.NaN()}, {1, 2, 3}, b3Vals, b4Vals})
+	a = csrFromRows(9, 5,
+		[][]int32{{0, 4}, {0, 4}, {1, 3, 4}, {2, 4}, {1, 2, 3}, {3, 4}, {1, 4}, {0, 4}, {0}},
+		[][]float64{{1, 1}, {1, 1}, {1, 1, 1}, {1, 1}, {1, 1, -1}, {-1, 1}, {1, 1}, {1, 1}, {1}})
+	m := csrFromRows(9, n, [][]int32{
+		pad([]int32{5}, d),
+		pad([]int32{5}, d-1),
+		pad([]int32{6}, d),
+		pad([]int32{20, 21, 22}, d),
+		pad([]int32{20, 21, 22}, d-1),
+		pad([]int32{6, 20}, d),
+		pad(nil, d),
+		pad([]int32{6}, d),
+		pad([]int32{5}, d),
+	}, nil)
+	return m.PatternView(), a, b, []bool{true, false, true, true, false, true, true, true, false}
+}
+
+// csrFromRows builds a CSR matrix from sorted column lists; vals may be
+// nil for a pattern, whose values are then zero.
+func csrFromRows(rows, cols int, idx [][]int32, vals [][]float64) *sparse.CSR[float64] {
+	m := sparse.NewCSR[float64](rows, cols)
+	m.RowPtr = make([]int64, rows+1)
+	for i, row := range idx {
+		m.ColIdx = append(m.ColIdx, row...)
+		if vals != nil {
+			m.Val = append(m.Val, vals[i]...)
+		} else {
+			m.Val = append(m.Val, make([]float64, len(row))...)
+		}
+		m.RowPtr[i+1] = int64(len(m.ColIdx))
+	}
+	return m
+}
+
+// checkDenseRows checks a denseRowsProduct result bit for bit against
+// the generic kernels' want, and pins the entries the rows are rigged
+// for: −0 on rows 0, 1 and 8, exactly 1, 2, 3 on row 3, and nothing on
+// rows 6 and 7.
+func checkDenseRows(t *testing.T, got, want *sparse.CSR[float64]) {
+	t.Helper()
+	if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
+		t.Fatalf("pattern differs from the generic kernels")
+	}
+	for i, v := range got.Val {
+		if !sameBits(v, want.Val[i]) {
+			t.Fatalf("value %d (column %d) = %v (%#x), generic %v (%#x)",
+				i, got.ColIdx[i], v, math.Float64bits(v), want.Val[i], math.Float64bits(want.Val[i]))
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	for _, r := range []struct {
+		row  int
+		cols []int32
+		vals []float64
+	}{
+		{0, []int32{5}, []float64{negZero}},
+		{1, []int32{5}, []float64{negZero}},
+		{3, []int32{20, 21, 22}, []float64{1, 2, 3}},
+		{6, nil, nil},
+		{7, nil, nil},
+		{8, []int32{5}, []float64{negZero}},
+	} {
+		row, cols, wantRow := r.row, r.cols, r.vals
+		lo, hi := got.RowPtr[row], got.RowPtr[row+1]
+		if !slices.Equal(got.ColIdx[lo:hi], cols) {
+			t.Fatalf("row %d has columns %v, want %v", row, got.ColIdx[lo:hi], cols)
+		}
+		for k, v := range got.Val[lo:hi] {
+			if math.Float64bits(v) != math.Float64bits(wantRow[k]) {
+				t.Fatalf("row %d column %d = %v (%#x), want %v (%#x)", row, cols[k], v, math.Float64bits(v), wantRow[k], math.Float64bits(wantRow[k]))
+			}
+		}
+	}
+}
+
+// TestPlusTimesDenseRowsBitIdentical runs MSA's float64 kernels on rows
+// at both sides of each term of the dense-row rule (denseRowsProduct)
+// and checks them bit for bit against the generic kernels: under MSA
+// and under Hybrid binding MSA on every row, one-phase and two-phase,
+// at 1 and 4 threads. It then reuses one executor across a narrow
+// product, a wide one, the narrow one and the wide one again, so each
+// dense row runs on slots left behind by a product of the other width.
+func TestPlusTimesDenseRowsBitIdentical(t *testing.T) {
+	const narrow, wide = 256, 4096
+	for _, n := range []int{narrow, wide} {
+		mask, a, b, dense := denseRowsProduct(n)
+		for i, want := range dense {
+			if got := msaDenseRow(mask.Row(i), a.Row(i), b.RowPtr, b.Cols); got != want {
+				t.Fatalf("n=%d row %d: msaDenseRow = %v, want %v", n, i, got, want)
+			}
+		}
+		for _, algo := range []Algorithm{AlgoMSA, AlgoHybrid} {
+			for _, ph := range []Phases{OnePhase, TwoPhase} {
+				for _, threads := range []int{1, 4} {
+					opt := Options{Algorithm: algo, HybridFamilies: Families(FamMSA), Phases: ph, Threads: threads}
+					t.Run(fmt.Sprintf("n=%d/%v/%v/threads=%d", n, algo, ph, threads), func(t *testing.T) {
+						got, err := MaskedSpGEMM(semiring.PlusTimes[float64]{}, mask, a, b, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := MaskedSpGEMM(plusTimesTwin{}, mask, a, b, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						checkDenseRows(t, got, want)
+					})
+				}
+			}
+		}
+	}
+	exec := NewExecutor[float64](semiring.PlusTimes[float64]{})
+	for step, n := range []int{narrow, wide, narrow, wide} {
+		mask, a, b, _ := denseRowsProduct(n)
+		opt := Options{Algorithm: AlgoMSA, Threads: 1}
+		plan, err := NewPlan(semiring.PlusTimes[float64]{}, mask, a, b, opt, exec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := plan.ExecuteOn(exec, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := MaskedSpGEMM(plusTimesTwin{}, mask, a, b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(fmt.Sprintf("reused/step=%d/n=%d", step, n), func(t *testing.T) { checkDenseRows(t, got, want) })
+	}
+}
+
 // sameBits reports whether x and y have the same bits, counting any two
 // NaNs alike. Go, like IEEE 754, leaves the payload of a NaN result
 // unspecified: when both operands of an add are NaN, the one x86

@@ -106,10 +106,51 @@ func bindMSA[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a,
 }
 
 // msaPlusTimesKernels is MSA's row kernels over the served semiring.
+// The numeric kernel picks each row's scatter loop with msaDenseRow.
 func msaPlusTimesKernels(mask *sparse.Pattern, a, b *sparse.CSR[float64], getAcc func(tid int) *accum.MSA[float64, accum.PlusTimes64]) kernels[float64] {
-	return pushKernels(mask, a, b, func(tid int) accum.MSAPlusTimes {
+	k := pushKernels(mask, a, b, func(tid int) accum.MSAPlusTimes {
 		return accum.MSAPlusTimes{MSA: getAcc(tid)}
 	})
+	k.numeric = func(tid, i int, outIdx []int32, outVal []float64) int {
+		maskRow, aCols := mask.Row(i), a.Row(i)
+		acc := accum.MSAPlusTimes{MSA: getAcc(tid), Dense: msaDenseRow(maskRow, aCols, b.RowPtr, b.Cols)}
+		return pushRowNumeric(acc, maskRow, aCols, a.RowVals(i), b, outIdx, outVal)
+	}
+	return k
+}
+
+// The dense-row rule of MSAPlusTimes (DESIGN.md §12, "Dense-mask rows
+// without the branch"). Both ratios were measured with
+// BenchmarkScatterPlusTimes.
+const (
+	// msaDenseRatio: a dense row's mask holds at least
+	// ncols/msaDenseRatio entries, so that the share of scanned entries
+	// it admits is high enough for the sparse loop's test to
+	// mispredict.
+	msaDenseRatio = 64
+	// msaScanRatio: a dense row scans at least msaScanRatio B entries
+	// per mask entry, which pays for the slot and value stores the dense
+	// loop's Begin and Gather add per mask entry.
+	msaScanRatio = 4
+)
+
+// msaDenseRow reports whether the row with mask row maskRow and A
+// columns aCols runs MSAPlusTimes' dense loop over B, whose row
+// pointers are bRowPtr and width ncols. It counts the row's scanned
+// entries only once the mask is dense enough.
+//
+//mspgemm:hotpath
+func msaDenseRow(maskRow, aCols []int32, bRowPtr []int64, ncols int) bool {
+	if len(maskRow)*msaDenseRatio < ncols {
+		return false
+	}
+	var scan int64
+	for _, col := range aCols {
+		c := int(uint32(col))
+		rp := bRowPtr[c : c+2]
+		scan += rp[1] - rp[0]
+	}
+	return scan >= msaScanRatio*int64(len(maskRow))
 }
 
 // bindMaskedBit registers the bitmap-state MSA variant (DESIGN.md

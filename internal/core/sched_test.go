@@ -452,7 +452,7 @@ func TestWarmThenWide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, hit, err := cache.GetOrPlanObserved(mask, a, b, Options{Algorithm: AlgoMSA, Threads: 4})
+	wide, _, hit, err := cache.GetOrPlanObserved(mask, a, b, Options{Algorithm: AlgoMSA, Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

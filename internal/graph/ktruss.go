@@ -98,7 +98,7 @@ func (w *KTrussWorkload) Run(k int, opt core.Options) (*KTrussResult, error) {
 	c := w.c
 	for {
 		res.Iterations++
-		plan, hit, err := w.cache.GetOrPlanObserved(c.PatternView(), c, c, opt)
+		plan, _, hit, err := w.cache.GetOrPlanObserved(c.PatternView(), c, c, opt)
 		if err != nil {
 			return nil, err
 		}

@@ -162,31 +162,19 @@ func NewSession(opts ...SessionOption) *Session {
 	return s
 }
 
-// observeMiss reports a plan-cache miss to the installed observer. The
-// fingerprint recomputation is cheap relative to the planning the miss
-// just paid for, and hits — the steady state — never reach here.
-func (s *Session) observeMiss(mask *Pattern, a, b *Matrix, o core.Options, warm bool) {
+// observeMiss reports a plan-cache miss to the installed observers,
+// with the operand fingerprints the cache lookup keyed on.
+func (s *Session) observeMiss(fp core.Fingerprints, o core.Options, warm bool) {
 	if len(s.onMiss) == 0 {
 		return
 	}
 	ev := PlanMiss{
-		MaskFingerprint: mask.Fingerprint(),
+		MaskFingerprint: fp.Mask,
+		AFingerprint:    fp.A,
+		BFingerprint:    fp.B,
 		Scheme:          o.SchemeName(),
 		Complement:      o.Complement,
 		Warm:            warm,
-	}
-	if &a.Pattern == mask {
-		ev.AFingerprint = ev.MaskFingerprint
-	} else {
-		ev.AFingerprint = a.Pattern.Fingerprint()
-	}
-	switch {
-	case &b.Pattern == mask:
-		ev.BFingerprint = ev.MaskFingerprint
-	case &b.Pattern == &a.Pattern:
-		ev.BFingerprint = ev.AFingerprint
-	default:
-		ev.BFingerprint = b.Pattern.Fingerprint()
 	}
 	for _, f := range s.onMiss {
 		f(ev)
@@ -218,12 +206,12 @@ func (s *Session) Multiply(mask *Pattern, a, b *Matrix, opts ...Option) (*Matrix
 // a *KernelPanicError.
 func (s *Session) MultiplyCtx(ctx context.Context, mask *Pattern, a, b *Matrix, opts ...Option) (*Matrix, error) {
 	o := buildOptions(opts)
-	plan, hit, err := s.cache.GetOrPlanObserved(mask, a, b, o)
+	plan, fp, hit, err := s.cache.GetOrPlanObserved(mask, a, b, o)
 	if err != nil {
 		return nil, err
 	}
 	if !hit {
-		s.observeMiss(mask, a, b, o, false)
+		s.observeMiss(fp, o, false)
 	}
 	exec := s.pool.Get()
 	// Retirement is outcome-dependent (Put clean executors, Discard
@@ -286,12 +274,12 @@ func (s *Session) retire(exec *core.Executor[float64, arith], err error) {
 // makes.
 func (s *Session) Warm(mask *Pattern, a, b *Matrix, opts ...Option) error {
 	o := buildOptions(opts)
-	_, hit, err := s.cache.GetOrPlanObserved(mask, a, b, o)
+	_, fp, hit, err := s.cache.GetOrPlanObserved(mask, a, b, o)
 	if err != nil {
 		return err
 	}
 	if !hit {
-		s.observeMiss(mask, a, b, o, true)
+		s.observeMiss(fp, o, true)
 	}
 	return nil
 }

@@ -357,6 +357,14 @@ func TestSessionMissObserver(t *testing.T) {
 		misses = append(misses, ev)
 		mu.Unlock()
 	}))
+	// seen returns the misses observed so far and forgets them.
+	seen := func() []PlanMiss {
+		mu.Lock()
+		defer mu.Unlock()
+		got := misses
+		misses = nil
+		return got
+	}
 	g := ErdosRenyi(96, 6, 16)
 	h := ErdosRenyi(96, 6, 17)
 	if err := s.Warm(g.PatternView(), g, g); err != nil {
@@ -368,22 +376,53 @@ func TestSessionMissObserver(t *testing.T) {
 	if _, err := s.Multiply(h.PatternView(), h, h, WithAlgorithm(Hash)); err != nil { // fresh structure
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(misses) != 2 {
-		t.Fatalf("observer saw %d misses, want 2 (one warm, one serve)", len(misses))
+	got := seen()
+	if len(got) != 2 {
+		t.Fatalf("observer saw %d misses, want 2 (one warm, one serve)", len(got))
 	}
-	if !misses[0].Warm || misses[1].Warm {
-		t.Fatalf("miss origins wrong: %+v", misses)
+	if !got[0].Warm || got[1].Warm {
+		t.Fatalf("miss origins wrong: %+v", got)
 	}
-	if misses[0].MaskFingerprint != misses[0].AFingerprint || misses[0].AFingerprint != misses[0].BFingerprint {
+	if got[0].MaskFingerprint != got[0].AFingerprint || got[0].AFingerprint != got[0].BFingerprint {
 		t.Fatal("self-product miss should share one fingerprint across operands")
 	}
-	if misses[0].MaskFingerprint == misses[1].MaskFingerprint {
+	if got[0].MaskFingerprint == got[1].MaskFingerprint {
 		t.Fatal("distinct structures reported identical fingerprints")
 	}
-	if misses[1].Scheme != "Hash-1P" {
-		t.Fatalf("scheme = %q, want Hash-1P", misses[1].Scheme)
+	if got[1].Scheme != "Hash-1P" {
+		t.Fatalf("scheme = %q, want Hash-1P", got[1].Scheme)
+	}
+
+	// The reported fingerprints are the ones the cache keyed on; each
+	// must equal a fresh Fingerprint() of its operand, whichever
+	// operands share a Pattern object.
+	m := ErdosRenyi(96, 6, 19)
+	for _, c := range []struct {
+		name string
+		mask *Pattern
+		a, b *Matrix
+	}{
+		{"mask≠A≠B", m.PatternView(), g, h},
+		{"mask=A", g.PatternView(), g, h},
+		{"A=B", m.PatternView(), h, h},
+	} {
+		if _, err := s.Multiply(c.mask, c.a, c.b); err != nil {
+			t.Fatal(err)
+		}
+		got := seen()
+		if len(got) != 1 {
+			t.Fatalf("%s: observer saw %d misses, want 1", c.name, len(got))
+		}
+		want := PlanMiss{
+			MaskFingerprint: c.mask.Fingerprint(),
+			AFingerprint:    c.a.PatternView().Fingerprint(),
+			BFingerprint:    c.b.PatternView().Fingerprint(),
+		}
+		if ev := got[0]; ev.MaskFingerprint != want.MaskFingerprint || ev.AFingerprint != want.AFingerprint || ev.BFingerprint != want.BFingerprint {
+			t.Fatalf("%s: fingerprints %x/%x/%x, want %x/%x/%x", c.name,
+				ev.MaskFingerprint, ev.AFingerprint, ev.BFingerprint,
+				want.MaskFingerprint, want.AFingerprint, want.BFingerprint)
+		}
 	}
 }
 
