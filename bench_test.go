@@ -605,6 +605,52 @@ func BenchmarkSchedSkew(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionPlanMissRefs — a plan-cache miss on stored operands,
+// in sweep-cold-ref's shape (mspgemm-trajectory; paper Fig. 7): 24
+// banded density-sweep masks over one symmetric ER(2¹¹, 8) graph
+// A = B, requested round-robin by reference under Hybrid through a
+// 16-entry plan cache, so every request plans. One op is one
+// MultiplyRefs: the lookup keyed by the refs' fingerprints, a plan
+// build that aliases the stored mask and B's shared CSC structure,
+// and the execution. B/op is dominated by the result.
+func BenchmarkSessionPlanMissRefs(b *testing.B) {
+	const masks, cacheEntries = 24, 16
+	n := 1 << 11
+	g := gen.Symmetrize(gen.ErdosRenyi(n, 8, 1))
+	s := NewSession(WithPlanCacheEntries(cacheEntries))
+	aRef, _ := s.PutOperand(g)
+	fps := make([]uint64, masks)
+	for k := range fps {
+		m := bench.BandedMask(n, bench.SweepDensities, 2+uint64(k))
+		ones := make([]float64, m.NNZ())
+		for j := range ones {
+			ones[j] = 1
+		}
+		ref, _ := s.PutOperand(&Matrix{Pattern: *m, Val: ones})
+		fps[k] = ref.Pattern
+	}
+	multiply := func(i int) {
+		if _, err := s.MultiplyRefs(fps[i%masks], aRef, aRef, WithAlgorithm(Hybrid)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// One pass over the masks fills the cache; from then on the
+	// round-robin misses every time.
+	for i := range masks {
+		multiply(i)
+	}
+	hits := s.Stats().Cache.Hits
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		multiply(i)
+	}
+	b.StopTimer()
+	if s.Stats().Cache.Hits != hits {
+		b.Fatal("a round-robin request hit the plan cache; the benchmark must time misses")
+	}
+}
+
 // BenchmarkFlops — the flop counters after the per-worker partial-sum
 // rework: the serial path (small nnz) must report 0 allocs/op, and the
 // parallel path's allocations are O(threads) scheduler bookkeeping,

@@ -54,6 +54,8 @@ type Plan[T any, S semiring.Semiring[T]] struct {
 	// schemes. Values are not part of the plan: every ExecuteOn
 	// refreshes them through btPerm into an executor-owned buffer,
 	// since callers may mutate B's values in place between executions.
+	// A PlanCache shares one copy among its plans over the same B
+	// (cscStructure), so the arrays are read-only.
 	btPtr  []int64
 	btIdx  []int32
 	btPerm []int64
@@ -102,7 +104,7 @@ type Plan[T any, S semiring.Semiring[T]] struct {
 //
 //mspgemm:planwrite
 func NewPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options, exec *Executor[T, S]) (*Plan[T, S], error) {
-	p, err := newDetachedPlan(sr, mask, a, b, opt)
+	p, err := newDetachedPlan(sr, mask, a, b, opt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -113,11 +115,22 @@ func NewPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, a, b *sp
 	return p, nil
 }
 
+// cscStructure is the CSC structure of B a pull-based plan reads
+// (Plan.btPtr, btIdx, btPerm), as sparse.ToCSCStructure builds it.
+type cscStructure struct {
+	ptr  []int64
+	idx  []int32
+	perm []int64
+}
+
 // newDetachedPlan builds the immutable analysis without binding an
 // executor — the form a PlanCache stores and shares across goroutines.
+// bt, when non-nil, is B's CSC structure already built for an equal
+// structure; the plan aliases it instead of transposing B again if it
+// pulls from B by column. nil transposes B when needed.
 //
 //mspgemm:planwrite
-func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options) (*Plan[T, S], error) {
+func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options, bt *cscStructure) (*Plan[T, S], error) {
 	if err := validate(mask, a, b); err != nil {
 		return nil, err
 	}
@@ -170,7 +183,11 @@ func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, 
 		// The CSC structure comes after the scheme analysis: a poly
 		// plan pulls from B by column only when some run bound FamPull.
 		if p.needsCSC() && !info.TransposePerExecute {
-			p.btPtr, p.btIdx, p.btPerm = sparse.ToCSCStructure(b)
+			if bt != nil {
+				p.btPtr, p.btIdx, p.btPerm = bt.ptr, bt.idx, bt.perm
+			} else {
+				p.btPtr, p.btIdx, p.btPerm = sparse.ToCSCStructure(b)
+			}
 		}
 		// Scheduling comes last: the per-row poly costs double as the
 		// scheduling profile.
@@ -226,8 +243,10 @@ func (p *Plan[T, S]) FlopsEstimate(a, b *sparse.CSR[T]) int64 {
 }
 
 // footprintBytes estimates the retained memory of the plan's analysis
-// arrays, the unit a PlanCache's byte bound meters. The mask is
-// counted because cached plans own a private clone of it; one-phase
+// arrays, the unit a PlanCache's byte bound meters. The mask and B's
+// CSC structure are counted whether the plan owns them (a clone, a
+// private transpose) or shares them (a stored mask, the cache's CSC
+// index): shared bytes are over-counted, never under-counted. One-phase
 // plain offsets alias the mask's RowPtr and are not double-counted.
 func (p *Plan[T, S]) footprintBytes() int64 {
 	const structOverhead = 256

@@ -36,13 +36,23 @@ var errPlanningPanicked = errors.New("core: concurrent plan analysis panicked; r
 // with those fields zeroed, making the stored plan canonical
 // regardless of which request planted it.
 //
-// Fingerprints are recomputed on every lookup: the cache never trusts
-// pointer identity, so mutating a matrix's structure in place simply
-// misses and plans afresh. Cached plans own a private clone of the
-// mask, making entries immune to callers mutating the original mask
-// after insertion. Two different structures colliding on all three
-// 64-bit fingerprints would alias an entry; the probability is ~2⁻⁶⁴
-// per pair and is accepted (DESIGN.md §8).
+// Operands come in two ownerships (DESIGN.md §8). Caller-owned
+// operands (GetOrPlan, GetOrPlanObserved) are fingerprinted on every
+// lookup: the cache never trusts pointer identity, so mutating a
+// matrix's structure in place simply misses and plans afresh, and a
+// plan built from them owns a private clone of the mask, immune to the
+// caller mutating the original after insertion. Stored operands
+// (GetOrPlanStored) are immutable by contract and arrive with the
+// fingerprints they are stored under: the lookup trusts those instead
+// of hashing, and the plan aliases the mask's arrays instead of
+// cloning them. Both go through one miss path. Two different
+// structures colliding on all three 64-bit fingerprints would alias an
+// entry; the probability is ~2⁻⁶⁴ per pair and is accepted.
+//
+// Plans that pull from B by column share B's CSC structure through a
+// per-cache index keyed by B's fingerprint: the first plan over a B
+// transposes it, later ones alias that transpose, and the index drops
+// it when the last resident plan using it leaves the cache.
 //
 // Plans returned by GetOrPlan are immutable and shared: any number of
 // goroutines may hold and ExecuteOn one concurrently, each with its
@@ -67,6 +77,11 @@ type PlanCache[T any, S semiring.Semiring[T]] struct {
 	// accounts its footprint against; entries then carry stamps from
 	// the budget's clock so cross-member eviction is globally LRU.
 	budget *MemBudget
+
+	// csc is the shared CSC index: B's CSC structure by B's
+	// fingerprint, for the resident plans that pull from B by column.
+	// Guarded by mu.
+	csc map[uint64]*sharedCSC
 }
 
 // planCall is one in-flight planning operation coalescing concurrent
@@ -99,6 +114,13 @@ type Fingerprints struct {
 	B uint64
 }
 
+// sharedCSC is one entry of a cache's CSC index: B's CSC structure,
+// read-only, and the number of resident plans using it.
+type sharedCSC struct {
+	cscStructure
+	users int
+}
+
 type planEntry[T any, S semiring.Semiring[T]] struct {
 	key   planKey
 	plan  *Plan[T, S]
@@ -127,6 +149,7 @@ func NewPlanCache[T any, S semiring.Semiring[T]](sr S, maxEntries int, maxBytes 
 		lru:        list.New(),
 		table:      make(map[planKey]*list.Element),
 		inflight:   make(map[planKey]*planCall[T, S]),
+		csc:        make(map[uint64]*sharedCSC),
 	}
 }
 
@@ -176,6 +199,7 @@ func (c *PlanCache[T, S]) BudgetEvict() int64 {
 func (c *PlanCache[T, S]) removeLocked(el *list.Element, entry *planEntry[T, S]) {
 	c.lru.Remove(el)
 	delete(c.table, entry.key)
+	c.releaseCSCLocked(entry)
 	c.bytes -= entry.bytes
 	c.evicted++
 	if c.budget != nil {
@@ -238,7 +262,26 @@ func (c *PlanCache[T, S]) GetOrPlanObserved(mask *sparse.Pattern, a, b *sparse.C
 	opt.normalize()
 	opt = opt.planIdentity()
 	key := c.keyFor(mask, a, b, opt)
+	plan, hit, err := c.lookup(key, mask, a, b, false)
+	return plan, key.fp, hit, err
+}
 
+// GetOrPlanStored is GetOrPlanObserved for stored operands: matrices
+// that nobody mutates while any plan may reference them (the operand
+// store's contract, DESIGN.md §13), named by the fingerprints fp they
+// are stored under. The lookup keys on fp without hashing the
+// operands, and a miss builds a plan that aliases mask's arrays
+// instead of cloning them. fp must be the operands' structural
+// fingerprints; the cache does not check them.
+func (c *PlanCache[T, S]) GetOrPlanStored(fp Fingerprints, mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options) (*Plan[T, S], bool, error) {
+	opt.normalize()
+	return c.lookup(planKey{fp: fp, opt: opt.planIdentity()}, mask, a, b, true)
+}
+
+// lookup is the one lookup and miss path behind GetOrPlanObserved and
+// GetOrPlanStored. stored says who owns the operands: a stored mask is
+// aliased by the plan, a caller-owned one is cloned.
+func (c *PlanCache[T, S]) lookup(key planKey, mask *sparse.Pattern, a, b *sparse.CSR[T], stored bool) (*Plan[T, S], bool, error) {
 	c.mu.Lock()
 	if el, ok := c.table[key]; ok {
 		c.lru.MoveToFront(el)
@@ -249,7 +292,7 @@ func (c *PlanCache[T, S]) GetOrPlanObserved(mask *sparse.Pattern, a, b *sparse.C
 		}
 		plan := entry.plan
 		c.mu.Unlock()
-		return plan, key.fp, true, nil
+		return plan, true, nil
 	}
 	c.misses++
 	if call, ok := c.inflight[key]; ok {
@@ -258,10 +301,16 @@ func (c *PlanCache[T, S]) GetOrPlanObserved(mask *sparse.Pattern, a, b *sparse.C
 		c.coalesced++
 		c.mu.Unlock()
 		<-call.done
-		return call.plan, key.fp, false, call.err
+		return call.plan, false, call.err
 	}
 	call := &planCall[T, S]{done: make(chan struct{})}
 	c.inflight[key] = call
+	// A resident plan over the same B already holds its CSC structure;
+	// the entry's arrays are never written, so they are read unlocked.
+	var bt *cscStructure
+	if e := c.csc[key.fp.B]; e != nil {
+		bt = &e.cscStructure
+	}
 	c.mu.Unlock()
 
 	// If planning panics (malformed operand structures), the key must
@@ -281,13 +330,22 @@ func (c *PlanCache[T, S]) GetOrPlanObserved(mask *sparse.Pattern, a, b *sparse.C
 	}()
 
 	// Plan outside the lock: analysis is the expensive part and must
-	// not serialize concurrent lookups of other structures. The mask is
-	// cloned so the cached plan survives callers later mutating the
-	// original in place (such a mutation changes the fingerprint, so
-	// the stale entry can never be returned for the mutated matrix —
-	// but it must stay correct for genuine re-occurrences of the old
-	// structure).
-	plan, err := newDetachedPlan(c.sr, mask.Clone(), a, b, opt)
+	// not serialize concurrent lookups of other structures. A
+	// caller-owned mask is cloned so the cached plan survives the
+	// caller later mutating the original in place (such a mutation
+	// changes the fingerprint, so the stale entry can never be returned
+	// for the mutated matrix — but it must stay correct for genuine
+	// re-occurrences of the old structure). A stored mask is immutable:
+	// the plan takes its own header over the same arrays, so it pins
+	// the structure but never a matrix that embeds it.
+	var planMask *sparse.Pattern
+	if stored {
+		m := *mask
+		planMask = &m
+	} else {
+		planMask = mask.Clone()
+	}
+	plan, err := newDetachedPlan(c.sr, planMask, a, b, key.opt, bt)
 	if err != nil {
 		settled = true
 		c.mu.Lock()
@@ -295,7 +353,7 @@ func (c *PlanCache[T, S]) GetOrPlanObserved(mask *sparse.Pattern, a, b *sparse.C
 		c.mu.Unlock()
 		call.err = err
 		close(call.done)
-		return nil, key.fp, false, err
+		return nil, false, err
 	}
 	entry := &planEntry[T, S]{key: key, plan: plan, bytes: plan.footprintBytes()}
 
@@ -316,6 +374,7 @@ func (c *PlanCache[T, S]) GetOrPlanObserved(mask *sparse.Pattern, a, b *sparse.C
 		}
 		el := c.lru.PushFront(entry)
 		c.table[key] = el
+		c.retainCSCLocked(entry)
 		c.bytes += entry.bytes
 		c.evictLocked()
 		c.mu.Unlock()
@@ -327,7 +386,36 @@ func (c *PlanCache[T, S]) GetOrPlanObserved(mask *sparse.Pattern, a, b *sparse.C
 	}
 	call.plan = plan
 	close(call.done)
-	return plan, key.fp, false, nil
+	return plan, false, nil
+}
+
+// retainCSCLocked counts a newly resident entry as a user of its B's
+// CSC index entry, filing the plan's own transpose when the index has
+// none (the first plan over that B, or one planned across a Clear).
+func (c *PlanCache[T, S]) retainCSCLocked(entry *planEntry[T, S]) {
+	p := entry.plan
+	if p.btPtr == nil {
+		return
+	}
+	e := c.csc[entry.key.fp.B]
+	if e == nil {
+		e = &sharedCSC{cscStructure: cscStructure{ptr: p.btPtr, idx: p.btIdx, perm: p.btPerm}}
+		c.csc[entry.key.fp.B] = e
+	}
+	e.users++
+}
+
+// releaseCSCLocked undoes retainCSCLocked for an entry leaving the
+// cache, dropping the index entry with its last user.
+func (c *PlanCache[T, S]) releaseCSCLocked(entry *planEntry[T, S]) {
+	if entry.plan.btPtr == nil {
+		return
+	}
+	if e := c.csc[entry.key.fp.B]; e != nil {
+		if e.users--; e.users == 0 {
+			delete(c.csc, entry.key.fp.B)
+		}
+	}
 }
 
 // evictLocked drops least-recently-used entries until both bounds
@@ -357,6 +445,7 @@ func (c *PlanCache[T, S]) Clear() {
 	}
 	c.lru.Init()
 	clear(c.table)
+	clear(c.csc)
 	c.bytes = 0
 }
 

@@ -376,19 +376,19 @@ func TestServedKernelsBindOnlyPlusTimes(t *testing.T) {
 		called = false
 	}
 	opt := Options{Algorithm: AlgoMSA}
-	pt, err := newDetachedPlan(semiring.PlusTimes[float64]{}, mask, a, b, opt)
+	pt, err := newDetachedPlan(semiring.PlusTimes[float64]{}, mask, a, b, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, ok := servedKernels(pt, a, b, getAcc, served)
 	check("PlusTimes[float64]", ok, true)
-	twin, err := newDetachedPlan(plusTimesTwin{}, mask, a, b, opt)
+	twin, err := newDetachedPlan(plusTimesTwin{}, mask, a, b, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, ok = servedKernels(twin, a, b, getAcc, served)
 	check("plusTimesTwin", ok, false)
-	minPlus, err := newDetachedPlan(semiring.MinPlusF64{}, mask, a, b, opt)
+	minPlus, err := newDetachedPlan(semiring.MinPlusF64{}, mask, a, b, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,6 +30,14 @@ const (
 // reply does not pay for zeroing a big buffer.
 const chunkBytes = 1 << 16
 
+// Size returns the number of bytes Write produces for m: the header,
+// then 8 bytes per row pointer and 12 per entry (a column index and a
+// value), i.e. 32 + 8·(rows+1) + 12·nnz. A server sends it as the
+// response's Content-Length so a client can size its read up front.
+func Size(m *sparse.CSR[float64]) int64 {
+	return headerBytes + 8*int64(len(m.RowPtr)) + 12*m.NNZ()
+}
+
 // Write encodes a float64 CSR matrix. Sections are encoded in bulk into
 // one chunkBytes buffer that is handed to w each time it fills, so w
 // sees writes of at most chunkBytes and the bytes are identical to a
@@ -48,7 +56,7 @@ func Write(w io.Writer, m *sparse.CSR[float64]) error {
 	// to the exact encoded size: grown chunk by chunk it would double
 	// past it, and a caller keeping the bytes would keep the slack.
 	if g, ok := w.(interface{ Grow(n int) }); ok {
-		g.Grow(headerBytes + 8*len(m.RowPtr) + 12*int(nnz))
+		g.Grow(int(Size(m)))
 	}
 	e := encoder{w: w, buf: make([]byte, chunkBytes)}
 	copy(e.buf, magic)

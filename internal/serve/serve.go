@@ -506,7 +506,10 @@ func operandStatus(decodeErr, readErr error) int {
 func (s *Server) writeResult(w http.ResponseWriter, format string, out *maskedspgemm.Matrix) {
 	switch format {
 	case "", "serial":
+		// The encoded size is known before the first byte, so the
+		// response carries a Content-Length instead of being chunked.
 		w.Header().Set("Content-Type", "application/x-mspgemm")
+		w.Header().Set("Content-Length", strconv.FormatInt(serial.Size(out), 10))
 		// A failed write means the client is gone; nothing to recover.
 		_ = serial.Write(w, out)
 	case "mtx":

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -199,6 +201,67 @@ func TestServeMultiplyFormats(t *testing.T) {
 	}
 	if !sparse.Equal(wantMulti, got) {
 		t.Fatal("multipart: result differs from local Multiply")
+	}
+}
+
+// TestServeSerialContentLength pins the sized serial response: the
+// MSPG body's length is known before its first byte, so the response
+// declares it in Content-Length instead of being chunked — inline and
+// by reference, and for an empty product.
+func TestServeSerialContentLength(t *testing.T) {
+	g := maskedspgemm.ErdosRenyi(96, 6, 44)
+	h := servetest.Start(t, New(Config{}))
+	ref := h.Put("/v1/operands", servetest.EncodeSerial(t, g), nil).JSON(t).Str("operands.0.ref")
+	empty := maskedspgemm.ErdosRenyi(96, 0, 45)
+	emptyBody, ctype := servetest.Multipart(t,
+		servetest.Part{Name: "mask", Data: servetest.EncodeSerial(t, empty)},
+		servetest.Part{Name: "a", Data: servetest.EncodeSerial(t, g)},
+	)
+	for _, c := range []struct {
+		name, path string
+		body       []byte
+		ctype      string
+	}{
+		{"inline", "/v1/multiply?algorithm=hash", servetest.EncodeSerial(t, g), ""},
+		{"reference", "/v1/multiply?a=" + ref, nil, ""},
+		{"explicit format", "/v1/multiply?a=" + ref + "&format=serial", nil, ""},
+		{"empty product", "/v1/multiply", emptyBody, ctype},
+	} {
+		req, err := http.NewRequest(http.MethodPost, h.URL+c.path, bytes.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.ctype != "" {
+			req.Header.Set("Content-Type", c.ctype)
+		}
+		resp, err := h.Client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.name, resp.StatusCode, body)
+		}
+		if len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: response is %v-encoded, want a sized body", c.name, resp.TransferEncoding)
+		}
+		if hdr := resp.Header.Get("Content-Length"); hdr != strconv.Itoa(len(body)) {
+			t.Errorf("%s: Content-Length %q, body is %d bytes", c.name, hdr, len(body))
+		}
+		got, err := serial.Read(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if want := 32 + 8*(got.Rows+1) + 12*int(got.NNZ()); len(body) != want {
+			t.Errorf("%s: body is %d bytes, want 32 + 8·(rows+1) + 12·nnz = %d", c.name, len(body), want)
+		}
+		if c.name == "empty product" && got.NNZ() != 0 {
+			t.Errorf("empty mask produced %d entries", got.NNZ())
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/gen"
 	"maskedspgemm/internal/semiring"
+	"maskedspgemm/internal/sparse"
 )
 
 // newSharedPair wires a store and a plan cache onto one budget — the
@@ -56,9 +57,10 @@ func TestInterplayBudgetReconciles(t *testing.T) {
 
 // TestInterplayEvictOperandKeepsPlan pins the no-orphaning direction
 // store→cache: dropping a resident operand must not invalidate the
-// plan cached for its structure, because plans own a private clone of
-// the mask (§8 ownership). A re-request by the same structure is still
-// a plan-cache hit.
+// plan cached for its structure (§8 ownership) — a plan built by value
+// owns a private clone of the mask, one built by reference holds its
+// own reference to the stored mask's arrays. A re-request by the same
+// structure is still a plan-cache hit, and the budget still reconciles.
 func TestInterplayEvictOperandKeepsPlan(t *testing.T) {
 	budget, st, cache := newSharedPair(1 << 30)
 	g1 := gen.ErdosRenyi(64, 4, 10)
@@ -90,6 +92,52 @@ func TestInterplayEvictOperandKeepsPlan(t *testing.T) {
 	if after.Hits != before.Hits+1 || after.Misses != before.Misses {
 		t.Fatalf("replan after operand eviction was not a hit: %+v → %+v", before, after)
 	}
+
+	// By reference: plan C = M ⊙ (g2·g2) with M a stored operand of its
+	// own, evict M, and the plan still computes the right product.
+	m := gen.ErdosRenyi(64, 6, 12)
+	want, err := core.MaskedSpGEMM(semiring.PlusTimes[float64]{}, m.PatternView(), g2, g2, core.Options{Algorithm: core.AlgoSaxpyThenMask})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mRef, _ := st.Put(m)
+	ref2 := RefOf(g2)
+	mask, ok := st.GetPattern(mRef.Pattern)
+	if !ok {
+		t.Fatal("mask not resident")
+	}
+	a, ok := st.Get(ref2)
+	if !ok {
+		t.Fatal("g2 not resident")
+	}
+	fp := core.Fingerprints{Mask: mRef.Pattern, A: ref2.Pattern, B: ref2.Pattern}
+	plan, hit, err := cache.GetOrPlanStored(fp, mask, a, a, core.Options{})
+	if err != nil || hit {
+		t.Fatalf("plan by reference: hit %v, err %v", hit, err)
+	}
+	reconcile(t, budget, st, cache)
+	// Touch g2 so the mask operand is the store's LRU victim.
+	if _, ok := st.Get(ref2); !ok {
+		t.Fatal("g2 not resident")
+	}
+	if st.BudgetEvict() == 0 {
+		t.Fatal("store refused to evict")
+	}
+	if _, ok := st.GetPattern(mRef.Pattern); ok {
+		t.Fatal("expected the mask operand evicted")
+	}
+	reconcile(t, budget, st, cache)
+	got, err := plan.ExecuteOn(core.NewExecutor[float64](semiring.PlusTimes[float64]{}), a, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sparse.EqualFunc(want, got, sparse.FloatEq(1e-9)) {
+		t.Fatal("plan built by reference is wrong after its mask operand was evicted")
+	}
+	if again, hit, err := cache.GetOrPlanStored(fp, m.PatternView(), a, a, core.Options{}); err != nil || !hit || again != plan {
+		t.Fatalf("re-request by reference after mask eviction: hit %v, same plan %v, err %v", hit, again == plan, err)
+	}
+	reconcile(t, budget, st, cache)
 }
 
 // TestInterplayEvictPlanKeepsOperand pins the other direction: evicting

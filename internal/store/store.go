@@ -17,9 +17,10 @@
 // Eviction is LRU under a core.MemBudget shared with the plan cache:
 // resident operands and cached plans draw from one byte budget, and
 // whichever is globally least recently used yields first. Evicting an
-// operand never invalidates plans cached for its structure (plans own
-// a private mask clone), and evicting a plan never drops an operand —
-// the two caches only compete for bytes.
+// operand never invalidates plans cached for its structure (a plan
+// built from a stored mask holds its own reference to the mask's
+// arrays, and is charged for them), and evicting a plan never drops an
+// operand — the two caches only compete for bytes.
 package store
 
 import (

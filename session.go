@@ -213,12 +213,17 @@ func (s *Session) MultiplyCtx(ctx context.Context, mask *Pattern, a, b *Matrix, 
 	if !hit {
 		s.observeMiss(fp, o, false)
 	}
+	return s.execute(ctx, plan, a, b, o)
+}
+
+// execute runs a cached plan on a pooled executor.
+func (s *Session) execute(ctx context.Context, plan *core.Plan[float64, arith], a, b *Matrix, o core.Options) (*Matrix, error) {
 	exec := s.pool.Get()
 	// Retirement is outcome-dependent (Put clean executors, Discard
 	// interrupted ones), so it runs explicitly after telemetry rather
 	// than as a blanket deferred Put; the defer only covers panics that
 	// escape past ExecuteOnCtx's own containment (nothing engine-side
-	// does, but observeMiss callbacks and semiring code could).
+	// does, but semiring code could).
 	retired := false
 	defer func() {
 		if !retired {
@@ -368,8 +373,10 @@ func (e *MissingOperandsError) Error() string {
 // A and B by full content references from PutOperand. Resolution
 // failures return a *MissingOperandsError listing every dangling
 // operand (not just the first), so one round trip tells the caller
-// everything to re-upload. A resolved request proceeds exactly as
-// Multiply — same plan cache, same pooled executors — and since
+// everything to re-upload. A resolved request proceeds as Multiply —
+// same plan cache, same pooled executors — except that the cache keys
+// on the refs' fingerprints instead of hashing the operands, so a
+// product planned by value hits by reference and vice versa. Since
 // resident operands have stable structure, warm traffic by reference
 // is a guaranteed plan-cache hit.
 func (s *Session) MultiplyRefs(maskFP uint64, aRef, bRef OperandRef, opts ...Option) (*Matrix, error) {
@@ -389,8 +396,8 @@ func (s *Session) MultiplyRefsCtx(ctx context.Context, maskFP uint64, aRef, bRef
 		b, bOK = s.operands.Get(bRef)
 	}
 	// Resolve the mask from A's own pattern when the fingerprints
-	// agree (the self-mask graph shape): pointer identity lets the
-	// plan-cache key hash one structure instead of three.
+	// agree (the self-mask graph shape): the structure is the same
+	// resident arrays either way, one store lookup cheaper.
 	var mask *Pattern
 	maskOK := true
 	if aOK && maskFP == aRef.Pattern {
@@ -411,7 +418,20 @@ func (s *Session) MultiplyRefsCtx(ctx context.Context, maskFP uint64, aRef, bRef
 		}
 		return nil, err
 	}
-	return s.MultiplyCtx(ctx, mask, a, b, opts...)
+	// The store keys its operands by the fingerprints the request
+	// named, so the plan cache keys on those instead of hashing the
+	// operands again, and a plan built on a miss aliases the resident
+	// mask instead of cloning it.
+	o := buildOptions(opts)
+	fp := core.Fingerprints{Mask: maskFP, A: aRef.Pattern, B: bRef.Pattern}
+	plan, hit, err := s.cache.GetOrPlanStored(fp, mask, a, b, o)
+	if err != nil {
+		return nil, err
+	}
+	if !hit {
+		s.observeMiss(fp, o, false)
+	}
+	return s.execute(ctx, plan, a, b, o)
 }
 
 // CacheStats re-exports the plan cache counters (see SessionStats).

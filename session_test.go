@@ -3,6 +3,7 @@ package maskedspgemm
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -423,6 +424,116 @@ func TestSessionMissObserver(t *testing.T) {
 				ev.MaskFingerprint, ev.AFingerprint, ev.BFingerprint,
 				want.MaskFingerprint, want.AFingerprint, want.BFingerprint)
 		}
+	}
+
+	// A miss on the reference path reports the fingerprints the refs
+	// named, which are the ones the cache keyed on.
+	k := ErdosRenyi(96, 6, 20)
+	kRef, _ := s.PutOperand(k)
+	gRef, _ := s.PutOperand(g)
+	if _, err := s.MultiplyRefs(kRef.Pattern, gRef, kRef); err != nil {
+		t.Fatal(err)
+	}
+	got = seen()
+	if len(got) != 1 {
+		t.Fatalf("reference path: observer saw %d misses, want 1", len(got))
+	}
+	if ev := got[0]; ev.Warm || ev.MaskFingerprint != kRef.Pattern || ev.AFingerprint != gRef.Pattern || ev.BFingerprint != kRef.Pattern {
+		t.Fatalf("reference path: miss %+v, want fingerprints %x/%x/%x", ev, kRef.Pattern, gRef.Pattern, kRef.Pattern)
+	}
+}
+
+// TestSessionRefsKeyLikeValues pins that fingerprints taken from refs
+// key the same plan-cache entries that hashing the operands keys: a
+// product multiplied by value hits when next named by reference, and
+// the reverse, whichever operands share a structure.
+func TestSessionRefsKeyLikeValues(t *testing.T) {
+	g := ErdosRenyi(96, 6, 50)
+	h := ErdosRenyi(96, 6, 51)
+	m := ErdosRenyi(96, 6, 52)
+	for _, c := range []struct {
+		name       string
+		mask, a, b *Matrix
+	}{
+		{"mask≠A≠B", m, g, h},
+		{"mask=A", g, g, h},
+		{"A=B", m, h, h},
+	} {
+		want, err := Multiply(c.mask.PatternView(), c.a, c.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, byValueFirst := range []bool{true, false} {
+			s := NewSession()
+			maskRef, _ := s.PutOperand(c.mask)
+			aRef, _ := s.PutOperand(c.a)
+			bRef, _ := s.PutOperand(c.b)
+			byValue := func() (*Matrix, error) { return s.Multiply(c.mask.PatternView(), c.a, c.b) }
+			byRef := func() (*Matrix, error) { return s.MultiplyRefs(maskRef.Pattern, aRef, bRef) }
+			first, second := byValue, byRef
+			if !byValueFirst {
+				first, second = byRef, byValue
+			}
+			for _, f := range []func() (*Matrix, error){first, second} {
+				got, err := f()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sparse.Equal(want, got) {
+					t.Fatalf("%s: result differs from the one-shot Multiply", c.name)
+				}
+			}
+			if st := s.Stats().Cache; st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
+				t.Fatalf("%s, byValueFirst=%v: cache %+v, want 1 miss then 1 hit on one entry", c.name, byValueFirst, st)
+			}
+		}
+	}
+}
+
+// TestSessionRefsMissNoClone pins that a plan miss by reference
+// aliases the stored mask: alternating two structures through a
+// one-entry cache makes every request miss, and per miss the by-value
+// path allocates at least the mask's ColIdx more than the reference
+// path, the clone the reference path skips.
+func TestSessionRefsMissNoClone(t *testing.T) {
+	gs := []*Matrix{ErdosRenyi(512, 32, 53), ErdosRenyi(512, 32, 54)}
+	colIdxBytes := uint64(4 * len(gs[0].ColIdx))
+	perMiss := func(multiply func(k int)) uint64 {
+		const n = 8
+		for k := range 2 { // grow the pooled executor first
+			multiply(k)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range n {
+			multiply(i % 2)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / n
+	}
+	byValue := NewSession(WithPlanCacheEntries(1))
+	valueBytes := perMiss(func(k int) {
+		if _, err := byValue.Multiply(gs[k].PatternView(), gs[k], gs[k], WithThreads(1)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	byRef := NewSession(WithPlanCacheEntries(1))
+	refs := make([]OperandRef, len(gs))
+	for k, g := range gs {
+		refs[k], _ = byRef.PutOperand(g)
+	}
+	refBytes := perMiss(func(k int) {
+		if _, err := byRef.MultiplyRefs(refs[k].Pattern, refs[k], refs[k], WithThreads(1)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if st := byRef.Stats().Cache; st.Hits != 0 {
+		t.Fatalf("cache %+v: every request must miss", st)
+	}
+	t.Logf("per miss: by value %d B, by reference %d B, mask ColIdx %d B", valueBytes, refBytes, colIdxBytes)
+	if valueBytes < refBytes+colIdxBytes {
+		t.Fatalf("per miss: by value %d B, by reference %d B; the reference path must skip the %d-byte mask clone",
+			valueBytes, refBytes, colIdxBytes)
 	}
 }
 
