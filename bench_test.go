@@ -13,7 +13,6 @@ import (
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/gen"
 	"maskedspgemm/internal/graph"
-	"maskedspgemm/internal/parallel"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 )
@@ -401,132 +400,30 @@ func BenchmarkHybrid(b *testing.B) {
 	}
 }
 
-// BenchmarkHybridMix — the per-row poly-algorithm (DESIGN.md §10)
-// against every single accumulator family. The acceptance targets: on
-// the banded mask-density sweep (1e-4 … 0.5 across row bands — no
-// single family wins every band) the mixed per-row binding must be
-// ≥ 10% faster than the best single family; on the uniform-density
-// controls, where one family is globally optimal, it must track that
-// family within 3% (the selector binds ~every row to it, so only
-// run-dispatch overhead remains). `mspgemm-bench hybridmix` runs the
-// same experiment with a best-of-reps harness and emits
-// BENCH_hybridmix.json.
-func BenchmarkHybridMix(b *testing.B) {
-	sr := semiring.PlusTimes[float64]{}
-	const scale, ef = 12, 32
-	n := 1 << scale
-	g := gen.Symmetrize(gen.ErdosRenyi(n, ef, 7))
-	workloads := []struct {
-		name string
-		mask *sparse.Pattern
-	}{
-		{"density-sweep", bench.BandedMask(n, bench.SweepDensities, 9)},
-		{"uniform-dense", gen.ErdosRenyiPattern(n, n/16, 10)},
-		{"uniform-sparse", gen.ErdosRenyiPattern(n, 2, 11)},
-	}
-	algos := []core.Algorithm{core.AlgoMSA, core.AlgoHash, core.AlgoMCA, core.AlgoHeap, core.AlgoInner, core.AlgoHybrid}
-	for _, wl := range workloads {
-		for _, algo := range algos {
-			opt := core.Options{Algorithm: algo, ReuseOutput: true}
-			plan, err := core.NewPlan(sr, wl.mask, g, g, opt, nil)
+// BenchmarkKernels — the kernel bench's case table (DESIGN.md §9,
+// §10, §12, §15), one sub-benchmark per (workload, arm): every single
+// accumulator family, Hybrid and its menu without MaskedBit on the
+// density sweeps and controls, the three schedules at each width on
+// the tail-hub R-MAT graph and a uniform control, and an execution
+// with and without a never-latched cancel token. `mspgemm-bench
+// kernels` times the same cases in interleaved rounds and judges the
+// CI gates on their paired ratios.
+func BenchmarkKernels(b *testing.B) {
+	for _, w := range bench.KernelWorkloads(12, 0) {
+		b.Run(w.Name, func(b *testing.B) {
+			s, err := w.Setup()
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.Run(wl.name+"/"+algo.String(), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := plan.Execute(g, g); err != nil {
-						b.Fatal(err)
+			for i, arm := range w.Arms {
+				b.Run(arm.Name, func(b *testing.B) {
+					b.ReportAllocs()
+					for b.Loop() {
+						if err := s.Run(i); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkBitmapMix — the MaskedBit bitmap-state accumulator
-// (DESIGN.md §12) against the byte-state MSA and the Hybrid menu with
-// and without it. The dense-mask workload (mask degree n/4 over
-// edge-factor-8 inputs) is walk-dominated — the class MaskedBit's
-// 8x-smaller state traffic targets; the density sweep checks the
-// Hybrid selector only binds MaskedBit where it wins. `mspgemm-bench
-// bitmap` runs the same comparison with a best-of-reps harness and
-// emits BENCH_bitmap.json, which CI gates on.
-func BenchmarkBitmapMix(b *testing.B) {
-	sr := semiring.PlusTimes[float64]{}
-	const scale, ef = 12, 8
-	n := 1 << scale
-	g := gen.Symmetrize(gen.ErdosRenyi(n, ef, 11))
-	workloads := []struct {
-		name string
-		mask *sparse.Pattern
-	}{
-		{"dense-mask", gen.ErdosRenyiPattern(n, n/4, 13)},
-		{"density-sweep", bench.BandedMask(n, bench.SweepDensities, 14)},
-		{"uniform-sparse", gen.ErdosRenyiPattern(n, 2, 15)},
-	}
-	schemes := []struct {
-		name string
-		opt  core.Options
-	}{
-		{"MSA", core.Options{Algorithm: core.AlgoMSA, ReuseOutput: true}},
-		{"MaskedBit", core.Options{Algorithm: core.AlgoMaskedBit, ReuseOutput: true}},
-		{"Hybrid", core.Options{Algorithm: core.AlgoHybrid, ReuseOutput: true}},
-		{"Hybrid-noMaskedBit", core.Options{
-			Algorithm:      core.AlgoHybrid,
-			HybridFamilies: core.Families(core.FamMSA, core.FamHash, core.FamHeap, core.FamPull),
-			ReuseOutput:    true,
-		}},
-	}
-	for _, wl := range workloads {
-		for _, sc := range schemes {
-			plan, err := core.NewPlan(sr, wl.mask, g, g, sc.opt, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(wl.name+"/"+sc.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := plan.Execute(g, g); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkCancelOverhead — the cost of cancellation-aware kernels
-// (DESIGN.md §15): the same plan on the same executor with no cancel
-// token versus a live, never-latched one, on the uniform ER self-mask
-// control where a fixed per-block polling cost cannot hide behind row
-// skew. `mspgemm-bench cancel` runs the same comparison with an
-// interleaved best-of-reps harness and emits BENCH_cancel.json, whose
-// ratio CI gates at the ≤2% checkpoint-overhead budget.
-func BenchmarkCancelOverhead(b *testing.B) {
-	sr := semiring.PlusTimes[float64]{}
-	const scale, ef = 12, 8
-	g := gen.Symmetrize(gen.ErdosRenyi(1<<scale, ef, 17))
-	opt := core.Options{Algorithm: core.AlgoMSA, ReuseOutput: true}
-	plan, err := core.NewPlan(sr, g.PatternView(), g, g, opt, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	exec := core.NewExecutor[float64](sr)
-	arms := []struct {
-		name string
-		eo   core.ExecOptions
-	}{
-		{"no-token", core.ExecOptions{ReuseOutput: true}},
-		{"token", core.ExecOptions{ReuseOutput: true, Cancel: &parallel.CancelToken{}}},
-	}
-	for _, arm := range arms {
-		b.Run(arm.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := plan.ExecuteOnOpts(exec, g, g, arm.eo); err != nil {
-					b.Fatal(err)
-				}
+				})
 			}
 		})
 	}
@@ -563,45 +460,6 @@ func BenchmarkComplement(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkSchedSkew — the DESIGN.md §9 scheduling experiment: the same
-// masked product under fixed-grain, cost-partitioned, and work-stealing
-// scheduling, on a degree-ascending R-MAT graph whose tail-adjacent
-// hub rows break a fixed 64-row grain (the heavy blocks are claimed
-// last, with nothing left to balance them against), and on a uniform
-// ER control where the strategies must tie. The acceptance target (cost-guided ≥ 1.3× over
-// fixed grain on the skewed input at ≥ 4 threads, ≤ 5% regression on
-// ER) needs real hardware parallelism; run with GOMAXPROCS ≥ 4.
-func BenchmarkSchedSkew(b *testing.B) {
-	sr := semiring.PlusTimes[float64]{}
-	workloads := []struct {
-		name string
-		g    *sparse.CSR[float64]
-	}{
-		{"rmat-hubs", bench.SkewedGraph(12, 16, 33)},
-		{"er-uniform", gen.Symmetrize(gen.ErdosRenyi(1<<12, 16, 34))},
-	}
-	for _, wl := range workloads {
-		mask := wl.g.PatternView()
-		for _, threads := range []int{2, 4, 8} {
-			for _, mode := range []core.Schedule{core.SchedFixedGrain, core.SchedCostPartition, core.SchedWorkSteal} {
-				opt := core.Options{Algorithm: core.AlgoMSA, Threads: threads, Schedule: mode, ReuseOutput: true}
-				plan, err := core.NewPlan(sr, mask, wl.g, wl.g, opt, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Run(fmt.Sprintf("%s/threads=%d/%v", wl.name, threads, mode), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if _, err := plan.Execute(wl.g, wl.g); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		}
 	}
 }
 

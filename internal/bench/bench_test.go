@@ -3,6 +3,9 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -189,147 +192,191 @@ func TestCheckCorrectness(t *testing.T) {
 	}
 }
 
-func TestRunSchedSkewTiny(t *testing.T) {
-	cfg := SchedSkewConfig{Scale: 8, EdgeFactor: 8, Threads: []int{1, 2}, Reps: 1, Seed: 5}
-	pts, err := RunSchedSkew(cfg)
+// TestKernelsTiny runs the kernel bench end to end at scale 8: every
+// case times positively, Hybrid points carry their family mix, the
+// ablation binds no MaskedBit row, every gate is read on its workload,
+// and the JSON document round-trips.
+func TestKernelsTiny(t *testing.T) {
+	rep, err := RunKernels(8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 workloads × 2 thread counts × 3 schedules.
-	if len(pts) != 12 {
-		t.Fatalf("points = %d, want 12", len(pts))
+	cases := 0
+	for _, w := range KernelWorkloads(8, 2) {
+		cases += len(w.Arms)
 	}
-	fixedSeen := map[string]bool{}
-	for _, p := range pts {
-		if p.Seconds <= 0 {
-			t.Errorf("non-positive time: %+v", p)
+	if len(rep.Points) != cases {
+		t.Fatalf("points = %d, want one per case (%d)", len(rep.Points), cases)
+	}
+	for _, p := range rep.Points {
+		if p.Seconds <= 0 || p.Rounds != firstLook {
+			t.Errorf("%s/%s: seconds %v over %d rounds", p.Workload, p.Arm, p.Seconds, p.Rounds)
 		}
-		if p.Schedule == "FixedGrain" {
-			if p.SpeedupVsFixed != 1 {
-				t.Errorf("fixed-grain speedup vs itself = %v", p.SpeedupVsFixed)
-			}
-			fixedSeen[p.Workload] = true
-		}
-	}
-	if !fixedSeen["rmat-hubs"] || !fixedSeen["er-uniform"] {
-		t.Error("missing workloads in sweep")
-	}
-	var buf bytes.Buffer
-	WriteSchedSkew(&buf, cfg, pts)
-	if !strings.Contains(buf.String(), "CostPartition") {
-		t.Error("table missing schedule column")
-	}
-	buf.Reset()
-	if err := WriteSchedJSON(&buf, cfg, pts); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Points []SchedSkewPoint `json:"points"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("BENCH_sched.json round-trip: %v", err)
-	}
-	if len(doc.Points) != len(pts) {
-		t.Fatalf("JSON points = %d, want %d", len(doc.Points), len(pts))
-	}
-}
-
-// TestRunBitmapMixTiny exercises the MaskedBit experiment end to end
-// at a small scale: every workload carries all eight schemes, the
-// Hybrid points expose their family mix, and the JSON document
-// round-trips.
-func TestRunBitmapMixTiny(t *testing.T) {
-	cfg := BitmapMixConfig{Scale: 8, EdgeFactor: 4, Threads: 2, Reps: 1, Seed: 11}
-	pts, err := RunBitmapMix(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 4 workloads × (6 single families + 2 Hybrid variants).
-	if len(pts) != 32 {
-		t.Fatalf("points = %d, want 32", len(pts))
-	}
-	workloads := map[string]bool{}
-	for _, p := range pts {
-		if p.Seconds <= 0 {
-			t.Errorf("non-positive time: %+v", p)
-		}
-		workloads[p.Workload] = true
-		switch p.Scheme {
-		case "Hybrid", HybridNoMaskedBitScheme:
+		switch p.Arm {
+		case "Hybrid", hybridNoMaskedBit:
 			if len(p.FamilyRows) == 0 {
-				t.Errorf("%s/%s: missing family mix", p.Workload, p.Scheme)
+				t.Errorf("%s/%s: missing family mix", p.Workload, p.Arm)
 			}
-			if p.Scheme == HybridNoMaskedBitScheme {
-				if _, ok := p.FamilyRows["MaskedBit"]; ok {
-					t.Errorf("%s: ablated Hybrid bound MaskedBit rows", p.Workload)
-				}
-			}
-		case "MSA":
-			if p.VsMSA != 1 {
-				t.Errorf("%s/MSA: vs_msa = %v, want 1", p.Workload, p.VsMSA)
+			if _, ok := p.FamilyRows["MaskedBit"]; ok && p.Arm == hybridNoMaskedBit {
+				t.Errorf("%s: ablated Hybrid bound MaskedBit rows", p.Workload)
 			}
 		}
 	}
-	for _, wl := range []string{"er-dense", "er-sweep", "rmat-sweep", "er-uniform-sparse"} {
-		if !workloads[wl] {
-			t.Errorf("missing workload %s", wl)
+	if len(rep.Gates) != len(kernelGates) {
+		t.Fatalf("gates = %d, want %d", len(rep.Gates), len(kernelGates))
+	}
+	for i, g := range rep.Gates {
+		if g.Workload != kernelGates[i].Workload || g.Op != kernelGates[i].Op || g.Bound != kernelGates[i].Bound {
+			t.Errorf("gate %d = %+v, want the row of %+v", i, g, kernelGates[i])
+		}
+		if g.Num == bestSingle || g.Rounds < firstLook || !(g.Lo <= g.Median && g.Median <= g.Hi) {
+			t.Errorf("gate %d not read: %+v", i, g)
+		}
+		switch g.Verdict {
+		case verdictPass, verdictFail, verdictUnresolved:
+		default:
+			t.Errorf("gate %d verdict %q", i, g.Verdict)
+		}
+	}
+	for _, r := range rep.Ratios {
+		if r.Rounds != firstLook || r.Verdict != "" || r.Median <= 0 {
+			t.Errorf("reported ratio %+v", r)
 		}
 	}
 	var buf bytes.Buffer
-	WriteBitmapMix(&buf, cfg, pts)
-	if !strings.Contains(buf.String(), "MaskedBit") {
-		t.Error("table missing MaskedBit rows")
+	WriteKernels(&buf, rep)
+	for _, want := range []string{"er-dense", "MSA/MaskedBit", "FixedGrain-t1", "token/no-token"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("table missing %q", want)
+		}
 	}
 	buf.Reset()
-	if err := WriteBitmapMixJSON(&buf, cfg, pts); err != nil {
+	if err := WriteKernelsJSON(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Points []BitmapMixPoint `json:"points"`
+	var back KernelsReport
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+		t.Fatalf("BENCH_kernels.json round-trip: %v", err)
 	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("BENCH_bitmap.json round-trip: %v", err)
-	}
-	if len(doc.Points) != len(pts) {
-		t.Fatalf("JSON points = %d, want %d", len(doc.Points), len(pts))
+	if !reflect.DeepEqual(&back, rep) {
+		t.Errorf("JSON round-trip changed the report")
 	}
 }
 
-// TestRunCancelOverheadTiny exercises the cancel-overhead experiment
-// end to end at a small scale: both arms time positively, the ratio is
-// their quotient, and the JSON document round-trips with the .ratio
-// field the CI gate reads.
-func TestRunCancelOverheadTiny(t *testing.T) {
-	cfg := CancelOverheadConfig{Scale: 8, EdgeFactor: 4, Threads: 2, Reps: 2, Seed: 17}
-	res, err := RunCancelOverhead(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestKernelJudge drives the gate judge with synthetic ratio series:
+// a row passes only when its interval clears the bound, fails only
+// when the interval lies wholly past it, and a row whose interval
+// straddles the bound is unresolved at its cap, by rounds or by time.
+func TestKernelJudge(t *testing.T) {
+	// noisy returns the ratio series c·(1 + u), u uniform in ±spread.
+	noisy := func(c, spread float64) func(int) float64 {
+		rng := gen.NewRNG(9)
+		return func(int) float64 { return c * (1 + spread*(2*rng.Float64()-1)) }
 	}
-	if res.BaselineSeconds <= 0 || res.TokenSeconds <= 0 {
-		t.Fatalf("non-positive arm times: %+v", res)
+	alternate := func(lo, hi float64) func(int) float64 {
+		return func(round int) float64 { return []float64{lo, hi}[round%2] }
 	}
-	if want := res.TokenSeconds / res.BaselineSeconds; res.Ratio != want {
-		t.Errorf("ratio = %v, want %v", res.Ratio, want)
+	cases := []struct {
+		name    string
+		op      string
+		bound   float64
+		ratio   func(int) float64
+		seconds float64 // per round
+		verdict string
+		rounds  int
+	}{
+		{"clear pass at most", atMost, 1.05, noisy(0.9, 0.02), 0, verdictPass, firstLook},
+		{"clear pass at least", atLeast, 0.95, noisy(1.1, 0.02), 0, verdictPass, firstLook},
+		{"clear fail at most", atMost, 1.07, noisy(1.3, 0.02), 0, verdictFail, firstLook},
+		{"clear fail at least", atLeast, 1 / 1.05, noisy(0.8, 0.02), 0, verdictFail, firstLook},
+		{"pass after more looks", atMost, 1.05, noisy(1.0, 0.2), 0, verdictPass, 0},
+		{"straddles to the round cap", atMost, 1.05, alternate(0.9, 1.2), 0, verdictUnresolved, 1851},
+		{"straddles to the time cap", atLeast, 0.95, alternate(0.9, 1.2), 0.5, verdictUnresolved, 22},
 	}
-	var buf bytes.Buffer
-	WriteCancelOverhead(&buf, cfg, res)
-	if !strings.Contains(buf.String(), "token-never-latched") {
-		t.Errorf("table missing token arm:\n%s", buf.String())
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			row := KernelRow{Op: c.op, Bound: c.bound}
+			ratios := make([]float64, firstLook)
+			for r := range ratios {
+				ratios[r] = c.ratio(r)
+			}
+			err := row.resolve(ratios, c.seconds*firstLook, func(round int) (float64, float64, error) {
+				return c.ratio(round), c.seconds, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row.Verdict != c.verdict {
+				t.Fatalf("verdict %q after %d rounds (median %.3f in [%.3f, %.3f]), want %q",
+					row.Verdict, row.Rounds, row.Median, row.Lo, row.Hi, c.verdict)
+			}
+			if c.rounds > 0 && row.Rounds != c.rounds {
+				t.Errorf("resolved after %d rounds, want %d", row.Rounds, c.rounds)
+			}
+			if c.rounds == 0 && row.Rounds <= firstLook {
+				t.Errorf("resolved at the first look; the case needs more rounds")
+			}
+			if row.Rounds > maxRounds {
+				t.Errorf("%d rounds past the cap %d", row.Rounds, maxRounds)
+			}
+		})
 	}
-	buf.Reset()
-	if err := WriteCancelOverheadJSON(&buf, cfg, res); err != nil {
-		t.Fatal(err)
+	t.Run("error stops the row", func(t *testing.T) {
+		row := KernelRow{Op: atMost, Bound: 1.05}
+		want := errors.New("boom")
+		err := row.resolve(make([]float64, 1), 0, func(int) (float64, float64, error) { return 0, 0, want })
+		if !errors.Is(err, want) {
+			t.Fatalf("err = %v, want %v", err, want)
+		}
+	})
+}
+
+// TestMedianInterval pins the median (the mean of the middle two at
+// even length) and the order statistics of the 99% interval.
+func TestMedianInterval(t *testing.T) {
+	seq := func(n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(n - i) // descending: the function must sort
+		}
+		return xs
 	}
-	var doc struct {
-		Result struct {
-			Ratio float64 `json:"ratio"`
-		} `json:"result"`
+	cases := []struct {
+		xs          []float64
+		med, lo, hi float64
+	}{
+		{[]float64{4, 1, 3, 2}, 2.5, 1, 4}, // below 8 values: the whole range
+		{seq(7), 4, 1, 7},                  // P(B(7,½) = 0) = 1/128 > 0.005
+		{seq(8), 4.5, 1, 8},                // 1/256 ≤ 0.005 < 9/256
+		{seq(15), 8, 3, 13},                // P(B ≤ 2) = 121/32768 ≤ 0.005 < P(B ≤ 3)
+		{seq(16), 8.5, 3, 14},              // P(B ≤ 2) = 137/65536, P(B ≤ 3) = 697/65536
+		{[]float64{2, 2, 2, 2, 2, 2, 2, 2, 2}, 2, 2, 2},
 	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("BENCH_cancel.json round-trip: %v", err)
+	for _, c := range cases {
+		in := slices.Clone(c.xs)
+		med, lo, hi := medianInterval(c.xs)
+		if med != c.med || lo != c.lo || hi != c.hi {
+			t.Errorf("medianInterval(%v) = %v [%v, %v], want %v [%v, %v]", in, med, lo, hi, c.med, c.lo, c.hi)
+		}
+		if !slices.Equal(in, c.xs) {
+			t.Errorf("medianInterval modified its input")
+		}
 	}
-	if doc.Result.Ratio != res.Ratio {
-		t.Errorf("JSON ratio = %v, want %v", doc.Result.Ratio, res.Ratio)
+}
+
+// TestGeneratorPins pins the generators the request-level trajectory
+// builds tc-skew-ref and sweep-cold-ref from: their outputs must not
+// change while the trajectory's committed baselines stand.
+func TestGeneratorPins(t *testing.T) {
+	g := SkewedGraph(12, 8, 1)
+	if got := g.PatternView().Fingerprint(); got != 0xe054e2aacc8c458b {
+		t.Errorf("SkewedGraph(12, 8, 1) pattern fingerprint = %#016x", got)
+	}
+	if got := sparse.ValuesFingerprint(g.Val); got != 0x6f77c82fb414792a {
+		t.Errorf("SkewedGraph(12, 8, 1) values fingerprint = %#016x", got)
+	}
+	if got := BandedMask(1<<12, SweepDensities, 3).Fingerprint(); got != 0xb3aa68a6063f8591 {
+		t.Errorf("BandedMask(1<<12, SweepDensities, 3) fingerprint = %#016x", got)
 	}
 }
 
