@@ -70,6 +70,10 @@ const (
 	// bestSingle stands, in a row, for the single-family arm with the
 	// lowest median time at the first look.
 	bestSingle = "best-single"
+	// hybridFull names the arm that runs a self-mask workload's full
+	// product: B is passed as a clone of A, so the plan cannot compute
+	// one triangle and mirror it (DESIGN.md §5).
+	hybridFull = "Hybrid-full"
 )
 
 // kernelGates are the rows CI gates on, in case-table order. The
@@ -103,6 +107,9 @@ type KernelArm struct {
 	// Token runs each execution with a live, never-latched cancel
 	// token, so every block claim pays the real atomic load.
 	Token bool
+	// CloneB plans and executes the arm with B a clone of the
+	// workload's B: the same matrix, not the same arrays.
+	CloneB bool
 }
 
 // KernelWorkload is one product of the case table and the arms timed
@@ -144,6 +151,10 @@ type kernelInputs struct {
 //     schedule at every width;
 //   - edge factor 8, seed 17: er-self, a uniform ER self-mask, where a
 //     per-block polling cost has no row skew to hide behind.
+//
+// The three self-mask workloads (rmat-hubs, er-uniform, er-self) are
+// symmetric self-products, which every arm computes as one triangle
+// and a mirror; their Hybrid-full arm reports the full product.
 func KernelWorkloads(scale, threads int) []KernelWorkload {
 	n := 1 << scale
 	er := func(ef int, seed uint64) func() *sparse.CSR[float64] {
@@ -194,6 +205,10 @@ func KernelWorkloads(scale, threads int) []KernelWorkload {
 	}
 	msa := core.Options{Algorithm: core.AlgoMSA, Threads: threads, ReuseOutput: true}
 	cancel := []KernelArm{{Name: "no-token", Opt: msa}, {Name: "token", Opt: msa, Token: true}}
+	hybrid := core.Options{Algorithm: core.AlgoHybrid, Threads: threads, ReuseOutput: true}
+	halves := []KernelArm{{Name: "Hybrid", Opt: hybrid}, {Name: hybridFull, Opt: hybrid, CloneB: true}}
+	sched, cancel = append(sched, halves...), append(cancel, halves...)
+	schedRows = append(schedRows, [2]string{hybridFull, "Hybrid"})
 
 	return []KernelWorkload{
 		{"er-dense", fams, famRows, square(uniform(n/4, 13), er8)},
@@ -207,7 +222,7 @@ func KernelWorkloads(scale, threads int) []KernelWorkload {
 		{"wide-sparse", fams, famRows, wide},
 		{"rmat-hubs", sched, schedRows, self(func() *sparse.CSR[float64] { return SkewedGraph(scale, 16, 42) })},
 		{"er-uniform", sched, schedRows, self(er(16, 43))},
-		{"er-self", cancel, nil, self(er(8, 17))},
+		{"er-self", cancel, [][2]string{{hybridFull, "Hybrid"}}, self(er(8, 17))},
 	}
 }
 
@@ -289,17 +304,20 @@ func BandedMask(n int, densities []float64, seed uint64) *sparse.Pattern {
 
 // KernelSetup is a workload's inputs with one plan per arm.
 type KernelSetup struct {
-	w     KernelWorkload
-	in    kernelInputs
-	plans []*core.Plan[float64, semiring.PlusTimes[float64]]
+	w  KernelWorkload
+	in kernelInputs
+	// bClone is the clone of B that CloneB arms use.
+	bClone *sparse.CSR[float64]
+	plans  []*core.Plan[float64, semiring.PlusTimes[float64]]
 	execs []*core.Executor[float64, semiring.PlusTimes[float64]]
 	eos   []core.ExecOptions
 }
 
 // Setup builds the workload's inputs and one plan and executor per
 // arm, then executes every arm once untimed. Adjacent arms with equal
-// Options (the cancel-token pair) share one plan and one executor, so
-// their ratio compares the same execution with and without the token.
+// Options and the same B (the cancel-token pair) share one plan and
+// one executor, so their ratio compares the same execution with and
+// without the token.
 func (w KernelWorkload) Setup() (*KernelSetup, error) {
 	sr := semiring.PlusTimes[float64]{}
 	s := &KernelSetup{
@@ -309,16 +327,19 @@ func (w KernelWorkload) Setup() (*KernelSetup, error) {
 		execs: make([]*core.Executor[float64, semiring.PlusTimes[float64]], len(w.Arms)),
 		eos:   make([]core.ExecOptions, len(w.Arms)),
 	}
+	if slices.ContainsFunc(w.Arms, func(arm KernelArm) bool { return arm.CloneB }) {
+		s.bClone = s.in.b.Clone()
+	}
 	for i, arm := range w.Arms {
 		s.eos[i] = arm.Opt.ExecOnly()
 		if arm.Token {
 			s.eos[i].Cancel = &parallel.CancelToken{}
 		}
-		if i > 0 && arm.Opt == w.Arms[i-1].Opt {
+		if i > 0 && arm.Opt == w.Arms[i-1].Opt && arm.CloneB == w.Arms[i-1].CloneB {
 			s.plans[i], s.execs[i] = s.plans[i-1], s.execs[i-1]
 		} else {
 			s.execs[i] = core.NewExecutor[float64](sr)
-			plan, err := core.NewPlan(sr, s.in.mask, s.in.a, s.in.b, arm.Opt, s.execs[i])
+			plan, err := core.NewPlan(sr, s.in.mask, s.in.a, s.b(i), arm.Opt, s.execs[i])
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", w.Name, arm.Name, err)
 			}
@@ -331,9 +352,17 @@ func (w KernelWorkload) Setup() (*KernelSetup, error) {
 	return s, nil
 }
 
+// b returns arm i's B.
+func (s *KernelSetup) b(i int) *sparse.CSR[float64] {
+	if s.w.Arms[i].CloneB {
+		return s.bClone
+	}
+	return s.in.b
+}
+
 // Run executes arm i once.
 func (s *KernelSetup) Run(i int) error {
-	if _, err := s.plans[i].ExecuteOnOpts(s.execs[i], s.in.a, s.in.b, s.eos[i]); err != nil {
+	if _, err := s.plans[i].ExecuteOnOpts(s.execs[i], s.in.a, s.b(i), s.eos[i]); err != nil {
 		return fmt.Errorf("%s/%s: %w", s.w.Name, s.w.Arms[i].Name, err)
 	}
 	return nil

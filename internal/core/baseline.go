@@ -78,7 +78,7 @@ func SpGEMM[T any, S semiring.Semiring[T]](sr S, a, b *sparse.CSR[T], opt Option
 		offsets[i] = total
 		total += c
 	}
-	return onePhase(a.Rows, b.Cols, offsets, sch, kernels[T]{numeric: numeric}, nil)
+	return onePhase(a.Rows, b.Cols, offsets, sch, kernels[T]{numeric: numeric}, nil, nil)
 }
 
 func errInnerDim[T any](a, b *sparse.CSR[T]) error {

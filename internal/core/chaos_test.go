@@ -177,3 +177,65 @@ func TestExecutorPoolDiscard(t *testing.T) {
 		t.Error("Get returned a discarded executor")
 	}
 }
+
+// TestChaosSymmetricProduct drives the chaos contract through the
+// one-triangle path of a symmetric self-product: cancellation at the
+// numeric pass and at the mirror pass — which keeps compact's
+// checkpoint — returns *CanceledError naming the pass, and a row panic
+// in any family returns *KernelPanicError, after which the pooled
+// executor is discarded and a fresh one runs the plan cleanly.
+func TestChaosSymmetricProduct(t *testing.T) {
+	t.Cleanup(faultinject.Disarm)
+	sr := semiring.PlusTimes[float64]{}
+	a := symGraph(8, true, true)
+	for _, pass := range []faultinject.Pass{faultinject.PassNumeric, faultinject.PassCompact} {
+		for _, threads := range []int{1, 4} {
+			faultinject.Disarm()
+			plan, err := NewPlan(sr, a.PatternView(), a, a, Options{Algorithm: AlgoHybrid, Threads: threads}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			faultinject.Arm(faultinject.Hooks{CancelPass: pass})
+			out, err := plan.Execute(a, a)
+			var ce *CanceledError
+			if !errors.As(err, &ce) || ce.Pass != string(pass) {
+				t.Fatalf("cancel@%s/threads=%d: err = %v, want CanceledError in pass %s", pass, threads, err, pass)
+			}
+			if out != nil {
+				t.Errorf("cancel@%s: partial result escaped", pass)
+			}
+			if !ranHalf(plan.exec) {
+				t.Errorf("cancel@%s: the canceled execution was not the one-triangle path", pass)
+			}
+		}
+	}
+	for _, algo := range append(chaosFamilies, AlgoHybrid) {
+		faultinject.Disarm()
+		pool := NewExecutorPool[float64](sr, 2)
+		cache := NewPlanCache(sr, 0, 0)
+		plan, err := cache.GetOrPlan(a.PatternView(), a, a, Options{Algorithm: algo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		faultinject.Arm(faultinject.Hooks{PanicArmed: true, PanicRow: 3, PanicPass: faultinject.PassNumeric})
+		exec := pool.Get()
+		out, err := plan.ExecuteOnOpts(exec, a, a, ExecOptions{Threads: 4})
+		var kp *KernelPanicError
+		if !errors.As(err, &kp) || out != nil {
+			t.Fatalf("%v: out=%v err=%v, want KernelPanicError and no result", algo, out != nil, err)
+		}
+		if !ranHalf(exec) {
+			t.Errorf("%v: the panicking execution was not the one-triangle path", algo)
+		}
+		pool.Discard(exec)
+		if st := pool.Stats(); st.Poisoned != 1 || st.Idle != 0 {
+			t.Errorf("%v: pool %+v, want the executor discarded", algo, st)
+		}
+		faultinject.Disarm()
+		fresh := pool.Get()
+		if _, err := plan.ExecuteOnOpts(fresh, a, a, ExecOptions{Threads: 4}); err != nil {
+			t.Fatalf("%v recovery run: %v", algo, err)
+		}
+		pool.Put(fresh)
+	}
+}

@@ -84,7 +84,7 @@ func pushKernelsC[T any, A pushAccC[T]](mask *sparse.Pattern, a, b *sparse.CSR[T
 }
 
 // bindMSAC registers complemented MSA (§5.2).
-func bindMSAC[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T]) kernels[T] {
+func bindMSAC[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], _ *symHalf) kernels[T] {
 	exec, ncols := e, b.Cols
 	return pushKernelsC(p.mask, a, b, func(tid int) *accum.MSAC[T, S] {
 		return exec.worker(tid).MSAC(ncols)
@@ -94,10 +94,10 @@ func bindMSAC[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a
 // bindMaskedBitC registers the complemented bitmap-state variant
 // (DESIGN.md §12). Like MSAC it is a dense-array accumulator, so the
 // per-row bound only feeds the shared protocol, never a resize.
-func bindMaskedBitC[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T]) kernels[T] {
+func bindMaskedBitC[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], _ *symHalf) kernels[T] {
 	exec, ncols := e, b.Cols
 	getAcc := func(tid int) *accum.MaskedBitC[T, S] { return exec.worker(tid).MaskedBitC(ncols) }
-	if k, ok := servedKernels(p, a, b, getAcc, maskedBitCPlusTimesKernels); ok {
+	if k, ok := servedKernels(p, p.mask, a, b, getAcc, maskedBitCPlusTimesKernels); ok {
 		return k
 	}
 	return pushKernelsC(p.mask, a, b, getAcc)
@@ -113,7 +113,7 @@ func maskedBitCPlusTimesKernels(mask *sparse.Pattern, a, b *sparse.CSR[float64],
 
 // bindHashC registers the complemented hash scheme. Tables grow per
 // row to the row's population bound.
-func bindHashC[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T]) kernels[T] {
+func bindHashC[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], _ *symHalf) kernels[T] {
 	exec, lf := e, p.opt.HashLoadFactor
 	return pushKernelsC(p.mask, a, b, func(tid int) *accum.HashC[T, S] {
 		return exec.worker(tid).HashC(lf)

@@ -150,7 +150,8 @@ func (p *Plan[T, S]) planSchedule(a, b *sparse.CSR[T], cost []int64) {
 //
 // Poly plans (AlgoHybrid) never reach here — their selector's chosen
 // per-row costs are handed to planSchedule directly, so selection and
-// scheduling share one cost picture.
+// scheduling share one cost picture. A symmetric self-product's rows
+// are priced as the halves they compute.
 //
 // Absolute scale does not matter — only proportions do, since the
 // partitioner divides rows by cumulative share. The returned slice has
@@ -165,9 +166,10 @@ func (p *Plan[T, S]) rowCosts(a, b *sparse.CSR[T]) []int64 {
 	}
 	complement := p.opt.Complement
 	cols := int64(p.mask.Cols)
+	rm := maskRows{p.mask, p.sym}
 	parallel.ForEachBlock(rows, parallel.Threads(0), p.opt.Grain, func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
-			maskRow := p.mask.Row(i)
+			maskRow := rm.row(i)
 			m := int64(len(maskRow))
 			aRow := a.Row(i)
 			if pullAll {
@@ -177,10 +179,7 @@ func (p *Plan[T, S]) rowCosts(a, b *sparse.CSR[T]) []int64 {
 				}))
 				continue
 			}
-			var gen int64
-			for _, k := range aRow {
-				gen += b.RowPtr[k+1] - b.RowPtr[k]
-			}
+			gen := rowScan(aRow, rm.clip(i), b.RowPtr)
 			out := m
 			if complement {
 				out = cols - m

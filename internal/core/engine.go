@@ -80,10 +80,15 @@ func (k *kernels[T]) symbolicSegment(lo, hi int) (int, rowSymbolicFn) {
 // kernel binding's run boundaries. es supplies pooled scratch; nil
 // allocates fresh. Cancellation (sch.cancel) is checked at pass
 // checkpoints and block claims; an interrupted execution returns
-// *CanceledError and no partial result.
-func onePhase[T any](rows, cols int, offsets []int64, sch rowSched, k kernels[T], es *engineScratch[T]) (*sparse.CSR[T], error) {
+// *CanceledError and no partial result. With h, the kernels compute
+// the halves of a symmetric self-product: the slab takes h's layout,
+// and the mirror pass replaces compact.
+func onePhase[T any](rows, cols int, offsets []int64, sch rowSched, k kernels[T], es *engineScratch[T], h *symHalf) (*sparse.CSR[T], error) {
 	if err := sch.enterPass(faultinject.PassNumeric); err != nil {
 		return nil, err
+	}
+	if h != nil {
+		offsets = h.off
 	}
 	slab := offsets[rows]
 	tmpIdx, tmpVal := es.slab(slab)
@@ -104,6 +109,9 @@ func onePhase[T any](rows, cols int, offsets []int64, sch rowSched, k kernels[T]
 	})
 	if err := sch.passCanceled(faultinject.PassNumeric); err != nil {
 		return nil, err
+	}
+	if h != nil {
+		return mirrorPass(rows, cols, h, counts, tmpIdx, tmpVal, sch, es)
 	}
 	return compact(rows, cols, offsets, counts, tmpIdx, tmpVal, sch, es)
 }

@@ -41,6 +41,7 @@ type Executor[T any, S semiring.Semiring[T]] struct {
 	lastPlan  *Plan[T, S]
 	lastA     *sparse.CSR[T]
 	lastB     *sparse.CSR[T]
+	lastHalf  *symHalf
 	bound     kernels[T]
 	haveBound bool
 
@@ -89,55 +90,77 @@ func (e *Executor[T, S]) worker(tid int) *workspace[T, S] {
 // Execute contract lets callers mutate B's values in place between
 // executions, so identity proves nothing about value freshness, and
 // the O(nnz) copy is within every pull scheme's numeric work anyway.
-func (e *Executor[T, S]) prepareCSC(p *Plan[T, S], b *sparse.CSR[T]) {
+//
+// A symmetric self-product's B is its own CSC structure, with the
+// plan's mirror map as the permutation; when the execution computes
+// one triangle (h non-nil), its values are symmetric too, and the CSC
+// view reads B's value array itself.
+func (e *Executor[T, S]) prepareCSC(p *Plan[T, S], b *sparse.CSR[T], h *symHalf) {
 	if !p.needsCSC() {
 		return
-	}
-	if p.info.TransposePerExecute {
-		if e.bt == nil {
-			e.bt = &sparse.CSC[T]{}
-		}
-		*e.bt = *sparse.ToCSC(b)
-		return
-	}
-	nnz := len(p.btIdx)
-	if cap(e.btVal) < nnz {
-		e.btVal = make([]T, nnz)
 	}
 	if e.bt == nil {
 		e.bt = &sparse.CSC[T]{}
 	}
+	if p.info.TransposePerExecute {
+		*e.bt = *sparse.ToCSC(b)
+		return
+	}
+	if p.sym != nil {
+		val := b.Val
+		if h == nil {
+			val = gatherInto(&e.btVal, b.Val, p.sym.mirror)
+		}
+		*e.bt = sparse.CSC[T]{Rows: p.bRows, Cols: p.bCols, ColPtr: p.mask.RowPtr, RowIdx: p.mask.ColIdx, Val: val}
+		return
+	}
 	*e.bt = sparse.CSC[T]{
 		Rows: p.bRows, Cols: p.bCols,
-		ColPtr: p.btPtr, RowIdx: p.btIdx, Val: e.btVal[:nnz],
-	}
-	for i, q := range p.btPerm {
-		e.bt.Val[i] = b.Val[q]
+		ColPtr: p.btPtr, RowIdx: p.btIdx, Val: gatherInto(&e.btVal, b.Val, p.btPerm),
 	}
 }
 
-// kernelsFor returns p's row kernels bound to (a, b) on this executor,
-// reusing the previous binding when plan and operands are unchanged.
-// Rebinding is cheap (two closures); the cache only exists so
-// steady-state repeated executions allocate nothing.
-func (e *Executor[T, S]) kernelsFor(p *Plan[T, S], a, b *sparse.CSR[T]) kernels[T] {
-	if e.haveBound && e.lastPlan == p && e.lastA == a && e.lastB == b {
+// gatherInto gathers B's values into CSC order — CSC position i takes
+// val[perm[i]] — in the grow-only buffer *buf, and returns the filled
+// prefix.
+func gatherInto[T any, P int32 | int64](buf *[]T, val []T, perm []P) []T {
+	if cap(*buf) < len(perm) {
+		*buf = make([]T, len(perm))
+	}
+	out := (*buf)[:len(perm)]
+	for i, q := range perm {
+		out[i] = val[q]
+	}
+	return out
+}
+
+// kernelsFor returns p's row kernels bound to (a, b) on this executor
+// — to the computed halves h of a symmetric self-product when h is
+// non-nil — reusing the previous binding when plan, operands and
+// halves are unchanged. Rebinding is cheap (two closures); the cache
+// only exists so steady-state repeated executions allocate nothing.
+func (e *Executor[T, S]) kernelsFor(p *Plan[T, S], a, b *sparse.CSR[T], h *symHalf) kernels[T] {
+	if e.haveBound && e.lastPlan == p && e.lastA == a && e.lastB == b && e.lastHalf == h {
 		return e.bound
 	}
-	e.bound = p.reg.binder(p.opt.Complement)(p, e, a, b)
-	e.lastPlan, e.lastA, e.lastB = p, a, b
+	e.bound = p.reg.binder(p.opt.Complement)(p, e, a, b, h)
+	e.lastPlan, e.lastA, e.lastB, e.lastHalf = p, a, b, h
 	e.haveBound = true
 	return e.bound
 }
 
 // releaseBindings drops the executor's references to the last plan and
 // operands so a pooled idle executor does not pin cache-evicted plans
-// or caller matrices in memory. Accumulators and buffers — the state
-// worth pooling — are kept.
+// or caller matrices in memory — the CSC view included, which may read
+// a plan's structure and B's own values. Accumulators and buffers —
+// the state worth pooling — are kept.
 func (e *Executor[T, S]) releaseBindings() {
-	e.lastPlan, e.lastA, e.lastB = nil, nil, nil
+	e.lastPlan, e.lastA, e.lastB, e.lastHalf = nil, nil, nil, nil
 	e.bound = kernels[T]{}
 	e.haveBound = false
+	if e.bt != nil {
+		*e.bt = sparse.CSC[T]{}
+	}
 }
 
 // workspace is one worker's pooled accumulator set. Each accumulator
@@ -251,6 +274,8 @@ type engineScratch[T any] struct {
 	rowPtr   []int64
 	colIdx   []int32
 	val      []T
+	chunks   []int
+	mirror   []int32
 	reuseOut bool
 }
 
@@ -264,6 +289,22 @@ func (es *engineScratch[T]) slab(n int64) ([]int32, []T) {
 		es.tmpVal = make([]T, n)
 	}
 	return es.tmpIdx[:n], es.tmpVal[:n]
+}
+
+// mirrorBufs returns the mirror pass's scratch (pooled when pooling
+// is available): the bounds of at most threads row chunks of
+// near-equal entry counts (chunkRows), and one int32 per row for each
+// chunk and one more.
+func (es *engineScratch[T]) mirrorBufs(counts []int64, threads int) ([]int, []int32) {
+	if es == nil {
+		es = new(engineScratch[T])
+	}
+	es.chunks = chunkRows(es.chunks, counts, threads)
+	n := len(es.chunks) * len(counts)
+	if cap(es.mirror) < n {
+		es.mirror = make([]int32, n)
+	}
+	return es.chunks, es.mirror[:n]
 }
 
 // rowPtrBuf returns the n-entry array that will become the output

@@ -16,7 +16,10 @@ import (
 // selector's families (bits 0-5, 0 meaning all) and picks the semiring
 // (bit 7): semiring.PlusTimes[float64], which MSA, MaskedBit and
 // MaskedBitC bind float64 kernels for, or plusTimesTwin, the same
-// algebra under another type, which takes the generic kernels. Output widths reach 1024 columns,
+// algebra under another type, which takes the generic kernels. Bit 6
+// draws a symmetric self-product instead, C = S ⊙ (S·S) for S = X + Xᵀ
+// with X m×m, which plain one-phase plans execute as one triangle and
+// a mirror. Output widths reach 1024 columns,
 // so complemented rows span many bitset words. The seed corpus runs as a
 // normal test; `go test -fuzz=FuzzMaskedSpGEMM ./internal/core` explores
 // further.
@@ -43,6 +46,10 @@ func FuzzMaskedSpGEMM(f *testing.F) {
 	// The generic kernels, through plusTimesTwin.
 	f.Add([]byte{3, 141, 59, 26, 53, 58, 97, 93, 23, 84, 62, 64, 33, 83, 27, 95}, uint8(6), uint8(4), uint16(100), uint8(0x1e), uint8(twinBit))
 	f.Add([]byte{96, 69, 69, 69, 69, 69, 69, 40}, uint8(0), uint8(0), uint16(999), uint8(0x07), uint8(twinBit|1<<FamMaskedBit))
+	// Symmetric self-products, through both kernel paths.
+	f.Add([]byte{3, 141, 59, 26, 53, 58, 97, 93, 23, 84, 62, 64, 33, 83, 27, 95, 2, 88, 41, 19}, uint8(12), uint8(0), uint16(0), uint8(0x1e), uint8(symBit))
+	f.Add([]byte{17, 34, 51, 68, 85, 102, 119, 136, 153, 170, 187, 204, 221, 238, 9, 1}, uint8(9), uint8(0), uint16(0), uint8(0x05), uint8(symBit|twinBit))
+	f.Add([]byte{250, 1, 249, 2, 248, 4, 247, 8, 246, 16, 245, 32, 244, 64, 7, 7, 7}, uint8(23), uint8(0), uint16(0), uint8(0x3b), uint8(symBit|1<<FamPull|1<<FamHeap))
 	f.Fuzz(func(t *testing.T, data []byte, mRaw, kRaw uint8, nRaw uint16, cfg, fams uint8) {
 		m := int(mRaw%24) + 1
 		k := int(kRaw%24) + 1
@@ -50,6 +57,14 @@ func FuzzMaskedSpGEMM(f *testing.F) {
 		a := matrixFromBytes(m, k, data, 0)
 		b := matrixFromBytes(k, n, data, 1)
 		mask := matrixFromBytes(m, n, data, 2).PatternView()
+		if fams&symBit != 0 {
+			x := matrixFromBytes(m, m, data, 3)
+			s, err := sparse.EWiseAdd(x, sparse.Transpose(x), func(p, q float64) float64 { return p + q })
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b, mask = s, s, s.PatternView()
+		}
 		base := Options{
 			Threads:        int(cfg&3) + 1,
 			Schedule:       Schedule(cfg >> 2 & 3),
@@ -65,8 +80,12 @@ func FuzzMaskedSpGEMM(f *testing.F) {
 }
 
 // twinBit is the bit of FuzzMaskedSpGEMM's fams input that selects
-// plusTimesTwin.
-const twinBit = 0x80
+// plusTimesTwin, and symBit the one that draws a symmetric
+// self-product.
+const (
+	twinBit = 0x80
+	symBit  = 0x40
+)
 
 // fuzzAllSchemes checks every algorithm, plain and complemented,
 // one-phase and two-phase, under base's execution configuration against

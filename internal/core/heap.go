@@ -61,12 +61,22 @@ func heapInsert(pq *accum.IterHeap, it accum.RowIter, bCols []int32, maskRow []i
 }
 
 // heapRowNumeric is Algorithm 4: compute one output row by merging the
-// heap stream against the mask row.
-func heapRowNumeric[T any, S semiring.Semiring[T]](sr S, pq *accum.IterHeap, nInspect int, maskRow []int32, aCols []int32, aVals []T, b *sparse.CSR[T], outIdx []int32, outVal []T) int {
+// heap stream against the mask row. A non-zero clip starts each
+// iterator on its cut of B_k* (a half row of a symmetric
+// self-product, DESIGN.md §5).
+func heapRowNumeric[T any, S semiring.Semiring[T]](sr S, pq *accum.IterHeap, nInspect int, maskRow []int32, aCols []int32, aVals []T, clip bClip, b *sparse.CSR[T], outIdx []int32, outVal []T) int {
 	pq.Reset()
 	mPos := 0
 	for k, col := range aCols {
-		heapInsert(pq, accum.RowIter{AIdx: int32(k), Pos: b.RowPtr[col], End: b.RowPtr[col+1]}, b.ColIdx, maskRow, mPos, nInspect)
+		it := accum.RowIter{AIdx: int32(k), Pos: b.RowPtr[col], End: b.RowPtr[col+1]}
+		if clip.ends != nil {
+			if e := int64(clip.ends[k]); clip.upper {
+				it.Pos = e
+			} else {
+				it.End = e + 1
+			}
+		}
+		heapInsert(pq, it, b.ColIdx, maskRow, mPos, nInspect)
 	}
 	n := 0
 	prevKey := int32(-1)
@@ -193,22 +203,22 @@ func heapRowSymbolicComplement(pq *accum.IterHeap, maskRow []int32, aCols []int3
 // bindHeap registers the heap scheme; the plan's resolved nInspect
 // distinguishes Heap (1) from HeapDot (∞), with Options.HeapNInspect
 // folded in for the ablation study.
-func bindHeap[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T]) kernels[T] {
-	sr, exec, mask := p.sr, e, p.mask
+func bindHeap[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], h *symHalf) kernels[T] {
+	sr, exec, m := p.sr, e, maskRows{p.mask, h}
 	nInspect, maxARow := p.heapNInspect, p.maxARow
 	return kernels[T]{
 		numeric: func(tid, i int, outIdx []int32, outVal []T) int {
-			return heapRowNumeric(sr, exec.worker(tid).Heap(maxARow), nInspect, mask.Row(i), a.Row(i), a.RowVals(i), b, outIdx, outVal)
+			return heapRowNumeric(sr, exec.worker(tid).Heap(maxARow), nInspect, m.row(i), a.Row(i), a.RowVals(i), m.clip(i), b, outIdx, outVal)
 		},
 		symbolic: func(tid, i int) int {
-			return heapRowSymbolic(exec.worker(tid).Heap(maxARow), nInspect, mask.Row(i), a.Row(i), b.ColIdx, b.RowPtr)
+			return heapRowSymbolic(exec.worker(tid).Heap(maxARow), nInspect, m.row(i), a.Row(i), b.ColIdx, b.RowPtr)
 		},
 	}
 }
 
 // bindHeapComplement registers the complemented heap scheme (NInspect
 // fixed at 0, §5.5).
-func bindHeapComplement[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T]) kernels[T] {
+func bindHeapComplement[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], _ *symHalf) kernels[T] {
 	sr, exec, mask, maxARow := p.sr, e, p.mask, p.maxARow
 	return kernels[T]{
 		numeric: func(tid, i int, outIdx []int32, outVal []T) int {

@@ -384,21 +384,19 @@ func hybridMenu(req FamilySet) (fams []Family, models []func(RowCostContext) flo
 // under any family) and, when cost is non-nil, the chosen cost — the
 // scheduling profile planSchedule reuses. opt must be normalized. The
 // scan runs at the host's full width: plan-time analysis is independent
-// of the width the plan later executes at.
-func polyScan[T any](mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options, fam []uint8, cost []int64) {
+// of the width the plan later executes at. The rows are m's: the
+// computed halves of a symmetric self-product are priced as such.
+func polyScan[T any](m maskRows, a, b *sparse.CSR[T], opt Options, fam []uint8, cost []int64) {
 	fams, models := hybridMenu(opt.HybridFamilies)
 	pullAt := slices.Index(fams, FamPull)
 	colCounts := newBColCounts(b)
-	cols, complement := mask.Cols, opt.Complement
+	cols, complement := m.mask.Cols, opt.Complement
 	nInspect := resolveHeapNInspect(opt)
-	parallel.ForEachBlock(mask.Rows, parallel.Threads(0), opt.Grain, func(lo, hi, _ int) {
+	parallel.ForEachBlock(m.mask.Rows, parallel.Threads(0), opt.Grain, func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
-			maskRow := mask.Row(i)
+			maskRow := m.row(i)
 			aRow := a.Row(i)
-			var flops int64
-			for _, k := range aRow {
-				flops += b.RowPtr[k+1] - b.RowPtr[k]
-			}
+			flops := rowScan(aRow, m.clip(i), b.RowPtr)
 			admitted := len(maskRow)
 			if complement {
 				admitted = cols - len(maskRow)
@@ -477,7 +475,7 @@ func (p *Plan[T, S]) planHybrid(a, b *sparse.CSR[T], needCost bool) []int64 {
 	if needCost {
 		cost = make([]int64, p.mask.Rows+1)
 	}
-	polyScan(p.mask, a, b, p.opt, rowFam, cost)
+	polyScan(maskRows{p.mask, p.sym}, a, b, p.opt, rowFam, cost)
 	p.encodeRuns(rowFam)
 	return cost
 }
@@ -522,14 +520,14 @@ func (p *Plan[T, S]) encodeRuns(rowFam []uint8) {
 // kernels — and, downstream, no accumulators: the per-worker workspaces
 // construct lazily on first row, so a single-family poly plan allocates
 // exactly what the plain scheme would.
-func bindHybrid[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T]) kernels[T] {
+func bindHybrid[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], h *symHalf) kernels[T] {
 	numFam := make([]rowNumericFn[T], NumFamilies)
 	symFam := make([]rowSymbolicFn, NumFamilies)
 	for f := Family(0); f < NumFamilies; f++ {
 		if !p.polyFams.Has(f) {
 			continue
 		}
-		fk := kernelsForAlgo[T, S](famAlgo[f]).binder(p.opt.Complement)(p, e, a, b)
+		fk := kernelsForAlgo[T, S](famAlgo[f]).binder(p.opt.Complement)(p, e, a, b, h)
 		numFam[f], symFam[f] = fk.numeric, fk.symbolic
 	}
 	return kernels[T]{runEnds: p.runEnds, runFam: p.runFam, numFam: numFam, symFam: symFam}
@@ -557,7 +555,7 @@ func HybridFamilyRows[T any](mask *sparse.Pattern, a, b *sparse.CSR[T], opt Opti
 	opt.Algorithm = AlgoHybrid
 	opt.normalize()
 	fam := make([]uint8, mask.Rows)
-	polyScan(mask, a, b, opt, fam, nil)
+	polyScan(maskRows{mask: mask}, a, b, opt, fam, nil)
 	resolveTrivial(fam)
 	var out [NumFamilies]int
 	for _, f := range fam {

@@ -157,21 +157,22 @@ func innerRowSymbolic(maskRow []int32, aCols []int32, btColPtr []int64, btRowIdx
 // executor (structure from the plan, values refreshed per execution;
 // rebuilt wholesale per call for the SS:DOT baseline's
 // TransposePerExecute) — which is why the kernels read e.bt at row
-// time instead of capturing it.
-func bindInner[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T]) kernels[T] {
-	sr, mask := p.sr, p.mask
+// time instead of capturing it. A half row of a symmetric
+// self-product takes one dot per entry of its half mask row.
+func bindInner[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], h *symHalf) kernels[T] {
+	sr, m := p.sr, maskRows{p.mask, h}
 	numeric := func(_, i int, outIdx []int32, outVal []T) int {
-		return innerRowNumeric(sr, mask.Row(i), a.Row(i), a.RowVals(i), e.bt, outIdx, outVal)
+		return innerRowNumeric(sr, m.row(i), a.Row(i), a.RowVals(i), e.bt, outIdx, outVal)
 	}
 	if p.opt.InnerGallop {
 		numeric = func(_, i int, outIdx []int32, outVal []T) int {
-			return innerRowNumericGallop(sr, mask.Row(i), a.Row(i), a.RowVals(i), e.bt, outIdx, outVal)
+			return innerRowNumericGallop(sr, m.row(i), a.Row(i), a.RowVals(i), e.bt, outIdx, outVal)
 		}
 	}
 	return kernels[T]{
 		numeric: numeric,
 		symbolic: func(_, i int) int {
-			return innerRowSymbolic(mask.Row(i), a.Row(i), e.bt.ColPtr, e.bt.RowIdx)
+			return innerRowSymbolic(m.row(i), a.Row(i), e.bt.ColPtr, e.bt.RowIdx)
 		},
 	}
 }
@@ -221,7 +222,7 @@ func innerRowSymbolicComplement(cols int, maskRow []int32, aCols []int32, btColP
 
 // bindInnerComplement registers the pull scheme for complemented
 // masks.
-func bindInnerComplement[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T]) kernels[T] {
+func bindInnerComplement[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], _ *symHalf) kernels[T] {
 	sr, mask := p.sr, p.mask
 	return kernels[T]{
 		numeric: func(_, i int, outIdx []int32, outVal []T) int {

@@ -60,15 +60,17 @@ func mcaRowSymbolic[T any, S semiring.Semiring[T]](acc *accum.MCA[T, S], maskRow
 // bindMCA registers the MCA scheme (§5.4). MCA requires sorted mask
 // and B rows (guaranteed by the CSR invariant) and does not support
 // complemented masks — with a complemented mask there is no compressed
-// index space to map columns into (see its registry entry).
-func bindMCA[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T]) kernels[T] {
-	exec, mask, maxRow := e, p.mask, p.maxMaskRow
+// index space to map columns into (see its registry entry). A half row
+// of a symmetric self-product merges against its half mask row; the
+// merge stops where either runs out, so B rows are not clipped.
+func bindMCA[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], h *symHalf) kernels[T] {
+	exec, m, maxRow := e, maskRows{p.mask, h}, p.maxMaskRow
 	return kernels[T]{
 		numeric: func(tid, i int, outIdx []int32, outVal []T) int {
-			return mcaRowNumeric(exec.worker(tid).MCA(maxRow), mask.Row(i), a.Row(i), a.RowVals(i), b, outIdx, outVal)
+			return mcaRowNumeric(exec.worker(tid).MCA(maxRow), m.row(i), a.Row(i), a.RowVals(i), b, outIdx, outVal)
 		},
 		symbolic: func(tid, i int) int {
-			return mcaRowSymbolic(exec.worker(tid).MCA(maxRow), mask.Row(i), a.Row(i), b)
+			return mcaRowSymbolic(exec.worker(tid).MCA(maxRow), m.row(i), a.Row(i), b)
 		},
 	}
 }

@@ -50,6 +50,10 @@ type Plan[T any, S semiring.Semiring[T]] struct {
 	// offsets is the one-phase slab layout (nil under TwoPhase or for
 	// direct schemes). For plain masks it aliases mask.RowPtr.
 	offsets []int64
+	// sym is the one-triangle analysis of a symmetric self-product
+	// (planSymmetric); nil for every other product. Executions use it
+	// only while A's values allow (Plan.half).
+	sym *symHalf
 	// btPtr/btIdx/btPerm are the CSC *structure* of B for pull-based
 	// schemes. Values are not part of the plan: every ExecuteOn
 	// refreshes them through btPerm into an executor-owned buffer,
@@ -104,7 +108,7 @@ type Plan[T any, S semiring.Semiring[T]] struct {
 //
 //mspgemm:planwrite
 func NewPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options, exec *Executor[T, S]) (*Plan[T, S], error) {
-	p, err := newDetachedPlan(sr, mask, a, b, opt, nil)
+	p, err := newDetachedPlan(sr, mask, a, b, opt, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -127,10 +131,13 @@ type cscStructure struct {
 // executor — the form a PlanCache stores and shares across goroutines.
 // bt, when non-nil, is B's CSC structure already built for an equal
 // structure; the plan aliases it instead of transposing B again if it
-// pulls from B by column. nil transposes B when needed.
+// pulls from B by column. nil transposes B when needed. fp, when
+// non-nil, holds the operands' structural fingerprints, which tell
+// whether the mask and B have A's structure; nil reads that from
+// shared arrays.
 //
 //mspgemm:planwrite
-func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options, bt *cscStructure) (*Plan[T, S], error) {
+func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options, bt *cscStructure, fp *Fingerprints) (*Plan[T, S], error) {
 	if err := validate(mask, a, b); err != nil {
 		return nil, err
 	}
@@ -155,6 +162,17 @@ func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, 
 			} else {
 				p.offsets = mask.RowPtr
 			}
+		}
+		// The baselines stand for other libraries and keep their full
+		// products.
+		if !info.TransposePerExecute {
+			var maskIsA, bIsA bool
+			if fp != nil {
+				maskIsA, bIsA = fp.Mask == fp.A, fp.B == fp.A
+			} else {
+				maskIsA, bIsA = sameArrays(mask, &a.Pattern), sameArrays(&b.Pattern, &a.Pattern)
+			}
+			p.sym = planSymmetric(sr, opt, mask, maskIsA, bIsA)
 		}
 		var polyCost []int64
 		switch opt.Algorithm {
@@ -182,7 +200,9 @@ func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, 
 		}
 		// The CSC structure comes after the scheme analysis: a poly
 		// plan pulls from B by column only when some run bound FamPull.
-		if p.needsCSC() && !info.TransposePerExecute {
+		// A symmetric B is its own CSC structure (prepareCSC), so a
+		// symmetric self-product transposes nothing.
+		if p.needsCSC() && !info.TransposePerExecute && p.sym == nil {
 			if bt != nil {
 				p.btPtr, p.btIdx, p.btPerm = bt.ptr, bt.idx, bt.perm
 			} else {
@@ -247,7 +267,8 @@ func (p *Plan[T, S]) FlopsEstimate(a, b *sparse.CSR[T]) int64 {
 // CSC structure are counted whether the plan owns them (a clone, a
 // private transpose) or shares them (a stored mask, the cache's CSC
 // index): shared bytes are over-counted, never under-counted. One-phase
-// plain offsets alias the mask's RowPtr and are not double-counted.
+// plain offsets alias the mask's RowPtr and are not double-counted; a
+// symmetric self-product adds its mirror map and half offsets.
 func (p *Plan[T, S]) footprintBytes() int64 {
 	const structOverhead = 256
 	bytes := int64(structOverhead)
@@ -258,6 +279,7 @@ func (p *Plan[T, S]) footprintBytes() int64 {
 	bytes += int64(len(p.btPtr))*8 + int64(len(p.btIdx))*4 + int64(len(p.btPerm))*8
 	bytes += int64(len(p.runEnds))*4 + int64(len(p.runFam))
 	bytes += int64(len(p.costPrefix)) * 8
+	bytes += p.sym.bytes()
 	return bytes
 }
 
@@ -360,8 +382,9 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 		return p.reg.direct(p, a, b, threads)
 	}
 	exec.ensureWorkers(threads)
-	exec.prepareCSC(p, b)
-	k := exec.kernelsFor(p, a, b)
+	h := p.half(a, b)
+	exec.prepareCSC(p, b, h)
+	k := exec.kernelsFor(p, a, b, h)
 	es := &exec.scratch
 	es.reuseOut = eo.ReuseOutput
 	sch := rowSched{threads: threads, grain: p.opt.Grain, mode: p.sched, cancel: cancel, fi: fi}
@@ -375,7 +398,7 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 	if p.opt.Phases == TwoPhase {
 		return twoPhase(p.mask.Rows, p.mask.Cols, sch, k, es)
 	}
-	return onePhase(p.mask.Rows, p.mask.Cols, p.offsets, sch, k, es)
+	return onePhase(p.mask.Rows, p.mask.Cols, p.offsets, sch, k, es, h)
 }
 
 // ExecuteOnCtx is ExecuteOnOpts bounded by a context: when ctx can be

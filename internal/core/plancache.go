@@ -345,7 +345,7 @@ func (c *PlanCache[T, S]) lookup(key planKey, mask *sparse.Pattern, a, b *sparse
 	} else {
 		planMask = mask.Clone()
 	}
-	plan, err := newDetachedPlan(c.sr, planMask, a, b, key.opt, bt)
+	plan, err := newDetachedPlan(c.sr, planMask, a, b, key.opt, bt, &key.fp)
 	if err != nil {
 		settled = true
 		c.mu.Lock()

@@ -208,7 +208,7 @@ func TestPlanCacheEviction(t *testing.T) {
 // entry always stays.
 func TestPlanCacheByteBound(t *testing.T) {
 	mask, a, b := buildCase(caseSpec{"", 64, 64, 64, 6, 6, 8, 30})
-	probe, err := newDetachedPlan(ptSR, mask.Clone(), a, b, Options{}, nil)
+	probe, err := newDetachedPlan(ptSR, mask.Clone(), a, b, Options{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // plusTimesTwin is semiring.PlusTimes[float64] under another type: the
-// same Add, Mul and Zero. It fails the binders' type check, so every
+// same Add, Mul and Zero, and the Commutative marker. It fails the binders' type check, so every
 // scheme binds its generic kernels for it, and comparing the two
 // semirings compares the float64 plus-times kernels with the generic
 // ones on identical inputs.
@@ -21,6 +21,7 @@ type plusTimesTwin struct{}
 func (plusTimesTwin) Add(x, y float64) float64 { return x + y }
 func (plusTimesTwin) Mul(x, y float64) float64 { return x * y }
 func (plusTimesTwin) Zero() float64            { return 0 }
+func (plusTimesTwin) CommutativeMul()          {}
 
 // specialValues are the inputs where a reordered or fused multiply-add
 // would show: signed zeros, infinities, NaN, subnormals, magnitudes that
@@ -305,7 +306,7 @@ func TestPlusTimesDenseRowsBitIdentical(t *testing.T) {
 	for _, n := range []int{narrow, wide} {
 		mask, a, b, dense := denseRowsProduct(n)
 		for i, want := range dense {
-			if got := msaDenseRow(mask.Row(i), a.Row(i), b.RowPtr, b.Cols); got != want {
+			if got := msaDenseRow(mask.Row(i), a.Row(i), bClip{}, b.RowPtr, b.Cols); got != want {
 				t.Fatalf("n=%d row %d: msaDenseRow = %v, want %v", n, i, got, want)
 			}
 		}
@@ -376,22 +377,22 @@ func TestServedKernelsBindOnlyPlusTimes(t *testing.T) {
 		called = false
 	}
 	opt := Options{Algorithm: AlgoMSA}
-	pt, err := newDetachedPlan(semiring.PlusTimes[float64]{}, mask, a, b, opt, nil)
+	pt, err := newDetachedPlan(semiring.PlusTimes[float64]{}, mask, a, b, opt, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ok := servedKernels(pt, a, b, getAcc, served)
+	_, ok := servedKernels(pt, mask, a, b, getAcc, served)
 	check("PlusTimes[float64]", ok, true)
-	twin, err := newDetachedPlan(plusTimesTwin{}, mask, a, b, opt, nil)
+	twin, err := newDetachedPlan(plusTimesTwin{}, mask, a, b, opt, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ok = servedKernels(twin, a, b, getAcc, served)
+	_, ok = servedKernels(twin, mask, a, b, getAcc, served)
 	check("plusTimesTwin", ok, false)
-	minPlus, err := newDetachedPlan(semiring.MinPlusF64{}, mask, a, b, opt, nil)
+	minPlus, err := newDetachedPlan(semiring.MinPlusF64{}, mask, a, b, opt, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ok = servedKernels(minPlus, a, b, getAcc, served)
+	_, ok = servedKernels(minPlus, mask, a, b, getAcc, served)
 	check("MinPlusF64", ok, false)
 }

@@ -19,10 +19,12 @@ type pushAcc[T any] interface {
 // accumulator whole: acc is a type parameter of pointer shape, so every
 // method call on it is a dictionary call, and Scatter is where the
 // masked-out products are discarded before the multiplication happens
-// (§5.1), once per A entry rather than once per product.
+// (§5.1), once per A entry rather than once per product. A non-zero
+// clip cuts each B row at the row's own column (a half row of a
+// symmetric self-product, DESIGN.md §5).
 //
 //mspgemm:hotpath
-func pushRowNumeric[T any, A pushAcc[T]](acc A, maskRow []int32, aCols []int32, aVals []T, b *sparse.CSR[T], outIdx []int32, outVal []T) int {
+func pushRowNumeric[T any, A pushAcc[T]](acc A, maskRow []int32, aCols []int32, aVals []T, clip bClip, b *sparse.CSR[T], outIdx []int32, outVal []T) int {
 	if len(maskRow) == 0 {
 		// Nothing is admitted, so every product would be discarded.
 		return 0
@@ -36,10 +38,25 @@ func pushRowNumeric[T any, A pushAcc[T]](acc A, maskRow []int32, aCols []int32, 
 	rowPtr := b.RowPtr
 	colIdx := b.ColIdx
 	vals := b.Val[:len(colIdx)]
+	if clip.ends == nil {
+		for k, col := range aCols {
+			c := int(uint32(col))
+			rp := rowPtr[c : c+2]
+			lo, hi := rp[0], rp[1]
+			acc.Scatter(aVals[k], colIdx[lo:hi], vals[lo:hi])
+		}
+		return acc.Gather(maskRow, outIdx, outVal)
+	}
+	ends := clip.ends[:len(aCols)]
 	for k, col := range aCols {
 		c := int(uint32(col))
 		rp := rowPtr[c : c+2]
 		lo, hi := rp[0], rp[1]
+		if e := int64(ends[k]); clip.upper {
+			lo = e
+		} else {
+			hi = e + 1
+		}
 		acc.Scatter(aVals[k], colIdx[lo:hi], vals[lo:hi])
 	}
 	return acc.Gather(maskRow, outIdx, outVal)
@@ -67,13 +84,13 @@ func pushRowSymbolic[T any, A pushAcc[T]](acc A, maskRow []int32, aCols []int32,
 // pushKernels builds the row kernels of a push-family scheme over any
 // accumulator obtained per worker from getAcc (a pooled-workspace
 // getter on the plan's executor).
-func pushKernels[T any, A pushAcc[T]](mask *sparse.Pattern, a, b *sparse.CSR[T], getAcc func(tid int) A) kernels[T] {
+func pushKernels[T any, A pushAcc[T]](m maskRows, a, b *sparse.CSR[T], getAcc func(tid int) A) kernels[T] {
 	return kernels[T]{
 		numeric: func(tid, i int, outIdx []int32, outVal []T) int {
-			return pushRowNumeric(getAcc(tid), mask.Row(i), a.Row(i), a.RowVals(i), b, outIdx, outVal)
+			return pushRowNumeric(getAcc(tid), m.row(i), a.Row(i), a.RowVals(i), m.clip(i), b, outIdx, outVal)
 		},
 		symbolic: func(tid, i int) int {
-			return pushRowSymbolic[T](getAcc(tid), mask.Row(i), a.Row(i), b)
+			return pushRowSymbolic[T](getAcc(tid), m.row(i), a.Row(i), b)
 		},
 	}
 }
@@ -85,36 +102,37 @@ func pushKernels[T any, A pushAcc[T]](mask *sparse.Pattern, a, b *sparse.CSR[T],
 // branch on the semiring. getAcc is the generic binder's accumulator
 // getter; under PlusTimes[float64] its type is GF, the getter served
 // wraps. ok is false for every other semiring, whose binder then builds
-// its generic kernels.
-func servedKernels[T any, S semiring.Semiring[T], G, GF any](p *Plan[T, S], a, b *sparse.CSR[T], getAcc G, served func(mask *sparse.Pattern, a, b *sparse.CSR[float64], getAcc GF) kernels[float64]) (k kernels[T], ok bool) {
+// its generic kernels. m is the mask side served binds to: a maskRows
+// for the plain kernels, the mask itself for the complemented ones.
+func servedKernels[T any, S semiring.Semiring[T], M, G, GF any](p *Plan[T, S], m M, a, b *sparse.CSR[T], getAcc G, served func(m M, a, b *sparse.CSR[float64], getAcc GF) kernels[float64]) (k kernels[T], ok bool) {
 	if _, ok := any(p.sr).(accum.PlusTimes64); !ok {
 		return k, false
 	}
 	// S is PlusTimes[float64], so T is float64 and these assertions hold.
-	kf := served(p.mask, any(a).(*sparse.CSR[float64]), any(b).(*sparse.CSR[float64]), any(getAcc).(GF))
+	kf := served(m, any(a).(*sparse.CSR[float64]), any(b).(*sparse.CSR[float64]), any(getAcc).(GF))
 	return any(kf).(kernels[T]), true
 }
 
 // bindMSA registers the MSA scheme (§5.2).
-func bindMSA[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T]) kernels[T] {
-	exec, ncols := e, b.Cols
+func bindMSA[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], h *symHalf) kernels[T] {
+	exec, ncols, m := e, b.Cols, maskRows{p.mask, h}
 	getAcc := func(tid int) *accum.MSA[T, S] { return exec.worker(tid).MSA(ncols) }
-	if k, ok := servedKernels(p, a, b, getAcc, msaPlusTimesKernels); ok {
+	if k, ok := servedKernels(p, m, a, b, getAcc, msaPlusTimesKernels); ok {
 		return k
 	}
-	return pushKernels(p.mask, a, b, getAcc)
+	return pushKernels(m, a, b, getAcc)
 }
 
 // msaPlusTimesKernels is MSA's row kernels over the served semiring.
 // The numeric kernel picks each row's scatter loop with msaDenseRow.
-func msaPlusTimesKernels(mask *sparse.Pattern, a, b *sparse.CSR[float64], getAcc func(tid int) *accum.MSA[float64, accum.PlusTimes64]) kernels[float64] {
-	k := pushKernels(mask, a, b, func(tid int) accum.MSAPlusTimes {
+func msaPlusTimesKernels(m maskRows, a, b *sparse.CSR[float64], getAcc func(tid int) *accum.MSA[float64, accum.PlusTimes64]) kernels[float64] {
+	k := pushKernels(m, a, b, func(tid int) accum.MSAPlusTimes {
 		return accum.MSAPlusTimes{MSA: getAcc(tid)}
 	})
 	k.numeric = func(tid, i int, outIdx []int32, outVal []float64) int {
-		maskRow, aCols := mask.Row(i), a.Row(i)
-		acc := accum.MSAPlusTimes{MSA: getAcc(tid), Dense: msaDenseRow(maskRow, aCols, b.RowPtr, b.Cols)}
-		return pushRowNumeric(acc, maskRow, aCols, a.RowVals(i), b, outIdx, outVal)
+		maskRow, aCols, clip := m.row(i), a.Row(i), m.clip(i)
+		acc := accum.MSAPlusTimes{MSA: getAcc(tid), Dense: msaDenseRow(maskRow, aCols, clip, b.RowPtr, b.Cols)}
+		return pushRowNumeric(acc, maskRow, aCols, a.RowVals(i), clip, b, outIdx, outVal)
 	}
 	return k
 }
@@ -134,49 +152,71 @@ const (
 	msaScanRatio = 4
 )
 
-// msaDenseRow reports whether the row with mask row maskRow and A
-// columns aCols runs MSAPlusTimes' dense loop over B, whose row
-// pointers are bRowPtr and width ncols. It counts the row's scanned
-// entries only once the mask is dense enough.
+// msaDenseRow reports whether the row with mask row maskRow, A
+// columns aCols and B clips clip runs MSAPlusTimes' dense loop over B,
+// whose row pointers are bRowPtr and width ncols. It counts the row's
+// scanned entries only once the mask is dense enough.
 //
 //mspgemm:hotpath
-func msaDenseRow(maskRow, aCols []int32, bRowPtr []int64, ncols int) bool {
+func msaDenseRow(maskRow, aCols []int32, clip bClip, bRowPtr []int64, ncols int) bool {
 	if len(maskRow)*msaDenseRatio < ncols {
 		return false
 	}
+	return rowScan(aCols, clip, bRowPtr) >= msaScanRatio*int64(len(maskRow))
+}
+
+// rowScan returns the number of B entries a row with A columns aCols
+// and B clips clip scans: Σ nnz(B_k*) over its A entries, each B row
+// cut by clip.
+//
+//mspgemm:hotpath
+func rowScan(aCols []int32, clip bClip, bRowPtr []int64) int64 {
 	var scan int64
-	for _, col := range aCols {
+	if clip.ends == nil {
+		for _, col := range aCols {
+			c := int(uint32(col))
+			rp := bRowPtr[c : c+2]
+			scan += rp[1] - rp[0]
+		}
+		return scan
+	}
+	ends := clip.ends[:len(aCols)]
+	for k, col := range aCols {
 		c := int(uint32(col))
 		rp := bRowPtr[c : c+2]
-		scan += rp[1] - rp[0]
+		if e := int64(ends[k]); clip.upper {
+			scan += rp[1] - e
+		} else {
+			scan += e + 1 - rp[0]
+		}
 	}
-	return scan >= msaScanRatio*int64(len(maskRow))
+	return scan
 }
 
 // bindMaskedBit registers the bitmap-state MSA variant (DESIGN.md
 // §12).
-func bindMaskedBit[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T]) kernels[T] {
-	exec, ncols := e, b.Cols
+func bindMaskedBit[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], h *symHalf) kernels[T] {
+	exec, ncols, m := e, b.Cols, maskRows{p.mask, h}
 	getAcc := func(tid int) *accum.MaskedBit[T, S] { return exec.worker(tid).MaskedBit(ncols) }
-	if k, ok := servedKernels(p, a, b, getAcc, maskedBitPlusTimesKernels); ok {
+	if k, ok := servedKernels(p, m, a, b, getAcc, maskedBitPlusTimesKernels); ok {
 		return k
 	}
-	return pushKernels(p.mask, a, b, getAcc)
+	return pushKernels(m, a, b, getAcc)
 }
 
 // maskedBitPlusTimesKernels is MaskedBit's row kernels over the served
 // semiring.
-func maskedBitPlusTimesKernels(mask *sparse.Pattern, a, b *sparse.CSR[float64], getAcc func(tid int) *accum.MaskedBit[float64, accum.PlusTimes64]) kernels[float64] {
-	return pushKernels(mask, a, b, func(tid int) accum.MaskedBitPlusTimes {
+func maskedBitPlusTimesKernels(m maskRows, a, b *sparse.CSR[float64], getAcc func(tid int) *accum.MaskedBit[float64, accum.PlusTimes64]) kernels[float64] {
+	return pushKernels(m, a, b, func(tid int) accum.MaskedBitPlusTimes {
 		return accum.MaskedBitPlusTimes{MaskedBit: getAcc(tid)}
 	})
 }
 
 // bindHash registers the hash scheme (§5.3). Tables are sized per
 // worker by the densest mask row, precomputed at plan time.
-func bindHash[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T]) kernels[T] {
+func bindHash[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], h *symHalf) kernels[T] {
 	exec, maxRow, lf := e, p.maxMaskRow, p.opt.HashLoadFactor
-	return pushKernels(p.mask, a, b, func(tid int) *accum.Hash[T, S] {
+	return pushKernels(maskRows{p.mask, h}, a, b, func(tid int) *accum.Hash[T, S] {
 		return exec.worker(tid).Hash(maxRow, lf)
 	})
 }

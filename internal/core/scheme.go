@@ -141,7 +141,10 @@ type kernels[T any] struct {
 // hybrid row decisions, heap NInspect) from the immutable plan and
 // draw all mutable scratch — accumulators, the refreshed CSC values of
 // B — from the executor, so one plan can be bound on many executors.
-type kernelBinder[T any, S semiring.Semiring[T]] func(p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T]) kernels[T]
+// A non-nil h binds the plain-mask kernels to the computed halves of a
+// symmetric self-product (DESIGN.md §5); complement binders never get
+// one.
+type kernelBinder[T any, S semiring.Semiring[T]] func(p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], h *symHalf) kernels[T]
 
 // schemeKernels is the generic half of a registry entry: how to build
 // the scheme's kernels for plain and complemented masks, or — for

@@ -44,7 +44,7 @@ func MaskedSpVMWith[T any, S semiring.Semiring[T]](exec *Executor[T, S], mask []
 	// One row has no cost skew to schedule around, so the plan skips
 	// the cost profile.
 	opt.Schedule = SchedFixedGrain
-	p, err := newDetachedPlan(exec.sr, m, a, b, opt, nil)
+	p, err := newDetachedPlan(exec.sr, m, a, b, opt, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -35,6 +35,20 @@ type Semiring[T any] interface {
 	Zero() T
 }
 
+// Commutative marks a semiring whose Mul commutes: Mul(x, y) and
+// Mul(y, x) are the same value, bit for bit. A masked product over such
+// a semiring may form a product with its operands swapped, which is
+// what lets a symmetric self-product C = A ⊙ (A·A) compute one triangle
+// of C and mirror it (DESIGN.md §5, "Symmetric self-products"). The
+// marker is a method set, not an option: the plan checks the
+// semiring's type. (Under IEEE 754 the one exception is a product of
+// two NaNs with different payloads, whose result may carry either
+// payload.)
+type Commutative interface {
+	// CommutativeMul is the marker; it is never called.
+	CommutativeMul()
+}
+
 // Integer constrains to the built-in integer types.
 type Integer interface {
 	~int | ~int8 | ~int16 | ~int32 | ~int64 |
@@ -60,6 +74,9 @@ func (PlusTimes[T]) Add(x, y T) T { return x + y }
 // Mul returns x × y.
 func (PlusTimes[T]) Mul(x, y T) T { return x * y }
 
+// CommutativeMul marks PlusTimes as Commutative: x × y = y × x.
+func (PlusTimes[T]) CommutativeMul() {}
+
 // Zero returns 0.
 func (PlusTimes[T]) Zero() T { var z T; return z }
 
@@ -73,6 +90,9 @@ func (PlusPair[T]) Add(x, y T) T { return x + y }
 
 // Mul returns 1 regardless of its operands.
 func (PlusPair[T]) Mul(x, y T) T { return 1 }
+
+// CommutativeMul marks PlusPair as Commutative: both orders yield 1.
+func (PlusPair[T]) CommutativeMul() {}
 
 // Zero returns 0.
 func (PlusPair[T]) Zero() T { var z T; return z }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"maskedspgemm/internal/faultinject"
+	"maskedspgemm/internal/sparse"
 )
 
 // TestSessionMultiplyCtxCancel checks the session's cancellation
@@ -70,5 +71,42 @@ func TestSessionKernelPanicContained(t *testing.T) {
 	}
 	if got := s.Stats().Pool.Created; got < 2 {
 		t.Errorf("Created = %d, want >= 2 (pool refilled with a fresh executor)", got)
+	}
+}
+
+// TestSessionSymmetricFaultsContained runs the session's containment
+// checks on a symmetric self-product, whose execution computes one
+// triangle and mirrors it: a cancellation at the mirror pass and a
+// kernel panic each return their typed error, discard the executor,
+// and leave the session serviceable.
+func TestSessionSymmetricFaultsContained(t *testing.T) {
+	t.Cleanup(faultinject.Disarm)
+	s := NewSession()
+	g := RMAT(8, 8, 13)
+	want, err := Multiply(g.PatternView(), g, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Arm(faultinject.Hooks{CancelPass: faultinject.PassCompact})
+	var ce *CanceledError
+	if _, err := s.Multiply(g.PatternView(), g, g, WithThreads(4)); !errors.As(err, &ce) || ce.Pass != string(faultinject.PassCompact) {
+		t.Fatalf("err = %v, want CanceledError in the compact pass", err)
+	}
+	faultinject.Arm(faultinject.Hooks{PanicArmed: true, PanicRow: 3, PanicPass: faultinject.PassNumeric})
+	var kp *KernelPanicError
+	if _, err := s.Multiply(g.PatternView(), g, g, WithThreads(4)); !errors.As(err, &kp) {
+		t.Fatalf("err = %v, want KernelPanicError", err)
+	}
+	st := s.Stats()
+	if st.Faults.ExecCanceled != 1 || st.Faults.KernelPanics != 1 || st.Faults.ExecutorsDiscarded != 2 {
+		t.Errorf("Faults = %+v, want ExecCanceled=1 KernelPanics=1 ExecutorsDiscarded=2", st.Faults)
+	}
+	faultinject.Disarm()
+	got, err := s.Multiply(g.PatternView(), g, g, WithThreads(4))
+	if err != nil {
+		t.Fatalf("session unserviceable after contained faults: %v", err)
+	}
+	if !sparse.Equal(got, want) {
+		t.Error("the recovered session's product differs from the one-shot product")
 	}
 }
