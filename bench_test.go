@@ -403,7 +403,7 @@ func BenchmarkHybrid(b *testing.B) {
 // BenchmarkKernels — the kernel bench's case table (DESIGN.md §9,
 // §10, §12, §15), one sub-benchmark per (workload, arm): every single
 // accumulator family, Hybrid and its menu without MaskedBit on the
-// density sweeps and controls, the three schedules at each width on
+// density sweeps and controls, both schedules at each width on
 // the tail-hub R-MAT graph and a uniform control, and an execution
 // with and without a never-latched cancel token. `mspgemm-bench
 // kernels` times the same cases in interleaved rounds and judges the

@@ -147,8 +147,8 @@ type kernelInputs struct {
 //     width-n accumulators leave cache and Heap wins;
 //   - edge factor 16, seed 42: rmat-hubs, an R-MAT graph relabeled so
 //     its hub rows sit at the tail (the case fixed-grain claiming
-//     balances worst), and a uniform ER control, each under every
-//     schedule at every width;
+//     balances worst), and a uniform ER control, each under fixed
+//     grain and cost partitions at every width;
 //   - edge factor 8, seed 17: er-self, a uniform ER self-mask, where a
 //     per-block polling cost has no row skew to hide behind.
 //
@@ -195,13 +195,12 @@ func KernelWorkloads(scale, threads int) []KernelWorkload {
 	var schedRows [][2]string
 	for _, w := range Widths() {
 		name := func(mode core.Schedule) string { return fmt.Sprintf("%v-t%d", mode, w) }
-		for _, mode := range []core.Schedule{core.SchedFixedGrain, core.SchedCostPartition, core.SchedWorkSteal} {
+		for _, mode := range []core.Schedule{core.SchedFixedGrain, core.SchedCostPartition} {
 			sched = append(sched, KernelArm{Name: name(mode), Opt: core.Options{
 				Algorithm: core.AlgoMSA, Threads: w, Schedule: mode, ReuseOutput: true,
 			}})
 		}
-		fixed, cost, steal := name(core.SchedFixedGrain), name(core.SchedCostPartition), name(core.SchedWorkSteal)
-		schedRows = append(schedRows, [2]string{cost, fixed}, [2]string{steal, fixed}, [2]string{steal, cost})
+		schedRows = append(schedRows, [2]string{name(core.SchedCostPartition), name(core.SchedFixedGrain)})
 	}
 	msa := core.Options{Algorithm: core.AlgoMSA, Threads: threads, ReuseOutput: true}
 	cancel := []KernelArm{{Name: "no-token", Opt: msa}, {Name: "token", Opt: msa, Token: true}}
@@ -309,8 +308,8 @@ type KernelSetup struct {
 	// bClone is the clone of B that CloneB arms use.
 	bClone *sparse.CSR[float64]
 	plans  []*core.Plan[float64, semiring.PlusTimes[float64]]
-	execs []*core.Executor[float64, semiring.PlusTimes[float64]]
-	eos   []core.ExecOptions
+	execs  []*core.Executor[float64, semiring.PlusTimes[float64]]
+	eos    []core.ExecOptions
 }
 
 // Setup builds the workload's inputs and one plan and executor per

@@ -50,6 +50,9 @@ func SpGEMM[T any, S semiring.Semiring[T]](sr S, a, b *sparse.CSR[T], opt Option
 	if a.Cols != b.Rows {
 		return nil, errInnerDim(a, b)
 	}
+	if err := checkSchedule(opt.Schedule); err != nil {
+		return nil, err
+	}
 	opt.normalize()
 	opt.Threads = parallel.Threads(opt.Threads)
 	slots := newLazySlots(opt.Threads, func() *accum.HashC[T, S] {
@@ -58,9 +61,9 @@ func SpGEMM[T any, S semiring.Semiring[T]](sr S, a, b *sparse.CSR[T], opt Option
 	numeric := func(tid, i int, outIdx []int32, outVal []T) int {
 		return unmaskedRowNumeric(slots.get(tid), a.Row(i), a.RowVals(i), b, outIdx, outVal)
 	}
-	// No plan-time cost profile here, so Auto/CostPartition degrade to
-	// their profile-free substitutes.
-	sch := unprofiledSched(opt)
+	// No plan-time cost profile here, so every schedule runs fixed
+	// grain.
+	sch := rowSched{threads: opt.Threads, grain: opt.Grain, mode: SchedFixedGrain}
 	if opt.Phases == TwoPhase {
 		symbolic := func(tid, i int) int {
 			return unmaskedRowSymbolic(slots.get(tid), a.Row(i), b)

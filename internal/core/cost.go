@@ -50,14 +50,11 @@ type rowSched struct {
 
 // run executes fn over [0, n) under the descriptor's strategy.
 func (s rowSched) run(n int, fn func(lo, hi, tid int)) {
-	switch s.mode {
-	case SchedCostPartition:
+	if s.mode == SchedCostPartition {
 		parallel.ForEachPartition(s.bounds, s.threads, s.stats, s.cancel, fn)
-	case SchedWorkSteal:
-		parallel.ForEachChunked(n, s.threads, s.grain, s.stats, s.cancel, fn)
-	default:
-		parallel.ForEachBlockStats(n, s.threads, s.grain, s.stats, s.cancel, fn)
+		return
 	}
+	parallel.ForEachBlockStats(n, s.threads, s.grain, s.stats, s.cancel, fn)
 }
 
 // enterPass is the checkpoint at a pass's entry: it fires the armed
@@ -79,21 +76,6 @@ func (s rowSched) passCanceled(p faultinject.Pass) error {
 	return nil
 }
 
-// unprofiledSched resolves a schedule for row passes that have no
-// plan-time cost profile (plain SpGEMM, the saxpy baseline's unmasked
-// half): Auto degrades to fixed grain and CostPartition to work
-// stealing, its profile-free substitute. opt.Threads must be resolved.
-func unprofiledSched(opt Options) rowSched {
-	mode := opt.Schedule
-	switch mode {
-	case SchedAuto:
-		mode = SchedFixedGrain
-	case SchedCostPartition:
-		mode = SchedWorkSteal
-	}
-	return rowSched{threads: opt.Threads, grain: opt.Grain, mode: mode}
-}
-
 // planSchedule measures the plan's per-row cost profile, resolves the
 // SchedAuto policy from its skew — a property of the structure, not of
 // any width — and, when cost partitioning is chosen, retains the
@@ -105,10 +87,9 @@ func unprofiledSched(opt Options) rowSched {
 //
 //mspgemm:planwrite
 func (p *Plan[T, S]) planSchedule(a, b *sparse.CSR[T], cost []int64) {
-	switch p.opt.Schedule {
-	case SchedFixedGrain, SchedWorkSteal:
+	if p.opt.Schedule == SchedFixedGrain {
 		// Explicitly cost-blind: skip the profile entirely.
-		p.sched = p.opt.Schedule
+		p.sched = SchedFixedGrain
 		return
 	}
 	rows := p.mask.Rows

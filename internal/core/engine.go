@@ -75,8 +75,8 @@ func (k *kernels[T]) symbolicSegment(lo, hi int) (int, rowSymbolicFn) {
 
 // onePhase runs the numeric kernel once per row into a slab laid out by
 // offsets (len rows+1, offsets[i+1]-offsets[i] ≥ row i's worst case),
-// then compacts. Row passes are scheduled by sch (fixed-grain,
-// cost-partitioned, or work-stealing — DESIGN.md §9) and follow the
+// then compacts. Row passes are scheduled by sch (fixed-grain or
+// cost-partitioned — DESIGN.md §9) and follow the
 // kernel binding's run boundaries. es supplies pooled scratch; nil
 // allocates fresh. Cancellation (sch.cancel) is checked at pass
 // checkpoints and block claims; an interrupted execution returns

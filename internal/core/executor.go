@@ -55,7 +55,7 @@ type Executor[T any, S semiring.Semiring[T]] struct {
 }
 
 // SchedStats returns a copy of the per-worker scheduler telemetry
-// (busy time, blocks claimed/stolen) recorded by the most recent
+// (busy time, blocks claimed) recorded by the most recent
 // execution on this executor that ran with Options.CollectSchedStats.
 // Executions without the option leave the previous record in place.
 func (e *Executor[T, S]) SchedStats() parallel.SchedStats {

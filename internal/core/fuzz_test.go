@@ -11,7 +11,8 @@ import (
 // FuzzMaskedSpGEMM feeds byte-derived sparse operands through every
 // algorithm and cross-checks against the dense oracle. Besides the
 // operands, the input draws the execution configuration: cfg picks the
-// thread count (1..4, bits 0-1), the schedule (bits 2-3) and the grain
+// thread count (1..4, bits 0-1), the schedule (bits 2-3, where 3 wraps
+// to SchedAuto: the three schedules are 0-2) and the grain
 // (bits 4-7, 0 meaning the default), and fams restricts the Hybrid
 // selector's families (bits 0-5, 0 meaning all) and picks the semiring
 // (bit 7): semiring.PlusTimes[float64], which MSA, MaskedBit and
@@ -67,7 +68,7 @@ func FuzzMaskedSpGEMM(f *testing.F) {
 		}
 		base := Options{
 			Threads:        int(cfg&3) + 1,
-			Schedule:       Schedule(cfg >> 2 & 3),
+			Schedule:       Schedule((cfg >> 2 & 3) % 3),
 			Grain:          int(cfg >> 4),
 			HybridFamilies: FamilySet(fams) & (1<<NumFamilies - 1),
 		}

@@ -129,23 +129,31 @@ const (
 	// masked-flops profile as a prefix sum, and each execution cuts it
 	// into partitions for its own width by binary search.
 	SchedCostPartition
-	// SchedWorkSteal gives each worker a contiguous deque of rows and
-	// lets idle workers steal the back half of a loaded victim's
-	// remaining range — absorbs skew without needing a cost profile.
-	SchedWorkSteal
+	// Value 3 was the retired work-stealing schedule (DESIGN.md §9);
+	// it is rejected like any other unknown value.
 )
 
-// String names the strategy ("Auto", "FixedGrain", ...).
+// String names the strategy ("Auto", "FixedGrain", "CostPartition");
+// unknown values format as "Schedule(n)".
 func (s Schedule) String() string {
 	switch s {
+	case SchedAuto:
+		return "Auto"
 	case SchedFixedGrain:
 		return "FixedGrain"
 	case SchedCostPartition:
 		return "CostPartition"
-	case SchedWorkSteal:
-		return "WorkSteal"
 	}
-	return "Auto"
+	return fmt.Sprintf("Schedule(%d)", uint8(s))
+}
+
+// checkSchedule rejects a Schedule outside the defined values, which
+// would otherwise run silently as some other schedule.
+func checkSchedule(s Schedule) error {
+	if s > SchedCostPartition {
+		return fmt.Errorf("core: unknown schedule %v", s)
+	}
+	return nil
 }
 
 // Options configures a masked multiplication.
@@ -162,15 +170,15 @@ type Options struct {
 	// they will run at, so one cached plan serves every Threads value.
 	Threads int
 	// Grain is the scheduler row-block size; < 1 means
-	// parallel.DefaultGrain. Used by SchedFixedGrain and SchedWorkSteal;
-	// SchedCostPartition derives its variable-width blocks from the
-	// plan's cost prefix instead.
+	// parallel.DefaultGrain. Used by SchedFixedGrain (and by SchedAuto
+	// when it resolves to fixed grain); SchedCostPartition derives its
+	// variable-width blocks from the plan's cost prefix instead.
 	Grain int
 	// Schedule picks the row-scheduling strategy; the default SchedAuto
 	// chooses per plan from the measured row-cost skew (DESIGN.md §9).
 	Schedule Schedule
 	// CollectSchedStats records per-worker scheduler telemetry (busy
-	// time, blocks claimed/stolen) on every execution, readable via
+	// time, blocks claimed) on every execution, readable via
 	// Executor.SchedStats. Costs two clock reads per scheduled block;
 	// off by default.
 	CollectSchedStats bool

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"maskedspgemm/internal/gen"
+	"maskedspgemm/internal/semiring"
 )
 
 func TestAlgorithmStrings(t *testing.T) {
@@ -126,5 +128,31 @@ func TestNormalizeDefaults(t *testing.T) {
 	}
 	if eo := o2.ExecOnly(); eo.Threads != 3 {
 		t.Error("ExecOnly must carry Threads")
+	}
+}
+
+// TestUnknownScheduleRejected pins that a Schedule outside the defined
+// values neither reads as a defined one nor runs as one: 3 (the retired
+// work-stealing slot) and 7 both format numerically, and planning, the
+// one-shot entry point and plain SpGEMM all refuse them.
+func TestUnknownScheduleRejected(t *testing.T) {
+	sr := semiring.PlusTimes[float64]{}
+	a := gen.Random(16, 16, 3, 1)
+	mask := a.PatternView()
+	for _, s := range []Schedule{3, 7} {
+		want := fmt.Sprintf("core: unknown schedule Schedule(%d)", uint8(s))
+		if got, name := s.String(), fmt.Sprintf("Schedule(%d)", uint8(s)); got != name {
+			t.Errorf("%d.String() = %q, want %q", uint8(s), got, name)
+		}
+		opt := Options{Schedule: s}
+		if _, err := NewPlan(sr, mask, a, a, opt, nil); err == nil || err.Error() != want {
+			t.Errorf("NewPlan with %v: err = %v, want %q", s, err, want)
+		}
+		if _, err := MaskedSpGEMM(sr, mask, a, a, opt); err == nil || err.Error() != want {
+			t.Errorf("MaskedSpGEMM with %v: err = %v, want %q", s, err, want)
+		}
+		if _, err := SpGEMM(sr, a, a, opt); err == nil || err.Error() != want {
+			t.Errorf("SpGEMM with %v: err = %v, want %q", s, err, want)
+		}
 	}
 }

@@ -146,6 +146,9 @@ func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, 
 	if !ok {
 		return nil, fmt.Errorf("core: unknown algorithm %v", opt.Algorithm)
 	}
+	if err := checkSchedule(opt.Schedule); err != nil {
+		return nil, err
+	}
 	if opt.Complement && !info.Complement {
 		return nil, errors.New(info.ComplementNote)
 	}
@@ -184,7 +187,7 @@ func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, 
 		case AlgoHybrid:
 			// The chosen costs feed planSchedule; skip the vector when
 			// the schedule is explicitly cost-blind.
-			needCost := opt.Schedule != SchedFixedGrain && opt.Schedule != SchedWorkSteal
+			needCost := opt.Schedule != SchedFixedGrain
 			polyCost = p.planHybrid(a, b, needCost)
 			// Sizing hints only for the families some run actually
 			// bound — unused families must stay costless. Only the

@@ -75,7 +75,7 @@ func TestScheduleAutoResolution(t *testing.T) {
 		t.Errorf("uniform auto: resolved %v (skew %.1f), want FixedGrain", got, p.CostSkew())
 	}
 
-	for _, mode := range []Schedule{SchedFixedGrain, SchedCostPartition, SchedWorkSteal} {
+	for _, mode := range []Schedule{SchedFixedGrain, SchedCostPartition} {
 		p, err := NewPlan(sr, mask, a, b, Options{Algorithm: AlgoMSA, Threads: 4, Schedule: mode}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -132,7 +132,7 @@ func TestScheduleParity(t *testing.T) {
 	want := oracle(mask, a, b, false)
 	for _, algo := range []Algorithm{AlgoMSA, AlgoHash, AlgoInner, AlgoHybrid} {
 		for _, ph := range []Phases{OnePhase, TwoPhase} {
-			for _, mode := range []Schedule{SchedAuto, SchedFixedGrain, SchedCostPartition, SchedWorkSteal} {
+			for _, mode := range []Schedule{SchedAuto, SchedFixedGrain, SchedCostPartition} {
 				for _, threads := range []int{1, 3} {
 					opt := Options{Algorithm: algo, Phases: ph, Schedule: mode, Threads: threads}
 					name := fmt.Sprintf("%s/%v/t%d", opt.SchemeName(), mode, threads)
@@ -150,12 +150,12 @@ func TestScheduleParity(t *testing.T) {
 }
 
 // TestScheduleParityComplement runs the complemented path through the
-// cost-partitioned and work-stealing schedulers.
+// cost-partitioned scheduler.
 func TestScheduleParityComplement(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
 	mask, a, b := buildCase(caseSpec{"", 120, 100, 110, 5, 5, 12, 17})
 	want := oracle(mask, a, b, true)
-	for _, mode := range []Schedule{SchedCostPartition, SchedWorkSteal} {
+	for _, mode := range []Schedule{SchedCostPartition} {
 		got, err := MaskedSpGEMM(sr, mask, a, b, Options{Algorithm: AlgoMSA, Complement: true, Schedule: mode, Threads: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
@@ -213,7 +213,7 @@ func TestSchedStatsCollected(t *testing.T) {
 func TestScheduleString(t *testing.T) {
 	for want, s := range map[string]Schedule{
 		"Auto": SchedAuto, "FixedGrain": SchedFixedGrain,
-		"CostPartition": SchedCostPartition, "WorkSteal": SchedWorkSteal,
+		"CostPartition": SchedCostPartition,
 	} {
 		if s.String() != want {
 			t.Errorf("%v.String() = %q, want %q", uint8(s), s.String(), want)
@@ -502,7 +502,7 @@ func TestPartitionsAllocFree(t *testing.T) {
 // the linear reference's bounds.
 func TestPlanWidthInvariance(t *testing.T) {
 	algos := []Algorithm{AlgoMSA, AlgoHash, AlgoMCA, AlgoHeap, AlgoInner, AlgoMaskedBit, AlgoHybrid}
-	schedules := []Schedule{SchedAuto, SchedFixedGrain, SchedCostPartition, SchedWorkSteal}
+	schedules := []Schedule{SchedAuto, SchedFixedGrain, SchedCostPartition}
 	same := func(x, y float64) bool { return x == y }
 	exec := NewExecutor[float64](ptSR)
 	for _, inst := range gen.Suite(8) {

@@ -95,7 +95,7 @@ func TestSymmetricHalfMatchesFull(t *testing.T) {
 			clone := a.Clone()
 			for _, fam := range halfFamilies {
 				for _, threads := range []int{1, 2, 4} {
-					for _, sched := range []Schedule{SchedFixedGrain, SchedCostPartition, SchedWorkSteal} {
+					for _, sched := range []Schedule{SchedFixedGrain, SchedCostPartition} {
 						for _, reuse := range []bool{false, true} {
 							opt := Options{Algorithm: fam.algo, Threads: threads, Schedule: sched, Grain: 8, ReuseOutput: reuse}
 							name := fmt.Sprintf("hubsLast=%v/loops=%v/%v/t%d/%v/reuse=%v", hubsLast, loops, fam.algo, threads, sched, reuse)

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// schedulers enumerates the three scheduling functions behind one
+// schedulers enumerates the two scheduling functions behind one
 // uniform signature so the cancellation and panic contracts are pinned
 // on all of them.
 func schedulers() map[string]func(n, threads, grain int, stats *SchedStats, cancel *CancelToken, fn func(lo, hi, tid int)) {
@@ -22,7 +22,6 @@ func schedulers() map[string]func(n, threads, grain int, stats *SchedStats, canc
 			}
 			ForEachPartition(bounds, threads, stats, cancel, fn)
 		},
-		"chunked": ForEachChunked,
 	}
 }
 

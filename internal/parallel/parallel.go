@@ -7,7 +7,9 @@
 // coarse-grained parallelism across rows" (§3). Dynamic chunk scheduling
 // addresses the load imbalance challenge (§2.2): workers claim fixed-size
 // blocks of rows from an atomic counter, so a few heavy rows cannot
-// serialize the computation.
+// serialize the computation. A plan that measured its per-row costs
+// hands the same claim loop variable-width partitions of near-equal
+// cost instead (ForEachPartition, sched.go).
 package parallel
 
 import (
@@ -34,8 +36,8 @@ func Threads(requested int) int {
 // [0, threads), which kernels use to index per-thread scratch state.
 // With threads == 1 everything runs on the calling goroutine, making
 // single-threaded profiles clean and deterministic. For telemetry use
-// ForEachBlockStats; for skew-absorbing alternatives see
-// ForEachPartition and ForEachChunked (sched.go).
+// ForEachBlockStats; for cost-balanced partitions see ForEachPartition
+// (sched.go).
 func ForEachBlock(n, threads, grain int, fn func(lo, hi, tid int)) {
 	ForEachBlockStats(n, threads, grain, nil, nil, fn)
 }

@@ -3,14 +3,13 @@ package parallel
 import (
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
 // coverOnce drives a scheduling function over n indices and fails the
 // test unless every index was visited exactly once and every reported
 // tid was in range. Run under -race in CI, this is also the data-race
-// check on the claim/steal paths.
+// check on the claim paths.
 func coverOnce(t *testing.T, n, threads int, run func(fn func(lo, hi, tid int))) {
 	t.Helper()
 	hits := make([]int32, n)
@@ -29,52 +28,6 @@ func coverOnce(t *testing.T, n, threads int, run func(fn func(lo, hi, tid int)))
 		if h != 1 {
 			t.Fatalf("index %d visited %d times (n=%d threads=%d)", i, h, n, threads)
 		}
-	}
-}
-
-func TestForEachChunkedCoversAll(t *testing.T) {
-	f := func(nRaw uint16, threadsRaw, grainRaw uint8) bool {
-		n := int(nRaw % 3000)
-		threads := int(threadsRaw%8) + 1
-		grain := int(grainRaw%100) + 1
-		hits := make([]int32, n)
-		ForEachChunked(n, threads, grain, nil, nil, func(lo, hi, tid int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&hits[i], 1)
-			}
-		})
-		for _, h := range hits {
-			if h != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestForEachChunkedAdversarial covers the degenerate shapes: empty,
-// fewer items than workers, a single mega-item, and item counts that do
-// not divide the worker count.
-func TestForEachChunkedAdversarial(t *testing.T) {
-	called := false
-	ForEachChunked(0, 4, 16, nil, nil, func(lo, hi, tid int) { called = true })
-	ForEachChunked(-3, 4, 16, nil, nil, func(lo, hi, tid int) { called = true })
-	if called {
-		t.Error("fn called for empty range")
-	}
-	for _, tc := range []struct{ n, threads, grain int }{
-		{1, 8, 64},  // single mega-row: exactly one block
-		{3, 8, 1},   // n < threads: some workers start empty and must steal or retire
-		{7, 4, 2},   // uneven split
-		{100, 3, 7}, // non-dividing grain
-		{65, 2, 64}, // one block per worker plus a remainder
-	} {
-		coverOnce(t, tc.n, tc.threads, func(fn func(lo, hi, tid int)) {
-			ForEachChunked(tc.n, tc.threads, tc.grain, nil, nil, fn)
-		})
 	}
 }
 
@@ -118,9 +71,47 @@ func TestForEachPartitionSkipsEmpty(t *testing.T) {
 	}
 }
 
+// TestForEachBlockGrainAligned pins how a fixed-grain claim maps to
+// rows: every block starts at a multiple of grain and is grain wide,
+// except the last, which ends at n. The shapes include fewer items
+// than workers, one block, and a grain that does not divide n.
+func TestForEachBlockGrainAligned(t *testing.T) {
+	for _, tc := range []struct{ n, threads, grain int }{
+		{1, 8, 64}, {3, 8, 1}, {7, 4, 2}, {100, 3, 7}, {65, 2, 64}, {128, 2, 64},
+	} {
+		coverOnce(t, tc.n, tc.threads, func(fn func(lo, hi, tid int)) {
+			ForEachBlockStats(tc.n, tc.threads, tc.grain, nil, nil, func(lo, hi, tid int) {
+				if lo%tc.grain != 0 || (hi != lo+tc.grain && hi != tc.n) {
+					t.Errorf("%+v: block [%d,%d) is not a grain block", tc, lo, hi)
+				}
+				fn(lo, hi, tid)
+			})
+		})
+	}
+}
+
+// allocSink keeps the callbacks from being optimised away
+// without making it a capturing closure.
+var allocSink int
+
+// TestSerialClaimsAllocateNothing pins the serial path's promise: at
+// one thread, with no stats and no cancel token, neither entry point
+// allocates.
+func TestSerialClaimsAllocateNothing(t *testing.T) {
+	fn := func(lo, hi, tid int) { allocSink += hi - lo }
+	bounds := []int{0, 3, 3, 40, 100}
+	for name, run := range map[string]func(){
+		"block":     func() { ForEachBlockStats(1000, 1, 16, nil, nil, fn) },
+		"partition": func() { ForEachPartition(bounds, 1, nil, nil, fn) },
+	} {
+		if got := testing.AllocsPerRun(100, run); got != 0 {
+			t.Errorf("%s: %v allocations per serial pass, want 0", name, got)
+		}
+	}
+}
+
 // TestSchedStatsAccounting checks the telemetry invariants: claimed
-// blocks add up to the work handed out, steals only appear on the
-// chunked scheduler, and busy time is recorded.
+// blocks add up to the work handed out and busy time is recorded.
 func TestSchedStatsAccounting(t *testing.T) {
 	work := func(lo, hi, tid int) {
 		// Enough work for Busy to register on coarse clocks.
@@ -139,9 +130,6 @@ func TestSchedStatsAccounting(t *testing.T) {
 	if got, want := st.Claimed(), 16; got != want {
 		t.Errorf("block: claimed = %d, want %d", got, want)
 	}
-	if st.Stolen() != 0 {
-		t.Errorf("block: stolen = %d, want 0", st.Stolen())
-	}
 	if st.Busy() <= 0 {
 		t.Error("block: no busy time recorded")
 	}
@@ -152,49 +140,12 @@ func TestSchedStatsAccounting(t *testing.T) {
 		t.Errorf("partition: claimed = %d, want %d", got, want)
 	}
 
-	// Chunked blocks can exceed n/grain: the even initial split and
-	// half-range steals cut ranges at non-grain boundaries.
-	st.Reset(2)
-	ForEachChunked(256, 2, 16, &st, nil, work)
-	if got := st.Claimed(); got < 16 || got > 16+8 {
-		t.Errorf("chunked: claimed = %d, want ~16", got)
-	}
-
 	// Accumulation across passes without Reset (a two-phase execution).
 	before := st.Claimed()
-	ForEachChunked(256, 2, 16, &st, nil, work)
-	if st.Claimed() < before+16 {
-		t.Errorf("stats did not accumulate: %d after second pass, want ≥ %d", st.Claimed(), before+16)
+	ForEachBlockStats(256, 4, 16, &st, nil, work)
+	if got, want := st.Claimed(), before+16; got != want {
+		t.Errorf("stats did not accumulate: %d after second pass, want %d", got, want)
 	}
-}
-
-// TestForEachChunkedStealsUnderSkew plants all the cost in the lowest
-// indices (one worker's initial deque) — the mechanism the fallback
-// scheduler exists for. Steal timing depends on the host's real
-// parallelism, so coverage is asserted strictly while the steal count
-// is only reported.
-func TestForEachChunkedStealsUnderSkew(t *testing.T) {
-	const n = 1 << 10
-	var st SchedStats
-	st.Reset(4)
-	var total atomic.Int64
-	ForEachChunked(n, 4, 8, &st, nil, func(lo, hi, tid int) {
-		for i := lo; i < hi; i++ {
-			cost := 1
-			if i < n/4 {
-				cost = 400 // the first worker's quarter is 400× heavier
-			}
-			s := 0
-			for k := 0; k < cost*100; k++ {
-				s += k
-			}
-			total.Add(int64(s & 1))
-		}
-	})
-	if got, min := st.Claimed(), n/8; got < min {
-		t.Fatalf("claimed = %d, want ≥ %d", got, min)
-	}
-	t.Logf("steals under planted skew: %d, imbalance %.2f", st.Stolen(), st.Imbalance())
 }
 
 func TestSchedStatsImbalance(t *testing.T) {
@@ -225,10 +176,10 @@ func TestSchedStatsImbalance(t *testing.T) {
 func TestSchedSummaryRecord(t *testing.T) {
 	var sum SchedSummary
 	var st SchedStats
-	st.Workers = []WorkerStats{{Busy: 3 * time.Millisecond, Claimed: 5, Stolen: 2}, {Busy: time.Millisecond, Claimed: 3}}
+	st.Workers = []WorkerStats{{Busy: 3 * time.Millisecond, Claimed: 5}, {Busy: time.Millisecond, Claimed: 3}}
 	sum.Record(st)
 	sum.Record(st)
-	if sum.Passes != 2 || sum.BlocksClaimed != 16 || sum.BlocksStolen != 4 {
+	if sum.Passes != 2 || sum.BlocksClaimed != 16 {
 		t.Errorf("summary = %+v", sum)
 	}
 	if sum.Busy != 8*time.Millisecond {

@@ -61,7 +61,7 @@ func TestServeStatsWireGolden(t *testing.T) {
 		"session.store":    {"bytes", "evictions", "hits", "misses", "operands", "patterns", "puts", "reputs"},
 		"session.budget":   {"max_bytes", "used_bytes"},
 		"session.pool":     {"created", "discarded", "idle", "reused"},
-		"session.sched":    {"blocks_claimed", "blocks_stolen", "busy_nanos", "passes", "worst_imbalance"},
+		"session.sched":    {"blocks_claimed", "busy_nanos", "passes", "worst_imbalance"},
 		"session.faults":   {"exec_canceled", "executors_discarded", "kernel_panics"},
 		"admission":        {"admitted", "canceled", "deadline_expired", "draining", "in_flight", "max_in_flight", "max_queue", "queue_depth", "queued", "rejected_draining", "shed"},
 		"recent_misses[0]": {"a_fp", "b_fp", "complement", "mask_fp", "scheme", "warm"},

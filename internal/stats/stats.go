@@ -127,17 +127,17 @@ func DegreeHistogram[T any](a *sparse.CSR[T]) []int64 {
 // directly. This is the same max-busy / mean-busy signal the
 // trajectory benchmark reports as parallel.imbalance (DESIGN.md §9).
 func WriteSchedStats(w io.Writer, st parallel.SchedStats) {
-	fmt.Fprintf(w, "  %-8s %12s %7s %10s %8s\n", "worker", "busy", "share", "claimed", "stolen")
+	fmt.Fprintf(w, "  %-8s %12s %7s %10s\n", "worker", "busy", "share", "claimed")
 	total := st.Busy()
 	for tid, ws := range st.Workers {
 		share := 0.0
 		if total > 0 {
 			share = float64(ws.Busy) / float64(total)
 		}
-		fmt.Fprintf(w, "  %-8d %12s %6.1f%% %10d %8d\n", tid, ws.Busy, 100*share, ws.Claimed, ws.Stolen)
+		fmt.Fprintf(w, "  %-8d %12s %6.1f%% %10d\n", tid, ws.Busy, 100*share, ws.Claimed)
 	}
-	fmt.Fprintf(w, "  total busy %s over %d blocks (%d stolen), imbalance %.2f\n",
-		total, st.Claimed(), st.Stolen(), st.Imbalance())
+	fmt.Fprintf(w, "  total busy %s over %d blocks, imbalance %.2f\n",
+		total, st.Claimed(), st.Imbalance())
 }
 
 // MaskedWork summarizes Figure 1's argument for one masked product:

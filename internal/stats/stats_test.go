@@ -106,13 +106,13 @@ func TestAnalyzeMaskedWork(t *testing.T) {
 
 func TestWriteSchedStats(t *testing.T) {
 	st := parallel.SchedStats{Workers: []parallel.WorkerStats{
-		{Busy: 3 * time.Millisecond, Claimed: 10, Stolen: 1},
+		{Busy: 3 * time.Millisecond, Claimed: 10},
 		{Busy: time.Millisecond, Claimed: 4},
 	}}
 	var buf bytes.Buffer
 	WriteSchedStats(&buf, st)
 	out := buf.String()
-	for _, want := range []string{"worker", "claimed", "14 blocks", "(1 stolen)", "imbalance 1.50"} {
+	for _, want := range []string{"worker", "claimed", "14 blocks", "imbalance 1.50"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
@@ -126,16 +126,16 @@ func TestWriteSchedStats(t *testing.T) {
 // (max busy / mean busy) is 1.50.
 func TestWriteSchedStatsGolden(t *testing.T) {
 	st := parallel.SchedStats{Workers: []parallel.WorkerStats{
-		{Busy: 3 * time.Millisecond, Claimed: 10, Stolen: 1},
+		{Busy: 3 * time.Millisecond, Claimed: 10},
 		{Busy: time.Millisecond, Claimed: 4},
 	}}
 	var buf bytes.Buffer
 	WriteSchedStats(&buf, st)
 	want := "" +
-		"  worker           busy   share    claimed   stolen\n" +
-		"  0                 3ms   75.0%         10        1\n" +
-		"  1                 1ms   25.0%          4        0\n" +
-		"  total busy 4ms over 14 blocks (1 stolen), imbalance 1.50\n"
+		"  worker           busy   share    claimed\n" +
+		"  0                 3ms   75.0%         10\n" +
+		"  1                 1ms   25.0%          4\n" +
+		"  total busy 4ms over 14 blocks, imbalance 1.50\n"
 	if got := buf.String(); got != want {
 		t.Errorf("WriteSchedStats rendering drifted.\ngot:\n%swant:\n%s", got, want)
 	}
@@ -149,10 +149,10 @@ func TestWriteSchedStatsGoldenIdle(t *testing.T) {
 	var buf bytes.Buffer
 	WriteSchedStats(&buf, st)
 	want := "" +
-		"  worker           busy   share    claimed   stolen\n" +
-		"  0                  0s    0.0%          0        0\n" +
-		"  1                  0s    0.0%          0        0\n" +
-		"  total busy 0s over 0 blocks (0 stolen), imbalance 0.00\n"
+		"  worker           busy   share    claimed\n" +
+		"  0                  0s    0.0%          0\n" +
+		"  1                  0s    0.0%          0\n" +
+		"  total busy 0s over 0 blocks, imbalance 0.00\n"
 	if got := buf.String(); got != want {
 		t.Errorf("WriteSchedStats idle rendering drifted.\ngot:\n%swant:\n%s", got, want)
 	}

@@ -149,9 +149,6 @@ const (
 	// ScheduleCostPartition drives workers over equal-cost row
 	// partitions laid out at plan time from the flops profile.
 	ScheduleCostPartition = core.SchedCostPartition
-	// ScheduleWorkSteal uses per-worker deques with range stealing —
-	// absorbs skew without a cost profile.
-	ScheduleWorkSteal = core.SchedWorkSteal
 )
 
 // WithSchedule picks the row-scheduling strategy (default
@@ -161,8 +158,8 @@ func WithSchedule(s Schedule) Option {
 }
 
 // SchedStats is per-execution scheduler telemetry: one entry per
-// worker with busy time and blocks claimed/stolen, plus aggregate
-// accessors (Busy, Claimed, Stolen, Imbalance).
+// worker with busy time and blocks claimed, plus aggregate accessors
+// (Busy, Claimed, Imbalance).
 type SchedStats = parallel.SchedStats
 
 // WithSchedStats records per-worker scheduler telemetry on every

@@ -442,7 +442,7 @@ type PoolStats = core.ExecutorPoolStats
 
 // SchedSummary re-exports cumulative scheduler telemetry (see
 // SessionStats): recorded passes, total worker busy time, blocks
-// claimed and stolen, and the worst per-execution imbalance.
+// claimed, and the worst per-execution imbalance.
 type SchedSummary = parallel.SchedSummary
 
 // StoreStats re-exports the operand store counters (see SessionStats).
