@@ -268,44 +268,6 @@ func BenchmarkHeapNInspect(b *testing.B) {
 	}
 }
 
-// BenchmarkInnerGallop — two-pointer merge vs galloping dot products
-// under balanced and skewed operand lengths.
-func BenchmarkInnerGallop(b *testing.B) {
-	sr := semiring.PlusTimes[float64]{}
-	workloads := []struct {
-		name  string
-		a, bb *sparse.CSR[float64]
-		mask  *sparse.Pattern
-	}{
-		{
-			"balanced",
-			gen.ErdosRenyi(1<<12, 16, 45), gen.ErdosRenyi(1<<12, 16, 46),
-			gen.ErdosRenyiPattern(1<<12, 8, 47),
-		},
-		{
-			"skewed",
-			gen.ErdosRenyi(1<<12, 128, 48), gen.ErdosRenyi(1<<12, 2, 49),
-			gen.ErdosRenyiPattern(1<<12, 8, 50),
-		},
-	}
-	for _, wl := range workloads {
-		for _, gallop := range []bool{false, true} {
-			name := wl.name + "/merge"
-			if gallop {
-				name = wl.name + "/gallop"
-			}
-			opt := core.Options{Algorithm: core.AlgoInner, InnerGallop: gallop}
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := core.MaskedSpGEMM(sr, wl.mask, wl.a, wl.bb, opt); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkHashLoadFactor — the §5.3 load-factor choice.
 func BenchmarkHashLoadFactor(b *testing.B) {
 	sr := semiring.PlusTimes[float64]{}

@@ -125,9 +125,10 @@ func (p *Plan[T, S]) planSchedule(a, b *sparse.CSR[T], cost []int64) {
 //     Σ_{k ∈ A_i*} nnz(B_k*) plus the mask walk, with the output term
 //     capped by the §5.2 complement bound when the mask is
 //     complemented — the same quantities complementBounds walks.
-//   - pull rows (Inner, SS:DOT): one merge-dot per admitted mask
-//     entry j of cost nnz(A_i*) + nnz(B_*j), the §4.3 cost model —
-//     pullRowCost, the same formula the poly selector prices pull by.
+//   - pull rows (Inner, SS:DOT): one load of A_i* into a dense row,
+//     then one dot per admitted mask entry j that reads nnz(B_*j)
+//     entries — pullRowCost, the same formula the poly selector prices
+//     pull by.
 //
 // Poly plans (AlgoHybrid) never reach here — their selector's chosen
 // per-row costs are handed to planSchedule directly, so selection and

@@ -177,6 +177,9 @@ type workspace[T any, S semiring.Semiring[T]] struct {
 
 	maskedBit  *accum.MaskedBit[T, S]
 	maskedBitC *accum.MaskedBitC[T, S]
+
+	// pull is the dense A row the pull family dots against (inner.go).
+	pull *denseRow[T]
 }
 
 // MSA returns the worker's MSA sized for rows of width ncols.
@@ -250,6 +253,16 @@ func (w *workspace[T, S]) MaskedBitC(ncols int) *accum.MaskedBitC[T, S] {
 		w.maskedBitC.EnsureCols(ncols)
 	}
 	return w.maskedBitC
+}
+
+// Pull returns the worker's dense A row sized for an inner dimension
+// of inner.
+func (w *workspace[T, S]) Pull(inner int) *denseRow[T] {
+	if w.pull == nil {
+		w.pull = new(denseRow[T])
+	}
+	w.pull.ensure(inner)
+	return w.pull
 }
 
 // HashC returns the worker's complemented hash accumulator.

@@ -135,7 +135,7 @@ type RowCostContext struct {
 	// Flops is Σ_{k∈A_i*} nnz(B_k*), the row's push-generation work.
 	Flops int64
 	// BColSum is Σ nnz(B_*j) over the row's admitted columns j: the
-	// total length of the B columns a pull row merges A_i* against.
+	// total length of the B columns a pull row reads.
 	// It is summed exactly rather than estimated from B's mean column
 	// population: on skewed inputs the mask entries land on hub columns,
 	// and the mean underprices those dots by orders of magnitude.
@@ -202,9 +202,16 @@ const (
 	// heapWalk prices the inspect-skip walk per streamed B candidate —
 	// a pointer bump, a compare and a heap-top reload per candidate.
 	heapWalk = 1.8
-	// pullMergeStep prices one step of a pull dot's merge of A_i*
-	// against B_*j, with the per-dot set-up spread over its steps.
-	pullMergeStep = 3.5
+	// pullLoad prices loading one A_i* entry into the dense row a pull
+	// row dots against, and clearing it after the row.
+	pullLoad = 2.0
+	// pullDot prices one pull dot's fixed cost: the column bounds and
+	// the first lines of a column at a random j, mostly cache misses,
+	// plus the call and the output write.
+	pullDot = 12.0
+	// pullScan prices one B_*j entry a pull dot reads and tests against
+	// the dense row.
+	pullScan = 1.5
 	// heapMaskNear scales the probability that a streamed candidate
 	// finds a mask element at or past its column during the NInspect=1
 	// inspection and therefore takes a full heap round trip instead of
@@ -321,13 +328,14 @@ func heapRowCost(c RowCostContext) float64 {
 	return 1 + heapPushCost*a*lg + f*(heapWalk+heapPushCost*lg*near) + 0.5*m
 }
 
-// pullRowCost models the pull-based inner products (§4.1): one
-// merge-dot of a + nnz(B_*j) steps per admitted position j, the §4.3
-// model summed exactly over the row's admitted columns. Under a
-// complemented mask that is Θ(n) dots, which is why pull practically
-// never wins there (§8.4) but stays admissible.
+// pullRowCost models the pull-based inner products (§4.1) as they run
+// (inner.go): A_i* is loaded into a dense row once, and each admitted
+// column j costs a dot set-up plus one read of every entry of B_*j,
+// summed exactly over the row's admitted columns. Under a complemented
+// mask that is Θ(n) dots, which is why pull practically never wins
+// there (§8.4) but stays admissible.
 func pullRowCost(c RowCostContext) float64 {
-	return 1 + pullMergeStep*(c.admitted()*float64(c.ARowNNZ)+float64(c.BColSum))
+	return 1 + pullLoad*float64(c.ARowNNZ) + pullDot*c.admitted() + pullScan*float64(c.BColSum)
 }
 
 // bColCounts is the B-column side of the pull cost: nnz(B_*j) for every

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"maskedspgemm/internal/gen"
@@ -177,7 +179,7 @@ func TestHybridSingleFamilyAllocs(t *testing.T) {
 		if w.msa == nil {
 			t.Errorf("%v: bound family's accumulator not materialized", ph)
 		}
-		if w.hash != nil || w.mca != nil || w.heap != nil || w.msac != nil || w.hashC != nil || w.maskedBit != nil || w.maskedBitC != nil {
+		if w.hash != nil || w.mca != nil || w.heap != nil || w.msac != nil || w.hashC != nil || w.maskedBit != nil || w.maskedBitC != nil || w.pull != nil {
 			t.Errorf("%v: unbound families materialized accumulators", ph)
 		}
 		allocs := testing.AllocsPerRun(10, func() {
@@ -258,9 +260,9 @@ func TestHeapRowCostHonorsNInspect(t *testing.T) {
 // TestPullRowCostHeavyColumns pins exact pull pricing. Row 0 has a = 2
 // entries, selecting two 256-entry B rows, and its mask admits the 8 hub
 // columns of B, each holding 512 entries, while B's mean column
-// population is 8. Priced at a + d̄_B per dot, its 8 dots look like 80
-// merge steps against 512 push products; their merges really walk the
-// 4096 entries of the hub columns, so the row must not bind Pull.
+// population is 8. Priced by the mean, its 8 dots look like 64 column
+// reads against 512 push products; they really read the 4096 entries
+// of the hub columns, so the row must not bind Pull.
 func TestPullRowCostHeavyColumns(t *testing.T) {
 	const n = 1024
 	build := func(fill func(coo *sparse.COO[float64])) *sparse.CSR[float64] {
@@ -303,6 +305,37 @@ func TestPullRowCostHeavyColumns(t *testing.T) {
 	}).PatternView()
 	if rows := HybridFamilyRows(mask, a, b, Options{}); rows[FamPull] != 0 {
 		t.Errorf("hub-column row bound Pull: family rows %v", rows)
+	}
+}
+
+// TestPullRowCostPinnedRows pins the pull price on two measured rows.
+// A dense band-7 row of sweep-cold-ref's banded masks (n = 2048, 806
+// mask entries, a = 16, 272 flops) must price pull above the best push
+// family already at BColSum = 0, so polyScan never walks its mask row
+// for the sum: every request of that workload plans, and the dense
+// bands hold most of nnz(M). A light half row of tc-skew-ref's
+// self-product (hubs last, lower triangle: 7 mask entries, a = 21, 462
+// clipped flops, BColSum 78) must bind Pull, which reads 78 B entries
+// where MSA scans 462.
+func TestPullRowCostPinnedRows(t *testing.T) {
+	fams, models := hybridMenu(0)
+	pullAt := slices.Index(fams, FamPull)
+	bestPush := func(ctx RowCostContext) (Family, float64) {
+		best, cost := FamMSA, math.Inf(1)
+		for j, model := range models {
+			if c := model(ctx); j != pullAt && c < cost {
+				best, cost = fams[j], c
+			}
+		}
+		return best, cost
+	}
+	band := RowCostContext{MaskNNZ: 806, ARowNNZ: 16, Flops: 272, Cols: 2048, HeapNInspect: 1}
+	if fam, push := bestPush(band); pullRowCost(band) <= push {
+		t.Errorf("sweep band-7 row: pull at BColSum = 0 prices %.0f, not above %v's %.0f, so its mask row is walked", pullRowCost(band), fam, push)
+	}
+	half := RowCostContext{MaskNNZ: 7, ARowNNZ: 21, Flops: 462, BColSum: 78, Cols: 4096, HeapNInspect: 1}
+	if fam, push := bestPush(half); pullRowCost(half) >= push {
+		t.Errorf("tc-skew half row: pull prices %.0f, not below %v's %.0f", pullRowCost(half), fam, push)
 	}
 }
 

@@ -258,45 +258,6 @@ func TestHeapVsHeapDotDiffer(t *testing.T) {
 	}
 }
 
-// TestInnerGallop checks the galloping dot produces identical results.
-func TestInnerGallop(t *testing.T) {
-	sr := semiring.PlusTimes[float64]{}
-	// Skewed: long A rows, short B columns — galloping's target shape.
-	a := gen.Random(40, 200, 64, 81)
-	b := gen.Random(200, 40, 2, 82)
-	mask := gen.Random(40, 40, 12, 83).PatternView()
-	want := oracle(mask, a, b, false)
-	for _, ph := range []Phases{OnePhase, TwoPhase} {
-		got, err := MaskedSpGEMM(sr, mask, a, b, Options{Algorithm: AlgoInner, InnerGallop: true, Phases: ph})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := sparse.Diff(want, got, floatEq); d != "" {
-			t.Fatalf("gallop %v: %s", ph, d)
-		}
-	}
-}
-
-// TestGallopTo pins the gallop search helper.
-func TestGallopTo(t *testing.T) {
-	s := []int32{2, 4, 4, 8, 16, 32}
-	cases := []struct {
-		key        int32
-		from, want int
-	}{
-		{1, 0, 0}, {2, 0, 0}, {3, 0, 1}, {4, 0, 1}, {5, 0, 3},
-		{16, 2, 4}, {33, 0, 6}, {8, 4, 4}, {2, 5, 5},
-	}
-	for _, c := range cases {
-		if got := gallopTo(s, c.key, c.from); got != c.want {
-			t.Errorf("gallopTo(%v, %d, %d) = %d, want %d", s, c.key, c.from, got, c.want)
-		}
-	}
-	if got := gallopTo(nil, 5, 0); got != 0 {
-		t.Errorf("gallopTo(empty) = %d", got)
-	}
-}
-
 // TestHashLoadFactors checks the hash accumulator across load factors
 // (the ablation axis) for correctness.
 func TestHashLoadFactors(t *testing.T) {

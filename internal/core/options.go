@@ -197,11 +197,6 @@ type Options struct {
 	// zero value means the whole menu. Families off the menu (MCA) are
 	// dropped, and if nothing remains the selector falls back to MSA.
 	HybridFamilies FamilySet
-	// InnerGallop switches AlgoInner's dot products from two-pointer
-	// merges to galloping (exponential + binary search) — profitable
-	// when A rows and B columns have very different lengths. Ablation:
-	// BenchmarkInnerGallop.
-	InnerGallop bool
 	// ReuseOutput lets Plan.Execute back the result matrix with
 	// executor-owned pooled buffers, making steady-state executions
 	// allocation-free. The result is then valid only until the next
