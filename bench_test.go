@@ -287,24 +287,6 @@ func BenchmarkHashLoadFactor(b *testing.B) {
 	}
 }
 
-// BenchmarkGrain — scheduler chunk-size sensitivity on a skewed
-// (R-MAT) workload.
-func BenchmarkGrain(b *testing.B) {
-	sr := semiring.PlusPair[int64]{}
-	g := rmatGraph(12, 16, 33)
-	w := graph.PrepareTriangleCount(g)
-	for _, grain := range []int{1, 16, 64, 256, 4096} {
-		opt := core.Options{Algorithm: core.AlgoMSA, Grain: grain}
-		b.Run(fmt.Sprintf("grain=%d", grain), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.MaskedSpGEMM(sr, w.L.PatternView(), w.L, w.L, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkOnePhaseLayout — the mask-slab one-phase layout against the
 // symbolic two-phase on a mask that wildly overestimates the output
 // (worst case for 1P's extra memory) and one that matches it (best

@@ -3,7 +3,7 @@
 // DESIGN.md §9, §10, §12 and §15. Each figure is a subcommand; "all"
 // runs every figure at the default (CI-scale) sizes; "kernels" times
 // the kernel case table (single families, Hybrid and its ablation,
-// both schedules at each width, the cancel token on and off) in
+// MSA at each width, the cancel token on and off) in
 // interleaved rounds, judges its gate rows, prints the tables and
 // writes BENCH_kernels.json to the working directory.
 //

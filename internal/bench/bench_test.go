@@ -245,7 +245,7 @@ func TestKernelsTiny(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	WriteKernels(&buf, rep)
-	for _, want := range []string{"er-dense", "MSA/MaskedBit", "FixedGrain-t1", "token/no-token"} {
+	for _, want := range []string{"er-dense", "MSA/MaskedBit", "MSA-t1", "token/no-token"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("table missing %q", want)
 		}

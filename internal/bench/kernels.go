@@ -146,9 +146,9 @@ type kernelInputs struct {
 //     inputs, plus wide-sparse, an output of 256n columns where the
 //     width-n accumulators leave cache and Heap wins;
 //   - edge factor 16, seed 42: rmat-hubs, an R-MAT graph relabeled so
-//     its hub rows sit at the tail (the case fixed-grain claiming
-//     balances worst), and a uniform ER control, each under fixed
-//     grain and cost partitions at every width;
+//     its hub rows sit at the tail (the case cost-blind claiming
+//     balances worst), and a uniform ER control, each under MSA at
+//     every width;
 //   - edge factor 8, seed 17: er-self, a uniform ER self-mask, where a
 //     per-block polling cost has no row skew to hide behind.
 //
@@ -191,16 +191,16 @@ func KernelWorkloads(scale, threads int) []KernelWorkload {
 
 	fams := familyArms(threads)
 	famRows := [][2]string{{bestSingle, "Hybrid"}, {"Hybrid", hybridNoMaskedBit}}
+	// One MSA arm per width; each wider arm is reported against the
+	// serial one, so a scheduling regression shows as lost scaling.
 	var sched []KernelArm
 	var schedRows [][2]string
 	for _, w := range Widths() {
-		name := func(mode core.Schedule) string { return fmt.Sprintf("%v-t%d", mode, w) }
-		for _, mode := range []core.Schedule{core.SchedFixedGrain, core.SchedCostPartition} {
-			sched = append(sched, KernelArm{Name: name(mode), Opt: core.Options{
-				Algorithm: core.AlgoMSA, Threads: w, Schedule: mode, ReuseOutput: true,
-			}})
+		name := fmt.Sprintf("MSA-t%d", w)
+		sched = append(sched, KernelArm{Name: name, Opt: core.Options{Algorithm: core.AlgoMSA, Threads: w, ReuseOutput: true}})
+		if w > 1 {
+			schedRows = append(schedRows, [2]string{name, "MSA-t1"})
 		}
-		schedRows = append(schedRows, [2]string{name(core.SchedCostPartition), name(core.SchedFixedGrain)})
 	}
 	msa := core.Options{Algorithm: core.AlgoMSA, Threads: threads, ReuseOutput: true}
 	cancel := []KernelArm{{Name: "no-token", Opt: msa}, {Name: "token", Opt: msa, Token: true}}
@@ -256,11 +256,11 @@ func Widths() []int {
 // SkewedGraph builds the adversarial scheduling input: a symmetric
 // R-MAT graph relabeled by non-decreasing degree, so the hub rows an
 // R-MAT degree distribution concentrates the flops in sit adjacent at
-// the tail. That is the worst case for fixed-grain dynamic claiming:
+// the tail. That is the worst case for cost-blind dynamic claiming:
 // the heavy blocks are discovered last, when no other work remains to
 // balance them against (the classic LPT argument — discovered first,
-// they would be scheduled near-optimally by accident). A
-// cost-partitioned schedule splits the hub cluster across workers
+// they would be scheduled near-optimally by accident). The engine's
+// equal-cost partitions split the hub cluster across workers
 // regardless of where the labeling puts it.
 func SkewedGraph(scale, edgeFactor int, seed uint64) *sparse.CSR[float64] {
 	g := gen.RMATSymmetric(gen.RMATConfig{Scale: scale, EdgeFactor: edgeFactor, Seed: seed})

@@ -50,10 +50,6 @@ func SpGEMM[T any, S semiring.Semiring[T]](sr S, a, b *sparse.CSR[T], opt Option
 	if a.Cols != b.Rows {
 		return nil, errInnerDim(a, b)
 	}
-	if err := checkSchedule(opt.Schedule); err != nil {
-		return nil, err
-	}
-	opt.normalize()
 	opt.Threads = parallel.Threads(opt.Threads)
 	slots := newLazySlots(opt.Threads, func() *accum.HashC[T, S] {
 		return accum.NewHashC[T](sr, 16, opt.HashLoadFactor)
@@ -61,25 +57,19 @@ func SpGEMM[T any, S semiring.Semiring[T]](sr S, a, b *sparse.CSR[T], opt Option
 	numeric := func(tid, i int, outIdx []int32, outVal []T) int {
 		return unmaskedRowNumeric(slots.get(tid), a.Row(i), a.RowVals(i), b, outIdx, outVal)
 	}
-	// No plan-time cost profile here, so every schedule runs fixed
-	// grain.
-	sch := rowSched{threads: opt.Threads, grain: opt.Grain, mode: SchedFixedGrain}
+	// The per-row flops bounds, prefix-summed, are both the one-phase
+	// slab layout and the cost profile the partitions are cut from.
+	offsets := make([]int64, a.Rows+1)
+	for i := 0; i < a.Rows; i++ {
+		offsets[i] = int64(rowGenBound(a.Row(i), b))
+	}
+	parallel.PrefixSum(offsets)
+	sch := rowSched{threads: opt.Threads, bounds: partitions(offsets, opt.Threads, nil)}
 	if opt.Phases == TwoPhase {
 		symbolic := func(tid, i int) int {
 			return unmaskedRowSymbolic(slots.get(tid), a.Row(i), b)
 		}
 		return twoPhase(a.Rows, b.Cols, sch, kernels[T]{numeric: numeric, symbolic: symbolic}, nil)
-	}
-	// One-phase slab: per-row flops bound.
-	offsets := make([]int64, a.Rows+1)
-	for i := 0; i < a.Rows; i++ {
-		offsets[i] = int64(rowGenBound(a.Row(i), b))
-	}
-	total := int64(0)
-	for i := 0; i <= a.Rows; i++ {
-		c := offsets[i]
-		offsets[i] = total
-		total += c
 	}
 	return onePhase(a.Rows, b.Cols, offsets, sch, kernels[T]{numeric: numeric}, nil, nil)
 }

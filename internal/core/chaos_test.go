@@ -32,7 +32,7 @@ func TestChaosPanicEachFamily(t *testing.T) {
 	for _, algo := range chaosFamilies {
 		for _, threads := range []int{1, 4} {
 			faultinject.Disarm()
-			plan, err := NewPlan(sr, mask, a, b, Options{Algorithm: algo, Threads: threads, Grain: 16}, nil)
+			plan, err := NewPlan(sr, mask, a, b, Options{Algorithm: algo, Threads: threads}, nil)
 			if err != nil {
 				t.Fatalf("%v: %v", algo, err)
 			}

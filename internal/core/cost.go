@@ -13,48 +13,37 @@ import (
 // scheduling step for almost no work. The Plan layer already walks
 // exactly the structures that determine per-row cost — A's rows and
 // B's row pointers (complementBounds, planHybrid) — so the plan
-// computes a masked-flops-flavored cost per output row, resolves the
-// scheduling strategy from the measured skew, and retains the costs
-// as a prefix sum. Every execution then cuts that prefix into
+// computes a masked-flops-flavored cost per output row and retains the
+// costs as a prefix sum. Every execution then cuts that prefix into
 // equal-cost partitions for its own width by binary search, so one
-// cached plan serves any thread count. This is the flops-balanced
-// scheduling of the Buluç–Gilbert SpGEMM lineage applied to the
-// masked engine.
+// cached plan serves any thread count. The partitions are fine enough
+// that uniform rows get exactly the DefaultGrain-row blocks a
+// cost-blind scheduler would claim, so flat profiles need no second
+// schedule. This is the flops-balanced scheduling
+// of the Buluç–Gilbert SpGEMM lineage applied to the masked engine.
 
-const (
-	// costPartsPerWorker is the scheduling-slack factor: an execution
-	// cuts up to threads×this partitions so that dynamic claiming can
-	// still correct for cost-model error within a partitioned pass.
-	costPartsPerWorker = 4
-	// autoSkewFactor is the SchedAuto switch point: cost partitions are
-	// chosen when the most expensive row exceeds this multiple of the
-	// mean row cost. Below it, fixed-grain blocks already balance well
-	// and their lower bookkeeping wins.
-	autoSkewFactor = 8
-)
+// costPartsPerWorker is the scheduling-slack factor: an execution cuts
+// at least threads×this partitions so that dynamic claiming can still
+// correct for cost-model error within a partitioned pass.
+const costPartsPerWorker = 4
 
-// rowSched is the resolved descriptor the engine drivers schedule row
-// passes with: a mode that is never SchedAuto, the partition bounds
-// when cost-partitioned, an optional telemetry target, and the
-// fault-containment hooks — the cancel token workers poll at block
-// claims and the fault-injection hooks loaded for this execution
-// (both usually nil; DESIGN.md §15).
+// rowSched is the descriptor the engine drivers schedule row passes
+// with: the partition bounds cut for this execution's width, an
+// optional telemetry target, and the fault-containment hooks — the
+// cancel token workers poll at partition claims and the
+// fault-injection hooks loaded for this execution (both usually nil;
+// DESIGN.md §15).
 type rowSched struct {
-	threads, grain int
-	mode           Schedule
-	bounds         []int
-	stats          *parallel.SchedStats
-	cancel         *parallel.CancelToken
-	fi             *faultinject.Hooks
+	threads int
+	bounds  []int
+	stats   *parallel.SchedStats
+	cancel  *parallel.CancelToken
+	fi      *faultinject.Hooks
 }
 
-// run executes fn over [0, n) under the descriptor's strategy.
-func (s rowSched) run(n int, fn func(lo, hi, tid int)) {
-	if s.mode == SchedCostPartition {
-		parallel.ForEachPartition(s.bounds, s.threads, s.stats, s.cancel, fn)
-		return
-	}
-	parallel.ForEachBlockStats(n, s.threads, s.grain, s.stats, s.cancel, fn)
+// run executes fn over the descriptor's partitions.
+func (s rowSched) run(fn func(lo, hi, tid int)) {
+	parallel.ForEachPartition(s.bounds, s.threads, s.stats, s.cancel, fn)
 }
 
 // enterPass is the checkpoint at a pass's entry: it fires the armed
@@ -76,45 +65,26 @@ func (s rowSched) passCanceled(p faultinject.Pass) error {
 	return nil
 }
 
-// planSchedule measures the plan's per-row cost profile, resolves the
-// SchedAuto policy from its skew — a property of the structure, not of
-// any width — and, when cost partitioning is chosen, retains the
-// profile as the prefix sum executions cut partitions from. Runs once
-// per structure; cached plans replay the result on every hit. cost,
-// when non-nil, is a precomputed profile (the poly selector's per-row
-// chosen costs) in the first rows slots of a rows+1 slice; nil
-// measures one here.
+// planSchedule retains the plan's per-row cost profile as the prefix
+// sum executions cut partitions from. Runs once per structure; cached
+// plans replay the result on every hit. cost, when non-nil, is a
+// precomputed profile (the poly selector's per-row chosen costs) in
+// the first rows slots of a rows+1 slice; nil measures one here,
+// except on a plan of at most one row, whose one partition needs no
+// profile — so a masked SpVM never builds Inner's O(nnz B) column
+// counts.
 //
 //mspgemm:planwrite
 func (p *Plan[T, S]) planSchedule(a, b *sparse.CSR[T], cost []int64) {
-	if p.opt.Schedule == SchedFixedGrain {
-		// Explicitly cost-blind: skip the profile entirely.
-		p.sched = SchedFixedGrain
-		return
-	}
 	rows := p.mask.Rows
-	if rows == 0 {
-		p.sched = SchedFixedGrain
-		return
-	}
 	if cost == nil {
-		cost = p.rowCosts(a, b)
-	}
-	var max int64
-	for _, c := range cost[:rows] {
-		if c > max {
-			max = c
+		if rows > 1 {
+			cost = p.rowCosts(a, b)
+		} else {
+			cost = make([]int64, rows+1)
 		}
 	}
-	total := parallel.PrefixSum(cost)
-	if total > 0 {
-		p.costSkew = float64(max) * float64(rows) / float64(total)
-	}
-	if p.opt.Schedule == SchedAuto && (total == 0 || p.costSkew < autoSkewFactor) {
-		p.sched = SchedFixedGrain
-		return
-	}
-	p.sched = SchedCostPartition
+	parallel.PrefixSum(cost)
 	p.costPrefix = cost
 }
 
@@ -149,7 +119,7 @@ func (p *Plan[T, S]) rowCosts(a, b *sparse.CSR[T]) []int64 {
 	complement := p.opt.Complement
 	cols := int64(p.mask.Cols)
 	rm := maskRows{p.mask, p.sym}
-	parallel.ForEachBlock(rows, parallel.Threads(0), p.opt.Grain, func(lo, hi, _ int) {
+	parallel.ForEachBlock(rows, parallel.Threads(0), parallel.DefaultGrain, func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
 			maskRow := rm.row(i)
 			m := int64(len(maskRow))
@@ -175,29 +145,31 @@ func (p *Plan[T, S]) rowCosts(a, b *sparse.CSR[T]) []int64 {
 	return cost
 }
 
-// partitions cuts the plan's rows into at most threads×costPartsPerWorker
-// contiguous partitions of near-equal cumulative cost, reusing buf's
-// storage: partition j ends at the first row whose prefix cost reaches
-// j/nparts of the total, found by binary search over costPrefix. A
-// single row costlier than the ideal share gets a partition to itself
-// (row formation is never split — §3); targets it overshoots are
-// skipped rather than emitted as empty partitions. The returned bounds
-// (first 0, last rows) are what ForEachPartition consumes. O(P·log
-// rows) per execution, and allocation-free once buf has grown to the
-// widest execution seen.
-func (p *Plan[T, S]) partitions(threads int, buf []int) []int {
-	prefix := p.costPrefix
+// partitions cuts the rows of an exclusive cost prefix (len rows+1,
+// last = total) into contiguous partitions of near-equal cumulative
+// cost, reusing buf's storage. It aims at max(threads×costPartsPerWorker,
+// ⌈rows/DefaultGrain⌉) shares, at most rows: on uniform costs the cuts
+// fall every DefaultGrain rows, the blocks a cost-blind scheduler
+// would claim, and skewed costs get the same count of equal-cost
+// shares. Share j ends at the first row whose prefix cost reaches
+// j/nparts of the total, found by binary search. Row formation is
+// never split (§3), so a row costlier than one share ends the share it
+// lands in, and it is cut off from the rows before it so that they can
+// run beside it; targets it overshoots are skipped rather than emitted
+// as empty partitions. A share wider than DefaultGrain rows is split
+// into equal pieces no wider (cutAt): the model prices a cheap row
+// below its fixed per-row work, so a long cheap stretch would
+// otherwise make one slow claim. The returned bounds (first 0, last
+// rows) are what ForEachPartition consumes. O(P·log rows) per
+// execution, and allocation-free once buf has grown to the largest
+// cut seen.
+func partitions(prefix []int64, threads int, buf []int) []int {
 	rows := len(prefix) - 1
 	total := prefix[rows]
-	nparts := threads * costPartsPerWorker
-	if nparts > rows {
-		nparts = rows
-	}
-	if nparts < 1 {
-		nparts = 1
-	}
-	if cap(buf) < nparts+1 {
-		buf = make([]int, 0, nparts+1)
+	nparts := max(1, min(rows, max(threads*costPartsPerWorker, (rows+parallel.DefaultGrain-1)/parallel.DefaultGrain)))
+	share := float64(total) / float64(nparts)
+	if n := 2*nparts + rows/parallel.DefaultGrain + 1; cap(buf) < n {
+		buf = make([]int, 0, n)
 	}
 	bounds := append(buf[:0], 0)
 	lo := 1
@@ -217,24 +189,28 @@ func (p *Plan[T, S]) partitions(threads int, buf []int) []int {
 		if l > rows {
 			break
 		}
-		if l > bounds[len(bounds)-1] {
-			bounds = append(bounds, l)
+		if last := bounds[len(bounds)-1]; l > last {
+			if l > last+1 && float64(prefix[l]-prefix[l-1]) > share {
+				bounds = cutAt(bounds, l-1)
+			}
+			bounds = cutAt(bounds, l)
 		}
 		lo = l
 	}
 	if bounds[len(bounds)-1] != rows {
-		bounds = append(bounds, rows)
+		bounds = cutAt(bounds, rows)
 	}
 	return bounds
 }
 
-// ResolvedSchedule reports the plan's scheduling strategy after the
-// SchedAuto policy ran — which of the concrete modes executions of
-// this plan use.
-func (p *Plan[T, S]) ResolvedSchedule() Schedule { return p.sched }
-
-// CostSkew returns the plan's measured row-cost skew (max row cost
-// over mean row cost), the quantity the SchedAuto policy thresholds.
-// Zero when scheduling analysis was skipped (explicit cost-blind
-// schedules, direct schemes, empty masks).
-func (p *Plan[T, S]) CostSkew() float64 { return p.costSkew }
+// cutAt ends the partition open at bounds' last entry at row r, first
+// splitting it into ⌈width/DefaultGrain⌉ equal pieces when it is wider
+// than DefaultGrain rows.
+func cutAt(bounds []int, r int) []int {
+	last := bounds[len(bounds)-1]
+	k := (r - last + parallel.DefaultGrain - 1) / parallel.DefaultGrain
+	for p := 1; p < k; p++ {
+		bounds = append(bounds, last+(r-last)*p/k)
+	}
+	return append(bounds, r)
+}

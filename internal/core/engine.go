@@ -75,12 +75,11 @@ func (k *kernels[T]) symbolicSegment(lo, hi int) (int, rowSymbolicFn) {
 
 // onePhase runs the numeric kernel once per row into a slab laid out by
 // offsets (len rows+1, offsets[i+1]-offsets[i] ≥ row i's worst case),
-// then compacts. Row passes are scheduled by sch (fixed-grain or
-// cost-partitioned — DESIGN.md §9) and follow the
-// kernel binding's run boundaries. es supplies pooled scratch; nil
-// allocates fresh. Cancellation (sch.cancel) is checked at pass
-// checkpoints and block claims; an interrupted execution returns
-// *CanceledError and no partial result. With h, the kernels compute
+// then compacts. Row passes run over sch's equal-cost partitions
+// (DESIGN.md §9) and follow the kernel binding's run boundaries. es
+// supplies pooled scratch; nil allocates fresh. Cancellation
+// (sch.cancel) is checked at pass checkpoints and partition claims; an
+// interrupted execution returns *CanceledError and no partial result. With h, the kernels compute
 // the halves of a symmetric self-product: the slab takes h's layout,
 // and the mirror pass replaces compact.
 func onePhase[T any](rows, cols int, offsets []int64, sch rowSched, k kernels[T], es *engineScratch[T], h *symHalf) (*sparse.CSR[T], error) {
@@ -94,7 +93,7 @@ func onePhase[T any](rows, cols int, offsets []int64, sch rowSched, k kernels[T]
 	tmpIdx, tmpVal := es.slab(slab)
 	counts := es.rowPtrBuf(rows + 1)
 	fi := sch.fi
-	sch.run(rows, func(lo, hi, tid int) {
+	sch.run(func(lo, hi, tid int) {
 		for lo < hi {
 			seg, numeric := k.numericSegment(lo, hi)
 			for i := lo; i < seg; i++ {
@@ -134,7 +133,7 @@ func compact[T any](rows, cols int, offsets, counts []int64, tmpIdx []int32, tmp
 		},
 		Val: val,
 	}
-	sch.run(rows, func(lo, hi, _ int) {
+	sch.run(func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
 			n := rowPtr[i+1] - rowPtr[i]
 			src := offsets[i]
@@ -159,7 +158,7 @@ func twoPhase[T any](rows, cols int, sch rowSched, k kernels[T], es *engineScrat
 	}
 	rowPtr := es.rowPtrBuf(rows + 1)
 	fi := sch.fi
-	sch.run(rows, func(lo, hi, tid int) {
+	sch.run(func(lo, hi, tid int) {
 		for lo < hi {
 			seg, symbolic := k.symbolicSegment(lo, hi)
 			for i := lo; i < seg; i++ {
@@ -189,7 +188,7 @@ func twoPhase[T any](rows, cols int, sch rowSched, k kernels[T], es *engineScrat
 	if err := sch.enterPass(faultinject.PassNumeric); err != nil {
 		return nil, err
 	}
-	sch.run(rows, func(lo, hi, tid int) {
+	sch.run(func(lo, hi, tid int) {
 		for lo < hi {
 			seg, numeric := k.numericSegment(lo, hi)
 			for i := lo; i < seg; i++ {
@@ -230,10 +229,10 @@ func (l *lazySlots[A]) get(tid int) *A {
 // on a complemented-mask output row: min(cols − nnz(m_i),
 // Σ_{k : A_ik ≠ 0} nnz(B_k*)), returned as exclusive prefix offsets
 // (len rows+1). The second term also bounds the accumulator population.
-func complementBounds[T any](mask *sparse.Pattern, a, b *sparse.CSR[T], threads, grain int) []int64 {
+func complementBounds[T any](mask *sparse.Pattern, a, b *sparse.CSR[T], threads int) []int64 {
 	rows := mask.Rows
 	offsets := make([]int64, rows+1)
-	parallel.ForEachBlock(rows, threads, grain, func(lo, hi, _ int) {
+	parallel.ForEachBlock(rows, threads, parallel.DefaultGrain, func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
 			var gen int64
 			for _, k := range a.Row(i) {

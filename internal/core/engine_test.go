@@ -24,7 +24,7 @@ func TestOnePhaseEngine(t *testing.T) {
 		}
 		return i + 1
 	}
-	out, err := onePhase(4, 8, offsets, rowSched{threads: 2, grain: 1, mode: SchedFixedGrain}, kernels[float64]{numeric: numeric}, nil, nil)
+	out, err := onePhase(4, 8, offsets, rowSched{threads: 2, bounds: []int{0, 1, 2, 3, 4}}, kernels[float64]{numeric: numeric}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestOnePhasePartialRows(t *testing.T) {
 		outVal[0] = float64(i)
 		return 1
 	}
-	out, err := onePhase(3, 8, offsets, rowSched{threads: 1, grain: 1, mode: SchedFixedGrain}, kernels[float64]{numeric: numeric}, nil, nil)
+	out, err := onePhase(3, 8, offsets, rowSched{threads: 1, bounds: []int{0, 1, 2, 3}}, kernels[float64]{numeric: numeric}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestTwoPhaseEngine(t *testing.T) {
 		}
 		return n
 	}
-	out, err := twoPhase(7, 5, rowSched{threads: 2, grain: 2, mode: SchedFixedGrain}, kernels[float64]{numeric: numeric, symbolic: symbolic}, nil)
+	out, err := twoPhase(7, 5, rowSched{threads: 2, bounds: []int{0, 2, 4, 6, 7}}, kernels[float64]{numeric: numeric, symbolic: symbolic}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

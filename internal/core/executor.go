@@ -49,8 +49,8 @@ type Executor[T any, S semiring.Semiring[T]] struct {
 	// Options.CollectSchedStats; reset at the start of each such
 	// execution, accumulated across its row passes.
 	schedStats parallel.SchedStats
-	// partBounds is the grow-only buffer a cost-partitioned execution
-	// cuts its plan's partition bounds into (Plan.partitions).
+	// partBounds is the grow-only buffer an execution cuts its plan's
+	// partition bounds into (partitions).
 	partBounds []int
 }
 

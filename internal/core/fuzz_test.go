@@ -11,9 +11,10 @@ import (
 // FuzzMaskedSpGEMM feeds byte-derived sparse operands through every
 // algorithm and cross-checks against the dense oracle. Besides the
 // operands, the input draws the execution configuration: cfg picks the
-// thread count (1..4, bits 0-1), the schedule (bits 2-3, where 3 wraps
-// to SchedAuto: the three schedules are 0-2) and the grain
-// (bits 4-7, 0 meaning the default), and fams restricts the Hybrid
+// thread count (1..64, bits 0-5), which sets the partition layout — at
+// ≤24 rows, from a few equal-cost partitions up to one per row, so
+// partition edges land at every row offset and cross Hybrid run
+// ends — and fams restricts the Hybrid
 // selector's families (bits 0-5, 0 meaning all) and picks the semiring
 // (bit 7): semiring.PlusTimes[float64], which MSA, MaskedBit and
 // MaskedBitC bind float64 kernels for, or plusTimesTwin, the same
@@ -29,7 +30,7 @@ func FuzzMaskedSpGEMM(f *testing.F) {
 	f.Add([]byte{0}, uint8(1), uint8(1), uint16(1), uint8(1), uint8(0))
 	f.Add([]byte{255, 0, 255, 0, 13, 77, 200, 31, 8, 9}, uint8(12), uint8(5), uint16(9), uint8(1), uint8(0))
 	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9}, uint8(16), uint8(3), uint16(16), uint8(1), uint8(0))
-	// Wider than one bitset word, across schedules, widths and menus.
+	// Wider than one bitset word, across widths and menus.
 	f.Add([]byte{3, 141, 59, 26, 53, 58, 97, 93, 23, 84, 62, 64, 33, 83, 27, 95}, uint8(6), uint8(4), uint16(100), uint8(0x1e), uint8(0))
 	f.Add([]byte{17, 34, 51, 68, 85, 102, 119, 136, 153, 170, 187, 204, 221, 238}, uint8(3), uint8(2), uint16(700), uint8(0x0b), uint8(1<<FamMaskedBit))
 	f.Add([]byte{250, 1, 249, 2, 248, 4, 247, 8, 246, 16, 245, 32, 244, 64}, uint8(9), uint8(7), uint16(300), uint8(0x36), uint8(1<<FamMaskedBit|1<<FamHash))
@@ -67,9 +68,7 @@ func FuzzMaskedSpGEMM(f *testing.F) {
 			a, b, mask = s, s, s.PatternView()
 		}
 		base := Options{
-			Threads:        int(cfg&3) + 1,
-			Schedule:       Schedule((cfg >> 2 & 3) % 3),
-			Grain:          int(cfg >> 4),
+			Threads:        int(cfg&63) + 1,
 			HybridFamilies: FamilySet(fams) & (1<<NumFamilies - 1),
 		}
 		if fams&twinBit != 0 {
@@ -101,8 +100,8 @@ func fuzzAllSchemes[S semiring.Semiring[float64]](t *testing.T, sr S, mask *spar
 			for _, ph := range []Phases{OnePhase, TwoPhase} {
 				opt := base
 				opt.Algorithm, opt.Phases, opt.Complement = algo, ph, complement
-				name := fmt.Sprintf("%T %v-%v complement=%v threads=%d %v grain=%d families=%#x",
-					sr, algo, ph, complement, opt.Threads, opt.Schedule, opt.Grain, opt.HybridFamilies)
+				name := fmt.Sprintf("%T %v-%v complement=%v threads=%d families=%#x",
+					sr, algo, ph, complement, opt.Threads, opt.HybridFamilies)
 				got, err := MaskedSpGEMM(sr, mask, a, b, opt)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)

@@ -390,17 +390,17 @@ func hybridMenu(req FamilySet) (fams []Family, models []func(RowCostContext) flo
 // polyScan evaluates the menu's cost models on every row and writes
 // each row's cheapest family into fam (famAny for rows with no work
 // under any family) and, when cost is non-nil, the chosen cost — the
-// scheduling profile planSchedule reuses. opt must be normalized. The
-// scan runs at the host's full width: plan-time analysis is independent
-// of the width the plan later executes at. The rows are m's: the
-// computed halves of a symmetric self-product are priced as such.
+// scheduling profile planSchedule reuses. The scan runs at the host's
+// full width: plan-time analysis is independent of the width the plan
+// later executes at. The rows are m's: the computed halves of a
+// symmetric self-product are priced as such.
 func polyScan[T any](m maskRows, a, b *sparse.CSR[T], opt Options, fam []uint8, cost []int64) {
 	fams, models := hybridMenu(opt.HybridFamilies)
 	pullAt := slices.Index(fams, FamPull)
 	colCounts := newBColCounts(b)
 	cols, complement := m.mask.Cols, opt.Complement
 	nInspect := resolveHeapNInspect(opt)
-	parallel.ForEachBlock(m.mask.Rows, parallel.Threads(0), opt.Grain, func(lo, hi, _ int) {
+	parallel.ForEachBlock(m.mask.Rows, parallel.Threads(0), parallel.DefaultGrain, func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
 			maskRow := m.row(i)
 			aRow := a.Row(i)
@@ -469,20 +469,15 @@ func resolveTrivial(fam []uint8) {
 }
 
 // planHybrid runs the per-row selector and stores the decisions in
-// the immutable plan as runs. With needCost it also returns the
-// per-row chosen costs (with the spare trailing slot planSchedule
-// prefix-sums into), which planSchedule uses as its scheduling
-// profile — selection and scheduling read one shared cost picture;
-// plans whose schedule is explicitly cost-blind skip the O(rows)
-// vector entirely.
+// the immutable plan as runs. It also returns the per-row chosen
+// costs (with the spare trailing slot planSchedule prefix-sums into),
+// which planSchedule uses as its scheduling profile — selection and
+// scheduling read one shared cost picture.
 //
 //mspgemm:planwrite
-func (p *Plan[T, S]) planHybrid(a, b *sparse.CSR[T], needCost bool) []int64 {
+func (p *Plan[T, S]) planHybrid(a, b *sparse.CSR[T]) []int64 {
 	rowFam := make([]uint8, p.mask.Rows)
-	var cost []int64
-	if needCost {
-		cost = make([]int64, p.mask.Rows+1)
-	}
+	cost := make([]int64, p.mask.Rows+1)
 	polyScan(maskRows{p.mask, p.sym}, a, b, p.opt, rowFam, cost)
 	p.encodeRuns(rowFam)
 	return cost
@@ -561,7 +556,6 @@ func (p *Plan[T, S]) FamilyRows() [NumFamilies]int {
 // the counts sum to mask.Rows.
 func HybridFamilyRows[T any](mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options) [NumFamilies]int {
 	opt.Algorithm = AlgoHybrid
-	opt.normalize()
 	fam := make([]uint8, mask.Rows)
 	polyScan(maskRows{mask: mask}, a, b, opt, fam, nil)
 	resolveTrivial(fam)

@@ -98,17 +98,15 @@ func TestHybridMixedRunsParity(t *testing.T) {
 	}
 	want := oracle(mask, a, b, false)
 	for _, ph := range []Phases{OnePhase, TwoPhase} {
-		for _, threads := range []int{1, 4} {
-			for _, grain := range []int{1, 7, 1024} {
-				got, err := MaskedSpGEMM(sr, mask, a, b, Options{
-					Algorithm: AlgoHybrid, Phases: ph, Threads: threads, Grain: grain,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d := sparse.Diff(want, got, floatEq); d != "" {
-					t.Fatalf("%v threads=%d grain=%d: %s", ph, threads, grain, d)
-				}
+		for _, threads := range []int{1, 2, 4, 16, 64} {
+			got, err := MaskedSpGEMM(sr, mask, a, b, Options{
+				Algorithm: AlgoHybrid, Phases: ph, Threads: threads,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := sparse.Diff(want, got, floatEq); d != "" {
+				t.Fatalf("%v threads=%d: %s", ph, threads, d)
 			}
 		}
 	}
@@ -352,8 +350,9 @@ func TestFamiliesRejectsInvalid(t *testing.T) {
 }
 
 // TestHybridSchedProfileShared checks the poly selector's chosen
-// costs feed the scheduler: a skewed poly plan still resolves the
-// SchedAuto policy from a cost profile (non-zero skew).
+// costs feed the scheduler: a poly plan's retained profile is the
+// selector's per-row chosen costs, and on a hub-dominated mask its
+// partitions split the hub rows apart.
 func TestHybridSchedProfileShared(t *testing.T) {
 	const n = 256
 	coo := sparse.NewCOO[float64](n, n, 0)
@@ -373,7 +372,15 @@ func TestHybridSchedProfileShared(t *testing.T) {
 	}
 	a := gen.Random(n, n, 16, 78)
 	p := polyTestPlan(t, maskM.PatternView(), a, a, Options{Threads: 4})
-	if p.CostSkew() == 0 {
-		t.Error("poly plan measured no cost skew on a hub-dominated mask")
+	fam, cost := make([]uint8, n), make([]int64, n)
+	polyScan(maskRows{mask: p.mask}, a, a, p.opt, fam, cost)
+	for i, c := range cost {
+		if got := p.costPrefix[i+1] - p.costPrefix[i]; got != c {
+			t.Fatalf("row %d: scheduling cost %d, selector's chosen cost %d", i, got, c)
+		}
+	}
+	bounds := partitions(p.costPrefix, 4, nil)
+	if cut, _ := slices.BinarySearch(bounds, n-8); len(bounds)-1-cut < 2 {
+		t.Errorf("the 8 hub rows share one partition: bounds %v", bounds)
 	}
 }

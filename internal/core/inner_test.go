@@ -120,7 +120,7 @@ func checkPullBits[S semiring.Semiring[float64]](t *testing.T, sr S, name string
 			for _, ph := range []Phases{OnePhase, TwoPhase} {
 				for _, threads := range []int{1, 2, 4} {
 					opt := base
-					opt.Complement, opt.Phases, opt.Threads, opt.Grain = complement, ph, threads, 4
+					opt.Complement, opt.Phases, opt.Threads = complement, ph, threads
 					got, err := MaskedSpGEMM(sr, mask, a, b, opt)
 					if err != nil {
 						t.Fatal(err)
@@ -191,7 +191,7 @@ func checkPullHalves[S semiring.Semiring[float64]](t *testing.T, sr S, name stri
 	for _, base := range pullSchemes {
 		for _, threads := range []int{1, 2, 4} {
 			opt := base
-			opt.Threads, opt.Grain = threads, 4
+			opt.Threads = threads
 			p, err := NewPlan(sr, a.PatternView(), a, a, opt, nil)
 			if err != nil {
 				t.Fatal(err)

@@ -89,7 +89,8 @@ func TestMaskedSpGEMMAgainstOracle(t *testing.T) {
 }
 
 // TestMaskedSpGEMMThreadInvariance checks results are identical across
-// thread counts and grain sizes (rows are independent, so outputs must
+// thread counts, and so across partition layouts — from 32 partitions
+// of four rows to one row each (rows are independent, so outputs must
 // be bit-for-bit equal).
 func TestMaskedSpGEMMThreadInvariance(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
@@ -103,18 +104,16 @@ func TestMaskedSpGEMMThreadInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: %v", algo, err)
 			}
-			for _, threads := range []int{2, 3, 7} {
-				for _, grain := range []int{1, 5, 1024} {
-					got, err := MaskedSpGEMM(sr, mask, a, b, Options{
-						Algorithm: algo, Threads: threads, Grain: grain, Complement: complement,
-					})
-					if err != nil {
-						t.Fatalf("%v threads=%d: %v", algo, threads, err)
-					}
-					if !sparse.EqualFunc(base, got, func(x, y float64) bool { return x == y }) {
-						t.Fatalf("%v complement=%v: result differs at threads=%d grain=%d",
-							algo, complement, threads, grain)
-					}
+			for _, threads := range []int{2, 3, 7, 8, 32, 64} {
+				got, err := MaskedSpGEMM(sr, mask, a, b, Options{
+					Algorithm: algo, Threads: threads, Complement: complement,
+				})
+				if err != nil {
+					t.Fatalf("%v threads=%d: %v", algo, threads, err)
+				}
+				if !sparse.EqualFunc(base, got, func(x, y float64) bool { return x == y }) {
+					t.Fatalf("%v complement=%v: result differs at threads=%d",
+						algo, complement, threads)
 				}
 			}
 		}
@@ -301,6 +300,42 @@ func TestSpGEMMUnmasked(t *testing.T) {
 	}
 	if _, err := SpGEMM(sr, a, gen.Random(61, 40, 3, 33), Options{}); err == nil {
 		t.Error("want inner-dimension error")
+	}
+}
+
+// TestSpGEMMThreadInvariance checks unmasked SpGEMM, whose partitions
+// are cut from its per-row flops prefix, against the dense product at
+// one thread and bit-for-bit across widths, in both phase forms, on a
+// planted hub cluster: the hub rows are cut off from the cheap rows and
+// the cheap stretch is split, so every width claims a different layout.
+func TestSpGEMMThreadInvariance(t *testing.T) {
+	sr := semiring.PlusTimes[float64]{}
+	_, a, b := skewedCase(300, 300, 3)
+	full := &sparse.Pattern{Rows: a.Rows, Cols: b.Cols, RowPtr: make([]int64, a.Rows+1)}
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			full.ColIdx = append(full.ColIdx, int32(j))
+		}
+		full.RowPtr[i+1] = int64(len(full.ColIdx))
+	}
+	want := sparse.DenseMaskedMultiply(full, a, b, false, sr.Add, sr.Mul, sr.Zero())
+	for _, ph := range []Phases{OnePhase, TwoPhase} {
+		base, err := SpGEMM(sr, a, b, Options{Phases: ph, Threads: 1})
+		if err != nil {
+			t.Fatalf("phases=%v: %v", ph, err)
+		}
+		if d := sparse.Diff(want, base, floatEq); d != "" {
+			t.Fatalf("phases=%v threads=1: %s", ph, d)
+		}
+		for _, threads := range []int{2, 3, 4, 8, 64} {
+			got, err := SpGEMM(sr, a, b, Options{Phases: ph, Threads: threads})
+			if err != nil {
+				t.Fatalf("phases=%v threads=%d: %v", ph, threads, err)
+			}
+			if !sparse.EqualFunc(base, got, func(x, y float64) bool { return x == y }) {
+				t.Fatalf("phases=%v: result differs at threads=%d", ph, threads)
+			}
+		}
 	}
 }
 

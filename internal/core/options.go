@@ -108,54 +108,6 @@ func (p Phases) String() string {
 	return "1P"
 }
 
-// Schedule selects how the engine's parallel row passes divide work
-// among workers (DESIGN.md §9). The default, SchedAuto, lets the plan
-// choose from its measured per-row cost profile.
-type Schedule uint8
-
-const (
-	// SchedAuto resolves per plan from the measured row-cost skew:
-	// cost-partitioned scheduling when a few rows dominate the flops
-	// profile (max row cost ≫ mean), fixed-grain blocks otherwise.
-	// Paths without a cost profile (plain SpGEMM, direct baselines)
-	// degrade to fixed grain.
-	SchedAuto Schedule = iota
-	// SchedFixedGrain claims fixed-size row blocks (Options.Grain) from
-	// a shared atomic counter — the original §3 dynamic scheduler,
-	// blind to row cost.
-	SchedFixedGrain
-	// SchedCostPartition drives workers over variable-width row
-	// partitions of near-equal estimated cost. The plan retains its
-	// masked-flops profile as a prefix sum, and each execution cuts it
-	// into partitions for its own width by binary search.
-	SchedCostPartition
-	// Value 3 was the retired work-stealing schedule (DESIGN.md §9);
-	// it is rejected like any other unknown value.
-)
-
-// String names the strategy ("Auto", "FixedGrain", "CostPartition");
-// unknown values format as "Schedule(n)".
-func (s Schedule) String() string {
-	switch s {
-	case SchedAuto:
-		return "Auto"
-	case SchedFixedGrain:
-		return "FixedGrain"
-	case SchedCostPartition:
-		return "CostPartition"
-	}
-	return fmt.Sprintf("Schedule(%d)", uint8(s))
-}
-
-// checkSchedule rejects a Schedule outside the defined values, which
-// would otherwise run silently as some other schedule.
-func checkSchedule(s Schedule) error {
-	if s > SchedCostPartition {
-		return fmt.Errorf("core: unknown schedule %v", s)
-	}
-	return nil
-}
-
 // Options configures a masked multiplication.
 type Options struct {
 	// Algorithm picks the scheme; default AlgoMSA.
@@ -169,14 +121,6 @@ type Options struct {
 	// each execution. Execution-only: plans never depend on the width
 	// they will run at, so one cached plan serves every Threads value.
 	Threads int
-	// Grain is the scheduler row-block size; < 1 means
-	// parallel.DefaultGrain. Used by SchedFixedGrain (and by SchedAuto
-	// when it resolves to fixed grain); SchedCostPartition derives its
-	// variable-width blocks from the plan's cost prefix instead.
-	Grain int
-	// Schedule picks the row-scheduling strategy; the default SchedAuto
-	// chooses per plan from the measured row-cost skew (DESIGN.md §9).
-	Schedule Schedule
 	// CollectSchedStats records per-worker scheduler telemetry (busy
 	// time, blocks claimed) on every execution, readable via
 	// Executor.SchedStats. Costs two clock reads per scheduled block;
@@ -220,7 +164,7 @@ func (o Options) SchemeName() string {
 // values frozen in at plan time.
 type ExecOptions struct {
 	// Threads is this execution's worker count; < 1 means GOMAXPROCS
-	// (see Options.Threads). Cost-partitioned plans derive their
+	// (see Options.Threads). The plan's cost prefix is cut into
 	// partition bounds for this width per execution (DESIGN.md §9).
 	Threads int
 	// CollectSchedStats records per-worker scheduler telemetry for this
@@ -230,7 +174,7 @@ type ExecOptions struct {
 	// pooled buffers (see Options.ReuseOutput).
 	ReuseOutput bool
 	// Cancel, when non-nil, is the cooperative cancellation token this
-	// execution polls at scheduler block claims and pass checkpoints: a
+	// execution polls at partition claims and pass checkpoints: a
 	// latched token stops the execution and ExecuteOnOpts returns a
 	// *CanceledError. Execution-only by construction — a token never
 	// affects the analysis, so it has no Options counterpart and never
@@ -255,14 +199,6 @@ func (o Options) planIdentity() Options {
 	o.CollectSchedStats = false
 	o.ReuseOutput = false
 	return o
-}
-
-// normalize resolves the plan-affecting defaults. Threads is left as
-// given: the width is resolved per execution, never frozen into a plan.
-func (o *Options) normalize() {
-	if o.Grain < 1 {
-		o.Grain = parallel.DefaultGrain
-	}
 }
 
 // validate checks operand shapes: mask is m×n, A is m×k, B is k×n.

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
 	"maskedspgemm/internal/gen"
-	"maskedspgemm/internal/semiring"
 )
 
 func TestAlgorithmStrings(t *testing.T) {
@@ -89,7 +87,7 @@ func TestComplementBounds(t *testing.T) {
 	a := gen.Random(4, 8, 3, 1)
 	b := gen.Random(8, 8, 4, 2)
 	mask := gen.Random(4, 8, 2, 3).PatternView()
-	offsets := complementBounds(mask, a, b, 1, 1)
+	offsets := complementBounds(mask, a, b, 1)
 	if len(offsets) != 5 || offsets[0] != 0 {
 		t.Fatalf("offsets = %v", offsets)
 	}
@@ -109,50 +107,14 @@ func TestComplementBounds(t *testing.T) {
 	}
 }
 
-func TestNormalizeDefaults(t *testing.T) {
-	var o Options
-	o.normalize()
-	if o.Threads != 0 {
-		t.Error("normalize must leave Threads to execution time")
-	}
-	if o.Grain < 1 {
-		t.Error("normalize must set positive grain")
-	}
-	o2 := Options{Threads: 3, Grain: 10}
-	o2.normalize()
-	if o2.Threads != 3 || o2.Grain != 10 {
-		t.Error("normalize must keep explicit values")
-	}
-	if id := o2.planIdentity(); id.Threads != 0 {
+// TestThreadsExecutionOnly pins that the width never enters plan
+// identity and reaches execution through ExecOnly.
+func TestThreadsExecutionOnly(t *testing.T) {
+	o := Options{Threads: 3}
+	if id := o.planIdentity(); id.Threads != 0 {
 		t.Error("planIdentity must zero Threads")
 	}
-	if eo := o2.ExecOnly(); eo.Threads != 3 {
+	if eo := o.ExecOnly(); eo.Threads != 3 {
 		t.Error("ExecOnly must carry Threads")
-	}
-}
-
-// TestUnknownScheduleRejected pins that a Schedule outside the defined
-// values neither reads as a defined one nor runs as one: 3 (the retired
-// work-stealing slot) and 7 both format numerically, and planning, the
-// one-shot entry point and plain SpGEMM all refuse them.
-func TestUnknownScheduleRejected(t *testing.T) {
-	sr := semiring.PlusTimes[float64]{}
-	a := gen.Random(16, 16, 3, 1)
-	mask := a.PatternView()
-	for _, s := range []Schedule{3, 7} {
-		want := fmt.Sprintf("core: unknown schedule Schedule(%d)", uint8(s))
-		if got, name := s.String(), fmt.Sprintf("Schedule(%d)", uint8(s)); got != name {
-			t.Errorf("%d.String() = %q, want %q", uint8(s), got, name)
-		}
-		opt := Options{Schedule: s}
-		if _, err := NewPlan(sr, mask, a, a, opt, nil); err == nil || err.Error() != want {
-			t.Errorf("NewPlan with %v: err = %v, want %q", s, err, want)
-		}
-		if _, err := MaskedSpGEMM(sr, mask, a, a, opt); err == nil || err.Error() != want {
-			t.Errorf("MaskedSpGEMM with %v: err = %v, want %q", s, err, want)
-		}
-		if _, err := SpGEMM(sr, a, a, opt); err == nil || err.Error() != want {
-			t.Errorf("SpGEMM with %v: err = %v, want %q", s, err, want)
-		}
 	}
 }

@@ -72,16 +72,9 @@ type Plan[T any, S semiring.Semiring[T]] struct {
 	runEnds  []int32
 	runFam   []uint8
 	polyFams FamilySet
-	// sched is the resolved scheduling strategy (never SchedAuto);
-	// costSkew is the measured max/mean row-cost ratio that drove the
-	// SchedAuto policy (DESIGN.md §9). Neither depends on the width
-	// the plan executes at.
-	sched    Schedule
-	costSkew float64
 	// costPrefix is the exclusive prefix sum of the per-row costs
-	// (len rows+1, last = total) that SchedCostPartition executions
-	// cut into partitions for their own width; nil under any other
-	// schedule.
+	// (len rows+1, last = total) that executions cut into partitions
+	// for their own width (DESIGN.md §9); nil for direct schemes.
 	costPrefix []int64
 	// heapNInspect is the resolved NInspect for the heap schemes.
 	heapNInspect int
@@ -102,7 +95,7 @@ type Plan[T any, S semiring.Semiring[T]] struct {
 
 // NewPlan validates and analyzes one masked product and returns a
 // reusable execution plan. exec supplies the pooled workspaces; nil
-// creates a private one. opt is normalized and frozen into the plan;
+// creates a private one. opt is frozen into the plan;
 // its execution-only fields (Threads included) are the defaults
 // Execute and ExecuteOn run with.
 //
@@ -141,13 +134,9 @@ func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, 
 	if err := validate(mask, a, b); err != nil {
 		return nil, err
 	}
-	opt.normalize()
 	info, ok := LookupScheme(opt.Algorithm)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown algorithm %v", opt.Algorithm)
-	}
-	if err := checkSchedule(opt.Schedule); err != nil {
-		return nil, err
 	}
 	if opt.Complement && !info.Complement {
 		return nil, errors.New(info.ComplementNote)
@@ -161,7 +150,7 @@ func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, 
 	if p.reg.direct == nil {
 		if opt.Phases == OnePhase {
 			if opt.Complement {
-				p.offsets = complementBounds(mask, a, b, parallel.Threads(0), opt.Grain)
+				p.offsets = complementBounds(mask, a, b, parallel.Threads(0))
 			} else {
 				p.offsets = mask.RowPtr
 			}
@@ -185,10 +174,8 @@ func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, 
 			p.maxARow = a.MaxRowNNZ()
 			p.heapNInspect = resolveHeapNInspect(opt)
 		case AlgoHybrid:
-			// The chosen costs feed planSchedule; skip the vector when
-			// the schedule is explicitly cost-blind.
-			needCost := opt.Schedule != SchedFixedGrain
-			polyCost = p.planHybrid(a, b, needCost)
+			// The chosen costs feed planSchedule.
+			polyCost = p.planHybrid(a, b)
 			// Sizing hints only for the families some run actually
 			// bound — unused families must stay costless. Only the
 			// plain-mask Hash binder reads maxMaskRow (the complement
@@ -343,12 +330,12 @@ func (p *Plan[T, S]) ExecuteOn(exec *Executor[T, S], a, b *sparse.CSR[T]) (*spar
 // plan serve requests that differ only in width (Threads), telemetry
 // (CollectSchedStats), or output ownership (ReuseOutput): those knobs
 // never affect the analysis, so they are not part of plan identity —
-// they are decided here, at execution time. A cost-partitioned plan
-// cuts its partition bounds for eo.Threads into an executor-owned
+// they are decided here, at execution time. The plan's cost prefix is
+// cut into partition bounds for eo.Threads in an executor-owned
 // buffer, so executions stay allocation-free.
 //
 // Fault containment (DESIGN.md §15): a latched eo.Cancel token stops
-// the execution at the next block claim or pass checkpoint and returns
+// the execution at the next partition claim or pass checkpoint and returns
 // a *CanceledError naming the interrupted pass; a panic anywhere in
 // the execution — kernel workers included — is recovered here and
 // returned as a *KernelPanicError. In both cases the executor's
@@ -390,11 +377,8 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 	k := exec.kernelsFor(p, a, b, h)
 	es := &exec.scratch
 	es.reuseOut = eo.ReuseOutput
-	sch := rowSched{threads: threads, grain: p.opt.Grain, mode: p.sched, cancel: cancel, fi: fi}
-	if p.sched == SchedCostPartition {
-		exec.partBounds = p.partitions(threads, exec.partBounds)
-		sch.bounds = exec.partBounds
-	}
+	exec.partBounds = partitions(p.costPrefix, threads, exec.partBounds)
+	sch := rowSched{threads: threads, bounds: exec.partBounds, cancel: cancel, fi: fi}
 	if eo.CollectSchedStats {
 		sch.stats = &exec.schedStats
 	}

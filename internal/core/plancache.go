@@ -259,7 +259,6 @@ func (c *PlanCache[T, S]) GetOrPlan(mask *sparse.Pattern, a, b *sparse.CSR[T], o
 // planning reports hit = false: the structure was not yet cached when
 // the request arrived.
 func (c *PlanCache[T, S]) GetOrPlanObserved(mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options) (*Plan[T, S], Fingerprints, bool, error) {
-	opt.normalize()
 	opt = opt.planIdentity()
 	key := c.keyFor(mask, a, b, opt)
 	plan, hit, err := c.lookup(key, mask, a, b, false)
@@ -274,7 +273,6 @@ func (c *PlanCache[T, S]) GetOrPlanObserved(mask *sparse.Pattern, a, b *sparse.C
 // instead of cloning them. fp must be the operands' structural
 // fingerprints; the cache does not check them.
 func (c *PlanCache[T, S]) GetOrPlanStored(fp Fingerprints, mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options) (*Plan[T, S], bool, error) {
-	opt.normalize()
 	return c.lookup(planKey{fp: fp, opt: opt.planIdentity()}, mask, a, b, true)
 }
 

@@ -305,15 +305,14 @@ func TestPlanCacheSharedPlanConcurrent(t *testing.T) {
 	}
 }
 
-// TestPlanCacheConcurrentWidths hammers one cached cost-partitioned
-// Hybrid plan from goroutines that each request a different width:
+// TestPlanCacheConcurrentWidths hammers one cached Hybrid plan from goroutines that each request a different width:
 // every lookup must hit the single entry, every execution must cut its
 // own bounds in its own executor (the plan is never written — run with
 // -race), and every product must be exact.
 func TestPlanCacheConcurrentWidths(t *testing.T) {
 	mask, a, b := buildCase(caseSpec{"", 512, 512, 512, 8, 8, 8, 5})
 	cache := NewPlanCache(ptSR, 8, 0)
-	base := Options{Algorithm: AlgoHybrid, Schedule: SchedCostPartition}
+	base := Options{Algorithm: AlgoHybrid}
 	first, err := cache.GetOrPlan(mask, a, b, base)
 	if err != nil {
 		t.Fatal(err)

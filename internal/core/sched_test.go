@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"maskedspgemm/internal/gen"
@@ -35,65 +36,14 @@ func skewedCase(rows, cols, hubRows int) (*sparse.Pattern, *sparse.CSR[float64],
 	return a.PatternView(), a, a
 }
 
-// TestScheduleAutoResolution pins the SchedAuto policy: a planted hub
-// cluster resolves to cost partitions, a uniform product stays on
-// fixed grain, and explicit choices are always honored.
-func TestScheduleAutoResolution(t *testing.T) {
-	sr := semiring.PlusTimes[float64]{}
-
-	mask, a, b := skewedCase(512, 512, 4)
-	p, err := NewPlan(sr, mask, a, b, Options{Algorithm: AlgoMSA, Threads: 4}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.ResolvedSchedule(); got != SchedCostPartition {
-		t.Errorf("skewed auto: resolved %v (skew %.1f), want CostPartition", got, p.CostSkew())
-	}
-	if p.CostSkew() < autoSkewFactor {
-		t.Errorf("skewed case measured skew %.2f, expected ≥ %d", p.CostSkew(), autoSkewFactor)
-	}
-	// Partition bounds must tile [0, rows] monotonically.
-	bounds := p.partitions(4, nil)
-	if len(bounds) < 2 || bounds[0] != 0 || bounds[len(bounds)-1] != mask.Rows {
-		t.Fatalf("bounds do not tile rows: %v", bounds)
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] < bounds[i-1] {
-			t.Fatalf("bounds not monotone: %v", bounds)
-		}
-	}
-	if len(bounds)-1 > 4*costPartsPerWorker {
-		t.Errorf("%d partitions exceed threads×slack = %d", len(bounds)-1, 4*costPartsPerWorker)
-	}
-
-	um, ua, ub := buildCase(caseSpec{"", 512, 512, 512, 8, 8, 8, 5})
-	p, err = NewPlan(sr, um, ua, ub, Options{Algorithm: AlgoMSA, Threads: 4}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.ResolvedSchedule(); got != SchedFixedGrain {
-		t.Errorf("uniform auto: resolved %v (skew %.1f), want FixedGrain", got, p.CostSkew())
-	}
-
-	for _, mode := range []Schedule{SchedFixedGrain, SchedCostPartition} {
-		p, err := NewPlan(sr, mask, a, b, Options{Algorithm: AlgoMSA, Threads: 4, Schedule: mode}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.ResolvedSchedule() != mode {
-			t.Errorf("explicit %v: resolved %v", mode, p.ResolvedSchedule())
-		}
-	}
-}
-
 // TestSchedulePartitionBalance checks the equal-cost property: under
 // the planted hub cluster no partition holds more than a modest
-// multiple of the ideal cost share (a fixed 64-row grain would put all
-// four hubs — nearly all the flops — into one block).
+// multiple of the ideal cost share (a cost-blind 64-row block would
+// put all four hubs — nearly all the flops — into one claim).
 func TestSchedulePartitionBalance(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
 	mask, a, b := skewedCase(512, 512, 4)
-	p, err := NewPlan(sr, mask, a, b, Options{Algorithm: AlgoMSA, Threads: 4, Schedule: SchedCostPartition}, nil)
+	p, err := NewPlan(sr, mask, a, b, Options{Algorithm: AlgoMSA, Threads: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +52,7 @@ func TestSchedulePartitionBalance(t *testing.T) {
 	for _, c := range cost {
 		total += c
 	}
-	bounds := p.partitions(4, nil)
+	bounds := partitions(p.costPrefix, 4, nil)
 	nparts := len(bounds) - 1
 	ideal := float64(total) / float64(nparts)
 	var maxRow int64
@@ -124,7 +74,8 @@ func TestSchedulePartitionBalance(t *testing.T) {
 	}
 }
 
-// TestScheduleParity asserts every scheduling strategy computes the
+// TestScheduleParity asserts every width — and so every partition
+// layout, from one partition per hub to one per row — computes the
 // same product: the scheduler only changes who computes which row.
 func TestScheduleParity(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
@@ -132,36 +83,35 @@ func TestScheduleParity(t *testing.T) {
 	want := oracle(mask, a, b, false)
 	for _, algo := range []Algorithm{AlgoMSA, AlgoHash, AlgoInner, AlgoHybrid} {
 		for _, ph := range []Phases{OnePhase, TwoPhase} {
-			for _, mode := range []Schedule{SchedAuto, SchedFixedGrain, SchedCostPartition} {
-				for _, threads := range []int{1, 3} {
-					opt := Options{Algorithm: algo, Phases: ph, Schedule: mode, Threads: threads}
-					name := fmt.Sprintf("%s/%v/t%d", opt.SchemeName(), mode, threads)
-					got, err := MaskedSpGEMM(sr, mask, a, b, opt)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if d := sparse.Diff(want, got, sparse.FloatEq(1e-12)); d != "" {
-						t.Fatalf("%s: %s", name, d)
-					}
+			for _, threads := range []int{1, 3, 16, 75} {
+				opt := Options{Algorithm: algo, Phases: ph, Threads: threads}
+				name := fmt.Sprintf("%s/t%d", opt.SchemeName(), threads)
+				got, err := MaskedSpGEMM(sr, mask, a, b, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if d := sparse.Diff(want, got, sparse.FloatEq(1e-12)); d != "" {
+					t.Fatalf("%s: %s", name, d)
 				}
 			}
 		}
 	}
 }
 
-// TestScheduleParityComplement runs the complemented path through the
-// cost-partitioned scheduler.
+// TestScheduleParityComplement runs the complemented path, whose cost
+// profile is capped by the §5.2 bound, through the partitioned
+// scheduler at several widths.
 func TestScheduleParityComplement(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
 	mask, a, b := buildCase(caseSpec{"", 120, 100, 110, 5, 5, 12, 17})
 	want := oracle(mask, a, b, true)
-	for _, mode := range []Schedule{SchedCostPartition} {
-		got, err := MaskedSpGEMM(sr, mask, a, b, Options{Algorithm: AlgoMSA, Complement: true, Schedule: mode, Threads: 2})
+	for _, threads := range []int{1, 2, 7} {
+		got, err := MaskedSpGEMM(sr, mask, a, b, Options{Algorithm: AlgoMSA, Complement: true, Threads: threads})
 		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+			t.Fatalf("t%d: %v", threads, err)
 		}
 		if d := sparse.Diff(want, got, sparse.FloatEq(1e-12)); d != "" {
-			t.Fatalf("%v: %s", mode, d)
+			t.Fatalf("t%d: %s", threads, d)
 		}
 	}
 }
@@ -206,18 +156,6 @@ func TestSchedStatsCollected(t *testing.T) {
 	}
 	if got := off.SchedStats().Claimed(); got != 0 {
 		t.Errorf("stats recorded without the option: %d blocks", got)
-	}
-}
-
-// TestScheduleString covers the Schedule names used in bench output.
-func TestScheduleString(t *testing.T) {
-	for want, s := range map[string]Schedule{
-		"Auto": SchedAuto, "FixedGrain": SchedFixedGrain,
-		"CostPartition": SchedCostPartition,
-	} {
-		if s.String() != want {
-			t.Errorf("%v.String() = %q, want %q", uint8(s), s.String(), want)
-		}
 	}
 }
 
@@ -331,33 +269,66 @@ func TestExecuteErroredPassResetsSchedStats(t *testing.T) {
 	}
 }
 
-// costPartitions is the linear reference for Plan.partitions: walk the
+// refPartCount is the partition-count rule, restated:
+// max(threads×costPartsPerWorker, ⌈rows/DefaultGrain⌉) partitions,
+// at most one per row and at least one.
+func refPartCount(rows, threads int) int {
+	n := threads * costPartsPerWorker
+	if g := (rows + parallel.DefaultGrain - 1) / parallel.DefaultGrain; g > n {
+		n = g
+	}
+	if n > rows {
+		n = rows
+	}
+	if n < 1 {
+		n = 1
+	}
+	return n
+}
+
+// costPartitions is the linear reference for partitions: walk the
 // rows once, cutting partition j at the first row where the running
-// cost reaches j/nparts of the total. The binary search over the
-// plan's cost prefix must reproduce these bounds exactly.
-func costPartitions(cost []int64, total int64, nparts int) []int {
+// cost reaches j/nparts of the total, with nparts from refPartCount,
+// cutting a row costlier than one share off from the rows before it,
+// and splitting a share wider than DefaultGrain rows into equal pieces.
+// The binary search over the cost prefix must reproduce these bounds
+// exactly.
+func costPartitions(cost []int64, threads int) []int {
 	rows := len(cost)
-	if nparts > rows {
-		nparts = rows
+	nparts := refPartCount(rows, threads)
+	var total int64
+	for _, c := range cost {
+		total += c
 	}
-	if nparts < 1 {
-		nparts = 1
-	}
-	bounds := make([]int, 1, nparts+1)
+	share := float64(total) / float64(nparts)
+	var ends []int
 	var run int64
 	j := 1
 	for i := 0; i < rows && j < nparts; i++ {
 		run += cost[i]
 		if float64(run) >= float64(total)*float64(j)/float64(nparts) {
-			bounds = append(bounds, i+1)
+			if float64(cost[i]) > share {
+				ends = append(ends, i) // a hub: cut it off from the rows before it
+			}
+			ends = append(ends, i+1)
 			j++
 			for j < nparts && float64(run) >= float64(total)*float64(j)/float64(nparts) {
 				j++
 			}
 		}
 	}
-	if bounds[len(bounds)-1] != rows {
-		bounds = append(bounds, rows)
+	ends = append(ends, rows)
+	// Split every share wider than DefaultGrain rows into equal pieces.
+	bounds := []int{0}
+	for _, end := range ends {
+		start := bounds[len(bounds)-1]
+		if end <= start {
+			continue
+		}
+		pieces := (end - start + parallel.DefaultGrain - 1) / parallel.DefaultGrain
+		for p := 1; p <= pieces; p++ {
+			bounds = append(bounds, start+(end-start)*p/pieces)
+		}
 	}
 	return bounds
 }
@@ -366,18 +337,26 @@ func costPartitions(cost []int64, total int64, nparts int) []int {
 // prefix and runs the linear reference at the given width.
 func referenceBounds[T any, S semiring.Semiring[T]](p *Plan[T, S], threads int) []int {
 	prefix := p.costPrefix
-	rows := len(prefix) - 1
-	cost := make([]int64, rows)
+	cost := make([]int64, len(prefix)-1)
 	for i := range cost {
 		cost[i] = prefix[i+1] - prefix[i]
 	}
-	return costPartitions(cost, prefix[rows], threads*costPartsPerWorker)
+	return costPartitions(cost, threads)
+}
+
+// prefixOf returns cost's exclusive prefix, len(cost)+1 long.
+func prefixOf(cost []int64) []int64 {
+	prefix := make([]int64, len(cost)+1)
+	copy(prefix, cost)
+	parallel.PrefixSum(prefix)
+	return prefix
 }
 
 // TestPartitionsMatchLinearReference drives the binary-search
 // partitioner over adversarial cost shapes — hub rows costlier than a
-// whole share, zero-cost stretches, fewer rows than partitions — and
-// checks it against the linear reference at every width.
+// whole share, zero-cost stretches, fewer rows than partitions, more
+// DefaultGrain blocks than threads×costPartsPerWorker — and checks it
+// against the linear reference at every width.
 func TestPartitionsMatchLinearReference(t *testing.T) {
 	shapes := map[string][]int64{
 		"uniform":    {3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3},
@@ -386,6 +365,7 @@ func TestPartitionsMatchLinearReference(t *testing.T) {
 		"two-hubs":   {1, 500, 1, 1, 1, 1, 500, 1, 1, 1, 1, 1},
 		"zero-runs":  {0, 0, 5, 0, 0, 0, 7, 0, 1, 0},
 		"single-row": {42},
+		"no-rows":    {},
 	}
 	rng := gen.NewRNG(7)
 	ramp := make([]int64, 1000)
@@ -393,14 +373,19 @@ func TestPartitionsMatchLinearReference(t *testing.T) {
 		ramp[i] = int64(1 + rng.Intn(1+i))
 	}
 	shapes["random-ramp"] = ramp
+	tall := make([]int64, 5000)
+	for i := range tall {
+		tall[i] = int64(1 + rng.Intn(8))
+		if i%997 == 0 {
+			tall[i] = 20000
+		}
+	}
+	shapes["tall-with-hubs"] = tall
 	for name, cost := range shapes {
-		prefix := make([]int64, len(cost)+1)
-		copy(prefix, cost)
-		total := parallel.PrefixSum(prefix)
-		p := &Plan[float64, semiring.PlusTimes[float64]]{costPrefix: prefix}
+		prefix := prefixOf(cost)
 		for _, threads := range []int{1, 2, 3, 4, 8, 64} {
-			got := p.partitions(threads, nil)
-			want := costPartitions(cost, total, threads*costPartsPerWorker)
+			got := partitions(prefix, threads, nil)
+			want := costPartitions(cost, threads)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Errorf("%s threads=%d: bounds %v, linear reference %v", name, threads, got, want)
 			}
@@ -408,21 +393,134 @@ func TestPartitionsMatchLinearReference(t *testing.T) {
 	}
 }
 
+// TestPartitionLayout pins what the partition rule promises: uniform
+// costs cut exactly the DefaultGrain-row blocks a cost-blind scheduler
+// claims, a hub row costlier than one share gets a partition to
+// itself, a cheap stretch is never claimed more than DefaultGrain rows
+// at a time, and a plan too short for ⌈rows/DefaultGrain⌉ to matter
+// still gets threads×costPartsPerWorker partitions.
+func TestPartitionLayout(t *testing.T) {
+	const blocks = 40
+	uniform := make([]int64, blocks*parallel.DefaultGrain)
+	for i := range uniform {
+		uniform[i] = 5
+	}
+	for _, threads := range []int{1, 2, 4, 8} {
+		got := partitions(prefixOf(uniform), threads, nil)
+		if len(got) != blocks+1 {
+			t.Fatalf("uniform threads=%d: %d partitions, want %d", threads, len(got)-1, blocks)
+		}
+		for j, lo := range got {
+			if lo != j*parallel.DefaultGrain {
+				t.Fatalf("uniform threads=%d: bounds %v, want every %d rows", threads, got, parallel.DefaultGrain)
+			}
+		}
+	}
+
+	hub := make([]int64, 1000)
+	for i := range hub {
+		hub[i] = 1
+	}
+	hub[500] = 1e6
+	for _, threads := range []int{1, 2, 4} {
+		got := partitions(prefixOf(hub), threads, nil)
+		if j, ok := slices.BinarySearch(got, 500); !ok || got[j+1] != 501 {
+			t.Errorf("hub threads=%d: row 500 does not have a partition to itself: %v", threads, got)
+		}
+	}
+
+	// Cheap rows between two hubs: every piece of the stretch is at
+	// most DefaultGrain rows wide.
+	stretch := make([]int64, 4096)
+	for i := range stretch {
+		stretch[i] = 1
+	}
+	stretch[0], stretch[4095] = 1e6, 1e6
+	for _, threads := range []int{1, 2, 4} {
+		got := partitions(prefixOf(stretch), threads, nil)
+		for j := 1; j < len(got); j++ {
+			if got[j]-got[j-1] > parallel.DefaultGrain {
+				t.Fatalf("stretch threads=%d: partition [%d,%d) wider than %d rows", threads, got[j-1], got[j], parallel.DefaultGrain)
+			}
+		}
+	}
+
+	mask, a, b := buildCase(caseSpec{"", 100, 100, 100, 8, 8, 8, 9})
+	p, err := NewPlan(ptSR, mask, a, b, Options{Algorithm: AlgoMSA}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, threads := range []int{1, 2, 4} {
+		if got := partitions(p.costPrefix, threads, nil); len(got)-1 != threads*costPartsPerWorker {
+			t.Errorf("100-row plan at threads=%d: %d partitions %v, want %d", threads, len(got)-1, got, threads*costPartsPerWorker)
+		}
+	}
+}
+
+// TestMaskedSpVMInnerSkipsProfile pins that a one-row plan builds no
+// cost profile: Inner's profile would count every column of B. The
+// one row's prefix stays zero, and a masked SpVM under Inner allocates
+// the same at nnz(B) 10³ and 10⁵ — B's row 0 holds every mask column
+// and u is e₀, so the output is the same size at both.
+func TestMaskedSpVMInnerSkipsProfile(t *testing.T) {
+	const n = 1000
+	mask := []int32{1, 7, 300, 999}
+	u := &sparse.Vector[float64]{N: n, Idx: []int32{0}, Val: []float64{1}}
+	opt := Options{Algorithm: AlgoInner}
+	operand := func(nnzB int) *sparse.CSR[float64] {
+		coo := sparse.NewCOO[float64](n, n, nnzB)
+		for _, j := range mask {
+			coo.Append(0, j, 1)
+		}
+		rng := gen.NewRNG(61)
+		for e := len(mask); e < nnzB; e++ {
+			coo.Append(int32(1+rng.Intn(n-1)), int32(rng.Intn(n)), 1)
+		}
+		b, err := coo.ToCSR(func(x, y float64) float64 { return x + y })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	allocs := func(b *sparse.CSR[float64]) float64 {
+		exec := NewExecutor[float64](ptSR)
+		if _, err := MaskedSpVMWith(exec, mask, u, b, opt); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := MaskedSpVMWith(exec, mask, u, b, opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := operand(1e3), operand(1e5)
+	if s, l := allocs(small), allocs(large); s != l {
+		t.Errorf("Inner SpVM allocates %v objects at nnz(B) 1e3 and %v at 1e5", s, l)
+	}
+	a := &sparse.CSR[float64]{Pattern: sparse.Pattern{Rows: 1, Cols: n, RowPtr: []int64{0, 1}, ColIdx: u.Idx}, Val: u.Val}
+	m := &sparse.Pattern{Rows: 1, Cols: n, RowPtr: []int64{0, int64(len(mask))}, ColIdx: mask}
+	p, err := NewPlan(ptSR, m, a, large, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(p.costPrefix) != "[0 0]" {
+		t.Errorf("one-row plan built a cost profile: prefix %v", p.costPrefix)
+	}
+}
+
 // TestWarmThenWide pins warm-at-one-width, serve-at-another: a plan
-// built at Threads 1 resolves its schedule from the width-independent
-// cost skew, and executing it at Threads 4 derives the CostPartition
-// bounds for four workers from the retained prefix — exactly the
-// linear reference's — and computes the same product. Through a cache
-// the two widths share one entry.
+// built at Threads 1 retains its width-independent cost prefix, and
+// executing it at Threads 4 derives the bounds for four workers from
+// that prefix — exactly the linear reference's — and computes the
+// same product. Through a cache the two widths share one entry.
 func TestWarmThenWide(t *testing.T) {
 	mask, a, b := skewedCase(512, 512, 4)
 	serial, err := NewPlan(ptSR, mask, a, b, Options{Algorithm: AlgoMSA, Threads: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.ResolvedSchedule() != SchedCostPartition || serial.costPrefix == nil {
-		t.Fatalf("serial plan resolved %v (prefix retained: %v), want CostPartition with a prefix",
-			serial.ResolvedSchedule(), serial.costPrefix != nil)
+	if len(serial.costPrefix) != mask.Rows+1 {
+		t.Fatalf("serial plan retained a cost prefix of %d entries, want %d", len(serial.costPrefix), mask.Rows+1)
 	}
 	want, err := serial.Execute(a, b)
 	if err != nil {
@@ -440,8 +538,8 @@ func TestWarmThenWide(t *testing.T) {
 	if ref := referenceBounds(serial, 4); fmt.Sprint(exec.partBounds) != fmt.Sprint(ref) {
 		t.Errorf("wide execution cut bounds %v, linear reference %v", exec.partBounds, ref)
 	}
-	if n := len(exec.partBounds) - 1; n < 2 || n > 4*costPartsPerWorker {
-		t.Errorf("wide execution cut %d partitions, want in (1, %d]", n, 4*costPartsPerWorker)
+	if n := len(exec.partBounds) - 1; n < 2 || n > refPartCount(mask.Rows, 4) {
+		t.Errorf("wide execution cut %d partitions, want in (1, %d]", n, refPartCount(mask.Rows, 4))
 	}
 	if w := len(exec.SchedStats().Workers); w != 4 {
 		t.Errorf("wide execution ran %d workers, want 4", w)
@@ -462,47 +560,42 @@ func TestWarmThenWide(t *testing.T) {
 }
 
 // TestPartitionsAllocFree pins the cost of per-execution bounds: once
-// the executor's buffer has grown to a width, cutting bounds again —
-// and executing a cost-partitioned plan — allocates no more than the
-// fixed-grain path does.
+// a buffer has grown to a width, cutting bounds again allocates
+// nothing, and a steady-state execution allocates as many objects at
+// about 64 partitions as at 8 — the executor's bounds buffer is reused.
 func TestPartitionsAllocFree(t *testing.T) {
-	mask, a, b := skewedCase(512, 512, 4)
-	p, err := NewPlan(ptSR, mask, a, b, Options{Algorithm: AlgoMSA, Schedule: SchedCostPartition, Threads: 1, ReuseOutput: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := p.partitions(8, nil)
-	if got := testing.AllocsPerRun(20, func() { buf = p.partitions(8, buf) }); got != 0 {
-		t.Errorf("partitions allocates %v objects per call on a grown buffer, want 0", got)
-	}
-	fixed, err := NewPlan(ptSR, mask, a, b, Options{Algorithm: AlgoMSA, Schedule: SchedFixedGrain, Threads: 1, ReuseOutput: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocs := func(q *Plan[float64, semiring.PlusTimes[float64]]) float64 {
-		if _, err := q.Execute(a, b); err != nil { // warm-up
+	allocs := func(rows int) float64 {
+		mask, a, b := skewedCase(rows, rows, 4)
+		p, err := NewPlan(ptSR, mask, a, b, Options{Algorithm: AlgoMSA, Threads: 1, ReuseOutput: true}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := partitions(p.costPrefix, 8, nil)
+		if got := testing.AllocsPerRun(20, func() { buf = partitions(p.costPrefix, 8, buf) }); got != 0 {
+			t.Errorf("%d rows: partitions allocates %v objects per call on a grown buffer, want 0", rows, got)
+		}
+		if _, err := p.Execute(a, b); err != nil { // warm-up
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(10, func() {
-			if _, err := q.Execute(a, b); err != nil {
+			if _, err := p.Execute(a, b); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	if cp, fg := allocs(p), allocs(fixed); cp > fg {
-		t.Errorf("cost-partitioned execution allocates %v objects, fixed grain %v", cp, fg)
+	if few, many := allocs(512), allocs(4096); many != few {
+		t.Errorf("steady-state execution allocates %v objects at 4096 rows, %v at 512", many, few)
 	}
 }
 
 // TestPlanWidthInvariance is the width-invariance metamorphic test:
 // work is split strictly by row and row formation is never split
 // (§3), so one cached plan of any family must produce bit-identical
-// output at every width, schedule, and grain — and widths never add
-// cache entries. CostPartition executions additionally cut exactly
+// output at every width — and so every partition layout — and widths
+// never add cache entries. Every execution additionally cuts exactly
 // the linear reference's bounds.
 func TestPlanWidthInvariance(t *testing.T) {
 	algos := []Algorithm{AlgoMSA, AlgoHash, AlgoMCA, AlgoHeap, AlgoInner, AlgoMaskedBit, AlgoHybrid}
-	schedules := []Schedule{SchedAuto, SchedFixedGrain, SchedCostPartition}
 	same := func(x, y float64) bool { return x == y }
 	exec := NewExecutor[float64](ptSR)
 	for _, inst := range gen.Suite(8) {
@@ -511,38 +604,32 @@ func TestPlanWidthInvariance(t *testing.T) {
 			continue // the fixed-size grids and BA graphs: too slow under -race
 		}
 		// The triangle-counting shape L ⊙ (L·L) keeps every family's
-		// work small enough for the full width × schedule × grain grid.
+		// work small enough for the full family × width grid.
 		g = sparse.Tril(g)
 		mask := g.PatternView()
 		cache := NewPlanCache(ptSR, 1024, 0)
 		keys := 0
 		for _, algo := range algos {
-			for _, mode := range schedules {
-				for _, grain := range []int{1, 64} {
-					keys++
-					var base *sparse.CSR[float64]
-					for _, threads := range []int{1, 2, 4, 8} {
-						opt := Options{Algorithm: algo, Schedule: mode, Grain: grain, Threads: threads}
-						name := fmt.Sprintf("%s/%s/%v/grain%d/t%d", inst.Name, algo, mode, grain, threads)
-						p, err := cache.GetOrPlan(mask, g, g, opt)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						got, err := p.ExecuteOnOpts(exec, g, g, opt.ExecOnly())
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						if p.ResolvedSchedule() == SchedCostPartition {
-							if ref := referenceBounds(p, threads); fmt.Sprint(exec.partBounds) != fmt.Sprint(ref) {
-								t.Fatalf("%s: bounds %v, linear reference %v", name, exec.partBounds, ref)
-							}
-						}
-						if base == nil {
-							base = got
-						} else if !sparse.EqualFunc(base, got, same) {
-							t.Fatalf("%s: output differs from the Threads=1 execution", name)
-						}
-					}
+			keys++
+			var base *sparse.CSR[float64]
+			for _, threads := range []int{1, 2, 3, 4, 8, 64} {
+				opt := Options{Algorithm: algo, Threads: threads}
+				name := fmt.Sprintf("%s/%s/t%d", inst.Name, algo, threads)
+				p, err := cache.GetOrPlan(mask, g, g, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				got, err := p.ExecuteOnOpts(exec, g, g, opt.ExecOnly())
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if ref := referenceBounds(p, threads); fmt.Sprint(exec.partBounds) != fmt.Sprint(ref) {
+					t.Fatalf("%s: bounds %v, linear reference %v", name, exec.partBounds, ref)
+				}
+				if base == nil {
+					base = got
+				} else if !sparse.EqualFunc(base, got, same) {
+					t.Fatalf("%s: output differs from the Threads=1 execution", name)
 				}
 			}
 		}

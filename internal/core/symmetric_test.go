@@ -82,8 +82,8 @@ var halfFamilies = []struct {
 	{AlgoMCA, true}, {AlgoHeap, false}, {AlgoHeapDot, false}, {AlgoHybrid, false},
 }
 
-// TestSymmetricHalfMatchesFull runs every family at widths 1, 2 and 4
-// under all three schedules, on hubs-first and hubs-last orderings,
+// TestSymmetricHalfMatchesFull runs every family at widths 1, 2, 4 and
+// 16 (partitions of 64 rows down to 4), on hubs-first and hubs-last orderings,
 // with and without self loops and empty rows, with and without pooled
 // output, and checks the one-triangle product against the full product
 // of the same plan options with B passed as a clone of A.
@@ -94,46 +94,44 @@ func TestSymmetricHalfMatchesFull(t *testing.T) {
 			a := symGraph(8, hubsLast, loops)
 			clone := a.Clone()
 			for _, fam := range halfFamilies {
-				for _, threads := range []int{1, 2, 4} {
-					for _, sched := range []Schedule{SchedFixedGrain, SchedCostPartition} {
-						for _, reuse := range []bool{false, true} {
-							opt := Options{Algorithm: fam.algo, Threads: threads, Schedule: sched, Grain: 8, ReuseOutput: reuse}
-							name := fmt.Sprintf("hubsLast=%v/loops=%v/%v/t%d/%v/reuse=%v", hubsLast, loops, fam.algo, threads, sched, reuse)
-							half, err := NewPlan(sr, a.PatternView(), a, a, opt, nil)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if half.sym == nil {
-								t.Fatalf("%s: a symmetric self-product planned no triangle", name)
-							}
-							got, err := half.Execute(a, a)
-							if err != nil {
-								t.Fatalf("%s: %v", name, err)
-							}
-							if !ranHalf(half.exec) {
-								t.Fatalf("%s: the execution ran the full product", name)
-							}
-							full, err := NewPlan(sr, a.PatternView(), a, clone, opt, nil)
-							if err != nil {
-								t.Fatal(err)
-							}
-							want, err := full.Execute(a, clone)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if ranHalf(full.exec) {
-								t.Fatalf("%s: B as a clone of A ran one triangle", name)
-							}
-							if err := got.Validate(); err != nil {
-								t.Fatalf("%s: invalid output: %v", name, err)
-							}
-							eq := sparse.FloatEq(1e-12)
-							if fam.exact {
-								eq = func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-							}
-							if d := sparse.Diff(want, got, eq); d != "" {
-								t.Fatalf("%s: %s", name, d)
-							}
+				for _, threads := range []int{1, 2, 4, 16} {
+					for _, reuse := range []bool{false, true} {
+						opt := Options{Algorithm: fam.algo, Threads: threads, ReuseOutput: reuse}
+						name := fmt.Sprintf("hubsLast=%v/loops=%v/%v/t%d/reuse=%v", hubsLast, loops, fam.algo, threads, reuse)
+						half, err := NewPlan(sr, a.PatternView(), a, a, opt, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if half.sym == nil {
+							t.Fatalf("%s: a symmetric self-product planned no triangle", name)
+						}
+						got, err := half.Execute(a, a)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if !ranHalf(half.exec) {
+							t.Fatalf("%s: the execution ran the full product", name)
+						}
+						full, err := NewPlan(sr, a.PatternView(), a, clone, opt, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := full.Execute(a, clone)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if ranHalf(full.exec) {
+							t.Fatalf("%s: B as a clone of A ran one triangle", name)
+						}
+						if err := got.Validate(); err != nil {
+							t.Fatalf("%s: invalid output: %v", name, err)
+						}
+						eq := sparse.FloatEq(1e-12)
+						if fam.exact {
+							eq = func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+						}
+						if d := sparse.Diff(want, got, eq); d != "" {
+							t.Fatalf("%s: %s", name, d)
 						}
 					}
 				}
@@ -285,7 +283,7 @@ func TestSymmetricPlanFootprint(t *testing.T) {
 	budget := NewMemBudget(1 << 30)
 	cache := NewPlanCache(ptSR, 0, 0)
 	cache.AttachBudget(budget)
-	opt := Options{Algorithm: AlgoMSA, Schedule: SchedFixedGrain}
+	opt := Options{Algorithm: AlgoMSA}
 	two := opt
 	two.Phases = TwoPhase
 	if _, err := cache.GetOrPlan(a.PatternView(), a, a, two); err != nil {

@@ -6,37 +6,32 @@ import (
 	"testing"
 )
 
-// schedulers enumerates the two scheduling functions behind one
-// uniform signature so the cancellation and panic contracts are pinned
-// on all of them.
-func schedulers() map[string]func(n, threads, grain int, stats *SchedStats, cancel *CancelToken, fn func(lo, hi, tid int)) {
-	return map[string]func(n, threads, grain int, stats *SchedStats, cancel *CancelToken, fn func(lo, hi, tid int)){
-		"block": ForEachBlockStats,
-		"partition": func(n, threads, grain int, stats *SchedStats, cancel *CancelToken, fn func(lo, hi, tid int)) {
-			bounds := make([]int, 0, n/grain+2)
-			for lo := 0; lo <= n; lo += grain {
-				bounds = append(bounds, lo)
-			}
-			if bounds[len(bounds)-1] != n {
-				bounds = append(bounds, n)
-			}
-			ForEachPartition(bounds, threads, stats, cancel, fn)
+// panicSchedulers enumerates both entry points behind one signature so
+// the panic contract is pinned on each. ForEachBlock takes no token:
+// its workers quiesce on an internal one the callback cannot read, so
+// cancel reaches only the partition arm.
+func panicSchedulers() map[string]func(n, threads, grain int, cancel *CancelToken, fn func(lo, hi, tid int)) {
+	return map[string]func(n, threads, grain int, cancel *CancelToken, fn func(lo, hi, tid int)){
+		"block": func(n, threads, grain int, _ *CancelToken, fn func(lo, hi, tid int)) {
+			ForEachBlock(n, threads, grain, fn)
+		},
+		"partition": func(n, threads, grain int, cancel *CancelToken, fn func(lo, hi, tid int)) {
+			ForEachPartition(grainBounds(n, grain), threads, nil, cancel, fn)
 		},
 	}
 }
 
 // TestCancelPreLatchedRunsNothing pins the fast path: a token latched
-// before the call means no block ever reaches fn, serial or parallel.
+// before the call means no partition ever reaches fn, serial or
+// parallel.
 func TestCancelPreLatchedRunsNothing(t *testing.T) {
-	for name, sched := range schedulers() {
-		for _, threads := range []int{1, 4} {
-			tok := new(CancelToken)
-			tok.Cancel()
-			ran := atomic.Int32{}
-			sched(1024, threads, 16, nil, tok, func(lo, hi, tid int) { ran.Add(1) })
-			if ran.Load() != 0 {
-				t.Errorf("%s/threads=%d: %d blocks ran after pre-latched cancel", name, threads, ran.Load())
-			}
+	for _, threads := range []int{1, 4} {
+		tok := new(CancelToken)
+		tok.Cancel()
+		ran := atomic.Int32{}
+		ForEachPartition(grainBounds(1024, 16), threads, nil, tok, func(lo, hi, tid int) { ran.Add(1) })
+		if ran.Load() != 0 {
+			t.Errorf("threads=%d: %d partitions ran after pre-latched cancel", threads, ran.Load())
 		}
 	}
 }
@@ -47,20 +42,18 @@ func TestCancelPreLatchedRunsNothing(t *testing.T) {
 // worker claims past the latch plus one racing claim.
 func TestCancelMidRunStopsEarly(t *testing.T) {
 	const n = 1 << 16
-	for name, sched := range schedulers() {
-		for _, threads := range []int{1, 4} {
-			tok := new(CancelToken)
-			var covered atomic.Int64
-			sched(n, threads, 8, nil, tok, func(lo, hi, tid int) {
-				covered.Add(int64(hi - lo))
-				tok.Cancel()
-			})
-			// Worst case: every worker had one claim in flight when the
-			// token latched, plus one racing claim each. That is far
-			// below half the index space.
-			if got := covered.Load(); got >= n/2 {
-				t.Errorf("%s/threads=%d: covered %d of %d indices after mid-run cancel", name, threads, got, n)
-			}
+	for _, threads := range []int{1, 4} {
+		tok := new(CancelToken)
+		var covered atomic.Int64
+		ForEachPartition(grainBounds(n, 8), threads, nil, tok, func(lo, hi, tid int) {
+			covered.Add(int64(hi - lo))
+			tok.Cancel()
+		})
+		// Worst case: every worker had one claim in flight when the
+		// token latched, plus one racing claim each. That is far
+		// below half the index space.
+		if got := covered.Load(); got >= n/2 {
+			t.Errorf("threads=%d: covered %d of %d indices after mid-run cancel", threads, got, n)
 		}
 	}
 }
@@ -78,11 +71,12 @@ func TestNilTokenCanceled(t *testing.T) {
 // a parallel pass and checks (a) the calling goroutine observes a
 // *PanicError carrying the worker id, value, and stack, and (b) the
 // latch quiesced siblings — the pass did not run to completion. The
-// non-panicking blocks dwell until the latch lands (bounded spin) so
-// quiescence is observable regardless of scheduler interleaving.
+// non-panicking blocks dwell until the caller's token latches (a
+// bounded spin, the whole bound under ForEachBlock) so quiescence is
+// observable regardless of scheduler interleaving.
 func TestWorkerPanicRethrownAsPanicError(t *testing.T) {
 	const n = 1 << 16
-	for name, sched := range schedulers() {
+	for name, sched := range panicSchedulers() {
 		var covered atomic.Int64
 		var pe *PanicError
 		tok := new(CancelToken)
@@ -97,7 +91,7 @@ func TestWorkerPanicRethrownAsPanicError(t *testing.T) {
 					t.Fatalf("%s: re-raised %T, want *PanicError", name, r)
 				}
 			}()
-			sched(n, 4, 8, nil, tok, func(lo, hi, tid int) {
+			sched(n, 4, 8, tok, func(lo, hi, tid int) {
 				if lo == 0 {
 					panic("injected")
 				}
@@ -131,7 +125,7 @@ func TestWorkerPanicLatchesCallerToken(t *testing.T) {
 	tok := new(CancelToken)
 	func() {
 		defer func() { _ = recover() }()
-		ForEachBlockStats(4096, 4, 8, nil, tok, func(lo, hi, tid int) {
+		ForEachPartition(grainBounds(4096, 8), 4, nil, tok, func(lo, hi, tid int) {
 			panic("boom")
 		})
 	}()
@@ -144,12 +138,16 @@ func TestWorkerPanicLatchesCallerToken(t *testing.T) {
 // there is no goroutine hop, so the panic value arrives unchanged (the
 // recover site upstream normalizes both shapes).
 func TestSerialPanicPropagatesRaw(t *testing.T) {
-	defer func() {
-		if r := recover(); r != "raw" {
-			t.Errorf("serial panic = %v, want raw string", r)
-		}
-	}()
-	ForEachBlockStats(10, 1, 4, nil, nil, func(lo, hi, tid int) {
-		panic("raw")
-	})
+	for name, sched := range panicSchedulers() {
+		func() {
+			defer func() {
+				if r := recover(); r != "raw" {
+					t.Errorf("%s: serial panic = %v, want raw string", name, r)
+				}
+			}()
+			sched(10, 1, 4, nil, func(lo, hi, tid int) {
+				panic("raw")
+			})
+		}()
+	}
 }

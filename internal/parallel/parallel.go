@@ -5,11 +5,12 @@
 // The paper parallelizes strictly across rows — "our algorithms do not
 // parallelize the formation of individual rows as ... there is plenty of
 // coarse-grained parallelism across rows" (§3). Dynamic chunk scheduling
-// addresses the load imbalance challenge (§2.2): workers claim fixed-size
-// blocks of rows from an atomic counter, so a few heavy rows cannot
-// serialize the computation. A plan that measured its per-row costs
-// hands the same claim loop variable-width partitions of near-equal
-// cost instead (ForEachPartition, sched.go).
+// addresses the load imbalance challenge (§2.2): workers claim blocks
+// of rows from an atomic counter, so a few heavy rows cannot serialize
+// the computation. Plan-free passes claim fixed-size blocks
+// (ForEachBlock); the engine hands the same claim loop variable-width
+// partitions of near-equal cost cut from its flops profile
+// (ForEachPartition, sched.go).
 package parallel
 
 import (
@@ -17,8 +18,9 @@ import (
 )
 
 // DefaultGrain is the default number of rows claimed per scheduling
-// step. Small enough to balance skewed degree distributions (R-MAT), big
-// enough to amortize the atomic fetch-add.
+// step, and the engine's partition size on uniform rows. Small enough
+// to balance skewed degree distributions (R-MAT), big enough to
+// amortize the atomic fetch-add.
 const DefaultGrain = 64
 
 // Threads normalizes a requested thread count: values < 1 mean
@@ -35,11 +37,19 @@ func Threads(requested int) int {
 // goroutines. fn receives the block bounds and the worker id in
 // [0, threads), which kernels use to index per-thread scratch state.
 // With threads == 1 everything runs on the calling goroutine, making
-// single-threaded profiles clean and deterministic. For telemetry use
-// ForEachBlockStats; for cost-balanced partitions see ForEachPartition
-// (sched.go).
+// single-threaded profiles clean and deterministic; grain < 1 means
+// DefaultGrain. A worker panic is re-raised on the calling goroutine
+// as a *PanicError (ForEachPartition's contract). The engine's row
+// passes, which want telemetry, cancellation and cost-balanced
+// partitions, use ForEachPartition (sched.go).
 func ForEachBlock(n, threads, grain int, fn func(lo, hi, tid int)) {
-	ForEachBlockStats(n, threads, grain, nil, nil, fn)
+	if grain < 1 {
+		grain = DefaultGrain
+	}
+	if n <= 0 {
+		return
+	}
+	claimBlocks(blocks{n: n, grain: grain}, Threads(threads), nil, nil, fn)
 }
 
 // ForEachRow runs fn once per index in [0, n) with dynamic block

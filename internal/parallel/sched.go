@@ -6,18 +6,16 @@ import (
 	"time"
 )
 
-// This file grows the fixed-grain block scheduler of parallel.go into a
-// small scheduling subsystem (DESIGN.md §9). Two entry points hand out
-// row blocks through one claim loop:
+// This file is the claim loop behind both entry points (DESIGN.md §9):
 //
-//   - ForEachBlockStats: fixed-grain blocks, blind to row cost, with
-//     opt-in per-worker telemetry.
+//   - ForEachBlock (parallel.go): fixed-grain blocks, blind to row
+//     cost, for the plan-free passes (elementwise ops, flops counts,
+//     plan-time scans).
 //   - ForEachPartition: variable-width partitions precomputed by the
-//     caller (typically equal-cost row partitions from a plan-time
-//     flops profile), claimed dynamically.
-//
-// Both report into an optional *SchedStats so load imbalance is
-// measurable instead of guessed.
+//     caller — the engine's equal-cost row partitions cut from a flops
+//     profile — with opt-in per-worker telemetry reported into a
+//     *SchedStats, so load imbalance is measurable instead of guessed,
+//     and cooperative cancellation.
 
 // WorkerStats is one worker's share of a scheduled parallel pass.
 type WorkerStats struct {
@@ -138,25 +136,6 @@ func (s *SchedSummary) Record(st SchedStats) {
 	}
 }
 
-// ForEachBlockStats is ForEachBlock with optional telemetry (when stats
-// is non-nil, each worker's busy time and claimed-block count are
-// recorded, costing two clock reads per block) and optional cooperative
-// cancellation: when cancel is non-nil and becomes latched, workers
-// stop claiming new blocks — a canceled pass wastes at most one
-// in-flight block per worker. A worker panic is captured, latches the
-// (possibly internal) cancel token so siblings quiesce, and is
-// re-raised on the calling goroutine as a *PanicError after all
-// workers park; on the serial path panics propagate unchanged.
-func ForEachBlockStats(n, threads, grain int, stats *SchedStats, cancel *CancelToken, fn func(lo, hi, tid int)) {
-	if grain < 1 {
-		grain = DefaultGrain
-	}
-	if n <= 0 {
-		return
-	}
-	claimBlocks(blocks{n: n, grain: grain}, Threads(threads), stats, cancel, fn)
-}
-
 // ForEachPartition runs fn over the variable-width partitions described
 // by bounds: partition j covers [bounds[j], bounds[j+1]), and bounds
 // must be non-decreasing. Partitions are claimed dynamically from an
@@ -164,8 +143,16 @@ func ForEachBlockStats(n, threads, grain int, stats *SchedStats, cancel *CancelT
 // (scheduling slack) and empty partitions are skipped without a call.
 // This is the executor for plan-time equal-cost partitions: the caller
 // did the load balancing when it laid out bounds; the scheduler only
-// hands partitions out. cancel and panic containment follow the
-// ForEachBlockStats contract (cancellation polled per partition claim).
+// hands partitions out.
+//
+// When stats is non-nil, each worker's busy time and claimed-partition
+// count are recorded, costing two clock reads per partition. When
+// cancel is non-nil and becomes latched, workers stop claiming new
+// partitions — a canceled pass wastes at most one in-flight partition
+// per worker. A worker panic is captured, latches the (possibly
+// internal) cancel token so siblings quiesce, and is re-raised on the
+// calling goroutine as a *PanicError after all workers park; on the
+// serial path panics propagate unchanged.
 func ForEachPartition(bounds []int, threads int, stats *SchedStats, cancel *CancelToken, fn func(lo, hi, tid int)) {
 	if len(bounds) < 2 {
 		return
@@ -199,13 +186,14 @@ func (b blocks) at(j int) (lo, hi int) {
 }
 
 // claimBlocks runs fn over every non-empty claim of b: on the calling
-// goroutine when there is one worker or one claim, else over threads
-// workers.
+// goroutine when there is one worker or one claim, else over
+// min(threads, claims) workers.
 func claimBlocks(b blocks, threads int, stats *SchedStats, cancel *CancelToken, fn func(lo, hi, tid int)) {
 	if stats != nil {
 		stats.ensure(threads)
 	}
-	if threads == 1 || b.count() == 1 {
+	threads = min(threads, b.count())
+	if threads <= 1 {
 		claimSerial(b, stats, cancel, fn)
 		return
 	}

@@ -31,6 +31,16 @@ func coverOnce(t *testing.T, n, threads int, run func(fn func(lo, hi, tid int)))
 	}
 }
 
+// grainBounds returns the partition bounds of ForEachBlock's
+// fixed-grain blocks over n indices: [0, grain, 2·grain, …, n].
+func grainBounds(n, grain int) []int {
+	bounds := make([]int, 0, n/grain+2)
+	for lo := 0; lo < n; lo += grain {
+		bounds = append(bounds, lo)
+	}
+	return append(bounds, n)
+}
+
 func TestForEachPartitionCoversAll(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -80,7 +90,7 @@ func TestForEachBlockGrainAligned(t *testing.T) {
 		{1, 8, 64}, {3, 8, 1}, {7, 4, 2}, {100, 3, 7}, {65, 2, 64}, {128, 2, 64},
 	} {
 		coverOnce(t, tc.n, tc.threads, func(fn func(lo, hi, tid int)) {
-			ForEachBlockStats(tc.n, tc.threads, tc.grain, nil, nil, func(lo, hi, tid int) {
+			ForEachBlock(tc.n, tc.threads, tc.grain, func(lo, hi, tid int) {
 				if lo%tc.grain != 0 || (hi != lo+tc.grain && hi != tc.n) {
 					t.Errorf("%+v: block [%d,%d) is not a grain block", tc, lo, hi)
 				}
@@ -101,7 +111,7 @@ func TestSerialClaimsAllocateNothing(t *testing.T) {
 	fn := func(lo, hi, tid int) { allocSink += hi - lo }
 	bounds := []int{0, 3, 3, 40, 100}
 	for name, run := range map[string]func(){
-		"block":     func() { ForEachBlockStats(1000, 1, 16, nil, nil, fn) },
+		"block":     func() { ForEachBlock(1000, 1, 16, fn) },
 		"partition": func() { ForEachPartition(bounds, 1, nil, nil, fn) },
 	} {
 		if got := testing.AllocsPerRun(100, run); got != 0 {
@@ -111,7 +121,7 @@ func TestSerialClaimsAllocateNothing(t *testing.T) {
 }
 
 // TestSchedStatsAccounting checks the telemetry invariants: claimed
-// blocks add up to the work handed out and busy time is recorded.
+// partitions add up to the work handed out and busy time is recorded.
 func TestSchedStatsAccounting(t *testing.T) {
 	work := func(lo, hi, tid int) {
 		// Enough work for Busy to register on coarse clocks.
@@ -126,23 +136,23 @@ func TestSchedStatsAccounting(t *testing.T) {
 
 	var st SchedStats
 	st.Reset(4)
-	ForEachBlockStats(256, 4, 16, &st, nil, work)
+	ForEachPartition(grainBounds(256, 16), 4, &st, nil, work)
 	if got, want := st.Claimed(), 16; got != want {
-		t.Errorf("block: claimed = %d, want %d", got, want)
+		t.Errorf("grain partitions: claimed = %d, want %d", got, want)
 	}
 	if st.Busy() <= 0 {
-		t.Error("block: no busy time recorded")
+		t.Error("grain partitions: no busy time recorded")
 	}
 
 	st.Reset(4)
 	ForEachPartition([]int{0, 64, 128, 192, 256}, 4, &st, nil, work)
 	if got, want := st.Claimed(), 4; got != want {
-		t.Errorf("partition: claimed = %d, want %d", got, want)
+		t.Errorf("wide partitions: claimed = %d, want %d", got, want)
 	}
 
 	// Accumulation across passes without Reset (a two-phase execution).
 	before := st.Claimed()
-	ForEachBlockStats(256, 4, 16, &st, nil, work)
+	ForEachPartition(grainBounds(256, 16), 4, &st, nil, work)
 	if got, want := st.Claimed(), before+16; got != want {
 		t.Errorf("stats did not accumulate: %d after second pass, want %d", got, want)
 	}

@@ -233,10 +233,11 @@ func TestSessionSchedStats(t *testing.T) {
 	}
 }
 
-// TestSessionScheduleOption pins that WithSchedule flows through the
-// session's cache key: different schedules are distinct plans but all
-// compute the same result.
-func TestSessionScheduleOption(t *testing.T) {
+// TestSessionWidthsShareOnePlan pins that the width stays out of the
+// session's cache key on the by-value path: every width computes the
+// same result from one cached plan, each execution cutting its own
+// partitions from the plan's cost prefix.
+func TestSessionWidthsShareOnePlan(t *testing.T) {
 	s := NewSession()
 	g := ErdosRenyi(200, 8, 10)
 	mask := g.PatternView()
@@ -244,18 +245,17 @@ func TestSessionScheduleOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	modes := []Schedule{ScheduleFixedGrain, ScheduleCostPartition}
-	for _, mode := range modes {
-		got, err := s.Multiply(mask, g, g, WithSchedule(mode), WithThreads(2))
+	for _, threads := range []int{1, 2, 3, 7, 64} {
+		got, err := s.Multiply(mask, g, g, WithThreads(threads))
 		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+			t.Fatalf("threads=%d: %v", threads, err)
 		}
 		if !sparse.Equal(want, got) {
-			t.Fatalf("%v: result differs", mode)
+			t.Fatalf("threads=%d: result differs", threads)
 		}
 	}
-	if st := s.Stats().Cache; st.Entries < 1+len(modes) {
-		t.Errorf("schedules should be distinct cache entries, got %d, want %d", st.Entries, 1+len(modes))
+	if st := s.Stats().Cache; st.Entries != 1 {
+		t.Errorf("widths should share one cache entry, got %d", st.Entries)
 	}
 }
 
