@@ -43,8 +43,9 @@ type Header struct {
 // Read parses a Matrix Market stream into CSR. Symmetric inputs are
 // expanded (both triangles populated); pattern inputs get unit values;
 // duplicate coordinates are summed. A *bufio.Reader is read as is, so a
-// caller that already buffers (the server's sniffing decoder) pays for
-// one buffer; any other reader gets a 1 MiB one.
+// caller that picks its own buffer (the server's operand reader, whose
+// bytes are already in memory) pays for that one; any other reader
+// gets a 1 MiB one.
 func Read(r io.Reader) (*sparse.CSR[float64], *Header, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"mime"
 	"mime/multipart"
@@ -16,41 +18,149 @@ import (
 	"maskedspgemm/internal/serial"
 )
 
-// operands are one request's decoded matrices. Omitted operands
-// default along the graph-workload diagonal: one matrix means
-// C = A ⊙ (A·A) (the triangle-counting shape), mask without b means
-// B = A.
-type operands struct {
-	mask *maskedspgemm.Pattern
-	a, b *maskedspgemm.Matrix
-	// maskM is the matrix the mask part decoded from, when it was a
-	// distinct upload (nil when the mask defaulted to A's pattern); the
-	// store-through path files it so later requests can reference the
-	// mask structure by fingerprint.
-	maskM *maskedspgemm.Matrix
+// operand is one matrix read off the wire by readOperand.
+type operand struct {
+	m *maskedspgemm.Matrix
+	// digest names the exact bytes m was read from.
+	digest maskedspgemm.OperandDigest
+	// ref is m's content address once stored is set: by a digest hit,
+	// or when the request files m in the store.
+	ref    maskedspgemm.OperandRef
+	stored bool
 }
 
-// decodeMatrix reads one matrix in either wire format, sniffing the
-// leading bytes: the serial codec's "MSPG" magic or Matrix Market's
-// "%%MatrixMarket" banner. Sniffing (rather than trusting the request
-// Content-Type) is what makes the endpoint curl-able — a .mtx file and
-// a binary dump both just work.
-func decodeMatrix(r io.Reader) (*maskedspgemm.Matrix, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head, err := br.Peek(4)
-	if err != nil {
-		return nil, fmt.Errorf("serve: operand too short to sniff: %w", err)
+// operands are one request's matrices. Omitted operands default along
+// the graph-workload diagonal: one matrix means C = A ⊙ (A·A) (the
+// triangle-counting shape), mask without b means B = A.
+type operands struct {
+	// mask is the mask part; nil when the mask defaults to A's
+	// pattern.
+	mask *operand
+	// a and b are the factors; b is a when it defaulted.
+	a, b *operand
+}
+
+// maskPattern is the request's mask: the mask part's structure, or
+// A's.
+func (o *operands) maskPattern() *maskedspgemm.Pattern {
+	if o.mask == nil {
+		return o.a.m.PatternView()
 	}
-	switch {
-	case string(head) == "MSPG":
-		return serial.Read(br)
-	case head[0] == '%':
-		m, _, err := mtx.Read(br)
-		return m, err
-	default:
-		return nil, fmt.Errorf("serve: operand is neither MSPG binary nor Matrix Market (leading bytes %q)", head)
+	return o.mask.m.PatternView()
+}
+
+// reserveMax caps what readBody reserves before any byte arrives.
+const reserveMax = 1 << 20
+
+// bodySeeds key the operand digest: two independent per-process seeds
+// make it 128 bits, and because they never leave the process a client
+// cannot aim a collision at a resident operand.
+var bodySeeds = [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
+
+// digestOf is the 128-bit digest of an operand body.
+func digestOf(body []byte) maskedspgemm.OperandDigest {
+	return maskedspgemm.OperandDigest{maphash.Bytes(bodySeeds[0], body), maphash.Bytes(bodySeeds[1], body)}
+}
+
+// readOperand is the one operand reader: raw bodies, multipart parts
+// and /v1/operands uploads all come through it. It reads r whole
+// (readBody) and digests the bytes. When the store holds an operand
+// filed from identical bytes, that resident operand is the result: no
+// decode, no Validate, no fingerprinting, no new arrays. Otherwise the
+// bytes are decoded, and fileOperand files the digest with the matrix
+// when the caller stores it. size bounds the bytes r can deliver (the
+// request's Content-Length), or is negative when unknown. The body
+// buffer is garbage when readOperand returns.
+func (s *Server) readOperand(r io.Reader, size int64) (*operand, error) {
+	body, err := readBody(r, size)
+	if err != nil {
+		return nil, fmt.Errorf("serve: reading operand: %w", err)
+	}
+	op := &operand{digest: digestOf(body)}
+	if m, ref, ok := s.session.OperandByDigest(op.digest); ok {
+		op.m, op.ref, op.stored = m, ref, true
+		return op, nil
+	}
+	if op.m, err = decodeBody(body); err != nil {
+		return nil, err
+	}
+	return op, nil
+}
+
+// readBody reads r to EOF into one buffer. A Content-Length only
+// promises bytes — MaxBodyBytes defaults to 1 GiB — so before any
+// arrive it reserves at most min(size, reserveMax), and 512 bytes when
+// size is unknown. It then doubles as bytes arrive, never past size:
+// an honest body ends in an exactly full buffer, a short one costs
+// what it delivered plus the reservation, and a source with more
+// bytes than size is an error.
+func readBody(r io.Reader, size int64) ([]byte, error) {
+	c := int64(512)
+	if size >= 0 {
+		c = min(size, reserveMax)
+	}
+	buf := make([]byte, 0, c)
+	for {
+		if len(buf) == cap(buf) {
+			if size >= 0 && int64(len(buf)) >= size {
+				// Full at the declared length: the next read must end the
+				// body.
+				var probe [1]byte
+				n, err := r.Read(probe[:])
+				switch {
+				case n > 0:
+					return nil, fmt.Errorf("body longer than its declared %d bytes", size)
+				case err == io.EOF:
+					return buf, nil
+				case err != nil:
+					return nil, err
+				}
+				continue
+			}
+			c := max(2*int64(cap(buf)), 512)
+			if size >= 0 {
+				c = min(c, size)
+			}
+			grown := make([]byte, len(buf), c)
+			copy(grown, buf)
+			buf = grown
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 }
+
+// decodeBody decodes one operand body in either wire format, sniffing
+// the leading bytes: the serial codec's "MSPG" magic or Matrix
+// Market's "%%MatrixMarket" banner. Sniffing (rather than trusting
+// the request Content-Type) is what makes the endpoint curl-able — a
+// .mtx file and a binary dump both just work. A serial body decodes
+// from a bytes.Reader, whose Len sizes every array exactly.
+func decodeBody(body []byte) (*maskedspgemm.Matrix, error) {
+	switch {
+	case len(body) < 4:
+		return nil, fmt.Errorf("serve: operand too short to sniff (%d bytes)", len(body))
+	case string(body[:4]) == "MSPG":
+		return serial.Read(bytes.NewReader(body))
+	case body[0] == '%':
+		// mtx.Read parses lines through the *bufio.Reader it is given;
+		// over bytes already in memory a small one does.
+		m, _, err := mtx.Read(bufio.NewReaderSize(bytes.NewReader(body), mtxLineBuffer))
+		return m, err
+	default:
+		return nil, fmt.Errorf("serve: operand is neither MSPG binary nor Matrix Market (leading bytes %q)", body[:4])
+	}
+}
+
+// mtxLineBuffer is the bufio size a Matrix Market body is parsed
+// through: lines are short, and the bytes are already in memory.
+const mtxLineBuffer = 4 << 10
 
 // decodeOperands parses a multiply/warm request body. Two shapes are
 // accepted:
@@ -60,21 +170,22 @@ func decodeMatrix(r io.Reader) (*maskedspgemm.Matrix, error) {
 //   - multipart/form-data with parts named "mask", "a", "b" (each in
 //     either format); "a" is required, omitted "b" defaults to A,
 //     omitted "mask" defaults to A's pattern.
-func decodeOperands(r *http.Request) (*operands, error) {
+func (s *Server) decodeOperands(r *http.Request) (*operands, error) {
 	ct := r.Header.Get("Content-Type")
 	mediaType, params, err := mime.ParseMediaType(ct)
 	if ct != "" && err == nil && strings.HasPrefix(mediaType, "multipart/") {
-		return decodeMultipart(multipart.NewReader(r.Body, params["boundary"]))
+		return s.decodeMultipart(multipart.NewReader(r.Body, params["boundary"]), r.ContentLength)
 	}
-	a, err := decodeMatrix(r.Body)
+	a, err := s.readOperand(r.Body, r.ContentLength)
 	if err != nil {
 		return nil, err
 	}
-	return &operands{mask: a.PatternView(), a: a, b: a}, nil
+	return &operands{a: a, b: a}, nil
 }
 
-// decodeMultipart reads the named operand parts in order.
-func decodeMultipart(mr *multipart.Reader) (*operands, error) {
+// decodeMultipart reads the named operand parts in order. size is the
+// whole body's Content-Length, which bounds every part.
+func (s *Server) decodeMultipart(mr *multipart.Reader, size int64) (*operands, error) {
 	var ops operands
 	for {
 		part, err := mr.NextPart()
@@ -85,19 +196,18 @@ func decodeMultipart(mr *multipart.Reader) (*operands, error) {
 			return nil, fmt.Errorf("serve: bad multipart body: %w", err)
 		}
 		name := part.FormName()
-		m, err := decodeMatrix(part)
+		op, err := s.readOperand(part, size)
 		part.Close()
 		if err != nil {
 			return nil, fmt.Errorf("serve: part %q: %w", name, err)
 		}
 		switch name {
 		case "mask":
-			ops.mask = m.PatternView()
-			ops.maskM = m
+			ops.mask = op
 		case "a":
-			ops.a = m
+			ops.a = op
 		case "b":
-			ops.b = m
+			ops.b = op
 		default:
 			return nil, fmt.Errorf("serve: unknown operand part %q (want mask, a, b)", name)
 		}
@@ -107,9 +217,6 @@ func decodeMultipart(mr *multipart.Reader) (*operands, error) {
 	}
 	if ops.b == nil {
 		ops.b = ops.a
-	}
-	if ops.mask == nil {
-		ops.mask = ops.a.PatternView()
 	}
 	return &ops, nil
 }

@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"mime/multipart"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,25 +45,61 @@ func fuzzStatusOK(status int) bool {
 	return false
 }
 
-// FuzzDecodeMatrix drives the sniffing single-matrix decoder with
-// arbitrary prefixes: it must never panic, and every failure must map
-// to a client-error status.
+// readBytes runs body through srv's operand reader as a request with
+// an honest Content-Length delivers it.
+func readBytes(srv *Server, body []byte) (*operand, error) {
+	return srv.readOperand(bytes.NewReader(body), int64(len(body)))
+}
+
+// sameBits reports whether two matrices hold bit-identical shapes,
+// structures and value words.
+func sameBits(x, y *maskedspgemm.Matrix) bool {
+	if x.Rows != y.Rows || x.Cols != y.Cols || !slices.Equal(x.RowPtr, y.RowPtr) ||
+		!slices.Equal(x.ColIdx, y.ColIdx) || len(x.Val) != len(y.Val) {
+		return false
+	}
+	for i, v := range x.Val {
+		if math.Float64bits(v) != math.Float64bits(y.Val[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzDecodeMatrix drives the operand reader with arbitrary prefixes:
+// it must never panic, and every failure must map to a client-error
+// status. A body that decodes is then filed with its digest, and the
+// same bytes read again must hit the resident operand and be
+// bit-identical to what the decode produced.
 func FuzzDecodeMatrix(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
 	}
 	f.Add(servetest.EncodeSerial(f, maskedspgemm.ErdosRenyi(16, 3, 1)))
 	f.Add(servetest.EncodeMTX(f, maskedspgemm.ErdosRenyi(16, 3, 2)))
+	srv := New(Config{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := decodeMatrix(bytes.NewReader(data))
+		op, err := readBytes(srv, data)
 		if err != nil {
 			if status := operandStatus(err, nil); !fuzzStatusOK(status) {
 				t.Fatalf("decode error mapped to status %d: %v", status, err)
 			}
 			return
 		}
-		if m == nil {
+		if op.m == nil {
 			t.Fatal("nil matrix without an error")
+		}
+		decoded := op.m
+		srv.fileOperand(op)
+		again, err := readBytes(srv, data)
+		if err != nil {
+			t.Fatalf("resident body failed on re-read: %v", err)
+		}
+		if !again.stored || again.ref != op.ref {
+			t.Fatalf("re-read of a filed body: stored=%v ref=%v, want the digest hit on %v", again.stored, again.ref, op.ref)
+		}
+		if !sameBits(again.m, decoded) {
+			t.Fatal("digest hit differs from the decoded body")
 		}
 	})
 }
@@ -92,6 +130,7 @@ func FuzzDecodeOperands(f *testing.F) {
 	f.Add("multipart/form-data", []byte("missing boundary parameter"))
 	f.Add("multipart/form-data; boundary=x", []byte("--x\r\nContent-Disposition: form-data; name=\"q\"\r\n\r\nMSPG\r\n--x--\r\n"))
 
+	srv := New(Config{})
 	f.Fuzz(func(t *testing.T, contentType string, data []byte) {
 		req, err := http.NewRequest(http.MethodPost, "/v1/multiply", bytes.NewReader(data))
 		if err != nil {
@@ -100,14 +139,14 @@ func FuzzDecodeOperands(f *testing.F) {
 		if contentType != "" {
 			req.Header.Set("Content-Type", contentType)
 		}
-		ops, err := decodeOperands(req)
+		ops, err := srv.decodeOperands(req)
 		if err != nil {
 			if status := operandStatus(err, nil); !fuzzStatusOK(status) {
 				t.Fatalf("decode error mapped to status %d: %v", status, err)
 			}
 			return
 		}
-		if ops.a == nil || ops.b == nil || ops.mask == nil {
+		if ops.a == nil || ops.b == nil || ops.maskPattern() == nil {
 			t.Fatalf("decoded operands with a hole: %+v", ops)
 		}
 	})
@@ -121,6 +160,7 @@ func FuzzDecodeUploads(f *testing.F) {
 		f.Add("", seed)
 	}
 	f.Add("", servetest.EncodeMTX(f, maskedspgemm.ErdosRenyi(16, 3, 4)))
+	srv := New(Config{})
 	f.Fuzz(func(t *testing.T, contentType string, data []byte) {
 		req, err := http.NewRequest(http.MethodPut, "/v1/operands", bytes.NewReader(data))
 		if err != nil {
@@ -129,7 +169,7 @@ func FuzzDecodeUploads(f *testing.F) {
 		if contentType != "" {
 			req.Header.Set("Content-Type", contentType)
 		}
-		ups, err := decodeUploads(req)
+		ups, err := srv.decodeUploads(req)
 		if err != nil {
 			if status := operandStatus(err, nil); !fuzzStatusOK(status) {
 				t.Fatalf("decode error mapped to status %d: %v", status, err)
@@ -137,7 +177,7 @@ func FuzzDecodeUploads(f *testing.F) {
 			return
 		}
 		for _, up := range ups {
-			if up.m == nil {
+			if up.op == nil || up.op.m == nil {
 				t.Fatal("nil upload without an error")
 			}
 		}
@@ -149,17 +189,18 @@ func FuzzDecodeUploads(f *testing.F) {
 // truncation at any byte is a clean client error, not a panic and not
 // a phantom success.
 func TestDecodeMatrixTruncations(t *testing.T) {
+	srv := New(Config{})
 	for name, body := range map[string][]byte{
 		"serial": servetest.EncodeSerial(t, maskedspgemm.ErdosRenyi(24, 4, 5)),
 		"mtx":    servetest.EncodeMTX(t, maskedspgemm.ErdosRenyi(24, 4, 5)),
 	} {
 		for cut := 0; cut < len(body); cut++ {
-			m, err := decodeMatrix(bytes.NewReader(body[:cut]))
+			op, err := readBytes(srv, body[:cut])
 			if err == nil {
 				// Matrix Market tolerates a truncated final line only when
 				// the entry count still matches; anything the decoder
 				// accepts must at least be a well-formed matrix.
-				if m == nil {
+				if op.m == nil {
 					t.Fatalf("%s cut at %d: nil matrix without error", name, cut)
 				}
 				continue
@@ -172,11 +213,13 @@ func TestDecodeMatrixTruncations(t *testing.T) {
 }
 
 // TestDecodeMatrixOversizedHeader pins the decoder against a header
-// that promises absurd sizes: the serial reader must refuse declared
-// dimensions it cannot hold rather than attempt the allocation, and a
-// plausible-looking one the body cannot back must fail as the short
-// read it is after allocating only what arrived.
+// that promises absurd sizes, sent with an honest Content-Length: the
+// serial reader must refuse declared dimensions it cannot hold rather
+// than attempt the allocation, and a plausible-looking one the body
+// cannot back must fail as the short read it is after allocating only
+// what arrived. TestServeLyingContentLength covers the lying length.
 func TestDecodeMatrixOversizedHeader(t *testing.T) {
+	srv := New(Config{})
 	header := func(dim uint64, payload int) []byte {
 		body := []byte("MSPG\x01\x00\x00\x00")
 		for range 3 {
@@ -195,11 +238,11 @@ func TestDecodeMatrixOversizedHeader(t *testing.T) {
 		// row pointers.
 		{"2^39 header", header(1<<39, 16), "short rowptr"},
 	} {
-		var m *maskedspgemm.Matrix
+		var op *operand
 		var err error
-		alloc := allocBytesPerCall(func() { m, err = decodeMatrix(bytes.NewReader(c.body)) })
+		alloc := allocBytesPerCall(func() { op, err = readBytes(srv, c.body) })
 		if err == nil {
-			t.Fatalf("%s: decoded into %v", c.name, m)
+			t.Fatalf("%s: decoded into %v", c.name, op.m)
 		}
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
@@ -228,22 +271,26 @@ func allocBytesPerCall(f func()) uint64 {
 }
 
 // TestDecodeMatrixAllocatesOneBuffer bounds what one small operand
-// costs to decode in each wire format: the sniffing decoder's 64 KiB
-// bufio.Reader is the only buffer the Matrix Market parser reads
-// through, and the serial reader adds just its one 64 KiB chunk. Each
-// format's own arrays and parsed lines fit in the remaining slack.
+// costs to read and decode in each wire format when its digest misses:
+// the operand reader's one body buffer, sized exactly by the
+// Content-Length, then the decode from it. The serial reader adds its
+// one 64 KiB chunk and arrays sized exactly from the buffer's length;
+// the Matrix Market parser reads through a 4 KiB bufio.Reader over
+// the buffer. Each format's own arrays and parsed lines fit in the
+// remaining slack.
 func TestDecodeMatrixAllocatesOneBuffer(t *testing.T) {
+	srv := New(Config{})
 	g := maskedspgemm.ErdosRenyi(24, 4, 5)
 	for _, c := range []struct {
 		name  string
 		body  []byte
 		limit uint64
 	}{
-		{"serial", servetest.EncodeSerial(t, g), 2<<16 + 8<<10},
-		{"mtx", servetest.EncodeMTX(t, g), 1<<16 + 32<<10},
+		{"serial", servetest.EncodeSerial(t, g), 1<<16 + 8<<10},
+		{"mtx", servetest.EncodeMTX(t, g), 24 << 10},
 	} {
 		alloc := allocBytesPerCall(func() {
-			if _, err := decodeMatrix(bytes.NewReader(c.body)); err != nil {
+			if _, err := readBytes(srv, c.body); err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
 		})

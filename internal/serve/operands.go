@@ -70,14 +70,14 @@ func parseRefForm(q url.Values) (*refRequest, error) {
 // namedUpload is one matrix received by PUT /v1/operands.
 type namedUpload struct {
 	name string
-	m    *maskedspgemm.Matrix
+	op   *operand
 }
 
 // decodeUploads parses a PUT /v1/operands body: one raw matrix
 // (either wire format), or multipart/form-data whose every part is a
 // matrix — part names are echoed back but carry no meaning, so
 // clients may label uploads mask/a/b or anything else.
-func decodeUploads(r *http.Request) ([]namedUpload, error) {
+func (s *Server) decodeUploads(r *http.Request) ([]namedUpload, error) {
 	ct := r.Header.Get("Content-Type")
 	mediaType, params, err := mime.ParseMediaType(ct)
 	if ct != "" && err == nil && strings.HasPrefix(mediaType, "multipart/") {
@@ -91,23 +91,23 @@ func decodeUploads(r *http.Request) ([]namedUpload, error) {
 			if err != nil {
 				return nil, fmt.Errorf("serve: bad multipart body: %w", err)
 			}
-			m, err := decodeMatrix(part)
+			op, err := s.readOperand(part, r.ContentLength)
 			part.Close()
 			if err != nil {
 				return nil, fmt.Errorf("serve: part %q: %w", part.FormName(), err)
 			}
-			ups = append(ups, namedUpload{name: part.FormName(), m: m})
+			ups = append(ups, namedUpload{name: part.FormName(), op: op})
 		}
 		if len(ups) == 0 {
 			return nil, fmt.Errorf("serve: multipart upload holds no operands")
 		}
 		return ups, nil
 	}
-	m, err := decodeMatrix(r.Body)
+	op, err := s.readOperand(r.Body, r.ContentLength)
 	if err != nil {
 		return nil, err
 	}
-	return []namedUpload{{m: m}}, nil
+	return []namedUpload{{op: op}}, nil
 }
 
 // decodeValuesBody parses a values-only delta: raw little-endian
@@ -142,10 +142,10 @@ type operandReceipt struct {
 	NNZ int64 `json:"nnz"`
 }
 
-// receiptFor files m in the session store and describes the result.
-func (s *Server) receiptFor(name string, m *maskedspgemm.Matrix) operandReceipt {
-	nnz := m.NNZ()
-	ref, created := s.session.PutOperand(m)
+// receiptFor files op in the session store and describes the result.
+func (s *Server) receiptFor(name string, op *operand) operandReceipt {
+	nnz := op.m.NNZ()
+	ref, created := s.fileOperand(op)
 	return operandReceipt{
 		Name:    name,
 		Pattern: fmt.Sprintf("%016x", ref.Pattern),
@@ -231,13 +231,13 @@ func (s *Server) handleOperands(w http.ResponseWriter, r *http.Request) {
 			NNZ:     int64(len(vals)),
 		})
 	} else {
-		ups, status, err := readGuarded(s, w, r, decodeUploads)
+		ups, status, err := readGuarded(s, w, r, s.decodeUploads)
 		if err != nil {
 			httpError(w, status, err.Error())
 			return
 		}
 		for _, up := range ups {
-			receipts = append(receipts, s.receiptFor(up.name, up.m))
+			receipts = append(receipts, s.receiptFor(up.name, up.op))
 		}
 	}
 	writeJSON(w, operandsResponse{Operands: receipts, Store: s.session.Stats().Store})
@@ -286,31 +286,38 @@ func writeMissing(w http.ResponseWriter, err *maskedspgemm.MissingOperandsError)
 	writeJSONStatus(w, http.StatusNotFound, resp)
 }
 
+// fileOperand files op in the session store under its content
+// address with its body digest, unless it is resident already (a
+// digest hit, or filed earlier in this request), and returns its ref.
+// created reports a new entry.
+func (s *Server) fileOperand(op *operand) (ref maskedspgemm.OperandRef, created bool) {
+	if op.stored {
+		return op.ref, false
+	}
+	op.ref, created = s.session.PutOperandDigest(op.m, op.digest)
+	op.stored = true
+	return op.ref, created
+}
+
 // storeThrough files an inline request's operands in the session
 // store and answers with their refs in response headers
 // (X-Operand-Mask / X-Operand-A / X-Operand-B), so a client that just
 // paid the upload learns the references that make its next request
-// free. Ownership of the decoded matrices passes to the store; the
-// request keeps using them read-only, which the ownership contract
-// permits (DESIGN.md §8).
-func (s *Server) storeThrough(w http.ResponseWriter, ops *operands) {
-	aRef, _ := s.session.PutOperand(ops.a)
-	bRef := aRef
-	if ops.b != ops.a {
-		bRef, _ = s.session.PutOperand(ops.b)
-	}
-	maskFP := aRef.Pattern
-	switch {
-	case ops.maskM == nil || ops.maskM == ops.a:
-		// mask defaulted to (or was uploaded as) A's structure.
-	case ops.maskM == ops.b:
-		maskFP = bRef.Pattern
-	default:
-		mRef, _ := s.session.PutOperand(ops.maskM)
+// free. It returns the fingerprints the operands are stored under,
+// which key the request's plan lookup. Ownership of decoded matrices
+// passes to the store; the request keeps using them read-only, which
+// the ownership contract permits (DESIGN.md §8).
+func (s *Server) storeThrough(w http.ResponseWriter, ops *operands) (maskFP uint64, aRef, bRef maskedspgemm.OperandRef) {
+	aRef, _ = s.fileOperand(ops.a)
+	bRef, _ = s.fileOperand(ops.b)
+	maskFP = aRef.Pattern
+	if ops.mask != nil {
+		mRef, _ := s.fileOperand(ops.mask)
 		maskFP = mRef.Pattern
 	}
 	h := w.Header()
 	h.Set("X-Operand-Mask", fmt.Sprintf("%016x", maskFP))
 	h.Set("X-Operand-A", aRef.String())
 	h.Set("X-Operand-B", bRef.String())
+	return maskFP, aRef, bRef
 }

@@ -286,8 +286,11 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	// Inline operands are stored through on the way in, and the refs
 	// they landed under ride back on X-Operand-* headers: the upload a
 	// client just paid buys its next request the reference form.
-	s.storeThrough(w, ops)
-	out, err := s.session.MultiplyCtx(ctx, ops.mask, ops.a, ops.b, opts...)
+	// The plan lookup keys on the fingerprints the operands are stored
+	// under, so a request whose body matched a resident operand hashes
+	// nothing at all.
+	maskFP, aRef, bRef := s.storeThrough(w, ops)
+	out, err := s.session.MultiplyStoredCtx(ctx, maskFP, aRef, bRef, ops.maskPattern(), ops.a.m, ops.b.m, opts...)
 	release()
 	if err != nil {
 		// The store-through headers double as the panic log's request
@@ -386,7 +389,7 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, err.Error())
 		return
 	}
-	if err := s.session.Warm(ops.mask, ops.a, ops.b, opts...); err != nil {
+	if err := s.session.Warm(ops.maskPattern(), ops.a.m, ops.b.m, opts...); err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
@@ -462,7 +465,7 @@ func readGuarded[T any](s *Server, w http.ResponseWriter, r *http.Request, decod
 
 // readOperands is readGuarded specialized to multiply/warm bodies.
 func (s *Server) readOperands(w http.ResponseWriter, r *http.Request) (*operands, int, error) {
-	return readGuarded(s, w, r, decodeOperands)
+	return readGuarded(s, w, r, s.decodeOperands)
 }
 
 // trackedBody records the first non-EOF error a body read surfaces.

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"runtime"
 	"sort"
@@ -686,6 +689,61 @@ func TestServeSlowBodyTimeout(t *testing.T) {
 	resp := h.Post("/v1/multiply?format=summary", servetest.EncodeSerial(t, g), nil)
 	if resp.Status != http.StatusOK {
 		t.Fatalf("request after stalled upload: status %d: %s", resp.Status, resp.Body)
+	}
+}
+
+// TestServeLyingContentLength drives the operand reader over a raw
+// connection with a body that lies twice: its Content-Length declares
+// 64 MiB and its 48-byte MSPG header declares 2³⁹ rows. The client
+// then stalls (408 at BodyReadTimeout) or closes its side (400, the
+// body ended early). Either way the request may allocate at most the
+// reader's 1 MiB reservation plus 64 KiB for everything else: neither
+// declared size reserves memory before its bytes arrive.
+func TestServeLyingContentLength(t *testing.T) {
+	body := []byte("MSPG\x01\x00\x00\x00")
+	for range 3 {
+		body = binary.LittleEndian.AppendUint64(body, 1<<39)
+	}
+	body = append(body, make([]byte, 16)...)
+	for _, c := range []struct {
+		name  string
+		close bool
+		want  int
+	}{
+		{"stall", false, http.StatusRequestTimeout},
+		{"close", true, http.StatusBadRequest},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := servetest.Start(t, New(Config{BodyReadTimeout: 200 * time.Millisecond}))
+			conn := h.Dial()
+			if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			fmt.Fprintf(conn, "POST /v1/multiply HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n", 64<<20)
+			if _, err := conn.Write(body); err != nil {
+				t.Fatal(err)
+			}
+			if c.close {
+				if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+			if err != nil {
+				t.Fatalf("no response: %v", err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			runtime.ReadMemStats(&after)
+			if resp.StatusCode != c.want {
+				t.Fatalf("status %d (%s), want %d", resp.StatusCode, bytes.TrimSpace(msg), c.want)
+			}
+			if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+64<<10); alloc > limit {
+				t.Errorf("%d bytes allocated for the request, want ≤ %d", alloc, limit)
+			}
+		})
 	}
 }
 

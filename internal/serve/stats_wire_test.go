@@ -27,15 +27,18 @@ func jsonKeys(m map[string]json.RawMessage) []string {
 // omitempty flags, a live plain miss neither). Uniform-scheme traffic
 // leaves hybrid_family_rows out, the pool block has no poisoned key
 // (faults.executors_discarded reports it), and sched.busy_nanos is an
-// integer nanosecond count.
+// integer nanosecond count. The multiply is sent twice, so
+// store.body_hits reads exactly the one digest hit of the second.
 func TestServeStatsWireGolden(t *testing.T) {
 	h := servetest.Start(t, New(Config{}))
 	body := servetest.EncodeSerial(t, maskedspgemm.ErdosRenyi(48, 4, 71))
 	if resp := h.Post("/v1/warm?algorithm=msa&complement=1", body, nil); resp.Status != http.StatusOK {
 		t.Fatalf("warm: status %d: %s", resp.Status, resp.Body)
 	}
-	if resp := h.Post("/v1/multiply?algorithm=msa&sched_stats=1&format=summary", body, nil); resp.Status != http.StatusOK {
-		t.Fatalf("multiply: status %d: %s", resp.Status, resp.Body)
+	for range 2 {
+		if resp := h.Post("/v1/multiply?algorithm=msa&sched_stats=1&format=summary", body, nil); resp.Status != http.StatusOK {
+			t.Fatalf("multiply: status %d: %s", resp.Status, resp.Body)
+		}
 	}
 	resp := h.Get("/stats")
 	if resp.Status != http.StatusOK {
@@ -58,7 +61,7 @@ func TestServeStatsWireGolden(t *testing.T) {
 	}
 	want := map[string][]string{
 		"session.cache":    {"bytes", "coalesced_misses", "entries", "evictions", "hits", "misses"},
-		"session.store":    {"bytes", "evictions", "hits", "misses", "operands", "patterns", "puts", "reputs"},
+		"session.store":    {"body_hits", "bytes", "evictions", "hits", "misses", "operands", "patterns", "puts", "reputs"},
 		"session.budget":   {"max_bytes", "used_bytes"},
 		"session.pool":     {"created", "discarded", "idle", "reused"},
 		"session.sched":    {"blocks_claimed", "busy_nanos", "passes", "worst_imbalance"},
@@ -69,6 +72,10 @@ func TestServeStatsWireGolden(t *testing.T) {
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("/stats keys drifted.\ngot:  %v\nwant: %v", got, want)
+	}
+	var bodyHits uint64
+	if err := json.Unmarshal(doc.Session["store"]["body_hits"], &bodyHits); err != nil || bodyHits != 1 {
+		t.Errorf("store.body_hits = %s, want 1 (the second multiply's body)", doc.Session["store"]["body_hits"])
 	}
 	var busy int64
 	if err := json.Unmarshal(doc.Session["sched"]["busy_nanos"], &busy); err != nil {

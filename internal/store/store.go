@@ -21,6 +21,10 @@
 // built from a stored mask holds its own reference to the mask's
 // arrays, and is charged for them), and evicting a plan never drops an
 // operand — the two caches only compete for bytes.
+//
+// An entry may also carry the digests of the encoded bodies it was
+// decoded from (GetBody, PutBody): a serving layer that sees the same
+// bytes again takes the resident operand instead of decoding them.
 package store
 
 import (
@@ -83,6 +87,20 @@ func ParseFingerprint(s string) (uint64, error) {
 	return f, nil
 }
 
+// Digest names the exact bytes an operand was decoded from: a 128-bit
+// keyed hash the serving layer computes. The store treats it as
+// opaque; equal digests mean byte-identical bodies, and bytes decode
+// to one matrix, so a digest filed on an entry names that entry's
+// content.
+type Digest [2]uint64
+
+// maxBodyDigests bounds the digests one entry carries. One matrix has
+// many encodings (MSPG, Matrix Market with any spacing or comments),
+// so a client re-encoding it could otherwise grow an entry without
+// bound; past the cap the oldest digest is dropped, which costs a
+// later body of that encoding one decode, nothing else.
+const maxBodyDigests = 4
+
 // Store is the fingerprint-keyed operand store. All methods are safe
 // for concurrent use.
 //
@@ -99,10 +117,14 @@ type Store struct {
 	lru      *list.List // front = most recently used; values are *entry
 	table    map[Ref]*list.Element
 	patterns map[uint64]*patternEntry
-	bytes    int64
+	// bodies files entries by the digests of the bodies they were
+	// decoded from; each digest is also listed on its entry, and leaves
+	// the map when the entry is evicted.
+	bodies map[Digest]*list.Element
+	bytes  int64
 
 	hits, misses, evictions uint64
-	puts, reputs            uint64
+	puts, reputs, bodyHits  uint64
 }
 
 // entry is one resident value set; its matrix aliases the refcounted
@@ -113,6 +135,9 @@ type entry struct {
 	m     *sparse.CSR[float64]
 	bytes int64
 	stamp uint64
+	// digests are the body digests filed on the entry, oldest first, at
+	// most maxBodyDigests.
+	digests []Digest
 }
 
 // patternEntry is one resident structure, shared by every value set
@@ -141,6 +166,7 @@ func New(budget *core.MemBudget) *Store {
 		lru:      list.New(),
 		table:    make(map[Ref]*list.Element),
 		patterns: make(map[uint64]*patternEntry),
+		bodies:   make(map[Digest]*list.Element),
 	}
 	budget.Register(s)
 	return s
@@ -153,18 +179,71 @@ func New(budget *core.MemBudget) *Store {
 // another value set, the stored matrix aliases the shared structure
 // instead of retaining a second copy.
 func (s *Store) Put(m *sparse.CSR[float64]) (Ref, bool) {
+	return s.put(m, nil)
+}
+
+// PutBody is Put for a matrix decoded from an encoded body whose
+// digest is d: it also files d on the resident entry (new or
+// re-put), so GetBody answers the same bytes without a decode. The
+// caller vouches that m is what those bytes decode to.
+func (s *Store) PutBody(m *sparse.CSR[float64], d Digest) (Ref, bool) {
+	return s.put(m, &d)
+}
+
+// put is Put and PutBody: insert or touch, then file the digest.
+func (s *Store) put(m *sparse.CSR[float64], d *Digest) (Ref, bool) {
 	ref := RefOf(m)
 	s.mu.Lock()
-	if el, ok := s.table[ref]; ok {
+	el, resident := s.table[ref]
+	if resident {
 		s.touchLocked(el)
 		s.reputs++
-		s.mu.Unlock()
-		return ref, false
+	} else {
+		el = s.insertLocked(ref, m)
 	}
-	s.insertLocked(ref, m)
+	if d != nil {
+		s.fileBodyLocked(el, *d)
+	}
 	s.mu.Unlock()
-	s.budget.Rebalance()
-	return ref, true
+	if !resident {
+		s.budget.Rebalance()
+	}
+	return ref, !resident
+}
+
+// GetBody returns the resident matrix filed under body digest d and
+// its ref, with no decode and no hashing of the matrix. A hit is the
+// re-put of resident content it stands for: it refreshes the entry's
+// recency and counts as a reput and a body hit. A miss counts nothing
+// (the body is then decoded and put). The matrix is shared and
+// read-only.
+func (s *Store) GetBody(d Digest) (*sparse.CSR[float64], Ref, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.bodies[d]
+	if !ok {
+		return nil, Ref{}, false
+	}
+	s.touchLocked(el)
+	s.reputs++
+	s.bodyHits++
+	e := el.Value.(*entry)
+	return e.m, e.ref, true
+}
+
+// fileBodyLocked lists digest d on the entry at el, dropping the
+// entry's oldest digest when it already carries maxBodyDigests.
+func (s *Store) fileBodyLocked(el *list.Element, d Digest) {
+	if _, ok := s.bodies[d]; ok {
+		return
+	}
+	e := el.Value.(*entry)
+	if len(e.digests) == maxBodyDigests {
+		delete(s.bodies, e.digests[0])
+		e.digests = append(e.digests[:0], e.digests[1:]...)
+	}
+	e.digests = append(e.digests, d)
+	s.bodies[d] = el
 }
 
 // ErrUnknownPattern reports a values-only put against a structure the
@@ -245,8 +324,8 @@ func (s *Store) GetPattern(fp uint64) (*sparse.Pattern, bool) {
 }
 
 // insertLocked files a new entry, sharing or creating its pattern and
-// reserving its bytes from the budget.
-func (s *Store) insertLocked(ref Ref, m *sparse.CSR[float64]) {
+// reserving its bytes from the budget, and returns its list element.
+func (s *Store) insertLocked(ref Ref, m *sparse.CSR[float64]) *list.Element {
 	pe, ok := s.patterns[ref.Pattern]
 	if ok {
 		// Share the resident structure: the stored matrix's embedded
@@ -274,10 +353,12 @@ func (s *Store) insertLocked(ref Ref, m *sparse.CSR[float64]) {
 		bytes: int64(len(m.Val))*8 + entryOverhead,
 		stamp: s.budget.Stamp(),
 	}
-	s.table[ref] = s.lru.PushFront(e)
+	el := s.lru.PushFront(e)
+	s.table[ref] = el
 	s.bytes += e.bytes
 	s.budget.Reserve(e.bytes)
 	s.puts++
+	return el
 }
 
 // touchLocked refreshes an entry's LRU position and global stamp.
@@ -292,6 +373,9 @@ func (s *Store) removeLocked(el *list.Element) int64 {
 	e := el.Value.(*entry)
 	s.lru.Remove(el)
 	delete(s.table, e.ref)
+	for _, d := range e.digests {
+		delete(s.bodies, d)
+	}
 	freed := e.bytes
 	s.bytes -= e.bytes
 	s.evictions++
@@ -339,8 +423,12 @@ type Stats struct {
 	Misses uint64 `json:"misses"`
 	// Puts counts entries inserted (full uploads and values deltas).
 	Puts uint64 `json:"puts"`
-	// Reputs counts idempotent re-uploads of already-resident content.
+	// Reputs counts idempotent re-uploads of already-resident content,
+	// body hits included.
 	Reputs uint64 `json:"reputs"`
+	// BodyHits counts inline bodies matched to a resident operand by
+	// digest, not decoded (uploaded bodies included).
+	BodyHits uint64 `json:"body_hits"`
 	// Evictions counts entries dropped by budget pressure.
 	Evictions uint64 `json:"evictions"`
 	// Operands is the current number of resident value sets.
@@ -361,6 +449,7 @@ func (s *Store) StatsSnapshot() Stats {
 		Misses:    s.misses,
 		Puts:      s.puts,
 		Reputs:    s.reputs,
+		BodyHits:  s.bodyHits,
 		Evictions: s.evictions,
 		Operands:  s.lru.Len(),
 		Patterns:  len(s.patterns),

@@ -215,3 +215,70 @@ func TestStoreGetTouchesLRU(t *testing.T) {
 		t.Fatal("recently touched operand gone")
 	}
 }
+
+// TestStoreBodyDigests pins the body-digest table: a digest filed by
+// PutBody resolves to its entry, counts as a reput and a body hit, and
+// refreshes recency like a put; an entry keeps at most maxBodyDigests,
+// dropping its oldest; and eviction drops every digest with the entry.
+func TestStoreBodyDigests(t *testing.T) {
+	s := New(core.NewMemBudget(1 << 30))
+	g := gen.ErdosRenyi(32, 4, 30)
+	ref, created := s.PutBody(g, Digest{1, 1})
+	if !created {
+		t.Fatal("first body put must create")
+	}
+	if _, _, ok := s.GetBody(Digest{1, 2}); ok {
+		t.Fatal("an unfiled digest resolved")
+	}
+	m, got, ok := s.GetBody(Digest{1, 1})
+	if !ok || got != ref || m != g {
+		t.Fatalf("filed digest: ok=%v ref=%v, want the resident entry %v", ok, got, ref)
+	}
+	if st := s.StatsSnapshot(); st.BodyHits != 1 || st.Reputs != 1 || st.Puts != 1 || st.Misses != 0 {
+		t.Fatalf("stats after one body hit = %+v", st)
+	}
+
+	// Re-putting the same content under more digests files them all on
+	// the one entry, up to the cap.
+	for k := uint64(2); k <= maxBodyDigests+1; k++ {
+		if _, created := s.PutBody(gen.ErdosRenyi(32, 4, 30), Digest{k, k}); created {
+			t.Fatalf("digest %d: re-put created a second entry", k)
+		}
+	}
+	if _, _, ok := s.GetBody(Digest{1, 1}); ok {
+		t.Fatal("the oldest digest outlived the per-entry cap")
+	}
+	for k := uint64(2); k <= maxBodyDigests+1; k++ {
+		if _, _, ok := s.GetBody(Digest{k, k}); !ok {
+			t.Fatalf("digest %d lost within the cap", k)
+		}
+	}
+
+	// A body hit refreshes recency: g survives the next eviction.
+	other, _ := s.Put(gen.ErdosRenyi(32, 4, 31))
+	newest, _ := s.Put(gen.ErdosRenyi(32, 4, 32))
+	if _, _, ok := s.GetBody(Digest{2, 2}); !ok {
+		t.Fatal("digest lost")
+	}
+	s.BudgetEvict()
+	if _, ok := s.Get(other); ok {
+		t.Fatal("the untouched operand survived instead of the body-hit one")
+	}
+
+	// Evicting the entry drops its digests.
+	if _, ok := s.Get(newest); !ok {
+		t.Fatal("newest operand gone")
+	}
+	s.BudgetEvict()
+	if _, ok := s.Get(ref); ok {
+		t.Fatal("the least recently used operand survived")
+	}
+	for k := uint64(2); k <= maxBodyDigests+1; k++ {
+		if _, _, ok := s.GetBody(Digest{k, k}); ok {
+			t.Fatalf("digest %d outlived its evicted entry", k)
+		}
+	}
+	if len(s.bodies) != 0 {
+		t.Fatalf("%d digests left after their entry was evicted", len(s.bodies))
+	}
+}

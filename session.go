@@ -305,6 +305,30 @@ func (s *Session) PutOperand(m *Matrix) (ref OperandRef, created bool) {
 	return s.operands.Put(m)
 }
 
+// OperandDigest names the exact bytes an operand was decoded from
+// (store.Digest): a 128-bit keyed hash computed by whoever read the
+// bytes. The session treats it as opaque.
+type OperandDigest = store.Digest
+
+// PutOperandDigest is PutOperand for a matrix decoded from an encoded
+// body whose digest is d: it also files d on the resident entry, so
+// OperandByDigest answers a later copy of the same bytes without a
+// decode. The caller vouches that m is exactly what those bytes
+// decode to. The digest is dropped when the entry is evicted.
+func (s *Session) PutOperandDigest(m *Matrix, d OperandDigest) (ref OperandRef, created bool) {
+	return s.operands.PutBody(m, d)
+}
+
+// OperandByDigest resolves the digest of an encoded body to the
+// resident operand filed from the same bytes, with its ref: no decode,
+// no validation, no hashing of the matrix. A hit counts as the re-put
+// of resident content it stands for (StoreStats.Reputs and BodyHits)
+// and refreshes the operand's eviction recency. The matrix is shared
+// and read-only.
+func (s *Session) OperandByDigest(d OperandDigest) (m *Matrix, ref OperandRef, ok bool) {
+	return s.operands.GetBody(d)
+}
+
 // PutOperandValues files a fresh value set under an already-resident
 // structure — the values-only delta for iterative workloads whose
 // pattern is fixed. Only vals is supplied (ownership transfers); the
@@ -418,10 +442,20 @@ func (s *Session) MultiplyRefsCtx(ctx context.Context, maskFP uint64, aRef, bRef
 		}
 		return nil, err
 	}
-	// The store keys its operands by the fingerprints the request
-	// named, so the plan cache keys on those instead of hashing the
-	// operands again, and a plan built on a miss aliases the resident
-	// mask instead of cloning it.
+	return s.MultiplyStoredCtx(ctx, maskFP, aRef, bRef, mask, a, b, opts...)
+}
+
+// MultiplyStoredCtx is MultiplyCtx for operands already filed in the
+// session's store — by PutOperand, PutOperandDigest or a resolution —
+// passed in hand together with the fingerprints they are stored under:
+// maskFP is the mask's structure fingerprint, aRef and bRef are A's
+// and B's refs. Nothing is resolved, so an operand evicted since it
+// was filed still computes. The plan cache keys on the fingerprints
+// instead of hashing the operands again, and a plan built on a miss
+// aliases the mask instead of cloning it, so the operands must not be
+// mutated (the store's ownership contract). The fingerprints are not
+// checked against the operands.
+func (s *Session) MultiplyStoredCtx(ctx context.Context, maskFP uint64, aRef, bRef OperandRef, mask *Pattern, a, b *Matrix, opts ...Option) (*Matrix, error) {
 	o := buildOptions(opts)
 	fp := core.Fingerprints{Mask: maskFP, A: aRef.Pattern, B: bRef.Pattern}
 	plan, hit, err := s.cache.GetOrPlanStored(fp, mask, a, b, o)
