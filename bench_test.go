@@ -242,51 +242,6 @@ func BenchmarkPhases(b *testing.B) {
 	}
 }
 
-// BenchmarkHeapNInspect — the §5.5 NInspect parameter sweep.
-func BenchmarkHeapNInspect(b *testing.B) {
-	sr := semiring.PlusTimes[float64]{}
-	const dim = 1 << 12
-	a := gen.ErdosRenyi(dim, 8, 24)
-	bb := gen.ErdosRenyi(dim, 8, 25)
-	mask := gen.ErdosRenyiPattern(dim, 64, 26)
-	for _, n := range []int{core.HeapInspectNone, 1, 4, core.HeapInspectAll} {
-		name := fmt.Sprintf("NInspect=%d", n)
-		switch n {
-		case core.HeapInspectNone:
-			name = "NInspect=none"
-		case core.HeapInspectAll:
-			name = "NInspect=inf"
-		}
-		opt := core.Options{Algorithm: core.AlgoHeap, HeapNInspect: n}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.MaskedSpGEMM(sr, mask, a, bb, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkHashLoadFactor — the §5.3 load-factor choice.
-func BenchmarkHashLoadFactor(b *testing.B) {
-	sr := semiring.PlusTimes[float64]{}
-	const dim = 1 << 12
-	a := gen.ErdosRenyi(dim, 16, 27)
-	bb := gen.ErdosRenyi(dim, 16, 28)
-	mask := gen.ErdosRenyiPattern(dim, 32, 29)
-	for _, lf := range []float64{0.25, 0.5, 0.75} {
-		opt := core.Options{Algorithm: core.AlgoHash, HashLoadFactor: lf}
-		b.Run(fmt.Sprintf("lf=%.2f", lf), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.MaskedSpGEMM(sr, mask, a, bb, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkOnePhaseLayout — the mask-slab one-phase layout against the
 // symbolic two-phase on a mask that wildly overestimates the output
 // (worst case for 1P's extra memory) and one that matches it (best

@@ -40,15 +40,13 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		maxInFlight  = flag.Int("max-inflight", 0, "concurrent multiplications (0 = GOMAXPROCS)")
+		maxInFlight  = flag.Int("max-inflight", 0, "concurrent multiplications, uploads and warms (0 = GOMAXPROCS)")
 		maxQueue     = flag.Int("max-queue", 0, "queued requests beyond the in-flight bound (0 = 4×max-inflight)")
 		queueTimeout = flag.Duration("queue-timeout", 2*time.Second, "default per-request queue deadline")
 		retryAfter   = flag.Duration("retry-after", time.Second, "Retry-After hint on shed responses")
 		maxBody      = flag.Int64("max-body-bytes", 1<<30, "request body size cap (413 beyond it)")
 		bodyTimeout  = flag.Duration("body-read-timeout", time.Minute, "per-request body upload deadline (408 beyond it)")
-		maxWarm      = flag.Int("max-warm", 0, "concurrent /v1/warm planning bound (0 = default 2)")
 		cacheEntries = flag.Int("cache-entries", 0, "plan-cache entry bound (0 = default 128)")
-		cacheBytes   = flag.Int64("cache-bytes", 0, "plan-cache byte bound (0 = unbounded)")
 		memBudget    = flag.Int64("memory-budget", 0, "shared byte budget over cached plans and stored operands (0 = default 1GiB)")
 		panicEvery   = flag.Duration("panic-log-every", time.Minute, "rate limit on kernel-panic log entries: the first contained panic of a kind logs its full stack and request fingerprints, repeats within the interval are counted instead of logged")
 		drainWait    = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight work")
@@ -58,9 +56,6 @@ func main() {
 	var sopts []maskedspgemm.SessionOption
 	if *cacheEntries > 0 {
 		sopts = append(sopts, maskedspgemm.WithPlanCacheEntries(*cacheEntries))
-	}
-	if *cacheBytes > 0 {
-		sopts = append(sopts, maskedspgemm.WithPlanCacheBytes(*cacheBytes))
 	}
 	if *memBudget > 0 {
 		sopts = append(sopts, maskedspgemm.WithMemoryBudget(*memBudget))
@@ -72,7 +67,6 @@ func main() {
 		RetryAfter:      *retryAfter,
 		MaxBodyBytes:    *maxBody,
 		BodyReadTimeout: *bodyTimeout,
-		MaxWarmInFlight: *maxWarm,
 		PanicLogEvery:   *panicEvery,
 		SessionOptions:  sopts,
 	})

@@ -31,8 +31,7 @@ func plainAccumulators(ncols, maxMask int) map[string]numericAcc {
 		"MSA":                 NewMSA[float64](pt, ncols),
 		"MSA-PlusTimes":       MSAPlusTimes{MSA: NewMSA[float64](pt, ncols)},
 		"MSA-PlusTimes-dense": MSAPlusTimes{MSA: NewMSA[float64](pt, ncols), Dense: true},
-		"Hash":                NewHash[float64](pt, maxMask, 0),
-		"Hash-lf1":            NewHash[float64](pt, maxMask, 1.0),
+		"Hash":                NewHash[float64](pt, maxMask),
 		"MaskedBit":           NewMaskedBit[float64](pt, ncols),
 		"MaskedBit-PlusTimes": MaskedBitPlusTimes{NewMaskedBit[float64](pt, ncols)},
 	}
@@ -230,7 +229,7 @@ const wideCols = 1 << 16
 func complementAccumulators(ncols int) map[string]complementAcc {
 	return map[string]complementAcc{
 		"MSAC":                 NewMSAC[float64](pt, ncols),
-		"HashC":                NewHashC[float64](pt, 16, 0),
+		"HashC":                NewHashC[float64](pt, 16),
 		"MaskedBitC":           NewMaskedBitC[float64](pt, ncols),
 		"MaskedBitC-PlusTimes": MaskedBitCPlusTimes{NewMaskedBitC[float64](pt, ncols)},
 	}
@@ -479,7 +478,7 @@ func TestIterHeapReset(t *testing.T) {
 
 // TestHashGrowth forces a row larger than the constructor hint.
 func TestHashGrowth(t *testing.T) {
-	h := NewHash[float64](pt, 2, 0.25)
+	h := NewHash[float64](pt, 2)
 	mask := make([]int32, 100)
 	for i := range mask {
 		mask[i] = int32(i)

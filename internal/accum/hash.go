@@ -11,10 +11,14 @@ import (
 // under linear probing.
 const hashMultiplier uint32 = 2654435761
 
-// DefaultLoadFactor is the paper's hash accumulator load factor: the
-// table is sized so that nnz(mask row) fills at most a quarter of it,
-// trading memory for collision-free probes (§5.3).
-const DefaultLoadFactor = 0.25
+// loadFactor is the paper's hash accumulator load factor: the table is
+// sized so that nnz(mask row) fills at most a quarter of it, trading
+// memory for collision-free probes (§5.3).
+const loadFactor = 0.25
+
+// complementLoadFactor sizes HashC tables: a complemented row's bound
+// can be large, so it may fill half its table.
+const complementLoadFactor = 0.5
 
 // Hash is the hash accumulator (§5.3): an open-addressing, linear-probe
 // table storing (key, state, value) with no resizing — the key set is
@@ -27,18 +31,13 @@ type Hash[T any, S semiring.Semiring[T]] struct {
 	states []uint8 // stateAllowed or stateSet for occupied slots
 	values []T
 	cap    int // active power-of-two capacity for the current row
-	lf     float64
 }
 
 // NewHash returns a hash accumulator able to handle mask rows of up to
-// maxMaskRow entries at the given load factor (≤ 0 means the paper's
-// 0.25).
-func NewHash[T any, S semiring.Semiring[T]](sr S, maxMaskRow int, loadFactor float64) *Hash[T, S] {
-	if loadFactor <= 0 || loadFactor > 1 {
-		loadFactor = DefaultLoadFactor
-	}
-	h := &Hash[T, S]{sr: sr, lf: loadFactor}
-	h.grow(tableCap(maxMaskRow, loadFactor))
+// maxMaskRow entries.
+func NewHash[T any, S semiring.Semiring[T]](sr S, maxMaskRow int) *Hash[T, S] {
+	h := &Hash[T, S]{sr: sr}
+	h.Grow(maxMaskRow)
 	return h
 }
 
@@ -50,16 +49,11 @@ func maxInt(a, b int) int {
 }
 
 // tableCap is the one table-sizing rule: the power-of-two capacity for
-// n keys at load factor lf, always leaving at least one empty slot so
-// linear probing for absent keys terminates even at load factor 1.0
-// (a row of exactly c keys would otherwise fill the table and make
-// slot() spin forever).
+// n keys at load factor lf. Both load factors are at most 0.5, so a
+// full row leaves empty slots and linear probing for absent keys
+// terminates.
 func tableCap(n int, lf float64) int {
-	c := nextPow2(maxInt(int(float64(n)/lf), 16))
-	for c <= n {
-		c <<= 1
-	}
-	return c
+	return nextPow2(maxInt(int(float64(n)/lf), 16))
 }
 
 // grow reallocates the backing arrays to capacity c when they are
@@ -76,23 +70,18 @@ func (h *Hash[T, S]) grow(c int) {
 	}
 }
 
-// Reconfigure adjusts a pooled accumulator for a new product: it adopts
-// the given load factor (≤ 0 means the paper's 0.25) and pre-grows the
-// table for mask rows of up to maxMaskRow entries. Used by executor
-// workspaces that keep one Hash per worker across many multiplications.
-func (h *Hash[T, S]) Reconfigure(maxMaskRow int, loadFactor float64) {
-	if loadFactor <= 0 || loadFactor > 1 {
-		loadFactor = DefaultLoadFactor
-	}
-	h.lf = loadFactor
-	h.grow(tableCap(maxMaskRow, h.lf))
+// Grow pre-grows the table for mask rows of up to maxMaskRow entries.
+// Used by executor workspaces that keep one Hash per worker across
+// many multiplications.
+func (h *Hash[T, S]) Grow(maxMaskRow int) {
+	h.grow(tableCap(maxMaskRow, loadFactor))
 }
 
 // sizeFor picks the active capacity for a row with n mask entries and
 // clears that region. Growing beyond the constructor hint is supported
 // (it just reallocates), so callers may size optimistically.
 func (h *Hash[T, S]) sizeFor(n int) {
-	c := tableCap(n, h.lf)
+	c := tableCap(n, loadFactor)
 	h.grow(c)
 	h.cap = c
 	for i := 0; i < c; i++ {
@@ -248,23 +237,18 @@ type HashC[T any, S semiring.Semiring[T]] struct {
 	states   []uint8 // stateNotAllowed (sentinel) or stateSet
 	values   []T
 	cap      int
-	lf       float64
 	inserted []int32
 }
 
 // NewHashC returns a complemented hash accumulator able to hold
 // maxEntries keys (mask sentinels + inserted outputs) per row.
-func NewHashC[T any, S semiring.Semiring[T]](sr S, maxEntries int, loadFactor float64) *HashC[T, S] {
-	if loadFactor <= 0 || loadFactor > 1 {
-		loadFactor = 0.5 // complement rows can be large; be less wasteful
-	}
-	c := nextPow2(maxInt(int(float64(maxEntries)/loadFactor), 16))
+func NewHashC[T any, S semiring.Semiring[T]](sr S, maxEntries int) *HashC[T, S] {
+	c := tableCap(maxEntries, complementLoadFactor)
 	h := &HashC[T, S]{
 		sr:     sr,
 		keys:   make([]int32, c),
 		states: make([]uint8, c),
 		values: make([]T, c),
-		lf:     loadFactor,
 	}
 	for i := range h.keys {
 		h.keys[i] = -1
@@ -272,22 +256,12 @@ func NewHashC[T any, S semiring.Semiring[T]](sr S, maxEntries int, loadFactor fl
 	return h
 }
 
-// Reconfigure adopts a new load factor (≤ 0 means the complement
-// default 0.5) on a pooled accumulator. Table growth is per-row
-// (BeginSized), so no pre-sizing is needed here.
-func (h *HashC[T, S]) Reconfigure(loadFactor float64) {
-	if loadFactor <= 0 || loadFactor > 1 {
-		loadFactor = 0.5
-	}
-	h.lf = loadFactor
-}
-
 // BeginSized prepares the table for a row whose mask has the given
 // entries and whose output size is bounded by bound.
 //
 //mspgemm:hotpath
 func (h *HashC[T, S]) BeginSized(maskRow []int32, bound int) {
-	need := tableCap(bound+len(maskRow), h.lf)
+	need := tableCap(bound+len(maskRow), complementLoadFactor)
 	if need > len(h.keys) {
 		h.keys = make([]int32, need)
 		h.states = make([]uint8, need)

@@ -52,7 +52,7 @@ func SpGEMM[T any, S semiring.Semiring[T]](sr S, a, b *sparse.CSR[T], opt Option
 	}
 	opt.Threads = parallel.Threads(opt.Threads)
 	slots := newLazySlots(opt.Threads, func() *accum.HashC[T, S] {
-		return accum.NewHashC[T](sr, 16, opt.HashLoadFactor)
+		return accum.NewHashC[T](sr, 16)
 	})
 	numeric := func(tid, i int, outIdx []int32, outVal []T) int {
 		return unmaskedRowNumeric(slots.get(tid), a.Row(i), a.RowVals(i), b, outIdx, outVal)

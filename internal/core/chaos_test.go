@@ -212,7 +212,7 @@ func TestChaosSymmetricProduct(t *testing.T) {
 	for _, algo := range append(chaosFamilies, AlgoHybrid) {
 		faultinject.Disarm()
 		pool := NewExecutorPool[float64](sr, 2)
-		cache := NewPlanCache(sr, 0, 0)
+		cache := NewPlanCache(sr, 0)
 		plan, err := cache.GetOrPlan(a.PatternView(), a, a, Options{Algorithm: algo})
 		if err != nil {
 			t.Fatal(err)

@@ -114,8 +114,7 @@ func maskedBitCPlusTimesKernels(mask *sparse.Pattern, a, b *sparse.CSR[float64],
 // bindHashC registers the complemented hash scheme. Tables grow per
 // row to the row's population bound.
 func bindHashC[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], _ *symHalf) kernels[T] {
-	exec, lf := e, p.opt.HashLoadFactor
 	return pushKernelsC(p.mask, a, b, func(tid int) *accum.HashC[T, S] {
-		return exec.worker(tid).HashC(lf)
+		return e.worker(tid).HashC()
 	})
 }

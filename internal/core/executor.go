@@ -192,13 +192,13 @@ func (w *workspace[T, S]) MSA(ncols int) *accum.MSA[T, S] {
 	return w.msa
 }
 
-// Hash returns the worker's hash accumulator configured for the given
-// densest-mask-row hint and load factor.
-func (w *workspace[T, S]) Hash(maxMaskRow int, loadFactor float64) *accum.Hash[T, S] {
+// Hash returns the worker's hash accumulator sized for the given
+// densest-mask-row hint.
+func (w *workspace[T, S]) Hash(maxMaskRow int) *accum.Hash[T, S] {
 	if w.hash == nil {
-		w.hash = accum.NewHash[T](w.sr, maxMaskRow, loadFactor)
+		w.hash = accum.NewHash[T](w.sr, maxMaskRow)
 	} else {
-		w.hash.Reconfigure(maxMaskRow, loadFactor)
+		w.hash.Grow(maxMaskRow)
 	}
 	return w.hash
 }
@@ -266,11 +266,9 @@ func (w *workspace[T, S]) Pull(inner int) *denseRow[T] {
 }
 
 // HashC returns the worker's complemented hash accumulator.
-func (w *workspace[T, S]) HashC(loadFactor float64) *accum.HashC[T, S] {
+func (w *workspace[T, S]) HashC() *accum.HashC[T, S] {
 	if w.hashC == nil {
-		w.hashC = accum.NewHashC[T](w.sr, 16, loadFactor)
-	} else {
-		w.hashC.Reconfigure(loadFactor)
+		w.hashC = accum.NewHashC[T](w.sr, 16)
 	}
 	return w.hashC
 }

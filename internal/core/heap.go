@@ -14,9 +14,9 @@ import (
 // the multiset S = {B_kj | u_k ≠ 0} in sorted column order, which is
 // 2-way merged against the sorted mask row. NInspect controls how much
 // of the mask the Insert procedure inspects before (re-)pushing an
-// iterator: 0 = push blindly, 1 = check the current mask element
-// ("Heap"), ∞ = scan until a provable match or the iterator dies
-// ("HeapDot").
+// iterator: 1 = check the current mask element ("Heap"), ∞ = scan until
+// a provable match or the iterator dies ("HeapDot"). Complemented masks
+// push blindly (NInspect = 0) through their own kernels.
 
 // heapInspectInf is the sentinel for NInspect = ∞.
 const heapInspectInf = math.MaxInt
@@ -27,14 +27,6 @@ const heapInspectInf = math.MaxInt
 // Iterators that provably cannot contribute are dropped instead of
 // pushed.
 func heapInsert(pq *accum.IterHeap, it accum.RowIter, bCols []int32, maskRow []int32, mPos, nInspect int) {
-	if it.Pos >= it.End {
-		return
-	}
-	it.Col = bCols[it.Pos]
-	if nInspect == 0 {
-		pq.Push(it)
-		return
-	}
 	toInspect := nInspect
 	for it.Pos < it.End && mPos < len(maskRow) {
 		it.Col = bCols[it.Pos]
@@ -200,12 +192,14 @@ func heapRowSymbolicComplement(pq *accum.IterHeap, maskRow []int32, aCols []int3
 	return n
 }
 
-// bindHeap registers the heap scheme; the plan's resolved nInspect
-// distinguishes Heap (1) from HeapDot (∞), with Options.HeapNInspect
-// folded in for the ablation study.
+// bindHeap registers the heap scheme: NInspect is ∞ for HeapDot and 1
+// for Heap, including the heap rows a Hybrid plan binds.
 func bindHeap[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], h *symHalf) kernels[T] {
 	sr, exec, m := p.sr, e, maskRows{p.mask, h}
-	nInspect, maxARow := p.heapNInspect, p.maxARow
+	nInspect, maxARow := 1, p.maxARow
+	if p.opt.Algorithm == AlgoHeapDot {
+		nInspect = heapInspectInf
+	}
 	return kernels[T]{
 		numeric: func(tid, i int, outIdx []int32, outVal []T) int {
 			return heapRowNumeric(sr, exec.worker(tid).Heap(maxARow), nInspect, m.row(i), a.Row(i), a.RowVals(i), m.clip(i), b, outIdx, outVal)

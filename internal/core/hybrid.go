@@ -145,11 +145,6 @@ type RowCostContext struct {
 	// Complement marks a complemented mask, which flips the admitted
 	// set to the mask row's complement.
 	Complement bool
-	// HeapNInspect is the resolved mask-inspection depth the heap
-	// kernels would run with (resolveHeapNInspect) — the heap model
-	// must price what would actually execute, including the
-	// Options.HeapNInspect override.
-	HeapNInspect int
 }
 
 // admitted returns the number of admitted mask positions.
@@ -315,10 +310,9 @@ func hashRowCost(c RowCostContext) float64 {
 func heapRowCost(c RowCostContext) float64 {
 	m, a, f := float64(c.MaskNNZ), float64(c.ARowNNZ), float64(c.Flops)
 	lg := math.Log2(a + 2)
-	if c.Complement || c.HeapNInspect == 0 {
-		// No inspection (complemented heaps always, plain heaps under
-		// the HeapInspectNone override): every candidate takes a full
-		// heap round trip.
+	if c.Complement {
+		// Complemented heaps never inspect: every candidate takes a
+		// full heap round trip.
 		return 1 + heapPushCost*(a+f)*lg + m
 	}
 	near := heapMaskNear * m / float64(c.Cols)
@@ -399,7 +393,6 @@ func polyScan[T any](m maskRows, a, b *sparse.CSR[T], opt Options, fam []uint8, 
 	pullAt := slices.Index(fams, FamPull)
 	colCounts := newBColCounts(b)
 	cols, complement := m.mask.Cols, opt.Complement
-	nInspect := resolveHeapNInspect(opt)
 	parallel.ForEachBlock(m.mask.Rows, parallel.Threads(0), parallel.DefaultGrain, func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
 			maskRow := m.row(i)
@@ -418,7 +411,7 @@ func polyScan[T any](m maskRows, a, b *sparse.CSR[T], opt Options, fam []uint8, 
 			}
 			ctx := RowCostContext{
 				MaskNNZ: len(maskRow), ARowNNZ: len(aRow), Flops: flops,
-				Cols: cols, Complement: complement, HeapNInspect: nInspect,
+				Cols: cols, Complement: complement,
 			}
 			best, bestCost := fams[0], math.Inf(1)
 			for j, model := range models {

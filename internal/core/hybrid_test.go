@@ -242,13 +242,14 @@ func TestHybridFamilyRows(t *testing.T) {
 }
 
 // TestHeapRowCostHonorsNInspect pins the model/kernels consistency
-// the selector depends on: with inspection disabled every candidate
-// round-trips the heap, so the model must price NInspect=0 strictly
-// above the NInspect=1 inspect-skip regime it would otherwise assume.
+// the selector depends on: complemented heaps run without inspection
+// (NInspect=0), so every candidate round-trips the heap, and the model
+// must price that strictly above the NInspect=1 inspect-skip regime of
+// plain heaps.
 func TestHeapRowCostHonorsNInspect(t *testing.T) {
-	ctx := RowCostContext{MaskNNZ: 4, ARowNNZ: 4, Flops: 4096, BColSum: 4 * 16, Cols: 4096, HeapNInspect: 1}
+	ctx := RowCostContext{MaskNNZ: 4, ARowNNZ: 4, Flops: 4096, BColSum: 4 * 16, Cols: 4096}
 	withInspect := heapRowCost(ctx)
-	ctx.HeapNInspect = 0
+	ctx.Complement = true
 	withoutInspect := heapRowCost(ctx)
 	if withoutInspect <= withInspect {
 		t.Errorf("heapRowCost: NInspect=0 (%f) priced no higher than NInspect=1 (%f)", withoutInspect, withInspect)
@@ -327,11 +328,11 @@ func TestPullRowCostPinnedRows(t *testing.T) {
 		}
 		return best, cost
 	}
-	band := RowCostContext{MaskNNZ: 806, ARowNNZ: 16, Flops: 272, Cols: 2048, HeapNInspect: 1}
+	band := RowCostContext{MaskNNZ: 806, ARowNNZ: 16, Flops: 272, Cols: 2048}
 	if fam, push := bestPush(band); pullRowCost(band) <= push {
 		t.Errorf("sweep band-7 row: pull at BColSum = 0 prices %.0f, not above %v's %.0f, so its mask row is walked", pullRowCost(band), fam, push)
 	}
-	half := RowCostContext{MaskNNZ: 7, ARowNNZ: 21, Flops: 462, BColSum: 78, Cols: 4096, HeapNInspect: 1}
+	half := RowCostContext{MaskNNZ: 7, ARowNNZ: 21, Flops: 462, BColSum: 78, Cols: 4096}
 	if fam, push := bestPush(half); pullRowCost(half) >= push {
 		t.Errorf("tc-skew half row: pull prices %.0f, not below %v's %.0f", pullRowCost(half), fam, push)
 	}

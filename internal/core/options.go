@@ -73,20 +73,6 @@ const (
 // SupportsComplement) all derive from the scheme registry in
 // scheme.go.
 
-// HeapNInspect sentinel values (§5.5's NInspect parameter).
-const (
-	// HeapInspectDefault keeps the algorithm's own NInspect (1 for
-	// AlgoHeap, ∞ for AlgoHeapDot).
-	HeapInspectDefault = 0
-	// HeapInspectNone pushes iterators without inspecting the mask —
-	// the paper's NInspect = 0 configuration.
-	HeapInspectNone = -1
-	// HeapInspectAll merges each iterator against the whole remaining
-	// mask before pushing — the paper's NInspect = ∞ (AlgoHeapDot's
-	// default).
-	HeapInspectAll = int(^uint(0) >> 1)
-)
-
 // Phases selects between the one-phase and two-phase (symbolic +
 // numeric) execution strategies (§6).
 type Phases uint8
@@ -126,16 +112,6 @@ type Options struct {
 	// Executor.SchedStats. Costs two clock reads per scheduled block;
 	// off by default.
 	CollectSchedStats bool
-	// HashLoadFactor overrides the hash accumulator load factor; ≤ 0
-	// means the paper's 0.25.
-	HashLoadFactor float64
-	// HeapNInspect overrides NInspect for AlgoHeap/AlgoHeapDot:
-	// HeapInspectDefault (0) keeps the per-algorithm default (1 for
-	// Heap, ∞ for HeapDot, none for complemented heaps);
-	// HeapInspectNone disables inspection (the paper's NInspect = 0);
-	// positive values set the inspection window. Use with AlgoHeap for
-	// the NInspect ablation.
-	HeapNInspect int
 	// HybridFamilies restricts AlgoHybrid's per-row selector to the
 	// given accumulator families (build the set with Families); the
 	// zero value means the whole menu. Families off the menu (MCA) are

@@ -76,8 +76,6 @@ type Plan[T any, S semiring.Semiring[T]] struct {
 	// (len rows+1, last = total) that executions cut into partitions
 	// for their own width (DESIGN.md §9); nil for direct schemes.
 	costPrefix []int64
-	// heapNInspect is the resolved NInspect for the heap schemes.
-	heapNInspect int
 	// maxMaskRow / maxARow size the hash/MCA and heap accumulators.
 	maxMaskRow, maxARow int
 	// flops is the unmasked multiply–add count of A·B, the normalizer of
@@ -172,7 +170,6 @@ func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, 
 			p.maxMaskRow = mask.MaxRowNNZ()
 		case AlgoHeap, AlgoHeapDot:
 			p.maxARow = a.MaxRowNNZ()
-			p.heapNInspect = resolveHeapNInspect(opt)
 		case AlgoHybrid:
 			// The chosen costs feed planSchedule.
 			polyCost = p.planHybrid(a, b)
@@ -185,7 +182,6 @@ func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, 
 			}
 			if p.polyFams.Has(FamHeap) {
 				p.maxARow = a.MaxRowNNZ()
-				p.heapNInspect = resolveHeapNInspect(opt)
 			}
 		}
 		// The CSC structure comes after the scheme analysis: a poly
@@ -219,22 +215,6 @@ func (p *Plan[T, S]) needsCSC() bool {
 	return p.info.NeedsCSC
 }
 
-// resolveHeapNInspect folds the HeapNInspect override into the
-// per-algorithm default (1 for Heap, ∞ for HeapDot; §5.5).
-func resolveHeapNInspect(opt Options) int {
-	nInspect := 1
-	if opt.Algorithm == AlgoHeapDot {
-		nInspect = heapInspectInf
-	}
-	switch {
-	case opt.HeapNInspect == HeapInspectNone:
-		nInspect = 0
-	case opt.HeapNInspect > 0:
-		nInspect = opt.HeapNInspect
-	}
-	return nInspect
-}
-
 // Options returns the plan's normalized options.
 func (p *Plan[T, S]) Options() Options { return p.opt }
 
@@ -253,8 +233,8 @@ func (p *Plan[T, S]) FlopsEstimate(a, b *sparse.CSR[T]) int64 {
 }
 
 // footprintBytes estimates the retained memory of the plan's analysis
-// arrays, the unit a PlanCache's byte bound meters. The mask and B's
-// CSC structure are counted whether the plan owns them (a clone, a
+// arrays, the unit a PlanCache accounts against its MemBudget. The
+// mask and B's CSC structure are counted whether the plan owns them (a clone, a
 // private transpose) or shares them (a stored mask, the cache's CSC
 // index): shared bytes are over-counted, never under-counted. One-phase
 // plain offsets alias the mask's RowPtr and are not double-counted; a

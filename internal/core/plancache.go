@@ -61,7 +61,6 @@ var errPlanningPanicked = errors.New("core: concurrent plan analysis panicked; r
 type PlanCache[T any, S semiring.Semiring[T]] struct {
 	sr         S
 	maxEntries int
-	maxBytes   int64
 
 	mu        sync.Mutex
 	lru       *list.List // front = most recently used; values are *planEntry[T, S]
@@ -135,17 +134,16 @@ type planEntry[T any, S semiring.Semiring[T]] struct {
 const DefaultPlanCacheEntries = 128
 
 // NewPlanCache returns an empty cache over the given semiring holding
-// at most maxEntries plans (<= 0 means DefaultPlanCacheEntries) and at
-// most maxBytes of estimated analysis memory (<= 0 means unbounded).
-// Both bounds evict least-recently-used entries.
-func NewPlanCache[T any, S semiring.Semiring[T]](sr S, maxEntries int, maxBytes int64) *PlanCache[T, S] {
+// at most maxEntries plans (<= 0 means DefaultPlanCacheEntries),
+// evicting least-recently-used entries beyond the bound. Bytes are
+// bounded only through a shared MemBudget (AttachBudget).
+func NewPlanCache[T any, S semiring.Semiring[T]](sr S, maxEntries int) *PlanCache[T, S] {
 	if maxEntries <= 0 {
 		maxEntries = DefaultPlanCacheEntries
 	}
 	return &PlanCache[T, S]{
 		sr:         sr,
 		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
 		lru:        list.New(),
 		table:      make(map[planKey]*list.Element),
 		inflight:   make(map[planKey]*planCall[T, S]),
@@ -158,7 +156,7 @@ func NewPlanCache[T any, S semiring.Semiring[T]](sr S, maxEntries int, maxBytes 
 // reserved from it, hits refresh their global-LRU stamps, and the
 // cache yields its LRU tail to cross-member eviction pressure via the
 // BudgetMember methods. Attach before concurrent use; the local
-// maxEntries/maxBytes bounds keep applying on top of the shared one.
+// maxEntries bound keeps applying on top of the shared one.
 func (c *PlanCache[T, S]) AttachBudget(b *MemBudget) {
 	c.mu.Lock()
 	c.budget = b
@@ -416,11 +414,10 @@ func (c *PlanCache[T, S]) releaseCSCLocked(entry *planEntry[T, S]) {
 	}
 }
 
-// evictLocked drops least-recently-used entries until both bounds
-// hold. Always keeps the most recent entry, so a single plan larger
-// than maxBytes still caches (and evicts everything else).
+// evictLocked drops least-recently-used entries until the entry bound
+// holds.
 func (c *PlanCache[T, S]) evictLocked() {
-	for c.lru.Len() > 1 && (c.lru.Len() > c.maxEntries || (c.maxBytes > 0 && c.bytes > c.maxBytes)) {
+	for c.lru.Len() > c.maxEntries {
 		el := c.lru.Back()
 		c.removeLocked(el, el.Value.(*planEntry[T, S]))
 	}
@@ -458,7 +455,8 @@ type PlanCacheStats struct {
 	// instead of planning themselves (singleflight): of a burst of N
 	// concurrent first requests for one structure, N−1 coalesce.
 	CoalescedMisses uint64 `json:"coalesced_misses"`
-	// Evictions counts entries dropped by the entry or byte bound.
+	// Evictions counts entries dropped by the entry bound or by the
+	// shared memory budget's cross-member eviction.
 	Evictions uint64 `json:"evictions"`
 	// Entries is the current number of cached plans.
 	Entries int `json:"entries"`

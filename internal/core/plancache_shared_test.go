@@ -33,7 +33,7 @@ func TestPlanCacheStoredMaskAliased(t *testing.T) {
 	colIdxBytes := uint64(len(mask.ColIdx)) * 4
 	opt := Options{Algorithm: AlgoMSA}
 
-	cache := NewPlanCache(ptSR, 0, 0)
+	cache := NewPlanCache(ptSR, 0)
 	p, _, err := cache.GetOrPlanStored(fp, mask, g, g, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func TestPlanCacheStoredMaskAliased(t *testing.T) {
 	if p.mask == mask {
 		t.Fatal("the plan must hold its own mask header, not the matrix's embedded one")
 	}
-	owned, _, _, err := NewPlanCache(ptSR, 0, 0).GetOrPlanObserved(mask, g, g, opt)
+	owned, _, _, err := NewPlanCache(ptSR, 0).GetOrPlanObserved(mask, g, g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestPlanCacheSharedCSC(t *testing.T) {
 	}
 	bFP := b.Pattern.Fingerprint()
 
-	cache := NewPlanCache(ptSR, 2, 0)
+	cache := NewPlanCache(ptSR, 2)
 	var wg sync.WaitGroup
 	errs := make(chan string, 4*3*nMasks)
 	for w := range 4 {

@@ -19,7 +19,7 @@ var ptSR = semiring.PlusTimes[float64]{}
 // must still compute correct results for the new values.
 func TestPlanCacheValueMutationHits(t *testing.T) {
 	mask, a, b := buildCase(caseSpec{"", 48, 48, 48, 6, 6, 8, 11})
-	cache := NewPlanCache(ptSR, 0, 0)
+	cache := NewPlanCache(ptSR, 0)
 	opt := Options{Algorithm: AlgoInner}
 	p1, err := cache.GetOrPlan(mask, a, b, opt)
 	if err != nil {
@@ -58,7 +58,7 @@ func TestPlanCacheValueMutationHits(t *testing.T) {
 // for the new structure.
 func TestPlanCacheStructureMutationMisses(t *testing.T) {
 	mask, a, b := buildCase(caseSpec{"", 48, 48, 48, 6, 6, 8, 12})
-	cache := NewPlanCache(ptSR, 0, 0)
+	cache := NewPlanCache(ptSR, 0)
 	opt := Options{Algorithm: AlgoMSA}
 	p1, err := cache.GetOrPlan(mask, a, b, opt)
 	if err != nil {
@@ -110,7 +110,7 @@ func TestPlanCacheStructureMutationMisses(t *testing.T) {
 func TestPlanCacheMaskCloneSafety(t *testing.T) {
 	mask, a, b := buildCase(caseSpec{"", 48, 48, 48, 6, 6, 8, 13})
 	snapshot := mask.Clone() // same structure, different object
-	cache := NewPlanCache(ptSR, 0, 0)
+	cache := NewPlanCache(ptSR, 0)
 	opt := Options{Algorithm: AlgoMSA}
 	if _, err := cache.GetOrPlan(mask, a, b, opt); err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestPlanCacheMaskCloneSafety(t *testing.T) {
 // options is a different plan.
 func TestPlanCacheOptionsInKey(t *testing.T) {
 	mask, a, b := buildCase(caseSpec{"", 32, 32, 32, 4, 4, 6, 14})
-	cache := NewPlanCache(ptSR, 0, 0)
+	cache := NewPlanCache(ptSR, 0)
 	p1, err := cache.GetOrPlan(mask, a, b, Options{Algorithm: AlgoMSA})
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestPlanCacheOptionsInKey(t *testing.T) {
 // least-recently-used entry goes first, and a re-request of an evicted
 // structure re-plans.
 func TestPlanCacheEviction(t *testing.T) {
-	cache := NewPlanCache(ptSR, 2, 0)
+	cache := NewPlanCache(ptSR, 2)
 	masks := make([]*sparse.Pattern, 3)
 	var as, bs [3]*sparse.CSR[float64]
 	for i := range masks {
@@ -203,41 +203,11 @@ func TestPlanCacheEviction(t *testing.T) {
 	}
 }
 
-// TestPlanCacheByteBound exercises the byte bound: entries evict once
-// the estimated analysis footprint exceeds the cap, but the newest
-// entry always stays.
-func TestPlanCacheByteBound(t *testing.T) {
-	mask, a, b := buildCase(caseSpec{"", 64, 64, 64, 6, 6, 8, 30})
-	probe, err := newDetachedPlan(ptSR, mask.Clone(), a, b, Options{}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perEntry := probe.footprintBytes()
-	// Room for two entries, not three.
-	cache := NewPlanCache(ptSR, 0, 2*perEntry+perEntry/2)
-	for i := 0; i < 3; i++ {
-		m, ai, bi := buildCase(caseSpec{"", 64, 64, 64, 6, 6, 8, uint64(30 + i)})
-		if _, err := cache.GetOrPlan(m, ai, bi, Options{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := cache.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("stats = %+v, want byte-bound evictions", st)
-	}
-	if st.Bytes > 2*perEntry+perEntry/2 {
-		t.Fatalf("retained bytes %d exceed bound", st.Bytes)
-	}
-	if st.Entries == 0 {
-		t.Fatal("byte bound must never evict the newest entry")
-	}
-}
-
 // TestPlanCacheHitAllocs asserts the serving-path property the cache
 // exists for: a repeat-structure lookup allocates nothing.
 func TestPlanCacheHitAllocs(t *testing.T) {
 	mask, a, b := buildCase(caseSpec{"", 96, 96, 96, 8, 8, 8, 40})
-	cache := NewPlanCache(ptSR, 0, 0)
+	cache := NewPlanCache(ptSR, 0)
 	opt := Options{Algorithm: AlgoInner}
 	if _, err := cache.GetOrPlan(mask, a, b, opt); err != nil {
 		t.Fatal(err)
@@ -261,7 +231,7 @@ func TestPlanCacheHitAllocs(t *testing.T) {
 func TestPlanCacheSharedPlanConcurrent(t *testing.T) {
 	mask, a, b := buildCase(caseSpec{"", 96, 96, 96, 8, 8, 10, 41})
 	want := oracle(mask, a, b, false)
-	cache := NewPlanCache(ptSR, 0, 0)
+	cache := NewPlanCache(ptSR, 0)
 	pool := NewExecutorPool(ptSR, 4)
 	const goroutines = 8
 	const rounds = 20
@@ -311,7 +281,7 @@ func TestPlanCacheSharedPlanConcurrent(t *testing.T) {
 // -race), and every product must be exact.
 func TestPlanCacheConcurrentWidths(t *testing.T) {
 	mask, a, b := buildCase(caseSpec{"", 512, 512, 512, 8, 8, 8, 5})
-	cache := NewPlanCache(ptSR, 8, 0)
+	cache := NewPlanCache(ptSR, 8)
 	base := Options{Algorithm: AlgoHybrid}
 	first, err := cache.GetOrPlan(mask, a, b, base)
 	if err != nil {
@@ -369,7 +339,7 @@ func TestPlanCacheConcurrentWidths(t *testing.T) {
 // plan cannot be executed without the caller supplying an executor.
 func TestSharedPlanHasNoDefaultExecutor(t *testing.T) {
 	mask, a, b := buildCase(caseSpec{"", 24, 24, 24, 4, 4, 4, 50})
-	cache := NewPlanCache(ptSR, 0, 0)
+	cache := NewPlanCache(ptSR, 0)
 	plan, err := cache.GetOrPlan(mask, a, b, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -452,7 +422,7 @@ func BenchmarkPlanCache(b *testing.B) {
 			}
 		})
 		b.Run(algo.String()+"/cached", func(b *testing.B) {
-			cache := NewPlanCache(ptSR, 0, 0)
+			cache := NewPlanCache(ptSR, 0)
 			if _, err := cache.GetOrPlan(mask, l, l, opt); err != nil {
 				b.Fatal(err)
 			}
@@ -473,7 +443,7 @@ func BenchmarkPlanCache(b *testing.B) {
 // caller receives the same shared plan.
 func TestPlanCacheSingleflight(t *testing.T) {
 	mask, a, b := buildCase(caseSpec{"", 96, 96, 96, 6, 6, 8, 23})
-	cache := NewPlanCache(ptSR, 0, 0)
+	cache := NewPlanCache(ptSR, 0)
 	opt := Options{Algorithm: AlgoInner}
 
 	const goroutines = 16
@@ -519,7 +489,7 @@ func TestPlanCacheSingleflight(t *testing.T) {
 func TestPlanCacheSingleflightError(t *testing.T) {
 	mask, a, _ := buildCase(caseSpec{"", 40, 40, 40, 4, 4, 4, 29})
 	bad := gen.Random(41, 40, 4, 30) // wrong inner dimension
-	cache := NewPlanCache(ptSR, 0, 0)
+	cache := NewPlanCache(ptSR, 0)
 
 	const goroutines = 8
 	var start, done sync.WaitGroup
@@ -569,7 +539,7 @@ func TestPlanCacheSingleflightPanic(t *testing.T) {
 	}
 	_, _, b := buildCase(caseSpec{"", n, n, n, 4, 4, 4, 31})
 	mask := gen.Random(n, n, 4, 32).PatternView()
-	cache := NewPlanCache(ptSR, 0, 0)
+	cache := NewPlanCache(ptSR, 0)
 	opt := Options{Algorithm: AlgoMSA, Threads: 2}
 
 	panicked := func() (p bool) {
@@ -601,7 +571,7 @@ func TestPlanCacheSingleflightPanic(t *testing.T) {
 // distinct entry.
 func TestPlanCacheHybridMixedBindings(t *testing.T) {
 	mask, a, b := buildCase(caseSpec{"", 96, 96, 96, 8, 8, 8, 50})
-	cache := NewPlanCache(ptSR, 0, 0)
+	cache := NewPlanCache(ptSR, 0)
 	opt := Options{Algorithm: AlgoHybrid}
 	first, err := cache.GetOrPlan(mask, a, b, opt)
 	if err != nil {
@@ -642,7 +612,7 @@ func TestPlanCacheHybridMixedBindings(t *testing.T) {
 // their actual binding — and reports nothing for uniform-scheme plans.
 func TestPlanCacheStatsHybridFamilyRows(t *testing.T) {
 	mask, a, b := buildCase(caseSpec{"", 96, 96, 96, 8, 8, 8, 51})
-	cache := NewPlanCache(ptSR, 0, 0)
+	cache := NewPlanCache(ptSR, 0)
 	if _, err := cache.GetOrPlan(mask, a, b, Options{Algorithm: AlgoMSA}); err != nil {
 		t.Fatal(err)
 	}
@@ -680,7 +650,7 @@ func TestPlanCacheStatsHybridFamilyRows(t *testing.T) {
 // Session.Warm → Multiply(WithSchedStats()) pattern — must hit.
 func TestPlanCacheExecOnlyOptionsShareKey(t *testing.T) {
 	mask, a, b := buildCase(caseSpec{"", 48, 48, 48, 6, 6, 8, 21})
-	cache := NewPlanCache(ptSR, 0, 0)
+	cache := NewPlanCache(ptSR, 0)
 
 	// Warm: plan without any execution-only options.
 	warm, err := cache.GetOrPlan(mask, a, b, Options{Algorithm: AlgoMSA})
@@ -720,7 +690,7 @@ func TestPlanCacheExecOnlyOptionsShareKey(t *testing.T) {
 // the first lookup of a structure reports a miss, the second a hit.
 func TestPlanCacheObservedReportsMiss(t *testing.T) {
 	mask, a, b := buildCase(caseSpec{"", 32, 32, 32, 4, 4, 6, 22})
-	cache := NewPlanCache(ptSR, 0, 0)
+	cache := NewPlanCache(ptSR, 0)
 	if _, _, hit, err := cache.GetOrPlanObserved(mask, a, b, Options{}); err != nil || hit {
 		t.Fatalf("first lookup: hit=%v err=%v, want miss", hit, err)
 	}

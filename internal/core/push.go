@@ -215,8 +215,8 @@ func maskedBitPlusTimesKernels(m maskRows, a, b *sparse.CSR[float64], getAcc fun
 // bindHash registers the hash scheme (§5.3). Tables are sized per
 // worker by the densest mask row, precomputed at plan time.
 func bindHash[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], h *symHalf) kernels[T] {
-	exec, maxRow, lf := e, p.maxMaskRow, p.opt.HashLoadFactor
+	exec, maxRow := e, p.maxMaskRow
 	return pushKernels(maskRows{p.mask, h}, a, b, func(tid int) *accum.Hash[T, S] {
-		return exec.worker(tid).Hash(maxRow, lf)
+		return exec.worker(tid).Hash(maxRow)
 	})
 }

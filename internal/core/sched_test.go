@@ -545,7 +545,7 @@ func TestWarmThenWide(t *testing.T) {
 		t.Errorf("wide execution ran %d workers, want 4", w)
 	}
 
-	cache := NewPlanCache(ptSR, 0, 0)
+	cache := NewPlanCache(ptSR, 0)
 	warm, err := cache.GetOrPlan(mask, a, b, Options{Algorithm: AlgoMSA, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -607,7 +607,7 @@ func TestPlanWidthInvariance(t *testing.T) {
 		// work small enough for the full family × width grid.
 		g = sparse.Tril(g)
 		mask := g.PatternView()
-		cache := NewPlanCache(ptSR, 1024, 0)
+		cache := NewPlanCache(ptSR, 1024)
 		keys := 0
 		for _, algo := range algos {
 			keys++

@@ -261,7 +261,7 @@ func TestSymmetricFallbacks(t *testing.T) {
 
 	// Through a plan cache the same decisions are read from the
 	// operands' fingerprints.
-	cache := NewPlanCache(sr, 0, 0)
+	cache := NewPlanCache(sr, 0)
 	cp, err := cache.GetOrPlan(a.PatternView(), a, a.Clone(), msa)
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +281,7 @@ func TestSymmetricFallbacks(t *testing.T) {
 func TestSymmetricPlanFootprint(t *testing.T) {
 	a := symGraph(8, true, false)
 	budget := NewMemBudget(1 << 30)
-	cache := NewPlanCache(ptSR, 0, 0)
+	cache := NewPlanCache(ptSR, 0)
 	cache.AttachBudget(budget)
 	opt := Options{Algorithm: AlgoMSA}
 	two := opt

@@ -61,7 +61,7 @@ func PrepareKTruss(a *sparse.CSR[float64]) (*KTrussWorkload, error) {
 	sr := trussSR{}
 	return &KTrussWorkload{
 		c:     asInt64(a),
-		cache: core.NewPlanCache[int64](sr, ktrussCacheEntries, 0),
+		cache: core.NewPlanCache[int64](sr, ktrussCacheEntries),
 		exec:  core.NewExecutor[int64](sr),
 	}, nil
 }

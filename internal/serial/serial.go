@@ -1,7 +1,8 @@
 // Package serial provides a fast little-endian binary codec for CSR
-// matrices — the cache format for large generated benchmark inputs,
-// where Matrix Market's decimal round trip costs more than the graph
-// generation itself. The format is versioned and self-describing:
+// matrices — the binary operand format of the serving front end
+// (internal/serve), where Matrix Market's decimal round trip would cost
+// more than the product itself. The format is versioned and
+// self-describing:
 //
 //	magic "MSPG" | version u32 | rows u64 | cols u64 | nnz u64
 //	rowptr [rows+1]u64 | colidx [nnz]u32 | val [nnz]f64
@@ -12,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"maskedspgemm/internal/sparse"
 )
@@ -283,40 +283,4 @@ func decodeFloat64s(dst []float64, src []byte) {
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
-}
-
-// WriteFile writes a matrix to disk.
-func WriteFile(path string, m *sparse.CSR[float64]) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := Write(f, m); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadFile reads a matrix from disk.
-func ReadFile(path string) (*sparse.CSR[float64], error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
-}
-
-// Cached returns the matrix stored at path, generating and caching it
-// on a miss — the memoization helper the big benchmark sweeps use.
-func Cached(path string, build func() *sparse.CSR[float64]) (*sparse.CSR[float64], error) {
-	if m, err := ReadFile(path); err == nil {
-		return m, nil
-	}
-	m := build()
-	if err := WriteFile(path, m); err != nil {
-		return nil, err
-	}
-	return m, nil
 }

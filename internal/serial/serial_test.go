@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -686,45 +685,5 @@ func TestReadErrors(t *testing.T) {
 	corrupt[off+3] = 0x7f    // column index becomes enormous
 	if _, err := Read(bytes.NewReader(corrupt)); err == nil {
 		t.Error("want error for corrupt column index")
-	}
-}
-
-func TestFileAndCached(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "m.bin")
-	m := gen.ErdosRenyi(50, 6, 5)
-	if err := WriteFile(path, m); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sparse.EqualFunc(m, back, func(x, y float64) bool { return x == y }) {
-		t.Fatal("file round trip mismatch")
-	}
-
-	builds := 0
-	cachePath := filepath.Join(dir, "cache.bin")
-	build := func() *sparse.CSR[float64] {
-		builds++
-		return gen.ErdosRenyi(30, 4, 6)
-	}
-	c1, err := Cached(cachePath, build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := Cached(cachePath, build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if builds != 1 {
-		t.Errorf("build called %d times, want 1", builds)
-	}
-	if !sparse.EqualFunc(c1, c2, func(x, y float64) bool { return x == y }) {
-		t.Error("cached copies differ")
-	}
-	if _, err := ReadFile(filepath.Join(dir, "absent.bin")); err == nil {
-		t.Error("want error for missing file")
 	}
 }

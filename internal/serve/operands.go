@@ -180,28 +180,10 @@ func (s *Server) handleOperands(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	wait, err := queueDeadline(r, s.cfg.QueueTimeout)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+	if !s.admit(w, r) {
 		return
 	}
-	switch s.adm.acquire(r.Context(), wait) {
-	case admitted:
-		defer s.adm.release()
-	case admitShed:
-		s.retryAfter(w)
-		httpError(w, http.StatusTooManyRequests, "admission queue full; retry later")
-		return
-	case admitExpired:
-		s.retryAfter(w)
-		httpError(w, http.StatusServiceUnavailable, "queue deadline expired before an upload slot freed")
-		return
-	case admitDraining:
-		httpError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	case admitCanceled:
-		return
-	}
+	defer s.adm.release()
 
 	var receipts []operandReceipt
 	if valuesFor != "" {

@@ -53,7 +53,8 @@ import (
 // Config sizes a Server. The zero value is serviceable: every field
 // has a default chosen to match the session's executor pool.
 type Config struct {
-	// MaxInFlight bounds concurrent multiplications (default
+	// MaxInFlight bounds concurrently admitted requests —
+	// multiplications, operand uploads and warms (default
 	// GOMAXPROCS, matching the executor pool's idle bound, so
 	// steady-state traffic reuses pooled executors instead of growing
 	// new ones).
@@ -81,12 +82,6 @@ type Config struct {
 	// value logs its full stack and request fingerprints, repeats
 	// within the interval are counted instead of logged.
 	PanicLogEvery time.Duration
-	// MaxWarmInFlight bounds concurrent /v1/warm requests (default 2).
-	// Warming bypasses the execution semaphore — it only plans — but
-	// planning distinct structures is real CPU work, so it gets its own
-	// small bound; warms that cannot start within QueueTimeout are shed
-	// with 429.
-	MaxWarmInFlight int
 	// SessionOptions configures the session the server constructs
 	// (cache bounds, executor-pool bound). The server installs its own
 	// miss observer in addition — observers compose, so a caller-
@@ -114,9 +109,6 @@ func (c Config) withDefaults() Config {
 	if c.BodyReadTimeout <= 0 {
 		c.BodyReadTimeout = time.Minute
 	}
-	if c.MaxWarmInFlight <= 0 {
-		c.MaxWarmInFlight = 2
-	}
 	return c
 }
 
@@ -130,17 +122,10 @@ type Server struct {
 	panics  *panicLog
 	mux     *http.ServeMux
 
-	// warmGate is the planning semaphore /v1/warm requests hold: one
-	// token per permitted concurrent warm (MaxWarmInFlight).
-	warmGate chan struct{}
-
 	// execGate, when non-nil, is invoked while an admitted request
 	// holds its execution slot — a test seam for observing (and
 	// widening) the concurrency window.
 	execGate func()
-	// planGate, when non-nil, is invoked while a warm request holds its
-	// warmGate token — the analogous seam for the planning window.
-	planGate func()
 }
 
 // New builds a Server and its Session from cfg.
@@ -155,12 +140,11 @@ func New(cfg Config) *Server {
 	}, cfg.SessionOptions...)
 	sopts = append(sopts, maskedspgemm.WithMissObserver(misses.observe))
 	s := &Server{
-		cfg:      cfg,
-		session:  maskedspgemm.NewSession(sopts...),
-		adm:      newAdmission(cfg.MaxInFlight, cfg.MaxQueue),
-		misses:   misses,
-		panics:   newPanicLog(cfg.PanicLogEvery, nil),
-		warmGate: make(chan struct{}, cfg.MaxWarmInFlight),
+		cfg:     cfg,
+		session: maskedspgemm.NewSession(sopts...),
+		adm:     newAdmission(cfg.MaxInFlight, cfg.MaxQueue),
+		misses:  misses,
+		panics:  newPanicLog(cfg.PanicLogEvery, nil),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/multiply", s.handleMultiply)
@@ -218,35 +202,15 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	wait, err := queueDeadline(r, s.cfg.QueueTimeout)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+	if !s.admit(w, r) {
 		return
 	}
-	// release frees the execution slot at most once: explicitly the
-	// moment the multiplication returns — response writing happens off
-	// the slot, so a slow reader never holds back the admission queue —
-	// with the deferred call as the backstop for every error path.
-	var release func()
-	switch s.adm.acquire(r.Context(), wait) {
-	case admitted:
-		release = sync.OnceFunc(s.adm.release)
-		defer release()
-	case admitShed:
-		s.retryAfter(w)
-		httpError(w, http.StatusTooManyRequests, "admission queue full; retry later")
-		return
-	case admitExpired:
-		s.retryAfter(w)
-		httpError(w, http.StatusServiceUnavailable, "queue deadline expired before an execution slot freed")
-		return
-	case admitDraining:
-		httpError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	case admitCanceled:
-		// The client is gone; nothing useful to write.
-		return
-	}
+	// release frees the slot at most once: explicitly the moment the
+	// multiplication returns — response writing happens off the slot,
+	// so a slow reader never holds back the admission queue — with the
+	// deferred call as the backstop for every error path.
+	release := sync.OnceFunc(s.adm.release)
+	defer release()
 	if s.execGate != nil {
 		s.execGate()
 	}
@@ -303,6 +267,34 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	s.writeResult(w, format, out)
 }
 
+// admit passes a request that reads a body or executes (multiply,
+// operand upload, warm) through the one admission gate. It reports
+// whether the request now holds a slot, which the caller must release;
+// otherwise the refusal is already answered: 400 for a malformed
+// X-Queue-Deadline-Ms, 429 when shed, 503 when the queue deadline
+// expires or the server is draining, and nothing when the client is
+// gone.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
+	wait, err := queueDeadline(r, s.cfg.QueueTimeout)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return false
+	}
+	switch s.adm.acquire(r.Context(), wait) {
+	case admitted:
+		return true
+	case admitShed:
+		s.retryAfter(w)
+		httpError(w, http.StatusTooManyRequests, "admission queue full; retry later")
+	case admitExpired:
+		s.retryAfter(w)
+		httpError(w, http.StatusServiceUnavailable, "queue deadline expired before a slot freed")
+	case admitDraining:
+		httpError(w, http.StatusServiceUnavailable, "server is draining")
+	}
+	return false
+}
+
 // writeExecError maps a failed multiplication to its response. A
 // contained kernel panic is a 500 — the server stays up, the poisoned
 // executor is already discarded — logged through the rate-limited
@@ -335,23 +327,13 @@ func (s *Server) writeExecError(w http.ResponseWriter, r *http.Request, err erro
 	}
 }
 
-// handleWarm plans without executing. Warming bypasses the execution
-// semaphore — it touches only the plan cache, never the executor pool
-// the semaphore protects — so a deploy can pre-plan its corpus while
-// traffic is being served. But singleflight only coalesces *identical*
-// structures, and planning a distinct structure is real analysis CPU,
-// so warms hold their own small semaphore (MaxWarmInFlight): the
-// bounded-concurrency guarantee covers the planner too, and a burst of
-// distinct-structure warms queues up to QueueTimeout then sheds with
-// 429. Warming still honors drain: planning into a cache that is about
-// to be discarded only delays shutdown.
+// handleWarm plans without executing. A warm decodes its body and
+// plans, the same CPU and memory an upload costs, so it takes a slot
+// from the admission gate multiplies and uploads share: saturation
+// sheds it with 429, and drain rejects it with 503.
 func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.adm.stats().Draining {
-		httpError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
 	opts, err := parseOptions(r)
@@ -359,31 +341,10 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	timer := time.NewTimer(s.cfg.QueueTimeout)
-	defer timer.Stop()
-	select {
-	case s.warmGate <- struct{}{}:
-		defer func() { <-s.warmGate }()
-	case <-timer.C:
-		s.retryAfter(w)
-		httpError(w, http.StatusTooManyRequests, "warm concurrency limit reached; retry later")
-		return
-	case <-s.adm.drainCh:
-		httpError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	case <-r.Context().Done():
+	if !s.admit(w, r) {
 		return
 	}
-	if s.planGate != nil {
-		s.planGate()
-	}
-	// Re-check after winning the token: a warm that raced a free token
-	// against the drain signal must not start planning (the same
-	// post-select re-check admission.acquire does for multiplies).
-	if s.adm.stats().Draining {
-		httpError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
+	defer s.adm.release()
 	ops, status, err := s.readOperands(w, r)
 	if err != nil {
 		httpError(w, status, err.Error())

@@ -607,58 +607,68 @@ func TestServeZeroQueueDeadline(t *testing.T) {
 	}
 }
 
-// TestServeWarmBounded pins the planning bound: /v1/warm no longer
-// bypasses admission wholesale — at most MaxWarmInFlight warms plan
-// concurrently, and a warm that cannot start within QueueTimeout is
-// shed with 429 + Retry-After.
-func TestServeWarmBounded(t *testing.T) {
-	srv := New(Config{MaxWarmInFlight: 1, QueueTimeout: 30 * time.Millisecond})
+// TestServeWarmAdmitted pins that /v1/warm takes a slot from the
+// admission gate multiplies and uploads share. While a parked multiply
+// holds the one slot, a warm that will not queue is shed with 429 and
+// counted as shed; once the slot frees, a warm is admitted and plants
+// the plan the next multiply hits; once draining, a warm gets 503 and
+// is counted as rejected_draining.
+func TestServeWarmAdmitted(t *testing.T) {
+	srv := New(Config{MaxInFlight: 1})
 	gate := make(chan struct{})
-	srv.planGate = func() { <-gate }
+	srv.execGate = func() { <-gate }
 	h := servetest.Start(t, srv)
-	body := servetest.EncodeSerial(t, maskedspgemm.ErdosRenyi(64, 4, 52))
-
-	done := make(chan int, 1)
-	go func() {
-		done <- h.Post("/v1/warm", body, nil).Status
-	}()
-	servetest.WaitFor(t, func() bool { return len(srv.warmGate) == 1 })
-
-	resp := h.Post("/v1/warm", body, nil)
-	if resp.Status != http.StatusTooManyRequests {
-		t.Fatalf("second warm: status %d: %s (want 429 at the planning bound)", resp.Status, resp.Body)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("shed warm missing Retry-After")
-	}
-	close(gate)
-	if code := <-done; code != http.StatusOK {
-		t.Fatalf("gated warm: status %d", code)
-	}
-}
-
-// TestServeWarmDrainRace pins the post-token drain re-check: a warm
-// that wins its warmGate token concurrently with Drain beginning must
-// be rejected with 503 before it starts reading or planning, not
-// silently plan into a cache that is being discarded.
-func TestServeWarmDrainRace(t *testing.T) {
-	srv := New(Config{MaxWarmInFlight: 1})
-	gate := make(chan struct{})
-	srv.planGate = func() { <-gate }
-	h := servetest.Start(t, srv)
+	// Registered after Start, so a failing check unparks the multiply
+	// before the server shuts down instead of hanging the test.
+	unpark := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(unpark)
+	parked := servetest.EncodeSerial(t, maskedspgemm.ErdosRenyi(64, 4, 52))
 	body := servetest.EncodeSerial(t, maskedspgemm.ErdosRenyi(64, 4, 54))
 
 	done := make(chan int, 1)
 	go func() {
-		done <- h.Post("/v1/warm", body, nil).Status
+		done <- h.Post("/v1/multiply?format=summary", parked, nil).Status
 	}()
-	// The warm holds its token and is paused just before the re-check;
-	// drain begins, then the warm resumes.
-	servetest.WaitFor(t, func() bool { return len(srv.warmGate) == 1 })
+	servetest.WaitFor(t, func() bool { return srv.adm.stats().InFlight == 1 })
+
+	// A zero queue deadline refuses to wait, so the busy slot sheds the
+	// warm at once instead of queueing it.
+	resp := h.Post("/v1/warm?algorithm=msa", body, map[string]string{"X-Queue-Deadline-Ms": "0"})
+	if resp.Status != http.StatusTooManyRequests {
+		t.Fatalf("warm at a busy slot: status %d: %s, want 429", resp.Status, resp.Body)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("shed warm missing Retry-After")
+	}
+	if st := getStats(t, h).Admission; st.Shed != 1 || st.Admitted != 1 {
+		t.Fatalf("admission = %+v, want the warm shed and only the multiply admitted", st)
+	}
+
+	unpark()
+	if code := <-done; code != http.StatusOK {
+		t.Fatalf("parked multiply: status %d", code)
+	}
+	if resp := h.Post("/v1/warm?algorithm=msa", body, nil); resp.Status != http.StatusOK {
+		t.Fatalf("warm after release: status %d: %s", resp.Status, resp.Body)
+	}
+	before := getStats(t, h).Session.Cache
+	if resp := h.Post("/v1/multiply?algorithm=msa&format=summary", body, nil); resp.Status != http.StatusOK {
+		t.Fatalf("multiply after warm: status %d: %s", resp.Status, resp.Body)
+	}
+	st := getStats(t, h)
+	if c := st.Session.Cache; c.Hits != before.Hits+1 || c.Misses != before.Misses {
+		t.Fatalf("cache %+v after %+v: the multiply must hit the warmed plan", c, before)
+	}
+	if st.Admission.Admitted != 3 {
+		t.Fatalf("admission = %+v, want 3 admitted: multiply, warm, multiply", st.Admission)
+	}
+
 	srv.Drain()
-	close(gate)
-	if code := <-done; code != http.StatusServiceUnavailable {
-		t.Fatalf("warm that raced drain: status %d, want 503", code)
+	if resp := h.Post("/v1/warm?algorithm=msa", body, nil); resp.Status != http.StatusServiceUnavailable {
+		t.Fatalf("warm while draining: status %d: %s, want 503", resp.Status, resp.Body)
+	}
+	if st := getStats(t, h).Admission; st.RejectedDraining != 1 {
+		t.Fatalf("admission = %+v, want the draining warm counted", st)
 	}
 }
 

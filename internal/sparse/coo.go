@@ -117,16 +117,6 @@ func (c *COO[T]) ToCSR(combine func(a, b T) T) (*CSR[T], error) {
 	return out, nil
 }
 
-// FromTriples builds a CSR matrix from parallel index/value slices,
-// combining duplicates with combine (nil keeps the last occurrence).
-func FromTriples[T any](rows, cols int, ri, ci []int32, v []T, combine func(a, b T) T) (*CSR[T], error) {
-	if len(ri) != len(ci) || len(ri) != len(v) {
-		return nil, fmt.Errorf("sparse: triple slices have mismatched lengths %d/%d/%d", len(ri), len(ci), len(v))
-	}
-	c := &COO[T]{Rows: rows, Cols: cols, RowIdx: ri, ColIdx: ci, Val: v}
-	return c.ToCSR(combine)
-}
-
 // FromRows builds a CSR matrix from dense-indexed row maps; convenient in
 // tests. Rows are map[column]value.
 func FromRows[T any](rows, cols int, data map[int]map[int]T) (*CSR[T], error) {

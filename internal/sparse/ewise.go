@@ -124,20 +124,6 @@ func Reduce[T any](a *CSR[T], init T, add func(x, y T) T) T {
 	return acc
 }
 
-// ReduceRows folds each row's stored values, producing a dense vector of
-// length Rows.
-func ReduceRows[T any](a *CSR[T], init T, add func(x, y T) T) []T {
-	out := make([]T, a.Rows)
-	for i := range out {
-		acc := init
-		for _, v := range a.RowVals(i) {
-			acc = add(acc, v)
-		}
-		out[i] = acc
-	}
-	return out
-}
-
 // ReduceCols folds each column's stored values, producing a dense vector
 // of length Cols. Betweenness centrality sums the per-source dependency
 // rows into one centrality vector this way.
@@ -153,62 +139,6 @@ func ReduceCols[T any](a *CSR[T], init T, add func(x, y T) T) []T {
 		}
 	}
 	return out
-}
-
-// PatternUnion returns the union of two patterns of identical shape.
-func PatternUnion(a, b *Pattern) (*Pattern, error) {
-	if err := checkSameShape(a.Rows, a.Cols, b.Rows, b.Cols); err != nil {
-		return nil, err
-	}
-	out := &Pattern{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int64, a.Rows+1)}
-	for i := 0; i < a.Rows; i++ {
-		ra, rb := a.Row(i), b.Row(i)
-		p, q := 0, 0
-		for p < len(ra) && q < len(rb) {
-			switch {
-			case ra[p] < rb[q]:
-				out.ColIdx = append(out.ColIdx, ra[p])
-				p++
-			case ra[p] > rb[q]:
-				out.ColIdx = append(out.ColIdx, rb[q])
-				q++
-			default:
-				out.ColIdx = append(out.ColIdx, ra[p])
-				p++
-				q++
-			}
-		}
-		out.ColIdx = append(out.ColIdx, ra[p:]...)
-		out.ColIdx = append(out.ColIdx, rb[q:]...)
-		out.RowPtr[i+1] = int64(len(out.ColIdx))
-	}
-	return out, nil
-}
-
-// PatternIntersect returns the intersection of two patterns.
-func PatternIntersect(a, b *Pattern) (*Pattern, error) {
-	if err := checkSameShape(a.Rows, a.Cols, b.Rows, b.Cols); err != nil {
-		return nil, err
-	}
-	out := &Pattern{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int64, a.Rows+1)}
-	for i := 0; i < a.Rows; i++ {
-		ra, rb := a.Row(i), b.Row(i)
-		p, q := 0, 0
-		for p < len(ra) && q < len(rb) {
-			switch {
-			case ra[p] < rb[q]:
-				p++
-			case ra[p] > rb[q]:
-				q++
-			default:
-				out.ColIdx = append(out.ColIdx, ra[p])
-				p++
-				q++
-			}
-		}
-		out.RowPtr[i+1] = int64(len(out.ColIdx))
-	}
-	return out, nil
 }
 
 // ApplyMask filters a through a mask pattern: with complement == false

@@ -282,10 +282,6 @@ func TestSelectApplyReduce(t *testing.T) {
 	if got := Reduce(doubled, 0, func(x, y float64) float64 { return x + y }); got != 4 {
 		t.Errorf("Reduce = %v, want 4", got)
 	}
-	rows := ReduceRows(m, 0, func(x, y float64) float64 { return x + y })
-	if rows[0] != 1 || rows[1] != 1 {
-		t.Errorf("ReduceRows = %v", rows)
-	}
 	cols := ReduceCols(m, 0, func(x, y float64) float64 { return x + y })
 	if cols[0] != -1 || cols[1] != 2 || cols[2] != -3 || cols[3] != 4 {
 		t.Errorf("ReduceCols = %v", cols)
@@ -314,28 +310,6 @@ func TestApplyMask(t *testing.T) {
 	wantC, _ := FromRows(2, 3, map[int]map[int]float64{0: {0: 1, 2: 3}})
 	if !Equal(wantC, comp) {
 		t.Errorf("ApplyMask complement: %s", Diff(wantC, comp, func(x, y float64) bool { return x == y }))
-	}
-}
-
-func TestPatternSetOps(t *testing.T) {
-	a, _ := FromRows(2, 4, map[int]map[int]float64{0: {0: 1, 2: 1}, 1: {1: 1}})
-	b, _ := FromRows(2, 4, map[int]map[int]float64{0: {2: 1, 3: 1}, 1: {1: 1, 0: 1}})
-	u, err := PatternUnion(a.PatternView(), b.PatternView())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.NNZ() != 5 {
-		t.Errorf("union nnz = %d, want 5", u.NNZ())
-	}
-	x, err := PatternIntersect(a.PatternView(), b.PatternView())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x.NNZ() != 2 {
-		t.Errorf("intersect nnz = %d, want 2", x.NNZ())
-	}
-	if u.NNZ()+x.NNZ() != a.NNZ()+b.NNZ() {
-		t.Error("inclusion-exclusion violated")
 	}
 }
 

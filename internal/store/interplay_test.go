@@ -16,7 +16,7 @@ import (
 func newSharedPair(maxBytes int64) (*core.MemBudget, *Store, *core.PlanCache[float64, semiring.PlusTimes[float64]]) {
 	budget := core.NewMemBudget(maxBytes)
 	st := New(budget)
-	cache := core.NewPlanCache[float64](semiring.PlusTimes[float64]{}, 128, 0)
+	cache := core.NewPlanCache[float64](semiring.PlusTimes[float64]{}, 128)
 	cache.AttachBudget(budget)
 	return budget, st, cache
 }

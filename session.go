@@ -70,7 +70,6 @@ type SessionOption func(*sessionConfig)
 // sessionConfig collects the tunables behind SessionOption.
 type sessionConfig struct {
 	cacheEntries int
-	cacheBytes   int64
 	budgetBytes  int64
 	maxIdle      int
 	onMiss       []func(PlanMiss)
@@ -117,19 +116,12 @@ func WithPlanCacheEntries(n int) SessionOption {
 	return func(c *sessionConfig) { c.cacheEntries = n }
 }
 
-// WithPlanCacheBytes bounds the estimated analysis memory retained by
-// the plan cache (default unbounded). Least-recently-used plans are
-// evicted beyond the bound.
-func WithPlanCacheBytes(n int64) SessionOption {
-	return func(c *sessionConfig) { c.cacheBytes = n }
-}
-
 // WithMemoryBudget bounds the one byte budget the plan cache and the
 // operand store share (default core.DefaultMemoryBudgetBytes, 1 GiB):
 // cached analyses and resident operands evict globally least recently
 // used against it, so a burst of uploads squeezes cold plans out and
-// vice versa. WithPlanCacheEntries/WithPlanCacheBytes remain local
-// caps applied on top.
+// vice versa. It is the one byte bound; WithPlanCacheEntries remains
+// a local entry cap applied on top.
 func WithMemoryBudget(n int64) SessionOption {
 	return func(c *sessionConfig) { c.budgetBytes = n }
 }
@@ -152,7 +144,7 @@ func NewSession(opts ...SessionOption) *Session {
 	sr := arith{}
 	budget := core.NewMemBudget(cfg.budgetBytes)
 	s := &Session{
-		cache:    core.NewPlanCache[float64](sr, cfg.cacheEntries, cfg.cacheBytes),
+		cache:    core.NewPlanCache[float64](sr, cfg.cacheEntries),
 		pool:     core.NewExecutorPool[float64](sr, cfg.maxIdle),
 		operands: store.New(budget),
 		budget:   budget,
