@@ -584,6 +584,39 @@ func TestMaskedBitEnsureColsGrowth(t *testing.T) {
 	}
 }
 
+// TestHashTableLoadFactors pins the sizing rule behind both hash
+// accumulators: a row's active table is the smallest power of two of
+// at least 16 slots that its keys fill to at most the fixed load
+// factor — 0.25 for Hash's mask keys, 0.5 for HashC's mask sentinels
+// plus output bound.
+func TestHashTableLoadFactors(t *testing.T) {
+	smallest := func(n int, lf float64) int {
+		c := 16
+		for float64(n) > lf*float64(c) {
+			c *= 2
+		}
+		return c
+	}
+	h := NewHash[float64](pt, 1)
+	hc := NewHashC[float64](pt, 1)
+	for _, n := range []int{0, 1, 3, 4, 5, 8, 9, 31, 32, 33, 100, 1000} {
+		mask := make([]int32, n)
+		for i := range mask {
+			mask[i] = int32(3 * i)
+		}
+		h.Begin(mask)
+		if want := smallest(n, 0.25); h.cap != want {
+			t.Errorf("Hash with %d mask keys: %d slots, want %d", n, h.cap, want)
+		}
+		for _, bound := range []int{0, n, 4 * n} {
+			hc.BeginSized(mask, bound)
+			if want := smallest(n+bound, 0.5); hc.cap != want {
+				t.Errorf("HashC with %d sentinels and bound %d: %d slots, want %d", n, bound, hc.cap, want)
+			}
+		}
+	}
+}
+
 func TestNextPow2(t *testing.T) {
 	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1023: 1024, 1024: 1024}
 	for in, want := range cases {

@@ -212,6 +212,39 @@ func TestMaskedSpGEMMSemirings(t *testing.T) {
 	}
 }
 
+// TestHeapNInspectVariants checks every NInspect the heap schemes
+// resolve from the algorithm against the oracle, one- and two-phase:
+// Heap (1), HeapDot (∞), both complemented (0, their own kernels), and
+// Hybrid's heap rows (1).
+func TestHeapNInspectVariants(t *testing.T) {
+	sr := semiring.PlusTimes[float64]{}
+	mask, a, b := buildCase(caseSpec{"", 60, 60, 60, 10, 10, 6, 77})
+	heapRows := Options{Algorithm: AlgoHybrid, HybridFamilies: Families(FamHeap)}
+	p, err := NewPlan(sr, mask, a, b, heapRows, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.polyFams != Families(FamHeap) {
+		t.Fatalf("Hybrid restricted to Heap bound %v", p.polyFams)
+	}
+	for _, complement := range []bool{false, true} {
+		want := oracle(mask, a, b, complement)
+		for _, base := range []Options{{Algorithm: AlgoHeap}, {Algorithm: AlgoHeapDot}, heapRows} {
+			for _, ph := range []Phases{OnePhase, TwoPhase} {
+				opt := base
+				opt.Phases, opt.Complement = ph, complement
+				got, err := MaskedSpGEMM(sr, mask, a, b, opt)
+				if err != nil {
+					t.Fatalf("%s complement=%v: %v", opt.SchemeName(), complement, err)
+				}
+				if d := sparse.Diff(want, got, floatEq); d != "" {
+					t.Fatalf("%s complement=%v: %s", opt.SchemeName(), complement, d)
+				}
+			}
+		}
+	}
+}
+
 // TestHeapVsHeapDotDiffer pins the two heap algorithms, the only
 // NInspect settings the paper evaluates (§5.5): Heap inspects one mask
 // element (NInspect=1), HeapDot the whole remaining mask (NInspect=∞).
@@ -232,6 +265,49 @@ func TestHeapVsHeapDotDiffer(t *testing.T) {
 		}
 		if d := sparse.Diff(want, got, floatEq); d != "" {
 			t.Fatalf("%s: %s", opt.SchemeName(), d)
+		}
+	}
+}
+
+// TestHashLoadFactors checks the hash accumulators at their fixed load
+// factors (0.25 plain, 0.5 complemented) on masks whose rows hold
+// exactly 4, 8, 16 and 32 entries: 16 and 32 fill the plain table to
+// exactly its load factor, the longest probe chains it ever sees, and
+// 4 and 8 sit under the 16-slot floor.
+func TestHashLoadFactors(t *testing.T) {
+	sr := semiring.PlusTimes[float64]{}
+	const n = 64
+	a := gen.Random(n, n, 10, 78001)
+	b := gen.Random(n, n, 10, 78002)
+	for _, r := range []int{4, 8, 16, 32} {
+		coo := sparse.NewCOO[float64](n, n, n*r)
+		for i := 0; i < n; i++ {
+			for j := 0; j < r; j++ {
+				coo.Append(int32(i), int32((i+j*(n/r))%n), 1)
+			}
+		}
+		m, err := coo.ToCSR(func(x, _ float64) float64 { return x })
+		if err != nil {
+			t.Fatal(err)
+		}
+		mask := m.PatternView()
+		for i := 0; i < n; i++ {
+			if got := len(mask.Row(i)); got != r {
+				t.Fatalf("row %d holds %d mask entries, want %d", i, got, r)
+			}
+		}
+		for _, complement := range []bool{false, true} {
+			want := oracle(mask, a, b, complement)
+			for _, ph := range []Phases{OnePhase, TwoPhase} {
+				opt := Options{Algorithm: AlgoHash, Phases: ph, Complement: complement}
+				got, err := MaskedSpGEMM(sr, mask, a, b, opt)
+				if err != nil {
+					t.Fatalf("row length %d, %s complement=%v: %v", r, opt.SchemeName(), complement, err)
+				}
+				if d := sparse.Diff(want, got, floatEq); d != "" {
+					t.Fatalf("row length %d, %s complement=%v: %s", r, opt.SchemeName(), complement, d)
+				}
+			}
 		}
 	}
 }

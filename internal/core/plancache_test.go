@@ -203,6 +203,56 @@ func TestPlanCacheEviction(t *testing.T) {
 	}
 }
 
+// TestPlanCacheByteBound exercises the one byte bound, a MemBudget the
+// cache is attached to: entries evict once the estimated analysis
+// footprint exceeds the budget, the budget accounts exactly the bytes
+// the cache retains, and the newest entry always stays, even when it
+// alone is over budget.
+func TestPlanCacheByteBound(t *testing.T) {
+	mask, a, b := buildCase(caseSpec{"", 64, 64, 64, 6, 6, 8, 30})
+	probe, err := newDetachedPlan(ptSR, mask.Clone(), a, b, Options{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perEntry := probe.footprintBytes()
+	// Room for two entries, not three.
+	bound := 2*perEntry + perEntry/2
+	budget := NewMemBudget(bound)
+	cache := NewPlanCache(ptSR, 0)
+	cache.AttachBudget(budget)
+	for i := 0; i < 3; i++ {
+		m, ai, bi := buildCase(caseSpec{"", 64, 64, 64, 6, 6, 8, uint64(30 + i)})
+		if _, err := cache.GetOrPlan(m, ai, bi, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := cache.Stats()
+	if st.Evictions == 0 {
+		t.Fatalf("stats = %+v, want budget evictions", st)
+	}
+	if st.Bytes > bound {
+		t.Fatalf("retained bytes %d exceed the budget %d", st.Bytes, bound)
+	}
+	if budget.Used() != st.Bytes {
+		t.Fatalf("budget accounts %d bytes, the cache retains %d", budget.Used(), st.Bytes)
+	}
+	if st.Entries == 0 {
+		t.Fatal("the budget must never evict the newest entry")
+	}
+
+	tiny := NewPlanCache(ptSR, 0)
+	tiny.AttachBudget(NewMemBudget(perEntry / 2))
+	for i := 0; i < 2; i++ {
+		m, ai, bi := buildCase(caseSpec{"", 64, 64, 64, 6, 6, 8, uint64(40 + i)})
+		if _, err := tiny.GetOrPlan(m, ai, bi, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := tiny.Stats(); st.Entries != 1 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v under a budget smaller than one plan, want the newest entry kept and 1 eviction", st)
+	}
+}
+
 // TestPlanCacheHitAllocs asserts the serving-path property the cache
 // exists for: a repeat-structure lookup allocates nothing.
 func TestPlanCacheHitAllocs(t *testing.T) {

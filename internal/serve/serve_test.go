@@ -672,6 +672,170 @@ func TestServeWarmAdmitted(t *testing.T) {
 	}
 }
 
+// parkMultiply starts a multiply that takes the server's one admission
+// slot and parks on execGate before it reads its body. It returns the
+// function that unparks it (also registered as a cleanup, so a failing
+// check never hangs the server's shutdown) and the multiply's status.
+func parkMultiply(t *testing.T) (*Server, *servetest.Server, func(), <-chan int) {
+	t.Helper()
+	srv := New(Config{MaxInFlight: 1, QueueTimeout: 30 * time.Second})
+	gate := make(chan struct{})
+	srv.execGate = func() { <-gate }
+	h := servetest.Start(t, srv)
+	unpark := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(unpark)
+	body := servetest.EncodeSerial(t, maskedspgemm.ErdosRenyi(64, 4, 52))
+	done := make(chan int, 1)
+	go func() {
+		done <- h.Post("/v1/multiply?format=summary", body, nil).Status
+	}()
+	servetest.WaitFor(t, func() bool { return srv.adm.stats().InFlight == 1 })
+	return srv, h, unpark, done
+}
+
+// TestServeWarmBounded pins that warms are bounded by the admission
+// slots, not planned beside them: with the one slot held, a warm waits
+// in the queue without planning, is dropped with 503 and Retry-After
+// when its queue deadline passes first, and plans once the slot frees.
+func TestServeWarmBounded(t *testing.T) {
+	srv, h, unpark, done := parkMultiply(t)
+	body := servetest.EncodeSerial(t, maskedspgemm.ErdosRenyi(64, 4, 55))
+
+	resp := h.Post("/v1/warm?algorithm=msa", body, map[string]string{"X-Queue-Deadline-Ms": "20"})
+	if resp.Status != http.StatusServiceUnavailable {
+		t.Fatalf("warm past its queue deadline: status %d: %s, want 503", resp.Status, resp.Body)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("expired warm missing Retry-After")
+	}
+	if st := srv.adm.stats(); st.DeadlineExpired != 1 || st.Queued != 1 {
+		t.Fatalf("admission = %+v, want the warm queued once and expired", st)
+	}
+
+	warmed := make(chan servetest.Response, 1)
+	go func() {
+		warmed <- h.Post("/v1/warm?algorithm=msa", body, nil)
+	}()
+	servetest.WaitFor(t, func() bool { return srv.adm.stats().QueueDepth == 1 })
+	if st := srv.adm.stats(); st.InFlight != 1 {
+		t.Fatalf("admission = %+v, want the queued warm outside the one slot", st)
+	}
+	if c := srv.Session().Stats().Cache; c.Misses != 0 || c.Entries != 0 {
+		t.Fatalf("cache %+v: a queued warm planned", c)
+	}
+	unpark()
+	if code := <-done; code != http.StatusOK {
+		t.Fatalf("parked multiply: status %d", code)
+	}
+	if resp := <-warmed; resp.Status != http.StatusOK {
+		t.Fatalf("queued warm: status %d: %s", resp.Status, resp.Body)
+	}
+	if st := srv.adm.stats(); st.Admitted != 2 || st.Queued != 2 {
+		t.Fatalf("admission = %+v, want the multiply and the queued warm admitted", st)
+	}
+}
+
+// TestServeWarmDrainRace pins drain against a queued warm: a warm
+// waiting for a slot when drain begins is woken and rejected with 503
+// without planning into a cache that is being discarded, while the
+// in-flight multiply it waited behind still completes.
+func TestServeWarmDrainRace(t *testing.T) {
+	srv, h, unpark, done := parkMultiply(t)
+	body := servetest.EncodeSerial(t, maskedspgemm.ErdosRenyi(64, 4, 54))
+
+	warmed := make(chan servetest.Response, 1)
+	go func() {
+		warmed <- h.Post("/v1/warm?algorithm=msa", body, nil)
+	}()
+	servetest.WaitFor(t, func() bool { return srv.adm.stats().QueueDepth == 1 })
+	idle := srv.Drain()
+	if resp := <-warmed; resp.Status != http.StatusServiceUnavailable {
+		t.Fatalf("warm queued when drain began: status %d: %s, want 503", resp.Status, resp.Body)
+	}
+	if st := srv.adm.stats(); st.RejectedDraining != 1 || st.QueueDepth != 0 || st.InFlight != 1 {
+		t.Fatalf("admission = %+v, want the queued warm rejected and the multiply still in flight", st)
+	}
+	if c := srv.Session().Stats().Cache; c.Misses != 0 || c.Entries != 0 {
+		t.Fatalf("cache %+v: the rejected warm planned", c)
+	}
+	unpark()
+	if code := <-done; code != http.StatusOK {
+		t.Fatalf("in-flight multiply under drain: status %d", code)
+	}
+	select {
+	case <-idle:
+	case <-time.After(10 * time.Second):
+		t.Fatal("drain never reached idle after the multiply released its slot")
+	}
+}
+
+// TestServeAdmitOutcomes pins the one admission helper behind every
+// endpoint that reads a body: multiply, warm and operand upload each
+// answer a malformed queue deadline with 400 before the gate, a
+// refused-to-queue request at a busy slot with 429 and Retry-After, and
+// a request while draining with 503, each counted in /stats, and none
+// of them reads, stores or plans anything.
+func TestServeAdmitOutcomes(t *testing.T) {
+	body := servetest.EncodeSerial(t, maskedspgemm.ErdosRenyi(64, 4, 56))
+	endpoints := []struct {
+		name, method, path string
+	}{
+		{"multiply", http.MethodPost, "/v1/multiply?format=summary"},
+		{"warm", http.MethodPost, "/v1/warm"},
+		{"operands", http.MethodPut, "/v1/operands"},
+	}
+	untouched := func(t *testing.T, h *servetest.Server) {
+		t.Helper()
+		if st := getStats(t, h).Session; st.Store.Puts != 0 || st.Store.Reputs != 0 || st.Cache.Misses != 0 {
+			t.Fatalf("session %+v / %+v: a refused request reached the store or the planner", st.Store, st.Cache)
+		}
+	}
+	for _, ep := range endpoints {
+		t.Run(ep.name+"/400", func(t *testing.T) {
+			h := servetest.Start(t, New(Config{MaxInFlight: 1}))
+			resp := h.Do(ep.method, ep.path, body, map[string]string{"X-Queue-Deadline-Ms": "-1"})
+			if resp.Status != http.StatusBadRequest {
+				t.Fatalf("malformed queue deadline: status %d: %s, want 400", resp.Status, resp.Body)
+			}
+			if st := getStats(t, h).Admission; st.Admitted != 0 || st.Shed != 0 || st.Queued != 0 {
+				t.Fatalf("admission = %+v, want the request refused before the gate", st)
+			}
+			untouched(t, h)
+		})
+		t.Run(ep.name+"/429", func(t *testing.T) {
+			_, h, unpark, done := parkMultiply(t)
+			resp := h.Do(ep.method, ep.path, body, map[string]string{"X-Queue-Deadline-Ms": "0"})
+			if resp.Status != http.StatusTooManyRequests {
+				t.Fatalf("busy slot, zero queue deadline: status %d: %s, want 429", resp.Status, resp.Body)
+			}
+			if resp.Header.Get("Retry-After") == "" {
+				t.Fatal("shed request missing Retry-After")
+			}
+			if st := getStats(t, h).Admission; st.Shed != 1 || st.Admitted != 1 {
+				t.Fatalf("admission = %+v, want the request shed and only the parked multiply admitted", st)
+			}
+			untouched(t, h)
+			unpark()
+			if code := <-done; code != http.StatusOK {
+				t.Fatalf("parked multiply: status %d", code)
+			}
+		})
+		t.Run(ep.name+"/503", func(t *testing.T) {
+			srv := New(Config{MaxInFlight: 1})
+			h := servetest.Start(t, srv)
+			srv.Drain()
+			resp := h.Do(ep.method, ep.path, body, nil)
+			if resp.Status != http.StatusServiceUnavailable {
+				t.Fatalf("draining: status %d: %s, want 503", resp.Status, resp.Body)
+			}
+			if st := getStats(t, h).Admission; st.RejectedDraining != 1 || st.Admitted != 0 {
+				t.Fatalf("admission = %+v, want the request rejected as draining", st)
+			}
+			untouched(t, h)
+		})
+	}
+}
+
 // TestServeSlowBodyTimeout pins the slot-starvation fix: a client that
 // sends headers and then trickles its body cannot hold an execution
 // slot past BodyReadTimeout — the read deadline fires, the request
