@@ -225,13 +225,15 @@ type complementAcc interface {
 const wideCols = 1 << 16
 
 // complementAccumulators returns one fresh instance of every
-// complement accumulator, MaskedBitC also in its plus-times form.
+// complement accumulator, MaskedBitC also in its plus-times form, once
+// per scatter loop.
 func complementAccumulators(ncols int) map[string]complementAcc {
 	return map[string]complementAcc{
-		"MSAC":                 NewMSAC[float64](pt, ncols),
-		"HashC":                NewHashC[float64](pt, 16),
-		"MaskedBitC":           NewMaskedBitC[float64](pt, ncols),
-		"MaskedBitC-PlusTimes": MaskedBitCPlusTimes{NewMaskedBitC[float64](pt, ncols)},
+		"MSAC":                       NewMSAC[float64](pt, ncols),
+		"HashC":                      NewHashC[float64](pt, 16),
+		"MaskedBitC":                 NewMaskedBitC[float64](pt, ncols),
+		"MaskedBitC-PlusTimes":       MaskedBitCPlusTimes{MaskedBitC: NewMaskedBitC[float64](pt, ncols), Cols: ncols},
+		"MaskedBitC-PlusTimes-dense": MaskedBitCPlusTimes{MaskedBitC: NewMaskedBitC[float64](pt, ncols), Dense: true, Cols: ncols},
 	}
 }
 

@@ -2,6 +2,7 @@ package accum
 
 import (
 	"math"
+	"math/bits"
 
 	"maskedspgemm/internal/semiring"
 )
@@ -12,9 +13,10 @@ import (
 // product that the compiler never inlines. The server runs only
 // semiring.PlusTimes[float64], and the push kernels bind these three
 // wrappers for it at bind time (internal/core bindMSA, bindMaskedBit,
-// bindMaskedBitC): each embeds the generic accumulator, so Begin, Gather
-// and the symbolic methods are the generic ones, and overrides Scatter
-// with float64 code over the same arrays. Every other semiring keeps the
+// bindMaskedBitC): each embeds the generic accumulator, so the symbolic
+// methods are the generic ones, and overrides Scatter with float64 code
+// over the same arrays; MSA's and MaskedBitC's also override Gather, and
+// MSA's Begin, for their dense-row loops. Every other semiring keeps the
 // generic loops.
 //
 // Each product is rounded explicitly (float64(av*b)) before it is added,
@@ -182,20 +184,54 @@ func (m MaskedBitPlusTimes) Scatter(av float64, bCols []int32, bVals []float64) 
 }
 
 // MaskedBitCPlusTimes is a MaskedBitC over PlusTimes64 whose Scatter is
-// float64 code.
+// float64 code. It has two scatter loops, and Dense picks one per row.
+// The sparse loop skips banned columns and lists first touches, as the
+// generic loop does. The dense loop has no branch and no list: it adds
+// every scanned product, with the bits of a banned column's product
+// cleared to +0, and sets the column's set bit only when it is
+// admitted; its Gather then walks every set word of the product. It
+// pays where a row's products cover a fair share of the product's
+// width; the complement kernel decides per row (DESIGN.md §12, "Dense
+// complemented rows").
 type MaskedBitCPlusTimes struct {
 	*MaskedBitC[float64, PlusTimes64]
+	// Dense selects the dense loop for the row; Scatter and Gather of
+	// one row must see the same value.
+	Dense bool
+	// Cols is the product's width, the columns a dense row's Gather
+	// walks. The executor's arrays may be wider, left by a wider
+	// product.
+	Cols int
 }
 
-// Scatter is MaskedBitC.Scatter with Mul and Add written out.
+// Scatter is MaskedBitC.Scatter with Mul and Add written out, in the
+// current row's loop.
+//
+// A dense row's loop has no branch per entry. ok is 1 when the mask
+// admits column k and 0 when it bans it, and -ok is then all ones or
+// zero: the product's bits ANDed with it are the product or +0. A
+// banned column's value is +0 between rows and only ever gets +0
+// added, so it stays +0 and needs no reset; an admitted column gets the
+// generic loop's add, in the same order, and its set bit.
 //
 //mspgemm:hotpath
 func (m MaskedBitCPlusTimes) Scatter(av float64, bCols []int32, bVals []float64) {
 	banned := m.banned
 	set := m.set[:len(banned)]
 	values := m.values
-	inserted := m.inserted
 	bVals = bVals[:len(bCols)]
+	if m.Dense {
+		for t, j := range bCols {
+			k := uint(uint32(j))
+			w := k >> 6
+			ok := ^(banned[w] >> (k & 63)) & 1
+			p := math.Float64bits(float64(av * bVals[t]))
+			values[k] += math.Float64frombits(p & -ok)
+			set[w] |= ok << (k & 63)
+		}
+		return
+	}
+	inserted := m.inserted
 	for t, j := range bCols {
 		k := uint(uint32(j))
 		w := k >> 6
@@ -210,4 +246,35 @@ func (m MaskedBitCPlusTimes) Scatter(av float64, bCols []int32, bVals []float64)
 		}
 	}
 	m.inserted = inserted
+}
+
+// Gather emits the inserted entries in ascending column order and
+// leaves the accumulator clean, as MaskedBitC.Gather does. A dense row
+// listed nothing, so its Gather walks the set words of all Cols
+// columns, popping set bits with TrailingZeros64, and clears each
+// word's banned bits as it goes. A sparse row is the generic Gather.
+//
+//mspgemm:hotpath
+func (m MaskedBitCPlusTimes) Gather(outIdx []int32, outVal []float64) int {
+	c := m.MaskedBitC
+	if !m.Dense {
+		return c.Gather(outIdx, outVal)
+	}
+	set := c.set[:bitWords(m.Cols)]
+	banned := c.banned[:len(set)]
+	values := c.values
+	n := 0
+	for w, b := range set {
+		for ; b != 0; b &= b - 1 {
+			k := uint(w)<<6 + uint(bits.TrailingZeros64(b))
+			outIdx[n] = int32(k)
+			outVal[n] = values[k]
+			values[k] = 0
+			n++
+		}
+		set[w] = 0
+		banned[w] = 0
+	}
+	c.maskRow = nil
+	return n
 }

@@ -2,6 +2,7 @@ package accum_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"maskedspgemm/internal/accum"
@@ -92,16 +93,57 @@ func msaProduct(msa *accum.MSA[float64, accum.PlusTimes64], rule msaRule, mask *
 func complProduct[A complRowAcc](acc A, a *sparse.CSR[float64], outIdx []int32, outVal []float64) int {
 	nnz := 0
 	for i := 0; i < a.Rows; i++ {
-		bound := 0
-		for _, k := range a.Row(i) {
-			bound += a.RowNNZ(int(k))
-		}
-		acc.BeginSized(a.Row(i), bound)
-		vals := a.RowVals(i)
-		for t, k := range a.Row(i) {
-			acc.Scatter(vals[t], a.Row(int(k)), a.RowVals(int(k)))
-		}
-		nnz += acc.Gather(outIdx, outVal)
+		nnz += complRow(acc, a, i, complBound(a, i), outIdx, outVal)
+	}
+	return nnz
+}
+
+// complBound is row i's population bound, Σ nnz(A_k*) over its A
+// entries: internal/core's rowGenBound for B = A.
+func complBound(a *sparse.CSR[float64], i int) int {
+	bound := 0
+	for _, k := range a.Row(i) {
+		bound += a.RowNNZ(int(k))
+	}
+	return bound
+}
+
+// complRow runs row i of complProduct.
+func complRow[A complRowAcc](acc A, a *sparse.CSR[float64], i, bound int, outIdx []int32, outVal []float64) int {
+	acc.BeginSized(a.Row(i), bound)
+	vals := a.RowVals(i)
+	for t, k := range a.Row(i) {
+		acc.Scatter(vals[t], a.Row(int(k)), a.RowVals(int(k)))
+	}
+	return acc.Gather(outIdx, outVal)
+}
+
+// bitCRule is a dense-row rule of the shape of internal/core's
+// maskedBitCDenseRow: a row runs MaskedBitCPlusTimes' dense loop when
+// its bound is at least ncols/ratio. A ratio of 0 keeps every row on
+// the sparse loop, and bitCAllDense puts every row on the dense loop.
+type bitCRule int
+
+const bitCAllDense bitCRule = math.MaxInt32
+
+func (r bitCRule) String() string {
+	switch r {
+	case 0:
+		return "rule=none"
+	case bitCAllDense:
+		return "rule=all"
+	}
+	return fmt.Sprintf("rule=n/%d", int(r))
+}
+
+// bitCProduct is complProduct for MaskedBitCPlusTimes, each row on the
+// loop rule picks.
+func bitCProduct(bitC *accum.MaskedBitC[float64, accum.PlusTimes64], rule bitCRule, a *sparse.CSR[float64], outIdx []int32, outVal []float64) int {
+	nnz := 0
+	for i := 0; i < a.Rows; i++ {
+		bound := complBound(a, i)
+		acc := accum.MaskedBitCPlusTimes{MaskedBitC: bitC, Dense: rule != 0 && bound*int(rule) >= a.Cols, Cols: a.Cols}
+		nnz += complRow(acc, a, i, bound, outIdx, outVal)
 	}
 	return nnz
 }
@@ -123,14 +165,22 @@ func complProduct[A complRowAcc](acc A, a *sparse.CSR[float64], outIdx []int32, 
 // the scan term, and every row sparse. They also run on the bitmap
 // experiment's banded density sweep over ER(2¹², degree 8), whose mask
 // rows outnumber their scanned entries, the rows the scan term keeps
-// sparse. Every run must produce the same output nnz.
+// sparse.
+//
+// MaskedBitC's specialised runs sweep its dense-row rule (bitCRule,
+// DESIGN.md §12, "Dense complemented rows") from ncols/16 to
+// ncols/1024, with every row sparse and every row dense, on
+// delta-compl-ref's product and on complemented products of symmetric
+// ER(2¹⁴, degree 2, 4 and 8) graphs, whose rows are 900, 240 and 60
+// times narrower in products than in columns. Every run must produce
+// the same output nnz.
 func BenchmarkScatterPlusTimes(b *testing.B) {
 	var sr accum.PlusTimes64
 	skew := bench.SkewedGraph(12, 8, 1)
 	er := gen.Symmetrize(gen.ErdosRenyi(1<<11, 8, 1))
 	er12 := gen.Symmetrize(gen.ErdosRenyi(1<<12, 8, 1))
 	sweep := bench.BandedMask(1<<12, bench.SweepDensities, 3)
-	outIdx := make([]int32, max(skew.Cols, er12.Cols))
+	outIdx := make([]int32, max(skew.Cols, er12.Cols, 1<<14))
 	outVal := make([]float64, len(outIdx))
 	type run struct {
 		name string
@@ -144,8 +194,15 @@ func BenchmarkScatterPlusTimes(b *testing.B) {
 		}
 		return runs
 	}
+	bitCRuns := func(a *sparse.CSR[float64]) []run {
+		bitC := accum.NewMaskedBitC[float64](sr, a.Cols)
+		runs := []run{{"generic", func() int { return complProduct(bitC, a, outIdx, outVal) }}}
+		for _, r := range []bitCRule{0, 16, 64, 256, 1024, bitCAllDense} {
+			runs = append(runs, run{r.String(), func() int { return bitCProduct(bitC, r, a, outIdx, outVal) }})
+		}
+		return runs
+	}
 	bit := accum.NewMaskedBit[float64](sr, skew.Cols)
-	bitC := accum.NewMaskedBitC[float64](sr, er.Cols)
 	for _, p := range []struct {
 		name string
 		runs []run
@@ -158,9 +215,10 @@ func BenchmarkScatterPlusTimes(b *testing.B) {
 			{"plustimes", func() int {
 				return plainProduct(accum.MaskedBitPlusTimes{MaskedBit: bit}, skew.PatternView(), skew, outIdx, outVal)
 			}}}},
-		{"delta-compl-ref/MaskedBitC", []run{
-			{"generic", func() int { return complProduct(bitC, er, outIdx, outVal) }},
-			{"plustimes", func() int { return complProduct(accum.MaskedBitCPlusTimes{MaskedBitC: bitC}, er, outIdx, outVal) }}}},
+		{"delta-compl-ref/MaskedBitC", bitCRuns(er)},
+		{"compl-er14-d2/MaskedBitC", bitCRuns(gen.Symmetrize(gen.ErdosRenyi(1<<14, 2, 1)))},
+		{"compl-er14-d4/MaskedBitC", bitCRuns(gen.Symmetrize(gen.ErdosRenyi(1<<14, 4, 1)))},
+		{"compl-er14-d8/MaskedBitC", bitCRuns(gen.Symmetrize(gen.ErdosRenyi(1<<14, 8, 1)))},
 	} {
 		want := p.runs[0].fn()
 		for _, r := range p.runs[1:] {

@@ -119,7 +119,8 @@ func complementCase(acc complementAcc) scatterCase {
 // complement, reusing one accumulator across every row, and compares
 // each row against the per-key reference. MSA, MaskedBit and MaskedBitC
 // run both their generic Scatter and the float64 plus-times one, MSA's
-// with its sparse loop and with its dense loop on every row. Once
+// and MaskedBitC's with their sparse loop and with their dense loop on
+// every row. Once
 // the accumulators have seen every row, a second pass must allocate
 // nothing.
 func TestScatterMatchesPerKeyReference(t *testing.T) {
@@ -156,9 +157,9 @@ func TestScatterMatchesPerKeyReference(t *testing.T) {
 			}
 		})
 	}
-	// 6 accumulators and the three plus-times Scatters, MSA's with each
-	// of its loops.
-	if len(cases) != 10 {
-		t.Fatalf("covered %d accumulator configurations, want 10", len(cases))
+	// 6 accumulators and the three plus-times Scatters, MSA's and
+	// MaskedBitC's with each of their loops.
+	if len(cases) != 11 {
+		t.Fatalf("covered %d accumulator configurations, want 11", len(cases))
 	}
 }

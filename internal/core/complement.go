@@ -37,11 +37,11 @@ func rowGenBound[T any](aCols []int32, b *sparse.CSR[T]) int {
 
 // pushRowNumericC computes one complemented output row, one Scatter per
 // A entry as in pushRowNumeric, with the same bounds-check-elimination
-// hints.
+// hints. bound is the row's rowGenBound.
 //
 //mspgemm:hotpath
-func pushRowNumericC[T any, A pushAccC[T]](acc A, maskRow []int32, aCols []int32, aVals []T, b *sparse.CSR[T], outIdx []int32, outVal []T) int {
-	acc.BeginSized(maskRow, rowGenBound(aCols, b))
+func pushRowNumericC[T any, A pushAccC[T]](acc A, maskRow []int32, bound int, aCols []int32, aVals []T, b *sparse.CSR[T], outIdx []int32, outVal []T) int {
+	acc.BeginSized(maskRow, bound)
 	aVals = aVals[:len(aCols)]
 	rowPtr := b.RowPtr
 	colIdx := b.ColIdx
@@ -75,7 +75,8 @@ func pushRowSymbolicC[T any, A pushAccC[T]](acc A, maskRow []int32, aCols []int3
 func pushKernelsC[T any, A pushAccC[T]](mask *sparse.Pattern, a, b *sparse.CSR[T], getAcc func(tid int) A) kernels[T] {
 	return kernels[T]{
 		numeric: func(tid, i int, outIdx []int32, outVal []T) int {
-			return pushRowNumericC(getAcc(tid), mask.Row(i), a.Row(i), a.RowVals(i), b, outIdx, outVal)
+			aCols := a.Row(i)
+			return pushRowNumericC(getAcc(tid), mask.Row(i), rowGenBound(aCols, b), aCols, a.RowVals(i), b, outIdx, outVal)
 		},
 		symbolic: func(tid, i int) int {
 			return pushRowSymbolicC[T](getAcc(tid), mask.Row(i), a.Row(i), b)
@@ -104,11 +105,35 @@ func bindMaskedBitC[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T,
 }
 
 // maskedBitCPlusTimesKernels is MaskedBitC's row kernels over the served
-// semiring.
+// semiring. The numeric kernel picks each row's scatter loop with
+// maskedBitCDenseRow.
 func maskedBitCPlusTimesKernels(mask *sparse.Pattern, a, b *sparse.CSR[float64], getAcc func(tid int) *accum.MaskedBitC[float64, accum.PlusTimes64]) kernels[float64] {
-	return pushKernelsC(mask, a, b, func(tid int) accum.MaskedBitCPlusTimes {
+	ncols := b.Cols
+	k := pushKernelsC(mask, a, b, func(tid int) accum.MaskedBitCPlusTimes {
 		return accum.MaskedBitCPlusTimes{MaskedBitC: getAcc(tid)}
 	})
+	k.numeric = func(tid, i int, outIdx []int32, outVal []float64) int {
+		aCols := a.Row(i)
+		bound := rowGenBound(aCols, b)
+		acc := accum.MaskedBitCPlusTimes{MaskedBitC: getAcc(tid), Dense: maskedBitCDenseRow(bound, ncols), Cols: ncols}
+		return pushRowNumericC(acc, mask.Row(i), bound, aCols, a.RowVals(i), b, outIdx, outVal)
+	}
+	return k
+}
+
+// maskedBitCDenseRatio is the dense-row rule of MaskedBitCPlusTimes: a
+// row whose rowGenBound is at least ncols/maskedBitCDenseRatio runs the
+// dense loop. DESIGN.md §12, "Dense complemented rows", has the
+// crossover it was chosen from; BenchmarkScatterPlusTimes sweeps it.
+const maskedBitCDenseRatio = 256
+
+// maskedBitCDenseRow reports whether a complemented row whose products
+// number at most bound, in a product ncols wide, runs
+// MaskedBitCPlusTimes' dense loop. The bound stands in for the row's
+// inserted keys: the dense loop saves a branch and a list append per
+// product, and its Gather pays one word per 64 columns of the product.
+func maskedBitCDenseRow(bound, ncols int) bool {
+	return bound*maskedBitCDenseRatio >= ncols
 }
 
 // bindHashC registers the complemented hash scheme. Tables grow per

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -395,4 +396,192 @@ func TestServedKernelsBindOnlyPlusTimes(t *testing.T) {
 	}
 	_, ok = servedKernels(minPlus, mask, a, b, getAcc, served)
 	check("MinPlusF64", ok, false)
+}
+
+// complDenseRowsProduct builds an n-column C = ¬M ⊙ (A·B) whose rows
+// straddle maskedBitCDenseRow, and reports for each row whether
+// MaskedBitCPlusTimes runs it on its dense loop. B row 3 holds
+// ⌈n/maskedBitCDenseRatio⌉ entries from column min(n/2, 256) up, so the
+// rows that scatter it are dense; rows 3 and 4 scatter only a short B
+// row, so they are dense at n = 256 and sparse at n = 4096. For
+// n = 4096 B row 3's columns are the ones just past a 256-wide product.
+//
+//   - Row 0 scatters 1 · −0 into admitted column 5: the value starts at
+//     +0 and +0 + −0 is +0, so it emits +0 on every loop.
+//   - Row 1 scatters 2, +Inf, −Inf and NaN into columns 6 and 20–22,
+//     and its mask bans 20–22; row 2 admits them and must read exactly
+//     the 1, 2, 3 B row 2 puts there, and must not emit column 6, which
+//     row 1 set and row 2 does not touch.
+//   - Rows 3 and 4 repeat rows 1 and 2 without B row 3.
+//   - Row 5 bans column 6 and row 6 bans column 5, where it scatters
+//     −0; row 7 bans nothing and scatters neither, so it must come out
+//     without columns 5, 6 and 20–22.
+func complDenseRowsProduct(n int) (mask *sparse.Pattern, a, b *sparse.CSR[float64], dense []bool) {
+	d := (n + maskedBitCDenseRatio - 1) / maskedBitCDenseRatio
+	var padCols []int32
+	var padVals []float64
+	for j := range d {
+		padCols = append(padCols, int32(min(n/2, 256)+j))
+		padVals = append(padVals, float64(j%5+1))
+	}
+	b = csrFromRows(5, n,
+		[][]int32{{5}, {6, 20, 21, 22}, {20, 21, 22}, padCols, {7}},
+		[][]float64{{math.Copysign(0, -1)}, {2, math.Inf(1), math.Inf(-1), math.NaN()}, {1, 2, 3}, padVals, {1}})
+	a = csrFromRows(8, 5,
+		[][]int32{{0, 3}, {1, 3}, {2, 3}, {1}, {2}, {3, 4}, {0, 3}, {3, 4}},
+		[][]float64{{1, 1}, {1, 1}, {1, 1}, {1}, {1}, {1, 1}, {1, 1}, {1, 1}})
+	m := csrFromRows(8, n, [][]int32{nil, {20, 21, 22}, {6}, {20, 21, 22}, {6}, {6}, {5}, nil}, nil)
+	dense = make([]bool, a.Rows)
+	for i := range dense {
+		dense[i] = maskedBitCDenseRow(rowGenBound(a.Row(i), b), n)
+	}
+	return m.PatternView(), a, b, dense
+}
+
+// checkComplDenseRows checks a complDenseRowsProduct result bit for bit
+// against the generic kernels' want, and pins the entries its rows are
+// rigged for; a NaN that is absent from its pinned row reads as absent.
+func checkComplDenseRows(t *testing.T, got, want *sparse.CSR[float64]) {
+	t.Helper()
+	if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
+		t.Fatalf("pattern differs from the generic kernels")
+	}
+	for i, v := range got.Val {
+		if !sameBits(v, want.Val[i]) {
+			t.Fatalf("value %d (column %d) = %v (%#x), generic %v (%#x)",
+				i, got.ColIdx[i], v, math.Float64bits(v), want.Val[i], math.Float64bits(want.Val[i]))
+		}
+	}
+	absent := math.NaN()
+	for _, r := range []struct {
+		row  int
+		cols []int32
+		vals []float64
+	}{
+		{0, []int32{5}, []float64{0}},
+		{1, []int32{6, 20, 21, 22}, []float64{2, absent, absent, absent}},
+		{2, []int32{6, 20, 21, 22}, []float64{absent, 1, 2, 3}},
+		{3, []int32{6, 20, 21, 22}, []float64{2, absent, absent, absent}},
+		{4, []int32{6, 20, 21, 22}, []float64{absent, 1, 2, 3}},
+		{5, []int32{5, 6, 7}, []float64{absent, absent, 1}},
+		{6, []int32{5}, []float64{absent}},
+		{7, []int32{5, 6, 7, 20, 21, 22}, []float64{absent, absent, 1, absent, absent, absent}},
+	} {
+		lo, hi := got.RowPtr[r.row], got.RowPtr[r.row+1]
+		cols, vals := got.ColIdx[lo:hi], got.Val[lo:hi]
+		for k, j := range r.cols {
+			at, found := slices.BinarySearch(cols, j)
+			switch wantV := r.vals[k]; {
+			case math.IsNaN(wantV) && found:
+				t.Fatalf("row %d emits column %d = %v, want it absent", r.row, j, vals[at])
+			case !math.IsNaN(wantV) && !found:
+				t.Fatalf("row %d lacks column %d, want %v", r.row, j, wantV)
+			case !math.IsNaN(wantV) && math.Float64bits(vals[at]) != math.Float64bits(wantV):
+				t.Fatalf("row %d column %d = %v (%#x), want %v (%#x)", r.row, j, vals[at], math.Float64bits(vals[at]), wantV, math.Float64bits(wantV))
+			}
+		}
+	}
+}
+
+// TestPlusTimesDenseComplementRowsBitIdentical runs MaskedBitC's float64
+// kernels on rows at both sides of maskedBitCDenseRow
+// (complDenseRowsProduct) and checks them bit for bit against the
+// generic kernels: under MaskedBit and under Hybrid binding MaskedBit
+// on every row, complemented, one-phase and two-phase, at 1 and 4
+// threads. It then reuses one executor across a narrow product, a wide
+// one, the narrow one and the wide one again, so each dense row's
+// Gather runs on arrays wider than its product, left by the other.
+func TestPlusTimesDenseComplementRowsBitIdentical(t *testing.T) {
+	const narrow, wide = 256, 4096
+	for _, n := range []int{narrow, wide} {
+		mask, a, b, dense := complDenseRowsProduct(n)
+		want := []bool{true, true, true, n == narrow, n == narrow, true, true, true}
+		if !slices.Equal(dense, want) {
+			t.Fatalf("n=%d: dense rows %v, want %v", n, dense, want)
+		}
+		for _, algo := range []Algorithm{AlgoMaskedBit, AlgoHybrid} {
+			for _, ph := range []Phases{OnePhase, TwoPhase} {
+				for _, threads := range []int{1, 4} {
+					opt := Options{Algorithm: algo, Complement: true, HybridFamilies: Families(FamMaskedBit), Phases: ph, Threads: threads}
+					t.Run(fmt.Sprintf("n=%d/%v/%v/threads=%d", n, algo, ph, threads), func(t *testing.T) {
+						got, err := MaskedSpGEMM(semiring.PlusTimes[float64]{}, mask, a, b, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := MaskedSpGEMM(plusTimesTwin{}, mask, a, b, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						checkComplDenseRows(t, got, want)
+					})
+				}
+			}
+		}
+	}
+	exec := NewExecutor[float64](semiring.PlusTimes[float64]{})
+	for step, n := range []int{narrow, wide, narrow, wide} {
+		mask, a, b, _ := complDenseRowsProduct(n)
+		opt := Options{Algorithm: AlgoMaskedBit, Complement: true, Threads: 1}
+		plan, err := NewPlan(semiring.PlusTimes[float64]{}, mask, a, b, opt, exec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := plan.ExecuteOn(exec, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := MaskedSpGEMM(plusTimesTwin{}, mask, a, b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(fmt.Sprintf("reused/step=%d/n=%d", step, n), func(t *testing.T) { checkComplDenseRows(t, got, want) })
+	}
+}
+
+// TestMaskedBitCWideSparseRowSorts pins the other side of
+// maskedBitCDenseRow on a 2¹⁶-column product: a row with two products
+// 65535 columns apart stays on the sparse loop, whose inserted keys
+// span more words than MaskedBitC.Gather walks for two keys, so the row
+// is gathered by the sort fallback, and matches the generic kernels.
+// Its neighbours are dense rows, run on the same accumulator.
+func TestMaskedBitCWideSparseRowSorts(t *testing.T) {
+	const n = 1 << 16
+	d := n / maskedBitCDenseRatio
+	var padCols []int32
+	var padVals []float64
+	for j := range d {
+		padCols = append(padCols, int32(3*j))
+		padVals = append(padVals, float64(j%3-1))
+	}
+	b := csrFromRows(2, n, [][]int32{{0, n - 1}, padCols}, [][]float64{{1, 2}, padVals})
+	a := csrFromRows(3, 2, [][]int32{{1}, {0}, {0, 1}}, [][]float64{{1}, {3}, {1, 1}})
+	mask := csrFromRows(3, n, [][]int32{{3}, {1}, {n - 1}}, nil).PatternView()
+	for i, want := range []bool{true, false, true} {
+		if got := maskedBitCDenseRow(rowGenBound(a.Row(i), b), n); got != want {
+			t.Fatalf("row %d: maskedBitCDenseRow = %v, want %v", i, got, want)
+		}
+	}
+	// The sparse row's two keys span (n-1)/64 words; Gather walks a span
+	// below out·bits.Len(out) words, 4 for two keys.
+	if span := (n - 1) >> 6; span < 2*bits.Len(2) {
+		t.Fatalf("span %d words is narrow enough to walk", span)
+	}
+	for _, threads := range []int{1, 2} {
+		opt := Options{Algorithm: AlgoMaskedBit, Complement: true, Threads: threads}
+		got, err := MaskedSpGEMM(semiring.PlusTimes[float64]{}, mask, a, b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := MaskedSpGEMM(plusTimesTwin{}, mask, a, b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) || !slices.Equal(got.Val, want.Val) {
+			t.Fatalf("threads=%d: differs from the generic kernels", threads)
+		}
+		lo, hi := got.RowPtr[1], got.RowPtr[2]
+		if !slices.Equal(got.ColIdx[lo:hi], []int32{0, n - 1}) || !slices.Equal(got.Val[lo:hi], []float64{3, 6}) {
+			t.Fatalf("threads=%d: sparse row is %v %v, want [0 %d] [3 6]", threads, got.ColIdx[lo:hi], got.Val[lo:hi], n-1)
+		}
+	}
 }

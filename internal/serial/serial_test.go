@@ -68,6 +68,19 @@ func (c *chunkRecorder) Write(p []byte) (int, error) {
 	return c.Buffer.Write(p)
 }
 
+// codecPaths are the codec's two paths by name: the word loops, which
+// every host runs and big-endian hosts run alone, and, on a
+// little-endian host, the bulk path that moves each section as its
+// array's bytes. Every check of Write, Read and ReadValues runs on
+// both.
+func codecPaths() map[string]bool {
+	paths := map[string]bool{"words": false}
+	if hostLittleEndian {
+		paths["bulk"] = true
+	}
+	return paths
+}
+
 // multiChunk returns a matrix whose ColIdx and Val sections each span
 // several chunks. Its nnz is odd, so Val starts 4 bytes into a word
 // and a chunk boundary falls where no whole value fits.
@@ -128,26 +141,36 @@ func codecCases(tb testing.TB) map[string]*sparse.CSR[float64] {
 	return cases
 }
 
+// TestWriteMatchesReference checks both paths' bytes against the
+// word-at-a-time reference, and that they hand w the same writes: at
+// most chunkBytes each, and only as many as the bytes need.
 func TestWriteMatchesReference(t *testing.T) {
 	for name, m := range codecCases(t) {
 		var want bytes.Buffer
 		if err := referenceWrite(&want, m); err != nil {
 			t.Fatal(err)
 		}
-		var got chunkRecorder
-		if err := Write(&got, m); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("%s: encoding differs from the word-at-a-time reference (%d vs %d bytes)", name, got.Len(), want.Len())
-		}
-		for k, n := range got.sizes {
-			if n == 0 || n > chunkBytes {
-				t.Errorf("%s: write %d has %d bytes, want 1..%d", name, k, n, chunkBytes)
+		var sizes []int
+		for path, bulk := range codecPaths() {
+			var got chunkRecorder
+			if err := write(&got, m, bulk); err != nil {
+				t.Fatalf("%s, %s path: %v", name, path, err)
 			}
-		}
-		if wantWrites := (want.Len() + chunkBytes - 1) / chunkBytes; len(got.sizes) < wantWrites || len(got.sizes) > wantWrites+1 {
-			t.Errorf("%s: %d writes for %d bytes, want %d or %d", name, len(got.sizes), want.Len(), wantWrites, wantWrites+1)
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("%s, %s path: encoding differs from the word-at-a-time reference (%d vs %d bytes)", name, path, got.Len(), want.Len())
+			}
+			for k, n := range got.sizes {
+				if n == 0 || n > chunkBytes {
+					t.Errorf("%s, %s path: write %d has %d bytes, want 1..%d", name, path, k, n, chunkBytes)
+				}
+			}
+			if wantWrites := (want.Len() + chunkBytes - 1) / chunkBytes; len(got.sizes) < wantWrites || len(got.sizes) > wantWrites+1 {
+				t.Errorf("%s, %s path: %d writes for %d bytes, want %d or %d", name, path, len(got.sizes), want.Len(), wantWrites, wantWrites+1)
+			}
+			if sizes != nil && !slices.Equal(got.sizes, sizes) {
+				t.Errorf("%s: the paths' write sizes differ: %v and %v", name, got.sizes, sizes)
+			}
+			sizes = got.sizes
 		}
 	}
 }
@@ -214,13 +237,15 @@ func (f *failAfter) Write(p []byte) (int, error) {
 
 func TestWriteStopsAtFirstError(t *testing.T) {
 	m := multiChunk()
-	for _, k := range []int{0, 10, chunkBytes - 1, chunkBytes, 3*chunkBytes + 5} {
-		f := &failAfter{limit: k}
-		if err := Write(f, m); !errors.Is(err, errSink) {
-			t.Errorf("fail after %d bytes: err = %v, want %v", k, err, errSink)
-		}
-		if !f.failed || f.calls != 0 {
-			t.Errorf("fail after %d bytes: failed=%v, %d writes after the failure, want true and 0", k, f.failed, f.calls)
+	for path, bulk := range codecPaths() {
+		for _, k := range []int{0, 10, chunkBytes - 1, chunkBytes, 3*chunkBytes + 5} {
+			f := &failAfter{limit: k}
+			if err := write(f, m, bulk); !errors.Is(err, errSink) {
+				t.Errorf("%s path, fail after %d bytes: err = %v, want %v", path, k, err, errSink)
+			}
+			if !f.failed || f.calls != 0 {
+				t.Errorf("%s path, fail after %d bytes: failed=%v, %d writes after the failure, want true and 0", path, k, f.failed, f.calls)
+			}
 		}
 	}
 }
@@ -241,13 +266,15 @@ func allocBytesPerCall(f func()) uint64 {
 
 func TestWriteAllocatesOneChunk(t *testing.T) {
 	m := multiChunk()
-	got := allocBytesPerCall(func() {
-		if err := Write(io.Discard, m); err != nil {
-			t.Fatal(err)
+	for path, bulk := range codecPaths() {
+		got := allocBytesPerCall(func() {
+			if err := write(io.Discard, m, bulk); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit := uint64(chunkBytes + 1024); got > limit {
+			t.Errorf("%s path: Write allocates %d bytes per call, want ≤ %d", path, got, limit)
 		}
-	})
-	if limit := uint64(chunkBytes + 1024); got > limit {
-		t.Errorf("Write allocates %d bytes per call, want ≤ %d", got, limit)
 	}
 }
 
@@ -263,19 +290,32 @@ func complProduct(tb testing.TB) *sparse.CSR[float64] {
 	return c
 }
 
+// BenchmarkWrite encodes the delta-compl-ref reply on each path into a
+// sink that copies every write, as a server's response writer does:
+// a bytes.Buffer reset between iterations, so after the first one it
+// allocates nothing.
 func BenchmarkWrite(b *testing.B) {
 	c := complProduct(b)
-	var enc bytes.Buffer
-	if err := Write(&enc, c); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(enc.Len()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := Write(io.Discard, c); err != nil {
-			b.Fatal(err)
+	for _, path := range []string{"words", "bulk"} {
+		bulk, ok := codecPaths()[path]
+		if !ok {
+			continue
 		}
+		b.Run(path, func(b *testing.B) {
+			var sink bytes.Buffer
+			if err := write(&sink, c, bulk); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(sink.Len()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sink.Reset()
+				if err := write(&sink, c, bulk); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -405,19 +445,21 @@ func TestReadMatchesReference(t *testing.T) {
 		if !sameBits(want, m) {
 			t.Fatalf("%s: reference decode differs from the encoded matrix", name)
 		}
-		for src, open := range sources {
-			got, err := Read(open(body))
-			if err != nil {
-				t.Fatalf("%s, %s source: %v", name, src, err)
-			}
-			if !sameBits(got, want) {
-				t.Errorf("%s, %s source: decode differs from the reference", name, src)
-			}
-			// A complete body leaves no slack: the store keeps these
-			// arrays for as long as the operand is resident.
-			if cap(got.RowPtr) != len(got.RowPtr) || cap(got.ColIdx) != len(got.ColIdx) || cap(got.Val) != len(got.Val) {
-				t.Errorf("%s, %s source: capacities %d/%d/%d for lengths %d/%d/%d", name, src,
-					cap(got.RowPtr), cap(got.ColIdx), cap(got.Val), len(got.RowPtr), len(got.ColIdx), len(got.Val))
+		for path, bulk := range codecPaths() {
+			for src, open := range sources {
+				got, err := read(open(body), bulk)
+				if err != nil {
+					t.Fatalf("%s, %s path, %s source: %v", name, path, src, err)
+				}
+				if !sameBits(got, want) {
+					t.Errorf("%s, %s path, %s source: decode differs from the reference", name, path, src)
+				}
+				// A complete body leaves no slack: the store keeps these
+				// arrays for as long as the operand is resident.
+				if cap(got.RowPtr) != len(got.RowPtr) || cap(got.ColIdx) != len(got.ColIdx) || cap(got.Val) != len(got.Val) {
+					t.Errorf("%s, %s path, %s source: capacities %d/%d/%d for lengths %d/%d/%d", name, path, src,
+						cap(got.RowPtr), cap(got.ColIdx), cap(got.Val), len(got.RowPtr), len(got.ColIdx), len(got.Val))
+				}
 			}
 		}
 	}
@@ -428,9 +470,11 @@ func TestReadTruncations(t *testing.T) {
 	// every section, and the cut inside each word.
 	small := encoded(t, codecCases(t)["some rows nnz0"])
 	for cut := 0; cut < len(small); cut++ {
-		for src, open := range sources {
-			if m, err := Read(open(small[:cut])); err == nil {
-				t.Fatalf("small body cut at %d of %d, %s source: decoded %dx%d", cut, len(small), src, m.Rows, m.Cols)
+		for path, bulk := range codecPaths() {
+			for src, open := range sources {
+				if m, err := read(open(small[:cut]), bulk); err == nil {
+					t.Fatalf("small body cut at %d of %d, %s path, %s source: decoded %dx%d", cut, len(small), path, src, m.Rows, m.Cols)
+				}
 			}
 		}
 	}
@@ -456,9 +500,11 @@ func TestReadTruncations(t *testing.T) {
 		if cut < 0 || cut >= len(body) {
 			continue
 		}
-		for src, open := range sources {
-			if _, err := Read(open(body[:cut])); err == nil {
-				t.Errorf("multi-chunk body cut at %d of %d, %s source: want an error", cut, len(body), src)
+		for path, bulk := range codecPaths() {
+			for src, open := range sources {
+				if _, err := read(open(body[:cut]), bulk); err == nil {
+					t.Errorf("multi-chunk body cut at %d of %d, %s path, %s source: want an error", cut, len(body), path, src)
+				}
 			}
 		}
 	}
@@ -477,14 +523,16 @@ func hostileHeader() []byte {
 
 func TestReadHostileHeaderAllocatesLittle(t *testing.T) {
 	body := hostileHeader()
-	for src, open := range sources {
-		var err error
-		got := allocBytesPerCall(func() { _, err = Read(open(body)) })
-		if err == nil || !strings.Contains(err.Error(), "short rowptr") || !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Errorf("%s source: err = %v, want a short rowptr read", src, err)
-		}
-		if limit := uint64(256 << 10); got > limit {
-			t.Errorf("%s source: %d bytes allocated per call, want < %d", src, got, limit)
+	for path, bulk := range codecPaths() {
+		for src, open := range sources {
+			var err error
+			got := allocBytesPerCall(func() { _, err = read(open(body), bulk) })
+			if err == nil || !strings.Contains(err.Error(), "short rowptr") || !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("%s path, %s source: err = %v, want a short rowptr read", path, src, err)
+			}
+			if limit := uint64(256 << 10); got > limit {
+				t.Errorf("%s path, %s source: %d bytes allocated per call, want < %d", path, src, got, limit)
+			}
 		}
 	}
 }
@@ -503,71 +551,105 @@ func TestReadAllocatesOneChunk(t *testing.T) {
 		}
 	})
 	r := bytes.NewReader(body)
-	got := allocBytesPerCall(func() {
-		r.Reset(body)
-		if _, err := Read(r); err != nil {
-			t.Fatal(err)
+	for path, bulk := range codecPaths() {
+		got := allocBytesPerCall(func() {
+			r.Reset(body)
+			if _, err := read(r, bulk); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit := arrays + chunkBytes + 1024; got > limit {
+			t.Errorf("%s path: Read allocates %d bytes per call for %d bytes of arrays, want ≤ %d", path, got, arrays, limit)
 		}
-	})
-	if limit := arrays + chunkBytes + 1024; got > limit {
-		t.Errorf("Read allocates %d bytes per call for %d bytes of arrays, want ≤ %d", got, arrays, limit)
-	}
-	// Without a length the arrays double as words arrive: every earlier
-	// copy of an array is smaller than its final size, together at most
-	// that size again.
-	got = allocBytesPerCall(func() {
-		r.Reset(body)
-		if _, err := Read(unsized{r}); err != nil {
-			t.Fatal(err)
+		// Without a length the arrays double as words arrive: every
+		// earlier copy of an array is smaller than its final size,
+		// together at most that size again.
+		got = allocBytesPerCall(func() {
+			r.Reset(body)
+			if _, err := read(unsized{r}, bulk); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit := 2*arrays + chunkBytes + 1024; got > limit {
+			t.Errorf("%s path: Read from an unsized source allocates %d bytes per call for %d bytes of arrays, want ≤ %d", path, got, arrays, limit)
 		}
-	})
-	if limit := 2*arrays + chunkBytes + 1024; got > limit {
-		t.Errorf("Read from an unsized source allocates %d bytes per call for %d bytes of arrays, want ≤ %d", got, arrays, limit)
 	}
 }
 
-func TestReadValues(t *testing.T) {
-	vals := multiChunk().Val
+// valuesBody returns vals as a values-only delta body.
+func valuesBody(vals []float64) []byte {
 	body := make([]byte, 0, 8*len(vals))
 	for _, v := range vals {
 		body = binary.LittleEndian.AppendUint64(body, math.Float64bits(v))
 	}
-	for src, open := range sources {
-		for _, size := range []int64{int64(len(body)), -1} {
-			got, err := ReadValues(open(body), size)
-			if err != nil {
-				t.Fatalf("%s source, size %d: %v", src, size, err)
+	return body
+}
+
+func TestReadValues(t *testing.T) {
+	vals := multiChunk().Val
+	body := valuesBody(vals)
+	// A body the size of delta-compl-ref's: 32768 values, 262 KB.
+	delta := valuesBody(vals[:1<<15])
+	deltaArray := allocBytesPerCall(func() { _ = make([]float64, 1<<15) })
+	for path, bulk := range codecPaths() {
+		for src, open := range sources {
+			for _, size := range []int64{int64(len(body)), -1} {
+				got, err := readValues(open(body), size, bulk)
+				if err != nil {
+					t.Fatalf("%s path, %s source, size %d: %v", path, src, size, err)
+				}
+				if !slices.Equal(got, vals) {
+					t.Fatalf("%s path, %s source, size %d: values differ", path, src, size)
+				}
+				if size >= 0 && cap(got) != len(got) {
+					t.Errorf("%s path, %s source, declared size: capacity %d for %d values", path, src, cap(got), len(got))
+				}
 			}
-			if !slices.Equal(got, vals) {
-				t.Fatalf("%s source, size %d: values differ", src, size)
+			if got, err := readValues(open(nil), 0, bulk); err != nil || len(got) != 0 {
+				t.Errorf("%s path, %s source, empty: %d values, err %v; want none and no error", path, src, len(got), err)
 			}
-			if size >= 0 && cap(got) != len(got) {
-				t.Errorf("%s source, declared size: capacity %d for %d values", src, cap(got), len(got))
+			for _, n := range []int{3, 8*5 + 3, chunkBytes + 1, len(body) - 1} {
+				if _, err := readValues(open(body[:n]), int64(n), bulk); err == nil {
+					t.Errorf("%s path, %s source, %d bytes: want an error for a partial word", path, src, n)
+				}
+			}
+			// More bytes than declared are still values: the declared
+			// size only stops the reservation and the doubling.
+			if got, err := readValues(open(body), int64(len(delta)), bulk); err != nil || !slices.Equal(got, vals) {
+				t.Errorf("%s path, %s source, body past its declared size: %d values, err %v; want all %d", path, src, len(got), err, len(vals))
 			}
 		}
-		if got, err := ReadValues(open(nil), 0); err != nil || len(got) != 0 {
-			t.Errorf("%s source, empty: %d values, err %v; want none and no error", src, len(got), err)
-		}
-		for _, n := range []int{3, 8*5 + 3, chunkBytes + 1, len(body) - 1} {
-			if _, err := ReadValues(open(body[:n]), int64(n)); err == nil {
-				t.Errorf("%s source, %d bytes: want an error for a partial word", src, n)
+		// A declared size reserves the whole array up front, so a
+		// sized delta lands in one array: the word path adds its chunk
+		// buffer, the bulk path nothing.
+		got := allocBytesPerCall(func() {
+			if _, err := readValues(unsized{bytes.NewReader(delta)}, int64(len(delta)), bulk); err != nil {
+				t.Fatal(err)
 			}
+		})
+		limit := deltaArray + 1024
+		if !bulk {
+			limit += chunkBytes
 		}
-	}
-	// A declared size the body never delivers reserves nothing.
-	got := allocBytesPerCall(func() {
-		if _, err := ReadValues(unsized{bytes.NewReader(body[:16])}, 1<<40); err != nil {
-			t.Fatal(err)
+		if got > limit {
+			t.Errorf("%s path: ReadValues of a declared %d-byte delta allocates %d bytes, want ≤ %d (one %d-byte array)", path, len(delta), got, limit, deltaArray)
 		}
-	})
-	if limit := uint64(chunkBytes + 1024); got > limit {
-		t.Errorf("ReadValues of 16 bytes declared as 1 TiB allocates %d bytes, want ≤ %d", got, limit)
+		// A declared size the body never delivers reserves at most
+		// 1 MiB.
+		got = allocBytesPerCall(func() {
+			if _, err := readValues(unsized{bytes.NewReader(body[:8])}, 64<<20, bulk); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit = 1<<20 + chunkBytes + 1024; got > limit {
+			t.Errorf("%s path: ReadValues of 8 bytes declared as 64 MiB allocates %d bytes, want ≤ %d", path, got, limit)
+		}
 	}
 }
 
-// FuzzRead is differential: on any body Read and referenceRead both
-// fail, or both return the same matrix bit for bit, whether or not the
-// source reports its length.
+// FuzzRead is differential: on any body Read, on each path, and
+// referenceRead both fail, or both return the same matrix bit for bit,
+// whether or not the source reports its length.
 func FuzzRead(f *testing.F) {
 	for name, m := range codecCases(f) {
 		if name == "multi-chunk" {
@@ -581,13 +663,15 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte(magic))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := referenceRead(bytes.NewReader(data))
-		for src, open := range sources {
-			got, err := Read(open(data))
-			switch {
-			case (err == nil) != (wantErr == nil):
-				t.Fatalf("%s source: err = %v, reference err = %v", src, err, wantErr)
-			case err == nil && !sameBits(got, want):
-				t.Fatalf("%s source: decode differs from the reference", src)
+		for path, bulk := range codecPaths() {
+			for src, open := range sources {
+				got, err := read(open(data), bulk)
+				switch {
+				case (err == nil) != (wantErr == nil):
+					t.Fatalf("%s path, %s source: err = %v, reference err = %v", path, src, err, wantErr)
+				case err == nil && !sameBits(got, want):
+					t.Fatalf("%s path, %s source: decode differs from the reference", path, src)
+				}
 			}
 		}
 	})
@@ -598,7 +682,7 @@ func FuzzRead(f *testing.F) {
 // symmetrized Erdős–Rényi graph, 2^11 vertices, degree 8, about 408 KB),
 // read as the server reads it, behind a 64 KiB bufio.Reader with no
 // length; and the delta-compl-ref product (see complProduct), read as a
-// client reads a reply it holds in memory.
+// client reads a reply it holds in memory. Each runs on both paths.
 func BenchmarkRead(b *testing.B) {
 	bodies := []struct {
 		name string
@@ -609,23 +693,29 @@ func BenchmarkRead(b *testing.B) {
 		{"delta-compl-ref", complProduct(b), func(r *bytes.Reader) io.Reader { return r }},
 	}
 	for _, c := range bodies {
-		b.Run(c.name, func(b *testing.B) {
-			body := encoded(b, c.m)
-			r := bytes.NewReader(body)
-			src := c.open(r)
-			b.SetBytes(int64(len(body)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.Reset(body)
-				if br, ok := src.(*bufio.Reader); ok {
-					br.Reset(r)
-				}
-				if _, err := Read(src); err != nil {
-					b.Fatal(err)
-				}
+		body := encoded(b, c.m)
+		for _, path := range []string{"words", "bulk"} {
+			bulk, ok := codecPaths()[path]
+			if !ok {
+				continue
 			}
-		})
+			b.Run(c.name+"/"+path, func(b *testing.B) {
+				r := bytes.NewReader(body)
+				src := c.open(r)
+				b.SetBytes(int64(len(body)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					r.Reset(body)
+					if br, ok := src.(*bufio.Reader); ok {
+						br.Reset(r)
+					}
+					if _, err := read(src, bulk); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
