@@ -408,6 +408,45 @@ func BenchmarkSessionPlanMissRefs(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionPlanHitRefs — a plan-cache hit on stored operands,
+// in delta-compl-ref's shape (mspgemm-trajectory): the complemented
+// product C = ¬A ⊙ (A·A) under Hybrid over one symmetric ER(2¹¹, 8)
+// graph A, by reference, about 476k output entries. Two value sets
+// share A's structure and alternate, as values-only deltas do, so
+// every op hits the one cached plan with fresh values. One op is one
+// MultiplyRefs; after the first execution the plan remembers its
+// output pattern, so the op runs the known-pattern driver (DESIGN.md
+// §5) and allocates only the result's values.
+func BenchmarkSessionPlanHitRefs(b *testing.B) {
+	g := gen.Symmetrize(gen.ErdosRenyi(1<<11, 8, 1))
+	s := NewSession()
+	refs := make([]OperandRef, 2)
+	for k := range refs {
+		vals := make([]float64, len(g.Val))
+		for j, v := range g.Val {
+			vals[j] = v * float64(k+1)
+		}
+		refs[k], _ = s.PutOperand(&Matrix{Pattern: g.Pattern, Val: vals})
+	}
+	multiply := func(i int) {
+		ref := refs[i%len(refs)]
+		if _, err := s.MultiplyRefs(ref.Pattern, ref, ref, WithAlgorithm(Hybrid), WithComplement()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	multiply(0)
+	misses := s.Stats().Cache.Misses
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		multiply(i)
+	}
+	b.StopTimer()
+	if s.Stats().Cache.Misses != misses {
+		b.Fatal("a request missed the plan cache; the benchmark must time hits")
+	}
+}
+
 // BenchmarkFlops — the flop counters after the per-worker partial-sum
 // rework: the serial path (small nnz) must report 0 allocs/op, and the
 // parallel path's allocations are O(threads) scheduler bookkeeping,

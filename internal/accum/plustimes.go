@@ -16,8 +16,9 @@ import (
 // bindMaskedBitC): each embeds the generic accumulator, so the symbolic
 // methods are the generic ones, and overrides Scatter with float64 code
 // over the same arrays; MSA's and MaskedBitC's also override Gather, and
-// MSA's Begin, for their dense-row loops. Every other semiring keeps the
-// generic loops.
+// MSA's Begin, for their dense-row loops. bindMaskedBitC binds a fourth,
+// MaskedBitCKnown, for rows whose output columns a plan remembers. Every
+// other semiring keeps the generic loops.
 //
 // Each product is rounded explicitly (float64(av*b)) before it is added,
 // so the compiler cannot fuse the multiply-add into an FMA on the
@@ -277,4 +278,50 @@ func (m MaskedBitCPlusTimes) Gather(outIdx []int32, outVal []float64) int {
 	}
 	c.maskRow = nil
 	return n
+}
+
+// MaskedBitCKnown is a MaskedBitC over PlusTimes64 for a row whose
+// output columns are already known: those of a plan's remembered
+// output pattern (internal/core knownPhase). Every row runs
+// MaskedBitCPlusTimes' dense loop without its set bits, and Gather
+// reads the known columns instead of finding them, so a row keeps no
+// set bits and no inserted list. Admitted columns get the same adds in
+// the same order as under MaskedBitCPlusTimes, so the values are
+// bit-identical to its.
+type MaskedBitCKnown struct {
+	*MaskedBitC[float64, PlusTimes64]
+}
+
+// Scatter adds every scanned product, with the bits of a banned
+// column's product cleared to +0, as MaskedBitCPlusTimes' dense loop
+// does, and marks nothing set.
+//
+//mspgemm:hotpath
+func (m MaskedBitCKnown) Scatter(av float64, bCols []int32, bVals []float64) {
+	banned := m.banned
+	values := m.values
+	bVals = bVals[:len(bCols)]
+	for t, j := range bCols {
+		k := uint(uint32(j))
+		ok := ^(banned[k>>6] >> (k & 63)) & 1
+		p := math.Float64bits(float64(av * bVals[t]))
+		values[k] += math.Float64frombits(p & -ok)
+	}
+}
+
+// Gather writes the values of the row's known columns cols into
+// outVal, returns them to +0, and clears the banned words BeginSized
+// marked, leaving the accumulator clean. A banned column's value is +0
+// throughout, so only the known columns need a reset.
+//
+//mspgemm:hotpath
+func (m MaskedBitCKnown) Gather(cols []int32, outVal []float64) {
+	values := m.values
+	outVal = outVal[:len(cols)]
+	for t, j := range cols {
+		k := uint32(j)
+		outVal[t] = values[k]
+		values[k] = 0
+	}
+	m.clearBanned()
 }

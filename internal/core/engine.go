@@ -17,6 +17,11 @@ import (
 //     sum.
 //   - Two-phase: a symbolic pass counts each output row, a prefix sum
 //     sizes the result exactly, and the numeric pass writes in place.
+//   - Known pattern: a cached plan remembers the output pattern of its
+//     first one-phase execution (Plan.rememberPattern), and every later
+//     execution writes each row's values straight into its exact range
+//     of that pattern — the two-phase numeric pass without the symbolic
+//     pass, and one-phase without the slab and compact.
 //
 // Kernels receive a tid to index per-worker accumulator scratch.
 
@@ -26,6 +31,10 @@ type rowNumericFn[T any] func(tid, i int, outIdx []int32, outVal []T) int
 
 // rowSymbolicFn counts output row i without computing values.
 type rowSymbolicFn func(tid, i int) int
+
+// rowKnownFn computes the values of output row i, whose columns cols
+// are known, into outVal (len(outVal) == len(cols)).
+type rowKnownFn[T any] func(tid, i int, cols []int32, outVal []T)
 
 // findRun returns the index of the run containing row i: the first
 // run whose exclusive end exceeds i (binary search; runEnds is
@@ -43,34 +52,61 @@ func findRun(runEnds []int32, i int) int {
 	return lo
 }
 
-// numericSegment returns the end of the longest prefix of [lo, hi)
-// whose rows share one numeric kernel, together with that kernel.
-// Uniform plans return the whole range; poly plans split at the run
-// boundaries of the plan's per-row family binding, so dispatch is
-// amortized per run ∩ block, never per row.
-func (k *kernels[T]) numericSegment(lo, hi int) (int, rowNumericFn[T]) {
+// segment returns the end of the longest prefix of [lo, hi) whose rows
+// share one kernel binding, together with that binding's family, or −1
+// for a uniform plan, whose binding is the whole range. Poly plans split
+// at the run boundaries of the plan's per-row family binding, so
+// dispatch is amortized per run ∩ block, never per row.
+func (k *kernels[T]) segment(lo, hi int) (int, int) {
 	if k.runEnds == nil {
-		return hi, k.numeric
+		return hi, -1
 	}
 	r := findRun(k.runEnds, lo)
-	end := int(k.runEnds[r])
-	if end > hi {
-		end = hi
+	return min(int(k.runEnds[r]), hi), int(k.runFam[r])
+}
+
+// numericSegment returns segment's end together with its numeric
+// kernel.
+func (k *kernels[T]) numericSegment(lo, hi int) (int, rowNumericFn[T]) {
+	end, f := k.segment(lo, hi)
+	if f < 0 {
+		return end, k.numeric
 	}
-	return end, k.numFam[k.runFam[r]]
+	return end, k.numFam[f]
 }
 
 // symbolicSegment is numericSegment for the symbolic pass.
 func (k *kernels[T]) symbolicSegment(lo, hi int) (int, rowSymbolicFn) {
+	end, f := k.segment(lo, hi)
+	if f < 0 {
+		return end, k.symbolic
+	}
+	return end, k.symFam[f]
+}
+
+// knownSegment is numericSegment for knownPhase: it also returns the
+// segment's known-pattern kernel, nil when its family has none.
+func (k *kernels[T]) knownSegment(lo, hi int) (int, rowNumericFn[T], rowKnownFn[T]) {
+	end, f := k.segment(lo, hi)
+	if f < 0 {
+		return end, k.numeric, k.known
+	}
+	return end, k.numFam[f], k.knownFam[f]
+}
+
+// needsSlab reports whether some bound family has no known-pattern
+// kernel, so that knownPhase runs its numeric kernel and needs a slab
+// for the columns it writes.
+func (k *kernels[T]) needsSlab() bool {
 	if k.runEnds == nil {
-		return hi, k.symbolic
+		return k.known == nil
 	}
-	r := findRun(k.runEnds, lo)
-	end := int(k.runEnds[r])
-	if end > hi {
-		end = hi
+	for f, numeric := range k.numFam {
+		if numeric != nil && k.knownFam[f] == nil {
+			return true
+		}
 	}
-	return end, k.symFam[k.runFam[r]]
+	return false
 }
 
 // onePhase runs the numeric kernel once per row into a slab laid out by
@@ -145,6 +181,52 @@ func compact[T any](rows, cols int, offsets, counts []int64, tmpIdx []int32, tmp
 		return nil, err
 	}
 	return out, nil
+}
+
+// knownPhase runs a plan whose output pattern pat is remembered: each
+// row's values go straight into its exact range [RowPtr[i],
+// RowPtr[i+1]) of a fresh value array, with no slab, no counts, no
+// prefix sum and no compaction, and the result shares pat's arrays.
+// A row whose family has a known-pattern kernel reads its columns from
+// pat; any other runs its numeric kernel, which writes the row's
+// columns into the pooled slab, where nothing reads them. The numeric
+// pass keeps onePhase's checkpoints and row hooks. es supplies pooled
+// scratch, and the value array under reuseOut.
+func knownPhase[T any](rows, cols int, pat *knownPattern, sch rowSched, k kernels[T], es *engineScratch[T]) (*sparse.CSR[T], error) {
+	if err := sch.enterPass(faultinject.PassNumeric); err != nil {
+		return nil, err
+	}
+	rowPtr, colIdx := pat.rowPtr, pat.colIdx
+	val := es.outVals(int64(len(colIdx)))
+	var slab []int32
+	if k.needsSlab() {
+		slab = es.idxSlab(int64(len(colIdx)))
+	}
+	fi := sch.fi
+	sch.run(func(lo, hi, tid int) {
+		for lo < hi {
+			seg, numeric, known := k.knownSegment(lo, hi)
+			for i := lo; i < seg; i++ {
+				if fi != nil {
+					fi.Row(faultinject.PassNumeric, i)
+				}
+				base, end := rowPtr[i], rowPtr[i+1]
+				if known != nil {
+					known(tid, i, colIdx[base:end], val[base:end])
+				} else if numeric(tid, i, slab[base:end], val[base:end]) != int(end-base) {
+					panic(errPatternChanged)
+				}
+			}
+			lo = seg
+		}
+	})
+	if err := sch.passCanceled(faultinject.PassNumeric); err != nil {
+		return nil, err
+	}
+	return &sparse.CSR[T]{
+		Pattern: sparse.Pattern{Rows: rows, Cols: cols, RowPtr: rowPtr, ColIdx: colIdx},
+		Val:     val,
+	}, nil
 }
 
 // twoPhase runs the symbolic kernel to size every row, prefix-sums, and

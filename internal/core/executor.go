@@ -295,11 +295,22 @@ func (es *engineScratch[T]) slab(n int64) ([]int32, []T) {
 	if es == nil {
 		return make([]int32, n), make([]T, n)
 	}
-	if int64(cap(es.tmpIdx)) < n {
-		es.tmpIdx = make([]int32, n)
+	if int64(cap(es.tmpVal)) < n {
 		es.tmpVal = make([]T, n)
 	}
-	return es.tmpIdx[:n], es.tmpVal[:n]
+	return es.idxSlab(n), es.tmpVal[:n]
+}
+
+// idxSlab returns the column half of an n-entry tmp slab, the part
+// knownPhase needs (pooled when pooling is available).
+func (es *engineScratch[T]) idxSlab(n int64) []int32 {
+	if es == nil {
+		return make([]int32, n)
+	}
+	if int64(cap(es.tmpIdx)) < n {
+		es.tmpIdx = make([]int32, n)
+	}
+	return es.tmpIdx[:n]
 }
 
 // mirrorBufs returns the mirror pass's scratch (pooled when pooling
@@ -339,7 +350,18 @@ func (es *engineScratch[T]) outBufs(nnz int64) ([]int32, []T) {
 	}
 	if int64(cap(es.colIdx)) < nnz {
 		es.colIdx = make([]int32, nnz)
+	}
+	return es.colIdx[:nnz], es.outVals(nnz)
+}
+
+// outVals returns the nnz-entry Val array of the output, pooled only
+// under reuseOut. It is all a knownPhase output allocates.
+func (es *engineScratch[T]) outVals(nnz int64) []T {
+	if es == nil || !es.reuseOut {
+		return make([]T, nnz)
+	}
+	if int64(cap(es.val)) < nnz {
 		es.val = make([]T, nnz)
 	}
-	return es.colIdx[:nnz], es.val[:nnz]
+	return es.val[:nnz]
 }

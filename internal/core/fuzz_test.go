@@ -22,7 +22,10 @@ import (
 // draws a symmetric self-product instead, C = S ⊙ (S·S) for S = X + Xᵀ
 // with X m×m, which plain one-phase plans execute as one triangle and
 // a mirror. Output widths reach 1024 columns,
-// so complemented rows span many bitset words. The seed corpus runs as a
+// so complemented rows span many bitset words. Every scheme also runs
+// as a cached plan executed twice, the second time on rescaled values,
+// which a plan that remembered its output pattern computes by the
+// known-pattern driver (fuzzAllSchemes). The seed corpus runs as a
 // normal test; `go test -fuzz=FuzzMaskedSpGEMM ./internal/core` explores
 // further.
 func FuzzMaskedSpGEMM(f *testing.F) {
@@ -89,10 +92,19 @@ const (
 
 // fuzzAllSchemes checks every algorithm, plain and complemented,
 // one-phase and two-phase, under base's execution configuration against
-// the dense oracle over sr.
+// the dense oracle over sr. Its cache-plan arm then executes a plan a
+// PlanCache built twice, the second time on rescaled values: a
+// one-phase plan remembers its first result's pattern and computes the
+// second by the known-pattern driver.
 func fuzzAllSchemes[S semiring.Semiring[float64]](t *testing.T, sr S, mask *sparse.Pattern, a, b *sparse.CSR[float64], base Options) {
+	a2 := withValues(a, func(_ int, v float64) float64 { return -1.5 * v })
+	b2 := a2
+	if b != a {
+		b2 = withValues(b, func(_ int, v float64) float64 { return 0.5 * v })
+	}
 	for _, complement := range []bool{false, true} {
 		want := sparse.DenseMaskedMultiply(mask, a, b, complement, sr.Add, sr.Mul, sr.Zero())
+		want2 := sparse.DenseMaskedMultiply(mask, a2, b2, complement, sr.Add, sr.Mul, sr.Zero())
 		for _, algo := range Algorithms() {
 			if complement && !SupportsComplement(algo) {
 				continue
@@ -111,6 +123,25 @@ func fuzzAllSchemes[S semiring.Semiring[float64]](t *testing.T, sr S, mask *spar
 				}
 				if d := sparse.Diff(want, got, sparse.FloatEq(1e-9)); d != "" {
 					t.Fatalf("%s: %s", name, d)
+				}
+				plan, err := NewPlanCache(sr, 0).GetOrPlan(mask, a, b, opt)
+				if err != nil {
+					t.Fatalf("%s cached: %v", name, err)
+				}
+				exec := NewExecutor[float64](sr)
+				for run, c := range []struct {
+					a, b, want *sparse.CSR[float64]
+				}{{a, b, want}, {a2, b2, want2}} {
+					got, err := plan.ExecuteOnOpts(exec, c.a, c.b, opt.ExecOnly())
+					if err != nil {
+						t.Fatalf("%s cached run %d: %v", name, run, err)
+					}
+					if err := got.Validate(); err != nil {
+						t.Fatalf("%s cached run %d: invalid output: %v", name, run, err)
+					}
+					if d := sparse.Diff(c.want, got, sparse.FloatEq(1e-9)); d != "" {
+						t.Fatalf("%s cached run %d: %s", name, run, d)
+					}
 				}
 			}
 		}

@@ -519,14 +519,15 @@ func (p *Plan[T, S]) encodeRuns(rowFam []uint8) {
 func bindHybrid[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], h *symHalf) kernels[T] {
 	numFam := make([]rowNumericFn[T], NumFamilies)
 	symFam := make([]rowSymbolicFn, NumFamilies)
+	knownFam := make([]rowKnownFn[T], NumFamilies)
 	for f := Family(0); f < NumFamilies; f++ {
 		if !p.polyFams.Has(f) {
 			continue
 		}
 		fk := kernelsForAlgo[T, S](famAlgo[f]).binder(p.opt.Complement)(p, e, a, b, h)
-		numFam[f], symFam[f] = fk.numeric, fk.symbolic
+		numFam[f], symFam[f], knownFam[f] = fk.numeric, fk.symbolic, fk.known
 	}
-	return kernels[T]{runEnds: p.runEnds, runFam: p.runFam, numFam: numFam, symFam: symFam}
+	return kernels[T]{runEnds: p.runEnds, runFam: p.runFam, numFam: numFam, symFam: symFam, knownFam: knownFam}
 }
 
 // FamilyRows reports the per-family row counts of the plan's run

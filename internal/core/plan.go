@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"maskedspgemm/internal/faultinject"
 	"maskedspgemm/internal/parallel"
@@ -29,11 +30,15 @@ import (
 //
 // A Plan is immutable after NewPlan and therefore safe to share across
 // goroutines — this is what lets a PlanCache hand one plan to many
-// concurrent requests. All mutable execution state (accumulators,
-// slabs, the refreshed CSC values of B, bound kernels) lives in the
-// Executor, which is NOT concurrency-safe: concurrent executions of a
-// shared plan must each use their own executor (ExecuteOn), typically
-// checked out of an ExecutorPool.
+// concurrent requests. It has two sanctioned post-construction writes,
+// each made once and published safely: the lazy flops estimate
+// (FlopsEstimate) and, on a plan a PlanCache built, the output pattern
+// of its first clean one-phase execution (rememberPattern). All
+// mutable execution state (accumulators, slabs, the refreshed CSC
+// values of B, bound kernels) lives in the Executor, which is NOT
+// concurrency-safe: concurrent executions of a shared plan must each
+// use their own executor (ExecuteOn), typically checked out of an
+// ExecutorPool.
 //
 //mspgemm:immutable
 type Plan[T any, S semiring.Semiring[T]] struct {
@@ -83,6 +88,17 @@ type Plan[T any, S semiring.Semiring[T]] struct {
 	// the lazy computation safe on shared plans).
 	flops     int64
 	flopsOnce sync.Once
+
+	// pattern is the output pattern a plan built by a PlanCache
+	// remembers from its first clean one-phase execution
+	// (rememberPattern); later executions run knownPhase into it. nil
+	// until then, and always nil on plans that do not remember.
+	pattern atomic.Pointer[knownPattern]
+	// owner and key name the cache entry of a plan a PlanCache built
+	// (ownedBy), the entry a remembered pattern is charged to. owner is
+	// nil on every other plan, and such plans never remember.
+	owner *PlanCache[T, S]
+	key   planKey
 
 	// exec is the plan's default executor, used by the single-owner
 	// Execute path. Detached plans (built for a PlanCache) have none and
@@ -232,13 +248,61 @@ func (p *Plan[T, S]) FlopsEstimate(a, b *sparse.CSR[T]) int64 {
 	return p.flops
 }
 
+// knownPattern is a remembered output pattern: the RowPtr and ColIdx
+// of one execution's result, shared read-only by the plan and by every
+// later result.
+type knownPattern struct {
+	rowPtr []int64
+	colIdx []int32
+}
+
+// bytes is the memory a remembered pattern retains, the amount its
+// plan's cache entry is charged.
+func (k *knownPattern) bytes() int64 {
+	return int64(len(k.rowPtr))*8 + int64(len(k.colIdx))*4
+}
+
+// errPatternChanged is the panic of a knownPhase row whose kernel
+// emitted a different number of entries than the remembered pattern
+// holds — operands whose structure differs from the plan's, which the
+// Execute contract leaves undefined. ExecuteOnOpts returns it as a
+// *KernelPanicError.
+var errPatternChanged = errors.New("core: row entry count differs from the plan's remembered output pattern; operand structure changed under the plan")
+
+// ownedBy records that cache c built the plan under key: only such a
+// plan remembers its output pattern, and c's entry for key is charged
+// for it. It runs before the plan is published to the cache.
+//
+//mspgemm:planwrite
+func (p *Plan[T, S]) ownedBy(c *PlanCache[T, S], key planKey) {
+	p.owner, p.key = c, key
+}
+
+// rememberPattern publishes out's RowPtr and ColIdx as the plan's
+// output pattern, once: of concurrent first executions exactly one
+// wins the compare-and-swap, and only the winner charges its bytes to
+// the plan's cache entry (PlanCache.chargePattern). The arrays are
+// aliased, not copied: out is a fresh result, and from here on it
+// shares them with the plan and every later result. This is the
+// plan's one post-construction write besides FlopsEstimate.
+//
+//mspgemm:planwrite
+func (p *Plan[T, S]) rememberPattern(out *sparse.CSR[T]) {
+	pat := &knownPattern{rowPtr: out.RowPtr, colIdx: out.ColIdx}
+	if p.pattern.CompareAndSwap(nil, pat) {
+		p.owner.chargePattern(p, pat.bytes())
+	}
+}
+
 // footprintBytes estimates the retained memory of the plan's analysis
 // arrays, the unit a PlanCache accounts against its MemBudget. The
 // mask and B's CSC structure are counted whether the plan owns them (a clone, a
 // private transpose) or shares them (a stored mask, the cache's CSC
 // index): shared bytes are over-counted, never under-counted. One-phase
 // plain offsets alias the mask's RowPtr and are not double-counted; a
-// symmetric self-product adds its mirror map and half offsets.
+// symmetric self-product adds its mirror map and half offsets. A
+// remembered output pattern is charged separately, when it is
+// published (rememberPattern).
 func (p *Plan[T, S]) footprintBytes() int64 {
 	const structOverhead = 256
 	bytes := int64(structOverhead)
@@ -295,7 +359,11 @@ func (p *Plan[T, S]) Execute(a, b *sparse.CSR[T]) (*sparse.CSR[T], error) {
 // execution on the same executor — for pooled executors that means
 // until the executor is returned; Clone the result to retain it.
 // Without it (the default) the output is freshly allocated and only
-// the internal scratch is pooled.
+// the internal scratch is pooled — except on a plan a PlanCache built,
+// whose results from the second execution on share RowPtr and ColIdx
+// with the plan's remembered output pattern (and the first result
+// shares them too, having become it): treat them as read-only, and
+// Clone a result to own every array.
 //
 // ExecuteOn applies the execution-only options frozen into the plan;
 // cache-shared plans are built with those zeroed (plan identity never
@@ -365,7 +433,16 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 	if p.opt.Phases == TwoPhase {
 		return twoPhase(p.mask.Rows, p.mask.Cols, sch, k, es)
 	}
-	return onePhase(p.mask.Rows, p.mask.Cols, p.offsets, sch, k, es, h)
+	if pat := p.pattern.Load(); pat != nil && h == nil {
+		return knownPhase(p.mask.Rows, p.mask.Cols, pat, sch, k, es)
+	}
+	out, err = onePhase(p.mask.Rows, p.mask.Cols, p.offsets, sch, k, es, h)
+	// A plan a PlanCache built remembers the pattern of its first clean
+	// full-product execution into fresh arrays.
+	if err == nil && p.owner != nil && h == nil && !eo.ReuseOutput {
+		p.rememberPattern(out)
+	}
+	return out, err
 }
 
 // ExecuteOnCtx is ExecuteOnOpts bounded by a context: when ctx can be

@@ -58,6 +58,14 @@ var errPlanningPanicked = errors.New("core: concurrent plan analysis panicked; r
 // goroutines may hold and ExecuteOn one concurrently, each with its
 // own executor. They have no default executor, so Plan.Execute errors;
 // pair the cache with an ExecutorPool.
+//
+// A one-phase plan the cache built remembers the output pattern of
+// its first clean full-product execution (DESIGN.md §5): later
+// executions write only values, into exact rows, and return results
+// that share RowPtr and ColIdx with the plan. Such results must not be
+// mutated; Clone one to own its arrays. The pattern's 8·(rows+1) +
+// 4·nnz bytes are charged to the plan's entry, and to the MemBudget,
+// once, when it is published, and leave with the entry.
 type PlanCache[T any, S semiring.Semiring[T]] struct {
 	sr         S
 	maxEntries int
@@ -351,6 +359,7 @@ func (c *PlanCache[T, S]) lookup(key planKey, mask *sparse.Pattern, a, b *sparse
 		close(call.done)
 		return nil, false, err
 	}
+	plan.ownedBy(c, key)
 	entry := &planEntry[T, S]{key: key, plan: plan, bytes: plan.footprintBytes()}
 
 	settled = true
@@ -383,6 +392,29 @@ func (c *PlanCache[T, S]) lookup(key planKey, mask *sparse.Pattern, a, b *sparse
 	call.plan = plan
 	close(call.done)
 	return plan, false, nil
+}
+
+// chargePattern adds the n bytes of plan p's newly remembered output
+// pattern (Plan.rememberPattern) to p's entry and to the shared budget,
+// so that the entry releases them with the rest of its bytes. A plan
+// evicted before it remembered is not charged: its pattern lives only
+// as long as the executions still holding the plan.
+func (c *PlanCache[T, S]) chargePattern(p *Plan[T, S], n int64) {
+	c.mu.Lock()
+	el, ok := c.table[p.key]
+	if !ok || el.Value.(*planEntry[T, S]).plan != p {
+		c.mu.Unlock()
+		return
+	}
+	el.Value.(*planEntry[T, S]).bytes += n
+	c.bytes += n
+	if c.budget != nil {
+		c.budget.Reserve(n)
+	}
+	c.mu.Unlock()
+	if c.budget != nil {
+		c.budget.Rebalance()
+	}
 }
 
 // retainCSCLocked counts a newly resident entry as a user of its B's

@@ -125,15 +125,20 @@ func SupportsComplement(a Algorithm) bool {
 // encoding (DESIGN.md §10) and numFam/symFam hold one kernel pair per
 // family actually bound (nil slots for unused families). The engine
 // drivers split row blocks at run boundaries, so the family lookup is
-// paid once per run ∩ block, never per row.
+// paid once per run ∩ block, never per row. known (knownFam per family
+// for poly plans) is the optional known-pattern form of numeric, which
+// the driver of a plan with a remembered output pattern prefers
+// (knownPhase); nil runs numeric there.
 type kernels[T any] struct {
 	numeric  rowNumericFn[T]
 	symbolic rowSymbolicFn
+	known    rowKnownFn[T]
 
-	runEnds []int32
-	runFam  []uint8
-	numFam  []rowNumericFn[T]
-	symFam  []rowSymbolicFn
+	runEnds  []int32
+	runFam   []uint8
+	numFam   []rowNumericFn[T]
+	symFam   []rowSymbolicFn
+	knownFam []rowKnownFn[T]
 }
 
 // kernelBinder closes a scheme's row kernels over one (plan, executor,

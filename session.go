@@ -34,6 +34,12 @@ type arith = semiring.PlusTimes[float64]
 //     out per request and reused across requests, keeping steady-state
 //     execution allocation near zero while capping retained memory.
 //
+// A cached one-phase plan remembers the output pattern of its first
+// execution, and later products of the same structure compute values
+// only (DESIGN.md §5). Results from the Multiply methods therefore
+// share their RowPtr and ColIdx with the cached plan and with each
+// other: they must not be mutated. Clone a result to own every array.
+//
 // All Session methods are safe for concurrent use by multiple
 // goroutines. Construct one Session per served dataset (or per
 // process) and share it.
@@ -183,7 +189,8 @@ func (s *Session) observeMiss(fp core.Fingerprints, o core.Options, warm bool) {
 // concurrent use.
 //
 // WithReuseOutput is ignored here — the result must outlive the pooled
-// executor that produced it, so outputs are always freshly allocated.
+// executor that produced it, so outputs never alias executor buffers
+// (their pattern may be the cached plan's, as the Session doc says).
 func (s *Session) Multiply(mask *Pattern, a, b *Matrix, opts ...Option) (*Matrix, error) {
 	return s.MultiplyCtx(context.Background(), mask, a, b, opts...)
 }

@@ -643,3 +643,93 @@ func TestSessionMemoryBudget(t *testing.T) {
 		t.Fatalf("eight working sets under 96KiB evicted nothing: %+v", st)
 	}
 }
+
+// TestSessionRememberedPatternBudget pins a remembered output pattern's
+// accounting from the session's side. A structure's first multiply
+// raises budget.used_bytes by exactly the pattern's 8·(rows+1) + 4·nnz
+// bytes; a later multiply with fresh values raises nothing and returns
+// a result that shares the pattern. The bytes leave the budget with the
+// plan when the entry cap or budget pressure evicts it.
+func TestSessionRememberedPatternBudget(t *testing.T) {
+	opts := []Option{WithAlgorithm(Hybrid), WithComplement()}
+	g := ErdosRenyi(128, 6, 60)
+	h := ErdosRenyi(128, 6, 61)
+	// hPlan is the bytes of h's plan before any execution.
+	twin := NewSession()
+	if err := twin.Warm(h.PatternView(), h, h, opts...); err != nil {
+		t.Fatal(err)
+	}
+	hPlan := twin.Stats().Cache.Bytes
+
+	// remember puts g, warms its plan, multiplies it twice — the second
+	// time through a values-only delta — and checks the charges.
+	remember := func(s *Session) {
+		t.Helper()
+		ref, _ := s.PutOperand(g)
+		if err := s.Warm(g.PatternView(), g, g, opts...); err != nil {
+			t.Fatal(err)
+		}
+		base := s.Stats().Budget.UsedBytes
+		first, err := s.MultiplyRefs(ref.Pattern, ref, ref, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pat := 8*int64(len(first.RowPtr)) + 4*first.NNZ()
+		if used := s.Stats().Budget.UsedBytes; used != base+pat {
+			t.Fatalf("first multiply: used %d bytes, want %d + the pattern's %d", used, base, pat)
+		}
+		doubled := make([]float64, len(g.Val))
+		for j, v := range g.Val {
+			doubled[j] = 2 * v
+		}
+		dref, _, err := s.PutOperandValues(ref.Pattern, doubled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base = s.Stats().Budget.UsedBytes
+		second, err := s.MultiplyRefs(dref.Pattern, dref, dref, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if used := s.Stats().Budget.UsedBytes; used != base {
+			t.Fatalf("second multiply: used %d bytes, want %d", used, base)
+		}
+		if &second.RowPtr[0] != &first.RowPtr[0] || &second.ColIdx[0] != &first.ColIdx[0] {
+			t.Fatal("the plan hit's result does not share the remembered pattern")
+		}
+		for j, v := range second.Val {
+			if v != 4*first.Val[j] {
+				t.Fatalf("value %d = %v after doubling both operands, want %v", j, v, 4*first.Val[j])
+			}
+		}
+	}
+	evicted := func(name string, s *Session) {
+		t.Helper()
+		st := s.Stats()
+		if st.Cache.Entries != 1 || st.Cache.Evictions != 1 || st.Cache.Bytes != hPlan || st.Budget.UsedBytes != st.Store.Bytes+hPlan {
+			t.Fatalf("%s: cache %+v, budget %+v, store %d bytes; want only h's %d-byte plan", name, st.Cache, st.Budget, st.Store.Bytes, hPlan)
+		}
+	}
+
+	capped := NewSession(WithPlanCacheEntries(1))
+	remember(capped)
+	if err := capped.Warm(h.PatternView(), h, h, opts...); err != nil {
+		t.Fatal(err)
+	}
+	evicted("entry cap", capped)
+
+	// Budget pressure: an upload far larger than the room left evicts
+	// g's operands and then g's plan; h's plan is the cache's newest.
+	probe := NewSession()
+	remember(probe)
+	if err := probe.Warm(h.PatternView(), h, h, opts...); err != nil {
+		t.Fatal(err)
+	}
+	pressed := NewSession(WithMemoryBudget(probe.Stats().Budget.UsedBytes + 1<<10))
+	remember(pressed)
+	if err := pressed.Warm(h.PatternView(), h, h, opts...); err != nil {
+		t.Fatal(err)
+	}
+	pressed.PutOperand(ErdosRenyi(2048, 8, 62))
+	evicted("budget pressure", pressed)
+}
