@@ -9,7 +9,10 @@
 // GET /stats, GET /healthz. Try it with curl:
 //
 //	mtxgen -kind er -n 1024 -degree 8 -out g.mtx
-//	curl --data-binary @g.mtx 'localhost:8080/v1/multiply?algorithm=hash&format=summary'
+//	curl --data-binary @g.mtx 'localhost:8080/v1/multiply?format=summary'
+//
+// Every request runs the Hybrid per-row selector; options are
+// phases=2, complement=1 and threads=N.
 //
 // Recurring operands can be uploaded once and multiplied by reference
 // afterwards — see the README's serving walkthrough:

@@ -65,18 +65,20 @@ func main() {
 	fmt.Printf("graph: %d vertices, %d edges; server: %s\n", g.Rows, g.NNZ()/2, base)
 
 	// The recurring query shapes, encoded once: the graph itself (the
-	// triangle-counting self-product) posted raw, and its product under
-	// a sparser mask posted as multipart. What matters to the server's
-	// cache is only that the structures repeat across requests.
+	// triangle-counting self-product), a sparser graph's self-product,
+	// and that graph's product under its complemented mask (¬A ⊙ (A·A),
+	// the betweenness shape). The server runs Hybrid on every request;
+	// what matters to its cache is only that the structures repeat.
+	sparse := encode(maskedspgemm.ErdosRenyi(g.Rows, 2, 99))
 	queries := []struct {
 		name   string
 		params string
 		body   []byte
 		ref    string
 	}{
-		{name: "self-mask/MSA", params: "?algorithm=msa", body: encode(g)},
-		{name: "self-mask/Hash", params: "?algorithm=hash", body: encode(g)},
-		{name: "sparse-mask/Inner", params: "?algorithm=inner", body: encode(maskedspgemm.ErdosRenyi(g.Rows, 2, 99))},
+		{name: "self-mask", body: encode(g)},
+		{name: "sparse-graph", body: sparse},
+		{name: "sparse-graph/complement", params: "complement=1", body: sparse},
 	}
 
 	// Pre-plan the known shapes so even the first requests hit. Warm and
@@ -84,7 +86,7 @@ func main() {
 	// guarantees the warmed plan serves them.
 	client := &http.Client{Timeout: time.Minute}
 	for _, q := range queries {
-		resp, err := client.Post(base+"/v1/warm"+q.params, "", bytes.NewReader(q.body))
+		resp, err := client.Post(base+"/v1/warm?"+q.params, "", bytes.NewReader(q.body))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -139,7 +141,7 @@ func main() {
 				q := queries[(worker+r)%len(queries)]
 				t0 := time.Now()
 				for attempt := 0; ; attempt++ {
-					resp, err := client.Post(base+"/v1/multiply"+q.params+"&a="+q.ref, "", nil)
+					resp, err := client.Post(base+"/v1/multiply?a="+q.ref+"&"+q.params, "", nil)
 					if err != nil {
 						log.Fatal(err)
 					}

@@ -18,7 +18,7 @@ import (
 //   - Two-phase: a symbolic pass counts each output row, a prefix sum
 //     sizes the result exactly, and the numeric pass writes in place.
 //   - Known pattern: a cached plan remembers the output pattern of its
-//     first one-phase execution (Plan.rememberPattern), and every later
+//     second one-phase execution (Plan.rememberPattern), and every later
 //     execution writes each row's values straight into its exact range
 //     of that pattern — the two-phase numeric pass without the symbolic
 //     pass, and one-phase without the slab and compact.

@@ -23,9 +23,9 @@ import (
 // with X m×m, which plain one-phase plans execute as one triangle and
 // a mirror. Output widths reach 1024 columns,
 // so complemented rows span many bitset words. Every scheme also runs
-// as a cached plan executed twice, the second time on rescaled values,
-// which a plan that remembered its output pattern computes by the
-// known-pattern driver (fuzzAllSchemes). The seed corpus runs as a
+// as a cached plan executed three times, the second time on rescaled
+// values, which a one-phase plan remembers the output pattern of and
+// computes the third by the known-pattern driver (fuzzAllSchemes). The seed corpus runs as a
 // normal test; `go test -fuzz=FuzzMaskedSpGEMM ./internal/core` explores
 // further.
 func FuzzMaskedSpGEMM(f *testing.F) {
@@ -93,9 +93,9 @@ const (
 // fuzzAllSchemes checks every algorithm, plain and complemented,
 // one-phase and two-phase, under base's execution configuration against
 // the dense oracle over sr. Its cache-plan arm then executes a plan a
-// PlanCache built twice, the second time on rescaled values: a
-// one-phase plan remembers its first result's pattern and computes the
-// second by the known-pattern driver.
+// PlanCache built three times, the second time on rescaled values: a
+// one-phase plan remembers its second result's pattern and computes the
+// third, on the planned values again, by the known-pattern driver.
 func fuzzAllSchemes[S semiring.Semiring[float64]](t *testing.T, sr S, mask *sparse.Pattern, a, b *sparse.CSR[float64], base Options) {
 	a2 := withValues(a, func(_ int, v float64) float64 { return -1.5 * v })
 	b2 := a2
@@ -131,7 +131,7 @@ func fuzzAllSchemes[S semiring.Semiring[float64]](t *testing.T, sr S, mask *spar
 				exec := NewExecutor[float64](sr)
 				for run, c := range []struct {
 					a, b, want *sparse.CSR[float64]
-				}{{a, b, want}, {a2, b2, want2}} {
+				}{{a, b, want}, {a2, b2, want2}, {a, b, want}} {
 					got, err := plan.ExecuteOnOpts(exec, c.a, c.b, opt.ExecOnly())
 					if err != nil {
 						t.Fatalf("%s cached run %d: %v", name, run, err)

@@ -30,10 +30,11 @@ import (
 //
 // A Plan is immutable after NewPlan and therefore safe to share across
 // goroutines — this is what lets a PlanCache hand one plan to many
-// concurrent requests. It has two sanctioned post-construction writes,
-// each made once and published safely: the lazy flops estimate
-// (FlopsEstimate) and, on a plan a PlanCache built, the output pattern
-// of its first clean one-phase execution (rememberPattern). All
+// concurrent requests. It has three sanctioned post-construction
+// writes, each made once and published safely: the lazy flops estimate
+// (FlopsEstimate) and, on a plan a PlanCache built, the flag its first
+// clean one-phase execution sets and the output pattern of its second
+// (rememberPattern). All
 // mutable execution state (accumulators, slabs, the refreshed CSC
 // values of B, bound kernels) lives in the Executor, which is NOT
 // concurrency-safe: concurrent executions of a shared plan must each
@@ -90,10 +91,13 @@ type Plan[T any, S semiring.Semiring[T]] struct {
 	flopsOnce sync.Once
 
 	// pattern is the output pattern a plan built by a PlanCache
-	// remembers from its first clean one-phase execution
+	// remembers from its second clean one-phase execution
 	// (rememberPattern); later executions run knownPhase into it. nil
 	// until then, and always nil on plans that do not remember.
 	pattern atomic.Pointer[knownPattern]
+	// ranClean is set by the first clean one-phase execution, which
+	// remembers nothing (rememberPattern).
+	ranClean atomic.Bool
 	// owner and key name the cache entry of a plan a PlanCache built
 	// (ownedBy), the entry a remembered pattern is charged to. owner is
 	// nil on every other plan, and such plans never remember.
@@ -279,15 +283,21 @@ func (p *Plan[T, S]) ownedBy(c *PlanCache[T, S], key planKey) {
 }
 
 // rememberPattern publishes out's RowPtr and ColIdx as the plan's
-// output pattern, once: of concurrent first executions exactly one
-// wins the compare-and-swap, and only the winner charges its bytes to
-// the plan's cache entry (PlanCache.chargePattern). The arrays are
+// output pattern, once, from the plan's second clean execution: the
+// first is only counted, so a plan that runs once — a cold miss whose
+// entry is evicted before the structure recurs — charges nothing for
+// a pattern no request reads. Of concurrent later executions exactly
+// one wins the compare-and-swap, and only the winner charges its bytes
+// to the plan's cache entry (PlanCache.chargePattern). The arrays are
 // aliased, not copied: out is a fresh result, and from here on it
-// shares them with the plan and every later result. This is the
-// plan's one post-construction write besides FlopsEstimate.
+// shares them with the plan and every later result. These are the
+// plan's post-construction writes besides FlopsEstimate.
 //
 //mspgemm:planwrite
 func (p *Plan[T, S]) rememberPattern(out *sparse.CSR[T]) {
+	if !p.ranClean.Swap(true) {
+		return
+	}
 	pat := &knownPattern{rowPtr: out.RowPtr, colIdx: out.ColIdx}
 	if p.pattern.CompareAndSwap(nil, pat) {
 		p.owner.chargePattern(p, pat.bytes())
@@ -360,8 +370,8 @@ func (p *Plan[T, S]) Execute(a, b *sparse.CSR[T]) (*sparse.CSR[T], error) {
 // until the executor is returned; Clone the result to retain it.
 // Without it (the default) the output is freshly allocated and only
 // the internal scratch is pooled — except on a plan a PlanCache built,
-// whose results from the second execution on share RowPtr and ColIdx
-// with the plan's remembered output pattern (and the first result
+// whose results from the third execution on share RowPtr and ColIdx
+// with the plan's remembered output pattern (and the second result
 // shares them too, having become it): treat them as read-only, and
 // Clone a result to own every array.
 //
@@ -437,7 +447,7 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 		return knownPhase(p.mask.Rows, p.mask.Cols, pat, sch, k, es)
 	}
 	out, err = onePhase(p.mask.Rows, p.mask.Cols, p.offsets, sch, k, es, h)
-	// A plan a PlanCache built remembers the pattern of its first clean
+	// A plan a PlanCache built remembers the pattern of its second clean
 	// full-product execution into fresh arrays.
 	if err == nil && p.owner != nil && h == nil && !eo.ReuseOutput {
 		p.rememberPattern(out)

@@ -60,7 +60,7 @@ var errPlanningPanicked = errors.New("core: concurrent plan analysis panicked; r
 // pair the cache with an ExecutorPool.
 //
 // A one-phase plan the cache built remembers the output pattern of
-// its first clean full-product execution (DESIGN.md §5): later
+// its second clean full-product execution (DESIGN.md §5): later
 // executions write only values, into exact rows, and return results
 // that share RowPtr and ColIdx with the plan. Such results must not be
 // mutated; Clone one to own its arrays. The pattern's 8·(rows+1) +

@@ -13,7 +13,7 @@ import (
 )
 
 // Remembered output patterns (DESIGN.md §5, "Known pattern"): a plan a
-// PlanCache built publishes the pattern of its first clean one-phase
+// PlanCache built publishes the pattern of its second clean one-phase
 // execution, and every later execution writes values only, into exact
 // rows. These tests hold its results bit for bit to a fresh plan's, and
 // pin what is published and charged, when, and how often.
@@ -93,14 +93,17 @@ func rememberSchemes() []Options {
 	return out
 }
 
-// TestRememberedPatternBitIdentical executes one cached plan three
+// TestRememberedPatternBitIdentical executes one cached plan four
 // times — with the planned values, with values that make −0, ±Inf and
-// NaN products, and with the planned values scaled — and checks every
-// result bit for bit against a fresh NewPlan plan's on the same values,
-// for every scheme and Hybrid menu, plain and complemented, one- and
-// two-phase, at 1, 2, 3, 4 and 64 threads. A cached one-phase plan
-// that ran the full product must have remembered its pattern, and every
-// later full-product result must share it.
+// NaN products, with the planned values scaled, and with the special
+// values again — and checks every result bit for bit against a fresh
+// NewPlan plan's on the same values, for every scheme and Hybrid menu,
+// plain and complemented, one- and two-phase, at 1, 2, 3, 4 and 64
+// threads. A cached one-phase plan remembers nothing from its first
+// full-product execution, and from its second on every full-product
+// result must share the remembered pattern. On the symmetric product
+// the planned and scaled values run one triangle, so the special
+// values' second run is the one that remembers.
 func TestRememberedPatternBitIdentical(t *testing.T) {
 	for _, pr := range rememberProducts() {
 		values := [][2]*sparse.CSR[float64]{{pr.a, pr.b}}
@@ -117,6 +120,7 @@ func TestRememberedPatternBitIdentical(t *testing.T) {
 			}
 			values = append(values, [2]*sparse.CSR[float64]{a, b})
 		}
+		values = append(values, values[1])
 		for _, complement := range []bool{false, true} {
 			for _, scheme := range rememberSchemes() {
 				if complement && !SupportsComplement(scheme.Algorithm) {
@@ -147,6 +151,7 @@ func checkRememberedRuns(t *testing.T, name string, pr rememberProduct, values [
 	}
 	exec := NewExecutor[float64](ptSR)
 	eo := ExecOptions{Threads: threads}
+	fullRuns := 0
 	for run, ab := range values {
 		wasRemembered := plan.pattern.Load() != nil
 		got, err := plan.ExecuteOnOpts(exec, ab[0], ab[1], eo)
@@ -162,10 +167,16 @@ func checkRememberedRuns(t *testing.T, name string, pr rememberProduct, values [
 			t.Fatalf("%s run %d: fresh plan: %v", name, run, err)
 		}
 		checkIdentical(t, fmt.Sprintf("%s run %d", name, run), got, want)
-		full := !ranHalf(exec)
-		remembers := opt.Phases == OnePhase && opt.Algorithm != AlgoSaxpyThenMask && full
+		counts := opt.Phases == OnePhase && opt.Algorithm != AlgoSaxpyThenMask && !ranHalf(exec)
+		if counts {
+			fullRuns++
+		}
+		remembers := counts && fullRuns >= 2
 		if remembers && !sharesPattern(plan, got) {
-			t.Fatalf("%s run %d: a full one-phase result of a cached plan does not share its remembered pattern", name, run)
+			t.Fatalf("%s run %d: a second or later full one-phase result of a cached plan does not share its remembered pattern", name, run)
+		}
+		if counts && fullRuns == 1 && plan.pattern.Load() != nil {
+			t.Fatalf("%s run %d: the first full one-phase execution published a pattern", name, run)
 		}
 		if !remembers && plan.pattern.Load() != nil && !wasRemembered {
 			t.Fatalf("%s run %d: an execution that must not remember published a pattern", name, run)
@@ -182,7 +193,8 @@ func checkRememberedRuns(t *testing.T, name string, pr rememberProduct, values [
 // pattern row runs on accumulator arrays wider than its product, left
 // by the other. Each plan runs twice, the second time on values with
 // −0, ±Inf and NaN products, and every result must match a fresh plan
-// on a fresh executor bit for bit.
+// on a fresh executor bit for bit. The second run remembers the
+// pattern, and steps 2 and 3 hit the plans steps 0 and 1 remembered.
 func TestRememberedPatternExecutorAcrossWidths(t *testing.T) {
 	exec := NewExecutor[float64](ptSR)
 	cache := NewPlanCache(ptSR, 0)
@@ -208,7 +220,11 @@ func TestRememberedPatternExecutorAcrossWidths(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkIdentical(t, name, got, want)
-				if !sharesPattern(plan, got) {
+				first := run == 0 && step < 2
+				if first && plan.pattern.Load() != nil {
+					t.Fatalf("%s: a plan's first execution published its pattern", name)
+				}
+				if !first && !sharesPattern(plan, got) {
 					t.Fatalf("%s: the result does not share the remembered pattern", name)
 				}
 			}
@@ -224,11 +240,13 @@ func rememberBudgetCase(seed uint64) (*sparse.Pattern, *sparse.CSR[float64], *sp
 }
 
 // TestChaosRememberFirstExecution interrupts a cached plan's first
-// execution — a cancel at the numeric and at the compact checkpoint, a
-// kernel panic in the numeric pass — and checks that it published no
-// pattern and charged no bytes; the next clean execution then
-// publishes, and charges the cache and its budget exactly the
-// pattern's bytes.
+// execution and, after one clean execution, the execution that would
+// publish — with a cancel at the numeric and at the compact checkpoint
+// and a kernel panic in the numeric pass. Neither publishes a pattern
+// or charges bytes, and the interrupted first execution does not count
+// as the plan's first: the clean execution after it publishes nothing
+// either. The clean execution after the second fault publishes, and
+// charges the cache and its budget exactly the pattern's bytes.
 func TestChaosRememberFirstExecution(t *testing.T) {
 	t.Cleanup(faultinject.Disarm)
 	for _, fault := range []faultinject.Hooks{
@@ -246,27 +264,37 @@ func TestChaosRememberFirstExecution(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := budget.Used()
-		faultinject.Arm(fault)
-		out, err := plan.ExecuteOnOpts(NewExecutor[float64](ptSR), a, b, ExecOptions{Threads: 4})
-		faultinject.Disarm()
-		var ce *CanceledError
-		var kp *KernelPanicError
-		if out != nil || !(errors.As(err, &ce) || errors.As(err, &kp)) {
-			t.Fatalf("%+v: out=%v err=%v, want a typed fault and no result", fault, out != nil, err)
+		// Interrupted executions leave their executor half-mutated, so
+		// each runs on a throwaway one.
+		exec := NewExecutor[float64](ptSR)
+		for step := range 2 {
+			faultinject.Arm(fault)
+			out, err := plan.ExecuteOnOpts(NewExecutor[float64](ptSR), a, b, ExecOptions{Threads: 4})
+			faultinject.Disarm()
+			var ce *CanceledError
+			var kp *KernelPanicError
+			if out != nil || !(errors.As(err, &ce) || errors.As(err, &kp)) {
+				t.Fatalf("%+v step %d: out=%v err=%v, want a typed fault and no result", fault, step, out != nil, err)
+			}
+			if plan.pattern.Load() != nil || budget.Used() != before || cache.Stats().Bytes != before {
+				t.Fatalf("%+v step %d: the interrupted execution published a pattern (budget %d, cache %d bytes, want %d)",
+					fault, step, budget.Used(), cache.Stats().Bytes, before)
+			}
+			if step == 0 {
+				if _, err := plan.ExecuteOnOpts(exec, a, b, ExecOptions{Threads: 4}); err != nil {
+					t.Fatal(err)
+				}
+				if plan.pattern.Load() != nil || budget.Used() != before {
+					t.Fatalf("%+v: the first clean execution, after an interrupted one, published a pattern", fault)
+				}
+			}
 		}
-		if plan.pattern.Load() != nil {
-			t.Fatalf("%+v: an interrupted first execution published a pattern", fault)
-		}
-		if budget.Used() != before || cache.Stats().Bytes != before {
-			t.Fatalf("%+v: budget %d, cache %d bytes after the fault, want %d", fault, budget.Used(), cache.Stats().Bytes, before)
-		}
-		got, err := plan.ExecuteOnOpts(NewExecutor[float64](ptSR), a, b, ExecOptions{Threads: 4})
+		got, err := plan.ExecuteOnOpts(exec, a, b, ExecOptions{Threads: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pat := plan.pattern.Load()
-		if pat == nil || !sharesPattern(plan, got) {
-			t.Fatalf("%+v: the clean execution after the fault did not publish its pattern", fault)
+		if !sharesPattern(plan, got) {
+			t.Fatalf("%+v: the clean execution after the second fault did not publish its pattern", fault)
 		}
 		if want := before + 8*int64(len(got.RowPtr)) + 4*got.NNZ(); budget.Used() != want || cache.Stats().Bytes != want {
 			t.Fatalf("%+v: budget %d, cache %d bytes, want %d", fault, budget.Used(), cache.Stats().Bytes, want)
@@ -274,9 +302,11 @@ func TestChaosRememberFirstExecution(t *testing.T) {
 	}
 }
 
-// TestRememberConcurrentFirstExecutions starts several first executions
-// of one cached plan at once, each on its own executor (run it under
-// -race): all results are equal, the plan publishes one of their
+// TestRememberConcurrentFirstExecutions starts several executions of
+// one cached plan at once, each on its own executor (run it under
+// -race): on even rounds they are the plan's first executions, on odd
+// rounds one clean execution precedes them, so all of them could
+// publish. All results are equal, the plan publishes one of their
 // patterns, and the cache and budget are charged its bytes once.
 func TestRememberConcurrentFirstExecutions(t *testing.T) {
 	const goroutines = 6
@@ -290,6 +320,11 @@ func TestRememberConcurrentFirstExecutions(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := budget.Used()
+		if round%2 == 1 {
+			if _, err := plan.ExecuteOnOpts(NewExecutor[float64](ptSR), a, b, ExecOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
 		outs := make([]*sparse.CSR[float64], goroutines)
 		errs := make([]error, goroutines)
 		start := make(chan struct{})
@@ -327,10 +362,11 @@ func TestRememberConcurrentFirstExecutions(t *testing.T) {
 }
 
 // TestPlanCacheRememberedPatternBudget pins a remembered pattern's
-// charge: publishing adds exactly 8·(rows+1) + 4·nnz bytes to the
-// entry and the budget, later executions add nothing, and the bytes
-// return with the entry when Clear, the entry cap or budget pressure
-// evicts it. A plan evicted before its first execution is not charged.
+// charge: a plan's first execution adds nothing, publishing on the
+// second adds exactly 8·(rows+1) + 4·nnz bytes to the entry and the
+// budget, later executions add nothing, and the bytes return with the
+// entry when Clear, the entry cap or budget pressure evicts it. A plan
+// evicted before it publishes is not charged.
 func TestPlanCacheRememberedPatternBudget(t *testing.T) {
 	mask1, a1, b1, opt := rememberBudgetCase(91)
 	mask2, a2, b2, _ := rememberBudgetCase(92)
@@ -341,6 +377,13 @@ func TestPlanCacheRememberedPatternBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		return 8*int64(len(out.RowPtr)) + 4*out.NNZ()
+	}
+	// remember executes p twice, the second time on special values, so
+	// that it publishes its pattern, and returns the pattern's bytes.
+	remember := func(p *Plan[float64, ptSRType], a, b *sparse.CSR[float64]) int64 {
+		t.Helper()
+		run(p, a, b)
+		return run(p, withSpecialValues(a), b)
 	}
 	plan := func(c *PlanCache[float64, ptSRType], mask *sparse.Pattern, a, b *sparse.CSR[float64]) *Plan[float64, ptSRType] {
 		t.Helper()
@@ -357,11 +400,15 @@ func TestPlanCacheRememberedPatternBudget(t *testing.T) {
 	cache.AttachBudget(budget)
 	p1 := plan(cache, mask1, a1, b1)
 	foot1 := budget.Used()
-	pat1 := run(p1, a1, b1)
-	if budget.Used() != foot1+pat1 || cache.Stats().Bytes != foot1+pat1 {
-		t.Fatalf("after the first execution: budget %d, cache %d, want %d", budget.Used(), cache.Stats().Bytes, foot1+pat1)
+	run(p1, a1, b1)
+	if budget.Used() != foot1 || cache.Stats().Bytes != foot1 {
+		t.Fatalf("after the first execution: budget %d, cache %d, want %d", budget.Used(), cache.Stats().Bytes, foot1)
 	}
-	run(p1, withSpecialValues(a1), b1)
+	pat1 := run(p1, withSpecialValues(a1), b1)
+	if budget.Used() != foot1+pat1 || cache.Stats().Bytes != foot1+pat1 {
+		t.Fatalf("after the second execution: budget %d, cache %d, want %d", budget.Used(), cache.Stats().Bytes, foot1+pat1)
+	}
+	run(p1, a1, b1)
 	if budget.Used() != foot1+pat1 {
 		t.Fatalf("a known-pattern execution charged again: budget %d, want %d", budget.Used(), foot1+pat1)
 	}
@@ -379,7 +426,7 @@ func TestPlanCacheRememberedPatternBudget(t *testing.T) {
 	budget = NewMemBudget(0)
 	capped := NewPlanCache(ptSR, 1)
 	capped.AttachBudget(budget)
-	run(plan(capped, mask1, a1, b1), a1, b1)
+	remember(plan(capped, mask1, a1, b1), a1, b1)
 	p2 := plan(capped, mask2, a2, b2)
 	foot2 := budget.Used()
 	if st := capped.Stats(); st.Entries != 1 || st.Bytes != foot2 || foot2 != p2.footprintBytes() {
@@ -388,25 +435,68 @@ func TestPlanCacheRememberedPatternBudget(t *testing.T) {
 
 	// Budget pressure: room for one plan with its pattern and a second
 	// plan's analysis, not both patterns.
-	pat2 := run(p2, a2, b2)
+	pat2 := remember(p2, a2, b2)
 	budget = NewMemBudget(foot1 + pat1 + foot2 + pat2/2)
 	pressed := NewPlanCache(ptSR, 0)
 	pressed.AttachBudget(budget)
-	run(plan(pressed, mask1, a1, b1), a1, b1)
+	remember(plan(pressed, mask1, a1, b1), a1, b1)
 	q2 := plan(pressed, mask2, a2, b2)
+	run(q2, a2, b2)
 	if st := pressed.Stats(); st.Entries != 2 || budget.Used() != foot1+pat1+foot2 {
 		t.Fatalf("before the pressure: %+v, budget %d", st, budget.Used())
 	}
-	run(q2, a2, b2)
+	run(q2, withSpecialValues(a2), b2)
 	if st := pressed.Stats(); st.Entries != 1 || st.Evictions != 1 || budget.Used() != foot2+pat2 || st.Bytes != foot2+pat2 {
 		t.Fatalf("after the second pattern's charge: %+v, budget %d, want one entry of %d bytes", st, budget.Used(), foot2+pat2)
+	}
+}
+
+// TestPlanCacheRunOnceChargesNothing is sweep-cold-ref's plan life: a
+// cached plan executed exactly once, then evicted by the entry cap
+// before its structure recurs. It publishes no pattern, its entry and
+// the budget are never charged more than its analysis, and the
+// eviction leaves only the newer plan's bytes. Executed again after
+// the eviction, the plan publishes and charges nothing.
+func TestPlanCacheRunOnceChargesNothing(t *testing.T) {
+	mask1, a1, b1, opt := rememberBudgetCase(93)
+	mask2, a2, b2, _ := rememberBudgetCase(94)
+	budget := NewMemBudget(0)
+	cache := NewPlanCache(ptSR, 1)
+	cache.AttachBudget(budget)
+	p1, err := cache.GetOrPlan(mask1, a1, b1, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foot1 := budget.Used()
+	if _, err := p1.ExecuteOnOpts(NewExecutor[float64](ptSR), a1, b1, ExecOptions{Threads: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if p1.pattern.Load() != nil || budget.Used() != foot1 || cache.Stats().Bytes != foot1 {
+		t.Fatalf("a plan executed once: published %v, budget %d, cache %d bytes, want only its %d-byte analysis",
+			p1.pattern.Load() != nil, budget.Used(), cache.Stats().Bytes, foot1)
+	}
+	p2, err := cache.GetOrPlan(mask2, a2, b2, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Entries != 1 || st.Evictions != 1 || budget.Used() != p2.footprintBytes() || st.Bytes != p2.footprintBytes() {
+		t.Fatalf("after the entry cap evicted the once-run plan: %+v, budget %d, want only the new plan's %d bytes", st, budget.Used(), p2.footprintBytes())
+	}
+	// The evicted plan still runs, and publishes on its second
+	// execution, but charges nothing: it is no longer the resident entry.
+	if _, err := p1.ExecuteOnOpts(NewExecutor[float64](ptSR), a1, b1, ExecOptions{Threads: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if p1.pattern.Load() == nil || budget.Used() != p2.footprintBytes() {
+		t.Fatalf("the evicted plan's second execution: published %v, budget %d, want %d", p1.pattern.Load() != nil, budget.Used(), p2.footprintBytes())
 	}
 }
 
 // TestRememberedPatternReuseOutput runs a remembered plan with pooled
 // output: the known-pattern result's values come from the executor's
 // buffer, its pattern stays the plan's, and each result is exact. An
-// execution that starts with pooled output never remembers.
+// execution with pooled output neither remembers nor counts as the
+// plan's first clean execution.
 func TestRememberedPatternReuseOutput(t *testing.T) {
 	mask, a, b, opt := rememberBudgetCase(95)
 	cache := NewPlanCache(ptSR, 0)
@@ -422,8 +512,13 @@ func TestRememberedPatternReuseOutput(t *testing.T) {
 	if plan.pattern.Load() != nil {
 		t.Fatal("an execution with pooled output remembered its pattern")
 	}
-	if _, err := plan.ExecuteOnOpts(exec, a, b, ExecOptions{Threads: 2}); err != nil {
-		t.Fatal(err)
+	for run := range 2 {
+		if plan.pattern.Load() != nil {
+			t.Fatalf("clean run %d: the plan remembered before its second clean execution", run)
+		}
+		if _, err := plan.ExecuteOnOpts(exec, a, b, ExecOptions{Threads: 2}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var prev *sparse.CSR[float64]
 	for run, a := range []*sparse.CSR[float64]{withSpecialValues(a), a} {

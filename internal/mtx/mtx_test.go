@@ -39,25 +39,6 @@ func referenceWrite(w io.Writer, m *sparse.CSR[float64]) error {
 	return bw.Flush()
 }
 
-// referenceWritePattern is the fmt encoder WritePattern replaced.
-func referenceWritePattern(w io.Writer, p *sparse.Pattern) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := fmt.Fprintf(bw, "%%%%MatrixMarket matrix coordinate pattern general\n"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(bw, "%d %d %d\n", p.Rows, p.Cols, p.NNZ()); err != nil {
-		return err
-	}
-	for i := 0; i < p.Rows; i++ {
-		for _, j := range p.Row(i) {
-			if _, err := fmt.Fprintf(bw, "%d %d\n", i+1, j+1); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
 // specialValues are the values where %.17g and strconv's 'g' format
 // could plausibly disagree: infinities, NaN, negative zero, the
 // smallest subnormal, huge and negative magnitudes, and exact integers.
@@ -92,17 +73,6 @@ func TestWriteMatchesFmt(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Errorf("%s: Write differs from the fmt reference (%d vs %d bytes)", name, got.Len(), want.Len())
 		}
-		want.Reset()
-		got.Reset()
-		if err := referenceWritePattern(&want, m.PatternView()); err != nil {
-			t.Fatal(err)
-		}
-		if err := WritePattern(&got, m.PatternView()); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("%s: WritePattern differs from the fmt reference (%d vs %d bytes)", name, got.Len(), want.Len())
-		}
 	}
 }
 
@@ -122,18 +92,13 @@ func allocBytesPerCall(f func()) uint64 {
 
 func TestWriteAllocatesOneChunk(t *testing.T) {
 	m := randomCSR(6, 2000, 2000, 20000)
-	for name, write := range map[string]func() error{
-		"Write":        func() error { return Write(io.Discard, m) },
-		"WritePattern": func() error { return WritePattern(io.Discard, m.PatternView()) },
-	} {
-		got := allocBytesPerCall(func() {
-			if err := write(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if limit := uint64(chunkBytes + 1024); got > limit {
-			t.Errorf("%s allocates %d bytes per call, want ≤ %d", name, got, limit)
+	got := allocBytesPerCall(func() {
+		if err := Write(io.Discard, m); err != nil {
+			t.Fatal(err)
 		}
+	})
+	if limit := uint64(chunkBytes + 1024); got > limit {
+		t.Errorf("Write allocates %d bytes per call, want ≤ %d", got, limit)
 	}
 }
 
@@ -296,24 +261,6 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 	if _, _, err := ReadFile(filepath.Join(t.TempDir(), "absent.mtx")); err == nil {
 		t.Error("want error for missing file")
-	}
-}
-
-func TestWritePattern(t *testing.T) {
-	m := randomCSR(4, 6, 6, 12)
-	var buf bytes.Buffer
-	if err := WritePattern(&buf, m.PatternView()); err != nil {
-		t.Fatal(err)
-	}
-	back, h, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Field != "pattern" {
-		t.Errorf("field = %q", h.Field)
-	}
-	if !sparse.PatternEqual(m.PatternView(), back.PatternView()) {
-		t.Error("pattern round trip mismatch")
 	}
 }
 

@@ -111,31 +111,6 @@ func (s SchedStats) Clone() SchedStats {
 	return SchedStats{Workers: append([]WorkerStats(nil), s.Workers...)}
 }
 
-// SchedSummary accumulates SchedStats across many executions — the
-// serving-layer view (Session.Stats) of scheduler health. Not
-// concurrency-safe; callers aggregate under their own lock.
-type SchedSummary struct {
-	// Passes counts the recorded executions.
-	Passes uint64 `json:"passes"`
-	// Busy is the summed worker busy time over all recorded executions,
-	// encoded as integer nanoseconds.
-	Busy time.Duration `json:"busy_nanos"`
-	// BlocksClaimed is the total number of executed blocks.
-	BlocksClaimed uint64 `json:"blocks_claimed"`
-	// WorstImbalance is the highest per-execution Imbalance observed.
-	WorstImbalance float64 `json:"worst_imbalance"`
-}
-
-// Record folds one execution's stats into the summary.
-func (s *SchedSummary) Record(st SchedStats) {
-	s.Passes++
-	s.Busy += st.Busy()
-	s.BlocksClaimed += uint64(st.Claimed())
-	if im := st.Imbalance(); im > s.WorstImbalance {
-		s.WorstImbalance = im
-	}
-}
-
 // ForEachPartition runs fn over the variable-width partitions described
 // by bounds: partition j covers [bounds[j], bounds[j+1]), and bounds
 // must be non-decreasing. Partitions are claimed dynamically from an

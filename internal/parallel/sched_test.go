@@ -183,23 +183,6 @@ func TestSchedStatsImbalance(t *testing.T) {
 	}
 }
 
-func TestSchedSummaryRecord(t *testing.T) {
-	var sum SchedSummary
-	var st SchedStats
-	st.Workers = []WorkerStats{{Busy: 3 * time.Millisecond, Claimed: 5}, {Busy: time.Millisecond, Claimed: 3}}
-	sum.Record(st)
-	sum.Record(st)
-	if sum.Passes != 2 || sum.BlocksClaimed != 16 {
-		t.Errorf("summary = %+v", sum)
-	}
-	if sum.Busy != 8*time.Millisecond {
-		t.Errorf("busy = %v, want 8ms", sum.Busy)
-	}
-	if sum.WorstImbalance != 1.5 {
-		t.Errorf("worst imbalance = %v, want 1.5", sum.WorstImbalance)
-	}
-}
-
 // TestPrefixSumParallelBoundary exercises the serial/parallel cutoff at
 // length cutoff−1, cutoff, and cutoff+1 — the sizes where the old block
 // math produced blocks far smaller than a scheduling step is worth.

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	maskedspgemm "maskedspgemm"
-	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/faultinject"
 	"maskedspgemm/internal/serve/servetest"
 )
@@ -21,19 +20,28 @@ import (
 // goroutines leak, the pool refills, and the next request succeeds.
 // All of it runs under -race in CI.
 
-// chaosServeFamilies are the six accumulator families the tentpole
-// requires end-to-end panic containment for.
-var chaosServeFamilies = []core.Algorithm{
-	core.AlgoMSA, core.AlgoHash, core.AlgoMCA, core.AlgoHeap, core.AlgoInner, core.AlgoMaskedBit,
+// chaosServeKinds are the injected panics the serve chaos test sends
+// through Hybrid, the one served algorithm: the numeric pass of a
+// plain and of a complemented product, and the symbolic pass of a
+// two-phase one. Each panics at its own row, so each is a distinct
+// (family, value) key of the panic log. Per-family containment is
+// core's TestChaosPanicEachFamily.
+var chaosServeKinds = []struct {
+	query string
+	hooks faultinject.Hooks
+}{
+	{"", faultinject.Hooks{PanicArmed: true, PanicRow: 3, PanicPass: faultinject.PassNumeric}},
+	{"?complement=1", faultinject.Hooks{PanicArmed: true, PanicRow: 5, PanicPass: faultinject.PassNumeric}},
+	{"?phases=2", faultinject.Hooks{PanicArmed: true, PanicRow: 7, PanicPass: faultinject.PassSymbolic}},
 }
 
-// TestServeChaosPanicPerFamily injects a kernel panic into each
-// family's numeric pass through the HTTP path: the request answers 500
-// naming the containment, the server keeps serving (the same request
-// succeeds once disarmed), /stats counts the panic and the discarded
-// executor, and the rate-limited panic log sees exactly one full entry
-// per family despite a retry.
-func TestServeChaosPanicPerFamily(t *testing.T) {
+// TestServeChaosPanicPerKind injects a kernel panic of each kind
+// through the HTTP path: the request answers 500 naming the
+// containment, the server keeps serving (the same request succeeds
+// once disarmed), /stats counts the panic and the discarded executor,
+// and the rate-limited panic log sees exactly one full entry per kind
+// despite a retry.
+func TestServeChaosPanicPerKind(t *testing.T) {
 	t.Cleanup(faultinject.Disarm)
 	checkLeaks := servetest.AssertNoLeaks(t)
 	srv := New(Config{MaxInFlight: 2})
@@ -49,24 +57,24 @@ func TestServeChaosPanicPerFamily(t *testing.T) {
 	body := servetest.EncodeSerial(t, g)
 
 	var wantPanics uint64
-	for _, algo := range chaosServeFamilies {
-		url := "/v1/multiply?algorithm=" + strings.ToLower(algo.String())
-		faultinject.Arm(faultinject.Hooks{PanicArmed: true, PanicRow: 3, PanicPass: faultinject.PassNumeric})
+	for _, kind := range chaosServeKinds {
+		url := "/v1/multiply" + kind.query
+		faultinject.Arm(kind.hooks)
 		// Two identical failing requests: both must answer 500, but the
 		// second's stack is rate-limited out of the log.
 		for rep := 0; rep < 2; rep++ {
 			resp := h.Post(url, body, nil)
 			if resp.Status != http.StatusInternalServerError {
-				t.Fatalf("%v rep %d: status %d, want 500: %s", algo, rep, resp.Status, resp.Body)
+				t.Fatalf("%s rep %d: status %d, want 500: %s", url, rep, resp.Status, resp.Body)
 			}
 			if !strings.Contains(string(resp.Body), "kernel panic contained") {
-				t.Fatalf("%v: body does not name the containment: %s", algo, resp.Body)
+				t.Fatalf("%s: body does not name the containment: %s", url, resp.Body)
 			}
 			wantPanics++
 		}
 		faultinject.Disarm()
 		if resp := h.Post(url, body, nil); resp.Status != http.StatusOK {
-			t.Fatalf("%v after disarm: status %d, want 200: %s", algo, resp.Status, resp.Body)
+			t.Fatalf("%s after disarm: status %d, want 200: %s", url, resp.Status, resp.Body)
 		}
 	}
 
@@ -83,11 +91,11 @@ func TestServeChaosPanicPerFamily(t *testing.T) {
 	logMu.Lock()
 	nLogged := len(logged)
 	logMu.Unlock()
-	// One full log entry per family: the repeat within the interval is
+	// One full log entry per kind: the repeat within the interval is
 	// suppressed, and each logged entry carries a stack and the request
 	// operand fingerprints.
-	if nLogged != len(chaosServeFamilies) {
-		t.Errorf("panic log entries = %d, want %d (repeats must be rate-limited)", nLogged, len(chaosServeFamilies))
+	if nLogged != len(chaosServeKinds) {
+		t.Errorf("panic log entries = %d, want %d (repeats must be rate-limited)", nLogged, len(chaosServeKinds))
 	}
 	for _, entry := range logged {
 		if !strings.Contains(entry, "goroutine") || !strings.Contains(entry, "mask=") {

@@ -221,21 +221,18 @@ func (s *Server) decodeMultipart(mr *multipart.Reader, size int64) (*operands, e
 	return &ops, nil
 }
 
-// parseOptions turns query parameters into facade options; every knob
-// is optional. Recognized: algorithm (scheme name, case-insensitive),
-// phases (1|2), complement (bool), sched_stats (bool), threads (int,
-// at most GOMAXPROCS — the parameter picks a width within the host's
-// parallelism, it must not size allocations).
+// parseOptions turns query parameters into facade options. Every
+// request runs the Hybrid per-row selector (DESIGN.md §10); the other
+// knobs are optional. Recognized: algorithm (only "hybrid", any case,
+// or absent), phases (1|2), complement (0|1|false|true, any case),
+// threads (int, at most GOMAXPROCS — the parameter picks a width
+// within the host's parallelism, it must not size allocations).
 func parseOptions(r *http.Request) ([]maskedspgemm.Option, error) {
 	q := r.URL.Query()
-	var opts []maskedspgemm.Option
-	if name := q.Get("algorithm"); name != "" {
-		algo, ok := algorithmByName(name)
-		if !ok {
-			return nil, fmt.Errorf("serve: unknown algorithm %q (want one of %s)", name, algorithmNames())
-		}
-		opts = append(opts, maskedspgemm.WithAlgorithm(algo))
+	if name := q.Get("algorithm"); name != "" && !strings.EqualFold(name, "hybrid") {
+		return nil, fmt.Errorf("serve: algorithm %q is not served (this server runs hybrid only)", name)
 	}
+	opts := []maskedspgemm.Option{maskedspgemm.WithAlgorithm(maskedspgemm.Hybrid)}
 	switch q.Get("phases") {
 	case "", "1":
 	case "2":
@@ -243,11 +240,12 @@ func parseOptions(r *http.Request) ([]maskedspgemm.Option, error) {
 	default:
 		return nil, fmt.Errorf("serve: phases must be 1 or 2, got %q", q.Get("phases"))
 	}
-	if isTrue(q.Get("complement")) {
+	switch c := q.Get("complement"); strings.ToLower(c) {
+	case "", "0", "false":
+	case "1", "true":
 		opts = append(opts, maskedspgemm.WithComplement())
-	}
-	if isTrue(q.Get("sched_stats")) {
-		opts = append(opts, maskedspgemm.WithSchedStats())
+	default:
+		return nil, fmt.Errorf("serve: complement must be 0, 1, false or true, got %q", c)
 	}
 	if t := q.Get("threads"); t != "" {
 		n, err := strconv.Atoi(t)
@@ -277,15 +275,6 @@ func parseFormat(r *http.Request) (string, error) {
 	default:
 		return "", fmt.Errorf("serve: unknown format %q (want serial, mtx, or summary)", format)
 	}
-}
-
-// isTrue parses query-parameter booleans permissively.
-func isTrue(v string) bool {
-	switch strings.ToLower(v) {
-	case "1", "true", "yes", "on":
-		return true
-	}
-	return false
 }
 
 // resultSummary is the ?format=summary response: enough to assert a

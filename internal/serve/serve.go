@@ -39,12 +39,10 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	maskedspgemm "maskedspgemm"
-	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/mtx"
 	"maskedspgemm/internal/parallel"
 	"maskedspgemm/internal/serial"
@@ -551,26 +549,6 @@ func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
-}
-
-// algorithmByName resolves a scheme by its registry name,
-// case-insensitively ("hash" → AlgoHash).
-func algorithmByName(name string) (maskedspgemm.Algorithm, bool) {
-	for _, a := range core.Algorithms() {
-		if strings.EqualFold(a.String(), name) {
-			return a, true
-		}
-	}
-	return 0, false
-}
-
-// algorithmNames lists the registry's scheme names for error messages.
-func algorithmNames() string {
-	var names []string
-	for _, a := range core.Algorithms() {
-		names = append(names, a.String())
-	}
-	return strings.Join(names, ", ")
 }
 
 // missLogDepth bounds the recent-miss ring exposed by /stats.

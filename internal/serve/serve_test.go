@@ -10,6 +10,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"runtime"
 	"sort"
 	"strconv"
@@ -136,14 +137,14 @@ func TestAdmissionDrain(t *testing.T) {
 // response formats agree with the library computed locally.
 func TestServeMultiplyFormats(t *testing.T) {
 	g := maskedspgemm.ErdosRenyi(96, 6, 42)
-	want, err := maskedspgemm.Multiply(g.PatternView(), g, g, maskedspgemm.WithAlgorithm(maskedspgemm.Hash))
+	want, err := maskedspgemm.Multiply(g.PatternView(), g, g, maskedspgemm.WithAlgorithm(maskedspgemm.Hybrid))
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := servetest.Start(t, New(Config{}))
 
 	// Raw serial body, serial response.
-	resp := h.Post("/v1/multiply?algorithm=hash", servetest.EncodeSerial(t, g), nil)
+	resp := h.Post("/v1/multiply", servetest.EncodeSerial(t, g), nil)
 	if resp.Status != http.StatusOK {
 		t.Fatalf("serial: status %d: %s", resp.Status, resp.Body)
 	}
@@ -156,7 +157,7 @@ func TestServeMultiplyFormats(t *testing.T) {
 	}
 
 	// Raw Matrix Market body, mtx response.
-	resp = h.Post("/v1/multiply?algorithm=hash&format=mtx", servetest.EncodeMTX(t, g), nil)
+	resp = h.Post("/v1/multiply?format=mtx", servetest.EncodeMTX(t, g), nil)
 	if resp.Status != http.StatusOK {
 		t.Fatalf("mtx: status %d: %s", resp.Status, resp.Body)
 	}
@@ -169,7 +170,7 @@ func TestServeMultiplyFormats(t *testing.T) {
 	}
 
 	// Summary response: shape, nnz, and value sum.
-	resp = h.Post("/v1/multiply?algorithm=hash&format=summary", servetest.EncodeSerial(t, g), nil)
+	resp = h.Post("/v1/multiply?format=summary", servetest.EncodeSerial(t, g), nil)
 	if resp.Status != http.StatusOK {
 		t.Fatalf("summary: status %d: %s", resp.Status, resp.Body)
 	}
@@ -185,7 +186,7 @@ func TestServeMultiplyFormats(t *testing.T) {
 	// Multipart operands in mixed formats: mask as Matrix Market, a and
 	// b as serial. Use an asymmetric product so operand routing matters.
 	hm := maskedspgemm.ErdosRenyi(96, 4, 43)
-	wantMulti, err := maskedspgemm.Multiply(hm.PatternView(), g, hm)
+	wantMulti, err := maskedspgemm.Multiply(hm.PatternView(), g, hm, maskedspgemm.WithAlgorithm(maskedspgemm.Hybrid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestServeSerialContentLength(t *testing.T) {
 		body       []byte
 		ctype      string
 	}{
-		{"inline", "/v1/multiply?algorithm=hash", servetest.EncodeSerial(t, g), ""},
+		{"inline", "/v1/multiply", servetest.EncodeSerial(t, g), ""},
 		{"reference", "/v1/multiply?a=" + ref, nil, ""},
 		{"explicit format", "/v1/multiply?a=" + ref + "&format=serial", nil, ""},
 		{"empty product", "/v1/multiply", emptyBody, ctype},
@@ -269,29 +270,28 @@ func TestServeSerialContentLength(t *testing.T) {
 }
 
 // TestServeWarmThenMultiplyHits drives the headline bugfix through the
-// wire: /v1/warm plants the plan, a later /v1/multiply with telemetry
-// on and its own ?threads= width must hit it — one miss, one hit, one
-// cache entry. Width and telemetry are execution-only, so neither may
-// fragment the cache.
+// wire: /v1/warm plants the plan, a later /v1/multiply with its own
+// ?threads= width must hit it — one miss, one hit, one cache entry.
+// Width is execution-only, so it may not fragment the cache.
 func TestServeWarmThenMultiplyHits(t *testing.T) {
 	g := maskedspgemm.ErdosRenyi(80, 6, 44)
 	h := servetest.Start(t, New(Config{}))
 	body := servetest.EncodeSerial(t, g)
 
-	resp := h.Post("/v1/warm?algorithm=msa", body, nil)
+	resp := h.Post("/v1/warm", body, nil)
 	if resp.Status != http.StatusOK {
 		t.Fatalf("warm: status %d: %s", resp.Status, resp.Body)
 	}
 	// threads is clamped to the host's parallelism; widen to 2 where
 	// the host allows it.
 	threads := min(2, runtime.GOMAXPROCS(0))
-	resp = h.Post(fmt.Sprintf("/v1/multiply?algorithm=msa&sched_stats=1&threads=%d", threads), body, nil)
+	resp = h.Post(fmt.Sprintf("/v1/multiply?threads=%d", threads), body, nil)
 	if resp.Status != http.StatusOK {
 		t.Fatalf("multiply: status %d: %s", resp.Status, resp.Body)
 	}
 	st := getStats(t, h)
 	if c := st.Session.Cache; c.Hits != 1 || c.Misses != 1 || c.Entries != 1 {
-		t.Fatalf("cache = %+v, want Hits == 1, Misses == 1, Entries == 1 (warm → threads=%d stats-multiply must hit)", c, threads)
+		t.Fatalf("cache = %+v, want Hits == 1, Misses == 1, Entries == 1 (warm → threads=%d multiply must hit)", c, threads)
 	}
 	if len(st.RecentMisses) != 1 || !st.RecentMisses[0].Warm {
 		t.Fatalf("recent misses = %+v, want the single warm plant", st.RecentMisses)
@@ -299,22 +299,18 @@ func TestServeWarmThenMultiplyHits(t *testing.T) {
 }
 
 // TestServeStatsHybridFamilyRows checks the operator view of per-row
-// family adoption: after a hybrid multiply, /stats carries
-// hybrid_family_rows summing to the mask's row count; uniform-scheme
-// traffic reports none.
+// family adoption: a fresh server reports no family rows, and after a
+// multiply /stats carries hybrid_family_rows summing to the mask's row
+// count.
 func TestServeStatsHybridFamilyRows(t *testing.T) {
 	g := maskedspgemm.ErdosRenyi(80, 6, 45)
 	h := servetest.Start(t, New(Config{}))
 	body := servetest.EncodeSerial(t, g)
 
-	resp := h.Post("/v1/multiply?algorithm=msa", body, nil)
-	if resp.Status != http.StatusOK {
-		t.Fatalf("msa multiply: status %d: %s", resp.Status, resp.Body)
-	}
 	if rows := getStats(t, h).Session.Cache.HybridFamilyRows; rows != nil {
-		t.Fatalf("uniform traffic reported family rows %v", rows)
+		t.Fatalf("a fresh server reported family rows %v", rows)
 	}
-	resp = h.Post("/v1/multiply?algorithm=hybrid", body, nil)
+	resp := h.Post("/v1/multiply", body, nil)
 	if resp.Status != http.StatusOK {
 		t.Fatalf("hybrid multiply: status %d: %s", resp.Status, resp.Body)
 	}
@@ -332,8 +328,8 @@ func TestServeStatsHybridFamilyRows(t *testing.T) {
 }
 
 // TestServeStatsBlockSet pins the /stats block set: the session
-// carries exactly the cache, store, budget, pool, sched, and faults
-// blocks beside the admission counters and the miss log.
+// carries exactly the cache, store, budget, pool, and faults blocks
+// beside the admission counters and the miss log.
 func TestServeStatsBlockSet(t *testing.T) {
 	h := servetest.Start(t, New(Config{}))
 	resp := h.Get("/stats")
@@ -351,7 +347,7 @@ func TestServeStatsBlockSet(t *testing.T) {
 	if doc.Admission == nil || doc.RecentMisses == nil {
 		t.Errorf("/stats lacks admission or recent_misses: %s", resp.Body)
 	}
-	want := []string{"budget", "cache", "faults", "pool", "sched", "store"}
+	want := []string{"budget", "cache", "faults", "pool", "store"}
 	var got []string
 	for k := range doc.Session {
 		got = append(got, k)
@@ -487,13 +483,9 @@ func TestServeBadRequests(t *testing.T) {
 	h := servetest.Start(t, New(Config{}))
 	g := maskedspgemm.ErdosRenyi(32, 4, 46)
 
-	resp := h.Post("/v1/multiply?algorithm=nope", servetest.EncodeSerial(t, g), nil)
-	if resp.Status != http.StatusBadRequest {
-		t.Fatalf("unknown algorithm: %d", resp.Status)
-	}
 	// A typo'd format is rejected up front, before a slot or a
 	// multiplication is spent on it.
-	resp = h.Post("/v1/multiply?format=json", servetest.EncodeSerial(t, g), nil)
+	resp := h.Post("/v1/multiply?format=json", servetest.EncodeSerial(t, g), nil)
 	if resp.Status != http.StatusBadRequest {
 		t.Fatalf("unknown format: %d", resp.Status)
 	}
@@ -532,23 +524,104 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
-// TestServeRetiredAlgorithm checks that the deleted MSA-Epoch ablation
-// is an unknown scheme on the wire: 400, naming every registered
-// scheme and not the retired one.
-func TestServeRetiredAlgorithm(t *testing.T) {
+// TestServeHybridOnly pins the served algorithm: every request runs
+// Hybrid. algorithm= absent, "hybrid" or "HYBRID" is the same request
+// — one result, one cached plan — on /v1/multiply and /v1/warm alike.
+// Any other value, a registry scheme such as msa or hash or the
+// retired MSA-Epoch ablation, is a 400 that names it, answered before
+// the request takes an admission slot.
+func TestServeHybridOnly(t *testing.T) {
+	g := maskedspgemm.ErdosRenyi(48, 6, 73)
+	body := servetest.EncodeSerial(t, g)
+	want, err := maskedspgemm.Multiply(g.PatternView(), g, g, maskedspgemm.WithAlgorithm(maskedspgemm.Hybrid))
+	if err != nil {
+		t.Fatal(err)
+	}
 	h := servetest.Start(t, New(Config{}))
-	resp := h.Post("/v1/multiply?algorithm=MSA-Epoch", servetest.EncodeSerial(t, maskedspgemm.ErdosRenyi(16, 4, 73)), nil)
-	if resp.Status != http.StatusBadRequest {
-		t.Fatalf("MSA-Epoch: status %d: %s", resp.Status, resp.Body)
-	}
-	msg := string(resp.Body)
-	if !strings.Contains(msg, "want one of "+algorithmNames()) || strings.Contains(algorithmNames(), "Epoch") {
-		t.Errorf("MSA-Epoch rejection does not list the remaining schemes: %s", msg)
-	}
-	for _, name := range []string{"MSA", "MaskedBit", "Hash", "Hybrid"} {
-		if !strings.Contains(msg, name) {
-			t.Errorf("rejection omits %s: %s", name, msg)
+	for _, q := range []string{"", "?algorithm=hybrid", "?algorithm=HYBRID"} {
+		if resp := h.Post("/v1/warm"+q, body, nil); resp.Status != http.StatusOK {
+			t.Fatalf("warm%s: status %d: %s", q, resp.Status, resp.Body)
 		}
+		resp := h.Post("/v1/multiply"+q, body, nil)
+		if resp.Status != http.StatusOK {
+			t.Fatalf("multiply%s: status %d: %s", q, resp.Status, resp.Body)
+		}
+		got, err := serial.Read(bytes.NewReader(resp.Body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sparse.Equal(want, got) {
+			t.Fatalf("multiply%s: result differs from local Hybrid", q)
+		}
+	}
+	st := getStats(t, h)
+	if c := st.Session.Cache; c.Entries != 1 || c.Misses != 1 || c.Hits != 5 {
+		t.Fatalf("cache = %+v, want one entry planned once and hit by the other five requests", c)
+	}
+	admitted := st.Admission.Admitted
+	for _, name := range []string{"msa", "hash", "nope", "MSA-Epoch", "Hybrid-1P"} {
+		for _, path := range []string{"/v1/multiply", "/v1/warm"} {
+			resp := h.Post(path+"?algorithm="+name, body, nil)
+			if resp.Status != http.StatusBadRequest {
+				t.Fatalf("%s algorithm=%s: status %d: %s, want 400", path, name, resp.Status, resp.Body)
+			}
+			if !strings.Contains(string(resp.Body), strconv.Quote(name)) {
+				t.Errorf("%s algorithm=%s: the rejection does not name the value: %s", path, name, resp.Body)
+			}
+		}
+	}
+	if got := getStats(t, h).Admission.Admitted; got != admitted {
+		t.Fatalf("admitted %d after the rejected requests, want %d: a 400 took a slot", got, admitted)
+	}
+}
+
+// TestServeStrictComplement pins complement= parsing: 1 and true (any
+// case) complement the mask and match the library's complemented
+// product; absent, 0 and false do not; any other value is a 400 before
+// admission, never a silent plain product.
+func TestServeStrictComplement(t *testing.T) {
+	g := maskedspgemm.ErdosRenyi(48, 6, 74)
+	body := servetest.EncodeSerial(t, g)
+	hy := maskedspgemm.WithAlgorithm(maskedspgemm.Hybrid)
+	plain, err := maskedspgemm.Multiply(g.PatternView(), g, g, hy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compl, err := maskedspgemm.Multiply(g.PatternView(), g, g, hy, maskedspgemm.WithComplement())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := servetest.Start(t, New(Config{}))
+	for _, c := range []struct {
+		query string
+		want  *maskedspgemm.Matrix
+	}{
+		{"", plain}, {"?complement=0", plain}, {"?complement=false", plain}, {"?complement=FALSE", plain},
+		{"?complement=1", compl}, {"?complement=true", compl}, {"?complement=True", compl},
+	} {
+		resp := h.Post("/v1/multiply"+c.query, body, nil)
+		if resp.Status != http.StatusOK {
+			t.Fatalf("%q: status %d: %s", c.query, resp.Status, resp.Body)
+		}
+		got, err := serial.Read(bytes.NewReader(resp.Body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sparse.Equal(c.want, got) {
+			t.Fatalf("%q: result differs from the local product", c.query)
+		}
+	}
+	admitted := getStats(t, h).Admission.Admitted
+	for _, v := range []string{"ture", "2", "yes", "on", "-1", " 1"} {
+		for _, path := range []string{"/v1/multiply", "/v1/warm"} {
+			resp := h.Post(path+"?complement="+url.QueryEscape(v), body, nil)
+			if resp.Status != http.StatusBadRequest {
+				t.Fatalf("%s complement=%q: status %d: %s, want 400", path, v, resp.Status, resp.Body)
+			}
+		}
+	}
+	if got := getStats(t, h).Admission.Admitted; got != admitted {
+		t.Fatalf("admitted %d after the rejected requests, want %d: a 400 took a slot", got, admitted)
 	}
 }
 
@@ -633,7 +706,7 @@ func TestServeWarmAdmitted(t *testing.T) {
 
 	// A zero queue deadline refuses to wait, so the busy slot sheds the
 	// warm at once instead of queueing it.
-	resp := h.Post("/v1/warm?algorithm=msa", body, map[string]string{"X-Queue-Deadline-Ms": "0"})
+	resp := h.Post("/v1/warm", body, map[string]string{"X-Queue-Deadline-Ms": "0"})
 	if resp.Status != http.StatusTooManyRequests {
 		t.Fatalf("warm at a busy slot: status %d: %s, want 429", resp.Status, resp.Body)
 	}
@@ -648,11 +721,11 @@ func TestServeWarmAdmitted(t *testing.T) {
 	if code := <-done; code != http.StatusOK {
 		t.Fatalf("parked multiply: status %d", code)
 	}
-	if resp := h.Post("/v1/warm?algorithm=msa", body, nil); resp.Status != http.StatusOK {
+	if resp := h.Post("/v1/warm", body, nil); resp.Status != http.StatusOK {
 		t.Fatalf("warm after release: status %d: %s", resp.Status, resp.Body)
 	}
 	before := getStats(t, h).Session.Cache
-	if resp := h.Post("/v1/multiply?algorithm=msa&format=summary", body, nil); resp.Status != http.StatusOK {
+	if resp := h.Post("/v1/multiply?format=summary", body, nil); resp.Status != http.StatusOK {
 		t.Fatalf("multiply after warm: status %d: %s", resp.Status, resp.Body)
 	}
 	st := getStats(t, h)
@@ -664,7 +737,7 @@ func TestServeWarmAdmitted(t *testing.T) {
 	}
 
 	srv.Drain()
-	if resp := h.Post("/v1/warm?algorithm=msa", body, nil); resp.Status != http.StatusServiceUnavailable {
+	if resp := h.Post("/v1/warm", body, nil); resp.Status != http.StatusServiceUnavailable {
 		t.Fatalf("warm while draining: status %d: %s, want 503", resp.Status, resp.Body)
 	}
 	if st := getStats(t, h).Admission; st.RejectedDraining != 1 {
@@ -701,7 +774,7 @@ func TestServeWarmBounded(t *testing.T) {
 	srv, h, unpark, done := parkMultiply(t)
 	body := servetest.EncodeSerial(t, maskedspgemm.ErdosRenyi(64, 4, 55))
 
-	resp := h.Post("/v1/warm?algorithm=msa", body, map[string]string{"X-Queue-Deadline-Ms": "20"})
+	resp := h.Post("/v1/warm", body, map[string]string{"X-Queue-Deadline-Ms": "20"})
 	if resp.Status != http.StatusServiceUnavailable {
 		t.Fatalf("warm past its queue deadline: status %d: %s, want 503", resp.Status, resp.Body)
 	}
@@ -714,7 +787,7 @@ func TestServeWarmBounded(t *testing.T) {
 
 	warmed := make(chan servetest.Response, 1)
 	go func() {
-		warmed <- h.Post("/v1/warm?algorithm=msa", body, nil)
+		warmed <- h.Post("/v1/warm", body, nil)
 	}()
 	servetest.WaitFor(t, func() bool { return srv.adm.stats().QueueDepth == 1 })
 	if st := srv.adm.stats(); st.InFlight != 1 {
@@ -745,7 +818,7 @@ func TestServeWarmDrainRace(t *testing.T) {
 
 	warmed := make(chan servetest.Response, 1)
 	go func() {
-		warmed <- h.Post("/v1/warm?algorithm=msa", body, nil)
+		warmed <- h.Post("/v1/warm", body, nil)
 	}()
 	servetest.WaitFor(t, func() bool { return srv.adm.stats().QueueDepth == 1 })
 	idle := srv.Drain()
@@ -929,7 +1002,16 @@ func TestServeConcurrentMixedTraffic(t *testing.T) {
 		maskedspgemm.ErdosRenyi(64, 6, 50),
 		maskedspgemm.ErdosRenyi(96, 4, 51),
 	}
-	algos := []string{"msa", "hash", "inner"}
+	// Three requests per structure: plain, complemented, and plain
+	// again spelling out the one served algorithm.
+	variants := []struct {
+		query string
+		opts  []maskedspgemm.Option
+	}{
+		{"", nil},
+		{"&complement=1", []maskedspgemm.Option{maskedspgemm.WithComplement()}},
+		{"&algorithm=hybrid", nil},
+	}
 	type query struct {
 		body []byte
 		url  string
@@ -938,14 +1020,15 @@ func TestServeConcurrentMixedTraffic(t *testing.T) {
 	h := servetest.Start(t, New(Config{MaxInFlight: 4, MaxQueue: 64, QueueTimeout: 30 * time.Second}))
 	var queries []query
 	for _, g := range graphs {
-		for _, algo := range algos {
-			want, err := maskedspgemm.Multiply(g.PatternView(), g, g, mustAlgo(t, algo))
+		for _, v := range variants {
+			opts := append([]maskedspgemm.Option{maskedspgemm.WithAlgorithm(maskedspgemm.Hybrid)}, v.opts...)
+			want, err := maskedspgemm.Multiply(g.PatternView(), g, g, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			queries = append(queries, query{
 				body: servetest.EncodeSerial(t, g),
-				url:  fmt.Sprintf("/v1/multiply?algorithm=%s&format=summary", algo),
+				url:  "/v1/multiply?format=summary" + v.query,
 				want: summarize(want),
 			})
 		}
@@ -984,15 +1067,4 @@ func TestServeConcurrentMixedTraffic(t *testing.T) {
 	if lookups := st.Session.Cache.Hits + st.Session.Cache.Misses; lookups != workers*rounds {
 		t.Fatalf("cache saw %d lookups, want %d", lookups, workers*rounds)
 	}
-}
-
-// mustAlgo resolves a query-parameter algorithm name to a facade
-// option, failing the test on registry drift.
-func mustAlgo(t testing.TB, name string) maskedspgemm.Option {
-	t.Helper()
-	a, ok := algorithmByName(name)
-	if !ok {
-		t.Fatalf("algorithm %q missing from registry", name)
-	}
-	return maskedspgemm.WithAlgorithm(a)
 }

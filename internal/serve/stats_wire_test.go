@@ -24,19 +24,18 @@ func jsonKeys(m map[string]json.RawMessage) []string {
 // TestServeStatsWireGolden pins the /stats wire vocabulary key by key:
 // every key of every session block, the admission block, and both
 // shapes of a recent-miss entry (a complemented warm carries the two
-// omitempty flags, a live plain miss neither). Uniform-scheme traffic
-// leaves hybrid_family_rows out, the pool block has no poisoned key
-// (faults.executors_discarded reports it), and sched.busy_nanos is an
-// integer nanosecond count. The multiply is sent twice, so
-// store.body_hits reads exactly the one digest hit of the second.
+// omitempty flags, a live plain miss neither). The Hybrid plans report
+// hybrid_family_rows, and the pool block has no poisoned key
+// (faults.executors_discarded reports it). The multiply is sent twice,
+// so store.body_hits reads exactly the one digest hit of the second.
 func TestServeStatsWireGolden(t *testing.T) {
 	h := servetest.Start(t, New(Config{}))
 	body := servetest.EncodeSerial(t, maskedspgemm.ErdosRenyi(48, 4, 71))
-	if resp := h.Post("/v1/warm?algorithm=msa&complement=1", body, nil); resp.Status != http.StatusOK {
+	if resp := h.Post("/v1/warm?complement=1", body, nil); resp.Status != http.StatusOK {
 		t.Fatalf("warm: status %d: %s", resp.Status, resp.Body)
 	}
 	for range 2 {
-		if resp := h.Post("/v1/multiply?algorithm=msa&sched_stats=1&format=summary", body, nil); resp.Status != http.StatusOK {
+		if resp := h.Post("/v1/multiply?format=summary", body, nil); resp.Status != http.StatusOK {
 			t.Fatalf("multiply: status %d: %s", resp.Status, resp.Body)
 		}
 	}
@@ -60,11 +59,10 @@ func TestServeStatsWireGolden(t *testing.T) {
 		got[fmt.Sprintf("recent_misses[%d]", i)] = jsonKeys(m)
 	}
 	want := map[string][]string{
-		"session.cache":    {"bytes", "coalesced_misses", "entries", "evictions", "hits", "misses"},
+		"session.cache":    {"bytes", "coalesced_misses", "entries", "evictions", "hits", "hybrid_family_rows", "misses"},
 		"session.store":    {"body_hits", "bytes", "evictions", "hits", "misses", "operands", "patterns", "puts", "reputs"},
 		"session.budget":   {"max_bytes", "used_bytes"},
 		"session.pool":     {"created", "discarded", "idle", "reused"},
-		"session.sched":    {"blocks_claimed", "busy_nanos", "passes", "worst_imbalance"},
 		"session.faults":   {"exec_canceled", "executors_discarded", "kernel_panics"},
 		"admission":        {"admitted", "canceled", "deadline_expired", "draining", "in_flight", "max_in_flight", "max_queue", "queue_depth", "queued", "rejected_draining", "shed"},
 		"recent_misses[0]": {"a_fp", "b_fp", "complement", "mask_fp", "scheme", "warm"},
@@ -77,14 +75,6 @@ func TestServeStatsWireGolden(t *testing.T) {
 	if err := json.Unmarshal(doc.Session["store"]["body_hits"], &bodyHits); err != nil || bodyHits != 1 {
 		t.Errorf("store.body_hits = %s, want 1 (the second multiply's body)", doc.Session["store"]["body_hits"])
 	}
-	var busy int64
-	if err := json.Unmarshal(doc.Session["sched"]["busy_nanos"], &busy); err != nil {
-		t.Errorf("sched.busy_nanos is not an integer: %v", err)
-	}
-	var passes uint64
-	if err := json.Unmarshal(doc.Session["sched"]["passes"], &passes); err != nil || passes == 0 {
-		t.Errorf("sched.passes = %s, want the telemetry multiply recorded", doc.Session["sched"]["passes"])
-	}
 }
 
 // TestServeWarmCacheWireKeys checks that /v1/warm reports its cache
@@ -93,7 +83,7 @@ func TestServeStatsWireGolden(t *testing.T) {
 func TestServeWarmCacheWireKeys(t *testing.T) {
 	h := servetest.Start(t, New(Config{}))
 	body := servetest.EncodeSerial(t, maskedspgemm.ErdosRenyi(48, 4, 72))
-	resp := h.Post("/v1/warm?algorithm=msa", body, nil)
+	resp := h.Post("/v1/warm", body, nil)
 	if resp.Status != http.StatusOK {
 		t.Fatalf("warm: status %d: %s", resp.Status, resp.Body)
 	}

@@ -6,7 +6,8 @@ import "fmt"
 // eWiseAdd/eWiseMult primitives the benchmark applications need around
 // the masked products: k-truss filters supports, betweenness centrality
 // accumulates dependencies (§8.3–8.4). All operate row-wise with sorted
-// two-pointer merges, so outputs keep the sorted-CSR invariant.
+// two-pointer merges, so outputs keep the sorted-CSR invariant. The
+// intersection form is row-parallel only (EWiseMultParallel).
 
 func checkSameShape(ar, ac, br, bc int) error {
 	if ar != br || ac != bc {
@@ -53,35 +54,6 @@ func EWiseAdd[T any](a, b *CSR[T], add func(x, y T) T) (*CSR[T], error) {
 		for ; q < len(rb); q++ {
 			out.ColIdx = append(out.ColIdx, rb[q])
 			out.Val = append(out.Val, vb[q])
-		}
-		out.RowPtr[i+1] = int64(len(out.ColIdx))
-	}
-	return out, nil
-}
-
-// EWiseMult returns the intersection combination of a and b: only
-// coordinates present in both survive, combined with mul.
-func EWiseMult[T any](a, b *CSR[T], mul func(x, y T) T) (*CSR[T], error) {
-	if err := checkSameShape(a.Rows, a.Cols, b.Rows, b.Cols); err != nil {
-		return nil, err
-	}
-	out := &CSR[T]{Pattern: Pattern{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int64, a.Rows+1)}}
-	for i := 0; i < a.Rows; i++ {
-		ra, va := a.Row(i), a.RowVals(i)
-		rb, vb := b.Row(i), b.RowVals(i)
-		p, q := 0, 0
-		for p < len(ra) && q < len(rb) {
-			switch {
-			case ra[p] < rb[q]:
-				p++
-			case ra[p] > rb[q]:
-				q++
-			default:
-				out.ColIdx = append(out.ColIdx, ra[p])
-				out.Val = append(out.Val, mul(va[p], vb[q]))
-				p++
-				q++
-			}
 		}
 		out.RowPtr[i+1] = int64(len(out.ColIdx))
 	}

@@ -2,8 +2,8 @@ package sparse
 
 import "maskedspgemm/internal/parallel"
 
-// Parallel element-wise kernels. The serial forms in ewise.go are kept
-// for small operands and as test oracles; these two-pass variants
+// Parallel element-wise kernels. The serial EWiseAdd in ewise.go is
+// kept for small operands and as a test oracle; these two-pass variants
 // (count rows in parallel → prefix-sum → fill rows in parallel) are
 // what betweenness centrality calls between its masked products, where
 // the b×n operands grow with the batch size.
@@ -34,7 +34,9 @@ func EWiseAddParallel[T any](a, b *CSR[T], add func(x, y T) T, threads int) (*CS
 	return out, nil
 }
 
-// EWiseMultParallel is EWiseMult with row-parallel execution.
+// EWiseMultParallel returns the intersection combination of a and b,
+// row-parallel: only coordinates present in both survive, combined
+// with mul.
 func EWiseMultParallel[T any](a, b *CSR[T], mul func(x, y T) T, threads int) (*CSR[T], error) {
 	if err := checkSameShape(a.Rows, a.Cols, b.Rows, b.Cols); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -147,14 +148,17 @@ func TestTransposeMovesEntries(t *testing.T) {
 	}
 }
 
-func TestCSCRoundTrip(t *testing.T) {
+// TestCSCMatchesTranspose checks ToCSC against Transpose: the CSC
+// arrays of A are the CSR arrays of Aᵀ.
+func TestCSCMatchesTranspose(t *testing.T) {
 	f := func(q quickCSR) bool {
 		csc := ToCSC(q.M)
 		if csc.Validate() != nil {
 			return false
 		}
-		back := FromCSC(csc)
-		return Equal(q.M, back)
+		tr := Transpose(q.M)
+		return csc.Rows == q.M.Rows && csc.Cols == q.M.Cols &&
+			slices.Equal(csc.ColPtr, tr.RowPtr) && slices.Equal(csc.RowIdx, tr.ColIdx) && slices.Equal(csc.Val, tr.Val)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -172,29 +176,28 @@ func TestTransposePatternAgrees(t *testing.T) {
 	}
 }
 
-func TestTrilTriu(t *testing.T) {
+func TestTril(t *testing.T) {
 	f := func(q quickCSR) bool {
-		l, u := Tril(q.M), Triu(q.M)
-		for i := 0; i < l.Rows; i++ {
-			for _, j := range l.Row(i) {
-				if int(j) >= i {
-					return false
-				}
-			}
-			for _, j := range u.Row(i) {
-				if int(j) <= i {
-					return false
-				}
-			}
+		l := Tril(q.M)
+		if l.Validate() != nil {
+			return false
 		}
-		// tril + triu + diagonal = all entries
-		var diag int64
+		// Tril keeps exactly the entries below the diagonal, values
+		// included.
+		var below int64
 		for i := 0; i < q.M.Rows; i++ {
-			if q.M.Has(i, int32(i)) && i < q.M.Cols {
-				diag++
+			vals := q.M.RowVals(i)
+			for k, j := range q.M.Row(i) {
+				if int(j) >= i {
+					continue
+				}
+				below++
+				if v, ok := l.At(i, j); !ok || v != vals[k] {
+					return false
+				}
 			}
 		}
-		return l.NNZ()+u.NNZ()+diag == q.M.NNZ()
+		return l.NNZ() == below
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -230,13 +233,13 @@ func TestEWiseAddMult(t *testing.T) {
 	if !Equal(want, sum) {
 		t.Errorf("EWiseAdd: %s", Diff(want, sum, func(x, y float64) bool { return x == y }))
 	}
-	prod, err := EWiseMult(a, b, func(x, y float64) float64 { return x * y })
+	prod, err := EWiseMultParallel(a, b, func(x, y float64) float64 { return x * y }, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantP, _ := FromRows(2, 3, map[int]map[int]float64{0: {0: 10}, 1: {1: 10}})
 	if !Equal(wantP, prod) {
-		t.Errorf("EWiseMult: %s", Diff(wantP, prod, func(x, y float64) bool { return x == y }))
+		t.Errorf("EWiseMultParallel: %s", Diff(wantP, prod, func(x, y float64) bool { return x == y }))
 	}
 	if _, err := EWiseAdd(a, randomCSR(rand.New(rand.NewSource(1)), 3, 3, 2), nil); err == nil {
 		t.Error("want shape error")
@@ -261,7 +264,7 @@ func TestEWiseProperties(t *testing.T) {
 		if ab.NNZ() > a.NNZ()+b.NNZ() {
 			return false
 		}
-		inter, err := EWiseMult(a, b, func(x, y float64) float64 { return x * y })
+		inter, err := EWiseMultParallel(a, b, func(x, y float64) float64 { return x * y }, 1)
 		if err != nil || inter.Validate() != nil {
 			return false
 		}

@@ -58,23 +58,6 @@ func TransposePattern(p *Pattern) *Pattern {
 	return t
 }
 
-// ToCSC converts a CSR matrix to CSC. Structurally this is the transpose
-// scatter with row/column roles swapped, so the result represents the
-// same matrix.
-func ToCSC[T any](a *CSR[T]) *CSC[T] {
-	return cscScatter(a, nil)
-}
-
-// ToCSCPerm is ToCSC plus the scatter permutation it used: perm[p] is
-// the position in a.Val whose value landed at c.Val[p]. Callers that
-// cache the CSC view of a structurally-stable matrix (execution plans
-// for the pull-based algorithms) use perm to refresh the cached values
-// in one O(nnz) pass when the same structure arrives with new values.
-func ToCSCPerm[T any](a *CSR[T]) (*CSC[T], []int64) {
-	perm := make([]int64, a.NNZ())
-	return cscScatter(a, perm), perm
-}
-
 // ToCSCStructure computes the CSC *structure* of a — column pointers,
 // row indices, and the scatter permutation — without materializing
 // values. Shareable execution plans cache exactly this: the structure
@@ -105,10 +88,10 @@ func ToCSCStructure[T any](a *CSR[T]) (colPtr []int64, rowIdx []int32, perm []in
 	return colPtr, rowIdx, perm
 }
 
-// cscScatter is the counting-sort CSR→CSC conversion behind ToCSC and
-// ToCSCPerm; a non-nil perm (length nnz) additionally records the
-// scatter permutation.
-func cscScatter[T any](a *CSR[T], perm []int64) *CSC[T] {
+// ToCSC converts a CSR matrix to CSC. Structurally this is the transpose
+// scatter with row/column roles swapped, so the result represents the
+// same matrix.
+func ToCSC[T any](a *CSR[T]) *CSC[T] {
 	nnz := a.NNZ()
 	c := &CSC[T]{
 		Rows:   a.Rows,
@@ -126,49 +109,14 @@ func cscScatter[T any](a *CSR[T], perm []int64) *CSC[T] {
 	next := append([]int64(nil), c.ColPtr...)
 	for i := 0; i < a.Rows; i++ {
 		vals := a.RowVals(i)
-		lo := a.RowPtr[i]
 		for k, j := range a.Row(i) {
 			p := next[j]
 			c.RowIdx[p] = int32(i)
 			c.Val[p] = vals[k]
-			if perm != nil {
-				perm[p] = lo + int64(k)
-			}
 			next[j]++
 		}
 	}
 	return c
-}
-
-// FromCSC converts a CSC matrix back to CSR.
-func FromCSC[T any](c *CSC[T]) *CSR[T] {
-	nnz := c.NNZ()
-	a := &CSR[T]{
-		Pattern: Pattern{
-			Rows:   c.Rows,
-			Cols:   c.Cols,
-			RowPtr: make([]int64, c.Rows+1),
-			ColIdx: make([]int32, nnz),
-		},
-		Val: make([]T, nnz),
-	}
-	for _, i := range c.RowIdx {
-		a.RowPtr[i+1]++
-	}
-	for i := 0; i < c.Rows; i++ {
-		a.RowPtr[i+1] += a.RowPtr[i]
-	}
-	next := append([]int64(nil), a.RowPtr...)
-	for j := 0; j < c.Cols; j++ {
-		vals := c.ColVals(j)
-		for k, i := range c.Col(j) {
-			p := next[i]
-			a.ColIdx[p] = int32(j)
-			a.Val[p] = vals[k]
-			next[i]++
-		}
-	}
-	return a
 }
 
 // Tril returns the strictly lower triangular part of a (entries with
@@ -181,23 +129,6 @@ func Tril[T any](a *CSR[T]) *CSR[T] {
 		vals := a.RowVals(i)
 		for k, j := range row {
 			if int(j) < i {
-				out.ColIdx = append(out.ColIdx, j)
-				out.Val = append(out.Val, vals[k])
-			}
-		}
-		out.RowPtr[i+1] = int64(len(out.ColIdx))
-	}
-	return out
-}
-
-// Triu returns the strictly upper triangular part of a (column > row).
-func Triu[T any](a *CSR[T]) *CSR[T] {
-	out := &CSR[T]{Pattern: Pattern{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int64, a.Rows+1)}}
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		vals := a.RowVals(i)
-		for k, j := range row {
-			if int(j) > i {
 				out.ColIdx = append(out.ColIdx, j)
 				out.Val = append(out.Val, vals[k])
 			}

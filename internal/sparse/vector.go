@@ -68,19 +68,6 @@ func (v *Vector[T]) Clone() *Vector[T] {
 	}
 }
 
-// VectorFromDense compresses a dense slice, keeping entries where keep
-// reports true (pass nil to keep all).
-func VectorFromDense[T any](dense []T, keep func(T) bool) *Vector[T] {
-	v := NewVector[T](len(dense))
-	for i, x := range dense {
-		if keep == nil || keep(x) {
-			v.Idx = append(v.Idx, int32(i))
-			v.Val = append(v.Val, x)
-		}
-	}
-	return v
-}
-
 // ToDense expands the vector; absent positions hold the zero value.
 func (v *Vector[T]) ToDense() []T {
 	out := make([]T, v.N)
@@ -88,10 +75,4 @@ func (v *Vector[T]) ToDense() []T {
 		out[i] = v.Val[k]
 	}
 	return out
-}
-
-// RowVector views row i of a CSR matrix as a sparse vector sharing
-// storage.
-func RowVector[T any](a *CSR[T], i int) *Vector[T] {
-	return &Vector[T]{N: a.Cols, Idx: a.Row(i), Val: a.RowVals(i)}
 }

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -46,40 +47,10 @@ func TestVectorValidateErrors(t *testing.T) {
 	}
 }
 
-func TestVectorDenseRoundTrip(t *testing.T) {
-	dense := []float64{0, 1, 0, 2.5, 0, -3}
-	v := VectorFromDense(dense, func(x float64) bool { return x != 0 })
-	if v.NNZ() != 3 {
-		t.Fatalf("nnz = %d", v.NNZ())
-	}
-	back := v.ToDense()
-	for i := range dense {
-		if back[i] != dense[i] {
-			t.Fatalf("dense round trip: %v vs %v", back, dense)
-		}
-	}
-	all := VectorFromDense(dense, nil)
-	if all.NNZ() != 6 {
-		t.Errorf("keep-all nnz = %d", all.NNZ())
-	}
-}
-
-func TestRowVector(t *testing.T) {
-	m, _ := FromRows(2, 5, map[int]map[int]float64{1: {0: 4, 3: 5}})
-	v := RowVector(m, 1)
-	if v.N != 5 || v.NNZ() != 2 {
-		t.Fatalf("RowVector shape: N=%d nnz=%d", v.N, v.NNZ())
-	}
-	if x, _ := v.At(3); x != 5 {
-		t.Errorf("At(3) = %v", x)
-	}
-	// Shares storage with the matrix.
-	v.Val[0] = 42
-	if got, _ := m.At(1, 0); got != 42 {
-		t.Error("RowVector should alias matrix storage")
-	}
-	empty := RowVector(m, 0)
-	if empty.NNZ() != 0 {
-		t.Error("empty row should give empty vector")
+func TestVectorToDense(t *testing.T) {
+	v := &Vector[float64]{N: 6, Idx: []int32{1, 3, 5}, Val: []float64{1, 2.5, -3}}
+	want := []float64{0, 1, 0, 2.5, 0, -3}
+	if got := v.ToDense(); !slices.Equal(got, want) {
+		t.Fatalf("ToDense = %v, want %v", got, want)
 	}
 }

@@ -141,8 +141,8 @@ type SchedStats = parallel.SchedStats
 
 // WithSchedStats records per-worker scheduler telemetry on every
 // execution (two clock reads per scheduled row block), readable via
-// Plan.SchedStats or Executor.SchedStats — and aggregated into
-// Session.Stats for session traffic.
+// Plan.SchedStats or Executor.SchedStats. Session multiplies ignore
+// it.
 func WithSchedStats() Option {
 	return func(o *core.Options) { o.CollectSchedStats = true }
 }

@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"maskedspgemm/internal/core"
-	"maskedspgemm/internal/parallel"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/store"
 )
@@ -34,7 +32,7 @@ type arith = semiring.PlusTimes[float64]
 //     out per request and reused across requests, keeping steady-state
 //     execution allocation near zero while capping retained memory.
 //
-// A cached one-phase plan remembers the output pattern of its first
+// A cached one-phase plan remembers the output pattern of its second
 // execution, and later products of the same structure compute values
 // only (DESIGN.md §5). Results from the Multiply methods therefore
 // share their RowPtr and ColIdx with the cached plan and with each
@@ -59,9 +57,6 @@ type Session struct {
 	// onMiss holds the observers installed via WithMissObserver, each
 	// called after every plan-cache miss that planned successfully.
 	onMiss []func(PlanMiss)
-
-	schedMu sync.Mutex
-	sched   parallel.SchedSummary
 
 	// execCanceled and kernelPanics count executions retired early by
 	// cooperative cancellation and by a recovered kernel panic; together
@@ -183,14 +178,15 @@ func (s *Session) observeMiss(fp core.Fingerprints, o core.Options, warm bool) {
 // through the session's plan cache and executor pool: a product whose
 // operand structure (and plan-affecting options) recur pays only the
 // numeric work. Execution-only options never fragment the cache:
-// WithThreads and WithSchedStats are honored per execution against the
-// shared plan, so a structure warmed at one width without telemetry
-// still hits when requested at another width with it. Safe for
-// concurrent use.
+// WithThreads is honored per execution against the shared plan, so a
+// structure warmed at one width still hits when requested at another.
+// Safe for concurrent use.
 //
 // WithReuseOutput is ignored here — the result must outlive the pooled
 // executor that produced it, so outputs never alias executor buffers
 // (their pattern may be the cached plan's, as the Session doc says).
+// WithSchedStats is ignored too: the session keeps no scheduler
+// telemetry; Plan.SchedStats reads it for a single-owner plan.
 func (s *Session) Multiply(mask *Pattern, a, b *Matrix, opts ...Option) (*Matrix, error) {
 	return s.MultiplyCtx(context.Background(), mask, a, b, opts...)
 }
@@ -219,8 +215,8 @@ func (s *Session) MultiplyCtx(ctx context.Context, mask *Pattern, a, b *Matrix, 
 func (s *Session) execute(ctx context.Context, plan *core.Plan[float64, arith], a, b *Matrix, o core.Options) (*Matrix, error) {
 	exec := s.pool.Get()
 	// Retirement is outcome-dependent (Put clean executors, Discard
-	// interrupted ones), so it runs explicitly after telemetry rather
-	// than as a blanket deferred Put; the defer only covers panics that
+	// interrupted ones), so it runs explicitly after the execution
+	// rather than as a blanket deferred Put; the defer only covers panics that
 	// escape past ExecuteOnCtx's own containment (nothing engine-side
 	// does, but semiring code could).
 	retired := false
@@ -231,19 +227,7 @@ func (s *Session) execute(ctx context.Context, plan *core.Plan[float64, arith], 
 	}()
 	// The request's width rides in ExecOptions. ReuseOutput stays off:
 	// the result must outlive the pooled executor.
-	eo := core.ExecOptions{Threads: o.Threads, CollectSchedStats: o.CollectSchedStats}
-	out, err := plan.ExecuteOnCtx(ctx, exec, a, b, eo)
-	if eo.CollectSchedStats {
-		// Record telemetry even when the execution errored: dashboards
-		// must see the passes that misbehaved, not only the clean ones.
-		// ExecuteOnOpts resets the stats before anything can fail, so an
-		// errored pass reads as empty rather than replaying the previous
-		// execution's record.
-		st := exec.SchedStats()
-		s.schedMu.Lock()
-		s.sched.Record(st)
-		s.schedMu.Unlock()
-	}
+	out, err := plan.ExecuteOnCtx(ctx, exec, a, b, core.ExecOptions{Threads: o.Threads})
 	s.retire(exec, err)
 	retired = true
 	return out, err
@@ -473,11 +457,6 @@ type CacheStats = core.PlanCacheStats
 // PoolStats re-exports the executor pool counters (see SessionStats).
 type PoolStats = core.ExecutorPoolStats
 
-// SchedSummary re-exports cumulative scheduler telemetry (see
-// SessionStats): recorded passes, total worker busy time, blocks
-// claimed, and the worst per-execution imbalance.
-type SchedSummary = parallel.SchedSummary
-
 // StoreStats re-exports the operand store counters (see SessionStats).
 type StoreStats = store.Stats
 
@@ -521,9 +500,6 @@ type SessionStats struct {
 	Budget BudgetStats `json:"budget"`
 	// Pool reports executor creations, reuses, discards, and idle count.
 	Pool PoolStats `json:"pool"`
-	// Sched accumulates scheduler telemetry over every Multiply issued
-	// with WithSchedStats; zero when the option is never used.
-	Sched SchedSummary `json:"sched"`
 	// Faults counts fault-containment events: canceled executions,
 	// recovered kernel panics, and the executors poisoned by either.
 	Faults FaultStats `json:"faults"`
@@ -531,16 +507,12 @@ type SessionStats struct {
 
 // Stats returns a snapshot of the session's counters.
 func (s *Session) Stats() SessionStats {
-	s.schedMu.Lock()
-	sched := s.sched
-	s.schedMu.Unlock()
 	pool := s.pool.Stats()
 	return SessionStats{
 		Cache:  s.cache.Stats(),
 		Pool:   pool,
 		Store:  s.operands.StatsSnapshot(),
 		Budget: BudgetStats{UsedBytes: s.budget.Used(), MaxBytes: s.budget.Max()},
-		Sched:  sched,
 		Faults: FaultStats{
 			ExecCanceled:       s.execCanceled.Load(),
 			KernelPanics:       s.kernelPanics.Load(),

@@ -200,39 +200,6 @@ func BenchmarkSessionMultiply(b *testing.B) {
 	}
 }
 
-// TestSessionSchedStats checks the telemetry aggregation path: served
-// multiplies issued with WithSchedStats accumulate into
-// SessionStats.Sched, while plain multiplies record nothing.
-func TestSessionSchedStats(t *testing.T) {
-	s := NewSession()
-	g := ErdosRenyi(256, 8, 9)
-	mask := g.PatternView()
-
-	if _, err := s.Multiply(mask, g, g, WithThreads(2)); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Stats().Sched; got.Passes != 0 {
-		t.Fatalf("plain multiply recorded sched stats: %+v", got)
-	}
-
-	const reqs = 3
-	for i := 0; i < reqs; i++ {
-		if _, err := s.Multiply(mask, g, g, WithThreads(2), WithSchedStats()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sched := s.Stats().Sched
-	if sched.Passes != reqs {
-		t.Fatalf("passes = %d, want %d", sched.Passes, reqs)
-	}
-	if sched.BlocksClaimed == 0 {
-		t.Error("no blocks recorded")
-	}
-	if sched.WorstImbalance < 1 {
-		t.Errorf("worst imbalance %v, want ≥ 1 once work was recorded", sched.WorstImbalance)
-	}
-}
-
 // TestSessionWidthsShareOnePlan pins that the width stays out of the
 // session's cache key on the by-value path: every width computes the
 // same result from one cached plan, each execution cutting its own
@@ -256,37 +223,6 @@ func TestSessionWidthsShareOnePlan(t *testing.T) {
 	}
 	if st := s.Stats().Cache; st.Entries != 1 {
 		t.Errorf("widths should share one cache entry, got %d", st.Entries)
-	}
-}
-
-// TestSessionWarmThenSchedStatsHits is the headline serving regression
-// for plan-key normalization: warming without telemetry and then
-// multiplying with WithSchedStats must hit the warmed plan — and still
-// collect the requested telemetry per execution. Before execution-only
-// options were normalized out of the cache key this was a guaranteed
-// miss, defeating warming exactly where a server needs it.
-func TestSessionWarmThenSchedStatsHits(t *testing.T) {
-	g := ErdosRenyi(128, 8, 15)
-	s := NewSession()
-	if err := s.Warm(g.PatternView(), g, g, WithThreads(2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Multiply(g.PatternView(), g, g, WithThreads(2), WithSchedStats()); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Cache.Hits != 1 || st.Cache.Misses != 1 {
-		t.Fatalf("cache = %+v, want Hits == 1, Misses == 1 (warm plants, stats-request hits)", st.Cache)
-	}
-	if st.Sched.Passes != 1 {
-		t.Fatalf("sched passes = %d, want telemetry honored on the shared plan", st.Sched.Passes)
-	}
-	// The reverse order must share the same single entry too.
-	if _, err := s.Multiply(g.PatternView(), g, g, WithThreads(2), WithReuseOutput()); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats().Cache; st.Entries != 1 {
-		t.Fatalf("execution-only options fragmented the cache into %d entries", st.Entries)
 	}
 }
 
@@ -646,10 +582,11 @@ func TestSessionMemoryBudget(t *testing.T) {
 
 // TestSessionRememberedPatternBudget pins a remembered output pattern's
 // accounting from the session's side. A structure's first multiply
+// charges nothing for its pattern; the second, with fresh values,
 // raises budget.used_bytes by exactly the pattern's 8·(rows+1) + 4·nnz
-// bytes; a later multiply with fresh values raises nothing and returns
-// a result that shares the pattern. The bytes leave the budget with the
-// plan when the entry cap or budget pressure evicts it.
+// bytes; a third raises nothing and returns a result that shares the
+// pattern. The bytes leave the budget with the plan when the entry cap
+// or budget pressure evicts it.
 func TestSessionRememberedPatternBudget(t *testing.T) {
 	opts := []Option{WithAlgorithm(Hybrid), WithComplement()}
 	g := ErdosRenyi(128, 6, 60)
@@ -661,8 +598,8 @@ func TestSessionRememberedPatternBudget(t *testing.T) {
 	}
 	hPlan := twin.Stats().Cache.Bytes
 
-	// remember puts g, warms its plan, multiplies it twice — the second
-	// time through a values-only delta — and checks the charges.
+	// remember puts g, warms its plan, multiplies it three times — the
+	// second time through a values-only delta — and checks the charges.
 	remember := func(s *Session) {
 		t.Helper()
 		ref, _ := s.PutOperand(g)
@@ -674,9 +611,8 @@ func TestSessionRememberedPatternBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pat := 8*int64(len(first.RowPtr)) + 4*first.NNZ()
-		if used := s.Stats().Budget.UsedBytes; used != base+pat {
-			t.Fatalf("first multiply: used %d bytes, want %d + the pattern's %d", used, base, pat)
+		if used := s.Stats().Budget.UsedBytes; used != base {
+			t.Fatalf("first multiply: used %d bytes, want %d", used, base)
 		}
 		doubled := make([]float64, len(g.Val))
 		for j, v := range g.Val {
@@ -691,11 +627,22 @@ func TestSessionRememberedPatternBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if used := s.Stats().Budget.UsedBytes; used != base {
-			t.Fatalf("second multiply: used %d bytes, want %d", used, base)
+		pat := 8*int64(len(second.RowPtr)) + 4*second.NNZ()
+		if used := s.Stats().Budget.UsedBytes; used != base+pat {
+			t.Fatalf("second multiply: used %d bytes, want %d + the pattern's %d", used, base, pat)
 		}
-		if &second.RowPtr[0] != &first.RowPtr[0] || &second.ColIdx[0] != &first.ColIdx[0] {
+		third, err := s.MultiplyRefs(ref.Pattern, ref, ref, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if used := s.Stats().Budget.UsedBytes; used != base+pat {
+			t.Fatalf("third multiply: used %d bytes, want %d", used, base+pat)
+		}
+		if &third.RowPtr[0] != &second.RowPtr[0] || &third.ColIdx[0] != &second.ColIdx[0] {
 			t.Fatal("the plan hit's result does not share the remembered pattern")
+		}
+		if !sparse.Equal(first, third) {
+			t.Fatal("the known-pattern result differs from the first multiply's")
 		}
 		for j, v := range second.Val {
 			if v != 4*first.Val[j] {
