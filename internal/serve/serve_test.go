@@ -539,39 +539,43 @@ func TestServeHybridOnly(t *testing.T) {
 	}
 	h := servetest.Start(t, New(Config{}))
 	for _, q := range []string{"", "?algorithm=hybrid", "?algorithm=HYBRID"} {
-		if resp := h.Post("/v1/warm"+q, body, nil); resp.Status != http.StatusOK {
-			t.Fatalf("warm%s: status %d: %s", q, resp.Status, resp.Body)
-		}
-		resp := h.Post("/v1/multiply"+q, body, nil)
-		if resp.Status != http.StatusOK {
-			t.Fatalf("multiply%s: status %d: %s", q, resp.Status, resp.Body)
-		}
-		got, err := serial.Read(bytes.NewReader(resp.Body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sparse.Equal(want, got) {
-			t.Fatalf("multiply%s: result differs from local Hybrid", q)
-		}
+		t.Run("accept"+q, func(t *testing.T) {
+			if resp := h.Post("/v1/warm"+q, body, nil); resp.Status != http.StatusOK {
+				t.Fatalf("warm: status %d: %s", resp.Status, resp.Body)
+			}
+			resp := h.Post("/v1/multiply"+q, body, nil)
+			if resp.Status != http.StatusOK {
+				t.Fatalf("multiply: status %d: %s", resp.Status, resp.Body)
+			}
+			got, err := serial.Read(bytes.NewReader(resp.Body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sparse.Equal(want, got) {
+				t.Fatal("result differs from local Hybrid")
+			}
+		})
 	}
 	st := getStats(t, h)
 	if c := st.Session.Cache; c.Entries != 1 || c.Misses != 1 || c.Hits != 5 {
 		t.Fatalf("cache = %+v, want one entry planned once and hit by the other five requests", c)
 	}
-	admitted := st.Admission.Admitted
 	for _, name := range []string{"msa", "hash", "nope", "MSA-Epoch", "Hybrid-1P"} {
-		for _, path := range []string{"/v1/multiply", "/v1/warm"} {
-			resp := h.Post(path+"?algorithm="+name, body, nil)
-			if resp.Status != http.StatusBadRequest {
-				t.Fatalf("%s algorithm=%s: status %d: %s, want 400", path, name, resp.Status, resp.Body)
+		t.Run("reject?algorithm="+name, func(t *testing.T) {
+			admitted := getStats(t, h).Admission.Admitted
+			for _, path := range []string{"/v1/multiply", "/v1/warm"} {
+				resp := h.Post(path+"?algorithm="+name, body, nil)
+				if resp.Status != http.StatusBadRequest {
+					t.Fatalf("%s: status %d: %s, want 400", path, resp.Status, resp.Body)
+				}
+				if !strings.Contains(string(resp.Body), strconv.Quote(name)) {
+					t.Errorf("%s: the rejection does not name the value: %s", path, resp.Body)
+				}
 			}
-			if !strings.Contains(string(resp.Body), strconv.Quote(name)) {
-				t.Errorf("%s algorithm=%s: the rejection does not name the value: %s", path, name, resp.Body)
+			if got := getStats(t, h).Admission.Admitted; got != admitted {
+				t.Fatalf("admitted %d after the rejected requests, want %d: a 400 took a slot", got, admitted)
 			}
-		}
-	}
-	if got := getStats(t, h).Admission.Admitted; got != admitted {
-		t.Fatalf("admitted %d after the rejected requests, want %d: a 400 took a slot", got, admitted)
+		})
 	}
 }
 
@@ -593,35 +597,39 @@ func TestServeStrictComplement(t *testing.T) {
 	}
 	h := servetest.Start(t, New(Config{}))
 	for _, c := range []struct {
-		query string
+		value string
 		want  *maskedspgemm.Matrix
 	}{
-		{"", plain}, {"?complement=0", plain}, {"?complement=false", plain}, {"?complement=FALSE", plain},
-		{"?complement=1", compl}, {"?complement=true", compl}, {"?complement=True", compl},
+		{"", plain}, {"0", plain}, {"false", plain}, {"FALSE", plain},
+		{"1", compl}, {"true", compl}, {"True", compl},
 	} {
-		resp := h.Post("/v1/multiply"+c.query, body, nil)
-		if resp.Status != http.StatusOK {
-			t.Fatalf("%q: status %d: %s", c.query, resp.Status, resp.Body)
-		}
-		got, err := serial.Read(bytes.NewReader(resp.Body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sparse.Equal(c.want, got) {
-			t.Fatalf("%q: result differs from the local product", c.query)
-		}
-	}
-	admitted := getStats(t, h).Admission.Admitted
-	for _, v := range []string{"ture", "2", "yes", "on", "-1", " 1"} {
-		for _, path := range []string{"/v1/multiply", "/v1/warm"} {
-			resp := h.Post(path+"?complement="+url.QueryEscape(v), body, nil)
-			if resp.Status != http.StatusBadRequest {
-				t.Fatalf("%s complement=%q: status %d: %s, want 400", path, v, resp.Status, resp.Body)
+		t.Run("accept="+c.value, func(t *testing.T) {
+			resp := h.Post("/v1/multiply?complement="+c.value, body, nil)
+			if resp.Status != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.Status, resp.Body)
 			}
-		}
+			got, err := serial.Read(bytes.NewReader(resp.Body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sparse.Equal(c.want, got) {
+				t.Fatal("result differs from the local product")
+			}
+		})
 	}
-	if got := getStats(t, h).Admission.Admitted; got != admitted {
-		t.Fatalf("admitted %d after the rejected requests, want %d: a 400 took a slot", got, admitted)
+	for _, v := range []string{"ture", "2", "yes", "on", "-1", " 1"} {
+		t.Run("reject="+v, func(t *testing.T) {
+			admitted := getStats(t, h).Admission.Admitted
+			for _, path := range []string{"/v1/multiply", "/v1/warm"} {
+				resp := h.Post(path+"?complement="+url.QueryEscape(v), body, nil)
+				if resp.Status != http.StatusBadRequest {
+					t.Fatalf("%s: status %d: %s, want 400", path, resp.Status, resp.Body)
+				}
+			}
+			if got := getStats(t, h).Admission.Admitted; got != admitted {
+				t.Fatalf("admitted %d after the rejected requests, want %d: a 400 took a slot", got, admitted)
+			}
+		})
 	}
 }
 
