@@ -23,11 +23,11 @@ import (
 // with X m×m, which plain one-phase plans execute as one triangle and
 // a mirror. Output widths reach 1024 columns,
 // so complemented rows span many bitset words. Every scheme also runs
-// as a cached plan executed three times, the second time on rescaled
-// values, which a one-phase plan remembers the output pattern of and
-// computes the third by the known-pattern driver (fuzzAllSchemes). The seed corpus runs as a
-// normal test; `go test -fuzz=FuzzMaskedSpGEMM ./internal/core` explores
-// further.
+// as a cached plan executed three times: a one-phase plan remembers
+// the output pattern of the second run, on rescaled values, and
+// computes the third by the known-pattern driver (fuzzAllSchemes). The
+// seed corpus runs as a normal test; `go test -fuzz=FuzzMaskedSpGEMM
+// ./internal/core` explores further.
 func FuzzMaskedSpGEMM(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(8), uint8(8), uint16(8), uint8(1), uint8(0))
 	f.Add([]byte{0}, uint8(1), uint8(1), uint16(1), uint8(1), uint8(0))
