@@ -43,7 +43,7 @@ func main() {
 		ef        = flag.Int("ef", 16, "R-MAT edge factor")
 		seed      = flag.Uint64("seed", 1, "generator seed")
 		algo      = flag.String("algo", "msa", "algorithm: msa, hash, mca, heap, heapdot, inner, maskedbit, hybrid, saxpy, dot")
-		twoPhase  = flag.Bool("two-phase", false, "use the symbolic+numeric strategy")
+		twoPhase  = flag.Bool("two-phase", false, "use the symbolic+numeric strategy (the paper's six schemes only)")
 		threads   = flag.Int("threads", 0, "worker goroutines (0 = GOMAXPROCS)")
 		k         = flag.Int("k", 5, "k-truss order")
 		batch     = flag.Int("batch", 64, "BC source batch size")

@@ -11,8 +11,8 @@
 //	mtxgen -kind er -n 1024 -degree 8 -out g.mtx
 //	curl --data-binary @g.mtx 'localhost:8080/v1/multiply?format=summary'
 //
-// Every request runs the Hybrid per-row selector; options are
-// phases=2, complement=1 and threads=N.
+// Every request runs the Hybrid per-row selector, one-phase; options
+// are complement=1 and threads=N.
 //
 // Recurring operands can be uploaded once and multiplied by reference
 // afterwards — see the README's serving walkthrough:

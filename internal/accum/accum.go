@@ -75,7 +75,8 @@ type Numeric[T any] interface {
 
 // Symbolic is the per-row symbolic (pattern-only) protocol used by the
 // two-phase algorithms' first pass (§6): like Numeric but without
-// values.
+// values. MSA and Hash implement it; MaskedBit runs one-phase only, as
+// two-phase is a capability of the paper's schemes.
 type Symbolic interface {
 	// BeginSymbolic prepares for a new row (pattern-only).
 	BeginSymbolic(maskRow []int32)
@@ -106,7 +107,8 @@ type ComplementNumeric[T any] interface {
 	Gather(outIdx []int32, outVal []T) int
 }
 
-// ComplementSymbolic is the symbolic counterpart of ComplementNumeric.
+// ComplementSymbolic is the symbolic counterpart of ComplementNumeric,
+// implemented by MSAC and HashC.
 type ComplementSymbolic interface {
 	// BeginSymbolicSized prepares for a new row (pattern-only).
 	BeginSymbolicSized(maskRow []int32, bound int)

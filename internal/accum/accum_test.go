@@ -17,6 +17,11 @@ type numericAcc interface {
 	Begin(maskRow []int32)
 	Scatter(a float64, bCols []int32, bVals []float64)
 	Gather(maskRow []int32, outIdx []int32, outVal []float64) int
+}
+
+// symbolicAcc is the test-side view of the symbolic protocol, which
+// the plain accumulators of the two-phase schemes (MSA, Hash) add.
+type symbolicAcc interface {
 	BeginSymbolic(maskRow []int32)
 	ScatterPattern(bCols []int32)
 	EndSymbolic(maskRow []int32) int
@@ -214,6 +219,11 @@ type complementAcc interface {
 	BeginSized(maskRow []int32, bound int)
 	Scatter(a float64, bCols []int32, bVals []float64)
 	Gather(outIdx []int32, outVal []float64) int
+}
+
+// complementSymbolicAcc is the test-side view of the complement
+// symbolic protocol, which MSAC and HashC add.
+type complementSymbolicAcc interface {
 	BeginSymbolicSized(maskRow []int32, bound int)
 	ScatterPattern(bCols []int32)
 	EndSymbolic() int
@@ -294,19 +304,25 @@ func randomComplementRow(r *rand.Rand, ncols int, key func() int32, nMask, nOps 
 }
 
 // runComplementRow runs one row of batches under mask through acc's
-// numeric pass and then its symbolic pass, returning the gathered row
-// and the symbolic count. bound caps the row's output population.
+// numeric pass and then, if acc has one, its symbolic pass, returning
+// the gathered row and the symbolic count (the gathered count for
+// MaskedBitC, which runs one-phase only). bound caps the row's output
+// population.
 func runComplementRow(acc complementAcc, mask []int32, bound int, batches []batch, outIdx []int32, outVal []float64) (n, symbolic int) {
 	acc.BeginSized(mask, bound)
 	for _, bt := range batches {
 		acc.Scatter(bt.av, bt.cols, bt.vals)
 	}
 	n = acc.Gather(outIdx, outVal)
-	acc.BeginSymbolicSized(mask, bound)
-	for _, bt := range batches {
-		acc.ScatterPattern(bt.cols)
+	sym, ok := acc.(complementSymbolicAcc)
+	if !ok {
+		return n, n
 	}
-	return n, acc.EndSymbolic()
+	sym.BeginSymbolicSized(mask, bound)
+	for _, bt := range batches {
+		sym.ScatterPattern(bt.cols)
+	}
+	return n, sym.EndSymbolic()
 }
 
 // checkComplementRow runs s through acc and compares the gathered row,

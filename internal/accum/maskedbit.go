@@ -168,48 +168,6 @@ func (m *MaskedBit[T, S]) Gather(maskRow []int32, outIdx []int32, outVal []T) in
 	return n
 }
 
-// BeginSymbolic prepares a pattern-only row.
-func (m *MaskedBit[T, S]) BeginSymbolic(maskRow []int32) { m.Begin(maskRow) }
-
-// ScatterPattern marks every allowed column of one B row set, without
-// touching values.
-//
-//mspgemm:hotpath
-func (m *MaskedBit[T, S]) ScatterPattern(bCols []int32) {
-	allowed := m.allowed
-	set := m.set[:len(allowed)]
-	for _, j := range bCols {
-		k := uint(uint32(j))
-		w := k >> 6
-		bit := uint64(1) << (k & 63)
-		if allowed[w]&bit != 0 {
-			set[w] |= bit
-		}
-	}
-}
-
-// EndSymbolic counts the set keys word-wide — one popcount per
-// 64-column word across the row's word range instead of one branch per
-// mask entry — and resets the touched words.
-//
-//mspgemm:hotpath
-func (m *MaskedBit[T, S]) EndSymbolic(maskRow []int32) int {
-	if len(maskRow) == 0 {
-		return 0
-	}
-	w0 := uint(uint32(maskRow[0])) >> 6
-	w1 := uint(uint32(maskRow[len(maskRow)-1])) >> 6
-	allowed := m.allowed
-	set := m.set[:len(allowed)]
-	n := 0
-	for w := w0; w <= w1; w++ {
-		n += bits.OnesCount64(set[w])
-		allowed[w] = 0
-		set[w] = 0
-	}
-	return n
-}
-
 // MaskedBitC is the complemented-mask MaskedBit: Begin marks the mask's
 // keys banned in a bitset and every other key is admitted on first
 // touch. Admitted keys cannot be enumerated from the mask, so inserted
@@ -234,7 +192,7 @@ type MaskedBitC[T any, S semiring.Semiring[T]] struct {
 	// sparse to walk.
 	inserted []int32
 	// maskRow is the row passed to BeginSized, kept to clear the banned
-	// words during Gather/EndSymbolic.
+	// words during Gather.
 	maskRow []int32
 }
 
@@ -384,42 +342,4 @@ func (m *MaskedBitC[T, S]) clearBanned() {
 		banned[w] = 0
 	}
 	m.maskRow = nil
-}
-
-// BeginSymbolicSized prepares a pattern-only row.
-func (m *MaskedBitC[T, S]) BeginSymbolicSized(maskRow []int32, bound int) {
-	m.BeginSized(maskRow, bound)
-}
-
-// ScatterPattern marks every column of one B row set unless excluded,
-// without touching values.
-//
-//mspgemm:hotpath
-func (m *MaskedBitC[T, S]) ScatterPattern(bCols []int32) {
-	banned := m.banned
-	set := m.set[:len(banned)]
-	inserted := m.inserted
-	for _, j := range bCols {
-		k := uint(uint32(j))
-		w := k >> 6
-		bit := uint64(1) << (k & 63)
-		if banned[w]&bit == 0 && set[w]&bit == 0 {
-			set[w] |= bit
-			inserted = append(inserted, j)
-		}
-	}
-	m.inserted = inserted
-}
-
-// EndSymbolic counts inserted keys and resets all touched state.
-//
-//mspgemm:hotpath
-func (m *MaskedBitC[T, S]) EndSymbolic() int {
-	n := len(m.inserted)
-	for _, j := range m.inserted {
-		m.set[uint(uint32(j))>>6] = 0
-	}
-	m.inserted = m.inserted[:0]
-	m.clearBanned()
-	return n
 }

@@ -13,9 +13,8 @@ import (
 // product that the compiler never inlines. The server runs only
 // semiring.PlusTimes[float64], and the push kernels bind these three
 // wrappers for it at bind time (internal/core bindMSA, bindMaskedBit,
-// bindMaskedBitC): each embeds the generic accumulator, so the symbolic
-// methods are the generic ones, and overrides Scatter with float64 code
-// over the same arrays; MSA's and MaskedBitC's also override Gather, and
+// bindMaskedBitC): each embeds the generic accumulator and overrides
+// Scatter with float64 code over the same arrays; MSA's and MaskedBitC's also override Gather, and
 // MSA's Begin, for their dense-row loops. bindMaskedBitC binds a fourth,
 // MaskedBitCKnown, for rows whose output columns a plan remembers. Every
 // other semiring keeps the generic loops.

@@ -85,9 +85,10 @@ func refScatter(row scatterRow, complement bool) (idx []int32, val []float64) {
 }
 
 // scatterCase runs one row through a push accumulator's numeric pass
-// and then its symbolic pass, returning the gathered count and the SET
-// count. The plain and complement protocols differ only in how a row
-// begins and ends.
+// and then, if it has one, its symbolic pass, returning the gathered
+// count and the SET count (the gathered count again for the MaskedBit
+// accumulators, which run one-phase only). The plain and complement
+// protocols differ only in how a row begins and ends.
 type scatterCase struct {
 	complement bool
 	run        func(row scatterRow, outIdx []int32, outVal []float64) (n, symbolic int)
@@ -100,11 +101,15 @@ func plainCase(acc numericAcc) scatterCase {
 			acc.Scatter(bt.av, bt.cols, bt.vals)
 		}
 		n := acc.Gather(row.mask, outIdx, outVal)
-		acc.BeginSymbolic(row.mask)
-		for _, bt := range row.batches {
-			acc.ScatterPattern(bt.cols)
+		sym, ok := acc.(symbolicAcc)
+		if !ok {
+			return n, n
 		}
-		return n, acc.EndSymbolic(row.mask)
+		sym.BeginSymbolic(row.mask)
+		for _, bt := range row.batches {
+			sym.ScatterPattern(bt.cols)
+		}
+		return n, sym.EndSymbolic(row.mask)
 	}}
 }
 
@@ -115,8 +120,8 @@ func complementCase(acc complementAcc) scatterCase {
 }
 
 // TestScatterMatchesPerKeyReference drives random B-row batches through
-// Scatter and ScatterPattern of every push accumulator, plain and
-// complement, reusing one accumulator across every row, and compares
+// Scatter of every push accumulator, plain and complement, and through
+// ScatterPattern of those that have one, reusing one accumulator across every row, and compares
 // each row against the per-key reference. MSA, MaskedBit and MaskedBitC
 // run both their generic Scatter and the float64 plus-times one, MSA's
 // and MaskedBitC's with their sparse loop and with their dense loop on

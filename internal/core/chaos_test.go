@@ -65,6 +65,44 @@ func TestChaosPanicEachFamily(t *testing.T) {
 	}
 }
 
+// TestChaosPanicSymbolicPass injects a row panic into the symbolic
+// pass of every scheme that runs it — the paper's schemes at TwoPhase —
+// serial and parallel, and checks the panic surfaces as
+// *KernelPanicError naming the two-phase scheme, with no partial
+// result, and that a fresh executor runs the plan cleanly once
+// disarmed.
+func TestChaosPanicSymbolicPass(t *testing.T) {
+	t.Cleanup(faultinject.Disarm)
+	sr := semiring.PlusTimes[float64]{}
+	mask, a, b := buildCase(caseSpec{"", 256, 256, 256, 8, 8, 8, 98})
+	for _, algo := range PaperAlgorithms() {
+		for _, threads := range []int{1, 4} {
+			faultinject.Disarm()
+			opt := Options{Algorithm: algo, Phases: TwoPhase, Threads: threads}
+			plan, err := NewPlan(sr, mask, a, b, opt, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", opt.SchemeName(), err)
+			}
+			faultinject.Arm(faultinject.Hooks{PanicArmed: true, PanicRow: 5, PanicPass: faultinject.PassSymbolic})
+			out, err := plan.Execute(a, b)
+			var kp *KernelPanicError
+			if !errors.As(err, &kp) {
+				t.Fatalf("%s/threads=%d: err = %v, want KernelPanicError", opt.SchemeName(), threads, err)
+			}
+			if out != nil {
+				t.Errorf("%s/threads=%d: partial result escaped alongside the panic", opt.SchemeName(), threads)
+			}
+			if kp.Family != opt.SchemeName() {
+				t.Errorf("%s: Family = %q", opt.SchemeName(), kp.Family)
+			}
+			faultinject.Disarm()
+			if _, err := plan.ExecuteOn(NewExecutor[float64](sr), a, b); err != nil {
+				t.Fatalf("%s recovery run: %v", opt.SchemeName(), err)
+			}
+		}
+	}
+}
+
 // TestChaosCancelAtEveryPass arms the cancel-at-checkpoint fault at
 // each of the engine's pass boundaries and checks the returned
 // *CanceledError names exactly the interrupted pass, matches

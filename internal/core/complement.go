@@ -15,15 +15,17 @@ import (
 // output slabs are sized by the per-row bound
 // min(cols − nnz(m_i), Σ nnz(B_k*)).
 
-// pushAccC is the complement accumulator protocol shared by MSAC, HashC
-// and MaskedBitC.
+// pushAccC is the complement accumulator protocol of the complement
+// push schemes that run two-phase; MSAC and HashC satisfy it.
 type pushAccC[T any] interface {
 	accum.ComplementNumeric[T]
 	accum.ComplementSymbolic
 }
 
 // rowGenBound returns Σ_{k : A_ik ≠ 0} nnz(B_k*), the population bound
-// for row i's complement accumulator.
+// for row i's complement accumulator: rowScan without clips, in a form
+// small enough to inline into the per-row complement kernels, which
+// rowScan (over the inlining budget) is not.
 func rowGenBound[T any](aCols []int32, b *sparse.CSR[T]) int {
 	rowPtr := b.RowPtr
 	var gen int64
@@ -40,7 +42,7 @@ func rowGenBound[T any](aCols []int32, b *sparse.CSR[T]) int {
 // hints. bound is the row's rowGenBound.
 //
 //mspgemm:hotpath
-func pushRowNumericC[T any, A pushAccC[T]](acc A, maskRow []int32, bound int, aCols []int32, aVals []T, b *sparse.CSR[T], outIdx []int32, outVal []T) int {
+func pushRowNumericC[T any, A accum.ComplementNumeric[T]](acc A, maskRow []int32, bound int, aCols []int32, aVals []T, b *sparse.CSR[T], outIdx []int32, outVal []T) int {
 	acc.BeginSized(maskRow, bound)
 	aVals = aVals[:len(aCols)]
 	rowPtr := b.RowPtr
@@ -70,18 +72,26 @@ func pushRowSymbolicC[T any, A pushAccC[T]](acc A, maskRow []int32, aCols []int3
 	return acc.EndSymbolic()
 }
 
-// pushKernelsC builds the row kernels of a complement push scheme over
-// any accumulator obtained per worker from getAcc.
-func pushKernelsC[T any, A pushAccC[T]](mask *sparse.Pattern, a, b *sparse.CSR[T], getAcc func(tid int) A) kernels[T] {
+// pushNumericKernelsC builds the numeric row kernel of a complement
+// push scheme over any accumulator obtained per worker from getAcc. It
+// is the whole binding of a scheme that runs one-phase only.
+func pushNumericKernelsC[T any, A accum.ComplementNumeric[T]](mask *sparse.Pattern, a, b *sparse.CSR[T], getAcc func(tid int) A) kernels[T] {
 	return kernels[T]{
 		numeric: func(tid, i int, outIdx []int32, outVal []T) int {
 			aCols := a.Row(i)
 			return pushRowNumericC(getAcc(tid), mask.Row(i), rowGenBound(aCols, b), aCols, a.RowVals(i), b, outIdx, outVal)
 		},
-		symbolic: func(tid, i int) int {
-			return pushRowSymbolicC[T](getAcc(tid), mask.Row(i), a.Row(i), b)
-		},
 	}
+}
+
+// pushKernelsC is pushNumericKernelsC plus the symbolic row kernel of a
+// complement push scheme that runs two-phase.
+func pushKernelsC[T any, A pushAccC[T]](mask *sparse.Pattern, a, b *sparse.CSR[T], getAcc func(tid int) A) kernels[T] {
+	k := pushNumericKernelsC(mask, a, b, getAcc)
+	k.symbolic = func(tid, i int) int {
+		return pushRowSymbolicC[T](getAcc(tid), mask.Row(i), a.Row(i), b)
+	}
+	return k
 }
 
 // bindMSAC registers complemented MSA (§5.2).
@@ -93,15 +103,16 @@ func bindMSAC[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a
 }
 
 // bindMaskedBitC registers the complemented bitmap-state variant
-// (DESIGN.md §12). Like MSAC it is a dense-array accumulator, so the
-// per-row bound only feeds the shared protocol, never a resize.
+// (DESIGN.md §12), numeric only like bindMaskedBit. Like MSAC it is a
+// dense-array accumulator, so the per-row bound only feeds the shared
+// protocol, never a resize.
 func bindMaskedBitC[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], _ *symHalf) kernels[T] {
 	exec, ncols := e, b.Cols
 	getAcc := func(tid int) *accum.MaskedBitC[T, S] { return exec.worker(tid).MaskedBitC(ncols) }
 	if k, ok := servedKernels(p, p.mask, a, b, getAcc, maskedBitCPlusTimesKernels); ok {
 		return k
 	}
-	return pushKernelsC(p.mask, a, b, getAcc)
+	return pushNumericKernelsC(p.mask, a, b, getAcc)
 }
 
 // maskedBitCPlusTimesKernels is MaskedBitC's row kernels over the served
@@ -109,20 +120,18 @@ func bindMaskedBitC[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T,
 // maskedBitCDenseRow.
 func maskedBitCPlusTimesKernels(mask *sparse.Pattern, a, b *sparse.CSR[float64], getAcc func(tid int) *accum.MaskedBitC[float64, accum.PlusTimes64]) kernels[float64] {
 	ncols := b.Cols
-	k := pushKernelsC(mask, a, b, func(tid int) accum.MaskedBitCPlusTimes {
-		return accum.MaskedBitCPlusTimes{MaskedBitC: getAcc(tid)}
-	})
-	k.numeric = func(tid, i int, outIdx []int32, outVal []float64) int {
-		aCols := a.Row(i)
-		bound := rowGenBound(aCols, b)
-		acc := accum.MaskedBitCPlusTimes{MaskedBitC: getAcc(tid), Dense: maskedBitCDenseRow(bound, ncols), Cols: ncols}
-		return pushRowNumericC(acc, mask.Row(i), bound, aCols, a.RowVals(i), b, outIdx, outVal)
+	return kernels[float64]{
+		numeric: func(tid, i int, outIdx []int32, outVal []float64) int {
+			aCols := a.Row(i)
+			bound := rowGenBound(aCols, b)
+			acc := accum.MaskedBitCPlusTimes{MaskedBitC: getAcc(tid), Dense: maskedBitCDenseRow(bound, ncols), Cols: ncols}
+			return pushRowNumericC(acc, mask.Row(i), bound, aCols, a.RowVals(i), b, outIdx, outVal)
+		},
+		known: func(tid, i int, cols []int32, outVal []float64) {
+			acc := accum.MaskedBitCKnown{MaskedBitC: getAcc(tid)}
+			maskedBitCKnownRow(acc, mask.Row(i), a.Row(i), a.RowVals(i), b, cols, outVal)
+		},
 	}
-	k.known = func(tid, i int, cols []int32, outVal []float64) {
-		acc := accum.MaskedBitCKnown{MaskedBitC: getAcc(tid)}
-		maskedBitCKnownRow(acc, mask.Row(i), a.Row(i), a.RowVals(i), b, cols, outVal)
-	}
-	return k
 }
 
 // maskedBitCKnownRow computes the values of one complemented output

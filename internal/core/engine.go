@@ -7,8 +7,8 @@ import (
 )
 
 // The execution engine shared by every algorithm family. An algorithm
-// contributes two row kernels — numeric and symbolic — and the engine
-// supplies the one-phase and two-phase drivers around them (§6):
+// contributes a numeric row kernel — and, if it runs two-phase, a
+// symbolic one — and the engine supplies the drivers around them (§6):
 //
 //   - One-phase: output rows are written into a pre-sized scratch slab
 //     (for plain masks, the mask's own CSR layout — nnz(C_i*) ≤
@@ -17,6 +17,8 @@ import (
 //     sum.
 //   - Two-phase: a symbolic pass counts each output row, a prefix sum
 //     sizes the result exactly, and the numeric pass writes in place.
+//     Only the paper's own schemes and the unmasked SpGEMM run it, so
+//     its kernels are always uniform.
 //   - Known pattern: a cached plan remembers the output pattern of its
 //     second one-phase execution (Plan.rememberPattern), and every later
 //     execution writes each row's values straight into its exact range
@@ -73,15 +75,6 @@ func (k *kernels[T]) numericSegment(lo, hi int) (int, rowNumericFn[T]) {
 		return end, k.numeric
 	}
 	return end, k.numFam[f]
-}
-
-// symbolicSegment is numericSegment for the symbolic pass.
-func (k *kernels[T]) symbolicSegment(lo, hi int) (int, rowSymbolicFn) {
-	end, f := k.segment(lo, hi)
-	if f < 0 {
-		return end, k.symbolic
-	}
-	return end, k.symFam[f]
 }
 
 // knownSegment is numericSegment for knownPhase: it also returns the
@@ -231,25 +224,22 @@ func knownPhase[T any](rows, cols int, pat *knownPattern, sch rowSched, k kernel
 
 // twoPhase runs the symbolic kernel to size every row, prefix-sums, and
 // lets the numeric kernel write directly into the exact-size result.
-// Both passes are scheduled by sch and follow the kernel binding's run
-// boundaries. es supplies pooled output buffers; nil allocates fresh.
-// Cancellation follows the onePhase contract.
+// k is a uniform binding: no poly plan runs two-phase. Both passes are
+// scheduled by sch. es supplies pooled output buffers; nil allocates
+// fresh. Cancellation follows the onePhase contract.
 func twoPhase[T any](rows, cols int, sch rowSched, k kernels[T], es *engineScratch[T]) (*sparse.CSR[T], error) {
 	if err := sch.enterPass(faultinject.PassSymbolic); err != nil {
 		return nil, err
 	}
 	rowPtr := es.rowPtrBuf(rows + 1)
 	fi := sch.fi
+	symbolic, numeric := k.symbolic, k.numeric
 	sch.run(func(lo, hi, tid int) {
-		for lo < hi {
-			seg, symbolic := k.symbolicSegment(lo, hi)
-			for i := lo; i < seg; i++ {
-				if fi != nil {
-					fi.Row(faultinject.PassSymbolic, i)
-				}
-				rowPtr[i] = int64(symbolic(tid, i))
+		for i := lo; i < hi; i++ {
+			if fi != nil {
+				fi.Row(faultinject.PassSymbolic, i)
 			}
-			lo = seg
+			rowPtr[i] = int64(symbolic(tid, i))
 		}
 	})
 	if err := sch.passCanceled(faultinject.PassSymbolic); err != nil {
@@ -271,15 +261,11 @@ func twoPhase[T any](rows, cols int, sch rowSched, k kernels[T], es *engineScrat
 		return nil, err
 	}
 	sch.run(func(lo, hi, tid int) {
-		for lo < hi {
-			seg, numeric := k.numericSegment(lo, hi)
-			for i := lo; i < seg; i++ {
-				if fi != nil {
-					fi.Row(faultinject.PassNumeric, i)
-				}
-				numeric(tid, i, out.ColIdx[rowPtr[i]:rowPtr[i+1]], out.Val[rowPtr[i]:rowPtr[i+1]])
+		for i := lo; i < hi; i++ {
+			if fi != nil {
+				fi.Row(faultinject.PassNumeric, i)
 			}
-			lo = seg
+			numeric(tid, i, out.ColIdx[rowPtr[i]:rowPtr[i+1]], out.Val[rowPtr[i]:rowPtr[i+1]])
 		}
 	})
 	if err := sch.passCanceled(faultinject.PassNumeric); err != nil {
@@ -316,15 +302,8 @@ func complementBounds[T any](mask *sparse.Pattern, a, b *sparse.CSR[T], threads 
 	offsets := make([]int64, rows+1)
 	parallel.ForEachBlock(rows, threads, parallel.DefaultGrain, func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
-			var gen int64
-			for _, k := range a.Row(i) {
-				gen += b.RowPtr[k+1] - b.RowPtr[k]
-			}
 			free := int64(mask.Cols) - int64(mask.RowNNZ(i))
-			if gen > free {
-				gen = free
-			}
-			offsets[i] = gen
+			offsets[i] = min(rowScan(a.Row(i), bClip{}, b.RowPtr), free)
 		}
 	})
 	parallel.PrefixSumParallel(offsets, threads)

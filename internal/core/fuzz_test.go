@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"maskedspgemm/internal/semiring"
@@ -92,10 +93,12 @@ const (
 
 // fuzzAllSchemes checks every algorithm, plain and complemented,
 // one-phase and two-phase, under base's execution configuration against
-// the dense oracle over sr. Its cache-plan arm then executes a plan a
-// PlanCache built three times, the second time on rescaled values: a
-// one-phase plan remembers its second result's pattern and computes the
-// third, on the planned values again, by the known-pattern driver.
+// the dense oracle over sr; TwoPhase on a scheme that is not the
+// paper's must fail, before any plan, with an error naming it. Its
+// cache-plan arm then executes a plan a PlanCache built three times,
+// the second time on rescaled values: a one-phase plan remembers its
+// second result's pattern and computes the third, on the planned values
+// again, by the known-pattern driver.
 func fuzzAllSchemes[S semiring.Semiring[float64]](t *testing.T, sr S, mask *sparse.Pattern, a, b *sparse.CSR[float64], base Options) {
 	a2 := withValues(a, func(_ int, v float64) float64 { return -1.5 * v })
 	b2 := a2
@@ -115,6 +118,12 @@ func fuzzAllSchemes[S semiring.Semiring[float64]](t *testing.T, sr S, mask *spar
 				name := fmt.Sprintf("%T %v-%v complement=%v threads=%d families=%#x",
 					sr, algo, ph, complement, opt.Threads, opt.HybridFamilies)
 				got, err := MaskedSpGEMM(sr, mask, a, b, opt)
+				if info, _ := LookupScheme(algo); ph == TwoPhase && !info.Paper {
+					if err == nil || !strings.Contains(err.Error(), info.Name) {
+						t.Fatalf("%s: want the one-phase-only error naming %s, got %v", name, info.Name, err)
+					}
+					continue
+				}
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

@@ -220,9 +220,9 @@ const (
 	// word store per 64-column word instead of one byte store per
 	// entry.
 	maskedBitWalkFactor = 0.5
-	// maskedBitGatherWord prices one word of the Gather/EndSymbolic
-	// word walk, which spans the row's column range at 64 columns per
-	// word: the per-row cleanup term is (Cols/64)·maskedBitGatherWord
+	// maskedBitGatherWord prices one word of the Gather word walk,
+	// which spans the row's column range at 64 columns per word: the
+	// per-row cleanup term is (Cols/64)·maskedBitGatherWord
 	// rather than a second O(nnz(mask row)) walk. It is what makes
 	// MaskedBit cheap on dense rows (range/64 ≪ nnz) and dear on very
 	// sparse ones (range/64 ≫ nnz), independent of the flop balance.
@@ -510,24 +510,24 @@ func (p *Plan[T, S]) encodeRuns(rowFam []uint8) {
 }
 
 // bindHybrid builds the poly plan's kernel tables under either mask
-// mode: one kernel pair per family the run encoding actually uses, each
-// bound by that family's own registry entry, so poly rows execute
-// exactly the registered kernels. Families without a run get no
+// mode: one numeric kernel (and its known-pattern form, if the family
+// has one) per family the run encoding actually uses, each bound by
+// that family's own registry entry, so poly rows execute exactly the
+// registered kernels. Families without a run get no
 // kernels — and, downstream, no accumulators: the per-worker workspaces
 // construct lazily on first row, so a single-family poly plan allocates
 // exactly what the plain scheme would.
 func bindHybrid[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], h *symHalf) kernels[T] {
 	numFam := make([]rowNumericFn[T], NumFamilies)
-	symFam := make([]rowSymbolicFn, NumFamilies)
 	knownFam := make([]rowKnownFn[T], NumFamilies)
 	for f := Family(0); f < NumFamilies; f++ {
 		if !p.polyFams.Has(f) {
 			continue
 		}
 		fk := kernelsForAlgo[T, S](famAlgo[f]).binder(p.opt.Complement)(p, e, a, b, h)
-		numFam[f], symFam[f], knownFam[f] = fk.numeric, fk.symbolic, fk.known
+		numFam[f], knownFam[f] = fk.numeric, fk.known
 	}
-	return kernels[T]{runEnds: p.runEnds, runFam: p.runFam, numFam: numFam, symFam: symFam, knownFam: knownFam}
+	return kernels[T]{runEnds: p.runEnds, runFam: p.runFam, numFam: numFam, knownFam: knownFam}
 }
 
 // FamilyRows reports the per-family row counts of the plan's run

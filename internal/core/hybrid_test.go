@@ -30,8 +30,8 @@ func polyTestPlan(t *testing.T, mask *sparse.Pattern, a, b *sparse.CSR[float64],
 
 // TestHybridPolyParity cross-validates mixed-family execution against
 // the dense oracle across the mask-density sweep, plain and
-// complemented, one-phase and two-phase — the parity guarantee for
-// every family crossover the selector can take.
+// complemented — the parity guarantee for every family crossover the
+// selector can take.
 func TestHybridPolyParity(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
 	const n = 120
@@ -45,23 +45,21 @@ func TestHybridPolyParity(t *testing.T) {
 		mask := gen.Random(n, n, deg, 303+uint64(deg)).PatternView()
 		for _, complement := range []bool{false, true} {
 			want := oracle(mask, a, b, complement)
-			for _, ph := range []Phases{OnePhase, TwoPhase} {
-				name := fmt.Sprintf("density=%g/complement=%v/%v", density, complement, ph)
-				t.Run(name, func(t *testing.T) {
-					got, err := MaskedSpGEMM(sr, mask, a, b, Options{
-						Algorithm: AlgoHybrid, Phases: ph, Complement: complement, Threads: 3,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := got.Validate(); err != nil {
-						t.Fatalf("invalid output: %v", err)
-					}
-					if d := sparse.Diff(want, got, floatEq); d != "" {
-						t.Fatalf("mismatch vs oracle: %s", d)
-					}
+			name := fmt.Sprintf("density=%g/complement=%v/%v", density, complement, OnePhase)
+			t.Run(name, func(t *testing.T) {
+				got, err := MaskedSpGEMM(sr, mask, a, b, Options{
+					Algorithm: AlgoHybrid, Complement: complement, Threads: 3,
 				})
-			}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := got.Validate(); err != nil {
+					t.Fatalf("invalid output: %v", err)
+				}
+				if d := sparse.Diff(want, got, floatEq); d != "" {
+					t.Fatalf("mismatch vs oracle: %s", d)
+				}
+			})
 		}
 	}
 }
@@ -97,17 +95,13 @@ func TestHybridMixedRunsParity(t *testing.T) {
 		t.Fatalf("banded workload bound %d run(s) %v, want a mixed encoding", len(p.runFam), p.runFam)
 	}
 	want := oracle(mask, a, b, false)
-	for _, ph := range []Phases{OnePhase, TwoPhase} {
-		for _, threads := range []int{1, 2, 4, 16, 64} {
-			got, err := MaskedSpGEMM(sr, mask, a, b, Options{
-				Algorithm: AlgoHybrid, Phases: ph, Threads: threads,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := sparse.Diff(want, got, floatEq); d != "" {
-				t.Fatalf("%v threads=%d: %s", ph, threads, d)
-			}
+	for _, threads := range []int{1, 2, 4, 16, 64} {
+		got, err := MaskedSpGEMM(sr, mask, a, b, Options{Algorithm: AlgoHybrid, Threads: threads})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := sparse.Diff(want, got, floatEq); d != "" {
+			t.Fatalf("threads=%d: %s", threads, d)
 		}
 	}
 }
@@ -164,33 +158,30 @@ func TestHybridMenu(t *testing.T) {
 // bound pull.
 func TestHybridSingleFamilyAllocs(t *testing.T) {
 	mask, a, b := buildCase(caseSpec{"", 128, 128, 128, 8, 8, 8, 96})
-	for _, ph := range []Phases{OnePhase, TwoPhase} {
-		opt := Options{HybridFamilies: Families(FamMSA), Phases: ph, Threads: 1, ReuseOutput: true}
-		p := polyTestPlan(t, mask, a, b, opt)
-		if len(p.btPtr) != 0 {
-			t.Errorf("%v: MSA-only poly plan built a CSC transpose", ph)
-		}
-		if _, err := p.Execute(a, b); err != nil { // warm-up
+	opt := Options{HybridFamilies: Families(FamMSA), Threads: 1, ReuseOutput: true}
+	p := polyTestPlan(t, mask, a, b, opt)
+	if len(p.btPtr) != 0 {
+		t.Error("MSA-only poly plan built a CSC transpose")
+	}
+	if _, err := p.Execute(a, b); err != nil { // warm-up
+		t.Fatal(err)
+	}
+	w := p.exec.worker(0)
+	if w.msa == nil {
+		t.Error("bound family's accumulator not materialized")
+	}
+	if w.hash != nil || w.mca != nil || w.heap != nil || w.msac != nil || w.hashC != nil || w.maskedBit != nil || w.maskedBitC != nil || w.pull != nil {
+		t.Error("unbound families materialized accumulators")
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := p.Execute(a, b); err != nil {
 			t.Fatal(err)
 		}
-		w := p.exec.worker(0)
-		if w.msa == nil {
-			t.Errorf("%v: bound family's accumulator not materialized", ph)
-		}
-		if w.hash != nil || w.mca != nil || w.heap != nil || w.msac != nil || w.hashC != nil || w.maskedBit != nil || w.maskedBitC != nil || w.pull != nil {
-			t.Errorf("%v: unbound families materialized accumulators", ph)
-		}
-		allocs := testing.AllocsPerRun(10, func() {
-			if _, err := p.Execute(a, b); err != nil {
-				t.Fatal(err)
-			}
-		})
-		// Same bound as TestPlanExecuteAllocs: the single-family poly
-		// path must not allocate beyond the plain scheme's steady
-		// state.
-		if allocs > 6 {
-			t.Errorf("%v: %.1f allocs per warm Execute, want ≤ 6", ph, allocs)
-		}
+	})
+	// Same bound as TestPlanExecuteAllocs: the single-family poly
+	// path must not allocate beyond the plain scheme's steady state.
+	if allocs > 6 {
+		t.Errorf("%.1f allocs per warm Execute, want ≤ 6", allocs)
 	}
 }
 

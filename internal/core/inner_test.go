@@ -57,7 +57,8 @@ func mergeProduct[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, a, 
 			}
 		}
 		for _, j := range admitted {
-			if v, hit := mergeDot(sr, a.Row(i), a.RowVals(i), bt.Col(int(j)), bt.ColVals(int(j))); hit {
+			lo, hi := bt.ColPtr[j], bt.ColPtr[j+1]
+			if v, hit := mergeDot(sr, a.Row(i), a.RowVals(i), bt.RowIdx[lo:hi], bt.Val[lo:hi]); hit {
 				out.ColIdx = append(out.ColIdx, j)
 				out.Val = append(out.Val, v)
 			}
@@ -110,14 +111,14 @@ func checkSameBits(t *testing.T, name string, want, got *sparse.CSR[float64]) {
 }
 
 // checkPullBits runs every pull scheme over sr at widths 1, 2 and 4,
-// one- and two-phase, plain and complemented, and compares each result
-// with the merge reference.
+// in every phase it runs (schemePhases), plain and complemented, and
+// compares each result with the merge reference.
 func checkPullBits[S semiring.Semiring[float64]](t *testing.T, sr S, name string, mask *sparse.Pattern, a, b *sparse.CSR[float64]) {
 	t.Helper()
 	for _, complement := range []bool{false, true} {
 		want := mergeProduct(sr, mask, a, b, complement)
 		for _, base := range pullSchemes {
-			for _, ph := range []Phases{OnePhase, TwoPhase} {
+			for _, ph := range schemePhases(base.Algorithm) {
 				for _, threads := range []int{1, 2, 4} {
 					opt := base
 					opt.Complement, opt.Phases, opt.Threads = complement, ph, threads

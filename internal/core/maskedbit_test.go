@@ -38,9 +38,8 @@ func TestFamilyBitPositionsPinned(t *testing.T) {
 }
 
 // TestMaskedBitDensityParity cross-validates AlgoMaskedBit against the
-// dense oracle across the mask-density sweep, plain and complemented,
-// one-phase and two-phase — the direct-scheme counterpart of the
-// hybrid parity sweep.
+// dense oracle across the mask-density sweep, plain and complemented —
+// the direct-scheme counterpart of the hybrid parity sweep.
 func TestMaskedBitDensityParity(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
 	const n = 120
@@ -54,23 +53,21 @@ func TestMaskedBitDensityParity(t *testing.T) {
 		mask := gen.Random(n, n, deg, 503+uint64(deg)).PatternView()
 		for _, complement := range []bool{false, true} {
 			want := oracle(mask, a, b, complement)
-			for _, ph := range []Phases{OnePhase, TwoPhase} {
-				name := fmt.Sprintf("density=%g/complement=%v/%v", density, complement, ph)
-				t.Run(name, func(t *testing.T) {
-					got, err := MaskedSpGEMM(sr, mask, a, b, Options{
-						Algorithm: AlgoMaskedBit, Phases: ph, Complement: complement, Threads: 3,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := got.Validate(); err != nil {
-						t.Fatalf("invalid output: %v", err)
-					}
-					if d := sparse.Diff(want, got, floatEq); d != "" {
-						t.Fatalf("mismatch vs oracle: %s", d)
-					}
+			name := fmt.Sprintf("density=%g/complement=%v/%v", density, complement, OnePhase)
+			t.Run(name, func(t *testing.T) {
+				got, err := MaskedSpGEMM(sr, mask, a, b, Options{
+					Algorithm: AlgoMaskedBit, Complement: complement, Threads: 3,
 				})
-			}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := got.Validate(); err != nil {
+					t.Fatalf("invalid output: %v", err)
+				}
+				if d := sparse.Diff(want, got, floatEq); d != "" {
+					t.Fatalf("mismatch vs oracle: %s", d)
+				}
+			})
 		}
 	}
 }
@@ -119,30 +116,28 @@ func TestHybridMaskedBitComplementBinding(t *testing.T) {
 // plain scheme's steady-state allocation bound.
 func TestMaskedBitSingleFamilyAllocs(t *testing.T) {
 	mask, a, b := buildCase(caseSpec{"", 128, 128, 128, 8, 8, 8, 97})
-	for _, ph := range []Phases{OnePhase, TwoPhase} {
-		opt := Options{HybridFamilies: Families(FamMaskedBit), Phases: ph, Threads: 1, ReuseOutput: true}
-		p := polyTestPlan(t, mask, a, b, opt)
-		if len(p.btPtr) != 0 {
-			t.Errorf("%v: MaskedBit-only poly plan built a CSC transpose", ph)
-		}
-		if _, err := p.Execute(a, b); err != nil { // warm-up
+	opt := Options{HybridFamilies: Families(FamMaskedBit), Threads: 1, ReuseOutput: true}
+	p := polyTestPlan(t, mask, a, b, opt)
+	if len(p.btPtr) != 0 {
+		t.Error("MaskedBit-only poly plan built a CSC transpose")
+	}
+	if _, err := p.Execute(a, b); err != nil { // warm-up
+		t.Fatal(err)
+	}
+	w := p.exec.worker(0)
+	if w.maskedBit == nil {
+		t.Error("bound family's accumulator not materialized")
+	}
+	if w.msa != nil || w.hash != nil || w.mca != nil || w.heap != nil || w.msac != nil || w.hashC != nil || w.maskedBitC != nil {
+		t.Error("unbound families materialized accumulators")
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := p.Execute(a, b); err != nil {
 			t.Fatal(err)
 		}
-		w := p.exec.worker(0)
-		if w.maskedBit == nil {
-			t.Errorf("%v: bound family's accumulator not materialized", ph)
-		}
-		if w.msa != nil || w.hash != nil || w.mca != nil || w.heap != nil || w.msac != nil || w.hashC != nil || w.maskedBitC != nil {
-			t.Errorf("%v: unbound families materialized accumulators", ph)
-		}
-		allocs := testing.AllocsPerRun(10, func() {
-			if _, err := p.Execute(a, b); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > 6 {
-			t.Errorf("%v: %.1f allocs per warm Execute, want ≤ 6", ph, allocs)
-		}
+	})
+	if allocs > 6 {
+		t.Errorf("%.1f allocs per warm Execute, want ≤ 6", allocs)
 	}
 }
 

@@ -11,11 +11,20 @@ import (
 
 var floatEq = sparse.FloatEq(1e-9)
 
-// allOptions enumerates every algorithm × phase combination.
+// schemePhases lists the phases algo runs: both for the paper's
+// schemes, one-phase only for every other (SchemeInfo.Paper).
+func schemePhases(algo Algorithm) []Phases {
+	if s, _ := LookupScheme(algo); s.Paper {
+		return []Phases{OnePhase, TwoPhase}
+	}
+	return []Phases{OnePhase}
+}
+
+// allOptions enumerates every algorithm × phase combination that runs.
 func allOptions() []Options {
 	var opts []Options
 	for _, algo := range Algorithms() {
-		for _, ph := range []Phases{OnePhase, TwoPhase} {
+		for _, ph := range schemePhases(algo) {
 			opts = append(opts, Options{Algorithm: algo, Phases: ph})
 		}
 	}
@@ -57,8 +66,8 @@ func buildCase(c caseSpec) (*sparse.Pattern, *sparse.CSR[float64], *sparse.CSR[f
 }
 
 // TestMaskedSpGEMMAgainstOracle cross-validates every algorithm and
-// phase combination, plain and complemented, on a spread of shapes and
-// densities.
+// phase combination that runs, plain and complemented, on a spread of
+// shapes and densities.
 func TestMaskedSpGEMMAgainstOracle(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
 	for _, c := range testCases() {
@@ -213,9 +222,9 @@ func TestMaskedSpGEMMSemirings(t *testing.T) {
 }
 
 // TestHeapNInspectVariants checks every NInspect the heap schemes
-// resolve from the algorithm against the oracle, one- and two-phase:
-// Heap (1), HeapDot (∞), both complemented (0, their own kernels), and
-// Hybrid's heap rows (1).
+// resolve from the algorithm against the oracle, in every phase each
+// runs: Heap (1), HeapDot (∞), both complemented (0, their own
+// kernels), and Hybrid's heap rows (1).
 func TestHeapNInspectVariants(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
 	mask, a, b := buildCase(caseSpec{"", 60, 60, 60, 10, 10, 6, 77})
@@ -230,7 +239,7 @@ func TestHeapNInspectVariants(t *testing.T) {
 	for _, complement := range []bool{false, true} {
 		want := oracle(mask, a, b, complement)
 		for _, base := range []Options{{Algorithm: AlgoHeap}, {Algorithm: AlgoHeapDot}, heapRows} {
-			for _, ph := range []Phases{OnePhase, TwoPhase} {
+			for _, ph := range schemePhases(base.Algorithm) {
 				opt := base
 				opt.Phases, opt.Complement = ph, complement
 				got, err := MaskedSpGEMM(sr, mask, a, b, opt)

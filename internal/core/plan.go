@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"maskedspgemm/internal/faultinject"
@@ -30,16 +29,14 @@ import (
 //
 // A Plan is immutable after NewPlan and therefore safe to share across
 // goroutines — this is what lets a PlanCache hand one plan to many
-// concurrent requests. It has three sanctioned post-construction
-// writes, each made once and published safely: the lazy flops estimate
-// (FlopsEstimate) and, on a plan a PlanCache built, the flag its first
-// clean one-phase execution sets and the output pattern of its second
-// (rememberPattern). All
-// mutable execution state (accumulators, slabs, the refreshed CSC
-// values of B, bound kernels) lives in the Executor, which is NOT
-// concurrency-safe: concurrent executions of a shared plan must each
-// use their own executor (ExecuteOn), typically checked out of an
-// ExecutorPool.
+// concurrent requests. Its only sanctioned post-construction writes are
+// on a plan a PlanCache built, each made once and published safely: the
+// flag its first clean one-phase execution sets and the output pattern
+// of its second (rememberPattern). All mutable execution state
+// (accumulators, slabs, the refreshed CSC values of B, bound kernels)
+// lives in the Executor, which is NOT concurrency-safe: concurrent
+// executions of a shared plan must each use their own executor
+// (ExecuteOn), typically checked out of an ExecutorPool.
 //
 //mspgemm:immutable
 type Plan[T any, S semiring.Semiring[T]] struct {
@@ -84,11 +81,6 @@ type Plan[T any, S semiring.Semiring[T]] struct {
 	costPrefix []int64
 	// maxMaskRow / maxARow size the hash/MCA and heap accumulators.
 	maxMaskRow, maxARow int
-	// flops is the unmasked multiply–add count of A·B, the normalizer of
-	// the paper's GFLOPS rates; computed on first use (flopsOnce makes
-	// the lazy computation safe on shared plans).
-	flops     int64
-	flopsOnce sync.Once
 
 	// pattern is the output pattern a plan built by a PlanCache
 	// remembers from its second clean one-phase execution
@@ -158,6 +150,9 @@ func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, 
 	}
 	if opt.Complement && !info.Complement {
 		return nil, errors.New(info.ComplementNote)
+	}
+	if opt.Phases == TwoPhase && !info.Paper {
+		return nil, fmt.Errorf("core: %s runs one-phase only; two-phase (§6) is for the paper's schemes", info.Name)
 	}
 	p := &Plan[T, S]{
 		sr: sr, opt: opt, info: info, mask: mask,
@@ -229,28 +224,11 @@ func (p *Plan[T, S]) needsCSC() bool {
 	if p.opt.Algorithm == AlgoHybrid {
 		return p.polyFams.Has(FamPull)
 	}
-	if p.opt.Complement {
-		return p.info.ComplementNeedsCSC
-	}
 	return p.info.NeedsCSC
 }
 
 // Options returns the plan's normalized options.
 func (p *Plan[T, S]) Options() Options { return p.opt }
-
-// FlopsEstimate returns the unmasked multiply–add count of the planned
-// product (cached after the first call; safe on shared plans). It
-// needs the numeric A and B only for their structure, so any
-// Execute-compatible pair works. The once-guarded write to p.flops is
-// the one sanctioned post-construction mutation.
-//
-//mspgemm:planwrite
-func (p *Plan[T, S]) FlopsEstimate(a, b *sparse.CSR[T]) int64 {
-	p.flopsOnce.Do(func() {
-		p.flops = Flops(a, b)
-	})
-	return p.flops
-}
 
 // knownPattern is a remembered output pattern: the RowPtr and ColIdx
 // of one execution's result, shared read-only by the plan and by every
@@ -291,7 +269,7 @@ func (p *Plan[T, S]) ownedBy(c *PlanCache[T, S], key planKey) {
 // to the plan's cache entry (PlanCache.chargePattern). The arrays are
 // aliased, not copied: out is a fresh result, and from here on it
 // shares them with the plan and every later result. These are the
-// plan's post-construction writes besides FlopsEstimate.
+// plan's only post-construction writes.
 //
 //mspgemm:planwrite
 func (p *Plan[T, S]) rememberPattern(out *sparse.CSR[T]) {

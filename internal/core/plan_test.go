@@ -30,7 +30,7 @@ func TestPlanMatchesMultiply(t *testing.T) {
 			if complement && !info.Complement {
 				continue
 			}
-			for _, ph := range []Phases{OnePhase, TwoPhase} {
+			for _, ph := range schemePhases(info.Algo) {
 				opt := Options{Algorithm: info.Algo, Phases: ph, Complement: complement}
 				name := fmt.Sprintf("%s/complement=%v", opt.SchemeName(), complement)
 				t.Run(name, func(t *testing.T) {

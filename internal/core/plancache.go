@@ -515,14 +515,11 @@ func (c *PlanCache[T, S]) Stats() PlanCacheStats {
 		if famRows == nil {
 			famRows = make(map[string]int64)
 		}
-		prev := int32(0)
-		for r, end := range p.runEnds {
-			// Family.String names out-of-range values defensively
-			// ("Family(N)"), so a run decoded from newer or corrupted
-			// state aggregates under a diagnostic key instead of
-			// panicking an indexed table.
-			famRows[Family(p.runFam[r]).String()] += int64(end - prev)
-			prev = end
+		rows := p.FamilyRows()
+		for f := Family(0); f < NumFamilies; f++ {
+			if p.polyFams.Has(f) {
+				famRows[f.String()] += int64(rows[f])
+			}
 		}
 	}
 	return PlanCacheStats{

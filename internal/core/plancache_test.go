@@ -731,7 +731,7 @@ func TestPlanCacheExecOnlyOptionsShareKey(t *testing.T) {
 	if d := sparse.Diff(oracle(mask, a, b, false), got, floatEq); d != "" {
 		t.Fatalf("shared plan wrong under per-execution options: %s", d)
 	}
-	if exec.SchedStats().Claimed() == 0 {
+	if claimedBlocks(exec.SchedStats()) == 0 {
 		t.Fatal("per-execution CollectSchedStats on a warm-planted plan recorded nothing")
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"maskedspgemm/internal/sparse"
 )
 
-// pushAcc is the combined numeric+symbolic accumulator protocol the
-// generic push drivers need; MSA, MaskedBit and Hash all satisfy it.
+// pushAcc is the combined numeric+symbolic accumulator protocol of the
+// push schemes that run two-phase; MSA and Hash satisfy it.
 type pushAcc[T any] interface {
 	accum.Numeric[T]
 	accum.Symbolic
@@ -24,7 +24,7 @@ type pushAcc[T any] interface {
 // symmetric self-product, DESIGN.md §5).
 //
 //mspgemm:hotpath
-func pushRowNumeric[T any, A pushAcc[T]](acc A, maskRow []int32, aCols []int32, aVals []T, clip bClip, b *sparse.CSR[T], outIdx []int32, outVal []T) int {
+func pushRowNumeric[T any, A accum.Numeric[T]](acc A, maskRow []int32, aCols []int32, aVals []T, clip bClip, b *sparse.CSR[T], outIdx []int32, outVal []T) int {
 	if len(maskRow) == 0 {
 		// Nothing is admitted, so every product would be discarded.
 		return 0
@@ -81,18 +81,26 @@ func pushRowSymbolic[T any, A pushAcc[T]](acc A, maskRow []int32, aCols []int32,
 	return acc.EndSymbolic(maskRow)
 }
 
-// pushKernels builds the row kernels of a push-family scheme over any
-// accumulator obtained per worker from getAcc (a pooled-workspace
-// getter on the plan's executor).
-func pushKernels[T any, A pushAcc[T]](m maskRows, a, b *sparse.CSR[T], getAcc func(tid int) A) kernels[T] {
+// pushNumericKernels builds the numeric row kernel of a push-family
+// scheme over any accumulator obtained per worker from getAcc (a
+// pooled-workspace getter on the plan's executor). It is the whole
+// binding of a scheme that runs one-phase only.
+func pushNumericKernels[T any, A accum.Numeric[T]](m maskRows, a, b *sparse.CSR[T], getAcc func(tid int) A) kernels[T] {
 	return kernels[T]{
 		numeric: func(tid, i int, outIdx []int32, outVal []T) int {
 			return pushRowNumeric(getAcc(tid), m.row(i), a.Row(i), a.RowVals(i), m.clip(i), b, outIdx, outVal)
 		},
-		symbolic: func(tid, i int) int {
-			return pushRowSymbolic[T](getAcc(tid), m.row(i), a.Row(i), b)
-		},
 	}
+}
+
+// pushKernels is pushNumericKernels plus the symbolic row kernel of a
+// push scheme that runs two-phase.
+func pushKernels[T any, A pushAcc[T]](m maskRows, a, b *sparse.CSR[T], getAcc func(tid int) A) kernels[T] {
+	k := pushNumericKernels(m, a, b, getAcc)
+	k.symbolic = func(tid, i int) int {
+		return pushRowSymbolic[T](getAcc(tid), m.row(i), a.Row(i), b)
+	}
+	return k
 }
 
 // servedKernels binds the float64 kernels of served when the plan's
@@ -194,20 +202,20 @@ func rowScan(aCols []int32, clip bClip, bRowPtr []int64) int64 {
 }
 
 // bindMaskedBit registers the bitmap-state MSA variant (DESIGN.md
-// §12).
+// §12). It is not a paper scheme, so it binds a numeric kernel only.
 func bindMaskedBit[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], h *symHalf) kernels[T] {
 	exec, ncols, m := e, b.Cols, maskRows{p.mask, h}
 	getAcc := func(tid int) *accum.MaskedBit[T, S] { return exec.worker(tid).MaskedBit(ncols) }
 	if k, ok := servedKernels(p, m, a, b, getAcc, maskedBitPlusTimesKernels); ok {
 		return k
 	}
-	return pushKernels(m, a, b, getAcc)
+	return pushNumericKernels(m, a, b, getAcc)
 }
 
-// maskedBitPlusTimesKernels is MaskedBit's row kernels over the served
+// maskedBitPlusTimesKernels is MaskedBit's row kernel over the served
 // semiring.
 func maskedBitPlusTimesKernels(m maskRows, a, b *sparse.CSR[float64], getAcc func(tid int) *accum.MaskedBit[float64, accum.PlusTimes64]) kernels[float64] {
-	return pushKernels(m, a, b, func(tid int) accum.MaskedBitPlusTimes {
+	return pushNumericKernels(m, a, b, func(tid int) accum.MaskedBitPlusTimes {
 		return accum.MaskedBitPlusTimes{MaskedBit: getAcc(tid)}
 	})
 }

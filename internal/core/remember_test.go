@@ -98,8 +98,8 @@ func rememberSchemes() []Options {
 // NaN products, with the planned values scaled, and with the special
 // values again — and checks every result bit for bit against a fresh
 // NewPlan plan's on the same values, for every scheme and Hybrid menu,
-// plain and complemented, one- and two-phase, at 1, 2, 3, 4 and 64
-// threads. A cached one-phase plan remembers nothing from its first
+// plain and complemented, in every phase each scheme runs, at 1, 2, 3,
+// 4 and 64 threads. A cached one-phase plan remembers nothing from its first
 // full-product execution, and from its second on every full-product
 // result must share the remembered pattern. On the symmetric product
 // the planned and scaled values run one triangle, so the special
@@ -126,7 +126,7 @@ func TestRememberedPatternBitIdentical(t *testing.T) {
 				if complement && !SupportsComplement(scheme.Algorithm) {
 					continue
 				}
-				for _, ph := range []Phases{OnePhase, TwoPhase} {
+				for _, ph := range schemePhases(scheme.Algorithm) {
 					for _, threads := range []int{1, 2, 3, 4, 64} {
 						opt := scheme
 						opt.Complement, opt.Phases = complement, ph

@@ -11,6 +11,15 @@ import (
 	"maskedspgemm/internal/sparse"
 )
 
+// claimedBlocks sums the blocks every worker executed.
+func claimedBlocks(s parallel.SchedStats) int {
+	n := 0
+	for _, w := range s.Workers {
+		n += w.Claimed
+	}
+	return n
+}
+
 // skewedCase builds a masked product with a planted hub cluster: the
 // first hubRows rows of A are dense (cost ~cols each) while the rest
 // carry a couple of entries — the adversarial shape for a fixed row
@@ -82,7 +91,7 @@ func TestScheduleParity(t *testing.T) {
 	mask, a, b := skewedCase(300, 300, 3)
 	want := oracle(mask, a, b, false)
 	for _, algo := range []Algorithm{AlgoMSA, AlgoHash, AlgoInner, AlgoHybrid} {
-		for _, ph := range []Phases{OnePhase, TwoPhase} {
+		for _, ph := range schemePhases(algo) {
 			for _, threads := range []int{1, 3, 16, 75} {
 				opt := Options{Algorithm: algo, Phases: ph, Threads: threads}
 				name := fmt.Sprintf("%s/t%d", opt.SchemeName(), threads)
@@ -130,7 +139,7 @@ func TestSchedStatsCollected(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := p.SchedStats()
-	if st.Claimed() == 0 {
+	if claimedBlocks(st) == 0 {
 		t.Fatal("no blocks recorded with CollectSchedStats set")
 	}
 	if len(st.Workers) != 2 {
@@ -139,11 +148,11 @@ func TestSchedStatsCollected(t *testing.T) {
 
 	// Two-phase doubles the row passes; the count must accumulate
 	// within one execution but reset across executions.
-	first := st.Claimed()
+	first := claimedBlocks(st)
 	if _, err := p.Execute(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.SchedStats().Claimed(); got != first {
+	if got := claimedBlocks(p.SchedStats()); got != first {
 		t.Errorf("stats leaked across executions: %d then %d", first, got)
 	}
 
@@ -154,7 +163,7 @@ func TestSchedStatsCollected(t *testing.T) {
 	if _, err := off.Execute(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if got := off.SchedStats().Claimed(); got != 0 {
+	if got := claimedBlocks(off.SchedStats()); got != 0 {
 		t.Errorf("stats recorded without the option: %d blocks", got)
 	}
 }
@@ -207,7 +216,7 @@ func TestSchedStatsDirectSchemeResets(t *testing.T) {
 	if _, err := msa.Execute(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if exec.SchedStats().Claimed() == 0 {
+	if claimedBlocks(exec.SchedStats()) == 0 {
 		t.Fatal("row-kernel execution recorded nothing")
 	}
 	direct, err := NewPlan(sr, mask, a, b, Options{Algorithm: AlgoSaxpyThenMask, Threads: 2, CollectSchedStats: true}, exec)
@@ -217,7 +226,7 @@ func TestSchedStatsDirectSchemeResets(t *testing.T) {
 	if _, err := direct.Execute(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if got := exec.SchedStats().Claimed(); got != 0 {
+	if got := claimedBlocks(exec.SchedStats()); got != 0 {
 		t.Errorf("direct scheme replayed stale stats: %d blocks", got)
 	}
 }
@@ -255,7 +264,7 @@ func TestExecuteErroredPassResetsSchedStats(t *testing.T) {
 	if _, err := p.ExecuteOnOpts(exec, a, b, eo); err != nil {
 		t.Fatal(err)
 	}
-	if exec.SchedStats().Claimed() == 0 {
+	if claimedBlocks(exec.SchedStats()) == 0 {
 		t.Fatal("successful pass recorded no blocks")
 	}
 	// Mismatched operands: checkArgs fails after the stats reset.
@@ -264,8 +273,8 @@ func TestExecuteErroredPassResetsSchedStats(t *testing.T) {
 	if _, err := p.ExecuteOnOpts(exec, wrong, b, eo); err == nil {
 		t.Fatal("mismatched operands must error")
 	}
-	if got := exec.SchedStats(); got.Claimed() != 0 {
-		t.Fatalf("errored pass replayed stale telemetry: %d blocks claimed", got.Claimed())
+	if got := exec.SchedStats(); claimedBlocks(got) != 0 {
+		t.Fatalf("errored pass replayed stale telemetry: %d blocks claimed", claimedBlocks(got))
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 
 // The scheme registry: one table entry per algorithm, carrying the
 // scheme's display name, its capability set, and (through the generic
-// kernel registry below) its symbolic/numeric row kernels. Everything
-// that used to be a hand-maintained switch — dispatch, capability
-// errors, SupportsComplement, Algorithms() — derives from this table,
+// kernel registry below) its row kernels. Everything that used to be a
+// hand-maintained switch — dispatch, capability errors,
+// SupportsComplement, Algorithms() — derives from this table,
 // so adding a scheme means adding one SchemeInfo entry plus one
 // kernelRegistry entry and nothing else can drift.
 
@@ -22,18 +22,18 @@ type SchemeInfo struct {
 	// Name is the scheme name as used in the paper's plots.
 	Name string
 	// Paper marks the six schemes the paper proposes/evaluates as
-	// "ours" (§8: Inner, MSA, Hash, MCA, Heap, HeapDot).
+	// "ours" (§8: Inner, MSA, Hash, MCA, Heap, HeapDot). Only these run
+	// TwoPhase: the paper's §6 one-phase/two-phase comparison covers its
+	// own schemes, and every other scheme runs one-phase.
 	Paper bool
 	// Complement reports complemented-mask support (§5.2, §8.4).
 	Complement bool
 	// ComplementNote is the documented error returned when Complement
 	// is false and a complemented mask is requested.
 	ComplementNote string
-	// NeedsCSC marks schemes whose plain-mask execution pulls from B by
-	// column and therefore needs B's CSC transpose prepared (§4.1).
+	// NeedsCSC marks schemes that pull from B by column and therefore
+	// need B's CSC transpose prepared (§4.1), under either mask mode.
 	NeedsCSC bool
-	// ComplementNeedsCSC is NeedsCSC for the complemented-mask path.
-	ComplementNeedsCSC bool
 	// TransposePerExecute forces the CSC view to be rebuilt on every
 	// execution instead of being cached by the plan — the SS:DOT
 	// baseline's defining per-call overhead (§8.4).
@@ -57,14 +57,13 @@ var schemeTable = []SchemeInfo{
 	{Algo: AlgoHeap, Name: "Heap", Paper: true, Complement: true, RowCost: heapRowCost},
 	{Algo: AlgoHeapDot, Name: "HeapDot", Paper: true, Complement: true},
 	{Algo: AlgoInner, Name: "Inner", Paper: true, Complement: true,
-		NeedsCSC: true, ComplementNeedsCSC: true, RowCost: pullRowCost},
+		NeedsCSC: true, RowCost: pullRowCost},
 	{Algo: AlgoSaxpyThenMask, Name: "SS:SAXPY*", Complement: true},
 	{Algo: AlgoDotTranspose, Name: "SS:DOT*", Complement: true,
-		NeedsCSC: true, ComplementNeedsCSC: true, TransposePerExecute: true},
-	// Hybrid's NeedsCSC flags are the static "may pull" capability; the
-	// plan refines them to whether any row actually bound FamPull.
-	{Algo: AlgoHybrid, Name: "Hybrid", Complement: true,
-		NeedsCSC: true, ComplementNeedsCSC: true},
+		NeedsCSC: true, TransposePerExecute: true},
+	// Hybrid's NeedsCSC flag is the static "may pull" capability; the
+	// plan refines it to whether any row actually bound FamPull.
+	{Algo: AlgoHybrid, Name: "Hybrid", Complement: true, NeedsCSC: true},
 }
 
 // LookupScheme returns the registry entry for an algorithm.
@@ -119,16 +118,16 @@ func SupportsComplement(a Algorithm) bool {
 }
 
 // kernels is one bound execution. Uniform plans carry one numeric row
-// kernel (always present) and one symbolic row kernel for the
-// two-phase strategy. Poly plans (AlgoHybrid) leave those nil and
-// instead dispatch per run: runEnds/runFam mirror the plan's run
-// encoding (DESIGN.md §10) and numFam/symFam hold one kernel pair per
-// family actually bound (nil slots for unused families). The engine
-// drivers split row blocks at run boundaries, so the family lookup is
-// paid once per run ∩ block, never per row. known (knownFam per family
-// for poly plans) is the optional known-pattern form of numeric, which
-// the driver of a plan with a remembered output pattern prefers
-// (knownPhase); nil runs numeric there.
+// kernel (always present) and, for the schemes that run TwoPhase, one
+// symbolic row kernel. Poly plans (AlgoHybrid, one-phase only) leave
+// those nil and instead dispatch per run: runEnds/runFam mirror the
+// plan's run encoding (DESIGN.md §10) and numFam holds the numeric
+// kernel of each family actually bound (nil slots for unused
+// families). The engine drivers split row blocks at run boundaries, so
+// the family lookup is paid once per run ∩ block, never per row. known
+// (knownFam per family for poly plans) is the optional known-pattern
+// form of numeric, which the driver of a plan with a remembered output
+// pattern prefers (knownPhase); nil runs numeric there.
 type kernels[T any] struct {
 	numeric  rowNumericFn[T]
 	symbolic rowSymbolicFn
@@ -137,7 +136,6 @@ type kernels[T any] struct {
 	runEnds  []int32
 	runFam   []uint8
 	numFam   []rowNumericFn[T]
-	symFam   []rowSymbolicFn
 	knownFam []rowKnownFn[T]
 }
 

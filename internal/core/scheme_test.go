@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"maskedspgemm/internal/gen"
@@ -10,9 +11,12 @@ import (
 
 // TestCapabilityMatrix asserts that every Algorithm × {plain,
 // complement} × {1P, 2P} combination either succeeds (and matches the
-// dense oracle) or fails with exactly the registry's documented error.
-// Because both the expectation and the dispatch derive from the same
-// scheme table, the capability set can no longer drift from dispatch.
+// dense oracle) or fails with the registry's documented error: the
+// ComplementNote of a scheme without complement support, and, for
+// TwoPhase on a scheme that is not the paper's, an error naming the
+// scheme. Because both the expectation and the dispatch derive from
+// the same scheme table, the capability set can no longer drift from
+// dispatch.
 func TestCapabilityMatrix(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
 	mask, a, b := buildCase(caseSpec{"", 48, 48, 48, 6, 6, 6, 90})
@@ -28,6 +32,14 @@ func TestCapabilityMatrix(t *testing.T) {
 						t.Errorf("%s complement: want documented error, got success", name)
 					} else if err.Error() != info.ComplementNote {
 						t.Errorf("%s complement: error %q, want documented %q", name, err, info.ComplementNote)
+					}
+					continue
+				}
+				if ph == TwoPhase && !info.Paper {
+					if err == nil {
+						t.Errorf("%s complement=%v: want the one-phase-only error, got success", name, complement)
+					} else if !strings.Contains(err.Error(), info.Name+" runs one-phase only") {
+						t.Errorf("%s complement=%v: error %q does not name the scheme as one-phase only", name, complement, err)
 					}
 					continue
 				}

@@ -80,7 +80,7 @@ func Betweenness(a *sparse.CSR[float64], sources []int32, opt core.Options) (*BC
 		if err != nil {
 			return nil, err
 		}
-		res.Flops += plan.FlopsEstimate(frontier, a)
+		res.Flops += core.Flops(frontier, a)
 		if next.NNZ() == 0 {
 			break
 		}
@@ -115,7 +115,7 @@ func Betweenness(a *sparse.CSR[float64], sources []int32, opt core.Options) (*BC
 		if err != nil {
 			return nil, err
 		}
-		res.Flops += plan.FlopsEstimate(t1, at)
+		res.Flops += core.Flops(t1, at)
 		t3, err := sparse.EWiseMultParallel(t2, numSP, func(x, y float64) float64 { return x * y }, opt.Threads)
 		if err != nil {
 			return nil, err

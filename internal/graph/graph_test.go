@@ -12,15 +12,16 @@ import (
 
 // appAlgorithms are the schemes exercised through the applications
 // (every paper scheme plus baselines; MCA is skipped where complement
-// is required).
+// is required), one-phase, and the paper's schemes two-phase too.
 func appAlgorithms(needComplement bool) []core.Options {
 	var opts []core.Options
-	for _, algo := range core.Algorithms() {
-		if needComplement && !core.SupportsComplement(algo) {
+	for _, info := range core.Schemes() {
+		if needComplement && !info.Complement {
 			continue
 		}
-		for _, ph := range []core.Phases{core.OnePhase, core.TwoPhase} {
-			opts = append(opts, core.Options{Algorithm: algo, Phases: ph})
+		opts = append(opts, core.Options{Algorithm: info.Algo})
+		if info.Paper {
+			opts = append(opts, core.Options{Algorithm: info.Algo, Phases: core.TwoPhase})
 		}
 	}
 	return opts

@@ -105,7 +105,7 @@ func (w *KTrussWorkload) Run(k int, opt core.Options) (*KTrussResult, error) {
 		if hit {
 			res.PlansReused++
 		}
-		res.Flops += plan.FlopsEstimate(c, c)
+		res.Flops += core.Flops(c, c)
 		s, err := plan.ExecuteOnOpts(w.exec, c, c, execOpt)
 		if err != nil {
 			return nil, err

@@ -65,15 +65,6 @@ func (s SchedStats) Busy() time.Duration {
 	return total
 }
 
-// Claimed returns the total number of executed blocks.
-func (s SchedStats) Claimed() int {
-	n := 0
-	for _, w := range s.Workers {
-		n += w.Claimed
-	}
-	return n
-}
-
 // Stolen always returns 0: no scheduler steals work any more. It stays
 // for readers of the parallel.stolen_per_op trajectory metric.
 func (s SchedStats) Stolen() int { return 0 }

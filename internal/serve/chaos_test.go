@@ -21,18 +21,20 @@ import (
 // All of it runs under -race in CI.
 
 // chaosServeKinds are the injected panics the serve chaos test sends
-// through Hybrid, the one served algorithm: the numeric pass of a
-// plain and of a complemented product, and the symbolic pass of a
-// two-phase one. Each panics at its own row, so each is a distinct
+// through Hybrid, the one served algorithm, which runs one-phase: the
+// numeric pass of a plain and of a complemented product on the
+// parallel claim loop, and of a plain product on the serial one
+// (threads=1). Each panics at its own row, so each is a distinct
 // (family, value) key of the panic log. Per-family containment is
-// core's TestChaosPanicEachFamily.
+// core's TestChaosPanicEachFamily, and the symbolic pass's, which only
+// the paper's two-phase schemes run, TestChaosPanicSymbolicPass.
 var chaosServeKinds = []struct {
 	query string
 	hooks faultinject.Hooks
 }{
 	{"", faultinject.Hooks{PanicArmed: true, PanicRow: 3, PanicPass: faultinject.PassNumeric}},
 	{"?complement=1", faultinject.Hooks{PanicArmed: true, PanicRow: 5, PanicPass: faultinject.PassNumeric}},
-	{"?phases=2", faultinject.Hooks{PanicArmed: true, PanicRow: 7, PanicPass: faultinject.PassSymbolic}},
+	{"?threads=1", faultinject.Hooks{PanicArmed: true, PanicRow: 7, PanicPass: faultinject.PassNumeric}},
 }
 
 // TestServeChaosPanicPerKind injects a kernel panic of each kind

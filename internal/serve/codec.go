@@ -222,24 +222,21 @@ func (s *Server) decodeMultipart(mr *multipart.Reader, size int64) (*operands, e
 }
 
 // parseOptions turns query parameters into facade options. Every
-// request runs the Hybrid per-row selector (DESIGN.md §10); the other
-// knobs are optional. Recognized: algorithm (only "hybrid", any case,
-// or absent), phases (1|2), complement (0|1|false|true, any case),
-// threads (int, at most GOMAXPROCS — the parameter picks a width
-// within the host's parallelism, it must not size allocations).
+// request runs the Hybrid per-row selector one-phase (DESIGN.md §10);
+// the other knobs are optional. Recognized: algorithm (only "hybrid",
+// any case, or absent), phases (only "1", or absent), complement
+// (0|1|false|true, any case), threads (int, at most GOMAXPROCS — the
+// parameter picks a width within the host's parallelism, it must not
+// size allocations).
 func parseOptions(r *http.Request) ([]maskedspgemm.Option, error) {
 	q := r.URL.Query()
 	if name := q.Get("algorithm"); name != "" && !strings.EqualFold(name, "hybrid") {
 		return nil, fmt.Errorf("serve: algorithm %q is not served (this server runs hybrid only)", name)
 	}
-	opts := []maskedspgemm.Option{maskedspgemm.WithAlgorithm(maskedspgemm.Hybrid)}
-	switch q.Get("phases") {
-	case "", "1":
-	case "2":
-		opts = append(opts, maskedspgemm.WithTwoPhase())
-	default:
-		return nil, fmt.Errorf("serve: phases must be 1 or 2, got %q", q.Get("phases"))
+	if ph := q.Get("phases"); ph != "" && ph != "1" {
+		return nil, fmt.Errorf("serve: phases=%q is not served (this server runs one-phase only)", ph)
 	}
+	opts := []maskedspgemm.Option{maskedspgemm.WithAlgorithm(maskedspgemm.Hybrid)}
 	switch c := q.Get("complement"); strings.ToLower(c) {
 	case "", "0", "false":
 	case "1", "true":

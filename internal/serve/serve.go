@@ -360,7 +360,7 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 // API share one vocabulary.
 type statsResponse struct {
 	// Session carries the plan-cache, store, budget, executor-pool,
-	// scheduler, and fault counters.
+	// and fault counters.
 	Session maskedspgemm.SessionStats `json:"session"`
 	// Admission carries the front door's counters.
 	Admission AdmissionStats `json:"admission"`

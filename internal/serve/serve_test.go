@@ -579,6 +579,61 @@ func TestServeHybridOnly(t *testing.T) {
 	}
 }
 
+// TestServeOnePhaseOnly pins the served phase count: every request runs
+// one-phase, since two-phase is the paper's §6 comparison for its own
+// schemes and Hybrid does not run it. phases= absent or "1" is the same
+// request — one result, one cached plan — on /v1/multiply and /v1/warm
+// alike. Any other value, 2 included, is a 400 that names it, answered
+// before the request takes an admission slot.
+func TestServeOnePhaseOnly(t *testing.T) {
+	g := maskedspgemm.ErdosRenyi(48, 6, 75)
+	body := servetest.EncodeSerial(t, g)
+	want, err := maskedspgemm.Multiply(g.PatternView(), g, g, maskedspgemm.WithAlgorithm(maskedspgemm.Hybrid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := servetest.Start(t, New(Config{}))
+	for _, q := range []string{"", "?phases=1"} {
+		t.Run("accept"+q, func(t *testing.T) {
+			if resp := h.Post("/v1/warm"+q, body, nil); resp.Status != http.StatusOK {
+				t.Fatalf("warm: status %d: %s", resp.Status, resp.Body)
+			}
+			resp := h.Post("/v1/multiply"+q, body, nil)
+			if resp.Status != http.StatusOK {
+				t.Fatalf("multiply: status %d: %s", resp.Status, resp.Body)
+			}
+			got, err := serial.Read(bytes.NewReader(resp.Body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sparse.Equal(want, got) {
+				t.Fatal("result differs from local one-phase Hybrid")
+			}
+		})
+	}
+	st := getStats(t, h)
+	if c := st.Session.Cache; c.Entries != 1 || c.Misses != 1 || c.Hits != 3 {
+		t.Fatalf("cache = %+v, want one entry planned once and hit by the other three requests", c)
+	}
+	for _, v := range []string{"2", "0", "3", "two", "2P", " 1"} {
+		t.Run("reject?phases="+v, func(t *testing.T) {
+			admitted := getStats(t, h).Admission.Admitted
+			for _, path := range []string{"/v1/multiply", "/v1/warm"} {
+				resp := h.Post(path+"?phases="+url.QueryEscape(v), body, nil)
+				if resp.Status != http.StatusBadRequest {
+					t.Fatalf("%s: status %d: %s, want 400", path, resp.Status, resp.Body)
+				}
+				if !strings.Contains(string(resp.Body), "one-phase only") {
+					t.Errorf("%s: the rejection does not say why: %s", path, resp.Body)
+				}
+			}
+			if got := getStats(t, h).Admission.Admitted; got != admitted {
+				t.Fatalf("admitted %d after the rejected requests, want %d: a 400 took a slot", got, admitted)
+			}
+		})
+	}
+}
+
 // TestServeStrictComplement pins complement= parsing: 1 and true (any
 // case) complement the mask and match the library's complemented
 // product; absent, 0 and false do not; any other value is a 400 before

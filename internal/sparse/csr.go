@@ -218,16 +218,6 @@ func (a *CSC[T]) NNZ() int64 {
 	return a.ColPtr[a.Cols]
 }
 
-// Col returns the sorted row indices of column j, aliasing storage.
-func (a *CSC[T]) Col(j int) []int32 {
-	return a.RowIdx[a.ColPtr[j]:a.ColPtr[j+1]]
-}
-
-// ColVals returns the values of column j, parallel to Col(j).
-func (a *CSC[T]) ColVals(j int) []T {
-	return a.Val[a.ColPtr[j]:a.ColPtr[j+1]]
-}
-
 // Validate checks the CSC invariants (mirror of Pattern.Validate).
 func (a *CSC[T]) Validate() error {
 	if len(a.ColPtr) != a.Cols+1 {

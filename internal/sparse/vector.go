@@ -67,12 +67,3 @@ func (v *Vector[T]) Clone() *Vector[T] {
 		Val: append([]T(nil), v.Val...),
 	}
 }
-
-// ToDense expands the vector; absent positions hold the zero value.
-func (v *Vector[T]) ToDense() []T {
-	out := make([]T, v.N)
-	for k, i := range v.Idx {
-		out[i] = v.Val[k]
-	}
-	return out
-}

@@ -1,7 +1,6 @@
 package sparse
 
 import (
-	"slices"
 	"testing"
 )
 
@@ -44,13 +43,5 @@ func TestVectorValidateErrors(t *testing.T) {
 	bad4 := &Vector[int]{N: 3, Idx: []int32{1}, Val: []int{}}
 	if bad4.Validate() == nil {
 		t.Error("want error for length mismatch")
-	}
-}
-
-func TestVectorToDense(t *testing.T) {
-	v := &Vector[float64]{N: 6, Idx: []int32{1, 3, 5}, Val: []float64{1, 2.5, -3}}
-	want := []float64{0, 1, 0, 2.5, 0, -3}
-	if got := v.ToDense(); !slices.Equal(got, want) {
-		t.Fatalf("ToDense = %v, want %v", got, want)
 	}
 }

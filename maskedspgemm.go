@@ -109,7 +109,9 @@ func WithAlgorithm(a Algorithm) Option {
 }
 
 // WithTwoPhase enables the symbolic+numeric strategy (§6); the default
-// is one-phase, the paper's usual winner.
+// is one-phase, the paper's usual winner. Only the paper's six schemes
+// run it: with MaskedBit, Hybrid or a baseline, Multiply returns an
+// error naming the scheme.
 func WithTwoPhase() Option {
 	return func(o *core.Options) { o.Phases = core.TwoPhase }
 }
@@ -136,7 +138,7 @@ func WithThreads(threads int) Option {
 
 // SchedStats is per-execution scheduler telemetry: one entry per
 // worker with busy time and blocks claimed, plus aggregate accessors
-// (Busy, Claimed, Imbalance).
+// (Busy, Imbalance).
 type SchedStats = parallel.SchedStats
 
 // WithSchedStats records per-worker scheduler telemetry on every

@@ -485,8 +485,8 @@ type FaultStats struct {
 	ExecutorsDiscarded uint64 `json:"executors_discarded"`
 }
 
-// SessionStats is a point-in-time snapshot of a session's cache, pool,
-// store, and scheduler behaviour, for dashboards and capacity tuning.
+// SessionStats is a point-in-time snapshot of a session's cache, store,
+// budget, pool, and fault counters, for dashboards and capacity tuning.
 // Its JSON encoding is the session block of mspgemm-serve's /stats.
 type SessionStats struct {
 	// Cache reports plan-cache hits, misses (including coalesced
