@@ -31,7 +31,8 @@ func polyTestPlan(t *testing.T, mask *sparse.Pattern, a, b *sparse.CSR[float64],
 // TestHybridPolyParity cross-validates mixed-family execution against
 // the dense oracle across the mask-density sweep, plain and
 // complemented — the parity guarantee for every family crossover the
-// selector can take.
+// selector can take. Hybrid runs one-phase only, so each two-phase cell
+// checks the refusal instead.
 func TestHybridPolyParity(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
 	const n = 120
@@ -45,21 +46,25 @@ func TestHybridPolyParity(t *testing.T) {
 		mask := gen.Random(n, n, deg, 303+uint64(deg)).PatternView()
 		for _, complement := range []bool{false, true} {
 			want := oracle(mask, a, b, complement)
-			name := fmt.Sprintf("density=%g/complement=%v/%v", density, complement, OnePhase)
-			t.Run(name, func(t *testing.T) {
-				got, err := MaskedSpGEMM(sr, mask, a, b, Options{
-					Algorithm: AlgoHybrid, Complement: complement, Threads: 3,
+			for _, ph := range []Phases{OnePhase, TwoPhase} {
+				name := fmt.Sprintf("density=%g/complement=%v/%v", density, complement, ph)
+				t.Run(name, func(t *testing.T) {
+					opt := Options{Algorithm: AlgoHybrid, Phases: ph, Complement: complement, Threads: 3}
+					got, err := MaskedSpGEMM(sr, mask, a, b, opt)
+					if rejectsTwoPhase(t, opt, err) {
+						return
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := got.Validate(); err != nil {
+						t.Fatalf("invalid output: %v", err)
+					}
+					if d := sparse.Diff(want, got, floatEq); d != "" {
+						t.Fatalf("mismatch vs oracle: %s", d)
+					}
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := got.Validate(); err != nil {
-					t.Fatalf("invalid output: %v", err)
-				}
-				if d := sparse.Diff(want, got, floatEq); d != "" {
-					t.Fatalf("mismatch vs oracle: %s", d)
-				}
-			})
+			}
 		}
 	}
 }

@@ -39,7 +39,9 @@ func TestFamilyBitPositionsPinned(t *testing.T) {
 
 // TestMaskedBitDensityParity cross-validates AlgoMaskedBit against the
 // dense oracle across the mask-density sweep, plain and complemented —
-// the direct-scheme counterpart of the hybrid parity sweep.
+// the direct-scheme counterpart of the hybrid parity sweep. MaskedBit
+// runs one-phase only, so each two-phase cell checks the refusal
+// instead.
 func TestMaskedBitDensityParity(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
 	const n = 120
@@ -53,21 +55,25 @@ func TestMaskedBitDensityParity(t *testing.T) {
 		mask := gen.Random(n, n, deg, 503+uint64(deg)).PatternView()
 		for _, complement := range []bool{false, true} {
 			want := oracle(mask, a, b, complement)
-			name := fmt.Sprintf("density=%g/complement=%v/%v", density, complement, OnePhase)
-			t.Run(name, func(t *testing.T) {
-				got, err := MaskedSpGEMM(sr, mask, a, b, Options{
-					Algorithm: AlgoMaskedBit, Complement: complement, Threads: 3,
+			for _, ph := range []Phases{OnePhase, TwoPhase} {
+				name := fmt.Sprintf("density=%g/complement=%v/%v", density, complement, ph)
+				t.Run(name, func(t *testing.T) {
+					opt := Options{Algorithm: AlgoMaskedBit, Phases: ph, Complement: complement, Threads: 3}
+					got, err := MaskedSpGEMM(sr, mask, a, b, opt)
+					if rejectsTwoPhase(t, opt, err) {
+						return
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := got.Validate(); err != nil {
+						t.Fatalf("invalid output: %v", err)
+					}
+					if d := sparse.Diff(want, got, floatEq); d != "" {
+						t.Fatalf("mismatch vs oracle: %s", d)
+					}
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := got.Validate(); err != nil {
-					t.Fatalf("invalid output: %v", err)
-				}
-				if d := sparse.Diff(want, got, floatEq); d != "" {
-					t.Fatalf("mismatch vs oracle: %s", d)
-				}
-			})
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"maskedspgemm/internal/gen"
@@ -20,11 +21,32 @@ func schemePhases(algo Algorithm) []Phases {
 	return []Phases{OnePhase}
 }
 
-// allOptions enumerates every algorithm × phase combination that runs.
+// rejectsTwoPhase reports whether opt asks two-phase of a scheme that
+// runs one-phase only (SchemeInfo.Paper unset), and fails t unless err
+// is the registry's error naming the scheme. Tables that cross every
+// scheme with both phases use it, so each cell checks either a product
+// or this refusal.
+func rejectsTwoPhase(t *testing.T, opt Options, err error) bool {
+	t.Helper()
+	info, _ := LookupScheme(opt.Algorithm)
+	if opt.Phases != TwoPhase || info.Paper {
+		return false
+	}
+	if err == nil {
+		t.Fatalf("%s: want the one-phase-only error, got success", opt.SchemeName())
+	}
+	if !strings.Contains(err.Error(), info.Name+" runs one-phase only") {
+		t.Fatalf("%s: error %q does not name the scheme as one-phase only", opt.SchemeName(), err)
+	}
+	return true
+}
+
+// allOptions enumerates every algorithm × phase combination; the ones
+// that do not run are for rejectsTwoPhase.
 func allOptions() []Options {
 	var opts []Options
 	for _, algo := range Algorithms() {
-		for _, ph := range schemePhases(algo) {
+		for _, ph := range []Phases{OnePhase, TwoPhase} {
 			opts = append(opts, Options{Algorithm: algo, Phases: ph})
 		}
 	}
@@ -67,7 +89,7 @@ func buildCase(c caseSpec) (*sparse.Pattern, *sparse.CSR[float64], *sparse.CSR[f
 
 // TestMaskedSpGEMMAgainstOracle cross-validates every algorithm and
 // phase combination that runs, plain and complemented, on a spread of
-// shapes and densities.
+// shapes and densities, and checks the rest are refused.
 func TestMaskedSpGEMMAgainstOracle(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
 	for _, c := range testCases() {
@@ -82,6 +104,9 @@ func TestMaskedSpGEMMAgainstOracle(t *testing.T) {
 				name := fmt.Sprintf("%s/%s/complement=%v", c.name, opt.SchemeName(), complement)
 				t.Run(name, func(t *testing.T) {
 					got, err := MaskedSpGEMM(sr, mask, a, b, opt)
+					if rejectsTwoPhase(t, opt, err) {
+						return
+					}
 					if err != nil {
 						t.Fatalf("MaskedSpGEMM: %v", err)
 					}
@@ -143,6 +168,9 @@ func TestMaskedSpGEMMEmptyOperands(t *testing.T) {
 	for _, opt := range allOptions() {
 		t.Run(opt.SchemeName(), func(t *testing.T) {
 			got, err := MaskedSpGEMM(sr, emptyMask, a, b, opt)
+			if rejectsTwoPhase(t, opt, err) {
+				return
+			}
 			if err != nil {
 				t.Fatalf("empty mask: %v", err)
 			}
@@ -211,6 +239,9 @@ func TestMaskedSpGEMMSemirings(t *testing.T) {
 	want := sparse.DenseMaskedMultiply(mask, a, a, false, sr.Add, sr.Mul, sr.Zero())
 	for _, opt := range allOptions() {
 		got, err := MaskedSpGEMM(sr, mask, a, a, opt)
+		if rejectsTwoPhase(t, opt, err) {
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", opt.SchemeName(), err)
 		}
@@ -397,6 +428,9 @@ func TestExplicitZerosKept(t *testing.T) {
 	mask, _ := sparse.FromRows(1, 1, map[int]map[int]float64{0: {0: 1}})
 	for _, opt := range allOptions() {
 		got, err := MaskedSpGEMM(sr, mask.PatternView(), a, b, opt)
+		if rejectsTwoPhase(t, opt, err) {
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", opt.SchemeName(), err)
 		}

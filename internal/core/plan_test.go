@@ -30,11 +30,16 @@ func TestPlanMatchesMultiply(t *testing.T) {
 			if complement && !info.Complement {
 				continue
 			}
-			for _, ph := range schemePhases(info.Algo) {
+			for _, ph := range []Phases{OnePhase, TwoPhase} {
 				opt := Options{Algorithm: info.Algo, Phases: ph, Complement: complement}
 				name := fmt.Sprintf("%s/complement=%v", opt.SchemeName(), complement)
 				t.Run(name, func(t *testing.T) {
 					plan, err := NewPlan(sr, mask, a, b, opt, nil)
+					if rejectsTwoPhase(t, opt, err) {
+						_, err = MaskedSpGEMM(sr, mask, a, b, opt)
+						rejectsTwoPhase(t, opt, err)
+						return
+					}
 					if err != nil {
 						t.Fatalf("NewPlan: %v", err)
 					}

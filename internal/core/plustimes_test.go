@@ -108,7 +108,8 @@ func cancelProduct(seed int64) (mask *sparse.Pattern, a, b *sparse.CSR[float64],
 // produce output bit-identical to the generic kernels (run through
 // plusTimesTwin) for every scheme that binds them — MSA, MaskedBit and
 // Hybrid on plain masks, MaskedBit (MaskedBitC) and Hybrid on
-// complemented ones — in every phase each runs, at 1 and 4 threads, on
+// complemented ones — in every phase each runs (two-phase cells of the
+// one-phase-only schemes check the refusal), at 1 and 4 threads, on
 // inputs with signed zeros, infinities, NaN, subnormals and exact
 // cancellation. NaN results must land on the same entries (sameBits).
 // Cancelled entries must be emitted as stored zeros.
@@ -131,12 +132,15 @@ func TestPlusTimesBitIdentical(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		mask, a, b, cancelCols := cancelProduct(seed)
 		for _, s := range schemes {
-			for _, ph := range schemePhases(s.algo) {
+			for _, ph := range []Phases{OnePhase, TwoPhase} {
 				for _, threads := range []int{1, 4} {
 					opt := Options{Algorithm: s.algo, Complement: s.complement, HybridFamilies: s.menu, Phases: ph, Threads: threads}
 					name := fmt.Sprintf("seed=%d/%v/complement=%v/menu=%#x/%v/threads=%d", seed, s.algo, s.complement, s.menu, ph, threads)
 					t.Run(name, func(t *testing.T) {
 						got, err := MaskedSpGEMM(semiring.PlusTimes[float64]{}, mask, a, b, opt)
+						if rejectsTwoPhase(t, opt, err) {
+							return
+						}
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -299,7 +303,8 @@ func checkDenseRows(t *testing.T, got, want *sparse.CSR[float64]) {
 // at both sides of each term of the dense-row rule (denseRowsProduct)
 // and checks them bit for bit against the generic kernels: under MSA
 // (one- and two-phase) and under Hybrid binding MSA on every row
-// (one-phase), at 1 and 4 threads. It then reuses one executor across a
+// (one-phase; its two-phase cells check the refusal), at 1 and 4
+// threads. It then reuses one executor across a
 // narrow product, a wide one, the narrow one and the wide one again, so
 // each dense row runs on slots left behind by a product of the other
 // width.
@@ -313,11 +318,14 @@ func TestPlusTimesDenseRowsBitIdentical(t *testing.T) {
 			}
 		}
 		for _, algo := range []Algorithm{AlgoMSA, AlgoHybrid} {
-			for _, ph := range schemePhases(algo) {
+			for _, ph := range []Phases{OnePhase, TwoPhase} {
 				for _, threads := range []int{1, 4} {
 					opt := Options{Algorithm: algo, HybridFamilies: Families(FamMSA), Phases: ph, Threads: threads}
 					t.Run(fmt.Sprintf("n=%d/%v/%v/threads=%d", n, algo, ph, threads), func(t *testing.T) {
 						got, err := MaskedSpGEMM(semiring.PlusTimes[float64]{}, mask, a, b, opt)
+						if rejectsTwoPhase(t, opt, err) {
+							return
+						}
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -489,7 +497,7 @@ func checkComplDenseRows(t *testing.T, got, want *sparse.CSR[float64]) {
 // (complDenseRowsProduct) and checks them bit for bit against the
 // generic kernels: under MaskedBit and under Hybrid binding MaskedBit
 // on every row, complemented, at 1 and 4 threads (one-phase, the only
-// phase either runs). It then reuses one executor across a narrow
+// phase either runs; the two-phase cells check the refusal). It then reuses one executor across a narrow
 // product, a wide one, the narrow one and the wide one again, so each
 // dense row's Gather runs on arrays wider than its product, left by
 // the other.
@@ -502,19 +510,24 @@ func TestPlusTimesDenseComplementRowsBitIdentical(t *testing.T) {
 			t.Fatalf("n=%d: dense rows %v, want %v", n, dense, want)
 		}
 		for _, algo := range []Algorithm{AlgoMaskedBit, AlgoHybrid} {
-			for _, threads := range []int{1, 4} {
-				opt := Options{Algorithm: algo, Complement: true, HybridFamilies: Families(FamMaskedBit), Threads: threads}
-				t.Run(fmt.Sprintf("n=%d/%v/%v/threads=%d", n, algo, OnePhase, threads), func(t *testing.T) {
-					got, err := MaskedSpGEMM(semiring.PlusTimes[float64]{}, mask, a, b, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := MaskedSpGEMM(plusTimesTwin{}, mask, a, b, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkComplDenseRows(t, got, want)
-				})
+			for _, ph := range []Phases{OnePhase, TwoPhase} {
+				for _, threads := range []int{1, 4} {
+					opt := Options{Algorithm: algo, Complement: true, HybridFamilies: Families(FamMaskedBit), Phases: ph, Threads: threads}
+					t.Run(fmt.Sprintf("n=%d/%v/%v/threads=%d", n, algo, ph, threads), func(t *testing.T) {
+						got, err := MaskedSpGEMM(semiring.PlusTimes[float64]{}, mask, a, b, opt)
+						if rejectsTwoPhase(t, opt, err) {
+							return
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := MaskedSpGEMM(plusTimesTwin{}, mask, a, b, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						checkComplDenseRows(t, got, want)
+					})
+				}
 			}
 		}
 	}
