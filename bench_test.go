@@ -447,6 +447,47 @@ func BenchmarkSessionPlanHitRefs(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionPlanHitSelf — a plan-cache hit on a symmetric
+// self-product C = A ⊙ (A·A) under Hybrid, by reference, for the
+// products of er-warm-inline (a symmetric ER(2¹¹, 8) graph) and
+// tc-skew-ref (a scale-12 R-MAT graph relabeled hubs last) in
+// mspgemm-trajectory. Such a product computes one triangle and mirrors
+// it. Two warm executions come before the timer: the second publishes
+// the plan's known half (DESIGN.md §5, "Known pattern"), so every timed
+// op computes only the known columns, under the binding priced on
+// them, then mirrors.
+func BenchmarkSessionPlanHitSelf(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		g    *sparse.CSR[float64]
+	}{
+		{"er-warm-inline", gen.Symmetrize(gen.ErdosRenyi(1<<11, 8, 1))},
+		{"tc-skew-ref", bench.SkewedGraph(12, 8, 1)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s := NewSession()
+			ref, _ := s.PutOperand(c.g)
+			multiply := func() {
+				if _, err := s.MultiplyRefs(ref.Pattern, ref, ref, WithAlgorithm(Hybrid)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			multiply()
+			multiply()
+			misses := s.Stats().Cache.Misses
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				multiply()
+			}
+			b.StopTimer()
+			if s.Stats().Cache.Misses != misses {
+				b.Fatal("a request missed the plan cache; the benchmark must time hits")
+			}
+		})
+	}
+}
+
 // BenchmarkFlops — the flop counters after the per-worker partial-sum
 // rework: the serial path (small nnz) must report 0 allocs/op, and the
 // parallel path's allocations are O(threads) scheduler bookkeeping,

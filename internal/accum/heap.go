@@ -12,12 +12,21 @@ type RowIter struct {
 }
 
 // IterHeap is a binary min-heap of row iterators ordered by current
-// column id, the multi-way-merge structure of the masked heap SpGEVM
-// algorithm (§5.5, after Buluç & Gilbert's column-column heap
-// algorithm). Capacity never exceeds nnz(A row); the backing slice is
-// reused across rows.
+// column id, and on equal columns by A entry (RowIter.less), the
+// multi-way-merge structure of the masked heap SpGEVM algorithm (§5.5,
+// after Buluç & Gilbert's column-column heap algorithm). Capacity never
+// exceeds nnz(A row); the backing slice is reused across rows.
 type IterHeap struct {
 	items []RowIter
+}
+
+// less orders iterators by current column, then by A entry. A row's
+// iterators hold distinct A entries, so the order is total and the
+// heap pops each column's products in ascending k — the order every
+// other family sums them in — whatever the order of the pushes, which
+// the mask steers (DESIGN.md §5, "Known pattern").
+func (x RowIter) less(y RowIter) bool {
+	return x.Col < y.Col || x.Col == y.Col && x.AIdx < y.AIdx
 }
 
 // NewIterHeap returns a heap with the given capacity hint.
@@ -48,7 +57,7 @@ func (h *IterHeap) Push(it RowIter) {
 	i := len(h.items) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.items[parent].Col <= h.items[i].Col {
+		if !h.items[i].less(h.items[parent]) {
 			break
 		}
 		h.items[parent], h.items[i] = h.items[i], h.items[parent]
@@ -78,10 +87,10 @@ func (h *IterHeap) siftDown(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < n && h.items[l].Col < h.items[small].Col {
+		if l < n && h.items[l].less(h.items[small]) {
 			small = l
 		}
-		if r < n && h.items[r].Col < h.items[small].Col {
+		if r < n && h.items[r].less(h.items[small]) {
 			small = r
 		}
 		if small == i {

@@ -1,6 +1,7 @@
 package accum
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 
@@ -13,8 +14,9 @@ func bitWords(ncols int) int { return (ncols + 63) >> 6 }
 
 // MaskedBit is a bitmap-state masked accumulator: the MSA's three-state
 // byte automaton collapsed into two bitsets plus a values array that is
-// kept at the semiring zero between rows. Because implementations of
-// semiring.Semiring guarantee Add(x, Zero()) == x, "insert into an
+// kept at the additive identity between rows (restValue). Because
+// implementations of semiring.Semiring guarantee Add(x, Zero()) == x,
+// "insert into an
 // ALLOWED key" and "accumulate into a SET key" become the same fused
 // operation — values[key] = Add(values[key], Mul(a, b)) — gated by a
 // single word-indexed bit test. The state footprint per column drops
@@ -29,9 +31,12 @@ func bitWords(ncols int) int { return (ncols + 63) >> 6 }
 // least once", never "value != 0".
 type MaskedBit[T any, S semiring.Semiring[T]] struct {
 	sr S
-	// values is indexed by column and holds sr.Zero() everywhere except
-	// the keys inserted since the last Begin; Gather restores the
-	// invariant for the keys it emits.
+	// rest is the value every values slot holds between rows
+	// (restValue).
+	rest T
+	// values is indexed by column and holds rest everywhere except the
+	// keys inserted since the last Begin; Gather restores the invariant
+	// for the keys it emits.
 	values []T
 	// allowed holds one bit per column: set while the current row's mask
 	// admits that column.
@@ -44,13 +49,35 @@ type MaskedBit[T any, S semiring.Semiring[T]] struct {
 // NewMaskedBit returns a MaskedBit accumulator for output rows of width
 // ncols.
 func NewMaskedBit[T any, S semiring.Semiring[T]](sr S, ncols int) *MaskedBit[T, S] {
-	m := &MaskedBit[T, S]{sr: sr}
+	m := &MaskedBit[T, S]{sr: sr, rest: restValue[T](sr)}
 	m.EnsureCols(ncols)
 	return m
 }
 
+// restValue returns the value a MaskedBit keeps its values slots at
+// between rows: the semiring zero, except over float64 when the zero is
+// +0 and Add keeps −0 + −0 at −0, as IEEE addition does. There it is
+// −0, which such an Add returns every x from bit for bit, while +0 + −0
+// is +0: starting at −0, a column's value is its first product itself,
+// as MSA, Hash, Heap and Pull store it, and a column whose every
+// product is −0 emits −0 in every family, so that a row's result does
+// not depend on the family that computed it (DESIGN.md §5, "Known
+// pattern").
+func restValue[T any, S semiring.Semiring[T]](sr S) T {
+	zero := sr.Zero()
+	z, ok := any(zero).(float64)
+	if !ok || math.Float64bits(z) != 0 {
+		return zero
+	}
+	neg := any(math.Copysign(0, -1)).(T)
+	if s, _ := any(sr.Add(neg, neg)).(float64); math.Signbit(s) {
+		return neg
+	}
+	return zero
+}
+
 // EnsureCols grows the dense arrays to cover output rows of width
-// ncols. Fresh values slots are filled with the semiring zero and fresh
+// ncols. Fresh values slots are filled with the rest value and fresh
 // bitset words are zero (NOTALLOWED), so growing between rows is always
 // safe. Used by executor workspaces that keep one MaskedBit per worker
 // across products of different widths.
@@ -59,9 +86,8 @@ func (m *MaskedBit[T, S]) EnsureCols(ncols int) {
 		return
 	}
 	m.values = make([]T, ncols)
-	zero := m.sr.Zero()
 	for i := range m.values {
-		m.values[i] = zero
+		m.values[i] = m.rest
 	}
 	w := bitWords(ncols)
 	m.allowed = make([]uint64, w)
@@ -106,7 +132,7 @@ func (m *MaskedBit[T, S]) Begin(maskRow []int32) {
 // of one B row that the mask admits; the product is not computed for
 // masked-out columns. There is no three-way state dispatch: allowed and
 // set-but-not-yet-inserted columns take the identical fused-add path
-// because values start at the semiring zero.
+// because values start at the additive identity.
 //
 //mspgemm:hotpath
 func (m *MaskedBit[T, S]) Scatter(av T, bCols []int32, bVals []T) {
@@ -131,7 +157,7 @@ func (m *MaskedBit[T, S]) Scatter(av T, bCols []int32, bVals []T) {
 
 // Gather emits the inserted entries in ascending column order —
 // identical to mask order, since the set bits are a subset of the mask's
-// — restores the emitted values slots to the semiring zero, and clears
+// — restores the emitted values slots to the rest value, and clears
 // the touched bitset words. The walk is word-granular: it spans the
 // words between the row's first and last mask column, popping set bits
 // with TrailingZeros64, so on a dense mask row it touches ~nnz/64 words
@@ -149,7 +175,7 @@ func (m *MaskedBit[T, S]) Gather(maskRow []int32, outIdx []int32, outVal []T) in
 	}
 	w0 := uint(uint32(maskRow[0])) >> 6
 	w1 := uint(uint32(maskRow[len(maskRow)-1])) >> 6
-	zero := m.sr.Zero()
+	rest := m.rest
 	values := m.values
 	allowed := m.allowed
 	set := m.set[:len(allowed)]
@@ -159,7 +185,7 @@ func (m *MaskedBit[T, S]) Gather(maskRow []int32, outIdx []int32, outVal []T) in
 			k := w<<6 + uint(bits.TrailingZeros64(b))
 			outIdx[n] = int32(k)
 			outVal[n] = values[k]
-			values[k] = zero
+			values[k] = rest
 			n++
 		}
 		allowed[w] = 0

@@ -162,8 +162,9 @@ type MaskedBitPlusTimes struct {
 }
 
 // Scatter is MaskedBit.Scatter with Mul and Add written out: values
-// start at +0, so the first product is added to +0 exactly as the
-// generic Add(Zero(), Mul(a, b)) does.
+// start at −0 (restValue), so the first product is added to −0 exactly
+// as the generic Add(values[k], Mul(a, b)) does, and is stored bit for
+// bit.
 //
 //mspgemm:hotpath
 func (m MaskedBitPlusTimes) Scatter(av float64, bCols []int32, bVals []float64) {

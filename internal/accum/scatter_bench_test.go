@@ -99,7 +99,7 @@ func complProduct[A complRowAcc](acc A, a *sparse.CSR[float64], outIdx []int32, 
 }
 
 // complBound is row i's population bound, Σ nnz(A_k*) over its A
-// entries: internal/core's rowGenBound for B = A.
+// entries: internal/core's rowGen for B = A.
 func complBound(a *sparse.CSR[float64], i int) int {
 	bound := 0
 	for _, k := range a.Row(i) {

@@ -24,7 +24,7 @@ import (
 // unmaskedRowNumeric computes one unmasked Gustavson row with the
 // complement hash accumulator and an empty exclusion set.
 func unmaskedRowNumeric[T any, S semiring.Semiring[T]](acc *accum.HashC[T, S], aCols []int32, aVals []T, b *sparse.CSR[T], outIdx []int32, outVal []T) int {
-	acc.BeginSized(nil, rowGenBound(aCols, b))
+	acc.BeginSized(nil, int(rowGen(aCols, b.RowPtr)))
 	for k, col := range aCols {
 		lo, hi := b.RowPtr[col], b.RowPtr[col+1]
 		acc.Scatter(aVals[k], b.ColIdx[lo:hi], b.Val[lo:hi])
@@ -34,7 +34,7 @@ func unmaskedRowNumeric[T any, S semiring.Semiring[T]](acc *accum.HashC[T, S], a
 
 // unmaskedRowSymbolic counts one unmasked Gustavson row.
 func unmaskedRowSymbolic[T any, S semiring.Semiring[T]](acc *accum.HashC[T, S], aCols []int32, b *sparse.CSR[T]) int {
-	acc.BeginSymbolicSized(nil, rowGenBound(aCols, b))
+	acc.BeginSymbolicSized(nil, int(rowGen(aCols, b.RowPtr)))
 	for _, col := range aCols {
 		lo, hi := b.RowPtr[col], b.RowPtr[col+1]
 		acc.ScatterPattern(b.ColIdx[lo:hi])
@@ -61,7 +61,7 @@ func SpGEMM[T any, S semiring.Semiring[T]](sr S, a, b *sparse.CSR[T], opt Option
 	// slab layout and the cost profile the partitions are cut from.
 	offsets := make([]int64, a.Rows+1)
 	for i := 0; i < a.Rows; i++ {
-		offsets[i] = int64(rowGenBound(a.Row(i), b))
+		offsets[i] = rowGen(a.Row(i), b.RowPtr)
 	}
 	parallel.PrefixSum(offsets)
 	sch := rowSched{threads: opt.Threads, bounds: partitions(offsets, opt.Threads, nil)}

@@ -22,24 +22,10 @@ type pushAccC[T any] interface {
 	accum.ComplementSymbolic
 }
 
-// rowGenBound returns Σ_{k : A_ik ≠ 0} nnz(B_k*), the population bound
-// for row i's complement accumulator: rowScan without clips, in a form
-// small enough to inline into the per-row complement kernels, which
-// rowScan (over the inlining budget) is not.
-func rowGenBound[T any](aCols []int32, b *sparse.CSR[T]) int {
-	rowPtr := b.RowPtr
-	var gen int64
-	for _, k := range aCols {
-		c := int(uint32(k))
-		rp := rowPtr[c : c+2]
-		gen += rp[1] - rp[0]
-	}
-	return int(gen)
-}
-
 // pushRowNumericC computes one complemented output row, one Scatter per
 // A entry as in pushRowNumeric, with the same bounds-check-elimination
-// hints. bound is the row's rowGenBound.
+// hints. bound is the row's rowGen, the population bound of its
+// complement accumulator.
 //
 //mspgemm:hotpath
 func pushRowNumericC[T any, A accum.ComplementNumeric[T]](acc A, maskRow []int32, bound int, aCols []int32, aVals []T, b *sparse.CSR[T], outIdx []int32, outVal []T) int {
@@ -61,7 +47,7 @@ func pushRowNumericC[T any, A accum.ComplementNumeric[T]](acc A, maskRow []int32
 //
 //mspgemm:hotpath
 func pushRowSymbolicC[T any, A pushAccC[T]](acc A, maskRow []int32, aCols []int32, b *sparse.CSR[T]) int {
-	acc.BeginSymbolicSized(maskRow, rowGenBound(aCols, b))
+	acc.BeginSymbolicSized(maskRow, int(rowGen(aCols, b.RowPtr)))
 	rowPtr := b.RowPtr
 	colIdx := b.ColIdx
 	for _, col := range aCols {
@@ -79,7 +65,7 @@ func pushNumericKernelsC[T any, A accum.ComplementNumeric[T]](mask *sparse.Patte
 	return kernels[T]{
 		numeric: func(tid, i int, outIdx []int32, outVal []T) int {
 			aCols := a.Row(i)
-			return pushRowNumericC(getAcc(tid), mask.Row(i), rowGenBound(aCols, b), aCols, a.RowVals(i), b, outIdx, outVal)
+			return pushRowNumericC(getAcc(tid), mask.Row(i), int(rowGen(aCols, b.RowPtr)), aCols, a.RowVals(i), b, outIdx, outVal)
 		},
 	}
 }
@@ -123,7 +109,7 @@ func maskedBitCPlusTimesKernels(mask *sparse.Pattern, a, b *sparse.CSR[float64],
 	return kernels[float64]{
 		numeric: func(tid, i int, outIdx []int32, outVal []float64) int {
 			aCols := a.Row(i)
-			bound := rowGenBound(aCols, b)
+			bound := int(rowGen(aCols, b.RowPtr))
 			acc := accum.MaskedBitCPlusTimes{MaskedBitC: getAcc(tid), Dense: maskedBitCDenseRow(bound, ncols), Cols: ncols}
 			return pushRowNumericC(acc, mask.Row(i), bound, aCols, a.RowVals(i), b, outIdx, outVal)
 		},
@@ -155,7 +141,7 @@ func maskedBitCKnownRow(acc accum.MaskedBitCKnown, maskRow []int32, aCols []int3
 }
 
 // maskedBitCDenseRatio is the dense-row rule of MaskedBitCPlusTimes: a
-// row whose rowGenBound is at least ncols/maskedBitCDenseRatio runs the
+// row whose rowGen is at least ncols/maskedBitCDenseRatio runs the
 // dense loop. DESIGN.md §12, "Dense complemented rows", has the
 // crossover it was chosen from; BenchmarkScatterPlusTimes sweeps it.
 const maskedBitCDenseRatio = 256

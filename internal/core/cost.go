@@ -12,7 +12,7 @@ import (
 // serializes its whole 64-row block while trivial rows each pay a
 // scheduling step for almost no work. The Plan layer already walks
 // exactly the structures that determine per-row cost — A's rows and
-// B's row pointers (complementBounds, planHybrid) — so the plan
+// B's row pointers (complementBounds, polyScan) — so the plan
 // computes a masked-flops-flavored cost per output row and retains the
 // costs as a prefix sum. Every execution then cuts that prefix into
 // equal-cost partitions for its own width by binary search, so one
@@ -65,27 +65,62 @@ func (s rowSched) passCanceled(p faultinject.Pass) error {
 	return nil
 }
 
-// planSchedule retains the plan's per-row cost profile as the prefix
-// sum executions cut partitions from. Runs once per structure; cached
-// plans replay the result on every hit. cost, when non-nil, is a
-// precomputed profile (the poly selector's per-row chosen costs) in
-// the first rows slots of a rows+1 slice; nil measures one here,
-// except on a plan of at most one row, whose one partition needs no
-// profile — so a masked SpVM never builds Inner's O(nnz B) column
-// counts.
+// rowBinding is how executions bind and schedule their rows: the
+// Hybrid per-row poly-algorithm binding (DESIGN.md §10), encoded as
+// runs of consecutive rows sharing one accumulator family — run r
+// covers rows [runEnds[r-1], runEnds[r]) and executes
+// Family(runFam[r]) — and the cost prefix executions cut into
+// partitions. polyFams is the set of families bound by at least one
+// run, exactly the accumulators executions materialize; the run fields
+// are empty on uniform plans. A plan holds the binding of its mask rows
+// (or mask halves), and a one-triangle plan that remembers its known
+// half holds another for that (knownHalf).
+//
+//mspgemm:immutable
+type rowBinding struct {
+	runEnds  []int32
+	runFam   []uint8
+	polyFams FamilySet
+	// costPrefix is the exclusive prefix sum of the per-row costs
+	// (len rows+1, last = total) that executions cut into partitions
+	// for their own width (DESIGN.md §9).
+	costPrefix []int64
+}
+
+// bytes is the memory the binding retains.
+func (rb *rowBinding) bytes() int64 {
+	return int64(len(rb.runEnds))*4 + int64(len(rb.runFam)) + int64(len(rb.costPrefix))*8
+}
+
+// bindRows returns the row binding of executions whose rows compute m's
+// rows. Under AlgoHybrid the per-row selector binds each row, and its
+// chosen costs double as the scheduling profile, so selection and
+// scheduling read one cost picture; any other scheme is profiled by
+// rowCosts, except on a plan of at most one row, whose one partition
+// needs no profile — so a masked SpVM never builds Inner's O(nnz B)
+// column counts. The profile is retained as the prefix sum executions
+// cut partitions from. It runs once per structure (and once more per
+// known half); cached plans replay the result on every hit.
 //
 //mspgemm:planwrite
-func (p *Plan[T, S]) planSchedule(a, b *sparse.CSR[T], cost []int64) {
+func (p *Plan[T, S]) bindRows(m maskRows, a, b *sparse.CSR[T]) rowBinding {
+	var rb rowBinding
 	rows := p.mask.Rows
-	if cost == nil {
-		if rows > 1 {
-			cost = p.rowCosts(a, b)
-		} else {
-			cost = make([]int64, rows+1)
-		}
+	var cost []int64
+	switch {
+	case p.opt.Algorithm == AlgoHybrid:
+		rowFam := make([]uint8, rows)
+		cost = make([]int64, rows+1)
+		polyScan(m, a, b, p.opt, rowFam, cost)
+		rb.encodeRuns(rowFam)
+	case rows > 1:
+		cost = p.rowCosts(m, a, b)
+	default:
+		cost = make([]int64, rows+1)
 	}
 	parallel.PrefixSum(cost)
-	p.costPrefix = cost
+	rb.costPrefix = cost
+	return rb
 }
 
 // rowCosts estimates every output row's execution cost in multiply-add
@@ -100,15 +135,15 @@ func (p *Plan[T, S]) planSchedule(a, b *sparse.CSR[T], cost []int64) {
 //     entries — pullRowCost, the same formula the poly selector prices
 //     pull by.
 //
-// Poly plans (AlgoHybrid) never reach here — their selector's chosen
-// per-row costs are handed to planSchedule directly, so selection and
-// scheduling share one cost picture. A symmetric self-product's rows
-// are priced as the halves they compute.
+// Poly plans (AlgoHybrid) never reach here — bindRows takes their
+// selector's chosen per-row costs, so selection and scheduling share
+// one cost picture. The rows are m's: the halves of a symmetric
+// self-product are priced as the halves they compute.
 //
 // Absolute scale does not matter — only proportions do, since the
 // partitioner divides rows by cumulative share. The returned slice has
-// one spare trailing slot so planSchedule can prefix-sum it in place.
-func (p *Plan[T, S]) rowCosts(a, b *sparse.CSR[T]) []int64 {
+// one spare trailing slot so bindRows can prefix-sum it in place.
+func (p *Plan[T, S]) rowCosts(m maskRows, a, b *sparse.CSR[T]) []int64 {
 	rows := p.mask.Rows
 	cost := make([]int64, rows+1)
 	pullAll := p.opt.Algorithm == AlgoInner || p.opt.Algorithm == AlgoDotTranspose
@@ -118,11 +153,10 @@ func (p *Plan[T, S]) rowCosts(a, b *sparse.CSR[T]) []int64 {
 	}
 	complement := p.opt.Complement
 	cols := int64(p.mask.Cols)
-	rm := maskRows{p.mask, p.sym}
 	parallel.ForEachBlock(rows, parallel.Threads(0), parallel.DefaultGrain, func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
-			maskRow := rm.row(i)
-			m := int64(len(maskRow))
+			maskRow := m.row(i)
+			nm := int64(len(maskRow))
 			aRow := a.Row(i)
 			if pullAll {
 				cost[i] = int64(pullRowCost(RowCostContext{
@@ -131,15 +165,15 @@ func (p *Plan[T, S]) rowCosts(a, b *sparse.CSR[T]) []int64 {
 				}))
 				continue
 			}
-			gen := rowScan(aRow, rm.clip(i), b.RowPtr)
-			out := m
+			gen := rowScan(aRow, m.clip(i), b.RowPtr)
+			out := nm
 			if complement {
-				out = cols - m
+				out = cols - nm
 				if gen < out {
 					out = gen // the §5.2 bound caps the gather
 				}
 			}
-			cost[i] = 1 + m + gen + out
+			cost[i] = 1 + nm + gen + out
 		}
 	})
 	return cost

@@ -20,10 +20,13 @@ import (
 //     Only the paper's own schemes and the unmasked SpGEMM run it, so
 //     its kernels are always uniform.
 //   - Known pattern: a cached plan remembers the output pattern of its
-//     second one-phase execution (Plan.rememberPattern), and every later
-//     execution writes each row's values straight into its exact range
-//     of that pattern — the two-phase numeric pass without the symbolic
-//     pass, and one-phase without the slab and compact.
+//     second one-phase full-product execution (Plan.rememberPattern),
+//     and every later one writes each row's values straight into its
+//     exact range of that pattern — the two-phase numeric pass without
+//     the symbolic pass, and one-phase without the slab and compact. A
+//     one-triangle plan remembers its known half instead
+//     (Plan.rememberHalf), which later half executions run one-phase
+//     into, with an exact slab, before the mirror pass.
 //
 // Kernels receive a tid to index per-worker accumulator scratch.
 

@@ -94,9 +94,11 @@ func (e *Executor[T, S]) worker(tid int) *workspace[T, S] {
 // A symmetric self-product's B is its own CSC structure, with the
 // plan's mirror map as the permutation; when the execution computes
 // one triangle (h non-nil), its values are symmetric too, and the CSC
-// view reads B's value array itself.
+// view reads B's value array itself. Whether a Hybrid execution pulls
+// at all is its binding's (Plan.bindingFor): a known half may bind
+// pull rows where the mask halves bind none.
 func (e *Executor[T, S]) prepareCSC(p *Plan[T, S], b *sparse.CSR[T], h *symHalf) {
-	if !p.needsCSC() {
+	if !p.needsCSC(p.bindingFor(h)) {
 		return
 	}
 	if e.bt == nil {

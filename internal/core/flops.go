@@ -33,9 +33,7 @@ func Flops[T any](a, b *sparse.CSR[T]) int64 {
 func flopsRange[T any](a, b *sparse.CSR[T], lo, hi int) int64 {
 	var f int64
 	for i := lo; i < hi; i++ {
-		for _, k := range a.Row(i) {
-			f += b.RowPtr[k+1] - b.RowPtr[k]
-		}
+		f += rowGen(a.Row(i), b.RowPtr)
 	}
 	return f
 }

@@ -26,7 +26,10 @@ import (
 // so complemented rows span many bitset words. Every scheme also runs
 // as a cached plan executed three times: a one-phase plan remembers
 // the output pattern of the second run, on rescaled values, and
-// computes the third by the known-pattern driver (fuzzAllSchemes). The
+// computes the third by the known-pattern driver — or, on a symmetric
+// self-product, remembers the known half and computes the third over
+// it, then runs values that break the symmetry and values that restore
+// it (fuzzAllSchemes). The
 // seed corpus runs as a normal test; `go test -fuzz=FuzzMaskedSpGEMM
 // ./internal/core` explores further.
 func FuzzMaskedSpGEMM(f *testing.F) {
@@ -98,16 +101,26 @@ const (
 // cache-plan arm then executes a plan a PlanCache built three times,
 // the second time on rescaled values: a one-phase plan remembers its
 // second result's pattern and computes the third, on the planned values
-// again, by the known-pattern driver.
+// again, by the known-pattern driver. On a symmetric self-product (b is
+// a) those three runs compute one triangle, so the second remembers the
+// known half and the third computes it; the arm then runs values that
+// are not symmetric, which take the full product, and the planned
+// values again, which take the known half.
 func fuzzAllSchemes[S semiring.Semiring[float64]](t *testing.T, sr S, mask *sparse.Pattern, a, b *sparse.CSR[float64], base Options) {
 	a2 := withValues(a, func(_ int, v float64) float64 { return -1.5 * v })
 	b2 := a2
 	if b != a {
 		b2 = withValues(b, func(_ int, v float64) float64 { return 0.5 * v })
 	}
+	a3 := withValues(a, func(j int, v float64) float64 { return v * float64(1+j%3) })
 	for _, complement := range []bool{false, true} {
 		want := sparse.DenseMaskedMultiply(mask, a, b, complement, sr.Add, sr.Mul, sr.Zero())
 		want2 := sparse.DenseMaskedMultiply(mask, a2, b2, complement, sr.Add, sr.Mul, sr.Zero())
+		type run struct{ a, b, want *sparse.CSR[float64] }
+		runs := []run{{a, b, want}, {a2, b2, want2}, {a, b, want}}
+		if b == a {
+			runs = append(runs, run{a3, a3, sparse.DenseMaskedMultiply(mask, a3, a3, complement, sr.Add, sr.Mul, sr.Zero())}, run{a, b, want})
+		}
 		for _, algo := range Algorithms() {
 			if complement && !SupportsComplement(algo) {
 				continue
@@ -138,9 +151,7 @@ func fuzzAllSchemes[S semiring.Semiring[float64]](t *testing.T, sr S, mask *spar
 					t.Fatalf("%s cached: %v", name, err)
 				}
 				exec := NewExecutor[float64](sr)
-				for run, c := range []struct {
-					a, b, want *sparse.CSR[float64]
-				}{{a, b, want}, {a2, b2, want2}, {a, b, want}} {
+				for run, c := range runs {
 					got, err := plan.ExecuteOnOpts(exec, c.a, c.b, opt.ExecOnly())
 					if err != nil {
 						t.Fatalf("%s cached run %d: %v", name, run, err)

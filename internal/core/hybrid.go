@@ -384,7 +384,7 @@ func hybridMenu(req FamilySet) (fams []Family, models []func(RowCostContext) flo
 // polyScan evaluates the menu's cost models on every row and writes
 // each row's cheapest family into fam (famAny for rows with no work
 // under any family) and, when cost is non-nil, the chosen cost — the
-// scheduling profile planSchedule reuses. The scan runs at the host's
+// scheduling profile bindRows keeps. The scan runs at the host's
 // full width: plan-time analysis is independent of the width the plan
 // later executes at. The rows are m's: the computed halves of a
 // symmetric self-product are priced as such.
@@ -461,29 +461,14 @@ func resolveTrivial(fam []uint8) {
 	}
 }
 
-// planHybrid runs the per-row selector and stores the decisions in
-// the immutable plan as runs. It also returns the per-row chosen
-// costs (with the spare trailing slot planSchedule prefix-sums into),
-// which planSchedule uses as its scheduling profile — selection and
-// scheduling read one shared cost picture.
+// encodeRuns compresses the resolved per-row families into the
+// binding's run encoding: run r covers rows [runEnds[r-1], runEnds[r])
+// (with runEnds[-1] = 0) and executes family runFam[r]. polyFams
+// collects the families bound by at least one run — exactly the
+// accumulators the executor will materialize.
 //
 //mspgemm:planwrite
-func (p *Plan[T, S]) planHybrid(a, b *sparse.CSR[T]) []int64 {
-	rowFam := make([]uint8, p.mask.Rows)
-	cost := make([]int64, p.mask.Rows+1)
-	polyScan(maskRows{p.mask, p.sym}, a, b, p.opt, rowFam, cost)
-	p.encodeRuns(rowFam)
-	return cost
-}
-
-// encodeRuns compresses the resolved per-row families into the plan's
-// run encoding: run r covers rows [runEnds[r-1], runEnds[r]) (with
-// runEnds[-1] = 0) and executes family runFam[r]. polyFams collects
-// the families bound by at least one run — exactly the accumulators
-// the executor will materialize.
-//
-//mspgemm:planwrite
-func (p *Plan[T, S]) encodeRuns(rowFam []uint8) {
+func (rb *rowBinding) encodeRuns(rowFam []uint8) {
 	resolveTrivial(rowFam)
 	rows := len(rowFam)
 	cur := uint8(FamMSA)
@@ -501,43 +486,51 @@ func (p *Plan[T, S]) encodeRuns(rowFam []uint8) {
 	}
 	ends = append(ends, int32(rows))
 	fams = append(fams, cur)
-	p.runEnds, p.runFam = ends, fams
+	rb.runEnds, rb.runFam = ends, fams
 	var set FamilySet
 	for _, f := range fams {
 		set = set.with(Family(f))
 	}
-	p.polyFams = set
+	rb.polyFams = set
 }
 
 // bindHybrid builds the poly plan's kernel tables under either mask
 // mode: one numeric kernel (and its known-pattern form, if the family
-// has one) per family the run encoding actually uses, each bound by
-// that family's own registry entry, so poly rows execute exactly the
-// registered kernels. Families without a run get no
+// has one) per family the run encoding of the execution's binding
+// (Plan.bindingFor) actually uses, each bound by that family's own
+// registry entry, so poly rows execute exactly the registered kernels.
+// Families without a run get no
 // kernels — and, downstream, no accumulators: the per-worker workspaces
 // construct lazily on first row, so a single-family poly plan allocates
 // exactly what the plain scheme would.
 func bindHybrid[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], h *symHalf) kernels[T] {
+	rb := p.bindingFor(h)
 	numFam := make([]rowNumericFn[T], NumFamilies)
 	knownFam := make([]rowKnownFn[T], NumFamilies)
 	for f := Family(0); f < NumFamilies; f++ {
-		if !p.polyFams.Has(f) {
+		if !rb.polyFams.Has(f) {
 			continue
 		}
 		fk := kernelsForAlgo[T, S](famAlgo[f]).binder(p.opt.Complement)(p, e, a, b, h)
 		numFam[f], knownFam[f] = fk.numeric, fk.known
 	}
-	return kernels[T]{runEnds: p.runEnds, runFam: p.runFam, numFam: numFam, knownFam: knownFam}
+	return kernels[T]{runEnds: rb.runEnds, runFam: rb.runFam, numFam: numFam, knownFam: knownFam}
 }
 
 // FamilyRows reports the per-family row counts of the plan's run
-// encoding — what this plan's executions actually dispatch, decoded
-// straight from the stored runs. All zeros for non-poly plans.
+// encoding over its mask rows (or mask halves) — what its executions
+// dispatch until it remembers a known half, decoded straight from the
+// stored runs. All zeros for non-poly plans.
 func (p *Plan[T, S]) FamilyRows() [NumFamilies]int {
+	return p.rowBinding.familyRows()
+}
+
+// familyRows decodes the binding's per-family row counts.
+func (rb *rowBinding) familyRows() [NumFamilies]int {
 	var out [NumFamilies]int
 	prev := int32(0)
-	for r, end := range p.runEnds {
-		out[p.runFam[r]] += int(end - prev)
+	for r, end := range rb.runEnds {
+		out[rb.runFam[r]] += int(end - prev)
 		prev = end
 	}
 	return out

@@ -181,20 +181,21 @@ type dotFn[T any] func(bits []uint64, aDense []T, bRows []int32, bVals []T) (T, 
 // product dot. They read B through e.bt, the executor's CSC view,
 // whose pointee prepareCSC refreshes in place before every execution
 // (and before binding, so the pointer is set). A row with an empty A
-// row has no output and loads nothing.
+// row or an empty mask row has no output and loads nothing: the run
+// encoding folds rows with no work into pull runs (resolveTrivial).
 func pullKernels[T any, S semiring.Semiring[T]](m maskRows, a *sparse.CSR[T], e *Executor[T, S], dot dotFn[T]) kernels[T] {
 	bt, inner := e.bt, a.Cols
 	return kernels[T]{
 		numeric: func(tid, i int, outIdx []int32, outVal []T) int {
-			aCols := a.Row(i)
-			if len(aCols) == 0 {
+			aCols, maskRow := a.Row(i), m.row(i)
+			if len(aCols) == 0 || len(maskRow) == 0 {
 				return 0
 			}
 			r := e.worker(tid).Pull(inner)
 			r.load(aCols, a.RowVals(i))
 			colPtr, rowIdx, val := bt.ColPtr, bt.RowIdx, bt.Val
 			n := 0
-			for _, j := range m.row(i) {
+			for _, j := range maskRow {
 				lo, hi := colPtr[j], colPtr[j+1]
 				if v, hit := dot(r.bits, r.vals, rowIdx[lo:hi], val[lo:hi]); hit {
 					outIdx[n] = j
@@ -206,15 +207,15 @@ func pullKernels[T any, S semiring.Semiring[T]](m maskRows, a *sparse.CSR[T], e 
 			return n
 		},
 		symbolic: func(tid, i int) int {
-			aCols := a.Row(i)
-			if len(aCols) == 0 {
+			aCols, maskRow := a.Row(i), m.row(i)
+			if len(aCols) == 0 || len(maskRow) == 0 {
 				return 0
 			}
 			r := e.worker(tid).Pull(inner)
 			r.loadPattern(aCols)
 			colPtr, rowIdx := bt.ColPtr, bt.RowIdx
 			n := 0
-			for _, j := range m.row(i) {
+			for _, j := range maskRow {
 				if denseHit(r.bits, rowIdx[colPtr[j]:colPtr[j+1]]) {
 					n++
 				}

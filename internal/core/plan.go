@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"maskedspgemm/internal/faultinject"
@@ -31,8 +32,9 @@ import (
 // goroutines — this is what lets a PlanCache hand one plan to many
 // concurrent requests. Its only sanctioned post-construction writes are
 // on a plan a PlanCache built, each made once and published safely: the
-// flag its first clean one-phase execution sets and the output pattern
-// of its second (rememberPattern). All mutable execution state
+// flag its first clean one-phase full-product execution sets and the
+// output pattern of its second (rememberPattern), and the same pair for
+// its half executions (rememberHalf). All mutable execution state
 // (accumulators, slabs, the refreshed CSC values of B, bound kernels)
 // lives in the Executor, which is NOT concurrency-safe: concurrent
 // executions of a shared plan must each use their own executor
@@ -66,33 +68,33 @@ type Plan[T any, S semiring.Semiring[T]] struct {
 	btPtr  []int64
 	btIdx  []int32
 	btPerm []int64
-	// runEnds/runFam are AlgoHybrid's per-row poly-algorithm bindings
-	// (DESIGN.md §10), encoded as runs of consecutive rows sharing one
-	// accumulator family: run r covers rows [runEnds[r-1], runEnds[r])
-	// and executes Family(runFam[r]). polyFams is the set of families
-	// bound by at least one run — exactly the accumulators executions
-	// of this plan materialize.
-	runEnds  []int32
-	runFam   []uint8
-	polyFams FamilySet
-	// costPrefix is the exclusive prefix sum of the per-row costs
-	// (len rows+1, last = total) that executions cut into partitions
-	// for their own width (DESIGN.md §9); nil for direct schemes.
-	costPrefix []int64
+	// rowBinding is how executions over the plan's mask rows (or mask
+	// halves) bind and schedule them; zero for direct schemes.
+	rowBinding
 	// maxMaskRow / maxARow size the hash/MCA and heap accumulators.
 	maxMaskRow, maxARow int
 
 	// pattern is the output pattern a plan built by a PlanCache
-	// remembers from its second clean one-phase execution
-	// (rememberPattern); later executions run knownPhase into it. nil
-	// until then, and always nil on plans that do not remember.
+	// remembers from its second clean one-phase full-product execution
+	// (rememberPattern); later full-product executions run knownPhase
+	// into it. nil until then, and always nil on plans that do not
+	// remember.
 	pattern atomic.Pointer[knownPattern]
-	// ranClean is set by the first clean one-phase execution, which
-	// remembers nothing (rememberPattern).
+	// ranClean is set by the first clean one-phase full-product
+	// execution, which remembers nothing (rememberPattern).
 	ranClean atomic.Bool
+	// known is the known half a one-triangle plan built by a PlanCache
+	// remembers from its second clean half execution (rememberHalf);
+	// later half executions compute it instead of the mask halves. nil
+	// until then, and always nil on plans that do not remember.
+	known atomic.Pointer[knownHalf]
+	// ranHalfClean is set by the first clean half execution, which
+	// remembers nothing (rememberHalf).
+	ranHalfClean atomic.Bool
 	// owner and key name the cache entry of a plan a PlanCache built
-	// (ownedBy), the entry a remembered pattern is charged to. owner is
-	// nil on every other plan, and such plans never remember.
+	// (ownedBy), the entry a remembered pattern or known half is charged
+	// to. owner is nil on every other plan, and such plans never
+	// remember.
 	owner *PlanCache[T, S]
 	key   planKey
 
@@ -179,23 +181,23 @@ func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, 
 			}
 			p.sym = planSymmetric(sr, opt, mask, maskIsA, bIsA)
 		}
-		var polyCost []int64
+		p.rowBinding = p.bindRows(maskRows{mask, p.sym}, a, b)
 		switch opt.Algorithm {
 		case AlgoHash, AlgoMCA:
 			p.maxMaskRow = mask.MaxRowNNZ()
 		case AlgoHeap, AlgoHeapDot:
 			p.maxARow = a.MaxRowNNZ()
 		case AlgoHybrid:
-			// The chosen costs feed planSchedule.
-			polyCost = p.planHybrid(a, b)
-			// Sizing hints only for the families some run actually
-			// bound — unused families must stay costless. Only the
-			// plain-mask Hash binder reads maxMaskRow (the complement
-			// hash sizes per row by the generation bound).
-			if !opt.Complement && p.polyFams.Has(FamHash) {
+			// Sizing hints only for the families some run may bind —
+			// unused families must stay costless. A one-triangle plan's
+			// known half may bind any menu family (rememberHalf), so it
+			// sizes both. Only the plain-mask Hash binder reads
+			// maxMaskRow (the complement hash sizes per row by the
+			// generation bound).
+			if !opt.Complement && (p.polyFams.Has(FamHash) || p.sym != nil) {
 				p.maxMaskRow = mask.MaxRowNNZ()
 			}
-			if p.polyFams.Has(FamHeap) {
+			if p.polyFams.Has(FamHeap) || p.sym != nil {
 				p.maxARow = a.MaxRowNNZ()
 			}
 		}
@@ -203,28 +205,35 @@ func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, 
 		// plan pulls from B by column only when some run bound FamPull.
 		// A symmetric B is its own CSC structure (prepareCSC), so a
 		// symmetric self-product transposes nothing.
-		if p.needsCSC() && !info.TransposePerExecute && p.sym == nil {
+		if p.needsCSC(&p.rowBinding) && !info.TransposePerExecute && p.sym == nil {
 			if bt != nil {
 				p.btPtr, p.btIdx, p.btPerm = bt.ptr, bt.idx, bt.perm
 			} else {
 				p.btPtr, p.btIdx, p.btPerm = sparse.ToCSCStructure(b)
 			}
 		}
-		// Scheduling comes last: the per-row poly costs double as the
-		// scheduling profile.
-		p.planSchedule(a, b, polyCost)
 	}
 	return p, nil
 }
 
-// needsCSC reports whether this plan's execution pulls from B by
+// needsCSC reports whether executions bound by rb pull from B by
 // column. For poly plans (AlgoHybrid) the registry capability is
-// refined to whether any row actually bound the pull family.
-func (p *Plan[T, S]) needsCSC() bool {
+// refined to whether any row of rb bound the pull family.
+func (p *Plan[T, S]) needsCSC(rb *rowBinding) bool {
 	if p.opt.Algorithm == AlgoHybrid {
-		return p.polyFams.Has(FamPull)
+		return rb.polyFams.Has(FamPull)
 	}
 	return p.info.NeedsCSC
+}
+
+// bindingFor returns the row binding of an execution over h: the known
+// half's when h is the plan's published known half, the plan's own
+// otherwise.
+func (p *Plan[T, S]) bindingFor(h *symHalf) *rowBinding {
+	if kh := p.known.Load(); kh != nil && h == &kh.half {
+		return &kh.rowBinding
+	}
+	return &p.rowBinding
 }
 
 // Options returns the plan's normalized options.
@@ -252,8 +261,8 @@ func (k *knownPattern) bytes() int64 {
 var errPatternChanged = errors.New("core: row entry count differs from the plan's remembered output pattern; operand structure changed under the plan")
 
 // ownedBy records that cache c built the plan under key: only such a
-// plan remembers its output pattern, and c's entry for key is charged
-// for it. It runs before the plan is published to the cache.
+// plan remembers its output pattern or known half, and c's entry for
+// key is charged for it. It runs before the plan is published to the cache.
 //
 //mspgemm:planwrite
 func (p *Plan[T, S]) ownedBy(c *PlanCache[T, S], key planKey) {
@@ -261,15 +270,15 @@ func (p *Plan[T, S]) ownedBy(c *PlanCache[T, S], key planKey) {
 }
 
 // rememberPattern publishes out's RowPtr and ColIdx as the plan's
-// output pattern, once, from the plan's second clean execution: the
-// first is only counted, so a plan that runs once — a cold miss whose
-// entry is evicted before the structure recurs — charges nothing for
-// a pattern no request reads. Of concurrent later executions exactly
-// one wins the compare-and-swap, and only the winner charges its bytes
-// to the plan's cache entry (PlanCache.chargePattern). The arrays are
-// aliased, not copied: out is a fresh result, and from here on it
-// shares them with the plan and every later result. These are the
-// plan's only post-construction writes.
+// output pattern, once, from the plan's second clean full-product
+// execution: the first is only counted, so a plan that runs once — a
+// cold miss whose entry is evicted before the structure recurs —
+// charges nothing for a pattern no request reads. Of concurrent later
+// executions exactly one wins the compare-and-swap, and only the winner
+// charges its bytes to the plan's cache entry
+// (PlanCache.chargeRemembered). The arrays are aliased, not copied: out
+// is a fresh result, and from here on it shares them with the plan and
+// every later result.
 //
 //mspgemm:planwrite
 func (p *Plan[T, S]) rememberPattern(out *sparse.CSR[T]) {
@@ -278,7 +287,71 @@ func (p *Plan[T, S]) rememberPattern(out *sparse.CSR[T]) {
 	}
 	pat := &knownPattern{rowPtr: out.RowPtr, colIdx: out.ColIdx}
 	if p.pattern.CompareAndSwap(nil, pat) {
-		p.owner.chargePattern(p, pat.bytes())
+		p.owner.chargeRemembered(p, pat.bytes())
+	}
+}
+
+// knownHalf is what a one-triangle plan remembers of its half
+// executions (DESIGN.md §5, "Known pattern"): the known half, which is
+// the plan's symmetric analysis with each row's half narrowed to the
+// columns its output half holds, and the row binding derived from it.
+// Every output entry of a half lies in the known half, so a half
+// execution over it computes the same entries from the same products,
+// in the same order, as one over the mask halves.
+//
+//mspgemm:immutable
+type knownHalf struct {
+	half symHalf
+	rowBinding
+}
+
+// bytes is the memory a known half retains, the amount its plan's
+// cache entry is charged: the half's offsets and columns, and its row
+// binding. The mask structure and the mirror map are the plan's.
+func (k *knownHalf) bytes() int64 {
+	return int64(len(k.half.off))*8 + int64(len(k.half.cols))*4 + k.rowBinding.bytes()
+}
+
+// rememberHalf publishes the known half of a one-triangle plan, once,
+// from its second clean half execution, with the counting, the
+// compare-and-swap and the charge of rememberPattern. out is that
+// execution's result over (a, b): each output row's entries on the
+// computed side of the diagonal are exactly its computed half, and are
+// copied out, since out belongs to the caller. The binding is priced
+// on (a, b), whose structure is the plan's.
+//
+//mspgemm:planwrite
+func (p *Plan[T, S]) rememberHalf(out, a, b *sparse.CSR[T]) {
+	if !p.ranHalfClean.Swap(true) || p.known.Load() != nil {
+		return
+	}
+	rows, upper := out.Rows, p.sym.upper
+	// halfOf returns the entry range [lo, hi) of output row i's half:
+	// its columns j ≥ i when upper, j ≤ i otherwise (planSymmetric).
+	halfOf := func(i int) (lo, hi int64) {
+		lo, hi = out.RowPtr[i], out.RowPtr[i+1]
+		if upper {
+			at, _ := slices.BinarySearch(out.ColIdx[lo:hi], int32(i))
+			return lo + int64(at), hi
+		}
+		at, _ := slices.BinarySearch(out.ColIdx[lo:hi], int32(i)+1)
+		return lo, lo + int64(at)
+	}
+	kh := &knownHalf{half: *p.sym}
+	off := make([]int64, rows+1)
+	for i := range rows {
+		lo, hi := halfOf(i)
+		off[i+1] = off[i] + hi - lo
+	}
+	cols := make([]int32, off[rows])
+	for i := range rows {
+		lo, hi := halfOf(i)
+		copy(cols[off[i]:], out.ColIdx[lo:hi])
+	}
+	kh.half.off, kh.half.cols = off, cols
+	kh.rowBinding = p.bindRows(maskRows{p.mask, &kh.half}, a, b)
+	if p.known.CompareAndSwap(nil, kh) {
+		p.owner.chargeRemembered(p, kh.bytes())
 	}
 }
 
@@ -290,7 +363,7 @@ func (p *Plan[T, S]) rememberPattern(out *sparse.CSR[T]) {
 // plain offsets alias the mask's RowPtr and are not double-counted; a
 // symmetric self-product adds its mirror map and half offsets. A
 // remembered output pattern is charged separately, when it is
-// published (rememberPattern).
+// published (rememberPattern), and so is a known half (rememberHalf).
 func (p *Plan[T, S]) footprintBytes() int64 {
 	const structOverhead = 256
 	bytes := int64(structOverhead)
@@ -299,8 +372,7 @@ func (p *Plan[T, S]) footprintBytes() int64 {
 		bytes += int64(len(p.offsets)) * 8
 	}
 	bytes += int64(len(p.btPtr))*8 + int64(len(p.btIdx))*4 + int64(len(p.btPerm))*8
-	bytes += int64(len(p.runEnds))*4 + int64(len(p.runFam))
-	bytes += int64(len(p.costPrefix)) * 8
+	bytes += p.rowBinding.bytes()
 	bytes += p.sym.bytes()
 	return bytes
 }
@@ -348,10 +420,11 @@ func (p *Plan[T, S]) Execute(a, b *sparse.CSR[T]) (*sparse.CSR[T], error) {
 // until the executor is returned; Clone the result to retain it.
 // Without it (the default) the output is freshly allocated and only
 // the internal scratch is pooled — except on a plan a PlanCache built,
-// whose results from the third execution on share RowPtr and ColIdx
+// whose full-product results from the third on share RowPtr and ColIdx
 // with the plan's remembered output pattern (and the second result
 // shares them too, having become it): treat them as read-only, and
-// Clone a result to own every array.
+// Clone a result to own every array. Results of one-triangle executions
+// are always fresh.
 //
 // ExecuteOn applies the execution-only options frozen into the plan;
 // cache-shared plans are built with those zeroed (plan identity never
@@ -409,11 +482,14 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 	}
 	exec.ensureWorkers(threads)
 	h := p.half(a, b)
+	if kh := p.known.Load(); kh != nil && h != nil {
+		h = &kh.half
+	}
 	exec.prepareCSC(p, b, h)
 	k := exec.kernelsFor(p, a, b, h)
 	es := &exec.scratch
 	es.reuseOut = eo.ReuseOutput
-	exec.partBounds = partitions(p.costPrefix, threads, exec.partBounds)
+	exec.partBounds = partitions(p.bindingFor(h).costPrefix, threads, exec.partBounds)
 	sch := rowSched{threads: threads, bounds: exec.partBounds, cancel: cancel, fi: fi}
 	if eo.CollectSchedStats {
 		sch.stats = &exec.schedStats
@@ -426,9 +502,15 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 	}
 	out, err = onePhase(p.mask.Rows, p.mask.Cols, p.offsets, sch, k, es, h)
 	// A plan a PlanCache built remembers the pattern of its second clean
-	// full-product execution into fresh arrays.
-	if err == nil && p.owner != nil && h == nil && !eo.ReuseOutput {
-		p.rememberPattern(out)
+	// full-product execution into fresh arrays, and the known half of
+	// its second clean half execution.
+	if err == nil && p.owner != nil && !eo.ReuseOutput {
+		switch h {
+		case nil:
+			p.rememberPattern(out)
+		case p.sym:
+			p.rememberHalf(out, a, b)
+		}
 	}
 	return out, err
 }

@@ -65,7 +65,11 @@ var errPlanningPanicked = errors.New("core: concurrent plan analysis panicked; r
 // that share RowPtr and ColIdx with the plan. Such results must not be
 // mutated; Clone one to own its arrays. The pattern's 8·(rows+1) +
 // 4·nnz bytes are charged to the plan's entry, and to the MemBudget,
-// once, when it is published, and leave with the entry.
+// once, when it is published, and leave with the entry. A one-triangle
+// plan likewise remembers the known half of its second clean half
+// execution, with its row binding: later half executions compute only
+// the known columns, and the known half's bytes are charged the same
+// way.
 type PlanCache[T any, S semiring.Semiring[T]] struct {
 	sr         S
 	maxEntries int
@@ -394,12 +398,13 @@ func (c *PlanCache[T, S]) lookup(key planKey, mask *sparse.Pattern, a, b *sparse
 	return plan, false, nil
 }
 
-// chargePattern adds the n bytes of plan p's newly remembered output
-// pattern (Plan.rememberPattern) to p's entry and to the shared budget,
-// so that the entry releases them with the rest of its bytes. A plan
-// evicted before it remembered is not charged: its pattern lives only
-// as long as the executions still holding the plan.
-func (c *PlanCache[T, S]) chargePattern(p *Plan[T, S], n int64) {
+// chargeRemembered adds the n bytes of plan p's newly remembered output
+// pattern (Plan.rememberPattern) or known half (Plan.rememberHalf) to
+// p's entry and to the shared budget, so that the entry releases them
+// with the rest of its bytes. A plan evicted before it remembered is
+// not charged: what it remembers lives only as long as the executions
+// still holding the plan.
+func (c *PlanCache[T, S]) chargeRemembered(p *Plan[T, S], n int64) {
 	c.mu.Lock()
 	el, ok := c.table[p.key]
 	if !ok || el.Value.(*planEntry[T, S]).plan != p {
@@ -495,10 +500,12 @@ type PlanCacheStats struct {
 	// Bytes is the estimated retained analysis memory of all entries.
 	Bytes int64 `json:"bytes"`
 	// HybridFamilyRows sums, across the currently cached hybrid plans,
-	// how many output rows each accumulator family is bound to execute,
-	// keyed by Family name ("MSA", "MaskedBit", ...) — the operator's
-	// view of per-family adoption. Nil when no cached plan carries a
-	// per-row binding.
+	// how many output rows each accumulator family is bound to execute
+	// on a plan hit, keyed by Family name ("MSA", "MaskedBit", ...) —
+	// the operator's view of per-family adoption. A plan that has
+	// remembered a known half counts that half's binding, which its
+	// one-triangle hits run. Nil when no cached plan carries a per-row
+	// binding.
 	HybridFamilyRows map[string]int64 `json:"hybrid_family_rows,omitempty"`
 }
 
@@ -509,15 +516,19 @@ func (c *PlanCache[T, S]) Stats() PlanCacheStats {
 	var famRows map[string]int64
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		p := el.Value.(*planEntry[T, S]).plan
-		if p.polyFams == 0 {
+		rb := &p.rowBinding
+		if kh := p.known.Load(); kh != nil {
+			rb = &kh.rowBinding
+		}
+		if rb.polyFams == 0 {
 			continue
 		}
 		if famRows == nil {
 			famRows = make(map[string]int64)
 		}
-		rows := p.FamilyRows()
+		rows := rb.familyRows()
 		for f := Family(0); f < NumFamilies; f++ {
-			if p.polyFams.Has(f) {
+			if rb.polyFams.Has(f) {
 				famRows[f.String()] += int64(rows[f])
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -690,6 +691,55 @@ func TestPlanCacheStatsHybridFamilyRows(t *testing.T) {
 	}
 	if total != 2*int64(mask.Rows) {
 		t.Errorf("family rows sum to %d, want %d across two hybrid plans", total, 2*mask.Rows)
+	}
+}
+
+// TestPlanCacheStatsKnownHalfFamilyRows checks that Stats reports the
+// binding plan hits run on a symmetric self-product, er-warm-inline's
+// under Hybrid: the mask halves' family rows until the plan publishes
+// its known half, on its second half execution, and the known half's
+// from then on. Most of this product's mask-half entries never reach
+// the output, so its known half binds more rows to Pull than its mask
+// halves do.
+func TestPlanCacheStatsKnownHalfFamilyRows(t *testing.T) {
+	g := gen.Symmetrize(gen.ErdosRenyi(1<<11, 8, 1))
+	cache := NewPlanCache(ptSR, 0)
+	p, err := cache.GetOrPlan(g.PatternView(), g, g, Options{Algorithm: AlgoHybrid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	famRows := func(rows [NumFamilies]int, fams FamilySet) map[string]int64 {
+		out := make(map[string]int64)
+		for f := Family(0); f < NumFamilies; f++ {
+			if fams.Has(f) {
+				out[f.String()] = int64(rows[f])
+			}
+		}
+		return out
+	}
+	maskHalves := famRows(p.FamilyRows(), p.polyFams)
+	for run := range 3 {
+		if got := cache.Stats().HybridFamilyRows; run < 2 && !maps.Equal(got, maskHalves) {
+			t.Fatalf("before run %d: Stats reports %v, want the mask halves' %v", run, got, maskHalves)
+		}
+		exec := NewExecutor[float64](ptSR)
+		if _, err := p.ExecuteOnOpts(exec, g, g, ExecOptions{Threads: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if !ranHalf(exec) {
+			t.Fatalf("run %d computed the full product", run)
+		}
+	}
+	kh := p.known.Load()
+	if kh == nil {
+		t.Fatal("no known half published after two half executions")
+	}
+	known := famRows(kh.familyRows(), kh.polyFams)
+	if got := cache.Stats().HybridFamilyRows; !maps.Equal(got, known) {
+		t.Fatalf("after publishing: Stats reports %v, want the known half's %v", got, known)
+	}
+	if known[FamPull.String()] <= maskHalves[FamPull.String()] {
+		t.Fatalf("known half binds %d Pull rows, mask halves %d: want more", known[FamPull.String()], maskHalves[FamPull.String()])
 	}
 }
 

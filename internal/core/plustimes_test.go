@@ -442,7 +442,7 @@ func complDenseRowsProduct(n int) (mask *sparse.Pattern, a, b *sparse.CSR[float6
 	m := csrFromRows(8, n, [][]int32{nil, {20, 21, 22}, {6}, {20, 21, 22}, {6}, {6}, {5}, nil}, nil)
 	dense = make([]bool, a.Rows)
 	for i := range dense {
-		dense[i] = maskedBitCDenseRow(rowGenBound(a.Row(i), b), n)
+		dense[i] = maskedBitCDenseRow(int(rowGen(a.Row(i), b.RowPtr)), n)
 	}
 	return m.PatternView(), a, b, dense
 }
@@ -570,7 +570,7 @@ func TestMaskedBitCWideSparseRowSorts(t *testing.T) {
 	a := csrFromRows(3, 2, [][]int32{{1}, {0}, {0, 1}}, [][]float64{{1}, {3}, {1, 1}})
 	mask := csrFromRows(3, n, [][]int32{{3}, {1}, {n - 1}}, nil).PatternView()
 	for i, want := range []bool{true, false, true} {
-		if got := maskedBitCDenseRow(rowGenBound(a.Row(i), b), n); got != want {
+		if got := maskedBitCDenseRow(int(rowGen(a.Row(i), b.RowPtr)), n); got != want {
 			t.Fatalf("row %d: maskedBitCDenseRow = %v, want %v", i, got, want)
 		}
 	}

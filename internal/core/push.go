@@ -179,15 +179,10 @@ func msaDenseRow(maskRow, aCols []int32, clip bClip, bRowPtr []int64, ncols int)
 //
 //mspgemm:hotpath
 func rowScan(aCols []int32, clip bClip, bRowPtr []int64) int64 {
-	var scan int64
 	if clip.ends == nil {
-		for _, col := range aCols {
-			c := int(uint32(col))
-			rp := bRowPtr[c : c+2]
-			scan += rp[1] - rp[0]
-		}
-		return scan
+		return rowGen(aCols, bRowPtr)
 	}
+	var scan int64
 	ends := clip.ends[:len(aCols)]
 	for k, col := range aCols {
 		c := int(uint32(col))
@@ -199,6 +194,23 @@ func rowScan(aCols []int32, clip bClip, bRowPtr []int64) int64 {
 		}
 	}
 	return scan
+}
+
+// rowGen returns Σ nnz(B_k*) over the A columns aCols, given B's row
+// pointers bRowPtr: the B entries a row scans with no clips, which is
+// the Gustavson flops of the row and the §5.2 population bound of a
+// complemented row. It is small enough to inline into the per-row
+// kernels that call it.
+//
+//mspgemm:hotpath
+func rowGen(aCols []int32, bRowPtr []int64) int64 {
+	var gen int64
+	for _, col := range aCols {
+		c := int(uint32(col))
+		rp := bRowPtr[c : c+2]
+		gen += rp[1] - rp[0]
+	}
+	return gen
 }
 
 // bindMaskedBit registers the bitmap-state MSA variant (DESIGN.md

@@ -9,14 +9,18 @@ import (
 	"testing"
 
 	"maskedspgemm/internal/faultinject"
+	"maskedspgemm/internal/gen"
 	"maskedspgemm/internal/sparse"
 )
 
 // Remembered output patterns (DESIGN.md §5, "Known pattern"): a plan a
 // PlanCache built publishes the pattern of its second clean one-phase
-// execution, and every later execution writes values only, into exact
-// rows. These tests hold its results bit for bit to a fresh plan's, and
-// pin what is published and charged, when, and how often.
+// full-product execution, and every later one writes values only, into
+// exact rows; a one-triangle plan publishes the known half of its
+// second clean half execution, and every later half execution computes
+// only the known columns. These tests hold their results bit for bit
+// to a fresh plan's, and pin what is published and charged, when, and
+// how often.
 
 // rememberSpecials are the factors withSpecialValues cycles through:
 // −0, ±Inf and NaN products land on admitted and banned columns alike.
@@ -52,6 +56,47 @@ func checkIdentical(t *testing.T, name string, got, want *sparse.CSR[float64]) {
 	}
 }
 
+// withSymmetricSpecials scales entry (i, j) of the symmetric m by
+// rememberSpecials[(i+j) mod 7]: the same special products as
+// withSpecialValues, with values that stay symmetric bit for bit.
+func withSymmetricSpecials(m *sparse.CSR[float64]) *sparse.CSR[float64] {
+	out := &sparse.CSR[float64]{Pattern: m.Pattern, Val: make([]float64, len(m.Val))}
+	for i := range m.Rows {
+		for t := m.RowPtr[i]; t < m.RowPtr[i+1]; t++ {
+			out.Val[t] = m.Val[t] * rememberSpecials[(i+int(m.ColIdx[t]))%len(rememberSpecials)]
+		}
+	}
+	return out
+}
+
+// rememberedBytes is what a plan has remembered: the bytes of its
+// output pattern and of its known half, 0 when it has neither.
+func rememberedBytes(p *Plan[float64, ptSRType]) int64 {
+	var n int64
+	if pat := p.pattern.Load(); pat != nil {
+		n += pat.bytes()
+	}
+	if kh := p.known.Load(); kh != nil {
+		n += kh.bytes()
+	}
+	return n
+}
+
+// knownHalfBytes is the charge of the known half kh remembered from a
+// half execution whose result is out, counted from out: the half's
+// offsets and cost prefix (8·(rows+1) bytes each), its columns (out's
+// diagonal and half its other entries, 4 bytes each), and 5 bytes per
+// Hybrid run.
+func knownHalfBytes(out *sparse.CSR[float64], kh *knownHalf) int64 {
+	var diag int64
+	for i := range out.Rows {
+		if _, ok := slices.BinarySearch(out.Row(i), int32(i)); ok {
+			diag++
+		}
+	}
+	return 16*int64(out.Rows+1) + 4*(out.NNZ()+diag)/2 + 5*int64(len(kh.runEnds))
+}
+
 // sharesPattern reports whether out's RowPtr and ColIdx are the plan's
 // remembered arrays.
 func sharesPattern(p *Plan[float64, ptSRType], out *sparse.CSR[float64]) bool {
@@ -76,8 +121,10 @@ func rememberProducts() []rememberProduct {
 		mask, a, b, _ := complDenseRowsProduct(n)
 		out = append(out, rememberProduct{name: fmt.Sprintf("compl-dense-rows-%d", n), mask: mask, a: a, b: b})
 	}
-	g := symGraph(7, true, true)
-	out = append(out, rememberProduct{name: "symmetric", mask: g.PatternView(), a: g, b: g, selfSym: true})
+	for _, hubsLast := range []bool{true, false} {
+		g := symGraph(7, hubsLast, true)
+		out = append(out, rememberProduct{name: fmt.Sprintf("symmetric-hubsLast=%v", hubsLast), mask: g.PatternView(), a: g, b: g, selfSym: true})
+	}
 	return out
 }
 
@@ -93,34 +140,42 @@ func rememberSchemes() []Options {
 	return out
 }
 
-// TestRememberedPatternBitIdentical executes one cached plan four
-// times — with the planned values, with values that make −0, ±Inf and
-// NaN products, with the planned values scaled, and with the special
-// values again — and checks every result bit for bit against a fresh
-// NewPlan plan's on the same values, for every scheme and Hybrid menu,
-// plain and complemented, in every phase each scheme runs, at 1, 2, 3,
-// 4 and 64 threads. A cached one-phase plan remembers nothing from its first
-// full-product execution, and from its second on every full-product
-// result must share the remembered pattern. On the symmetric product
-// the planned and scaled values run one triangle, so the special
-// values' second run is the one that remembers.
+// TestRememberedPatternBitIdentical executes one cached plan on a
+// sequence of value sets and checks every result bit for bit against a
+// fresh NewPlan plan's on the same values, for every scheme and Hybrid
+// menu, plain and complemented, in every phase each scheme runs, at 1,
+// 2, 3, 4 and 64 threads. On the rectangular and complemented products
+// the sequence is the planned values, values that make −0, ±Inf and NaN
+// products, the planned values scaled, and the special values again. A
+// cached one-phase plan remembers nothing from its first full-product
+// execution, and from its second on every full-product result must
+// share the remembered pattern. The symmetric self-products (both
+// triangles) run the planned values, the scaled ones and symmetric
+// special values, all one triangle, so the scaled run publishes the
+// known half and the third computes it; then two asymmetric special
+// value sets run the full product, the second remembering its pattern;
+// and the planned values, symmetric again, run the known half.
 func TestRememberedPatternBitIdentical(t *testing.T) {
+	scaled := func(m *sparse.CSR[float64]) *sparse.CSR[float64] {
+		return withValues(m, func(_ int, v float64) float64 { return -1.5 * v })
+	}
 	for _, pr := range rememberProducts() {
 		values := [][2]*sparse.CSR[float64]{{pr.a, pr.b}}
-		for _, f := range []func(*sparse.CSR[float64]) *sparse.CSR[float64]{
-			withSpecialValues,
-			func(m *sparse.CSR[float64]) *sparse.CSR[float64] {
-				return withValues(m, func(_ int, v float64) float64 { return -1.5 * v })
-			},
-		} {
-			a := f(pr.a)
-			b := a
-			if !pr.selfSym {
-				b = f(pr.b)
+		if pr.selfSym {
+			for _, f := range []func(*sparse.CSR[float64]) *sparse.CSR[float64]{
+				scaled, withSymmetricSpecials, withSpecialValues,
+				func(m *sparse.CSR[float64]) *sparse.CSR[float64] { return scaled(withSpecialValues(m)) },
+			} {
+				a := f(pr.a)
+				values = append(values, [2]*sparse.CSR[float64]{a, a})
 			}
-			values = append(values, [2]*sparse.CSR[float64]{a, b})
+			values = append(values, values[0])
+		} else {
+			for _, f := range []func(*sparse.CSR[float64]) *sparse.CSR[float64]{withSpecialValues, scaled} {
+				values = append(values, [2]*sparse.CSR[float64]{f(pr.a), f(pr.b)})
+			}
+			values = append(values, values[1])
 		}
-		values = append(values, values[1])
 		for _, complement := range []bool{false, true} {
 			for _, scheme := range rememberSchemes() {
 				if complement && !SupportsComplement(scheme.Algorithm) {
@@ -151,7 +206,7 @@ func checkRememberedRuns(t *testing.T, name string, pr rememberProduct, values [
 	}
 	exec := NewExecutor[float64](ptSR)
 	eo := ExecOptions{Threads: threads}
-	fullRuns := 0
+	fullRuns, halfRuns := 0, 0
 	for run, ab := range values {
 		wasRemembered := plan.pattern.Load() != nil
 		got, err := plan.ExecuteOnOpts(exec, ab[0], ab[1], eo)
@@ -181,8 +236,21 @@ func checkRememberedRuns(t *testing.T, name string, pr rememberProduct, values [
 		if !remembers && plan.pattern.Load() != nil && !wasRemembered {
 			t.Fatalf("%s run %d: an execution that must not remember published a pattern", name, run)
 		}
-		if fresh.pattern.Load() != nil {
-			t.Fatalf("%s run %d: a NewPlan plan remembered its pattern", name, run)
+		if fresh.pattern.Load() != nil || fresh.known.Load() != nil {
+			t.Fatalf("%s run %d: a NewPlan plan remembered its pattern or known half", name, run)
+		}
+		if !ranHalf(exec) {
+			continue
+		}
+		halfRuns++
+		kh := plan.known.Load()
+		switch {
+		case halfRuns == 1 && kh != nil:
+			t.Fatalf("%s run %d: the first half execution published a known half", name, run)
+		case halfRuns >= 2 && kh == nil:
+			t.Fatalf("%s run %d: a second or later half execution of a cached plan left no known half", name, run)
+		case halfRuns >= 3 && exec.lastHalf != &kh.half:
+			t.Fatalf("%s run %d: a half execution after the known half was published did not compute it", name, run)
 		}
 	}
 }
@@ -239,215 +307,293 @@ func rememberBudgetCase(seed uint64) (*sparse.Pattern, *sparse.CSR[float64], *sp
 	return mask, a, b, Options{Algorithm: AlgoHybrid, Complement: true}
 }
 
+// rememberCase is one product the publishing and charging tests run,
+// and what its cache-built plan remembers: the output pattern of the
+// complemented rememberBudgetCase, or, with half set, the known half of
+// a symmetric self-product under Hybrid, er-warm-inline's shape at
+// small size.
+type rememberCase struct {
+	name string
+	mask *sparse.Pattern
+	a, b *sparse.CSR[float64]
+	opt  Options
+	half bool
+}
+
+// rememberCases returns both cases over operands drawn from seed.
+func rememberCases(seed uint64) []rememberCase {
+	mask, a, b, opt := rememberBudgetCase(seed)
+	g := gen.Symmetrize(gen.ErdosRenyi(128, 6, seed))
+	return []rememberCase{
+		{name: "pattern", mask: mask, a: a, b: b, opt: opt},
+		{name: "known-half", mask: g.PatternView(), a: g, b: g, opt: Options{Algorithm: AlgoHybrid}, half: true},
+	}
+}
+
+// other returns operands with the case's structure and other values
+// that keep its path: special values for the pattern case, symmetric
+// special values for the known half.
+func (c rememberCase) other() (a, b *sparse.CSR[float64]) {
+	if c.half {
+		s := withSymmetricSpecials(c.a)
+		return s, s
+	}
+	return withSpecialValues(c.a), c.b
+}
+
+// published reports whether p has remembered what the case remembers.
+func (c rememberCase) published(p *Plan[float64, ptSRType]) bool {
+	if c.half {
+		return p.known.Load() != nil
+	}
+	return p.pattern.Load() != nil
+}
+
+// charge is what p's entry is charged for what it remembered from an
+// execution whose result is out, counted from out, or 0 when p has
+// not remembered it: 8·(rows+1) + 4·nnz bytes for an output pattern,
+// knownHalfBytes for a known half.
+func (c rememberCase) charge(p *Plan[float64, ptSRType], out *sparse.CSR[float64]) int64 {
+	if !c.published(p) {
+		return 0
+	}
+	if c.half {
+		return knownHalfBytes(out, p.known.Load())
+	}
+	return 8*int64(len(out.RowPtr)) + 4*out.NNZ()
+}
+
 // TestChaosRememberFirstExecution interrupts a cached plan's first
 // execution and, after one clean execution, the execution that would
 // publish — with a cancel at the numeric and at the compact checkpoint
-// and a kernel panic in the numeric pass. Neither publishes a pattern
-// or charges bytes, and the interrupted first execution does not count
-// as the plan's first: the clean execution after it publishes nothing
-// either. The clean execution after the second fault publishes, and
-// charges the cache and its budget exactly the pattern's bytes.
+// (the mirror pass's, on the one-triangle product) and a kernel panic
+// in the numeric pass — on a product that remembers its output pattern
+// and on one that remembers its known half. Neither interrupted
+// execution publishes or charges bytes, and the interrupted first
+// execution does not count as the plan's first: the clean execution
+// after it publishes nothing either. The clean execution after the
+// second fault publishes, and charges the cache and its budget exactly
+// what it remembered.
 func TestChaosRememberFirstExecution(t *testing.T) {
 	t.Cleanup(faultinject.Disarm)
-	for _, fault := range []faultinject.Hooks{
-		{CancelPass: faultinject.PassNumeric},
-		{CancelPass: faultinject.PassCompact},
-		{PanicArmed: true, PanicRow: 3, PanicPass: faultinject.PassNumeric},
-	} {
-		faultinject.Disarm()
-		mask, a, b, opt := rememberBudgetCase(71)
-		budget := NewMemBudget(0)
-		cache := NewPlanCache(ptSR, 0)
-		cache.AttachBudget(budget)
-		plan, err := cache.GetOrPlan(mask, a, b, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := budget.Used()
-		// Interrupted executions leave their executor half-mutated, so
-		// each runs on a throwaway one.
-		exec := NewExecutor[float64](ptSR)
-		for step := range 2 {
-			faultinject.Arm(fault)
-			out, err := plan.ExecuteOnOpts(NewExecutor[float64](ptSR), a, b, ExecOptions{Threads: 4})
+	for _, c := range rememberCases(71) {
+		for _, fault := range []faultinject.Hooks{
+			{CancelPass: faultinject.PassNumeric},
+			{CancelPass: faultinject.PassCompact},
+			{PanicArmed: true, PanicRow: 3, PanicPass: faultinject.PassNumeric},
+		} {
 			faultinject.Disarm()
-			var ce *CanceledError
-			var kp *KernelPanicError
-			if out != nil || !(errors.As(err, &ce) || errors.As(err, &kp)) {
-				t.Fatalf("%+v step %d: out=%v err=%v, want a typed fault and no result", fault, step, out != nil, err)
+			budget := NewMemBudget(0)
+			cache := NewPlanCache(ptSR, 0)
+			cache.AttachBudget(budget)
+			plan, err := cache.GetOrPlan(c.mask, c.a, c.b, c.opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if plan.pattern.Load() != nil || budget.Used() != before || cache.Stats().Bytes != before {
-				t.Fatalf("%+v step %d: the interrupted execution published a pattern (budget %d, cache %d bytes, want %d)",
-					fault, step, budget.Used(), cache.Stats().Bytes, before)
-			}
-			if step == 0 {
-				if _, err := plan.ExecuteOnOpts(exec, a, b, ExecOptions{Threads: 4}); err != nil {
-					t.Fatal(err)
+			before := budget.Used()
+			// Interrupted executions leave their executor half-mutated, so
+			// each runs on a throwaway one.
+			exec := NewExecutor[float64](ptSR)
+			for step := range 2 {
+				faultinject.Arm(fault)
+				out, err := plan.ExecuteOnOpts(NewExecutor[float64](ptSR), c.a, c.b, ExecOptions{Threads: 4})
+				faultinject.Disarm()
+				var ce *CanceledError
+				var kp *KernelPanicError
+				if out != nil || !(errors.As(err, &ce) || errors.As(err, &kp)) {
+					t.Fatalf("%s %+v step %d: out=%v err=%v, want a typed fault and no result", c.name, fault, step, out != nil, err)
 				}
-				if plan.pattern.Load() != nil || budget.Used() != before {
-					t.Fatalf("%+v: the first clean execution, after an interrupted one, published a pattern", fault)
+				if rememberedBytes(plan) != 0 || budget.Used() != before || cache.Stats().Bytes != before {
+					t.Fatalf("%s %+v step %d: the interrupted execution published (budget %d, cache %d bytes, want %d)",
+						c.name, fault, step, budget.Used(), cache.Stats().Bytes, before)
+				}
+				if step == 0 {
+					if _, err := plan.ExecuteOnOpts(exec, c.a, c.b, ExecOptions{Threads: 4}); err != nil {
+						t.Fatal(err)
+					}
+					if rememberedBytes(plan) != 0 || budget.Used() != before {
+						t.Fatalf("%s %+v: the first clean execution, after an interrupted one, published", c.name, fault)
+					}
 				}
 			}
-		}
-		got, err := plan.ExecuteOnOpts(exec, a, b, ExecOptions{Threads: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sharesPattern(plan, got) {
-			t.Fatalf("%+v: the clean execution after the second fault did not publish its pattern", fault)
-		}
-		if want := before + 8*int64(len(got.RowPtr)) + 4*got.NNZ(); budget.Used() != want || cache.Stats().Bytes != want {
-			t.Fatalf("%+v: budget %d, cache %d bytes, want %d", fault, budget.Used(), cache.Stats().Bytes, want)
+			got, err := plan.ExecuteOnOpts(exec, c.a, c.b, ExecOptions{Threads: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !c.published(plan) || ranHalf(exec) != c.half {
+				t.Fatalf("%s %+v: the clean execution after the second fault did not publish", c.name, fault)
+			}
+			if !c.half && !sharesPattern(plan, got) {
+				t.Fatalf("%s %+v: the publishing result does not share the pattern", c.name, fault)
+			}
+			if want := before + c.charge(plan, got); budget.Used() != want || cache.Stats().Bytes != want {
+				t.Fatalf("%s %+v: budget %d, cache %d bytes, want %d", c.name, fault, budget.Used(), cache.Stats().Bytes, want)
+			}
 		}
 	}
 }
 
 // TestRememberConcurrentFirstExecutions starts several executions of
 // one cached plan at once, each on its own executor (run it under
-// -race): on even rounds they are the plan's first executions, on odd
-// rounds one clean execution precedes them, so all of them could
-// publish. All results are equal, the plan publishes one of their
-// patterns, and the cache and budget are charged its bytes once.
+// -race), for a product that remembers its output pattern and one that
+// remembers its known half: on even rounds they are the plan's first
+// executions, on odd rounds one clean execution precedes them, so all
+// of them could publish. All results are equal, the plan publishes
+// once, the cache and budget are charged its bytes once, and a later
+// execution, by what was published, gives the same result.
 func TestRememberConcurrentFirstExecutions(t *testing.T) {
 	const goroutines = 6
 	for round := range 4 {
-		mask, a, b, opt := rememberBudgetCase(80 + uint64(round))
-		budget := NewMemBudget(0)
-		cache := NewPlanCache(ptSR, 0)
-		cache.AttachBudget(budget)
-		plan, err := cache.GetOrPlan(mask, a, b, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := budget.Used()
-		if round%2 == 1 {
-			if _, err := plan.ExecuteOnOpts(NewExecutor[float64](ptSR), a, b, ExecOptions{}); err != nil {
+		for _, c := range rememberCases(80 + uint64(round)) {
+			budget := NewMemBudget(0)
+			cache := NewPlanCache(ptSR, 0)
+			cache.AttachBudget(budget)
+			plan, err := cache.GetOrPlan(c.mask, c.a, c.b, c.opt)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		outs := make([]*sparse.CSR[float64], goroutines)
-		errs := make([]error, goroutines)
-		start := make(chan struct{})
-		var wg sync.WaitGroup
-		for g := range goroutines {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				exec := NewExecutor[float64](ptSR)
-				<-start
-				outs[g], errs[g] = plan.ExecuteOnOpts(exec, a, b, ExecOptions{Threads: 1 + g%2})
-			}()
-		}
-		close(start)
-		wg.Wait()
-		for g, err := range errs {
-			if err != nil {
-				t.Fatalf("round %d goroutine %d: %v", round, g, err)
+			before := budget.Used()
+			if round%2 == 1 {
+				if _, err := plan.ExecuteOnOpts(NewExecutor[float64](ptSR), c.a, c.b, ExecOptions{}); err != nil {
+					t.Fatal(err)
+				}
 			}
-			checkIdentical(t, fmt.Sprintf("round %d goroutine %d", round, g), outs[g], outs[0])
+			outs := make([]*sparse.CSR[float64], goroutines)
+			errs := make([]error, goroutines)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := range goroutines {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					exec := NewExecutor[float64](ptSR)
+					<-start
+					outs[g], errs[g] = plan.ExecuteOnOpts(exec, c.a, c.b, ExecOptions{Threads: 1 + g%2})
+				}()
+			}
+			close(start)
+			wg.Wait()
+			for g, err := range errs {
+				if err != nil {
+					t.Fatalf("%s round %d goroutine %d: %v", c.name, round, g, err)
+				}
+				checkIdentical(t, fmt.Sprintf("%s round %d goroutine %d", c.name, round, g), outs[g], outs[0])
+			}
+			if !c.published(plan) {
+				t.Fatalf("%s round %d: nothing published", c.name, round)
+			}
+			if want := before + c.charge(plan, outs[0]); budget.Used() != want || cache.Stats().Bytes != want || rememberedBytes(plan) != want-before {
+				t.Fatalf("%s round %d: budget %d, cache %d bytes, want %d (charged once)", c.name, round, budget.Used(), cache.Stats().Bytes, want)
+			}
+			exec := NewExecutor[float64](ptSR)
+			got, err := plan.ExecuteOnOpts(exec, c.a, c.b, ExecOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.half && exec.lastHalf != &plan.known.Load().half {
+				t.Fatalf("%s round %d: the execution after publishing did not compute the known half", c.name, round)
+			}
+			checkIdentical(t, fmt.Sprintf("%s round %d remembered", c.name, round), got, outs[0])
 		}
-		pat := plan.pattern.Load()
-		if pat == nil {
-			t.Fatalf("round %d: no pattern published", round)
-		}
-		if want := before + pat.bytes(); budget.Used() != want || cache.Stats().Bytes != want {
-			t.Fatalf("round %d: budget %d, cache %d bytes, want %d (charged once)", round, budget.Used(), cache.Stats().Bytes, want)
-		}
-		got, err := plan.ExecuteOnOpts(NewExecutor[float64](ptSR), a, b, ExecOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkIdentical(t, fmt.Sprintf("round %d known pattern", round), got, outs[0])
 	}
 }
 
-// TestPlanCacheRememberedPatternBudget pins a remembered pattern's
-// charge: a plan's first execution adds nothing, publishing on the
-// second adds exactly 8·(rows+1) + 4·nnz bytes to the entry and the
-// budget, later executions add nothing, and the bytes return with the
-// entry when Clear, the entry cap or budget pressure evicts it. A plan
+// TestPlanCacheRememberedPatternBudget pins the charge of what a plan
+// remembers, an output pattern or a known half: a plan's first
+// execution adds nothing, publishing on the second adds exactly the
+// remembered bytes (rememberCase.charge) to the entry and the budget,
+// later executions add nothing, and the bytes return with the entry
+// when Clear, the entry cap or budget pressure evicts it. A plan
 // evicted before it publishes is not charged.
 func TestPlanCacheRememberedPatternBudget(t *testing.T) {
-	mask1, a1, b1, opt := rememberBudgetCase(91)
-	mask2, a2, b2, _ := rememberBudgetCase(92)
-	run := func(p *Plan[float64, ptSRType], a, b *sparse.CSR[float64]) int64 {
-		t.Helper()
-		out, err := p.ExecuteOnOpts(NewExecutor[float64](ptSR), a, b, ExecOptions{Threads: 2})
-		if err != nil {
-			t.Fatal(err)
+	cases1, cases2 := rememberCases(91), rememberCases(92)
+	for k, c1 := range cases1 {
+		c2 := cases2[k]
+		// run executes p on c's operands, or on their other values, and
+		// returns the charge of what p has remembered.
+		run := func(p *Plan[float64, ptSRType], c rememberCase, other bool) int64 {
+			t.Helper()
+			a, b := c.a, c.b
+			if other {
+				a, b = c.other()
+			}
+			out, err := p.ExecuteOnOpts(NewExecutor[float64](ptSR), a, b, ExecOptions{Threads: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c.charge(p, out)
 		}
-		return 8*int64(len(out.RowPtr)) + 4*out.NNZ()
-	}
-	// remember executes p twice, the second time on special values, so
-	// that it publishes its pattern, and returns the pattern's bytes.
-	remember := func(p *Plan[float64, ptSRType], a, b *sparse.CSR[float64]) int64 {
-		t.Helper()
-		run(p, a, b)
-		return run(p, withSpecialValues(a), b)
-	}
-	plan := func(c *PlanCache[float64, ptSRType], mask *sparse.Pattern, a, b *sparse.CSR[float64]) *Plan[float64, ptSRType] {
-		t.Helper()
-		p, err := c.GetOrPlan(mask, a, b, opt)
-		if err != nil {
-			t.Fatal(err)
+		// remember executes p twice, the second time on other values, so
+		// that it publishes, and returns the remembered bytes.
+		remember := func(p *Plan[float64, ptSRType], c rememberCase) int64 {
+			t.Helper()
+			run(p, c, false)
+			return run(p, c, true)
 		}
-		return p
-	}
+		plan := func(cache *PlanCache[float64, ptSRType], c rememberCase) *Plan[float64, ptSRType] {
+			t.Helper()
+			p, err := cache.GetOrPlan(c.mask, c.a, c.b, c.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
 
-	// Clear.
-	budget := NewMemBudget(0)
-	cache := NewPlanCache(ptSR, 0)
-	cache.AttachBudget(budget)
-	p1 := plan(cache, mask1, a1, b1)
-	foot1 := budget.Used()
-	run(p1, a1, b1)
-	if budget.Used() != foot1 || cache.Stats().Bytes != foot1 {
-		t.Fatalf("after the first execution: budget %d, cache %d, want %d", budget.Used(), cache.Stats().Bytes, foot1)
-	}
-	pat1 := run(p1, withSpecialValues(a1), b1)
-	if budget.Used() != foot1+pat1 || cache.Stats().Bytes != foot1+pat1 {
-		t.Fatalf("after the second execution: budget %d, cache %d, want %d", budget.Used(), cache.Stats().Bytes, foot1+pat1)
-	}
-	run(p1, a1, b1)
-	if budget.Used() != foot1+pat1 {
-		t.Fatalf("a known-pattern execution charged again: budget %d, want %d", budget.Used(), foot1+pat1)
-	}
-	cache.Clear()
-	if budget.Used() != 0 {
-		t.Fatalf("after Clear: budget %d, want 0", budget.Used())
-	}
-	// The cleared plan still runs, and charges nothing.
-	run(p1, a1, b1)
-	if budget.Used() != 0 {
-		t.Fatalf("a plan no longer cached charged its pattern: budget %d", budget.Used())
-	}
+		// Clear.
+		budget := NewMemBudget(0)
+		cache := NewPlanCache(ptSR, 0)
+		cache.AttachBudget(budget)
+		p1 := plan(cache, c1)
+		foot1 := budget.Used()
+		run(p1, c1, false)
+		if budget.Used() != foot1 || cache.Stats().Bytes != foot1 {
+			t.Fatalf("%s after the first execution: budget %d, cache %d, want %d", c1.name, budget.Used(), cache.Stats().Bytes, foot1)
+		}
+		pat1 := run(p1, c1, true)
+		if pat1 == 0 || budget.Used() != foot1+pat1 || cache.Stats().Bytes != foot1+pat1 {
+			t.Fatalf("%s after the second execution: budget %d, cache %d, want %d", c1.name, budget.Used(), cache.Stats().Bytes, foot1+pat1)
+		}
+		run(p1, c1, false)
+		if budget.Used() != foot1+pat1 {
+			t.Fatalf("%s: an execution by what the plan remembered charged again: budget %d, want %d", c1.name, budget.Used(), foot1+pat1)
+		}
+		cache.Clear()
+		if budget.Used() != 0 {
+			t.Fatalf("%s after Clear: budget %d, want 0", c1.name, budget.Used())
+		}
+		// The cleared plan still runs, and charges nothing.
+		run(p1, c1, false)
+		if budget.Used() != 0 {
+			t.Fatalf("%s: a plan no longer cached charged what it remembered: budget %d", c1.name, budget.Used())
+		}
 
-	// The entry cap.
-	budget = NewMemBudget(0)
-	capped := NewPlanCache(ptSR, 1)
-	capped.AttachBudget(budget)
-	remember(plan(capped, mask1, a1, b1), a1, b1)
-	p2 := plan(capped, mask2, a2, b2)
-	foot2 := budget.Used()
-	if st := capped.Stats(); st.Entries != 1 || st.Bytes != foot2 || foot2 != p2.footprintBytes() {
-		t.Fatalf("after the entry cap evicted a remembered plan: %+v, budget %d, want only the new plan's %d bytes", st, foot2, p2.footprintBytes())
-	}
+		// The entry cap.
+		budget = NewMemBudget(0)
+		capped := NewPlanCache(ptSR, 1)
+		capped.AttachBudget(budget)
+		remember(plan(capped, c1), c1)
+		p2 := plan(capped, c2)
+		foot2 := budget.Used()
+		if st := capped.Stats(); st.Entries != 1 || st.Bytes != foot2 || foot2 != p2.footprintBytes() {
+			t.Fatalf("%s after the entry cap evicted a remembering plan: %+v, budget %d, want only the new plan's %d bytes", c1.name, st, foot2, p2.footprintBytes())
+		}
 
-	// Budget pressure: room for one plan with its pattern and a second
-	// plan's analysis, not both patterns.
-	pat2 := remember(p2, a2, b2)
-	budget = NewMemBudget(foot1 + pat1 + foot2 + pat2/2)
-	pressed := NewPlanCache(ptSR, 0)
-	pressed.AttachBudget(budget)
-	remember(plan(pressed, mask1, a1, b1), a1, b1)
-	q2 := plan(pressed, mask2, a2, b2)
-	run(q2, a2, b2)
-	if st := pressed.Stats(); st.Entries != 2 || budget.Used() != foot1+pat1+foot2 {
-		t.Fatalf("before the pressure: %+v, budget %d", st, budget.Used())
-	}
-	run(q2, withSpecialValues(a2), b2)
-	if st := pressed.Stats(); st.Entries != 1 || st.Evictions != 1 || budget.Used() != foot2+pat2 || st.Bytes != foot2+pat2 {
-		t.Fatalf("after the second pattern's charge: %+v, budget %d, want one entry of %d bytes", st, budget.Used(), foot2+pat2)
+		// Budget pressure: room for one plan with what it remembered and
+		// a second plan's analysis, not both.
+		pat2 := remember(p2, c2)
+		budget = NewMemBudget(foot1 + pat1 + foot2 + pat2/2)
+		pressed := NewPlanCache(ptSR, 0)
+		pressed.AttachBudget(budget)
+		remember(plan(pressed, c1), c1)
+		q2 := plan(pressed, c2)
+		run(q2, c2, false)
+		if st := pressed.Stats(); st.Entries != 2 || budget.Used() != foot1+pat1+foot2 {
+			t.Fatalf("%s before the pressure: %+v, budget %d", c1.name, st, budget.Used())
+		}
+		run(q2, c2, true)
+		if st := pressed.Stats(); st.Entries != 1 || st.Evictions != 1 || budget.Used() != foot2+pat2 || st.Bytes != foot2+pat2 {
+			t.Fatalf("%s after the second plan's charge: %+v, budget %d, want one entry of %d bytes", c1.name, st, budget.Used(), foot2+pat2)
+		}
 	}
 }
 

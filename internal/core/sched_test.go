@@ -56,7 +56,7 @@ func TestSchedulePartitionBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost := p.rowCosts(a, b)[:mask.Rows]
+	cost := p.rowCosts(maskRows{p.mask, p.sym}, a, b)[:mask.Rows]
 	var total int64
 	for _, c := range cost {
 		total += c

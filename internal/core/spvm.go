@@ -41,7 +41,7 @@ func MaskedSpVMWith[T any, S semiring.Semiring[T]](exec *Executor[T, S], mask []
 		Val:     u.Val,
 	}
 	m := &sparse.Pattern{Rows: 1, Cols: b.Cols, RowPtr: []int64{0, int64(len(mask))}, ColIdx: mask}
-	// A one-row plan skips the cost profile (planSchedule), so Inner
+	// A one-row plan skips the cost profile (bindRows), so Inner
 	// never counts B's columns here.
 	p, err := newDetachedPlan(exec.sr, m, a, b, opt, nil, nil)
 	if err != nil {

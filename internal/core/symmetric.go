@@ -35,8 +35,13 @@ type symHalf struct {
 	// mirror[t] is the index of entry (k, i).
 	mirror []int32
 	// off is the one-phase slab layout of the computed halves: row i
-	// computes off[i+1]−off[i] mask entries.
+	// computes off[i+1]−off[i] mask entries, or known columns.
 	off []int64
+	// cols, set only on a known half (Plan.rememberHalf), holds the
+	// columns each row's output half holds: row i computes
+	// cols[off[i]:off[i+1]], a subset of its mask half, and off is
+	// exact. nil computes the mask halves.
+	cols []int32
 	// upper selects the triangle: rows compute their mask suffix
 	// j ≥ i when set, their prefix j ≤ i otherwise.
 	upper bool
@@ -156,8 +161,8 @@ type bClip struct {
 }
 
 // maskRows is a binding's view of the mask: the plan's mask rows, or,
-// with half set, the computed halves of a symmetric self-product and
-// the B clips that go with them.
+// with half set, the computed halves of a symmetric self-product (its
+// mask halves or its known half) and the B clips that go with them.
 type maskRows struct {
 	mask *sparse.Pattern
 	half *symHalf
@@ -165,11 +170,16 @@ type maskRows struct {
 
 // row returns the mask row (or half row) output row i admits.
 func (m maskRows) row(i int) []int32 {
-	if m.half == nil {
+	h := m.half
+	if h == nil {
 		return m.mask.Row(i)
 	}
-	lo, hi := m.half.span(i)
-	return m.half.colIdx[lo:hi]
+	if h.cols != nil {
+		off := h.off[i : i+2]
+		return h.cols[off[0]:off[1]]
+	}
+	lo, hi := h.span(i)
+	return h.colIdx[lo:hi]
 }
 
 // clip returns row i's B clips; zero (whole rows) for a full product.

@@ -34,9 +34,11 @@ type arith = semiring.PlusTimes[float64]
 //
 // A cached one-phase plan remembers the output pattern of its second
 // execution, and later products of the same structure compute values
-// only (DESIGN.md §5). Results from the Multiply methods therefore
-// share their RowPtr and ColIdx with the cached plan and with each
-// other: they must not be mutated. Clone a result to own every array.
+// only (DESIGN.md §5); a plan that computes one triangle of a symmetric
+// self-product remembers the columns its half reaches instead. Results
+// from the Multiply methods therefore share their RowPtr and ColIdx
+// with the cached plan and with each other: they must not be mutated.
+// Clone a result to own every array.
 //
 // All Session methods are safe for concurrent use by multiple
 // goroutines. Construct one Session per served dataset (or per
