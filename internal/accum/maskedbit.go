@@ -200,13 +200,18 @@ func (m *MaskedBit[T, S]) Gather(maskRow []int32, outIdx []int32, outVal []T) in
 // keys are tracked in a list (as in MSAC/HashC). Gather emits them in
 // ascending order by walking the set bitset over the inserted keys'
 // word span, and sorts the list only when that span is too sparse to
-// walk. Values stay at the semiring zero between
-// rows, so Scatter is the same fused add as the plain variant plus a
-// first-touch append.
+// walk. Values rest at restValue between rows, as the plain variant's
+// do, so Scatter is the same fused add plus a first-touch append, and
+// an entry whose products are all −0 emits −0, as in every other
+// complemented family.
 type MaskedBitC[T any, S semiring.Semiring[T]] struct {
 	sr S
-	// values is indexed by column and holds sr.Zero() everywhere except
-	// the keys inserted since the last BeginSized.
+	// rest is the value every values slot holds between rows
+	// (restValue).
+	rest T
+	// values is indexed by column and holds rest everywhere except the
+	// keys inserted since the last BeginSized, and the banned keys a
+	// plus-times dense or known row added +0 to (restBanned).
 	values []T
 	// banned holds one bit per column excluded by the current row's mask.
 	banned []uint64
@@ -225,13 +230,13 @@ type MaskedBitC[T any, S semiring.Semiring[T]] struct {
 // NewMaskedBitC returns a complemented MaskedBit for output rows of
 // width ncols.
 func NewMaskedBitC[T any, S semiring.Semiring[T]](sr S, ncols int) *MaskedBitC[T, S] {
-	m := &MaskedBitC[T, S]{sr: sr, inserted: make([]int32, 0, 64)}
+	m := &MaskedBitC[T, S]{sr: sr, rest: restValue[T](sr), inserted: make([]int32, 0, 64)}
 	m.EnsureCols(ncols)
 	return m
 }
 
 // EnsureCols grows the dense arrays to cover output rows of width
-// ncols. Fresh values slots are filled with the semiring zero and fresh
+// ncols. Fresh values slots are filled with the rest value and fresh
 // bitset words are zero, which for the complement variant means
 // "admitted, nothing inserted" — exactly the clean between-rows state.
 func (m *MaskedBitC[T, S]) EnsureCols(ncols int) {
@@ -239,9 +244,8 @@ func (m *MaskedBitC[T, S]) EnsureCols(ncols int) {
 		return
 	}
 	m.values = make([]T, ncols)
-	zero := m.sr.Zero()
 	for i := range m.values {
-		m.values[i] = zero
+		m.values[i] = m.rest
 	}
 	w := bitWords(ncols)
 	m.banned = make([]uint64, w)
@@ -292,8 +296,8 @@ func (m *MaskedBitC[T, S]) Scatter(av T, bCols []int32, bVals []T) {
 }
 
 // Gather emits the inserted entries in ascending column order and
-// restores all touched state — emitted values back to the semiring
-// zero, set words, and the banned words marked in BeginSized — so the
+// restores all touched state — emitted values back to the rest value,
+// set words, and the banned words marked in BeginSized — so the
 // accumulator is clean for the next row. One pass over the inserted
 // list finds the smallest and largest key. When their word span is
 // below out·bits.Len(out) words, the scale of a sort's comparison count,
@@ -321,7 +325,7 @@ func (m *MaskedBitC[T, S]) Gather(outIdx []int32, outVal []T) int {
 	}
 	w0 := uint(uint32(lo)) >> 6
 	w1 := uint(uint32(hi)) >> 6
-	zero := m.sr.Zero()
+	rest := m.rest
 	values, set := m.values, m.set
 	n := 0
 	out := uint(len(inserted))
@@ -331,7 +335,7 @@ func (m *MaskedBitC[T, S]) Gather(outIdx []int32, outVal []T) int {
 				k := w<<6 + uint(bits.TrailingZeros64(b))
 				outIdx[n] = int32(k)
 				outVal[n] = values[k]
-				values[k] = zero
+				values[k] = rest
 				n++
 			}
 			set[w] = 0
@@ -342,7 +346,7 @@ func (m *MaskedBitC[T, S]) Gather(outIdx []int32, outVal []T) int {
 			k := uint(uint32(j))
 			outIdx[n] = j
 			outVal[n] = values[k]
-			values[k] = zero
+			values[k] = rest
 			set[k>>6] = 0
 			n++
 		}
@@ -350,6 +354,19 @@ func (m *MaskedBitC[T, S]) Gather(outIdx []int32, outVal []T) int {
 	m.inserted = inserted[:0]
 	m.clearBanned()
 	return n
+}
+
+// restBanned returns the saved mask row's keys, the banned ones, to
+// the rest value. Only the plus-times dense and known rows need it:
+// they add +0 to a banned key, and +0 added to a rest value of −0 is
+// +0.
+//
+//mspgemm:hotpath
+func (m *MaskedBitC[T, S]) restBanned() {
+	values, rest := m.values, m.rest
+	for _, j := range m.maskRow {
+		values[uint32(j)] = rest
+	}
 }
 
 // clearBanned zeroes the banned words covering the saved mask row and

@@ -211,9 +211,10 @@ type MaskedBitCPlusTimes struct {
 // A dense row's loop has no branch per entry. ok is 1 when the mask
 // admits column k and 0 when it bans it, and -ok is then all ones or
 // zero: the product's bits ANDed with it are the product or +0. A
-// banned column's value is +0 between rows and only ever gets +0
-// added, so it stays +0 and needs no reset; an admitted column gets the
-// generic loop's add, in the same order, and its set bit.
+// banned column only ever gets +0 added, which can turn its rest value
+// −0 into +0 but never into anything else, and Gather restores it
+// (restBanned); an admitted column gets the generic loop's add, in the
+// same order, and its set bit.
 //
 //mspgemm:hotpath
 func (m MaskedBitCPlusTimes) Scatter(av float64, bCols []int32, bVals []float64) {
@@ -252,8 +253,10 @@ func (m MaskedBitCPlusTimes) Scatter(av float64, bCols []int32, bVals []float64)
 // Gather emits the inserted entries in ascending column order and
 // leaves the accumulator clean, as MaskedBitC.Gather does. A dense row
 // listed nothing, so its Gather walks the set words of all Cols
-// columns, popping set bits with TrailingZeros64, and clears each
-// word's banned bits as it goes. A sparse row is the generic Gather.
+// columns, popping set bits with TrailingZeros64, returns each emitted
+// value to the rest value and clears each word's banned bits as it
+// goes, then rests the banned keys' values (restBanned). A sparse row
+// is the generic Gather.
 //
 //mspgemm:hotpath
 func (m MaskedBitCPlusTimes) Gather(outIdx []int32, outVal []float64) int {
@@ -263,19 +266,20 @@ func (m MaskedBitCPlusTimes) Gather(outIdx []int32, outVal []float64) int {
 	}
 	set := c.set[:bitWords(m.Cols)]
 	banned := c.banned[:len(set)]
-	values := c.values
+	values, rest := c.values, c.rest
 	n := 0
 	for w, b := range set {
 		for ; b != 0; b &= b - 1 {
 			k := uint(w)<<6 + uint(bits.TrailingZeros64(b))
 			outIdx[n] = int32(k)
 			outVal[n] = values[k]
-			values[k] = 0
+			values[k] = rest
 			n++
 		}
 		set[w] = 0
 		banned[w] = 0
 	}
+	c.restBanned()
 	c.maskRow = nil
 	return n
 }
@@ -310,18 +314,20 @@ func (m MaskedBitCKnown) Scatter(av float64, bCols []int32, bVals []float64) {
 }
 
 // Gather writes the values of the row's known columns cols into
-// outVal, returns them to +0, and clears the banned words BeginSized
-// marked, leaving the accumulator clean. A banned column's value is +0
-// throughout, so only the known columns need a reset.
+// outVal, returns them to the rest value, −0, rests the banned
+// columns' values, to which Scatter added +0 (restBanned), and clears
+// the banned words BeginSized marked, leaving the accumulator clean.
+// No other column was touched.
 //
 //mspgemm:hotpath
 func (m MaskedBitCKnown) Gather(cols []int32, outVal []float64) {
-	values := m.values
+	values, rest := m.values, m.rest
 	outVal = outVal[:len(cols)]
 	for t, j := range cols {
 		k := uint32(j)
 		outVal[t] = values[k]
-		values[k] = 0
+		values[k] = rest
 	}
+	m.restBanned()
 	m.clearBanned()
 }

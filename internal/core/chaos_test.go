@@ -3,12 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"maskedspgemm/internal/faultinject"
 	"maskedspgemm/internal/parallel"
 	"maskedspgemm/internal/semiring"
+	"maskedspgemm/internal/sparse"
 )
 
 // The core half of the chaos suite (DESIGN.md §15): fault injection
@@ -275,5 +278,82 @@ func TestChaosSymmetricProduct(t *testing.T) {
 			t.Fatalf("%v recovery run: %v", algo, err)
 		}
 		pool.Put(fresh)
+	}
+}
+
+// TestChaosSymmetricInPlaceHit is TestChaosSymmetricProduct's
+// PlanCache arm. A cached one-triangle plan runs twice, publishing its
+// known half, and then an in-place hit (knownHalfPhase) is canceled at
+// the numeric pass or at the transpose copy, which keeps compact's
+// checkpoint, or a row panics, in every family and Hybrid, at one and
+// four threads. Each interrupted hit returns its typed error and no
+// result, and its executor is discarded; the plan keeps the same known
+// half with the same pattern, transpose map and offsets, and a clean
+// hit on a fresh executor then equals the publishing result bit for
+// bit.
+func TestChaosSymmetricInPlaceHit(t *testing.T) {
+	t.Cleanup(faultinject.Disarm)
+	a := symGraph(8, true, true)
+	for _, algo := range append(chaosFamilies, AlgoHybrid) {
+		for _, fault := range []faultinject.Hooks{
+			{CancelPass: faultinject.PassNumeric},
+			{CancelPass: faultinject.PassCompact},
+			{PanicArmed: true, PanicRow: 3, PanicPass: faultinject.PassNumeric},
+		} {
+			for _, threads := range []int{1, 4} {
+				name := fmt.Sprintf("%v/%+v/threads=%d", algo, fault, threads)
+				faultinject.Disarm()
+				pool := NewExecutorPool[float64](ptSR, 2)
+				plan, err := NewPlanCache(ptSR, 0).GetOrPlan(a.PatternView(), a, a, Options{Algorithm: algo})
+				if err != nil {
+					t.Fatal(err)
+				}
+				eo := ExecOptions{Threads: threads}
+				var published *sparse.CSR[float64]
+				for range 2 {
+					exec := pool.Get()
+					if published, err = plan.ExecuteOnOpts(exec, a, a, eo); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					pool.Put(exec)
+				}
+				kh := plan.known.Load()
+				if kh == nil {
+					t.Fatalf("%s: no known half published", name)
+				}
+				outPtr, cols, tpos, off := slices.Clone(kh.half.outPtr), slices.Clone(kh.half.cols), slices.Clone(kh.tpos), slices.Clone(kh.half.off)
+				want := published.Clone()
+
+				faultinject.Arm(fault)
+				exec := pool.Get()
+				out, err := plan.ExecuteOnOpts(exec, a, a, eo)
+				faultinject.Disarm()
+				var ce *CanceledError
+				var kp *KernelPanicError
+				switch {
+				case out != nil:
+					t.Fatalf("%s: a partial result escaped", name)
+				case fault.PanicArmed && !errors.As(err, &kp):
+					t.Fatalf("%s: err = %v, want KernelPanicError", name, err)
+				case !fault.PanicArmed && (!errors.As(err, &ce) || ce.Pass != string(fault.CancelPass)):
+					t.Fatalf("%s: err = %v, want CanceledError in pass %s", name, err, fault.CancelPass)
+				case exec.lastHalf != &kh.half:
+					t.Fatalf("%s: the interrupted execution was not an in-place hit", name)
+				}
+				pool.Discard(exec)
+				if st := pool.Stats(); st.Poisoned != 1 || st.Idle != 0 {
+					t.Fatalf("%s: pool %+v, want the executor discarded", name, st)
+				}
+				if plan.known.Load() != kh || !slices.Equal(kh.half.outPtr, outPtr) || !slices.Equal(kh.half.cols, cols) ||
+					!slices.Equal(kh.tpos, tpos) || !slices.Equal(kh.half.off, off) {
+					t.Fatalf("%s: the interrupted hit changed the plan's known half", name)
+				}
+				got, err := plan.ExecuteOnOpts(NewExecutor[float64](ptSR), a, a, eo)
+				if err != nil {
+					t.Fatalf("%s recovery run: %v", name, err)
+				}
+				checkIdentical(t, name+" recovery run", got, want)
+			}
+		}
 	}
 }

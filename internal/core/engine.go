@@ -25,8 +25,9 @@ import (
 //     exact range of that pattern — the two-phase numeric pass without
 //     the symbolic pass, and one-phase without the slab and compact. A
 //     one-triangle plan remembers its known half instead
-//     (Plan.rememberHalf), which later half executions run one-phase
-//     into, with an exact slab, before the mirror pass.
+//     (Plan.rememberHalf), with the full output pattern and a transpose
+//     map, and later half executions write each half row's values into
+//     that pattern, then copy them to their transposes (knownHalfPhase).
 //
 // Kernels receive a tid to index per-worker accumulator scratch.
 
@@ -217,6 +218,63 @@ func knownPhase[T any](rows, cols int, pat *knownPattern, sch rowSched, k kernel
 		}
 	})
 	if err := sch.passCanceled(faultinject.PassNumeric); err != nil {
+		return nil, err
+	}
+	return &sparse.CSR[T]{
+		Pattern: sparse.Pattern{Rows: rows, Cols: cols, RowPtr: rowPtr, ColIdx: colIdx},
+		Val:     val,
+	}, nil
+}
+
+// knownHalfPhase runs a one-triangle plan whose known half kh is
+// remembered: it is knownPhase over the half rows. Each row's kernel
+// writes its values straight into the row's own range of a fresh value
+// array over kh's output pattern (symHalf.span), and its columns into
+// the pooled slab, where nothing reads them; the shared ColIdx is never
+// written. A second pass, under compact's checkpoint name, then copies
+// every half value to its transpose's position (copyTransposes): the
+// writes land outside every row's own range, each position once, so
+// the rows need no ordering. The result shares kh's pattern. The
+// numeric pass keeps onePhase's checkpoints and row hooks, and a row
+// that emits a different count than its half holds panics
+// errPatternChanged.
+func knownHalfPhase[T any](rows, cols int, kh *knownHalf, sch rowSched, k kernels[T], es *engineScratch[T]) (*sparse.CSR[T], error) {
+	if err := sch.enterPass(faultinject.PassNumeric); err != nil {
+		return nil, err
+	}
+	h := &kh.half
+	rowPtr, colIdx, off := h.outPtr, h.cols, h.off
+	val := es.outVals(int64(len(colIdx)))
+	slab := es.idxSlab(off[rows])
+	fi := sch.fi
+	sch.run(func(lo, hi, tid int) {
+		for lo < hi {
+			seg, numeric := k.numericSegment(lo, hi)
+			for i := lo; i < seg; i++ {
+				if fi != nil {
+					fi.Row(faultinject.PassNumeric, i)
+				}
+				at, end := h.span(rowPtr, i)
+				if numeric(tid, i, slab[off[i]:off[i+1]], val[at:end]) != int(end-at) {
+					panic(errPatternChanged)
+				}
+			}
+			lo = seg
+		}
+	})
+	if err := sch.passCanceled(faultinject.PassNumeric); err != nil {
+		return nil, err
+	}
+	if err := sch.enterPass(faultinject.PassCompact); err != nil {
+		return nil, err
+	}
+	sch.run(func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			at, end := h.span(rowPtr, i)
+			copyTransposes(val, val[at:end], kh.tpos[off[i]:off[i+1]])
+		}
+	})
+	if err := sch.passCanceled(faultinject.PassCompact); err != nil {
 		return nil, err
 	}
 	return &sparse.CSR[T]{

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"maskedspgemm/internal/gen"
@@ -184,5 +186,53 @@ func TestMaskedBitRowCostComplementCrossover(t *testing.T) {
 	mb, msa, hash = maskedBitRowCost(sparseOut), msaRowCost(sparseOut), hashRowCost(sparseOut)
 	if hash >= msa || hash >= mb {
 		t.Errorf("sparse-output row: Hash %.1f not cheaper than MSA %.1f and MaskedBit %.1f", hash, msa, mb)
+	}
+}
+
+// TestComplementNegativeZeroEveryFamily multiplies A = [−0] (1×1) by a
+// 1×3 B under the complement of a one-entry mask: the two admitted
+// entries' only products are −0, and every complemented family and
+// Hybrid menu, over the float64 plus-times kernels and the generic
+// ones, in every phase it runs, must emit −0 for both, as must a cached
+// plan's second and third executions, which remember the pattern and
+// then run the known-pattern kernel (MaskedBitCKnown under MaskedBit).
+func TestComplementNegativeZeroEveryFamily(t *testing.T) {
+	a := csrFromRows(1, 1, [][]int32{{0}}, [][]float64{{math.Copysign(0, -1)}})
+	b := csrFromRows(1, 3, [][]int32{{0, 1, 2}}, [][]float64{{1, 2, 3}})
+	mask := csrFromRows(1, 3, [][]int32{{1}}, nil).PatternView()
+	check := func(name string, got *sparse.CSR[float64], err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !slices.Equal(got.ColIdx, []int32{0, 2}) {
+			t.Fatalf("%s: columns %v, want [0 2]", name, got.ColIdx)
+		}
+		for q, v := range got.Val {
+			if !math.Signbit(v) || v != 0 {
+				t.Errorf("%s: column %d = %v (%#x), want −0", name, got.ColIdx[q], v, math.Float64bits(v))
+			}
+		}
+	}
+	for _, scheme := range rememberSchemes() {
+		if !SupportsComplement(scheme.Algorithm) {
+			continue
+		}
+		for _, ph := range schemePhases(scheme.Algorithm) {
+			opt := scheme
+			opt.Complement, opt.Phases = true, ph
+			name := fmt.Sprintf("%s/families=%#x", opt.SchemeName(), opt.HybridFamilies)
+			got, err := MaskedSpGEMM(plusTimesTwin{}, mask, a, b, opt)
+			check(name+"/generic", got, err)
+			plan, err := NewPlanCache(ptSR, 0).GetOrPlan(mask, a, b, opt)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			exec := NewExecutor[float64](ptSR)
+			for run := range 3 {
+				got, err := plan.ExecuteOn(exec, a, b)
+				check(fmt.Sprintf("%s/cached run %d", name, run), got, err)
+			}
+		}
 	}
 }

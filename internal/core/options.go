@@ -157,6 +157,11 @@ type ExecOptions struct {
 	// enters plan identity. Plan.ExecuteOnCtx wires a context to this
 	// token.
 	Cancel *parallel.CancelToken
+	// Resident vouches that A's value array never changes, as for a
+	// Session's resident operands: a one-triangle plan then checks an
+	// array's values for symmetry once, not on every execution
+	// (Plan.half). Execution-only too, with no Options counterpart.
+	Resident bool
 }
 
 // ExecOnly extracts the execution-only fields of o — the defaults

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync/atomic"
 
 	"maskedspgemm/internal/faultinject"
@@ -31,11 +30,12 @@ import (
 // A Plan is immutable after NewPlan and therefore safe to share across
 // goroutines — this is what lets a PlanCache hand one plan to many
 // concurrent requests. Its only sanctioned post-construction writes are
-// on a plan a PlanCache built, each made once and published safely: the
-// flag its first clean one-phase full-product execution sets and the
-// output pattern of its second (rememberPattern), and the same pair for
-// its half executions (rememberHalf). All mutable execution state
-// (accumulators, slabs, the refreshed CSC values of B, bound kernels)
+// atomic: on a plan a PlanCache built, each made once, the flag its
+// first clean one-phase full-product execution sets and the output
+// pattern of its second (rememberPattern), and the same pair for its
+// half executions (rememberHalf); and the last resident value array an
+// execution proved symmetric (provedSymmetric). All mutable execution
+// state (accumulators, slabs, the refreshed CSC values of B, bound kernels)
 // lives in the Executor, which is NOT concurrency-safe: concurrent
 // executions of a shared plan must each use their own executor
 // (ExecuteOn), typically checked out of an ExecutorPool.
@@ -91,6 +91,10 @@ type Plan[T any, S semiring.Semiring[T]] struct {
 	// ranHalfClean is set by the first clean half execution, which
 	// remembers nothing (rememberHalf).
 	ranHalfClean atomic.Bool
+	// symVals is the first element of the last resident value array of
+	// A proved symmetric (provedSymmetric); executions on that array
+	// with ExecOptions.Resident skip the values check (Plan.half).
+	symVals atomic.Pointer[T]
 	// owner and key name the cache entry of a plan a PlanCache built
 	// (ownedBy), the entry a remembered pattern or known half is charged
 	// to. owner is nil on every other plan, and such plans never
@@ -294,7 +298,9 @@ func (p *Plan[T, S]) rememberPattern(out *sparse.CSR[T]) {
 // knownHalf is what a one-triangle plan remembers of its half
 // executions (DESIGN.md §5, "Known pattern"): the known half, which is
 // the plan's symmetric analysis with each row's half narrowed to the
-// columns its output half holds, and the row binding derived from it.
+// columns its output half holds and the full output pattern those
+// columns are read from (symHalf.outPtr, cols), the row binding derived
+// from it, and the transpose map knownHalfPhase copies values by.
 // Every output entry of a half lies in the known half, so a half
 // execution over it computes the same entries from the same products,
 // in the same order, as one over the mask halves.
@@ -303,53 +309,66 @@ func (p *Plan[T, S]) rememberPattern(out *sparse.CSR[T]) {
 type knownHalf struct {
 	half symHalf
 	rowBinding
+	// tpos maps every half entry to the output position of its
+	// transpose: row i's entries are tpos[off[i]:off[i+1]], in column
+	// order, and a diagonal entry's position is its own.
+	tpos []int32
 }
 
 // bytes is the memory a known half retains, the amount its plan's
-// cache entry is charged: the half's offsets and columns, and its row
-// binding. The mask structure and the mirror map are the plan's.
+// cache entry is charged: the half's offsets, the output pattern, the
+// transpose map and the row binding. The mask structure and the mirror
+// map are the plan's.
 func (k *knownHalf) bytes() int64 {
-	return int64(len(k.half.off))*8 + int64(len(k.half.cols))*4 + k.rowBinding.bytes()
+	h := &k.half
+	return int64(len(h.off)+len(h.outPtr))*8 + int64(len(h.cols)+len(k.tpos))*4 + k.rowBinding.bytes()
 }
 
 // rememberHalf publishes the known half of a one-triangle plan, once,
 // from its second clean half execution, with the counting, the
 // compare-and-swap and the charge of rememberPattern. out is that
-// execution's result over (a, b): each output row's entries on the
-// computed side of the diagonal are exactly its computed half, and are
-// copied out, since out belongs to the caller. The binding is priced
-// on (a, b), whose structure is the plan's.
+// execution's result over (a, b), as mirrorPass wrote it: each output
+// row's entries on the computed side of the diagonal are exactly its
+// computed half. Its RowPtr and ColIdx are aliased, not copied, as
+// rememberPattern does: out is a fresh result, and from here on it
+// shares them with the plan and every later half result. The binding
+// is priced on (a, b), whose structure is the plan's.
 //
 //mspgemm:planwrite
 func (p *Plan[T, S]) rememberHalf(out, a, b *sparse.CSR[T]) {
 	if !p.ranHalfClean.Swap(true) || p.known.Load() != nil {
 		return
 	}
-	rows, upper := out.Rows, p.sym.upper
-	// halfOf returns the entry range [lo, hi) of output row i's half:
-	// its columns j ≥ i when upper, j ≤ i otherwise (planSymmetric).
-	halfOf := func(i int) (lo, hi int64) {
-		lo, hi = out.RowPtr[i], out.RowPtr[i+1]
-		if upper {
-			at, _ := slices.BinarySearch(out.ColIdx[lo:hi], int32(i))
-			return lo + int64(at), hi
-		}
-		at, _ := slices.BinarySearch(out.ColIdx[lo:hi], int32(i)+1)
-		return lo, lo + int64(at)
-	}
+	rows, rowPtr, colIdx := out.Rows, out.RowPtr, out.ColIdx
 	kh := &knownHalf{half: *p.sym}
-	off := make([]int64, rows+1)
-	for i := range rows {
-		lo, hi := halfOf(i)
-		off[i+1] = off[i] + hi - lo
+	h := &kh.half
+	off := halfOffsets(rowPtr, colIdx, h.upper)
+	h.off, h.outPtr, h.cols = off, rowPtr, colIdx
+	// Row c's other entries, the transposes (c, j) of the half entries
+	// (j, c), sit after its half in the lower triangle and before it in
+	// the upper, in ascending j, so one cursor per row, met in row
+	// order, places them all.
+	next := make([]int64, rows)
+	for c := range rows {
+		next[c] = rowPtr[c]
+		if !h.upper {
+			next[c] += off[c+1] - off[c]
+		}
 	}
-	cols := make([]int32, off[rows])
+	kh.tpos = make([]int32, off[rows])
 	for i := range rows {
-		lo, hi := halfOf(i)
-		copy(cols[off[i]:], out.ColIdx[lo:hi])
+		lo, hi := h.span(rowPtr, i)
+		tpos := kh.tpos[off[i]:off[i+1]]
+		for q, c := range colIdx[lo:hi] {
+			if int(c) == i {
+				tpos[q] = int32(lo) + int32(q)
+				continue
+			}
+			tpos[q] = int32(next[c])
+			next[c]++
+		}
 	}
-	kh.half.off, kh.half.cols = off, cols
-	kh.rowBinding = p.bindRows(maskRows{p.mask, &kh.half}, a, b)
+	kh.rowBinding = p.bindRows(maskRows{p.mask, h}, a, b)
 	if p.known.CompareAndSwap(nil, kh) {
 		p.owner.chargeRemembered(p, kh.bytes())
 	}
@@ -422,9 +441,9 @@ func (p *Plan[T, S]) Execute(a, b *sparse.CSR[T]) (*sparse.CSR[T], error) {
 // the internal scratch is pooled — except on a plan a PlanCache built,
 // whose full-product results from the third on share RowPtr and ColIdx
 // with the plan's remembered output pattern (and the second result
-// shares them too, having become it): treat them as read-only, and
-// Clone a result to own every array. Results of one-triangle executions
-// are always fresh.
+// shares them too, having become it), as do its one-triangle results
+// from the second half execution on: treat them as read-only, and
+// Clone a result to own every array.
 //
 // ExecuteOn applies the execution-only options frozen into the plan;
 // cache-shared plans are built with those zeroed (plan identity never
@@ -481,8 +500,9 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 		return p.reg.direct(p, a, b, threads)
 	}
 	exec.ensureWorkers(threads)
-	h := p.half(a, b)
-	if kh := p.known.Load(); kh != nil && h != nil {
+	h := p.half(a, b, eo.Resident)
+	kh := p.known.Load()
+	if kh != nil && h != nil {
 		h = &kh.half
 	}
 	exec.prepareCSC(p, b, h)
@@ -499,6 +519,9 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 	}
 	if pat := p.pattern.Load(); pat != nil && h == nil {
 		return knownPhase(p.mask.Rows, p.mask.Cols, pat, sch, k, es)
+	}
+	if kh != nil && h == &kh.half {
+		return knownHalfPhase(p.mask.Rows, p.mask.Cols, kh, sch, k, es)
 	}
 	out, err = onePhase(p.mask.Rows, p.mask.Cols, p.offsets, sch, k, es, h)
 	// A plan a PlanCache built remembers the pattern of its second clean

@@ -67,9 +67,10 @@ var errPlanningPanicked = errors.New("core: concurrent plan analysis panicked; r
 // 4·nnz bytes are charged to the plan's entry, and to the MemBudget,
 // once, when it is published, and leave with the entry. A one-triangle
 // plan likewise remembers the known half of its second clean half
-// execution, with its row binding: later half executions compute only
-// the known columns, and the known half's bytes are charged the same
-// way.
+// execution, with that execution's output pattern, a transpose map and
+// its row binding: later half executions compute only the known
+// columns, write them in place into results that share the pattern,
+// and the known half's bytes are charged the same way.
 type PlanCache[T any, S semiring.Semiring[T]] struct {
 	sr         S
 	maxEntries int

@@ -416,7 +416,8 @@ func TestServedKernelsBindOnlyPlusTimes(t *testing.T) {
 // n = 4096 B row 3's columns are the ones just past a 256-wide product.
 //
 //   - Row 0 scatters 1 · −0 into admitted column 5: the value starts at
-//     +0 and +0 + −0 is +0, so it emits +0 on every loop.
+//     −0 (accum.restValue) and −0 + −0 is −0, so it emits −0 on every
+//     loop, as every other complemented family does.
 //   - Row 1 scatters 2, +Inf, −Inf and NaN into columns 6 and 20–22,
 //     and its mask bans 20–22; row 2 admits them and must read exactly
 //     the 1, 2, 3 B row 2 puts there, and must not emit column 6, which
@@ -467,7 +468,7 @@ func checkComplDenseRows(t *testing.T, got, want *sparse.CSR[float64]) {
 		cols []int32
 		vals []float64
 	}{
-		{0, []int32{5}, []float64{0}},
+		{0, []int32{5}, []float64{math.Copysign(0, -1)}},
 		{1, []int32{6, 20, 21, 22}, []float64{2, absent, absent, absent}},
 		{2, []int32{6, 20, 21, 22}, []float64{absent, 1, 2, 3}},
 		{3, []int32{6, 20, 21, 22}, []float64{2, absent, absent, absent}},

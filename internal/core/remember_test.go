@@ -84,9 +84,9 @@ func rememberedBytes(p *Plan[float64, ptSRType]) int64 {
 
 // knownHalfBytes is the charge of the known half kh remembered from a
 // half execution whose result is out, counted from out: the half's
-// offsets and cost prefix (8·(rows+1) bytes each), its columns (out's
-// diagonal and half its other entries, 4 bytes each), and 5 bytes per
-// Hybrid run.
+// offsets, cost prefix and out's RowPtr (8·(rows+1) bytes each), out's
+// ColIdx (4 bytes per entry), the transpose map (out's diagonal and
+// half its other entries, 4 bytes each), and 5 bytes per Hybrid run.
 func knownHalfBytes(out *sparse.CSR[float64], kh *knownHalf) int64 {
 	var diag int64
 	for i := range out.Rows {
@@ -94,7 +94,7 @@ func knownHalfBytes(out *sparse.CSR[float64], kh *knownHalf) int64 {
 			diag++
 		}
 	}
-	return 16*int64(out.Rows+1) + 4*(out.NNZ()+diag)/2 + 5*int64(len(kh.runEnds))
+	return 24*int64(out.Rows+1) + 4*out.NNZ() + 4*(out.NNZ()+diag)/2 + 5*int64(len(kh.runEnds))
 }
 
 // sharesPattern reports whether out's RowPtr and ColIdx are the plan's
@@ -102,6 +102,13 @@ func knownHalfBytes(out *sparse.CSR[float64], kh *knownHalf) int64 {
 func sharesPattern(p *Plan[float64, ptSRType], out *sparse.CSR[float64]) bool {
 	pat := p.pattern.Load()
 	return pat != nil && &pat.rowPtr[0] == &out.RowPtr[0] && (len(out.ColIdx) == 0 || &pat.colIdx[0] == &out.ColIdx[0])
+}
+
+// sharesKnownHalf reports whether out's RowPtr and ColIdx are the
+// output pattern of the plan's known half.
+func sharesKnownHalf(p *Plan[float64, ptSRType], out *sparse.CSR[float64]) bool {
+	kh := p.known.Load()
+	return kh != nil && &kh.half.outPtr[0] == &out.RowPtr[0] && (len(out.ColIdx) == 0 || &kh.half.cols[0] == &out.ColIdx[0])
 }
 
 // rememberProduct is one product the remembered-pattern tests run: the
@@ -150,15 +157,20 @@ func rememberSchemes() []Options {
 // cached one-phase plan remembers nothing from its first full-product
 // execution, and from its second on every full-product result must
 // share the remembered pattern. The symmetric self-products (both
-// triangles) run the planned values, the scaled ones and symmetric
+// triangles, with diagonal entries, empty rows and rows whose output
+// half is empty) run the planned values, the scaled ones and symmetric
 // special values, all one triangle, so the scaled run publishes the
-// known half and the third computes it; then two asymmetric special
-// value sets run the full product, the second remembering its pattern;
-// and the planned values, symmetric again, run the known half.
+// known half and the third computes it in place; then two asymmetric
+// special value sets run the full product, the second remembering its
+// pattern; then the planned values, symmetric again, run the known
+// half, and the scaled symmetric specials, the asymmetric specials and
+// the scaled values alternate the two once more. From the publishing
+// run on, every half result shares the known half's output pattern.
 func TestRememberedPatternBitIdentical(t *testing.T) {
 	scaled := func(m *sparse.CSR[float64]) *sparse.CSR[float64] {
 		return withValues(m, func(_ int, v float64) float64 { return -1.5 * v })
 	}
+	triangles := map[bool]bool{}
 	for _, pr := range rememberProducts() {
 		values := [][2]*sparse.CSR[float64]{{pr.a, pr.b}}
 		if pr.selfSym {
@@ -169,12 +181,16 @@ func TestRememberedPatternBitIdentical(t *testing.T) {
 				a := f(pr.a)
 				values = append(values, [2]*sparse.CSR[float64]{a, a})
 			}
-			values = append(values, values[0])
+			symSpecials := scaled(withSymmetricSpecials(pr.a))
+			values = append(values, values[0], [2]*sparse.CSR[float64]{symSpecials, symSpecials}, values[3], values[1])
 		} else {
 			for _, f := range []func(*sparse.CSR[float64]) *sparse.CSR[float64]{withSpecialValues, scaled} {
 				values = append(values, [2]*sparse.CSR[float64]{f(pr.a), f(pr.b)})
 			}
 			values = append(values, values[1])
+		}
+		if pr.selfSym {
+			triangles[requireHalfShapes(t, pr)] = true
 		}
 		for _, complement := range []bool{false, true} {
 			for _, scheme := range rememberSchemes() {
@@ -193,6 +209,49 @@ func TestRememberedPatternBitIdentical(t *testing.T) {
 			}
 		}
 	}
+	if len(triangles) != 2 {
+		t.Fatalf("the symmetric products compute one triangle only (upper: %v)", triangles)
+	}
+}
+
+// requireHalfShapes fails t unless the known half of pr, a symmetric
+// self-product, holds a diagonal entry, an empty output row, and a
+// row whose output half is empty while its output row is not: the
+// edge cases of the transpose map and of the in-place rows. It returns
+// whether the half is the upper triangle.
+func requireHalfShapes(t *testing.T, pr rememberProduct) bool {
+	t.Helper()
+	plan, err := NewPlanCache(ptSR, 0).GetOrPlan(pr.mask, pr.a, pr.b, Options{Algorithm: AlgoMSA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if _, err := plan.ExecuteOn(NewExecutor[float64](ptSR), pr.a, pr.b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kh := plan.known.Load()
+	if kh == nil {
+		t.Fatalf("%s: no known half published", pr.name)
+	}
+	h := &kh.half
+	var diag, emptyRows, emptyHalves int
+	for i := range pr.mask.Rows {
+		lo, hi := h.span(h.outPtr, i)
+		if _, ok := slices.BinarySearch(h.cols[lo:hi], int32(i)); ok {
+			diag++
+		}
+		switch {
+		case h.outPtr[i+1] == h.outPtr[i]:
+			emptyRows++
+		case hi == lo:
+			emptyHalves++
+		}
+	}
+	if diag == 0 || emptyRows == 0 || emptyHalves == 0 {
+		t.Fatalf("%s (upper=%v): %d diagonal entries, %d empty rows, %d rows with an empty half; want each", pr.name, h.upper, diag, emptyRows, emptyHalves)
+	}
+	return h.upper
 }
 
 // checkRememberedRuns executes one cached plan on each value set in
@@ -251,6 +310,8 @@ func checkRememberedRuns(t *testing.T, name string, pr rememberProduct, values [
 			t.Fatalf("%s run %d: a second or later half execution of a cached plan left no known half", name, run)
 		case halfRuns >= 3 && exec.lastHalf != &kh.half:
 			t.Fatalf("%s run %d: a half execution after the known half was published did not compute it", name, run)
+		case halfRuns >= 2 && !sharesKnownHalf(plan, got):
+			t.Fatalf("%s run %d: a half result from the publishing execution on does not share the known half's pattern", name, run)
 		}
 	}
 }
@@ -349,6 +410,15 @@ func (c rememberCase) published(p *Plan[float64, ptSRType]) bool {
 	return p.pattern.Load() != nil
 }
 
+// shares reports whether out shares the pattern p remembered: its
+// output pattern, or its known half's.
+func (c rememberCase) shares(p *Plan[float64, ptSRType], out *sparse.CSR[float64]) bool {
+	if c.half {
+		return sharesKnownHalf(p, out)
+	}
+	return sharesPattern(p, out)
+}
+
 // charge is what p's entry is charged for what it remembered from an
 // execution whose result is out, counted from out, or 0 when p has
 // not remembered it: 8·(rows+1) + 4·nnz bytes for an output pattern,
@@ -423,7 +493,7 @@ func TestChaosRememberFirstExecution(t *testing.T) {
 			if !c.published(plan) || ranHalf(exec) != c.half {
 				t.Fatalf("%s %+v: the clean execution after the second fault did not publish", c.name, fault)
 			}
-			if !c.half && !sharesPattern(plan, got) {
+			if !c.shares(plan, got) {
 				t.Fatalf("%s %+v: the publishing result does not share the pattern", c.name, fault)
 			}
 			if want := before + c.charge(plan, got); budget.Used() != want || cache.Stats().Bytes != want {
@@ -501,7 +571,8 @@ func TestRememberConcurrentFirstExecutions(t *testing.T) {
 // TestPlanCacheRememberedPatternBudget pins the charge of what a plan
 // remembers, an output pattern or a known half: a plan's first
 // execution adds nothing, publishing on the second adds exactly the
-// remembered bytes (rememberCase.charge) to the entry and the budget,
+// remembered bytes (rememberCase.charge, counted from the result, and
+// equal to what the plan retains) to the entry and the budget,
 // later executions add nothing, and the bytes return with the entry
 // when Clear, the entry cap or budget pressure evicts it. A plan
 // evicted before it publishes is not charged.
@@ -552,6 +623,9 @@ func TestPlanCacheRememberedPatternBudget(t *testing.T) {
 		pat1 := run(p1, c1, true)
 		if pat1 == 0 || budget.Used() != foot1+pat1 || cache.Stats().Bytes != foot1+pat1 {
 			t.Fatalf("%s after the second execution: budget %d, cache %d, want %d", c1.name, budget.Used(), cache.Stats().Bytes, foot1+pat1)
+		}
+		if got := rememberedBytes(p1); got != pat1 {
+			t.Fatalf("%s: the charge counted from the result is %d bytes, what the plan retains %d", c1.name, pat1, got)
 		}
 		run(p1, c1, false)
 		if budget.Used() != foot1+pat1 {

@@ -16,10 +16,13 @@ import (
 // C_ji's products are C_ij's with the operands swapped, summed in the
 // same k order. Such a product computes only one triangle — every row
 // its mask prefix j ≤ i, or every row its mask suffix j ≥ i — and a
-// mirror pass then writes the full, sorted CSR in place of compact.
-// Restricting the mask row is what makes a half row correct; the
-// kernels also clip every scanned B_k row at column i, through the
-// plan's mirror map, so that the scan halves with the output.
+// mirror pass then writes the full, sorted CSR in place of compact. A
+// plan a PlanCache built remembers that CSR's pattern and a transpose
+// map (knownHalf), and its later half executions write their values
+// straight into it (knownHalfPhase). Restricting the mask row is what
+// makes a half row correct; the kernels also clip every scanned B_k
+// row at column i, through the plan's mirror map, so that the scan
+// halves with the output.
 
 // symHalf is a plan's one-triangle analysis, built by planSymmetric.
 // Executions use it only while B shares A's values and those values
@@ -37,11 +40,14 @@ type symHalf struct {
 	// off is the one-phase slab layout of the computed halves: row i
 	// computes off[i+1]−off[i] mask entries, or known columns.
 	off []int64
-	// cols, set only on a known half (Plan.rememberHalf), holds the
-	// columns each row's output half holds: row i computes
-	// cols[off[i]:off[i+1]], a subset of its mask half, and off is
-	// exact. nil computes the mask halves.
-	cols []int32
+	// outPtr and cols, set only on a known half (Plan.rememberHalf),
+	// are the RowPtr and ColIdx of the plan's remembered output: row i
+	// computes the columns of its output half, a subset of its mask
+	// half, which open output row i in the lower triangle and close it
+	// in the upper (span), and off is exact. nil computes the mask
+	// halves.
+	outPtr []int64
+	cols   []int32
 	// upper selects the triangle: rows compute their mask suffix
 	// j ≥ i when set, their prefix j ≤ i otherwise.
 	upper bool
@@ -104,19 +110,28 @@ func planSymmetric[T any, S semiring.Semiring[T]](sr S, opt Options, mask *spars
 	// Each pair goes to the row of its higher-degree endpoint: the
 	// lower triangle when higher rows have more entries, the upper
 	// when lower rows do (DESIGN.md §5 measures both choices).
-	h := &symHalf{rowPtr: rowPtr, colIdx: colIdx, mirror: mirror, off: make([]int64, rows+1), upper: skew < 0}
+	upper := skew < 0
+	return &symHalf{rowPtr: rowPtr, colIdx: colIdx, mirror: mirror, off: halfOffsets(rowPtr, colIdx, upper), upper: upper}
+}
+
+// halfOffsets returns the exclusive prefix of the half sizes of the
+// sorted symmetric structure (rowPtr, colIdx): row i's half is its
+// columns j ≥ i when upper, j ≤ i otherwise.
+func halfOffsets(rowPtr []int64, colIdx []int32, upper bool) []int64 {
+	rows := len(rowPtr) - 1
+	off := make([]int64, rows+1)
 	for i := range rows {
 		row := colIdx[rowPtr[i]:rowPtr[i+1]]
 		var n int
-		if h.upper {
+		if upper {
 			at, _ := slices.BinarySearch(row, int32(i))
 			n = len(row) - at
 		} else {
 			n, _ = slices.BinarySearch(row, int32(i)+1)
 		}
-		h.off[i+1] = h.off[i] + int64(n)
+		off[i+1] = off[i] + int64(n)
 	}
-	return h
+	return off
 }
 
 // sameArrays reports whether two patterns are one structure in memory:
@@ -140,14 +155,16 @@ func (h *symHalf) bytes() int64 {
 	return int64(len(h.mirror))*4 + int64(len(h.off))*8
 }
 
-// span returns the entry range [lo, hi) of row i's computed half.
-func (h *symHalf) span(i int) (lo, hi int64) {
+// span returns the entry range [lo, hi) of row i's computed half in a
+// symmetric structure whose row pointers are ptr: the mask's rowPtr, or
+// a known half's outPtr.
+func (h *symHalf) span(ptr []int64, i int) (lo, hi int64) {
 	n := h.off[i+1] - h.off[i]
 	if h.upper {
-		hi = h.rowPtr[i+1]
+		hi = ptr[i+1]
 		return hi - n, hi
 	}
-	lo = h.rowPtr[i]
+	lo = ptr[i]
 	return lo, lo + n
 }
 
@@ -175,10 +192,10 @@ func (m maskRows) row(i int) []int32 {
 		return m.mask.Row(i)
 	}
 	if h.cols != nil {
-		off := h.off[i : i+2]
-		return h.cols[off[0]:off[1]]
+		lo, hi := h.span(h.outPtr, i)
+		return h.cols[lo:hi]
 	}
-	lo, hi := h.span(i)
+	lo, hi := h.span(h.rowPtr, i)
 	return h.colIdx[lo:hi]
 }
 
@@ -193,18 +210,38 @@ func (m maskRows) clip(i int) bClip {
 
 // half returns the plan's one-triangle analysis when this execution
 // may use it: B shares A's value array, and A's values are symmetric
-// bit for bit — an O(nnz) check, since callers may change values in
-// place between executions. Otherwise it returns nil, and the
-// execution runs the full product.
-func (p *Plan[T, S]) half(a, b *sparse.CSR[T]) *symHalf {
+// bit for bit. Otherwise it returns nil, and the execution runs the
+// full product. The values check is O(nnz) and runs on every
+// execution, since callers may change values in place between them,
+// except where the caller vouches that A is resident (ExecOptions.
+// Resident): its array never changes, so the check runs once per array
+// (provedSymmetric).
+func (p *Plan[T, S]) half(a, b *sparse.CSR[T], resident bool) *symHalf {
 	h := p.sym
 	if h == nil || len(a.Val) != len(b.Val) || (len(a.Val) > 0 && &a.Val[0] != &b.Val[0]) {
 		return nil
 	}
+	resident = resident && len(a.Val) > 0
+	if resident && p.symVals.Load() == &a.Val[0] {
+		return h
+	}
 	if !mirroredValues(a.Val, h) {
 		return nil
 	}
+	if resident {
+		p.provedSymmetric(a.Val)
+	}
 	return h
+}
+
+// provedSymmetric remembers vals, a resident value array just proved
+// symmetric, so that later executions on it skip the check (Plan.half).
+// Only the last array is kept, and keeping it pins it: a values-only
+// delta is a new array, which is checked once and then replaces it.
+//
+//mspgemm:planwrite
+func (p *Plan[T, S]) provedSymmetric(vals []T) {
+	p.symVals.Store(&vals[0])
 }
 
 // mirroredValues reports whether every entry of vals equals its
@@ -378,5 +415,17 @@ func scatterTransposes[T any](upper bool, j int, cols []int32, vals []T, rowPtr 
 		}
 		cur[c]++
 		outIdx[d], outVal[d] = int32(j), vals[q]
+	}
+}
+
+// copyTransposes copies each value of one row's output half, own, to
+// the output position of its transpose, tpos[q] for own[q], in val. A
+// diagonal entry's position is its own, and copying it is harmless.
+//
+//mspgemm:hotpath
+func copyTransposes[T any](val, own []T, tpos []int32) {
+	own = own[:len(tpos)]
+	for q, d := range tpos {
+		val[d] = own[q]
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -154,7 +155,8 @@ func TestSymmetricTriangleChoice(t *testing.T) {
 // TestSymmetricFallbacks checks that every product that is not a
 // symmetric self-product runs today's full path, and that its result
 // is still the full product: at plan time when the structure or the
-// options rule the triangle out, at execution time when the values do.
+// options rule the triangle out, at execution time when the values do,
+// also when they change in place between two executions of one plan.
 func TestSymmetricFallbacks(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
 	a := symGraph(7, true, true)
@@ -223,6 +225,15 @@ func TestSymmetricFallbacks(t *testing.T) {
 	if _, err := px.Execute(x, x); err != nil || !ranHalf(px.exec) {
 		t.Errorf("an identical NaN pair must stay symmetric: half=%v err=%v", ranHalf(px.exec), err)
 	}
+
+	// Values made asymmetric in place after a one-triangle execution:
+	// a library plan's caller vouches for nothing, so every execution
+	// checks them again, and this one runs the full product.
+	x = a.Clone()
+	px = plan(x.PatternView(), x, x, msa)
+	check("symmetric before the change", px, x.PatternView(), x, x, false, true, true)
+	x.Val[e] *= 3
+	check("made asymmetric in place", px, x.PatternView(), x, x, false, true, false)
 
 	// The pattern is asymmetric: a directed cycle has equal row and
 	// column counts, so only the mirror pass can reject it; a directed
@@ -354,5 +365,103 @@ func TestSymmetricExecuteAllocs(t *testing.T) {
 		if allocs > 6 {
 			t.Errorf("%v: %.1f allocs per warm Execute, want ≤ 6", algo, allocs)
 		}
+	}
+}
+
+// TestSymmetricKnownHalfAllocs pins what an in-place hit allocates: a
+// cached one-triangle plan that has published its known half writes
+// each hit's values into a fresh Val over the remembered pattern, so a
+// warm hit allocates that array and a constant handful of headers —
+// never a RowPtr, a ColIdx, a slab or the mirror pass's histograms.
+func TestSymmetricKnownHalfAllocs(t *testing.T) {
+	a := symGraph(8, true, false)
+	for _, algo := range []Algorithm{AlgoMSA, AlgoHash, AlgoHeap, AlgoInner, AlgoHybrid} {
+		plan, err := NewPlanCache(ptSR, 0).GetOrPlan(a.PatternView(), a, a, Options{Algorithm: algo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec := NewExecutor[float64](ptSR)
+		eo := ExecOptions{Threads: 1}
+		var out *sparse.CSR[float64]
+		hit := func() {
+			if out, err = plan.ExecuteOnOpts(exec, a, a, eo); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 3 { // publish, then warm the in-place path
+			hit()
+		}
+		if kh := plan.known.Load(); kh == nil || exec.lastHalf != &kh.half {
+			t.Fatalf("%v: the warm execution was not an in-place hit", algo)
+		}
+		allocs := testing.AllocsPerRun(10, hit)
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			hit()
+		}
+		runtime.ReadMemStats(&after)
+		perHit := (after.TotalAlloc - before.TotalAlloc) / runs
+		// The Val rounds up to its allocator size class, at most an
+		// eighth more; the bound stays below what a ColIdx would add.
+		val := uint64(8 * out.NNZ())
+		if slack := val/8 + 1024; slack >= uint64(4*out.NNZ()) {
+			t.Fatalf("%v: a %d-byte bound would admit a ColIdx", algo, slack)
+		}
+		if allocs > 6 || perHit < val || perHit > val+val/8+1024 {
+			t.Errorf("%v: %.1f allocs and %d bytes per hit, want ≤ 6 allocs and the %d-byte Val plus at most an eighth and 1 KiB", algo, allocs, perHit, val)
+		}
+	}
+}
+
+// TestSymmetricResidentValuesCheckedOnce: an execution told that A is
+// resident (ExecOptions.Resident) checks a value array for symmetry
+// once, and the plan remembers the array it proved. Values then made
+// asymmetric in place (the contract the flag vouches for, broken on
+// purpose) still run one triangle under the flag, and the full product
+// without it; another array is checked on its first execution, and the
+// plan then remembers it instead.
+func TestSymmetricResidentValuesCheckedOnce(t *testing.T) {
+	a := symGraph(7, true, true)
+	plan, err := NewPlanCache(ptSR, 0).GetOrPlan(a.PatternView(), a, a, Options{Algorithm: AlgoHybrid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := NewExecutor[float64](ptSR)
+	run := func(name string, x *sparse.CSR[float64], resident, wantHalf bool) {
+		t.Helper()
+		if _, err := plan.ExecuteOnOpts(exec, x, x, ExecOptions{Threads: 2, Resident: resident}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if ranHalf(exec) != wantHalf {
+			t.Fatalf("%s: one triangle = %v, want %v", name, ranHalf(exec), wantHalf)
+		}
+	}
+	x := a.Clone()
+	run("library execution", x, false, true)
+	if plan.symVals.Load() != nil {
+		t.Fatal("an execution that did not vouch for its values remembered them")
+	}
+	run("first resident execution", x, true, true)
+	if plan.symVals.Load() != &x.Val[0] {
+		t.Fatal("the resident array proved symmetric was not remembered")
+	}
+	e := 0 // the first off-diagonal entry
+	for int(plan.sym.mirror[e]) == e {
+		e++
+	}
+	x.Val[e] *= 3
+	run("resident, changed in place", x, true, true)
+	run("library, changed in place", x, false, false)
+	y := x.Clone()
+	run("another array, asymmetric", y, true, false)
+	if plan.symVals.Load() != &x.Val[0] {
+		t.Fatal("an asymmetric array replaced the remembered one")
+	}
+	z := a.Clone()
+	run("another array, symmetric", z, true, true)
+	if plan.symVals.Load() != &z.Val[0] {
+		t.Fatal("the last array proved symmetric is not the one remembered")
 	}
 }

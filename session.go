@@ -35,10 +35,11 @@ type arith = semiring.PlusTimes[float64]
 // A cached one-phase plan remembers the output pattern of its second
 // execution, and later products of the same structure compute values
 // only (DESIGN.md §5); a plan that computes one triangle of a symmetric
-// self-product remembers the columns its half reaches instead. Results
-// from the Multiply methods therefore share their RowPtr and ColIdx
-// with the cached plan and with each other: they must not be mutated.
-// Clone a result to own every array.
+// self-product remembers the columns its half reaches and the full
+// pattern instead, and later products write their values into it.
+// Results from the Multiply methods therefore share their RowPtr and
+// ColIdx with the cached plan and with each other: they must not be
+// mutated. Clone a result to own every array.
 //
 // All Session methods are safe for concurrent use by multiple
 // goroutines. Construct one Session per served dataset (or per
@@ -210,11 +211,14 @@ func (s *Session) MultiplyCtx(ctx context.Context, mask *Pattern, a, b *Matrix, 
 	if !hit {
 		s.observeMiss(fp, o, false)
 	}
-	return s.execute(ctx, plan, a, b, o)
+	return s.execute(ctx, plan, a, b, o, false)
 }
 
-// execute runs a cached plan on a pooled executor.
-func (s *Session) execute(ctx context.Context, plan *core.Plan[float64, arith], a, b *Matrix, o core.Options) (*Matrix, error) {
+// execute runs a cached plan on a pooled executor. resident tells the
+// execution that A is a resident operand, whose values the store's
+// ownership contract keeps from changing, so that a one-triangle plan
+// checks their symmetry once per value array.
+func (s *Session) execute(ctx context.Context, plan *core.Plan[float64, arith], a, b *Matrix, o core.Options, resident bool) (*Matrix, error) {
 	exec := s.pool.Get()
 	// Retirement is outcome-dependent (Put clean executors, Discard
 	// interrupted ones), so it runs explicitly after the execution
@@ -229,7 +233,7 @@ func (s *Session) execute(ctx context.Context, plan *core.Plan[float64, arith], 
 	}()
 	// The request's width rides in ExecOptions. ReuseOutput stays off:
 	// the result must outlive the pooled executor.
-	out, err := plan.ExecuteOnCtx(ctx, exec, a, b, core.ExecOptions{Threads: o.Threads})
+	out, err := plan.ExecuteOnCtx(ctx, exec, a, b, core.ExecOptions{Threads: o.Threads, Resident: resident})
 	s.retire(exec, err)
 	retired = true
 	return out, err
@@ -450,7 +454,7 @@ func (s *Session) MultiplyStoredCtx(ctx context.Context, maskFP uint64, aRef, bR
 	if !hit {
 		s.observeMiss(fp, o, false)
 	}
-	return s.execute(ctx, plan, a, b, o)
+	return s.execute(ctx, plan, a, b, o, true)
 }
 
 // CacheStats re-exports the plan cache counters (see SessionStats).

@@ -3,7 +3,9 @@ package maskedspgemm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -679,4 +681,76 @@ func TestSessionRememberedPatternBudget(t *testing.T) {
 	}
 	pressed.PutOperand(ErdosRenyi(2048, 8, 62))
 	evicted("budget pressure", pressed)
+}
+
+// symmetricValues reports whether m's values equal their transposes'
+// bit for bit; m's pattern is symmetric.
+func symmetricValues(m *Matrix) bool {
+	for i := range m.Rows {
+		for t := m.RowPtr[i]; t < m.RowPtr[i+1]; t++ {
+			j := int(m.ColIdx[t])
+			u, _ := slices.BinarySearch(m.Row(j), int32(i))
+			if math.Float64bits(m.Val[t]) != math.Float64bits(m.Val[m.RowPtr[j]+int64(u)]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestSessionResidentSymmetryCheckedOnce: the Session tells executions
+// on stored operands that A is resident, so a one-triangle plan checks
+// a value array for symmetry once, not on every hit. The test breaks
+// the store's no-mutation contract on purpose to make the skip
+// visible: values made asymmetric in place after a hit proved them
+// symmetric still run one triangle through MultiplyRefs, whose result
+// is a mirror and so symmetric, while Multiply on the same matrix and
+// the same cached plan, whose caller vouches for nothing, checks them
+// and returns the asymmetric full product. A values-only delta is a
+// new array, and is checked on its first hit.
+func TestSessionResidentSymmetryCheckedOnce(t *testing.T) {
+	g := RMAT(7, 8, 5)
+	if !symmetricValues(g) {
+		t.Fatal("the R-MAT graph's values are not symmetric")
+	}
+	s := NewSession()
+	ref, _ := s.PutOperand(g)
+	multiplyRefs := func(r OperandRef) *Matrix {
+		t.Helper()
+		out, err := s.MultiplyRefs(r.Pattern, r, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if out := multiplyRefs(ref); !symmetricValues(out) {
+		t.Fatal("the product of symmetric values is not symmetric")
+	}
+	// Scale the values of one vertex's row, not its column: A is no
+	// longer symmetric, and its full product is not either.
+	skewed := slices.Clone(g.Val)
+	for t := g.RowPtr[0]; t < g.RowPtr[1]; t++ {
+		skewed[t] *= 3
+	}
+	copy(g.Val, skewed)
+	full, err := s.Multiply(g.PatternView(), g, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if symmetricValues(full) {
+		t.Fatal("Multiply on asymmetric values returned a symmetric product: it skipped the values check")
+	}
+	if s.Stats().Cache.Misses != 1 {
+		t.Fatalf("Multiply missed the plan MultiplyRefs built: %+v", s.Stats().Cache)
+	}
+	if out := multiplyRefs(ref); !symmetricValues(out) {
+		t.Fatal("a hit on resident values proved symmetric checked them again")
+	}
+	dref, _, err := s.PutOperandValues(ref.Pattern, skewed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := multiplyRefs(dref); symmetricValues(out) {
+		t.Fatal("a values-only delta with asymmetric values ran one triangle: its first hit skipped the check")
+	}
 }
