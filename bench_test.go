@@ -408,38 +408,71 @@ func BenchmarkSessionPlanMissRefs(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionPlanHitRefs — a plan-cache hit on stored operands,
-// in delta-compl-ref's shape (mspgemm-trajectory): the complemented
-// product C = ¬A ⊙ (A·A) under Hybrid over one symmetric ER(2¹¹, 8)
-// graph A, by reference, about 476k output entries. Two value sets
-// share A's structure and alternate, as values-only deltas do, so
-// every op hits the one cached plan with fresh values. One op is one
-// MultiplyRefs; after the first execution the plan remembers its
-// output pattern, so the op runs the known-pattern driver (DESIGN.md
-// §5) and allocates only the result's values.
+// BenchmarkSessionPlanHitRefs — plan-cache hits on stored operands.
+// One op is one MultiplyRefs under Hybrid. Two warm executions come
+// before the timer: the second publishes the plan's output pattern,
+// so every timed op is a hit (DESIGN.md §5, "Known pattern") and
+// allocates only the result's values.
+//
+//   - delta-compl-ref: that workload's shape in mspgemm-trajectory, the
+//     complemented product C = ¬A ⊙ (A·A) over one symmetric
+//     ER(2¹¹, 8) graph A, about 476k output entries. Two value sets
+//     share A's structure and alternate, as values-only deltas do, so
+//     every op hits the one cached plan with fresh values.
+//   - wide-er17: a wide sparse product, A·A over a directed
+//     ER(2¹⁷, 4) graph A masked by the pattern of A·A itself, so every
+//     product lands on a known column: about 2.1M output entries over
+//     2¹⁷ columns, where a hit's dense per-worker value array is cold.
+//     (A self-masked ER(2¹⁷, 4) product would keep almost none.)
 func BenchmarkSessionPlanHitRefs(b *testing.B) {
-	g := gen.Symmetrize(gen.ErdosRenyi(1<<11, 8, 1))
-	s := NewSession()
-	refs := make([]OperandRef, 2)
-	for k := range refs {
-		vals := make([]float64, len(g.Val))
-		for j, v := range g.Val {
-			vals[j] = v * float64(k+1)
+	b.Run("delta-compl-ref", func(b *testing.B) {
+		g := gen.Symmetrize(gen.ErdosRenyi(1<<11, 8, 1))
+		s := NewSession()
+		refs := make([]OperandRef, 2)
+		for k := range refs {
+			vals := make([]float64, len(g.Val))
+			for j, v := range g.Val {
+				vals[j] = v * float64(k+1)
+			}
+			refs[k], _ = s.PutOperand(&Matrix{Pattern: g.Pattern, Val: vals})
 		}
-		refs[k], _ = s.PutOperand(&Matrix{Pattern: g.Pattern, Val: vals})
-	}
-	multiply := func(i int) {
-		ref := refs[i%len(refs)]
-		if _, err := s.MultiplyRefs(ref.Pattern, ref, ref, WithAlgorithm(Hybrid), WithComplement()); err != nil {
+		benchPlanHits(b, s, func(i int) error {
+			ref := refs[i%len(refs)]
+			_, err := s.MultiplyRefs(ref.Pattern, ref, ref, WithAlgorithm(Hybrid), WithComplement())
+			return err
+		})
+	})
+	b.Run("wide-er17", func(b *testing.B) {
+		g := gen.ErdosRenyi(1<<17, 4, 1)
+		sq, err := MultiplyUnmasked(g, g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := NewSession()
+		ref, _ := s.PutOperand(g)
+		mask, _ := s.PutOperand(sq)
+		benchPlanHits(b, s, func(int) error {
+			_, err := s.MultiplyRefs(mask.Pattern, ref, ref, WithAlgorithm(Hybrid))
+			return err
+		})
+	})
+}
+
+// benchPlanHits times multiply(i) for i < b.N after two untimed
+// calls, and fails unless every timed call hit s's plan cache.
+func benchPlanHits(b *testing.B, s *Session, multiply func(i int) error) {
+	for i := range 2 {
+		if err := multiply(i); err != nil {
 			b.Fatal(err)
 		}
 	}
-	multiply(0)
 	misses := s.Stats().Cache.Misses
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		multiply(i)
+		if err := multiply(i); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
 	if s.Stats().Cache.Misses != misses {

@@ -211,7 +211,7 @@ type MaskedBitC[T any, S semiring.Semiring[T]] struct {
 	rest T
 	// values is indexed by column and holds rest everywhere except the
 	// keys inserted since the last BeginSized, and the banned keys a
-	// plus-times dense or known row added +0 to (restBanned).
+	// plus-times dense row added +0 to (MaskedBitCPlusTimes).
 	values []T
 	// banned holds one bit per column excluded by the current row's mask.
 	banned []uint64
@@ -354,19 +354,6 @@ func (m *MaskedBitC[T, S]) Gather(outIdx []int32, outVal []T) int {
 	m.inserted = inserted[:0]
 	m.clearBanned()
 	return n
-}
-
-// restBanned returns the saved mask row's keys, the banned ones, to
-// the rest value. Only the plus-times dense and known rows need it:
-// they add +0 to a banned key, and +0 added to a rest value of −0 is
-// +0.
-//
-//mspgemm:hotpath
-func (m *MaskedBitC[T, S]) restBanned() {
-	values, rest := m.values, m.rest
-	for _, j := range m.maskRow {
-		values[uint32(j)] = rest
-	}
 }
 
 // clearBanned zeroes the banned words covering the saved mask row and

@@ -15,9 +15,10 @@ import (
 // wrappers for it at bind time (internal/core bindMSA, bindMaskedBit,
 // bindMaskedBitC): each embeds the generic accumulator and overrides
 // Scatter with float64 code over the same arrays; MSA's and MaskedBitC's also override Gather, and
-// MSA's Begin, for their dense-row loops. bindMaskedBitC binds a fourth,
-// MaskedBitCKnown, for rows whose output columns a plan remembers. Every
-// other semiring keeps the generic loops.
+// MSA's Begin, for their dense-row loops. A plan hit binds a fourth,
+// MSAKnownPlusTimes, for the push rows of a remembered output pattern
+// (internal/core bindHit). Every other semiring keeps the generic
+// loops.
 //
 // Each product is rounded explicitly (float64(av*b)) before it is added,
 // so the compiler cannot fuse the multiply-add into an FMA on the
@@ -212,9 +213,9 @@ type MaskedBitCPlusTimes struct {
 // admits column k and 0 when it bans it, and -ok is then all ones or
 // zero: the product's bits ANDed with it are the product or +0. A
 // banned column only ever gets +0 added, which can turn its rest value
-// −0 into +0 but never into anything else, and Gather restores it
-// (restBanned); an admitted column gets the generic loop's add, in the
-// same order, and its set bit.
+// −0 into +0 but never into anything else, and Gather restores it; an
+// admitted column gets the generic loop's add, in the same order, and
+// its set bit.
 //
 //mspgemm:hotpath
 func (m MaskedBitCPlusTimes) Scatter(av float64, bCols []int32, bVals []float64) {
@@ -255,8 +256,8 @@ func (m MaskedBitCPlusTimes) Scatter(av float64, bCols []int32, bVals []float64)
 // listed nothing, so its Gather walks the set words of all Cols
 // columns, popping set bits with TrailingZeros64, returns each emitted
 // value to the rest value and clears each word's banned bits as it
-// goes, then rests the banned keys' values (restBanned). A sparse row
-// is the generic Gather.
+// goes, then returns the banned keys' values to the rest value. A
+// sparse row is the generic Gather.
 //
 //mspgemm:hotpath
 func (m MaskedBitCPlusTimes) Gather(outIdx []int32, outVal []float64) int {
@@ -279,55 +280,46 @@ func (m MaskedBitCPlusTimes) Gather(outIdx []int32, outVal []float64) int {
 		set[w] = 0
 		banned[w] = 0
 	}
-	c.restBanned()
+	for _, j := range c.maskRow {
+		values[uint32(j)] = rest
+	}
 	c.maskRow = nil
 	return n
 }
 
-// MaskedBitCKnown is a MaskedBitC over PlusTimes64 for a row whose
-// output columns are already known: those of a plan's remembered
-// output pattern (internal/core knownPhase). Every row runs
-// MaskedBitCPlusTimes' dense loop without its set bits, and Gather
-// reads the known columns instead of finding them, so a row keeps no
-// set bits and no inserted list. Admitted columns get the same adds in
-// the same order as under MaskedBitCPlusTimes, so the values are
-// bit-identical to its.
-type MaskedBitCKnown struct {
-	*MaskedBitC[float64, PlusTimes64]
+// MSAKnownPlusTimes is an MSAKnown over PlusTimes64: MSAPlusTimes'
+// dense loop on every row (Dense set), without states, as every known
+// column receives a product. A product on any other column lands in a
+// sink, so its value slot is never touched.
+type MSAKnownPlusTimes struct {
+	MSAPlusTimes
 }
 
-// Scatter adds every scanned product, with the bits of a banned
-// column's product cleared to +0, as MaskedBitCPlusTimes' dense loop
-// does, and marks nothing set.
+// Scatter is MSAPlusTimes' dense Scatter without its state stores.
 //
 //mspgemm:hotpath
-func (m MaskedBitCKnown) Scatter(av float64, bCols []int32, bVals []float64) {
-	banned := m.banned
+func (m MSAKnownPlusTimes) Scatter(av float64, bCols []int32, bVals []float64) {
+	slot := m.slot
 	values := m.values
 	bVals = bVals[:len(bCols)]
 	for t, j := range bCols {
-		k := uint(uint32(j))
-		ok := ^(banned[k>>6] >> (k & 63)) & 1
-		p := math.Float64bits(float64(av * bVals[t]))
-		values[k] += math.Float64frombits(p & -ok)
+		values[uint32(slot[uint32(j)])] += float64(av * bVals[t])
 	}
 }
 
-// Gather writes the values of the row's known columns cols into
-// outVal, returns them to the rest value, −0, rests the banned
-// columns' values, to which Scatter added +0 (restBanned), and clears
-// the banned words BeginSized marked, leaving the accumulator clean.
-// No other column was touched.
+// Gather writes the value of every known column of cols into outVal,
+// returns its slot to its sink and returns len(cols).
 //
 //mspgemm:hotpath
-func (m MaskedBitCKnown) Gather(cols []int32, outVal []float64) {
-	values, rest := m.values, m.rest
+func (m MSAKnownPlusTimes) Gather(cols []int32, _ []int32, outVal []float64) int {
+	slot := m.slot
+	values := m.values[:len(slot)]
+	sink := int32(len(slot))
 	outVal = outVal[:len(cols)]
 	for t, j := range cols {
 		k := uint32(j)
 		outVal[t] = values[k]
-		values[k] = rest
+		slot[k] = sink + j&(msaSinks-1)
 	}
-	m.restBanned()
-	m.clearBanned()
+	return len(cols)
 }

@@ -283,7 +283,7 @@ func TestChaosSymmetricProduct(t *testing.T) {
 
 // TestChaosSymmetricInPlaceHit is TestChaosSymmetricProduct's
 // PlanCache arm. A cached one-triangle plan runs twice, publishing its
-// known half, and then an in-place hit (knownHalfPhase) is canceled at
+// known half, and then an in-place hit (knownPhase) is canceled at
 // the numeric pass or at the transpose copy, which keeps compact's
 // checkpoint, or a row panics, in every family and Hybrid, at one and
 // four threads. Each interrupted hit returns its typed error and no
@@ -321,7 +321,7 @@ func TestChaosSymmetricInPlaceHit(t *testing.T) {
 				if kh == nil {
 					t.Fatalf("%s: no known half published", name)
 				}
-				outPtr, cols, tpos, off := slices.Clone(kh.half.outPtr), slices.Clone(kh.half.cols), slices.Clone(kh.tpos), slices.Clone(kh.half.off)
+				outPtr, cols, tpos, off := slices.Clone(kh.half.out.rowPtr), slices.Clone(kh.half.out.colIdx), slices.Clone(kh.tpos), slices.Clone(kh.half.off)
 				want := published.Clone()
 
 				faultinject.Arm(fault)
@@ -344,7 +344,7 @@ func TestChaosSymmetricInPlaceHit(t *testing.T) {
 				if st := pool.Stats(); st.Poisoned != 1 || st.Idle != 0 {
 					t.Fatalf("%s: pool %+v, want the executor discarded", name, st)
 				}
-				if plan.known.Load() != kh || !slices.Equal(kh.half.outPtr, outPtr) || !slices.Equal(kh.half.cols, cols) ||
+				if plan.known.Load() != kh || !slices.Equal(kh.half.out.rowPtr, outPtr) || !slices.Equal(kh.half.out.colIdx, cols) ||
 					!slices.Equal(kh.tpos, tpos) || !slices.Equal(kh.half.off, off) {
 					t.Fatalf("%s: the interrupted hit changed the plan's known half", name)
 				}
@@ -353,6 +353,89 @@ func TestChaosSymmetricInPlaceHit(t *testing.T) {
 					t.Fatalf("%s recovery run: %v", name, err)
 				}
 				checkIdentical(t, name+" recovery run", got, want)
+			}
+		}
+	}
+}
+
+// TestChaosFullProductHit is TestChaosSymmetricInPlaceHit for hits of a
+// remembered full-product pattern, plain and complemented: a cached
+// plan runs twice, publishing its pattern, and then a hit is canceled
+// at the numeric pass, or a row panics, in every family and Hybrid, at
+// one and four threads. Each interrupted hit returns its typed error
+// and no result, and its executor is discarded; the plan keeps the
+// same pattern, and a clean hit on a fresh executor then equals the
+// publishing result bit for bit.
+func TestChaosFullProductHit(t *testing.T) {
+	t.Cleanup(faultinject.Disarm)
+	rect, ra, rb := buildCase(caseSpec{"", 96, 80, 300, 6, 8, 12, 7})
+	cmask, ca, cb, _ := complDenseRowsProduct(256)
+	for _, algo := range append(chaosFamilies, AlgoHybrid) {
+		for _, complement := range []bool{false, true} {
+			if complement && !SupportsComplement(algo) {
+				continue
+			}
+			mask, a, b := rect, ra, rb
+			if complement {
+				mask, a, b = cmask, ca, cb
+			}
+			for _, fault := range []faultinject.Hooks{
+				{CancelPass: faultinject.PassNumeric},
+				{PanicArmed: true, PanicRow: 3, PanicPass: faultinject.PassNumeric},
+			} {
+				for _, threads := range []int{1, 4} {
+					name := fmt.Sprintf("%v/complement=%v/%+v/threads=%d", algo, complement, fault, threads)
+					faultinject.Disarm()
+					pool := NewExecutorPool[float64](ptSR, 2)
+					plan, err := NewPlanCache(ptSR, 0).GetOrPlan(mask, a, b, Options{Algorithm: algo, Complement: complement})
+					if err != nil {
+						t.Fatal(err)
+					}
+					eo := ExecOptions{Threads: threads}
+					var published *sparse.CSR[float64]
+					for range 2 {
+						exec := pool.Get()
+						if published, err = plan.ExecuteOnOpts(exec, a, b, eo); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						pool.Put(exec)
+					}
+					pat := plan.pattern.Load()
+					if pat == nil {
+						t.Fatalf("%s: no pattern published", name)
+					}
+					rowPtr, colIdx := slices.Clone(pat.rowPtr), slices.Clone(pat.colIdx)
+					want := published.Clone()
+
+					faultinject.Arm(fault)
+					exec := pool.Get()
+					out, err := plan.ExecuteOnOpts(exec, a, b, eo)
+					faultinject.Disarm()
+					var ce *CanceledError
+					var kp *KernelPanicError
+					switch {
+					case out != nil:
+						t.Fatalf("%s: a partial result escaped", name)
+					case fault.PanicArmed && !errors.As(err, &kp):
+						t.Fatalf("%s: err = %v, want KernelPanicError", name, err)
+					case !fault.PanicArmed && (!errors.As(err, &ce) || ce.Pass != string(fault.CancelPass)):
+						t.Fatalf("%s: err = %v, want CanceledError in pass %s", name, err, fault.CancelPass)
+					case exec.lastPlan != plan || !exec.haveHit:
+						t.Fatalf("%s: the interrupted execution was not a hit", name)
+					}
+					pool.Discard(exec)
+					if st := pool.Stats(); st.Poisoned != 1 || st.Idle != 0 {
+						t.Fatalf("%s: pool %+v, want the executor discarded", name, st)
+					}
+					if plan.pattern.Load() != pat || !slices.Equal(pat.rowPtr, rowPtr) || !slices.Equal(pat.colIdx, colIdx) {
+						t.Fatalf("%s: the interrupted hit changed the plan's pattern", name)
+					}
+					got, err := plan.ExecuteOnOpts(NewExecutor[float64](ptSR), a, b, eo)
+					if err != nil {
+						t.Fatalf("%s recovery run: %v", name, err)
+					}
+					checkIdentical(t, name+" recovery run", got, want)
+				}
 			}
 		}
 	}

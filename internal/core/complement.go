@@ -113,31 +113,7 @@ func maskedBitCPlusTimesKernels(mask *sparse.Pattern, a, b *sparse.CSR[float64],
 			acc := accum.MaskedBitCPlusTimes{MaskedBitC: getAcc(tid), Dense: maskedBitCDenseRow(bound, ncols), Cols: ncols}
 			return pushRowNumericC(acc, mask.Row(i), bound, aCols, a.RowVals(i), b, outIdx, outVal)
 		},
-		known: func(tid, i int, cols []int32, outVal []float64) {
-			acc := accum.MaskedBitCKnown{MaskedBitC: getAcc(tid)}
-			maskedBitCKnownRow(acc, mask.Row(i), a.Row(i), a.RowVals(i), b, cols, outVal)
-		},
 	}
-}
-
-// maskedBitCKnownRow computes the values of one complemented output
-// row whose columns cols are known, one Scatter per A entry as in
-// pushRowNumericC, with the same bounds-check-elimination hints.
-//
-//mspgemm:hotpath
-func maskedBitCKnownRow(acc accum.MaskedBitCKnown, maskRow []int32, aCols []int32, aVals []float64, b *sparse.CSR[float64], cols []int32, outVal []float64) {
-	acc.BeginSized(maskRow, 0)
-	aVals = aVals[:len(aCols)]
-	rowPtr := b.RowPtr
-	colIdx := b.ColIdx
-	vals := b.Val[:len(colIdx)]
-	for k, col := range aCols {
-		c := int(uint32(col))
-		rp := rowPtr[c : c+2]
-		lo, hi := rp[0], rp[1]
-		acc.Scatter(aVals[k], colIdx[lo:hi], vals[lo:hi])
-	}
-	acc.Gather(cols, outVal)
 }
 
 // maskedBitCDenseRatio is the dense-row rule of MaskedBitCPlusTimes: a

@@ -21,13 +21,10 @@ import (
 //     its kernels are always uniform.
 //   - Known pattern: a cached plan remembers the output pattern of its
 //     second one-phase full-product execution (Plan.rememberPattern),
-//     and every later one writes each row's values straight into its
-//     exact range of that pattern — the two-phase numeric pass without
-//     the symbolic pass, and one-phase without the slab and compact. A
-//     one-triangle plan remembers its known half instead
-//     (Plan.rememberHalf), with the full output pattern and a transpose
-//     map, and later half executions write each half row's values into
-//     that pattern, then copy them to their transposes (knownHalfPhase).
+//     or its known half (Plan.rememberHalf). Every later such execution
+//     is a hit: each row's values go straight into its exact range of
+//     that pattern, and a half hit then copies them to their
+//     transposes (knownPhase).
 //
 // Kernels receive a tid to index per-worker accumulator scratch.
 
@@ -58,52 +55,23 @@ func findRun(runEnds []int32, i int) int {
 	return lo
 }
 
-// segment returns the end of the longest prefix of [lo, hi) whose rows
-// share one kernel binding, together with that binding's family, or −1
-// for a uniform plan, whose binding is the whole range. Poly plans split
-// at the run boundaries of the plan's per-row family binding, so
-// dispatch is amortized per run ∩ block, never per row.
-func (k *kernels[T]) segment(lo, hi int) (int, int) {
-	if k.runEnds == nil {
+// runSegment returns the end of the longest prefix of [lo, hi) whose
+// rows share one run of (runEnds, runFam), and the run's family, or −1
+// for a uniform plan: dispatch is paid per run ∩ block, never per row.
+func runSegment(runEnds []int32, runFam []uint8, lo, hi int) (int, int) {
+	if runEnds == nil {
 		return hi, -1
 	}
-	r := findRun(k.runEnds, lo)
-	return min(int(k.runEnds[r]), hi), int(k.runFam[r])
+	r := findRun(runEnds, lo)
+	return min(int(runEnds[r]), hi), int(runFam[r])
 }
 
-// numericSegment returns segment's end together with its numeric
-// kernel.
-func (k *kernels[T]) numericSegment(lo, hi int) (int, rowNumericFn[T]) {
-	end, f := k.segment(lo, hi)
-	if f < 0 {
-		return end, k.numeric
-	}
-	return end, k.numFam[f]
-}
-
-// knownSegment is numericSegment for knownPhase: it also returns the
-// segment's known-pattern kernel, nil when its family has none.
-func (k *kernels[T]) knownSegment(lo, hi int) (int, rowNumericFn[T], rowKnownFn[T]) {
-	end, f := k.segment(lo, hi)
-	if f < 0 {
-		return end, k.numeric, k.known
-	}
-	return end, k.numFam[f], k.knownFam[f]
-}
-
-// needsSlab reports whether some bound family has no known-pattern
-// kernel, so that knownPhase runs its numeric kernel and needs a slab
-// for the columns it writes.
-func (k *kernels[T]) needsSlab() bool {
-	if k.runEnds == nil {
-		return k.known == nil
-	}
-	for f, numeric := range k.numFam {
-		if numeric != nil && k.knownFam[f] == nil {
-			return true
-		}
-	}
-	return false
+// hitKernels is one bound plan hit (bindHit): the push and Pull
+// kernels, and the Hybrid runs choosing between them, if any.
+type hitKernels[T any] struct {
+	push, pull rowKnownFn[T]
+	runEnds    []int32
+	runFam     []uint8
 }
 
 // onePhase runs the numeric kernel once per row into a slab laid out by
@@ -128,7 +96,11 @@ func onePhase[T any](rows, cols int, offsets []int64, sch rowSched, k kernels[T]
 	fi := sch.fi
 	sch.run(func(lo, hi, tid int) {
 		for lo < hi {
-			seg, numeric := k.numericSegment(lo, hi)
+			seg, f := runSegment(k.runEnds, k.runFam, lo, hi)
+			numeric := k.numeric
+			if f >= 0 {
+				numeric = k.numFam[f]
+			}
 			for i := lo; i < seg; i++ {
 				if fi != nil {
 					fi.Row(faultinject.PassNumeric, i)
@@ -180,39 +152,38 @@ func compact[T any](rows, cols int, offsets, counts []int64, tmpIdx []int32, tmp
 	return out, nil
 }
 
-// knownPhase runs a plan whose output pattern pat is remembered: each
-// row's values go straight into its exact range [RowPtr[i],
-// RowPtr[i+1]) of a fresh value array, with no slab, no counts, no
-// prefix sum and no compaction, and the result shares pat's arrays.
-// A row whose family has a known-pattern kernel reads its columns from
-// pat; any other runs its numeric kernel, which writes the row's
-// columns into the pooled slab, where nothing reads them. The numeric
-// pass keeps onePhase's checkpoints and row hooks. es supplies pooled
-// scratch, and the value array under reuseOut.
-func knownPhase[T any](rows, cols int, pat *knownPattern, sch rowSched, k kernels[T], es *engineScratch[T]) (*sparse.CSR[T], error) {
+// knownPhase runs a plan hit over the remembered output pattern pat:
+// each row's kernel writes its values straight into the row's range of
+// a fresh value array — [RowPtr[i], RowPtr[i+1]), or its own half
+// (symHalf.span) over a known half h — with no slab and no compaction,
+// and the result shares pat's arrays. A half hit then copies every
+// half value to its transpose's position by tpos (copyTransposes)
+// under compact's checkpoint name: each lands outside every row's own
+// range, once, so the rows need no order. es supplies Val under
+// reuseOut.
+func knownPhase[T any](rows, cols int, pat *knownPattern, h *symHalf, tpos []int32, sch rowSched, k hitKernels[T], es *engineScratch[T]) (*sparse.CSR[T], error) {
 	if err := sch.enterPass(faultinject.PassNumeric); err != nil {
 		return nil, err
 	}
 	rowPtr, colIdx := pat.rowPtr, pat.colIdx
 	val := es.outVals(int64(len(colIdx)))
-	var slab []int32
-	if k.needsSlab() {
-		slab = es.idxSlab(int64(len(colIdx)))
-	}
 	fi := sch.fi
 	sch.run(func(lo, hi, tid int) {
 		for lo < hi {
-			seg, numeric, known := k.knownSegment(lo, hi)
+			seg, f := runSegment(k.runEnds, k.runFam, lo, hi)
+			known := k.push
+			if f == int(FamPull) || known == nil {
+				known = k.pull
+			}
 			for i := lo; i < seg; i++ {
 				if fi != nil {
 					fi.Row(faultinject.PassNumeric, i)
 				}
-				base, end := rowPtr[i], rowPtr[i+1]
-				if known != nil {
-					known(tid, i, colIdx[base:end], val[base:end])
-				} else if numeric(tid, i, slab[base:end], val[base:end]) != int(end-base) {
-					panic(errPatternChanged)
+				at, end := rowPtr[i], rowPtr[i+1]
+				if h != nil {
+					at, end = h.span(rowPtr, i)
 				}
+				known(tid, i, colIdx[at:end], val[at:end])
 			}
 			lo = seg
 		}
@@ -220,62 +191,19 @@ func knownPhase[T any](rows, cols int, pat *knownPattern, sch rowSched, k kernel
 	if err := sch.passCanceled(faultinject.PassNumeric); err != nil {
 		return nil, err
 	}
-	return &sparse.CSR[T]{
-		Pattern: sparse.Pattern{Rows: rows, Cols: cols, RowPtr: rowPtr, ColIdx: colIdx},
-		Val:     val,
-	}, nil
-}
-
-// knownHalfPhase runs a one-triangle plan whose known half kh is
-// remembered: it is knownPhase over the half rows. Each row's kernel
-// writes its values straight into the row's own range of a fresh value
-// array over kh's output pattern (symHalf.span), and its columns into
-// the pooled slab, where nothing reads them; the shared ColIdx is never
-// written. A second pass, under compact's checkpoint name, then copies
-// every half value to its transpose's position (copyTransposes): the
-// writes land outside every row's own range, each position once, so
-// the rows need no ordering. The result shares kh's pattern. The
-// numeric pass keeps onePhase's checkpoints and row hooks, and a row
-// that emits a different count than its half holds panics
-// errPatternChanged.
-func knownHalfPhase[T any](rows, cols int, kh *knownHalf, sch rowSched, k kernels[T], es *engineScratch[T]) (*sparse.CSR[T], error) {
-	if err := sch.enterPass(faultinject.PassNumeric); err != nil {
-		return nil, err
-	}
-	h := &kh.half
-	rowPtr, colIdx, off := h.outPtr, h.cols, h.off
-	val := es.outVals(int64(len(colIdx)))
-	slab := es.idxSlab(off[rows])
-	fi := sch.fi
-	sch.run(func(lo, hi, tid int) {
-		for lo < hi {
-			seg, numeric := k.numericSegment(lo, hi)
-			for i := lo; i < seg; i++ {
-				if fi != nil {
-					fi.Row(faultinject.PassNumeric, i)
-				}
+	if h != nil {
+		if err := sch.enterPass(faultinject.PassCompact); err != nil {
+			return nil, err
+		}
+		sch.run(func(lo, hi, _ int) {
+			for i := lo; i < hi; i++ {
 				at, end := h.span(rowPtr, i)
-				if numeric(tid, i, slab[off[i]:off[i+1]], val[at:end]) != int(end-at) {
-					panic(errPatternChanged)
-				}
+				copyTransposes(val, val[at:end], tpos[h.off[i]:h.off[i+1]])
 			}
-			lo = seg
+		})
+		if err := sch.passCanceled(faultinject.PassCompact); err != nil {
+			return nil, err
 		}
-	})
-	if err := sch.passCanceled(faultinject.PassNumeric); err != nil {
-		return nil, err
-	}
-	if err := sch.enterPass(faultinject.PassCompact); err != nil {
-		return nil, err
-	}
-	sch.run(func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			at, end := h.span(rowPtr, i)
-			copyTransposes(val, val[at:end], kh.tpos[off[i]:off[i+1]])
-		}
-	})
-	if err := sch.passCanceled(faultinject.PassCompact); err != nil {
-		return nil, err
 	}
 	return &sparse.CSR[T]{
 		Pattern: sparse.Pattern{Rows: rows, Cols: cols, RowPtr: rowPtr, ColIdx: colIdx},

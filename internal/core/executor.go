@@ -36,14 +36,16 @@ type Executor[T any, S semiring.Semiring[T]] struct {
 	bt    *sparse.CSC[T]
 	btVal []T
 
-	// Bound kernels are cached per (plan, A, B) identity so steady-state
-	// executions allocate no closures.
+	// Bound kernels, a hit's too, are cached per (plan, A, B, halves)
+	// identity so steady-state executions allocate no closures.
 	lastPlan  *Plan[T, S]
 	lastA     *sparse.CSR[T]
 	lastB     *sparse.CSR[T]
 	lastHalf  *symHalf
 	bound     kernels[T]
 	haveBound bool
+	hit       hitKernels[T]
+	haveHit   bool
 
 	// schedStats is the telemetry target of executions run with
 	// Options.CollectSchedStats; reset at the start of each such
@@ -142,13 +144,32 @@ func gatherInto[T any, P int32 | int64](buf *[]T, val []T, perm []P) []T {
 // halves are unchanged. Rebinding is cheap (two closures); the cache
 // only exists so steady-state repeated executions allocate nothing.
 func (e *Executor[T, S]) kernelsFor(p *Plan[T, S], a, b *sparse.CSR[T], h *symHalf) kernels[T] {
-	if e.haveBound && e.lastPlan == p && e.lastA == a && e.lastB == b && e.lastHalf == h {
-		return e.bound
+	if !e.bindingOf(p, a, b, h) || !e.haveBound {
+		e.bound = p.reg.binder(p.opt.Complement)(p, e, a, b, h)
+		e.haveBound = true
 	}
-	e.bound = p.reg.binder(p.opt.Complement)(p, e, a, b, h)
-	e.lastPlan, e.lastA, e.lastB, e.lastHalf = p, a, b, h
-	e.haveBound = true
 	return e.bound
+}
+
+// hitKernelsFor is kernelsFor for a plan hit (bindHit).
+func (e *Executor[T, S]) hitKernelsFor(p *Plan[T, S], a, b *sparse.CSR[T], h *symHalf) hitKernels[T] {
+	if !e.bindingOf(p, a, b, h) || !e.haveHit {
+		e.hit = bindHit(p, e, a, b, h)
+		e.haveHit = true
+	}
+	return e.hit
+}
+
+// bindingOf reports whether the cached bindings are of (p, a, b, h),
+// and drops them when they are not.
+func (e *Executor[T, S]) bindingOf(p *Plan[T, S], a, b *sparse.CSR[T], h *symHalf) bool {
+	if e.lastPlan == p && e.lastA == a && e.lastB == b && e.lastHalf == h {
+		return true
+	}
+	e.lastPlan, e.lastA, e.lastB, e.lastHalf = p, a, b, h
+	e.bound, e.hit = kernels[T]{}, hitKernels[T]{}
+	e.haveBound, e.haveHit = false, false
+	return false
 }
 
 // releaseBindings drops the executor's references to the last plan and
@@ -157,9 +178,7 @@ func (e *Executor[T, S]) kernelsFor(p *Plan[T, S], a, b *sparse.CSR[T], h *symHa
 // a plan's structure and B's own values. Accumulators and buffers —
 // the state worth pooling — are kept.
 func (e *Executor[T, S]) releaseBindings() {
-	e.lastPlan, e.lastA, e.lastB, e.lastHalf = nil, nil, nil, nil
-	e.bound = kernels[T]{}
-	e.haveBound = false
+	e.bindingOf(nil, nil, nil, nil)
 	if e.bt != nil {
 		*e.bt = sparse.CSC[T]{}
 	}
@@ -297,22 +316,13 @@ func (es *engineScratch[T]) slab(n int64) ([]int32, []T) {
 	if es == nil {
 		return make([]int32, n), make([]T, n)
 	}
-	if int64(cap(es.tmpVal)) < n {
-		es.tmpVal = make([]T, n)
-	}
-	return es.idxSlab(n), es.tmpVal[:n]
-}
-
-// idxSlab returns the column half of an n-entry tmp slab, the part
-// knownPhase needs (pooled when pooling is available).
-func (es *engineScratch[T]) idxSlab(n int64) []int32 {
-	if es == nil {
-		return make([]int32, n)
-	}
 	if int64(cap(es.tmpIdx)) < n {
 		es.tmpIdx = make([]int32, n)
 	}
-	return es.tmpIdx[:n]
+	if int64(cap(es.tmpVal)) < n {
+		es.tmpVal = make([]T, n)
+	}
+	return es.tmpIdx[:n], es.tmpVal[:n]
 }
 
 // mirrorBufs returns the mirror pass's scratch (pooled when pooling
@@ -357,7 +367,7 @@ func (es *engineScratch[T]) outBufs(nnz int64) ([]int32, []T) {
 }
 
 // outVals returns the nnz-entry Val array of the output, pooled only
-// under reuseOut. It is all a knownPhase output allocates.
+// under reuseOut. It is all a plan hit (knownPhase) allocates.
 func (es *engineScratch[T]) outVals(nnz int64) []T {
 	if es == nil || !es.reuseOut {
 		return make([]T, nnz)

@@ -61,6 +61,12 @@ func (e *KernelPanicError) Error() string {
 	return fmt.Sprintf("core: kernel panic in %s (worker %d): %v", e.Family, e.Worker, e.Value)
 }
 
+// Unwrap returns the panic value when it is an error.
+func (e *KernelPanicError) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
+
 // asKernelPanic normalizes a recovered panic value into a
 // KernelPanicError: a *parallel.PanicError keeps the worker id and the
 // worker's stack; anything else (serial path, driver code) is wrapped

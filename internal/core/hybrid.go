@@ -495,26 +495,22 @@ func (rb *rowBinding) encodeRuns(rowFam []uint8) {
 }
 
 // bindHybrid builds the poly plan's kernel tables under either mask
-// mode: one numeric kernel (and its known-pattern form, if the family
-// has one) per family the run encoding of the execution's binding
-// (Plan.bindingFor) actually uses, each bound by that family's own
-// registry entry, so poly rows execute exactly the registered kernels.
-// Families without a run get no
-// kernels — and, downstream, no accumulators: the per-worker workspaces
-// construct lazily on first row, so a single-family poly plan allocates
-// exactly what the plain scheme would.
+// mode: one numeric kernel per family the run encoding of the
+// execution's binding (Plan.bindingFor) actually uses, each bound by
+// that family's own registry entry, so poly rows execute exactly the
+// registered kernels. Families without a run get no kernels — and,
+// downstream, no accumulators: the per-worker workspaces construct
+// lazily on first row, so a single-family poly plan allocates exactly
+// what the plain scheme would.
 func bindHybrid[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], h *symHalf) kernels[T] {
 	rb := p.bindingFor(h)
 	numFam := make([]rowNumericFn[T], NumFamilies)
-	knownFam := make([]rowKnownFn[T], NumFamilies)
 	for f := Family(0); f < NumFamilies; f++ {
-		if !rb.polyFams.Has(f) {
-			continue
+		if rb.polyFams.Has(f) {
+			numFam[f] = kernelsForAlgo[T, S](famAlgo[f]).binder(p.opt.Complement)(p, e, a, b, h).numeric
 		}
-		fk := kernelsForAlgo[T, S](famAlgo[f]).binder(p.opt.Complement)(p, e, a, b, h)
-		numFam[f], knownFam[f] = fk.numeric, fk.known
 	}
-	return kernels[T]{runEnds: rb.runEnds, runFam: rb.runFam, numFam: numFam, knownFam: knownFam}
+	return kernels[T]{runEnds: rb.runEnds, runFam: rb.runFam, numFam: numFam}
 }
 
 // FamilyRows reports the per-family row counts of the plan's run

@@ -226,6 +226,26 @@ func pullKernels[T any, S semiring.Semiring[T]](m maskRows, a *sparse.CSR[T], e 
 	}
 }
 
+// pullRowKnown computes one Pull row of a plan hit (bindHit), the A
+// row (aCols, aVals) loaded into r: one dot per known column of cols,
+// into outVal. A dot that finds no product panics errPatternChanged.
+//
+//mspgemm:hotpath
+func pullRowKnown[T any](r *denseRow[T], aCols []int32, aVals []T, bt *sparse.CSC[T], cols []int32, outVal []T, dot dotFn[T]) {
+	r.load(aCols, aVals)
+	colPtr, rowIdx, val := bt.ColPtr, bt.RowIdx, bt.Val
+	outVal = outVal[:len(cols)]
+	for q, j := range cols {
+		lo, hi := colPtr[j], colPtr[j+1]
+		v, hit := dot(r.bits, r.vals, rowIdx[lo:hi], val[lo:hi])
+		if !hit {
+			panic(errPatternChanged)
+		}
+		outVal[q] = v
+	}
+	r.clear(aCols)
+}
+
 // pullPlusTimesKernels is the pull kernels over the served semiring.
 func pullPlusTimesKernels(m maskRows, a, _ *sparse.CSR[float64], e *Executor[float64, accum.PlusTimes64]) kernels[float64] {
 	return pullKernels(m, a, e, denseDot64)

@@ -195,7 +195,7 @@ func TestMaskedBitRowCostComplementCrossover(t *testing.T) {
 // Hybrid menu, over the float64 plus-times kernels and the generic
 // ones, in every phase it runs, must emit −0 for both, as must a cached
 // plan's second and third executions, which remember the pattern and
-// then run the known-pattern kernel (MaskedBitCKnown under MaskedBit).
+// then run the hit's push or Pull kernel.
 func TestComplementNegativeZeroEveryFamily(t *testing.T) {
 	a := csrFromRows(1, 1, [][]int32{{0}}, [][]float64{{math.Copysign(0, -1)}})
 	b := csrFromRows(1, 3, [][]int32{{0, 1, 2}}, [][]float64{{1, 2, 3}})

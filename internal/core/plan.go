@@ -33,8 +33,9 @@ import (
 // atomic: on a plan a PlanCache built, each made once, the flag its
 // first clean one-phase full-product execution sets and the output
 // pattern of its second (rememberPattern), and the same pair for its
-// half executions (rememberHalf); and the last resident value array an
-// execution proved symmetric (provedSymmetric). All mutable execution
+// half executions (rememberHalf), over one pattern (sharePattern); and
+// the last resident value array an execution proved symmetric
+// (provedSymmetric). All mutable execution
 // state (accumulators, slabs, the refreshed CSC values of B, bound kernels)
 // lives in the Executor, which is NOT concurrency-safe: concurrent
 // executions of a shared plan must each use their own executor
@@ -74,11 +75,13 @@ type Plan[T any, S semiring.Semiring[T]] struct {
 	// maxMaskRow / maxARow size the hash/MCA and heap accumulators.
 	maxMaskRow, maxARow int
 
-	// pattern is the output pattern a plan built by a PlanCache
-	// remembers from its second clean one-phase full-product execution
-	// (rememberPattern); later full-product executions run knownPhase
-	// into it. nil until then, and always nil on plans that do not
-	// remember.
+	// shared is the one output pattern a plan built by a PlanCache
+	// remembers (sharePattern); nil until then, and always nil on plans
+	// that do not remember.
+	shared atomic.Pointer[knownPattern]
+	// pattern is shared once the plan's second clean one-phase
+	// full-product execution has published it (rememberPattern); later
+	// full-product executions run knownPhase into it.
 	pattern atomic.Pointer[knownPattern]
 	// ranClean is set by the first clean one-phase full-product
 	// execution, which remembers nothing (rememberPattern).
@@ -193,15 +196,14 @@ func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, 
 			p.maxARow = a.MaxRowNNZ()
 		case AlgoHybrid:
 			// Sizing hints only for the families some run may bind —
-			// unused families must stay costless. A one-triangle plan's
-			// known half may bind any menu family (rememberHalf), so it
-			// sizes both. Only the plain-mask Hash binder reads
-			// maxMaskRow (the complement hash sizes per row by the
-			// generation bound).
-			if !opt.Complement && (p.polyFams.Has(FamHash) || p.sym != nil) {
+			// unused families must stay costless. A hit runs no Hash
+			// or Heap (bindHit), so a known half's binding needs none.
+			// Only the plain-mask Hash binder reads maxMaskRow (the
+			// complement hash sizes per row by the generation bound).
+			if !opt.Complement && p.polyFams.Has(FamHash) {
 				p.maxMaskRow = mask.MaxRowNNZ()
 			}
-			if p.polyFams.Has(FamHeap) || p.sym != nil {
+			if p.polyFams.Has(FamHeap) {
 				p.maxARow = a.MaxRowNNZ()
 			}
 		}
@@ -244,8 +246,8 @@ func (p *Plan[T, S]) bindingFor(h *symHalf) *rowBinding {
 func (p *Plan[T, S]) Options() Options { return p.opt }
 
 // knownPattern is a remembered output pattern: the RowPtr and ColIdx
-// of one execution's result, shared read-only by the plan and by every
-// later result.
+// of one execution's result, shared read-only by the plan, its known
+// half and every later result.
 type knownPattern struct {
 	rowPtr []int64
 	colIdx []int32
@@ -257,12 +259,11 @@ func (k *knownPattern) bytes() int64 {
 	return int64(len(k.rowPtr))*8 + int64(len(k.colIdx))*4
 }
 
-// errPatternChanged is the panic of a knownPhase row whose kernel
-// emitted a different number of entries than the remembered pattern
-// holds — operands whose structure differs from the plan's, which the
-// Execute contract leaves undefined. ExecuteOnOpts returns it as a
-// *KernelPanicError.
-var errPatternChanged = errors.New("core: row entry count differs from the plan's remembered output pattern; operand structure changed under the plan")
+// errPatternChanged is the panic of a hit's Pull row whose dot finds
+// no product on a known column — operands whose structure differs from
+// the plan's, which the Execute contract leaves undefined.
+// ExecuteOnOpts returns it wrapped in a *KernelPanicError.
+var errPatternChanged = errors.New("core: a known column of the plan's remembered output pattern has no product; operand structure changed under the plan")
 
 // ownedBy records that cache c built the plan under key: only such a
 // plan remembers its output pattern or known half, and c's entry for
@@ -273,34 +274,44 @@ func (p *Plan[T, S]) ownedBy(c *PlanCache[T, S], key planKey) {
 	p.owner, p.key = c, key
 }
 
-// rememberPattern publishes out's RowPtr and ColIdx as the plan's
-// output pattern, once, from the plan's second clean full-product
-// execution: the first is only counted, so a plan that runs once — a
-// cold miss whose entry is evicted before the structure recurs —
-// charges nothing for a pattern no request reads. Of concurrent later
-// executions exactly one wins the compare-and-swap, and only the winner
-// charges its bytes to the plan's cache entry
-// (PlanCache.chargeRemembered). The arrays are aliased, not copied: out
-// is a fresh result, and from here on it shares them with the plan and
-// every later result.
+// rememberPattern publishes out's output pattern, once, from the
+// plan's second clean full-product execution: the first is only
+// counted, so a plan that runs once — a cold miss whose entry is
+// evicted before the structure recurs — charges nothing for a pattern
+// no request reads.
 //
 //mspgemm:planwrite
 func (p *Plan[T, S]) rememberPattern(out *sparse.CSR[T]) {
-	if !p.ranClean.Swap(true) {
+	if !p.ranClean.Swap(true) || p.pattern.Load() != nil {
 		return
 	}
+	p.pattern.Store(p.sharePattern(out))
+}
+
+// sharePattern returns the plan's one remembered output pattern, which
+// its full product and its known half share: out's RowPtr and ColIdx,
+// aliased, when it has none yet, and the first compare-and-swap's
+// otherwise, whose equal arrays out then takes. Only the winner charges
+// the bytes to the plan's cache entry (PlanCache.chargeRemembered).
+//
+//mspgemm:planwrite
+func (p *Plan[T, S]) sharePattern(out *sparse.CSR[T]) *knownPattern {
 	pat := &knownPattern{rowPtr: out.RowPtr, colIdx: out.ColIdx}
-	if p.pattern.CompareAndSwap(nil, pat) {
+	if p.shared.CompareAndSwap(nil, pat) {
 		p.owner.chargeRemembered(p, pat.bytes())
+	} else {
+		pat = p.shared.Load()
 	}
+	out.RowPtr, out.ColIdx = pat.rowPtr, pat.colIdx
+	return pat
 }
 
 // knownHalf is what a one-triangle plan remembers of its half
 // executions (DESIGN.md §5, "Known pattern"): the known half, which is
 // the plan's symmetric analysis with each row's half narrowed to the
-// columns its output half holds and the full output pattern those
-// columns are read from (symHalf.outPtr, cols), the row binding derived
-// from it, and the transpose map knownHalfPhase copies values by.
+// columns its output half holds and the plan's remembered output
+// pattern those columns are read from (symHalf.out), the row binding
+// derived from it, and the transpose map knownPhase copies values by.
 // Every output entry of a half lies in the known half, so a half
 // execution over it computes the same entries from the same products,
 // in the same order, as one over the mask halves.
@@ -315,35 +326,33 @@ type knownHalf struct {
 	tpos []int32
 }
 
-// bytes is the memory a known half retains, the amount its plan's
-// cache entry is charged: the half's offsets, the output pattern, the
-// transpose map and the row binding. The mask structure and the mirror
-// map are the plan's.
+// bytes is the memory a known half adds to its plan's cache entry: the
+// half's offsets, the transpose map and the row binding. The mask
+// structure, the mirror map and the pattern are the plan's.
 func (k *knownHalf) bytes() int64 {
-	h := &k.half
-	return int64(len(h.off)+len(h.outPtr))*8 + int64(len(h.cols)+len(k.tpos))*4 + k.rowBinding.bytes()
+	return int64(len(k.half.off))*8 + int64(len(k.tpos))*4 + k.rowBinding.bytes()
 }
 
 // rememberHalf publishes the known half of a one-triangle plan, once,
-// from its second clean half execution, with the counting, the
-// compare-and-swap and the charge of rememberPattern. out is that
-// execution's result over (a, b), as mirrorPass wrote it: each output
-// row's entries on the computed side of the diagonal are exactly its
-// computed half. Its RowPtr and ColIdx are aliased, not copied, as
-// rememberPattern does: out is a fresh result, and from here on it
-// shares them with the plan and every later half result. The binding
-// is priced on (a, b), whose structure is the plan's.
+// from its second clean half execution, with the counting of
+// rememberPattern and the pattern of sharePattern; only the winning
+// compare-and-swap charges the half's bytes. out is that execution's
+// result over (a, b), as mirrorPass wrote it: each output row's
+// entries on the computed side of the diagonal are exactly its
+// computed half. The binding is priced on (a, b), whose structure is
+// the plan's.
 //
 //mspgemm:planwrite
 func (p *Plan[T, S]) rememberHalf(out, a, b *sparse.CSR[T]) {
 	if !p.ranHalfClean.Swap(true) || p.known.Load() != nil {
 		return
 	}
-	rows, rowPtr, colIdx := out.Rows, out.RowPtr, out.ColIdx
+	pat := p.sharePattern(out)
+	rows, rowPtr, colIdx := out.Rows, pat.rowPtr, pat.colIdx
 	kh := &knownHalf{half: *p.sym}
 	h := &kh.half
 	off := halfOffsets(rowPtr, colIdx, h.upper)
-	h.off, h.outPtr, h.cols = off, rowPtr, colIdx
+	h.off, h.out = off, pat
 	// Row c's other entries, the transposes (c, j) of the half entries
 	// (j, c), sit after its half in the lower triangle and before it in
 	// the upper, in ascending j, so one cursor per row, met in row
@@ -381,8 +390,8 @@ func (p *Plan[T, S]) rememberHalf(out, a, b *sparse.CSR[T]) {
 // index): shared bytes are over-counted, never under-counted. One-phase
 // plain offsets alias the mask's RowPtr and are not double-counted; a
 // symmetric self-product adds its mirror map and half offsets. A
-// remembered output pattern is charged separately, when it is
-// published (rememberPattern), and so is a known half (rememberHalf).
+// remembered output pattern is charged separately, once, when it is
+// published (sharePattern), and so is a known half (rememberHalf).
 func (p *Plan[T, S]) footprintBytes() int64 {
 	const structOverhead = 256
 	bytes := int64(structOverhead)
@@ -439,11 +448,13 @@ func (p *Plan[T, S]) Execute(a, b *sparse.CSR[T]) (*sparse.CSR[T], error) {
 // until the executor is returned; Clone the result to retain it.
 // Without it (the default) the output is freshly allocated and only
 // the internal scratch is pooled — except on a plan a PlanCache built,
-// whose full-product results from the third on share RowPtr and ColIdx
-// with the plan's remembered output pattern (and the second result
-// shares them too, having become it), as do its one-triangle results
-// from the second half execution on: treat them as read-only, and
-// Clone a result to own every array.
+// whose full-product results from the second on share RowPtr and
+// ColIdx with the plan's remembered output pattern, as do its
+// one-triangle results from the second half execution on: treat them
+// as read-only, and Clone a result to own every array. Such a hit
+// trusts the pattern on push rows, and a Pull row returns a
+// *KernelPanicError on a known column its dot finds no product on, so
+// (a, b) of another structure may give a wrong result or that error.
 //
 // ExecuteOn applies the execution-only options frozen into the plan;
 // cache-shared plans are built with those zeroed (plan identity never
@@ -506,7 +517,6 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 		h = &kh.half
 	}
 	exec.prepareCSC(p, b, h)
-	k := exec.kernelsFor(p, a, b, h)
 	es := &exec.scratch
 	es.reuseOut = eo.ReuseOutput
 	exec.partBounds = partitions(p.bindingFor(h).costPrefix, threads, exec.partBounds)
@@ -514,14 +524,17 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 	if eo.CollectSchedStats {
 		sch.stats = &exec.schedStats
 	}
+	switch {
+	case h == nil:
+		if pat := p.pattern.Load(); pat != nil {
+			return knownPhase(p.mask.Rows, p.mask.Cols, pat, nil, nil, sch, exec.hitKernelsFor(p, a, b, h), es)
+		}
+	case kh != nil:
+		return knownPhase(p.mask.Rows, p.mask.Cols, h.out, h, kh.tpos, sch, exec.hitKernelsFor(p, a, b, h), es)
+	}
+	k := exec.kernelsFor(p, a, b, h)
 	if p.opt.Phases == TwoPhase {
 		return twoPhase(p.mask.Rows, p.mask.Cols, sch, k, es)
-	}
-	if pat := p.pattern.Load(); pat != nil && h == nil {
-		return knownPhase(p.mask.Rows, p.mask.Cols, pat, sch, k, es)
-	}
-	if kh != nil && h == &kh.half {
-		return knownHalfPhase(p.mask.Rows, p.mask.Cols, kh, sch, k, es)
 	}
 	out, err = onePhase(p.mask.Rows, p.mask.Cols, p.offsets, sch, k, es, h)
 	// A plan a PlanCache built remembers the pattern of its second clean

@@ -69,11 +69,12 @@ func withSymmetricSpecials(m *sparse.CSR[float64]) *sparse.CSR[float64] {
 	return out
 }
 
-// rememberedBytes is what a plan has remembered: the bytes of its
-// output pattern and of its known half, 0 when it has neither.
+// rememberedBytes is what a plan has remembered: the bytes of its one
+// output pattern and of its known half's own arrays, 0 when it has
+// neither.
 func rememberedBytes(p *Plan[float64, ptSRType]) int64 {
 	var n int64
-	if pat := p.pattern.Load(); pat != nil {
+	if pat := p.shared.Load(); pat != nil {
 		n += pat.bytes()
 	}
 	if kh := p.known.Load(); kh != nil {
@@ -82,11 +83,18 @@ func rememberedBytes(p *Plan[float64, ptSRType]) int64 {
 	return n
 }
 
+// patternBytes is the charge of the output pattern remembered from an
+// execution whose result is out: 8·(rows+1) + 4·nnz bytes.
+func patternBytes(out *sparse.CSR[float64]) int64 {
+	return 8*int64(len(out.RowPtr)) + 4*out.NNZ()
+}
+
 // knownHalfBytes is the charge of the known half kh remembered from a
-// half execution whose result is out, counted from out: the half's
-// offsets, cost prefix and out's RowPtr (8·(rows+1) bytes each), out's
-// ColIdx (4 bytes per entry), the transpose map (out's diagonal and
-// half its other entries, 4 bytes each), and 5 bytes per Hybrid run.
+// half execution whose result is out beyond the output pattern, which
+// it shares with the plan, counted from out: the half's offsets and
+// cost prefix (8·(rows+1) bytes each), the transpose map (out's
+// diagonal and half its other entries, 4 bytes each), and 5 bytes per
+// Hybrid run.
 func knownHalfBytes(out *sparse.CSR[float64], kh *knownHalf) int64 {
 	var diag int64
 	for i := range out.Rows {
@@ -94,7 +102,7 @@ func knownHalfBytes(out *sparse.CSR[float64], kh *knownHalf) int64 {
 			diag++
 		}
 	}
-	return 24*int64(out.Rows+1) + 4*out.NNZ() + 4*(out.NNZ()+diag)/2 + 5*int64(len(kh.runEnds))
+	return 16*int64(out.Rows+1) + 4*(out.NNZ()+diag)/2 + 5*int64(len(kh.runEnds))
 }
 
 // sharesPattern reports whether out's RowPtr and ColIdx are the plan's
@@ -108,7 +116,7 @@ func sharesPattern(p *Plan[float64, ptSRType], out *sparse.CSR[float64]) bool {
 // output pattern of the plan's known half.
 func sharesKnownHalf(p *Plan[float64, ptSRType], out *sparse.CSR[float64]) bool {
 	kh := p.known.Load()
-	return kh != nil && &kh.half.outPtr[0] == &out.RowPtr[0] && (len(out.ColIdx) == 0 || &kh.half.cols[0] == &out.ColIdx[0])
+	return kh != nil && &kh.half.out.rowPtr[0] == &out.RowPtr[0] && (len(out.ColIdx) == 0 || &kh.half.out.colIdx[0] == &out.ColIdx[0])
 }
 
 // rememberProduct is one product the remembered-pattern tests run: the
@@ -237,12 +245,12 @@ func requireHalfShapes(t *testing.T, pr rememberProduct) bool {
 	h := &kh.half
 	var diag, emptyRows, emptyHalves int
 	for i := range pr.mask.Rows {
-		lo, hi := h.span(h.outPtr, i)
-		if _, ok := slices.BinarySearch(h.cols[lo:hi], int32(i)); ok {
+		lo, hi := h.span(h.out.rowPtr, i)
+		if _, ok := slices.BinarySearch(h.out.colIdx[lo:hi], int32(i)); ok {
 			diag++
 		}
 		switch {
-		case h.outPtr[i+1] == h.outPtr[i]:
+		case h.out.rowPtr[i+1] == h.out.rowPtr[i]:
 			emptyRows++
 		case hi == lo:
 			emptyHalves++
@@ -421,16 +429,16 @@ func (c rememberCase) shares(p *Plan[float64, ptSRType], out *sparse.CSR[float64
 
 // charge is what p's entry is charged for what it remembered from an
 // execution whose result is out, counted from out, or 0 when p has
-// not remembered it: 8·(rows+1) + 4·nnz bytes for an output pattern,
-// knownHalfBytes for a known half.
+// not remembered it: the output pattern (patternBytes), and for a
+// known half its own arrays too (knownHalfBytes).
 func (c rememberCase) charge(p *Plan[float64, ptSRType], out *sparse.CSR[float64]) int64 {
 	if !c.published(p) {
 		return 0
 	}
 	if c.half {
-		return knownHalfBytes(out, p.known.Load())
+		return patternBytes(out) + knownHalfBytes(out, p.known.Load())
 	}
-	return 8*int64(len(out.RowPtr)) + 4*out.NNZ()
+	return patternBytes(out)
 }
 
 // TestChaosRememberFirstExecution interrupts a cached plan's first
@@ -575,7 +583,9 @@ func TestRememberConcurrentFirstExecutions(t *testing.T) {
 // equal to what the plan retains) to the entry and the budget,
 // later executions add nothing, and the bytes return with the entry
 // when Clear, the entry cap or budget pressure evicts it. A plan
-// evicted before it publishes is not charged.
+// evicted before it publishes is not charged. A symmetric self-product
+// whose values alternate between symmetric and not remembers both, and
+// is charged for their one pattern once.
 func TestPlanCacheRememberedPatternBudget(t *testing.T) {
 	cases1, cases2 := rememberCases(91), rememberCases(92)
 	for k, c1 := range cases1 {
@@ -669,6 +679,42 @@ func TestPlanCacheRememberedPatternBudget(t *testing.T) {
 			t.Fatalf("%s after the second plan's charge: %+v, budget %d, want one entry of %d bytes", c1.name, st, budget.Used(), foot2+pat2)
 		}
 	}
+
+	// Alternating values: a symmetric self-product runs symmetric
+	// values twice and asymmetric ones twice, in either order, and so
+	// publishes both its known half and its full-product pattern. The
+	// two are one pattern, charged once with the half's own arrays.
+	g := gen.Symmetrize(gen.ErdosRenyi(128, 6, 96))
+	asym := withSpecialValues(g)
+	for _, halfFirst := range []bool{true, false} {
+		budget := NewMemBudget(0)
+		cache := NewPlanCache(ptSR, 0)
+		cache.AttachBudget(budget)
+		p, err := cache.GetOrPlan(g.PatternView(), g, g, Options{Algorithm: AlgoHybrid})
+		if err != nil {
+			t.Fatal(err)
+		}
+		foot := budget.Used()
+		values := []*sparse.CSR[float64]{g, g, asym, asym}
+		if !halfFirst {
+			values = []*sparse.CSR[float64]{asym, asym, g, g}
+		}
+		var out *sparse.CSR[float64]
+		for _, x := range values {
+			if out, err = p.ExecuteOnOpts(NewExecutor[float64](ptSR), x, x, ExecOptions{Threads: 2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		kh, pat := p.known.Load(), p.pattern.Load()
+		if kh == nil || pat == nil || kh.half.out != pat || !sharesPattern(p, out) {
+			t.Fatalf("halfFirst=%v: the known half and the full product do not share one remembered pattern", halfFirst)
+		}
+		want := patternBytes(out) + knownHalfBytes(out, kh)
+		if budget.Used() != foot+want || cache.Stats().Bytes != foot+want || rememberedBytes(p) != want {
+			t.Fatalf("halfFirst=%v: budget %d, cache %d, remembered %d bytes, want %d over the %d-byte plan (the pattern once and the half's own arrays)",
+				halfFirst, budget.Used(), cache.Stats().Bytes, rememberedBytes(p), want, foot)
+		}
+	}
 }
 
 // TestPlanCacheRunOnceChargesNothing is sweep-cold-ref's plan life: a
@@ -758,5 +804,145 @@ func TestRememberedPatternReuseOutput(t *testing.T) {
 		}
 		checkIdentical(t, fmt.Sprintf("run %d", run), got, want)
 		prev = got
+	}
+}
+
+// TestPlanHitChangedStructurePanics hits a remembered plan with
+// operands of the planned shapes and nnz but another structure, the
+// case the Execute contract leaves undefined. A = B = X, a permutation
+// matrix, remembers the pattern of M ⊙ X², M full; Y, another
+// permutation, puts every row's products off its known column. A hit's
+// Pull row then finds no product on a known column, and the hit
+// returns a *KernelPanicError that wraps errPatternChanged, for Inner,
+// SS:DOT* and a Pull-only Hybrid, whose rows all run Pull.
+func TestPlanHitChangedStructurePanics(t *testing.T) {
+	x := csrFromRows(3, 3, [][]int32{{1}, {2}, {0}}, [][]float64{{1}, {2}, {3}})
+	y := csrFromRows(3, 3, [][]int32{{2}, {0}, {1}}, [][]float64{{1}, {2}, {3}})
+	mask := csrFromRows(3, 3, [][]int32{{0, 1, 2}, {0, 1, 2}, {0, 1, 2}}, nil).PatternView()
+	for _, opt := range []Options{
+		{Algorithm: AlgoInner},
+		{Algorithm: AlgoDotTranspose},
+		{Algorithm: AlgoHybrid, HybridFamilies: Families(FamPull)},
+	} {
+		name := fmt.Sprintf("%v/families=%#x", opt.Algorithm, opt.HybridFamilies)
+		plan, err := NewPlanCache(ptSR, 0).GetOrPlan(mask, x, x, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 2 {
+			if _, err := plan.ExecuteOn(NewExecutor[float64](ptSR), x, x); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		if plan.pattern.Load() == nil {
+			t.Fatalf("%s: no pattern remembered", name)
+		}
+		out, err := plan.ExecuteOn(NewExecutor[float64](ptSR), y, y)
+		var kp *KernelPanicError
+		if out != nil || !errors.As(err, &kp) || !errors.Is(err, errPatternChanged) {
+			t.Fatalf("%s: out=%v err=%v, want a KernelPanicError wrapping errPatternChanged", name, out != nil, err)
+		}
+	}
+}
+
+// TestPlanHitRestValue: on a plain hit a product can land on a column
+// outside its row's known set, and that column's value slot must end
+// the row at the rest value, −0, bit for bit. Row 0 lands the product
+// 5 on column 0, which its mask bans; row 1 knows column 0, and its
+// only product there is 1·(−0). At one thread, one worker's
+// accumulator serves both rows, and a cached plan's hit must emit −0
+// there, as a fresh plan does, for every scheme and Hybrid menu, over
+// the float64 plus-times kernels and the generic ones.
+func TestPlanHitRestValue(t *testing.T) {
+	a := csrFromRows(2, 2, [][]int32{{0}, {1}}, [][]float64{{1}, {1}})
+	b := csrFromRows(2, 2, [][]int32{{0, 1}, {0}}, [][]float64{{5, 1}, {math.Copysign(0, -1)}})
+	mask := csrFromRows(2, 2, [][]int32{{1}, {0}}, nil).PatternView()
+	eo := ExecOptions{Threads: 1}
+	for _, opt := range rememberSchemes() {
+		want, err := MaskedSpGEMM(ptSR, mask, a, b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := want.Val[1]; v != 0 || !math.Signbit(v) {
+			t.Fatalf("%v: a fresh plan emits %v at (1, 0), want −0", opt.Algorithm, v)
+		}
+		check := func(kernels string, got *sparse.CSR[float64], err error, run int) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%v/%s run %d: %v", opt.Algorithm, kernels, run, err)
+			}
+			checkIdentical(t, fmt.Sprintf("%v/families=%#x/%s run %d", opt.Algorithm, opt.HybridFamilies, kernels, run), got, want)
+		}
+		plan, err := NewPlanCache(ptSR, 0).GetOrPlan(mask, a, b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec := NewExecutor[float64](ptSR)
+		twin, err := NewPlanCache(plusTimesTwin{}, 0).GetOrPlan(mask, a, b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twinExec := NewExecutor[float64](plusTimesTwin{})
+		for run := range 3 {
+			got, err := plan.ExecuteOnOpts(exec, a, b, eo)
+			check("float64", got, err, run)
+			got, err = twin.ExecuteOnOpts(twinExec, a, b, eo)
+			check("generic", got, err, run)
+		}
+		if opt.Algorithm != AlgoSaxpyThenMask && (plan.pattern.Load() == nil || twin.pattern.Load() == nil) {
+			t.Fatalf("%v: the third execution was not a hit", opt.Algorithm)
+		}
+	}
+}
+
+// TestPlanHitGrowsNoSlab: a hit writes straight into the remembered
+// pattern, so an executor that has served only hits — full and half,
+// plain and complemented, for every family and Hybrid — never grows
+// the one-phase slab.
+func TestPlanHitGrowsNoSlab(t *testing.T) {
+	g := symGraph(7, true, true)
+	rect, ra, rb := buildCase(caseSpec{"", 96, 80, 300, 6, 8, 12, 7})
+	cmask, ca, cb, _ := complDenseRowsProduct(256)
+	for _, algo := range append(chaosFamilies, AlgoHybrid) {
+		for _, c := range []struct {
+			name       string
+			mask       *sparse.Pattern
+			a, b       *sparse.CSR[float64]
+			complement bool
+		}{
+			{"half", g.PatternView(), g, g, false},
+			{"full", rect, ra, rb, false},
+			{"full-complement", cmask, ca, cb, true},
+		} {
+			if c.complement && !SupportsComplement(algo) {
+				continue
+			}
+			name := fmt.Sprintf("%v/%s", algo, c.name)
+			plan, err := NewPlanCache(ptSR, 0).GetOrPlan(c.mask, c.a, c.b, Options{Algorithm: algo, Complement: c.complement})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range 2 {
+				if _, err := plan.ExecuteOn(NewExecutor[float64](ptSR), c.a, c.b); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+			exec := NewExecutor[float64](ptSR)
+			for range 2 {
+				if _, err := plan.ExecuteOnOpts(exec, c.a, c.b, ExecOptions{Threads: 2}); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+			hit := plan.pattern.Load() != nil && !ranHalf(exec)
+			if kh := plan.known.Load(); c.name == "half" {
+				hit = kh != nil && exec.lastHalf == &kh.half
+			}
+			if !hit {
+				t.Fatalf("%s: the executions were not hits", name)
+			}
+			if es := &exec.scratch; es.tmpIdx != nil || es.tmpVal != nil {
+				t.Fatalf("%s: an executor that served only hits grew a %d-entry slab", name, max(len(es.tmpIdx), len(es.tmpVal)))
+			}
+		}
 	}
 }

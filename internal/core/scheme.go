@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"maskedspgemm/internal/accum"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 )
@@ -124,19 +125,15 @@ func SupportsComplement(a Algorithm) bool {
 // plan's run encoding (DESIGN.md §10) and numFam holds the numeric
 // kernel of each family actually bound (nil slots for unused
 // families). The engine drivers split row blocks at run boundaries, so
-// the family lookup is paid once per run ∩ block, never per row. known
-// (knownFam per family for poly plans) is the optional known-pattern
-// form of numeric, which the driver of a plan with a remembered output
-// pattern prefers (knownPhase); nil runs numeric there.
+// the family lookup is paid once per run ∩ block, never per row. A
+// plan hit binds hitKernels instead (bindHit).
 type kernels[T any] struct {
 	numeric  rowNumericFn[T]
 	symbolic rowSymbolicFn
-	known    rowKnownFn[T]
 
-	runEnds  []int32
-	runFam   []uint8
-	numFam   []rowNumericFn[T]
-	knownFam []rowKnownFn[T]
+	runEnds []int32
+	runFam  []uint8
+	numFam  []rowNumericFn[T]
 }
 
 // kernelBinder closes a scheme's row kernels over one (plan, executor,
@@ -198,4 +195,55 @@ func (k schemeKernels[T, S]) binder(complement bool) kernelBinder[T, S] {
 		return k.complement
 	}
 	return k.plain
+}
+
+// bindHit binds p's hit kernels to (a, b) on e, over the halves h when
+// h is non-nil. Every known column is one a product lands on and the
+// mask admits, so the complement no longer matters: every push family
+// runs one push kernel, MSA over the known columns (accum.MSAKnown),
+// and Pull dots only them. Rows keep their binding (Plan.bindingFor).
+func bindHit[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], h *symHalf) hitKernels[T] {
+	if _, ok := any(p.sr).(accum.PlusTimes64); ok {
+		// S is PlusTimes[float64], so T is float64 and these assertions hold.
+		k := bindHitOver(any(p).(*Plan[float64, accum.PlusTimes64]), any(e).(*Executor[float64, accum.PlusTimes64]),
+			any(a).(*sparse.CSR[float64]), any(b).(*sparse.CSR[float64]), h,
+			func(m *accum.MSA[float64, accum.PlusTimes64]) accum.MSAKnownPlusTimes {
+				return accum.MSAKnownPlusTimes{MSAPlusTimes: accum.MSAPlusTimes{MSA: m, Dense: true}}
+			}, denseDot64)
+		return any(k).(hitKernels[T])
+	}
+	sr := p.sr
+	return bindHitOver(p, e, a, b, h,
+		func(m *accum.MSA[T, S]) accum.MSAKnown[T, S] { return accum.MSAKnown[T, S]{MSA: m} },
+		func(bits []uint64, aDense []T, bRows []int32, bVals []T) (T, bool) {
+			return denseDot(sr, bits, aDense, bRows, bVals)
+		})
+}
+
+// bindHitOver is bindHit over the accumulator known wraps each
+// worker's MSA in, and the dot product dot. A push row trusts its known
+// columns; a Pull row panics errPatternChanged on one its dot finds no
+// product on.
+func bindHitOver[T any, S semiring.Semiring[T], A accum.Numeric[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], h *symHalf, known func(*accum.MSA[T, S]) A, dot dotFn[T]) hitKernels[T] {
+	var k hitKernels[T]
+	push, pull := !p.info.NeedsCSC, p.info.NeedsCSC
+	if p.opt.Algorithm == AlgoHybrid {
+		rb := p.bindingFor(h)
+		k.runEnds, k.runFam = rb.runEnds, rb.runFam
+		push, pull = rb.polyFams&^(1<<FamPull) != 0, rb.polyFams.Has(FamPull)
+	}
+	if push {
+		k.push = func(tid, i int, cols []int32, outVal []T) {
+			acc := known(e.worker(tid).MSA(b.Cols))
+			pushRowNumeric(acc, cols, a.Row(i), a.RowVals(i), maskRows{p.mask, h}.clip(i), b, nil, outVal)
+		}
+	}
+	if pull {
+		k.pull = func(tid, i int, cols []int32, outVal []T) {
+			if len(cols) > 0 {
+				pullRowKnown(e.worker(tid).Pull(a.Cols), a.Row(i), a.RowVals(i), e.bt, cols, outVal, dot)
+			}
+		}
+	}
+	return k
 }

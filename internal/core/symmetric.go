@@ -19,7 +19,7 @@ import (
 // mirror pass then writes the full, sorted CSR in place of compact. A
 // plan a PlanCache built remembers that CSR's pattern and a transpose
 // map (knownHalf), and its later half executions write their values
-// straight into it (knownHalfPhase). Restricting the mask row is what
+// straight into it (knownPhase). Restricting the mask row is what
 // makes a half row correct; the kernels also clip every scanned B_k
 // row at column i, through the plan's mirror map, so that the scan
 // halves with the output.
@@ -40,14 +40,12 @@ type symHalf struct {
 	// off is the one-phase slab layout of the computed halves: row i
 	// computes off[i+1]−off[i] mask entries, or known columns.
 	off []int64
-	// outPtr and cols, set only on a known half (Plan.rememberHalf),
-	// are the RowPtr and ColIdx of the plan's remembered output: row i
-	// computes the columns of its output half, a subset of its mask
-	// half, which open output row i in the lower triangle and close it
-	// in the upper (span), and off is exact. nil computes the mask
-	// halves.
-	outPtr []int64
-	cols   []int32
+	// out, set only on a known half (Plan.rememberHalf), is the plan's
+	// remembered output pattern: row i computes the columns of its
+	// output half, a subset of its mask half, which open output row i
+	// in the lower triangle and close it in the upper (span), and off
+	// is exact. nil computes the mask halves.
+	out *knownPattern
 	// upper selects the triangle: rows compute their mask suffix
 	// j ≥ i when set, their prefix j ≤ i otherwise.
 	upper bool
@@ -157,7 +155,7 @@ func (h *symHalf) bytes() int64 {
 
 // span returns the entry range [lo, hi) of row i's computed half in a
 // symmetric structure whose row pointers are ptr: the mask's rowPtr, or
-// a known half's outPtr.
+// a known half's output pattern's.
 func (h *symHalf) span(ptr []int64, i int) (lo, hi int64) {
 	n := h.off[i+1] - h.off[i]
 	if h.upper {
@@ -191,9 +189,9 @@ func (m maskRows) row(i int) []int32 {
 	if h == nil {
 		return m.mask.Row(i)
 	}
-	if h.cols != nil {
-		lo, hi := h.span(h.outPtr, i)
-		return h.cols[lo:hi]
+	if out := h.out; out != nil {
+		lo, hi := h.span(out.rowPtr, i)
+		return out.colIdx[lo:hi]
 	}
 	lo, hi := h.span(h.rowPtr, i)
 	return h.colIdx[lo:hi]

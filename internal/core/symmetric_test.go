@@ -368,49 +368,58 @@ func TestSymmetricExecuteAllocs(t *testing.T) {
 	}
 }
 
-// TestSymmetricKnownHalfAllocs pins what an in-place hit allocates: a
-// cached one-triangle plan that has published its known half writes
-// each hit's values into a fresh Val over the remembered pattern, so a
-// warm hit allocates that array and a constant handful of headers —
-// never a RowPtr, a ColIdx, a slab or the mirror pass's histograms.
+// TestSymmetricKnownHalfAllocs pins what a hit allocates: a cached
+// plan that has published its known half, or its full-product pattern,
+// writes each hit's values into a fresh Val over the remembered
+// pattern, so a warm hit allocates that array and a constant handful
+// of headers — never a RowPtr, a ColIdx, a slab or the mirror pass's
+// histograms. The full-product hits run asymmetric values on the same
+// structure.
 func TestSymmetricKnownHalfAllocs(t *testing.T) {
 	a := symGraph(8, true, false)
+	asym := withSpecialValues(a)
 	for _, algo := range []Algorithm{AlgoMSA, AlgoHash, AlgoHeap, AlgoInner, AlgoHybrid} {
-		plan, err := NewPlanCache(ptSR, 0).GetOrPlan(a.PatternView(), a, a, Options{Algorithm: algo})
-		if err != nil {
-			t.Fatal(err)
-		}
-		exec := NewExecutor[float64](ptSR)
-		eo := ExecOptions{Threads: 1}
-		var out *sparse.CSR[float64]
-		hit := func() {
-			if out, err = plan.ExecuteOnOpts(exec, a, a, eo); err != nil {
+		for _, x := range []*sparse.CSR[float64]{a, asym} {
+			half := x == a
+			plan, err := NewPlanCache(ptSR, 0).GetOrPlan(a.PatternView(), a, a, Options{Algorithm: algo})
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		for range 3 { // publish, then warm the in-place path
-			hit()
-		}
-		if kh := plan.known.Load(); kh == nil || exec.lastHalf != &kh.half {
-			t.Fatalf("%v: the warm execution was not an in-place hit", algo)
-		}
-		allocs := testing.AllocsPerRun(10, hit)
-		const runs = 10
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range runs {
-			hit()
-		}
-		runtime.ReadMemStats(&after)
-		perHit := (after.TotalAlloc - before.TotalAlloc) / runs
-		// The Val rounds up to its allocator size class, at most an
-		// eighth more; the bound stays below what a ColIdx would add.
-		val := uint64(8 * out.NNZ())
-		if slack := val/8 + 1024; slack >= uint64(4*out.NNZ()) {
-			t.Fatalf("%v: a %d-byte bound would admit a ColIdx", algo, slack)
-		}
-		if allocs > 6 || perHit < val || perHit > val+val/8+1024 {
-			t.Errorf("%v: %.1f allocs and %d bytes per hit, want ≤ 6 allocs and the %d-byte Val plus at most an eighth and 1 KiB", algo, allocs, perHit, val)
+			exec := NewExecutor[float64](ptSR)
+			eo := ExecOptions{Threads: 1}
+			var out *sparse.CSR[float64]
+			hit := func() {
+				if out, err = plan.ExecuteOnOpts(exec, x, x, eo); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for range 3 { // publish, then warm the hit path
+				hit()
+			}
+			if kh := plan.known.Load(); half && (kh == nil || exec.lastHalf != &kh.half) {
+				t.Fatalf("%v: the warm execution was not an in-place hit", algo)
+			}
+			if !half && (plan.pattern.Load() == nil || ranHalf(exec)) {
+				t.Fatalf("%v: the warm execution was not a full-product hit", algo)
+			}
+			allocs := testing.AllocsPerRun(10, hit)
+			const runs = 10
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				hit()
+			}
+			runtime.ReadMemStats(&after)
+			perHit := (after.TotalAlloc - before.TotalAlloc) / runs
+			// The Val rounds up to its allocator size class, at most an
+			// eighth more; the bound stays below what a ColIdx would add.
+			val := uint64(8 * out.NNZ())
+			if slack := val/8 + 1024; slack >= uint64(4*out.NNZ()) {
+				t.Fatalf("%v: a %d-byte bound would admit a ColIdx", algo, slack)
+			}
+			if allocs > 6 || perHit < val || perHit > val+val/8+1024 {
+				t.Errorf("%v half=%v: %.1f allocs and %d bytes per hit, want ≤ 6 allocs and the %d-byte Val plus at most an eighth and 1 KiB", algo, half, allocs, perHit, val)
+			}
 		}
 	}
 }
