@@ -37,7 +37,7 @@ type Hash[T any, S semiring.Semiring[T]] struct {
 // maxMaskRow entries.
 func NewHash[T any, S semiring.Semiring[T]](sr S, maxMaskRow int) *Hash[T, S] {
 	h := &Hash[T, S]{sr: sr}
-	h.Grow(maxMaskRow)
+	h.grow(tableCap(maxMaskRow, loadFactor))
 	return h
 }
 
@@ -68,13 +68,6 @@ func (h *Hash[T, S]) grow(c int) {
 	for i := range h.keys {
 		h.keys[i] = -1
 	}
-}
-
-// Grow pre-grows the table for mask rows of up to maxMaskRow entries.
-// Used by executor workspaces that keep one Hash per worker across
-// many multiplications.
-func (h *Hash[T, S]) Grow(maxMaskRow int) {
-	h.grow(tableCap(maxMaskRow, loadFactor))
 }
 
 // sizeFor picks the active capacity for a row with n mask entries and

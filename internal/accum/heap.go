@@ -34,15 +34,6 @@ func NewIterHeap(capHint int) *IterHeap {
 	return &IterHeap{items: make([]RowIter, 0, capHint)}
 }
 
-// Grow pre-sizes the (empty) heap's backing array to hold capHint
-// iterators, so pooled reuse across products never reallocates inside
-// the row kernels.
-func (h *IterHeap) Grow(capHint int) {
-	if capHint > cap(h.items) {
-		h.items = make([]RowIter, 0, capHint)
-	}
-}
-
 // Len returns the number of iterators in the heap.
 func (h *IterHeap) Len() int { return len(h.items) }
 

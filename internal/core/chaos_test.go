@@ -170,6 +170,68 @@ func TestCancelPreLatchedToken(t *testing.T) {
 	}
 }
 
+// TestCancelEveryScheme runs every registered scheme, plain and (where
+// it has a complement form) complemented, serial and parallel, under a
+// pre-latched token: each must stop with ErrCanceled and no result —
+// SS:SAXPY*'s inner SpGEMM included.
+func TestCancelEveryScheme(t *testing.T) {
+	sr := semiring.PlusTimes[float64]{}
+	mask, a, b := buildCase(caseSpec{"", 128, 128, 128, 8, 8, 8, 96})
+	tok := new(parallel.CancelToken)
+	tok.Cancel()
+	for _, algo := range Algorithms() {
+		for _, complement := range []bool{false, true} {
+			if complement && !SupportsComplement(algo) {
+				continue
+			}
+			for _, threads := range []int{1, 4} {
+				opt := Options{Algorithm: algo, Complement: complement}
+				plan, err := NewPlan(sr, mask, a, b, opt, nil)
+				if err != nil {
+					t.Fatalf("%v complement=%v: %v", algo, complement, err)
+				}
+				out, err := plan.ExecuteOnOpts(NewExecutor[float64](sr), a, b, ExecOptions{Threads: threads, Cancel: tok})
+				if !errors.Is(err, ErrCanceled) {
+					t.Errorf("%v complement=%v threads=%d: err = %v, want ErrCanceled", algo, complement, threads, err)
+				}
+				if out != nil {
+					t.Errorf("%v complement=%v threads=%d: result escaped a canceled execution", algo, complement, threads)
+				}
+			}
+		}
+	}
+}
+
+// TestChaosPanicSaxpyThenMask injects a numeric row panic under
+// SS:SAXPY*, whose rows run in its inner SpGEMM plan, and checks the
+// panic surfaces as *KernelPanicError naming SS:SAXPY*, not the inner
+// plan's Hash, with no result.
+func TestChaosPanicSaxpyThenMask(t *testing.T) {
+	t.Cleanup(faultinject.Disarm)
+	sr := semiring.PlusTimes[float64]{}
+	mask, a, b := buildCase(caseSpec{"", 256, 256, 256, 8, 8, 8, 96})
+	for _, threads := range []int{1, 4} {
+		opt := Options{Algorithm: AlgoSaxpyThenMask, Threads: threads}
+		plan, err := NewPlan(sr, mask, a, b, opt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faultinject.Arm(faultinject.Hooks{PanicArmed: true, PanicRow: 3, PanicPass: faultinject.PassNumeric})
+		out, err := plan.Execute(a, b)
+		faultinject.Disarm()
+		var kp *KernelPanicError
+		if !errors.As(err, &kp) {
+			t.Fatalf("threads=%d: err = %v, want KernelPanicError", threads, err)
+		}
+		if kp.Family != opt.SchemeName() {
+			t.Errorf("threads=%d: Family = %q, want %q", threads, kp.Family, opt.SchemeName())
+		}
+		if out != nil {
+			t.Errorf("threads=%d: partial result escaped alongside the panic", threads)
+		}
+	}
+}
+
 // TestCancelExecuteOnCtx checks the context wiring: a canceled context
 // maps to ErrCanceled, an unobstructed context executes normally, and
 // the watcher goroutine is torn down either way (asserted by the

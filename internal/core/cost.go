@@ -130,10 +130,10 @@ func (p *Plan[T, S]) bindRows(m maskRows, a, b *sparse.CSR[T]) rowBinding {
 //     Σ_{k ∈ A_i*} nnz(B_k*) plus the mask walk, with the output term
 //     capped by the §5.2 complement bound when the mask is
 //     complemented — the same quantities complementBounds walks.
-//   - pull rows (Inner, SS:DOT): one load of A_i* into a dense row,
-//     then one dot per admitted mask entry j that reads nnz(B_*j)
-//     entries — pullRowCost, the same formula the poly selector prices
-//     pull by.
+//   - pull rows (the NeedsCSC schemes, Inner and SS:DOT): one load of
+//     A_i* into a dense row, then one dot per admitted mask entry j
+//     that reads nnz(B_*j) entries — pullRowCost, the same formula the
+//     poly selector prices pull by.
 //
 // Poly plans (AlgoHybrid) never reach here — bindRows takes their
 // selector's chosen per-row costs, so selection and scheduling share
@@ -146,7 +146,7 @@ func (p *Plan[T, S]) bindRows(m maskRows, a, b *sparse.CSR[T]) rowBinding {
 func (p *Plan[T, S]) rowCosts(m maskRows, a, b *sparse.CSR[T]) []int64 {
 	rows := p.mask.Rows
 	cost := make([]int64, rows+1)
-	pullAll := p.opt.Algorithm == AlgoInner || p.opt.Algorithm == AlgoDotTranspose
+	pullAll := p.info.NeedsCSC
 	var colCounts bColCounts
 	if pullAll {
 		colCounts = newBColCounts(b)

@@ -17,8 +17,8 @@ import (
 //     sum.
 //   - Two-phase: a symbolic pass counts each output row, a prefix sum
 //     sizes the result exactly, and the numeric pass writes in place.
-//     Only the paper's own schemes and the unmasked SpGEMM run it, so
-//     its kernels are always uniform.
+//     Only the paper's own schemes run it (the unmasked SpGEMM among
+//     them, as complemented Hash), so its kernels are always uniform.
 //   - Known pattern: a cached plan remembers the output pattern of its
 //     second one-phase full-product execution (Plan.rememberPattern),
 //     or its known half (Plan.rememberHalf). Every later such execution
@@ -78,9 +78,9 @@ type hitKernels[T any] struct {
 // offsets (len rows+1, offsets[i+1]-offsets[i] ≥ row i's worst case),
 // then compacts. Row passes run over sch's equal-cost partitions
 // (DESIGN.md §9) and follow the kernel binding's run boundaries. es
-// supplies pooled scratch; nil allocates fresh. Cancellation
-// (sch.cancel) is checked at pass checkpoints and partition claims; an
-// interrupted execution returns *CanceledError and no partial result. With h, the kernels compute
+// supplies pooled scratch. Cancellation (sch.cancel) is checked at pass
+// checkpoints and partition claims; an interrupted execution returns
+// *CanceledError and no partial result. With h, the kernels compute
 // the halves of a symmetric self-product: the slab takes h's layout,
 // and the mirror pass replaces compact.
 func onePhase[T any](rows, cols int, offsets []int64, sch rowSched, k kernels[T], es *engineScratch[T], h *symHalf) (*sparse.CSR[T], error) {
@@ -214,8 +214,8 @@ func knownPhase[T any](rows, cols int, pat *knownPattern, h *symHalf, tpos []int
 // twoPhase runs the symbolic kernel to size every row, prefix-sums, and
 // lets the numeric kernel write directly into the exact-size result.
 // k is a uniform binding: no poly plan runs two-phase. Both passes are
-// scheduled by sch. es supplies pooled output buffers; nil allocates
-// fresh. Cancellation follows the onePhase contract.
+// scheduled by sch. es supplies pooled output buffers. Cancellation
+// follows the onePhase contract.
 func twoPhase[T any](rows, cols int, sch rowSched, k kernels[T], es *engineScratch[T]) (*sparse.CSR[T], error) {
 	if err := sch.enterPass(faultinject.PassSymbolic); err != nil {
 		return nil, err
@@ -261,25 +261,6 @@ func twoPhase[T any](rows, cols int, sch rowSched, k kernels[T], es *engineScrat
 		return nil, err
 	}
 	return out, nil
-}
-
-// lazySlots hands out one lazily-constructed scratch value per worker.
-type lazySlots[A any] struct {
-	slots []*A
-	make  func() *A
-}
-
-func newLazySlots[A any](threads int, mk func() *A) *lazySlots[A] {
-	return &lazySlots[A]{slots: make([]*A, threads), make: mk}
-}
-
-// get returns worker tid's scratch, constructing it on first use. Safe
-// without synchronization because each tid is owned by one goroutine.
-func (l *lazySlots[A]) get(tid int) *A {
-	if l.slots[tid] == nil {
-		l.slots[tid] = l.make()
-	}
-	return l.slots[tid]
 }
 
 // complementBounds computes, for every output row, the §5.2 upper bound

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"maskedspgemm/internal/semiring"
@@ -24,7 +23,7 @@ func TestOnePhaseEngine(t *testing.T) {
 		}
 		return i + 1
 	}
-	out, err := onePhase(4, 8, offsets, rowSched{threads: 2, bounds: []int{0, 1, 2, 3, 4}}, kernels[float64]{numeric: numeric}, nil, nil)
+	out, err := onePhase(4, 8, offsets, rowSched{threads: 2, bounds: []int{0, 1, 2, 3, 4}}, kernels[float64]{numeric: numeric}, &engineScratch[float64]{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +55,7 @@ func TestOnePhasePartialRows(t *testing.T) {
 		outVal[0] = float64(i)
 		return 1
 	}
-	out, err := onePhase(3, 8, offsets, rowSched{threads: 1, bounds: []int{0, 1, 2, 3}}, kernels[float64]{numeric: numeric}, nil, nil)
+	out, err := onePhase(3, 8, offsets, rowSched{threads: 1, bounds: []int{0, 1, 2, 3}}, kernels[float64]{numeric: numeric}, &engineScratch[float64]{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +78,7 @@ func TestTwoPhaseEngine(t *testing.T) {
 		}
 		return n
 	}
-	out, err := twoPhase(7, 5, rowSched{threads: 2, bounds: []int{0, 2, 4, 6, 7}}, kernels[float64]{numeric: numeric, symbolic: symbolic}, nil)
+	out, err := twoPhase(7, 5, rowSched{threads: 2, bounds: []int{0, 2, 4, 6, 7}}, kernels[float64]{numeric: numeric, symbolic: symbolic}, &engineScratch[float64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,25 +88,6 @@ func TestTwoPhaseEngine(t *testing.T) {
 	want := int64(0 + 1 + 2 + 0 + 1 + 2 + 0)
 	if out.NNZ() != want {
 		t.Fatalf("nnz = %d, want %d", out.NNZ(), want)
-	}
-}
-
-// TestLazySlots checks one scratch per worker, created on demand.
-func TestLazySlots(t *testing.T) {
-	var made atomic.Int32
-	slots := newLazySlots(4, func() *int {
-		made.Add(1)
-		v := int(made.Load())
-		return &v
-	})
-	a := slots.get(2)
-	b := slots.get(2)
-	if a != b {
-		t.Error("same tid must reuse scratch")
-	}
-	_ = slots.get(0)
-	if made.Load() != 2 {
-		t.Errorf("made %d scratches, want 2", made.Load())
 	}
 }
 

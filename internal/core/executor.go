@@ -213,33 +213,28 @@ func (w *workspace[T, S]) MSA(ncols int) *accum.MSA[T, S] {
 	return w.msa
 }
 
-// Hash returns the worker's hash accumulator sized for the given
-// densest-mask-row hint.
-func (w *workspace[T, S]) Hash(maxMaskRow int) *accum.Hash[T, S] {
+// Hash returns the worker's hash accumulator; Begin sizes its table
+// per row.
+func (w *workspace[T, S]) Hash() *accum.Hash[T, S] {
 	if w.hash == nil {
-		w.hash = accum.NewHash[T](w.sr, maxMaskRow)
-	} else {
-		w.hash.Grow(maxMaskRow)
+		w.hash = accum.NewHash[T](w.sr, 0)
 	}
 	return w.hash
 }
 
-// MCA returns the worker's mask-compressed accumulator.
-func (w *workspace[T, S]) MCA(maxMaskRow int) *accum.MCA[T, S] {
+// MCA returns the worker's mask-compressed accumulator; the row
+// kernels grow it per row.
+func (w *workspace[T, S]) MCA() *accum.MCA[T, S] {
 	if w.mca == nil {
-		w.mca = accum.NewMCA[T](w.sr, maxMaskRow)
-	} else {
-		w.mca.Grow(maxMaskRow)
+		w.mca = accum.NewMCA[T](w.sr, 0)
 	}
 	return w.mca
 }
 
-// Heap returns the worker's iterator heap sized for maxARow iterators.
-func (w *workspace[T, S]) Heap(maxARow int) *accum.IterHeap {
+// Heap returns the worker's iterator heap, which grows by append.
+func (w *workspace[T, S]) Heap() *accum.IterHeap {
 	if w.heap == nil {
-		w.heap = accum.NewIterHeap(maxARow)
-	} else {
-		w.heap.Grow(maxARow)
+		w.heap = accum.NewIterHeap(0)
 	}
 	return w.heap
 }
@@ -297,9 +292,7 @@ func (w *workspace[T, S]) HashC() *accum.HashC[T, S] {
 // engineScratch pools the engine drivers' transient arrays: the
 // one-phase slab (tmpIdx/tmpVal) that never escapes, and — only when
 // reuseOut is set — the output triple (RowPtr/ColIdx/Val) that the
-// returned matrix is built from. All buffers are grow-only. Methods
-// tolerate a nil receiver, which means "allocate fresh every time"
-// (the behaviour of the pre-plan engine).
+// returned matrix is built from. All buffers are grow-only.
 type engineScratch[T any] struct {
 	tmpIdx   []int32
 	tmpVal   []T
@@ -311,11 +304,8 @@ type engineScratch[T any] struct {
 	reuseOut bool
 }
 
-// slab returns an n-entry tmp slab (pooled when pooling is available).
+// slab returns an n-entry pooled tmp slab.
 func (es *engineScratch[T]) slab(n int64) ([]int32, []T) {
-	if es == nil {
-		return make([]int32, n), make([]T, n)
-	}
 	if int64(cap(es.tmpIdx)) < n {
 		es.tmpIdx = make([]int32, n)
 	}
@@ -325,14 +315,10 @@ func (es *engineScratch[T]) slab(n int64) ([]int32, []T) {
 	return es.tmpIdx[:n], es.tmpVal[:n]
 }
 
-// mirrorBufs returns the mirror pass's scratch (pooled when pooling
-// is available): the bounds of at most threads row chunks of
-// near-equal entry counts (chunkRows), and one int32 per row for each
-// chunk and one more.
+// mirrorBufs returns the mirror pass's pooled scratch: the bounds of
+// at most threads row chunks of near-equal entry counts (chunkRows),
+// and one int32 per row for each chunk and one more.
 func (es *engineScratch[T]) mirrorBufs(counts []int64, threads int) ([]int, []int32) {
-	if es == nil {
-		es = new(engineScratch[T])
-	}
 	es.chunks = chunkRows(es.chunks, counts, threads)
 	n := len(es.chunks) * len(counts)
 	if cap(es.mirror) < n {
@@ -345,7 +331,7 @@ func (es *engineScratch[T]) mirrorBufs(counts []int64, threads int) ([]int, []in
 // RowPtr. It is pooled only under reuseOut — otherwise it escapes into
 // the result and must be fresh.
 func (es *engineScratch[T]) rowPtrBuf(n int) []int64 {
-	if es == nil || !es.reuseOut {
+	if !es.reuseOut {
 		return make([]int64, n)
 	}
 	if cap(es.rowPtr) < n {
@@ -357,7 +343,7 @@ func (es *engineScratch[T]) rowPtrBuf(n int) []int64 {
 // outBufs returns the nnz-entry ColIdx/Val arrays of the output,
 // pooled only under reuseOut.
 func (es *engineScratch[T]) outBufs(nnz int64) ([]int32, []T) {
-	if es == nil || !es.reuseOut {
+	if !es.reuseOut {
 		return make([]int32, nnz), make([]T, nnz)
 	}
 	if int64(cap(es.colIdx)) < nnz {
@@ -369,7 +355,7 @@ func (es *engineScratch[T]) outBufs(nnz int64) ([]int32, []T) {
 // outVals returns the nnz-entry Val array of the output, pooled only
 // under reuseOut. It is all a plan hit (knownPhase) allocates.
 func (es *engineScratch[T]) outVals(nnz int64) []T {
-	if es == nil || !es.reuseOut {
+	if !es.reuseOut {
 		return make([]T, nnz)
 	}
 	if int64(cap(es.val)) < nnz {

@@ -196,16 +196,16 @@ func heapRowSymbolicComplement(pq *accum.IterHeap, maskRow []int32, aCols []int3
 // for Heap, including the heap rows a Hybrid plan binds.
 func bindHeap[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], h *symHalf) kernels[T] {
 	sr, exec, m := p.sr, e, maskRows{p.mask, h}
-	nInspect, maxARow := 1, p.maxARow
+	nInspect := 1
 	if p.opt.Algorithm == AlgoHeapDot {
 		nInspect = heapInspectInf
 	}
 	return kernels[T]{
 		numeric: func(tid, i int, outIdx []int32, outVal []T) int {
-			return heapRowNumeric(sr, exec.worker(tid).Heap(maxARow), nInspect, m.row(i), a.Row(i), a.RowVals(i), m.clip(i), b, outIdx, outVal)
+			return heapRowNumeric(sr, exec.worker(tid).Heap(), nInspect, m.row(i), a.Row(i), a.RowVals(i), m.clip(i), b, outIdx, outVal)
 		},
 		symbolic: func(tid, i int) int {
-			return heapRowSymbolic(exec.worker(tid).Heap(maxARow), nInspect, m.row(i), a.Row(i), b.ColIdx, b.RowPtr)
+			return heapRowSymbolic(exec.worker(tid).Heap(), nInspect, m.row(i), a.Row(i), b.ColIdx, b.RowPtr)
 		},
 	}
 }
@@ -213,13 +213,13 @@ func bindHeap[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a
 // bindHeapComplement registers the complemented heap scheme (NInspect
 // fixed at 0, §5.5).
 func bindHeapComplement[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], _ *symHalf) kernels[T] {
-	sr, exec, mask, maxARow := p.sr, e, p.mask, p.maxARow
+	sr, exec, mask := p.sr, e, p.mask
 	return kernels[T]{
 		numeric: func(tid, i int, outIdx []int32, outVal []T) int {
-			return heapRowNumericComplement(sr, exec.worker(tid).Heap(maxARow), mask.Row(i), a.Row(i), a.RowVals(i), b, outIdx, outVal)
+			return heapRowNumericComplement(sr, exec.worker(tid).Heap(), mask.Row(i), a.Row(i), a.RowVals(i), b, outIdx, outVal)
 		},
 		symbolic: func(tid, i int) int {
-			return heapRowSymbolicComplement(exec.worker(tid).Heap(maxARow), mask.Row(i), a.Row(i), b.ColIdx, b.RowPtr)
+			return heapRowSymbolicComplement(exec.worker(tid).Heap(), mask.Row(i), a.Row(i), b.ColIdx, b.RowPtr)
 		},
 	}
 }

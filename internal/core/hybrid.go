@@ -367,8 +367,7 @@ func (c bColCounts) admitted(maskRow []int32, complement bool) int64 {
 // if nothing remains the selector falls back to MSA. A family joins the
 // menu through its registry entry, so its scheme must support
 // complemented masks (menu families bind under either mask mode,
-// TestHybridMenu), and newDetachedPlan must set any sizing hint its
-// binder reads.
+// TestHybridMenu).
 func hybridMenu(req FamilySet) (fams []Family, models []func(RowCostContext) float64) {
 	for f := Family(0); f < NumFamilies; f++ {
 		if s, _ := LookupScheme(famAlgo[f]); s.RowCost != nil && (req == 0 || req.Has(f)) {

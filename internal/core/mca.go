@@ -64,13 +64,13 @@ func mcaRowSymbolic[T any, S semiring.Semiring[T]](acc *accum.MCA[T, S], maskRow
 // of a symmetric self-product merges against its half mask row; the
 // merge stops where either runs out, so B rows are not clipped.
 func bindMCA[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], h *symHalf) kernels[T] {
-	exec, m, maxRow := e, maskRows{p.mask, h}, p.maxMaskRow
+	exec, m := e, maskRows{p.mask, h}
 	return kernels[T]{
 		numeric: func(tid, i int, outIdx []int32, outVal []T) int {
-			return mcaRowNumeric(exec.worker(tid).MCA(maxRow), m.row(i), a.Row(i), a.RowVals(i), b, outIdx, outVal)
+			return mcaRowNumeric(exec.worker(tid).MCA(), m.row(i), a.Row(i), a.RowVals(i), b, outIdx, outVal)
 		},
 		symbolic: func(tid, i int) int {
-			return mcaRowSymbolic(exec.worker(tid).MCA(maxRow), m.row(i), a.Row(i), b)
+			return mcaRowSymbolic(exec.worker(tid).MCA(), m.row(i), a.Row(i), b)
 		},
 	}
 }

@@ -17,8 +17,8 @@ import (
 // scheme's capability check, one-phase slab offsets (the mask's own
 // layout for plain masks, the §5.2 bounds for complemented ones), the
 // CSC structure of B for the pull-based schemes, the Hybrid per-row
-// pull/push decisions, accumulator sizing hints, and the flops
-// profile. Executing the plan then does only the numeric work.
+// family decisions, and the cost profile. Executing the plan then does
+// only the numeric work.
 //
 // The applications the paper benchmarks are iterative — k-truss
 // repeats C = M ⊙ (A·A) to a fixed point, betweenness runs one masked
@@ -72,8 +72,6 @@ type Plan[T any, S semiring.Semiring[T]] struct {
 	// rowBinding is how executions over the plan's mask rows (or mask
 	// halves) bind and schedule them; zero for direct schemes.
 	rowBinding
-	// maxMaskRow / maxARow size the hash/MCA and heap accumulators.
-	maxMaskRow, maxARow int
 
 	// shared is the one output pattern a plan built by a PlanCache
 	// remembers (sharePattern); nil until then, and always nil on plans
@@ -189,24 +187,6 @@ func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, 
 			p.sym = planSymmetric(sr, opt, mask, maskIsA, bIsA)
 		}
 		p.rowBinding = p.bindRows(maskRows{mask, p.sym}, a, b)
-		switch opt.Algorithm {
-		case AlgoHash, AlgoMCA:
-			p.maxMaskRow = mask.MaxRowNNZ()
-		case AlgoHeap, AlgoHeapDot:
-			p.maxARow = a.MaxRowNNZ()
-		case AlgoHybrid:
-			// Sizing hints only for the families some run may bind —
-			// unused families must stay costless. A hit runs no Hash
-			// or Heap (bindHit), so a known half's binding needs none.
-			// Only the plain-mask Hash binder reads maxMaskRow (the
-			// complement hash sizes per row by the generation bound).
-			if !opt.Complement && p.polyFams.Has(FamHash) {
-				p.maxMaskRow = mask.MaxRowNNZ()
-			}
-			if p.polyFams.Has(FamHeap) {
-				p.maxARow = a.MaxRowNNZ()
-			}
-		}
 		// The CSC structure comes after the scheme analysis: a poly
 		// plan pulls from B by column only when some run bound FamPull.
 		// A symmetric B is its own CSC structure (prepareCSC), so a
@@ -508,7 +488,7 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 		cancel = new(parallel.CancelToken)
 	}
 	if p.reg.direct != nil {
-		return p.reg.direct(p, a, b, threads)
+		return p.reg.direct(p, a, b, ExecOptions{Threads: threads, Cancel: cancel})
 	}
 	exec.ensureWorkers(threads)
 	h := p.half(a, b, eo.Resident)

@@ -233,11 +233,10 @@ func maskedBitPlusTimesKernels(m maskRows, a, b *sparse.CSR[float64], getAcc fun
 	})
 }
 
-// bindHash registers the hash scheme (§5.3). Tables are sized per
-// worker by the densest mask row, precomputed at plan time.
+// bindHash registers the hash scheme (§5.3). Begin sizes each
+// worker's table by the row's mask.
 func bindHash[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], h *symHalf) kernels[T] {
-	exec, maxRow := e, p.maxMaskRow
 	return pushKernels(maskRows{p.mask, h}, a, b, func(tid int) *accum.Hash[T, S] {
-		return exec.worker(tid).Hash(maxRow)
+		return e.worker(tid).Hash()
 	})
 }

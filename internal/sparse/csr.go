@@ -52,9 +52,7 @@ func (p *Pattern) RowNNZ(i int) int {
 	return int(p.RowPtr[i+1] - p.RowPtr[i])
 }
 
-// MaxRowNNZ returns the maximum number of stored entries in any row, used
-// to size per-thread accumulators (MCA arrays and hash tables are sized by
-// the densest mask row).
+// MaxRowNNZ returns the maximum number of stored entries in any row.
 func (p *Pattern) MaxRowNNZ() int {
 	maxN := 0
 	for i := 0; i < p.Rows; i++ {
