@@ -8,6 +8,7 @@ package maskedspgemm
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"maskedspgemm/internal/bench"
 	"maskedspgemm/internal/core"
@@ -488,7 +489,10 @@ func benchPlanHits(b *testing.B, s *Session, multiply func(i int) error) {
 // it. Two warm executions come before the timer: the second publishes
 // the plan's known half (DESIGN.md §5, "Known pattern"), so every timed
 // op computes only the known columns, under the binding priced on
-// them, then mirrors.
+// them, or replays their products (er-warm-inline's, "Replayed hits"),
+// then mirrors. After the timer, the cached plan runs up to 200 more
+// hits on one executor with pass timers on, and the benchmark reports
+// their mean hit numeric pass (core.PassHitNumeric) as numeric-ns/op.
 func BenchmarkSessionPlanHitSelf(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -517,6 +521,21 @@ func BenchmarkSessionPlanHitSelf(b *testing.B) {
 			if s.Stats().Cache.Misses != misses {
 				b.Fatal("a request missed the plan cache; the benchmark must time hits")
 			}
+			fp := core.Fingerprints{Mask: ref.Pattern, A: ref.Pattern, B: ref.Pattern}
+			plan, hit, err := s.cache.GetOrPlanStored(fp, c.g.PatternView(), c.g, c.g, buildOptions([]Option{WithAlgorithm(Hybrid)}))
+			if err != nil || !hit {
+				b.Fatalf("the cached plan: hit %v, %v", hit, err)
+			}
+			exec := core.NewExecutor[float64](arith{})
+			n := min(b.N, 200)
+			var numeric time.Duration
+			for range n {
+				if _, err := plan.ExecuteOnOpts(exec, c.g, c.g, core.ExecOptions{Resident: true, CollectSchedStats: true}); err != nil {
+					b.Fatal(err)
+				}
+				numeric += exec.PassTimes()[core.PassHitNumeric]
+			}
+			b.ReportMetric(float64(numeric.Nanoseconds())/float64(n), "numeric-ns/op")
 		})
 	}
 }

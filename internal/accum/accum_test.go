@@ -31,12 +31,12 @@ type symbolicAcc interface {
 // accumulator. MSA and MaskedBit appear again wrapped in the float64
 // plus-times Scatter their binders use for PlusTimes64, MSA once per
 // scatter loop.
-func plainAccumulators(ncols, maxMask int) map[string]numericAcc {
+func plainAccumulators(ncols int) map[string]numericAcc {
 	return map[string]numericAcc{
 		"MSA":                 NewMSA[float64](pt, ncols),
 		"MSA-PlusTimes":       MSAPlusTimes{MSA: NewMSA[float64](pt, ncols)},
 		"MSA-PlusTimes-dense": MSAPlusTimes{MSA: NewMSA[float64](pt, ncols), Dense: true},
-		"Hash":                NewHash[float64](pt, maxMask),
+		"Hash":                NewHash[float64](pt),
 		"MaskedBit":           NewMaskedBit[float64](pt, ncols),
 		"MaskedBit-PlusTimes": MaskedBitPlusTimes{NewMaskedBit[float64](pt, ncols)},
 	}
@@ -191,12 +191,12 @@ func eqI(a, b []int32) bool {
 // reuse of the same accumulator across consecutive rows (reset
 // correctness).
 func TestPlainAccumulatorsQuick(t *testing.T) {
-	for name := range plainAccumulators(1, 1) {
+	for name := range plainAccumulators(1) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			// Reusing one accumulator across quick iterations checks the
 			// reset path.
-			run := plainCase(plainAccumulators(64, 64)[name]).run
+			run := plainCase(plainAccumulators(64)[name]).run
 			f := func(s rowScenario) bool {
 				if s.ncols > 64 {
 					return true
@@ -432,7 +432,8 @@ func TestMSAStateTransitions(t *testing.T) {
 // TestMCADirect exercises the MCA protocol (mask positions, two-state
 // automaton).
 func TestMCADirect(t *testing.T) {
-	m := NewMCA[float64](pt, 4)
+	m := NewMCA[float64](pt)
+	m.Grow(4)
 	mask := []int32{1, 4, 7}
 	m.Insert(0, 2, 5) // mask position 0 (col 1): 10
 	m.Insert(2, 3, 2) // mask position 2 (col 7): 6
@@ -462,7 +463,7 @@ func TestMCADirect(t *testing.T) {
 // out column-sorted.
 func TestIterHeapOrdering(t *testing.T) {
 	f := func(colsRaw []uint16) bool {
-		h := NewIterHeap(len(colsRaw))
+		h := NewIterHeap()
 		for _, c := range colsRaw {
 			h.Push(RowIter{Col: int32(c)})
 		}
@@ -482,7 +483,7 @@ func TestIterHeapOrdering(t *testing.T) {
 }
 
 func TestIterHeapReset(t *testing.T) {
-	h := NewIterHeap(4)
+	h := NewIterHeap()
 	h.Push(RowIter{Col: 3})
 	h.Push(RowIter{Col: 1})
 	if h.Min().Col != 1 {
@@ -494,9 +495,9 @@ func TestIterHeapReset(t *testing.T) {
 	}
 }
 
-// TestHashGrowth forces a row larger than the constructor hint.
+// TestHashGrowth forces a row larger than the initial table.
 func TestHashGrowth(t *testing.T) {
-	h := NewHash[float64](pt, 2)
+	h := NewHash[float64](pt)
 	mask := make([]int32, 100)
 	for i := range mask {
 		mask[i] = int32(i)
@@ -615,7 +616,7 @@ func TestHashTableLoadFactors(t *testing.T) {
 		}
 		return c
 	}
-	h := NewHash[float64](pt, 1)
+	h := NewHash[float64](pt)
 	hc := NewHashC[float64](pt, 1)
 	for _, n := range []int{0, 1, 3, 4, 5, 8, 9, 31, 32, 33, 100, 1000} {
 		mask := make([]int32, n)

@@ -33,11 +33,11 @@ type Hash[T any, S semiring.Semiring[T]] struct {
 	cap    int // active power-of-two capacity for the current row
 }
 
-// NewHash returns a hash accumulator able to handle mask rows of up to
-// maxMaskRow entries.
-func NewHash[T any, S semiring.Semiring[T]](sr S, maxMaskRow int) *Hash[T, S] {
+// NewHash returns a hash accumulator with the smallest table; Begin
+// grows it to each row's mask.
+func NewHash[T any, S semiring.Semiring[T]](sr S) *Hash[T, S] {
 	h := &Hash[T, S]{sr: sr}
-	h.grow(tableCap(maxMaskRow, loadFactor))
+	h.grow(tableCap(0, loadFactor))
 	return h
 }
 

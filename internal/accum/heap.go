@@ -29,9 +29,9 @@ func (x RowIter) less(y RowIter) bool {
 	return x.Col < y.Col || x.Col == y.Col && x.AIdx < y.AIdx
 }
 
-// NewIterHeap returns a heap with the given capacity hint.
-func NewIterHeap(capHint int) *IterHeap {
-	return &IterHeap{items: make([]RowIter, 0, capHint)}
+// NewIterHeap returns an empty heap, which grows by append.
+func NewIterHeap() *IterHeap {
+	return &IterHeap{}
 }
 
 // Len returns the number of iterators in the heap.

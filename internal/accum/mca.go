@@ -21,10 +21,9 @@ type MCA[T any, S semiring.Semiring[T]] struct {
 	values []T
 }
 
-// NewMCA returns an MCA able to handle mask rows of up to maxMaskRow
-// entries.
-func NewMCA[T any, S semiring.Semiring[T]](sr S, maxMaskRow int) *MCA[T, S] {
-	return &MCA[T, S]{sr: sr, states: make([]uint8, maxMaskRow), values: make([]T, maxMaskRow)}
+// NewMCA returns an empty MCA; Grow sizes it for each mask row.
+func NewMCA[T any, S semiring.Semiring[T]](sr S) *MCA[T, S] {
+	return &MCA[T, S]{sr: sr}
 }
 
 // Grow ensures capacity for mask rows of n entries.

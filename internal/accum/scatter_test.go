@@ -132,7 +132,7 @@ func TestScatterMatchesPerKeyReference(t *testing.T) {
 	const ncols = 4096
 	rows := randomScatterRows(rand.New(rand.NewSource(1)), 400, ncols)
 	cases := map[string]scatterCase{}
-	for name, acc := range plainAccumulators(ncols, ncols) {
+	for name, acc := range plainAccumulators(ncols) {
 		cases[name] = plainCase(acc)
 	}
 	for name, acc := range complementAccumulators(ncols) {

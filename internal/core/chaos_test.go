@@ -427,26 +427,37 @@ func TestChaosSymmetricInPlaceHit(t *testing.T) {
 // one and four threads. Each interrupted hit returns its typed error
 // and no result, and its executor is discarded; the plan keeps the
 // same pattern, and a clean hit on a fresh executor then equals the
-// publishing result bit for bit.
+// publishing result bit for bit. The dense products break the memory
+// rule, so their hits run push and Pull; the others' hits replay their
+// product schedule (DESIGN.md §5, "Replayed hits").
 func TestChaosFullProductHit(t *testing.T) {
 	t.Cleanup(faultinject.Disarm)
 	rect, ra, rb := buildCase(caseSpec{"", 96, 80, 300, 6, 8, 12, 7})
 	cmask, ca, cb, _ := complDenseRowsProduct(256)
+	dmask, da, db := buildCase(caseSpec{"", 96, 96, 96, 24, 24, 24, 7})
 	for _, algo := range append(chaosFamilies, AlgoHybrid) {
-		for _, complement := range []bool{false, true} {
+		for _, c := range []struct {
+			name       string
+			mask       *sparse.Pattern
+			a, b       *sparse.CSR[float64]
+			complement bool
+			replays    bool
+		}{
+			{"plain", rect, ra, rb, false, true},
+			{"plain-dense", dmask, da, db, false, false},
+			{"complement", cmask, ca, cb, true, true},
+			{"complement-dense", dmask, da, db, true, false},
+		} {
+			complement, mask, a, b := c.complement, c.mask, c.a, c.b
 			if complement && !SupportsComplement(algo) {
 				continue
-			}
-			mask, a, b := rect, ra, rb
-			if complement {
-				mask, a, b = cmask, ca, cb
 			}
 			for _, fault := range []faultinject.Hooks{
 				{CancelPass: faultinject.PassNumeric},
 				{PanicArmed: true, PanicRow: 3, PanicPass: faultinject.PassNumeric},
 			} {
 				for _, threads := range []int{1, 4} {
-					name := fmt.Sprintf("%v/complement=%v/%+v/threads=%d", algo, complement, fault, threads)
+					name := fmt.Sprintf("%v/%s/%+v/threads=%d", algo, c.name, fault, threads)
 					faultinject.Disarm()
 					pool := NewExecutorPool[float64](ptSR, 2)
 					plan, err := NewPlanCache(ptSR, 0).GetOrPlan(mask, a, b, Options{Algorithm: algo, Complement: complement})
@@ -484,6 +495,8 @@ func TestChaosFullProductHit(t *testing.T) {
 						t.Fatalf("%s: err = %v, want CanceledError in pass %s", name, err, fault.CancelPass)
 					case exec.lastPlan != plan || !exec.haveHit:
 						t.Fatalf("%s: the interrupted execution was not a hit", name)
+					case (exec.hit.replay != nil) != c.replays:
+						t.Fatalf("%s: the hit replayed %v, want %v", name, exec.hit.replay != nil, c.replays)
 					}
 					pool.Discard(exec)
 					if st := pool.Stats(); st.Poisoned != 1 || st.Idle != 0 {

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"context"
+	"runtime/trace"
+	"time"
+
 	"maskedspgemm/internal/faultinject"
 	"maskedspgemm/internal/parallel"
 	"maskedspgemm/internal/sparse"
@@ -29,14 +33,15 @@ const costPartsPerWorker = 4
 
 // rowSched is the descriptor the engine drivers schedule row passes
 // with: the partition bounds cut for this execution's width, an
-// optional telemetry target, and the fault-containment hooks — the
-// cancel token workers poll at partition claims and the
-// fault-injection hooks loaded for this execution (both usually nil;
-// DESIGN.md §15).
+// optional telemetry target, the pass clock of the executing executor,
+// and the fault-containment hooks — the cancel token workers poll at
+// partition claims and the fault-injection hooks loaded for this
+// execution (both usually nil; DESIGN.md §15).
 type rowSched struct {
 	threads int
 	bounds  []int
 	stats   *parallel.SchedStats
+	clock   *passClock
 	cancel  *parallel.CancelToken
 	fi      *faultinject.Hooks
 }
@@ -46,23 +51,126 @@ func (s rowSched) run(fn func(lo, hi, tid int)) {
 	parallel.ForEachPartition(s.bounds, s.threads, s.stats, s.cancel, fn)
 }
 
-// enterPass is the checkpoint at a pass's entry: it fires the armed
-// pass-granularity fault hooks, then reports cancellation so a
-// canceled execution stops before starting the pass at all.
-func (s rowSched) enterPass(p faultinject.Pass) error {
-	s.fi.AtPass(p, s.cancel)
-	return s.passCanceled(p)
+// enterPass is the checkpoint at a pass's entry: it opens the pass on
+// the clock, fires the armed pass-granularity fault hooks, then reports
+// cancellation so a canceled execution stops before starting the pass
+// at all.
+func (s rowSched) enterPass(p Pass) error {
+	s.clock.enter(p)
+	s.fi.AtPass(p.site(), s.cancel)
+	return s.canceled(p)
 }
 
-// passCanceled is the checkpoint after a pass's row sweep: a latched
+// passCanceled is the checkpoint after a pass's row sweep: it charges
+// the time since the previous checkpoint to the pass, and a latched
 // token means the schedulers broke out early and the pass's output is
 // partial, so the driver must discard it and surface which pass was
 // interrupted.
-func (s rowSched) passCanceled(p faultinject.Pass) error {
+func (s rowSched) passCanceled(p Pass) error {
+	s.clock.lap(p)
+	return s.canceled(p)
+}
+
+// canceled reports a latched token as the interruption of pass p.
+func (s rowSched) canceled(p Pass) error {
 	if s.cancel.Canceled() {
-		return &CanceledError{Pass: string(p)}
+		return &CanceledError{Pass: string(p.site())}
 	}
 	return nil
+}
+
+// Pass names one timed engine pass (DESIGN.md §9, "Pass timers").
+type Pass uint8
+
+// The engine's timed passes. A first execution runs PassSymbolic and
+// PassNumeric (two-phase) or PassNumeric and then PassCompact or, for
+// one triangle, PassMirror (one-phase); a plan hit runs PassHitNumeric
+// and, for one triangle, PassTranspose.
+const (
+	// PassSymbolic is the two-phase size-counting pass.
+	PassSymbolic Pass = iota
+	// PassNumeric is a first execution's value-producing pass.
+	PassNumeric
+	// PassCompact is the one-phase gather of the slab into the result.
+	PassCompact
+	// PassMirror is compact's counterpart for one triangle (mirrorPass).
+	PassMirror
+	// PassHitNumeric is a plan hit's value pass (knownPhase).
+	PassHitNumeric
+	// PassTranspose is a one-triangle hit's copy of its values to their
+	// transposes (copyTransposes).
+	PassTranspose
+	// NumPasses is the number of timed passes.
+	NumPasses
+)
+
+// passNames are the passes' names, as String and the runtime/trace
+// regions give them.
+var passNames = [NumPasses]string{"symbolic", "numeric", "compact", "mirror", "hit-numeric", "transpose"}
+
+// String returns the pass's name.
+func (p Pass) String() string { return passNames[p] }
+
+// site returns the fault-injection site and cancellation name of pass
+// p: the mirror pass and a hit's transpose copy keep compact's, and a
+// hit's value pass numeric's.
+func (p Pass) site() faultinject.Pass {
+	switch p {
+	case PassSymbolic:
+		return faultinject.PassSymbolic
+	case PassNumeric, PassHitNumeric:
+		return faultinject.PassNumeric
+	}
+	return faultinject.PassCompact
+}
+
+// PassTimes is the wall time of each engine pass of one execution,
+// indexed by Pass: from the pass's entry checkpoint to its last
+// checkpoint. A pass the execution did not run reads 0.
+type PassTimes [NumPasses]time.Duration
+
+// passClock times an executor's passes and wraps each in a
+// runtime/trace region. It reads the clock once per checkpoint, and
+// only while times, where it adds each pass's time, is set
+// (ExecOptions.CollectSchedStats); a region costs one atomic load while
+// tracing is off. A region ends at the next pass's entry or at the end
+// of the execution (done). A nil clock does nothing.
+//
+//mspgemm:nilsafe
+type passClock struct {
+	times  *PassTimes
+	at     time.Time
+	region *trace.Region
+}
+
+// enter opens pass p: it ends the previous pass's region, starts p's,
+// and reads the clock.
+func (c *passClock) enter(p Pass) {
+	if c == nil {
+		return
+	}
+	c.done()
+	c.region = trace.StartRegion(context.Background(), passNames[p])
+	if c.times != nil {
+		c.at = time.Now()
+	}
+}
+
+// lap charges the time since the previous checkpoint to pass p.
+func (c *passClock) lap(p Pass) {
+	if c != nil && c.times != nil {
+		now := time.Now()
+		c.times[p] += now.Sub(c.at)
+		c.at = now
+	}
+}
+
+// done ends the open region, if any.
+func (c *passClock) done() {
+	if c != nil && c.region != nil {
+		c.region.End()
+		c.region = nil
+	}
 }
 
 // rowBinding is how executions bind and schedule their rows: the

@@ -23,8 +23,9 @@ import (
 //     second one-phase full-product execution (Plan.rememberPattern),
 //     or its known half (Plan.rememberHalf). Every later such execution
 //     is a hit: each row's values go straight into its exact range of
-//     that pattern, and a half hit then copies them to their
-//     transposes (knownPhase).
+//     that pattern, computed by push or Pull or replayed from the
+//     plan's product schedule (Plan.rememberSchedule), and a half hit
+//     then copies them to their transposes (knownPhase).
 //
 // Kernels receive a tid to index per-worker accumulator scratch.
 
@@ -38,6 +39,11 @@ type rowSymbolicFn func(tid, i int) int
 // rowKnownFn computes the values of output row i, whose columns cols
 // are known, into outVal (len(outVal) == len(cols)).
 type rowKnownFn[T any] func(tid, i int, cols []int32, outVal []T)
+
+// rowsReplayFn writes the values of the output rows [lo, hi) of a
+// replayed hit into their ranges of val, the result's value array,
+// firing fi's row hook for each row.
+type rowsReplayFn[T any] func(lo, hi int, val []T, fi *faultinject.Hooks)
 
 // findRun returns the index of the run containing row i: the first
 // run whose exclusive end exceeds i (binary search; runEnds is
@@ -67,11 +73,14 @@ func runSegment(runEnds []int32, runFam []uint8, lo, hi int) (int, int) {
 }
 
 // hitKernels is one bound plan hit (bindHit): the push and Pull
-// kernels, and the Hybrid runs choosing between them, if any.
+// kernels, and the Hybrid runs choosing between them, if any, or, for
+// a plan with a product schedule, the replay kernel alone (bindReplay),
+// which runs whole partitions.
 type hitKernels[T any] struct {
 	push, pull rowKnownFn[T]
 	runEnds    []int32
 	runFam     []uint8
+	replay     rowsReplayFn[T]
 }
 
 // onePhase runs the numeric kernel once per row into a slab laid out by
@@ -84,7 +93,7 @@ type hitKernels[T any] struct {
 // the halves of a symmetric self-product: the slab takes h's layout,
 // and the mirror pass replaces compact.
 func onePhase[T any](rows, cols int, offsets []int64, sch rowSched, k kernels[T], es *engineScratch[T], h *symHalf) (*sparse.CSR[T], error) {
-	if err := sch.enterPass(faultinject.PassNumeric); err != nil {
+	if err := sch.enterPass(PassNumeric); err != nil {
 		return nil, err
 	}
 	if h != nil {
@@ -111,7 +120,7 @@ func onePhase[T any](rows, cols int, offsets []int64, sch rowSched, k kernels[T]
 			lo = seg
 		}
 	})
-	if err := sch.passCanceled(faultinject.PassNumeric); err != nil {
+	if err := sch.passCanceled(PassNumeric); err != nil {
 		return nil, err
 	}
 	if h != nil {
@@ -123,7 +132,7 @@ func onePhase[T any](rows, cols int, offsets []int64, sch rowSched, k kernels[T]
 // compact gathers per-row segments (counts[i] entries starting at
 // offsets[i]) into a tight CSR result.
 func compact[T any](rows, cols int, offsets, counts []int64, tmpIdx []int32, tmpVal []T, sch rowSched, es *engineScratch[T]) (*sparse.CSR[T], error) {
-	if err := sch.enterPass(faultinject.PassCompact); err != nil {
+	if err := sch.enterPass(PassCompact); err != nil {
 		return nil, err
 	}
 	rowPtr := counts // reuse: becomes the exclusive prefix sum
@@ -146,7 +155,7 @@ func compact[T any](rows, cols int, offsets, counts []int64, tmpIdx []int32, tmp
 			copy(out.Val[rowPtr[i]:rowPtr[i+1]], tmpVal[src:src+n])
 		}
 	})
-	if err := sch.passCanceled(faultinject.PassCompact); err != nil {
+	if err := sch.passCanceled(PassCompact); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -156,19 +165,24 @@ func compact[T any](rows, cols int, offsets, counts []int64, tmpIdx []int32, tmp
 // each row's kernel writes its values straight into the row's range of
 // a fresh value array — [RowPtr[i], RowPtr[i+1]), or its own half
 // (symHalf.span) over a known half h — with no slab and no compaction,
-// and the result shares pat's arrays. A half hit then copies every
+// and the result shares pat's arrays. A row with no computed entry has
+// nothing to write and runs no kernel. A half hit then copies every
 // half value to its transpose's position by tpos (copyTransposes)
 // under compact's checkpoint name: each lands outside every row's own
 // range, once, so the rows need no order. es supplies Val under
 // reuseOut.
 func knownPhase[T any](rows, cols int, pat *knownPattern, h *symHalf, tpos []int32, sch rowSched, k hitKernels[T], es *engineScratch[T]) (*sparse.CSR[T], error) {
-	if err := sch.enterPass(faultinject.PassNumeric); err != nil {
+	if err := sch.enterPass(PassHitNumeric); err != nil {
 		return nil, err
 	}
 	rowPtr, colIdx := pat.rowPtr, pat.colIdx
 	val := es.outVals(int64(len(colIdx)))
 	fi := sch.fi
 	sch.run(func(lo, hi, tid int) {
+		if k.replay != nil {
+			k.replay(lo, hi, val, fi)
+			return
+		}
 		for lo < hi {
 			seg, f := runSegment(k.runEnds, k.runFam, lo, hi)
 			known := k.push
@@ -183,16 +197,18 @@ func knownPhase[T any](rows, cols int, pat *knownPattern, h *symHalf, tpos []int
 				if h != nil {
 					at, end = h.span(rowPtr, i)
 				}
-				known(tid, i, colIdx[at:end], val[at:end])
+				if at < end {
+					known(tid, i, colIdx[at:end], val[at:end])
+				}
 			}
 			lo = seg
 		}
 	})
-	if err := sch.passCanceled(faultinject.PassNumeric); err != nil {
+	if err := sch.passCanceled(PassHitNumeric); err != nil {
 		return nil, err
 	}
 	if h != nil {
-		if err := sch.enterPass(faultinject.PassCompact); err != nil {
+		if err := sch.enterPass(PassTranspose); err != nil {
 			return nil, err
 		}
 		sch.run(func(lo, hi, _ int) {
@@ -201,7 +217,7 @@ func knownPhase[T any](rows, cols int, pat *knownPattern, h *symHalf, tpos []int
 				copyTransposes(val, val[at:end], tpos[h.off[i]:h.off[i+1]])
 			}
 		})
-		if err := sch.passCanceled(faultinject.PassCompact); err != nil {
+		if err := sch.passCanceled(PassTranspose); err != nil {
 			return nil, err
 		}
 	}
@@ -217,7 +233,7 @@ func knownPhase[T any](rows, cols int, pat *knownPattern, h *symHalf, tpos []int
 // scheduled by sch. es supplies pooled output buffers. Cancellation
 // follows the onePhase contract.
 func twoPhase[T any](rows, cols int, sch rowSched, k kernels[T], es *engineScratch[T]) (*sparse.CSR[T], error) {
-	if err := sch.enterPass(faultinject.PassSymbolic); err != nil {
+	if err := sch.enterPass(PassSymbolic); err != nil {
 		return nil, err
 	}
 	rowPtr := es.rowPtrBuf(rows + 1)
@@ -231,7 +247,7 @@ func twoPhase[T any](rows, cols int, sch rowSched, k kernels[T], es *engineScrat
 			rowPtr[i] = int64(symbolic(tid, i))
 		}
 	})
-	if err := sch.passCanceled(faultinject.PassSymbolic); err != nil {
+	if err := sch.passCanceled(PassSymbolic); err != nil {
 		return nil, err
 	}
 	rowPtr[rows] = 0
@@ -246,7 +262,7 @@ func twoPhase[T any](rows, cols int, sch rowSched, k kernels[T], es *engineScrat
 		},
 		Val: val,
 	}
-	if err := sch.enterPass(faultinject.PassNumeric); err != nil {
+	if err := sch.enterPass(PassNumeric); err != nil {
 		return nil, err
 	}
 	sch.run(func(lo, hi, tid int) {
@@ -257,7 +273,7 @@ func twoPhase[T any](rows, cols int, sch rowSched, k kernels[T], es *engineScrat
 			numeric(tid, i, out.ColIdx[rowPtr[i]:rowPtr[i+1]], out.Val[rowPtr[i]:rowPtr[i+1]])
 		}
 	})
-	if err := sch.passCanceled(faultinject.PassNumeric); err != nil {
+	if err := sch.passCanceled(PassNumeric); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -47,10 +47,13 @@ type Executor[T any, S semiring.Semiring[T]] struct {
 	hit       hitKernels[T]
 	haveHit   bool
 
-	// schedStats is the telemetry target of executions run with
-	// Options.CollectSchedStats; reset at the start of each such
-	// execution, accumulated across its row passes.
+	// schedStats and passTimes are the telemetry targets of executions
+	// run with Options.CollectSchedStats; reset at the start of each such
+	// execution, accumulated across its row passes and its passes. clock
+	// times the passes and wraps them in runtime/trace regions.
 	schedStats parallel.SchedStats
+	passTimes  PassTimes
+	clock      passClock
 	// partBounds is the grow-only buffer an execution cuts its plan's
 	// partition bounds into (partitions).
 	partBounds []int
@@ -62,6 +65,14 @@ type Executor[T any, S semiring.Semiring[T]] struct {
 // Executions without the option leave the previous record in place.
 func (e *Executor[T, S]) SchedStats() parallel.SchedStats {
 	return e.schedStats.Clone()
+}
+
+// PassTimes returns the wall time of each engine pass (Pass) of the
+// most recent execution on this executor that ran with
+// Options.CollectSchedStats. Executions without the option leave the
+// previous record in place.
+func (e *Executor[T, S]) PassTimes() PassTimes {
+	return e.passTimes
 }
 
 // NewExecutor returns an empty executor over the given semiring.
@@ -151,10 +162,13 @@ func (e *Executor[T, S]) kernelsFor(p *Plan[T, S], a, b *sparse.CSR[T], h *symHa
 	return e.bound
 }
 
-// hitKernelsFor is kernelsFor for a plan hit (bindHit).
-func (e *Executor[T, S]) hitKernelsFor(p *Plan[T, S], a, b *sparse.CSR[T], h *symHalf) hitKernels[T] {
-	if !e.bindingOf(p, a, b, h) || !e.haveHit {
-		e.hit = bindHit(p, e, a, b, h)
+// hitKernelsFor is kernelsFor for a plan hit (bindHit), which replays
+// the product schedule s when it is non-nil. A plan publishes a hit's
+// schedule at most once, so a binding made before it did is replaced
+// once it has.
+func (e *Executor[T, S]) hitKernelsFor(p *Plan[T, S], a, b *sparse.CSR[T], h *symHalf, s *schedule) hitKernels[T] {
+	if !e.bindingOf(p, a, b, h) || !e.haveHit || (e.hit.replay != nil) != (s != nil) {
+		e.hit = bindHit(p, e, a, b, h, s)
 		e.haveHit = true
 	}
 	return e.hit
@@ -217,7 +231,7 @@ func (w *workspace[T, S]) MSA(ncols int) *accum.MSA[T, S] {
 // per row.
 func (w *workspace[T, S]) Hash() *accum.Hash[T, S] {
 	if w.hash == nil {
-		w.hash = accum.NewHash[T](w.sr, 0)
+		w.hash = accum.NewHash[T](w.sr)
 	}
 	return w.hash
 }
@@ -226,7 +240,7 @@ func (w *workspace[T, S]) Hash() *accum.Hash[T, S] {
 // kernels grow it per row.
 func (w *workspace[T, S]) MCA() *accum.MCA[T, S] {
 	if w.mca == nil {
-		w.mca = accum.NewMCA[T](w.sr, 0)
+		w.mca = accum.NewMCA[T](w.sr)
 	}
 	return w.mca
 }
@@ -234,7 +248,7 @@ func (w *workspace[T, S]) MCA() *accum.MCA[T, S] {
 // Heap returns the worker's iterator heap, which grows by append.
 func (w *workspace[T, S]) Heap() *accum.IterHeap {
 	if w.heap == nil {
-		w.heap = accum.NewIterHeap(0)
+		w.heap = accum.NewIterHeap()
 	}
 	return w.heap
 }

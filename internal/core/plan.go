@@ -33,11 +33,12 @@ import (
 // atomic: on a plan a PlanCache built, each made once, the flag its
 // first clean one-phase full-product execution sets and the output
 // pattern of its second (rememberPattern), and the same pair for its
-// half executions (rememberHalf), over one pattern (sharePattern); and
-// the last resident value array an execution proved symmetric
-// (provedSymmetric). All mutable execution
-// state (accumulators, slabs, the refreshed CSC values of B, bound kernels)
-// lives in the Executor, which is NOT concurrency-safe: concurrent
+// half executions (rememberHalf), over one pattern (sharePattern), and
+// with each published pattern the product schedule its hits replay, or
+// the decision to keep none (rememberSchedule); and the last resident
+// value array an execution proved symmetric (provedSymmetric). All
+// mutable execution state (accumulators, slabs, the refreshed CSC
+// values of B, bound kernels) lives in the Executor, which is NOT concurrency-safe: concurrent
 // executions of a shared plan must each use their own executor
 // (ExecuteOn), typically checked out of an ExecutorPool.
 //
@@ -92,6 +93,12 @@ type Plan[T any, S semiring.Semiring[T]] struct {
 	// ranHalfClean is set by the first clean half execution, which
 	// remembers nothing (rememberHalf).
 	ranHalfClean atomic.Bool
+	// fullSched and halfSched hold the product schedules of the plan's
+	// full-product and one-triangle hits, each decided once when the
+	// plan publishes the pattern those hits write (rememberSchedule);
+	// empty on plans whose products break the memory rule, and on plans
+	// that do not remember.
+	fullSched, halfSched schedSlot
 	// symVals is the first element of the last resident value array of
 	// A proved symmetric (provedSymmetric); executions on that array
 	// with ExecOptions.Resident skip the values check (Plan.half).
@@ -255,17 +262,19 @@ func (p *Plan[T, S]) ownedBy(c *PlanCache[T, S], key planKey) {
 }
 
 // rememberPattern publishes out's output pattern, once, from the
-// plan's second clean full-product execution: the first is only
-// counted, so a plan that runs once — a cold miss whose entry is
+// plan's second clean full-product execution over (a, b): the first is
+// only counted, so a plan that runs once — a cold miss whose entry is
 // evicted before the structure recurs — charges nothing for a pattern
-// no request reads.
+// no request reads. The plan then decides on the product schedule of
+// its full-product hits, built at width threads (rememberSchedule).
 //
 //mspgemm:planwrite
-func (p *Plan[T, S]) rememberPattern(out *sparse.CSR[T]) {
+func (p *Plan[T, S]) rememberPattern(out, a, b *sparse.CSR[T], threads int) {
 	if !p.ranClean.Swap(true) || p.pattern.Load() != nil {
 		return
 	}
 	p.pattern.Store(p.sharePattern(out))
+	p.rememberSchedule(nil, a, b, threads)
 }
 
 // sharePattern returns the plan's one remembered output pattern, which
@@ -320,10 +329,11 @@ func (k *knownHalf) bytes() int64 {
 // result over (a, b), as mirrorPass wrote it: each output row's
 // entries on the computed side of the diagonal are exactly its
 // computed half. The binding is priced on (a, b), whose structure is
-// the plan's.
+// the plan's. The plan then decides on the product schedule of its
+// one-triangle hits, built at width threads (rememberSchedule).
 //
 //mspgemm:planwrite
-func (p *Plan[T, S]) rememberHalf(out, a, b *sparse.CSR[T]) {
+func (p *Plan[T, S]) rememberHalf(out, a, b *sparse.CSR[T], threads int) {
 	if !p.ranHalfClean.Swap(true) || p.known.Load() != nil {
 		return
 	}
@@ -360,6 +370,7 @@ func (p *Plan[T, S]) rememberHalf(out, a, b *sparse.CSR[T]) {
 	kh.rowBinding = p.bindRows(maskRows{p.mask, h}, a, b)
 	if p.known.CompareAndSwap(nil, kh) {
 		p.owner.chargeRemembered(p, kh.bytes())
+		p.rememberSchedule(&kh.half, a, b, threads)
 	}
 }
 
@@ -371,7 +382,8 @@ func (p *Plan[T, S]) rememberHalf(out, a, b *sparse.CSR[T]) {
 // plain offsets alias the mask's RowPtr and are not double-counted; a
 // symmetric self-product adds its mirror map and half offsets. A
 // remembered output pattern is charged separately, once, when it is
-// published (sharePattern), and so is a known half (rememberHalf).
+// published (sharePattern), and so are a known half (rememberHalf) and
+// a product schedule (rememberSchedule).
 func (p *Plan[T, S]) footprintBytes() int64 {
 	const structOverhead = 256
 	bytes := int64(structOverhead)
@@ -435,6 +447,10 @@ func (p *Plan[T, S]) Execute(a, b *sparse.CSR[T]) (*sparse.CSR[T], error) {
 // trusts the pattern on push rows, and a Pull row returns a
 // *KernelPanicError on a known column its dot finds no product on, so
 // (a, b) of another structure may give a wrong result or that error.
+// A hit that replays the plan's product schedule trusts the schedule:
+// (a, b) of another structure but the planned nnz give a result of the
+// remembered pattern whose values are the products at the remembered
+// value positions, which are all in range, and no error.
 //
 // ExecuteOn applies the execution-only options frozen into the plan;
 // cache-shared plans are built with those zeroed (plan identity never
@@ -471,6 +487,7 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 		// schemes have no row passes) must read as empty, not replay the
 		// previous execution's record.
 		exec.schedStats.Reset(threads)
+		exec.passTimes = PassTimes{}
 	}
 	if err := p.checkArgs(a, b); err != nil {
 		return nil, err
@@ -496,21 +513,37 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 	if kh != nil && h != nil {
 		h = &kh.half
 	}
-	exec.prepareCSC(p, b, h)
-	es := &exec.scratch
-	es.reuseOut = eo.ReuseOutput
-	exec.partBounds = partitions(p.bindingFor(h).costPrefix, threads, exec.partBounds)
-	sch := rowSched{threads: threads, bounds: exec.partBounds, cancel: cancel, fi: fi}
-	if eo.CollectSchedStats {
-		sch.stats = &exec.schedStats
-	}
+	// A hit writes the pattern its plan remembered, and replays the
+	// product schedule the plan keeps for it, if any.
+	var pat *knownPattern
+	var tpos []int32
 	switch {
 	case h == nil:
-		if pat := p.pattern.Load(); pat != nil {
-			return knownPhase(p.mask.Rows, p.mask.Cols, pat, nil, nil, sch, exec.hitKernelsFor(p, a, b, h), es)
-		}
+		pat = p.pattern.Load()
 	case kh != nil:
-		return knownPhase(p.mask.Rows, p.mask.Cols, h.out, h, kh.tpos, sch, exec.hitKernelsFor(p, a, b, h), es)
+		pat, tpos = h.out, kh.tpos
+	}
+	var sched *schedule
+	if pat != nil {
+		sched = p.slotFor(h).sched.Load()
+	}
+	es := &exec.scratch
+	es.reuseOut = eo.ReuseOutput
+	if sched != nil {
+		exec.partBounds = partitions(sched.prefix, threads, exec.partBounds)
+	} else {
+		exec.prepareCSC(p, b, h)
+		exec.partBounds = partitions(p.bindingFor(h).costPrefix, threads, exec.partBounds)
+	}
+	sch := rowSched{threads: threads, bounds: exec.partBounds, clock: &exec.clock, cancel: cancel, fi: fi}
+	exec.clock.times = nil
+	if eo.CollectSchedStats {
+		sch.stats = &exec.schedStats
+		exec.clock.times = &exec.passTimes
+	}
+	defer exec.clock.done()
+	if pat != nil {
+		return knownPhase(p.mask.Rows, p.mask.Cols, pat, h, tpos, sch, exec.hitKernelsFor(p, a, b, h, sched), es)
 	}
 	k := exec.kernelsFor(p, a, b, h)
 	if p.opt.Phases == TwoPhase {
@@ -523,9 +556,9 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 	if err == nil && p.owner != nil && !eo.ReuseOutput {
 		switch h {
 		case nil:
-			p.rememberPattern(out)
+			p.rememberPattern(out, a, b, threads)
 		case p.sym:
-			p.rememberHalf(out, a, b)
+			p.rememberHalf(out, a, b, threads)
 		}
 	}
 	return out, err

@@ -70,7 +70,12 @@ var errPlanningPanicked = errors.New("core: concurrent plan analysis panicked; r
 // execution, with that execution's output pattern, a transpose map and
 // its row binding: later half executions compute only the known
 // columns, write them in place into results that share the pattern,
-// and the known half's bytes are charged the same way.
+// and the known half's bytes are charged the same way. With a pattern
+// or a known half, a plan decides once whether its hits replay a
+// product schedule (DESIGN.md §5, "Replayed hits"): it keeps one only
+// if it holds at most two products per computed entry, about 20 bytes
+// per entry, charged the same way; a plan over that bound keeps none,
+// charges nothing, and its hits run push and Pull.
 type PlanCache[T any, S semiring.Semiring[T]] struct {
 	sr         S
 	maxEntries int
@@ -400,8 +405,9 @@ func (c *PlanCache[T, S]) lookup(key planKey, mask *sparse.Pattern, a, b *sparse
 }
 
 // chargeRemembered adds the n bytes of plan p's newly remembered output
-// pattern (Plan.rememberPattern) or known half (Plan.rememberHalf) to
-// p's entry and to the shared budget, so that the entry releases them
+// pattern (Plan.rememberPattern), known half (Plan.rememberHalf) or
+// product schedule (Plan.rememberSchedule) to p's entry and to the
+// shared budget, so that the entry releases them
 // with the rest of its bytes. A plan evicted before it remembered is
 // not charged: what it remembers lives only as long as the executions
 // still holding the plan.
@@ -505,9 +511,18 @@ type PlanCacheStats struct {
 	// on a plan hit, keyed by Family name ("MSA", "MaskedBit", ...) —
 	// the operator's view of per-family adoption. A plan that has
 	// remembered a known half counts that half's binding, which its
-	// one-triangle hits run. Nil when no cached plan carries a per-row
-	// binding.
+	// one-triangle hits run. A plan whose hits replay a product schedule
+	// runs no family and is counted in ReplayedPlans instead. Nil when
+	// no cached plan carries a per-row binding its hits run.
 	HybridFamilyRows map[string]int64 `json:"hybrid_family_rows,omitempty"`
+	// ReplayedPlans counts the cached plans whose hits replay a product
+	// schedule (DESIGN.md §5, "Replayed hits"): those of their known
+	// half once they have published one, their full-product hits
+	// otherwise.
+	ReplayedPlans int `json:"replayed_plans"`
+	// ScheduleBytes is the memory the cached plans' product schedules
+	// hold, part of Bytes.
+	ScheduleBytes int64 `json:"schedule_bytes"`
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -515,11 +530,22 @@ func (c *PlanCache[T, S]) Stats() PlanCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var famRows map[string]int64
+	var replayed int
+	var schedBytes int64
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		p := el.Value.(*planEntry[T, S]).plan
-		rb := &p.rowBinding
+		for _, slot := range []*schedSlot{&p.fullSched, &p.halfSched} {
+			if s := slot.sched.Load(); s != nil {
+				schedBytes += s.bytes()
+			}
+		}
+		rb, slot := &p.rowBinding, &p.fullSched
 		if kh := p.known.Load(); kh != nil {
-			rb = &kh.rowBinding
+			rb, slot = &kh.rowBinding, &p.halfSched
+		}
+		if slot.sched.Load() != nil {
+			replayed++
+			continue
 		}
 		if rb.polyFams == 0 {
 			continue
@@ -542,5 +568,7 @@ func (c *PlanCache[T, S]) Stats() PlanCacheStats {
 		Entries:          c.lru.Len(),
 		Bytes:            c.bytes,
 		HybridFamilyRows: famRows,
+		ReplayedPlans:    replayed,
+		ScheduleBytes:    schedBytes,
 	}
 }

@@ -695,19 +695,16 @@ func TestPlanCacheStatsHybridFamilyRows(t *testing.T) {
 }
 
 // TestPlanCacheStatsKnownHalfFamilyRows checks that Stats reports the
-// binding plan hits run on a symmetric self-product, er-warm-inline's
-// under Hybrid: the mask halves' family rows until the plan publishes
-// its known half, on its second half execution, and the known half's
-// from then on. Most of this product's mask-half entries never reach
-// the output, so its known half binds more rows to Pull than its mask
-// halves do.
+// binding plan hits run on a symmetric self-product under Hybrid: the
+// mask halves' family rows until the plan publishes its known half, on
+// its second half execution, and from then on the known half's for a
+// tc-skew-ref-like product (an R-MAT graph relabeled hubs last), whose
+// products break the memory rule, and none for er-warm-inline's, whose
+// hits replay a product schedule and run no family: Stats counts that
+// plan in ReplayedPlans instead, with its schedule's bytes. Most of
+// er-warm-inline's mask-half entries never reach the output, so its
+// known half binds more rows to Pull than its mask halves do.
 func TestPlanCacheStatsKnownHalfFamilyRows(t *testing.T) {
-	g := gen.Symmetrize(gen.ErdosRenyi(1<<11, 8, 1))
-	cache := NewPlanCache(ptSR, 0)
-	p, err := cache.GetOrPlan(g.PatternView(), g, g, Options{Algorithm: AlgoHybrid})
-	if err != nil {
-		t.Fatal(err)
-	}
 	famRows := func(rows [NumFamilies]int, fams FamilySet) map[string]int64 {
 		out := make(map[string]int64)
 		for f := Family(0); f < NumFamilies; f++ {
@@ -717,29 +714,51 @@ func TestPlanCacheStatsKnownHalfFamilyRows(t *testing.T) {
 		}
 		return out
 	}
-	maskHalves := famRows(p.FamilyRows(), p.polyFams)
-	for run := range 3 {
-		if got := cache.Stats().HybridFamilyRows; run < 2 && !maps.Equal(got, maskHalves) {
-			t.Fatalf("before run %d: Stats reports %v, want the mask halves' %v", run, got, maskHalves)
-		}
-		exec := NewExecutor[float64](ptSR)
-		if _, err := p.ExecuteOnOpts(exec, g, g, ExecOptions{Threads: 2}); err != nil {
+	for _, c := range []struct {
+		name    string
+		g       *sparse.CSR[float64]
+		replays bool
+	}{
+		{"er-warm-inline", gen.Symmetrize(gen.ErdosRenyi(1<<11, 8, 1)), true},
+		{"rmat-hubs-last", symGraph(9, true, false), false},
+	} {
+		cache := NewPlanCache(ptSR, 0)
+		p, err := cache.GetOrPlan(c.g.PatternView(), c.g, c.g, Options{Algorithm: AlgoHybrid})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !ranHalf(exec) {
-			t.Fatalf("run %d computed the full product", run)
+		maskHalves := famRows(p.FamilyRows(), p.polyFams)
+		for run := range 3 {
+			if st := cache.Stats(); run < 2 && (!maps.Equal(st.HybridFamilyRows, maskHalves) || st.ReplayedPlans != 0 || st.ScheduleBytes != 0) {
+				t.Fatalf("%s before run %d: Stats reports %+v, want the mask halves' %v and no replayed plan", c.name, run, st, maskHalves)
+			}
+			exec := NewExecutor[float64](ptSR)
+			if _, err := p.ExecuteOnOpts(exec, c.g, c.g, ExecOptions{Threads: 2}); err != nil {
+				t.Fatal(err)
+			}
+			if !ranHalf(exec) {
+				t.Fatalf("%s run %d computed the full product", c.name, run)
+			}
 		}
-	}
-	kh := p.known.Load()
-	if kh == nil {
-		t.Fatal("no known half published after two half executions")
-	}
-	known := famRows(kh.familyRows(), kh.polyFams)
-	if got := cache.Stats().HybridFamilyRows; !maps.Equal(got, known) {
-		t.Fatalf("after publishing: Stats reports %v, want the known half's %v", got, known)
-	}
-	if known[FamPull.String()] <= maskHalves[FamPull.String()] {
-		t.Fatalf("known half binds %d Pull rows, mask halves %d: want more", known[FamPull.String()], maskHalves[FamPull.String()])
+		kh := p.known.Load()
+		if kh == nil {
+			t.Fatalf("%s: no known half published after two half executions", c.name)
+		}
+		known := famRows(kh.familyRows(), kh.polyFams)
+		st := cache.Stats()
+		if !c.replays {
+			if !maps.Equal(st.HybridFamilyRows, known) || st.ReplayedPlans != 0 || st.ScheduleBytes != 0 {
+				t.Fatalf("%s after publishing: Stats reports %+v, want the known half's %v and no replayed plan", c.name, st, known)
+			}
+			continue
+		}
+		s := p.halfSched.sched.Load()
+		if s == nil || st.HybridFamilyRows != nil || st.ReplayedPlans != 1 || st.ScheduleBytes != s.bytes() {
+			t.Fatalf("%s after publishing: Stats reports %+v, want no family rows and one replayed plan", c.name, st)
+		}
+		if known[FamPull.String()] <= maskHalves[FamPull.String()] {
+			t.Fatalf("%s: known half binds %d Pull rows, mask halves %d: want more", c.name, known[FamPull.String()], maskHalves[FamPull.String()])
+		}
 	}
 }
 

@@ -70,8 +70,8 @@ func withSymmetricSpecials(m *sparse.CSR[float64]) *sparse.CSR[float64] {
 }
 
 // rememberedBytes is what a plan has remembered: the bytes of its one
-// output pattern and of its known half's own arrays, 0 when it has
-// neither.
+// output pattern, of its known half's own arrays and of its product
+// schedules, 0 when it has none of them.
 func rememberedBytes(p *Plan[float64, ptSRType]) int64 {
 	var n int64
 	if pat := p.shared.Load(); pat != nil {
@@ -80,7 +80,40 @@ func rememberedBytes(p *Plan[float64, ptSRType]) int64 {
 	if kh := p.known.Load(); kh != nil {
 		n += kh.bytes()
 	}
+	for _, slot := range []*schedSlot{&p.fullSched, &p.halfSched} {
+		if s := slot.sched.Load(); s != nil {
+			n += s.bytes()
+		}
+	}
 	return n
+}
+
+// scheduleCharge is the charge of the product schedule a plan keeps
+// for hits whose result is out over (a, b), counted from the operands:
+// with half set, over the entries of out on the upper (or lower)
+// triangle, diagonal included, and otherwise over all of out. It is 0
+// when the entries hold more than two products each on average: 4
+// bytes per entry and one more, 8 per product, and 8 per row and one
+// more otherwise.
+func scheduleCharge(out, a, b *sparse.CSR[float64], half, upper bool) int64 {
+	var entries, products int64
+	for i := range out.Rows {
+		for _, j := range out.Row(i) {
+			if half && (upper && int(j) < i || !upper && int(j) > i) {
+				continue
+			}
+			entries++
+			for _, k := range a.Row(i) {
+				if _, ok := slices.BinarySearch(b.Row(int(k)), j); ok {
+					products++
+				}
+			}
+		}
+	}
+	if products > 2*entries {
+		return 0
+	}
+	return 4*(entries+1) + 8*products + 8*int64(out.Rows+1)
 }
 
 // patternBytes is the charge of the output pattern remembered from an
@@ -140,7 +173,18 @@ func rememberProducts() []rememberProduct {
 		g := symGraph(7, hubsLast, true)
 		out = append(out, rememberProduct{name: fmt.Sprintf("symmetric-hubsLast=%v", hubsLast), mask: g.PatternView(), a: g, b: g, selfSym: true})
 	}
+	g := sparseSymGraph(128, 7)
+	out = append(out, rememberProduct{name: "sparse-symmetric", mask: g.PatternView(), a: g, b: g, selfSym: true})
 	return out
+}
+
+// sparseSymGraph is a symmetrized ER(n, 1) graph with symGraph's loops
+// and values, drawn from seed: its self-product's output entries hold
+// one or two products each, so its hits replay a product schedule
+// (DESIGN.md §5, "Replayed hits"), where the R-MAT products break the
+// memory rule.
+func sparseSymGraph(n int, seed uint64) *sparse.CSR[float64] {
+	return withSymLoops(gen.Symmetrize(gen.ErdosRenyi(n, 1, seed)), true)
 }
 
 // rememberSchemes are every registered scheme and four Hybrid menus.
@@ -179,6 +223,7 @@ func TestRememberedPatternBitIdentical(t *testing.T) {
 		return withValues(m, func(_ int, v float64) float64 { return -1.5 * v })
 	}
 	triangles := map[bool]bool{}
+	cells := map[hitCell]bool{}
 	for _, pr := range rememberProducts() {
 		values := [][2]*sparse.CSR[float64]{{pr.a, pr.b}}
 		if pr.selfSym {
@@ -211,7 +256,7 @@ func TestRememberedPatternBitIdentical(t *testing.T) {
 						opt.Complement, opt.Phases = complement, ph
 						name := fmt.Sprintf("%s/%v/complement=%v/%v/families=%#x/threads=%d",
 							pr.name, opt.Algorithm, complement, ph, opt.HybridFamilies, threads)
-						checkRememberedRuns(t, name, pr, values, opt, threads)
+						checkRememberedRuns(t, name, pr, values, opt, threads, cells)
 					}
 				}
 			}
@@ -220,7 +265,18 @@ func TestRememberedPatternBitIdentical(t *testing.T) {
 	if len(triangles) != 2 {
 		t.Fatalf("the symmetric products compute one triangle only (upper: %v)", triangles)
 	}
+	for _, half := range []bool{false, true} {
+		for _, replayed := range []bool{false, true} {
+			if c := (hitCell{half, replayed}); !cells[c] {
+				t.Errorf("no hit of kind %+v ran", c)
+			}
+		}
+	}
 }
+
+// hitCell is one kind of plan hit: full-product or one-triangle, and
+// whether it replayed a product schedule or ran push and Pull.
+type hitCell struct{ half, replayed bool }
 
 // requireHalfShapes fails t unless the known half of pr, a symmetric
 // self-product, holds a diagonal entry, an empty output row, and a
@@ -264,7 +320,8 @@ func requireHalfShapes(t *testing.T, pr rememberProduct) bool {
 
 // checkRememberedRuns executes one cached plan on each value set in
 // turn on one executor and checks each result against a fresh plan's.
-func checkRememberedRuns(t *testing.T, name string, pr rememberProduct, values [][2]*sparse.CSR[float64], opt Options, threads int) {
+// It records the kind of every hit in cells.
+func checkRememberedRuns(t *testing.T, name string, pr rememberProduct, values [][2]*sparse.CSR[float64], opt Options, threads int, cells map[hitCell]bool) {
 	t.Helper()
 	cache := NewPlanCache(ptSR, 0)
 	plan, err := cache.GetOrPlan(pr.mask, pr.a, pr.b, opt)
@@ -276,9 +333,17 @@ func checkRememberedRuns(t *testing.T, name string, pr rememberProduct, values [
 	fullRuns, halfRuns := 0, 0
 	for run, ab := range values {
 		wasRemembered := plan.pattern.Load() != nil
+		wasKnown := plan.known.Load() != nil
+		fullSched, halfSched := plan.fullSched.sched.Load(), plan.halfSched.sched.Load()
 		got, err := plan.ExecuteOnOpts(exec, ab[0], ab[1], eo)
 		if err != nil {
 			t.Fatalf("%s run %d: %v", name, run, err)
+		}
+		switch half := ranHalf(exec); {
+		case half && wasKnown:
+			cells[hitCell{true, halfSched != nil}] = true
+		case !half && wasRemembered:
+			cells[hitCell{false, fullSched != nil}] = true
 		}
 		fresh, err := NewPlan(ptSR, pr.mask, ab[0], ab[1], opt, nil)
 		if err != nil {
@@ -380,22 +445,45 @@ func rememberBudgetCase(seed uint64) (*sparse.Pattern, *sparse.CSR[float64], *sp
 // and what its cache-built plan remembers: the output pattern of the
 // complemented rememberBudgetCase, or, with half set, the known half of
 // a symmetric self-product under Hybrid, er-warm-inline's shape at
-// small size.
+// small size, denser or sparser. replays says whether the products hold at most two
+// products per computed entry, so that the plan also keeps a product
+// schedule for its hits (DESIGN.md §5, "Replayed hits").
 type rememberCase struct {
-	name string
-	mask *sparse.Pattern
-	a, b *sparse.CSR[float64]
-	opt  Options
-	half bool
+	name    string
+	mask    *sparse.Pattern
+	a, b    *sparse.CSR[float64]
+	opt     Options
+	half    bool
+	replays bool
 }
 
-// rememberCases returns both cases over operands drawn from seed.
+// rememberCases returns the cases over operands drawn from seed: a
+// full product and a known half, each under the memory rule and over
+// it.
 func rememberCases(seed uint64) []rememberCase {
 	mask, a, b, opt := rememberBudgetCase(seed)
-	g := gen.Symmetrize(gen.ErdosRenyi(128, 6, seed))
+	dMask, dA, dB := buildCase(caseSpec{"", 128, 128, 128, 24, 24, 24, seed})
+	g := gen.Symmetrize(gen.ErdosRenyi(128, 16, seed))
+	sg := sparseSymGraph(128, seed)
 	return []rememberCase{
-		{name: "pattern", mask: mask, a: a, b: b, opt: opt},
+		{name: "pattern", mask: mask, a: a, b: b, opt: opt, replays: true},
+		{name: "pattern-dense", mask: dMask, a: dA, b: dB, opt: opt},
 		{name: "known-half", mask: g.PatternView(), a: g, b: g, opt: Options{Algorithm: AlgoHybrid}, half: true},
+		{name: "known-half-sparse", mask: sg.PatternView(), a: sg, b: sg, opt: Options{Algorithm: AlgoHybrid}, half: true, replays: true},
+	}
+}
+
+// checkReplays fails t unless p keeps a product schedule for the
+// case's hits exactly when the case replays, and none for the other
+// kind of hit.
+func (c rememberCase) checkReplays(t *testing.T, p *Plan[float64, ptSRType]) {
+	t.Helper()
+	slot, other := &p.fullSched, &p.halfSched
+	if c.half {
+		slot, other = other, slot
+	}
+	if got := slot.sched.Load() != nil; got != c.replays || !slot.tried.Load() || other.tried.Load() {
+		t.Fatalf("%s: schedule kept %v, want %v (decided %v, other kind decided %v)", c.name, got, c.replays, slot.tried.Load(), other.tried.Load())
 	}
 }
 
@@ -428,17 +516,19 @@ func (c rememberCase) shares(p *Plan[float64, ptSRType], out *sparse.CSR[float64
 }
 
 // charge is what p's entry is charged for what it remembered from an
-// execution whose result is out, counted from out, or 0 when p has
-// not remembered it: the output pattern (patternBytes), and for a
-// known half its own arrays too (knownHalfBytes).
+// execution whose result is out, counted from out and the case's
+// operands, or 0 when p has not remembered it: the output pattern
+// (patternBytes), for a known half its own arrays too (knownHalfBytes),
+// and the product schedule of its hits (scheduleCharge).
 func (c rememberCase) charge(p *Plan[float64, ptSRType], out *sparse.CSR[float64]) int64 {
 	if !c.published(p) {
 		return 0
 	}
 	if c.half {
-		return patternBytes(out) + knownHalfBytes(out, p.known.Load())
+		kh := p.known.Load()
+		return patternBytes(out) + knownHalfBytes(out, kh) + scheduleCharge(out, c.a, c.b, true, kh.half.upper)
 	}
-	return patternBytes(out)
+	return patternBytes(out) + scheduleCharge(out, c.a, c.b, false, false)
 }
 
 // TestChaosRememberFirstExecution interrupts a cached plan's first
@@ -451,7 +541,8 @@ func (c rememberCase) charge(p *Plan[float64, ptSRType], out *sparse.CSR[float64
 // execution does not count as the plan's first: the clean execution
 // after it publishes nothing either. The clean execution after the
 // second fault publishes, and charges the cache and its budget exactly
-// what it remembered.
+// what it remembered, a product schedule included when the case keeps
+// one.
 func TestChaosRememberFirstExecution(t *testing.T) {
 	t.Cleanup(faultinject.Disarm)
 	for _, c := range rememberCases(71) {
@@ -501,6 +592,7 @@ func TestChaosRememberFirstExecution(t *testing.T) {
 			if !c.published(plan) || ranHalf(exec) != c.half {
 				t.Fatalf("%s %+v: the clean execution after the second fault did not publish", c.name, fault)
 			}
+			c.checkReplays(t, plan)
 			if !c.shares(plan, got) {
 				t.Fatalf("%s %+v: the publishing result does not share the pattern", c.name, fault)
 			}
@@ -517,8 +609,9 @@ func TestChaosRememberFirstExecution(t *testing.T) {
 // remembers its known half: on even rounds they are the plan's first
 // executions, on odd rounds one clean execution precedes them, so all
 // of them could publish. All results are equal, the plan publishes
-// once, the cache and budget are charged its bytes once, and a later
-// execution, by what was published, gives the same result.
+// once, and keeps at most one product schedule, the cache and budget
+// are charged its bytes once, and a later execution, by what was
+// published, gives the same result.
 func TestRememberConcurrentFirstExecutions(t *testing.T) {
 	const goroutines = 6
 	for round := range 4 {
@@ -560,6 +653,7 @@ func TestRememberConcurrentFirstExecutions(t *testing.T) {
 			if !c.published(plan) {
 				t.Fatalf("%s round %d: nothing published", c.name, round)
 			}
+			c.checkReplays(t, plan)
 			if want := before + c.charge(plan, outs[0]); budget.Used() != want || cache.Stats().Bytes != want || rememberedBytes(plan) != want-before {
 				t.Fatalf("%s round %d: budget %d, cache %d bytes, want %d (charged once)", c.name, round, budget.Used(), cache.Stats().Bytes, want)
 			}
@@ -577,7 +671,9 @@ func TestRememberConcurrentFirstExecutions(t *testing.T) {
 }
 
 // TestPlanCacheRememberedPatternBudget pins the charge of what a plan
-// remembers, an output pattern or a known half: a plan's first
+// remembers, an output pattern or a known half, with the product
+// schedule of its hits, which a plan over the memory rule does not
+// keep and is not charged for: a plan's first
 // execution adds nothing, publishing on the second adds exactly the
 // remembered bytes (rememberCase.charge, counted from the result, and
 // equal to what the plan retains) to the entry and the budget,
@@ -585,7 +681,8 @@ func TestRememberConcurrentFirstExecutions(t *testing.T) {
 // when Clear, the entry cap or budget pressure evicts it. A plan
 // evicted before it publishes is not charged. A symmetric self-product
 // whose values alternate between symmetric and not remembers both, and
-// is charged for their one pattern once.
+// is charged for their one pattern once, and for a schedule per kind
+// of hit.
 func TestPlanCacheRememberedPatternBudget(t *testing.T) {
 	cases1, cases2 := rememberCases(91), rememberCases(92)
 	for k, c1 := range cases1 {
@@ -637,6 +734,7 @@ func TestPlanCacheRememberedPatternBudget(t *testing.T) {
 		if got := rememberedBytes(p1); got != pat1 {
 			t.Fatalf("%s: the charge counted from the result is %d bytes, what the plan retains %d", c1.name, pat1, got)
 		}
+		c1.checkReplays(t, p1)
 		run(p1, c1, false)
 		if budget.Used() != foot1+pat1 {
 			t.Fatalf("%s: an execution by what the plan remembered charged again: budget %d, want %d", c1.name, budget.Used(), foot1+pat1)
@@ -683,7 +781,8 @@ func TestPlanCacheRememberedPatternBudget(t *testing.T) {
 	// Alternating values: a symmetric self-product runs symmetric
 	// values twice and asymmetric ones twice, in either order, and so
 	// publishes both its known half and its full-product pattern. The
-	// two are one pattern, charged once with the half's own arrays.
+	// two are one pattern, charged once with the half's own arrays, and
+	// each kind of hit has its own schedule.
 	g := gen.Symmetrize(gen.ErdosRenyi(128, 6, 96))
 	asym := withSpecialValues(g)
 	for _, halfFirst := range []bool{true, false} {
@@ -709,9 +808,9 @@ func TestPlanCacheRememberedPatternBudget(t *testing.T) {
 		if kh == nil || pat == nil || kh.half.out != pat || !sharesPattern(p, out) {
 			t.Fatalf("halfFirst=%v: the known half and the full product do not share one remembered pattern", halfFirst)
 		}
-		want := patternBytes(out) + knownHalfBytes(out, kh)
+		want := patternBytes(out) + knownHalfBytes(out, kh) + scheduleCharge(out, g, g, false, false) + scheduleCharge(out, g, g, true, kh.half.upper)
 		if budget.Used() != foot+want || cache.Stats().Bytes != foot+want || rememberedBytes(p) != want {
-			t.Fatalf("halfFirst=%v: budget %d, cache %d, remembered %d bytes, want %d over the %d-byte plan (the pattern once and the half's own arrays)",
+			t.Fatalf("halfFirst=%v: budget %d, cache %d, remembered %d bytes, want %d over the %d-byte plan (the pattern once, the half's own arrays and both schedules)",
 				halfFirst, budget.Used(), cache.Stats().Bytes, rememberedBytes(p), want, foot)
 		}
 	}
@@ -809,16 +908,19 @@ func TestRememberedPatternReuseOutput(t *testing.T) {
 
 // TestPlanHitChangedStructurePanics hits a remembered plan with
 // operands of the planned shapes and nnz but another structure, the
-// case the Execute contract leaves undefined. A = B = X, a permutation
-// matrix, remembers the pattern of M ⊙ X², M full; Y, another
-// permutation, puts every row's products off its known column. A hit's
-// Pull row then finds no product on a known column, and the hit
-// returns a *KernelPanicError that wraps errPatternChanged, for Inner,
-// SS:DOT* and a Pull-only Hybrid, whose rows all run Pull.
+// case the Execute contract leaves undefined. A = B = X, the 4×4
+// all-ones matrix without its diagonal, remembers the pattern of
+// M ⊙ X², M full, whose 16 entries hold 36 products: over the memory
+// rule, so the plan keeps no product schedule and its hits run Pull. Y
+// has X's nnz in rows 0–2, and row 3 empty, so a hit's Pull row 3
+// finds no product on its known columns, and the hit returns a
+// *KernelPanicError that wraps errPatternChanged, for Inner, SS:DOT*
+// and a Pull-only Hybrid, whose rows all run Pull.
 func TestPlanHitChangedStructurePanics(t *testing.T) {
-	x := csrFromRows(3, 3, [][]int32{{1}, {2}, {0}}, [][]float64{{1}, {2}, {3}})
-	y := csrFromRows(3, 3, [][]int32{{2}, {0}, {1}}, [][]float64{{1}, {2}, {3}})
-	mask := csrFromRows(3, 3, [][]int32{{0, 1, 2}, {0, 1, 2}, {0, 1, 2}}, nil).PatternView()
+	full := [][]int32{{0, 1, 2, 3}, {0, 1, 2, 3}, {0, 1, 2, 3}, {0, 1, 2, 3}}
+	x := csrFromRows(4, 4, [][]int32{{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}}, [][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {10, 11, 12}})
+	y := csrFromRows(4, 4, [][]int32{{0, 1, 2, 3}, {0, 1, 2, 3}, {0, 1, 2, 3}, {}}, [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11, 12}, {}})
+	mask := csrFromRows(4, 4, full, nil).PatternView()
 	for _, opt := range []Options{
 		{Algorithm: AlgoInner},
 		{Algorithm: AlgoDotTranspose},
@@ -834,13 +936,63 @@ func TestPlanHitChangedStructurePanics(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
-		if plan.pattern.Load() == nil {
-			t.Fatalf("%s: no pattern remembered", name)
+		if plan.pattern.Load() == nil || !plan.fullSched.tried.Load() || plan.fullSched.sched.Load() != nil {
+			t.Fatalf("%s: want a remembered pattern and no product schedule", name)
 		}
 		out, err := plan.ExecuteOn(NewExecutor[float64](ptSR), y, y)
 		var kp *KernelPanicError
 		if out != nil || !errors.As(err, &kp) || !errors.Is(err, errPatternChanged) {
 			t.Fatalf("%s: out=%v err=%v, want a KernelPanicError wrapping errPatternChanged", name, out != nil, err)
+		}
+	}
+}
+
+// TestReplayedHitChangedStructure pins the contract of a hit that
+// replays a product schedule on operands of the planned shapes and nnz
+// but another structure: no panic and no read out of range. A = B = X,
+// a permutation matrix, remembers the pattern of M ⊙ X², M full, one
+// product per entry, so the plan keeps a schedule; Y, another
+// permutation, puts every product off its known column. A replayed hit
+// on Y returns the remembered pattern with the products of Y's values
+// at X's value positions — entry i is Y's value i times Y's value
+// x(i) — for every family and a Pull-only Hybrid.
+func TestReplayedHitChangedStructure(t *testing.T) {
+	x := csrFromRows(3, 3, [][]int32{{1}, {2}, {0}}, [][]float64{{1}, {2}, {3}})
+	y := csrFromRows(3, 3, [][]int32{{2}, {0}, {1}}, [][]float64{{1}, {2}, {3}})
+	mask := csrFromRows(3, 3, [][]int32{{0, 1, 2}, {0, 1, 2}, {0, 1, 2}}, nil).PatternView()
+	want := []float64{1 * 2, 2 * 3, 3 * 1}
+	for _, opt := range append(rememberSchemes(), Options{Algorithm: AlgoHybrid, HybridFamilies: Families(FamPull)}) {
+		if opt.Algorithm == AlgoSaxpyThenMask {
+			continue // direct: it never remembers
+		}
+		name := fmt.Sprintf("%v/families=%#x", opt.Algorithm, opt.HybridFamilies)
+		for _, ph := range schemePhases(opt.Algorithm) {
+			opt.Phases = ph
+			plan, err := NewPlanCache(ptSR, 0).GetOrPlan(mask, x, x, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range 2 {
+				if _, err := plan.ExecuteOn(NewExecutor[float64](ptSR), x, x); err != nil {
+					t.Fatalf("%s/%v: %v", name, ph, err)
+				}
+			}
+			if ph == TwoPhase {
+				if plan.pattern.Load() != nil {
+					t.Fatalf("%s/%v: a two-phase plan remembered its pattern", name, ph)
+				}
+				continue
+			}
+			if plan.fullSched.sched.Load() == nil {
+				t.Fatalf("%s/%v: no product schedule kept", name, ph)
+			}
+			out, err := plan.ExecuteOn(NewExecutor[float64](ptSR), y, y)
+			if err != nil {
+				t.Fatalf("%s/%v: %v, want no error", name, ph, err)
+			}
+			if !sharesPattern(plan, out) || !slices.Equal(out.Val, want) {
+				t.Fatalf("%s/%v: values %v, want %v in the remembered pattern", name, ph, out.Val, want)
+			}
 		}
 	}
 }

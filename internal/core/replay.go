@@ -1,0 +1,409 @@
+package core
+
+import (
+	"math"
+	"sync/atomic"
+
+	"maskedspgemm/internal/accum"
+	"maskedspgemm/internal/faultinject"
+	"maskedspgemm/internal/parallel"
+	"maskedspgemm/internal/semiring"
+	"maskedspgemm/internal/sparse"
+)
+
+// Replayed hits (DESIGN.md §5, "Replayed hits"). A plan hit knows its
+// output pattern, so the products of each computed entry are the same
+// on every hit: only their values change. A plan a PlanCache built
+// therefore records them once, when it publishes its output pattern or
+// its known half, as a product schedule: for every computed entry, the
+// positions in A's and B's value arrays of its products, in ascending
+// k. Every family sums an entry's products in ascending k and stores
+// the first as is, so a hit that replays the schedule — the first
+// product stored, the rest added in order — is bit-identical to one
+// that runs push or Pull, and finds no product again. A schedule costs
+// memory in proportion to the products, so a plan keeps one only under
+// the memory rule (schedProductsPerEntry); the hits of every other plan
+// run push and Pull.
+
+// schedProductsPerEntry is the memory rule: a plan keeps a schedule
+// only if it holds at most this many products per computed entry, which
+// caps the schedule at about 20 bytes per entry (schedule.bytes). It is
+// a constant, not a knob: a product with more products per entry is
+// one whose schedule would cost more memory than its hits save time
+// (DESIGN.md §5 measures both sides).
+const schedProductsPerEntry = 2
+
+// prodPos is one scheduled product: the positions of its A and B
+// values.
+type prodPos struct{ a, b int32 }
+
+// schedule is a plan's product schedule over the computed entries of
+// one kind of hit: the entries of its output pattern, in order, for
+// full-product hits, and those of its known half, row by row in half
+// order (symHalf.off), for one-triangle hits.
+//
+//mspgemm:immutable
+type schedule struct {
+	// ptr gives entry e's products as prods[ptr[e]:ptr[e+1]], in
+	// ascending k; every entry has at least one.
+	ptr   []int32
+	prods []prodPos
+	// prefix is the exclusive prefix sum of the rows' product counts
+	// (len rows+1), which a replayed hit cuts into partitions.
+	prefix []int64
+}
+
+// bytes is the memory a schedule adds to its plan's cache entry: 4
+// bytes per entry, 8 per product and 8 per row.
+func (s *schedule) bytes() int64 {
+	return int64(len(s.ptr))*4 + int64(len(s.prods))*8 + int64(len(s.prefix))*8
+}
+
+// schedSlot is where a plan keeps the schedule of one kind of hit. A
+// plan decides once whether to keep one (tried), and then holds it, or
+// nothing if the schedule broke the memory rule.
+type schedSlot struct {
+	tried atomic.Bool
+	sched atomic.Pointer[schedule]
+}
+
+// slotFor returns the slot of the hits over h: the known half's when h
+// is set, the full product's otherwise.
+func (p *Plan[T, S]) slotFor(h *symHalf) *schedSlot {
+	if h != nil {
+		return &p.halfSched
+	}
+	return &p.fullSched
+}
+
+// rememberSchedule decides, once, whether the plan keeps a schedule
+// for its hits over h (the known half, or nil for the full product),
+// whose pattern the plan has just published, and publishes the
+// schedule it builds from (a, b) — structure only — charging its bytes
+// to the plan's cache entry. A plan over the memory rule keeps nothing
+// and charges nothing. threads is the width the build runs at.
+//
+//mspgemm:planwrite
+func (p *Plan[T, S]) rememberSchedule(h *symHalf, a, b *sparse.CSR[T], threads int) {
+	slot := p.slotFor(h)
+	if slot.tried.Swap(true) {
+		return
+	}
+	s := p.buildSchedule(h, a, b, threads)
+	if s == nil {
+		return
+	}
+	slot.sched.Store(s)
+	p.owner.chargeRemembered(p, s.bytes())
+}
+
+// hitRows is the view of a hit's rows a schedule is built over and
+// replayed by: the output pattern the hit writes, and, for a
+// one-triangle hit, the known half h whose rows it computes.
+type hitRows struct {
+	pat *knownPattern
+	h   *symHalf
+}
+
+// hitRowsFor returns the rows of the plan's hits over h, the known
+// half or nil, once the plan has published their pattern.
+func (p *Plan[T, S]) hitRowsFor(h *symHalf) hitRows {
+	if h != nil {
+		return hitRows{pat: h.out, h: h}
+	}
+	return hitRows{pat: p.pattern.Load()}
+}
+
+// row returns output row i's computed columns and the index of its
+// first computed entry.
+func (r hitRows) row(i int) ([]int32, int64) {
+	if r.h == nil {
+		lo, hi := r.pat.rowPtr[i], r.pat.rowPtr[i+1]
+		return r.pat.colIdx[lo:hi], lo
+	}
+	lo, hi := r.h.span(r.pat.rowPtr, i)
+	return r.pat.colIdx[lo:hi], r.h.off[i]
+}
+
+// entries returns the number of computed entries.
+func (r hitRows) entries(rows int) int64 {
+	if r.h == nil {
+		return int64(len(r.pat.colIdx))
+	}
+	return r.h.off[rows]
+}
+
+// buildSchedule returns the schedule of the hits over h, or nil when
+// it breaks the memory rule, when its positions do not fit an int32,
+// or when an entry has no product (operands whose structure is not
+// the plan's). It runs in three passes over the hit binding's
+// partitions:
+//
+//   - count the products with the scan each row's hit kernel runs (the
+//     push products on its known columns, or the hits of Pull's dots),
+//     and stop as soon as the total passes the rule, so that refusing
+//     costs at most about one hit;
+//   - count each entry's products with the push scan;
+//   - write each entry's products in ascending k.
+func (p *Plan[T, S]) buildSchedule(h *symHalf, a, b *sparse.CSR[T], threads int) *schedule {
+	rows := p.mask.Rows
+	hr := p.hitRowsFor(h)
+	entries := hr.entries(rows)
+	limit := schedProductsPerEntry * entries
+	if limit > math.MaxInt32 || a.NNZ() > math.MaxInt32 || b.NNZ() > math.MaxInt32 {
+		return nil
+	}
+	rb := p.bindingFor(h)
+	bounds := partitions(rb.costPrefix, threads, nil)
+	if !p.productsFit(hr, rb, a, b, bounds, threads, limit) {
+		return nil
+	}
+	// ptr[e+1] first counts entry e's products, then becomes the
+	// exclusive prefix; next[e] is entry e's write cursor in prods.
+	ptr := make([]int32, entries+1)
+	var prods []prodPos
+	var next []int32
+	m := maskRows{p.mask, h}
+	scratch := make([][]int32, threads)
+	// pushEntries walks every row's push products on its known columns,
+	// counting them per entry, or, with write, writing them.
+	pushEntries := func(write bool) {
+		parallel.ForEachPartition(bounds, threads, nil, nil, func(lo, hi, tid int) {
+			if scratch[tid] == nil {
+				scratch[tid] = make([]int32, b.Cols)
+			}
+			// Locals, not the captured variables, which prods and next
+			// are assigned after.
+			at, ptr, prods, next := scratch[tid], ptr, prods, next
+			bRowPtr, bColIdx := b.RowPtr, b.ColIdx
+			for i := lo; i < hi; i++ {
+				cols, base := hr.row(i)
+				for q, j := range cols {
+					at[j] = int32(q) + 1
+				}
+				clip := m.clip(i)
+				aLo := a.RowPtr[i]
+				for qa, k := range a.Row(i) {
+					bLo, bHi := clip.cut(qa, bRowPtr[k], bRowPtr[k+1])
+					for t, j := range bColIdx[bLo:bHi] {
+						q := at[j]
+						switch e := base + int64(q) - 1; {
+						case q == 0:
+						case write:
+							prods[next[e]] = prodPos{a: int32(aLo) + int32(qa), b: int32(bLo) + int32(t)}
+							next[e]++
+						default:
+							ptr[e+1]++
+						}
+					}
+				}
+				for _, j := range cols {
+					at[j] = 0
+				}
+			}
+		})
+	}
+	pushEntries(false)
+	for e := range entries {
+		n := ptr[e+1]
+		if n == 0 || int64(ptr[e])+int64(n) > limit {
+			return nil
+		}
+		ptr[e+1] = ptr[e] + n
+	}
+	prods = make([]prodPos, ptr[entries])
+	next = make([]int32, entries)
+	copy(next, ptr)
+	pushEntries(true)
+	prefix := make([]int64, rows+1)
+	for i := range rows {
+		_, e := hr.row(i)
+		prefix[i] = int64(ptr[e])
+	}
+	prefix[rows] = int64(ptr[entries])
+	return &schedule{ptr: ptr, prods: prods, prefix: prefix}
+}
+
+// productsFit reports whether the hit rows hr have at most limit
+// products, counted with the scan each row's hit kernel runs under the
+// binding rb: Pull rows count the hits of their dots over B's CSC
+// structure, and push rows count the products their B rows land on
+// known columns. The count stops once its running total, added to
+// after each partition (or each run within one), passes limit.
+func (p *Plan[T, S]) productsFit(hr hitRows, rb *rowBinding, a, b *sparse.CSR[T], bounds []int, threads int, limit int64) bool {
+	// B's CSC structure as Pull reads it (prepareCSC): the plan's
+	// transpose, or a symmetric B's own rows. A plan without one (SS:DOT*,
+	// which transposes per execution) counts every row by push.
+	colPtr, rowIdx := p.btPtr, p.btIdx
+	if p.sym != nil {
+		colPtr, rowIdx = p.mask.RowPtr, p.mask.ColIdx
+	}
+	pullAll := p.info.NeedsCSC && p.opt.Algorithm != AlgoHybrid
+	m := maskRows{p.mask, hr.h}
+	var total atomic.Int64
+	over := new(parallel.CancelToken)
+	type counter struct{ known, aRow []uint64 }
+	scratch := make([]*counter, threads)
+	parallel.ForEachPartition(bounds, threads, nil, over, func(lo, hi, tid int) {
+		c := scratch[tid]
+		if c == nil {
+			c = &counter{known: make([]uint64, (b.Cols+63)/64), aRow: make([]uint64, (a.Cols+63)/64)}
+			scratch[tid] = c
+		}
+		for lo < hi && !over.Canceled() {
+			seg, f := runSegment(rb.runEnds, rb.runFam, lo, hi)
+			pull := colPtr != nil && (pullAll || f == int(FamPull))
+			var n int64
+			for i := lo; i < seg; i++ {
+				cols, _ := hr.row(i)
+				aCols := a.Row(i)
+				if pull {
+					n += countPullProducts(c.aRow, aCols, cols, colPtr, rowIdx)
+				} else {
+					n += countPushProducts(c.known, cols, aCols, m.clip(i), b.RowPtr, b.ColIdx)
+				}
+			}
+			if total.Add(n) > limit {
+				over.Cancel()
+			}
+			lo = seg
+		}
+	})
+	return !over.Canceled()
+}
+
+// countPullProducts returns the products of one Pull row: the A
+// columns aCols that each known column's B column (colPtr, rowIdx)
+// holds, summed over the known columns cols. bits is all clear between
+// rows.
+func countPullProducts(bits []uint64, aCols, cols []int32, colPtr []int64, rowIdx []int32) int64 {
+	for _, k := range aCols {
+		bits[uint32(k)>>6] |= 1 << (uint32(k) & 63)
+	}
+	var n int64
+	for _, j := range cols {
+		for _, k := range rowIdx[colPtr[j]:colPtr[j+1]] {
+			n += int64(bits[uint32(k)>>6] >> (uint32(k) & 63) & 1)
+		}
+	}
+	for _, k := range aCols {
+		bits[uint32(k)>>6] = 0
+	}
+	return n
+}
+
+// countPushProducts returns the products of one push row: the entries
+// of its B rows, cut by clip, that land on its known columns cols. bits
+// is all clear between rows.
+func countPushProducts(bits []uint64, cols, aCols []int32, clip bClip, bRowPtr []int64, bColIdx []int32) int64 {
+	for _, j := range cols {
+		bits[uint32(j)>>6] |= 1 << (uint32(j) & 63)
+	}
+	var n int64
+	for q, k := range aCols {
+		lo, hi := clip.cut(q, bRowPtr[k], bRowPtr[k+1])
+		for _, j := range bColIdx[lo:hi] {
+			n += int64(bits[uint32(j)>>6] >> (uint32(j) & 63) & 1)
+		}
+	}
+	for _, j := range cols {
+		bits[uint32(j)>>6] = 0
+	}
+	return n
+}
+
+// bindReplay binds the replay kernel of a plan hit over h with the
+// schedule s to (a, b): the entries of each row replay their products,
+// through sr.Mul and sr.Add, or through replayRow64 under the served
+// semiring.
+func bindReplay[T any, S semiring.Semiring[T]](p *Plan[T, S], a, b *sparse.CSR[T], h *symHalf, s *schedule) hitKernels[T] {
+	var entries func(ptr []int32, outVal []T)
+	if _, ok := any(p.sr).(accum.PlusTimes64); ok {
+		// S is PlusTimes[float64], so T is float64 and these assertions hold.
+		aVal, bVal := any(a.Val).([]float64), any(b.Val).([]float64)
+		entries = any(func(ptr []int32, outVal []float64) {
+			replayRow64(aVal, bVal, ptr, s.prods, outVal)
+		}).(func([]int32, []T))
+	} else {
+		sr := p.sr
+		entries = func(ptr []int32, outVal []T) {
+			replayRow(sr, a.Val, b.Val, ptr, s.prods, outVal)
+		}
+	}
+	hr := p.hitRowsFor(h)
+	return hitKernels[T]{replay: func(lo, hi int, val []T, fi *faultinject.Hooks) {
+		replayRows(hr, s.ptr, lo, hi, val, fi, entries)
+	}}
+}
+
+// replayRows writes the values of the hit rows [lo, hi) of hr into
+// val, each row's entries replayed by entries from their products'
+// range of ptr, after firing fi's row hook for each row. A full
+// product's rows hold consecutive entries, in output order, so they
+// replay in one call; a known half's rows replay one by one into their
+// half's range (symHalf.span).
+func replayRows[T any](hr hitRows, ptr []int32, lo, hi int, val []T, fi *faultinject.Hooks, entries func(ptr []int32, outVal []T)) {
+	if fi != nil {
+		for i := lo; i < hi; i++ {
+			fi.Row(faultinject.PassNumeric, i)
+		}
+	}
+	rowPtr := hr.pat.rowPtr
+	if hr.h == nil {
+		at, end := rowPtr[lo], rowPtr[hi]
+		entries(ptr[at:end+1], val[at:end])
+		return
+	}
+	for i := lo; i < hi; i++ {
+		if at, end := hr.h.span(rowPtr, i); at < end {
+			e := hr.h.off[i]
+			entries(ptr[e:e+end-at+1], val[at:end])
+		}
+	}
+}
+
+// replayRow writes the value of each entry q of one row into
+// outVal[q]: the products prods[ptr[q]:ptr[q+1]] of A's values aVal
+// and B's values bVal, the first stored as is and the rest added in
+// order, as every family sums them. It walks the row's products in one
+// loop, so that the semiring's Mul and Add are called once per product.
+//
+//mspgemm:hotpath
+func replayRow[T any, S semiring.Semiring[T]](sr S, aVal, bVal []T, ptr []int32, prods []prodPos, outVal []T) {
+	outVal = outVal[:len(ptr)-1]
+	q := 0
+	var v T
+	for t := ptr[0]; t < ptr[len(outVal)]; t++ {
+		pr := prods[t]
+		x := sr.Mul(aVal[pr.a], bVal[pr.b])
+		if t == ptr[q] {
+			v = x
+		} else {
+			v = sr.Add(v, x)
+		}
+		if t+1 == ptr[q+1] {
+			outVal[q] = v
+			q++
+		}
+	}
+}
+
+// replayRow64 is replayRow over the served semiring, with Mul and Add
+// written out. Each product is rounded explicitly (float64(a*b)), so
+// the compiler cannot fuse it into the sum, as in denseDot64.
+//
+//mspgemm:hotpath
+func replayRow64(aVal, bVal []float64, ptr []int32, prods []prodPos, outVal []float64) {
+	lo := ptr[0]
+	ptr = ptr[1:]
+	outVal = outVal[:len(ptr)]
+	for q, hi := range ptr {
+		pr := prods[lo]
+		v := float64(aVal[pr.a] * bVal[pr.b])
+		for _, pr := range prods[lo+1 : hi] {
+			v += float64(aVal[pr.a] * bVal[pr.b])
+		}
+		outVal[q] = v
+		lo = hi
+	}
+}

@@ -342,10 +342,15 @@ func costPartitions(cost []int64, threads int) []int {
 	return bounds
 }
 
-// referenceBounds recovers the per-row costs from a plan's retained
-// prefix and runs the linear reference at the given width.
+// referenceBounds recovers the per-row costs from the prefix the plan's
+// next full-product execution cuts — its own retained prefix, or its
+// product schedule's once its hits replay one — and runs the linear
+// reference at the given width.
 func referenceBounds[T any, S semiring.Semiring[T]](p *Plan[T, S], threads int) []int {
 	prefix := p.costPrefix
+	if s := p.fullSched.sched.Load(); s != nil {
+		prefix = s.prefix
+	}
 	cost := make([]int64, len(prefix)-1)
 	for i := range cost {
 		cost[i] = prefix[i+1] - prefix[i]
@@ -602,7 +607,9 @@ func TestPartitionsAllocFree(t *testing.T) {
 // (§3), so one cached plan of any family must produce bit-identical
 // output at every width — and so every partition layout — and widths
 // never add cache entries. Every execution additionally cuts exactly
-// the linear reference's bounds.
+// the linear reference's bounds over the prefix it cuts: the plan's, or
+// from the third execution on, where the hits replay the product
+// schedule the second published, the schedule's.
 func TestPlanWidthInvariance(t *testing.T) {
 	algos := []Algorithm{AlgoMSA, AlgoHash, AlgoMCA, AlgoHeap, AlgoInner, AlgoMaskedBit, AlgoHybrid}
 	same := func(x, y float64) bool { return x == y }
@@ -628,11 +635,12 @@ func TestPlanWidthInvariance(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
+				ref := referenceBounds(p, threads)
 				got, err := p.ExecuteOnOpts(exec, g, g, opt.ExecOnly())
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if ref := referenceBounds(p, threads); fmt.Sprint(exec.partBounds) != fmt.Sprint(ref) {
+				if fmt.Sprint(exec.partBounds) != fmt.Sprint(ref) {
 					t.Fatalf("%s: bounds %v, linear reference %v", name, exec.partBounds, ref)
 				}
 				if base == nil {

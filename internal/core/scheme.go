@@ -198,11 +198,16 @@ func (k schemeKernels[T, S]) binder(complement bool) kernelBinder[T, S] {
 }
 
 // bindHit binds p's hit kernels to (a, b) on e, over the halves h when
-// h is non-nil. Every known column is one a product lands on and the
-// mask admits, so the complement no longer matters: every push family
-// runs one push kernel, MSA over the known columns (accum.MSAKnown),
-// and Pull dots only them. Rows keep their binding (Plan.bindingFor).
-func bindHit[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], h *symHalf) hitKernels[T] {
+// h is non-nil. A plan with a product schedule s replays it on every
+// row (bindReplay). Otherwise every known column is one a product lands
+// on and the mask admits, so the complement no longer matters: every
+// push family runs one push kernel, MSA over the known columns
+// (accum.MSAKnown), and Pull dots only them. Rows keep their binding
+// (Plan.bindingFor).
+func bindHit[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], h *symHalf, s *schedule) hitKernels[T] {
+	if s != nil {
+		return bindReplay(p, a, b, h, s)
+	}
 	if _, ok := any(p.sr).(accum.PlusTimes64); ok {
 		// S is PlusTimes[float64], so T is float64 and these assertions hold.
 		k := bindHitOver(any(p).(*Plan[float64, accum.PlusTimes64]), any(e).(*Executor[float64, accum.PlusTimes64]),

@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 
-	"maskedspgemm/internal/faultinject"
 	"maskedspgemm/internal/parallel"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
@@ -175,6 +174,18 @@ type bClip struct {
 	upper bool
 }
 
+// cut returns the part of the B row [lo, hi) the row's q-th A entry
+// scans: all of it under a zero clip.
+func (c bClip) cut(q int, lo, hi int64) (int64, int64) {
+	switch {
+	case c.ends == nil:
+		return lo, hi
+	case c.upper:
+		return int64(c.ends[q]), hi
+	}
+	return lo, int64(c.ends[q]) + 1
+}
+
 // maskRows is a binding's view of the mask: the plan's mask rows, or,
 // with half set, the computed halves of a symmetric self-product (its
 // mask halves or its known half) and the B clips that go with them.
@@ -303,7 +314,7 @@ func mirrorEqualFloat64(v []float64, h *symHalf) bool {
 // Its work is proportional to the output and the row count, never to
 // the mask.
 func mirrorPass[T any](rows, cols int, h *symHalf, counts []int64, slabIdx []int32, slabVal []T, sch rowSched, es *engineScratch[T]) (*sparse.CSR[T], error) {
-	if err := sch.enterPass(faultinject.PassCompact); err != nil {
+	if err := sch.enterPass(PassMirror); err != nil {
 		return nil, err
 	}
 	bounds, hist := es.mirrorBufs(counts[:rows], sch.threads)
@@ -327,7 +338,7 @@ func mirrorPass[T any](rows, cols int, h *symHalf, counts []int64, slabIdx []int
 			countTransposes(hc, j, slabIdx[off[j]:off[j]+int64(own[j])])
 		}
 	})
-	if err := sch.passCanceled(faultinject.PassCompact); err != nil {
+	if err := sch.passCanceled(PassMirror); err != nil {
 		return nil, err
 	}
 	rowPtr := counts
@@ -354,7 +365,7 @@ func mirrorPass[T any](rows, cols int, h *symHalf, counts []int64, slabIdx []int
 			scatterTransposes(h.upper, j, src, slabVal[off[j]:], rowPtr, own, cur, colIdx, val)
 		}
 	})
-	if err := sch.passCanceled(faultinject.PassCompact); err != nil {
+	if err := sch.passCanceled(PassMirror); err != nil {
 		return nil, err
 	}
 	return &sparse.CSR[T]{

@@ -39,7 +39,14 @@ func symGraph(scale int, hubsLast, loops bool) *sparse.CSR[float64] {
 			perm[v] = int32(n - 1 - id)
 		}
 	}
-	g = sparse.PermuteSym(g, perm)
+	return withSymLoops(sparse.PermuteSym(g, perm), loops)
+}
+
+// withSymLoops returns the symmetric g with values symmetric bit for
+// bit and fractional (symValue); with loops, every third vertex gets a
+// self loop and vertices 1 and 5 lose all their edges.
+func withSymLoops(g *sparse.CSR[float64], loops bool) *sparse.CSR[float64] {
+	n := g.Rows
 	coo := sparse.NewCOO[float64](n, n, int(g.NNZ())+n)
 	drop := func(v int) bool { return loops && (v == 1 || v == 5) }
 	for i := range n {

@@ -52,17 +52,6 @@ func (p *Pattern) RowNNZ(i int) int {
 	return int(p.RowPtr[i+1] - p.RowPtr[i])
 }
 
-// MaxRowNNZ returns the maximum number of stored entries in any row.
-func (p *Pattern) MaxRowNNZ() int {
-	maxN := 0
-	for i := 0; i < p.Rows; i++ {
-		if n := p.RowNNZ(i); n > maxN {
-			maxN = n
-		}
-	}
-	return maxN
-}
-
 // Validate checks the CSR invariants: monotone row pointers, in-range and
 // strictly increasing column indices per row.
 func (p *Pattern) Validate() error {

@@ -330,9 +330,6 @@ func TestDenseRoundTrip(t *testing.T) {
 func TestPatternHelpers(t *testing.T) {
 	m, _ := FromRows(3, 5, map[int]map[int]float64{0: {1: 1, 3: 1}, 2: {0: 1, 1: 1, 4: 1}})
 	p := m.PatternView()
-	if p.MaxRowNNZ() != 3 {
-		t.Errorf("MaxRowNNZ = %d, want 3", p.MaxRowNNZ())
-	}
 	if !p.Has(0, 3) || p.Has(0, 2) || p.Has(1, 0) {
 		t.Error("Has gave wrong answers")
 	}

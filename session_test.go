@@ -586,8 +586,8 @@ func TestSessionMemoryBudget(t *testing.T) {
 // accounting from the session's side. A structure's first multiply
 // charges nothing for its pattern; the second, with fresh values,
 // raises budget.used_bytes by exactly the pattern's 8·(rows+1) + 4·nnz
-// bytes; a third raises nothing and returns a result that shares the
-// pattern. The bytes leave the budget with the plan when the entry cap
+// bytes and its product schedule's (DESIGN.md §5, "Replayed hits"); a
+// third raises nothing and returns a result that shares the pattern. The bytes leave the budget with the plan when the entry cap
 // or budget pressure evicts it.
 func TestSessionRememberedPatternBudget(t *testing.T) {
 	opts := []Option{WithAlgorithm(Hybrid), WithComplement()}
@@ -629,9 +629,26 @@ func TestSessionRememberedPatternBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pat := 8*int64(len(second.RowPtr)) + 4*second.NNZ()
+		// The entries hold about one product each, so the plan also keeps
+		// a product schedule for its hits: 4 bytes per entry and one more,
+		// 8 per product and 8 per row and one more.
+		var products int64
+		for i := range second.Rows {
+			for _, j := range second.Row(i) {
+				for _, k := range g.Row(i) {
+					if _, ok := slices.BinarySearch(g.Row(int(k)), j); ok {
+						products++
+					}
+				}
+			}
+		}
+		sched := 4*(second.NNZ()+1) + 8*products + 8*int64(second.Rows+1)
+		if st := s.Stats().Cache; products > 2*second.NNZ() || st.ReplayedPlans != 1 || st.ScheduleBytes != sched {
+			t.Fatalf("second multiply: %d products over %d entries, cache %+v, want one replayed plan with a %d-byte schedule", products, second.NNZ(), st, sched)
+		}
+		pat := 8*int64(len(second.RowPtr)) + 4*second.NNZ() + sched
 		if used := s.Stats().Budget.UsedBytes; used != base+pat {
-			t.Fatalf("second multiply: used %d bytes, want %d + the pattern's %d", used, base, pat)
+			t.Fatalf("second multiply: used %d bytes, want %d + the pattern's and the schedule's %d", used, base, pat)
 		}
 		third, err := s.MultiplyRefs(ref.Pattern, ref, ref, opts...)
 		if err != nil {
