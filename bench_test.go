@@ -540,6 +540,49 @@ func BenchmarkSessionPlanHitSelf(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionPlanPublish — the execution that publishes a cached
+// plan's hit record, alone: the second MultiplyRefs of the self-product
+// C = A ⊙ (A·A) under Hybrid, by reference, on the products of
+// er-warm-inline and tc-skew-ref (as in BenchmarkSessionPlanHitSelf).
+// That execution computes one triangle and mirrors it, then builds the
+// record its plan's hits run by — the known half, its binding and the
+// product schedule, or the memory rule's refusal — and publishes it
+// (DESIGN.md §5, "Known pattern"). Each op starts a fresh session,
+// stores A and runs the first execution outside the timer, and fails
+// unless the timed execution charged the cache for a record.
+func BenchmarkSessionPlanPublish(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		g    *sparse.CSR[float64]
+	}{
+		{"er-warm-inline", gen.Symmetrize(gen.ErdosRenyi(1<<11, 8, 1))},
+		{"tc-skew-ref", bench.SkewedGraph(12, 8, 1)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s := NewSession()
+				ref, _ := s.PutOperand(c.g)
+				multiply := func() {
+					if _, err := s.MultiplyRefs(ref.Pattern, ref, ref, WithAlgorithm(Hybrid)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				multiply()
+				before := s.Stats().Cache.Bytes
+				b.StartTimer()
+				multiply()
+				b.StopTimer()
+				if s.Stats().Cache.Bytes <= before {
+					b.Fatal("the second execution published no hit record")
+				}
+				b.StartTimer()
+			}
+		})
+	}
+}
+
 // BenchmarkFlops — the flop counters after the per-worker partial-sum
 // rework: the serial path (small nnz) must report 0 allocs/op, and the
 // parallel path's allocations are O(threads) scheduler bookkeeping,

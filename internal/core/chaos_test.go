@@ -379,7 +379,7 @@ func TestChaosSymmetricInPlaceHit(t *testing.T) {
 					}
 					pool.Put(exec)
 				}
-				kh := plan.known.Load()
+				kh := plan.halfHit.rec.Load()
 				if kh == nil {
 					t.Fatalf("%s: no known half published", name)
 				}
@@ -399,14 +399,14 @@ func TestChaosSymmetricInPlaceHit(t *testing.T) {
 					t.Fatalf("%s: err = %v, want KernelPanicError", name, err)
 				case !fault.PanicArmed && (!errors.As(err, &ce) || ce.Pass != string(fault.CancelPass)):
 					t.Fatalf("%s: err = %v, want CanceledError in pass %s", name, err, fault.CancelPass)
-				case exec.lastHalf != &kh.half:
+				case exec.lastHalf != kh.half:
 					t.Fatalf("%s: the interrupted execution was not an in-place hit", name)
 				}
 				pool.Discard(exec)
 				if st := pool.Stats(); st.Poisoned != 1 || st.Idle != 0 {
 					t.Fatalf("%s: pool %+v, want the executor discarded", name, st)
 				}
-				if plan.known.Load() != kh || !slices.Equal(kh.half.out.rowPtr, outPtr) || !slices.Equal(kh.half.out.colIdx, cols) ||
+				if plan.halfHit.rec.Load() != kh || !slices.Equal(kh.half.out.rowPtr, outPtr) || !slices.Equal(kh.half.out.colIdx, cols) ||
 					!slices.Equal(kh.tpos, tpos) || !slices.Equal(kh.half.off, off) {
 					t.Fatalf("%s: the interrupted hit changed the plan's known half", name)
 				}
@@ -473,10 +473,11 @@ func TestChaosFullProductHit(t *testing.T) {
 						}
 						pool.Put(exec)
 					}
-					pat := plan.pattern.Load()
-					if pat == nil {
+					rec := plan.fullHit.rec.Load()
+					if rec == nil {
 						t.Fatalf("%s: no pattern published", name)
 					}
+					pat := rec.pat
 					rowPtr, colIdx := slices.Clone(pat.rowPtr), slices.Clone(pat.colIdx)
 					want := published.Clone()
 
@@ -502,7 +503,7 @@ func TestChaosFullProductHit(t *testing.T) {
 					if st := pool.Stats(); st.Poisoned != 1 || st.Idle != 0 {
 						t.Fatalf("%s: pool %+v, want the executor discarded", name, st)
 					}
-					if plan.pattern.Load() != pat || !slices.Equal(pat.rowPtr, rowPtr) || !slices.Equal(pat.colIdx, colIdx) {
+					if plan.fullHit.rec.Load() != rec || !slices.Equal(pat.rowPtr, rowPtr) || !slices.Equal(pat.colIdx, colIdx) {
 						t.Fatalf("%s: the interrupted hit changed the plan's pattern", name)
 					}
 					got, err := plan.ExecuteOnOpts(NewExecutor[float64](ptSR), a, b, eo)

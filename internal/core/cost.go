@@ -182,7 +182,7 @@ func (c *passClock) done() {
 // run, exactly the accumulators executions materialize; the run fields
 // are empty on uniform plans. A plan holds the binding of its mask rows
 // (or mask halves), and a one-triangle plan that remembers its known
-// half holds another for that (knownHalf).
+// half holds another for that in its hit record (hitRecord).
 //
 //mspgemm:immutable
 type rowBinding struct {

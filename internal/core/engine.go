@@ -19,13 +19,14 @@ import (
 //     sizes the result exactly, and the numeric pass writes in place.
 //     Only the paper's own schemes run it (the unmasked SpGEMM among
 //     them, as complemented Hash), so its kernels are always uniform.
-//   - Known pattern: a cached plan remembers the output pattern of its
-//     second one-phase full-product execution (Plan.rememberPattern),
-//     or its known half (Plan.rememberHalf). Every later such execution
-//     is a hit: each row's values go straight into its exact range of
-//     that pattern, computed by push or Pull or replayed from the
-//     plan's product schedule (Plan.rememberSchedule), and a half hit
-//     then copies them to their transposes (knownPhase).
+//   - Known pattern: a cached plan publishes, from its second one-phase
+//     execution of each kind, full product or one triangle, the record
+//     that kind's hits run by (Plan.remember): the output pattern, a
+//     known half, the binding and the product schedule. Every later
+//     such execution is a hit: each row's values go straight into its
+//     exact range of that pattern, computed by push or Pull or replayed
+//     from the record's schedule, and a half hit then copies them to
+//     their transposes (knownPhase).
 //
 // Kernels receive a tid to index per-worker accumulator scratch.
 
@@ -74,8 +75,8 @@ func runSegment(runEnds []int32, runFam []uint8, lo, hi int) (int, int) {
 
 // hitKernels is one bound plan hit (bindHit): the push and Pull
 // kernels, and the Hybrid runs choosing between them, if any, or, for
-// a plan with a product schedule, the replay kernel alone (bindReplay),
-// which runs whole partitions.
+// a record with a product schedule, the replay kernel alone
+// (bindReplay), which runs whole partitions.
 type hitKernels[T any] struct {
 	push, pull rowKnownFn[T]
 	runEnds    []int32
@@ -161,21 +162,21 @@ func compact[T any](rows, cols int, offsets, counts []int64, tmpIdx []int32, tmp
 	return out, nil
 }
 
-// knownPhase runs a plan hit over the remembered output pattern pat:
-// each row's kernel writes its values straight into the row's range of
-// a fresh value array — [RowPtr[i], RowPtr[i+1]), or its own half
-// (symHalf.span) over a known half h — with no slab and no compaction,
-// and the result shares pat's arrays. A row with no computed entry has
-// nothing to write and runs no kernel. A half hit then copies every
-// half value to its transpose's position by tpos (copyTransposes)
-// under compact's checkpoint name: each lands outside every row's own
-// range, once, so the rows need no order. es supplies Val under
-// reuseOut.
-func knownPhase[T any](rows, cols int, pat *knownPattern, h *symHalf, tpos []int32, sch rowSched, k hitKernels[T], es *engineScratch[T]) (*sparse.CSR[T], error) {
+// knownPhase runs a plan hit by the record rec over its remembered
+// output pattern: each row's kernel writes its values straight into the
+// row's range of a fresh value array — [RowPtr[i], RowPtr[i+1]), or its
+// own half (symHalf.span) over a known half — with no slab and no
+// compaction, and the result shares the pattern's arrays. A row with no
+// computed entry has nothing to write and runs no kernel. A half hit
+// then copies every half value to its transpose's position by the
+// record's tpos (copyTransposes) under compact's checkpoint name: each
+// lands outside every row's own range, once, so the rows need no order.
+// es supplies Val under reuseOut.
+func knownPhase[T any](rows, cols int, rec *hitRecord, sch rowSched, k hitKernels[T], es *engineScratch[T]) (*sparse.CSR[T], error) {
 	if err := sch.enterPass(PassHitNumeric); err != nil {
 		return nil, err
 	}
-	rowPtr, colIdx := pat.rowPtr, pat.colIdx
+	rowPtr, colIdx, h, tpos := rec.pat.rowPtr, rec.pat.colIdx, rec.half, rec.tpos
 	val := es.outVals(int64(len(colIdx)))
 	fi := sch.fi
 	sch.run(func(lo, hi, tid int) {

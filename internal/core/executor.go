@@ -108,10 +108,10 @@ func (e *Executor[T, S]) worker(tid int) *workspace[T, S] {
 // plan's mirror map as the permutation; when the execution computes
 // one triangle (h non-nil), its values are symmetric too, and the CSC
 // view reads B's value array itself. Whether a Hybrid execution pulls
-// at all is its binding's (Plan.bindingFor): a known half may bind
-// pull rows where the mask halves bind none.
-func (e *Executor[T, S]) prepareCSC(p *Plan[T, S], b *sparse.CSR[T], h *symHalf) {
-	if !p.needsCSC(p.bindingFor(h)) {
+// at all is its binding rb's: a known half may bind pull rows where the
+// mask halves bind none.
+func (e *Executor[T, S]) prepareCSC(p *Plan[T, S], b *sparse.CSR[T], h *symHalf, rb *rowBinding) {
+	if !p.needsCSC(rb) {
 		return
 	}
 	if e.bt == nil {
@@ -162,13 +162,12 @@ func (e *Executor[T, S]) kernelsFor(p *Plan[T, S], a, b *sparse.CSR[T], h *symHa
 	return e.bound
 }
 
-// hitKernelsFor is kernelsFor for a plan hit (bindHit), which replays
-// the product schedule s when it is non-nil. A plan publishes a hit's
-// schedule at most once, so a binding made before it did is replaced
-// once it has.
-func (e *Executor[T, S]) hitKernelsFor(p *Plan[T, S], a, b *sparse.CSR[T], h *symHalf, s *schedule) hitKernels[T] {
-	if !e.bindingOf(p, a, b, h) || !e.haveHit || (e.hit.replay != nil) != (s != nil) {
-		e.hit = bindHit(p, e, a, b, h, s)
+// hitKernelsFor is kernelsFor for a plan hit by the record rec
+// (bindHit). A plan publishes one record per kind of hit, whole, so the
+// record's half, or nil for the full product, names it.
+func (e *Executor[T, S]) hitKernelsFor(p *Plan[T, S], a, b *sparse.CSR[T], rec *hitRecord) hitKernels[T] {
+	if !e.bindingOf(p, a, b, rec.half) || !e.haveHit {
+		e.hit = bindHit(p, e, a, b, rec)
 		e.haveHit = true
 	}
 	return e.hit

@@ -494,15 +494,15 @@ func (rb *rowBinding) encodeRuns(rowFam []uint8) {
 }
 
 // bindHybrid builds the poly plan's kernel tables under either mask
-// mode: one numeric kernel per family the run encoding of the
-// execution's binding (Plan.bindingFor) actually uses, each bound by
+// mode: one numeric kernel per family the run encoding of the plan's
+// binding actually uses, each bound by
 // that family's own registry entry, so poly rows execute exactly the
 // registered kernels. Families without a run get no kernels — and,
 // downstream, no accumulators: the per-worker workspaces construct
 // lazily on first row, so a single-family poly plan allocates exactly
 // what the plain scheme would.
 func bindHybrid[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], h *symHalf) kernels[T] {
-	rb := p.bindingFor(h)
+	rb := &p.rowBinding
 	numFam := make([]rowNumericFn[T], NumFamilies)
 	for f := Family(0); f < NumFamilies; f++ {
 		if rb.polyFams.Has(f) {
@@ -514,8 +514,11 @@ func bindHybrid[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S],
 
 // FamilyRows reports the per-family row counts of the plan's run
 // encoding over its mask rows (or mask halves) — what its executions
-// dispatch until it remembers a known half, decoded straight from the
-// stored runs. All zeros for non-poly plans.
+// dispatch until they run by a hit record (DESIGN.md §5, "Known
+// pattern"): a one-triangle record carries its own binding, priced on
+// the known half, and a record that replays a product schedule
+// dispatches no family. Decoded straight from the stored runs. All
+// zeros for non-poly plans.
 func (p *Plan[T, S]) FamilyRows() [NumFamilies]int {
 	return p.rowBinding.familyRows()
 }

@@ -30,13 +30,11 @@ import (
 // A Plan is immutable after NewPlan and therefore safe to share across
 // goroutines — this is what lets a PlanCache hand one plan to many
 // concurrent requests. Its only sanctioned post-construction writes are
-// atomic: on a plan a PlanCache built, each made once, the flag its
-// first clean one-phase full-product execution sets and the output
-// pattern of its second (rememberPattern), and the same pair for its
-// half executions (rememberHalf), over one pattern (sharePattern), and
-// with each published pattern the product schedule its hits replay, or
-// the decision to keep none (rememberSchedule); and the last resident
-// value array an execution proved symmetric (provedSymmetric). All
+// atomic: on a plan a PlanCache built, the count of its clean one-phase
+// executions of each kind — full product or one triangle — and, once,
+// from the second, the record its hits of that kind run by (remember),
+// over one output pattern (sharePattern); and the last resident value
+// array an execution proved symmetric (provedSymmetric). All
 // mutable execution state (accumulators, slabs, the refreshed CSC
 // values of B, bound kernels) lives in the Executor, which is NOT concurrency-safe: concurrent
 // executions of a shared plan must each use their own executor
@@ -78,35 +76,16 @@ type Plan[T any, S semiring.Semiring[T]] struct {
 	// remembers (sharePattern); nil until then, and always nil on plans
 	// that do not remember.
 	shared atomic.Pointer[knownPattern]
-	// pattern is shared once the plan's second clean one-phase
-	// full-product execution has published it (rememberPattern); later
-	// full-product executions run knownPhase into it.
-	pattern atomic.Pointer[knownPattern]
-	// ranClean is set by the first clean one-phase full-product
-	// execution, which remembers nothing (rememberPattern).
-	ranClean atomic.Bool
-	// known is the known half a one-triangle plan built by a PlanCache
-	// remembers from its second clean half execution (rememberHalf);
-	// later half executions compute it instead of the mask halves. nil
-	// until then, and always nil on plans that do not remember.
-	known atomic.Pointer[knownHalf]
-	// ranHalfClean is set by the first clean half execution, which
-	// remembers nothing (rememberHalf).
-	ranHalfClean atomic.Bool
-	// fullSched and halfSched hold the product schedules of the plan's
-	// full-product and one-triangle hits, each decided once when the
-	// plan publishes the pattern those hits write (rememberSchedule);
-	// empty on plans whose products break the memory rule, and on plans
-	// that do not remember.
-	fullSched, halfSched schedSlot
+	// fullHit and halfHit are what the plan remembers for its
+	// full-product and its one-triangle hits (remember).
+	fullHit, halfHit hitKind
 	// symVals is the first element of the last resident value array of
 	// A proved symmetric (provedSymmetric); executions on that array
 	// with ExecOptions.Resident skip the values check (Plan.half).
 	symVals atomic.Pointer[T]
 	// owner and key name the cache entry of a plan a PlanCache built
-	// (ownedBy), the entry a remembered pattern or known half is charged
-	// to. owner is nil on every other plan, and such plans never
-	// remember.
+	// (ownedBy), the entry what it remembers is charged to. owner is nil
+	// on every other plan, and such plans never remember.
 	owner *PlanCache[T, S]
 	key   planKey
 
@@ -219,16 +198,6 @@ func (p *Plan[T, S]) needsCSC(rb *rowBinding) bool {
 	return p.info.NeedsCSC
 }
 
-// bindingFor returns the row binding of an execution over h: the known
-// half's when h is the plan's published known half, the plan's own
-// otherwise.
-func (p *Plan[T, S]) bindingFor(h *symHalf) *rowBinding {
-	if kh := p.known.Load(); kh != nil && h == &kh.half {
-		return &kh.rowBinding
-	}
-	return &p.rowBinding
-}
-
 // Options returns the plan's normalized options.
 func (p *Plan[T, S]) Options() Options { return p.opt }
 
@@ -253,125 +222,136 @@ func (k *knownPattern) bytes() int64 {
 var errPatternChanged = errors.New("core: a known column of the plan's remembered output pattern has no product; operand structure changed under the plan")
 
 // ownedBy records that cache c built the plan under key: only such a
-// plan remembers its output pattern or known half, and c's entry for
-// key is charged for it. It runs before the plan is published to the cache.
+// plan remembers, and c's entry for key is charged for what it
+// remembers. It runs before the plan is published to the cache.
 //
 //mspgemm:planwrite
 func (p *Plan[T, S]) ownedBy(c *PlanCache[T, S], key planKey) {
 	p.owner, p.key = c, key
 }
 
-// rememberPattern publishes out's output pattern, once, from the
-// plan's second clean full-product execution over (a, b): the first is
-// only counted, so a plan that runs once — a cold miss whose entry is
-// evicted before the structure recurs — charges nothing for a pattern
-// no request reads. The plan then decides on the product schedule of
-// its full-product hits, built at width threads (rememberSchedule).
+// hitKind is what a plan keeps for one kind of hit: the count of its
+// clean one-phase executions of that kind, and, from the second on, the
+// record the kind's hits run by.
+type hitKind struct {
+	runs atomic.Int64
+	rec  atomic.Pointer[hitRecord]
+}
+
+// hitRecord is everything one kind of plan hit runs by (DESIGN.md §5,
+// "Known pattern"), published whole (Plan.remember): the output pattern
+// the hit writes, which the plan's two kinds share; for a one-triangle
+// hit, the known half it computes — the plan's symmetric analysis with
+// each row's half narrowed to the columns its output half holds, read
+// from pat (symHalf.out) — and the transpose map knownPhase copies
+// values by; the binding its rows run under, the plan's own for a
+// full-product hit and one priced on the known half for a one-triangle
+// hit; and the product schedule it replays, or nil when its products
+// break the memory rule. Every output entry of a half lies in the known
+// half, so a hit over it computes the same entries from the same
+// products, in the same order, as an execution over the mask halves.
+//
+//mspgemm:immutable
+type hitRecord struct {
+	pat  *knownPattern
+	half *symHalf
+	// tpos maps every known-half entry to the output position of its
+	// transpose: row i's entries are tpos[off[i]:off[i+1]], in column
+	// order, and a diagonal entry's position is its own.
+	tpos  []int32
+	rb    *rowBinding
+	sched *schedule
+}
+
+// bytes is the memory the record adds to its plan's cache entry beyond
+// the shared pattern: a known half's offsets, transpose map and
+// binding, and the schedule. The mask structure, the mirror map and a
+// full-product record's binding are the plan's.
+func (r *hitRecord) bytes() int64 {
+	var n int64
+	if r.half != nil {
+		n = int64(len(r.half.off))*8 + int64(len(r.tpos))*4 + r.rb.bytes()
+	}
+	if r.sched != nil {
+		n += r.sched.bytes()
+	}
+	return n
+}
+
+// remember counts a clean one-phase execution of kind k — over the
+// plan's mask halves h, or the full product when h is nil — whose
+// result over (a, b) is out. The first is only counted, so a plan that
+// runs once, a cold miss whose entry is evicted before the structure
+// recurs, charges nothing for a record no request reads. The execution
+// that counts the second alone builds the kind's whole record from out,
+// its schedule at width threads, publishes it, and charges its bytes to
+// the plan's cache entry at once, with the pattern's when the record is
+// the first to share it. A half execution's out is as mirrorPass wrote
+// it: each output row's entries on the computed side of the diagonal
+// are exactly its computed half.
 //
 //mspgemm:planwrite
-func (p *Plan[T, S]) rememberPattern(out, a, b *sparse.CSR[T], threads int) {
-	if !p.ranClean.Swap(true) || p.pattern.Load() != nil {
+func (p *Plan[T, S]) remember(k *hitKind, h *symHalf, out, a, b *sparse.CSR[T], threads int) {
+	if k.runs.Add(1) != 2 {
 		return
 	}
-	p.pattern.Store(p.sharePattern(out))
-	p.rememberSchedule(nil, a, b, threads)
+	pat, charge := p.sharePattern(out)
+	rec := &hitRecord{pat: pat, rb: &p.rowBinding}
+	if h != nil {
+		rows, rowPtr, colIdx := out.Rows, pat.rowPtr, pat.colIdx
+		half := *h
+		off := halfOffsets(rowPtr, colIdx, half.upper)
+		half.off, half.out = off, pat
+		// Row c's other entries, the transposes (c, j) of the half entries
+		// (j, c), sit after its half in the lower triangle and before it in
+		// the upper, in ascending j, so one cursor per row, met in row
+		// order, places them all.
+		next := make([]int64, rows)
+		for c := range rows {
+			next[c] = rowPtr[c]
+			if !half.upper {
+				next[c] += off[c+1] - off[c]
+			}
+		}
+		tpos := make([]int32, off[rows])
+		for i := range rows {
+			lo, hi := half.span(rowPtr, i)
+			row := tpos[off[i]:off[i+1]]
+			for q, c := range colIdx[lo:hi] {
+				if int(c) == i {
+					row[q] = int32(lo) + int32(q)
+					continue
+				}
+				row[q] = int32(next[c])
+				next[c]++
+			}
+		}
+		rb := p.bindRows(maskRows{p.mask, &half}, a, b)
+		rec.half, rec.tpos, rec.rb = &half, tpos, &rb
+	}
+	rec.sched = p.buildSchedule(rec, a, b, threads)
+	k.rec.Store(rec)
+	p.owner.chargeRemembered(p, charge+rec.bytes())
 }
 
 // sharePattern returns the plan's one remembered output pattern, which
-// its full product and its known half share: out's RowPtr and ColIdx,
-// aliased, when it has none yet, and the first compare-and-swap's
-// otherwise, whose equal arrays out then takes. Only the winner charges
-// the bytes to the plan's cache entry (PlanCache.chargeRemembered).
+// its two kinds of hit share: out's RowPtr and ColIdx, aliased, when it
+// has none yet, and the first compare-and-swap's otherwise, whose equal
+// arrays out then takes. It also returns the bytes the caller charges
+// for the pattern: its size for the compare-and-swap's winner, and 0
+// otherwise.
 //
 //mspgemm:planwrite
-func (p *Plan[T, S]) sharePattern(out *sparse.CSR[T]) *knownPattern {
+func (p *Plan[T, S]) sharePattern(out *sparse.CSR[T]) (*knownPattern, int64) {
 	pat := &knownPattern{rowPtr: out.RowPtr, colIdx: out.ColIdx}
+	var charge int64
 	if p.shared.CompareAndSwap(nil, pat) {
-		p.owner.chargeRemembered(p, pat.bytes())
+		charge = pat.bytes()
 	} else {
 		pat = p.shared.Load()
 	}
 	out.RowPtr, out.ColIdx = pat.rowPtr, pat.colIdx
-	return pat
-}
-
-// knownHalf is what a one-triangle plan remembers of its half
-// executions (DESIGN.md §5, "Known pattern"): the known half, which is
-// the plan's symmetric analysis with each row's half narrowed to the
-// columns its output half holds and the plan's remembered output
-// pattern those columns are read from (symHalf.out), the row binding
-// derived from it, and the transpose map knownPhase copies values by.
-// Every output entry of a half lies in the known half, so a half
-// execution over it computes the same entries from the same products,
-// in the same order, as one over the mask halves.
-//
-//mspgemm:immutable
-type knownHalf struct {
-	half symHalf
-	rowBinding
-	// tpos maps every half entry to the output position of its
-	// transpose: row i's entries are tpos[off[i]:off[i+1]], in column
-	// order, and a diagonal entry's position is its own.
-	tpos []int32
-}
-
-// bytes is the memory a known half adds to its plan's cache entry: the
-// half's offsets, the transpose map and the row binding. The mask
-// structure, the mirror map and the pattern are the plan's.
-func (k *knownHalf) bytes() int64 {
-	return int64(len(k.half.off))*8 + int64(len(k.tpos))*4 + k.rowBinding.bytes()
-}
-
-// rememberHalf publishes the known half of a one-triangle plan, once,
-// from its second clean half execution, with the counting of
-// rememberPattern and the pattern of sharePattern; only the winning
-// compare-and-swap charges the half's bytes. out is that execution's
-// result over (a, b), as mirrorPass wrote it: each output row's
-// entries on the computed side of the diagonal are exactly its
-// computed half. The binding is priced on (a, b), whose structure is
-// the plan's. The plan then decides on the product schedule of its
-// one-triangle hits, built at width threads (rememberSchedule).
-//
-//mspgemm:planwrite
-func (p *Plan[T, S]) rememberHalf(out, a, b *sparse.CSR[T], threads int) {
-	if !p.ranHalfClean.Swap(true) || p.known.Load() != nil {
-		return
-	}
-	pat := p.sharePattern(out)
-	rows, rowPtr, colIdx := out.Rows, pat.rowPtr, pat.colIdx
-	kh := &knownHalf{half: *p.sym}
-	h := &kh.half
-	off := halfOffsets(rowPtr, colIdx, h.upper)
-	h.off, h.out = off, pat
-	// Row c's other entries, the transposes (c, j) of the half entries
-	// (j, c), sit after its half in the lower triangle and before it in
-	// the upper, in ascending j, so one cursor per row, met in row
-	// order, places them all.
-	next := make([]int64, rows)
-	for c := range rows {
-		next[c] = rowPtr[c]
-		if !h.upper {
-			next[c] += off[c+1] - off[c]
-		}
-	}
-	kh.tpos = make([]int32, off[rows])
-	for i := range rows {
-		lo, hi := h.span(rowPtr, i)
-		tpos := kh.tpos[off[i]:off[i+1]]
-		for q, c := range colIdx[lo:hi] {
-			if int(c) == i {
-				tpos[q] = int32(lo) + int32(q)
-				continue
-			}
-			tpos[q] = int32(next[c])
-			next[c]++
-		}
-	}
-	kh.rowBinding = p.bindRows(maskRows{p.mask, h}, a, b)
-	if p.known.CompareAndSwap(nil, kh) {
-		p.owner.chargeRemembered(p, kh.bytes())
-		p.rememberSchedule(&kh.half, a, b, threads)
-	}
+	return pat, charge
 }
 
 // footprintBytes estimates the retained memory of the plan's analysis
@@ -382,8 +362,8 @@ func (p *Plan[T, S]) rememberHalf(out, a, b *sparse.CSR[T], threads int) {
 // plain offsets alias the mask's RowPtr and are not double-counted; a
 // symmetric self-product adds its mirror map and half offsets. A
 // remembered output pattern is charged separately, once, when it is
-// published (sharePattern), and so are a known half (rememberHalf) and
-// a product schedule (rememberSchedule).
+// published (remember), with the record of the kind of hit that
+// published it.
 func (p *Plan[T, S]) footprintBytes() int64 {
 	const structOverhead = 256
 	bytes := int64(structOverhead)
@@ -439,18 +419,21 @@ func (p *Plan[T, S]) Execute(a, b *sparse.CSR[T]) (*sparse.CSR[T], error) {
 // execution on the same executor — for pooled executors that means
 // until the executor is returned; Clone the result to retain it.
 // Without it (the default) the output is freshly allocated and only
-// the internal scratch is pooled — except on a plan a PlanCache built,
-// whose full-product results from the second on share RowPtr and
-// ColIdx with the plan's remembered output pattern, as do its
-// one-triangle results from the second half execution on: treat them
-// as read-only, and Clone a result to own every array. Such a hit
-// trusts the pattern on push rows, and a Pull row returns a
-// *KernelPanicError on a known column its dot finds no product on, so
-// (a, b) of another structure may give a wrong result or that error.
-// A hit that replays the plan's product schedule trusts the schedule:
-// (a, b) of another structure but the planned nnz give a result of the
-// remembered pattern whose values are the products at the remembered
-// value positions, which are all in range, and no error.
+// the internal scratch is pooled — except on a plan a PlanCache built.
+// Such a plan's second clean one-phase execution of each kind, full
+// product or one triangle, publishes the kind's record — the output
+// pattern, a known half, the binding and the product schedule,
+// together — and every later execution of that kind is a hit that runs
+// by it. The publishing result and every hit's share RowPtr and ColIdx
+// with the plan's remembered output pattern: treat them as read-only,
+// and Clone a result to own every array. A hit trusts the
+// pattern on push rows, and a Pull row returns a *KernelPanicError on a
+// known column its dot finds no product on, so (a, b) of another
+// structure may give a wrong result or that error. A hit that replays
+// the record's product schedule trusts the schedule: (a, b) of another
+// structure but the planned nnz give a result of the remembered pattern
+// whose values are the products at the remembered value positions,
+// which are all in range, and no error.
 //
 // ExecuteOn applies the execution-only options frozen into the plan;
 // cache-shared plans are built with those zeroed (plan identity never
@@ -509,32 +492,28 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 	}
 	exec.ensureWorkers(threads)
 	h := p.half(a, b, eo.Resident)
-	kh := p.known.Load()
-	if kh != nil && h != nil {
-		h = &kh.half
+	// A hit runs by the record its plan published for its kind.
+	kind := &p.fullHit
+	if h != nil {
+		kind = &p.halfHit
 	}
-	// A hit writes the pattern its plan remembered, and replays the
-	// product schedule the plan keeps for it, if any.
-	var pat *knownPattern
-	var tpos []int32
-	switch {
-	case h == nil:
-		pat = p.pattern.Load()
-	case kh != nil:
-		pat, tpos = h.out, kh.tpos
-	}
-	var sched *schedule
-	if pat != nil {
-		sched = p.slotFor(h).sched.Load()
-	}
+	rec := kind.rec.Load()
 	es := &exec.scratch
 	es.reuseOut = eo.ReuseOutput
-	if sched != nil {
-		exec.partBounds = partitions(sched.prefix, threads, exec.partBounds)
-	} else {
-		exec.prepareCSC(p, b, h)
-		exec.partBounds = partitions(p.bindingFor(h).costPrefix, threads, exec.partBounds)
+	prefix := p.costPrefix
+	switch {
+	case rec == nil:
+		exec.prepareCSC(p, b, h, &p.rowBinding)
+	case rec.sched != nil:
+		prefix = rec.sched.prefix
+		if prefix[len(prefix)-1] < replaySerialProducts {
+			threads = 1
+		}
+	default:
+		exec.prepareCSC(p, b, rec.half, rec.rb)
+		prefix = rec.rb.costPrefix
 	}
+	exec.partBounds = partitions(prefix, threads, exec.partBounds)
 	sch := rowSched{threads: threads, bounds: exec.partBounds, clock: &exec.clock, cancel: cancel, fi: fi}
 	exec.clock.times = nil
 	if eo.CollectSchedStats {
@@ -542,24 +521,18 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 		exec.clock.times = &exec.passTimes
 	}
 	defer exec.clock.done()
-	if pat != nil {
-		return knownPhase(p.mask.Rows, p.mask.Cols, pat, h, tpos, sch, exec.hitKernelsFor(p, a, b, h, sched), es)
+	if rec != nil {
+		return knownPhase(p.mask.Rows, p.mask.Cols, rec, sch, exec.hitKernelsFor(p, a, b, rec), es)
 	}
 	k := exec.kernelsFor(p, a, b, h)
 	if p.opt.Phases == TwoPhase {
 		return twoPhase(p.mask.Rows, p.mask.Cols, sch, k, es)
 	}
 	out, err = onePhase(p.mask.Rows, p.mask.Cols, p.offsets, sch, k, es, h)
-	// A plan a PlanCache built remembers the pattern of its second clean
-	// full-product execution into fresh arrays, and the known half of
-	// its second clean half execution.
+	// A plan a PlanCache built counts its clean executions of each kind
+	// into fresh arrays, and publishes the kind's record from the second.
 	if err == nil && p.owner != nil && !eo.ReuseOutput {
-		switch h {
-		case nil:
-			p.rememberPattern(out, a, b, threads)
-		case p.sym:
-			p.rememberHalf(out, a, b, threads)
-		}
+		p.remember(kind, h, out, a, b, threads)
 	}
 	return out, err
 }

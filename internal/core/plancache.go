@@ -404,11 +404,10 @@ func (c *PlanCache[T, S]) lookup(key planKey, mask *sparse.Pattern, a, b *sparse
 	return plan, false, nil
 }
 
-// chargeRemembered adds the n bytes of plan p's newly remembered output
-// pattern (Plan.rememberPattern), known half (Plan.rememberHalf) or
-// product schedule (Plan.rememberSchedule) to p's entry and to the
-// shared budget, so that the entry releases them
-// with the rest of its bytes. A plan evicted before it remembered is
+// chargeRemembered adds the n bytes of plan p's newly published hit
+// record, with its output pattern when the record is the first to
+// share it (Plan.remember), to p's entry and to the shared budget, so
+// that the entry releases them with the rest of its bytes. A plan evicted before it remembered is
 // not charged: what it remembers lives only as long as the executions
 // still holding the plan.
 func (c *PlanCache[T, S]) chargeRemembered(p *Plan[T, S], n int64) {
@@ -534,18 +533,23 @@ func (c *PlanCache[T, S]) Stats() PlanCacheStats {
 	var schedBytes int64
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		p := el.Value.(*planEntry[T, S]).plan
-		for _, slot := range []*schedSlot{&p.fullSched, &p.halfSched} {
-			if s := slot.sched.Load(); s != nil {
-				schedBytes += s.bytes()
+		full, half := p.fullHit.rec.Load(), p.halfHit.rec.Load()
+		for _, rec := range []*hitRecord{full, half} {
+			if rec != nil && rec.sched != nil {
+				schedBytes += rec.sched.bytes()
 			}
 		}
-		rb, slot := &p.rowBinding, &p.fullSched
-		if kh := p.known.Load(); kh != nil {
-			rb, slot = &kh.rowBinding, &p.halfSched
+		// The hits counted are the half record's once there is one.
+		rb, rec := &p.rowBinding, half
+		if rec == nil {
+			rec = full
 		}
-		if slot.sched.Load() != nil {
-			replayed++
-			continue
+		if rec != nil {
+			if rec.sched != nil {
+				replayed++
+				continue
+			}
+			rb = rec.rb
 		}
 		if rb.polyFams == 0 {
 			continue

@@ -703,7 +703,11 @@ func TestPlanCacheStatsHybridFamilyRows(t *testing.T) {
 // hits replay a product schedule and run no family: Stats counts that
 // plan in ReplayedPlans instead, with its schedule's bytes. Most of
 // er-warm-inline's mask-half entries never reach the output, so its
-// known half binds more rows to Pull than its mask halves do.
+// known half binds more rows to Pull than its mask halves do. With
+// both, two executions on asymmetric values follow, so the plan
+// publishes both kinds of record: Stats still reads the half record,
+// its binding for the R-MAT product, and counts er-warm-inline's plan
+// in ReplayedPlans once, with the bytes of both its schedules.
 func TestPlanCacheStatsKnownHalfFamilyRows(t *testing.T) {
 	famRows := func(rows [NumFamilies]int, fams FamilySet) map[string]int64 {
 		out := make(map[string]int64)
@@ -714,14 +718,18 @@ func TestPlanCacheStatsKnownHalfFamilyRows(t *testing.T) {
 		}
 		return out
 	}
-	for _, c := range []struct {
-		name    string
-		g       *sparse.CSR[float64]
-		replays bool
-	}{
-		{"er-warm-inline", gen.Symmetrize(gen.ErdosRenyi(1<<11, 8, 1)), true},
-		{"rmat-hubs-last", symGraph(9, true, false), false},
-	} {
+	type statsCase struct {
+		name          string
+		g             *sparse.CSR[float64]
+		replays, both bool
+	}
+	var cases []statsCase
+	for _, both := range []bool{false, true} {
+		cases = append(cases,
+			statsCase{"er-warm-inline", gen.Symmetrize(gen.ErdosRenyi(1<<11, 8, 1)), true, both},
+			statsCase{"rmat-hubs-last", symGraph(9, true, false), false, both})
+	}
+	for _, c := range cases {
 		cache := NewPlanCache(ptSR, 0)
 		p, err := cache.GetOrPlan(c.g.PatternView(), c.g, c.g, Options{Algorithm: AlgoHybrid})
 		if err != nil {
@@ -740,21 +748,43 @@ func TestPlanCacheStatsKnownHalfFamilyRows(t *testing.T) {
 				t.Fatalf("%s run %d computed the full product", c.name, run)
 			}
 		}
-		kh := p.known.Load()
+		kh := p.halfHit.rec.Load()
 		if kh == nil {
 			t.Fatalf("%s: no known half published after two half executions", c.name)
 		}
-		known := famRows(kh.familyRows(), kh.polyFams)
+		var schedBytes int64
+		if kh.sched != nil {
+			schedBytes = kh.sched.bytes()
+		}
+		if c.both {
+			asym := withSpecialValues(c.g)
+			for range 2 {
+				exec := NewExecutor[float64](ptSR)
+				if _, err := p.ExecuteOnOpts(exec, asym, asym, ExecOptions{Threads: 2}); err != nil {
+					t.Fatal(err)
+				}
+				if ranHalf(exec) {
+					t.Fatalf("%s: an asymmetric execution computed one triangle", c.name)
+				}
+			}
+			full := p.fullHit.rec.Load()
+			if full == nil || (full.sched != nil) != c.replays {
+				t.Fatalf("%s: full-product record %v, want one whose schedule is kept exactly when the half's is", c.name, full != nil)
+			}
+			if full.sched != nil {
+				schedBytes += full.sched.bytes()
+			}
+		}
+		known := famRows(kh.rb.familyRows(), kh.rb.polyFams)
 		st := cache.Stats()
 		if !c.replays {
-			if !maps.Equal(st.HybridFamilyRows, known) || st.ReplayedPlans != 0 || st.ScheduleBytes != 0 {
-				t.Fatalf("%s after publishing: Stats reports %+v, want the known half's %v and no replayed plan", c.name, st, known)
+			if !maps.Equal(st.HybridFamilyRows, known) || st.ReplayedPlans != 0 || st.ScheduleBytes != schedBytes {
+				t.Fatalf("%s (both=%v) after publishing: Stats reports %+v, want the known half's %v and no replayed plan", c.name, c.both, st, known)
 			}
 			continue
 		}
-		s := p.halfSched.sched.Load()
-		if s == nil || st.HybridFamilyRows != nil || st.ReplayedPlans != 1 || st.ScheduleBytes != s.bytes() {
-			t.Fatalf("%s after publishing: Stats reports %+v, want no family rows and one replayed plan", c.name, st)
+		if kh.sched == nil || st.HybridFamilyRows != nil || st.ReplayedPlans != 1 || st.ScheduleBytes != schedBytes {
+			t.Fatalf("%s (both=%v) after publishing: Stats reports %+v, want no family rows, one replayed plan and %d schedule bytes", c.name, c.both, st, schedBytes)
 		}
 		if known[FamPull.String()] <= maskHalves[FamPull.String()] {
 			t.Fatalf("%s: known half binds %d Pull rows, mask halves %d: want more", c.name, known[FamPull.String()], maskHalves[FamPull.String()])

@@ -70,19 +70,16 @@ func withSymmetricSpecials(m *sparse.CSR[float64]) *sparse.CSR[float64] {
 }
 
 // rememberedBytes is what a plan has remembered: the bytes of its one
-// output pattern, of its known half's own arrays and of its product
-// schedules, 0 when it has none of them.
+// output pattern and of its hit records — a known half's own arrays
+// and the product schedules — 0 when it has none of them.
 func rememberedBytes(p *Plan[float64, ptSRType]) int64 {
 	var n int64
 	if pat := p.shared.Load(); pat != nil {
 		n += pat.bytes()
 	}
-	if kh := p.known.Load(); kh != nil {
-		n += kh.bytes()
-	}
-	for _, slot := range []*schedSlot{&p.fullSched, &p.halfSched} {
-		if s := slot.sched.Load(); s != nil {
-			n += s.bytes()
+	for _, k := range []*hitKind{&p.fullHit, &p.halfHit} {
+		if rec := k.rec.Load(); rec != nil {
+			n += rec.bytes()
 		}
 	}
 	return n
@@ -122,34 +119,34 @@ func patternBytes(out *sparse.CSR[float64]) int64 {
 	return 8*int64(len(out.RowPtr)) + 4*out.NNZ()
 }
 
-// knownHalfBytes is the charge of the known half kh remembered from a
-// half execution whose result is out beyond the output pattern, which
-// it shares with the plan, counted from out: the half's offsets and
-// cost prefix (8·(rows+1) bytes each), the transpose map (out's
-// diagonal and half its other entries, 4 bytes each), and 5 bytes per
-// Hybrid run.
-func knownHalfBytes(out *sparse.CSR[float64], kh *knownHalf) int64 {
+// knownHalfBytes is the charge of the known half of the record kh,
+// remembered from a half execution whose result is out, beyond the
+// output pattern, which it shares with the plan, and the schedule,
+// counted from out: the half's offsets and cost prefix (8·(rows+1)
+// bytes each), the transpose map (out's diagonal and half its other
+// entries, 4 bytes each), and 5 bytes per Hybrid run.
+func knownHalfBytes(out *sparse.CSR[float64], kh *hitRecord) int64 {
 	var diag int64
 	for i := range out.Rows {
 		if _, ok := slices.BinarySearch(out.Row(i), int32(i)); ok {
 			diag++
 		}
 	}
-	return 16*int64(out.Rows+1) + 4*(out.NNZ()+diag)/2 + 5*int64(len(kh.runEnds))
+	return 16*int64(out.Rows+1) + 4*(out.NNZ()+diag)/2 + 5*int64(len(kh.rb.runEnds))
 }
 
 // sharesPattern reports whether out's RowPtr and ColIdx are the plan's
 // remembered arrays.
 func sharesPattern(p *Plan[float64, ptSRType], out *sparse.CSR[float64]) bool {
-	pat := p.pattern.Load()
-	return pat != nil && &pat.rowPtr[0] == &out.RowPtr[0] && (len(out.ColIdx) == 0 || &pat.colIdx[0] == &out.ColIdx[0])
+	rec := p.fullHit.rec.Load()
+	return rec != nil && &rec.pat.rowPtr[0] == &out.RowPtr[0] && (len(out.ColIdx) == 0 || &rec.pat.colIdx[0] == &out.ColIdx[0])
 }
 
 // sharesKnownHalf reports whether out's RowPtr and ColIdx are the
 // output pattern of the plan's known half.
 func sharesKnownHalf(p *Plan[float64, ptSRType], out *sparse.CSR[float64]) bool {
-	kh := p.known.Load()
-	return kh != nil && &kh.half.out.rowPtr[0] == &out.RowPtr[0] && (len(out.ColIdx) == 0 || &kh.half.out.colIdx[0] == &out.ColIdx[0])
+	kh := p.halfHit.rec.Load()
+	return kh != nil && &kh.pat.rowPtr[0] == &out.RowPtr[0] && (len(out.ColIdx) == 0 || &kh.pat.colIdx[0] == &out.ColIdx[0])
 }
 
 // rememberProduct is one product the remembered-pattern tests run: the
@@ -294,11 +291,11 @@ func requireHalfShapes(t *testing.T, pr rememberProduct) bool {
 			t.Fatal(err)
 		}
 	}
-	kh := plan.known.Load()
+	kh := plan.halfHit.rec.Load()
 	if kh == nil {
 		t.Fatalf("%s: no known half published", pr.name)
 	}
-	h := &kh.half
+	h := kh.half
 	var diag, emptyRows, emptyHalves int
 	for i := range pr.mask.Rows {
 		lo, hi := h.span(h.out.rowPtr, i)
@@ -332,18 +329,17 @@ func checkRememberedRuns(t *testing.T, name string, pr rememberProduct, values [
 	eo := ExecOptions{Threads: threads}
 	fullRuns, halfRuns := 0, 0
 	for run, ab := range values {
-		wasRemembered := plan.pattern.Load() != nil
-		wasKnown := plan.known.Load() != nil
-		fullSched, halfSched := plan.fullSched.sched.Load(), plan.halfSched.sched.Load()
+		full, known := plan.fullHit.rec.Load(), plan.halfHit.rec.Load()
+		wasRemembered := full != nil
 		got, err := plan.ExecuteOnOpts(exec, ab[0], ab[1], eo)
 		if err != nil {
 			t.Fatalf("%s run %d: %v", name, run, err)
 		}
 		switch half := ranHalf(exec); {
-		case half && wasKnown:
-			cells[hitCell{true, halfSched != nil}] = true
-		case !half && wasRemembered:
-			cells[hitCell{false, fullSched != nil}] = true
+		case half && known != nil:
+			cells[hitCell{true, known.sched != nil}] = true
+		case !half && full != nil:
+			cells[hitCell{false, full.sched != nil}] = true
 		}
 		fresh, err := NewPlan(ptSR, pr.mask, ab[0], ab[1], opt, nil)
 		if err != nil {
@@ -362,26 +358,26 @@ func checkRememberedRuns(t *testing.T, name string, pr rememberProduct, values [
 		if remembers && !sharesPattern(plan, got) {
 			t.Fatalf("%s run %d: a second or later full one-phase result of a cached plan does not share its remembered pattern", name, run)
 		}
-		if counts && fullRuns == 1 && plan.pattern.Load() != nil {
+		if counts && fullRuns == 1 && plan.fullHit.rec.Load() != nil {
 			t.Fatalf("%s run %d: the first full one-phase execution published a pattern", name, run)
 		}
-		if !remembers && plan.pattern.Load() != nil && !wasRemembered {
+		if !remembers && plan.fullHit.rec.Load() != nil && !wasRemembered {
 			t.Fatalf("%s run %d: an execution that must not remember published a pattern", name, run)
 		}
-		if fresh.pattern.Load() != nil || fresh.known.Load() != nil {
+		if fresh.fullHit.rec.Load() != nil || fresh.halfHit.rec.Load() != nil {
 			t.Fatalf("%s run %d: a NewPlan plan remembered its pattern or known half", name, run)
 		}
 		if !ranHalf(exec) {
 			continue
 		}
 		halfRuns++
-		kh := plan.known.Load()
+		kh := plan.halfHit.rec.Load()
 		switch {
 		case halfRuns == 1 && kh != nil:
 			t.Fatalf("%s run %d: the first half execution published a known half", name, run)
 		case halfRuns >= 2 && kh == nil:
 			t.Fatalf("%s run %d: a second or later half execution of a cached plan left no known half", name, run)
-		case halfRuns >= 3 && exec.lastHalf != &kh.half:
+		case halfRuns >= 3 && exec.lastHalf != kh.half:
 			t.Fatalf("%s run %d: a half execution after the known half was published did not compute it", name, run)
 		case halfRuns >= 2 && !sharesKnownHalf(plan, got):
 			t.Fatalf("%s run %d: a half result from the publishing execution on does not share the known half's pattern", name, run)
@@ -423,7 +419,7 @@ func TestRememberedPatternExecutorAcrossWidths(t *testing.T) {
 				}
 				checkIdentical(t, name, got, want)
 				first := run == 0 && step < 2
-				if first && plan.pattern.Load() != nil {
+				if first && plan.fullHit.rec.Load() != nil {
 					t.Fatalf("%s: a plan's first execution published its pattern", name)
 				}
 				if !first && !sharesPattern(plan, got) {
@@ -473,18 +469,27 @@ func rememberCases(seed uint64) []rememberCase {
 	}
 }
 
-// checkReplays fails t unless p keeps a product schedule for the
-// case's hits exactly when the case replays, and none for the other
-// kind of hit.
+// checkReplays fails t unless p has published the record of the
+// case's hits, with a product schedule exactly when the case replays,
+// and none for the other kind of hit.
 func (c rememberCase) checkReplays(t *testing.T, p *Plan[float64, ptSRType]) {
 	t.Helper()
-	slot, other := &p.fullSched, &p.halfSched
+	rec, other := c.record(p), p.halfHit.rec.Load()
 	if c.half {
-		slot, other = other, slot
+		other = p.fullHit.rec.Load()
 	}
-	if got := slot.sched.Load() != nil; got != c.replays || !slot.tried.Load() || other.tried.Load() {
-		t.Fatalf("%s: schedule kept %v, want %v (decided %v, other kind decided %v)", c.name, got, c.replays, slot.tried.Load(), other.tried.Load())
+	if rec == nil || (rec.sched != nil) != c.replays || other != nil {
+		t.Fatalf("%s: record %v (schedule kept %v, want %v), other kind's record %v", c.name, rec != nil, rec != nil && rec.sched != nil, c.replays, other != nil)
 	}
+}
+
+// record returns the record p has published for the case's kind of
+// hit, or nil.
+func (c rememberCase) record(p *Plan[float64, ptSRType]) *hitRecord {
+	if c.half {
+		return p.halfHit.rec.Load()
+	}
+	return p.fullHit.rec.Load()
 }
 
 // other returns operands with the case's structure and other values
@@ -500,10 +505,7 @@ func (c rememberCase) other() (a, b *sparse.CSR[float64]) {
 
 // published reports whether p has remembered what the case remembers.
 func (c rememberCase) published(p *Plan[float64, ptSRType]) bool {
-	if c.half {
-		return p.known.Load() != nil
-	}
-	return p.pattern.Load() != nil
+	return c.record(p) != nil
 }
 
 // shares reports whether out shares the pattern p remembered: its
@@ -525,7 +527,7 @@ func (c rememberCase) charge(p *Plan[float64, ptSRType], out *sparse.CSR[float64
 		return 0
 	}
 	if c.half {
-		kh := p.known.Load()
+		kh := p.halfHit.rec.Load()
 		return patternBytes(out) + knownHalfBytes(out, kh) + scheduleCharge(out, c.a, c.b, true, kh.half.upper)
 	}
 	return patternBytes(out) + scheduleCharge(out, c.a, c.b, false, false)
@@ -603,17 +605,20 @@ func TestChaosRememberFirstExecution(t *testing.T) {
 	}
 }
 
-// TestRememberConcurrentFirstExecutions starts several executions of
-// one cached plan at once, each on its own executor (run it under
-// -race), for a product that remembers its output pattern and one that
-// remembers its known half: on even rounds they are the plan's first
-// executions, on odd rounds one clean execution precedes them, so all
-// of them could publish. All results are equal, the plan publishes
-// once, and keeps at most one product schedule, the cache and budget
-// are charged its bytes once, and a later execution, by what was
-// published, gives the same result.
+// TestRememberConcurrentFirstExecutions starts several goroutines on
+// one cached plan at once, each running a few executions in turn, each
+// on its own executor (run it under -race), for each rememberCase: on
+// even rounds their first executions are the plan's first, on odd
+// rounds one clean execution precedes them, so any of them could
+// publish. All results are equal, the plan publishes one record, of
+// the case's kind, with a product schedule exactly when the case
+// replays, the cache and budget are charged its bytes once, and every
+// execution that starts once the record is visible runs by it
+// (ranRecord): the pattern, the half and the schedule become visible
+// together, so no hit runs push and Pull where its record replays. A
+// later execution, by the record, gives the same result.
 func TestRememberConcurrentFirstExecutions(t *testing.T) {
-	const goroutines = 6
+	const goroutines, runs = 6, 3
 	for round := range 4 {
 		for _, c := range rememberCases(80 + uint64(round)) {
 			budget := NewMemBudget(0)
@@ -629,26 +634,34 @@ func TestRememberConcurrentFirstExecutions(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			outs := make([]*sparse.CSR[float64], goroutines)
-			errs := make([]error, goroutines)
+			outs := make([]*sparse.CSR[float64], goroutines*runs)
+			errs := make([]error, goroutines*runs)
 			start := make(chan struct{})
 			var wg sync.WaitGroup
 			for g := range goroutines {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					exec := NewExecutor[float64](ptSR)
 					<-start
-					outs[g], errs[g] = plan.ExecuteOnOpts(exec, c.a, c.b, ExecOptions{Threads: 1 + g%2})
+					for r := range runs {
+						exec := NewExecutor[float64](ptSR)
+						rec := c.record(plan)
+						out, err := plan.ExecuteOnOpts(exec, c.a, c.b, ExecOptions{Threads: 1 + g%2})
+						if err == nil && rec != nil {
+							err = ranRecord(exec, plan, rec, c.replays)
+						}
+						outs[g*runs+r], errs[g*runs+r] = out, err
+					}
 				}()
 			}
 			close(start)
 			wg.Wait()
-			for g, err := range errs {
+			for x, err := range errs {
+				name := fmt.Sprintf("%s round %d goroutine %d run %d", c.name, round, x/runs, x%runs)
 				if err != nil {
-					t.Fatalf("%s round %d goroutine %d: %v", c.name, round, g, err)
+					t.Fatalf("%s: %v", name, err)
 				}
-				checkIdentical(t, fmt.Sprintf("%s round %d goroutine %d", c.name, round, g), outs[g], outs[0])
+				checkIdentical(t, name, outs[x], outs[0])
 			}
 			if !c.published(plan) {
 				t.Fatalf("%s round %d: nothing published", c.name, round)
@@ -659,15 +672,29 @@ func TestRememberConcurrentFirstExecutions(t *testing.T) {
 			}
 			exec := NewExecutor[float64](ptSR)
 			got, err := plan.ExecuteOnOpts(exec, c.a, c.b, ExecOptions{})
-			if err != nil {
-				t.Fatal(err)
+			if err == nil {
+				err = ranRecord(exec, plan, c.record(plan), c.replays)
 			}
-			if c.half && exec.lastHalf != &plan.known.Load().half {
-				t.Fatalf("%s round %d: the execution after publishing did not compute the known half", c.name, round)
+			if err != nil {
+				t.Fatalf("%s round %d, the execution after publishing: %v", c.name, round, err)
 			}
 			checkIdentical(t, fmt.Sprintf("%s round %d remembered", c.name, round), got, outs[0])
 		}
 	}
+}
+
+// ranRecord returns an error unless the execution exec last ran was a
+// hit of plan by the record rec: its kernels bound over rec's half (nil
+// for a full-product record), and replaying exactly when the products
+// are under the memory rule (replays).
+func ranRecord(exec *Executor[float64, ptSRType], plan *Plan[float64, ptSRType], rec *hitRecord, replays bool) error {
+	switch {
+	case exec.lastPlan != plan || !exec.haveHit || exec.lastHalf != rec.half:
+		return errors.New("an execution that started once the record was visible did not run by it")
+	case (exec.hit.replay != nil) != replays:
+		return fmt.Errorf("a hit by the record replayed %v, want %v", exec.hit.replay != nil, replays)
+	}
+	return nil
 }
 
 // TestPlanCacheRememberedPatternBudget pins the charge of what a plan
@@ -804,8 +831,8 @@ func TestPlanCacheRememberedPatternBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		kh, pat := p.known.Load(), p.pattern.Load()
-		if kh == nil || pat == nil || kh.half.out != pat || !sharesPattern(p, out) {
+		kh, full := p.halfHit.rec.Load(), p.fullHit.rec.Load()
+		if kh == nil || full == nil || kh.pat != full.pat || kh.half.out != kh.pat || !sharesPattern(p, out) {
 			t.Fatalf("halfFirst=%v: the known half and the full product do not share one remembered pattern", halfFirst)
 		}
 		want := patternBytes(out) + knownHalfBytes(out, kh) + scheduleCharge(out, g, g, false, false) + scheduleCharge(out, g, g, true, kh.half.upper)
@@ -836,9 +863,9 @@ func TestPlanCacheRunOnceChargesNothing(t *testing.T) {
 	if _, err := p1.ExecuteOnOpts(NewExecutor[float64](ptSR), a1, b1, ExecOptions{Threads: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if p1.pattern.Load() != nil || budget.Used() != foot1 || cache.Stats().Bytes != foot1 {
+	if p1.fullHit.rec.Load() != nil || budget.Used() != foot1 || cache.Stats().Bytes != foot1 {
 		t.Fatalf("a plan executed once: published %v, budget %d, cache %d bytes, want only its %d-byte analysis",
-			p1.pattern.Load() != nil, budget.Used(), cache.Stats().Bytes, foot1)
+			p1.fullHit.rec.Load() != nil, budget.Used(), cache.Stats().Bytes, foot1)
 	}
 	p2, err := cache.GetOrPlan(mask2, a2, b2, opt)
 	if err != nil {
@@ -852,8 +879,8 @@ func TestPlanCacheRunOnceChargesNothing(t *testing.T) {
 	if _, err := p1.ExecuteOnOpts(NewExecutor[float64](ptSR), a1, b1, ExecOptions{Threads: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if p1.pattern.Load() == nil || budget.Used() != p2.footprintBytes() {
-		t.Fatalf("the evicted plan's second execution: published %v, budget %d, want %d", p1.pattern.Load() != nil, budget.Used(), p2.footprintBytes())
+	if p1.fullHit.rec.Load() == nil || budget.Used() != p2.footprintBytes() {
+		t.Fatalf("the evicted plan's second execution: published %v, budget %d, want %d", p1.fullHit.rec.Load() != nil, budget.Used(), p2.footprintBytes())
 	}
 }
 
@@ -874,11 +901,11 @@ func TestRememberedPatternReuseOutput(t *testing.T) {
 	if _, err := plan.ExecuteOnOpts(exec, a, b, pooled); err != nil {
 		t.Fatal(err)
 	}
-	if plan.pattern.Load() != nil {
+	if plan.fullHit.rec.Load() != nil {
 		t.Fatal("an execution with pooled output remembered its pattern")
 	}
 	for run := range 2 {
-		if plan.pattern.Load() != nil {
+		if plan.fullHit.rec.Load() != nil {
 			t.Fatalf("clean run %d: the plan remembered before its second clean execution", run)
 		}
 		if _, err := plan.ExecuteOnOpts(exec, a, b, ExecOptions{Threads: 2}); err != nil {
@@ -936,7 +963,7 @@ func TestPlanHitChangedStructurePanics(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
-		if plan.pattern.Load() == nil || !plan.fullSched.tried.Load() || plan.fullSched.sched.Load() != nil {
+		if rec := plan.fullHit.rec.Load(); rec == nil || rec.sched != nil {
 			t.Fatalf("%s: want a remembered pattern and no product schedule", name)
 		}
 		out, err := plan.ExecuteOn(NewExecutor[float64](ptSR), y, y)
@@ -978,12 +1005,12 @@ func TestReplayedHitChangedStructure(t *testing.T) {
 				}
 			}
 			if ph == TwoPhase {
-				if plan.pattern.Load() != nil {
+				if plan.fullHit.rec.Load() != nil {
 					t.Fatalf("%s/%v: a two-phase plan remembered its pattern", name, ph)
 				}
 				continue
 			}
-			if plan.fullSched.sched.Load() == nil {
+			if plan.fullHit.rec.Load().sched == nil {
 				t.Fatalf("%s/%v: no product schedule kept", name, ph)
 			}
 			out, err := plan.ExecuteOn(NewExecutor[float64](ptSR), y, y)
@@ -1041,7 +1068,7 @@ func TestPlanHitRestValue(t *testing.T) {
 			got, err = twin.ExecuteOnOpts(twinExec, a, b, eo)
 			check("generic", got, err, run)
 		}
-		if opt.Algorithm != AlgoSaxpyThenMask && (plan.pattern.Load() == nil || twin.pattern.Load() == nil) {
+		if opt.Algorithm != AlgoSaxpyThenMask && (plan.fullHit.rec.Load() == nil || twin.fullHit.rec.Load() == nil) {
 			t.Fatalf("%v: the third execution was not a hit", opt.Algorithm)
 		}
 	}
@@ -1085,9 +1112,9 @@ func TestPlanHitGrowsNoSlab(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 			}
-			hit := plan.pattern.Load() != nil && !ranHalf(exec)
-			if kh := plan.known.Load(); c.name == "half" {
-				hit = kh != nil && exec.lastHalf == &kh.half
+			hit := plan.fullHit.rec.Load() != nil && !ranHalf(exec)
+			if kh := plan.halfHit.rec.Load(); c.name == "half" {
+				hit = kh != nil && exec.lastHalf == kh.half
 			}
 			if !hit {
 				t.Fatalf("%s: the executions were not hits", name)

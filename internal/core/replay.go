@@ -14,10 +14,10 @@ import (
 // Replayed hits (DESIGN.md §5, "Replayed hits"). A plan hit knows its
 // output pattern, so the products of each computed entry are the same
 // on every hit: only their values change. A plan a PlanCache built
-// therefore records them once, when it publishes its output pattern or
-// its known half, as a product schedule: for every computed entry, the
-// positions in A's and B's value arrays of its products, in ascending
-// k. Every family sums an entry's products in ascending k and stores
+// therefore records them once, in the record of each kind of hit it
+// publishes (Plan.remember), as a product schedule: for every computed
+// entry, the positions in A's and B's value arrays of its products, in
+// ascending k. Every family sums an entry's products in ascending k and stores
 // the first as is, so a hit that replays the schedule — the first
 // product stored, the rest added in order — is bit-identical to one
 // that runs push or Pull, and finds no product again. A schedule costs
@@ -59,85 +59,37 @@ func (s *schedule) bytes() int64 {
 	return int64(len(s.ptr))*4 + int64(len(s.prods))*8 + int64(len(s.prefix))*8
 }
 
-// schedSlot is where a plan keeps the schedule of one kind of hit. A
-// plan decides once whether to keep one (tried), and then holds it, or
-// nothing if the schedule broke the memory rule.
-type schedSlot struct {
-	tried atomic.Bool
-	sched atomic.Pointer[schedule]
-}
-
-// slotFor returns the slot of the hits over h: the known half's when h
-// is set, the full product's otherwise.
-func (p *Plan[T, S]) slotFor(h *symHalf) *schedSlot {
-	if h != nil {
-		return &p.halfSched
-	}
-	return &p.fullSched
-}
-
-// rememberSchedule decides, once, whether the plan keeps a schedule
-// for its hits over h (the known half, or nil for the full product),
-// whose pattern the plan has just published, and publishes the
-// schedule it builds from (a, b) — structure only — charging its bytes
-// to the plan's cache entry. A plan over the memory rule keeps nothing
-// and charges nothing. threads is the width the build runs at.
-//
-//mspgemm:planwrite
-func (p *Plan[T, S]) rememberSchedule(h *symHalf, a, b *sparse.CSR[T], threads int) {
-	slot := p.slotFor(h)
-	if slot.tried.Swap(true) {
-		return
-	}
-	s := p.buildSchedule(h, a, b, threads)
-	if s == nil {
-		return
-	}
-	slot.sched.Store(s)
-	p.owner.chargeRemembered(p, s.bytes())
-}
-
-// hitRows is the view of a hit's rows a schedule is built over and
-// replayed by: the output pattern the hit writes, and, for a
-// one-triangle hit, the known half h whose rows it computes.
-type hitRows struct {
-	pat *knownPattern
-	h   *symHalf
-}
-
-// hitRowsFor returns the rows of the plan's hits over h, the known
-// half or nil, once the plan has published their pattern.
-func (p *Plan[T, S]) hitRowsFor(h *symHalf) hitRows {
-	if h != nil {
-		return hitRows{pat: h.out, h: h}
-	}
-	return hitRows{pat: p.pattern.Load()}
-}
+// replaySerialProducts is the product count below which a replayed
+// hit runs at width 1, on the calling goroutine: under it, a second
+// worker costs more than the products it would take (DESIGN.md §9
+// measures both sides). It is a constant, not a knob, and hits that run
+// push and Pull keep their width.
+const replaySerialProducts = 1 << 15
 
 // row returns output row i's computed columns and the index of its
 // first computed entry.
-func (r hitRows) row(i int) ([]int32, int64) {
-	if r.h == nil {
+func (r *hitRecord) row(i int) ([]int32, int64) {
+	if r.half == nil {
 		lo, hi := r.pat.rowPtr[i], r.pat.rowPtr[i+1]
 		return r.pat.colIdx[lo:hi], lo
 	}
-	lo, hi := r.h.span(r.pat.rowPtr, i)
-	return r.pat.colIdx[lo:hi], r.h.off[i]
+	lo, hi := r.half.span(r.pat.rowPtr, i)
+	return r.pat.colIdx[lo:hi], r.half.off[i]
 }
 
 // entries returns the number of computed entries.
-func (r hitRows) entries(rows int) int64 {
-	if r.h == nil {
+func (r *hitRecord) entries(rows int) int64 {
+	if r.half == nil {
 		return int64(len(r.pat.colIdx))
 	}
-	return r.h.off[rows]
+	return r.half.off[rows]
 }
 
-// buildSchedule returns the schedule of the hits over h, or nil when
-// it breaks the memory rule, when its positions do not fit an int32,
-// or when an entry has no product (operands whose structure is not
-// the plan's). It runs in three passes over the hit binding's
-// partitions:
+// buildSchedule returns the schedule of the hits rec records, or nil
+// when it breaks the memory rule, when its positions do not fit an
+// int32, or when an entry has no product (operands whose structure is
+// not the plan's). It runs in three passes over the partitions of the
+// record's binding:
 //
 //   - count the products with the scan each row's hit kernel runs (the
 //     push products on its known columns, or the hits of Pull's dots),
@@ -145,17 +97,15 @@ func (r hitRows) entries(rows int) int64 {
 //     costs at most about one hit;
 //   - count each entry's products with the push scan;
 //   - write each entry's products in ascending k.
-func (p *Plan[T, S]) buildSchedule(h *symHalf, a, b *sparse.CSR[T], threads int) *schedule {
+func (p *Plan[T, S]) buildSchedule(rec *hitRecord, a, b *sparse.CSR[T], threads int) *schedule {
 	rows := p.mask.Rows
-	hr := p.hitRowsFor(h)
-	entries := hr.entries(rows)
+	entries := rec.entries(rows)
 	limit := schedProductsPerEntry * entries
 	if limit > math.MaxInt32 || a.NNZ() > math.MaxInt32 || b.NNZ() > math.MaxInt32 {
 		return nil
 	}
-	rb := p.bindingFor(h)
-	bounds := partitions(rb.costPrefix, threads, nil)
-	if !p.productsFit(hr, rb, a, b, bounds, threads, limit) {
+	bounds := partitions(rec.rb.costPrefix, threads, nil)
+	if !p.productsFit(rec, a, b, bounds, threads, limit) {
 		return nil
 	}
 	// ptr[e+1] first counts entry e's products, then becomes the
@@ -163,7 +113,7 @@ func (p *Plan[T, S]) buildSchedule(h *symHalf, a, b *sparse.CSR[T], threads int)
 	ptr := make([]int32, entries+1)
 	var prods []prodPos
 	var next []int32
-	m := maskRows{p.mask, h}
+	m := maskRows{p.mask, rec.half}
 	scratch := make([][]int32, threads)
 	// pushEntries walks every row's push products on its known columns,
 	// counting them per entry, or, with write, writing them.
@@ -177,7 +127,7 @@ func (p *Plan[T, S]) buildSchedule(h *symHalf, a, b *sparse.CSR[T], threads int)
 			at, ptr, prods, next := scratch[tid], ptr, prods, next
 			bRowPtr, bColIdx := b.RowPtr, b.ColIdx
 			for i := lo; i < hi; i++ {
-				cols, base := hr.row(i)
+				cols, base := rec.row(i)
 				for q, j := range cols {
 					at[j] = int32(q) + 1
 				}
@@ -217,20 +167,20 @@ func (p *Plan[T, S]) buildSchedule(h *symHalf, a, b *sparse.CSR[T], threads int)
 	pushEntries(true)
 	prefix := make([]int64, rows+1)
 	for i := range rows {
-		_, e := hr.row(i)
+		_, e := rec.row(i)
 		prefix[i] = int64(ptr[e])
 	}
 	prefix[rows] = int64(ptr[entries])
 	return &schedule{ptr: ptr, prods: prods, prefix: prefix}
 }
 
-// productsFit reports whether the hit rows hr have at most limit
+// productsFit reports whether the hits rec records have at most limit
 // products, counted with the scan each row's hit kernel runs under the
-// binding rb: Pull rows count the hits of their dots over B's CSC
+// record's binding: Pull rows count the hits of their dots over B's CSC
 // structure, and push rows count the products their B rows land on
 // known columns. The count stops once its running total, added to
 // after each partition (or each run within one), passes limit.
-func (p *Plan[T, S]) productsFit(hr hitRows, rb *rowBinding, a, b *sparse.CSR[T], bounds []int, threads int, limit int64) bool {
+func (p *Plan[T, S]) productsFit(rec *hitRecord, a, b *sparse.CSR[T], bounds []int, threads int, limit int64) bool {
 	// B's CSC structure as Pull reads it (prepareCSC): the plan's
 	// transpose, or a symmetric B's own rows. A plan without one (SS:DOT*,
 	// which transposes per execution) counts every row by push.
@@ -239,7 +189,7 @@ func (p *Plan[T, S]) productsFit(hr hitRows, rb *rowBinding, a, b *sparse.CSR[T]
 		colPtr, rowIdx = p.mask.RowPtr, p.mask.ColIdx
 	}
 	pullAll := p.info.NeedsCSC && p.opt.Algorithm != AlgoHybrid
-	m := maskRows{p.mask, hr.h}
+	rb, m := rec.rb, maskRows{p.mask, rec.half}
 	var total atomic.Int64
 	over := new(parallel.CancelToken)
 	type counter struct{ known, aRow []uint64 }
@@ -255,7 +205,7 @@ func (p *Plan[T, S]) productsFit(hr hitRows, rb *rowBinding, a, b *sparse.CSR[T]
 			pull := colPtr != nil && (pullAll || f == int(FamPull))
 			var n int64
 			for i := lo; i < seg; i++ {
-				cols, _ := hr.row(i)
+				cols, _ := rec.row(i)
 				aCols := a.Row(i)
 				if pull {
 					n += countPullProducts(c.aRow, aCols, cols, colPtr, rowIdx)
@@ -312,11 +262,12 @@ func countPushProducts(bits []uint64, cols, aCols []int32, clip bClip, bRowPtr [
 	return n
 }
 
-// bindReplay binds the replay kernel of a plan hit over h with the
-// schedule s to (a, b): the entries of each row replay their products,
-// through sr.Mul and sr.Add, or through replayRow64 under the served
-// semiring.
-func bindReplay[T any, S semiring.Semiring[T]](p *Plan[T, S], a, b *sparse.CSR[T], h *symHalf, s *schedule) hitKernels[T] {
+// bindReplay binds the replay kernel of a plan hit by the record rec,
+// which holds a product schedule, to (a, b): the entries of each row
+// replay their products, through sr.Mul and sr.Add, or through
+// replayRow64 under the served semiring.
+func bindReplay[T any, S semiring.Semiring[T]](p *Plan[T, S], a, b *sparse.CSR[T], rec *hitRecord) hitKernels[T] {
+	s := rec.sched
 	var entries func(ptr []int32, outVal []T)
 	if _, ok := any(p.sr).(accum.PlusTimes64); ok {
 		// S is PlusTimes[float64], so T is float64 and these assertions hold.
@@ -330,33 +281,32 @@ func bindReplay[T any, S semiring.Semiring[T]](p *Plan[T, S], a, b *sparse.CSR[T
 			replayRow(sr, a.Val, b.Val, ptr, s.prods, outVal)
 		}
 	}
-	hr := p.hitRowsFor(h)
 	return hitKernels[T]{replay: func(lo, hi int, val []T, fi *faultinject.Hooks) {
-		replayRows(hr, s.ptr, lo, hi, val, fi, entries)
+		replayRows(rec, lo, hi, val, fi, entries)
 	}}
 }
 
-// replayRows writes the values of the hit rows [lo, hi) of hr into
+// replayRows writes the values of the hit rows [lo, hi) of rec into
 // val, each row's entries replayed by entries from their products'
-// range of ptr, after firing fi's row hook for each row. A full
-// product's rows hold consecutive entries, in output order, so they
-// replay in one call; a known half's rows replay one by one into their
-// half's range (symHalf.span).
-func replayRows[T any](hr hitRows, ptr []int32, lo, hi int, val []T, fi *faultinject.Hooks, entries func(ptr []int32, outVal []T)) {
+// range of the schedule's ptr, after firing fi's row hook for each row.
+// A full product's rows hold consecutive entries, in output order, so
+// they replay in one call; a known half's rows replay one by one into
+// their half's range (symHalf.span).
+func replayRows[T any](rec *hitRecord, lo, hi int, val []T, fi *faultinject.Hooks, entries func(ptr []int32, outVal []T)) {
 	if fi != nil {
 		for i := lo; i < hi; i++ {
 			fi.Row(faultinject.PassNumeric, i)
 		}
 	}
-	rowPtr := hr.pat.rowPtr
-	if hr.h == nil {
+	rowPtr, ptr := rec.pat.rowPtr, rec.sched.ptr
+	if rec.half == nil {
 		at, end := rowPtr[lo], rowPtr[hi]
 		entries(ptr[at:end+1], val[at:end])
 		return
 	}
 	for i := lo; i < hi; i++ {
-		if at, end := hr.h.span(rowPtr, i); at < end {
-			e := hr.h.off[i]
+		if at, end := rec.half.span(rowPtr, i); at < end {
+			e := rec.half.off[i]
 			entries(ptr[e:e+end-at+1], val[at:end])
 		}
 	}

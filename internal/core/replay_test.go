@@ -60,11 +60,12 @@ func (r replayProduct) values(f func(*sparse.CSR[float64]) *sparse.CSR[float64])
 // scheduled reports whether p keeps a product schedule for its
 // one-triangle hits (half) or its full-product hits.
 func scheduled[T any, S semiring.Semiring[T]](p *Plan[T, S], half bool) bool {
-	slot := &p.fullSched
+	k := &p.fullHit
 	if half {
-		slot = &p.halfSched
+		k = &p.halfHit
 	}
-	return slot.sched.Load() != nil
+	rec := k.rec.Load()
+	return rec != nil && rec.sched != nil
 }
 
 // TestReplayGenericBitIdentical runs the replayed hits of the generic

@@ -344,12 +344,16 @@ func costPartitions(cost []int64, threads int) []int {
 
 // referenceBounds recovers the per-row costs from the prefix the plan's
 // next full-product execution cuts — its own retained prefix, or its
-// product schedule's once its hits replay one — and runs the linear
-// reference at the given width.
+// product schedule's once its hits replay one, at width 1 when the
+// schedule holds fewer than replaySerialProducts products — and runs
+// the linear reference at the given width.
 func referenceBounds[T any, S semiring.Semiring[T]](p *Plan[T, S], threads int) []int {
 	prefix := p.costPrefix
-	if s := p.fullSched.sched.Load(); s != nil {
-		prefix = s.prefix
+	if rec := p.fullHit.rec.Load(); rec != nil && rec.sched != nil {
+		prefix = rec.sched.prefix
+		if prefix[len(prefix)-1] < replaySerialProducts {
+			threads = 1
+		}
 	}
 	cost := make([]int64, len(prefix)-1)
 	for i := range cost {
@@ -609,7 +613,8 @@ func TestPartitionsAllocFree(t *testing.T) {
 // never add cache entries. Every execution additionally cuts exactly
 // the linear reference's bounds over the prefix it cuts: the plan's, or
 // from the third execution on, where the hits replay the product
-// schedule the second published, the schedule's.
+// schedule the second published, the schedule's, cut at width 1 when it
+// holds fewer than replaySerialProducts products.
 func TestPlanWidthInvariance(t *testing.T) {
 	algos := []Algorithm{AlgoMSA, AlgoHash, AlgoMCA, AlgoHeap, AlgoInner, AlgoMaskedBit, AlgoHybrid}
 	same := func(x, y float64) bool { return x == y }

@@ -197,28 +197,28 @@ func (k schemeKernels[T, S]) binder(complement bool) kernelBinder[T, S] {
 	return k.plain
 }
 
-// bindHit binds p's hit kernels to (a, b) on e, over the halves h when
-// h is non-nil. A plan with a product schedule s replays it on every
-// row (bindReplay). Otherwise every known column is one a product lands
-// on and the mask admits, so the complement no longer matters: every
-// push family runs one push kernel, MSA over the known columns
-// (accum.MSAKnown), and Pull dots only them. Rows keep their binding
-// (Plan.bindingFor).
-func bindHit[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], h *symHalf, s *schedule) hitKernels[T] {
-	if s != nil {
-		return bindReplay(p, a, b, h, s)
+// bindHit binds p's kernels for a hit by the record rec to (a, b) on e.
+// A record with a product schedule replays it on every row
+// (bindReplay). Otherwise every known column is one a product lands on
+// and the mask admits, so the complement no longer matters: every push
+// family runs one push kernel, MSA over the known columns
+// (accum.MSAKnown), and Pull dots only them. Rows keep the record's
+// binding.
+func bindHit[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], rec *hitRecord) hitKernels[T] {
+	if rec.sched != nil {
+		return bindReplay(p, a, b, rec)
 	}
 	if _, ok := any(p.sr).(accum.PlusTimes64); ok {
 		// S is PlusTimes[float64], so T is float64 and these assertions hold.
 		k := bindHitOver(any(p).(*Plan[float64, accum.PlusTimes64]), any(e).(*Executor[float64, accum.PlusTimes64]),
-			any(a).(*sparse.CSR[float64]), any(b).(*sparse.CSR[float64]), h,
+			any(a).(*sparse.CSR[float64]), any(b).(*sparse.CSR[float64]), rec,
 			func(m *accum.MSA[float64, accum.PlusTimes64]) accum.MSAKnownPlusTimes {
 				return accum.MSAKnownPlusTimes{MSAPlusTimes: accum.MSAPlusTimes{MSA: m, Dense: true}}
 			}, denseDot64)
 		return any(k).(hitKernels[T])
 	}
 	sr := p.sr
-	return bindHitOver(p, e, a, b, h,
+	return bindHitOver(p, e, a, b, rec,
 		func(m *accum.MSA[T, S]) accum.MSAKnown[T, S] { return accum.MSAKnown[T, S]{MSA: m} },
 		func(bits []uint64, aDense []T, bRows []int32, bVals []T) (T, bool) {
 			return denseDot(sr, bits, aDense, bRows, bVals)
@@ -229,18 +229,18 @@ func bindHit[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a,
 // worker's MSA in, and the dot product dot. A push row trusts its known
 // columns; a Pull row panics errPatternChanged on one its dot finds no
 // product on.
-func bindHitOver[T any, S semiring.Semiring[T], A accum.Numeric[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], h *symHalf, known func(*accum.MSA[T, S]) A, dot dotFn[T]) hitKernels[T] {
+func bindHitOver[T any, S semiring.Semiring[T], A accum.Numeric[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], rec *hitRecord, known func(*accum.MSA[T, S]) A, dot dotFn[T]) hitKernels[T] {
 	var k hitKernels[T]
 	push, pull := !p.info.NeedsCSC, p.info.NeedsCSC
 	if p.opt.Algorithm == AlgoHybrid {
-		rb := p.bindingFor(h)
+		rb := rec.rb
 		k.runEnds, k.runFam = rb.runEnds, rb.runFam
 		push, pull = rb.polyFams&^(1<<FamPull) != 0, rb.polyFams.Has(FamPull)
 	}
 	if push {
 		k.push = func(tid, i int, cols []int32, outVal []T) {
 			acc := known(e.worker(tid).MSA(b.Cols))
-			pushRowNumeric(acc, cols, a.Row(i), a.RowVals(i), maskRows{p.mask, h}.clip(i), b, nil, outVal)
+			pushRowNumeric(acc, cols, a.Row(i), a.RowVals(i), maskRows{p.mask, rec.half}.clip(i), b, nil, outVal)
 		}
 	}
 	if pull {

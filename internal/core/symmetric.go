@@ -17,7 +17,7 @@ import (
 // its mask prefix j ≤ i, or every row its mask suffix j ≥ i — and a
 // mirror pass then writes the full, sorted CSR in place of compact. A
 // plan a PlanCache built remembers that CSR's pattern and a transpose
-// map (knownHalf), and its later half executions write their values
+// map (hitRecord), and its later half executions write their values
 // straight into it (knownPhase). Restricting the mask row is what
 // makes a half row correct; the kernels also clip every scanned B_k
 // row at column i, through the plan's mirror map, so that the scan
@@ -39,7 +39,7 @@ type symHalf struct {
 	// off is the one-phase slab layout of the computed halves: row i
 	// computes off[i+1]−off[i] mask entries, or known columns.
 	off []int64
-	// out, set only on a known half (Plan.rememberHalf), is the plan's
+	// out, set only on a known half (Plan.remember), is the plan's
 	// remembered output pattern: row i computes the columns of its
 	// output half, a subset of its mask half, which open output row i
 	// in the lower triangle and close it in the upper (span), and off

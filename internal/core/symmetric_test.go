@@ -403,10 +403,10 @@ func TestSymmetricKnownHalfAllocs(t *testing.T) {
 			for range 3 { // publish, then warm the hit path
 				hit()
 			}
-			if kh := plan.known.Load(); half && (kh == nil || exec.lastHalf != &kh.half) {
+			if kh := plan.halfHit.rec.Load(); half && (kh == nil || exec.lastHalf != kh.half) {
 				t.Fatalf("%v: the warm execution was not an in-place hit", algo)
 			}
-			if !half && (plan.pattern.Load() == nil || ranHalf(exec)) {
+			if !half && (plan.fullHit.rec.Load() == nil || ranHalf(exec)) {
 				t.Fatalf("%v: the warm execution was not a full-product hit", algo)
 			}
 			allocs := testing.AllocsPerRun(10, hit)
