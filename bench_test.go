@@ -488,18 +488,21 @@ func benchPlanHits(b *testing.B, s *Session, multiply func(i int) error) {
 // mspgemm-trajectory. Such a product computes one triangle and mirrors
 // it. Two warm executions come before the timer: the second publishes
 // the plan's known half (DESIGN.md §5, "Known pattern"), so every timed
-// op computes only the known columns, under the binding priced on
-// them, or replays their products (er-warm-inline's, "Replayed hits"),
-// then mirrors. After the timer, the cached plan runs up to 200 more
-// hits on one executor with pass timers on, and the benchmark reports
-// their mean hit numeric pass (core.PassHitNumeric) as numeric-ns/op.
+// op computes only the known columns, replaying their products
+// (er-warm-inline's, "Replayed hits") or walking their dot bitmap
+// (tc-skew-ref's, "Bitmap hits"), then mirrors; the benchmark fails
+// unless the plan's hits run in that tier. After the timer, the cached
+// plan runs up to 200 more hits on one executor with pass timers on,
+// and the benchmark reports their mean hit numeric pass
+// (core.PassHitNumeric) as numeric-ns/op.
 func BenchmarkSessionPlanHitSelf(b *testing.B) {
 	for _, c := range []struct {
-		name string
-		g    *sparse.CSR[float64]
+		name              string
+		g                 *sparse.CSR[float64]
+		replayed, bitmaps int
 	}{
-		{"er-warm-inline", gen.Symmetrize(gen.ErdosRenyi(1<<11, 8, 1))},
-		{"tc-skew-ref", bench.SkewedGraph(12, 8, 1)},
+		{"er-warm-inline", gen.Symmetrize(gen.ErdosRenyi(1<<11, 8, 1)), 1, 0},
+		{"tc-skew-ref", bench.SkewedGraph(12, 8, 1), 0, 1},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			s := NewSession()
@@ -511,7 +514,11 @@ func BenchmarkSessionPlanHitSelf(b *testing.B) {
 			}
 			multiply()
 			multiply()
-			misses := s.Stats().Cache.Misses
+			st := s.Stats().Cache
+			if st.ReplayedPlans != c.replayed || st.BitmapPlans != c.bitmaps {
+				b.Fatalf("%d replayed and %d bitmap plans, want %d and %d", st.ReplayedPlans, st.BitmapPlans, c.replayed, c.bitmaps)
+			}
+			misses := st.Misses
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -546,7 +553,8 @@ func BenchmarkSessionPlanHitSelf(b *testing.B) {
 // er-warm-inline and tc-skew-ref (as in BenchmarkSessionPlanHitSelf).
 // That execution computes one triangle and mirrors it, then builds the
 // record its plan's hits run by — the known half, its binding and the
-// product schedule, or the memory rule's refusal — and publishes it
+// product schedule, or, once the replay rule refuses one, the dot
+// bitmap (tc-skew-ref's) — and publishes it
 // (DESIGN.md §5, "Known pattern"). Each op starts a fresh session,
 // stores A and runs the first execution outside the timer, and fails
 // unless the timed execution charged the cache for a record.

@@ -427,9 +427,11 @@ func TestChaosSymmetricInPlaceHit(t *testing.T) {
 // one and four threads. Each interrupted hit returns its typed error
 // and no result, and its executor is discarded; the plan keeps the
 // same pattern, and a clean hit on a fresh executor then equals the
-// publishing result bit for bit. The dense products break the memory
-// rule, so their hits run push and Pull; the others' hits replay their
-// product schedule (DESIGN.md §5, "Replayed hits").
+// publishing result bit for bit. The dense products break the replay
+// rule, so their hits walk a dot bitmap where the plan holds B's CSC
+// structure and run push and Pull elsewhere (DESIGN.md §5, "Bitmap
+// hits"); the others' hits replay their product schedule ("Replayed
+// hits").
 func TestChaosFullProductHit(t *testing.T) {
 	t.Cleanup(faultinject.Disarm)
 	rect, ra, rb := buildCase(caseSpec{"", 96, 80, 300, 6, 8, 12, 7})
@@ -496,8 +498,10 @@ func TestChaosFullProductHit(t *testing.T) {
 						t.Fatalf("%s: err = %v, want CanceledError in pass %s", name, err, fault.CancelPass)
 					case exec.lastPlan != plan || !exec.haveHit:
 						t.Fatalf("%s: the interrupted execution was not a hit", name)
-					case (exec.hit.replay != nil) != c.replays:
-						t.Fatalf("%s: the hit replayed %v, want %v", name, exec.hit.replay != nil, c.replays)
+					case (tierOf(rec) == tierReplay) != c.replays:
+						t.Fatalf("%s: the hits run in tier %v, want replaying %v", name, tierOf(rec), c.replays)
+					case (exec.hit.rows != nil) != (tierOf(rec) != tierPushPull):
+						t.Fatalf("%s: a hit in tier %v bound one kernel for every row: %v", name, tierOf(rec), exec.hit.rows != nil)
 					}
 					pool.Discard(exec)
 					if st := pool.Stats(); st.Poisoned != 1 || st.Idle != 0 {

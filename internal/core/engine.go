@@ -22,11 +22,11 @@ import (
 //   - Known pattern: a cached plan publishes, from its second one-phase
 //     execution of each kind, full product or one triangle, the record
 //     that kind's hits run by (Plan.remember): the output pattern, a
-//     known half, the binding and the product schedule. Every later
-//     such execution is a hit: each row's values go straight into its
-//     exact range of that pattern, computed by push or Pull or replayed
-//     from the record's schedule, and a half hit then copies them to
-//     their transposes (knownPhase).
+//     known half, the binding and the product schedule or dot bitmap.
+//     Every later such execution is a hit: each row's values go straight
+//     into its exact range of that pattern, replayed from the record's
+//     schedule, walked from its bitmap, or computed by push or Pull, and
+//     a half hit then copies them to their transposes (knownPhase).
 //
 // Kernels receive a tid to index per-worker accumulator scratch.
 
@@ -41,10 +41,10 @@ type rowSymbolicFn func(tid, i int) int
 // are known, into outVal (len(outVal) == len(cols)).
 type rowKnownFn[T any] func(tid, i int, cols []int32, outVal []T)
 
-// rowsReplayFn writes the values of the output rows [lo, hi) of a
-// replayed hit into their ranges of val, the result's value array,
-// firing fi's row hook for each row.
-type rowsReplayFn[T any] func(lo, hi int, val []T, fi *faultinject.Hooks)
+// rowsHitFn writes the values of the output rows [lo, hi) of a
+// replayed or bitmap hit into their ranges of val, the result's value
+// array, on worker tid, firing fi's row hook for each row.
+type rowsHitFn[T any] func(lo, hi, tid int, val []T, fi *faultinject.Hooks)
 
 // findRun returns the index of the run containing row i: the first
 // run whose exclusive end exceeds i (binary search; runEnds is
@@ -75,13 +75,13 @@ func runSegment(runEnds []int32, runFam []uint8, lo, hi int) (int, int) {
 
 // hitKernels is one bound plan hit (bindHit): the push and Pull
 // kernels, and the Hybrid runs choosing between them, if any, or, for
-// a record with a product schedule, the replay kernel alone
-// (bindReplay), which runs whole partitions.
+// a record with a product schedule or a dot bitmap, one kernel for
+// every row (bindReplay, bindDots), which runs whole partitions.
 type hitKernels[T any] struct {
 	push, pull rowKnownFn[T]
 	runEnds    []int32
 	runFam     []uint8
-	replay     rowsReplayFn[T]
+	rows       rowsHitFn[T]
 }
 
 // onePhase runs the numeric kernel once per row into a slab laid out by
@@ -180,8 +180,8 @@ func knownPhase[T any](rows, cols int, rec *hitRecord, sch rowSched, k hitKernel
 	val := es.outVals(int64(len(colIdx)))
 	fi := sch.fi
 	sch.run(func(lo, hi, tid int) {
-		if k.replay != nil {
-			k.replay(lo, hi, val, fi)
+		if k.rows != nil {
+			k.rows(lo, hi, tid, val, fi)
 			return
 		}
 		for lo < hi {
@@ -194,11 +194,7 @@ func knownPhase[T any](rows, cols int, rec *hitRecord, sch rowSched, k hitKernel
 				if fi != nil {
 					fi.Row(faultinject.PassNumeric, i)
 				}
-				at, end := rowPtr[i], rowPtr[i+1]
-				if h != nil {
-					at, end = h.span(rowPtr, i)
-				}
-				if at < end {
+				if at, end := rec.span(i); at < end {
 					known(tid, i, colIdx[at:end], val[at:end])
 				}
 			}

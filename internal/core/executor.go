@@ -107,13 +107,11 @@ func (e *Executor[T, S]) worker(tid int) *workspace[T, S] {
 // A symmetric self-product's B is its own CSC structure, with the
 // plan's mirror map as the permutation; when the execution computes
 // one triangle (h non-nil), its values are symmetric too, and the CSC
-// view reads B's value array itself. Whether a Hybrid execution pulls
-// at all is its binding rb's: a known half may bind pull rows where the
-// mask halves bind none.
-func (e *Executor[T, S]) prepareCSC(p *Plan[T, S], b *sparse.CSR[T], h *symHalf, rb *rowBinding) {
-	if !p.needsCSC(rb) {
-		return
-	}
+// view reads B's value array itself. The caller decides whether the
+// execution reads B by column at all (Plan.needsCSC): a known half may
+// bind pull rows where the mask halves bind none, and a bitmap hit
+// always does.
+func (e *Executor[T, S]) prepareCSC(p *Plan[T, S], b *sparse.CSR[T], h *symHalf) {
 	if e.bt == nil {
 		e.bt = &sparse.CSC[T]{}
 	}

@@ -516,8 +516,9 @@ func bindHybrid[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S],
 // encoding over its mask rows (or mask halves) — what its executions
 // dispatch until they run by a hit record (DESIGN.md §5, "Known
 // pattern"): a one-triangle record carries its own binding, priced on
-// the known half, and a record that replays a product schedule
-// dispatches no family. Decoded straight from the stored runs. All
+// the known half, and a record that replays a product schedule or
+// walks a dot bitmap dispatches no family. Decoded straight from the
+// stored runs. All
 // zeros for non-poly plans.
 func (p *Plan[T, S]) FamilyRows() [NumFamilies]int {
 	return p.rowBinding.familyRows()

@@ -55,6 +55,19 @@ func (r *denseRow[T]) load(aCols []int32, aVals []T) {
 	}
 }
 
+// loadVals writes one A row's values into the value array alone: a
+// bitmap hit (dotWalk64) reads only the values its bits name, and
+// leaves the bitset clear.
+//
+//mspgemm:hotpath
+func (r *denseRow[T]) loadVals(aCols []int32, aVals []T) {
+	vals := r.vals
+	aVals = aVals[:len(aCols)]
+	for t, k := range aCols {
+		vals[uint32(k)] = aVals[t]
+	}
+}
+
 // loadPattern sets the bits of one A row; the symbolic kernels read no
 // values.
 //

@@ -33,7 +33,8 @@ import (
 // atomic: on a plan a PlanCache built, the count of its clean one-phase
 // executions of each kind — full product or one triangle — and, once,
 // from the second, the record its hits of that kind run by (remember),
-// over one output pattern (sharePattern); and the last resident value
+// over one output pattern (sharePattern), with its product schedule or
+// dot bitmap; and the last resident value
 // array an execution proved symmetric (provedSymmetric). All
 // mutable execution state (accumulators, slabs, the refreshed CSC
 // values of B, bound kernels) lives in the Executor, which is NOT concurrency-safe: concurrent
@@ -198,6 +199,16 @@ func (p *Plan[T, S]) needsCSC(rb *rowBinding) bool {
 	return p.info.NeedsCSC
 }
 
+// cscOfB returns the CSC structure of B the plan holds, as Pull reads
+// it (prepareCSC): a symmetric self-product's own rows, or the plan's
+// transpose. Both are nil on a plan that holds none.
+func (p *Plan[T, S]) cscOfB() ([]int64, []int32) {
+	if p.sym != nil {
+		return p.mask.RowPtr, p.mask.ColIdx
+	}
+	return p.btPtr, p.btIdx
+}
+
 // Options returns the plan's normalized options.
 func (p *Plan[T, S]) Options() Options { return p.opt }
 
@@ -246,10 +257,13 @@ type hitKind struct {
 // from pat (symHalf.out) — and the transpose map knownPhase copies
 // values by; the binding its rows run under, the plan's own for a
 // full-product hit and one priced on the known half for a one-triangle
-// hit; and the product schedule it replays, or nil when its products
-// break the memory rule. Every output entry of a half lies in the known
-// half, so a hit over it computes the same entries from the same
-// products, in the same order, as an execution over the mask halves.
+// hit; and the tier its hits run in: the product schedule it replays,
+// or nil when its products break the replay rule, and then the dot
+// bitmap it walks, or nil when the plan holds no CSC structure of B or
+// the bitmap breaks its memory rule, and then push and Pull under the
+// binding. Every output entry of a half lies in the known half, so a
+// hit over it computes the same entries from the same products, in the
+// same order, as an execution over the mask halves.
 //
 //mspgemm:immutable
 type hitRecord struct {
@@ -261,12 +275,13 @@ type hitRecord struct {
 	tpos  []int32
 	rb    *rowBinding
 	sched *schedule
+	dots  *dotBitmap
 }
 
 // bytes is the memory the record adds to its plan's cache entry beyond
 // the shared pattern: a known half's offsets, transpose map and
-// binding, and the schedule. The mask structure, the mirror map and a
-// full-product record's binding are the plan's.
+// binding, and the schedule or the dot bitmap. The mask structure, the
+// mirror map and a full-product record's binding are the plan's.
 func (r *hitRecord) bytes() int64 {
 	var n int64
 	if r.half != nil {
@@ -274,6 +289,9 @@ func (r *hitRecord) bytes() int64 {
 	}
 	if r.sched != nil {
 		n += r.sched.bytes()
+	}
+	if r.dots != nil {
+		n += r.dots.bytes()
 	}
 	return n
 }
@@ -284,7 +302,8 @@ func (r *hitRecord) bytes() int64 {
 // runs once, a cold miss whose entry is evicted before the structure
 // recurs, charges nothing for a record no request reads. The execution
 // that counts the second alone builds the kind's whole record from out,
-// its schedule at width threads, publishes it, and charges its bytes to
+// its schedule, or its dot bitmap when the replay rule refuses one, at
+// width threads, publishes it, and charges its bytes to
 // the plan's cache entry at once, with the pattern's when the record is
 // the first to share it. A half execution's out is as mirrorPass wrote
 // it: each output row's entries on the computed side of the diagonal
@@ -329,7 +348,9 @@ func (p *Plan[T, S]) remember(k *hitKind, h *symHalf, out, a, b *sparse.CSR[T], 
 		rb := p.bindRows(maskRows{p.mask, &half}, a, b)
 		rec.half, rec.tpos, rec.rb = &half, tpos, &rb
 	}
-	rec.sched = p.buildSchedule(rec, a, b, threads)
+	if rec.sched = p.buildSchedule(rec, a, b, threads); rec.sched == nil {
+		rec.dots = p.buildDots(rec, a, threads)
+	}
 	k.rec.Store(rec)
 	p.owner.chargeRemembered(p, charge+rec.bytes())
 }
@@ -422,18 +443,22 @@ func (p *Plan[T, S]) Execute(a, b *sparse.CSR[T]) (*sparse.CSR[T], error) {
 // the internal scratch is pooled — except on a plan a PlanCache built.
 // Such a plan's second clean one-phase execution of each kind, full
 // product or one triangle, publishes the kind's record — the output
-// pattern, a known half, the binding and the product schedule,
-// together — and every later execution of that kind is a hit that runs
-// by it. The publishing result and every hit's share RowPtr and ColIdx
-// with the plan's remembered output pattern: treat them as read-only,
-// and Clone a result to own every array. A hit trusts the
+// pattern, a known half, the binding and the product schedule or dot
+// bitmap, together — and every later execution of that kind is a hit
+// that runs by it. The publishing result and every hit's share RowPtr
+// and ColIdx with the plan's remembered output pattern: treat them as
+// read-only, and Clone a result to own every array. A hit trusts the
 // pattern on push rows, and a Pull row returns a *KernelPanicError on a
 // known column its dot finds no product on, so (a, b) of another
 // structure may give a wrong result or that error. A hit that replays
 // the record's product schedule trusts the schedule: (a, b) of another
 // structure but the planned nnz give a result of the remembered pattern
 // whose values are the products at the remembered value positions,
-// which are all in range, and no error.
+// which are all in range, and no error. A hit that walks the record's
+// dot bitmap trusts the bitmap, and each entry's walk is clamped to its
+// column of the plan's CSC structure of B: (a, b) of another structure
+// but the planned nnz give a result of the remembered pattern, whose
+// values sum products at positions that are all in range, and no error.
 //
 // ExecuteOn applies the execution-only options frozen into the plan;
 // cache-shared plans are built with those zeroed (plan identity never
@@ -500,17 +525,27 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 	rec := kind.rec.Load()
 	es := &exec.scratch
 	es.reuseOut = eo.ReuseOutput
+	// The partitions are cut from the prefix of what the execution's rows
+	// cost: the products of a replayed hit, the bits of a bitmap hit, and
+	// the binding's costs otherwise.
 	prefix := p.costPrefix
 	switch {
 	case rec == nil:
-		exec.prepareCSC(p, b, h, &p.rowBinding)
+		if p.needsCSC(&p.rowBinding) {
+			exec.prepareCSC(p, b, h)
+		}
 	case rec.sched != nil:
 		prefix = rec.sched.prefix
 		if prefix[len(prefix)-1] < replaySerialProducts {
 			threads = 1
 		}
+	case rec.dots != nil:
+		exec.prepareCSC(p, b, rec.half)
+		prefix = rec.dots.prefix
 	default:
-		exec.prepareCSC(p, b, rec.half, rec.rb)
+		if p.needsCSC(rec.rb) {
+			exec.prepareCSC(p, b, rec.half)
+		}
 		prefix = rec.rb.costPrefix
 	}
 	exec.partBounds = partitions(prefix, threads, exec.partBounds)

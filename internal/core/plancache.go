@@ -511,16 +511,20 @@ type PlanCacheStats struct {
 	// the operator's view of per-family adoption. A plan that has
 	// remembered a known half counts that half's binding, which its
 	// one-triangle hits run. A plan whose hits replay a product schedule
-	// runs no family and is counted in ReplayedPlans instead. Nil when
-	// no cached plan carries a per-row binding its hits run.
+	// or walk a dot bitmap runs no family and is counted in
+	// ReplayedPlans or BitmapPlans instead. Nil when no cached plan
+	// carries a per-row binding its hits run.
 	HybridFamilyRows map[string]int64 `json:"hybrid_family_rows,omitempty"`
 	// ReplayedPlans counts the cached plans whose hits replay a product
 	// schedule (DESIGN.md §5, "Replayed hits"): those of their known
 	// half once they have published one, their full-product hits
 	// otherwise.
 	ReplayedPlans int `json:"replayed_plans"`
+	// BitmapPlans counts the cached plans whose hits, by the same rule,
+	// walk a dot bitmap (DESIGN.md §5, "Bitmap hits").
+	BitmapPlans int `json:"bitmap_plans"`
 	// ScheduleBytes is the memory the cached plans' product schedules
-	// hold, part of Bytes.
+	// and dot bitmaps hold, part of Bytes.
 	ScheduleBytes int64 `json:"schedule_bytes"`
 }
 
@@ -529,14 +533,18 @@ func (c *PlanCache[T, S]) Stats() PlanCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var famRows map[string]int64
-	var replayed int
+	var replayed, bitmaps int
 	var schedBytes int64
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		p := el.Value.(*planEntry[T, S]).plan
 		full, half := p.fullHit.rec.Load(), p.halfHit.rec.Load()
 		for _, rec := range []*hitRecord{full, half} {
-			if rec != nil && rec.sched != nil {
+			switch {
+			case rec == nil:
+			case rec.sched != nil:
 				schedBytes += rec.sched.bytes()
+			case rec.dots != nil:
+				schedBytes += rec.dots.bytes()
 			}
 		}
 		// The hits counted are the half record's once there is one.
@@ -545,8 +553,12 @@ func (c *PlanCache[T, S]) Stats() PlanCacheStats {
 			rec = full
 		}
 		if rec != nil {
-			if rec.sched != nil {
+			switch {
+			case rec.sched != nil:
 				replayed++
+				continue
+			case rec.dots != nil:
+				bitmaps++
 				continue
 			}
 			rb = rec.rb
@@ -573,6 +585,7 @@ func (c *PlanCache[T, S]) Stats() PlanCacheStats {
 		Bytes:            c.bytes,
 		HybridFamilyRows: famRows,
 		ReplayedPlans:    replayed,
+		BitmapPlans:      bitmaps,
 		ScheduleBytes:    schedBytes,
 	}
 }

@@ -698,16 +698,20 @@ func TestPlanCacheStatsHybridFamilyRows(t *testing.T) {
 // binding plan hits run on a symmetric self-product under Hybrid: the
 // mask halves' family rows until the plan publishes its known half, on
 // its second half execution, and from then on the known half's for a
-// tc-skew-ref-like product (an R-MAT graph relabeled hubs last), whose
-// products break the memory rule, and none for er-warm-inline's, whose
-// hits replay a product schedule and run no family: Stats counts that
-// plan in ReplayedPlans instead, with its schedule's bytes. Most of
+// dense product, whose hits break the memory rules of the product
+// schedule and the dot bitmap and run push and Pull, and none for
+// er-warm-inline's, whose hits replay a product schedule, or for a
+// tc-skew-ref-like product's (an R-MAT graph relabeled hubs last),
+// whose hits walk a dot bitmap: both run no family, and Stats counts
+// such a plan in ReplayedPlans or BitmapPlans instead, with its
+// schedule's or bitmap's bytes in ScheduleBytes. Most of
 // er-warm-inline's mask-half entries never reach the output, so its
 // known half binds more rows to Pull than its mask halves do. With
 // both, two executions on asymmetric values follow, so the plan
-// publishes both kinds of record: Stats still reads the half record,
-// its binding for the R-MAT product, and counts er-warm-inline's plan
-// in ReplayedPlans once, with the bytes of both its schedules.
+// publishes both kinds of record, in the same tier: Stats still reads
+// the half record, its binding for the dense product, and counts the
+// other plans in ReplayedPlans or BitmapPlans once, with the bytes of
+// both their records' schedules or bitmaps.
 func TestPlanCacheStatsKnownHalfFamilyRows(t *testing.T) {
 	famRows := func(rows [NumFamilies]int, fams FamilySet) map[string]int64 {
 		out := make(map[string]int64)
@@ -719,15 +723,27 @@ func TestPlanCacheStatsKnownHalfFamilyRows(t *testing.T) {
 		return out
 	}
 	type statsCase struct {
-		name          string
-		g             *sparse.CSR[float64]
-		replays, both bool
+		name string
+		g    *sparse.CSR[float64]
+		tier hitTier
+		both bool
 	}
 	var cases []statsCase
 	for _, both := range []bool{false, true} {
 		cases = append(cases,
-			statsCase{"er-warm-inline", gen.Symmetrize(gen.ErdosRenyi(1<<11, 8, 1)), true, both},
-			statsCase{"rmat-hubs-last", symGraph(9, true, false), false, both})
+			statsCase{"er-warm-inline", gen.Symmetrize(gen.ErdosRenyi(1<<11, 8, 1)), tierReplay, both},
+			statsCase{"rmat-hubs-last", symGraph(9, true, false), tierBitmap, both},
+			statsCase{"dense", denseSymGraph(1), tierPushPull, both})
+	}
+	// tierBytes is the schedule or bitmap bytes of rec.
+	tierBytes := func(rec *hitRecord) int64 {
+		switch {
+		case rec.sched != nil:
+			return rec.sched.bytes()
+		case rec.dots != nil:
+			return rec.dots.bytes()
+		}
+		return 0
 	}
 	for _, c := range cases {
 		cache := NewPlanCache(ptSR, 0)
@@ -737,7 +753,7 @@ func TestPlanCacheStatsKnownHalfFamilyRows(t *testing.T) {
 		}
 		maskHalves := famRows(p.FamilyRows(), p.polyFams)
 		for run := range 3 {
-			if st := cache.Stats(); run < 2 && (!maps.Equal(st.HybridFamilyRows, maskHalves) || st.ReplayedPlans != 0 || st.ScheduleBytes != 0) {
+			if st := cache.Stats(); run < 2 && (!maps.Equal(st.HybridFamilyRows, maskHalves) || st.ReplayedPlans != 0 || st.BitmapPlans != 0 || st.ScheduleBytes != 0) {
 				t.Fatalf("%s before run %d: Stats reports %+v, want the mask halves' %v and no replayed plan", c.name, run, st, maskHalves)
 			}
 			exec := NewExecutor[float64](ptSR)
@@ -752,10 +768,10 @@ func TestPlanCacheStatsKnownHalfFamilyRows(t *testing.T) {
 		if kh == nil {
 			t.Fatalf("%s: no known half published after two half executions", c.name)
 		}
-		var schedBytes int64
-		if kh.sched != nil {
-			schedBytes = kh.sched.bytes()
+		if tierOf(kh) != c.tier {
+			t.Fatalf("%s: the known half's hits run in tier %v, want %v", c.name, tierOf(kh), c.tier)
 		}
+		schedBytes := tierBytes(kh)
 		if c.both {
 			asym := withSpecialValues(c.g)
 			for range 2 {
@@ -768,23 +784,30 @@ func TestPlanCacheStatsKnownHalfFamilyRows(t *testing.T) {
 				}
 			}
 			full := p.fullHit.rec.Load()
-			if full == nil || (full.sched != nil) != c.replays {
-				t.Fatalf("%s: full-product record %v, want one whose schedule is kept exactly when the half's is", c.name, full != nil)
+			if full == nil || tierOf(full) != c.tier {
+				t.Fatalf("%s: full-product record %v, want one in the half's tier %v", c.name, full != nil, c.tier)
 			}
-			if full.sched != nil {
-				schedBytes += full.sched.bytes()
-			}
+			schedBytes += tierBytes(full)
 		}
 		known := famRows(kh.rb.familyRows(), kh.rb.polyFams)
 		st := cache.Stats()
-		if !c.replays {
-			if !maps.Equal(st.HybridFamilyRows, known) || st.ReplayedPlans != 0 || st.ScheduleBytes != schedBytes {
-				t.Fatalf("%s (both=%v) after publishing: Stats reports %+v, want the known half's %v and no replayed plan", c.name, c.both, st, known)
+		if c.tier == tierPushPull {
+			if !maps.Equal(st.HybridFamilyRows, known) || st.ReplayedPlans != 0 || st.BitmapPlans != 0 || st.ScheduleBytes != schedBytes {
+				t.Fatalf("%s (both=%v) after publishing: Stats reports %+v, want the known half's %v and no replayed or bitmap plan", c.name, c.both, st, known)
 			}
 			continue
 		}
-		if kh.sched == nil || st.HybridFamilyRows != nil || st.ReplayedPlans != 1 || st.ScheduleBytes != schedBytes {
-			t.Fatalf("%s (both=%v) after publishing: Stats reports %+v, want no family rows, one replayed plan and %d schedule bytes", c.name, c.both, st, schedBytes)
+		replayed, bitmaps := 0, 0
+		if c.tier == tierReplay {
+			replayed = 1
+		} else {
+			bitmaps = 1
+		}
+		if st.HybridFamilyRows != nil || st.ReplayedPlans != replayed || st.BitmapPlans != bitmaps || st.ScheduleBytes != schedBytes {
+			t.Fatalf("%s (both=%v) after publishing: Stats reports %+v, want no family rows, %d replayed and %d bitmap plans and %d schedule bytes", c.name, c.both, st, replayed, bitmaps, schedBytes)
+		}
+		if c.tier == tierBitmap {
+			continue
 		}
 		if known[FamPull.String()] <= maskHalves[FamPull.String()] {
 			t.Fatalf("%s: known half binds %d Pull rows, mask halves %d: want more", c.name, known[FamPull.String()], maskHalves[FamPull.String()])

@@ -113,6 +113,70 @@ func scheduleCharge(out, a, b *sparse.CSR[float64], half, upper bool) int64 {
 	return 4*(entries+1) + 8*products + 8*int64(out.Rows+1)
 }
 
+// tierCharge is the charge of what a plan keeps for the tier of hits
+// whose result is out over (a, b), counted from the operands as
+// scheduleCharge counts: the product schedule's when the entries hold
+// at most two products each, and otherwise, when the plan holds B's CSC
+// structure (csc), the dot bitmap's when it holds at most 64 bits per
+// entry — one bit per entry of each computed entry's B column, in
+// 8-byte words, and 8 bytes per row and one more — and 0 when neither
+// is kept.
+func tierCharge(out, a, b *sparse.CSR[float64], half, upper, csc bool) int64 {
+	if n := scheduleCharge(out, a, b, half, upper); n > 0 || !csc {
+		return n
+	}
+	colLen := make([]int64, b.Cols)
+	for _, j := range b.ColIdx {
+		colLen[j]++
+	}
+	var entries, bits int64
+	for i := range out.Rows {
+		for _, j := range out.Row(i) {
+			if half && (upper && int(j) < i || !upper && int(j) > i) {
+				continue
+			}
+			entries++
+			bits += colLen[j]
+		}
+	}
+	if bits > 64*entries {
+		return 0
+	}
+	return 8*((bits+63)/64) + 8*int64(out.Rows+1)
+}
+
+// hitTier is the tier a record's hits run in: push and Pull under its
+// binding, replaying its product schedule, or walking its dot bitmap.
+type hitTier int
+
+const (
+	tierPushPull hitTier = iota
+	tierReplay
+	tierBitmap
+)
+
+func (h hitTier) String() string {
+	return [...]string{"push/Pull", "replay", "bitmap"}[h]
+}
+
+// tierOf returns the tier the hits by rec run in.
+func tierOf(rec *hitRecord) hitTier {
+	switch {
+	case rec.sched != nil:
+		return tierReplay
+	case rec.dots != nil:
+		return tierBitmap
+	}
+	return tierPushPull
+}
+
+// holdsCSC reports whether p holds B's CSC structure, which a dot
+// bitmap needs.
+func holdsCSC(p *Plan[float64, ptSRType]) bool {
+	colPtr, _ := p.cscOfB()
+	return colPtr != nil
+}
+
 // patternBytes is the charge of the output pattern remembered from an
 // execution whose result is out: 8·(rows+1) + 4·nnz bytes.
 func patternBytes(out *sparse.CSR[float64]) int64 {
@@ -150,12 +214,17 @@ func sharesKnownHalf(p *Plan[float64, ptSRType], out *sparse.CSR[float64]) bool 
 }
 
 // rememberProduct is one product the remembered-pattern tests run: the
-// operands, and whether B is A itself.
+// operands, whether B is A itself, and, for such a product, whether its
+// known half must hold the edge cases requireHalfShapes checks. A dense
+// product runs plain masks only, at 3 threads, to keep its cost
+// down.
 type rememberProduct struct {
 	name    string
 	mask    *sparse.Pattern
 	a, b    *sparse.CSR[float64]
 	selfSym bool
+	shapes  bool
+	dense   bool
 }
 
 func rememberProducts() []rememberProduct {
@@ -168,18 +237,47 @@ func rememberProducts() []rememberProduct {
 	}
 	for _, hubsLast := range []bool{true, false} {
 		g := symGraph(7, hubsLast, true)
-		out = append(out, rememberProduct{name: fmt.Sprintf("symmetric-hubsLast=%v", hubsLast), mask: g.PatternView(), a: g, b: g, selfSym: true})
+		out = append(out, rememberProduct{name: fmt.Sprintf("symmetric-hubsLast=%v", hubsLast), mask: g.PatternView(), a: g, b: g, selfSym: true, shapes: true})
 	}
 	g := sparseSymGraph(128, 7)
 	out = append(out, rememberProduct{name: "sparse-symmetric", mask: g.PatternView(), a: g, b: g, selfSym: true})
+	g = denseSymGraph(7)
+	out = append(out, rememberProduct{name: "dense-symmetric", mask: g.PatternView(), a: g, b: g, selfSym: true, dense: true})
 	return out
+}
+
+// denseSymGraph is the complete graph on 68 vertices less a perfect
+// matching drawn from seed, with symGraph's values: every B column
+// holds 66 entries, so its hits break the memory rules of both the
+// product schedule and the dot bitmap and run push and Pull (DESIGN.md
+// §5, "Bitmap hits"), where the R-MAT products' hits walk a dot bitmap.
+func denseSymGraph(seed uint64) *sparse.CSR[float64] {
+	const n = 68
+	mate := make([]int32, n)
+	perm := gen.NewRNG(seed).Perm(n)
+	for m := 0; m < n; m += 2 {
+		mate[perm[m]], mate[perm[m+1]] = perm[m+1], perm[m]
+	}
+	coo := sparse.NewCOO[float64](n, n, n*n)
+	for i := range n {
+		for j := range n {
+			if j != i && mate[i] != int32(j) {
+				coo.Append(int32(i), int32(j), symValue(i, j))
+			}
+		}
+	}
+	g, err := coo.ToCSR(func(x, _ float64) float64 { return x })
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // sparseSymGraph is a symmetrized ER(n, 1) graph with symGraph's loops
 // and values, drawn from seed: its self-product's output entries hold
 // one or two products each, so its hits replay a product schedule
-// (DESIGN.md §5, "Replayed hits"), where the R-MAT products break the
-// memory rule.
+// (DESIGN.md §5, "Replayed hits"), where the R-MAT products break its
+// memory rule and walk a dot bitmap.
 func sparseSymGraph(n int, seed uint64) *sparse.CSR[float64] {
 	return withSymLoops(gen.Symmetrize(gen.ErdosRenyi(n, 1, seed)), true)
 }
@@ -215,6 +313,11 @@ func rememberSchemes() []Options {
 // half, and the scaled symmetric specials, the asymmetric specials and
 // the scaled values alternate the two once more. From the publishing
 // run on, every half result shares the known half's output pattern.
+// Both kinds of hit run in all three tiers: the sparse products replay
+// a product schedule, the R-MAT products (the hubs-last one
+// tc-skew-ref's shape at small size) walk a dot bitmap where the plan
+// holds B's CSC structure, and the dense symmetric product and the
+// plans without that structure run push and Pull.
 func TestRememberedPatternBitIdentical(t *testing.T) {
 	scaled := func(m *sparse.CSR[float64]) *sparse.CSR[float64] {
 		return withValues(m, func(_ int, v float64) float64 { return -1.5 * v })
@@ -239,16 +342,20 @@ func TestRememberedPatternBitIdentical(t *testing.T) {
 			}
 			values = append(values, values[1])
 		}
-		if pr.selfSym {
+		if pr.shapes {
 			triangles[requireHalfShapes(t, pr)] = true
 		}
-		for _, complement := range []bool{false, true} {
+		complements, widths := []bool{false, true}, []int{1, 2, 3, 4, 64}
+		if pr.dense {
+			complements, widths = []bool{false}, []int{3}
+		}
+		for _, complement := range complements {
 			for _, scheme := range rememberSchemes() {
 				if complement && !SupportsComplement(scheme.Algorithm) {
 					continue
 				}
 				for _, ph := range schemePhases(scheme.Algorithm) {
-					for _, threads := range []int{1, 2, 3, 4, 64} {
+					for _, threads := range widths {
 						opt := scheme
 						opt.Complement, opt.Phases = complement, ph
 						name := fmt.Sprintf("%s/%v/complement=%v/%v/families=%#x/threads=%d",
@@ -263,8 +370,8 @@ func TestRememberedPatternBitIdentical(t *testing.T) {
 		t.Fatalf("the symmetric products compute one triangle only (upper: %v)", triangles)
 	}
 	for _, half := range []bool{false, true} {
-		for _, replayed := range []bool{false, true} {
-			if c := (hitCell{half, replayed}); !cells[c] {
+		for _, tier := range []hitTier{tierPushPull, tierReplay, tierBitmap} {
+			if c := (hitCell{half, tier}); !cells[c] {
 				t.Errorf("no hit of kind %+v ran", c)
 			}
 		}
@@ -272,8 +379,11 @@ func TestRememberedPatternBitIdentical(t *testing.T) {
 }
 
 // hitCell is one kind of plan hit: full-product or one-triangle, and
-// whether it replayed a product schedule or ran push and Pull.
-type hitCell struct{ half, replayed bool }
+// the tier it ran in.
+type hitCell struct {
+	half bool
+	tier hitTier
+}
 
 // requireHalfShapes fails t unless the known half of pr, a symmetric
 // self-product, holds a diagonal entry, an empty output row, and a
@@ -337,9 +447,9 @@ func checkRememberedRuns(t *testing.T, name string, pr rememberProduct, values [
 		}
 		switch half := ranHalf(exec); {
 		case half && known != nil:
-			cells[hitCell{true, known.sched != nil}] = true
+			cells[hitCell{true, tierOf(known)}] = true
 		case !half && full != nil:
-			cells[hitCell{false, full.sched != nil}] = true
+			cells[hitCell{false, tierOf(full)}] = true
 		}
 		fresh, err := NewPlan(ptSR, pr.mask, ab[0], ab[1], opt, nil)
 		if err != nil {
@@ -441,45 +551,54 @@ func rememberBudgetCase(seed uint64) (*sparse.Pattern, *sparse.CSR[float64], *sp
 // and what its cache-built plan remembers: the output pattern of the
 // complemented rememberBudgetCase, or, with half set, the known half of
 // a symmetric self-product under Hybrid, er-warm-inline's shape at
-// small size, denser or sparser. replays says whether the products hold at most two
-// products per computed entry, so that the plan also keeps a product
-// schedule for its hits (DESIGN.md §5, "Replayed hits").
+// small size, denser or sparser, or tc-skew-ref's. tier is the tier the
+// plan's hits run in: replaying a product schedule when the products
+// hold at most two products per computed entry (DESIGN.md §5,
+// "Replayed hits"), walking a dot bitmap when they hold more and the
+// bitmap at most 64 bits per entry ("Bitmap hits"), and push and Pull
+// otherwise.
 type rememberCase struct {
-	name    string
-	mask    *sparse.Pattern
-	a, b    *sparse.CSR[float64]
-	opt     Options
-	half    bool
-	replays bool
+	name string
+	mask *sparse.Pattern
+	a, b *sparse.CSR[float64]
+	opt  Options
+	half bool
+	tier hitTier
 }
 
 // rememberCases returns the cases over operands drawn from seed: a
-// full product and a known half, each under the memory rule and over
-// it.
+// full product and a known half in each tier they reach.
 func rememberCases(seed uint64) []rememberCase {
 	mask, a, b, opt := rememberBudgetCase(seed)
 	dMask, dA, dB := buildCase(caseSpec{"", 128, 128, 128, 24, 24, 24, seed})
 	g := gen.Symmetrize(gen.ErdosRenyi(128, 16, seed))
 	sg := sparseSymGraph(128, seed)
+	rg := rmatSymGraph(7, seed, true, false)
+	dg := denseSymGraph(seed)
 	return []rememberCase{
-		{name: "pattern", mask: mask, a: a, b: b, opt: opt, replays: true},
-		{name: "pattern-dense", mask: dMask, a: dA, b: dB, opt: opt},
-		{name: "known-half", mask: g.PatternView(), a: g, b: g, opt: Options{Algorithm: AlgoHybrid}, half: true},
-		{name: "known-half-sparse", mask: sg.PatternView(), a: sg, b: sg, opt: Options{Algorithm: AlgoHybrid}, half: true, replays: true},
+		{name: "pattern", mask: mask, a: a, b: b, opt: opt, tier: tierReplay},
+		{name: "pattern-dense", mask: dMask, a: dA, b: dB, opt: opt, tier: tierPushPull},
+		{name: "known-half", mask: g.PatternView(), a: g, b: g, opt: Options{Algorithm: AlgoHybrid}, half: true, tier: tierBitmap},
+		{name: "known-half-sparse", mask: sg.PatternView(), a: sg, b: sg, opt: Options{Algorithm: AlgoHybrid}, half: true, tier: tierReplay},
+		{name: "known-half-rmat", mask: rg.PatternView(), a: rg, b: rg, opt: Options{Algorithm: AlgoHybrid}, half: true, tier: tierBitmap},
+		{name: "known-half-dense", mask: dg.PatternView(), a: dg, b: dg, opt: Options{Algorithm: AlgoHybrid}, half: true, tier: tierPushPull},
 	}
 }
 
 // checkReplays fails t unless p has published the record of the
-// case's hits, with a product schedule exactly when the case replays,
-// and none for the other kind of hit.
+// case's hits, in the case's tier, and none for the other kind of hit.
 func (c rememberCase) checkReplays(t *testing.T, p *Plan[float64, ptSRType]) {
 	t.Helper()
 	rec, other := c.record(p), p.halfHit.rec.Load()
 	if c.half {
 		other = p.fullHit.rec.Load()
 	}
-	if rec == nil || (rec.sched != nil) != c.replays || other != nil {
-		t.Fatalf("%s: record %v (schedule kept %v, want %v), other kind's record %v", c.name, rec != nil, rec != nil && rec.sched != nil, c.replays, other != nil)
+	if rec == nil || tierOf(rec) != c.tier || other != nil {
+		tier := "none"
+		if rec != nil {
+			tier = tierOf(rec).String()
+		}
+		t.Fatalf("%s: record in tier %s, want %v; other kind's record %v", c.name, tier, c.tier, other != nil)
 	}
 }
 
@@ -521,16 +640,16 @@ func (c rememberCase) shares(p *Plan[float64, ptSRType], out *sparse.CSR[float64
 // execution whose result is out, counted from out and the case's
 // operands, or 0 when p has not remembered it: the output pattern
 // (patternBytes), for a known half its own arrays too (knownHalfBytes),
-// and the product schedule of its hits (scheduleCharge).
+// and the product schedule or dot bitmap of its hits (tierCharge).
 func (c rememberCase) charge(p *Plan[float64, ptSRType], out *sparse.CSR[float64]) int64 {
 	if !c.published(p) {
 		return 0
 	}
 	if c.half {
 		kh := p.halfHit.rec.Load()
-		return patternBytes(out) + knownHalfBytes(out, kh) + scheduleCharge(out, c.a, c.b, true, kh.half.upper)
+		return patternBytes(out) + knownHalfBytes(out, kh) + tierCharge(out, c.a, c.b, true, kh.half.upper, holdsCSC(p))
 	}
-	return patternBytes(out) + scheduleCharge(out, c.a, c.b, false, false)
+	return patternBytes(out) + tierCharge(out, c.a, c.b, false, false, holdsCSC(p))
 }
 
 // TestChaosRememberFirstExecution interrupts a cached plan's first
@@ -611,12 +730,12 @@ func TestChaosRememberFirstExecution(t *testing.T) {
 // even rounds their first executions are the plan's first, on odd
 // rounds one clean execution precedes them, so any of them could
 // publish. All results are equal, the plan publishes one record, of
-// the case's kind, with a product schedule exactly when the case
-// replays, the cache and budget are charged its bytes once, and every
-// execution that starts once the record is visible runs by it
-// (ranRecord): the pattern, the half and the schedule become visible
-// together, so no hit runs push and Pull where its record replays. A
-// later execution, by the record, gives the same result.
+// the case's kind and in the case's tier, the cache and budget are
+// charged its bytes once, and every execution that starts once the
+// record is visible runs by it (ranRecord): the pattern, the half and
+// the schedule or dot bitmap become visible together, so no hit runs
+// push and Pull where its record replays or walks a bitmap. A later
+// execution, by the record, gives the same result.
 func TestRememberConcurrentFirstExecutions(t *testing.T) {
 	const goroutines, runs = 6, 3
 	for round := range 4 {
@@ -648,7 +767,7 @@ func TestRememberConcurrentFirstExecutions(t *testing.T) {
 						rec := c.record(plan)
 						out, err := plan.ExecuteOnOpts(exec, c.a, c.b, ExecOptions{Threads: 1 + g%2})
 						if err == nil && rec != nil {
-							err = ranRecord(exec, plan, rec, c.replays)
+							err = ranRecord(exec, plan, rec, c.tier)
 						}
 						outs[g*runs+r], errs[g*runs+r] = out, err
 					}
@@ -673,7 +792,7 @@ func TestRememberConcurrentFirstExecutions(t *testing.T) {
 			exec := NewExecutor[float64](ptSR)
 			got, err := plan.ExecuteOnOpts(exec, c.a, c.b, ExecOptions{})
 			if err == nil {
-				err = ranRecord(exec, plan, c.record(plan), c.replays)
+				err = ranRecord(exec, plan, c.record(plan), c.tier)
 			}
 			if err != nil {
 				t.Fatalf("%s round %d, the execution after publishing: %v", c.name, round, err)
@@ -685,22 +804,26 @@ func TestRememberConcurrentFirstExecutions(t *testing.T) {
 
 // ranRecord returns an error unless the execution exec last ran was a
 // hit of plan by the record rec: its kernels bound over rec's half (nil
-// for a full-product record), and replaying exactly when the products
-// are under the memory rule (replays).
-func ranRecord(exec *Executor[float64, ptSRType], plan *Plan[float64, ptSRType], rec *hitRecord, replays bool) error {
+// for a full-product record), rec in the tier the products reach
+// (tier), and one kernel for every row exactly when that tier replays
+// or walks a bitmap.
+func ranRecord(exec *Executor[float64, ptSRType], plan *Plan[float64, ptSRType], rec *hitRecord, tier hitTier) error {
 	switch {
 	case exec.lastPlan != plan || !exec.haveHit || exec.lastHalf != rec.half:
 		return errors.New("an execution that started once the record was visible did not run by it")
-	case (exec.hit.replay != nil) != replays:
-		return fmt.Errorf("a hit by the record replayed %v, want %v", exec.hit.replay != nil, replays)
+	case tierOf(rec) != tier:
+		return fmt.Errorf("the record's hits run in tier %v, want %v", tierOf(rec), tier)
+	case (exec.hit.rows != nil) != (tier != tierPushPull):
+		return fmt.Errorf("a hit by the record in tier %v bound one kernel for every row: %v", tier, exec.hit.rows != nil)
 	}
 	return nil
 }
 
 // TestPlanCacheRememberedPatternBudget pins the charge of what a plan
 // remembers, an output pattern or a known half, with the product
-// schedule of its hits, which a plan over the memory rule does not
-// keep and is not charged for: a plan's first
+// schedule or the dot bitmap and its prefix of its hits, each charged
+// once, which a plan over their memory rules does not keep and is not
+// charged for: a plan's first
 // execution adds nothing, publishing on the second adds exactly the
 // remembered bytes (rememberCase.charge, counted from the result, and
 // equal to what the plan retains) to the entry and the budget,
@@ -708,8 +831,8 @@ func ranRecord(exec *Executor[float64, ptSRType], plan *Plan[float64, ptSRType],
 // when Clear, the entry cap or budget pressure evicts it. A plan
 // evicted before it publishes is not charged. A symmetric self-product
 // whose values alternate between symmetric and not remembers both, and
-// is charged for their one pattern once, and for a schedule per kind
-// of hit.
+// is charged for their one pattern once, and for a schedule or bitmap
+// per kind of hit.
 func TestPlanCacheRememberedPatternBudget(t *testing.T) {
 	cases1, cases2 := rememberCases(91), rememberCases(92)
 	for k, c1 := range cases1 {
@@ -809,7 +932,7 @@ func TestPlanCacheRememberedPatternBudget(t *testing.T) {
 	// values twice and asymmetric ones twice, in either order, and so
 	// publishes both its known half and its full-product pattern. The
 	// two are one pattern, charged once with the half's own arrays, and
-	// each kind of hit has its own schedule.
+	// each kind of hit has its own schedule or bitmap.
 	g := gen.Symmetrize(gen.ErdosRenyi(128, 6, 96))
 	asym := withSpecialValues(g)
 	for _, halfFirst := range []bool{true, false} {
@@ -835,9 +958,9 @@ func TestPlanCacheRememberedPatternBudget(t *testing.T) {
 		if kh == nil || full == nil || kh.pat != full.pat || kh.half.out != kh.pat || !sharesPattern(p, out) {
 			t.Fatalf("halfFirst=%v: the known half and the full product do not share one remembered pattern", halfFirst)
 		}
-		want := patternBytes(out) + knownHalfBytes(out, kh) + scheduleCharge(out, g, g, false, false) + scheduleCharge(out, g, g, true, kh.half.upper)
+		want := patternBytes(out) + knownHalfBytes(out, kh) + tierCharge(out, g, g, false, false, true) + tierCharge(out, g, g, true, kh.half.upper, true)
 		if budget.Used() != foot+want || cache.Stats().Bytes != foot+want || rememberedBytes(p) != want {
-			t.Fatalf("halfFirst=%v: budget %d, cache %d, remembered %d bytes, want %d over the %d-byte plan (the pattern once, the half's own arrays and both schedules)",
+			t.Fatalf("halfFirst=%v: budget %d, cache %d, remembered %d bytes, want %d over the %d-byte plan (the pattern once, the half's own arrays and both tiers' records)",
 				halfFirst, budget.Used(), cache.Stats().Bytes, rememberedBytes(p), want, foot)
 		}
 	}
@@ -935,19 +1058,19 @@ func TestRememberedPatternReuseOutput(t *testing.T) {
 
 // TestPlanHitChangedStructurePanics hits a remembered plan with
 // operands of the planned shapes and nnz but another structure, the
-// case the Execute contract leaves undefined. A = B = X, the 4×4
-// all-ones matrix without its diagonal, remembers the pattern of
-// M ⊙ X², M full, whose 16 entries hold 36 products: over the memory
-// rule, so the plan keeps no product schedule and its hits run Pull. Y
-// has X's nnz in rows 0–2, and row 3 empty, so a hit's Pull row 3
-// finds no product on its known columns, and the hit returns a
-// *KernelPanicError that wraps errPatternChanged, for Inner, SS:DOT*
-// and a Pull-only Hybrid, whose rows all run Pull.
+// case the Execute contract leaves undefined. A = B = X, the n×n
+// all-ones matrix without its diagonal, n = 80, remembers the pattern
+// of M ⊙ X², M full, whose entries hold 78 products each and whose B
+// columns hold 79 entries each: over the memory rules of the product
+// schedule and the dot bitmap, so the plan keeps neither and its hits
+// run Pull. Y has X's nnz in rows 0 to n−2, all ones, and row n−1
+// empty, so a hit's Pull row n−1 finds no product on its known columns,
+// and the hit returns a *KernelPanicError that wraps errPatternChanged,
+// for Inner, SS:DOT* and a Pull-only Hybrid, whose rows all run Pull.
 func TestPlanHitChangedStructurePanics(t *testing.T) {
-	full := [][]int32{{0, 1, 2, 3}, {0, 1, 2, 3}, {0, 1, 2, 3}, {0, 1, 2, 3}}
-	x := csrFromRows(4, 4, [][]int32{{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}}, [][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {10, 11, 12}})
-	y := csrFromRows(4, 4, [][]int32{{0, 1, 2, 3}, {0, 1, 2, 3}, {0, 1, 2, 3}, {}}, [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11, 12}, {}})
-	mask := csrFromRows(4, 4, full, nil).PatternView()
+	const n = 80
+	x, mask := offDiagonal(n), fullMask(n)
+	y := allOnesButLastRow(n)
 	for _, opt := range []Options{
 		{Algorithm: AlgoInner},
 		{Algorithm: AlgoDotTranspose},
@@ -963,8 +1086,8 @@ func TestPlanHitChangedStructurePanics(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
-		if rec := plan.fullHit.rec.Load(); rec == nil || rec.sched != nil {
-			t.Fatalf("%s: want a remembered pattern and no product schedule", name)
+		if rec := plan.fullHit.rec.Load(); rec == nil || tierOf(rec) != tierPushPull {
+			t.Fatalf("%s: want a remembered pattern whose hits run push and Pull", name)
 		}
 		out, err := plan.ExecuteOn(NewExecutor[float64](ptSR), y, y)
 		var kp *KernelPanicError
@@ -972,6 +1095,45 @@ func TestPlanHitChangedStructurePanics(t *testing.T) {
 			t.Fatalf("%s: out=%v err=%v, want a KernelPanicError wrapping errPatternChanged", name, out != nil, err)
 		}
 	}
+}
+
+// offDiagonal is the n×n matrix whose entries are every (i, j) with
+// i ≠ j, of value i+j+1.
+func offDiagonal(n int) *sparse.CSR[float64] {
+	idx, vals := make([][]int32, n), make([][]float64, n)
+	for i := range n {
+		for j := range n {
+			if j != i {
+				idx[i] = append(idx[i], int32(j))
+				vals[i] = append(vals[i], float64(i+j+1))
+			}
+		}
+	}
+	return csrFromRows(n, n, idx, vals)
+}
+
+// fullMask is the n×n mask that admits every entry.
+func fullMask(n int) *sparse.Pattern {
+	idx := make([][]int32, n)
+	for i := range n {
+		for j := range n {
+			idx[i] = append(idx[i], int32(j))
+		}
+	}
+	return csrFromRows(n, n, idx, nil).PatternView()
+}
+
+// allOnesButLastRow is the n×n matrix of ones with its last row empty:
+// offDiagonal(n)'s nnz in another structure.
+func allOnesButLastRow(n int) *sparse.CSR[float64] {
+	idx, vals := make([][]int32, n), make([][]float64, n)
+	for i := range n - 1 {
+		for j := range n {
+			idx[i] = append(idx[i], int32(j))
+			vals[i] = append(vals[i], 1)
+		}
+	}
+	return csrFromRows(n, n, idx, vals)
 }
 
 // TestReplayedHitChangedStructure pins the contract of a hit that

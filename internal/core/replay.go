@@ -66,14 +66,22 @@ func (s *schedule) bytes() int64 {
 // push and Pull keep their width.
 const replaySerialProducts = 1 << 15
 
-// row returns output row i's computed columns and the index of its
-// first computed entry.
-func (r *hitRecord) row(i int) ([]int32, int64) {
+// span returns the output range [lo, hi) of row i's computed entries.
+func (r *hitRecord) span(i int) (int64, int64) {
 	if r.half == nil {
-		lo, hi := r.pat.rowPtr[i], r.pat.rowPtr[i+1]
+		return r.pat.rowPtr[i], r.pat.rowPtr[i+1]
+	}
+	return r.half.span(r.pat.rowPtr, i)
+}
+
+// row returns output row i's computed columns and the index of its
+// first computed entry: its output position in a full product, and its
+// half offset in a known half.
+func (r *hitRecord) row(i int) ([]int32, int64) {
+	lo, hi := r.span(i)
+	if r.half == nil {
 		return r.pat.colIdx[lo:hi], lo
 	}
-	lo, hi := r.half.span(r.pat.rowPtr, i)
 	return r.pat.colIdx[lo:hi], r.half.off[i]
 }
 
@@ -88,15 +96,16 @@ func (r *hitRecord) entries(rows int) int64 {
 // buildSchedule returns the schedule of the hits rec records, or nil
 // when it breaks the memory rule, when its positions do not fit an
 // int32, or when an entry has no product (operands whose structure is
-// not the plan's). It runs in three passes over the partitions of the
+// not the plan's). It runs in two passes over the partitions of the
 // record's binding:
 //
-//   - count the products with the scan each row's hit kernel runs (the
-//     push products on its known columns, or the hits of Pull's dots),
-//     and stop as soon as the total passes the rule, so that refusing
-//     costs at most about one hit;
-//   - count each entry's products with the push scan;
-//   - write each entry's products in ascending k.
+//   - count each row's products with the scan its hit kernel runs (the
+//     push products on its known columns, or the hits of Pull's dots)
+//     into the schedule's prefix, and stop as soon as the total passes
+//     the rule, so that refusing costs at most about one hit;
+//   - scan each row's push products once into a row-local buffer, in
+//     ascending k, and write them into the row's range of the schedule
+//     by a counting sort on their entries, which keeps that order.
 func (p *Plan[T, S]) buildSchedule(rec *hitRecord, a, b *sparse.CSR[T], threads int) *schedule {
 	rows := p.mask.Rows
 	entries := rec.entries(rows)
@@ -105,89 +114,101 @@ func (p *Plan[T, S]) buildSchedule(rec *hitRecord, a, b *sparse.CSR[T], threads 
 		return nil
 	}
 	bounds := partitions(rec.rb.costPrefix, threads, nil)
-	if !p.productsFit(rec, a, b, bounds, threads, limit) {
+	prefix := make([]int64, rows+1)
+	if !p.productsFit(rec, a, b, bounds, threads, limit, prefix) {
 		return nil
 	}
-	// ptr[e+1] first counts entry e's products, then becomes the
-	// exclusive prefix; next[e] is entry e's write cursor in prods.
+	parallel.PrefixSum(prefix)
+	// ptr[e+1] first counts entry e's products, then becomes the end of
+	// its range; each row writes only its own entries' ends.
 	ptr := make([]int32, entries+1)
-	var prods []prodPos
-	var next []int32
+	prods := make([]prodPos, prefix[rows])
 	m := maskRows{p.mask, rec.half}
-	scratch := make([][]int32, threads)
-	// pushEntries walks every row's push products on its known columns,
-	// counting them per entry, or, with write, writing them.
-	pushEntries := func(write bool) {
-		parallel.ForEachPartition(bounds, threads, nil, nil, func(lo, hi, tid int) {
-			if scratch[tid] == nil {
-				scratch[tid] = make([]int32, b.Cols)
+	var bad atomic.Bool
+	type writer struct {
+		at  []int32
+		cur []int32
+		buf []rowProd
+	}
+	scratch := make([]*writer, threads)
+	parallel.ForEachPartition(bounds, threads, nil, nil, func(lo, hi, tid int) {
+		w := scratch[tid]
+		if w == nil {
+			w = &writer{at: make([]int32, b.Cols)}
+			scratch[tid] = w
+		}
+		at := w.at
+		bRowPtr, bColIdx := b.RowPtr, b.ColIdx
+		for i := lo; i < hi && !bad.Load(); i++ {
+			cols, base := rec.row(i)
+			for q, j := range cols {
+				at[j] = int32(q) + 1
 			}
-			// Locals, not the captured variables, which prods and next
-			// are assigned after.
-			at, ptr, prods, next := scratch[tid], ptr, prods, next
-			bRowPtr, bColIdx := b.RowPtr, b.ColIdx
-			for i := lo; i < hi; i++ {
-				cols, base := rec.row(i)
-				for q, j := range cols {
-					at[j] = int32(q) + 1
-				}
-				clip := m.clip(i)
-				aLo := a.RowPtr[i]
-				for qa, k := range a.Row(i) {
-					bLo, bHi := clip.cut(qa, bRowPtr[k], bRowPtr[k+1])
-					for t, j := range bColIdx[bLo:bHi] {
-						q := at[j]
-						switch e := base + int64(q) - 1; {
-						case q == 0:
-						case write:
-							prods[next[e]] = prodPos{a: int32(aLo) + int32(qa), b: int32(bLo) + int32(t)}
-							next[e]++
-						default:
-							ptr[e+1]++
-						}
+			clip := m.clip(i)
+			aLo := a.RowPtr[i]
+			buf := w.buf[:0]
+			for qa, k := range a.Row(i) {
+				bLo, bHi := clip.cut(qa, bRowPtr[k], bRowPtr[k+1])
+				for t, j := range bColIdx[bLo:bHi] {
+					if q := at[j]; q != 0 {
+						buf = append(buf, rowProd{q: q - 1, pos: prodPos{a: int32(aLo) + int32(qa), b: int32(bLo) + int32(t)}})
+						ptr[base+int64(q)]++
 					}
 				}
-				for _, j := range cols {
-					at[j] = 0
-				}
 			}
-		})
-	}
-	pushEntries(false)
-	for e := range entries {
-		n := ptr[e+1]
-		if n == 0 || int64(ptr[e])+int64(n) > limit {
-			return nil
+			for _, j := range cols {
+				at[j] = 0
+			}
+			w.buf = buf
+			if int64(len(buf)) != prefix[i+1]-prefix[i] {
+				bad.Store(true)
+				return
+			}
+			// Entry q's range starts at cur[q]; ptr takes its end.
+			if cap(w.cur) < len(cols) {
+				w.cur = make([]int32, len(cols))
+			}
+			cur, end := w.cur[:len(cols)], int32(prefix[i])
+			for q := range cols {
+				n := ptr[base+int64(q)+1]
+				if n == 0 {
+					bad.Store(true)
+					return
+				}
+				cur[q] = end
+				end += n
+				ptr[base+int64(q)+1] = end
+			}
+			for _, pr := range buf {
+				prods[cur[pr.q]] = pr.pos
+				cur[pr.q]++
+			}
 		}
-		ptr[e+1] = ptr[e] + n
+	})
+	if bad.Load() {
+		return nil
 	}
-	prods = make([]prodPos, ptr[entries])
-	next = make([]int32, entries)
-	copy(next, ptr)
-	pushEntries(true)
-	prefix := make([]int64, rows+1)
-	for i := range rows {
-		_, e := rec.row(i)
-		prefix[i] = int64(ptr[e])
-	}
-	prefix[rows] = int64(ptr[entries])
 	return &schedule{ptr: ptr, prods: prods, prefix: prefix}
+}
+
+// rowProd is one product of a row being scheduled: its entry's index
+// within the row, and its positions.
+type rowProd struct {
+	q   int32
+	pos prodPos
 }
 
 // productsFit reports whether the hits rec records have at most limit
 // products, counted with the scan each row's hit kernel runs under the
 // record's binding: Pull rows count the hits of their dots over B's CSC
 // structure, and push rows count the products their B rows land on
-// known columns. The count stops once its running total, added to
-// after each partition (or each run within one), passes limit.
-func (p *Plan[T, S]) productsFit(rec *hitRecord, a, b *sparse.CSR[T], bounds []int, threads int, limit int64) bool {
-	// B's CSC structure as Pull reads it (prepareCSC): the plan's
-	// transpose, or a symmetric B's own rows. A plan without one (SS:DOT*,
-	// which transposes per execution) counts every row by push.
-	colPtr, rowIdx := p.btPtr, p.btIdx
-	if p.sym != nil {
-		colPtr, rowIdx = p.mask.RowPtr, p.mask.ColIdx
-	}
+// known columns. Row i's count goes to counts[i]. The count stops once
+// its running total, added to after each partition (or each run within
+// one), passes limit.
+func (p *Plan[T, S]) productsFit(rec *hitRecord, a, b *sparse.CSR[T], bounds []int, threads int, limit int64, counts []int64) bool {
+	// A plan without B's CSC structure (SS:DOT*, which transposes per
+	// execution) counts every row by push.
+	colPtr, rowIdx := p.cscOfB()
 	pullAll := p.info.NeedsCSC && p.opt.Algorithm != AlgoHybrid
 	rb, m := rec.rb, maskRows{p.mask, rec.half}
 	var total atomic.Int64
@@ -208,10 +229,11 @@ func (p *Plan[T, S]) productsFit(rec *hitRecord, a, b *sparse.CSR[T], bounds []i
 				cols, _ := rec.row(i)
 				aCols := a.Row(i)
 				if pull {
-					n += countPullProducts(c.aRow, aCols, cols, colPtr, rowIdx)
+					counts[i] = countPullProducts(c.aRow, aCols, cols, colPtr, rowIdx)
 				} else {
-					n += countPushProducts(c.known, cols, aCols, m.clip(i), b.RowPtr, b.ColIdx)
+					counts[i] = countPushProducts(c.known, cols, aCols, m.clip(i), b.RowPtr, b.ColIdx)
 				}
+				n += counts[i]
 			}
 			if total.Add(n) > limit {
 				over.Cancel()
@@ -281,7 +303,7 @@ func bindReplay[T any, S semiring.Semiring[T]](p *Plan[T, S], a, b *sparse.CSR[T
 			replayRow(sr, a.Val, b.Val, ptr, s.prods, outVal)
 		}
 	}
-	return hitKernels[T]{replay: func(lo, hi int, val []T, fi *faultinject.Hooks) {
+	return hitKernels[T]{rows: func(lo, hi, _ int, val []T, fi *faultinject.Hooks) {
 		replayRows(rec, lo, hi, val, fi, entries)
 	}}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"maskedspgemm/internal/faultinject"
@@ -100,7 +101,7 @@ func TestReplayGenericBitIdentical(t *testing.T) {
 				}
 				checkIdentical(t, fmt.Sprintf("%s run %d", name, run), got, want)
 			}
-			if !scheduled(plan, r.half) || exec.hit.replay == nil {
+			if !scheduled(plan, r.half) || exec.hit.rows == nil {
 				t.Fatalf("%s: the last runs did not replay a product schedule", name)
 			}
 		}
@@ -150,7 +151,7 @@ func TestChaosReplayedHit(t *testing.T) {
 				exec := NewExecutor[float64](ptSR)
 				out, err := plan.ExecuteOnOpts(exec, r.a, r.b, eo)
 				faultinject.Disarm()
-				if exec.hit.replay == nil {
+				if exec.hit.rows == nil {
 					t.Fatalf("%s: the hit did not replay", name)
 				}
 				var ce *CanceledError
@@ -206,7 +207,7 @@ func TestReplayedHitAllocs(t *testing.T) {
 				nnz = out.NNZ()
 			}
 			run()
-			if exec.hit.replay == nil {
+			if exec.hit.rows == nil {
 				t.Fatalf("%s: the hit did not replay", name)
 			}
 			// A parallel pass adds the scheduler's own bookkeeping: its
@@ -309,6 +310,55 @@ func TestPassTimes(t *testing.T) {
 		}
 		if exec.PassTimes() != recorded {
 			t.Errorf("%s: an execution without CollectSchedStats changed the pass times", c.name)
+		}
+	}
+}
+
+// TestScheduleMatchesReference holds the product schedule of each
+// replayProduct, built at 1 and 3 threads, to one built entry by entry
+// from the operands: for every computed entry (i, j), in record order,
+// the positions of A's entries (i, k) in ascending k whose B row k holds
+// j, with that entry's position in B, and the rows' exclusive prefix of
+// their product counts.
+func TestScheduleMatchesReference(t *testing.T) {
+	for _, r := range replayProducts() {
+		for _, threads := range []int{1, 3} {
+			name := fmt.Sprintf("%s/threads=%d", r.name, threads)
+			plan, err := NewPlanCache(ptSR, 0).GetOrPlan(r.mask, r.a, r.b, r.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range 2 {
+				if _, err := plan.ExecuteOnOpts(NewExecutor[float64](ptSR), r.a, r.b, ExecOptions{Threads: threads}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rec := plan.fullHit.rec.Load()
+			if r.half {
+				rec = plan.halfHit.rec.Load()
+			}
+			if rec == nil || rec.sched == nil {
+				t.Fatalf("%s: no product schedule kept", name)
+			}
+			ptr, prefix := []int32{0}, []int64{0}
+			var prods []prodPos
+			for i := range r.mask.Rows {
+				cols, _ := rec.row(i)
+				for _, j := range cols {
+					for qa, k := range r.a.Row(i) {
+						bRow := r.b.Row(int(k))
+						if at, ok := slices.BinarySearch(bRow, j); ok {
+							prods = append(prods, prodPos{a: int32(r.a.RowPtr[i]) + int32(qa), b: int32(r.b.RowPtr[k]) + int32(at)})
+						}
+					}
+					ptr = append(ptr, int32(len(prods)))
+				}
+				prefix = append(prefix, int64(len(prods)))
+			}
+			s := rec.sched
+			if !slices.Equal(s.ptr, ptr) || !slices.Equal(s.prods, prods) || !slices.Equal(s.prefix, prefix) {
+				t.Fatalf("%s: the schedule differs from the reference built entry by entry", name)
+			}
 		}
 	}
 }

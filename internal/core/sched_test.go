@@ -343,17 +343,22 @@ func costPartitions(cost []int64, threads int) []int {
 }
 
 // referenceBounds recovers the per-row costs from the prefix the plan's
-// next full-product execution cuts — its own retained prefix, or its
+// next full-product execution cuts — its own retained prefix, its
 // product schedule's once its hits replay one, at width 1 when the
-// schedule holds fewer than replaySerialProducts products — and runs
-// the linear reference at the given width.
+// schedule holds fewer than replaySerialProducts products, or its dot
+// bitmap's once its hits walk one — and runs the linear reference at
+// the given width.
 func referenceBounds[T any, S semiring.Semiring[T]](p *Plan[T, S], threads int) []int {
 	prefix := p.costPrefix
-	if rec := p.fullHit.rec.Load(); rec != nil && rec.sched != nil {
+	switch rec := p.fullHit.rec.Load(); {
+	case rec == nil:
+	case rec.sched != nil:
 		prefix = rec.sched.prefix
 		if prefix[len(prefix)-1] < replaySerialProducts {
 			threads = 1
 		}
+	case rec.dots != nil:
+		prefix = rec.dots.prefix
 	}
 	cost := make([]int64, len(prefix)-1)
 	for i := range cost {
@@ -612,13 +617,15 @@ func TestPartitionsAllocFree(t *testing.T) {
 // output at every width — and so every partition layout — and widths
 // never add cache entries. Every execution additionally cuts exactly
 // the linear reference's bounds over the prefix it cuts: the plan's, or
-// from the third execution on, where the hits replay the product
-// schedule the second published, the schedule's, cut at width 1 when it
-// holds fewer than replaySerialProducts products.
+// from the third execution on, where the hits run by the record the
+// second published, the product schedule's, cut at width 1 when it
+// holds fewer than replaySerialProducts products, or the dot bitmap's
+// (DESIGN.md §9). Some executions must cut the bitmap's.
 func TestPlanWidthInvariance(t *testing.T) {
 	algos := []Algorithm{AlgoMSA, AlgoHash, AlgoMCA, AlgoHeap, AlgoInner, AlgoMaskedBit, AlgoHybrid}
 	same := func(x, y float64) bool { return x == y }
 	exec := NewExecutor[float64](ptSR)
+	bitmapCuts := 0
 	for _, inst := range gen.Suite(8) {
 		g := inst.Build()
 		if g.Rows > 1024 {
@@ -641,6 +648,9 @@ func TestPlanWidthInvariance(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				ref := referenceBounds(p, threads)
+				if rec := p.fullHit.rec.Load(); rec != nil && rec.dots != nil {
+					bitmapCuts++
+				}
 				got, err := p.ExecuteOnOpts(exec, g, g, opt.ExecOnly())
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -658,5 +668,8 @@ func TestPlanWidthInvariance(t *testing.T) {
 		if n := cache.Len(); n != keys {
 			t.Errorf("%s: cache holds %d entries for %d plan keys; widths must not add entries", inst.Name, n, keys)
 		}
+	}
+	if bitmapCuts == 0 {
+		t.Error("no execution cut its partitions from a dot bitmap's prefix")
 	}
 }

@@ -199,14 +199,18 @@ func (k schemeKernels[T, S]) binder(complement bool) kernelBinder[T, S] {
 
 // bindHit binds p's kernels for a hit by the record rec to (a, b) on e.
 // A record with a product schedule replays it on every row
-// (bindReplay). Otherwise every known column is one a product lands on
+// (bindReplay), and one with a dot bitmap walks it on every row
+// (bindDots). Otherwise every known column is one a product lands on
 // and the mask admits, so the complement no longer matters: every push
 // family runs one push kernel, MSA over the known columns
 // (accum.MSAKnown), and Pull dots only them. Rows keep the record's
 // binding.
 func bindHit[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], rec *hitRecord) hitKernels[T] {
-	if rec.sched != nil {
+	switch {
+	case rec.sched != nil:
 		return bindReplay(p, a, b, rec)
+	case rec.dots != nil:
+		return bindDots(p, e, a, rec)
 	}
 	if _, ok := any(p.sr).(accum.PlusTimes64); ok {
 		// S is PlusTimes[float64], so T is float64 and these assertions hold.

@@ -25,7 +25,12 @@ import (
 // order would show in the bits. With loops, every third vertex gets a
 // self loop and vertices 1 and 5 lose all their edges.
 func symGraph(scale int, hubsLast, loops bool) *sparse.CSR[float64] {
-	g := gen.RMATSymmetric(gen.RMATConfig{Scale: scale, EdgeFactor: 8, Seed: uint64(scale)})
+	return rmatSymGraph(scale, uint64(scale), hubsLast, loops)
+}
+
+// rmatSymGraph is symGraph over the R-MAT graph drawn from seed.
+func rmatSymGraph(scale int, seed uint64, hubsLast, loops bool) *sparse.CSR[float64] {
+	g := gen.RMATSymmetric(gen.RMATConfig{Scale: scale, EdgeFactor: 8, Seed: seed})
 	n := g.Rows
 	order := make([]int32, n)
 	for i := range order {

@@ -59,7 +59,7 @@ func TestServeStatsWireGolden(t *testing.T) {
 		got[fmt.Sprintf("recent_misses[%d]", i)] = jsonKeys(m)
 	}
 	want := map[string][]string{
-		"session.cache":    {"bytes", "coalesced_misses", "entries", "evictions", "hits", "hybrid_family_rows", "misses", "replayed_plans", "schedule_bytes"},
+		"session.cache":    {"bitmap_plans", "bytes", "coalesced_misses", "entries", "evictions", "hits", "hybrid_family_rows", "misses", "replayed_plans", "schedule_bytes"},
 		"session.store":    {"body_hits", "bytes", "evictions", "hits", "misses", "operands", "patterns", "puts", "reputs"},
 		"session.budget":   {"max_bytes", "used_bytes"},
 		"session.pool":     {"created", "discarded", "idle", "reused"},
