@@ -352,72 +352,92 @@ func TestChaosSymmetricProduct(t *testing.T) {
 // result, and its executor is discarded; the plan keeps the same known
 // half with the same pattern, transpose map and offsets, and a clean
 // hit on a fresh executor then equals the publishing result bit for
-// bit.
+// bit. The R-MAT graph's hits walk a dot bitmap, and the dense graph's
+// break its memory rule and run push and Pull (DESIGN.md §5, "Bitmap
+// hits"), so both tiers' kernels are interrupted.
 func TestChaosSymmetricInPlaceHit(t *testing.T) {
 	t.Cleanup(faultinject.Disarm)
-	a := symGraph(8, true, true)
+	graphs := []struct {
+		name string
+		a    *sparse.CSR[float64]
+		tier hitTier
+	}{
+		{"rmat", symGraph(8, true, true), tierBitmap},
+		{"dense", denseSymGraph(1), tierPushPull},
+	}
 	for _, algo := range append(chaosFamilies, AlgoHybrid) {
-		for _, fault := range []faultinject.Hooks{
-			{CancelPass: faultinject.PassNumeric},
-			{CancelPass: faultinject.PassCompact},
-			{PanicArmed: true, PanicRow: 3, PanicPass: faultinject.PassNumeric},
-		} {
-			for _, threads := range []int{1, 4} {
-				name := fmt.Sprintf("%v/%+v/threads=%d", algo, fault, threads)
-				faultinject.Disarm()
-				pool := NewExecutorPool[float64](ptSR, 2)
-				plan, err := NewPlanCache(ptSR, 0).GetOrPlan(a.PatternView(), a, a, Options{Algorithm: algo})
-				if err != nil {
-					t.Fatal(err)
+		for _, g := range graphs {
+			for _, fault := range []faultinject.Hooks{
+				{CancelPass: faultinject.PassNumeric},
+				{CancelPass: faultinject.PassCompact},
+				{PanicArmed: true, PanicRow: 3, PanicPass: faultinject.PassNumeric},
+			} {
+				for _, threads := range []int{1, 4} {
+					chaosInPlaceHit(t, fmt.Sprintf("%v/%s/%+v/threads=%d", algo, g.name, fault, threads), g.a, algo, g.tier, fault, threads)
 				}
-				eo := ExecOptions{Threads: threads}
-				var published *sparse.CSR[float64]
-				for range 2 {
-					exec := pool.Get()
-					if published, err = plan.ExecuteOnOpts(exec, a, a, eo); err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					pool.Put(exec)
-				}
-				kh := plan.halfHit.rec.Load()
-				if kh == nil {
-					t.Fatalf("%s: no known half published", name)
-				}
-				outPtr, cols, tpos, off := slices.Clone(kh.half.out.rowPtr), slices.Clone(kh.half.out.colIdx), slices.Clone(kh.tpos), slices.Clone(kh.half.off)
-				want := published.Clone()
-
-				faultinject.Arm(fault)
-				exec := pool.Get()
-				out, err := plan.ExecuteOnOpts(exec, a, a, eo)
-				faultinject.Disarm()
-				var ce *CanceledError
-				var kp *KernelPanicError
-				switch {
-				case out != nil:
-					t.Fatalf("%s: a partial result escaped", name)
-				case fault.PanicArmed && !errors.As(err, &kp):
-					t.Fatalf("%s: err = %v, want KernelPanicError", name, err)
-				case !fault.PanicArmed && (!errors.As(err, &ce) || ce.Pass != string(fault.CancelPass)):
-					t.Fatalf("%s: err = %v, want CanceledError in pass %s", name, err, fault.CancelPass)
-				case exec.lastHalf != kh.half:
-					t.Fatalf("%s: the interrupted execution was not an in-place hit", name)
-				}
-				pool.Discard(exec)
-				if st := pool.Stats(); st.Poisoned != 1 || st.Idle != 0 {
-					t.Fatalf("%s: pool %+v, want the executor discarded", name, st)
-				}
-				if plan.halfHit.rec.Load() != kh || !slices.Equal(kh.half.out.rowPtr, outPtr) || !slices.Equal(kh.half.out.colIdx, cols) ||
-					!slices.Equal(kh.tpos, tpos) || !slices.Equal(kh.half.off, off) {
-					t.Fatalf("%s: the interrupted hit changed the plan's known half", name)
-				}
-				got, err := plan.ExecuteOnOpts(NewExecutor[float64](ptSR), a, a, eo)
-				if err != nil {
-					t.Fatalf("%s recovery run: %v", name, err)
-				}
-				checkIdentical(t, name+" recovery run", got, want)
 			}
 		}
 	}
+}
+
+// chaosInPlaceHit is one case of TestChaosSymmetricInPlaceHit: the
+// self-product of a under algo, whose known half's hits must run in
+// tier, interrupted by fault at width threads.
+func chaosInPlaceHit(t *testing.T, name string, a *sparse.CSR[float64], algo Algorithm, tier hitTier, fault faultinject.Hooks, threads int) {
+	t.Helper()
+	faultinject.Disarm()
+	pool := NewExecutorPool[float64](ptSR, 2)
+	plan, err := NewPlanCache(ptSR, 0).GetOrPlan(a.PatternView(), a, a, Options{Algorithm: algo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eo := ExecOptions{Threads: threads}
+	var published *sparse.CSR[float64]
+	for range 2 {
+		exec := pool.Get()
+		if published, err = plan.ExecuteOnOpts(exec, a, a, eo); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		pool.Put(exec)
+	}
+	kh := plan.halfHit.rec.Load()
+	if kh == nil {
+		t.Fatalf("%s: no known half published", name)
+	}
+	outPtr, cols, tpos, off := slices.Clone(kh.half.out.rowPtr), slices.Clone(kh.half.out.colIdx), slices.Clone(kh.tpos), slices.Clone(kh.half.off)
+	want := published.Clone()
+
+	faultinject.Arm(fault)
+	exec := pool.Get()
+	out, err := plan.ExecuteOnOpts(exec, a, a, eo)
+	faultinject.Disarm()
+	var ce *CanceledError
+	var kp *KernelPanicError
+	switch {
+	case out != nil:
+		t.Fatalf("%s: a partial result escaped", name)
+	case fault.PanicArmed && !errors.As(err, &kp):
+		t.Fatalf("%s: err = %v, want KernelPanicError", name, err)
+	case !fault.PanicArmed && (!errors.As(err, &ce) || ce.Pass != string(fault.CancelPass)):
+		t.Fatalf("%s: err = %v, want CanceledError in pass %s", name, err, fault.CancelPass)
+	case exec.lastHalf != kh.half:
+		t.Fatalf("%s: the interrupted execution was not an in-place hit", name)
+	case kh.tier() != tier:
+		t.Fatalf("%s: the hits run in tier %v, want %v", name, kh.tier(), tier)
+	}
+	pool.Discard(exec)
+	if st := pool.Stats(); st.Poisoned != 1 || st.Idle != 0 {
+		t.Fatalf("%s: pool %+v, want the executor discarded", name, st)
+	}
+	if plan.halfHit.rec.Load() != kh || !slices.Equal(kh.half.out.rowPtr, outPtr) || !slices.Equal(kh.half.out.colIdx, cols) ||
+		!slices.Equal(kh.tpos, tpos) || !slices.Equal(kh.half.off, off) {
+		t.Fatalf("%s: the interrupted hit changed the plan's known half", name)
+	}
+	got, err := plan.ExecuteOnOpts(NewExecutor[float64](ptSR), a, a, eo)
+	if err != nil {
+		t.Fatalf("%s recovery run: %v", name, err)
+	}
+	checkIdentical(t, name+" recovery run", got, want)
 }
 
 // TestChaosFullProductHit is TestChaosSymmetricInPlaceHit for hits of a
@@ -427,28 +447,34 @@ func TestChaosSymmetricInPlaceHit(t *testing.T) {
 // one and four threads. Each interrupted hit returns its typed error
 // and no result, and its executor is discarded; the plan keeps the
 // same pattern, and a clean hit on a fresh executor then equals the
-// publishing result bit for bit. The dense products break the replay
-// rule, so their hits walk a dot bitmap where the plan holds B's CSC
-// structure and run push and Pull elsewhere (DESIGN.md §5, "Bitmap
-// hits"); the others' hits replay their product schedule ("Replayed
-// hits").
+// publishing result bit for bit. The sparse products' hits replay
+// their product schedule (DESIGN.md §5, "Replayed hits"); the dense
+// ones break the replay rule, so their hits walk a dot bitmap where the
+// plan holds B's CSC structure and run push and Pull elsewhere
+// ("Bitmap hits"); and M ⊙ X², M full and X offDiagonal(80), breaks
+// the bitmap's memory rule too, so its hits run push and Pull in every
+// scheme.
 func TestChaosFullProductHit(t *testing.T) {
 	t.Cleanup(faultinject.Disarm)
 	rect, ra, rb := buildCase(caseSpec{"", 96, 80, 300, 6, 8, 12, 7})
 	cmask, ca, cb, _ := complDenseRowsProduct(256)
 	dmask, da, db := buildCase(caseSpec{"", 96, 96, 96, 24, 24, 24, 7})
+	x := offDiagonal(80)
 	for _, algo := range append(chaosFamilies, AlgoHybrid) {
+		// tier is the tier the product's hits run in; tierBitmap stands
+		// for push and Pull where the plan holds no CSC structure of B.
 		for _, c := range []struct {
 			name       string
 			mask       *sparse.Pattern
 			a, b       *sparse.CSR[float64]
 			complement bool
-			replays    bool
+			tier       hitTier
 		}{
-			{"plain", rect, ra, rb, false, true},
-			{"plain-dense", dmask, da, db, false, false},
-			{"complement", cmask, ca, cb, true, true},
-			{"complement-dense", dmask, da, db, true, false},
+			{"plain", rect, ra, rb, false, tierReplay},
+			{"plain-dense", dmask, da, db, false, tierBitmap},
+			{"plain-over-rules", fullMask(80), x, x, false, tierPushPull},
+			{"complement", cmask, ca, cb, true, tierReplay},
+			{"complement-dense", dmask, da, db, true, tierBitmap},
 		} {
 			complement, mask, a, b := c.complement, c.mask, c.a, c.b
 			if complement && !SupportsComplement(algo) {
@@ -479,6 +505,10 @@ func TestChaosFullProductHit(t *testing.T) {
 					if rec == nil {
 						t.Fatalf("%s: no pattern published", name)
 					}
+					wantTier := c.tier
+					if wantTier == tierBitmap && !holdsCSC(plan) {
+						wantTier = tierPushPull
+					}
 					pat := rec.pat
 					rowPtr, colIdx := slices.Clone(pat.rowPtr), slices.Clone(pat.colIdx)
 					want := published.Clone()
@@ -498,10 +528,10 @@ func TestChaosFullProductHit(t *testing.T) {
 						t.Fatalf("%s: err = %v, want CanceledError in pass %s", name, err, fault.CancelPass)
 					case exec.lastPlan != plan || !exec.haveHit:
 						t.Fatalf("%s: the interrupted execution was not a hit", name)
-					case (tierOf(rec) == tierReplay) != c.replays:
-						t.Fatalf("%s: the hits run in tier %v, want replaying %v", name, tierOf(rec), c.replays)
-					case (exec.hit.rows != nil) != (tierOf(rec) != tierPushPull):
-						t.Fatalf("%s: a hit in tier %v bound one kernel for every row: %v", name, tierOf(rec), exec.hit.rows != nil)
+					case rec.tier() != wantTier:
+						t.Fatalf("%s: the hits run in tier %v, want %v", name, rec.tier(), wantTier)
+					case (exec.hit.rows != nil) != (rec.tier() != tierPushPull):
+						t.Fatalf("%s: a hit in tier %v bound one kernel for every row: %v", name, rec.tier(), exec.hit.rows != nil)
 					}
 					pool.Discard(exec)
 					if st := pool.Stats(); st.Poisoned != 1 || st.Idle != 0 {

@@ -29,11 +29,11 @@ import (
 // (dotBitsPerEntry); the hits of every other record run push and Pull.
 
 // dotBitsPerEntry is the memory rule of dot bitmaps: a record keeps
-// one only if it holds at most this many bits per computed entry, at
-// most twice the 4-byte column index the output pattern already holds
-// for the entry. It is a constant, not a knob: a product whose entries
-// dot longer columns is one whose bitmap would cost more memory than
-// its hits save time (DESIGN.md §5 measures both sides).
+// one only if it holds at most this many bits per computed entry, that
+// is at most 8 bytes, twice the 4-byte column index the output pattern
+// already holds for the entry. It is a memory cap and a constant, not a
+// knob; it does not mark where the bitmap stops saving time, which it
+// still does just over the cap (DESIGN.md §5, "The memory rule").
 const dotBitsPerEntry = 64
 
 // dotBitmap is the dot bitmap of one kind of hit: computed entry

@@ -43,7 +43,7 @@ func dotted[T any, S semiring.Semiring[T]](p *Plan[T, S], half bool) bool {
 		k = &p.halfHit
 	}
 	rec := k.rec.Load()
-	return rec != nil && rec.dots != nil
+	return rec != nil && rec.tier() == tierBitmap
 }
 
 // TestDotBitmapMemoryRule pins the rule at its edge: the full product
@@ -79,8 +79,8 @@ func TestDotBitmapMemoryRule(t *testing.T) {
 		if n > 65 {
 			wantTier, want = tierPushPull, patternBytes(out)
 		}
-		if tierOf(rec) != wantTier || budget.Used() != foot+want || rememberedBytes(plan) != want {
-			t.Fatalf("n=%d: record in tier %v, want %v; budget %d, want %d", n, tierOf(rec), wantTier, budget.Used(), foot+want)
+		if rec.tier() != wantTier || budget.Used() != foot+want || rememberedBytes(plan) != want {
+			t.Fatalf("n=%d: record in tier %v, want %v; budget %d, want %d", n, rec.tier(), wantTier, budget.Used(), foot+want)
 		}
 		if wantTier == tierBitmap && rec.dots.prefix[n] != bits {
 			t.Fatalf("n=%d: the bitmap holds %d bits, want %d", n, rec.dots.prefix[n], bits)
@@ -296,7 +296,7 @@ func TestBitmapHitChangedStructure(t *testing.T) {
 		if h := plan.halfHit.rec.Load(); h != nil {
 			rec = h
 		}
-		if rec == nil || tierOf(rec) != tierBitmap {
+		if rec == nil || rec.tier() != tierBitmap {
 			t.Fatalf("%s: want a remembered record whose hits walk a dot bitmap", name)
 		}
 		for _, threads := range []int{1, 3} {

@@ -287,13 +287,43 @@ func (r *hitRecord) bytes() int64 {
 	if r.half != nil {
 		n = int64(len(r.half.off))*8 + int64(len(r.tpos))*4 + r.rb.bytes()
 	}
-	if r.sched != nil {
-		n += r.sched.bytes()
+	return n + r.tierBytes()
+}
+
+// hitTier is the tier a record's hits run in (DESIGN.md §5, "Bitmap
+// hits"): push and Pull under its binding, replaying its product
+// schedule, or walking its dot bitmap.
+type hitTier int
+
+const (
+	tierPushPull hitTier = iota
+	tierReplay
+	tierBitmap
+)
+
+// tier returns the tier r's hits run in: replay when it keeps a
+// schedule, else the bitmap when it keeps one, else push and Pull.
+func (r *hitRecord) tier() hitTier {
+	switch {
+	case r.sched != nil:
+		return tierReplay
+	case r.dots != nil:
+		return tierBitmap
 	}
-	if r.dots != nil {
-		n += r.dots.bytes()
+	return tierPushPull
+}
+
+// tierBytes is the memory of what r's tier runs by: its schedule or its
+// dot bitmap, and nothing for push and Pull, whose binding is counted
+// with the half or the plan.
+func (r *hitRecord) tierBytes() int64 {
+	switch r.tier() {
+	case tierReplay:
+		return r.sched.bytes()
+	case tierBitmap:
+		return r.dots.bytes()
 	}
-	return n
+	return 0
 }
 
 // remember counts a clean one-phase execution of kind k — over the
@@ -534,12 +564,12 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 		if p.needsCSC(&p.rowBinding) {
 			exec.prepareCSC(p, b, h)
 		}
-	case rec.sched != nil:
+	case rec.tier() == tierReplay:
 		prefix = rec.sched.prefix
 		if prefix[len(prefix)-1] < replaySerialProducts {
 			threads = 1
 		}
-	case rec.dots != nil:
+	case rec.tier() == tierBitmap:
 		exec.prepareCSC(p, b, rec.half)
 		prefix = rec.dots.prefix
 	default:

@@ -539,12 +539,8 @@ func (c *PlanCache[T, S]) Stats() PlanCacheStats {
 		p := el.Value.(*planEntry[T, S]).plan
 		full, half := p.fullHit.rec.Load(), p.halfHit.rec.Load()
 		for _, rec := range []*hitRecord{full, half} {
-			switch {
-			case rec == nil:
-			case rec.sched != nil:
-				schedBytes += rec.sched.bytes()
-			case rec.dots != nil:
-				schedBytes += rec.dots.bytes()
+			if rec != nil {
+				schedBytes += rec.tierBytes()
 			}
 		}
 		// The hits counted are the half record's once there is one.
@@ -553,11 +549,11 @@ func (c *PlanCache[T, S]) Stats() PlanCacheStats {
 			rec = full
 		}
 		if rec != nil {
-			switch {
-			case rec.sched != nil:
+			switch rec.tier() {
+			case tierReplay:
 				replayed++
 				continue
-			case rec.dots != nil:
+			case tierBitmap:
 				bitmaps++
 				continue
 			}

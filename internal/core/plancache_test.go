@@ -735,16 +735,6 @@ func TestPlanCacheStatsKnownHalfFamilyRows(t *testing.T) {
 			statsCase{"rmat-hubs-last", symGraph(9, true, false), tierBitmap, both},
 			statsCase{"dense", denseSymGraph(1), tierPushPull, both})
 	}
-	// tierBytes is the schedule or bitmap bytes of rec.
-	tierBytes := func(rec *hitRecord) int64 {
-		switch {
-		case rec.sched != nil:
-			return rec.sched.bytes()
-		case rec.dots != nil:
-			return rec.dots.bytes()
-		}
-		return 0
-	}
 	for _, c := range cases {
 		cache := NewPlanCache(ptSR, 0)
 		p, err := cache.GetOrPlan(c.g.PatternView(), c.g, c.g, Options{Algorithm: AlgoHybrid})
@@ -768,10 +758,10 @@ func TestPlanCacheStatsKnownHalfFamilyRows(t *testing.T) {
 		if kh == nil {
 			t.Fatalf("%s: no known half published after two half executions", c.name)
 		}
-		if tierOf(kh) != c.tier {
-			t.Fatalf("%s: the known half's hits run in tier %v, want %v", c.name, tierOf(kh), c.tier)
+		if kh.tier() != c.tier {
+			t.Fatalf("%s: the known half's hits run in tier %v, want %v", c.name, kh.tier(), c.tier)
 		}
-		schedBytes := tierBytes(kh)
+		schedBytes := kh.tierBytes()
 		if c.both {
 			asym := withSpecialValues(c.g)
 			for range 2 {
@@ -784,10 +774,10 @@ func TestPlanCacheStatsKnownHalfFamilyRows(t *testing.T) {
 				}
 			}
 			full := p.fullHit.rec.Load()
-			if full == nil || tierOf(full) != c.tier {
+			if full == nil || full.tier() != c.tier {
 				t.Fatalf("%s: full-product record %v, want one in the half's tier %v", c.name, full != nil, c.tier)
 			}
-			schedBytes += tierBytes(full)
+			schedBytes += full.tierBytes()
 		}
 		known := famRows(kh.rb.familyRows(), kh.rb.polyFams)
 		st := cache.Stats()

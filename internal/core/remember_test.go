@@ -145,29 +145,8 @@ func tierCharge(out, a, b *sparse.CSR[float64], half, upper, csc bool) int64 {
 	return 8*((bits+63)/64) + 8*int64(out.Rows+1)
 }
 
-// hitTier is the tier a record's hits run in: push and Pull under its
-// binding, replaying its product schedule, or walking its dot bitmap.
-type hitTier int
-
-const (
-	tierPushPull hitTier = iota
-	tierReplay
-	tierBitmap
-)
-
 func (h hitTier) String() string {
 	return [...]string{"push/Pull", "replay", "bitmap"}[h]
-}
-
-// tierOf returns the tier the hits by rec run in.
-func tierOf(rec *hitRecord) hitTier {
-	switch {
-	case rec.sched != nil:
-		return tierReplay
-	case rec.dots != nil:
-		return tierBitmap
-	}
-	return tierPushPull
 }
 
 // holdsCSC reports whether p holds B's CSC structure, which a dot
@@ -240,19 +219,20 @@ func rememberProducts() []rememberProduct {
 		out = append(out, rememberProduct{name: fmt.Sprintf("symmetric-hubsLast=%v", hubsLast), mask: g.PatternView(), a: g, b: g, selfSym: true, shapes: true})
 	}
 	g := sparseSymGraph(128, 7)
-	out = append(out, rememberProduct{name: "sparse-symmetric", mask: g.PatternView(), a: g, b: g, selfSym: true})
+	out = append(out, rememberProduct{name: "sparse-symmetric", mask: g.PatternView(), a: g, b: g, selfSym: true, shapes: true})
 	g = denseSymGraph(7)
-	out = append(out, rememberProduct{name: "dense-symmetric", mask: g.PatternView(), a: g, b: g, selfSym: true, dense: true})
+	out = append(out, rememberProduct{name: "dense-symmetric", mask: g.PatternView(), a: g, b: g, selfSym: true, shapes: true, dense: true})
 	return out
 }
 
-// denseSymGraph is the complete graph on 68 vertices less a perfect
-// matching drawn from seed, with symGraph's values: every B column
-// holds 66 entries, so its hits break the memory rules of both the
-// product schedule and the dot bitmap and run push and Pull (DESIGN.md
-// §5, "Bitmap hits"), where the R-MAT products' hits walk a dot bitmap.
+// denseSymGraph is the complete graph on 72 vertices less a perfect
+// matching drawn from seed, with symGraph's loops and values
+// (withSymLoops): every B column holds 68 or 69 entries, so its hits
+// break the memory rules of both the product schedule and the dot
+// bitmap and run push and Pull (DESIGN.md §5, "Bitmap hits"), where
+// the R-MAT products' hits walk a dot bitmap.
 func denseSymGraph(seed uint64) *sparse.CSR[float64] {
-	const n = 68
+	const n = 72
 	mate := make([]int32, n)
 	perm := gen.NewRNG(seed).Perm(n)
 	for m := 0; m < n; m += 2 {
@@ -262,7 +242,7 @@ func denseSymGraph(seed uint64) *sparse.CSR[float64] {
 	for i := range n {
 		for j := range n {
 			if j != i && mate[i] != int32(j) {
-				coo.Append(int32(i), int32(j), symValue(i, j))
+				coo.Append(int32(i), int32(j), 1)
 			}
 		}
 	}
@@ -270,7 +250,7 @@ func denseSymGraph(seed uint64) *sparse.CSR[float64] {
 	if err != nil {
 		panic(err)
 	}
-	return g
+	return withSymLoops(g, true)
 }
 
 // sparseSymGraph is a symmetrized ER(n, 1) graph with symGraph's loops
@@ -447,9 +427,9 @@ func checkRememberedRuns(t *testing.T, name string, pr rememberProduct, values [
 		}
 		switch half := ranHalf(exec); {
 		case half && known != nil:
-			cells[hitCell{true, tierOf(known)}] = true
+			cells[hitCell{true, known.tier()}] = true
 		case !half && full != nil:
-			cells[hitCell{false, tierOf(full)}] = true
+			cells[hitCell{false, full.tier()}] = true
 		}
 		fresh, err := NewPlan(ptSR, pr.mask, ab[0], ab[1], opt, nil)
 		if err != nil {
@@ -593,10 +573,10 @@ func (c rememberCase) checkReplays(t *testing.T, p *Plan[float64, ptSRType]) {
 	if c.half {
 		other = p.fullHit.rec.Load()
 	}
-	if rec == nil || tierOf(rec) != c.tier || other != nil {
+	if rec == nil || rec.tier() != c.tier || other != nil {
 		tier := "none"
 		if rec != nil {
-			tier = tierOf(rec).String()
+			tier = rec.tier().String()
 		}
 		t.Fatalf("%s: record in tier %s, want %v; other kind's record %v", c.name, tier, c.tier, other != nil)
 	}
@@ -811,8 +791,8 @@ func ranRecord(exec *Executor[float64, ptSRType], plan *Plan[float64, ptSRType],
 	switch {
 	case exec.lastPlan != plan || !exec.haveHit || exec.lastHalf != rec.half:
 		return errors.New("an execution that started once the record was visible did not run by it")
-	case tierOf(rec) != tier:
-		return fmt.Errorf("the record's hits run in tier %v, want %v", tierOf(rec), tier)
+	case rec.tier() != tier:
+		return fmt.Errorf("the record's hits run in tier %v, want %v", rec.tier(), tier)
 	case (exec.hit.rows != nil) != (tier != tierPushPull):
 		return fmt.Errorf("a hit by the record in tier %v bound one kernel for every row: %v", tier, exec.hit.rows != nil)
 	}
@@ -1086,7 +1066,7 @@ func TestPlanHitChangedStructurePanics(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
-		if rec := plan.fullHit.rec.Load(); rec == nil || tierOf(rec) != tierPushPull {
+		if rec := plan.fullHit.rec.Load(); rec == nil || rec.tier() != tierPushPull {
 			t.Fatalf("%s: want a remembered pattern whose hits run push and Pull", name)
 		}
 		out, err := plan.ExecuteOn(NewExecutor[float64](ptSR), y, y)
@@ -1172,7 +1152,7 @@ func TestReplayedHitChangedStructure(t *testing.T) {
 				}
 				continue
 			}
-			if plan.fullHit.rec.Load().sched == nil {
+			if plan.fullHit.rec.Load().tier() != tierReplay {
 				t.Fatalf("%s/%v: no product schedule kept", name, ph)
 			}
 			out, err := plan.ExecuteOn(NewExecutor[float64](ptSR), y, y)

@@ -66,7 +66,7 @@ func scheduled[T any, S semiring.Semiring[T]](p *Plan[T, S], half bool) bool {
 		k = &p.halfHit
 	}
 	rec := k.rec.Load()
-	return rec != nil && rec.sched != nil
+	return rec != nil && rec.tier() == tierReplay
 }
 
 // TestReplayGenericBitIdentical runs the replayed hits of the generic
@@ -337,7 +337,7 @@ func TestScheduleMatchesReference(t *testing.T) {
 			if r.half {
 				rec = plan.halfHit.rec.Load()
 			}
-			if rec == nil || rec.sched == nil {
+			if rec == nil || rec.tier() != tierReplay {
 				t.Fatalf("%s: no product schedule kept", name)
 			}
 			ptr, prefix := []int32{0}, []int64{0}

@@ -352,12 +352,12 @@ func referenceBounds[T any, S semiring.Semiring[T]](p *Plan[T, S], threads int) 
 	prefix := p.costPrefix
 	switch rec := p.fullHit.rec.Load(); {
 	case rec == nil:
-	case rec.sched != nil:
+	case rec.tier() == tierReplay:
 		prefix = rec.sched.prefix
 		if prefix[len(prefix)-1] < replaySerialProducts {
 			threads = 1
 		}
-	case rec.dots != nil:
+	case rec.tier() == tierBitmap:
 		prefix = rec.dots.prefix
 	}
 	cost := make([]int64, len(prefix)-1)
@@ -648,7 +648,7 @@ func TestPlanWidthInvariance(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				ref := referenceBounds(p, threads)
-				if rec := p.fullHit.rec.Load(); rec != nil && rec.dots != nil {
+				if rec := p.fullHit.rec.Load(); rec != nil && rec.tier() == tierBitmap {
 					bitmapCuts++
 				}
 				got, err := p.ExecuteOnOpts(exec, g, g, opt.ExecOnly())

@@ -206,10 +206,10 @@ func (k schemeKernels[T, S]) binder(complement bool) kernelBinder[T, S] {
 // (accum.MSAKnown), and Pull dots only them. Rows keep the record's
 // binding.
 func bindHit[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], rec *hitRecord) hitKernels[T] {
-	switch {
-	case rec.sched != nil:
+	switch rec.tier() {
+	case tierReplay:
 		return bindReplay(p, a, b, rec)
-	case rec.dots != nil:
+	case tierBitmap:
 		return bindDots(p, e, a, rec)
 	}
 	if _, ok := any(p.sr).(accum.PlusTimes64); ok {
