@@ -425,6 +425,13 @@ func BenchmarkSessionPlanMissRefs(b *testing.B) {
 //     product lands on a known column: about 2.1M output entries over
 //     2¹⁷ columns, where a hit's dense per-worker value array is cold.
 //     (A self-masked ER(2¹⁷, 4) product would keep almost none.)
+//   - compl-er10-48: the complemented product C = ¬A ⊙ (A·A) over one
+//     symmetric ER(2¹⁰, 48) graph A, about 9 products per output entry.
+//     That breaks the replay rule, and a complemented plan holds no CSC
+//     structure of B for a dot bitmap, so its hits run push and Pull
+//     under the plan's binding, the tier such products keep (DESIGN.md
+//     §5, "Tiers"); the benchmark fails unless the plan neither replays
+//     nor walks a bitmap.
 func BenchmarkSessionPlanHitRefs(b *testing.B) {
 	b.Run("delta-compl-ref", func(b *testing.B) {
 		g := gen.Symmetrize(gen.ErdosRenyi(1<<11, 8, 1))
@@ -456,6 +463,18 @@ func BenchmarkSessionPlanHitRefs(b *testing.B) {
 			_, err := s.MultiplyRefs(mask.Pattern, ref, ref, WithAlgorithm(Hybrid))
 			return err
 		})
+	})
+	b.Run("compl-er10-48", func(b *testing.B) {
+		g := gen.Symmetrize(gen.ErdosRenyi(1<<10, 48, 1))
+		s := NewSession()
+		ref, _ := s.PutOperand(g)
+		benchPlanHits(b, s, func(int) error {
+			_, err := s.MultiplyRefs(ref.Pattern, ref, ref, WithAlgorithm(Hybrid), WithComplement())
+			return err
+		})
+		if st := s.Stats().Cache; st.ReplayedPlans != 0 || st.BitmapPlans != 0 {
+			b.Fatalf("%d replayed and %d bitmap plans, want the push/Pull tier", st.ReplayedPlans, st.BitmapPlans)
+		}
 	})
 }
 
@@ -552,9 +571,9 @@ func BenchmarkSessionPlanHitSelf(b *testing.B) {
 // C = A ⊙ (A·A) under Hybrid, by reference, on the products of
 // er-warm-inline and tc-skew-ref (as in BenchmarkSessionPlanHitSelf).
 // That execution computes one triangle and mirrors it, then builds the
-// record its plan's hits run by — the known half, its binding and the
-// product schedule, or, once the replay rule refuses one, the dot
-// bitmap (tc-skew-ref's) — and publishes it
+// record its plan's hits run by — the known half and the product
+// schedule, or, once the replay rule refuses one, the dot bitmap
+// (tc-skew-ref's) — and publishes it
 // (DESIGN.md §5, "Known pattern"). Each op starts a fresh session,
 // stores A and runs the first execution outside the timer, and fails
 // unless the timed execution charged the cache for a record.

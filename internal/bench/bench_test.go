@@ -331,6 +331,22 @@ func TestKernelJudge(t *testing.T) {
 	})
 }
 
+// TestCPUModel reads the CPU model from fixed /proc/cpuinfo texts: the
+// first processor's "model name", trimmed, and "" from a text with
+// none, as an arm64 kernel writes it.
+func TestCPUModel(t *testing.T) {
+	for _, c := range []struct{ name, cpuinfo, want string }{
+		{"x86", "processor\t: 0\nvendor_id\t: GenuineIntel\nmodel\t\t: 85\nmodel name\t: Intel(R) Xeon(R) Platinum 8259CL CPU @ 2.50GHz\nflags\t\t: fpu\n\nprocessor\t: 1\nmodel name\t: another\n", "Intel(R) Xeon(R) Platinum 8259CL CPU @ 2.50GHz"},
+		{"no-final-newline", "model name\t: AMD EPYC 7763 64-Core Processor", "AMD EPYC 7763 64-Core Processor"},
+		{"arm64", "processor\t: 0\nBogoMIPS\t: 243.75\nCPU implementer\t: 0x41\n", ""},
+		{"empty", "", ""},
+	} {
+		if got := cpuModel(c.cpuinfo); got != c.want {
+			t.Errorf("%s: cpuModel = %q, want %q", c.name, got, c.want)
+		}
+	}
+}
+
 // TestMedianInterval pins the median (the mean of the middle two at
 // even length) and the order statistics of the 99% interval.
 func TestMedianInterval(t *testing.T) {

@@ -418,7 +418,8 @@ type KernelRow struct {
 
 // KernelsReport is the BENCH_kernels.json document.
 type KernelsReport struct {
-	// Host names the machine: hostname, CPUs, platform and toolchain.
+	// Host names the machine: hostname, CPUs, platform, toolchain and,
+	// where the OS reports it, the CPU model.
 	Host string `json:"host"`
 	// GOMAXPROCS is the Go scheduler's parallelism during the run.
 	GOMAXPROCS int `json:"gomaxprocs"`
@@ -683,10 +684,31 @@ func WriteKernelsJSON(w io.Writer, rep *KernelsReport) error {
 	return enc.Encode(rep)
 }
 
-// kernelHost names the machine a report was taken on.
+// kernelHost names the machine a report was taken on, with its CPU
+// model on Linux: gate verdicts can differ between CPU models.
 func kernelHost() string {
 	name, _ := os.Hostname() // an unnamed host is recorded as ""
-	return fmt.Sprintf("%s, %d CPUs, %s/%s, %s", name, runtime.NumCPU(), runtime.GOOS, runtime.GOARCH, runtime.Version())
+	host := fmt.Sprintf("%s, %d CPUs, %s/%s, %s", name, runtime.NumCPU(), runtime.GOOS, runtime.GOARCH, runtime.Version())
+	if runtime.GOOS != "linux" {
+		return host
+	}
+	cpuinfo, _ := os.ReadFile("/proc/cpuinfo") // unreadable: no model
+	if model := cpuModel(string(cpuinfo)); model != "" {
+		host += ", " + model
+	}
+	return host
+}
+
+// cpuModel returns the first "model name" field of a /proc/cpuinfo
+// text, or "" when it has none (as on some non-x86 kernels).
+func cpuModel(cpuinfo string) string {
+	for line := range strings.Lines(cpuinfo) {
+		key, val, ok := strings.Cut(line, ":")
+		if ok && strings.TrimSpace(key) == "model name" {
+			return strings.TrimSpace(val)
+		}
+	}
+	return ""
 }
 
 // kernelCommit returns the build's VCS revision.

@@ -404,7 +404,7 @@ func chaosInPlaceHit(t *testing.T, name string, a *sparse.CSR[float64], algo Alg
 	if kh == nil {
 		t.Fatalf("%s: no known half published", name)
 	}
-	outPtr, cols, tpos, off := slices.Clone(kh.half.out.rowPtr), slices.Clone(kh.half.out.colIdx), slices.Clone(kh.tpos), slices.Clone(kh.half.off)
+	outPtr, cols, tpos, off := slices.Clone(kh.pat.rowPtr), slices.Clone(kh.pat.colIdx), slices.Clone(kh.tpos), slices.Clone(kh.half.off)
 	want := published.Clone()
 
 	faultinject.Arm(fault)
@@ -429,7 +429,7 @@ func chaosInPlaceHit(t *testing.T, name string, a *sparse.CSR[float64], algo Alg
 	if st := pool.Stats(); st.Poisoned != 1 || st.Idle != 0 {
 		t.Fatalf("%s: pool %+v, want the executor discarded", name, st)
 	}
-	if plan.halfHit.rec.Load() != kh || !slices.Equal(kh.half.out.rowPtr, outPtr) || !slices.Equal(kh.half.out.colIdx, cols) ||
+	if plan.halfHit.rec.Load() != kh || !slices.Equal(kh.pat.rowPtr, outPtr) || !slices.Equal(kh.pat.colIdx, cols) ||
 		!slices.Equal(kh.tpos, tpos) || !slices.Equal(kh.half.off, off) {
 		t.Fatalf("%s: the interrupted hit changed the plan's known half", name)
 	}
@@ -526,12 +526,12 @@ func TestChaosFullProductHit(t *testing.T) {
 						t.Fatalf("%s: err = %v, want KernelPanicError", name, err)
 					case !fault.PanicArmed && (!errors.As(err, &ce) || ce.Pass != string(fault.CancelPass)):
 						t.Fatalf("%s: err = %v, want CanceledError in pass %s", name, err, fault.CancelPass)
-					case exec.lastPlan != plan || !exec.haveHit:
+					case exec.lastPlan != plan || exec.hitTier == tierNone:
 						t.Fatalf("%s: the interrupted execution was not a hit", name)
 					case rec.tier() != wantTier:
 						t.Fatalf("%s: the hits run in tier %v, want %v", name, rec.tier(), wantTier)
-					case (exec.hit.rows != nil) != (rec.tier() != tierPushPull):
-						t.Fatalf("%s: a hit in tier %v bound one kernel for every row: %v", name, rec.tier(), exec.hit.rows != nil)
+					case exec.hitTier != rec.tier():
+						t.Fatalf("%s: a hit by a record in tier %v bound tier %v", name, rec.tier(), exec.hitTier)
 					}
 					pool.Discard(exec)
 					if st := pool.Stats(); st.Poisoned != 1 || st.Idle != 0 {

@@ -180,9 +180,8 @@ func (c *passClock) done() {
 // Family(runFam[r]) — and the cost prefix executions cut into
 // partitions. polyFams is the set of families bound by at least one
 // run, exactly the accumulators executions materialize; the run fields
-// are empty on uniform plans. A plan holds the binding of its mask rows
-// (or mask halves), and a one-triangle plan that remembers its known
-// half holds another for that in its hit record (hitRecord).
+// are empty on uniform plans. A plan holds one binding, of its mask
+// rows (or mask halves), which its misses and its push/Pull hits run.
 //
 //mspgemm:immutable
 type rowBinding struct {
@@ -207,8 +206,8 @@ func (rb *rowBinding) bytes() int64 {
 // rowCosts, except on a plan of at most one row, whose one partition
 // needs no profile — so a masked SpVM never builds Inner's O(nnz B)
 // column counts. The profile is retained as the prefix sum executions
-// cut partitions from. It runs once per structure (and once more per
-// known half); cached plans replay the result on every hit.
+// cut partitions from. It runs once per plan; cached plans replay the
+// result on every execution.
 //
 //mspgemm:planwrite
 func (p *Plan[T, S]) bindRows(m maskRows, a, b *sparse.CSR[T]) rowBinding {

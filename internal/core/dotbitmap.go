@@ -153,7 +153,7 @@ func markDots(words []uint64, bit int64, aBits []uint64, aCols, cols []int32, co
 // refreshes before every execution — through dotWalk64 under the served
 // semiring, and dotWalk otherwise. It runs no push row and touches no
 // accumulator.
-func bindDots[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a *sparse.CSR[T], rec *hitRecord) hitKernels[T] {
+func bindDots[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a *sparse.CSR[T], rec *hitRecord) rowsHitFn[T] {
 	bt, words := e.bt, rec.dots.words
 	var walk func(bit int64, aDense []T, cols []int32, outVal []T)
 	if _, ok := any(p.sr).(accum.PlusTimes64); ok {
@@ -169,7 +169,7 @@ func bindDots[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a
 		}
 	}
 	prefix, colIdx := rec.dots.prefix, rec.pat.colIdx
-	return hitKernels[T]{rows: func(lo, hi, tid int, val []T, fi *faultinject.Hooks) {
+	return func(lo, hi, tid int, val []T, fi *faultinject.Hooks) {
 		r := e.worker(tid).Pull(a.Cols)
 		for i := lo; i < hi; i++ {
 			if fi != nil {
@@ -180,7 +180,7 @@ func bindDots[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a
 				walk(prefix[i], r.vals, colIdx[at:end], val[at:end])
 			}
 		}
-	}}
+	}
 }
 
 // dotWalk writes the value of each computed entry q of one row, whose

@@ -123,7 +123,7 @@ func TestBitmapGenericBitIdentical(t *testing.T) {
 				}
 				checkIdentical(t, fmt.Sprintf("%s run %d", name, run), got, want)
 			}
-			if !dotted(plan, r.half) || exec.hit.rows == nil {
+			if !dotted(plan, r.half) || exec.hitTier != tierBitmap {
 				t.Fatalf("%s: the last runs did not walk a dot bitmap", name)
 			}
 		}
@@ -173,7 +173,7 @@ func TestChaosBitmapHit(t *testing.T) {
 				exec := NewExecutor[float64](ptSR)
 				out, err := plan.ExecuteOnOpts(exec, r.a, r.b, eo)
 				faultinject.Disarm()
-				if exec.hit.rows == nil {
+				if exec.hitTier != tierBitmap {
 					t.Fatalf("%s: the hit did not walk the bitmap", name)
 				}
 				var ce *CanceledError
@@ -227,7 +227,7 @@ func TestBitmapHitAllocs(t *testing.T) {
 				}
 			}
 			run()
-			if exec.hit.rows == nil || !dotted(plan, r.half) {
+			if exec.hitTier != tierBitmap || !dotted(plan, r.half) {
 				t.Fatalf("%s: the hit did not walk a dot bitmap", name)
 			}
 			for tid, w := range exec.workers {

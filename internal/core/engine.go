@@ -22,11 +22,12 @@ import (
 //   - Known pattern: a cached plan publishes, from its second one-phase
 //     execution of each kind, full product or one triangle, the record
 //     that kind's hits run by (Plan.remember): the output pattern, a
-//     known half, the binding and the product schedule or dot bitmap.
-//     Every later such execution is a hit: each row's values go straight
-//     into its exact range of that pattern, replayed from the record's
-//     schedule, walked from its bitmap, or computed by push or Pull, and
-//     a half hit then copies them to their transposes (knownPhase).
+//     known half and the product schedule or dot bitmap. Every later
+//     such execution is a hit: each row's values go straight into its
+//     exact range of that pattern, replayed from the record's schedule,
+//     walked from its bitmap, or computed by push or Pull under the
+//     plan's binding, and a half hit then copies them to their
+//     transposes (knownPhase).
 //
 // Kernels receive a tid to index per-worker accumulator scratch.
 
@@ -37,12 +38,8 @@ type rowNumericFn[T any] func(tid, i int, outIdx []int32, outVal []T) int
 // rowSymbolicFn counts output row i without computing values.
 type rowSymbolicFn func(tid, i int) int
 
-// rowKnownFn computes the values of output row i, whose columns cols
-// are known, into outVal (len(outVal) == len(cols)).
-type rowKnownFn[T any] func(tid, i int, cols []int32, outVal []T)
-
-// rowsHitFn writes the values of the output rows [lo, hi) of a
-// replayed or bitmap hit into their ranges of val, the result's value
+// rowsHitFn is one bound plan hit (bindHit): it writes the values of
+// the output rows [lo, hi) into their ranges of val, the result's value
 // array, on worker tid, firing fi's row hook for each row.
 type rowsHitFn[T any] func(lo, hi, tid int, val []T, fi *faultinject.Hooks)
 
@@ -71,17 +68,6 @@ func runSegment(runEnds []int32, runFam []uint8, lo, hi int) (int, int) {
 	}
 	r := findRun(runEnds, lo)
 	return min(int(runEnds[r]), hi), int(runFam[r])
-}
-
-// hitKernels is one bound plan hit (bindHit): the push and Pull
-// kernels, and the Hybrid runs choosing between them, if any, or, for
-// a record with a product schedule or a dot bitmap, one kernel for
-// every row (bindReplay, bindDots), which runs whole partitions.
-type hitKernels[T any] struct {
-	push, pull rowKnownFn[T]
-	runEnds    []int32
-	runFam     []uint8
-	rows       rowsHitFn[T]
 }
 
 // onePhase runs the numeric kernel once per row into a slab laid out by
@@ -163,16 +149,15 @@ func compact[T any](rows, cols int, offsets, counts []int64, tmpIdx []int32, tmp
 }
 
 // knownPhase runs a plan hit by the record rec over its remembered
-// output pattern: each row's kernel writes its values straight into the
-// row's range of a fresh value array — [RowPtr[i], RowPtr[i+1]), or its
-// own half (symHalf.span) over a known half — with no slab and no
-// compaction, and the result shares the pattern's arrays. A row with no
-// computed entry has nothing to write and runs no kernel. A half hit
-// then copies every half value to its transpose's position by the
-// record's tpos (copyTransposes) under compact's checkpoint name: each
-// lands outside every row's own range, once, so the rows need no order.
-// es supplies Val under reuseOut.
-func knownPhase[T any](rows, cols int, rec *hitRecord, sch rowSched, k hitKernels[T], es *engineScratch[T]) (*sparse.CSR[T], error) {
+// output pattern: the hit's kernel k writes each partition's rows
+// straight into their ranges of a fresh value array — [RowPtr[i],
+// RowPtr[i+1]), or their own halves (symHalf.span) over a known half —
+// with no slab and no compaction, and the result shares the pattern's
+// arrays. A half hit then copies every half value to its transpose's
+// position by the record's tpos (copyTransposes) under compact's
+// checkpoint name: each lands outside every row's own range, once, so
+// the rows need no order. es supplies Val under reuseOut.
+func knownPhase[T any](rows, cols int, rec *hitRecord, sch rowSched, k rowsHitFn[T], es *engineScratch[T]) (*sparse.CSR[T], error) {
 	if err := sch.enterPass(PassHitNumeric); err != nil {
 		return nil, err
 	}
@@ -180,26 +165,7 @@ func knownPhase[T any](rows, cols int, rec *hitRecord, sch rowSched, k hitKernel
 	val := es.outVals(int64(len(colIdx)))
 	fi := sch.fi
 	sch.run(func(lo, hi, tid int) {
-		if k.rows != nil {
-			k.rows(lo, hi, tid, val, fi)
-			return
-		}
-		for lo < hi {
-			seg, f := runSegment(k.runEnds, k.runFam, lo, hi)
-			known := k.push
-			if f == int(FamPull) || known == nil {
-				known = k.pull
-			}
-			for i := lo; i < seg; i++ {
-				if fi != nil {
-					fi.Row(faultinject.PassNumeric, i)
-				}
-				if at, end := rec.span(i); at < end {
-					known(tid, i, colIdx[at:end], val[at:end])
-				}
-			}
-			lo = seg
-		}
+		k(lo, hi, tid, val, fi)
 	})
 	if err := sch.passCanceled(PassHitNumeric); err != nil {
 		return nil, err

@@ -37,15 +37,16 @@ type Executor[T any, S semiring.Semiring[T]] struct {
 	btVal []T
 
 	// Bound kernels, a hit's too, are cached per (plan, A, B, halves)
-	// identity so steady-state executions allocate no closures.
+	// identity so steady-state executions allocate no closures. hitTier
+	// is the tier of the bound hit, tierNone when there is none.
 	lastPlan  *Plan[T, S]
 	lastA     *sparse.CSR[T]
 	lastB     *sparse.CSR[T]
 	lastHalf  *symHalf
 	bound     kernels[T]
 	haveBound bool
-	hit       hitKernels[T]
-	haveHit   bool
+	hit       rowsHitFn[T]
+	hitTier   hitTier
 
 	// schedStats and passTimes are the telemetry targets of executions
 	// run with Options.CollectSchedStats; reset at the start of each such
@@ -108,9 +109,8 @@ func (e *Executor[T, S]) worker(tid int) *workspace[T, S] {
 // plan's mirror map as the permutation; when the execution computes
 // one triangle (h non-nil), its values are symmetric too, and the CSC
 // view reads B's value array itself. The caller decides whether the
-// execution reads B by column at all (Plan.needsCSC): a known half may
-// bind pull rows where the mask halves bind none, and a bitmap hit
-// always does.
+// execution reads B by column at all: when the plan's binding pulls
+// (Plan.needsCSC), and on every bitmap hit.
 func (e *Executor[T, S]) prepareCSC(p *Plan[T, S], b *sparse.CSR[T], h *symHalf) {
 	if e.bt == nil {
 		e.bt = &sparse.CSC[T]{}
@@ -160,13 +160,12 @@ func (e *Executor[T, S]) kernelsFor(p *Plan[T, S], a, b *sparse.CSR[T], h *symHa
 	return e.bound
 }
 
-// hitKernelsFor is kernelsFor for a plan hit by the record rec
+// hitKernelFor is kernelsFor for a plan hit by the record rec
 // (bindHit). A plan publishes one record per kind of hit, whole, so the
 // record's half, or nil for the full product, names it.
-func (e *Executor[T, S]) hitKernelsFor(p *Plan[T, S], a, b *sparse.CSR[T], rec *hitRecord) hitKernels[T] {
-	if !e.bindingOf(p, a, b, rec.half) || !e.haveHit {
-		e.hit = bindHit(p, e, a, b, rec)
-		e.haveHit = true
+func (e *Executor[T, S]) hitKernelFor(p *Plan[T, S], a, b *sparse.CSR[T], rec *hitRecord) rowsHitFn[T] {
+	if !e.bindingOf(p, a, b, rec.half) || e.hitTier == tierNone {
+		e.hit, e.hitTier = bindHit(p, e, a, b, rec), rec.tier()
 	}
 	return e.hit
 }
@@ -178,8 +177,8 @@ func (e *Executor[T, S]) bindingOf(p *Plan[T, S], a, b *sparse.CSR[T], h *symHal
 		return true
 	}
 	e.lastPlan, e.lastA, e.lastB, e.lastHalf = p, a, b, h
-	e.bound, e.hit = kernels[T]{}, hitKernels[T]{}
-	e.haveBound, e.haveHit = false, false
+	e.bound, e.hit = kernels[T]{}, nil
+	e.haveBound, e.hitTier = false, tierNone
 	return false
 }
 

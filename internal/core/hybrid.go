@@ -514,12 +514,10 @@ func bindHybrid[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S],
 
 // FamilyRows reports the per-family row counts of the plan's run
 // encoding over its mask rows (or mask halves) — what its executions
-// dispatch until they run by a hit record (DESIGN.md §5, "Known
-// pattern"): a one-triangle record carries its own binding, priced on
-// the known half, and a record that replays a product schedule or
-// walks a dot bitmap dispatches no family. Decoded straight from the
-// stored runs. All
-// zeros for non-poly plans.
+// dispatch, its push/Pull hits included (DESIGN.md §5, "Known
+// pattern"); a hit that replays a product schedule or walks a dot
+// bitmap dispatches no family. Decoded straight from the stored runs.
+// All zeros for non-poly plans.
 func (p *Plan[T, S]) FamilyRows() [NumFamilies]int {
 	return p.rowBinding.familyRows()
 }

@@ -70,7 +70,8 @@ type Plan[T any, S semiring.Semiring[T]] struct {
 	btIdx  []int32
 	btPerm []int64
 	// rowBinding is how executions over the plan's mask rows (or mask
-	// halves) bind and schedule them; zero for direct schemes.
+	// halves) bind and schedule them, its push/Pull hits too; zero for
+	// direct schemes.
 	rowBinding
 
 	// shared is the one output pattern a plan built by a PlanCache
@@ -253,14 +254,12 @@ type hitKind struct {
 // "Known pattern"), published whole (Plan.remember): the output pattern
 // the hit writes, which the plan's two kinds share; for a one-triangle
 // hit, the known half it computes — the plan's symmetric analysis with
-// each row's half narrowed to the columns its output half holds, read
-// from pat (symHalf.out) — and the transpose map knownPhase copies
-// values by; the binding its rows run under, the plan's own for a
-// full-product hit and one priced on the known half for a one-triangle
-// hit; and the tier its hits run in: the product schedule it replays,
-// or nil when its products break the replay rule, and then the dot
-// bitmap it walks, or nil when the plan holds no CSC structure of B or
-// the bitmap breaks its memory rule, and then push and Pull under the
+// its offsets narrowed to the columns each row's output half holds —
+// and the transpose map knownPhase copies values by; and
+// the tier its hits run in: the product schedule it replays, or nil
+// when its products break the replay rule, and then the dot bitmap it
+// walks, or nil when the plan holds no CSC structure of B or the bitmap
+// breaks its memory rule, and then push and Pull under the plan's own
 // binding. Every output entry of a half lies in the known half, so a
 // hit over it computes the same entries from the same products, in the
 // same order, as an execution over the mask halves.
@@ -273,38 +272,42 @@ type hitRecord struct {
 	// transpose: row i's entries are tpos[off[i]:off[i+1]], in column
 	// order, and a diagonal entry's position is its own.
 	tpos  []int32
-	rb    *rowBinding
 	sched *schedule
 	dots  *dotBitmap
 }
 
 // bytes is the memory the record adds to its plan's cache entry beyond
-// the shared pattern: a known half's offsets, transpose map and
-// binding, and the schedule or the dot bitmap. The mask structure, the
-// mirror map and a full-product record's binding are the plan's.
+// the shared pattern: a known half's offsets and transpose map, and the
+// schedule or the dot bitmap. The mask structure, the mirror map and
+// the binding are the plan's.
 func (r *hitRecord) bytes() int64 {
 	var n int64
 	if r.half != nil {
-		n = int64(len(r.half.off))*8 + int64(len(r.tpos))*4 + r.rb.bytes()
+		n = int64(len(r.half.off))*8 + int64(len(r.tpos))*4
 	}
 	return n + r.tierBytes()
 }
 
 // hitTier is the tier a record's hits run in (DESIGN.md §5, "Bitmap
-// hits"): push and Pull under its binding, replaying its product
-// schedule, or walking its dot bitmap.
+// hits"): push and Pull under the plan's binding, replaying its product
+// schedule, or walking its dot bitmap. tierNone is the tier of no
+// record, and of an executor that has bound no hit (Executor.hitTier).
 type hitTier int
 
 const (
-	tierPushPull hitTier = iota
+	tierNone hitTier = iota
+	tierPushPull
 	tierReplay
 	tierBitmap
 )
 
 // tier returns the tier r's hits run in: replay when it keeps a
-// schedule, else the bitmap when it keeps one, else push and Pull.
+// schedule, else the bitmap when it keeps one, else push and Pull; and
+// no tier for no record.
 func (r *hitRecord) tier() hitTier {
 	switch {
+	case r == nil:
+		return tierNone
 	case r.sched != nil:
 		return tierReplay
 	case r.dots != nil:
@@ -314,8 +317,8 @@ func (r *hitRecord) tier() hitTier {
 }
 
 // tierBytes is the memory of what r's tier runs by: its schedule or its
-// dot bitmap, and nothing for push and Pull, whose binding is counted
-// with the half or the plan.
+// dot bitmap, and nothing for push and Pull, whose binding is the
+// plan's.
 func (r *hitRecord) tierBytes() int64 {
 	switch r.tier() {
 	case tierReplay:
@@ -345,12 +348,12 @@ func (p *Plan[T, S]) remember(k *hitKind, h *symHalf, out, a, b *sparse.CSR[T], 
 		return
 	}
 	pat, charge := p.sharePattern(out)
-	rec := &hitRecord{pat: pat, rb: &p.rowBinding}
+	rec := &hitRecord{pat: pat}
 	if h != nil {
 		rows, rowPtr, colIdx := out.Rows, pat.rowPtr, pat.colIdx
 		half := *h
 		off := halfOffsets(rowPtr, colIdx, half.upper)
-		half.off, half.out = off, pat
+		half.off = off
 		// Row c's other entries, the transposes (c, j) of the half entries
 		// (j, c), sit after its half in the lower triangle and before it in
 		// the upper, in ascending j, so one cursor per row, met in row
@@ -375,8 +378,7 @@ func (p *Plan[T, S]) remember(k *hitKind, h *symHalf, out, a, b *sparse.CSR[T], 
 				next[c]++
 			}
 		}
-		rb := p.bindRows(maskRows{p.mask, &half}, a, b)
-		rec.half, rec.tpos, rec.rb = &half, tpos, &rb
+		rec.half, rec.tpos = &half, tpos
 	}
 	if rec.sched = p.buildSchedule(rec, a, b, threads); rec.sched == nil {
 		rec.dots = p.buildDots(rec, a, threads)
@@ -473,15 +475,16 @@ func (p *Plan[T, S]) Execute(a, b *sparse.CSR[T]) (*sparse.CSR[T], error) {
 // the internal scratch is pooled — except on a plan a PlanCache built.
 // Such a plan's second clean one-phase execution of each kind, full
 // product or one triangle, publishes the kind's record — the output
-// pattern, a known half, the binding and the product schedule or dot
-// bitmap, together — and every later execution of that kind is a hit
-// that runs by it. The publishing result and every hit's share RowPtr
-// and ColIdx with the plan's remembered output pattern: treat them as
-// read-only, and Clone a result to own every array. A hit trusts the
-// pattern on push rows, and a Pull row returns a *KernelPanicError on a
-// known column its dot finds no product on, so (a, b) of another
-// structure may give a wrong result or that error. A hit that replays
-// the record's product schedule trusts the schedule: (a, b) of another
+// pattern, a known half and the product schedule or dot bitmap,
+// together — and every later execution of that kind is a hit that runs
+// by it, under the plan's binding when the record keeps neither. The
+// publishing result and every hit's share RowPtr and ColIdx with the
+// plan's remembered output pattern: treat them as read-only, and Clone
+// a result to own every array. A push/Pull hit trusts the pattern on
+// push rows, and a Pull row returns a *KernelPanicError on a known
+// column its dot finds no product on, so (a, b) of another structure
+// may give a wrong result or that error. A hit that replays the
+// record's product schedule trusts the schedule: (a, b) of another
 // structure but the planned nnz give a result of the remembered pattern
 // whose values are the products at the remembered value positions,
 // which are all in range, and no error. A hit that walks the record's
@@ -557,26 +560,21 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 	es.reuseOut = eo.ReuseOutput
 	// The partitions are cut from the prefix of what the execution's rows
 	// cost: the products of a replayed hit, the bits of a bitmap hit, and
-	// the binding's costs otherwise.
+	// the plan's binding's costs otherwise.
 	prefix := p.costPrefix
-	switch {
-	case rec == nil:
-		if p.needsCSC(&p.rowBinding) {
-			exec.prepareCSC(p, b, h)
-		}
-	case rec.tier() == tierReplay:
+	switch rec.tier() {
+	case tierReplay:
 		prefix = rec.sched.prefix
 		if prefix[len(prefix)-1] < replaySerialProducts {
 			threads = 1
 		}
-	case rec.tier() == tierBitmap:
-		exec.prepareCSC(p, b, rec.half)
+	case tierBitmap:
+		exec.prepareCSC(p, b, h)
 		prefix = rec.dots.prefix
 	default:
-		if p.needsCSC(rec.rb) {
-			exec.prepareCSC(p, b, rec.half)
+		if p.needsCSC(&p.rowBinding) {
+			exec.prepareCSC(p, b, h)
 		}
-		prefix = rec.rb.costPrefix
 	}
 	exec.partBounds = partitions(prefix, threads, exec.partBounds)
 	sch := rowSched{threads: threads, bounds: exec.partBounds, clock: &exec.clock, cancel: cancel, fi: fi}
@@ -587,7 +585,7 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 	}
 	defer exec.clock.done()
 	if rec != nil {
-		return knownPhase(p.mask.Rows, p.mask.Cols, rec, sch, exec.hitKernelsFor(p, a, b, rec), es)
+		return knownPhase(p.mask.Rows, p.mask.Cols, rec, sch, exec.hitKernelFor(p, a, b, rec), es)
 	}
 	k := exec.kernelsFor(p, a, b, h)
 	if p.opt.Phases == TwoPhase {

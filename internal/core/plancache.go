@@ -67,15 +67,17 @@ var errPlanningPanicked = errors.New("core: concurrent plan analysis panicked; r
 // 4·nnz bytes are charged to the plan's entry, and to the MemBudget,
 // once, when it is published, and leave with the entry. A one-triangle
 // plan likewise remembers the known half of its second clean half
-// execution, with that execution's output pattern, a transpose map and
-// its row binding: later half executions compute only the known
-// columns, write them in place into results that share the pattern,
-// and the known half's bytes are charged the same way. With a pattern
-// or a known half, a plan decides once whether its hits replay a
-// product schedule (DESIGN.md §5, "Replayed hits"): it keeps one only
-// if it holds at most two products per computed entry, about 20 bytes
-// per entry, charged the same way; a plan over that bound keeps none,
-// charges nothing, and its hits run push and Pull.
+// execution, with that execution's output pattern and a transpose map:
+// later half executions compute only the known columns, write them in
+// place into results that share the pattern, and the known half's
+// bytes are charged the same way. With a pattern or a known half, a
+// plan decides once whether its hits replay a product schedule
+// (DESIGN.md §5, "Replayed hits"): it keeps one only if it holds at
+// most two products per computed entry, about 20 bytes per entry,
+// charged the same way. A plan over that bound that holds B's CSC
+// structure keeps a dot bitmap instead, under its own memory rule
+// ("Bitmap hits"); a plan that keeps neither charges nothing more, and
+// its hits run push and Pull under the plan's binding.
 type PlanCache[T any, S semiring.Semiring[T]] struct {
 	sr         S
 	maxEntries int
@@ -508,12 +510,11 @@ type PlanCacheStats struct {
 	// HybridFamilyRows sums, across the currently cached hybrid plans,
 	// how many output rows each accumulator family is bound to execute
 	// on a plan hit, keyed by Family name ("MSA", "MaskedBit", ...) —
-	// the operator's view of per-family adoption. A plan that has
-	// remembered a known half counts that half's binding, which its
-	// one-triangle hits run. A plan whose hits replay a product schedule
-	// or walk a dot bitmap runs no family and is counted in
-	// ReplayedPlans or BitmapPlans instead. Nil when no cached plan
-	// carries a per-row binding its hits run.
+	// the operator's view of per-family adoption. Each plan counts its
+	// one binding, which its misses and its push/Pull hits run. A plan
+	// whose hits replay a product schedule or walk a dot bitmap runs no
+	// family and is counted in ReplayedPlans or BitmapPlans instead. Nil
+	// when no cached plan carries a per-row binding its hits run.
 	HybridFamilyRows map[string]int64 `json:"hybrid_family_rows,omitempty"`
 	// ReplayedPlans counts the cached plans whose hits replay a product
 	// schedule (DESIGN.md §5, "Replayed hits"): those of their known
@@ -544,21 +545,19 @@ func (c *PlanCache[T, S]) Stats() PlanCacheStats {
 			}
 		}
 		// The hits counted are the half record's once there is one.
-		rb, rec := &p.rowBinding, half
+		rec := half
 		if rec == nil {
 			rec = full
 		}
-		if rec != nil {
-			switch rec.tier() {
-			case tierReplay:
-				replayed++
-				continue
-			case tierBitmap:
-				bitmaps++
-				continue
-			}
-			rb = rec.rb
+		switch rec.tier() {
+		case tierReplay:
+			replayed++
+			continue
+		case tierBitmap:
+			bitmaps++
+			continue
 		}
+		rb := &p.rowBinding
 		if rb.polyFams == 0 {
 			continue
 		}

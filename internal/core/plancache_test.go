@@ -696,22 +696,20 @@ func TestPlanCacheStatsHybridFamilyRows(t *testing.T) {
 
 // TestPlanCacheStatsKnownHalfFamilyRows checks that Stats reports the
 // binding plan hits run on a symmetric self-product under Hybrid: the
-// mask halves' family rows until the plan publishes its known half, on
-// its second half execution, and from then on the known half's for a
+// plan's one binding, over its mask halves, before the plan publishes
+// its known half, on its second half execution, and after it too for a
 // dense product, whose hits break the memory rules of the product
-// schedule and the dot bitmap and run push and Pull, and none for
-// er-warm-inline's, whose hits replay a product schedule, or for a
-// tc-skew-ref-like product's (an R-MAT graph relabeled hubs last),
-// whose hits walk a dot bitmap: both run no family, and Stats counts
-// such a plan in ReplayedPlans or BitmapPlans instead, with its
-// schedule's or bitmap's bytes in ScheduleBytes. Most of
-// er-warm-inline's mask-half entries never reach the output, so its
-// known half binds more rows to Pull than its mask halves do. With
-// both, two executions on asymmetric values follow, so the plan
-// publishes both kinds of record, in the same tier: Stats still reads
-// the half record, its binding for the dense product, and counts the
-// other plans in ReplayedPlans or BitmapPlans once, with the bytes of
-// both their records' schedules or bitmaps.
+// schedule and the dot bitmap and run push and Pull under that binding,
+// and none for er-warm-inline's, whose hits replay a product schedule,
+// or for a tc-skew-ref-like product's (an R-MAT graph relabeled hubs
+// last), whose hits walk a dot bitmap: both run no family, and Stats
+// counts such a plan in ReplayedPlans or BitmapPlans instead, with its
+// schedule's or bitmap's bytes in ScheduleBytes. With both, two
+// executions on asymmetric values follow, so the plan publishes both
+// kinds of record, in the same tier: Stats still reads the plan's
+// binding for the dense product, and counts the other plans in
+// ReplayedPlans or BitmapPlans once, with the bytes of both their
+// records' schedules or bitmaps.
 func TestPlanCacheStatsKnownHalfFamilyRows(t *testing.T) {
 	famRows := func(rows [NumFamilies]int, fams FamilySet) map[string]int64 {
 		out := make(map[string]int64)
@@ -779,11 +777,10 @@ func TestPlanCacheStatsKnownHalfFamilyRows(t *testing.T) {
 			}
 			schedBytes += full.tierBytes()
 		}
-		known := famRows(kh.rb.familyRows(), kh.rb.polyFams)
 		st := cache.Stats()
 		if c.tier == tierPushPull {
-			if !maps.Equal(st.HybridFamilyRows, known) || st.ReplayedPlans != 0 || st.BitmapPlans != 0 || st.ScheduleBytes != schedBytes {
-				t.Fatalf("%s (both=%v) after publishing: Stats reports %+v, want the known half's %v and no replayed or bitmap plan", c.name, c.both, st, known)
+			if !maps.Equal(st.HybridFamilyRows, maskHalves) || st.ReplayedPlans != 0 || st.BitmapPlans != 0 || st.ScheduleBytes != schedBytes {
+				t.Fatalf("%s (both=%v) after publishing: Stats reports %+v, want the plan's %v and no replayed or bitmap plan", c.name, c.both, st, maskHalves)
 			}
 			continue
 		}
@@ -795,12 +792,6 @@ func TestPlanCacheStatsKnownHalfFamilyRows(t *testing.T) {
 		}
 		if st.HybridFamilyRows != nil || st.ReplayedPlans != replayed || st.BitmapPlans != bitmaps || st.ScheduleBytes != schedBytes {
 			t.Fatalf("%s (both=%v) after publishing: Stats reports %+v, want no family rows, %d replayed and %d bitmap plans and %d schedule bytes", c.name, c.both, st, replayed, bitmaps, schedBytes)
-		}
-		if c.tier == tierBitmap {
-			continue
-		}
-		if known[FamPull.String()] <= maskHalves[FamPull.String()] {
-			t.Fatalf("%s: known half binds %d Pull rows, mask halves %d: want more", c.name, known[FamPull.String()], maskHalves[FamPull.String()])
 		}
 	}
 }

@@ -146,7 +146,7 @@ func tierCharge(out, a, b *sparse.CSR[float64], half, upper, csc bool) int64 {
 }
 
 func (h hitTier) String() string {
-	return [...]string{"push/Pull", "replay", "bitmap"}[h]
+	return [...]string{"none", "push/Pull", "replay", "bitmap"}[h]
 }
 
 // holdsCSC reports whether p holds B's CSC structure, which a dot
@@ -162,20 +162,19 @@ func patternBytes(out *sparse.CSR[float64]) int64 {
 	return 8*int64(len(out.RowPtr)) + 4*out.NNZ()
 }
 
-// knownHalfBytes is the charge of the known half of the record kh,
-// remembered from a half execution whose result is out, beyond the
-// output pattern, which it shares with the plan, and the schedule,
-// counted from out: the half's offsets and cost prefix (8·(rows+1)
-// bytes each), the transpose map (out's diagonal and half its other
-// entries, 4 bytes each), and 5 bytes per Hybrid run.
-func knownHalfBytes(out *sparse.CSR[float64], kh *hitRecord) int64 {
+// knownHalfBytes is the charge of a known half remembered from a half
+// execution whose result is out, beyond the output pattern, which it
+// shares with the plan, and the schedule, counted from out: the half's
+// offsets (8·(rows+1) bytes) and the transpose map (out's diagonal and
+// half its other entries, 4 bytes each).
+func knownHalfBytes(out *sparse.CSR[float64]) int64 {
 	var diag int64
 	for i := range out.Rows {
 		if _, ok := slices.BinarySearch(out.Row(i), int32(i)); ok {
 			diag++
 		}
 	}
-	return 16*int64(out.Rows+1) + 4*(out.NNZ()+diag)/2 + 5*int64(len(kh.rb.runEnds))
+	return 8*int64(out.Rows+1) + 4*(out.NNZ()+diag)/2
 }
 
 // sharesPattern reports whether out's RowPtr and ColIdx are the plan's
@@ -385,15 +384,15 @@ func requireHalfShapes(t *testing.T, pr rememberProduct) bool {
 	if kh == nil {
 		t.Fatalf("%s: no known half published", pr.name)
 	}
-	h := kh.half
+	h, pat := kh.half, kh.pat
 	var diag, emptyRows, emptyHalves int
 	for i := range pr.mask.Rows {
-		lo, hi := h.span(h.out.rowPtr, i)
-		if _, ok := slices.BinarySearch(h.out.colIdx[lo:hi], int32(i)); ok {
+		lo, hi := h.span(pat.rowPtr, i)
+		if _, ok := slices.BinarySearch(pat.colIdx[lo:hi], int32(i)); ok {
 			diag++
 		}
 		switch {
-		case h.out.rowPtr[i+1] == h.out.rowPtr[i]:
+		case pat.rowPtr[i+1] == pat.rowPtr[i]:
 			emptyRows++
 		case hi == lo:
 			emptyHalves++
@@ -627,7 +626,7 @@ func (c rememberCase) charge(p *Plan[float64, ptSRType], out *sparse.CSR[float64
 	}
 	if c.half {
 		kh := p.halfHit.rec.Load()
-		return patternBytes(out) + knownHalfBytes(out, kh) + tierCharge(out, c.a, c.b, true, kh.half.upper, holdsCSC(p))
+		return patternBytes(out) + knownHalfBytes(out) + tierCharge(out, c.a, c.b, true, kh.half.upper, holdsCSC(p))
 	}
 	return patternBytes(out) + tierCharge(out, c.a, c.b, false, false, holdsCSC(p))
 }
@@ -783,18 +782,17 @@ func TestRememberConcurrentFirstExecutions(t *testing.T) {
 }
 
 // ranRecord returns an error unless the execution exec last ran was a
-// hit of plan by the record rec: its kernels bound over rec's half (nil
+// hit of plan by the record rec: its kernel bound over rec's half (nil
 // for a full-product record), rec in the tier the products reach
-// (tier), and one kernel for every row exactly when that tier replays
-// or walks a bitmap.
+// (tier), and the kernel bound in that tier.
 func ranRecord(exec *Executor[float64, ptSRType], plan *Plan[float64, ptSRType], rec *hitRecord, tier hitTier) error {
 	switch {
-	case exec.lastPlan != plan || !exec.haveHit || exec.lastHalf != rec.half:
+	case exec.lastPlan != plan || exec.hitTier == tierNone || exec.lastHalf != rec.half:
 		return errors.New("an execution that started once the record was visible did not run by it")
 	case rec.tier() != tier:
 		return fmt.Errorf("the record's hits run in tier %v, want %v", rec.tier(), tier)
-	case (exec.hit.rows != nil) != (tier != tierPushPull):
-		return fmt.Errorf("a hit by the record in tier %v bound one kernel for every row: %v", tier, exec.hit.rows != nil)
+	case exec.hitTier != tier:
+		return fmt.Errorf("a hit by the record in tier %v bound tier %v", tier, exec.hitTier)
 	}
 	return nil
 }
@@ -935,10 +933,10 @@ func TestPlanCacheRememberedPatternBudget(t *testing.T) {
 			}
 		}
 		kh, full := p.halfHit.rec.Load(), p.fullHit.rec.Load()
-		if kh == nil || full == nil || kh.pat != full.pat || kh.half.out != kh.pat || !sharesPattern(p, out) {
+		if kh == nil || full == nil || kh.pat != full.pat || !sharesPattern(p, out) {
 			t.Fatalf("halfFirst=%v: the known half and the full product do not share one remembered pattern", halfFirst)
 		}
-		want := patternBytes(out) + knownHalfBytes(out, kh) + tierCharge(out, g, g, false, false, true) + tierCharge(out, g, g, true, kh.half.upper, true)
+		want := patternBytes(out) + knownHalfBytes(out) + tierCharge(out, g, g, false, false, true) + tierCharge(out, g, g, true, kh.half.upper, true)
 		if budget.Used() != foot+want || cache.Stats().Bytes != foot+want || rememberedBytes(p) != want {
 			t.Fatalf("halfFirst=%v: budget %d, cache %d, remembered %d bytes, want %d over the %d-byte plan (the pattern once, the half's own arrays and both tiers' records)",
 				halfFirst, budget.Used(), cache.Stats().Bytes, rememberedBytes(p), want, foot)

@@ -17,13 +17,15 @@ import (
 // therefore records them once, in the record of each kind of hit it
 // publishes (Plan.remember), as a product schedule: for every computed
 // entry, the positions in A's and B's value arrays of its products, in
-// ascending k. Every family sums an entry's products in ascending k and stores
-// the first as is, so a hit that replays the schedule — the first
-// product stored, the rest added in order — is bit-identical to one
-// that runs push or Pull, and finds no product again. A schedule costs
-// memory in proportion to the products, so a plan keeps one only under
-// the memory rule (schedProductsPerEntry); the hits of every other plan
-// run push and Pull.
+// ascending k. Every family sums an entry's products in ascending k and
+// stores the first as is, so a hit that replays the schedule — the
+// first product stored, the rest added in order — is bit-identical to
+// one that runs push or Pull, and finds no product again. A schedule
+// costs memory in proportion to the products, so a plan keeps one only
+// under the memory rule (schedProductsPerEntry); the hits of every
+// other plan walk a dot bitmap where it holds B's CSC structure and the
+// bitmap's own rule allows (DESIGN.md §5, "Bitmap hits"), and run push
+// and Pull under the plan's binding otherwise.
 
 // schedProductsPerEntry is the memory rule: a plan keeps a schedule
 // only if it holds at most this many products per computed entry, which
@@ -97,7 +99,7 @@ func (r *hitRecord) entries(rows int) int64 {
 // when it breaks the memory rule, when its positions do not fit an
 // int32, or when an entry has no product (operands whose structure is
 // not the plan's). It runs in two passes over the partitions of the
-// record's binding:
+// plan's binding:
 //
 //   - count each row's products with the scan its hit kernel runs (the
 //     push products on its known columns, or the hits of Pull's dots)
@@ -113,7 +115,7 @@ func (p *Plan[T, S]) buildSchedule(rec *hitRecord, a, b *sparse.CSR[T], threads 
 	if limit > math.MaxInt32 || a.NNZ() > math.MaxInt32 || b.NNZ() > math.MaxInt32 {
 		return nil
 	}
-	bounds := partitions(rec.rb.costPrefix, threads, nil)
+	bounds := partitions(p.costPrefix, threads, nil)
 	prefix := make([]int64, rows+1)
 	if !p.productsFit(rec, a, b, bounds, threads, limit, prefix) {
 		return nil
@@ -200,7 +202,7 @@ type rowProd struct {
 
 // productsFit reports whether the hits rec records have at most limit
 // products, counted with the scan each row's hit kernel runs under the
-// record's binding: Pull rows count the hits of their dots over B's CSC
+// plan's binding: Pull rows count the hits of their dots over B's CSC
 // structure, and push rows count the products their B rows land on
 // known columns. Row i's count goes to counts[i]. The count stops once
 // its running total, added to after each partition (or each run within
@@ -210,7 +212,7 @@ func (p *Plan[T, S]) productsFit(rec *hitRecord, a, b *sparse.CSR[T], bounds []i
 	// execution) counts every row by push.
 	colPtr, rowIdx := p.cscOfB()
 	pullAll := p.info.NeedsCSC && p.opt.Algorithm != AlgoHybrid
-	rb, m := rec.rb, maskRows{p.mask, rec.half}
+	rb, m := &p.rowBinding, maskRows{p.mask, rec.half}
 	var total atomic.Int64
 	over := new(parallel.CancelToken)
 	type counter struct{ known, aRow []uint64 }
@@ -288,7 +290,7 @@ func countPushProducts(bits []uint64, cols, aCols []int32, clip bClip, bRowPtr [
 // which holds a product schedule, to (a, b): the entries of each row
 // replay their products, through sr.Mul and sr.Add, or through
 // replayRow64 under the served semiring.
-func bindReplay[T any, S semiring.Semiring[T]](p *Plan[T, S], a, b *sparse.CSR[T], rec *hitRecord) hitKernels[T] {
+func bindReplay[T any, S semiring.Semiring[T]](p *Plan[T, S], a, b *sparse.CSR[T], rec *hitRecord) rowsHitFn[T] {
 	s := rec.sched
 	var entries func(ptr []int32, outVal []T)
 	if _, ok := any(p.sr).(accum.PlusTimes64); ok {
@@ -303,9 +305,9 @@ func bindReplay[T any, S semiring.Semiring[T]](p *Plan[T, S], a, b *sparse.CSR[T
 			replayRow(sr, a.Val, b.Val, ptr, s.prods, outVal)
 		}
 	}
-	return hitKernels[T]{rows: func(lo, hi, _ int, val []T, fi *faultinject.Hooks) {
+	return func(lo, hi, _ int, val []T, fi *faultinject.Hooks) {
 		replayRows(rec, lo, hi, val, fi, entries)
-	}}
+	}
 }
 
 // replayRows writes the values of the hit rows [lo, hi) of rec into

@@ -101,7 +101,7 @@ func TestReplayGenericBitIdentical(t *testing.T) {
 				}
 				checkIdentical(t, fmt.Sprintf("%s run %d", name, run), got, want)
 			}
-			if !scheduled(plan, r.half) || exec.hit.rows == nil {
+			if !scheduled(plan, r.half) || exec.hitTier != tierReplay {
 				t.Fatalf("%s: the last runs did not replay a product schedule", name)
 			}
 		}
@@ -151,7 +151,7 @@ func TestChaosReplayedHit(t *testing.T) {
 				exec := NewExecutor[float64](ptSR)
 				out, err := plan.ExecuteOnOpts(exec, r.a, r.b, eo)
 				faultinject.Disarm()
-				if exec.hit.rows == nil {
+				if exec.hitTier != tierReplay {
 					t.Fatalf("%s: the hit did not replay", name)
 				}
 				var ce *CanceledError
@@ -207,7 +207,7 @@ func TestReplayedHitAllocs(t *testing.T) {
 				nnz = out.NNZ()
 			}
 			run()
-			if exec.hit.rows == nil {
+			if exec.hitTier != tierReplay {
 				t.Fatalf("%s: the hit did not replay", name)
 			}
 			// A parallel pass adds the scheduler's own bookkeeping: its

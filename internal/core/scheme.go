@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"maskedspgemm/internal/accum"
+	"maskedspgemm/internal/faultinject"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 )
@@ -126,7 +127,7 @@ func SupportsComplement(a Algorithm) bool {
 // kernel of each family actually bound (nil slots for unused
 // families). The engine drivers split row blocks at run boundaries, so
 // the family lookup is paid once per run ∩ block, never per row. A
-// plan hit binds hitKernels instead (bindHit).
+// plan hit binds one rowsHitFn instead (bindHit).
 type kernels[T any] struct {
 	numeric  rowNumericFn[T]
 	symbolic rowSymbolicFn
@@ -197,15 +198,15 @@ func (k schemeKernels[T, S]) binder(complement bool) kernelBinder[T, S] {
 	return k.plain
 }
 
-// bindHit binds p's kernels for a hit by the record rec to (a, b) on e.
+// bindHit binds p's kernel for a hit by the record rec to (a, b) on e.
 // A record with a product schedule replays it on every row
 // (bindReplay), and one with a dot bitmap walks it on every row
 // (bindDots). Otherwise every known column is one a product lands on
 // and the mask admits, so the complement no longer matters: every push
 // family runs one push kernel, MSA over the known columns
-// (accum.MSAKnown), and Pull dots only them. Rows keep the record's
+// (accum.MSAKnown), and Pull dots only them. Rows keep the plan's
 // binding.
-func bindHit[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], rec *hitRecord) hitKernels[T] {
+func bindHit[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], rec *hitRecord) rowsHitFn[T] {
 	switch rec.tier() {
 	case tierReplay:
 		return bindReplay(p, a, b, rec)
@@ -219,7 +220,7 @@ func bindHit[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a,
 			func(m *accum.MSA[float64, accum.PlusTimes64]) accum.MSAKnownPlusTimes {
 				return accum.MSAKnownPlusTimes{MSAPlusTimes: accum.MSAPlusTimes{MSA: m, Dense: true}}
 			}, denseDot64)
-		return any(k).(hitKernels[T])
+		return any(k).(rowsHitFn[T])
 	}
 	sr := p.sr
 	return bindHitOver(p, e, a, b, rec,
@@ -230,29 +231,34 @@ func bindHit[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a,
 }
 
 // bindHitOver is bindHit over the accumulator known wraps each
-// worker's MSA in, and the dot product dot. A push row trusts its known
-// columns; a Pull row panics errPatternChanged on one its dot finds no
-// product on.
-func bindHitOver[T any, S semiring.Semiring[T], A accum.Numeric[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], rec *hitRecord, known func(*accum.MSA[T, S]) A, dot dotFn[T]) hitKernels[T] {
-	var k hitKernels[T]
-	push, pull := !p.info.NeedsCSC, p.info.NeedsCSC
-	if p.opt.Algorithm == AlgoHybrid {
-		rb := rec.rb
-		k.runEnds, k.runFam = rb.runEnds, rb.runFam
-		push, pull = rb.polyFams&^(1<<FamPull) != 0, rb.polyFams.Has(FamPull)
-	}
-	if push {
-		k.push = func(tid, i int, cols []int32, outVal []T) {
-			acc := known(e.worker(tid).MSA(b.Cols))
-			pushRowNumeric(acc, cols, a.Row(i), a.RowVals(i), maskRows{p.mask, rec.half}.clip(i), b, nil, outVal)
-		}
-	}
-	if pull {
-		k.pull = func(tid, i int, cols []int32, outVal []T) {
-			if len(cols) > 0 {
-				pullRowKnown(e.worker(tid).Pull(a.Cols), a.Row(i), a.RowVals(i), e.bt, cols, outVal, dot)
+// worker's MSA in, and the dot product dot. Its kernel walks the runs
+// of the plan's binding: a Pull run dots each row's known columns, and
+// any other runs push, as does a uniform plan unless its scheme pulls.
+// A row with no computed entry runs no kernel. A push row trusts its
+// known columns; a Pull row panics errPatternChanged on one its dot
+// finds no product on.
+func bindHitOver[T any, S semiring.Semiring[T], A accum.Numeric[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], rec *hitRecord, known func(*accum.MSA[T, S]) A, dot dotFn[T]) rowsHitFn[T] {
+	rb, m, colIdx := &p.rowBinding, maskRows{p.mask, rec.half}, rec.pat.colIdx
+	return func(lo, hi, tid int, val []T, fi *faultinject.Hooks) {
+		w := e.worker(tid)
+		for lo < hi {
+			seg, f := runSegment(rb.runEnds, rb.runFam, lo, hi)
+			pull := f == int(FamPull) || f < 0 && p.info.NeedsCSC
+			for i := lo; i < seg; i++ {
+				if fi != nil {
+					fi.Row(faultinject.PassNumeric, i)
+				}
+				at, end := rec.span(i)
+				if at == end {
+					continue
+				}
+				if pull {
+					pullRowKnown(w.Pull(a.Cols), a.Row(i), a.RowVals(i), e.bt, colIdx[at:end], val[at:end], dot)
+				} else {
+					pushRowNumeric(known(w.MSA(b.Cols)), colIdx[at:end], a.Row(i), a.RowVals(i), m.clip(i), b, nil, val[at:end])
+				}
 			}
+			lo = seg
 		}
 	}
-	return k
 }

@@ -37,14 +37,11 @@ type symHalf struct {
 	// mirror[t] is the index of entry (k, i).
 	mirror []int32
 	// off is the one-phase slab layout of the computed halves: row i
-	// computes off[i+1]−off[i] mask entries, or known columns.
+	// computes off[i+1]−off[i] mask entries. On a known half
+	// (Plan.remember) it is exact: row i computes the columns of its
+	// output half, a subset of its mask half, which open output row i in
+	// the lower triangle and close it in the upper (span).
 	off []int64
-	// out, set only on a known half (Plan.remember), is the plan's
-	// remembered output pattern: row i computes the columns of its
-	// output half, a subset of its mask half, which open output row i
-	// in the lower triangle and close it in the upper (span), and off
-	// is exact. nil computes the mask halves.
-	out *knownPattern
 	// upper selects the triangle: rows compute their mask suffix
 	// j ≥ i when set, their prefix j ≤ i otherwise.
 	upper bool
@@ -187,22 +184,18 @@ func (c bClip) cut(q int, lo, hi int64) (int64, int64) {
 }
 
 // maskRows is a binding's view of the mask: the plan's mask rows, or,
-// with half set, the computed halves of a symmetric self-product (its
-// mask halves or its known half) and the B clips that go with them.
+// with half set, the computed halves of a symmetric self-product and
+// the B clips that go with them. Only clip reads a known half.
 type maskRows struct {
 	mask *sparse.Pattern
 	half *symHalf
 }
 
-// row returns the mask row (or half row) output row i admits.
+// row returns the mask row (or mask half row) output row i admits.
 func (m maskRows) row(i int) []int32 {
 	h := m.half
 	if h == nil {
 		return m.mask.Row(i)
-	}
-	if out := h.out; out != nil {
-		lo, hi := h.span(out.rowPtr, i)
-		return out.colIdx[lo:hi]
 	}
 	lo, hi := h.span(h.rowPtr, i)
 	return h.colIdx[lo:hi]
