@@ -114,30 +114,6 @@ func (m *MSA[T, S]) Gather(maskRow []int32, outIdx []int32, outVal []T) int {
 	return n
 }
 
-// MSAKnown is an MSA for a row whose output columns are known: those
-// of a plan's remembered output pattern (internal/core bindHit), which
-// Begin takes as the mask. Every known column receives a product, so
-// Gather reads them all, and writes only values.
-type MSAKnown[T any, S semiring.Semiring[T]] struct {
-	*MSA[T, S]
-}
-
-// Gather writes the value of every known column of cols into outVal,
-// resets its state and returns len(cols).
-//
-//mspgemm:hotpath
-func (m MSAKnown[T, S]) Gather(cols []int32, _ []int32, outVal []T) int {
-	states := m.states
-	values := m.values[:len(states)]
-	outVal = outVal[:len(cols)]
-	for t, j := range cols {
-		k := uint32(j)
-		outVal[t] = values[k]
-		states[k] = stateNotAllowed
-	}
-	return len(cols)
-}
-
 // BeginSymbolic prepares a pattern-only row.
 func (m *MSA[T, S]) BeginSymbolic(maskRow []int32) { m.Begin(maskRow) }
 

@@ -15,10 +15,10 @@ import (
 // wrappers for it at bind time (internal/core bindMSA, bindMaskedBit,
 // bindMaskedBitC): each embeds the generic accumulator and overrides
 // Scatter with float64 code over the same arrays; MSA's and MaskedBitC's also override Gather, and
-// MSA's Begin, for their dense-row loops. A plan hit binds a fourth,
-// MSAKnownPlusTimes, for the push rows of a remembered output pattern
-// (internal/core bindHit). Every other semiring keeps the generic
-// loops.
+// MSA's Begin, for their dense-row loops. Every other semiring keeps
+// the generic loops. A fourth, MSAKnownPlusTimes, runs the push rows of
+// a remembered output pattern (internal/core bindPushPull); only the
+// served semiring's plans remember one, so it has no generic twin.
 //
 // Each product is rounded explicitly (float64(av*b)) before it is added,
 // so the compiler cannot fuse the multiply-add into an FMA on the
@@ -287,10 +287,13 @@ func (m MaskedBitCPlusTimes) Gather(outIdx []int32, outVal []float64) int {
 	return n
 }
 
-// MSAKnownPlusTimes is an MSAKnown over PlusTimes64: MSAPlusTimes'
-// dense loop on every row (Dense set), without states, as every known
-// column receives a product. A product on any other column lands in a
-// sink, so its value slot is never touched.
+// MSAKnownPlusTimes is an MSA over PlusTimes64 for a row whose output
+// columns are known: those of a plan's remembered output pattern, which
+// Begin takes as the mask. It runs MSAPlusTimes' dense loop on every
+// row (Dense set), without states, as every known column receives a
+// product, so Gather reads them all and writes only values. A product
+// on any other column lands in a sink, so its value slot is never
+// touched.
 type MSAKnownPlusTimes struct {
 	MSAPlusTimes
 }

@@ -8,7 +8,6 @@ import (
 	"maskedspgemm/internal/accum"
 	"maskedspgemm/internal/faultinject"
 	"maskedspgemm/internal/parallel"
-	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 )
 
@@ -72,11 +71,7 @@ func (p *Plan[T, S]) buildDots(rec *hitRecord, a *sparse.CSR[T], threads int) *d
 	rows := p.mask.Rows
 	rowBits := func(i int) int64 {
 		cols, _ := rec.row(i)
-		var n int64
-		for _, j := range cols {
-			n += colPtr[j+1] - colPtr[j]
-		}
-		return n
+		return colScan(cols, colPtr)
 	}
 	var total int64
 	for i := range rows {
@@ -108,6 +103,19 @@ func (p *Plan[T, S]) buildDots(rec *hitRecord, a *sparse.CSR[T], threads int) *d
 		return nil
 	}
 	return &dotBitmap{words: words, prefix: prefix}
+}
+
+// colScan returns Σ nnz(B_*j) over the columns cols, given the column
+// pointers colPtr of B's CSC structure: the entries the dots of a row
+// whose known columns are cols scan, and the bits of its dot bitmap.
+func colScan(cols []int32, colPtr []int64) int64 {
+	var n int64
+	for _, j := range cols {
+		c := int(uint32(j))
+		cp := colPtr[c : c+2]
+		n += cp[1] - cp[0]
+	}
+	return n
 }
 
 // markDots sets the bits of one row's dots in words, from bit on: for
@@ -149,27 +157,12 @@ func markDots(words []uint64, bit int64, aBits []uint64, aCols, cols []int32, co
 // bindDots binds the walk kernel of a plan hit by the record rec, which
 // holds a dot bitmap, to a on e: each row with computed entries loads
 // A's row into the worker's dense Pull values and walks the set bits of
-// its dots over e.bt, the executor's CSC view of B, which prepareCSC
-// refreshes before every execution — through dotWalk64 under the served
-// semiring, and dotWalk otherwise. It runs no push row and touches no
-// accumulator.
-func bindDots[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a *sparse.CSR[T], rec *hitRecord) rowsHitFn[T] {
-	bt, words := e.bt, rec.dots.words
-	var walk func(bit int64, aDense []T, cols []int32, outVal []T)
-	if _, ok := any(p.sr).(accum.PlusTimes64); ok {
-		// S is PlusTimes[float64], so T is float64 and these assertions hold.
-		btf := any(bt).(*sparse.CSC[float64])
-		walk = any(func(bit int64, aDense []float64, cols []int32, outVal []float64) {
-			dotWalk64(words, bit, aDense, btf.ColPtr, btf.RowIdx, btf.Val, cols, outVal)
-		}).(func(int64, []T, []int32, []T))
-	} else {
-		sr := p.sr
-		walk = func(bit int64, aDense []T, cols []int32, outVal []T) {
-			dotWalk(sr, words, bit, aDense, bt.ColPtr, bt.RowIdx, bt.Val, cols, outVal)
-		}
-	}
-	prefix, colIdx := rec.dots.prefix, rec.pat.colIdx
-	return func(lo, hi, tid int, val []T, fi *faultinject.Hooks) {
+// its dots (dotWalk64) over e.bt, the executor's CSC view of B, which
+// prepareCSC refreshes before every execution. It runs no push row and
+// touches no accumulator.
+func bindDots(e *Executor[float64, accum.PlusTimes64], a *sparse.CSR[float64], rec *hitRecord) rowsHitFn[float64] {
+	bt, words, prefix, colIdx := e.bt, rec.dots.words, rec.dots.prefix, rec.pat.colIdx
+	return func(lo, hi, tid int, val []float64, fi *faultinject.Hooks) {
 		r := e.worker(tid).Pull(a.Cols)
 		for i := lo; i < hi; i++ {
 			if fi != nil {
@@ -177,53 +170,22 @@ func bindDots[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a
 			}
 			if at, end := rec.span(i); at < end {
 				r.loadVals(a.Row(i), a.RowVals(i))
-				walk(prefix[i], r.vals, colIdx[at:end], val[at:end])
+				dotWalk64(words, prefix[i], r.vals, bt.ColPtr, bt.RowIdx, bt.Val, colIdx[at:end], val[at:end])
 			}
 		}
 	}
 }
 
-// dotWalk writes the value of each computed entry q of one row, whose
+// dotWalk64 writes the value of each computed entry q of one row, whose
 // known columns are cols and whose bits start at bit of words, into
 // outVal[q]: over the entries t of B's column cols[q] (colPtr, rowIdx,
 // bVal) whose bit is set, in ascending k, the products of aDense, the
-// row's dense A values, and bVal, the first stored as is and the rest
-// added in order, as every family sums them. Each walk stays within
-// its column of the CSC view. It is the generic kernels' walk, one Mul
-// and one Add dictionary call per product; the served semiring runs
-// dotWalk64.
-func dotWalk[T any, S semiring.Semiring[T]](sr S, words []uint64, bit int64, aDense []T, colPtr []int64, rowIdx []int32, bVal []T, cols []int32, outVal []T) {
-	outVal = outVal[:len(cols)]
-	bVal = bVal[:len(rowIdx)]
-	for q, j := range cols {
-		lo, hi := colPtr[j], colPtr[j+1]
-		var v T
-		first := true
-		for lo < hi {
-			n := min(64-bit&63, hi-lo)
-			w := words[bit>>6] >> uint(bit&63) & (^uint64(0) >> uint(64-n))
-			for w != 0 {
-				t := lo + int64(bits.TrailingZeros64(w))
-				x := sr.Mul(aDense[rowIdx[t]], bVal[t])
-				if first {
-					v, first = x, false
-				} else {
-					v = sr.Add(v, x)
-				}
-				w &= w - 1
-			}
-			lo += n
-			bit += n
-		}
-		outVal[q] = v
-	}
-}
-
-// dotWalk64 is dotWalk over the served semiring, with Mul and Add
-// written out: each entry's sum starts at −0, which adding the first
-// product leaves as that product bit for bit, and each product is
-// rounded explicitly (float64(a*b)), so the compiler cannot fuse it
-// into the sum, as in denseDot64.
+// row's dense A values, and bVal, summed in order as every family sums
+// them. Each walk stays within its column of the CSC view. Each entry's
+// sum starts at −0, which adding the first product leaves as that
+// product bit for bit, and each product is rounded explicitly
+// (float64(a*b)), so the compiler cannot fuse it into the sum, as in
+// denseDot64.
 //
 //mspgemm:hotpath
 func dotWalk64(words []uint64, bit int64, aDense []float64, colPtr []int64, rowIdx []int32, bVal []float64, cols []int32, outVal []float64) {

@@ -15,8 +15,8 @@ import (
 // when it publishes its pattern, if the bitmap holds at most 64 bits
 // per computed entry, and its hits walk it. The bit-identity, charging
 // and concurrency tests of remember_test.go run products in every tier;
-// these tests pin the rest: the memory rule, the generic kernel, fault
-// containment, allocations and operands of another structure.
+// these tests pin the rest: the memory rule, fault containment,
+// allocations and operands of another structure.
 
 // bitmapProducts returns a one-triangle product of a hubs-last R-MAT
 // graph, tc-skew-ref's shape at small size, under Hybrid; the full
@@ -87,45 +87,6 @@ func TestDotBitmapMemoryRule(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(5, func() { plan.buildDots(rec, x, 2) }); wantTier == tierPushPull && allocs != 0 {
 			t.Fatalf("n=%d: refusing the bitmap made %v allocations, want none", n, allocs)
-		}
-	}
-}
-
-// TestBitmapGenericBitIdentical runs the bitmap hits of the generic
-// kernel: a cached plan over plusTimesTwin, whose binders take the
-// generic path, executes each product on its planned values, on values
-// with −0, ±Inf and NaN products and on the planned values again, at 1
-// and 3 threads, and every result, from the third on a bitmap hit, must
-// equal a fresh float64 plan's bit for bit.
-func TestBitmapGenericBitIdentical(t *testing.T) {
-	for _, r := range bitmapProducts() {
-		specials := withSpecialValues
-		if r.half {
-			specials = withSymmetricSpecials
-		}
-		for _, threads := range []int{1, 3} {
-			name := fmt.Sprintf("%s/threads=%d", r.name, threads)
-			plan, err := NewPlanCache(plusTimesTwin{}, 0).GetOrPlan(r.mask, r.a, r.b, r.opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			exec := NewExecutor[float64](plusTimesTwin{})
-			same := func(m *sparse.CSR[float64]) *sparse.CSR[float64] { return m }
-			for run, f := range []func(*sparse.CSR[float64]) *sparse.CSR[float64]{same, specials, specials, same} {
-				a, b := r.values(f)
-				got, err := plan.ExecuteOnOpts(exec, a, b, ExecOptions{Threads: threads})
-				if err != nil {
-					t.Fatalf("%s run %d: %v", name, run, err)
-				}
-				want, err := MaskedSpGEMM(ptSR, r.mask, a, b, r.opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkIdentical(t, fmt.Sprintf("%s run %d", name, run), got, want)
-			}
-			if !dotted(plan, r.half) || exec.hitTier != tierBitmap {
-				t.Fatalf("%s: the last runs did not walk a dot bitmap", name)
-			}
 		}
 	}
 }

@@ -24,12 +24,14 @@ import (
 // with X m×m, which plain one-phase plans execute as one triangle and
 // a mirror. Output widths reach 1024 columns,
 // so complemented rows span many bitset words. Every scheme also runs
-// as a cached plan executed three times: a one-phase plan remembers
-// the output pattern of the second run, on rescaled values, and
-// computes the third by the known-pattern driver — or, on a symmetric
-// self-product, remembers the known half and computes the third over
-// it, then runs values that break the symmetry and values that restore
-// it (fuzzAllSchemes). The
+// as a cached plan executed three times: a one-phase plan over
+// semiring.PlusTimes[float64] remembers the output pattern of the
+// second run, on rescaled values, and computes the third by the
+// known-pattern driver — or, on a symmetric self-product, remembers the
+// known half and computes the third over it, then runs values that
+// break the symmetry and values that restore it (fuzzAllSchemes). A
+// plan over plusTimesTwin remembers nothing, so its runs are first
+// executions. The
 // seed corpus runs as a normal test; `go test -fuzz=FuzzMaskedSpGEMM
 // ./internal/core` explores further.
 func FuzzMaskedSpGEMM(f *testing.F) {
@@ -99,8 +101,8 @@ const (
 // the dense oracle over sr; TwoPhase on a scheme that is not the
 // paper's must fail, before any plan, with an error naming it. Its
 // cache-plan arm then executes a plan a PlanCache built three times,
-// the second time on rescaled values: a one-phase plan remembers its
-// second result's pattern and computes the third, on the planned values
+// the second time on rescaled values: a one-phase plan over the served
+// semiring remembers its second result's pattern and computes the third, on the planned values
 // again, by the known-pattern driver. On a symmetric self-product (b is
 // a) those three runs compute one triangle, so the second remembers the
 // known half and the third computes it; the arm then runs values that

@@ -239,18 +239,23 @@ func pullKernels[T any, S semiring.Semiring[T]](m maskRows, a *sparse.CSR[T], e 
 	}
 }
 
-// pullRowKnown computes one Pull row of a plan hit (bindHit), the A
-// row (aCols, aVals) loaded into r: one dot per known column of cols,
-// into outVal. A dot that finds no product panics errPatternChanged.
+// pullRowKnown computes one Pull row of a push/Pull plan hit
+// (bindPushPull), the A row (aCols, aVals) loaded into r: one dot per
+// known column of cols, into outVal. A dot that finds no product panics
+// errPatternChanged.
 //
 //mspgemm:hotpath
-func pullRowKnown[T any](r *denseRow[T], aCols []int32, aVals []T, bt *sparse.CSC[T], cols []int32, outVal []T, dot dotFn[T]) {
+func pullRowKnown(r *denseRow[float64], aCols []int32, aVals []float64, bt *sparse.CSC[float64], cols []int32, outVal []float64) {
 	r.load(aCols, aVals)
+	// Bounds-check elimination hint, as in pushRowNumeric: the
+	// two-element colPtr window makes one check cover lo and hi.
 	colPtr, rowIdx, val := bt.ColPtr, bt.RowIdx, bt.Val
 	outVal = outVal[:len(cols)]
 	for q, j := range cols {
-		lo, hi := colPtr[j], colPtr[j+1]
-		v, hit := dot(r.bits, r.vals, rowIdx[lo:hi], val[lo:hi])
+		c := int(uint32(j))
+		cp := colPtr[c : c+2]
+		lo, hi := cp[0], cp[1]
+		v, hit := denseDot64(r.bits, r.vals, rowIdx[lo:hi], val[lo:hi])
 		if !hit {
 			panic(errPatternChanged)
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"maskedspgemm/internal/accum"
 	"maskedspgemm/internal/faultinject"
 	"maskedspgemm/internal/parallel"
 	"maskedspgemm/internal/semiring"
@@ -30,7 +31,8 @@ import (
 // A Plan is immutable after NewPlan and therefore safe to share across
 // goroutines — this is what lets a PlanCache hand one plan to many
 // concurrent requests. Its only sanctioned post-construction writes are
-// atomic: on a plan a PlanCache built, the count of its clean one-phase
+// atomic: on a plan a PlanCache built over the served semiring
+// (ownedBy), the count of its clean one-phase
 // executions of each kind — full product or one triangle — and, once,
 // from the second, the record its hits of that kind run by (remember),
 // over one output pattern (sharePattern), with its product schedule or
@@ -86,8 +88,9 @@ type Plan[T any, S semiring.Semiring[T]] struct {
 	// with ExecOptions.Resident skip the values check (Plan.half).
 	symVals atomic.Pointer[T]
 	// owner and key name the cache entry of a plan a PlanCache built
-	// (ownedBy), the entry what it remembers is charged to. owner is nil
-	// on every other plan, and such plans never remember.
+	// over the served semiring (ownedBy), the entry what it remembers is
+	// charged to. owner is nil on every other plan, and such plans never
+	// remember.
 	owner *PlanCache[T, S]
 	key   planKey
 
@@ -233,13 +236,18 @@ func (k *knownPattern) bytes() int64 {
 // ExecuteOnOpts returns it wrapped in a *KernelPanicError.
 var errPatternChanged = errors.New("core: a known column of the plan's remembered output pattern has no product; operand structure changed under the plan")
 
-// ownedBy records that cache c built the plan under key: only such a
-// plan remembers, and c's entry for key is charged for what it
-// remembers. It runs before the plan is published to the cache.
+// ownedBy records that cache c built the plan under key when the plan's
+// semiring is the served one, PlusTimes[float64]: only such a plan
+// remembers, and c's entry for key is charged for what it remembers.
+// The plans of every other semiring run first executions every time
+// (DESIGN.md §5, "Remember"). It runs before the plan is published to
+// the cache.
 //
 //mspgemm:planwrite
 func (p *Plan[T, S]) ownedBy(c *PlanCache[T, S], key planKey) {
-	p.owner, p.key = c, key
+	if _, ok := any(p.sr).(accum.PlusTimes64); ok {
+		p.owner, p.key = c, key
+	}
 }
 
 // hitKind is what a plan keeps for one kind of hit: the count of its
@@ -472,8 +480,8 @@ func (p *Plan[T, S]) Execute(a, b *sparse.CSR[T]) (*sparse.CSR[T], error) {
 // execution on the same executor — for pooled executors that means
 // until the executor is returned; Clone the result to retain it.
 // Without it (the default) the output is freshly allocated and only
-// the internal scratch is pooled — except on a plan a PlanCache built.
-// Such a plan's second clean one-phase execution of each kind, full
+// the internal scratch is pooled — except on a plan a PlanCache built
+// over the served semiring, PlusTimes[float64] (ownedBy). Such a plan's second clean one-phase execution of each kind, full
 // product or one triangle, publishes the kind's record — the output
 // pattern, a known half and the product schedule or dot bitmap,
 // together — and every later execution of that kind is a hit that runs
@@ -592,8 +600,9 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 		return twoPhase(p.mask.Rows, p.mask.Cols, sch, k, es)
 	}
 	out, err = onePhase(p.mask.Rows, p.mask.Cols, p.offsets, sch, k, es, h)
-	// A plan a PlanCache built counts its clean executions of each kind
-	// into fresh arrays, and publishes the kind's record from the second.
+	// A plan a PlanCache built over the served semiring counts its clean
+	// executions of each kind into fresh arrays, and publishes the kind's
+	// record from the second.
 	if err == nil && p.owner != nil && !eo.ReuseOutput {
 		p.remember(kind, h, out, a, b, threads)
 	}

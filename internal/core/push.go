@@ -22,7 +22,7 @@ type pushAcc[T any] interface {
 // (§5.1), once per A entry rather than once per product. A non-zero
 // clip cuts each B row at the row's own column (a half row of a
 // symmetric self-product, DESIGN.md §5). A plan hit passes its known
-// columns as maskRow and no outIdx (bindHit).
+// columns as maskRow and no outIdx (bindPushPull).
 //
 //mspgemm:hotpath
 func pushRowNumeric[T any, A accum.Numeric[T]](acc A, maskRow []int32, aCols []int32, aVals []T, clip bClip, b *sparse.CSR[T], outIdx []int32, outVal []T) int {

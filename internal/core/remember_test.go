@@ -1170,8 +1170,11 @@ func TestReplayedHitChangedStructure(t *testing.T) {
 // 5 on column 0, which its mask bans; row 1 knows column 0, and its
 // only product there is 1·(−0). At one thread, one worker's
 // accumulator serves both rows, and a cached plan's hit must emit −0
-// there, as a fresh plan does, for every scheme and Hybrid menu, over
-// the float64 plus-times kernels and the generic ones.
+// there, as a fresh plan does, for every scheme and Hybrid menu. A
+// cached plan over plusTimesTwin, the same algebra under another
+// semiring type, never remembers: its three runs are first executions
+// of the generic kernels, which must match too, and its cache entry
+// holds no record and is charged nothing beyond the plan.
 func TestPlanHitRestValue(t *testing.T) {
 	a := csrFromRows(2, 2, [][]int32{{0}, {1}}, [][]float64{{1}, {1}})
 	b := csrFromRows(2, 2, [][]int32{{0, 1}, {0}}, [][]float64{{5, 1}, {math.Copysign(0, -1)}})
@@ -1197,10 +1200,12 @@ func TestPlanHitRestValue(t *testing.T) {
 			t.Fatal(err)
 		}
 		exec := NewExecutor[float64](ptSR)
-		twin, err := NewPlanCache(plusTimesTwin{}, 0).GetOrPlan(mask, a, b, opt)
+		twinCache := NewPlanCache(plusTimesTwin{}, 0)
+		twin, err := twinCache.GetOrPlan(mask, a, b, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
+		foot := twinCache.Stats().Bytes
 		twinExec := NewExecutor[float64](plusTimesTwin{})
 		for run := range 3 {
 			got, err := plan.ExecuteOnOpts(exec, a, b, eo)
@@ -1208,8 +1213,14 @@ func TestPlanHitRestValue(t *testing.T) {
 			got, err = twin.ExecuteOnOpts(twinExec, a, b, eo)
 			check("generic", got, err, run)
 		}
-		if opt.Algorithm != AlgoSaxpyThenMask && (plan.fullHit.rec.Load() == nil || twin.fullHit.rec.Load() == nil) {
+		if opt.Algorithm != AlgoSaxpyThenMask && plan.fullHit.rec.Load() == nil {
 			t.Fatalf("%v: the third execution was not a hit", opt.Algorithm)
+		}
+		if twin.fullHit.rec.Load() != nil || twin.halfHit.rec.Load() != nil || twin.shared.Load() != nil {
+			t.Fatalf("%v: a cached plan over another semiring remembered", opt.Algorithm)
+		}
+		if got := twinCache.Stats().Bytes; got != foot {
+			t.Fatalf("%v: the other semiring's cache entry grew from %d to %d bytes", opt.Algorithm, foot, got)
 		}
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"math"
 	"sync/atomic"
 
-	"maskedspgemm/internal/accum"
 	"maskedspgemm/internal/faultinject"
 	"maskedspgemm/internal/parallel"
-	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 )
 
@@ -101,10 +99,10 @@ func (r *hitRecord) entries(rows int) int64 {
 // not the plan's). It runs in two passes over the partitions of the
 // plan's binding:
 //
-//   - count each row's products with the scan its hit kernel runs (the
-//     push products on its known columns, or the hits of Pull's dots)
-//     into the schedule's prefix, and stop as soon as the total passes
-//     the rule, so that refusing costs at most about one hit;
+//   - count each row's products with the cheaper of push's and Pull's
+//     scans (productsFit) into the schedule's prefix, and stop as soon
+//     as the total passes the rule, so that refusing costs at most
+//     about one hit;
 //   - scan each row's push products once into a row-local buffer, in
 //     ascending k, and write them into the row's range of the schedule
 //     by a counting sort on their entries, which keeps that order.
@@ -201,18 +199,17 @@ type rowProd struct {
 }
 
 // productsFit reports whether the hits rec records have at most limit
-// products, counted with the scan each row's hit kernel runs under the
-// plan's binding: Pull rows count the hits of their dots over B's CSC
-// structure, and push rows count the products their B rows land on
-// known columns. Row i's count goes to counts[i]. The count stops once
-// its running total, added to after each partition (or each run within
-// one), passes limit.
+// products. Each row counts them with the cheaper of its two scans: the
+// hits of its dots over B's CSC structure, when the plan holds one
+// (cscOfB), which scan its known columns (colScan), or the products its
+// B rows, cut by its clips, land on known columns (rowScan). Both find
+// the same products. Row i's count goes to counts[i]. The count stops
+// once its running total, added to after each row, passes limit.
 func (p *Plan[T, S]) productsFit(rec *hitRecord, a, b *sparse.CSR[T], bounds []int, threads int, limit int64, counts []int64) bool {
-	// A plan without B's CSC structure (SS:DOT*, which transposes per
-	// execution) counts every row by push.
+	// A plan without B's CSC structure (push-only plans, and SS:DOT*,
+	// which transposes per execution) counts every row by push.
 	colPtr, rowIdx := p.cscOfB()
-	pullAll := p.info.NeedsCSC && p.opt.Algorithm != AlgoHybrid
-	rb, m := &p.rowBinding, maskRows{p.mask, rec.half}
+	m := maskRows{p.mask, rec.half}
 	var total atomic.Int64
 	over := new(parallel.CancelToken)
 	type counter struct{ known, aRow []uint64 }
@@ -223,24 +220,17 @@ func (p *Plan[T, S]) productsFit(rec *hitRecord, a, b *sparse.CSR[T], bounds []i
 			c = &counter{known: make([]uint64, (b.Cols+63)/64), aRow: make([]uint64, (a.Cols+63)/64)}
 			scratch[tid] = c
 		}
-		for lo < hi && !over.Canceled() {
-			seg, f := runSegment(rb.runEnds, rb.runFam, lo, hi)
-			pull := colPtr != nil && (pullAll || f == int(FamPull))
-			var n int64
-			for i := lo; i < seg; i++ {
-				cols, _ := rec.row(i)
-				aCols := a.Row(i)
-				if pull {
-					counts[i] = countPullProducts(c.aRow, aCols, cols, colPtr, rowIdx)
-				} else {
-					counts[i] = countPushProducts(c.known, cols, aCols, m.clip(i), b.RowPtr, b.ColIdx)
-				}
-				n += counts[i]
+		for i := lo; i < hi && !over.Canceled(); i++ {
+			cols, _ := rec.row(i)
+			aCols, clip := a.Row(i), m.clip(i)
+			if colPtr != nil && colScan(cols, colPtr) < rowScan(aCols, clip, b.RowPtr) {
+				counts[i] = countPullProducts(c.aRow, aCols, cols, colPtr, rowIdx)
+			} else {
+				counts[i] = countPushProducts(c.known, cols, aCols, clip, b.RowPtr, b.ColIdx)
 			}
-			if total.Add(n) > limit {
+			if total.Add(counts[i]) > limit {
 				over.Cancel()
 			}
-			lo = seg
 		}
 	})
 	return !over.Canceled()
@@ -288,83 +278,45 @@ func countPushProducts(bits []uint64, cols, aCols []int32, clip bClip, bRowPtr [
 
 // bindReplay binds the replay kernel of a plan hit by the record rec,
 // which holds a product schedule, to (a, b): the entries of each row
-// replay their products, through sr.Mul and sr.Add, or through
-// replayRow64 under the served semiring.
-func bindReplay[T any, S semiring.Semiring[T]](p *Plan[T, S], a, b *sparse.CSR[T], rec *hitRecord) rowsHitFn[T] {
-	s := rec.sched
-	var entries func(ptr []int32, outVal []T)
-	if _, ok := any(p.sr).(accum.PlusTimes64); ok {
-		// S is PlusTimes[float64], so T is float64 and these assertions hold.
-		aVal, bVal := any(a.Val).([]float64), any(b.Val).([]float64)
-		entries = any(func(ptr []int32, outVal []float64) {
-			replayRow64(aVal, bVal, ptr, s.prods, outVal)
-		}).(func([]int32, []T))
-	} else {
-		sr := p.sr
-		entries = func(ptr []int32, outVal []T) {
-			replayRow(sr, a.Val, b.Val, ptr, s.prods, outVal)
-		}
-	}
-	return func(lo, hi, _ int, val []T, fi *faultinject.Hooks) {
-		replayRows(rec, lo, hi, val, fi, entries)
+// replay their products through replayRow64 (replayRows).
+func bindReplay(a, b *sparse.CSR[float64], rec *hitRecord) rowsHitFn[float64] {
+	return func(lo, hi, _ int, val []float64, fi *faultinject.Hooks) {
+		replayRows(rec, lo, hi, a.Val, b.Val, val, fi)
 	}
 }
 
 // replayRows writes the values of the hit rows [lo, hi) of rec into
-// val, each row's entries replayed by entries from their products'
-// range of the schedule's ptr, after firing fi's row hook for each row.
-// A full product's rows hold consecutive entries, in output order, so
-// they replay in one call; a known half's rows replay one by one into
-// their half's range (symHalf.span).
-func replayRows[T any](rec *hitRecord, lo, hi int, val []T, fi *faultinject.Hooks, entries func(ptr []int32, outVal []T)) {
+// val, each row's entries replayed from their products' range of the
+// schedule's ptr over A's values aVal and B's values bVal, after firing
+// fi's row hook for each row. A full product's rows hold consecutive
+// entries, in output order, so they replay in one call; a known half's
+// rows replay one by one into their half's range (symHalf.span).
+func replayRows(rec *hitRecord, lo, hi int, aVal, bVal, val []float64, fi *faultinject.Hooks) {
 	if fi != nil {
 		for i := lo; i < hi; i++ {
 			fi.Row(faultinject.PassNumeric, i)
 		}
 	}
-	rowPtr, ptr := rec.pat.rowPtr, rec.sched.ptr
+	rowPtr, ptr, prods := rec.pat.rowPtr, rec.sched.ptr, rec.sched.prods
 	if rec.half == nil {
 		at, end := rowPtr[lo], rowPtr[hi]
-		entries(ptr[at:end+1], val[at:end])
+		replayRow64(aVal, bVal, ptr[at:end+1], prods, val[at:end])
 		return
 	}
 	for i := lo; i < hi; i++ {
 		if at, end := rec.half.span(rowPtr, i); at < end {
 			e := rec.half.off[i]
-			entries(ptr[e:e+end-at+1], val[at:end])
+			replayRow64(aVal, bVal, ptr[e:e+end-at+1], prods, val[at:end])
 		}
 	}
 }
 
-// replayRow writes the value of each entry q of one row into
+// replayRow64 writes the value of each entry q of one row into
 // outVal[q]: the products prods[ptr[q]:ptr[q+1]] of A's values aVal
 // and B's values bVal, the first stored as is and the rest added in
-// order, as every family sums them. It walks the row's products in one
-// loop, so that the semiring's Mul and Add are called once per product.
-//
-//mspgemm:hotpath
-func replayRow[T any, S semiring.Semiring[T]](sr S, aVal, bVal []T, ptr []int32, prods []prodPos, outVal []T) {
-	outVal = outVal[:len(ptr)-1]
-	q := 0
-	var v T
-	for t := ptr[0]; t < ptr[len(outVal)]; t++ {
-		pr := prods[t]
-		x := sr.Mul(aVal[pr.a], bVal[pr.b])
-		if t == ptr[q] {
-			v = x
-		} else {
-			v = sr.Add(v, x)
-		}
-		if t+1 == ptr[q+1] {
-			outVal[q] = v
-			q++
-		}
-	}
-}
-
-// replayRow64 is replayRow over the served semiring, with Mul and Add
-// written out. Each product is rounded explicitly (float64(a*b)), so
-// the compiler cannot fuse it into the sum, as in denseDot64.
+// order, as every family sums them. Each product is rounded explicitly
+// (float64(a*b)), so the compiler cannot fuse it into the sum, as in
+// denseDot64.
 //
 //mspgemm:hotpath
 func replayRow64(aVal, bVal []float64, ptr []int32, prods []prodPos, outVal []float64) {

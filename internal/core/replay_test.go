@@ -18,7 +18,7 @@ import (
 // when it publishes its pattern, and its hits replay it. The
 // bit-identity, charging and concurrency tests of remember_test.go run
 // products on both sides of the memory rule; these tests pin the rest:
-// the generic kernel, fault containment, allocations and pass timers.
+// fault containment, allocations and pass timers.
 
 // replayProduct is one product whose cache-built plan keeps a product
 // schedule, with the options it runs under.
@@ -48,16 +48,6 @@ func replayProducts() []replayProduct {
 	}
 }
 
-// values returns the product's operands with the values f gives A (and
-// B, when B is A).
-func (r replayProduct) values(f func(*sparse.CSR[float64]) *sparse.CSR[float64]) (a, b *sparse.CSR[float64]) {
-	a = f(r.a)
-	if r.b == r.a {
-		return a, a
-	}
-	return a, r.b
-}
-
 // scheduled reports whether p keeps a product schedule for its
 // one-triangle hits (half) or its full-product hits.
 func scheduled[T any, S semiring.Semiring[T]](p *Plan[T, S], half bool) bool {
@@ -67,45 +57,6 @@ func scheduled[T any, S semiring.Semiring[T]](p *Plan[T, S], half bool) bool {
 	}
 	rec := k.rec.Load()
 	return rec != nil && rec.tier() == tierReplay
-}
-
-// TestReplayGenericBitIdentical runs the replayed hits of the generic
-// kernel: a cached plan over plusTimesTwin, whose binders take the
-// generic path, executes each product on its planned values, on values
-// with −0, ±Inf and NaN products and on the planned values again, at 1
-// and 3 threads, and every result, from the third on a replayed hit,
-// must equal a fresh float64 plan's bit for bit.
-func TestReplayGenericBitIdentical(t *testing.T) {
-	for _, r := range replayProducts() {
-		specials := withSpecialValues
-		if r.half {
-			specials = withSymmetricSpecials
-		}
-		for _, threads := range []int{1, 3} {
-			name := fmt.Sprintf("%s/threads=%d", r.name, threads)
-			plan, err := NewPlanCache(plusTimesTwin{}, 0).GetOrPlan(r.mask, r.a, r.b, r.opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			exec := NewExecutor[float64](plusTimesTwin{})
-			same := func(m *sparse.CSR[float64]) *sparse.CSR[float64] { return m }
-			for run, f := range []func(*sparse.CSR[float64]) *sparse.CSR[float64]{same, specials, specials, same} {
-				a, b := r.values(f)
-				got, err := plan.ExecuteOnOpts(exec, a, b, ExecOptions{Threads: threads})
-				if err != nil {
-					t.Fatalf("%s run %d: %v", name, run, err)
-				}
-				want, err := MaskedSpGEMM(ptSR, r.mask, a, b, r.opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkIdentical(t, fmt.Sprintf("%s run %d", name, run), got, want)
-			}
-			if !scheduled(plan, r.half) || exec.hitTier != tierReplay {
-				t.Fatalf("%s: the last runs did not replay a product schedule", name)
-			}
-		}
-	}
 }
 
 // TestChaosReplayedHit interrupts replayed hits — a cancel at the

@@ -199,47 +199,39 @@ func (k schemeKernels[T, S]) binder(complement bool) kernelBinder[T, S] {
 }
 
 // bindHit binds p's kernel for a hit by the record rec to (a, b) on e.
-// A record with a product schedule replays it on every row
-// (bindReplay), and one with a dot bitmap walks it on every row
-// (bindDots). Otherwise every known column is one a product lands on
-// and the mask admits, so the complement no longer matters: every push
-// family runs one push kernel, MSA over the known columns
-// (accum.MSAKnown), and Pull dots only them. Rows keep the plan's
-// binding.
+// Only plans over the served semiring publish records (ownedBy), so it
+// asserts the float64 types once and binds the kernel of rec's tier: a
+// record with a product schedule replays it on every row (bindReplay),
+// one with a dot bitmap walks it on every row (bindDots), and any other
+// runs push and Pull under the plan's binding (bindPushPull).
 func bindHit[T any, S semiring.Semiring[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], rec *hitRecord) rowsHitFn[T] {
+	// S is PlusTimes[float64], so T is float64 and these assertions hold.
+	af, bf := any(a).(*sparse.CSR[float64]), any(b).(*sparse.CSR[float64])
+	ef := any(e).(*Executor[float64, accum.PlusTimes64])
+	var k rowsHitFn[float64]
 	switch rec.tier() {
 	case tierReplay:
-		return bindReplay(p, a, b, rec)
+		k = bindReplay(af, bf, rec)
 	case tierBitmap:
-		return bindDots(p, e, a, rec)
+		k = bindDots(ef, af, rec)
+	default:
+		k = bindPushPull(any(p).(*Plan[float64, accum.PlusTimes64]), ef, af, bf, rec)
 	}
-	if _, ok := any(p.sr).(accum.PlusTimes64); ok {
-		// S is PlusTimes[float64], so T is float64 and these assertions hold.
-		k := bindHitOver(any(p).(*Plan[float64, accum.PlusTimes64]), any(e).(*Executor[float64, accum.PlusTimes64]),
-			any(a).(*sparse.CSR[float64]), any(b).(*sparse.CSR[float64]), rec,
-			func(m *accum.MSA[float64, accum.PlusTimes64]) accum.MSAKnownPlusTimes {
-				return accum.MSAKnownPlusTimes{MSAPlusTimes: accum.MSAPlusTimes{MSA: m, Dense: true}}
-			}, denseDot64)
-		return any(k).(rowsHitFn[T])
-	}
-	sr := p.sr
-	return bindHitOver(p, e, a, b, rec,
-		func(m *accum.MSA[T, S]) accum.MSAKnown[T, S] { return accum.MSAKnown[T, S]{MSA: m} },
-		func(bits []uint64, aDense []T, bRows []int32, bVals []T) (T, bool) {
-			return denseDot(sr, bits, aDense, bRows, bVals)
-		})
+	return any(k).(rowsHitFn[T])
 }
 
-// bindHitOver is bindHit over the accumulator known wraps each
-// worker's MSA in, and the dot product dot. Its kernel walks the runs
-// of the plan's binding: a Pull run dots each row's known columns, and
-// any other runs push, as does a uniform plan unless its scheme pulls.
-// A row with no computed entry runs no kernel. A push row trusts its
-// known columns; a Pull row panics errPatternChanged on one its dot
-// finds no product on.
-func bindHitOver[T any, S semiring.Semiring[T], A accum.Numeric[T]](p *Plan[T, S], e *Executor[T, S], a, b *sparse.CSR[T], rec *hitRecord, known func(*accum.MSA[T, S]) A, dot dotFn[T]) rowsHitFn[T] {
+// bindPushPull binds the push/Pull kernel of a plan hit by the record
+// rec, which keeps neither a schedule nor a bitmap. Every known column
+// is one a product lands on and the mask admits, so the complement no
+// longer matters. The kernel walks the runs of the plan's binding: a
+// Pull run dots each row's known columns (pullRowKnown), and any other
+// runs push, MSA over the known columns (accum.MSAKnownPlusTimes), as
+// does a uniform plan unless its scheme pulls. A row with no computed
+// entry runs no kernel. A push row trusts its known columns; a Pull row
+// panics errPatternChanged on one its dot finds no product on.
+func bindPushPull(p *Plan[float64, accum.PlusTimes64], e *Executor[float64, accum.PlusTimes64], a, b *sparse.CSR[float64], rec *hitRecord) rowsHitFn[float64] {
 	rb, m, colIdx := &p.rowBinding, maskRows{p.mask, rec.half}, rec.pat.colIdx
-	return func(lo, hi, tid int, val []T, fi *faultinject.Hooks) {
+	return func(lo, hi, tid int, val []float64, fi *faultinject.Hooks) {
 		w := e.worker(tid)
 		for lo < hi {
 			seg, f := runSegment(rb.runEnds, rb.runFam, lo, hi)
@@ -252,10 +244,12 @@ func bindHitOver[T any, S semiring.Semiring[T], A accum.Numeric[T]](p *Plan[T, S
 				if at == end {
 					continue
 				}
+				cols, out, aCols, aVals := colIdx[at:end], val[at:end], a.Row(i), a.RowVals(i)
 				if pull {
-					pullRowKnown(w.Pull(a.Cols), a.Row(i), a.RowVals(i), e.bt, colIdx[at:end], val[at:end], dot)
+					pullRowKnown(w.Pull(a.Cols), aCols, aVals, e.bt, cols, out)
 				} else {
-					pushRowNumeric(known(w.MSA(b.Cols)), colIdx[at:end], a.Row(i), a.RowVals(i), m.clip(i), b, nil, val[at:end])
+					known := accum.MSAKnownPlusTimes{MSAPlusTimes: accum.MSAPlusTimes{MSA: w.MSA(b.Cols), Dense: true}}
+					pushRowNumeric(known, cols, aCols, aVals, m.clip(i), b, nil, out)
 				}
 			}
 			lo = seg

@@ -139,6 +139,9 @@ func TestKTrussKnownGraphs(t *testing.T) {
 // Re-running the same k must replay every iteration's plan from
 // cache; running a different k must at least reuse the full-graph
 // first-iteration plan. Results must be identical to one-shot runs.
+// The workload's int64 plans never remember a hit record (only the
+// served semiring's do), so repeated runs keep no schedule or bitmap
+// and charge the cache nothing beyond their plans.
 func TestKTrussWorkloadPlanReuse(t *testing.T) {
 	g := gen.RMATSymmetric(gen.RMATConfig{Scale: 8, EdgeFactor: 8, Seed: 31})
 	opt := core.Options{Algorithm: core.AlgoMSA}
@@ -153,12 +156,20 @@ func TestKTrussWorkloadPlanReuse(t *testing.T) {
 	if first.PlansReused != 0 {
 		t.Fatalf("cold run reused %d plans, want 0", first.PlansReused)
 	}
+	cold := w.CacheStats()
 	again, err := w.Run(5, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again.PlansReused != again.Iterations {
 		t.Fatalf("repeat run reused %d/%d plans, want all", again.PlansReused, again.Iterations)
+	}
+	if _, err := w.Run(5, opt); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.CacheStats(); st.ReplayedPlans != 0 || st.BitmapPlans != 0 || st.ScheduleBytes != 0 || st.Bytes != cold.Bytes {
+		t.Fatalf("repeat runs remembered: %d replayed and %d bitmap plans, %d schedule bytes, %d bytes after the cold run's %d",
+			st.ReplayedPlans, st.BitmapPlans, st.ScheduleBytes, st.Bytes, cold.Bytes)
 	}
 	if !sparse.PatternEqual(&first.Truss.Pattern, &again.Truss.Pattern) {
 		t.Fatal("repeat run changed the truss")
