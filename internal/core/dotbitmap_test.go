@@ -15,8 +15,9 @@ import (
 // when it publishes its pattern, if the bitmap holds at most 64 bits
 // per computed entry, and its hits walk it. The bit-identity, charging
 // and concurrency tests of remember_test.go run products in every tier;
-// these tests pin the rest: the memory rule, fault containment,
-// allocations and operands of another structure.
+// these tests pin the rest: the memory rule, the generic kernels beside
+// the hits, fault containment, allocations and operands of another
+// structure.
 
 // bitmapProducts returns a one-triangle product of a hubs-last R-MAT
 // graph, tc-skew-ref's shape at small size, under Hybrid; the full
@@ -88,6 +89,15 @@ func TestDotBitmapMemoryRule(t *testing.T) {
 		if allocs := testing.AllocsPerRun(5, func() { plan.buildDots(rec, x, 2) }); wantTier == tierPushPull && allocs != 0 {
 			t.Fatalf("n=%d: refusing the bitmap made %v allocations, want none", n, allocs)
 		}
+	}
+}
+
+// TestBitmapGenericBitIdentical runs the generic kernels on the
+// products whose float64 hits walk a dot bitmap, beside those hits
+// (checkGenericBesideHits).
+func TestBitmapGenericBitIdentical(t *testing.T) {
+	for _, r := range bitmapProducts() {
+		checkGenericBesideHits(t, r, tierBitmap)
 	}
 }
 

@@ -18,7 +18,8 @@ import (
 // when it publishes its pattern, and its hits replay it. The
 // bit-identity, charging and concurrency tests of remember_test.go run
 // products on both sides of the memory rule; these tests pin the rest:
-// fault containment, allocations and pass timers.
+// the generic kernels beside the hits, fault containment, allocations
+// and pass timers.
 
 // replayProduct is one product whose cache-built plan keeps a product
 // schedule, with the options it runs under.
@@ -45,6 +46,84 @@ func replayProducts() []replayProduct {
 		{name: "complemented", mask: cmask, a: ca, b: cb, opt: copt},
 		{name: "self-masked", mask: sq.PatternView(), a: pa, b: pa, opt: Options{Algorithm: AlgoHybrid}},
 		{name: "one-triangle", mask: g.PatternView(), a: g, b: g, opt: Options{Algorithm: AlgoHybrid}, half: true},
+	}
+}
+
+// values returns the product's operands with the values f gives A (and
+// B, when B is A).
+func (r replayProduct) values(f func(*sparse.CSR[float64]) *sparse.CSR[float64]) (a, b *sparse.CSR[float64]) {
+	a = f(r.a)
+	if r.b == r.a {
+		return a, a
+	}
+	return a, r.b
+}
+
+// checkGenericBesideHits runs r on a cached float64 plan and on a
+// cached plan over plusTimesTwin, whose binders take the generic path,
+// side by side: each executes the product on its planned values, on
+// values with −0, ±Inf and NaN products and on the planned values
+// again, at 1 and 3 threads, and every result must equal a fresh
+// float64 plan's bit for bit. The float64 plan's last runs are hits in
+// tier; the twin's plan never remembers, so every one of its runs is a
+// first execution of the generic kernels, and its cache entry is
+// charged nothing beyond the plan.
+func checkGenericBesideHits(t *testing.T, r replayProduct, tier hitTier) {
+	t.Helper()
+	specials := withSpecialValues
+	if r.half {
+		specials = withSymmetricSpecials
+	}
+	for _, threads := range []int{1, 3} {
+		name := fmt.Sprintf("%s/threads=%d", r.name, threads)
+		plan, err := NewPlanCache(ptSR, 0).GetOrPlan(r.mask, r.a, r.b, r.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twinCache := NewPlanCache(plusTimesTwin{}, 0)
+		twin, err := twinCache.GetOrPlan(r.mask, r.a, r.b, r.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		foot := twinCache.Stats().Bytes
+		exec, twinExec := NewExecutor[float64](ptSR), NewExecutor[float64](plusTimesTwin{})
+		eo := ExecOptions{Threads: threads}
+		same := func(m *sparse.CSR[float64]) *sparse.CSR[float64] { return m }
+		for run, f := range []func(*sparse.CSR[float64]) *sparse.CSR[float64]{same, specials, specials, same} {
+			a, b := r.values(f)
+			want, err := MaskedSpGEMM(ptSR, r.mask, a, b, r.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := plan.ExecuteOnOpts(exec, a, b, eo)
+			if err != nil {
+				t.Fatalf("%s/float64 run %d: %v", name, run, err)
+			}
+			checkIdentical(t, fmt.Sprintf("%s/float64 run %d", name, run), got, want)
+			got, err = twin.ExecuteOnOpts(twinExec, a, b, eo)
+			if err != nil {
+				t.Fatalf("%s/generic run %d: %v", name, run, err)
+			}
+			checkIdentical(t, fmt.Sprintf("%s/generic run %d", name, run), got, want)
+		}
+		if exec.hitTier != tier {
+			t.Fatalf("%s: the float64 plan's last run was a hit in tier %v, want %v", name, exec.hitTier, tier)
+		}
+		if twin.fullHit.rec.Load() != nil || twin.halfHit.rec.Load() != nil || twin.shared.Load() != nil {
+			t.Fatalf("%s: a cached plan over another semiring remembered", name)
+		}
+		if got := twinCache.Stats().Bytes; got != foot {
+			t.Fatalf("%s: the other semiring's cache entry grew from %d to %d bytes", name, foot, got)
+		}
+	}
+}
+
+// TestReplayGenericBitIdentical runs the generic kernels on the
+// products whose float64 hits replay a product schedule, beside those
+// hits (checkGenericBesideHits).
+func TestReplayGenericBitIdentical(t *testing.T) {
+	for _, r := range replayProducts() {
+		checkGenericBesideHits(t, r, tierReplay)
 	}
 }
 
