@@ -25,11 +25,12 @@ const (
 	headerBytes = 4 + 4 + 8 + 8 + 8
 )
 
-// chunkBytes is the encoder's one buffer. A server response streams
-// through it in chunks this size: large enough that a multi-megabyte
-// product costs only ~16 writes per MiB, small enough that even a tiny
-// reply does not pay for zeroing a big buffer.
-const chunkBytes = 1 << 16
+// ChunkBytes is the encoder's largest buffer. A server response
+// streams through it in chunks this size: large enough that a
+// multi-megabyte product costs only ~16 writes per MiB. A reply
+// smaller than one chunk gets a buffer of its own size, so it does not
+// pay for zeroing a big one.
+const ChunkBytes = 1 << 16
 
 // Size returns the number of bytes Write produces for m: the header,
 // then 8 bytes per row pointer and 12 per entry (a column index and a
@@ -40,22 +41,32 @@ func Size(m *sparse.CSR[float64]) int64 {
 }
 
 // Write encodes a float64 CSR matrix. Sections are encoded in bulk into
-// one chunkBytes buffer that is handed to w each time it fills, so w
-// sees writes of at most chunkBytes and the bytes are identical to a
-// word-at-a-time encoding. On a little-endian host each section is
-// copied into the buffer as its array's own bytes; elsewhere the word
-// loops encode it, word by word, to the same bytes and the same writes.
-// A matrix whose arrays disagree with the header it would produce
-// (RowPtr not Rows+1 long, or ColIdx/Val not NNZ() long) is rejected
-// before any byte is written.
+// one buffer of min(ChunkBytes, Size(m)) bytes that is handed to w each
+// time it fills, so w sees writes of at most ChunkBytes and the bytes
+// are identical to a word-at-a-time encoding. On a little-endian host
+// each section is copied into the buffer as its array's own bytes;
+// elsewhere the word loops encode it, word by word, to the same bytes
+// and the same writes. A matrix whose arrays disagree with the header
+// it would produce (RowPtr not Rows+1 long, or ColIdx/Val not NNZ()
+// long) is rejected before any byte is written.
 func Write(w io.Writer, m *sparse.CSR[float64]) error {
-	return write(w, m, hostLittleEndian)
+	return write(w, m, nil, hostLittleEndian)
 }
 
-// write is Write with the path chosen: bulk copies each section's
+// WriteChunk is Write encoding through the caller's chunk instead of a
+// buffer of its own, when chunk's capacity holds the buffer Write would
+// allocate (ChunkBytes, or Size(m) when that is less); otherwise it
+// allocates that buffer as Write does. Only the buffer's length is used
+// and the bytes and writes w sees are Write's. Since w must not retain
+// what it is given, the caller may reuse chunk once WriteChunk returns.
+func WriteChunk(w io.Writer, m *sparse.CSR[float64], chunk []byte) error {
+	return write(w, m, chunk, hostLittleEndian)
+}
+
+// write is WriteChunk with the path chosen: bulk copies each section's
 // bytes, which only a little-endian host may do, and the word loops
 // run otherwise.
-func write(w io.Writer, m *sparse.CSR[float64], bulk bool) error {
+func write(w io.Writer, m *sparse.CSR[float64], chunk []byte, bulk bool) error {
 	if len(m.RowPtr) != m.Rows+1 {
 		return fmt.Errorf("serial: RowPtr has %d entries, want rows+1 = %d", len(m.RowPtr), m.Rows+1)
 	}
@@ -66,10 +77,15 @@ func write(w io.Writer, m *sparse.CSR[float64], bulk bool) error {
 	// A destination that can reserve room (a bytes.Buffer) is grown once
 	// to the exact encoded size: grown chunk by chunk it would double
 	// past it, and a caller keeping the bytes would keep the slack.
+	size := Size(m)
 	if g, ok := w.(interface{ Grow(n int) }); ok {
-		g.Grow(int(Size(m)))
+		g.Grow(int(size))
 	}
-	e := encoder{w: w, buf: make([]byte, chunkBytes)}
+	n := int(min(size, ChunkBytes))
+	if cap(chunk) < n {
+		chunk = make([]byte, n)
+	}
+	e := encoder{w: w, buf: chunk[:n]}
 	copy(e.buf, magic)
 	binary.LittleEndian.PutUint32(e.buf[4:], version)
 	binary.LittleEndian.PutUint64(e.buf[8:], uint64(m.Rows))
@@ -134,8 +150,8 @@ func (e *encoder) flush() {
 // Read decodes a matrix written by Write, validating structure before
 // returning. On a little-endian host each section (RowPtr, ColIdx, Val)
 // is read from r straight into its array's bytes; elsewhere it is read
-// into one chunkBytes buffer and decoded by index into its array, so r
-// sees reads of at most chunkBytes.
+// into one ChunkBytes buffer and decoded by index into its array, so r
+// sees reads of at most ChunkBytes.
 //
 // A header's declared size reserves nothing by itself: a hostile (or
 // fuzzed) header promising 2^39 rows against a 48-byte body must fail
@@ -172,7 +188,7 @@ func read(r io.Reader, bulk bool) (*sparse.CSR[float64], error) {
 	// needs none.
 	var buf []byte
 	if !bulk {
-		buf = make([]byte, chunkBytes)
+		buf = make([]byte, ChunkBytes)
 	}
 	rowPtr, err := readSection(r, buf, rows+1, 8, "rowptr", decodeInt64s)
 	if err != nil {
@@ -203,7 +219,7 @@ const reserveMax = 1 << 20
 // ReadValues decodes a bare run of little-endian float64 words (the
 // body of a values-only delta), reading r to EOF, on a little-endian
 // host straight into the array's bytes and elsewhere through one
-// chunkBytes buffer and the word decoder Read uses. size is the byte
+// ChunkBytes buffer and the word decoder Read uses. size is the byte
 // count r declares (an HTTP Content-Length), or negative when unknown.
 // A declared size reserves at most min(size, 1 MiB) before any byte
 // arrives, so an honest delta of up to 1 MiB lands in one array; past
@@ -229,7 +245,7 @@ func readValues(r io.Reader, size int64, bulk bool) ([]float64, error) {
 	if bulk {
 		return readValuesBulk(r, out, limit)
 	}
-	buf := make([]byte, chunkBytes)
+	buf := make([]byte, ChunkBytes)
 	total := 0
 	for {
 		n, err := io.ReadFull(r, buf)
@@ -249,7 +265,7 @@ func readValues(r io.Reader, size int64, bulk bool) ([]float64, error) {
 // so the next read takes a single word and the array grows only if one
 // arrives.
 func readValuesBulk(r io.Reader, out []float64, limit uint64) ([]float64, error) {
-	const per = chunkBytes / 8
+	const per = ChunkBytes / 8
 	total := 0
 	for {
 		n := len(out)
@@ -297,7 +313,7 @@ func valuesEnd(out []float64, total int, err error) ([]float64, error) {
 // array. The array grows as words arrive either way.
 func readSection[T word](r io.Reader, buf []byte, count uint64, width int, what string, decode func(dst []T, src []byte)) ([]T, error) {
 	out := make([]T, 0, reserve(r, count, width))
-	per := uint64(chunkBytes / width)
+	per := uint64(ChunkBytes / width)
 	for left := count; left > 0; {
 		k := min(left, per)
 		n := len(out)

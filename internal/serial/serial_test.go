@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"runtime"
 	"slices"
@@ -121,7 +122,7 @@ func codecCases(tb testing.TB) map[string]*sparse.CSR[float64] {
 		math.Float64frombits(0x7fefffffffffffff), // largest finite
 	})
 	big := multiChunk()
-	if cb, vb := 4*len(big.ColIdx), 8*len(big.Val); cb < 3*chunkBytes || vb < 3*chunkBytes {
+	if cb, vb := 4*len(big.ColIdx), 8*len(big.Val); cb < 3*ChunkBytes || vb < 3*ChunkBytes {
 		tb.Fatalf("multi-chunk fixture too small: colidx %d B, val %d B", cb, vb)
 	}
 	cases := map[string]*sparse.CSR[float64]{
@@ -141,36 +142,95 @@ func codecCases(tb testing.TB) map[string]*sparse.CSR[float64] {
 	return cases
 }
 
+// sized returns a rows×2 matrix of nnz entries, rows ≤ nnz ≤ 2·rows:
+// the first nnz−rows rows hold two entries, the rest one. Its encoding
+// is Size = 40 + 8·rows + 12·nnz bytes, which picks where a reply ends
+// against the chunk.
+func sized(rows, nnz int) *sparse.CSR[float64] {
+	m := sparse.NewCSR[float64](rows, 2)
+	for i := range rows {
+		k := 1
+		if i < nnz-rows {
+			k = 2
+		}
+		for j := range k {
+			m.ColIdx = append(m.ColIdx, int32(j))
+			m.Val = append(m.Val, float64(i)+0.5*float64(j))
+		}
+		m.RowPtr[i+1] = int64(len(m.ColIdx))
+	}
+	return m
+}
+
+// chunkEdges are replies that end a word before, exactly at, and a
+// word after one chunk, beside codecCases' smaller and larger ones:
+// below a chunk Write's buffer is the reply's own size.
+func chunkEdges(tb testing.TB) map[string]*sparse.CSR[float64] {
+	cases := map[string]*sparse.CSR[float64]{
+		"one chunk less a word": sized(2185, 4001),
+		"one chunk":             sized(2187, 4000),
+		"one chunk and a word":  sized(2186, 4001),
+	}
+	for name, want := range map[string]int64{"one chunk less a word": ChunkBytes - 4, "one chunk": ChunkBytes, "one chunk and a word": ChunkBytes + 4} {
+		if err := cases[name].Validate(); err != nil {
+			tb.Fatalf("%s: fixture invalid: %v", name, err)
+		}
+		if got := Size(cases[name]); got != want {
+			tb.Fatalf("%s: fixture encodes to %d bytes, want %d", name, got, want)
+		}
+	}
+	return cases
+}
+
+// callerChunks are the chunks the write checks hand WriteChunk: none
+// (Write's own buffer), exactly one chunk, a larger one of which only
+// a chunk may be used, and one too small to use. The caller's chunks
+// start full of stale bytes, which must never reach w.
+func callerChunks() map[string][]byte {
+	stale := func(n int) []byte { return bytes.Repeat([]byte{0xa5}, n) }
+	return map[string][]byte{
+		"own":       nil,
+		"one chunk": stale(ChunkBytes),
+		"larger":    stale(3*ChunkBytes + 5),
+		"too small": stale(ChunkBytes/2 - 3),
+	}
+}
+
 // TestWriteMatchesReference checks both paths' bytes against the
-// word-at-a-time reference, and that they hand w the same writes: at
-// most chunkBytes each, and only as many as the bytes need.
+// word-at-a-time reference, through Write's own buffer and through
+// each caller chunk, and that they all hand w the same writes: at most
+// ChunkBytes each, and only as many as the bytes need.
 func TestWriteMatchesReference(t *testing.T) {
-	for name, m := range codecCases(t) {
+	cases := codecCases(t)
+	maps.Copy(cases, chunkEdges(t))
+	for name, m := range cases {
 		var want bytes.Buffer
 		if err := referenceWrite(&want, m); err != nil {
 			t.Fatal(err)
 		}
 		var sizes []int
 		for path, bulk := range codecPaths() {
-			var got chunkRecorder
-			if err := write(&got, m, bulk); err != nil {
-				t.Fatalf("%s, %s path: %v", name, path, err)
-			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Errorf("%s, %s path: encoding differs from the word-at-a-time reference (%d vs %d bytes)", name, path, got.Len(), want.Len())
-			}
-			for k, n := range got.sizes {
-				if n == 0 || n > chunkBytes {
-					t.Errorf("%s, %s path: write %d has %d bytes, want 1..%d", name, path, k, n, chunkBytes)
+			for src, chunk := range callerChunks() {
+				var got chunkRecorder
+				if err := write(&got, m, chunk, bulk); err != nil {
+					t.Fatalf("%s, %s path, %s chunk: %v", name, path, src, err)
 				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Errorf("%s, %s path, %s chunk: encoding differs from the word-at-a-time reference (%d vs %d bytes)", name, path, src, got.Len(), want.Len())
+				}
+				for k, n := range got.sizes {
+					if n == 0 || n > ChunkBytes {
+						t.Errorf("%s, %s path, %s chunk: write %d has %d bytes, want 1..%d", name, path, src, k, n, ChunkBytes)
+					}
+				}
+				if wantWrites := (want.Len() + ChunkBytes - 1) / ChunkBytes; len(got.sizes) < wantWrites || len(got.sizes) > wantWrites+1 {
+					t.Errorf("%s, %s path, %s chunk: %d writes for %d bytes, want %d or %d", name, path, src, len(got.sizes), want.Len(), wantWrites, wantWrites+1)
+				}
+				if sizes != nil && !slices.Equal(got.sizes, sizes) {
+					t.Errorf("%s, %s chunk: the write sizes differ across paths and chunks: %v and %v", name, src, got.sizes, sizes)
+				}
+				sizes = got.sizes
 			}
-			if wantWrites := (want.Len() + chunkBytes - 1) / chunkBytes; len(got.sizes) < wantWrites || len(got.sizes) > wantWrites+1 {
-				t.Errorf("%s, %s path: %d writes for %d bytes, want %d or %d", name, path, len(got.sizes), want.Len(), wantWrites, wantWrites+1)
-			}
-			if sizes != nil && !slices.Equal(got.sizes, sizes) {
-				t.Errorf("%s: the paths' write sizes differ: %v and %v", name, got.sizes, sizes)
-			}
-			sizes = got.sizes
 		}
 	}
 }
@@ -238,9 +298,9 @@ func (f *failAfter) Write(p []byte) (int, error) {
 func TestWriteStopsAtFirstError(t *testing.T) {
 	m := multiChunk()
 	for path, bulk := range codecPaths() {
-		for _, k := range []int{0, 10, chunkBytes - 1, chunkBytes, 3*chunkBytes + 5} {
+		for _, k := range []int{0, 10, ChunkBytes - 1, ChunkBytes, 3*ChunkBytes + 5} {
 			f := &failAfter{limit: k}
-			if err := write(f, m, bulk); !errors.Is(err, errSink) {
+			if err := write(f, m, nil, bulk); !errors.Is(err, errSink) {
 				t.Errorf("%s path, fail after %d bytes: err = %v, want %v", path, k, err, errSink)
 			}
 			if !f.failed || f.calls != 0 {
@@ -264,16 +324,32 @@ func allocBytesPerCall(f func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / runs
 }
 
+// TestWriteAllocatesOneChunk bounds what one encode allocates: a chunk
+// for a reply of several, the reply's own size for one smaller than a
+// chunk, and nothing beyond a few words when the caller's chunk is used.
 func TestWriteAllocatesOneChunk(t *testing.T) {
-	m := multiChunk()
+	small := sized(200, 300) // 5,240 bytes
+	chunk := make([]byte, ChunkBytes)
 	for path, bulk := range codecPaths() {
-		got := allocBytesPerCall(func() {
-			if err := write(io.Discard, m, bulk); err != nil {
-				t.Fatal(err)
+		for _, c := range []struct {
+			name  string
+			m     *sparse.CSR[float64]
+			chunk []byte
+			limit uint64
+		}{
+			{"multi-chunk", multiChunk(), nil, ChunkBytes + 1024},
+			{"small", small, nil, uint64(Size(small)) + 1024},
+			{"multi-chunk, caller chunk", multiChunk(), chunk, 1024},
+			{"small, caller chunk", small, chunk, 1024},
+		} {
+			got := allocBytesPerCall(func() {
+				if err := write(io.Discard, c.m, c.chunk, bulk); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got > c.limit {
+				t.Errorf("%s path, %s: Write allocates %d bytes per call, want ≤ %d", path, c.name, got, c.limit)
 			}
-		})
-		if limit := uint64(chunkBytes + 1024); got > limit {
-			t.Errorf("%s path: Write allocates %d bytes per call, want ≤ %d", path, got, limit)
 		}
 	}
 }
@@ -303,7 +379,7 @@ func BenchmarkWrite(b *testing.B) {
 		}
 		b.Run(path, func(b *testing.B) {
 			var sink bytes.Buffer
-			if err := write(&sink, c, bulk); err != nil {
+			if err := write(&sink, c, nil, bulk); err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(int64(sink.Len()))
@@ -311,7 +387,7 @@ func BenchmarkWrite(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sink.Reset()
-				if err := write(&sink, c, bulk); err != nil {
+				if err := write(&sink, c, nil, bulk); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -488,11 +564,11 @@ func TestReadTruncations(t *testing.T) {
 	for _, at := range []int{headerBytes, rowEnd, colEnd, len(body)} {
 		cuts = append(cuts, at-1, at, at+1, at+3, at+5)
 	}
-	for at := chunkBytes; at < len(body); at += chunkBytes {
+	for at := ChunkBytes; at < len(body); at += ChunkBytes {
 		cuts = append(cuts, at-1, at, at+1)
 	}
 	for _, sec := range []int{headerBytes, rowEnd, colEnd} {
-		for at := sec + chunkBytes; at < len(body); at += chunkBytes {
+		for at := sec + ChunkBytes; at < len(body); at += ChunkBytes {
 			cuts = append(cuts, at-1, at, at+1)
 		}
 	}
@@ -558,7 +634,7 @@ func TestReadAllocatesOneChunk(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if limit := arrays + chunkBytes + 1024; got > limit {
+		if limit := arrays + ChunkBytes + 1024; got > limit {
 			t.Errorf("%s path: Read allocates %d bytes per call for %d bytes of arrays, want ≤ %d", path, got, arrays, limit)
 		}
 		// Without a length the arrays double as words arrive: every
@@ -570,7 +646,7 @@ func TestReadAllocatesOneChunk(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if limit := 2*arrays + chunkBytes + 1024; got > limit {
+		if limit := 2*arrays + ChunkBytes + 1024; got > limit {
 			t.Errorf("%s path: Read from an unsized source allocates %d bytes per call for %d bytes of arrays, want ≤ %d", path, got, arrays, limit)
 		}
 	}
@@ -608,7 +684,7 @@ func TestReadValues(t *testing.T) {
 			if got, err := readValues(open(nil), 0, bulk); err != nil || len(got) != 0 {
 				t.Errorf("%s path, %s source, empty: %d values, err %v; want none and no error", path, src, len(got), err)
 			}
-			for _, n := range []int{3, 8*5 + 3, chunkBytes + 1, len(body) - 1} {
+			for _, n := range []int{3, 8*5 + 3, ChunkBytes + 1, len(body) - 1} {
 				if _, err := readValues(open(body[:n]), int64(n), bulk); err == nil {
 					t.Errorf("%s path, %s source, %d bytes: want an error for a partial word", path, src, n)
 				}
@@ -629,7 +705,7 @@ func TestReadValues(t *testing.T) {
 		})
 		limit := deltaArray + 1024
 		if !bulk {
-			limit += chunkBytes
+			limit += ChunkBytes
 		}
 		if got > limit {
 			t.Errorf("%s path: ReadValues of a declared %d-byte delta allocates %d bytes, want ≤ %d (one %d-byte array)", path, len(delta), got, limit, deltaArray)
@@ -641,7 +717,7 @@ func TestReadValues(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if limit = 1<<20 + chunkBytes + 1024; got > limit {
+		if limit = 1<<20 + ChunkBytes + 1024; got > limit {
 			t.Errorf("%s path: ReadValues of 8 bytes declared as 64 MiB allocates %d bytes, want ≤ %d", path, got, limit)
 		}
 	}

@@ -64,15 +64,23 @@ func digestOf(body []byte) maskedspgemm.OperandDigest {
 
 // readOperand is the one operand reader: raw bodies, multipart parts
 // and /v1/operands uploads all come through it. It reads r whole
-// (readBody) and digests the bytes. When the store holds an operand
-// filed from identical bytes, that resident operand is the result: no
-// decode, no Validate, no fingerprinting, no new arrays. Otherwise the
-// bytes are decoded, and fileOperand files the digest with the matrix
-// when the caller stores it. size bounds the bytes r can deliver (the
-// request's Content-Length), or is negative when unknown. The body
-// buffer is garbage when readOperand returns.
+// (readBody) into a spare buffer that covers readBody's reservation,
+// and digests the bytes. When the store holds an operand filed from
+// identical bytes, that resident operand is the result: no decode, no
+// Validate, no fingerprinting, no new arrays. Otherwise the bytes are
+// decoded, and fileOperand files the digest with the matrix when the
+// caller stores it. size bounds the bytes r can deliver (the request's
+// Content-Length), or is negative when unknown. Neither the digest nor
+// a decoded matrix aliases the body, so the buffer goes back on the
+// server's spare list when readOperand returns.
 func (s *Server) readOperand(r io.Reader, size int64) (*operand, error) {
-	body, err := readBody(r, size)
+	sp := s.spares.get(reservation(size))
+	defer s.spares.put(sp)
+	body, err := readBody(r, size, sp.buf)
+	if cap(body) > cap(sp.buf) {
+		// The body outgrew the spare: keep the larger buffer.
+		sp.buf = body[:0]
+	}
 	if err != nil {
 		return nil, fmt.Errorf("serve: reading operand: %w", err)
 	}
@@ -87,19 +95,37 @@ func (s *Server) readOperand(r io.Reader, size int64) (*operand, error) {
 	return op, nil
 }
 
+// reservation is what readBody reserves for a body of the given
+// declared size before any byte arrives: min(size, reserveMax), and 512
+// bytes when size is unknown (negative).
+func reservation(size int64) int {
+	if size < 0 {
+		return 512
+	}
+	return int(min(size, reserveMax))
+}
+
 // readBody reads r to EOF into one buffer. A Content-Length only
 // promises bytes — MaxBodyBytes defaults to 1 GiB — so before any
 // arrive it reserves at most min(size, reserveMax), and 512 bytes when
 // size is unknown. It then doubles as bytes arrive, never past size:
 // an honest body ends in an exactly full buffer, a short one costs
 // what it delivered plus the reservation, and a source with more
-// bytes than size is an error.
-func readBody(r io.Reader, size int64) ([]byte, error) {
-	c := int64(512)
-	if size >= 0 {
-		c = min(size, reserveMax)
+// bytes than size is an error. A spare whose capacity covers the
+// reservation is read into instead, its capacity cut to size, so the
+// same rules hold: the body never holds more than size bytes, and one
+// that outgrows the spare moves to a new buffer. A smaller spare is
+// not used.
+func readBody(r io.Reader, size int64, spare []byte) ([]byte, error) {
+	var buf []byte
+	switch c := reservation(size); {
+	case cap(spare) < c:
+		buf = make([]byte, 0, c)
+	case size >= 0:
+		buf = spare[:0:min(int64(cap(spare)), size)]
+	default:
+		buf = spare[:0]
 	}
-	buf := make([]byte, 0, c)
 	for {
 		if len(buf) == cap(buf) {
 			if size >= 0 && int64(len(buf)) >= size {

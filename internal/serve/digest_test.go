@@ -208,24 +208,33 @@ func TestServeDigestSharedAcrossEndpoints(t *testing.T) {
 // TestReadBodySizing pins the operand reader's buffer policy: an
 // honest length fills exactly, a short body keeps what arrived within
 // the 1 MiB reservation, an unknown length grows from a small start,
-// and a source longer than it declared is refused.
+// and a source longer than it declared is refused. A spare that covers
+// the reservation is read into, its capacity cut to the declared size;
+// a smaller one is not used.
 func TestReadBodySizing(t *testing.T) {
 	data := bytes.Repeat([]byte("0123456789abcdef"), 1<<17) // 2 MiB
 	for _, c := range []struct {
 		name    string
 		n       int
 		size    int64
+		spare   int // the spare's capacity; 0 reads without one
 		wantCap int
+		inSpare bool
 	}{
-		{"honest", len(data), int64(len(data)), len(data)},
-		{"honest small", 100, 100, 100},
-		{"short body", 48, 64 << 20, reserveMax},
-		{"unknown", len(data), -1, -1},
-		{"empty", 0, 0, 0},
+		{"honest", len(data), int64(len(data)), 0, len(data), false},
+		{"honest small", 100, 100, 0, 100, false},
+		{"short body", 48, 64 << 20, 0, reserveMax, false},
+		{"unknown", len(data), -1, 0, -1, false},
+		{"empty", 0, 0, 0, 0, false},
+		{"spare larger than size", 100, 100, 4096, 100, true},
+		{"spare covers the reservation, short body", 48, 64 << 20, reserveMax + 5, reserveMax + 5, true},
+		{"spare under the reservation", 100, 100, 99, 100, false},
+		{"spare outgrown", len(data), -1, 4096, -1, false},
 	} {
+		spare := make([]byte, c.spare)
 		// A reader that hides its length, as a request body does.
 		r := struct{ io.Reader }{bytes.NewReader(data[:c.n])}
-		got, err := readBody(r, c.size)
+		got, err := readBody(r, c.size, spare)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -235,9 +244,17 @@ func TestReadBodySizing(t *testing.T) {
 		if c.wantCap >= 0 && cap(got) != c.wantCap {
 			t.Errorf("%s: buffer capacity %d, want %d", c.name, cap(got), c.wantCap)
 		}
+		if c.size >= 0 && int64(cap(got)) > c.size {
+			t.Errorf("%s: buffer capacity %d exceeds the declared %d bytes", c.name, cap(got), c.size)
+		}
+		if in := c.n > 0 && c.spare > 0 && &got[0] == &spare[:1][0]; in != c.inSpare {
+			t.Errorf("%s: read into the spare = %v, want %v", c.name, in, c.inSpare)
+		}
 	}
-	if _, err := readBody(bytes.NewReader(data[:300]), 100); err == nil {
-		t.Fatal("a source longer than its declared length was accepted")
+	for _, spare := range [][]byte{nil, make([]byte, 4096)} {
+		if _, err := readBody(bytes.NewReader(data[:300]), 100, spare); err == nil {
+			t.Fatalf("a source longer than its declared length was accepted (spare capacity %d)", cap(spare))
+		}
 	}
 }
 

@@ -119,6 +119,8 @@ type Server struct {
 	misses  *missLog
 	panics  *panicLog
 	mux     *http.ServeMux
+	// spares are idle body and reply-chunk buffers, held weakly.
+	spares spares
 
 	// execGate, when non-nil, is invoked while an admitted request
 	// holds its execution slot — a test seam for observing (and
@@ -237,9 +239,10 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The body is decoded while holding the slot — deliberately, so at
-	// most MaxInFlight bodies are ever in memory at once — but under
-	// BodyReadTimeout, so a slow-trickling upload surrenders the slot at
-	// the deadline (408) instead of starving the queue.
+	// most MaxInFlight bodies are being read at once, and idle spare
+	// buffers are held only weakly — but under BodyReadTimeout, so a
+	// slow-trickling upload surrenders the slot at the deadline (408)
+	// instead of starving the queue.
 	ops, status, err := s.readOperands(w, r)
 	if err != nil {
 		httpError(w, status, err.Error())
@@ -472,8 +475,15 @@ func (s *Server) writeResult(w http.ResponseWriter, format string, out *maskedsp
 		// response carries a Content-Length instead of being chunked.
 		w.Header().Set("Content-Type", "application/x-mspgemm")
 		w.Header().Set("Content-Length", strconv.FormatInt(serial.Size(out), 10))
-		// A failed write means the client is gone; nothing to recover.
-		_ = serial.Write(w, out)
+		// The reply streams through a spare chunk, which w does not
+		// retain. A failed write means the client is gone; nothing to
+		// recover.
+		sp := s.spares.get(serial.ChunkBytes)
+		if cap(sp.buf) < serial.ChunkBytes {
+			sp.buf = make([]byte, serial.ChunkBytes)
+		}
+		_ = serial.WriteChunk(w, out, sp.buf)
+		s.spares.put(sp)
 	case "mtx":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		_ = mtx.Write(w, out)
