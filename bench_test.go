@@ -504,24 +504,28 @@ func benchPlanHits(b *testing.B, s *Session, multiply func(i int) error) {
 // self-product C = A ⊙ (A·A) under Hybrid, by reference, for the
 // products of er-warm-inline (a symmetric ER(2¹¹, 8) graph) and
 // tc-skew-ref (a scale-12 R-MAT graph relabeled hubs last) in
-// mspgemm-trajectory. Such a product computes one triangle and mirrors
-// it. Two warm executions come before the timer: the second publishes
-// the plan's known half (DESIGN.md §5, "Known pattern"), so every timed
-// op computes only the known columns, replaying their products
-// (er-warm-inline's, "Replayed hits") or walking their dot bitmap
-// (tc-skew-ref's, "Bitmap hits"), then mirrors; the benchmark fails
-// unless the plan's hits run in that tier. After the timer, the cached
-// plan runs up to 200 more hits on one executor with pass timers on,
-// and the benchmark reports their mean hit numeric pass
-// (core.PassHitNumeric) as numeric-ns/op.
+// mspgemm-trajectory. Such a product's first executions compute one
+// triangle and mirror it. Two warm executions come before the timer:
+// the second publishes the plan's one-triangle record (DESIGN.md §5,
+// "Known pattern"), so every timed op writes values in place into the
+// remembered pattern, replaying the full product's schedule
+// (er-warm-inline's, "Replayed hits"), or computing only the known
+// half's columns by walking their dot bitmap and then copying each to
+// its transpose (tc-skew-ref's, "Bitmap hits"). After the timer, the
+// cached plan runs up to 200 more hits on one executor with pass timers
+// on, and the benchmark reports their mean hit numeric pass
+// (core.PassHitNumeric) as numeric-ns/op. It fails unless the plan's
+// hits run in that tier, and over a known half, which alone runs the
+// transpose copy (core.PassTranspose), exactly for tc-skew-ref.
 func BenchmarkSessionPlanHitSelf(b *testing.B) {
 	for _, c := range []struct {
 		name              string
 		g                 *sparse.CSR[float64]
 		replayed, bitmaps int
+		knownHalf         bool
 	}{
-		{"er-warm-inline", gen.Symmetrize(gen.ErdosRenyi(1<<11, 8, 1)), 1, 0},
-		{"tc-skew-ref", bench.SkewedGraph(12, 8, 1), 0, 1},
+		{"er-warm-inline", gen.Symmetrize(gen.ErdosRenyi(1<<11, 8, 1)), 1, 0, false},
+		{"tc-skew-ref", bench.SkewedGraph(12, 8, 1), 0, 1, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			s := NewSession()
@@ -554,12 +558,16 @@ func BenchmarkSessionPlanHitSelf(b *testing.B) {
 			}
 			exec := core.NewExecutor[float64](arith{})
 			n := min(b.N, 200)
-			var numeric time.Duration
+			var numeric, transpose time.Duration
 			for range n {
 				if _, err := plan.ExecuteOnOpts(exec, c.g, c.g, core.ExecOptions{Resident: true, CollectSchedStats: true}); err != nil {
 					b.Fatal(err)
 				}
 				numeric += exec.PassTimes()[core.PassHitNumeric]
+				transpose += exec.PassTimes()[core.PassTranspose]
+			}
+			if (transpose > 0) != c.knownHalf {
+				b.Fatalf("the hits copied values to their transposes for %v, want a known half %v", transpose, c.knownHalf)
 			}
 			b.ReportMetric(float64(numeric.Nanoseconds())/float64(n), "numeric-ns/op")
 		})
@@ -571,12 +579,13 @@ func BenchmarkSessionPlanHitSelf(b *testing.B) {
 // C = A ⊙ (A·A) under Hybrid, by reference, on the products of
 // er-warm-inline and tc-skew-ref (as in BenchmarkSessionPlanHitSelf).
 // That execution computes one triangle and mirrors it, then builds the
-// record its plan's hits run by — the known half and the product
-// schedule, or, once the replay rule refuses one, the dot bitmap
-// (tc-skew-ref's) — and publishes it
-// (DESIGN.md §5, "Known pattern"). Each op starts a fresh session,
-// stores A and runs the first execution outside the timer, and fails
-// unless the timed execution charged the cache for a record.
+// record its plan's hits run by and publishes it (DESIGN.md §5,
+// "Known pattern"): it counts the known half's products, and, as they
+// fit the replay rule, builds the full product's schedule
+// (er-warm-inline's), or, as they do not, keeps the known half with its
+// transpose map and dot bitmap (tc-skew-ref's). Each op starts a fresh
+// session, stores A and runs the first execution outside the timer, and
+// fails unless the timed execution charged the cache for a record.
 func BenchmarkSessionPlanPublish(b *testing.B) {
 	for _, c := range []struct {
 		name string

@@ -420,7 +420,7 @@ func chaosInPlaceHit(t *testing.T, name string, a *sparse.CSR[float64], algo Alg
 		t.Fatalf("%s: err = %v, want KernelPanicError", name, err)
 	case !fault.PanicArmed && (!errors.As(err, &ce) || ce.Pass != string(fault.CancelPass)):
 		t.Fatalf("%s: err = %v, want CanceledError in pass %s", name, err, fault.CancelPass)
-	case exec.lastHalf != kh.half:
+	case exec.hitRec != kh:
 		t.Fatalf("%s: the interrupted execution was not an in-place hit", name)
 	case kh.tier() != tier:
 		t.Fatalf("%s: the hits run in tier %v, want %v", name, kh.tier(), tier)
@@ -526,12 +526,10 @@ func TestChaosFullProductHit(t *testing.T) {
 						t.Fatalf("%s: err = %v, want KernelPanicError", name, err)
 					case !fault.PanicArmed && (!errors.As(err, &ce) || ce.Pass != string(fault.CancelPass)):
 						t.Fatalf("%s: err = %v, want CanceledError in pass %s", name, err, fault.CancelPass)
-					case exec.lastPlan != plan || exec.hitTier == tierNone:
-						t.Fatalf("%s: the interrupted execution was not a hit", name)
+					case exec.lastPlan != plan || exec.hitRec != rec:
+						t.Fatalf("%s: the interrupted execution was not a hit by the plan's record", name)
 					case rec.tier() != wantTier:
 						t.Fatalf("%s: the hits run in tier %v, want %v", name, rec.tier(), wantTier)
-					case exec.hitTier != rec.tier():
-						t.Fatalf("%s: a hit by a record in tier %v bound tier %v", name, rec.tier(), exec.hitTier)
 					}
 					pool.Discard(exec)
 					if st := pool.Stats(); st.Poisoned != 1 || st.Idle != 0 {

@@ -70,8 +70,7 @@ func (p *Plan[T, S]) buildDots(rec *hitRecord, a *sparse.CSR[T], threads int) *d
 	}
 	rows := p.mask.Rows
 	rowBits := func(i int) int64 {
-		cols, _ := rec.row(i)
-		return colScan(cols, colPtr)
+		return colScan(rec.row(i), colPtr)
 	}
 	var total int64
 	for i := range rows {
@@ -93,8 +92,7 @@ func (p *Plan[T, S]) buildDots(rec *hitRecord, a *sparse.CSR[T], threads int) *d
 			scratch[tid] = make([]uint64, (a.Cols+63)/64)
 		}
 		for i := lo; i < hi; i++ {
-			cols, _ := rec.row(i)
-			if !markDots(words, prefix[i], scratch[tid], a.Row(i), cols, colPtr, rowIdx) {
+			if !markDots(words, prefix[i], scratch[tid], a.Row(i), rec.row(i), colPtr, rowIdx) {
 				empty.Store(true)
 			}
 		}

@@ -144,7 +144,7 @@ func TestChaosBitmapHit(t *testing.T) {
 				exec := NewExecutor[float64](ptSR)
 				out, err := plan.ExecuteOnOpts(exec, r.a, r.b, eo)
 				faultinject.Disarm()
-				if exec.hitTier != tierBitmap {
+				if exec.hitRec.tier() != tierBitmap {
 					t.Fatalf("%s: the hit did not walk the bitmap", name)
 				}
 				var ce *CanceledError
@@ -198,7 +198,7 @@ func TestBitmapHitAllocs(t *testing.T) {
 				}
 			}
 			run()
-			if exec.hitTier != tierBitmap || !dotted(plan, r.half) {
+			if exec.hitRec.tier() != tierBitmap || !dotted(plan, r.half) {
 				t.Fatalf("%s: the hit did not walk a dot bitmap", name)
 			}
 			for tid, w := range exec.workers {

@@ -21,13 +21,13 @@ import (
 //     them, as complemented Hash), so its kernels are always uniform.
 //   - Known pattern: a cached plan publishes, from its second one-phase
 //     execution of each kind, full product or one triangle, the record
-//     that kind's hits run by (Plan.remember): the output pattern, a
-//     known half and the product schedule or dot bitmap. Every later
-//     such execution is a hit: each row's values go straight into its
-//     exact range of that pattern, replayed from the record's schedule,
-//     walked from its bitmap, or computed by push or Pull under the
-//     plan's binding, and a half hit then copies them to their
-//     transposes (knownPhase).
+//     that kind's hits run by (Plan.remember): the output pattern with
+//     the full product's schedule, or with a known half or none and
+//     the dot bitmap. Every later such execution is a hit: each row's
+//     values go straight into its exact range of that pattern, replayed
+//     from the record's schedule, walked from its bitmap, or computed
+//     by push or Pull under the plan's binding, and a hit over a known
+//     half then copies them to their transposes (knownPhase).
 //
 // Kernels receive a tid to index per-worker accumulator scratch.
 
@@ -153,10 +153,10 @@ func compact[T any](rows, cols int, offsets, counts []int64, tmpIdx []int32, tmp
 // straight into their ranges of a fresh value array — [RowPtr[i],
 // RowPtr[i+1]), or their own halves (symHalf.span) over a known half —
 // with no slab and no compaction, and the result shares the pattern's
-// arrays. A half hit then copies every half value to its transpose's
-// position by the record's tpos (copyTransposes) under compact's
-// checkpoint name: each lands outside every row's own range, once, so
-// the rows need no order. es supplies Val under reuseOut.
+// arrays. A hit over a known half then copies every half value to its
+// transpose's position by the record's tpos (copyTransposes) under
+// compact's checkpoint name: each lands outside every row's own range,
+// once, so the rows need no order. es supplies Val under reuseOut.
 func knownPhase[T any](rows, cols int, rec *hitRecord, sch rowSched, k rowsHitFn[T], es *engineScratch[T]) (*sparse.CSR[T], error) {
 	if err := sch.enterPass(PassHitNumeric); err != nil {
 		return nil, err

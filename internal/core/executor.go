@@ -37,8 +37,8 @@ type Executor[T any, S semiring.Semiring[T]] struct {
 	btVal []T
 
 	// Bound kernels, a hit's too, are cached per (plan, A, B, halves)
-	// identity so steady-state executions allocate no closures. hitTier
-	// is the tier of the bound hit, tierNone when there is none.
+	// identity so steady-state executions allocate no closures. hitRec
+	// is the record the bound hit runs by, nil when there is none.
 	lastPlan  *Plan[T, S]
 	lastA     *sparse.CSR[T]
 	lastB     *sparse.CSR[T]
@@ -46,7 +46,7 @@ type Executor[T any, S semiring.Semiring[T]] struct {
 	bound     kernels[T]
 	haveBound bool
 	hit       rowsHitFn[T]
-	hitTier   hitTier
+	hitRec    *hitRecord
 
 	// schedStats and passTimes are the telemetry targets of executions
 	// run with Options.CollectSchedStats; reset at the start of each such
@@ -161,11 +161,11 @@ func (e *Executor[T, S]) kernelsFor(p *Plan[T, S], a, b *sparse.CSR[T], h *symHa
 }
 
 // hitKernelFor is kernelsFor for a plan hit by the record rec
-// (bindHit). A plan publishes one record per kind of hit, whole, so the
-// record's half, or nil for the full product, names it.
+// (bindHit). Both kinds of hit of one plan may run by full-product
+// records, so the record itself, not its half, names the binding.
 func (e *Executor[T, S]) hitKernelFor(p *Plan[T, S], a, b *sparse.CSR[T], rec *hitRecord) rowsHitFn[T] {
-	if !e.bindingOf(p, a, b, rec.half) || e.hitTier == tierNone {
-		e.hit, e.hitTier = bindHit(p, e, a, b, rec), rec.tier()
+	if !e.bindingOf(p, a, b, rec.half) || e.hitRec != rec {
+		e.hit, e.hitRec = bindHit(p, e, a, b, rec), rec
 	}
 	return e.hit
 }
@@ -178,7 +178,7 @@ func (e *Executor[T, S]) bindingOf(p *Plan[T, S], a, b *sparse.CSR[T], h *symHal
 	}
 	e.lastPlan, e.lastA, e.lastB, e.lastHalf = p, a, b, h
 	e.bound, e.hit = kernels[T]{}, nil
-	e.haveBound, e.hitTier = false, tierNone
+	e.haveBound, e.hitRec = false, nil
 	return false
 }
 

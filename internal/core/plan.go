@@ -260,17 +260,17 @@ type hitKind struct {
 
 // hitRecord is everything one kind of plan hit runs by (DESIGN.md §5,
 // "Known pattern"), published whole (Plan.remember): the output pattern
-// the hit writes, which the plan's two kinds share; for a one-triangle
-// hit, the known half it computes — the plan's symmetric analysis with
-// its offsets narrowed to the columns each row's output half holds —
-// and the transpose map knownPhase copies values by; and
-// the tier its hits run in: the product schedule it replays, or nil
-// when its products break the replay rule, and then the dot bitmap it
-// walks, or nil when the plan holds no CSC structure of B or the bitmap
-// breaks its memory rule, and then push and Pull under the plan's own
-// binding. Every output entry of a half lies in the known half, so a
-// hit over it computes the same entries from the same products, in the
-// same order, as an execution over the mask halves.
+// the hit writes, which the plan's two kinds share; the tier its hits
+// run in: the full product's schedule it replays, or nil when the
+// products break the replay rule, and then the dot bitmap it walks, or
+// nil when the plan holds no CSC structure of B or the bitmap breaks
+// its memory rule, and then push and Pull under the plan's own binding;
+// and, for a one-triangle hit that does not replay, the known half it
+// computes — the plan's symmetric analysis with its offsets narrowed to
+// the columns each row's output half holds — and the transpose map
+// knownPhase copies values by. Every output entry of a half lies in the
+// known half, so a hit over it computes the same entries from the same
+// products, in the same order, as an execution over the mask halves.
 //
 //mspgemm:immutable
 type hitRecord struct {
@@ -299,7 +299,7 @@ func (r *hitRecord) bytes() int64 {
 // hitTier is the tier a record's hits run in (DESIGN.md §5, "Bitmap
 // hits"): push and Pull under the plan's binding, replaying its product
 // schedule, or walking its dot bitmap. tierNone is the tier of no
-// record, and of an executor that has bound no hit (Executor.hitTier).
+// record, and so of an executor that has bound no hit (Executor.hitRec).
 type hitTier int
 
 const (
@@ -342,13 +342,16 @@ func (r *hitRecord) tierBytes() int64 {
 // result over (a, b) is out. The first is only counted, so a plan that
 // runs once, a cold miss whose entry is evicted before the structure
 // recurs, charges nothing for a record no request reads. The execution
-// that counts the second alone builds the kind's whole record from out,
-// its schedule, or its dot bitmap when the replay rule refuses one, at
-// width threads, publishes it, and charges its bytes to
-// the plan's cache entry at once, with the pattern's when the record is
-// the first to share it. A half execution's out is as mirrorPass wrote
-// it: each output row's entries on the computed side of the diagonal
-// are exactly its computed half.
+// that counts the second alone builds the kind's whole record from out
+// at width threads, publishes it, and charges its bytes to the plan's
+// cache entry at once, with the pattern's when the record is the first
+// to share it. The record replays the full product's schedule where the
+// replay rule allows one, a half execution's too once its known half's
+// products fit the rule (DESIGN.md §5, "The full product first"), and
+// otherwise keeps a half's known half and transpose map, and its dot
+// bitmap. A half execution's out is as mirrorPass wrote it: each output
+// row's entries on the computed side of the diagonal are exactly its
+// computed half.
 //
 //mspgemm:planwrite
 func (p *Plan[T, S]) remember(k *hitKind, h *symHalf, out, a, b *sparse.CSR[T], threads int) {
@@ -358,37 +361,43 @@ func (p *Plan[T, S]) remember(k *hitKind, h *symHalf, out, a, b *sparse.CSR[T], 
 	pat, charge := p.sharePattern(out)
 	rec := &hitRecord{pat: pat}
 	if h != nil {
-		rows, rowPtr, colIdx := out.Rows, pat.rowPtr, pat.colIdx
 		half := *h
-		off := halfOffsets(rowPtr, colIdx, half.upper)
-		half.off = off
-		// Row c's other entries, the transposes (c, j) of the half entries
-		// (j, c), sit after its half in the lower triangle and before it in
-		// the upper, in ascending j, so one cursor per row, met in row
-		// order, places them all.
-		next := make([]int64, rows)
-		for c := range rows {
-			next[c] = rowPtr[c]
-			if !half.upper {
-				next[c] += off[c+1] - off[c]
-			}
-		}
-		tpos := make([]int32, off[rows])
-		for i := range rows {
-			lo, hi := half.span(rowPtr, i)
-			row := tpos[off[i]:off[i+1]]
-			for q, c := range colIdx[lo:hi] {
-				if int(c) == i {
-					row[q] = int32(lo) + int32(q)
-					continue
-				}
-				row[q] = int32(next[c])
-				next[c]++
-			}
-		}
-		rec.half, rec.tpos = &half, tpos
+		half.off = halfOffsets(pat.rowPtr, pat.colIdx, half.upper)
+		rec.half = &half
 	}
-	if rec.sched = p.buildSchedule(rec, a, b, threads); rec.sched == nil {
+	if rec.half == nil || p.productCounts(rec, a, b, threads) != nil {
+		if sched := p.buildSchedule(pat, a, b, threads); sched != nil {
+			rec = &hitRecord{pat: pat, sched: sched}
+		}
+	}
+	if rec.sched == nil {
+		if h := rec.half; h != nil {
+			// Row c's other entries, the transposes (c, j) of the half
+			// entries (j, c), sit after its half in the lower triangle and
+			// before it in the upper, in ascending j, so one cursor per
+			// row, met in row order, places them all.
+			rows, rowPtr, colIdx, off := out.Rows, pat.rowPtr, pat.colIdx, h.off
+			next := make([]int64, rows)
+			for c := range rows {
+				next[c] = rowPtr[c]
+				if !h.upper {
+					next[c] += off[c+1] - off[c]
+				}
+			}
+			rec.tpos = make([]int32, off[rows])
+			for i := range rows {
+				lo, hi := h.span(rowPtr, i)
+				row := rec.tpos[off[i]:off[i+1]]
+				for q, c := range colIdx[lo:hi] {
+					if int(c) == i {
+						row[q] = int32(lo) + int32(q)
+						continue
+					}
+					row[q] = int32(next[c])
+					next[c]++
+				}
+			}
+		}
 		rec.dots = p.buildDots(rec, a, threads)
 	}
 	k.rec.Store(rec)
@@ -483,9 +492,10 @@ func (p *Plan[T, S]) Execute(a, b *sparse.CSR[T]) (*sparse.CSR[T], error) {
 // the internal scratch is pooled — except on a plan a PlanCache built
 // over the served semiring, PlusTimes[float64] (ownedBy). Such a plan's second clean one-phase execution of each kind, full
 // product or one triangle, publishes the kind's record — the output
-// pattern, a known half and the product schedule or dot bitmap,
-// together — and every later execution of that kind is a hit that runs
-// by it, under the plan's binding when the record keeps neither. The
+// pattern with the full product's schedule, or with a known half or
+// none and the dot bitmap, together — and every later execution of
+// that kind is a hit that runs by it, under the plan's binding when the
+// record keeps neither schedule nor bitmap. The
 // publishing result and every hit's share RowPtr and ColIdx with the
 // plan's remembered output pattern: treat them as read-only, and Clone
 // a result to own every array. A push/Pull hit trusts the pattern on

@@ -66,16 +66,14 @@ var errPlanningPanicked = errors.New("core: concurrent plan analysis panicked; r
 // mutated; Clone one to own its arrays. The pattern's 8·(rows+1) +
 // 4·nnz bytes are charged to the plan's entry, and to the MemBudget,
 // once, when it is published, and leave with the entry. A one-triangle
-// plan likewise remembers the known half of its second clean half
-// execution, with that execution's output pattern and a transpose map:
-// later half executions compute only the known columns, write them in
-// place into results that share the pattern, and the known half's
-// bytes are charged the same way. With a pattern or a known half, a
-// plan decides once whether its hits replay a product schedule
-// (DESIGN.md §5, "Replayed hits"): it keeps one only if it holds at
-// most two products per computed entry, about 20 bytes per entry,
-// charged the same way. A plan over that bound that holds B's CSC
-// structure keeps a dot bitmap instead, under its own memory rule
+// plan likewise remembers the output pattern of its second clean half
+// execution. A plan decides once whether its hits replay the full
+// product's schedule (DESIGN.md §5, "Replayed hits"): it keeps one only
+// if the product, and a one-triangle plan's known half, hold at most two
+// products per entry, about 20 bytes per entry, charged the same way.
+// Without one, a one-triangle plan keeps its known half and a transpose
+// map, and its hits compute only the known columns; a plan that holds
+// B's CSC structure keeps a dot bitmap, under its own memory rule
 // ("Bitmap hits"); a plan that keeps neither charges nothing more, and
 // its hits run push and Pull under the plan's binding.
 type PlanCache[T any, S semiring.Semiring[T]] struct {
@@ -517,8 +515,8 @@ type PlanCacheStats struct {
 	// when no cached plan carries a per-row binding its hits run.
 	HybridFamilyRows map[string]int64 `json:"hybrid_family_rows,omitempty"`
 	// ReplayedPlans counts the cached plans whose hits replay a product
-	// schedule (DESIGN.md §5, "Replayed hits"): those of their known
-	// half once they have published one, their full-product hits
+	// schedule (DESIGN.md §5, "Replayed hits"): their one-triangle hits
+	// once they have published that record, their full-product hits
 	// otherwise.
 	ReplayedPlans int `json:"replayed_plans"`
 	// BitmapPlans counts the cached plans whose hits, by the same rule,

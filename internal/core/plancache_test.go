@@ -697,12 +697,14 @@ func TestPlanCacheStatsHybridFamilyRows(t *testing.T) {
 // TestPlanCacheStatsKnownHalfFamilyRows checks that Stats reports the
 // binding plan hits run on a symmetric self-product under Hybrid: the
 // plan's one binding, over its mask halves, before the plan publishes
-// its known half, on its second half execution, and after it too for a
-// dense product, whose hits break the memory rules of the product
-// schedule and the dot bitmap and run push and Pull under that binding,
-// and none for er-warm-inline's, whose hits replay a product schedule,
-// or for a tc-skew-ref-like product's (an R-MAT graph relabeled hubs
-// last), whose hits walk a dot bitmap: both run no family, and Stats
+// its one-triangle record, on its second half execution, and after it
+// too for a dense product, whose known half breaks the memory rules of
+// the product schedule and the dot bitmap and runs push and Pull under
+// that binding, and none for er-warm-inline's, whose record is its full
+// product's, with no known half and no transpose map, and replays its
+// schedule bit-identically to a fresh plan, or for a tc-skew-ref-like
+// product's (an R-MAT graph relabeled hubs last), whose known half
+// walks a dot bitmap: both run no family, and Stats
 // counts such a plan in ReplayedPlans or BitmapPlans instead, with its
 // schedule's or bitmap's bytes in ScheduleBytes. With both, two
 // executions on asymmetric values follow, so the plan publishes both
@@ -740,12 +742,13 @@ func TestPlanCacheStatsKnownHalfFamilyRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		maskHalves := famRows(p.FamilyRows(), p.polyFams)
+		var hit *sparse.CSR[float64]
 		for run := range 3 {
 			if st := cache.Stats(); run < 2 && (!maps.Equal(st.HybridFamilyRows, maskHalves) || st.ReplayedPlans != 0 || st.BitmapPlans != 0 || st.ScheduleBytes != 0) {
 				t.Fatalf("%s before run %d: Stats reports %+v, want the mask halves' %v and no replayed plan", c.name, run, st, maskHalves)
 			}
 			exec := NewExecutor[float64](ptSR)
-			if _, err := p.ExecuteOnOpts(exec, c.g, c.g, ExecOptions{Threads: 2}); err != nil {
+			if hit, err = p.ExecuteOnOpts(exec, c.g, c.g, ExecOptions{Threads: 2}); err != nil {
 				t.Fatal(err)
 			}
 			if !ranHalf(exec) {
@@ -754,11 +757,19 @@ func TestPlanCacheStatsKnownHalfFamilyRows(t *testing.T) {
 		}
 		kh := p.halfHit.rec.Load()
 		if kh == nil {
-			t.Fatalf("%s: no known half published after two half executions", c.name)
+			t.Fatalf("%s: no one-triangle record published after two half executions", c.name)
 		}
 		if kh.tier() != c.tier {
-			t.Fatalf("%s: the known half's hits run in tier %v, want %v", c.name, kh.tier(), c.tier)
+			t.Fatalf("%s: the one-triangle hits run in tier %v, want %v", c.name, kh.tier(), c.tier)
 		}
+		if full := c.tier == tierReplay; (kh.half == nil) != full || (kh.tpos == nil) != full {
+			t.Fatalf("%s: the one-triangle record keeps a known half %v and a transpose map %v, want neither exactly when it replays", c.name, kh.half != nil, kh.tpos != nil)
+		}
+		want, err := MaskedSpGEMM(ptSR, c.g.PatternView(), c.g, c.g, Options{Algorithm: AlgoHybrid})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkIdentical(t, c.name+" hit", hit, want)
 		schedBytes := kh.tierBytes()
 		if c.both {
 			asym := withSpecialValues(c.g)

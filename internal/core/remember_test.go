@@ -86,19 +86,14 @@ func rememberedBytes(p *Plan[float64, ptSRType]) int64 {
 }
 
 // scheduleCharge is the charge of the product schedule a plan keeps
-// for hits whose result is out over (a, b), counted from the operands:
-// with half set, over the entries of out on the upper (or lower)
-// triangle, diagonal included, and otherwise over all of out. It is 0
-// when the entries hold more than two products each on average: 4
-// bytes per entry and one more, 8 per product, and 8 per row and one
-// more otherwise.
-func scheduleCharge(out, a, b *sparse.CSR[float64], half, upper bool) int64 {
+// for full-product hits whose result is out over (a, b), counted from
+// the operands. It is 0 when the entries hold more than two products
+// each on average: 4 bytes per entry and one more, 8 per product, and 8
+// per row and one more otherwise.
+func scheduleCharge(out, a, b *sparse.CSR[float64]) int64 {
 	var entries, products int64
 	for i := range out.Rows {
 		for _, j := range out.Row(i) {
-			if half && (upper && int(j) < i || !upper && int(j) > i) {
-				continue
-			}
 			entries++
 			for _, k := range a.Row(i) {
 				if _, ok := slices.BinarySearch(b.Row(int(k)), j); ok {
@@ -114,16 +109,23 @@ func scheduleCharge(out, a, b *sparse.CSR[float64], half, upper bool) int64 {
 }
 
 // tierCharge is the charge of what a plan keeps for the tier of hits
-// whose result is out over (a, b), counted from the operands as
-// scheduleCharge counts: the product schedule's when the entries hold
-// at most two products each, and otherwise, when the plan holds B's CSC
-// structure (csc), the dot bitmap's when it holds at most 64 bits per
-// entry — one bit per entry of each computed entry's B column, in
-// 8-byte words, and 8 bytes per row and one more — and 0 when neither
-// is kept.
+// whose result is out over (a, b), counted from the operands: with half
+// set, over the entries of out's known half, the upper (or lower)
+// triangle, diagonal included, and otherwise over all of out. It is
+// the product schedule's of a full product whose entries hold at most
+// two products each (scheduleCharge), since a known half never replays,
+// and otherwise, when the plan holds B's CSC structure (csc), the dot
+// bitmap's when it holds at most 64 bits per entry — one bit per entry
+// of each computed entry's B column, in 8-byte words, and 8 bytes per
+// row and one more — and 0 when neither is kept.
 func tierCharge(out, a, b *sparse.CSR[float64], half, upper, csc bool) int64 {
-	if n := scheduleCharge(out, a, b, half, upper); n > 0 || !csc {
-		return n
+	if !half {
+		if n := scheduleCharge(out, a, b); n > 0 {
+			return n
+		}
+	}
+	if !csc {
+		return 0
 	}
 	colLen := make([]int64, b.Cols)
 	for _, j := range b.ColIdx {
@@ -193,9 +195,9 @@ func sharesKnownHalf(p *Plan[float64, ptSRType], out *sparse.CSR[float64]) bool 
 
 // rememberProduct is one product the remembered-pattern tests run: the
 // operands, whether B is A itself, and, for such a product, whether its
-// known half must hold the edge cases requireHalfShapes checks. A dense
-// product runs plain masks only, at 3 threads, to keep its cost
-// down.
+// known half must hold the edge cases requireHalfShapes checks, which
+// only a half that breaks the replay rule keeps. A dense product runs
+// plain masks only, at 3 threads, to keep its cost down.
 type rememberProduct struct {
 	name    string
 	mask    *sparse.Pattern
@@ -218,7 +220,9 @@ func rememberProducts() []rememberProduct {
 		out = append(out, rememberProduct{name: fmt.Sprintf("symmetric-hubsLast=%v", hubsLast), mask: g.PatternView(), a: g, b: g, selfSym: true, shapes: true})
 	}
 	g := sparseSymGraph(128, 7)
-	out = append(out, rememberProduct{name: "sparse-symmetric", mask: g.PatternView(), a: g, b: g, selfSym: true, shapes: true})
+	out = append(out, rememberProduct{name: "sparse-symmetric", mask: g.PatternView(), a: g, b: g, selfSym: true})
+	g = k5WithLoops(7)
+	out = append(out, rememberProduct{name: "k5-loops", mask: g.PatternView(), a: g, b: g, selfSym: true})
 	g = denseSymGraph(7)
 	out = append(out, rememberProduct{name: "dense-symmetric", mask: g.PatternView(), a: g, b: g, selfSym: true, shapes: true, dense: true})
 	return out
@@ -254,11 +258,37 @@ func denseSymGraph(seed uint64) *sparse.CSR[float64] {
 
 // sparseSymGraph is a symmetrized ER(n, 1) graph with symGraph's loops
 // and values, drawn from seed: its self-product's output entries hold
-// one or two products each, so its hits replay a product schedule
-// (DESIGN.md §5, "Replayed hits"), where the R-MAT products break its
-// memory rule and walk a dot bitmap.
+// one or two products each, so its hits, one-triangle hits too, replay
+// its full product's schedule (DESIGN.md §5, "Replayed hits"), where
+// the R-MAT products break the memory rule and walk a dot bitmap.
 func sparseSymGraph(n int, seed uint64) *sparse.CSR[float64] {
 	return withSymLoops(gen.Symmetrize(gen.ErdosRenyi(n, 1, seed)), true)
+}
+
+// k5WithLoops is the edge product of the replay rule: K₅ without self
+// loops, and 10 isolated vertices with a self loop each, on 15 vertices
+// labelled by a permutation drawn from seed, with symValue's values.
+// Its self-product's known half holds 40 products over 20 entries, at
+// the rule, and its full product 70 over 30, over it, so its
+// one-triangle hits keep the known half and walk its dot bitmap
+// (Plan.remember).
+func k5WithLoops(seed uint64) *sparse.CSR[float64] {
+	const n = 15
+	perm := gen.NewRNG(seed).Perm(n)
+	coo := sparse.NewCOO[float64](n, n, 30)
+	for i := range n {
+		for j := range n {
+			if i < 5 && j < 5 && i != j || i >= 5 && i == j {
+				pi, pj := perm[i], perm[j]
+				coo.Append(pi, pj, symValue(int(pi), int(pj)))
+			}
+		}
+	}
+	g, err := coo.ToCSR(func(x, _ float64) float64 { return x })
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // rememberSchemes are every registered scheme and four Hybrid menus.
@@ -286,17 +316,21 @@ func rememberSchemes() []Options {
 // triangles, with diagonal entries, empty rows and rows whose output
 // half is empty) run the planned values, the scaled ones and symmetric
 // special values, all one triangle, so the scaled run publishes the
-// known half and the third computes it in place; then two asymmetric
+// one-triangle record — the full product's schedule where the known
+// half fits the replay rule and so does the full product, the known
+// half otherwise — and the third hits it in place; then two asymmetric
 // special value sets run the full product, the second remembering its
 // pattern; then the planned values, symmetric again, run the known
 // half, and the scaled symmetric specials, the asymmetric specials and
 // the scaled values alternate the two once more. From the publishing
-// run on, every half result shares the known half's output pattern.
-// Both kinds of hit run in all three tiers: the sparse products replay
-// a product schedule, the R-MAT products (the hubs-last one
-// tc-skew-ref's shape at small size) walk a dot bitmap where the plan
-// holds B's CSC structure, and the dense symmetric product and the
-// plans without that structure run push and Pull.
+// run on, every half result shares the record's output pattern, and no
+// known half holds a schedule. Both kinds of hit run in all three
+// tiers: the sparse products replay a full product's schedule, the
+// R-MAT products (the hubs-last one tc-skew-ref's shape at small size)
+// and the K₅ product, whose half fits the replay rule but whose full
+// product does not, walk a dot bitmap where the plan holds B's CSC
+// structure, and the dense symmetric product and the plans without that
+// structure run push and Pull.
 func TestRememberedPatternBitIdentical(t *testing.T) {
 	scaled := func(m *sparse.CSR[float64]) *sparse.CSR[float64] {
 		return withValues(m, func(_ int, v float64) float64 { return -1.5 * v })
@@ -358,7 +392,8 @@ func TestRememberedPatternBitIdentical(t *testing.T) {
 }
 
 // hitCell is one kind of plan hit: full-product or one-triangle, and
-// the tier it ran in.
+// the tier it ran in. A one-triangle hit replays by a full-product
+// record.
 type hitCell struct {
 	half bool
 	tier hitTier
@@ -430,6 +465,9 @@ func checkRememberedRuns(t *testing.T, name string, pr rememberProduct, values [
 		case !half && full != nil:
 			cells[hitCell{false, full.tier()}] = true
 		}
+		if kh := plan.halfHit.rec.Load(); kh != nil && ((kh.half == nil) != (kh.tier() == tierReplay) || (kh.half == nil) != (kh.tpos == nil)) {
+			t.Fatalf("%s run %d: a one-triangle record in tier %v holds a known half %v and a transpose map %v; only a full product replays", name, run, kh.tier(), kh.half != nil, kh.tpos != nil)
+		}
 		fresh, err := NewPlan(ptSR, pr.mask, ab[0], ab[1], opt, nil)
 		if err != nil {
 			t.Fatalf("%s run %d: %v", name, run, err)
@@ -466,7 +504,7 @@ func checkRememberedRuns(t *testing.T, name string, pr rememberProduct, values [
 			t.Fatalf("%s run %d: the first half execution published a known half", name, run)
 		case halfRuns >= 2 && kh == nil:
 			t.Fatalf("%s run %d: a second or later half execution of a cached plan left no known half", name, run)
-		case halfRuns >= 3 && exec.lastHalf != kh.half:
+		case halfRuns >= 3 && exec.hitRec != kh:
 			t.Fatalf("%s run %d: a half execution after the known half was published did not compute it", name, run)
 		case halfRuns >= 2 && !sharesKnownHalf(plan, got):
 			t.Fatalf("%s run %d: a half result from the publishing execution on does not share the known half's pattern", name, run)
@@ -528,14 +566,15 @@ func rememberBudgetCase(seed uint64) (*sparse.Pattern, *sparse.CSR[float64], *sp
 
 // rememberCase is one product the publishing and charging tests run,
 // and what its cache-built plan remembers: the output pattern of the
-// complemented rememberBudgetCase, or, with half set, the known half of
-// a symmetric self-product under Hybrid, er-warm-inline's shape at
-// small size, denser or sparser, or tc-skew-ref's. tier is the tier the
-// plan's hits run in: replaying a product schedule when the products
-// hold at most two products per computed entry (DESIGN.md §5,
-// "Replayed hits"), walking a dot bitmap when they hold more and the
-// bitmap at most 64 bits per entry ("Bitmap hits"), and push and Pull
-// otherwise.
+// complemented rememberBudgetCase, or, with half set, the one-triangle
+// record of a symmetric self-product under Hybrid, er-warm-inline's
+// shape at small size, denser or sparser, tc-skew-ref's, or the K₅
+// edge product (k5WithLoops). tier is the tier the plan's hits run in:
+// replaying a full product's schedule when its entries hold at most two
+// products each (DESIGN.md §5, "Replayed hits"), walking a dot bitmap
+// when they hold more and the bitmap at most 64 bits per entry ("Bitmap
+// hits"), and push and Pull otherwise. A one-triangle record that does
+// not replay keeps its known half (knownHalf).
 type rememberCase struct {
 	name string
 	mask *sparse.Pattern
@@ -554,30 +593,40 @@ func rememberCases(seed uint64) []rememberCase {
 	sg := sparseSymGraph(128, seed)
 	rg := rmatSymGraph(7, seed, true, false)
 	dg := denseSymGraph(seed)
+	kg := k5WithLoops(seed)
 	return []rememberCase{
 		{name: "pattern", mask: mask, a: a, b: b, opt: opt, tier: tierReplay},
 		{name: "pattern-dense", mask: dMask, a: dA, b: dB, opt: opt, tier: tierPushPull},
 		{name: "known-half", mask: g.PatternView(), a: g, b: g, opt: Options{Algorithm: AlgoHybrid}, half: true, tier: tierBitmap},
-		{name: "known-half-sparse", mask: sg.PatternView(), a: sg, b: sg, opt: Options{Algorithm: AlgoHybrid}, half: true, tier: tierReplay},
+		{name: "half-replays-full", mask: sg.PatternView(), a: sg, b: sg, opt: Options{Algorithm: AlgoHybrid}, half: true, tier: tierReplay},
+		{name: "known-half-k5", mask: kg.PatternView(), a: kg, b: kg, opt: Options{Algorithm: AlgoHybrid}, half: true, tier: tierBitmap},
 		{name: "known-half-rmat", mask: rg.PatternView(), a: rg, b: rg, opt: Options{Algorithm: AlgoHybrid}, half: true, tier: tierBitmap},
 		{name: "known-half-dense", mask: dg.PatternView(), a: dg, b: dg, opt: Options{Algorithm: AlgoHybrid}, half: true, tier: tierPushPull},
 	}
 }
 
+// knownHalf reports whether the case's record keeps a known half: a
+// one-triangle record that does not replay.
+func (c rememberCase) knownHalf() bool {
+	return c.half && c.tier != tierReplay
+}
+
 // checkReplays fails t unless p has published the record of the
-// case's hits, in the case's tier, and none for the other kind of hit.
+// case's hits, in the case's tier, with a known half and its transpose
+// map exactly when the case keeps one, and none for the other kind of
+// hit.
 func (c rememberCase) checkReplays(t *testing.T, p *Plan[float64, ptSRType]) {
 	t.Helper()
 	rec, other := c.record(p), p.halfHit.rec.Load()
 	if c.half {
 		other = p.fullHit.rec.Load()
 	}
-	if rec == nil || rec.tier() != c.tier || other != nil {
-		tier := "none"
+	if rec == nil || rec.tier() != c.tier || other != nil || (rec.half != nil) != c.knownHalf() || (rec.tpos != nil) != c.knownHalf() {
+		tier, half := "none", false
 		if rec != nil {
-			tier = rec.tier().String()
+			tier, half = rec.tier().String(), rec.half != nil
 		}
-		t.Fatalf("%s: record in tier %s, want %v; other kind's record %v", c.name, tier, c.tier, other != nil)
+		t.Fatalf("%s: record in tier %s with a known half %v, want %v and %v; other kind's record %v", c.name, tier, half, c.tier, c.knownHalf(), other != nil)
 	}
 }
 
@@ -619,12 +668,13 @@ func (c rememberCase) shares(p *Plan[float64, ptSRType], out *sparse.CSR[float64
 // execution whose result is out, counted from out and the case's
 // operands, or 0 when p has not remembered it: the output pattern
 // (patternBytes), for a known half its own arrays too (knownHalfBytes),
-// and the product schedule or dot bitmap of its hits (tierCharge).
+// and the product schedule or dot bitmap of its hits (tierCharge), a
+// full product's unless it keeps a known half.
 func (c rememberCase) charge(p *Plan[float64, ptSRType], out *sparse.CSR[float64]) int64 {
 	if !c.published(p) {
 		return 0
 	}
-	if c.half {
+	if c.knownHalf() {
 		kh := p.halfHit.rec.Load()
 		return patternBytes(out) + knownHalfBytes(out) + tierCharge(out, c.a, c.b, true, kh.half.upper, holdsCSC(p))
 	}
@@ -782,17 +832,14 @@ func TestRememberConcurrentFirstExecutions(t *testing.T) {
 }
 
 // ranRecord returns an error unless the execution exec last ran was a
-// hit of plan by the record rec: its kernel bound over rec's half (nil
-// for a full-product record), rec in the tier the products reach
-// (tier), and the kernel bound in that tier.
+// hit of plan bound to the record rec, and rec is in the tier the
+// products reach (tier).
 func ranRecord(exec *Executor[float64, ptSRType], plan *Plan[float64, ptSRType], rec *hitRecord, tier hitTier) error {
 	switch {
-	case exec.lastPlan != plan || exec.hitTier == tierNone || exec.lastHalf != rec.half:
+	case exec.lastPlan != plan || exec.hitRec != rec:
 		return errors.New("an execution that started once the record was visible did not run by it")
 	case rec.tier() != tier:
 		return fmt.Errorf("the record's hits run in tier %v, want %v", rec.tier(), tier)
-	case exec.hitTier != tier:
-		return fmt.Errorf("a hit by the record in tier %v bound tier %v", tier, exec.hitTier)
 	}
 	return nil
 }
@@ -908,38 +955,49 @@ func TestPlanCacheRememberedPatternBudget(t *testing.T) {
 
 	// Alternating values: a symmetric self-product runs symmetric
 	// values twice and asymmetric ones twice, in either order, and so
-	// publishes both its known half and its full-product pattern. The
-	// two are one pattern, charged once with the half's own arrays, and
-	// each kind of hit has its own schedule or bitmap.
-	g := gen.Symmetrize(gen.ErdosRenyi(128, 6, 96))
-	asym := withSpecialValues(g)
-	for _, halfFirst := range []bool{true, false} {
-		budget := NewMemBudget(0)
-		cache := NewPlanCache(ptSR, 0)
-		cache.AttachBudget(budget)
-		p, err := cache.GetOrPlan(g.PatternView(), g, g, Options{Algorithm: AlgoHybrid})
-		if err != nil {
-			t.Fatal(err)
-		}
-		foot := budget.Used()
-		values := []*sparse.CSR[float64]{g, g, asym, asym}
-		if !halfFirst {
-			values = []*sparse.CSR[float64]{asym, asym, g, g}
-		}
-		var out *sparse.CSR[float64]
-		for _, x := range values {
-			if out, err = p.ExecuteOnOpts(NewExecutor[float64](ptSR), x, x, ExecOptions{Threads: 2}); err != nil {
+	// publishes both its one-triangle record and its full-product one.
+	// The two share one pattern, charged once, and each kind of hit has
+	// its own schedule or bitmap: two full-product schedules for the
+	// sparse ER product, whose half and full product both fit the replay
+	// rule, and for the K₅ product the known half's own arrays and
+	// bitmap beside the full product's bitmap.
+	for _, g := range []*sparse.CSR[float64]{gen.Symmetrize(gen.ErdosRenyi(128, 6, 96)), k5WithLoops(96)} {
+		asym := withSpecialValues(g)
+		for _, halfFirst := range []bool{true, false} {
+			budget := NewMemBudget(0)
+			cache := NewPlanCache(ptSR, 0)
+			cache.AttachBudget(budget)
+			p, err := cache.GetOrPlan(g.PatternView(), g, g, Options{Algorithm: AlgoHybrid})
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		kh, full := p.halfHit.rec.Load(), p.fullHit.rec.Load()
-		if kh == nil || full == nil || kh.pat != full.pat || !sharesPattern(p, out) {
-			t.Fatalf("halfFirst=%v: the known half and the full product do not share one remembered pattern", halfFirst)
-		}
-		want := patternBytes(out) + knownHalfBytes(out) + tierCharge(out, g, g, false, false, true) + tierCharge(out, g, g, true, kh.half.upper, true)
-		if budget.Used() != foot+want || cache.Stats().Bytes != foot+want || rememberedBytes(p) != want {
-			t.Fatalf("halfFirst=%v: budget %d, cache %d, remembered %d bytes, want %d over the %d-byte plan (the pattern once, the half's own arrays and both tiers' records)",
-				halfFirst, budget.Used(), cache.Stats().Bytes, rememberedBytes(p), want, foot)
+			foot := budget.Used()
+			values := []*sparse.CSR[float64]{g, g, asym, asym}
+			if !halfFirst {
+				values = []*sparse.CSR[float64]{asym, asym, g, g}
+			}
+			var out *sparse.CSR[float64]
+			for _, x := range values {
+				if out, err = p.ExecuteOnOpts(NewExecutor[float64](ptSR), x, x, ExecOptions{Threads: 2}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			name := fmt.Sprintf("%d rows, halfFirst=%v", g.Rows, halfFirst)
+			kh, full := p.halfHit.rec.Load(), p.fullHit.rec.Load()
+			if kh == nil || full == nil || kh.pat != full.pat || !sharesPattern(p, out) {
+				t.Fatalf("%s: the one-triangle and the full-product records do not share one remembered pattern", name)
+			}
+			want := patternBytes(out) + 2*tierCharge(out, g, g, false, false, true)
+			if kh.half != nil {
+				want = patternBytes(out) + knownHalfBytes(out) + tierCharge(out, g, g, false, false, true) + tierCharge(out, g, g, true, kh.half.upper, true)
+			}
+			if (kh.half == nil) != (g.Rows == 128) {
+				t.Fatalf("%s: the one-triangle record keeps a known half %v", name, kh.half != nil)
+			}
+			if budget.Used() != foot+want || cache.Stats().Bytes != foot+want || rememberedBytes(p) != want {
+				t.Fatalf("%s: budget %d, cache %d, remembered %d bytes, want %d over the %d-byte plan (the pattern once, a known half's own arrays and both kinds' tiers)",
+					name, budget.Used(), cache.Stats().Bytes, rememberedBytes(p), want, foot)
+			}
 		}
 	}
 }
@@ -1265,7 +1323,7 @@ func TestPlanHitGrowsNoSlab(t *testing.T) {
 			}
 			hit := plan.fullHit.rec.Load() != nil && !ranHalf(exec)
 			if kh := plan.halfHit.rec.Load(); c.name == "half" {
-				hit = kh != nil && exec.lastHalf == kh.half
+				hit = kh != nil && exec.hitRec == kh
 			}
 			if !hit {
 				t.Fatalf("%s: the executions were not hits", name)
@@ -1273,6 +1331,58 @@ func TestPlanHitGrowsNoSlab(t *testing.T) {
 			if es := &exec.scratch; es.tmpIdx != nil || es.tmpVal != nil {
 				t.Fatalf("%s: an executor that served only hits grew a %d-entry slab", name, max(len(es.tmpIdx), len(es.tmpVal)))
 			}
+		}
+	}
+}
+
+// TestPlanHitKindsAlternateInPlace runs one executor on one value array
+// of a symmetric self-product, changed in place between executions to
+// symmetric and asymmetric values in turn, after both kinds of record
+// have published. Each hit must bind its own kind's record: on the
+// sparse product both are full-product records over the same operands
+// and the same pattern, so only the record itself tells them apart
+// (Executor.hitKernelFor). Every result must equal a fresh plan's bit
+// for bit. The K₅ and R-MAT products keep a known half beside a
+// full-product record.
+func TestPlanHitKindsAlternateInPlace(t *testing.T) {
+	for _, c := range []struct {
+		g         *sparse.CSR[float64]
+		knownHalf bool
+	}{{sparseSymGraph(128, 5), false}, {k5WithLoops(5), true}, {symGraph(7, true, true), true}} {
+		g, opt := c.g, Options{Algorithm: AlgoHybrid}
+		plan, err := NewPlanCache(ptSR, 0).GetOrPlan(g.PatternView(), g, g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sym, asym := g.Val, withSpecialValues(g).Val
+		x := &sparse.CSR[float64]{Pattern: g.Pattern, Val: slices.Clone(sym)}
+		exec := NewExecutor[float64](ptSR)
+		for run, vals := range [][]float64{sym, sym, asym, asym, sym, asym, sym, sym, asym, sym} {
+			copy(x.Val, vals)
+			half := &vals[0] == &sym[0]
+			name := fmt.Sprintf("%d rows, %d entries, run %d (symmetric %v)", g.Rows, g.NNZ(), run, half)
+			got, err := plan.ExecuteOnOpts(exec, x, x, ExecOptions{Threads: 2})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want, err := MaskedSpGEMM(ptSR, g.PatternView(), x, x, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkIdentical(t, name, got, want)
+			if run < 4 {
+				continue
+			}
+			rec := plan.fullHit.rec.Load()
+			if half {
+				rec = plan.halfHit.rec.Load()
+			}
+			if rec == nil || exec.hitRec != rec {
+				t.Fatalf("%s: the hit did not bind its kind's record", name)
+			}
+		}
+		if kh, full := plan.halfHit.rec.Load(), plan.fullHit.rec.Load(); kh == full || (kh.half != nil) != c.knownHalf || full.half != nil {
+			t.Fatalf("%d rows, %d entries: one-triangle record in tier %v with a known half %v, full-product record with one %v", g.Rows, g.NNZ(), kh.tier(), kh.half != nil, full.half != nil)
 		}
 	}
 }

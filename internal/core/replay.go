@@ -37,10 +37,8 @@ const schedProductsPerEntry = 2
 // values.
 type prodPos struct{ a, b int32 }
 
-// schedule is a plan's product schedule over the computed entries of
-// one kind of hit: the entries of its output pattern, in order, for
-// full-product hits, and those of its known half, row by row in half
-// order (symHalf.off), for one-triangle hits.
+// schedule is a plan's product schedule over the entries of its output
+// pattern, in order: a known half never replays (Plan.remember).
 //
 //mspgemm:immutable
 type schedule struct {
@@ -74,15 +72,10 @@ func (r *hitRecord) span(i int) (int64, int64) {
 	return r.half.span(r.pat.rowPtr, i)
 }
 
-// row returns output row i's computed columns and the index of its
-// first computed entry: its output position in a full product, and its
-// half offset in a known half.
-func (r *hitRecord) row(i int) ([]int32, int64) {
+// row returns output row i's computed columns.
+func (r *hitRecord) row(i int) []int32 {
 	lo, hi := r.span(i)
-	if r.half == nil {
-		return r.pat.colIdx[lo:hi], lo
-	}
-	return r.pat.colIdx[lo:hi], r.half.off[i]
+	return r.pat.colIdx[lo:hi]
 }
 
 // entries returns the number of computed entries.
@@ -93,37 +86,33 @@ func (r *hitRecord) entries(rows int) int64 {
 	return r.half.off[rows]
 }
 
-// buildSchedule returns the schedule of the hits rec records, or nil
-// when it breaks the memory rule, when its positions do not fit an
-// int32, or when an entry has no product (operands whose structure is
-// not the plan's). It runs in two passes over the partitions of the
-// plan's binding:
+// buildSchedule returns the schedule of the full product over the
+// remembered output pattern pat, or nil when it breaks the memory rule,
+// when its positions do not fit an int32, or when an entry has no
+// product (operands whose structure is not the plan's). It runs in two
+// passes over the partitions of the plan's binding:
 //
 //   - count each row's products with the cheaper of push's and Pull's
-//     scans (productsFit) into the schedule's prefix, and stop as soon
+//     scans (productCounts) into the schedule's prefix, and stop as soon
 //     as the total passes the rule, so that refusing costs at most
 //     about one hit;
 //   - scan each row's push products once into a row-local buffer, in
 //     ascending k, and write them into the row's range of the schedule
 //     by a counting sort on their entries, which keeps that order.
-func (p *Plan[T, S]) buildSchedule(rec *hitRecord, a, b *sparse.CSR[T], threads int) *schedule {
-	rows := p.mask.Rows
-	entries := rec.entries(rows)
-	limit := schedProductsPerEntry * entries
-	if limit > math.MaxInt32 || a.NNZ() > math.MaxInt32 || b.NNZ() > math.MaxInt32 {
+func (p *Plan[T, S]) buildSchedule(pat *knownPattern, a, b *sparse.CSR[T], threads int) *schedule {
+	rows, rowPtr, colIdx := p.mask.Rows, pat.rowPtr, pat.colIdx
+	if schedProductsPerEntry*int64(len(colIdx)) > math.MaxInt32 || a.NNZ() > math.MaxInt32 || b.NNZ() > math.MaxInt32 {
 		return nil
 	}
-	bounds := partitions(p.costPrefix, threads, nil)
-	prefix := make([]int64, rows+1)
-	if !p.productsFit(rec, a, b, bounds, threads, limit, prefix) {
+	prefix := p.productCounts(&hitRecord{pat: pat}, a, b, threads)
+	if prefix == nil {
 		return nil
 	}
 	parallel.PrefixSum(prefix)
 	// ptr[e+1] first counts entry e's products, then becomes the end of
 	// its range; each row writes only its own entries' ends.
-	ptr := make([]int32, entries+1)
+	ptr := make([]int32, len(colIdx)+1)
 	prods := make([]prodPos, prefix[rows])
-	m := maskRows{p.mask, rec.half}
 	var bad atomic.Bool
 	type writer struct {
 		at  []int32
@@ -131,7 +120,7 @@ func (p *Plan[T, S]) buildSchedule(rec *hitRecord, a, b *sparse.CSR[T], threads 
 		buf []rowProd
 	}
 	scratch := make([]*writer, threads)
-	parallel.ForEachPartition(bounds, threads, nil, nil, func(lo, hi, tid int) {
+	parallel.ForEachPartition(partitions(p.costPrefix, threads, nil), threads, nil, nil, func(lo, hi, tid int) {
 		w := scratch[tid]
 		if w == nil {
 			w = &writer{at: make([]int32, b.Cols)}
@@ -140,16 +129,16 @@ func (p *Plan[T, S]) buildSchedule(rec *hitRecord, a, b *sparse.CSR[T], threads 
 		at := w.at
 		bRowPtr, bColIdx := b.RowPtr, b.ColIdx
 		for i := lo; i < hi && !bad.Load(); i++ {
-			cols, base := rec.row(i)
+			base := rowPtr[i]
+			cols := colIdx[base:rowPtr[i+1]]
 			for q, j := range cols {
 				at[j] = int32(q) + 1
 			}
-			clip := m.clip(i)
 			aLo := a.RowPtr[i]
 			buf := w.buf[:0]
 			for qa, k := range a.Row(i) {
-				bLo, bHi := clip.cut(qa, bRowPtr[k], bRowPtr[k+1])
-				for t, j := range bColIdx[bLo:bHi] {
+				bLo := bRowPtr[k]
+				for t, j := range bColIdx[bLo:bRowPtr[k+1]] {
 					if q := at[j]; q != 0 {
 						buf = append(buf, rowProd{q: q - 1, pos: prodPos{a: int32(aLo) + int32(qa), b: int32(bLo) + int32(t)}})
 						ptr[base+int64(q)]++
@@ -198,14 +187,19 @@ type rowProd struct {
 	pos prodPos
 }
 
-// productsFit reports whether the hits rec records have at most limit
-// products. Each row counts them with the cheaper of its two scans: the
-// hits of its dots over B's CSC structure, when the plan holds one
-// (cscOfB), which scan its known columns (colScan), or the products its
-// B rows, cut by its clips, land on known columns (rowScan). Both find
-// the same products. Row i's count goes to counts[i]. The count stops
-// once its running total, added to after each row, passes limit.
-func (p *Plan[T, S]) productsFit(rec *hitRecord, a, b *sparse.CSR[T], bounds []int, threads int, limit int64, counts []int64) bool {
+// productCounts returns the product count of each row of the hits rec
+// records (len rows+1, the last 0), or nil when they hold more than
+// schedProductsPerEntry products per computed entry. Each row counts
+// them with the cheaper of its two scans over the partitions of the
+// plan's binding: the hits of its dots over B's CSC structure, when the
+// plan holds one (cscOfB), which scan its known columns (colScan), or
+// the products its B rows, cut by its clips, land on known columns
+// (rowScan). Both find the same products. The count stops once its
+// running total, added to after each row, passes the rule.
+func (p *Plan[T, S]) productCounts(rec *hitRecord, a, b *sparse.CSR[T], threads int) []int64 {
+	rows := p.mask.Rows
+	limit := schedProductsPerEntry * rec.entries(rows)
+	counts := make([]int64, rows+1)
 	// A plan without B's CSC structure (push-only plans, and SS:DOT*,
 	// which transposes per execution) counts every row by push.
 	colPtr, rowIdx := p.cscOfB()
@@ -214,15 +208,14 @@ func (p *Plan[T, S]) productsFit(rec *hitRecord, a, b *sparse.CSR[T], bounds []i
 	over := new(parallel.CancelToken)
 	type counter struct{ known, aRow []uint64 }
 	scratch := make([]*counter, threads)
-	parallel.ForEachPartition(bounds, threads, nil, over, func(lo, hi, tid int) {
+	parallel.ForEachPartition(partitions(p.costPrefix, threads, nil), threads, nil, over, func(lo, hi, tid int) {
 		c := scratch[tid]
 		if c == nil {
 			c = &counter{known: make([]uint64, (b.Cols+63)/64), aRow: make([]uint64, (a.Cols+63)/64)}
 			scratch[tid] = c
 		}
 		for i := lo; i < hi && !over.Canceled(); i++ {
-			cols, _ := rec.row(i)
-			aCols, clip := a.Row(i), m.clip(i)
+			cols, aCols, clip := rec.row(i), a.Row(i), m.clip(i)
 			if colPtr != nil && colScan(cols, colPtr) < rowScan(aCols, clip, b.RowPtr) {
 				counts[i] = countPullProducts(c.aRow, aCols, cols, colPtr, rowIdx)
 			} else {
@@ -233,7 +226,10 @@ func (p *Plan[T, S]) productsFit(rec *hitRecord, a, b *sparse.CSR[T], bounds []i
 			}
 		}
 	})
-	return !over.Canceled()
+	if over.Canceled() {
+		return nil
+	}
+	return counts
 }
 
 // countPullProducts returns the products of one Pull row: the A
@@ -277,37 +273,20 @@ func countPushProducts(bits []uint64, cols, aCols []int32, clip bClip, bRowPtr [
 }
 
 // bindReplay binds the replay kernel of a plan hit by the record rec,
-// which holds a product schedule, to (a, b): the entries of each row
-// replay their products through replayRow64 (replayRows).
+// which holds a product schedule, to (a, b): the rows [lo, hi) hold
+// consecutive entries, in output order, so each partition replays its
+// products' range of the schedule's ptr over A's and B's values in one
+// call to replayRow64, after firing fi's row hook for each row.
 func bindReplay(a, b *sparse.CSR[float64], rec *hitRecord) rowsHitFn[float64] {
-	return func(lo, hi, _ int, val []float64, fi *faultinject.Hooks) {
-		replayRows(rec, lo, hi, a.Val, b.Val, val, fi)
-	}
-}
-
-// replayRows writes the values of the hit rows [lo, hi) of rec into
-// val, each row's entries replayed from their products' range of the
-// schedule's ptr over A's values aVal and B's values bVal, after firing
-// fi's row hook for each row. A full product's rows hold consecutive
-// entries, in output order, so they replay in one call; a known half's
-// rows replay one by one into their half's range (symHalf.span).
-func replayRows(rec *hitRecord, lo, hi int, aVal, bVal, val []float64, fi *faultinject.Hooks) {
-	if fi != nil {
-		for i := lo; i < hi; i++ {
-			fi.Row(faultinject.PassNumeric, i)
-		}
-	}
 	rowPtr, ptr, prods := rec.pat.rowPtr, rec.sched.ptr, rec.sched.prods
-	if rec.half == nil {
-		at, end := rowPtr[lo], rowPtr[hi]
-		replayRow64(aVal, bVal, ptr[at:end+1], prods, val[at:end])
-		return
-	}
-	for i := lo; i < hi; i++ {
-		if at, end := rec.half.span(rowPtr, i); at < end {
-			e := rec.half.off[i]
-			replayRow64(aVal, bVal, ptr[e:e+end-at+1], prods, val[at:end])
+	return func(lo, hi, _ int, val []float64, fi *faultinject.Hooks) {
+		if fi != nil {
+			for i := lo; i < hi; i++ {
+				fi.Row(faultinject.PassNumeric, i)
+			}
 		}
+		at, end := rowPtr[lo], rowPtr[hi]
+		replayRow64(a.Val, b.Val, ptr[at:end+1], prods, val[at:end])
 	}
 }
 

@@ -32,8 +32,9 @@ type replayProduct struct {
 }
 
 // replayProducts returns a complemented full product, a plain full
-// product whose mask is the pattern of A·B itself, and a one-triangle
-// product, each under the memory rule.
+// product whose mask is the pattern of A·B itself, and a symmetric
+// self-product whose one-triangle hits replay its full product's
+// schedule, each under the memory rule.
 func replayProducts() []replayProduct {
 	cmask, ca, cb, copt := rememberBudgetCase(101)
 	pa := gen.Random(64, 64, 2, 102)
@@ -106,8 +107,8 @@ func checkGenericBesideHits(t *testing.T, r replayProduct, tier hitTier) {
 			}
 			checkIdentical(t, fmt.Sprintf("%s/generic run %d", name, run), got, want)
 		}
-		if exec.hitTier != tier {
-			t.Fatalf("%s: the float64 plan's last run was a hit in tier %v, want %v", name, exec.hitTier, tier)
+		if exec.hitRec.tier() != tier {
+			t.Fatalf("%s: the float64 plan's last run was a hit in tier %v, want %v", name, exec.hitRec.tier(), tier)
 		}
 		if twin.fullHit.rec.Load() != nil || twin.halfHit.rec.Load() != nil || twin.shared.Load() != nil {
 			t.Fatalf("%s: a cached plan over another semiring remembered", name)
@@ -139,12 +140,13 @@ func scheduled[T any, S semiring.Semiring[T]](p *Plan[T, S], half bool) bool {
 }
 
 // TestChaosReplayedHit interrupts replayed hits — a cancel at the
-// numeric checkpoint, one at the compact checkpoint (a one-triangle
-// hit's transpose copy; a full-product hit has no such pass and
-// completes), and a row panic in the numeric pass — at 1 and 4
-// threads. Each interrupted hit returns a typed fault and no result,
-// charges nothing and leaves the schedule in place, and the next clean
-// hit, on a fresh executor, replays it bit-identically to a fresh plan.
+// numeric checkpoint, one at the compact checkpoint, which a replayed
+// hit has no pass for, a one-triangle hit's included, so it completes,
+// and a row panic in the numeric pass — at 1 and 4 threads. Each
+// interrupted hit returns a typed fault and no result, charges nothing
+// and leaves the schedule in place, and the next clean hit, on a fresh
+// executor, replays it bit-identically to a fresh plan. A known half's
+// transpose copy is interrupted by TestChaosSymmetricInPlaceHit.
 func TestChaosReplayedHit(t *testing.T) {
 	t.Cleanup(faultinject.Disarm)
 	for _, r := range replayProducts() {
@@ -181,13 +183,13 @@ func TestChaosReplayedHit(t *testing.T) {
 				exec := NewExecutor[float64](ptSR)
 				out, err := plan.ExecuteOnOpts(exec, r.a, r.b, eo)
 				faultinject.Disarm()
-				if exec.hitTier != tierReplay {
+				if exec.hitRec.tier() != tierReplay {
 					t.Fatalf("%s: the hit did not replay", name)
 				}
 				var ce *CanceledError
 				var kp *KernelPanicError
 				switch {
-				case fault.CancelPass == faultinject.PassCompact && !r.half:
+				case fault.CancelPass == faultinject.PassCompact:
 					if err != nil {
 						t.Fatalf("%s: %v, want a clean full-product hit", name, err)
 					}
@@ -237,17 +239,14 @@ func TestReplayedHitAllocs(t *testing.T) {
 				nnz = out.NNZ()
 			}
 			run()
-			if exec.hitTier != tierReplay {
+			if exec.hitRec.tier() != tierReplay {
 				t.Fatalf("%s: the hit did not replay", name)
 			}
 			// A parallel pass adds the scheduler's own bookkeeping: its
 			// goroutines, wait group and claim counter.
-			maxAllocs, passes := 4.0, 1.0
-			if r.half {
-				passes = 2 // the transpose copy
-			}
+			maxAllocs := 4.0
 			if threads > 1 {
-				maxAllocs += 10 * passes
+				maxAllocs += 10
 			}
 			if allocs := testing.AllocsPerRun(20, run); allocs > maxAllocs {
 				t.Errorf("%s: a replayed hit makes %v allocations, want at most %v", name, allocs, maxAllocs)
@@ -281,12 +280,13 @@ func TestReplayedHitAllocs(t *testing.T) {
 // pass it ran and 0 for the others — numeric and compact for a
 // one-phase first execution, numeric and mirror for a one-triangle
 // one, symbolic and numeric for a two-phase one, the hit's numeric pass
-// for a full-product hit, and its numeric pass and transpose copy for a
-// one-triangle hit — and an execution without the option leaves the
-// record in place.
+// for a full-product hit, a one-triangle hit that replays its full
+// product's schedule too, and its numeric pass and transpose copy for a
+// hit over a known half — and an execution without the option leaves
+// the record in place.
 func TestPassTimes(t *testing.T) {
 	mask, a, b := buildCase(caseSpec{"", 96, 96, 96, 8, 8, 8, 111})
-	g := sparseSymGraph(128, 112)
+	g, rg := sparseSymGraph(128, 112), symGraph(7, true, true)
 	check := func(name string, exec *Executor[float64, ptSRType], ran ...Pass) {
 		t.Helper()
 		times := exec.PassTimes()
@@ -319,7 +319,8 @@ func TestPassTimes(t *testing.T) {
 		hit   []Pass
 	}{
 		{"full", mask, a, b, PassCompact, []Pass{PassHitNumeric}},
-		{"one-triangle", g.PatternView(), g, g, PassMirror, []Pass{PassHitNumeric, PassTranspose}},
+		{"one-triangle", g.PatternView(), g, g, PassMirror, []Pass{PassHitNumeric}},
+		{"known-half", rg.PatternView(), rg, rg, PassMirror, []Pass{PassHitNumeric, PassTranspose}},
 	} {
 		plan, err := NewPlanCache(ptSR, 0).GetOrPlan(c.mask, c.a, c.b, Options{Algorithm: AlgoHybrid})
 		if err != nil {
@@ -346,10 +347,11 @@ func TestPassTimes(t *testing.T) {
 
 // TestScheduleMatchesReference holds the product schedule of each
 // replayProduct, built at 1 and 3 threads, to one built entry by entry
-// from the operands: for every computed entry (i, j), in record order,
+// from the operands: for every output entry (i, j), in output order,
 // the positions of A's entries (i, k) in ascending k whose B row k holds
 // j, with that entry's position in B, and the rows' exclusive prefix of
-// their product counts.
+// their product counts. The one-triangle product's schedule is its full
+// product's: its record keeps no known half.
 func TestScheduleMatchesReference(t *testing.T) {
 	for _, r := range replayProducts() {
 		for _, threads := range []int{1, 3} {
@@ -367,14 +369,13 @@ func TestScheduleMatchesReference(t *testing.T) {
 			if r.half {
 				rec = plan.halfHit.rec.Load()
 			}
-			if rec == nil || rec.tier() != tierReplay {
-				t.Fatalf("%s: no product schedule kept", name)
+			if rec == nil || rec.tier() != tierReplay || rec.half != nil || rec.tpos != nil {
+				t.Fatalf("%s: no full-product schedule kept", name)
 			}
 			ptr, prefix := []int32{0}, []int64{0}
 			var prods []prodPos
 			for i := range r.mask.Rows {
-				cols, _ := rec.row(i)
-				for _, j := range cols {
+				for _, j := range rec.row(i) {
 					for qa, k := range r.a.Row(i) {
 						bRow := r.b.Row(int(k))
 						if at, ok := slices.BinarySearch(bRow, j); ok {

@@ -16,9 +16,10 @@ import (
 // same k order. Such a product computes only one triangle — every row
 // its mask prefix j ≤ i, or every row its mask suffix j ≥ i — and a
 // mirror pass then writes the full, sorted CSR in place of compact. A
-// plan a PlanCache built remembers that CSR's pattern and a transpose
-// map (hitRecord), and its later half executions write their values
-// straight into it (knownPhase). Restricting the mask row is what
+// plan a PlanCache built remembers that CSR's pattern (hitRecord), and
+// its later half executions write their values straight into it
+// (knownPhase): by replaying the full product, or over a known half
+// and a transpose map. Restricting the mask row is what
 // makes a half row correct; the kernels also clip every scanned B_k
 // row at column i, through the plan's mirror map, so that the scan
 // halves with the output.

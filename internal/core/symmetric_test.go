@@ -79,9 +79,12 @@ func symValue(i, j int) float64 {
 	return float64(x%997+1) / 97
 }
 
-// ranHalf reports whether the executor's last execution computed one
-// triangle.
-func ranHalf[T any, S semiring.Semiring[T]](e *Executor[T, S]) bool { return e.lastHalf != nil }
+// ranHalf reports whether the executor's last execution was of its
+// plan's one-triangle kind: over the mask halves or a known half, or a
+// hit by the full-product record the plan published for that kind.
+func ranHalf[T any, S semiring.Semiring[T]](e *Executor[T, S]) bool {
+	return e.lastHalf != nil || e.hitRec != nil && e.hitRec == e.lastPlan.halfHit.rec.Load()
+}
 
 // halfFamilies are the schemes the equivalence test runs. Each one's
 // half product is bit-identical to its full product: every family sums
@@ -408,7 +411,7 @@ func TestSymmetricKnownHalfAllocs(t *testing.T) {
 			for range 3 { // publish, then warm the hit path
 				hit()
 			}
-			if kh := plan.halfHit.rec.Load(); half && (kh == nil || exec.lastHalf != kh.half) {
+			if kh := plan.halfHit.rec.Load(); half && (kh == nil || exec.hitRec != kh) {
 				t.Fatalf("%v: the warm execution was not an in-place hit", algo)
 			}
 			if !half && (plan.fullHit.rec.Load() == nil || ranHalf(exec)) {

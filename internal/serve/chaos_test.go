@@ -158,6 +158,27 @@ func TestServeExecDeadline(t *testing.T) {
 	checkLeaks()
 }
 
+// TestServeHugeExecDeadline pins X-Exec-Deadline-Ms past the largest
+// Duration: such a budget means no execution deadline, so a request
+// whose numeric pass is held for 50 ms answers 200, at the first value
+// that would overflow and at one whose product wraps to a budget of
+// under a millisecond.
+func TestServeHugeExecDeadline(t *testing.T) {
+	t.Cleanup(faultinject.Disarm)
+	srv := New(Config{MaxInFlight: 1})
+	h := servetest.Start(t, srv)
+	body := servetest.EncodeSerial(t, maskedspgemm.ErdosRenyi(96, 6, 63))
+	faultinject.Arm(faultinject.Hooks{Delay: 50 * time.Millisecond, DelayPass: faultinject.PassNumeric})
+	for _, ms := range []string{"9223372036855", "18446744073710"} {
+		if resp := h.Post("/v1/multiply", body, map[string]string{"X-Exec-Deadline-Ms": ms}); resp.Status != http.StatusOK {
+			t.Fatalf("X-Exec-Deadline-Ms: %s: status %d, want 200: %s", ms, resp.Status, resp.Body)
+		}
+	}
+	if st := getStats(t, h); st.Session.Faults.ExecCanceled != 0 {
+		t.Fatalf("exec_canceled = %d, want 0", st.Session.Faults.ExecCanceled)
+	}
+}
+
 // TestServeDisconnectFreesSlot is the raw-socket disconnect pin: with
 // one execution slot and a numeric pass held open by fault injection, a
 // client that uploads a full request and drops the connection must have

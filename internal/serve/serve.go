@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"strconv"
@@ -506,7 +507,8 @@ func (s *Server) retryAfter(w http.ResponseWriter) {
 // default — a client may ask for less patience, not more), else the
 // server default. An explicit 0 means exactly what it says — no
 // patience: the request is served only if a slot is free right now,
-// and shed (429) instead of queued otherwise.
+// and shed (429) instead of queued otherwise. The cap comes before the
+// multiply, so no value overflows.
 func queueDeadline(r *http.Request, def time.Duration) (time.Duration, error) {
 	h := r.Header.Get("X-Queue-Deadline-Ms")
 	if h == "" {
@@ -516,11 +518,10 @@ func queueDeadline(r *http.Request, def time.Duration) (time.Duration, error) {
 	if err != nil || ms < 0 {
 		return 0, fmt.Errorf("serve: X-Queue-Deadline-Ms must be a non-negative integer, got %q", h)
 	}
-	d := time.Duration(ms) * time.Millisecond
-	if d > def {
+	if time.Duration(ms) > def/time.Millisecond {
 		return def, nil
 	}
-	return d, nil
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
 // execDeadline parses the X-Exec-Deadline-Ms header: the client's
@@ -528,7 +529,8 @@ func queueDeadline(r *http.Request, def time.Duration) (time.Duration, error) {
 // admitted (queueing time is budgeted separately by
 // X-Queue-Deadline-Ms). When the budget expires the kernels stop
 // cooperatively at their next checkpoint and the request answers 503.
-// Absent or 0 means no execution deadline.
+// Absent or 0 means no execution deadline, and so does a budget past
+// the largest Duration, which no execution outlasts.
 func execDeadline(r *http.Request) (time.Duration, error) {
 	h := r.Header.Get("X-Exec-Deadline-Ms")
 	if h == "" {
@@ -537,6 +539,9 @@ func execDeadline(r *http.Request) (time.Duration, error) {
 	ms, err := strconv.Atoi(h)
 	if err != nil || ms < 0 {
 		return 0, fmt.Errorf("serve: X-Exec-Deadline-Ms must be a non-negative integer, got %q", h)
+	}
+	if time.Duration(ms) > math.MaxInt64/time.Millisecond {
+		return 0, nil
 	}
 	return time.Duration(ms) * time.Millisecond, nil
 }

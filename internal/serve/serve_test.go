@@ -743,6 +743,40 @@ func TestServeZeroQueueDeadline(t *testing.T) {
 	}
 }
 
+// TestServeHugeQueueDeadline pins the cap of X-Queue-Deadline-Ms at
+// the server default for a value past the largest Duration: with every
+// slot busy and queue room free, the request queues, rather than being
+// shed (429) as a wrapped, negative patience would have it, and is
+// served once the slot frees.
+func TestServeHugeQueueDeadline(t *testing.T) {
+	srv := New(Config{MaxInFlight: 1, MaxQueue: 4, QueueTimeout: 30 * time.Second})
+	gate := make(chan struct{})
+	srv.execGate = func() { <-gate }
+	h := servetest.Start(t, srv)
+	unpark := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(unpark)
+	body := servetest.EncodeSerial(t, maskedspgemm.ErdosRenyi(64, 4, 50))
+
+	done := make(chan int, 2)
+	go func() {
+		done <- h.Post("/v1/multiply", body, nil).Status
+	}()
+	servetest.WaitFor(t, func() bool { return srv.adm.stats().InFlight == 1 })
+	go func() {
+		done <- h.Post("/v1/multiply", body, map[string]string{"X-Queue-Deadline-Ms": "9223372036855"}).Status
+	}()
+	servetest.WaitFor(t, func() bool { return srv.adm.stats().QueueDepth == 1 })
+	unpark()
+	for range 2 {
+		if code := <-done; code != http.StatusOK {
+			t.Fatalf("status %d, want 200", code)
+		}
+	}
+	if st := srv.adm.stats(); st.Shed != 0 || st.DeadlineExpired != 0 {
+		t.Fatalf("admission stats = %+v, want nothing shed or expired", st)
+	}
+}
+
 // TestServeWarmAdmitted pins that /v1/warm takes a slot from the
 // admission gate multiplies and uploads share. While a parked multiply
 // holds the one slot, a warm that will not queue is shed with 429 and
