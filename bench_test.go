@@ -370,7 +370,11 @@ func BenchmarkComplement(b *testing.B) {
 // 16-entry plan cache, so every request plans. One op is one
 // MultiplyRefs: the lookup keyed by the refs' fingerprints, a plan
 // build that aliases the stored mask and B's shared CSC structure,
-// and the execution. B/op is dominated by the result.
+// and the execution. B/op is dominated by the result. The masks are
+// uploaded in their unit-valued form, so their values alias the
+// store's ones slabs (DESIGN.md §13, "Unit values"): the benchmark
+// reports the store's resident bytes as store-B and fails unless the
+// 24 masks alias at most two slabs.
 func BenchmarkSessionPlanMissRefs(b *testing.B) {
 	const masks, cacheEntries = 24, 16
 	n := 1 << 11
@@ -378,6 +382,7 @@ func BenchmarkSessionPlanMissRefs(b *testing.B) {
 	s := NewSession(WithPlanCacheEntries(cacheEntries))
 	aRef, _ := s.PutOperand(g)
 	fps := make([]uint64, masks)
+	slabs := make(map[*float64]bool)
 	for k := range fps {
 		m := bench.BandedMask(n, bench.SweepDensities, 2+uint64(k))
 		ones := make([]float64, m.NNZ())
@@ -386,6 +391,11 @@ func BenchmarkSessionPlanMissRefs(b *testing.B) {
 		}
 		ref, _ := s.PutOperand(&Matrix{Pattern: *m, Val: ones})
 		fps[k] = ref.Pattern
+		stored, _ := s.Operand(ref)
+		slabs[&stored.Val[0]] = true
+	}
+	if len(slabs) > 2 {
+		b.Fatalf("the %d unit masks alias %d ones slabs, want at most 2", masks, len(slabs))
 	}
 	multiply := func(i int) {
 		if _, err := s.MultiplyRefs(fps[i%masks], aRef, aRef, WithAlgorithm(Hybrid)); err != nil {
@@ -407,6 +417,7 @@ func BenchmarkSessionPlanMissRefs(b *testing.B) {
 	if s.Stats().Cache.Hits != hits {
 		b.Fatal("a round-robin request hit the plan cache; the benchmark must time misses")
 	}
+	b.ReportMetric(float64(s.Stats().Store.Bytes), "store-B")
 }
 
 // BenchmarkSessionPlanHitRefs — plan-cache hits on stored operands.

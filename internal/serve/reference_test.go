@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -294,4 +295,43 @@ func TestServeReferenceWireBytes(t *testing.T) {
 		t.Fatalf("store hits = %d, want the by-ref resolution", got)
 	}
 	t.Logf("inline %d bytes, by-ref %d bytes (%.3f%%)", inlineBytes, refBytes, 100*float64(refBytes)/float64(inlineBytes))
+}
+
+// TestServePatternMaskOnOnesSlab pins the unit-values path over the
+// wire: a Matrix Market pattern file decodes to unit values, so its
+// upload is filed on the store's ones slab (store.unit_bytes is its
+// nnz words, store.bytes charges no values for it), and a multiply
+// masked by its ref matches the library's product.
+func TestServePatternMaskOnOnesSlab(t *testing.T) {
+	h := servetest.Start(t, New(Config{}))
+	g := maskedspgemm.ErdosRenyi(64, 4, 80)
+	mask := maskedspgemm.ErdosRenyi(64, 6, 81).PatternView()
+	var mtx bytes.Buffer
+	fmt.Fprintf(&mtx, "%%%%MatrixMarket matrix coordinate pattern general\n%d %d %d\n", mask.Rows, mask.Cols, mask.NNZ())
+	for i := range mask.Rows {
+		for _, j := range mask.ColIdx[mask.RowPtr[i]:mask.RowPtr[i+1]] {
+			fmt.Fprintf(&mtx, "%d %d\n", i+1, j+1)
+		}
+	}
+	doc := h.Put("/v1/operands", mtx.Bytes(), nil).JSON(t)
+	maskFP := doc.Str("operands.0.pattern")
+	if got, want := doc.Int("store.unit_bytes"), 8*mask.NNZ(); got != want {
+		t.Fatalf("store.unit_bytes = %d after a pattern upload, want its %d words", got, want)
+	}
+	ref := h.Put("/v1/operands", servetest.EncodeSerial(t, g), nil).JSON(t).Str("operands.0.ref")
+	resp := h.Post("/v1/multiply?a="+ref+"&mask="+maskFP+"&format=summary", nil, nil)
+	if resp.Status != http.StatusOK {
+		t.Fatalf("masked by ref: status %d: %s", resp.Status, resp.Body)
+	}
+	want, err := maskedspgemm.Multiply(mask, g, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum resultSummary
+	if err := json.Unmarshal(resp.Body, &sum); err != nil {
+		t.Fatal(err)
+	}
+	if sum != summarize(want) {
+		t.Fatalf("summary %+v, want %+v", sum, summarize(want))
+	}
 }

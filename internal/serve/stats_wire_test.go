@@ -28,6 +28,7 @@ func jsonKeys(m map[string]json.RawMessage) []string {
 // hybrid_family_rows, and the pool block has no poisoned key
 // (faults.executors_discarded reports it). The multiply is sent twice,
 // so store.body_hits reads exactly the one digest hit of the second.
+// Its ER values are not unit, so store.unit_bytes reads 0.
 func TestServeStatsWireGolden(t *testing.T) {
 	h := servetest.Start(t, New(Config{}))
 	body := servetest.EncodeSerial(t, maskedspgemm.ErdosRenyi(48, 4, 71))
@@ -60,7 +61,7 @@ func TestServeStatsWireGolden(t *testing.T) {
 	}
 	want := map[string][]string{
 		"session.cache":    {"bitmap_plans", "bytes", "coalesced_misses", "entries", "evictions", "hits", "hybrid_family_rows", "misses", "replayed_plans", "schedule_bytes"},
-		"session.store":    {"body_hits", "bytes", "evictions", "hits", "misses", "operands", "patterns", "puts", "reputs"},
+		"session.store":    {"body_hits", "bytes", "evictions", "hits", "misses", "operands", "patterns", "puts", "reputs", "unit_bytes"},
 		"session.budget":   {"max_bytes", "used_bytes"},
 		"session.pool":     {"created", "discarded", "idle", "reused"},
 		"session.faults":   {"exec_canceled", "executors_discarded", "kernel_panics"},
@@ -74,6 +75,9 @@ func TestServeStatsWireGolden(t *testing.T) {
 	var bodyHits uint64
 	if err := json.Unmarshal(doc.Session["store"]["body_hits"], &bodyHits); err != nil || bodyHits != 1 {
 		t.Errorf("store.body_hits = %s, want 1 (the second multiply's body)", doc.Session["store"]["body_hits"])
+	}
+	if got := string(doc.Session["store"]["unit_bytes"]); got != "0" {
+		t.Errorf("store.unit_bytes = %s, want 0 (no operand is unit-valued)", got)
 	}
 }
 

@@ -34,8 +34,9 @@ func reconcile(t *testing.T, budget *core.MemBudget, st *Store, cache *core.Plan
 }
 
 // TestInterplayBudgetReconciles pins the shared accounting: after any
-// mix of operand puts and plan builds, the budget's total is the exact
-// sum of the members' bytes.
+// mix of operand puts (unit-valued ones, whose values alias a ones
+// slab, among them), plan builds and evictions, the budget's total is
+// the exact sum of the members' bytes.
 func TestInterplayBudgetReconciles(t *testing.T) {
 	budget, st, cache := newSharedPair(1 << 30)
 	reconcile(t, budget, st, cache)
@@ -49,9 +50,30 @@ func TestInterplayBudgetReconciles(t *testing.T) {
 			t.Fatalf("plan seed %d: %v", seed, err)
 		}
 		reconcile(t, budget, st, cache)
+		// A unit operand of a growing structure: the first makes a slab,
+		// the later ones outgrow it.
+		u := unitOf(gen.ErdosRenyiPattern(64, 2*int(seed), 10+seed))
+		if _, created := st.Put(u); !created {
+			t.Fatalf("unit seed %d not created", seed)
+		}
+		reconcile(t, budget, st, cache)
+		if _, err := cache.GetOrPlan(u.PatternView(), g, u, core.Options{}); err != nil {
+			t.Fatalf("plan by unit seed %d: %v", seed, err)
+		}
+		reconcile(t, budget, st, cache)
 	}
-	if st.StatsSnapshot().Operands != 3 || cache.Stats().Entries != 3 {
+	if st.StatsSnapshot().Operands != 6 || cache.Stats().Entries != 6 || st.StatsSnapshot().UnitBytes == 0 {
 		t.Fatalf("residency: %+v / %+v", st.StatsSnapshot(), cache.Stats())
+	}
+	// A plain operand last, the one entry eviction never yields, then
+	// evict the rest.
+	st.Put(gen.ErdosRenyi(64, 4, 9))
+	reconcile(t, budget, st, cache)
+	for st.BudgetEvict() != 0 {
+		reconcile(t, budget, st, cache)
+	}
+	if st.StatsSnapshot().UnitBytes != 0 {
+		t.Fatalf("slabs outlived every unit operand: %+v", st.StatsSnapshot())
 	}
 }
 
@@ -242,5 +264,95 @@ func TestInterplayConcurrent(t *testing.T) {
 	}
 	if budget.Used() > budget.Max() {
 		t.Fatalf("ended over budget: %d > %d", budget.Used(), budget.Max())
+	}
+}
+
+// TestInterplayUnitSlabReadOnly runs multiplies by two unit-valued
+// operands of different structure, which alias one ones slab, beside
+// unit values deltas that grow new slabs. Run with -race, it pins that
+// no execution writes an operand's values and that filing a slab
+// races with no reader; afterwards every live slab still holds only
+// 1.0 and every product matches one over private unit arrays.
+func TestInterplayUnitSlabReadOnly(t *testing.T) {
+	_, st, cache := newSharedPair(1 << 30)
+	sr := semiring.PlusTimes[float64]{}
+	// The longer structure first, so the second aliases its slab.
+	pats := []*sparse.Pattern{gen.RMATSymmetric(gen.RMATConfig{Scale: 7, EdgeFactor: 8, Seed: 51}).PatternView(), gen.ErdosRenyiPattern(96, 6, 50)}
+	var refs []Ref
+	for _, p := range pats {
+		ref, _ := st.Put(unitOf(p))
+		refs = append(refs, ref)
+	}
+	if slabOf(t, st, refs[0]) != slabOf(t, st, refs[1]) || len(st.slabs) != 1 {
+		t.Fatalf("the two unit operands alias %d slabs, want one", len(st.slabs))
+	}
+	// Structures the deltas re-key as unit values, each larger than the
+	// last, so their puts file new slabs while the multiplies read.
+	var deltas []uint64
+	for k := range 4 {
+		g := gen.ErdosRenyi(128, 8<<k, 60+uint64(k))
+		ref, _ := st.Put(g)
+		deltas = append(deltas, ref.Pattern)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, len(refs)+1)
+	for _, ref := range refs {
+		wg.Add(1)
+		go func(ref Ref) {
+			defer wg.Done()
+			a, _ := st.Get(ref)
+			want, err := core.MaskedSpGEMM(sr, a.PatternView(), unitOf(a.PatternView()), unitOf(a.PatternView()), core.Options{Algorithm: core.AlgoSaxpyThenMask})
+			if err != nil {
+				errs <- err
+				return
+			}
+			fp := core.Fingerprints{Mask: ref.Pattern, A: ref.Pattern, B: ref.Pattern}
+			exec := core.NewExecutor[float64](sr)
+			for range 6 {
+				plan, _, err := cache.GetOrPlanStored(fp, a.PatternView(), a, a, core.Options{})
+				if err != nil {
+					errs <- err
+					return
+				}
+				got, err := plan.ExecuteOnOpts(exec, a, a, core.ExecOptions{Resident: true})
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !sparse.EqualFunc(want, got, sparse.FloatEq(1e-12)) {
+					errs <- fmt.Errorf("%v: a product over the slab differs from one over private unit values", ref)
+					return
+				}
+			}
+		}(ref)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, fp := range deltas {
+			p, _ := st.GetPattern(fp)
+			if _, _, err := st.PutValues(fp, unitOf(p).Val); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if len(st.slabs) < 2 {
+		t.Fatalf("the deltas filed %d slabs, want growth past the first", len(st.slabs))
+	}
+	for _, sl := range st.slabs {
+		for j, v := range sl.vals {
+			if v != 1 {
+				t.Fatalf("slab word %d of %d is %v", j, len(sl.vals), v)
+			}
+		}
 	}
 }

@@ -22,6 +22,13 @@
 // arrays, and is charged for them), and evicting a plan never drops an
 // operand — the two caches only compete for bytes.
 //
+// Unit-valued operands — masks uploaded as their pattern with unit
+// values, Matrix Market pattern files — share one read-only slab of
+// 1.0: such an entry's values alias a prefix of a refcounted,
+// store-owned ones slab charged once, so a stored mask costs its
+// structure, not 8 bytes of 1.0 per entry (DESIGN.md §13, "Unit
+// values").
+//
 // An entry may also carry the digests of the encoded bodies it was
 // decoded from (GetBody, PutBody): a serving layer that sees the same
 // bytes again takes the resident operand instead of decoding them.
@@ -30,6 +37,7 @@ package store
 import (
 	"container/list"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -108,8 +116,10 @@ const maxBodyDigests = 4
 // Put transfers ownership of the matrix to the store — the caller must
 // not mutate it afterwards, and matrices returned by Get are shared
 // with every other reader and with in-flight executions, so they are
-// read-only. Mutating a resident operand would silently falsify its
-// content address; nothing defends against it beyond this contract.
+// read-only. A unit-valued operand's Val aliases a ones slab that other
+// operands share, so writing it would change theirs too. Mutating a
+// resident operand would silently falsify its content address; nothing
+// defends against it beyond this contract.
 type Store struct {
 	budget *core.MemBudget
 
@@ -121,18 +131,25 @@ type Store struct {
 	// decoded from; each digest is also listed on its entry, and leaves
 	// the map when the entry is evicted.
 	bodies map[Digest]*list.Element
-	bytes  int64
+	// slabs are the live ones slabs, smallest first; a new unit-valued
+	// entry aliases the last, and each lives while any entry aliases it.
+	slabs []*onesSlab
+	bytes int64
 
 	hits, misses, evictions uint64
 	puts, reputs, bodyHits  uint64
 }
 
 // entry is one resident value set; its matrix aliases the refcounted
-// shared pattern. bytes covers the values slice and fixed overhead;
-// the pattern's bytes are accounted once on its patternEntry.
+// shared pattern, and a unit-valued one's values alias a ones slab.
+// bytes covers the values slice (none when they alias a slab) and
+// fixed overhead; the pattern's and the slab's bytes are accounted
+// once on their own records.
 type entry struct {
 	ref   Ref
 	m     *sparse.CSR[float64]
+	pat   *patternEntry
+	slab  *onesSlab // nil unless the values are unit
 	bytes int64
 	stamp uint64
 	// digests are the body digests filed on the entry, oldest first, at
@@ -146,6 +163,35 @@ type patternEntry struct {
 	pat   *sparse.Pattern
 	refs  int
 	bytes int64
+	// newest is the most recently used value set of this structure,
+	// which GetPattern touches. The LRU entry is its structure's newest
+	// only when it is the last, so eviction never leaves it stale.
+	newest *list.Element
+}
+
+// onesSlab is a store-owned array of 1.0, never written after it is
+// filled. Every resident unit-valued entry's values alias a prefix of
+// one, clipped to its length; the slab's bytes are charged once while
+// any entry aliases it.
+type onesSlab struct {
+	vals []float64
+	refs int
+}
+
+// bytes is the slab's charge: its words.
+func (sl *onesSlab) bytes() int64 { return int64(len(sl.vals)) * 8 }
+
+// unitValues reports whether vals is nonempty and every word is
+// exactly 1.0, stopping at the first that is not. Only the one bit
+// pattern of 1.0 compares equal to it, so a unit array and a slab
+// prefix of its length hold the same words and the same fingerprint.
+func unitValues(vals []float64) bool {
+	for _, v := range vals {
+		if v != 1 {
+			return false
+		}
+	}
+	return len(vals) > 0
 }
 
 // entryOverhead is the fixed per-entry accounting charge (structs,
@@ -177,7 +223,9 @@ func New(budget *core.MemBudget) *Store {
 // recomputed (two linear hashes), the resident entry is touched, and
 // created reports false. When the pattern is already resident under
 // another value set, the stored matrix aliases the shared structure
-// instead of retaining a second copy.
+// instead of retaining a second copy; when every value is 1.0, its Val
+// is replaced by a prefix of a ones slab that other unit-valued
+// operands share, with its capacity clipped to its length.
 func (s *Store) Put(m *sparse.CSR[float64]) (Ref, bool) {
 	return s.put(m, nil)
 }
@@ -192,14 +240,14 @@ func (s *Store) PutBody(m *sparse.CSR[float64], d Digest) (Ref, bool) {
 
 // put is Put and PutBody: insert or touch, then file the digest.
 func (s *Store) put(m *sparse.CSR[float64], d *Digest) (Ref, bool) {
-	ref := RefOf(m)
+	ref, unit := RefOf(m), unitValues(m.Val)
 	s.mu.Lock()
 	el, resident := s.table[ref]
 	if resident {
 		s.touchLocked(el)
 		s.reputs++
 	} else {
-		el = s.insertLocked(ref, m)
+		el = s.insertLocked(ref, m, unit)
 	}
 	if d != nil {
 		s.fileBodyLocked(el, *d)
@@ -266,9 +314,10 @@ func (e *ErrUnknownPattern) Error() string {
 // through the new ref is a guaranteed plan-cache hit. Returns
 // *ErrUnknownPattern when the structure is not resident, or a length
 // error when vals does not match its nnz. vals ownership transfers to
-// the store.
+// the store; unit values are filed as a ones slab prefix instead, as
+// Put files them.
 func (s *Store) PutValues(patternFP uint64, vals []float64) (Ref, bool, error) {
-	ref := Ref{Pattern: patternFP, Values: sparse.ValuesFingerprint(vals)}
+	ref, unit := Ref{Pattern: patternFP, Values: sparse.ValuesFingerprint(vals)}, unitValues(vals)
 	s.mu.Lock()
 	pe, ok := s.patterns[patternFP]
 	if !ok {
@@ -286,7 +335,7 @@ func (s *Store) PutValues(patternFP uint64, vals []float64) (Ref, bool, error) {
 		return ref, false, nil
 	}
 	m := &sparse.CSR[float64]{Pattern: *pe.pat, Val: vals}
-	s.insertLocked(ref, m)
+	s.insertLocked(ref, m, unit)
 	s.mu.Unlock()
 	s.budget.Rebalance()
 	return ref, true, nil
@@ -310,7 +359,9 @@ func (s *Store) Get(ref Ref) (*sparse.CSR[float64], bool) {
 // GetPattern returns the resident structure with the given
 // fingerprint — the mask form of a reference: masks are patterns, so
 // they resolve by structure alone and stay resident as long as any
-// value set shares them. The result is shared and read-only.
+// value set shares them. Like Get, a hit touches the LRU position of
+// a value set of that structure (its most recently used), so a mask in
+// use is not the next eviction. The result is shared and read-only.
 func (s *Store) GetPattern(fp uint64) (*sparse.Pattern, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -319,13 +370,15 @@ func (s *Store) GetPattern(fp uint64) (*sparse.Pattern, bool) {
 		s.misses++
 		return nil, false
 	}
+	s.touchLocked(pe.newest)
 	s.hits++
 	return pe.pat, true
 }
 
-// insertLocked files a new entry, sharing or creating its pattern and
-// reserving its bytes from the budget, and returns its list element.
-func (s *Store) insertLocked(ref Ref, m *sparse.CSR[float64]) *list.Element {
+// insertLocked files a new entry, sharing or creating its pattern (and,
+// for unit values, a ones slab) and reserving its bytes from the
+// budget, and returns its list element.
+func (s *Store) insertLocked(ref Ref, m *sparse.CSR[float64], unit bool) *list.Element {
 	pe, ok := s.patterns[ref.Pattern]
 	if ok {
 		// Share the resident structure: the stored matrix's embedded
@@ -350,10 +403,20 @@ func (s *Store) insertLocked(ref Ref, m *sparse.CSR[float64]) *list.Element {
 	e := &entry{
 		ref:   ref,
 		m:     m,
-		bytes: int64(len(m.Val))*8 + entryOverhead,
+		pat:   pe,
+		bytes: entryOverhead,
 		stamp: s.budget.Stamp(),
 	}
+	n := len(m.Val)
+	if unit {
+		e.slab = s.slabLocked(n)
+		e.slab.refs++
+		m.Val = e.slab.vals[:n:n]
+	} else {
+		e.bytes += int64(n) * 8
+	}
 	el := s.lru.PushFront(e)
+	pe.newest = el
 	s.table[ref] = el
 	s.bytes += e.bytes
 	s.budget.Reserve(e.bytes)
@@ -361,14 +424,41 @@ func (s *Store) insertLocked(ref Ref, m *sparse.CSR[float64]) *list.Element {
 	return el
 }
 
-// touchLocked refreshes an entry's LRU position and global stamp.
-func (s *Store) touchLocked(el *list.Element) {
-	s.lru.MoveToFront(el)
-	el.Value.(*entry).stamp = s.budget.Stamp()
+// slabLocked returns a live ones slab of at least n words: the largest
+// live one if it is long enough, or else a new one, charged here. With
+// none live the new slab is exactly n words; past a live one it at
+// least doubles, so a run of slightly larger operands allocates
+// O(log) slabs, not one each.
+func (s *Store) slabLocked(n int) *onesSlab {
+	size := n
+	if k := len(s.slabs); k > 0 {
+		last := s.slabs[k-1]
+		if len(last.vals) >= n {
+			return last
+		}
+		size = max(n, 2*len(last.vals))
+	}
+	sl := &onesSlab{vals: make([]float64, size)}
+	for i := range sl.vals {
+		sl.vals[i] = 1
+	}
+	s.slabs = append(s.slabs, sl)
+	s.bytes += sl.bytes()
+	s.budget.Reserve(sl.bytes())
+	return sl
 }
 
-// removeLocked evicts one entry, dropping its pattern when it was the
-// last value set sharing it.
+// touchLocked refreshes an entry's LRU position and global stamp, and
+// makes it its structure's newest value set.
+func (s *Store) touchLocked(el *list.Element) {
+	s.lru.MoveToFront(el)
+	e := el.Value.(*entry)
+	e.stamp = s.budget.Stamp()
+	e.pat.newest = el
+}
+
+// removeLocked evicts one entry, the LRU one, dropping its pattern and
+// its ones slab when it was the last to share them.
 func (s *Store) removeLocked(el *list.Element) int64 {
 	e := el.Value.(*entry)
 	s.lru.Remove(el)
@@ -377,16 +467,18 @@ func (s *Store) removeLocked(el *list.Element) int64 {
 		delete(s.bodies, d)
 	}
 	freed := e.bytes
-	s.bytes -= e.bytes
 	s.evictions++
-	if pe := s.patterns[e.ref.Pattern]; pe != nil {
-		pe.refs--
-		if pe.refs == 0 {
-			delete(s.patterns, e.ref.Pattern)
-			s.bytes -= pe.bytes
-			freed += pe.bytes
+	if e.pat.refs--; e.pat.refs == 0 {
+		delete(s.patterns, e.ref.Pattern)
+		freed += e.pat.bytes
+	}
+	if sl := e.slab; sl != nil {
+		if sl.refs--; sl.refs == 0 {
+			s.slabs = slices.DeleteFunc(s.slabs, func(x *onesSlab) bool { return x == sl })
+			freed += sl.bytes()
 		}
 	}
+	s.bytes -= freed
 	s.budget.Release(freed)
 	return freed
 }
@@ -436,14 +528,21 @@ type Stats struct {
 	// Patterns is the current number of distinct resident structures.
 	Patterns int `json:"patterns"`
 	// Bytes is the accounted resident memory (values, shared patterns,
-	// fixed overheads).
+	// ones slabs, fixed overheads).
 	Bytes int64 `json:"bytes"`
+	// UnitBytes is the part of Bytes held by live ones slabs, which the
+	// values of every resident unit-valued operand alias.
+	UnitBytes int64 `json:"unit_bytes"`
 }
 
 // StatsSnapshot returns the current counters.
 func (s *Store) StatsSnapshot() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var unit int64
+	for _, sl := range s.slabs {
+		unit += sl.bytes()
+	}
 	return Stats{
 		Hits:      s.hits,
 		Misses:    s.misses,
@@ -454,6 +553,7 @@ func (s *Store) StatsSnapshot() Stats {
 		Operands:  s.lru.Len(),
 		Patterns:  len(s.patterns),
 		Bytes:     s.bytes,
+		UnitBytes: unit,
 	}
 }
 

@@ -216,6 +216,28 @@ func TestStoreGetTouchesLRU(t *testing.T) {
 	}
 }
 
+// TestStoreGetPatternTouchesLRU pins recency for masks: resolving a
+// structure by fingerprint protects a value set of it from the next
+// eviction, as Get does for a full ref.
+func TestStoreGetPatternTouchesLRU(t *testing.T) {
+	s := New(core.NewMemBudget(1 << 30))
+	maskRef, _ := s.Put(gen.ErdosRenyi(32, 4, 40))
+	ref1, _ := s.Put(gen.ErdosRenyi(32, 4, 41))
+	s.Put(gen.ErdosRenyi(32, 4, 42))
+	if _, ok := s.GetPattern(maskRef.Pattern); !ok {
+		t.Fatal("mask not resident")
+	}
+	if s.BudgetEvict() == 0 {
+		t.Fatal("evict refused")
+	}
+	if _, ok := s.GetPattern(maskRef.Pattern); !ok {
+		t.Fatal("the mask just resolved was evicted")
+	}
+	if _, ok := s.Get(ref1); ok {
+		t.Fatal("the stale operand survived instead of the resolved mask")
+	}
+}
+
 // TestStoreBodyDigests pins the body-digest table: a digest filed by
 // PutBody resolves to its entry, counts as a reput and a body hit, and
 // refreshes recency like a put; an entry keeps at most maxBodyDigests,

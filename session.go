@@ -286,7 +286,10 @@ type OperandRef = store.Ref
 // PutOperand files a matrix in the session's content-addressed
 // operand store and returns its reference, taking ownership of m: the
 // caller must not mutate it afterwards (resident operands are shared
-// with concurrent readers and executions). Re-putting identical
+// with concurrent readers and executions). When every value is 1.0
+// (a mask's upload form, a Matrix Market pattern file), m.Val is
+// replaced by a prefix of a read-only slab of ones that other
+// unit-valued operands share, so writing it would change theirs too. Re-putting identical
 // content is idempotent — created reports false and the resident
 // entry is refreshed, not duplicated. Resident operands are evicted
 // least-recently-used under the session's shared memory budget.
@@ -320,7 +323,8 @@ func (s *Session) OperandByDigest(d OperandDigest) (m *Matrix, ref OperandRef, o
 
 // PutOperandValues files a fresh value set under an already-resident
 // structure — the values-only delta for iterative workloads whose
-// pattern is fixed. Only vals is supplied (ownership transfers); the
+// pattern is fixed. Only vals is supplied (ownership transfers; unit
+// values are filed as a shared ones slab, as PutOperand files them); the
 // structure is named by its fingerprint and must be resident, or a
 // *store.ErrUnknownPattern is returned. Because the returned ref
 // shares the resident structure byte for byte, a MultiplyRefs through
