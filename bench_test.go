@@ -515,34 +515,50 @@ func benchPlanHits(b *testing.B, s *Session, multiply func(i int) error) {
 // self-product C = A ⊙ (A·A) under Hybrid, by reference, for the
 // products of er-warm-inline (a symmetric ER(2¹¹, 8) graph) and
 // tc-skew-ref (a scale-12 R-MAT graph relabeled hubs last) in
-// mspgemm-trajectory. Such a product's first executions compute one
-// triangle and mirror it. Two warm executions come before the timer:
-// the second publishes the plan's one-triangle record (DESIGN.md §5,
-// "Known pattern"), so every timed op writes values in place into the
-// remembered pattern, replaying the full product's schedule
-// (er-warm-inline's, "Replayed hits"), or computing only the known
-// half's columns by walking their dot bitmap and then copying each to
-// its transpose (tc-skew-ref's, "Bitmap hits"). After the timer, the
-// cached plan runs up to 200 more hits on one executor with pass timers
-// on, and the benchmark reports their mean hit numeric pass
-// (core.PassHitNumeric) as numeric-ns/op. It fails unless the plan's
-// hits run in that tier, and over a known half, which alone runs the
-// transpose copy (core.PassTranspose), exactly for tc-skew-ref.
+// mspgemm-trajectory, and through the library's Session.Multiply on
+// er-warm-inline's product (library-inline), whose operands are not
+// resident. Such a product's first executions compute one triangle and
+// mirror it. Two warm executions come before the timer: the second
+// publishes the plan's one-triangle record (DESIGN.md §5, "Known
+// pattern"), so every timed op writes values in place into the
+// remembered pattern, replaying the full product's schedule, which is
+// both kinds' one record and checks no values (er-warm-inline's,
+// "Replayed hits"), or computing only the known half's columns by
+// walking their dot bitmap and then copying each to its transpose
+// (tc-skew-ref's, "Bitmap hits"). After the timer, the cached plan runs
+// up to 200 more hits on one executor with pass timers on, resident as
+// its arm's operands are, and the benchmark reports their mean hit
+// numeric pass (core.PassHitNumeric) as numeric-ns/op. It fails unless
+// the plan's hits run in that tier, and over a known half, which alone
+// runs the transpose copy (core.PassTranspose), exactly for
+// tc-skew-ref.
 func BenchmarkSessionPlanHitSelf(b *testing.B) {
+	er := gen.Symmetrize(gen.ErdosRenyi(1<<11, 8, 1))
 	for _, c := range []struct {
 		name              string
 		g                 *sparse.CSR[float64]
+		library           bool
 		replayed, bitmaps int
 		knownHalf         bool
 	}{
-		{"er-warm-inline", gen.Symmetrize(gen.ErdosRenyi(1<<11, 8, 1)), 1, 0, false},
-		{"tc-skew-ref", bench.SkewedGraph(12, 8, 1), 0, 1, true},
+		{"er-warm-inline", er, false, 1, 0, false},
+		{"library-inline", er, true, 1, 0, false},
+		{"tc-skew-ref", bench.SkewedGraph(12, 8, 1), false, 0, 1, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			s := NewSession()
-			ref, _ := s.PutOperand(c.g)
+			var ref OperandRef
+			if !c.library {
+				ref, _ = s.PutOperand(c.g)
+			}
 			multiply := func() {
-				if _, err := s.MultiplyRefs(ref.Pattern, ref, ref, WithAlgorithm(Hybrid)); err != nil {
+				var err error
+				if c.library {
+					_, err = s.Multiply(c.g.PatternView(), c.g, c.g, WithAlgorithm(Hybrid))
+				} else {
+					_, err = s.MultiplyRefs(ref.Pattern, ref, ref, WithAlgorithm(Hybrid))
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -562,8 +578,12 @@ func BenchmarkSessionPlanHitSelf(b *testing.B) {
 			if s.Stats().Cache.Misses != misses {
 				b.Fatal("a request missed the plan cache; the benchmark must time hits")
 			}
-			fp := core.Fingerprints{Mask: ref.Pattern, A: ref.Pattern, B: ref.Pattern}
-			plan, hit, err := s.cache.GetOrPlanStored(fp, c.g.PatternView(), c.g, c.g, buildOptions([]Option{WithAlgorithm(Hybrid)}))
+			o := buildOptions([]Option{WithAlgorithm(Hybrid)})
+			plan, _, hit, err := s.cache.GetOrPlanObserved(c.g.PatternView(), c.g, c.g, o)
+			if !c.library {
+				fp := core.Fingerprints{Mask: ref.Pattern, A: ref.Pattern, B: ref.Pattern}
+				plan, hit, err = s.cache.GetOrPlanStored(fp, c.g.PatternView(), c.g, c.g, o)
+			}
 			if err != nil || !hit {
 				b.Fatalf("the cached plan: hit %v, %v", hit, err)
 			}
@@ -571,7 +591,7 @@ func BenchmarkSessionPlanHitSelf(b *testing.B) {
 			n := min(b.N, 200)
 			var numeric, transpose time.Duration
 			for range n {
-				if _, err := plan.ExecuteOnOpts(exec, c.g, c.g, core.ExecOptions{Resident: true, CollectSchedStats: true}); err != nil {
+				if _, err := plan.ExecuteOnOpts(exec, c.g, c.g, core.ExecOptions{Resident: !c.library, CollectSchedStats: true}); err != nil {
 					b.Fatal(err)
 				}
 				numeric += exec.PassTimes()[core.PassHitNumeric]
@@ -592,9 +612,10 @@ func BenchmarkSessionPlanHitSelf(b *testing.B) {
 // That execution computes one triangle and mirrors it, then builds the
 // record its plan's hits run by and publishes it (DESIGN.md §5,
 // "Known pattern"): it counts the known half's products, and, as they
-// fit the replay rule, builds the full product's schedule
-// (er-warm-inline's), or, as they do not, keeps the known half with its
-// transpose map and dot bitmap (tc-skew-ref's). Each op starts a fresh
+// fit the replay rule, builds the full product's schedule directly,
+// counting nothing more, as both kinds' one record (er-warm-inline's),
+// or, as they do not, keeps the known half with its transpose map and
+// dot bitmap (tc-skew-ref's). Each op starts a fresh
 // session, stores A and runs the first execution outside the timer, and
 // fails unless the timed execution charged the cache for a record.
 func BenchmarkSessionPlanPublish(b *testing.B) {

@@ -22,12 +22,12 @@ import (
 //   - Known pattern: a cached plan publishes, from its second one-phase
 //     execution of each kind, full product or one triangle, the record
 //     that kind's hits run by (Plan.remember): the output pattern with
-//     the full product's schedule, or with a known half or none and
-//     the dot bitmap. Every later such execution is a hit: each row's
-//     values go straight into its exact range of that pattern, replayed
-//     from the record's schedule, walked from its bitmap, or computed
-//     by push or Pull under the plan's binding, and a hit over a known
-//     half then copies them to their transposes (knownPhase).
+//     the full product's schedule, both kinds' record, or with a known
+//     half or none and the dot bitmap. Every later one is a hit: each
+//     row's values go straight into its exact range of that pattern,
+//     replayed from the record's schedule, walked from its bitmap, or
+//     computed by push or Pull under the plan's binding, and a known
+//     half's hit then copies them to their transposes (knownPhase).
 //
 // Kernels receive a tid to index per-worker accumulator scratch.
 

@@ -161,8 +161,7 @@ func (e *Executor[T, S]) kernelsFor(p *Plan[T, S], a, b *sparse.CSR[T], h *symHa
 }
 
 // hitKernelFor is kernelsFor for a plan hit by the record rec
-// (bindHit). Both kinds of hit of one plan may run by full-product
-// records, so the record itself, not its half, names the binding.
+// (bindHit), which names the binding: a plan's two kinds may hold two.
 func (e *Executor[T, S]) hitKernelFor(p *Plan[T, S], a, b *sparse.CSR[T], rec *hitRecord) rowsHitFn[T] {
 	if !e.bindingOf(p, a, b, rec.half) || e.hitRec != rec {
 		e.hit, e.hitRec = bindHit(p, e, a, b, rec), rec

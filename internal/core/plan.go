@@ -35,8 +35,8 @@ import (
 // (ownedBy), the count of its clean one-phase
 // executions of each kind — full product or one triangle — and, once,
 // from the second, the record its hits of that kind run by (remember),
-// over one output pattern (sharePattern), with its product schedule or
-// dot bitmap; and the last resident value
+// over one output pattern (sharePattern), with its product schedule
+// (both kinds' one record) or dot bitmap; and the last resident value
 // array an execution proved symmetric (provedSymmetric). All
 // mutable execution state (accumulators, slabs, the refreshed CSC
 // values of B, bound kernels) lives in the Executor, which is NOT concurrency-safe: concurrent
@@ -81,7 +81,7 @@ type Plan[T any, S semiring.Semiring[T]] struct {
 	// that do not remember.
 	shared atomic.Pointer[knownPattern]
 	// fullHit and halfHit are what the plan remembers for its
-	// full-product and its one-triangle hits (remember).
+	// full-product and its one-triangle hits (remember), possibly one.
 	fullHit, halfHit hitKind
 	// symVals is the first element of the last resident value array of
 	// A proved symmetric (provedSymmetric); executions on that array
@@ -252,13 +252,13 @@ func (p *Plan[T, S]) ownedBy(c *PlanCache[T, S], key planKey) {
 
 // hitKind is what a plan keeps for one kind of hit: the count of its
 // clean one-phase executions of that kind, and, from the second on, the
-// record the kind's hits run by.
+// record the kind's hits run by, both kinds' when it replays (remember).
 type hitKind struct {
 	runs atomic.Int64
 	rec  atomic.Pointer[hitRecord]
 }
 
-// hitRecord is everything one kind of plan hit runs by (DESIGN.md §5,
+// hitRecord is everything a kind of plan hit runs by (DESIGN.md §5,
 // "Known pattern"), published whole (Plan.remember): the output pattern
 // the hit writes, which the plan's two kinds share; the tier its hits
 // run in: the full product's schedule it replays, or nil when the
@@ -349,9 +349,11 @@ func (r *hitRecord) tierBytes() int64 {
 // replay rule allows one, a half execution's too once its known half's
 // products fit the rule (DESIGN.md §5, "The full product first"), and
 // otherwise keeps a half's known half and transpose map, and its dot
-// bitmap. A half execution's out is as mirrorPass wrote it: each output
-// row's entries on the computed side of the diagonal are exactly its
-// computed half.
+// bitmap. A full-product replay, exact on any values, is both kinds'
+// one record, charged once: it takes the full product's slot, or that
+// slot's record, then the other if empty. A half execution's out is as
+// mirrorPass wrote it: each output row's entries on the computed side
+// of the diagonal are its computed half.
 //
 //mspgemm:planwrite
 func (p *Plan[T, S]) remember(k *hitKind, h *symHalf, out, a, b *sparse.CSR[T], threads int) {
@@ -365,7 +367,7 @@ func (p *Plan[T, S]) remember(k *hitKind, h *symHalf, out, a, b *sparse.CSR[T], 
 		half.off = halfOffsets(pat.rowPtr, pat.colIdx, half.upper)
 		rec.half = &half
 	}
-	if rec.half == nil || p.productCounts(rec, a, b, threads) != nil {
+	if rec.half == nil || p.productsFit(rec, a, b, threads) {
 		if sched := p.buildSchedule(pat, a, b, threads); sched != nil {
 			rec = &hitRecord{pat: pat, sched: sched}
 		}
@@ -400,8 +402,16 @@ func (p *Plan[T, S]) remember(k *hitKind, h *symHalf, out, a, b *sparse.CSR[T], 
 		}
 		rec.dots = p.buildDots(rec, a, threads)
 	}
-	k.rec.Store(rec)
-	p.owner.chargeRemembered(p, charge+rec.bytes())
+	if rec.sched != nil {
+		k = &p.fullHit
+	}
+	if k.rec.CompareAndSwap(nil, rec) {
+		charge += rec.bytes()
+	}
+	if rec := k.rec.Load(); rec.sched != nil && p.sym != nil {
+		p.halfHit.rec.CompareAndSwap(nil, rec)
+	}
+	p.owner.chargeRemembered(p, charge)
 }
 
 // sharePattern returns the plan's one remembered output pattern, which
@@ -490,26 +500,27 @@ func (p *Plan[T, S]) Execute(a, b *sparse.CSR[T]) (*sparse.CSR[T], error) {
 // until the executor is returned; Clone the result to retain it.
 // Without it (the default) the output is freshly allocated and only
 // the internal scratch is pooled — except on a plan a PlanCache built
-// over the served semiring, PlusTimes[float64] (ownedBy). Such a plan's second clean one-phase execution of each kind, full
-// product or one triangle, publishes the kind's record — the output
-// pattern with the full product's schedule, or with a known half or
-// none and the dot bitmap, together — and every later execution of
-// that kind is a hit that runs by it, under the plan's binding when the
-// record keeps neither schedule nor bitmap. The
-// publishing result and every hit's share RowPtr and ColIdx with the
-// plan's remembered output pattern: treat them as read-only, and Clone
-// a result to own every array. A push/Pull hit trusts the pattern on
-// push rows, and a Pull row returns a *KernelPanicError on a known
-// column its dot finds no product on, so (a, b) of another structure
-// may give a wrong result or that error. A hit that replays the
-// record's product schedule trusts the schedule: (a, b) of another
-// structure but the planned nnz give a result of the remembered pattern
-// whose values are the products at the remembered value positions,
-// which are all in range, and no error. A hit that walks the record's
-// dot bitmap trusts the bitmap, and each entry's walk is clamped to its
-// column of the plan's CSC structure of B: (a, b) of another structure
-// but the planned nnz give a result of the remembered pattern, whose
-// values sum products at positions that are all in range, and no error.
+// over the served semiring, PlusTimes[float64] (ownedBy). Such a
+// plan's second clean one-phase execution of each kind, full product
+// or one triangle, publishes the kind's record — the output pattern
+// with the full product's schedule, both kinds' record, or with a
+// known half or none and a dot bitmap — and every later execution of
+// that kind is a hit that runs by it, under the plan's binding when it
+// keeps neither schedule nor bitmap. The publishing result and every
+// hit's share RowPtr and ColIdx with the plan's remembered output
+// pattern: treat them as read-only, and Clone a result to own every
+// array. A push/Pull hit trusts the pattern on push rows, and a Pull
+// row returns a *KernelPanicError on a known column its dot finds no
+// product on, so (a, b) of another structure may give a wrong result
+// or that error. A hit that replays the record's product schedule
+// trusts the schedule: (a, b) of another structure but the planned nnz
+// give a result of the remembered pattern whose values are the
+// products at the remembered value positions, which are all in range,
+// and no error. A hit that walks the record's dot bitmap trusts the
+// bitmap, and each entry's walk is clamped to its column of the plan's
+// CSC structure of B: (a, b) of another structure but the planned nnz
+// give a result of the remembered pattern, whose values sum products
+// at positions that are all in range, and no error.
 //
 // ExecuteOn applies the execution-only options frozen into the plan;
 // cache-shared plans are built with those zeroed (plan identity never
@@ -567,13 +578,14 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 		return p.reg.direct(p, a, b, ExecOptions{Threads: threads, Cancel: cancel})
 	}
 	exec.ensureWorkers(threads)
-	h := p.half(a, b, eo.Resident)
-	// A hit runs by the record its plan published for its kind.
-	kind := &p.fullHit
-	if h != nil {
-		kind = &p.halfHit
+	// A hit runs by its kind's record; by one both share, it checks no values.
+	kind, rec := &p.fullHit, p.fullHit.rec.Load()
+	var h *symHalf
+	if halfRec := p.halfHit.rec.Load(); rec == nil || rec != halfRec {
+		if h = p.half(a, b, eo.Resident); h != nil {
+			kind, rec = &p.halfHit, halfRec
+		}
 	}
-	rec := kind.rec.Load()
 	es := &exec.scratch
 	es.reuseOut = eo.ReuseOutput
 	// The partitions are cut from the prefix of what the execution's rows

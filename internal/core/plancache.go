@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"container/list"
 	"errors"
 	"sync"
@@ -517,13 +518,13 @@ type PlanCacheStats struct {
 	// ReplayedPlans counts the cached plans whose hits replay a product
 	// schedule (DESIGN.md §5, "Replayed hits"): their one-triangle hits
 	// once they have published that record, their full-product hits
-	// otherwise.
+	// otherwise. A plan whose two kinds share a record counts once.
 	ReplayedPlans int `json:"replayed_plans"`
 	// BitmapPlans counts the cached plans whose hits, by the same rule,
 	// walk a dot bitmap (DESIGN.md §5, "Bitmap hits").
 	BitmapPlans int `json:"bitmap_plans"`
 	// ScheduleBytes is the memory the cached plans' product schedules
-	// and dot bitmaps hold, part of Bytes.
+	// and dot bitmaps hold, each record's once, part of Bytes.
 	ScheduleBytes int64 `json:"schedule_bytes"`
 }
 
@@ -536,18 +537,13 @@ func (c *PlanCache[T, S]) Stats() PlanCacheStats {
 	var schedBytes int64
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		p := el.Value.(*planEntry[T, S]).plan
+		// A shared record counts once; the hits are the half record's.
 		full, half := p.fullHit.rec.Load(), p.halfHit.rec.Load()
-		for _, rec := range []*hitRecord{full, half} {
-			if rec != nil {
-				schedBytes += rec.tierBytes()
-			}
+		schedBytes += full.tierBytes()
+		if half != full {
+			schedBytes += half.tierBytes()
 		}
-		// The hits counted are the half record's once there is one.
-		rec := half
-		if rec == nil {
-			rec = full
-		}
-		switch rec.tier() {
+		switch cmp.Or(half, full).tier() {
 		case tierReplay:
 			replayed++
 			continue

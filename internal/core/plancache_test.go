@@ -706,12 +706,14 @@ func TestPlanCacheStatsHybridFamilyRows(t *testing.T) {
 // product's (an R-MAT graph relabeled hubs last), whose known half
 // walks a dot bitmap: both run no family, and Stats
 // counts such a plan in ReplayedPlans or BitmapPlans instead, with its
-// schedule's or bitmap's bytes in ScheduleBytes. With both, two
-// executions on asymmetric values follow, so the plan publishes both
-// kinds of record, in the same tier: Stats still reads the plan's
-// binding for the dense product, and counts the other plans in
-// ReplayedPlans or BitmapPlans once, with the bytes of both their
-// records' schedules or bitmaps.
+// schedule's or bitmap's bytes in ScheduleBytes. er-warm-inline's
+// record is also its full-product record from the moment it is
+// published. With both, two executions on asymmetric values follow:
+// on er-warm-inline's product they replay that one record, and the
+// other plans publish their full-product record, in the same tier.
+// Stats still reads the plan's binding for the dense product, and
+// counts the other plans in ReplayedPlans or BitmapPlans once, with
+// the bytes of each distinct record's schedule or bitmap once.
 func TestPlanCacheStatsKnownHalfFamilyRows(t *testing.T) {
 	famRows := func(rows [NumFamilies]int, fams FamilySet) map[string]int64 {
 		out := make(map[string]int64)
@@ -770,6 +772,10 @@ func TestPlanCacheStatsKnownHalfFamilyRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkIdentical(t, c.name+" hit", hit, want)
+		shared := c.tier == tierReplay
+		if (p.fullHit.rec.Load() == kh) != shared {
+			t.Fatalf("%s: the two kinds share the one-triangle record %v, want %v", c.name, !shared, shared)
+		}
 		schedBytes := kh.tierBytes()
 		if c.both {
 			asym := withSpecialValues(c.g)
@@ -778,15 +784,17 @@ func TestPlanCacheStatsKnownHalfFamilyRows(t *testing.T) {
 				if _, err := p.ExecuteOnOpts(exec, asym, asym, ExecOptions{Threads: 2}); err != nil {
 					t.Fatal(err)
 				}
-				if ranHalf(exec) {
-					t.Fatalf("%s: an asymmetric execution computed one triangle", c.name)
+				if shared && exec.hitRec != kh || !shared && ranHalf(exec) {
+					t.Fatalf("%s: an asymmetric execution computed one triangle, or did not replay the shared record", c.name)
 				}
 			}
 			full := p.fullHit.rec.Load()
 			if full == nil || full.tier() != c.tier {
 				t.Fatalf("%s: full-product record %v, want one in the half's tier %v", c.name, full != nil, c.tier)
 			}
-			schedBytes += full.tierBytes()
+			if !shared {
+				schedBytes += full.tierBytes()
+			}
 		}
 		st := cache.Stats()
 		if c.tier == tierPushPull {

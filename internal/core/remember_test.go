@@ -70,17 +70,20 @@ func withSymmetricSpecials(m *sparse.CSR[float64]) *sparse.CSR[float64] {
 }
 
 // rememberedBytes is what a plan has remembered: the bytes of its one
-// output pattern and of its hit records — a known half's own arrays
-// and the product schedules — 0 when it has none of them.
+// output pattern and of each of its distinct hit records — a known
+// half's own arrays and the product schedules — 0 when it has none of
+// them. A record both kinds share counts once.
 func rememberedBytes(p *Plan[float64, ptSRType]) int64 {
 	var n int64
 	if pat := p.shared.Load(); pat != nil {
 		n += pat.bytes()
 	}
-	for _, k := range []*hitKind{&p.fullHit, &p.halfHit} {
-		if rec := k.rec.Load(); rec != nil {
-			n += rec.bytes()
-		}
+	full, half := p.fullHit.rec.Load(), p.halfHit.rec.Load()
+	if full != nil {
+		n += full.bytes()
+	}
+	if half != nil && half != full {
+		n += half.bytes()
 	}
 	return n
 }
@@ -488,7 +491,7 @@ func checkRememberedRuns(t *testing.T, name string, pr rememberProduct, values [
 		if counts && fullRuns == 1 && plan.fullHit.rec.Load() != nil {
 			t.Fatalf("%s run %d: the first full one-phase execution published a pattern", name, run)
 		}
-		if !remembers && plan.fullHit.rec.Load() != nil && !wasRemembered {
+		if !remembers && plan.fullHit.rec.Load() != nil && !wasRemembered && plan.fullHit.rec.Load() != plan.halfHit.rec.Load() {
 			t.Fatalf("%s run %d: an execution that must not remember published a pattern", name, run)
 		}
 		if fresh.fullHit.rec.Load() != nil || fresh.halfHit.rec.Load() != nil {
@@ -613,20 +616,25 @@ func (c rememberCase) knownHalf() bool {
 
 // checkReplays fails t unless p has published the record of the
 // case's hits, in the case's tier, with a known half and its transpose
-// map exactly when the case keeps one, and none for the other kind of
-// hit.
+// map exactly when the case keeps one, and for the other kind of hit
+// the same record when it replays a symmetric self-product's full
+// product, and none otherwise.
 func (c rememberCase) checkReplays(t *testing.T, p *Plan[float64, ptSRType]) {
 	t.Helper()
 	rec, other := c.record(p), p.halfHit.rec.Load()
 	if c.half {
 		other = p.fullHit.rec.Load()
 	}
-	if rec == nil || rec.tier() != c.tier || other != nil || (rec.half != nil) != c.knownHalf() || (rec.tpos != nil) != c.knownHalf() {
+	var want *hitRecord
+	if c.half && c.tier == tierReplay {
+		want = rec
+	}
+	if rec == nil || rec.tier() != c.tier || other != want || (rec.half != nil) != c.knownHalf() || (rec.tpos != nil) != c.knownHalf() {
 		tier, half := "none", false
 		if rec != nil {
 			tier, half = rec.tier().String(), rec.half != nil
 		}
-		t.Fatalf("%s: record in tier %s with a known half %v, want %v and %v; other kind's record %v", c.name, tier, half, c.tier, c.knownHalf(), other != nil)
+		t.Fatalf("%s: record in tier %s with a known half %v, want %v and %v; other kind's record %v, want it shared %v", c.name, tier, half, c.tier, c.knownHalf(), other != nil, want != nil)
 	}
 }
 
@@ -855,9 +863,10 @@ func ranRecord(exec *Executor[float64, ptSRType], plan *Plan[float64, ptSRType],
 // later executions add nothing, and the bytes return with the entry
 // when Clear, the entry cap or budget pressure evicts it. A plan
 // evicted before it publishes is not charged. A symmetric self-product
-// whose values alternate between symmetric and not remembers both, and
-// is charged for their one pattern once, and for a schedule or bitmap
-// per kind of hit.
+// whose values alternate between symmetric and not is charged for its
+// one pattern once, and for one schedule when its record replays the
+// full product, which both kinds share, or a bitmap per kind of hit
+// when they keep two records.
 func TestPlanCacheRememberedPatternBudget(t *testing.T) {
 	cases1, cases2 := rememberCases(91), rememberCases(92)
 	for k, c1 := range cases1 {
@@ -954,13 +963,14 @@ func TestPlanCacheRememberedPatternBudget(t *testing.T) {
 	}
 
 	// Alternating values: a symmetric self-product runs symmetric
-	// values twice and asymmetric ones twice, in either order, and so
-	// publishes both its one-triangle record and its full-product one.
-	// The two share one pattern, charged once, and each kind of hit has
-	// its own schedule or bitmap: two full-product schedules for the
-	// sparse ER product, whose half and full product both fit the replay
-	// rule, and for the K₅ product the known half's own arrays and
-	// bitmap beside the full product's bitmap.
+	// values twice and asymmetric ones twice, in either order. The
+	// sparse ER product's half and full product both fit the replay
+	// rule, so whichever kind publishes first publishes the full
+	// product's record for both, charged once with its pattern, and the
+	// other kind's executions hit it. The K₅ product publishes both its
+	// one-triangle record and its full-product one over one pattern,
+	// charged once: the known half's own arrays and bitmap beside the
+	// full product's bitmap.
 	for _, g := range []*sparse.CSR[float64]{gen.Symmetrize(gen.ErdosRenyi(128, 6, 96)), k5WithLoops(96)} {
 		asym := withSpecialValues(g)
 		for _, halfFirst := range []bool{true, false} {
@@ -987,7 +997,10 @@ func TestPlanCacheRememberedPatternBudget(t *testing.T) {
 			if kh == nil || full == nil || kh.pat != full.pat || !sharesPattern(p, out) {
 				t.Fatalf("%s: the one-triangle and the full-product records do not share one remembered pattern", name)
 			}
-			want := patternBytes(out) + 2*tierCharge(out, g, g, false, false, true)
+			if (kh == full) != (g.Rows == 128) {
+				t.Fatalf("%s: the two kinds share one record %v", name, kh == full)
+			}
+			want := patternBytes(out) + tierCharge(out, g, g, false, false, true)
 			if kh.half != nil {
 				want = patternBytes(out) + knownHalfBytes(out) + tierCharge(out, g, g, false, false, true) + tierCharge(out, g, g, true, kh.half.upper, true)
 			}
@@ -995,7 +1008,7 @@ func TestPlanCacheRememberedPatternBudget(t *testing.T) {
 				t.Fatalf("%s: the one-triangle record keeps a known half %v", name, kh.half != nil)
 			}
 			if budget.Used() != foot+want || cache.Stats().Bytes != foot+want || rememberedBytes(p) != want {
-				t.Fatalf("%s: budget %d, cache %d, remembered %d bytes, want %d over the %d-byte plan (the pattern once, a known half's own arrays and both kinds' tiers)",
+				t.Fatalf("%s: budget %d, cache %d, remembered %d bytes, want %d over the %d-byte plan (the pattern once, a known half's own arrays and each record's tier once)",
 					name, budget.Used(), cache.Stats().Bytes, rememberedBytes(p), want, foot)
 			}
 		}
@@ -1339,11 +1352,12 @@ func TestPlanHitGrowsNoSlab(t *testing.T) {
 // of a symmetric self-product, changed in place between executions to
 // symmetric and asymmetric values in turn, after both kinds of record
 // have published. Each hit must bind its own kind's record: on the
-// sparse product both are full-product records over the same operands
-// and the same pattern, so only the record itself tells them apart
-// (Executor.hitKernelFor). Every result must equal a fresh plan's bit
-// for bit. The K₅ and R-MAT products keep a known half beside a
-// full-product record.
+// sparse product that is one full-product record, which both kinds
+// share, and the K₅ and R-MAT products keep a known half beside a
+// full-product record that does not replay (the K₅ product's full
+// product is just over the replay rule), which the executor's binding
+// must tell apart (Executor.hitKernelFor). Every result must equal a
+// fresh plan's bit for bit.
 func TestPlanHitKindsAlternateInPlace(t *testing.T) {
 	for _, c := range []struct {
 		g         *sparse.CSR[float64]
@@ -1381,8 +1395,122 @@ func TestPlanHitKindsAlternateInPlace(t *testing.T) {
 				t.Fatalf("%s: the hit did not bind its kind's record", name)
 			}
 		}
-		if kh, full := plan.halfHit.rec.Load(), plan.fullHit.rec.Load(); kh == full || (kh.half != nil) != c.knownHalf || full.half != nil {
-			t.Fatalf("%d rows, %d entries: one-triangle record in tier %v with a known half %v, full-product record with one %v", g.Rows, g.NNZ(), kh.tier(), kh.half != nil, full.half != nil)
+		if kh, full := plan.halfHit.rec.Load(), plan.fullHit.rec.Load(); (kh == full) == c.knownHalf || (kh.half != nil) != c.knownHalf || full.half != nil || (full.tier() == tierReplay) == c.knownHalf {
+			t.Fatalf("%d rows, %d entries: one-triangle record in tier %v with a known half %v, full-product record in tier %v with one %v, shared %v", g.Rows, g.NNZ(), kh.tier(), kh.half != nil, full.tier(), full.half != nil, kh == full)
+		}
+	}
+}
+
+// TestSharedRecordChecksNoValues publishes a sparse symmetric
+// self-product's record from either kind first: two executions on
+// symmetric values, or two on asymmetric ones. Either way the plan
+// holds one full-product replay record for both kinds. Its hits on
+// symmetric values, by value arrays that are not resident and then by
+// one that is, run by that record without asking whether the values
+// are symmetric (Plan.half): the executor binds no half, and the plan
+// pins no value array as proved symmetric. Every hit equals a fresh
+// plan's result bit for bit.
+func TestSharedRecordChecksNoValues(t *testing.T) {
+	g := sparseSymGraph(128, 11)
+	asym := withSpecialValues(g)
+	for _, symFirst := range []bool{true, false} {
+		plan, err := NewPlanCache(ptSR, 0).GetOrPlan(g.PatternView(), g, g, Options{Algorithm: AlgoHybrid})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := g
+		if !symFirst {
+			first = asym
+		}
+		for range 2 {
+			if _, err := plan.ExecuteOnOpts(NewExecutor[float64](ptSR), first, first, ExecOptions{Threads: 2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rec := plan.fullHit.rec.Load()
+		if rec == nil || rec != plan.halfHit.rec.Load() || rec.tier() != tierReplay {
+			t.Fatalf("symFirst=%v: the two kinds do not share one replay record", symFirst)
+		}
+		for run, x := range []*sparse.CSR[float64]{g, withSymmetricSpecials(g), asym, g} {
+			resident := run == 3
+			name := fmt.Sprintf("symFirst=%v run %d (resident %v)", symFirst, run, resident)
+			exec := NewExecutor[float64](ptSR)
+			got, err := plan.ExecuteOnOpts(exec, x, x, ExecOptions{Threads: 2, Resident: resident})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if exec.hitRec != rec || exec.lastHalf != nil || plan.symVals.Load() != nil {
+				t.Fatalf("%s: bound record %v, half %v, proved values %v; want the shared record and no values check",
+					name, exec.hitRec == rec, exec.lastHalf != nil, plan.symVals.Load() != nil)
+			}
+			want, err := MaskedSpGEMM(ptSR, g.PatternView(), x, x, Options{Algorithm: AlgoHybrid})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkIdentical(t, name, got, want)
+		}
+	}
+}
+
+// TestBothKindsPublishAtOnce counts one execution of each kind of a
+// sparse symmetric self-product's cached plan, then starts both kinds'
+// publishing executions at once, on symmetric and on asymmetric values
+// (run it under -race), in several rounds. Both build the full
+// product's record; the plan must keep one, for both kinds, and the
+// cache and its budget must be charged exactly the plan, one pattern
+// and one schedule. Every result equals a fresh plan's bit for bit.
+func TestBothKindsPublishAtOnce(t *testing.T) {
+	g := sparseSymGraph(128, 13)
+	asym := withSpecialValues(g)
+	opt := Options{Algorithm: AlgoHybrid}
+	for round := range 8 {
+		budget := NewMemBudget(0)
+		cache := NewPlanCache(ptSR, 0)
+		cache.AttachBudget(budget)
+		plan, err := cache.GetOrPlan(g.PatternView(), g, g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		foot := budget.Used()
+		values := []*sparse.CSR[float64]{g, asym}
+		for _, x := range values {
+			if _, err := plan.ExecuteOnOpts(NewExecutor[float64](ptSR), x, x, ExecOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		outs := make([]*sparse.CSR[float64], len(values))
+		errs := make([]error, len(values))
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for k, x := range values {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				outs[k], errs[k] = plan.ExecuteOnOpts(NewExecutor[float64](ptSR), x, x, ExecOptions{Threads: 1 + round%2})
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for k, x := range values {
+			name := fmt.Sprintf("round %d, values %d", round, k)
+			if errs[k] != nil {
+				t.Fatalf("%s: %v", name, errs[k])
+			}
+			want, err := MaskedSpGEMM(ptSR, g.PatternView(), x, x, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkIdentical(t, name, outs[k], want)
+		}
+		rec := plan.fullHit.rec.Load()
+		if rec == nil || rec != plan.halfHit.rec.Load() || rec.tier() != tierReplay {
+			t.Fatalf("round %d: the two kinds do not share one replay record", round)
+		}
+		want := patternBytes(outs[0]) + tierCharge(outs[0], g, g, false, false, true)
+		if budget.Used() != foot+want || cache.Stats().Bytes != foot+want || rememberedBytes(plan) != want {
+			t.Fatalf("round %d: budget %d, cache %d, remembered %d bytes, want %d over the %d-byte plan (one pattern, one schedule)",
+				round, budget.Used(), cache.Stats().Bytes, rememberedBytes(plan), want, foot)
 		}
 	}
 }

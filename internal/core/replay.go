@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"maskedspgemm/internal/faultinject"
@@ -12,8 +13,8 @@ import (
 // Replayed hits (DESIGN.md §5, "Replayed hits"). A plan hit knows its
 // output pattern, so the products of each computed entry are the same
 // on every hit: only their values change. A plan a PlanCache built
-// therefore records them once, in the record of each kind of hit it
-// publishes (Plan.remember), as a product schedule: for every computed
+// therefore records them once, in the record both kinds of hit share
+// (Plan.remember), as a product schedule: for every computed
 // entry, the positions in A's and B's value arrays of its products, in
 // ascending k. Every family sums an entry's products in ascending k and
 // stores the first as is, so a hit that replays the schedule — the
@@ -89,53 +90,43 @@ func (r *hitRecord) entries(rows int) int64 {
 // buildSchedule returns the schedule of the full product over the
 // remembered output pattern pat, or nil when it breaks the memory rule,
 // when its positions do not fit an int32, or when an entry has no
-// product (operands whose structure is not the plan's). It runs in two
-// passes over the partitions of the plan's binding:
-//
-//   - count each row's products with the cheaper of push's and Pull's
-//     scans (productCounts) into the schedule's prefix, and stop as soon
-//     as the total passes the rule, so that refusing costs at most
-//     about one hit;
-//   - scan each row's push products once into a row-local buffer, in
-//     ascending k, and write them into the row's range of the schedule
-//     by a counting sort on their entries, which keeps that order.
+// product (operands whose structure is not the plan's). Counting
+// nothing first, it scans each row's push products once, over the
+// partitions of the plan's binding, into a row-local buffer in
+// ascending k, and a counting sort on their entries, which keeps that
+// order, writes them into the partition's buffer. After each B row it
+// stops once the partition's products and those of the partitions
+// finished before it pass the rule, so no buffer outgrows the rule by
+// more than a B row; the rows' total decides it exactly at the end.
 func (p *Plan[T, S]) buildSchedule(pat *knownPattern, a, b *sparse.CSR[T], threads int) *schedule {
 	rows, rowPtr, colIdx := p.mask.Rows, pat.rowPtr, pat.colIdx
-	if schedProductsPerEntry*int64(len(colIdx)) > math.MaxInt32 || a.NNZ() > math.MaxInt32 || b.NNZ() > math.MaxInt32 {
+	limit := schedProductsPerEntry * int64(len(colIdx))
+	if limit > math.MaxInt32 || a.NNZ() > math.MaxInt32 || b.NNZ() > math.MaxInt32 {
 		return nil
 	}
-	prefix := p.productCounts(&hitRecord{pat: pat}, a, b, threads)
-	if prefix == nil {
-		return nil
-	}
-	parallel.PrefixSum(prefix)
-	// ptr[e+1] first counts entry e's products, then becomes the end of
-	// its range; each row writes only its own entries' ends.
-	ptr := make([]int32, len(colIdx)+1)
-	prods := make([]prodPos, prefix[rows])
-	var bad atomic.Bool
-	type writer struct {
-		at  []int32
-		cur []int32
-		buf []rowProd
-	}
-	scratch := make([]*writer, threads)
-	parallel.ForEachPartition(partitions(p.costPrefix, threads, nil), threads, nil, nil, func(lo, hi, tid int) {
-		w := scratch[tid]
-		if w == nil {
-			w = &writer{at: make([]int32, b.Cols)}
-			scratch[tid] = w
+	bounds := partitions(p.costPrefix, threads, nil)
+	// prefix[i] counts row i's products, and ptr[e+1] entry e's, then
+	// holds their start, then end, in parts[x], and last in the schedule.
+	prefix, ptr := make([]int64, rows+1), make([]int32, len(colIdx)+1)
+	parts := make([][]prodPos, len(bounds)-1)
+	var total atomic.Int64
+	stop := new(parallel.CancelToken)
+	scratch := make([][]int32, threads)
+	parallel.ForEachPartition(bounds, threads, nil, stop, func(lo, hi, tid int) {
+		if scratch[tid] == nil {
+			scratch[tid] = make([]int32, b.Cols)
 		}
-		at := w.at
-		bRowPtr, bColIdx := b.RowPtr, b.ColIdx
-		for i := lo; i < hi && !bad.Load(); i++ {
+		at, bRowPtr, bColIdx, room := scratch[tid], b.RowPtr, b.ColIdx, limit-total.Load()
+		out := make([]prodPos, 0, schedProductsPerEntry*(rowPtr[hi]-rowPtr[lo]))
+		var buf []rowProd
+		for i := lo; i < hi && !stop.Canceled(); i++ {
 			base := rowPtr[i]
 			cols := colIdx[base:rowPtr[i+1]]
 			for q, j := range cols {
 				at[j] = int32(q) + 1
 			}
 			aLo := a.RowPtr[i]
-			buf := w.buf[:0]
+			buf = buf[:0]
 			for qa, k := range a.Row(i) {
 				bLo := bRowPtr[k]
 				for t, j := range bColIdx[bLo:bRowPtr[k+1]] {
@@ -144,38 +135,44 @@ func (p *Plan[T, S]) buildSchedule(pat *knownPattern, a, b *sparse.CSR[T], threa
 						ptr[base+int64(q)]++
 					}
 				}
+				if int64(len(out)+len(buf)) > room {
+					stop.Cancel()
+					return
+				}
 			}
 			for _, j := range cols {
 				at[j] = 0
 			}
-			w.buf = buf
-			if int64(len(buf)) != prefix[i+1]-prefix[i] {
-				bad.Store(true)
-				return
-			}
-			// Entry q's range starts at cur[q]; ptr takes its end.
-			if cap(w.cur) < len(cols) {
-				w.cur = make([]int32, len(cols))
-			}
-			cur, end := w.cur[:len(cols)], int32(prefix[i])
-			for q := range cols {
-				n := ptr[base+int64(q)+1]
-				if n == 0 {
-					bad.Store(true)
+			prefix[i] = int64(len(buf))
+			end := int32(len(out))
+			for e := base + 1; e <= rowPtr[i+1]; e++ {
+				if ptr[e] == 0 {
+					stop.Cancel()
 					return
 				}
-				cur[q] = end
-				end += n
-				ptr[base+int64(q)+1] = end
+				ptr[e], end = end, end+ptr[e]
 			}
+			out = slices.Grow(out, len(buf))[:end]
 			for _, pr := range buf {
-				prods[cur[pr.q]] = pr.pos
-				cur[pr.q]++
+				e := base + int64(pr.q) + 1
+				out[ptr[e]] = pr.pos
+				ptr[e]++
 			}
 		}
+		total.Add(int64(len(out)))
+		x, _ := slices.BinarySearch(bounds, lo)
+		parts[x] = out
 	})
-	if bad.Load() {
+	if stop.Canceled() || parallel.PrefixSum(prefix) > limit {
 		return nil
+	}
+	prods := make([]prodPos, prefix[rows])
+	for x, part := range parts {
+		at := int32(prefix[bounds[x]])
+		copy(prods[at:], part)
+		for e := rowPtr[bounds[x]] + 1; e <= rowPtr[bounds[x+1]]; e++ {
+			ptr[e] += at
+		}
 	}
 	return &schedule{ptr: ptr, prods: prods, prefix: prefix}
 }
@@ -187,8 +184,7 @@ type rowProd struct {
 	pos prodPos
 }
 
-// productCounts returns the product count of each row of the hits rec
-// records (len rows+1, the last 0), or nil when they hold more than
+// productsFit reports whether the hits rec records hold at most
 // schedProductsPerEntry products per computed entry. Each row counts
 // them with the cheaper of its two scans over the partitions of the
 // plan's binding: the hits of its dots over B's CSC structure, when the
@@ -196,10 +192,9 @@ type rowProd struct {
 // the products its B rows, cut by its clips, land on known columns
 // (rowScan). Both find the same products. The count stops once its
 // running total, added to after each row, passes the rule.
-func (p *Plan[T, S]) productCounts(rec *hitRecord, a, b *sparse.CSR[T], threads int) []int64 {
+func (p *Plan[T, S]) productsFit(rec *hitRecord, a, b *sparse.CSR[T], threads int) bool {
 	rows := p.mask.Rows
 	limit := schedProductsPerEntry * rec.entries(rows)
-	counts := make([]int64, rows+1)
 	// A plan without B's CSC structure (push-only plans, and SS:DOT*,
 	// which transposes per execution) counts every row by push.
 	colPtr, rowIdx := p.cscOfB()
@@ -216,20 +211,18 @@ func (p *Plan[T, S]) productCounts(rec *hitRecord, a, b *sparse.CSR[T], threads 
 		}
 		for i := lo; i < hi && !over.Canceled(); i++ {
 			cols, aCols, clip := rec.row(i), a.Row(i), m.clip(i)
+			var n int64
 			if colPtr != nil && colScan(cols, colPtr) < rowScan(aCols, clip, b.RowPtr) {
-				counts[i] = countPullProducts(c.aRow, aCols, cols, colPtr, rowIdx)
+				n = countPullProducts(c.aRow, aCols, cols, colPtr, rowIdx)
 			} else {
-				counts[i] = countPushProducts(c.known, cols, aCols, clip, b.RowPtr, b.ColIdx)
+				n = countPushProducts(c.known, cols, aCols, clip, b.RowPtr, b.ColIdx)
 			}
-			if total.Add(counts[i]) > limit {
+			if total.Add(n) > limit {
 				over.Cancel()
 			}
 		}
 	})
-	if over.Canceled() {
-		return nil
-	}
-	return counts
+	return !over.Canceled()
 }
 
 // countPullProducts returns the products of one Pull row: the A

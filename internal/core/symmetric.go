@@ -54,8 +54,8 @@ type symHalf struct {
 // run cheapest first: the O(1) exits, then a check in O(rows) memory
 // that every row holds as many entries as its column, and only then the
 // nnz-sized mirror map, built in the same pass that tests the pattern
-// for symmetry. A's values are not part of the plan; every execution
-// checks them (Plan.half).
+// for symmetry. A's values are not part of the plan; an execution that
+// may use the analysis checks them (Plan.half).
 //
 //mspgemm:planwrite
 func planSymmetric[T any, S semiring.Semiring[T]](sr S, opt Options, mask *sparse.Pattern, maskIsA, bIsA bool) *symHalf {
@@ -211,14 +211,14 @@ func (m maskRows) clip(i int) bClip {
 	return bClip{ends: h.mirror[h.rowPtr[i]:h.rowPtr[i+1]], upper: h.upper}
 }
 
-// half returns the plan's one-triangle analysis when this execution
-// may use it: B shares A's value array, and A's values are symmetric
-// bit for bit. Otherwise it returns nil, and the execution runs the
-// full product. The values check is O(nnz) and runs on every
-// execution, since callers may change values in place between them,
-// except where the caller vouches that A is resident (ExecOptions.
-// Resident): its array never changes, so the check runs once per array
-// (provedSymmetric).
+// half returns the plan's one-triangle analysis when an execution by
+// no record both kinds share (ExecuteOnOpts) may use it: B shares A's
+// values, which are symmetric bit for bit. Otherwise it returns nil,
+// and the execution runs the full product. The values check is O(nnz)
+// and runs on every such execution, since callers may change values
+// in place between them, except where the caller vouches that A is
+// resident (ExecOptions.Resident): its array never changes, so the
+// check runs once per array (provedSymmetric).
 func (p *Plan[T, S]) half(a, b *sparse.CSR[T], resident bool) *symHalf {
 	h := p.sym
 	if h == nil || len(a.Val) != len(b.Val) || (len(a.Val) > 0 && &a.Val[0] != &b.Val[0]) {

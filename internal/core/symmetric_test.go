@@ -81,7 +81,8 @@ func symValue(i, j int) float64 {
 
 // ranHalf reports whether the executor's last execution was of its
 // plan's one-triangle kind: over the mask halves or a known half, or a
-// hit by the full-product record the plan published for that kind.
+// hit by the full-product record the plan published for that kind,
+// which is its full-product kind's too (Plan.remember).
 func ranHalf[T any, S semiring.Semiring[T]](e *Executor[T, S]) bool {
 	return e.lastHalf != nil || e.hitRec != nil && e.hitRec == e.lastPlan.halfHit.rec.Load()
 }
