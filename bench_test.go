@@ -31,11 +31,42 @@ func rmatGraph(scale, ef int, seed uint64) *sparse.CSR[float64] {
 	return g
 }
 
-// BenchmarkFig07 regenerates one Figure-7 panel cell class per
-// sub-benchmark: the masked product on ER inputs at three
-// characteristic density corners.
+// benchArms runs one sub-benchmark per arm, b.N executions each. With
+// a unit, it also reports the arm's rate at its mean time (the masked
+// SpGEMM time, for betweenness).
+func benchArms(b *testing.B, arms []bench.TimedArm, unit string) {
+	for _, arm := range arms {
+		b.Run(arm.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			sec := 0.0
+			for b.Loop() {
+				t, err := arm.Time()
+				if err != nil {
+					b.Fatal(err)
+				}
+				sec += t
+			}
+			if unit != "" {
+				b.ReportMetric(arm.Rate(sec/float64(b.N)), unit)
+			}
+		})
+	}
+}
+
+// benchApp benchmarks app's arms for schemes on g (bench.AppArms: k-truss
+// order 5, betweenness batch 64).
+func benchApp(b *testing.B, app bench.AppKind, g *sparse.CSR[float64], schemes []bench.Scheme, threads int, unit string) {
+	arms, err := bench.AppArms(app, g, schemes, []int{threads}, 5, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchArms(b, arms, unit)
+}
+
+// BenchmarkFig07 times three Figure-7 cells, one per characteristic
+// density corner, with one sub-benchmark per family: the cell setup
+// mspgemm-bench fig7 times (bench.Fig7Config.Cell).
 func BenchmarkFig07(b *testing.B) {
-	sr := semiring.PlusTimes[float64]{}
 	corners := []struct {
 		name    string
 		dIn, dM int
@@ -44,52 +75,13 @@ func BenchmarkFig07(b *testing.B) {
 		{"balanced/dM=16/dIn=16", 16, 16},
 		{"dense-mask-sparse-input/dM=256/dIn=4", 4, 256},
 	}
-	const dim = 1 << 12
 	for _, c := range corners {
-		a := gen.ErdosRenyi(dim, c.dIn, 1)
-		bb := gen.ErdosRenyi(dim, c.dIn, 2)
-		mask := gen.ErdosRenyiPattern(dim, c.dM, 3)
-		for _, s := range bench.Fig7Schemes() {
-			b.Run(c.name+"/"+s.Name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := core.MaskedSpGEMM(sr, mask, a, bb, s.Opt); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// benchTriangleCount shares the TC benchmark body for Figs 8–11. The
-// plan is built outside the timed loop, matching §8.2's "we only
-// report the Masked SpGEMM execution time" and exercising the pooled
-// executor workspaces across iterations.
-func benchTriangleCount(b *testing.B, g *sparse.CSR[float64], schemes []bench.Scheme) {
-	w := graph.PrepareTriangleCount(g)
-	flops := 2 * float64(w.Flops())
-	for _, s := range schemes {
-		b.Run(s.Name, func(b *testing.B) {
-			// CountWith consumes each product inside the loop, so pooled
-			// output buffers are safe.
-			opt := s.Opt
-			opt.ReuseOutput = true
-			plan, err := w.NewPlan(opt, nil)
+		b.Run(c.name, func(b *testing.B) {
+			s, err := bench.DefaultFig7Config().Cell(c.dIn, c.dM).Setup()
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var count int64
-			for i := 0; i < b.N; i++ {
-				count, err = w.CountWith(plan)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(flops/float64(b.Elapsed().Nanoseconds())*float64(b.N), "GFLOPS")
-			_ = count
+			benchArms(b, s.Arms(), "")
 		})
 	}
 }
@@ -97,29 +89,20 @@ func benchTriangleCount(b *testing.B, g *sparse.CSR[float64], schemes []bench.Sc
 // BenchmarkFig08 — TC across our 12 variants (the performance-profile
 // data of Figure 8) on one representative suite graph.
 func BenchmarkFig08(b *testing.B) {
-	benchTriangleCount(b, rmatGraph(12, 16, 101), bench.OurSchemes())
+	benchApp(b, bench.AppTriangleCount, rmatGraph(12, 16, 101), bench.OurSchemes(), 0, "GFLOPS")
 }
 
 // BenchmarkFig09 — TC: our best three vs the SS:GB-style baselines
 // (Figure 9).
 func BenchmarkFig09(b *testing.B) {
-	benchTriangleCount(b, rmatGraph(12, 16, 101),
-		append(bench.BestThreeSchemes(), bench.BaselineSchemes()...))
+	benchApp(b, bench.AppTriangleCount, rmatGraph(12, 16, 101), bench.VsBaselineSchemes(), 0, "GFLOPS")
 }
 
 // BenchmarkFig10 — TC GFLOPS vs R-MAT scale (Figure 10), MSA-1P series.
 func BenchmarkFig10(b *testing.B) {
 	for _, scale := range []int{8, 10, 12} {
-		g := rmatGraph(scale, 16, 110+uint64(scale))
-		w := graph.PrepareTriangleCount(g)
-		flops := 2 * float64(w.Flops())
-		b.Run(fmt.Sprintf("scale=%d/MSA-1P", scale), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := w.Count(core.Options{Algorithm: core.AlgoMSA}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(flops/float64(b.Elapsed().Nanoseconds())*float64(b.N), "GFLOPS")
+		b.Run(fmt.Sprintf("scale=%d", scale), func(b *testing.B) {
+			benchApp(b, bench.AppTriangleCount, rmatGraph(scale, 16, 110+uint64(scale)), bench.OurSchemes()[:1], 0, "GFLOPS")
 		})
 	}
 }
@@ -127,57 +110,28 @@ func BenchmarkFig10(b *testing.B) {
 // BenchmarkFig11 — TC strong scaling across thread counts (Figure 11).
 func BenchmarkFig11(b *testing.B) {
 	g := rmatGraph(12, 16, 111)
-	w := graph.PrepareTriangleCount(g)
 	for _, threads := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("threads=%d/MSA-1P", threads), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := w.Count(core.Options{Algorithm: core.AlgoMSA, Threads: threads}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// benchKTruss shares the k-truss body for Figs 12–14.
-func benchKTruss(b *testing.B, g *sparse.CSR[float64], schemes []bench.Scheme) {
-	for _, s := range schemes {
-		b.Run(s.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := graph.KTruss(g, 5, s.Opt); err != nil {
-					b.Fatal(err)
-				}
-			}
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			benchApp(b, bench.AppTriangleCount, g, bench.OurSchemes()[:1], threads, "")
 		})
 	}
 }
 
 // BenchmarkFig12 — k-truss across our variants (Figure 12 data).
 func BenchmarkFig12(b *testing.B) {
-	benchKTruss(b, rmatGraph(11, 8, 112), bench.OurSchemes())
+	benchApp(b, bench.AppKTruss, rmatGraph(11, 8, 112), bench.OurSchemes(), 0, "")
 }
 
 // BenchmarkFig13 — k-truss: ours vs baselines (Figure 13).
 func BenchmarkFig13(b *testing.B) {
-	benchKTruss(b, rmatGraph(11, 8, 112),
-		append(bench.BestThreeSchemes(), bench.BaselineSchemes()...))
+	benchApp(b, bench.AppKTruss, rmatGraph(11, 8, 112), bench.VsBaselineSchemes(), 0, "")
 }
 
 // BenchmarkFig14 — k-truss GFLOPS vs scale (Figure 14), MSA-1P series.
 func BenchmarkFig14(b *testing.B) {
 	for _, scale := range []int{8, 10, 12} {
-		g := rmatGraph(scale, 8, 114+uint64(scale))
-		b.Run(fmt.Sprintf("scale=%d/MSA-1P", scale), func(b *testing.B) {
-			var flops int64
-			for i := 0; i < b.N; i++ {
-				res, err := graph.KTruss(g, 5, core.Options{Algorithm: core.AlgoMSA})
-				if err != nil {
-					b.Fatal(err)
-				}
-				flops = res.Flops
-			}
-			b.ReportMetric(2*float64(flops)/float64(b.Elapsed().Nanoseconds())*float64(b.N), "GFLOPS")
+		b.Run(fmt.Sprintf("scale=%d", scale), func(b *testing.B) {
+			benchApp(b, bench.AppKTruss, rmatGraph(scale, 8, 114+uint64(scale)), bench.OurSchemes()[:1], 0, "GFLOPS")
 		})
 	}
 }
@@ -185,19 +139,8 @@ func BenchmarkFig14(b *testing.B) {
 // BenchmarkFig15 — BC MTEPS vs scale (Figure 15), MSA-1P series.
 func BenchmarkFig15(b *testing.B) {
 	for _, scale := range []int{8, 10} {
-		g := rmatGraph(scale, 16, 115+uint64(scale))
-		sources := graph.BatchSources(g.Rows, 64)
-		edges := float64(g.NNZ()) / 2
-		b.Run(fmt.Sprintf("scale=%d/MSA-1P", scale), func(b *testing.B) {
-			var masked float64
-			for i := 0; i < b.N; i++ {
-				res, err := graph.Betweenness(g, sources, core.Options{Algorithm: core.AlgoMSA})
-				if err != nil {
-					b.Fatal(err)
-				}
-				masked += res.MaskedTime.Seconds()
-			}
-			b.ReportMetric(float64(len(sources))*edges*float64(b.N)/masked/1e6, "MTEPS")
+		b.Run(fmt.Sprintf("scale=%d", scale), func(b *testing.B) {
+			benchApp(b, bench.AppBetweenness, rmatGraph(scale, 16, 115+uint64(scale)), bench.OurSchemes()[:1], 0, "MTEPS")
 		})
 	}
 }
@@ -205,18 +148,7 @@ func BenchmarkFig15(b *testing.B) {
 // BenchmarkFig16 — BC across the complement-capable variants and the
 // saxpy baseline (Figure 16 data).
 func BenchmarkFig16(b *testing.B) {
-	g := rmatGraph(10, 16, 116)
-	sources := graph.BatchSources(g.Rows, 64)
-	schemes := append(bench.ComplementSchemes(), bench.BaselineSchemes()[0])
-	for _, s := range schemes {
-		b.Run(s.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := graph.Betweenness(g, sources, s.Opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	benchApp(b, bench.AppBetweenness, rmatGraph(10, 16, 116), bench.Fig16Schemes(), 0, "")
 }
 
 // --- Ablations (DESIGN.md §6) ---
@@ -315,16 +247,7 @@ func BenchmarkKernels(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for i, arm := range w.Arms {
-				b.Run(arm.Name, func(b *testing.B) {
-					b.ReportAllocs()
-					for b.Loop() {
-						if err := s.Run(i); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
+			benchArms(b, s.Arms(), "")
 		})
 	}
 }

@@ -2,13 +2,15 @@ package bench
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"maskedspgemm/internal/gen"
 	"maskedspgemm/internal/sparse"
@@ -49,23 +51,82 @@ func TestSchemeEnumerations(t *testing.T) {
 	}
 }
 
-func TestTimeBest(t *testing.T) {
-	calls := 0
-	d, err := TimeBest(3, func() error {
-		calls++
-		time.Sleep(time.Millisecond)
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Fatalf("calls = %d err = %v", calls, err)
+// TestTimeRounds drives the round runner with fake arms: every arm runs
+// once per round and firstLook times in all, the order changes between
+// rounds and repeats between runs, and an arm's error stops the run
+// and names that arm.
+func TestTimeRounds(t *testing.T) {
+	const n = 4
+	run := func() [][]int {
+		var orders [][]int
+		var round []int
+		arms := make([]TimedArm, n)
+		for i := range arms {
+			arms[i] = TimedArm{Name: fmt.Sprintf("arm%d", i), Time: func() (float64, error) {
+				if round = append(round, i); len(round) == n {
+					orders, round = append(orders, round), nil
+				}
+				return float64(i + 1), nil
+			}}
+		}
+		times, err := timeRounds(arms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ts := range times {
+			if len(ts) != firstLook || slices.ContainsFunc(ts, func(x float64) bool { return x != float64(i+1) }) {
+				t.Errorf("arm %d times %v, want %d of its own", i, ts, firstLook)
+			}
+		}
+		if len(orders) != firstLook || len(round) != 0 {
+			t.Fatalf("%d whole rounds and %d calls over, want %d and 0", len(orders), len(round), firstLook)
+		}
+		for r, order := range orders {
+			if !slices.Equal(slices.Sorted(slices.Values(order)), []int{0, 1, 2, 3}) {
+				t.Errorf("round %d ran %v, want every arm once", r, order)
+			}
+		}
+		return orders
 	}
-	if d < 500*time.Microsecond {
-		t.Errorf("implausible best time %v", d)
+	first := run()
+	if !slices.ContainsFunc(first[1:], func(o []int) bool { return !slices.Equal(o, first[0]) }) {
+		t.Error("every round ran the arms in one order")
 	}
-	// reps < 1 behaves as 1.
-	calls = 0
-	if _, err := TimeBest(0, func() error { calls++; return nil }); err != nil || calls != 1 {
-		t.Errorf("reps=0: calls = %d", calls)
+	if again := run(); !reflect.DeepEqual(again, first) {
+		t.Errorf("a second run's orders %v differ from the first's %v", again, first)
+	}
+
+	boom := errors.New("boom")
+	calls, failed := 0, false
+	arms := make([]TimedArm, n)
+	for i := range arms {
+		arms[i] = TimedArm{Name: fmt.Sprintf("arm%d", i), Time: func() (float64, error) {
+			if failed {
+				t.Errorf("arm %d ran after an arm failed", i)
+			}
+			if calls++; i == 2 && calls > n {
+				failed = true
+				return 0, boom
+			}
+			return 1, nil
+		}}
+	}
+	if _, err := timeRounds(arms); !errors.Is(err, boom) || !strings.Contains(err.Error(), "arm2") {
+		t.Errorf("err = %v, want boom naming arm2", err)
+	}
+}
+
+// checkPoints asserts that pts holds want points, each the median of
+// firstLook rounds inside its interval.
+func checkPoints(t *testing.T, what string, pts []Point, want int) {
+	t.Helper()
+	if len(pts) != want {
+		t.Fatalf("%s: %d points, want %d", what, len(pts), want)
+	}
+	for _, p := range pts {
+		if p.Rounds != firstLook || p.Seconds <= 0 || !(p.Lo <= p.Seconds && p.Seconds <= p.Hi) {
+			t.Errorf("%s: point %+v", what, p)
+		}
 	}
 }
 
@@ -74,31 +135,36 @@ func TestRunFig7Tiny(t *testing.T) {
 		Dim:          256,
 		MaskDegrees:  []int{2, 16},
 		InputDegrees: []int{2, 16},
-		Reps:         1,
 		Seed:         1,
 	}
-	cells, err := RunFig7(cfg)
+	pts, err := RunFig7(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 4 {
-		t.Fatalf("cells = %d, want 4", len(cells))
+	checkPoints(t, "fig7", pts, 4*len(Fig7Schemes()))
+	cells := groupsOf(pts)
+	if len(cells) != 4 || cells[1][0].Group != "d_in=2/d_m=16" {
+		t.Fatalf("cells %v, want 4 row-major", cells)
 	}
-	for _, c := range cells {
-		if c.Best == "" || len(c.Seconds) != 6 {
-			t.Fatalf("cell incomplete: %+v", c)
+	// Each name the grid prints is its cell's lowest-median family.
+	var buf bytes.Buffer
+	WriteFig7(&buf, cfg, pts)
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2+len(cfg.InputDegrees) || !strings.HasPrefix(lines[0], "Figure 7") {
+		t.Fatalf("WriteFig7 layout:\n%s", buf.String())
+	}
+	for i, line := range lines[2:] {
+		row := strings.Fields(line)
+		if len(row) != 1+len(cfg.MaskDegrees) || row[0] != strconv.Itoa(cfg.InputDegrees[i]) {
+			t.Fatalf("WriteFig7 row %q", line)
 		}
-		bestT := c.Seconds[c.Best]
-		for _, sec := range c.Seconds {
-			if sec < bestT {
-				t.Fatal("Best is not the minimum")
+		for j, name := range row[1:] {
+			cell := cells[i*len(cfg.MaskDegrees)+j]
+			best := slices.MinFunc(cell, func(a, b Point) int { return cmp.Compare(a.Seconds, b.Seconds) })
+			if name != best.Scheme {
+				t.Errorf("cell %s: grid names %s, lowest median is %s", cell[0].Group, name, best.Scheme)
 			}
 		}
-	}
-	var buf bytes.Buffer
-	WriteFig7(&buf, cfg, cells)
-	if !strings.Contains(buf.String(), "Figure 7") {
-		t.Error("WriteFig7 missing caption")
 	}
 }
 
@@ -113,17 +179,31 @@ func tinySuite() []gen.Instance {
 	}
 }
 
+// TestRunProfileAllApps runs every application's profile, and the
+// scheme lists of Figs 9 and 16, so the SS:GB-style baselines run on
+// every test step.
 func TestRunProfileAllApps(t *testing.T) {
-	schemes := []Scheme{OurSchemes()[0], OurSchemes()[2]} // MSA-1P, Hash-1P
-	for _, app := range []AppKind{AppTriangleCount, AppKTruss, AppBetweenness} {
-		p, err := RunProfile(ProfileConfig{
-			App: app, Instances: tinySuite(), Schemes: schemes, Reps: 1, BCBatch: 8,
+	two := []Scheme{OurSchemes()[0], OurSchemes()[2]} // MSA-1P, Hash-1P
+	for _, c := range []struct {
+		app     AppKind
+		schemes []Scheme
+	}{
+		{AppTriangleCount, two},
+		{AppKTruss, two},
+		{AppBetweenness, two},
+		{AppTriangleCount, VsBaselineSchemes()},
+		{AppBetweenness, Fig16Schemes()},
+	} {
+		pts, err := RunProfile(ProfileConfig{
+			App: c.app, Instances: tinySuite(), Schemes: c.schemes, BCBatch: 8,
 		})
 		if err != nil {
-			t.Fatalf("%v: %v", app, err)
+			t.Fatalf("%v: %v", c.app, err)
 		}
-		if len(p.Instances) != 2 || len(p.Schemes) != 2 {
-			t.Fatalf("%v: profile shape %d×%d", app, len(p.Instances), len(p.Schemes))
+		checkPoints(t, c.app.String(), pts, 2*len(c.schemes))
+		p := profile(pts)
+		if len(p.Instances) != 2 || len(p.Schemes) != len(c.schemes) {
+			t.Fatalf("%v: profile shape %d×%d", c.app, len(p.Instances), len(p.Schemes))
 		}
 		// Someone must be best on each instance.
 		winners := 0.0
@@ -131,10 +211,10 @@ func TestRunProfileAllApps(t *testing.T) {
 			winners += p.WinFraction(s)
 		}
 		if winners < 1 {
-			t.Errorf("%v: no winners recorded", app)
+			t.Errorf("%v: no winners recorded", c.app)
 		}
 		var buf bytes.Buffer
-		WriteProfile(&buf, app.String(), p)
+		WriteProfile(&buf, c.app.String(), pts)
 		if !strings.Contains(buf.String(), "winner:") {
 			t.Error("WriteProfile missing winner line")
 		}
@@ -145,44 +225,55 @@ func TestRunScaleSweep(t *testing.T) {
 	for _, app := range []AppKind{AppTriangleCount, AppKTruss, AppBetweenness} {
 		cfg := ScaleSweepConfig{
 			App: app, Scales: []int{7, 8}, EdgeFactor: 8,
-			Schemes: []Scheme{OurSchemes()[0]}, Reps: 1, BCBatch: 8, Seed: 3,
+			Schemes: []Scheme{OurSchemes()[0]}, BCBatch: 8, Seed: 3,
 		}
 		pts, err := RunScaleSweep(cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", app, err)
 		}
-		if len(pts) != 2 {
-			t.Fatalf("%v: points = %d", app, len(pts))
-		}
+		checkPoints(t, app.String(), pts, 2)
 		for _, pt := range pts {
-			if pt.Rate <= 0 || pt.Seconds <= 0 {
-				t.Errorf("%v: non-positive rate/time %+v", app, pt)
+			if pt.Rate <= 0 {
+				t.Errorf("%v: non-positive rate %+v", app, pt)
 			}
 		}
 		var buf bytes.Buffer
-		WriteScaleSweep(&buf, "test", "RATE", cfg, pts)
-		if !strings.Contains(buf.String(), "MSA-1P") {
-			t.Error("WriteScaleSweep missing series")
+		WriteSeries(&buf, "test", "scheme\\scale", app.RateUnit(), pts)
+		if !strings.Contains(buf.String(), "MSA-1P") || !strings.Contains(buf.String(), app.RateUnit()) {
+			t.Error("WriteSeries missing series or unit")
 		}
+	}
+}
+
+// TestWriteSeriesEmpty renders a sweep with no points (a scale cap below
+// the sweep's first scale) as its caption and header only.
+func TestWriteSeriesEmpty(t *testing.T) {
+	var buf bytes.Buffer
+	WriteSeries(&buf, "test", "scheme\\scale", "GFLOPS", nil)
+	if got, want := buf.String(), fmt.Sprintf("test\n%-12s   (GFLOPS)\n", "scheme\\scale"); got != want {
+		t.Errorf("WriteSeries(nil) = %q, want %q", got, want)
 	}
 }
 
 func TestRunThreadSweep(t *testing.T) {
 	cfg := ThreadSweepConfig{
 		Scale: 7, EdgeFactor: 8, Threads: []int{1, 2},
-		Schemes: []Scheme{OurSchemes()[0]}, Reps: 1, Seed: 4,
+		Schemes: []Scheme{OurSchemes()[0], OurSchemes()[2]}, Seed: 4,
 	}
 	pts, err := RunThreadSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 {
-		t.Fatalf("points = %d", len(pts))
+	checkPoints(t, "threads", pts, 4)
+	for i, p := range pts {
+		if want := strconv.Itoa(cfg.Threads[i/2]); p.Group != want || p.Scheme != cfg.Schemes[i%2].Name {
+			t.Errorf("point %d = %s/%s, want %s/%s", i, p.Group, p.Scheme, want, cfg.Schemes[i%2].Name)
+		}
 	}
 	var buf bytes.Buffer
-	WriteThreadSweep(&buf, "test", cfg, pts)
+	WriteSeries(&buf, "test", "scheme\\thr", "GFLOPS", pts)
 	if !strings.Contains(buf.String(), "GFLOPS") {
-		t.Error("WriteThreadSweep missing rate name")
+		t.Error("WriteSeries missing rate name")
 	}
 }
 
@@ -251,7 +342,7 @@ func TestKernelsTiny(t *testing.T) {
 		}
 	}
 	buf.Reset()
-	if err := WriteKernelsJSON(&buf, rep); err != nil {
+	if err := WriteJSON(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
 	var back KernelsReport

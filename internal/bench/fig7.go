@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/gen"
-	"maskedspgemm/internal/semiring"
-	"maskedspgemm/internal/sparse"
 )
 
 // Fig7Config parameterizes the density sweep of Figure 7: Erdős-Rényi
@@ -23,8 +20,6 @@ type Fig7Config struct {
 	InputDegrees []int
 	// Threads pins the worker count (0 = GOMAXPROCS).
 	Threads int
-	// Reps is the timing repetitions per cell.
-	Reps int
 	// Seed drives the generators.
 	Seed uint64
 }
@@ -36,73 +31,81 @@ func DefaultFig7Config() Fig7Config {
 		Dim:          1 << 12,
 		MaskDegrees:  []int{1, 4, 16, 64, 256, 1024},
 		InputDegrees: []int{1, 4, 16, 64, 128},
-		Reps:         3,
 		Seed:         7,
 	}
 }
 
-// Fig7Cell is one sweep cell result.
-type Fig7Cell struct {
-	// MaskDegree and InputDegree locate the cell in the density sweep.
-	MaskDegree, InputDegree int
-	// Best is the fastest scheme's name.
-	Best string
-	// Seconds maps scheme name → best-of-reps runtime.
-	Seconds map[string]float64
+// Cell returns the sweep's cell at input degree dIn and mask degree dM
+// as a kernel workload: ER inputs A and B of degree dIn under an ER
+// mask of degree dM, with one arm per Fig7Schemes family, each planned
+// once with pooled output, so the cell times executions only (§8
+// reports execution time).
+func (cfg Fig7Config) Cell(dIn, dM int) KernelWorkload {
+	var arms []KernelArm
+	for _, s := range Fig7Schemes() {
+		opt := s.WithThreads(cfg.Threads).Opt
+		opt.ReuseOutput = true
+		arms = append(arms, KernelArm{Name: s.Name, Opt: opt})
+	}
+	seed := cfg.Seed + uint64(dIn)*13
+	return KernelWorkload{
+		Name: fmt.Sprintf("d_in=%d/d_m=%d", dIn, dM),
+		Arms: arms,
+		inputs: func() kernelInputs {
+			return kernelInputs{
+				mask: gen.ErdosRenyiPattern(cfg.Dim, dM, seed+uint64(dM)*31+3),
+				a:    gen.ErdosRenyi(cfg.Dim, dIn, seed+1),
+				b:    gen.ErdosRenyi(cfg.Dim, dIn, seed+2),
+			}
+		},
+	}
 }
 
-// RunFig7 executes the sweep and returns the grid of winners
-// (row-major: one row per input degree, one column per mask degree).
-func RunFig7(cfg Fig7Config) ([]Fig7Cell, error) {
-	sr := semiring.PlusTimes[float64]{}
-	var cells []Fig7Cell
+// RunFig7 times the sweep, one cell group per cell, row-major: one row
+// per input degree, one column per mask degree.
+func RunFig7(cfg Fig7Config) ([]Point, error) {
+	var cells []KernelWorkload
+	var groups []string
 	for _, dIn := range cfg.InputDegrees {
-		a := gen.ErdosRenyi(cfg.Dim, dIn, cfg.Seed+uint64(dIn)*13+1)
-		b := gen.ErdosRenyi(cfg.Dim, dIn, cfg.Seed+uint64(dIn)*13+2)
 		for _, dM := range cfg.MaskDegrees {
-			mask := gen.ErdosRenyiPattern(cfg.Dim, dM, cfg.Seed+uint64(dIn)*13+uint64(dM)*31+3)
-			cell := Fig7Cell{MaskDegree: dM, InputDegree: dIn, Seconds: map[string]float64{}}
-			bestT := -1.0
-			for _, s := range Fig7Schemes() {
-				s = s.WithThreads(cfg.Threads)
-				var out *sparse.CSR[float64]
-				d, err := TimeBest(cfg.Reps, func() error {
-					var err error
-					out, err = core.MaskedSpGEMM(sr, mask, a, b, s.Opt)
-					return err
-				})
-				if err != nil {
-					return nil, fmt.Errorf("fig7 %s d_m=%d d_in=%d: %w", s.Name, dM, dIn, err)
-				}
-				_ = out
-				sec := d.Seconds()
-				cell.Seconds[s.Name] = sec
-				if bestT < 0 || sec < bestT {
-					bestT = sec
-					cell.Best = s.Name
-				}
-			}
-			cells = append(cells, cell)
+			cells = append(cells, cfg.Cell(dIn, dM))
+			groups = append(groups, cells[len(cells)-1].Name)
 		}
 	}
-	return cells, nil
+	return timeGroups(groups, func(i int) ([]TimedArm, error) {
+		s, err := cells[i].Setup()
+		if err != nil {
+			return nil, err
+		}
+		return s.Arms(), nil
+	})
+}
+
+// fastest returns the scheme of the point with the lowest median.
+func fastest(pts []Point) string {
+	best := pts[0]
+	for _, p := range pts[1:] {
+		if p.Seconds < best.Seconds {
+			best = p
+		}
+	}
+	return best.Scheme
 }
 
 // WriteFig7 renders the winner grid the way the paper's heat map reads:
 // rows are input degrees (ascending), columns mask degrees.
-func WriteFig7(w io.Writer, cfg Fig7Config, cells []Fig7Cell) {
+func WriteFig7(w io.Writer, cfg Fig7Config, pts []Point) {
 	fmt.Fprintf(w, "Figure 7: best scheme per (mask degree, input degree), ER dim=%d\n", cfg.Dim)
 	fmt.Fprintf(w, "%-12s", "deg(A,B) \\ deg(M)")
 	for _, dM := range cfg.MaskDegrees {
 		fmt.Fprintf(w, " %10d", dM)
 	}
 	fmt.Fprintln(w)
-	i := 0
-	for _, dIn := range cfg.InputDegrees {
+	cells := groupsOf(pts)
+	for i, dIn := range cfg.InputDegrees {
 		fmt.Fprintf(w, "%-12d", dIn)
-		for range cfg.MaskDegrees {
-			fmt.Fprintf(w, " %10s", cells[i].Best)
-			i++
+		for _, cell := range cells[i*len(cfg.MaskDegrees) : (i+1)*len(cfg.MaskDegrees)] {
+			fmt.Fprintf(w, " %10s", fastest(cell))
 		}
 		fmt.Fprintln(w)
 	}

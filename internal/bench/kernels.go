@@ -12,6 +12,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"strings"
+	"time"
 
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/gen"
@@ -344,8 +345,8 @@ func (w KernelWorkload) Setup() (*KernelSetup, error) {
 			}
 			s.plans[i] = plan
 		}
-		if err := s.Run(i); err != nil {
-			return nil, err
+		if _, err := s.time(i); err != nil {
+			return nil, fmt.Errorf("%s/%s: %w", w.Name, arm.Name, err)
 		}
 	}
 	return s, nil
@@ -359,18 +360,68 @@ func (s *KernelSetup) b(i int) *sparse.CSR[float64] {
 	return s.in.b
 }
 
-// Run executes arm i once.
-func (s *KernelSetup) Run(i int) error {
-	if _, err := s.plans[i].ExecuteOnOpts(s.execs[i], s.in.a, s.b(i), s.eos[i]); err != nil {
-		return fmt.Errorf("%s/%s: %w", s.w.Name, s.w.Arms[i].Name, err)
-	}
-	return nil
+// time executes arm i once and returns its seconds.
+func (s *KernelSetup) time(i int) (float64, error) {
+	start := time.Now()
+	_, err := s.plans[i].ExecuteOnOpts(s.execs[i], s.in.a, s.b(i), s.eos[i])
+	return time.Since(start).Seconds(), err
 }
 
-// time returns one execution of arm i in seconds.
-func (s *KernelSetup) time(i int) (float64, error) {
-	d, err := TimeBest(1, func() error { return s.Run(i) })
-	return d.Seconds(), err
+// Arms returns one timed arm per workload arm, in case-table order.
+func (s *KernelSetup) Arms() []TimedArm {
+	arms := make([]TimedArm, len(s.w.Arms))
+	for i, arm := range s.w.Arms {
+		arms[i] = TimedArm{Name: arm.Name, Time: func() (float64, error) { return s.time(i) }}
+	}
+	return arms
+}
+
+// TimedArm is one arm of a cell group, as the round runner times it: a
+// kernel bench case, a paper figure's scheme on one graph, or a Fig. 7
+// family on one cell.
+type TimedArm struct {
+	// Name identifies the arm within its group.
+	Name string
+	// Time runs the arm once and returns the seconds its figure reads.
+	Time func() (float64, error)
+	// Rate converts a time to the figure's rate (GFLOPS or MTEPS); nil
+	// where the figure has none.
+	Rate func(seconds float64) float64
+}
+
+// timed runs the arm once, naming it in its error.
+func (a TimedArm) timed() (float64, error) {
+	sec, err := a.Time()
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", a.Name, err)
+	}
+	return sec, nil
+}
+
+// timeRounds times a cell group's arms in firstLook rounds and returns
+// times[arm][round]. Each round runs every arm once, in a fresh seeded
+// order: a rotation would keep every arm behind the same predecessor,
+// and whatever that predecessor leaves in cache and memory would bias
+// the arm alike in every round. An arm's error stops the run.
+func timeRounds(arms []TimedArm) ([][]float64, error) {
+	runtime.GC() // the set-up's garbage, not the timing's
+	times := make([][]float64, len(arms))
+	order := make([]int, len(arms))
+	for i := range order {
+		order[i] = i
+	}
+	rng := rand.New(rand.NewPCG(1, 1))
+	for range firstLook {
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		for _, i := range order {
+			sec, err := arms[i].timed()
+			if err != nil {
+				return nil, err
+			}
+			times[i] = append(times[i], sec)
+		}
+	}
+	return times, nil
 }
 
 // KernelPoint is one case's timing at the first look.
@@ -416,8 +467,8 @@ type KernelRow struct {
 	Verdict string `json:"verdict,omitempty"`
 }
 
-// KernelsReport is the BENCH_kernels.json document.
-type KernelsReport struct {
+// RunInfo identifies a bench run: the host, its width and the build.
+type RunInfo struct {
 	// Host names the machine: hostname, CPUs, platform, toolchain and,
 	// where the OS reports it, the CPU model.
 	Host string `json:"host"`
@@ -429,6 +480,16 @@ type KernelsReport struct {
 	// Commit is the build's VCS revision, "+modified" when the tree had
 	// uncommitted changes, "unknown" outside a repository.
 	Commit string `json:"commit"`
+}
+
+// runInfo describes this run at threads workers.
+func runInfo(threads int) RunInfo {
+	return RunInfo{Host: kernelHost(), GOMAXPROCS: runtime.GOMAXPROCS(0), Threads: threads, Commit: kernelCommit()}
+}
+
+// KernelsReport is the BENCH_kernels.json document.
+type KernelsReport struct {
+	RunInfo
 	// Scale is log2 of the workloads' row count.
 	Scale int `json:"scale"`
 	// Confidence is each look's interval coverage.
@@ -445,10 +506,7 @@ type KernelsReport struct {
 // every row: each reported row at the first look, each gate until it
 // resolves or reaches its cap.
 func RunKernels(scale, threads int) (*KernelsReport, error) {
-	rep := &KernelsReport{
-		Host: kernelHost(), GOMAXPROCS: runtime.GOMAXPROCS(0), Threads: threads,
-		Commit: kernelCommit(), Scale: scale, Confidence: kernelConfidence,
-	}
+	rep := &KernelsReport{RunInfo: runInfo(threads), Scale: scale, Confidence: kernelConfidence}
 	for _, w := range KernelWorkloads(scale, threads) {
 		if err := rep.run(w); err != nil {
 			return nil, err
@@ -462,26 +520,10 @@ func (rep *KernelsReport) run(w KernelWorkload) error {
 	if err != nil {
 		return err
 	}
-	runtime.GC() // the set-up's garbage, not the timing's
-	// Each round runs the arms in a fresh seeded order: a rotation would
-	// keep every arm behind the same predecessor, and whatever that
-	// predecessor leaves in cache and memory would bias the arm alike
-	// in every round.
-	times := make([][]float64, len(w.Arms))
-	order := make([]int, len(w.Arms))
-	for i := range order {
-		order[i] = i
-	}
-	rng := rand.New(rand.NewPCG(1, 1))
-	for range firstLook {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for _, i := range order {
-			sec, err := s.time(i)
-			if err != nil {
-				return err
-			}
-			times[i] = append(times[i], sec)
-		}
+	arms := s.Arms()
+	times, err := timeRounds(arms)
+	if err != nil {
+		return fmt.Errorf("%s: %w", w.Name, err)
 	}
 	medians := make([]float64, len(w.Arms))
 	for i, arm := range w.Arms {
@@ -518,11 +560,11 @@ func (rep *KernelsReport) run(w KernelWorkload) error {
 			if round%2 == 1 {
 				first, second = den, num
 			}
-			t1, err := s.time(first)
+			t1, err := arms[first].timed()
 			if err != nil {
 				return 0, 0, err
 			}
-			t2, err := s.time(second)
+			t2, err := arms[second].timed()
 			if err != nil {
 				return 0, 0, err
 			}
@@ -532,7 +574,7 @@ func (rep *KernelsReport) run(w KernelWorkload) error {
 			return t1 / t2, t1 + t2, nil
 		})
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", w.Name, err)
 		}
 		rep.Gates = append(rep.Gates, row)
 	}
@@ -676,9 +718,9 @@ func WriteKernels(w io.Writer, rep *KernelsReport) {
 	rows("Reported ratios", rep.Ratios)
 }
 
-// WriteKernelsJSON emits the report as the BENCH_kernels.json
-// document.
-func WriteKernelsJSON(w io.Writer, rep *KernelsReport) error {
+// WriteJSON emits a report (KernelsReport, PaperReport) as an indented
+// JSON document.
+func WriteJSON(w io.Writer, rep any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)

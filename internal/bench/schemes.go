@@ -5,11 +5,7 @@
 // are thin wrappers over this package.
 package bench
 
-import (
-	"time"
-
-	"maskedspgemm/internal/core"
-)
+import "maskedspgemm/internal/core"
 
 // Scheme is one named algorithm variant as plotted in the paper.
 type Scheme struct {
@@ -55,6 +51,12 @@ func BaselineSchemes() []Scheme {
 	}
 }
 
+// VsBaselineSchemes returns the best three and the SS:GB-style
+// baselines: the comparison of Figs 9–11, 13 and 14.
+func VsBaselineSchemes() []Scheme {
+	return append(BestThreeSchemes(), BaselineSchemes()...)
+}
+
 // ComplementSchemes returns the variants evaluated on betweenness
 // centrality (Fig 16: MSA/Hash in 1P/2P; MCA unsupported, Heap/Inner/
 // SS:DOT prohibitively slow per §8.4).
@@ -65,6 +67,12 @@ func ComplementSchemes() []Scheme {
 		scheme(core.AlgoMSA, core.TwoPhase),
 		scheme(core.AlgoHash, core.TwoPhase),
 	}
+}
+
+// Fig16Schemes returns the complement-capable variants and SS:SAXPY*,
+// the comparison of Fig 16.
+func Fig16Schemes() []Scheme {
+	return append(ComplementSchemes(), BaselineSchemes()[0])
 }
 
 // Fig7Schemes returns the six algorithm families compared in the
@@ -84,29 +92,4 @@ func Fig7Schemes() []Scheme {
 func (s Scheme) WithThreads(threads int) Scheme {
 	s.Opt.Threads = threads
 	return s
-}
-
-// TimeBest runs f reps times and returns the fastest wall-clock
-// duration and the last error. reps < 1 is treated as 1. Taking the
-// minimum over repetitions is the standard noise filter for
-// shared-machine benchmarking.
-func TimeBest(reps int, f func() error) (time.Duration, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	best := time.Duration(1<<63 - 1)
-	var lastErr error
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		err := f()
-		d := time.Since(start)
-		if err != nil {
-			return 0, err
-		}
-		if d < best {
-			best = d
-		}
-		lastErr = err
-	}
-	return best, lastErr
 }

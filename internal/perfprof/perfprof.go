@@ -168,21 +168,3 @@ func (p *Profile) Render(xs []float64) string {
 	}
 	return b.String()
 }
-
-// CSV formats the profile as comma-separated series for plotting.
-func (p *Profile) CSV(xs []float64) string {
-	var b strings.Builder
-	b.WriteString("scheme")
-	for _, x := range xs {
-		fmt.Fprintf(&b, ",%g", x)
-	}
-	b.WriteByte('\n')
-	for _, s := range p.Schemes {
-		b.WriteString(s)
-		for _, y := range p.Series(s, xs) {
-			fmt.Fprintf(&b, ",%g", y)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}

@@ -81,7 +81,7 @@ func TestNonPositiveTimesIgnored(t *testing.T) {
 	}
 }
 
-func TestRenderAndCSV(t *testing.T) {
+func TestRender(t *testing.T) {
 	p := Compute(sampleResults())
 	xs := DefaultXs()
 	if xs[0] != 1.0 || xs[len(xs)-1] != 2.4 {
@@ -90,14 +90,6 @@ func TestRenderAndCSV(t *testing.T) {
 	table := p.Render(xs)
 	if !strings.Contains(table, "scheme") || !strings.Contains(table, "A") {
 		t.Errorf("Render missing content:\n%s", table)
-	}
-	csv := p.CSV(xs)
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
-	if len(lines) != 4 { // header + 3 schemes
-		t.Errorf("CSV lines = %d", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "scheme,1") {
-		t.Errorf("CSV header = %q", lines[0])
 	}
 }
 
