@@ -189,7 +189,7 @@ func (r runner) run(figure string) ([]bench.Point, error) {
 			bench.AppBetweenness, bench.ComplementSchemes(), 15)
 	case "fig16":
 		return profile("Figure 16: Betweenness Centrality — ours vs SS:SAXPY*",
-			bench.AppBetweenness, gen.SmallSuite(), bench.Fig16Schemes())
+			bench.AppBetweenness, gen.SmallSuite(r.scaleMax), bench.Fig16Schemes())
 	case "kernels":
 		rep, err := bench.RunKernels(min(r.scaleMax, 12), r.threads)
 		if err != nil {

@@ -1,7 +1,7 @@
-// Triangle counting (paper §8.2): count = sum(L ⊙ (L·L)) over the
-// plus-pair semiring, where L is the lower triangle of the
-// degree-relabeled adjacency matrix. Compares all masked-SpGEMM
-// algorithm families on the same graph and reports rates.
+// Triangle counting (paper §8.2): count = sum(L ⊙ (L·L)) over
+// plus-times on unit values (the plus-pair semiring), where L is the
+// lower triangle of the degree-relabeled adjacency matrix. Compares all
+// masked-SpGEMM algorithm families on the same graph and reports rates.
 package main
 
 import (

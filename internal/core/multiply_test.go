@@ -226,14 +226,16 @@ func TestMCARejectsComplement(t *testing.T) {
 	}
 }
 
-// TestMaskedSpGEMMSemirings validates a non-arithmetic semiring
-// (plus-pair) against a dense oracle using the same algebra.
+// TestMaskedSpGEMMSemirings validates a non-arithmetic semiring over
+// int64 on the generic kernels (plus-first, whose product is its left
+// operand, so a swapped product shows) against a dense oracle using the
+// same algebra.
 func TestMaskedSpGEMMSemirings(t *testing.T) {
-	sr := semiring.PlusPair[int64]{}
+	sr := semiring.PlusFirst[int64]{}
 	af := gen.Random(40, 40, 6, 21)
 	a := &sparse.CSR[int64]{Pattern: af.Pattern, Val: make([]int64, len(af.Val))}
 	for i := range a.Val {
-		a.Val[i] = 7 // arbitrary: PlusPair must ignore values
+		a.Val[i] = int64(i%7) - 3
 	}
 	mask := gen.Random(40, 40, 6, 22).PatternView()
 	want := sparse.DenseMaskedMultiply(mask, a, a, false, sr.Add, sr.Mul, sr.Zero())
@@ -246,7 +248,7 @@ func TestMaskedSpGEMMSemirings(t *testing.T) {
 			t.Fatalf("%s: %v", opt.SchemeName(), err)
 		}
 		if !sparse.Equal(want, got) {
-			t.Fatalf("%s: plus-pair mismatch: %s", opt.SchemeName(),
+			t.Fatalf("%s: plus-first mismatch: %s", opt.SchemeName(),
 				sparse.Diff(want, got, func(x, y int64) bool { return x == y }))
 		}
 	}

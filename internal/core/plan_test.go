@@ -244,12 +244,8 @@ func TestPlanReuseOutputAliases(t *testing.T) {
 // (A·A) executed repeatedly over one structure. Run with -benchmem to
 // see the allocation gap the Plan/Executor layer exists for.
 func BenchmarkPlanReuseVsMultiply(b *testing.B) {
-	sr := semiring.PlusPair[int64]{}
-	g := gen.RMATSymmetric(gen.RMATConfig{Scale: 10, EdgeFactor: 8, Seed: 7})
-	l := &sparse.CSR[int64]{Pattern: g.Pattern, Val: make([]int64, len(g.Val))}
-	for i := range l.Val {
-		l.Val[i] = 1
-	}
+	sr := semiring.PlusTimes[float64]{}
+	l := gen.RMATSymmetric(gen.RMATConfig{Scale: 10, EdgeFactor: 8, Seed: 7})
 	mask := l.PatternView()
 	for _, algo := range []Algorithm{AlgoMSA, AlgoHash} {
 		opt := Options{Algorithm: algo}

@@ -248,34 +248,18 @@ func (p *Plan[T, S]) provedSymmetric(vals []T) {
 }
 
 // mirroredValues reports whether every entry of vals equals its
-// transpose's bit for bit. The value types compared are the ones the
-// marked semirings run over here (float64 served, int64 for the graph
-// applications); any other type reports false and runs the full
-// product.
+// transpose's bit for bit. Only float64 values are compared: every
+// caller outside tests, the server and the graph applications alike,
+// runs the marked semiring PlusTimes[float64]. Any other type reports
+// false and runs the full product.
 func mirroredValues[T any](vals []T, h *symHalf) bool {
-	switch v := any(vals).(type) {
-	case []float64:
-		return mirrorEqualFloat64(v, h)
-	case []int64:
-		return mirrorEqual(v, h)
-	}
-	return false
+	v, ok := any(vals).([]float64)
+	return ok && mirrorEqualFloat64(v, h)
 }
 
-// mirrorEqual reports whether v[t] == v[mirror[t]] for every entry t,
-// which for an integer type is equality bit for bit.
-func mirrorEqual[V comparable](v []V, h *symHalf) bool {
-	v = v[:len(h.mirror)]
-	for t, u := range h.mirror {
-		if v[t] != v[u] {
-			return false
-		}
-	}
-	return true
-}
-
-// mirrorEqualFloat64 is mirrorEqual for float64, comparing the bits:
-// −0 and +0 differ, and so do NaNs with different payloads.
+// mirrorEqualFloat64 reports whether v[t] and v[mirror[t]] have the
+// same bits for every entry t: −0 and +0 differ, and so do NaNs with
+// different payloads.
 //
 //mspgemm:hotpath
 func mirrorEqualFloat64(v []float64, h *symHalf) bool {

@@ -327,17 +327,13 @@ func TestSymmetricPlanFootprint(t *testing.T) {
 	}
 }
 
-// TestSymmetricPlusPair runs the k-truss support product's semiring,
-// plus-pair over int64: it carries the Commutative marker and its
-// values compare by ==, so the product computes one triangle, and the
-// counts match the full product's.
-func TestSymmetricPlusPair(t *testing.T) {
-	sr := semiring.PlusPair[int64]{}
-	g := symGraph(8, false, true)
-	a := &sparse.CSR[int64]{Pattern: g.Pattern, Val: make([]int64, len(g.Val))}
-	for i := range a.Val {
-		a.Val[i] = 1
-	}
+// TestSymmetricUnitSupport runs the k-truss support product as the
+// graph applications run it, plus-times over unit values: the unit
+// values are symmetric bit for bit, so the product computes one
+// triangle, and the counts match the full product's.
+func TestSymmetricUnitSupport(t *testing.T) {
+	sr := semiring.PlusTimes[float64]{}
+	a := sparse.Apply(symGraph(8, false, true), func(float64) float64 { return 1 })
 	p, err := NewPlan(sr, a.PatternView(), a, a, Options{Algorithm: AlgoHybrid}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +347,7 @@ func TestSymmetricPlusPair(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !sparse.Equal(got, want) {
-		t.Errorf("support counts differ: %s", sparse.Diff(want, got, func(x, y int64) bool { return x == y }))
+		t.Errorf("support counts differ: %s", sparse.Diff(want, got, func(x, y float64) bool { return x == y }))
 	}
 }
 

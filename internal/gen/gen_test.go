@@ -227,7 +227,7 @@ func TestCompleteAndRing(t *testing.T) {
 }
 
 func TestSuiteBuilds(t *testing.T) {
-	for _, inst := range SmallSuite() {
+	for _, inst := range SmallSuite(0) {
 		g := inst.Build()
 		if err := g.Validate(); err != nil {
 			t.Fatalf("%s: %v", inst.Name, err)
@@ -247,5 +247,14 @@ func TestSuiteBuilds(t *testing.T) {
 	g := capped[0].Build()
 	if g.Rows > 1<<8 {
 		t.Errorf("scaleCap ignored: %d rows", g.Rows)
+	}
+	// SmallSuite's R-MAT and ER instances (its first four) stay at scale
+	// 11 or below whatever the cap, and follow a smaller one.
+	for _, c := range []struct{ scaleCap, maxRows int }{{0, 1 << 11}, {13, 1 << 11}, {8, 1 << 8}} {
+		for _, inst := range SmallSuite(c.scaleCap)[:4] {
+			if rows := inst.Build().Rows; rows > c.maxRows {
+				t.Errorf("SmallSuite(%d) %s: %d rows, want at most %d", c.scaleCap, inst.Name, rows, c.maxRows)
+			}
+		}
 	}
 }

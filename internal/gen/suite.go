@@ -72,8 +72,13 @@ func Suite(scaleCap int) []Instance {
 	}
 }
 
-// SmallSuite returns a reduced suite for quick runs and CI.
-func SmallSuite() []Instance {
-	full := Suite(11)
+// SmallSuite returns a reduced suite for quick runs and CI: six
+// instances of Suite, at scales capped at 11 or, when it is smaller and
+// positive, at scaleCap.
+func SmallSuite(scaleCap int) []Instance {
+	if scaleCap <= 0 || scaleCap > 11 {
+		scaleCap = 11
+	}
+	full := Suite(scaleCap)
 	return []Instance{full[0], full[1], full[6], full[7], full[11], full[13]}
 }

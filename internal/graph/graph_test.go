@@ -139,9 +139,10 @@ func TestKTrussKnownGraphs(t *testing.T) {
 // Re-running the same k must replay every iteration's plan from
 // cache; running a different k must at least reuse the full-graph
 // first-iteration plan. Results must be identical to one-shot runs.
-// The workload's int64 plans never remember a hit record (only the
-// served semiring's do), so repeated runs keep no schedule or bitmap
-// and charge the cache nothing beyond their plans.
+// The workload executes with pooled output (ReuseOutput), and a plan so
+// executed never remembers a hit record, although the cache owns it
+// and it runs the served semiring; so repeated runs keep no schedule or
+// bitmap and charge the cache nothing beyond their plans.
 func TestKTrussWorkloadPlanReuse(t *testing.T) {
 	g := gen.RMATSymmetric(gen.RMATConfig{Scale: 8, EdgeFactor: 8, Seed: 31})
 	opt := core.Options{Algorithm: core.AlgoMSA}
@@ -226,6 +227,58 @@ func TestKTrussMatchesReference(t *testing.T) {
 				if res.Iterations < 1 || res.Flops < 0 {
 					t.Errorf("%s k=%d: implausible stats %+v", g.name, k, res)
 				}
+			}
+		}
+	}
+}
+
+// TestEdgeWeightsIgnored runs triangle counting and k-truss on one
+// pattern under several edge weights, each stored on every edge, and on
+// all of them mixed. Both count the pattern's triangles, so every
+// weighting must give the unit graph's count and truss under every
+// scheme, and must leave the caller's values as they were: the
+// applications compute on a unit-valued copy, never on the weights.
+func TestEdgeWeightsIgnored(t *testing.T) {
+	g := gen.RMATSymmetric(gen.RMATConfig{Scale: 7, EdgeFactor: 8, Seed: 21})
+	const k = 4
+	wantCount, wantTruss := RefTriangleCount(g), RefKTruss(g, k)
+	inf, nan := math.Inf(1), math.NaN()
+	cases := []struct {
+		name    string
+		weights []float64 // edge e weighs weights[e % len(weights)]
+	}{
+		{"0.5", []float64{0.5}},
+		{"-2", []float64{-2}},
+		{"+Inf", []float64{inf}},
+		{"NaN", []float64{nan}},
+		{"mixed", []float64{0.5, -2, inf, nan}},
+	}
+	for _, c := range cases {
+		a := g.Clone()
+		for e := range a.Val {
+			a.Val[e] = c.weights[e%len(c.weights)]
+		}
+		before := a.Clone()
+		w := PrepareTriangleCount(a)
+		for _, opt := range appAlgorithms(false) {
+			got, err := w.Count(opt)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.name, opt.SchemeName(), err)
+			}
+			if got != wantCount {
+				t.Errorf("%s/%s: triangles = %d, want %d", c.name, opt.SchemeName(), got, wantCount)
+			}
+			res, err := KTruss(a, k, opt)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.name, opt.SchemeName(), err)
+			}
+			if !sparse.PatternEqual(&wantTruss.Pattern, &res.Truss.Pattern) {
+				t.Errorf("%s/%s: %d-truss has %d entries, want %d", c.name, opt.SchemeName(), k, res.Truss.NNZ(), wantTruss.NNZ())
+			}
+		}
+		for e := range a.Val {
+			if math.Float64bits(a.Val[e]) != math.Float64bits(before.Val[e]) {
+				t.Fatalf("%s: caller's value %d changed from %v to %v", c.name, e, before.Val[e], a.Val[e])
 			}
 		}
 	}

@@ -12,7 +12,7 @@ import (
 type KTrussResult struct {
 	// Truss is the adjacency matrix of the k-truss subgraph (symmetric,
 	// unit values).
-	Truss *sparse.CSR[int64]
+	Truss *sparse.CSR[float64]
 	// Iterations is the number of masked SpGEMM rounds until fixpoint.
 	Iterations int
 	// Flops is the summed unmasked multiply–add count of every masked
@@ -26,24 +26,22 @@ type KTrussResult struct {
 	PlansReused int
 }
 
-// trussSR is the k-truss counting semiring.
-type trussSR = semiring.PlusPair[int64]
-
 // KTrussWorkload is a prepared graph served for k-truss queries. The
 // paper's server scenario — many queries against one fixed graph —
 // applies directly: every run of every k starts from the full edge
 // set, so the first-iteration plan (usually the most expensive: the
 // whole graph) is shared by all runs, and re-running any k replays all
-// of its iterations from cache. The workload owns a structure-keyed
-// plan cache and one executor; Run re-plans only when a pruned edge
-// structure has genuinely never been seen.
+// of its iterations from cache. The workload owns a unit-valued copy of
+// the adjacency, a structure-keyed plan cache and one executor over
+// plus-times, the server's semiring; Run re-plans only when a pruned
+// edge structure has genuinely never been seen.
 //
 // A workload is single-owner: Runs on one workload must be sequential
 // (the executor is not concurrency-safe).
 type KTrussWorkload struct {
-	c     *sparse.CSR[int64]
-	cache *core.PlanCache[int64, trussSR]
-	exec  *core.Executor[int64, trussSR]
+	c     *sparse.CSR[float64]
+	cache *core.PlanCache[float64, semiring.PlusTimes[float64]]
+	exec  *core.Executor[float64, semiring.PlusTimes[float64]]
 }
 
 // ktrussCacheEntries bounds the workload's plan cache. Each pruning
@@ -58,11 +56,11 @@ func PrepareKTruss(a *sparse.CSR[float64]) (*KTrussWorkload, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("graph: adjacency must be square, got %dx%d", a.Rows, a.Cols)
 	}
-	sr := trussSR{}
+	sr := semiring.PlusTimes[float64]{}
 	return &KTrussWorkload{
-		c:     asInt64(a),
-		cache: core.NewPlanCache[int64](sr, ktrussCacheEntries),
-		exec:  core.NewExecutor[int64](sr),
+		c:     sparse.Apply(a, func(float64) float64 { return 1 }),
+		cache: core.NewPlanCache[float64](sr, ktrussCacheEntries),
+		exec:  core.NewExecutor[float64](sr),
 	}, nil
 }
 
@@ -76,8 +74,9 @@ func (w *KTrussWorkload) CacheStats() core.PlanCacheStats {
 // Run computes the k-truss of the prepared graph: the maximal subgraph
 // in which every edge is supported by at least k−2 triangles (§8.3,
 // run with k=5 in the paper). Each iteration computes per-edge support
-// with one masked SpGEMM, S = C ⊙ (C·C) over plus-pair, prunes
-// under-supported edges, and repeats until the edge set is stable.
+// with one masked SpGEMM, S = C ⊙ (C·C) over plus-times on unit values
+// (so each product counts one triangle), prunes under-supported edges,
+// and repeats until the edge set is stable.
 // Plans are drawn from the workload's cache keyed by the surviving
 // edge structure, so structures already analyzed — by an earlier
 // iteration, an earlier Run, or a Run with different k — execute
@@ -87,12 +86,14 @@ func (w *KTrussWorkload) Run(k int, opt core.Options) (*KTrussResult, error) {
 		return nil, fmt.Errorf("graph: k-truss needs k ≥ 3, got %d", k)
 	}
 	res := &KTrussResult{}
-	minSupport := int64(k - 2)
+	minSupport := float64(k - 2)
 	// The workload executor carries the accumulator workspaces and
 	// output buffers across iterations and runs. The support matrix is
 	// consumed by Select before the next execution, so pooled output
 	// (ReuseOutput) is safe — requested per execution, since cached
-	// plans are canonical and carry no execution-only options.
+	// plans are canonical and carry no execution-only options. Pooled
+	// output also keeps the cached plans from remembering a hit record,
+	// so every iteration runs a first execution.
 	execOpt := opt.ExecOnly()
 	execOpt.ReuseOutput = true
 	c := w.c
@@ -110,7 +111,7 @@ func (w *KTrussWorkload) Run(k int, opt core.Options) (*KTrussResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		kept := sparse.Select(s, func(_ int, _ int32, support int64) bool {
+		kept := sparse.Select(s, func(_ int, _ int32, support float64) bool {
 			return support >= minSupport
 		})
 		// Edges absent from s (zero support) are pruned implicitly:

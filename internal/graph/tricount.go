@@ -44,8 +44,9 @@ func DegreeSortPerm(a *sparse.CSR[float64]) []int32 {
 // paper does ("we only report the Masked SpGEMM execution time", §8.2).
 type TCWorkload struct {
 	// L is tril(P·A·Pᵀ) for the degree-sorting permutation P, with unit
-	// int64 values for the counting semiring.
-	L *sparse.CSR[int64]
+	// values: plus-times over them is the counting semiring plus-pair,
+	// run on the kernels the server runs.
+	L *sparse.CSR[float64]
 }
 
 // PrepareTriangleCount relabels the graph by non-increasing degree and
@@ -57,24 +58,25 @@ func PrepareTriangleCount(a *sparse.CSR[float64]) *TCWorkload {
 	}
 	perm := DegreeSortPerm(a)
 	relabeled := sparse.PermuteSym(a, perm)
-	return &TCWorkload{L: asInt64(sparse.Tril(relabeled))}
+	return &TCWorkload{L: sparse.Apply(sparse.Tril(relabeled), func(float64) float64 { return 1 })}
 }
 
-// Count runs the masked multiplication C = L ⊙ (L·L) over the plus-pair
-// semiring and reduces: sum(C) is the triangle count (§8.2).
+// Count runs the masked multiplication C = L ⊙ (L·L) over plus-times
+// on unit values, so each C(i,j) counts the triangles through edge
+// (i,j), and reduces: sum(C) is the triangle count (§8.2).
 func (w *TCWorkload) Count(opt core.Options) (int64, error) {
-	c, err := core.MaskedSpGEMM(semiring.PlusPair[int64]{}, w.L.PatternView(), w.L, w.L, opt)
+	c, err := core.MaskedSpGEMM(semiring.PlusTimes[float64]{}, w.L.PatternView(), w.L, w.L, opt)
 	if err != nil {
 		return 0, err
 	}
-	return sparse.Reduce(c, 0, func(x, y int64) int64 { return x + y }), nil
+	return sumCounts(c), nil
 }
 
 // TCPlan is a prepared execution plan for the workload's masked
 // product; TCExecutor is the matching pooled-workspace executor.
 type (
-	TCPlan     = core.Plan[int64, semiring.PlusPair[int64]]
-	TCExecutor = core.Executor[int64, semiring.PlusPair[int64]]
+	TCPlan     = core.Plan[float64, semiring.PlusTimes[float64]]
+	TCExecutor = core.Executor[float64, semiring.PlusTimes[float64]]
 )
 
 // NewPlan analyzes the workload's masked product once so repeated
@@ -85,7 +87,7 @@ type (
 // so callers that only count may set opt.ReuseOutput for pooled output
 // buffers.
 func (w *TCWorkload) NewPlan(opt core.Options, exec *TCExecutor) (*TCPlan, error) {
-	return core.NewPlan(semiring.PlusPair[int64]{}, w.L.PatternView(), w.L, w.L, opt, exec)
+	return core.NewPlan(semiring.PlusTimes[float64]{}, w.L.PatternView(), w.L, w.L, opt, exec)
 }
 
 // CountWith executes a prepared plan and reduces to the triangle
@@ -95,24 +97,19 @@ func (w *TCWorkload) CountWith(p *TCPlan) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return sparse.Reduce(c, 0, func(x, y int64) int64 { return x + y }), nil
+	return sumCounts(c), nil
+}
+
+// sumCounts sums a product of counts. Every partial sum is an integer
+// below 2⁵³, so the float64 sum is exact.
+func sumCounts(c *sparse.CSR[float64]) int64 {
+	return int64(sparse.Reduce(c, 0, func(x, y float64) float64 { return x + y }))
 }
 
 // Flops returns the multiply–add count of the unmasked L·L product, the
 // normalizer for the paper's GFLOPS rates (Fig 10).
 func (w *TCWorkload) Flops() int64 {
 	return core.Flops(w.L, w.L)
-}
-
-// asInt64 reinterprets a unit-valued float adjacency as int64 pattern
-// values; counting semirings never read the input values (PlusPair's
-// Mul ignores them), so only the pattern must be preserved.
-func asInt64(a *sparse.CSR[float64]) *sparse.CSR[int64] {
-	out := &sparse.CSR[int64]{Pattern: a.Pattern, Val: make([]int64, len(a.Val))}
-	for i := range out.Val {
-		out.Val[i] = 1
-	}
-	return out
 }
 
 // TriangleCount is the convenience one-shot: prepare + count.

@@ -1,10 +1,11 @@
 // Package semiring defines the algebraic structures masked SpGEMM
 // operates over. GraphBLAS generalizes matrix multiplication to an
-// arbitrary semiring (add, mul, additive identity); the paper's
-// benchmark applications each pick a different one: arithmetic for the
-// Fig-7 density sweeps, plus-pair for triangle counting and k-truss
-// support, plus-times for the betweenness-centrality path counts (§2,
-// §8).
+// arbitrary semiring (add, mul, additive identity). The paper's
+// benchmark applications need only arithmetic (§2, §8): the Fig-7
+// density sweeps and the betweenness-centrality path counts multiply
+// values, and triangle counting and k-truss support count triangles
+// with plus-times over unit values, which is the plus-pair semiring
+// (every product is 1).
 //
 // Semirings are zero-size structs implementing a tiny generic interface,
 // so kernels take them as a type parameter and never box them in an
@@ -13,10 +14,11 @@
 // so inside a generic kernel Add and Mul are indirect calls through the
 // instantiation's dictionary and are not inlined. The accumulators pay
 // them only on products the mask admits. PlusTimes[float64], the one
-// semiring the facade and the server run, is the exception in the
-// kernels that bind most served rows: MSA, MaskedBit and MaskedBitC bind
-// float64 Scatter loops for it at bind time, which multiply and add
-// inline (internal/accum, plustimes.go).
+// semiring run outside tests (by the facade, the server and every graph
+// application), is the exception in the kernels that bind most served
+// rows: MSA, MaskedBit and MaskedBitC bind float64 Scatter loops for it
+// at bind time, which multiply and add inline (internal/accum,
+// plustimes.go).
 package semiring
 
 import "math"
@@ -79,23 +81,6 @@ func (PlusTimes[T]) CommutativeMul() {}
 
 // Zero returns 0.
 func (PlusTimes[T]) Zero() T { var z T; return z }
-
-// PlusPair is the (+, pair, 0) semiring: every multiplication yields 1,
-// so the product counts contributing (i,k,j) triples. C = L ⊙ (L·L) over
-// PlusPair gives per-edge triangle/support counts (§8.2–8.3).
-type PlusPair[T Number] struct{}
-
-// Add returns x + y.
-func (PlusPair[T]) Add(x, y T) T { return x + y }
-
-// Mul returns 1 regardless of its operands.
-func (PlusPair[T]) Mul(x, y T) T { return 1 }
-
-// CommutativeMul marks PlusPair as Commutative: both orders yield 1.
-func (PlusPair[T]) CommutativeMul() {}
-
-// Zero returns 0.
-func (PlusPair[T]) Zero() T { var z T; return z }
 
 // PlusFirst is (+, first, 0): Mul returns its left operand. Useful when
 // B is a pattern holding no meaningful values.

@@ -34,7 +34,6 @@ func approxEq(a, b float64) bool {
 
 func TestSemiringLaws(t *testing.T) {
 	checkSemiringLaws(t, "PlusTimes", PlusTimes[float64]{}, approxEq)
-	checkSemiringLaws(t, "PlusPair", PlusPair[float64]{}, approxEq)
 	checkSemiringLaws(t, "PlusFirst", PlusFirst[float64]{}, approxEq)
 	checkSemiringLaws(t, "PlusSecond", PlusSecond[float64]{}, approxEq)
 	checkSemiringLaws(t, "MinPlus", MinPlusF64{}, func(a, b float64) bool { return a == b || approxEq(a, b) })
@@ -46,16 +45,6 @@ func TestPlusTimesInt(t *testing.T) {
 	s := PlusTimes[int64]{}
 	if s.Add(2, 3) != 5 || s.Mul(2, 3) != 6 || s.Zero() != 0 {
 		t.Error("PlusTimes[int64] arithmetic wrong")
-	}
-}
-
-func TestPlusPairIgnoresOperands(t *testing.T) {
-	s := PlusPair[int32]{}
-	if s.Mul(17, -5) != 1 || s.Mul(0, 0) != 1 {
-		t.Error("PlusPair.Mul must always return 1")
-	}
-	if s.Add(3, 4) != 7 {
-		t.Error("PlusPair.Add wrong")
 	}
 }
 

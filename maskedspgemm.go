@@ -283,7 +283,7 @@ func KTruss(a *Matrix, k int, opts ...Option) (*Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sparse.Apply(res.Truss, func(v int64) float64 { return float64(v) }), nil
+	return res.Truss, nil
 }
 
 // Betweenness returns per-vertex betweenness-centrality dependencies
